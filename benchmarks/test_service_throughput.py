@@ -18,9 +18,16 @@ Timing protocol: one untimed warmup, then **best-of-3 with alternating
 legs** — every leg runs once per round, rounds repeat three times, and each
 leg keeps its fastest round.  A load spike on the (often 1-core) runner
 therefore degrades every leg's worst rounds equally instead of masquerading
-as a transport or journaling overhead.  Multi-shard thread fairness is
-asserted directly: the 2-shard p99 enqueue-to-absorbed latency must stay
-within 2x the 1-shard p99 (the historical failure mode was 10x).
+as a transport or journaling overhead.
+
+Latency percentiles are **exact** (nearest rank over every raw
+enqueue-to-absorbed sample, not histogram bucket edges, where one step is
+already a 2-2.5x jump).  Multi-shard thread fairness — the 2-shard p99 must
+stay within 2x the 1-shard p99; the historical failure mode was 10x — is a
+timing promise, so it is recorded here (``thread_p99_*`` in the sidecar) and
+gated by CI's ``bench-gate`` job (``scripts/check_bench_regression.py``), not
+asserted in tier-1: on a loaded 2-core box two shard threads plus the event
+loop contend for the GIL and even exact p99s straddle the 2x line run to run.
 
 The benchmark refuses to publish a number for output it cannot prove
 correct: every leg's drained output is checked for canonical-bytes parity
@@ -35,6 +42,7 @@ import time
 from typing import Dict, List, Optional
 
 from benchmarks.conftest import save_result
+from repro.analytics.latency import LatencyProfile
 from repro.analytics.reporting import render_table
 from repro.core import PipelineConfig, SeMiTriPipeline
 from repro.core.config import StreamingConfig, TrajectoryIdentificationConfig
@@ -117,23 +125,34 @@ class _Leg:
 
     def run_once(self, streams: Dict[str, List[SpatioTemporalPoint]], total: int) -> None:
         service = AnnotationService(self.context)
+        # Tee every raw latency sample off the service's histogram so the
+        # reported percentiles are exact rather than bucket upper bounds.
+        latency = LatencyProfile()
+        histogram = service.metrics.ingest_latency
+        record = histogram.observe
+
+        def observe(seconds: float) -> None:
+            latency.add("ingest", seconds)
+            record(seconds)
+
+        histogram.observe = observe  # type: ignore[method-assign]
         started = time.perf_counter()
         asyncio.run(_replay(service, streams))
         elapsed = time.perf_counter() - started
         assert service.dropped_events == 0 and service.stats.errors == 0, self.name
+        assert latency.count("ingest") == histogram.count > 0, self.name
         if self.wal_events:
             assert service.stats.wal_appended == self.wal_events, self.name
-        latency = service.metrics.ingest_latency
-        # The latency gate uses the best p99 seen over all rounds — like the
-        # elapsed best-of, one slow round must not fail a fairness assertion.
-        self.best_p99 = min(self.best_p99, latency.percentile(99.0))
+        # Fairness uses the best p99 seen over all rounds — like the elapsed
+        # best-of, one slow round must not decide it.
+        self.best_p99 = min(self.best_p99, latency.percentile("ingest", 0.99))
         if elapsed < self.best_elapsed:
             self.best_elapsed = elapsed
             self.stats = {
                 "elapsed_s": elapsed,
                 "events_per_s": total / elapsed,
-                "p50_s": latency.percentile(50.0),
-                "p99_s": latency.percentile(99.0),
+                "p50_s": latency.percentile("ingest", 0.50),
+                "p99_s": latency.percentile("ingest", 0.99),
                 "backpressure_waits": float(service.stats.backpressure_waits),
                 "results": float(len(service.results)),
             }
@@ -195,16 +214,6 @@ def test_service_throughput(benchmark, car_dataset, annotation_sources, tmp_path
                 [expected]
             ), (leg.name, trajectory_id)
 
-    # Multi-shard fairness (the p99 blow-up fix): adding a shard must not
-    # multiply tail latency.  5 ms of slack absorbs histogram granularity on
-    # sub-millisecond tails; the historical regression was 10x at 25 ms.
-    p99_1 = by_name["thread-1"].best_p99
-    p99_2 = by_name["thread-2"].best_p99
-    assert p99_2 <= 2.0 * p99_1 + 0.005, (
-        f"2-shard p99 {p99_2 * 1e3:.2f} ms blew past 2x the "
-        f"1-shard p99 {p99_1 * 1e3:.2f} ms"
-    )
-
     # Process scaling: a hard promise only where the cores exist.  Below the
     # threshold the ratio is recorded in the sidecar but not asserted.
     process_ratio = (
@@ -255,6 +264,10 @@ def test_service_throughput(benchmark, car_dataset, annotation_sources, tmp_path
             "legs": {leg.name: dict(leg.stats) for leg in legs},
             "process_scaling_ratio_4v1": process_ratio,
             "process_scaling_gated": cores >= SCALING_GATE_MIN_CORES,
+            # Multi-shard fairness (the p99 blow-up fix), exact best-of-rounds
+            # p99s; gated by scripts/check_bench_regression.py, not here.
+            "thread_p99_1shard_s": by_name["thread-1"].best_p99,
+            "thread_p99_2shard_s": by_name["thread-2"].best_p99,
             # Journaling tax: single-shard thread run with the crash-safe
             # ingest WAL (``service.journal_dir`` set, default fsync batch).
             # Informational — the gated metric stays the journal-off cost.

@@ -142,6 +142,34 @@ def check_one(
     return failures
 
 
+def check_service_fairness(results_dir: Path) -> List[str]:
+    """Multi-shard fairness of the thread service: an absolute timing gate.
+
+    Adding a shard must not multiply tail latency: the 2-shard p99
+    enqueue-to-absorbed latency (exact, best of the benchmark's rounds) must
+    stay within 2x the 1-shard p99 plus 5 ms of slack for sub-millisecond
+    tails; the historical regression was 10x.  It lives here, not in the
+    tier-1 run of the benchmark, because it is a promise about timing.
+    """
+    path = results_dir / "service_throughput.json"
+    if not path.exists():
+        return []  # the service benchmark did not run; nothing to gate
+    data = (load_sidecar(path) or {}).get("data") or {}
+    if "thread_p99_1shard_s" not in data or "thread_p99_2shard_s" not in data:
+        return ["service_throughput: sidecar records no thread_p99_* fairness samples"]
+    p99_1, p99_2 = data["thread_p99_1shard_s"], data["thread_p99_2shard_s"]
+    print(
+        f"  service_throughput.fairness: 1-shard p99={p99_1 * 1e3:.2f} ms "
+        f"2-shard p99={p99_2 * 1e3:.2f} ms"
+    )
+    if p99_2 > 2.0 * p99_1 + 0.005:
+        return [
+            f"service_throughput: 2-shard p99 {p99_2 * 1e3:.2f} ms blew past 2x "
+            f"the 1-shard p99 {p99_1 * 1e3:.2f} ms"
+        ]
+    return []
+
+
 def update_baselines(results_dir: Path, baselines_dir: Path, names: List[str]) -> int:
     """Copy current sidecars over the baselines; returns an exit code."""
     baselines_dir.mkdir(parents=True, exist_ok=True)
@@ -208,6 +236,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 baseline_path, args.results, args.threshold, args.cross_machine_threshold
             )
         )
+    failures.extend(check_service_fairness(args.results))
     if failures:
         print("\nBENCH GATE FAILED:")
         for failure in failures:

@@ -2,76 +2,69 @@
 
 :class:`AnnotationService` multiplexes many concurrent GPS object streams into
 sharded :class:`~repro.engine.executors.MicroBatchExecutor` instances — the
-same streaming session loop :class:`StreamingAnnotationEngine` drives, but
-fanned out across shards so heavy traffic from many emitters does not
-serialise behind one session registry:
+streaming session loop, fanned out so heavy traffic from many emitters does
+not serialise behind one session registry.  The tier has three parts:
 
-* **routing** — events are routed to a shard by consistent-hashing the object
-  id (:mod:`repro.service.routing`), so all trajectories of one object share
-  one stateful session and routing is stable across processes;
-* **backpressure** — each shard owns a bounded ``asyncio.Queue``; when it
-  fills, ``await service.ingest(...)`` suspends the producer until the shard
-  catches up.  Events are *never* dropped: slow producers wait;
-* **memory budget** — ``config.service.session_budget`` is divided across
-  shards as each shard's LRU session capacity; the least recently active
-  sessions are gracefully closed through the same gap close-out path an
-  explicit close takes (sealing and annotating their open trajectories), and
-  :meth:`evict_sessions` forces the same path on demand;
-* **drain/shutdown** — :meth:`drain` stops intake, flushes every queue, closes
-  every open session in every shard and (when persistence is on) commits all
-  sealed results in one deterministic-order transaction, so the drained
-  output is canonically byte-identical to a sequential
-  :meth:`~repro.core.pipeline.SeMiTriPipeline.annotate_many` over the
-  delivered events;
-* **telemetry** — per-shard queue-depth gauges, events/results counters and a
-  service-wide enqueue-to-absorbed latency histogram live in a PR 6
-  :class:`~repro.obs.metrics.MetricsRegistry`, Prometheus rendering included.
+* the **router** (this module) — everything that happens to an event before
+  and after a shard touches it: consistent-hash routing on the object id
+  (:mod:`repro.service.routing`), the crash-safe ingest journal, bounded
+  per-shard queues whose ``await service.ingest(...)`` suspends the producer
+  instead of dropping, enqueue stamping, consumer micro-batching, the **one
+  fold** every ack goes through (:meth:`AnnotationService._apply_ack` /
+  :meth:`AnnotationService._apply_drained`), result collection and the
+  deterministic single-transaction commit at :meth:`AnnotationService.drain`;
+* the **shard core** (:class:`repro.service.shard.ShardCore`) — absorb a
+  micro-batch, seal, close out, ack.  One implementation, wherever it runs;
+* two **transports** — where a core runs and how operations and acks travel:
+  :class:`~repro.service.shard.ThreadShard` (in-process: queue items by
+  reference, acks as objects) and
+  :class:`~repro.service.workers.ProcessShard` (a worker process per shard on
+  the zero-copy shared snapshot: batched frames out, pickled acks back,
+  WAL-prefix replay when a worker dies — and no worker ever outlives the
+  service process).  ``config.service.transport`` chooses (``"auto"`` is
+  ``process`` on multi-core hosts, ``thread`` on one core); once
+  :meth:`AnnotationService.start` has built the shards, nothing in the
+  router knows which it got.
 
-Where shard executors *run* is the ``config.service.transport`` knob:
+Which state lives where:
 
-* ``"thread"`` — every shard's executor lives in this process on a thread
-  pool (one hand-off per micro-batch, one in-flight batch per shard).  The
-  event loop stays free for I/O, but the GIL serializes the annotation work
-  itself, so added shards buy isolation and fairness rather than throughput;
-* ``"process"`` — each shard's executor runs in its own worker process
-  (:mod:`repro.service.workers`), attached zero-copy to the parent's
-  :class:`~repro.parallel.context.GeoContext` (PR 7's shared-memory
-  machinery).  Events cross the boundary in batched pre-encoded frames over
-  ``multiprocessing`` pipes; a small reader task per shard streams sealed
-  results back incrementally, so ``on_result`` ordering, the latency
-  histogram and the drain-time deterministic commit are preserved.  A dead
-  worker is respawned and its journal prefix replayed (see
-  :meth:`AnnotationService._recover_shard`) — only proven poison objects are
-  quarantined;
-* ``"auto"`` — ``process`` on multi-core hosts, ``thread`` on a single core.
+==========================  ================================================
+router (event-loop thread)  ring, journal, queues, stats, failure log,
+                            collected results + commit order, store
+``Shard`` (parent side)     counters mirrored from acks: events absorbed,
+                            open sessions, evictions, poison skips
+``ShardCore``               executor + sessions, core-local failure log
+                            (only its dead letters leave, on acks)
+``ProcessShard`` only       worker process + pipes, ``sent_ops`` replay
+                            ledger, un-acked batches, proven-poison set
+==========================  ================================================
 
-Either way, per-shard absorption order equals enqueue order, which is what
-the cross-transport parity tests pin down.
+Per-shard absorption order equals enqueue order on either transport, so the
+drained output is canonically byte-identical to a sequential
+:meth:`~repro.core.pipeline.SeMiTriPipeline.annotate_many` over the delivered
+events — which is what the cross-transport parity tests pin down.
 """
 
 from __future__ import annotations
 
 import asyncio
-import sqlite3
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.config import PipelineConfig
-from repro.core.errors import ConfigurationError, SemitriError, ServiceError
+from repro.core.errors import ConfigurationError, ServiceError
 from repro.core.pipeline import AnnotationSources, PipelineResult
-from repro.core.points import RawTrajectory, SpatioTemporalPoint
-from repro.engine.executors import MicroBatchExecutor, _pool_mp_context
-from repro.engine.plan import Plan
-from repro.faults.failures import FailureEvent, FailureLog, TrajectoryFailure
+from repro.core.points import SpatioTemporalPoint
+from repro.faults.failures import FailureLog, TrajectoryFailure
 from repro.faults.inject import FaultInjector
-from repro.faults.journal import IngestJournal, JournalRecord
-from repro.obs.metrics import MetricsRegistry, ServiceMetrics, ShardMetrics
+from repro.faults.journal import IngestJournal
+from repro.obs.metrics import MetricsRegistry, ServiceMetrics
 from repro.parallel.context import GeoContext
-from repro.parallel.shared import SharedContextSpec, SharedGeoContext, share_context
+from repro.parallel.shared import SharedGeoContext
 from repro.service.routing import ConsistentHashRing
-from repro.service.workers import DRAIN_FRAME, ShardProcessHandle
+from repro.service.shard import CLOSE, EVENT, EVICT, Ack, Shard, ThreadShard, op_for
+from repro.service.workers import ProcessShard, worker_payload
 from repro.store.store import SemanticTrajectoryStore
 
 __all__ = ["AnnotationService", "ServiceStats"]
@@ -79,14 +72,15 @@ __all__ = ["AnnotationService", "ServiceStats"]
 #: Queue sentinel that tells a shard consumer the stream is over.
 _STOP = object()
 
-#: Queue item kinds (events and per-object control messages share the queue
-#: so control respects the same ordering and backpressure as data).
-_EVENT, _CLOSE, _EVICT = "event", "close", "evict"
-
-#: One queued item: [kind, object id or eviction target, point, enqueue time].
-#: A (mutable) list, not a tuple: the enqueue timestamp is stamped by the
-#: queue itself at true insertion time (see :class:`_StampedQueue`).
+#: One queued item: [kind, object id or eviction target, point, enqueue time]
+#: (events and per-object control messages share the queue so control respects
+#: the same ordering and backpressure as data).  A (mutable) list, not a
+#: tuple: the enqueue timestamp is stamped by the queue itself at true
+#: insertion time (see :class:`_StampedQueue`).
 _Item = List[object]
+
+#: A shard as the router sees it: mirrored counters + start/submit/drain/close.
+_AnyShard = Union[ThreadShard, ProcessShard]
 
 
 class _StampedQueue(asyncio.Queue):
@@ -103,22 +97,6 @@ class _StampedQueue(asyncio.Queue):
         if type(item) is list:
             item[3] = time.perf_counter()
         super()._put(item)
-
-#: Exception types a shard batch may fail with that the service *handles*
-#: (counts, annotates with shard + object ids, routes through the failure
-#: policy).  Deliberately narrow — anything outside this tuple (MemoryError,
-#: KeyboardInterrupt, arbitrary C-extension crashes) propagates untouched.
-_BATCH_ERRORS = (
-    SemitriError,
-    sqlite3.Error,
-    ValueError,
-    TypeError,
-    KeyError,
-    IndexError,
-    ArithmeticError,
-    RuntimeError,
-    OSError,
-)
 
 
 @dataclass
@@ -158,46 +136,6 @@ class ServiceStats:
     dedup_skipped: int = 0
     """Replayed trajectories skipped at commit because the store already
     holds them (the idempotency half of WAL recovery)."""
-
-
-class _ShardWorker:
-    """One shard's synchronous half: a micro-batch executor plus bookkeeping.
-
-    ``process`` runs on the service's thread pool; the consumer coroutine
-    awaits each batch before submitting the next, so a worker is only ever
-    touched by one thread at a time.
-    """
-
-    def __init__(self, index: int, plan: Plan, metrics: ShardMetrics):
-        self.index = index
-        self.executor = MicroBatchExecutor(plan)
-        self.metrics = metrics
-        self.events_absorbed = 0
-
-    def process(self, batch: List[_Item]) -> List[PipelineResult]:
-        """Absorb one micro-batch of events and control messages, in order."""
-        executor = self.executor
-        results: List[PipelineResult] = []
-        for kind, object_id, point, _ in batch:
-            if kind == _EVENT:
-                assert point is not None
-                results.extend(executor.ingest(str(object_id), point))
-                self.events_absorbed += 1
-            elif kind == _CLOSE:
-                results.extend(executor.close_object(str(object_id)))
-            else:  # _EVICT: object_id carries the target open-session count
-                results.extend(executor.evict_sessions(int(object_id)))  # type: ignore[arg-type]
-        self.metrics.events.inc(sum(1 for item in batch if item[0] == _EVENT))
-        self.metrics.results.inc(len(results))
-        self.metrics.open_sessions.set(executor.open_session_count)
-        return results
-
-    def drain(self) -> List[PipelineResult]:
-        """Close every open session (flushing the pending micro-batch first)."""
-        results = self.executor.close_all()
-        self.metrics.results.inc(len(results))
-        self.metrics.open_sessions.set(0)
-        return results
 
 
 class AnnotationService:
@@ -256,7 +194,6 @@ class AnnotationService:
         self._config = context.config
         service_config = self._config.service
         self._shard_count = service_config.resolved_shards
-        self._queue_depth = service_config.queue_depth
         self._max_batch = service_config.max_batch
         self._ring = ConsistentHashRing(self._shard_count, replicas=service_config.ring_replicas)
         self._store = store
@@ -269,62 +206,24 @@ class AnnotationService:
         self._faults = fault_injector if fault_injector is not None else FaultInjector.from_env()
         if store is not None and self._faults.enabled:
             store.bind_faults(self._faults)
-        # One failure log for the whole service: shard threads record into it
-        # (it is thread-safe), but it is *not* bound to the store — shard
-        # threads must never touch the SQLite connection, so quarantines
-        # buffer until the drain flushes them on the event-loop thread.
+        # The service's one failure log and single counting point: shard cores
+        # ship their dead letters on acks and the fold counts them here.  Not
+        # bound to the store — quarantines buffer until the drain flushes them.
         self._failure_log = FailureLog(self._config.failure, registry=self.registry)
         self._journal: Optional[IngestJournal] = None
         self._batch_failures: List[ServiceError] = []
 
         # Each shard gets its share of the session budget; everything else
-        # (annotators, indexes, config) is the shared snapshot's.  Shard plans
-        # never persist — the service commits at drain time, in one place.
+        # (annotators, indexes, config) is the shared snapshot's.
         self._transport = service_config.resolved_transport
         self._per_shard_sessions = max(1, service_config.session_budget // self._shard_count)
-        self._shard_metrics = [self.metrics.shard(index) for index in range(self._shard_count)]
-        shard_config = replace(
-            self._config,
-            streaming=replace(self._config.streaming, max_sessions=self._per_shard_sessions),
-        )
-        # Thread transport compiles the shard plans here, in-process.  The
-        # process transport compiles nothing in the parent — each worker
-        # process compiles its own plan against the attached snapshot.
-        self._workers = (
-            [
-                _ShardWorker(
-                    index,
-                    Plan.compile(
-                        sources=context.sources,
-                        config=shard_config,
-                        annotators=context.annotators,
-                        faults=self._faults,
-                        failure_log=self._failure_log,
-                    ),
-                    self._shard_metrics[index],
-                )
-                for index in range(self._shard_count)
-            ]
-            if self._transport == "thread"
-            else []
-        )
-
+        self._shards: Sequence[_AnyShard] = ()
+        # The snapshot's shared-memory segment, when out-of-process shards
+        # need one; released once they are gone.
+        self._shared: Optional[SharedGeoContext] = None
         self._queues: List["asyncio.Queue[object]"] = []
         self._consumers: List["asyncio.Task[None]"] = []
-        self._pool: Optional[ThreadPoolExecutor] = None
-        # Process-transport state: one worker process + ack-reader task per
-        # shard, an IPC thread pool for the blocking pipe reads, and the
-        # shared-memory segment (when the start method would otherwise pickle
-        # the snapshot per worker).
-        self._handles: List[ShardProcessHandle] = []
-        self._reader_tasks: List["asyncio.Task[None]"] = []
-        self._ipc_pool: Optional[ThreadPoolExecutor] = None
-        self._shared: Optional[SharedGeoContext] = None
-        self._ready: List[asyncio.Event] = []
-        self._inflight: List[asyncio.Semaphore] = []
         self._collected_ids: Set[str] = set()
-        self._poisoned: Set[str] = set()
-        self._closing = False
         self._results: List[PipelineResult] = []
         # (object id, collection sequence) per result: the deterministic sort
         # key of the drain-time store commit.  Within one object the sequence
@@ -360,23 +259,19 @@ class AnnotationService:
         return self._transport
 
     @property
-    def worker_pids(self) -> List[Optional[int]]:
-        """Per-shard worker PIDs (empty under the thread transport)."""
-        return [handle.pid for handle in self._handles]
+    def worker_pids(self) -> List[int]:
+        """PIDs of the shards' (last) worker processes; none for in-process shards."""
+        return [shard.pid for shard in self._shards if shard.pid is not None]
 
     @property
     def delivered_events(self) -> int:
         """Events absorbed by shard executors (equals ``stats.events`` after drain).
 
-        Under the process transport, events belonging to a quarantined poison
-        object are *handled* by skipping them at the shard boundary; they
-        count as delivered so the no-drop ledger still closes.
+        Events belonging to a quarantined poison object are *handled* by
+        skipping them at the shard boundary; they count as delivered so the
+        no-drop ledger still closes.
         """
-        if self._transport == "process":
-            return sum(
-                handle.events_absorbed + handle.poison_skipped for handle in self._handles
-            )
-        return sum(worker.events_absorbed for worker in self._workers)
+        return sum(shard.events_absorbed + shard.poison_skipped for shard in self._shards)
 
     @property
     def dropped_events(self) -> int:
@@ -390,21 +285,13 @@ class AnnotationService:
 
     @property
     def open_session_count(self) -> int:
-        """Open per-object sessions across every shard.
-
-        Process transport: mirrored from the most recent worker acks, so the
-        value trails in-flight frames by at most ``max_inflight`` batches.
-        """
-        if self._transport == "process":
-            return sum(handle.open_sessions for handle in self._handles)
-        return sum(worker.executor.open_session_count for worker in self._workers)
+        """Open per-object sessions across every shard, as of the latest acks."""
+        return sum(shard.open_sessions for shard in self._shards)
 
     @property
     def sessions_evicted(self) -> int:
         """Sessions closed by LRU budget pressure or explicit eviction."""
-        if self._transport == "process":
-            return sum(handle.sessions_evicted for handle in self._handles)
-        return sum(worker.executor.sessions_evicted for worker in self._workers)
+        return sum(shard.sessions_evicted for shard in self._shards)
 
     def queue_depths(self) -> List[int]:
         """Current per-shard queue depths (diagnostics)."""
@@ -440,7 +327,7 @@ class AnnotationService:
 
     # --------------------------------------------------------------- lifecycle
     async def start(self) -> "AnnotationService":
-        """Create the shard queues, consumers and worker thread pool.
+        """Open the journal, build and start the shards, queues and consumers.
 
         With ``config.service.journal_dir`` set, the crash-safe ingest
         journal opens here — and if a previous service died with un-drained
@@ -458,35 +345,18 @@ class AnnotationService:
                 fsync_batch=service_config.journal_fsync_batch,
             )
         self._queues = [
-            _StampedQueue(maxsize=self._queue_depth) for _ in range(self._shard_count)
+            _StampedQueue(maxsize=service_config.queue_depth) for _ in range(self._shard_count)
         ]
+        # The one place a transport is chosen; from here on a shard is a shard.
         if self._transport == "process":
-            payload = self._worker_payload()
-            fault_plan = self._faults.plan.render() if self._faults.enabled else ""
-            for index in range(self._shard_count):
-                handle = ShardProcessHandle(
-                    index, payload, self._per_shard_sessions, fault_plan
-                )
-                handle.spawn()
-                self._shard_metrics[index].worker_pid.set(float(handle.pid or 0))
-                self._handles.append(handle)
-                ready = asyncio.Event()
-                ready.set()
-                self._ready.append(ready)
-                self._inflight.append(asyncio.Semaphore(ShardProcessHandle.max_inflight))
-            # One thread per shard for the blocking pipe reads; replay during
-            # recovery reuses the same slot its shard's reader vacated.
-            self._ipc_pool = ThreadPoolExecutor(
-                max_workers=self._shard_count, thread_name_prefix="semitri-ipc"
-            )
-            self._reader_tasks = [
-                asyncio.create_task(self._read_acks(index), name=f"semitri-ipc-{index}")
-                for index in range(self._shard_count)
+            payload, self._shared = worker_payload(self._context)
+            self._shards = [
+                ProcessShard(self, index, payload) for index in range(self._shard_count)
             ]
         else:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._shard_count, thread_name_prefix="semitri-shard"
-            )
+            self._shards = [ThreadShard(self, index) for index in range(self._shard_count)]
+        for shard in self._shards:
+            shard.start()
         self._consumers = [
             asyncio.create_task(self._consume(index), name=f"semitri-shard-{index}")
             for index in range(self._shard_count)
@@ -496,25 +366,6 @@ class AnnotationService:
             await self._replay_journal()
         return self
 
-    def _worker_payload(self) -> Union[SharedContextSpec, GeoContext]:
-        """What ships the snapshot to shard workers, mirroring PR 7's rule.
-
-        Shared memory is used exactly when the start method would otherwise
-        pickle the snapshot per worker (``parallel.shared_memory == "auto"``
-        off-fork, or ``"on"`` anywhere); under fork the context rides
-        copy-on-write inheritance, which is equally zero-copy with no segment
-        to manage.
-        """
-        start_method = _pool_mp_context().get_start_method()
-        shared_memory = self._config.parallel.shared_memory
-        use_shared = shared_memory == "on" or (
-            shared_memory == "auto" and start_method != "fork"
-        )
-        if use_shared:
-            self._shared = share_context(self._context)
-            return self._shared.spec
-        return self._context
-
     async def _replay_journal(self) -> None:
         """Feed a crashed predecessor's surviving WAL records back in."""
         assert self._journal is not None
@@ -522,22 +373,21 @@ class AnnotationService:
         for record in records:
             shard = self._ring.shard_for(record.object_id)
             self._journal.append_replayed(shard, record)
+            await self._enqueue(self._queues[shard], op_for(record))
             if record.kind == "event":
-                await self._enqueue(
-                    self._queues[shard], [_EVENT, record.object_id, record.point(), 0.0]
-                )
                 self.stats.events += 1
             else:
-                await self._enqueue(
-                    self._queues[shard], [_CLOSE, record.object_id, None, 0.0]
-                )
                 self.stats.closed_objects += 1
         # Only after every record is safely re-journaled may the recovered
         # files go; a crash in between replays from the re-journaled copies.
         self._journal.sync()
         self._journal.discard_recovered()
-        self.stats.wal_replayed += len(records)
-        self._failure_log.record_wal_replayed(len(records))
+        self._count_replayed(len(records))
+
+    def _count_replayed(self, count: int) -> None:
+        """Count journal records replayed (crash recovery or worker loss)."""
+        self.stats.wal_replayed += count
+        self._failure_log.record_wal_replayed(count)
 
     async def __aenter__(self) -> "AnnotationService":
         return await self.start()
@@ -563,31 +413,16 @@ class AnnotationService:
         for queue in self._queues:
             await queue.put(_STOP)
         await asyncio.gather(*self._consumers)
-        if self._transport == "process":
-            # Ask every worker to close out its sessions.  The drain frame is
-            # FIFO behind any in-flight batches, so each worker seals in
-            # exactly the order it absorbed; the readers return once the
-            # drained ack lands (re-requested by recovery if a worker dies
-            # mid-drain).
-            for index, handle in enumerate(self._handles):
-                await self._ready[index].wait()
-                if not handle.drain_requested:
-                    self._request_drain(index)
-            await asyncio.gather(*self._reader_tasks)
-            self._reader_tasks = []
-            if self._batch_failures and not self._config.failure.isolates:
-                # Thread-transport fail_fast raises from the consumer; here
-                # batch errors arrive as acks, so the first one surfaces once
-                # everything in flight has settled.  The journal is kept.
-                raise self._batch_failures[0]
-        else:
-            loop = asyncio.get_running_loop()
-            assert self._pool is not None
-            closes = [
-                loop.run_in_executor(self._pool, worker.drain) for worker in self._workers
-            ]
-            for sealed in await asyncio.gather(*closes):
-                self._collect(sealed)
+        # Every shard closes out behind whatever it still has in flight, so it
+        # seals in exactly the order it absorbed; the drained acks fold in
+        # shard order.
+        drained = await asyncio.gather(*(shard.drain() for shard in self._shards))
+        for shard, ack in zip(self._shards, drained):
+            self._apply_drained(shard, ack)
+        if self._batch_failures and not self._config.failure.isolates:
+            # fail_fast: the first batch error (they arrive as acks) surfaces
+            # once everything in flight has settled.  The journal is kept.
+            raise self._batch_failures[0]
         if self._journal is not None:
             self._journal.sync()
         if self._persist:
@@ -602,7 +437,7 @@ class AnnotationService:
         return self.results
 
     async def shutdown(self) -> List[PipelineResult]:
-        """Drain (if still running) and release the worker thread pool.
+        """Drain (if still running) and release shards, segment and journal.
 
         A service stuck in ``"draining"`` means a previous :meth:`drain`
         raised part-way (fail-fast batch or commit failure); shutdown then
@@ -610,36 +445,28 @@ class AnnotationService:
         of being masked by a "cannot drain" error.  The journal is *not*
         rotated on that path — the WAL stays on disk for recovery.
         """
-        self._closing = self._state != "running"
-        results = await self.drain() if self._state == "running" else self.results
-        self._closing = True
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        # Error-path readers may still be waiting on acks that will never
-        # come; cancel them before tearing the pipes down.
-        for task in self._reader_tasks:
-            task.cancel()
-        if self._reader_tasks:
-            await asyncio.gather(*self._reader_tasks, return_exceptions=True)
-            self._reader_tasks = []
-        # Handles are closed but kept: their mirrored counters back the
-        # post-shutdown ledger properties (delivered_events & co.), exactly
-        # like the thread transport's _ShardWorker list.
-        for handle in self._handles:
-            handle.close()
-        if self._ipc_pool is not None:
-            self._ipc_pool.shutdown(wait=True)
-            self._ipc_pool = None
-        if self._shared is not None:
-            # Workers are gone; unlinking the segment is safe now.
-            self._shared.close()
-            self._shared = None
-        if self._journal is not None:
-            self._journal.close()
-            self._journal = None
-        self._state = "closed"
-        return results
+        try:
+            return await self.drain() if self._state == "running" else self.results
+        finally:
+            # Released even when the drain above raised.  A worker lost from
+            # here on stays lost; closed shards are kept — their counters back
+            # the post-shutdown ledger properties (delivered_events & co.).
+            self._state = "closing"
+            for shard in self._shards:
+                await shard.close()
+            if self._shared is not None:
+                # Workers are gone; unlinking the segment is safe now.
+                self._shared.close()
+                self._shared = None
+            if self._journal is not None:
+                self._journal.close()
+                self._journal = None
+            self._state = "closed"
+
+    @property
+    def _live(self) -> bool:
+        """Whether a lost shard worker should still be recovered."""
+        return self._state in ("running", "draining")
 
     # -------------------------------------------------------------------- feed
     async def ingest(self, object_id: str, point: SpatioTemporalPoint) -> None:
@@ -652,12 +479,10 @@ class AnnotationService:
         if self._journal is not None:
             self._journal.append_event(shard, object_id, point)
             self.stats.wal_appended += 1
-        await self._enqueue(self._queues[shard], [_EVENT, object_id, point, 0.0])
+        await self._enqueue(self._queues[shard], [EVENT, object_id, point, 0.0])
         self.stats.events += 1
 
-    async def ingest_many(
-        self, events: Iterable[Tuple[str, SpatioTemporalPoint]]
-    ) -> int:
+    async def ingest_many(self, events: Iterable[Tuple[str, SpatioTemporalPoint]]) -> int:
         """Feed several events in order; returns the number accepted."""
         accepted = 0
         for object_id, point in events:
@@ -675,7 +500,7 @@ class AnnotationService:
         if self._journal is not None:
             self._journal.append_close(shard, object_id)
             self.stats.wal_appended += 1
-        await self._enqueue(self._queues[shard], [_CLOSE, object_id, None, 0.0])
+        await self._enqueue(self._queues[shard], [CLOSE, object_id, None, 0.0])
         self.stats.closed_objects += 1
 
     async def evict_sessions(self, target_per_shard: int) -> None:
@@ -691,7 +516,7 @@ class AnnotationService:
             raise ConfigurationError("target_per_shard must be non-negative")
         before = self.sessions_evicted
         for queue in self._queues:
-            await self._enqueue(queue, [_EVICT, target_per_shard, None, 0.0])
+            await self._enqueue(queue, [EVICT, target_per_shard, None, 0.0])
         # Eviction is fire-and-forget by design; the counter below reflects
         # evictions already performed, not the ones just requested.
         self.metrics.sessions_evicted.inc(max(0, self.sessions_evicted - before))
@@ -715,10 +540,8 @@ class AnnotationService:
 
     async def _consume(self, index: int) -> None:
         queue = self._queues[index]
-        metrics = self._shard_metrics[index]
-        process_transport = self._transport == "process"
-        worker = self._workers[index] if not process_transport else None
-        loop = asyncio.get_running_loop()
+        shard = self._shards[index]
+        queue_depth = shard.metrics.queue_depth
         stopping = False
         while not stopping:
             head = await queue.get()
@@ -741,191 +564,75 @@ class AnnotationService:
                     stopping = True
                     break
                 batch.append(item)  # type: ignore[arg-type]
-            metrics.queue_depth.set(queue.qsize())
+            queue_depth.set(queue.qsize())
             self.stats.batches += 1
-            if process_transport:
-                await self._ship_frame(index, batch)
-            else:
-                assert worker is not None and self._pool is not None
-                try:
-                    sealed = await loop.run_in_executor(self._pool, worker.process, batch)
-                except _BATCH_ERRORS as error:
-                    # Per-trajectory failures are already isolated inside the
-                    # executor (retry/quarantine per the failure policy); an
-                    # error escaping a whole batch is infrastructure-level.
-                    # Count it, attach shard + object ids, and route it
-                    # through the policy: fail_fast surfaces it at drain,
-                    # isolating policies keep the shard alive for the other
-                    # objects (a batch replay would be unsafe — the session
-                    # pass already consumed some events; the WAL still holds
-                    # them).
-                    self.stats.errors += 1
-                    metrics.errors.inc()
-                    object_ids = sorted(
-                        {str(item[1]) for item in batch if item[0] in (_EVENT, _CLOSE)}
-                    )
-                    self._failure_log.record_failure("shard_batch", type(error).__name__)
-                    failure = ServiceError(
-                        f"shard {index} failed a batch of {len(batch)} items "
-                        f"(objects {object_ids}): {error!r}"
-                    )
-                    self._batch_failures.append(failure)
-                    if not self._config.failure.isolates:
-                        raise failure from error
-                    continue
-                finished = time.perf_counter()
-                for item in batch:
-                    self.metrics.ingest_latency.observe(finished - item[3])  # type: ignore[operator]
-                self._collect(sealed)
-                metrics.queue_depth.set(queue.qsize())
+            await shard.submit(batch)
+            queue_depth.set(queue.qsize())
             # Yield between batches so co-resident consumers interleave even
             # when this queue never goes empty.
             await asyncio.sleep(0)
 
-    # ------------------------------------------------- process transport: IPC
-    async def _ship_frame(self, index: int, batch: List[_Item]) -> None:
-        """Encode one micro-batch and hand it to the shard's worker process.
+    # ---------------------------------------------------------------- the fold
+    def _apply_ack(self, shard: Shard, ack: Ack, batch: Sequence[_Item] = ()) -> None:
+        """Fold one absorb ack — from any transport, live or replayed — in.
 
-        ``sent_ops`` counts the batch's WAL-covered operations *before* the
-        frame leaves (poison-skips included), so a worker death at any point
-        is recovered by replaying exactly that journal prefix; a failed send
-        is therefore ignored here — the reader task notices the EOF.
+        ``batch`` is the acked batch's queue items, whose enqueue stamps
+        become latency observations; replayed batches carry none.
         """
-        handle = self._handles[index]
-        metrics = self._shard_metrics[index]
-        await self._inflight[index].acquire()
-        await self._ready[index].wait()
-        sendable: List[_Item] = []
-        times: List[float] = []
-        wal_ops = 0
-        now = time.perf_counter()
-        for item in batch:
-            kind = item[0]
-            if kind in (_EVENT, _CLOSE):
-                wal_ops += 1
-                if self._poisoned and str(item[1]) in self._poisoned:
-                    # Proven-poison objects are handled at the boundary: the
-                    # worker never sees them again, but they count as
-                    # delivered (and observed) so the ledger closes.
-                    if kind == _EVENT:
-                        handle.poison_skipped += 1
-                    self.metrics.ingest_latency.observe(now - item[3])  # type: ignore[operator]
-                    continue
-            sendable.append(item)
-            times.append(item[3])  # type: ignore[arg-type]
-        handle.sent_ops += wal_ops
-        if not sendable:
-            self._inflight[index].release()
-            return
-        frame = handle.encoder.encode_batch(sendable)
-        handle.pending.append((times, sum(1 for item in sendable if item[0] == _EVENT)))
-        metrics.ipc_frames.inc()
-        metrics.ipc_bytes.inc(len(frame))
-        try:
-            handle.send_frame(frame)
-        except OSError:
-            pass  # the worker died; recovery replays this frame from the WAL
-
-    def _request_drain(self, index: int) -> None:
-        """Send the drain control frame (re-sent by recovery if the ack dies)."""
-        handle = self._handles[index]
-        handle.drain_requested = True
-        try:
-            handle.send_frame(DRAIN_FRAME)
-        except OSError:
-            pass  # the reader's recovery path re-requests after respawn
-
-    async def _read_acks(self, index: int) -> None:
-        """Per-shard reader: stream worker acks back onto the event loop.
-
-        Runs until the worker's drained ack (normal end of life) or until
-        shutdown cancels it.  A pipe EOF while the service is live means the
-        worker died — recover it and keep reading.
-        """
-        loop = asyncio.get_running_loop()
-        handle = self._handles[index]
-        while True:
-            try:
-                message = await loop.run_in_executor(self._ipc_pool, handle.recv)
-            except (EOFError, OSError):
-                if self._closing or self._state not in ("running", "draining"):
-                    return
-                await self._recover_shard(index)
-                continue
-            if message[0] == "drained":
-                self._apply_drained(index, message)
-                return
-            self._apply_ack(index, message, pop_pending=True)
-
-    def _apply_ack(
-        self, index: int, message: Tuple[object, ...], *, pop_pending: bool
-    ) -> None:
-        """Fold one ok/error ack into service state (also used by replay)."""
-        handle = self._handles[index]
-        metrics = self._shard_metrics[index]
-        times: List[float] = []
-        if pop_pending and handle.pending:
-            times, _ = handle.pending.pop(0)
-            self._inflight[index].release()
-        if message[0] == "ok":
-            _, results, absorbed, open_sessions, evicted, quarantines = message
-            handle.events_absorbed += absorbed  # type: ignore[operator]
-            handle.open_sessions = open_sessions  # type: ignore[assignment]
-            handle.sessions_evicted = evicted  # type: ignore[assignment]
-            metrics.events.inc(absorbed)  # type: ignore[arg-type]
-            metrics.results.inc(len(results))  # type: ignore[arg-type]
-            metrics.open_sessions.set(float(open_sessions))  # type: ignore[arg-type]
+        absorbed, open_sessions, evicted, quarantines = ack[-4:]
+        if ack[0] == "ok":
+            results: List[PipelineResult] = ack[1]  # type: ignore[assignment]
+            shard.metrics.events.inc(absorbed)  # type: ignore[arg-type]
+            shard.metrics.results.inc(len(results))
             finished = time.perf_counter()
-            for enqueued in times:
-                self.metrics.ingest_latency.observe(finished - enqueued)
-            self._absorb_quarantines(quarantines)  # type: ignore[arg-type]
-            self._collect_deduped(results)  # type: ignore[arg-type]
-            return
-        # ("error", kind, repr, object_ids, op_count, absorbed, open, evicted,
-        # quarantines): infrastructure-level batch failure, same policy
-        # routing as the thread transport's _BATCH_ERRORS branch — but the
-        # worker survived and already told us how far it got.
-        (_, kind_name, error_repr, object_ids, op_count, absorbed, open_sessions,
-         evicted, quarantines) = message
-        handle.events_absorbed += absorbed  # type: ignore[operator]
-        handle.open_sessions = open_sessions  # type: ignore[assignment]
-        handle.sessions_evicted = evicted  # type: ignore[assignment]
-        metrics.open_sessions.set(float(open_sessions))  # type: ignore[arg-type]
-        self.stats.errors += 1
-        metrics.errors.inc()
-        self._failure_log.record_failure("shard_batch", str(kind_name))
-        self._batch_failures.append(
-            ServiceError(
-                f"shard {index} failed a batch of {op_count} items "
-                f"(objects {object_ids}): {error_repr}"
+            observe = self.metrics.ingest_latency.observe
+            for item in batch:
+                observe(finished - item[3])  # type: ignore[operator]
+            self._collect(results)
+        else:
+            # An infrastructure-level batch failure the core survived; it
+            # already told us how far it got.  Routed through the policy:
+            # fail_fast surfaces it at drain, isolating policies keep the
+            # shard alive for the other objects.
+            kind, error, object_ids, op_count = ack[1:5]
+            self._shard_failed(
+                shard,
+                "shard_batch",
+                str(kind),
+                f"shard {shard.index} failed a batch of {op_count} items "
+                f"(objects {object_ids}): {error}",
             )
-        )
-        self._absorb_quarantines(quarantines)  # type: ignore[arg-type]
+        shard.events_absorbed += absorbed  # type: ignore[operator]
+        shard.open_sessions = open_sessions  # type: ignore[assignment]
+        shard.sessions_evicted = evicted  # type: ignore[assignment]
+        shard.metrics.open_sessions.set(float(open_sessions))  # type: ignore[arg-type]
+        self._quarantine(quarantines)  # type: ignore[arg-type]
 
-    def _apply_drained(self, index: int, message: Tuple[object, ...]) -> None:
+    def _apply_drained(self, shard: Shard, ack: Ack) -> None:
         """Fold the close-out ack (sealed rows of every open session) in."""
-        _, sealed, quarantines, evicted = message
-        handle = self._handles[index]
-        metrics = self._shard_metrics[index]
-        handle.open_sessions = 0
-        handle.sessions_evicted = evicted  # type: ignore[assignment]
-        metrics.results.inc(len(sealed))  # type: ignore[arg-type]
-        metrics.open_sessions.set(0.0)
-        self._absorb_quarantines(quarantines)  # type: ignore[arg-type]
-        self._collect_deduped(sealed)  # type: ignore[arg-type]
+        _, sealed, quarantines, evicted = ack
+        shard.open_sessions = 0
+        shard.sessions_evicted = evicted  # type: ignore[assignment]
+        shard.metrics.results.inc(len(sealed))  # type: ignore[arg-type]
+        shard.metrics.open_sessions.set(0.0)
+        self._quarantine(quarantines)  # type: ignore[arg-type]
+        self._collect(sealed)  # type: ignore[arg-type]
 
-    def _absorb_quarantines(self, quarantines: List[TrajectoryFailure]) -> None:
-        """Count worker-shipped dead letters on the parent's log.
+    def _shard_failed(self, shard: Shard, stage: str, kind: str, message: str) -> None:
+        """Count one shard-level failure and keep it for the failure policy."""
+        self.stats.errors += 1
+        shard.metrics.errors.inc()
+        self._failure_log.record_failure(stage, kind)
+        self._batch_failures.append(ServiceError(message))
 
-        The worker's own log is never read (module counting rule); the parent
-        quarantine is the single counting point, and it buffers the records
-        for the drain-time store flush.
-        """
-        for failure in quarantines:
+    def _quarantine(self, shipped: List[TrajectoryFailure]) -> None:
+        """Count core-shipped dead letters here, the single counting point;
+        the log buffers them for the drain-time store flush."""
+        for failure in shipped:
             self._failure_log.quarantine(failure)
 
-    def _collect_deduped(self, sealed: List[PipelineResult]) -> None:
-        """Collect worker results, keep-first across worker-loss replays.
+    def _collect(self, sealed: List[PipelineResult]) -> None:
+        """Collect shard results, keep-first across worker-loss replays.
 
         A replayed journal prefix re-seals trajectories that were already
         acked before the worker died; sealing is deterministic, so the
@@ -933,7 +640,6 @@ class AnnotationService:
         Retried-then-successful results carry their failure history with
         them — absorbed on first collection only.
         """
-        fresh: List[PipelineResult] = []
         for result in sealed:
             trajectory_id = result.trajectory.trajectory_id
             if trajectory_id is not None:
@@ -941,167 +647,6 @@ class AnnotationService:
                     continue
                 self._collected_ids.add(trajectory_id)
             self._failure_log.absorb_result(result)
-            fresh.append(result)
-        self._collect(fresh)
-
-    # -------------------------------------------- process transport: recovery
-    async def _recover_shard(self, index: int) -> None:
-        """Bring a dead shard worker back: respawn + WAL prefix replay.
-
-        The journal holds every event/close this shard accepted;
-        ``sent_ops`` says how many of them the dead worker had been handed.
-        Replaying exactly that prefix (in order) rebuilds the worker's
-        session state and re-seals whatever it had sealed — duplicates are
-        dropped at collection, so the recovered stream stays row-identical.
-        Without a journal the lost tail is unrecoverable: the loss is
-        recorded and routed through the failure policy.
-        """
-        handle = self._handles[index]
-        metrics = self._shard_metrics[index]
-        policy = self._config.failure
-        self._ready[index].clear()
-        self._failure_log.record_worker_loss()
-        metrics.worker_restarts.inc()
-        # Un-acked frames died with the worker; free their in-flight permits
-        # so the consumer (possibly blocked on one) can proceed once ready.
-        for _ in range(len(handle.pending)):
-            self._inflight[index].release()
-        if self._journal is None:
-            handle.sent_ops = 0
-            handle.respawn()
-            metrics.worker_pid.set(float(handle.pid or 0))
-            self.stats.errors += 1
-            metrics.errors.inc()
-            self._failure_log.record_failure("shard_worker", "WorkerLost")
-            self._batch_failures.append(
-                ServiceError(
-                    f"shard {index} worker died with no ingest journal; "
-                    "its un-acked events are lost (enable service.journal_dir "
-                    "for lossless worker recovery)"
-                )
-            )
-        else:
-            records = self._journal.records_for_shard(index)[: handle.sent_ops]
-            solo = handle.restarts + 1 > policy.max_shard_retries
-            handle.respawn()
-            metrics.worker_pid.set(float(handle.pid or 0))
-            replayed = await self._replay_prefix(index, records, solo=solo)
-            self.stats.wal_replayed += replayed
-            self._failure_log.record_wal_replayed(replayed)
-        self._ready[index].set()
-        if self._state == "draining" and handle.drain_requested:
-            self._request_drain(index)
-
-    async def _replay_prefix(
-        self, index: int, records: List[JournalRecord], solo: bool
-    ) -> int:
-        """Replay a journal prefix into a fresh worker; isolate proven poison.
-
-        Bulk replay first (one pass, batched).  If the replay itself kills
-        the fresh worker — or the shard has already exhausted
-        ``failure.max_shard_retries`` — fall back to object-by-object replay:
-        an object whose *solo* replay kills a fresh worker is proven poison,
-        quarantined, and skipped by all further intake; everything else is
-        replayed from scratch after each death (the dead worker's state is
-        gone).  Returns the number of records the live worker absorbed.
-        """
-        handle = self._handles[index]
-        metrics = self._shard_metrics[index]
-
-        def poison_events() -> int:
-            return sum(
-                1
-                for record in records
-                if record.kind == "event" and record.object_id in self._poisoned
-            )
-
-        handle.poison_skipped = poison_events()
-        clean = [r for r in records if r.object_id not in self._poisoned]
-        if not solo:
-            if not await self._replay_records(index, clean):
-                return len(clean)
-            # The replay itself killed the fresh worker: find the poison.
-            self._failure_log.record_worker_loss()
-            metrics.worker_restarts.inc()
-            handle.respawn()
-            metrics.worker_pid.set(float(handle.pid or 0))
-        by_object: Dict[str, List[JournalRecord]] = {}
-        order: List[str] = []
-        for record in clean:
-            if record.object_id not in by_object:
-                by_object[record.object_id] = []
-                order.append(record.object_id)
-            by_object[record.object_id].append(record)
-        while True:
-            survivors = [oid for oid in order if oid not in self._poisoned]
-            died_at: Optional[str] = None
-            for object_id in survivors:
-                if await self._replay_records(index, by_object[object_id]):
-                    died_at = object_id
-                    break
-            if died_at is None:
-                return sum(len(by_object[oid]) for oid in survivors)
-            self._failure_log.record_worker_loss()
-            metrics.worker_restarts.inc()
-            self._quarantine_poison(index, died_at, by_object[died_at])
-            handle.respawn()
-            metrics.worker_pid.set(float(handle.pid or 0))
-            handle.poison_skipped = poison_events()
-
-    async def _replay_records(self, index: int, records: List[JournalRecord]) -> bool:
-        """Feed records to the worker in lockstep batches; True if it died."""
-        handle = self._handles[index]
-        loop = asyncio.get_running_loop()
-        for start in range(0, len(records), self._max_batch):
-            chunk = records[start : start + self._max_batch]
-            items: List[_Item] = [
-                [_EVENT, record.object_id, record.point(), 0.0]
-                if record.kind == "event"
-                else [_CLOSE, record.object_id, None, 0.0]
-                for record in chunk
-            ]
-            frame = handle.encoder.encode_batch(items)
-            try:
-                handle.send_frame(frame)
-                message = await loop.run_in_executor(self._ipc_pool, handle.recv)
-            except (EOFError, OSError):
-                return True
-            # Replayed frames carry no live enqueue times (and no pending
-            # entry): counters and results fold in, latency is not observed.
-            self._apply_ack(index, message, pop_pending=False)
-        return False
-
-    def _quarantine_poison(
-        self, index: int, object_id: str, records: List[JournalRecord]
-    ) -> None:
-        """Dead-letter an object whose solo replay killed a fresh worker."""
-        self._poisoned.add(object_id)
-        points = sorted(
-            (record.point() for record in records if record.kind == "event"),
-            key=lambda point: point.t,
-        )
-        try:
-            trajectory = RawTrajectory(points, object_id=object_id)
-        except SemitriError:
-            # No reconstructable trajectory (e.g. close-only record set):
-            # count the loss, skip the store record.
-            self._failure_log.record_failure("shard_worker", "WorkerLost")
-            return
-        self._failure_log.quarantine(
-            TrajectoryFailure(
-                trajectory=trajectory,
-                stage="shard_worker",
-                error=(
-                    f"shard {index} worker died replaying {object_id!r} in "
-                    "isolation; object quarantined as proven poison"
-                ),
-                attempts=self._handles[index].restarts,
-                events=[FailureEvent(stage="shard_worker", kind="WorkerLost", attempt=1)],
-            )
-        )
-
-    def _collect(self, sealed: List[PipelineResult]) -> None:
-        for result in sealed:
             self._order.append((result.trajectory.object_id, len(self._order)))
             self._results.append(result)
             self.stats.results += 1

@@ -1,14 +1,13 @@
-"""Process-per-shard execution tier for the annotation service.
+"""Process transport of the shard protocol: one worker process per shard.
 
-The thread transport keeps every shard's
-:class:`~repro.engine.executors.MicroBatchExecutor` inside the service
-process, so the GIL serializes all annotation work no matter how many shards
-are configured.  This module is the ``transport="process"`` alternative: each
-shard runs its executor in a dedicated worker process, attached zero-copy to
-the parent's :class:`~repro.parallel.context.GeoContext` (PR 7's
-``share_context``/``attach_context`` machinery — one shm segment, read-only
-views), while the asyncio front end keeps ownership of routing, bounded
-queues, backpressure and the WAL.
+:class:`ProcessShard` hosts a shard's :class:`~repro.service.shard.ShardCore`
+in a dedicated worker process, attached zero-copy to the parent's
+:class:`~repro.parallel.context.GeoContext` (PR 7's ``share_context`` /
+``attach_context`` machinery — one shm segment, read-only views — or
+copy-on-write inheritance under fork), so annotation work escapes the
+parent's GIL.  The worker is ``decode_frame`` → ``core.absorb`` →
+``responses.send``: it runs the same core and answers with the same acks as
+an in-process shard, and everything transport-specific lives here.
 
 Wire discipline, chosen for amortized IPC on the hot path:
 
@@ -17,72 +16,95 @@ Wire discipline, chosen for amortized IPC on the hot path:
   the WAL's fast-path encoder (cached object-id encoding, ``repr``-formatted
   finite floats): ``["e",id,x,y,t]`` events, ``["c",id]`` closes, ``["v",n]``
   evictions, plus the ``["drain"]``/``["stop"]`` control frames;
-* **worker → parent** — pickled acks on a second pipe, one per frame and in
-  frame order, each carrying the sealed :class:`PipelineResult` rows of that
-  batch (results stream back incrementally — the parent preserves
-  ``on_result`` ordering and its enqueue-to-absorbed latency histogram), the
-  events absorbed, the open-session gauge and any dead-lettered quarantines.
+* **worker → parent** — the core's acks, pickled, on a second pipe, one per
+  frame and in frame order; at most :attr:`ProcessShard.max_inflight` frames
+  are un-acked at a time, and a reader task per shard folds acks into the
+  service as they arrive (results stream back incrementally).
 
-Workers never persist: sealed rows ship to the parent, which commits at drain
-in the same deterministic order as the thread transport.  A worker that dies
-mid-stream is detected by the parent's reader task (pipe EOF) and recovered
-from the WAL — see ``AnnotationService._recover_shard``.
+**Worker loss.**  A worker that dies mid-stream surfaces as EOF on the ack
+pipe.  The shard respawns it and replays exactly the journal prefix the dead
+worker had been handed (``sent_ops``); duplicates of already-acked results
+are dropped by the service's keep-first collection.  A replay that keeps
+killing fresh workers is bisected object by object: an object whose *solo*
+replay kills a fresh worker is proven poison — quarantined, and skipped at
+the shard boundary from then on.  Without a journal the lost tail is
+recorded and routed through the failure policy.
+
+**Worker lifetime.**  A worker never outlives its parent: it holds *only*
+its own two pipe ends (under fork it closes every inherited parent-side end,
+its siblings' included), so a parent that exits, crashes or is SIGKILLed
+produces EOF on the request pipe; as a backstop the frame loop polls with a
+timeout and exits once ``os.getppid()`` is no longer the spawning pid.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import multiprocessing
 import multiprocessing.connection
 import os
 import signal
-from dataclasses import replace
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from typing import (
+    TYPE_CHECKING,
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
-from repro.core.errors import SemitriError
-from repro.core.pipeline import PipelineResult
-from repro.core.points import SpatioTemporalPoint
-from repro.engine.executors import MicroBatchExecutor, _pool_mp_context
-from repro.engine.plan import Plan
-from repro.faults.failures import FailureLog, TrajectoryFailure
+from repro.core.errors import SemitriError, ServiceError
+from repro.core.points import RawTrajectory, SpatioTemporalPoint
+from repro.engine.executors import _pool_mp_context
+from repro.faults.failures import FailureEvent, TrajectoryFailure
 from repro.faults.inject import FaultInjector, FaultPlan
-from repro.faults.journal import ObjectIdEncoder, encode_point_fast
+from repro.faults.journal import JournalRecord, ObjectIdEncoder, encode_point_fast
 from repro.parallel.context import GeoContext
-from repro.parallel.shared import SharedContextSpec, attach_context
+from repro.parallel.shared import (
+    SharedContextSpec,
+    SharedGeoContext,
+    attach_context,
+    share_context,
+)
+
+# ``shard.ShardCore`` is looked up at call time so a test can substitute the
+# core once for both transports (forked workers inherit the substitution).
+from repro.service import shard
+from repro.service.shard import CLOSE, EVENT, EVICT, Ack, Shard, op_for
+
+if TYPE_CHECKING:
+    from repro.service.service import AnnotationService
 
 __all__ = [
     "FrameEncoder",
-    "ShardProcessHandle",
+    "ProcessShard",
     "decode_frame",
     "shard_worker_main",
+    "worker_payload",
     "DRAIN_FRAME",
     "STOP_FRAME",
 ]
-
-#: Wire tags of the per-item frame lines (events dominate, so one byte each).
-_TAG_EVENT, _TAG_CLOSE, _TAG_EVICT = "e", "c", "v"
 
 #: Control frames (single-line, no payload).
 DRAIN_FRAME = b'["drain"]'
 STOP_FRAME = b'["stop"]'
 
-#: One decoded frame item: (tag, object id or eviction target, point or None).
+#: One decoded frame item: (kind, object id or eviction target, point or None).
 FrameOp = Tuple[str, object, Optional[SpatioTemporalPoint]]
 
-#: Exception types a worker batch may fail with that ship back to the parent
-#: as an ``("error", ...)`` ack instead of killing the worker.  Mirrors the
-#: service's ``_BATCH_ERRORS`` minus ``sqlite3.Error`` — worker plans never
-#: touch a store.
-_WORKER_BATCH_ERRORS = (
-    SemitriError,
-    ValueError,
-    TypeError,
-    KeyError,
-    IndexError,
-    ArithmeticError,
-    RuntimeError,
-    OSError,
-)
+#: How long a worker waits for a frame before checking its parent is alive.
+_PARENT_POLL_SECONDS = 0.5
+
+#: What ships the snapshot to a worker: a shm spec, or the context itself.
+Payload = Union[SharedContextSpec, GeoContext]
 
 
 class FrameEncoder:
@@ -109,7 +131,7 @@ class FrameEncoder:
         lines: List[str] = []
         for item in items:
             kind, target, point = item[0], item[1], item[2]
-            if kind == "event":
+            if kind == EVENT:
                 assert point is not None
                 fields = encode_point_fast(point.x, point.y, point.t)
                 if fields is not None:
@@ -121,7 +143,7 @@ class FrameEncoder:
                             separators=(",", ":"),
                         )
                     )
-            elif kind == "close":
+            elif kind == CLOSE:
                 lines.append(f'["c",{self._ids.encode(str(target))}]')
             else:  # evict: target carries the open-session budget
                 lines.append(f'["v",{int(target)}]')  # type: ignore[call-overload]
@@ -129,238 +151,188 @@ class FrameEncoder:
 
 
 def decode_frame(data: bytes) -> List[FrameOp]:
-    """Parse one batched frame back into per-item operations."""
+    """Parse one batched frame back into the operations the core absorbs."""
     ops: List[FrameOp] = []
     for line in data.decode("utf-8").split("\n"):
         if not line:
             continue
         payload = json.loads(line)
         tag = payload[0]
-        if tag == _TAG_EVENT:
+        if tag == "e":
             ops.append(
                 (
-                    tag,
+                    EVENT,
                     payload[1],
                     SpatioTemporalPoint(
                         x=float(payload[2]), y=float(payload[3]), t=float(payload[4])
                     ),
                 )
             )
-        elif tag == _TAG_CLOSE:
-            ops.append((tag, payload[1], None))
-        elif tag == _TAG_EVICT:
-            ops.append((tag, int(payload[1]), None))
+        elif tag == "c":
+            ops.append((CLOSE, payload[1], None))
+        elif tag == "v":
+            ops.append((EVICT, int(payload[1]), None))
         else:  # "drain" / "stop" control frames are single-line
             ops.append((tag, None, None))
     return ops
 
 
-def _materialize_context(
-    payload: Union[SharedContextSpec, GeoContext],
-) -> Tuple[GeoContext, object]:
-    """The worker-side context, plus whatever must stay referenced for it.
+def worker_payload(context: GeoContext) -> Tuple[Payload, Optional[SharedGeoContext]]:
+    """What ships the snapshot to shard workers, mirroring PR 7's rule.
 
-    A :class:`SharedContextSpec` attaches to the parent's shm segment and
-    rebuilds read-only aliasing views — the returned bundle must live as long
-    as the context (its arrays alias the mapping) and is never unlinked here
-    (the parent owns the segment).  A plain :class:`GeoContext` arrived via
-    fork inheritance (copy-on-write, no pickling) or via the spawn pickle.
+    Shared memory is used exactly when the start method would otherwise
+    pickle the snapshot per worker (``parallel.shared_memory == "auto"``
+    off-fork, or ``"on"`` anywhere); under fork the context rides
+    copy-on-write inheritance, which is equally zero-copy with no segment to
+    manage.  The caller owns the returned segment (if any) and closes it
+    once every worker is gone.
     """
-    if isinstance(payload, SharedContextSpec):
-        return attach_context(payload)
-    return payload, None
+    shared_memory = context.config.parallel.shared_memory
+    if shared_memory == "on" or (
+        shared_memory == "auto" and _pool_mp_context().get_start_method() != "fork"
+    ):
+        shared = share_context(context)
+        return shared.spec, shared
+    return context, None
 
 
 def shard_worker_main(
     index: int,
-    payload: Union[SharedContextSpec, GeoContext],
+    payload: Payload,
     per_shard_sessions: int,
     fault_plan: str,
     requests: "multiprocessing.connection.Connection",
     responses: "multiprocessing.connection.Connection",
+    parent_pid: int,
+    inherited: Sequence["multiprocessing.connection.Connection"] = (),
 ) -> None:
     """Entry point of one shard's worker process.
 
-    Drives a :class:`MicroBatchExecutor` over the attached snapshot: decode a
-    frame, absorb its items in order, ack with the sealed results.  Acks are
-    sent in frame order on a FIFO pipe, which is what lets the parent keep
-    per-shard absorption order (and therefore canonical parity) identical to
-    the thread transport.
+    Decode a frame, let the core absorb it, send the ack.  Acks leave in
+    frame order on a FIFO pipe, which is what lets the parent keep per-shard
+    absorption order (and therefore canonical parity) identical to an
+    in-process shard.  ``inherited`` are the parent-side pipe ends a forked
+    worker holds copies of; closing them is what makes a dead parent visible
+    as EOF (see the module docstring's lifetime guarantee).
     """
     # The parent handles SIGINT for the whole service; a Ctrl-C must not kill
     # workers before the parent decides whether to drain or shut down.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    context, bundle = _materialize_context(payload)
-    del payload
-    config = replace(
-        context.config,
-        streaming=replace(context.config.streaming, max_sessions=per_shard_sessions),
+    for connection in inherited:
+        connection.close()
+    # A SharedContextSpec attaches to the parent's shm segment; ``bundle``
+    # must stay referenced for the life of the frame loop — the context's
+    # arrays alias its mapping (never unlinked here: the parent owns it).
+    context, bundle = (
+        attach_context(payload) if isinstance(payload, SharedContextSpec) else (payload, None)
     )
+    del payload
     faults = (
         FaultInjector(FaultPlan.parse(fault_plan))
         if fault_plan
         else FaultInjector.from_env()
     )
-    # Worker-local failure log: its counters are never read (the parent's log
-    # is the single counting point); only the buffered quarantines ship back.
-    failure_log = FailureLog(config.failure)
-    plan = Plan.compile(
-        sources=context.sources,
-        config=config,
-        annotators=context.annotators,
-        faults=faults,
-        failure_log=failure_log,
-    )
-    executor = MicroBatchExecutor(plan)
-    # ``bundle`` stays referenced for the life of this frame loop — the
-    # context's arrays alias its shared-memory mapping.
-
+    core = shard.ShardCore(context, per_shard_sessions, faults, in_worker=True)
     while True:
         try:
+            if not requests.poll(_PARENT_POLL_SECONDS):
+                if os.getppid() != parent_pid:
+                    break  # orphaned without an EOF: nothing useful left to do
+                continue
             data = requests.recv_bytes()
         except (EOFError, OSError):
-            break  # parent went away; nothing useful left to do
+            break  # parent went away
         ops = decode_frame(data)
-        if ops and ops[0][0] == "stop":
+        tag = ops[0][0] if ops else ""
+        if tag == "stop":
             break
-        if ops and ops[0][0] == "drain":
-            sealed = executor.close_all()
-            responses.send(
-                (
-                    "drained",
-                    sealed,
-                    _pop_quarantines(failure_log),
-                    executor.sessions_evicted,
-                )
-            )
-            continue
-        results: List[PipelineResult] = []
-        absorbed = 0
+        ack = core.close_out() if tag == "drain" else core.absorb(ops)
         try:
-            for tag, target, point in ops:
-                if tag == _TAG_EVENT:
-                    object_id = str(target)
-                    # Kill-style chaos follows the shard into its process:
-                    # the hook fires per event here (streams have no
-                    # trajectory boundary until sealing).
-                    faults.on_trajectory(object_id, worker=True)
-                    results.extend(executor.ingest(object_id, point))
-                    absorbed += 1
-                elif tag == _TAG_CLOSE:
-                    results.extend(executor.close_object(str(target)))
-                else:
-                    results.extend(executor.evict_sessions(int(target)))  # type: ignore[arg-type]
-        except _WORKER_BATCH_ERRORS as error:
-            object_ids = sorted(
-                {str(target) for tag, target, _ in ops if tag in (_TAG_EVENT, _TAG_CLOSE)}
-            )
-            responses.send(
-                (
-                    "error",
-                    type(error).__name__,
-                    repr(error),
-                    object_ids,
-                    len(ops),
-                    absorbed,
-                    executor.open_session_count,
-                    executor.sessions_evicted,
-                    _pop_quarantines(failure_log),
-                )
-            )
-            continue
-        responses.send(
-            (
-                "ok",
-                results,
-                absorbed,
-                executor.open_session_count,
-                executor.sessions_evicted,
-                _pop_quarantines(failure_log),
-            )
-        )
+            responses.send(ack)
+        except OSError:
+            break  # parent went away mid-ack
 
 
-def _pop_quarantines(failure_log: FailureLog) -> List[TrajectoryFailure]:
-    """Drain the worker log's buffered dead letters for shipping.
+class ProcessShard(Shard):
+    """Worker-process transport: frames out, pickled acks back, WAL recovery.
 
-    Exceptions are stripped before pickling (arbitrary exception objects may
-    not cross process boundaries; the repr travels on the record).
-    """
-    quarantines = failure_log.drain_pending()
-    for failure in quarantines:
-        failure.exception = None
-    return quarantines
-
-
-class ShardProcessHandle:
-    """Parent-side handle for one shard's worker process and its pipes.
-
-    Owns the per-shard IPC bookkeeping the service's consumer and reader
-    tasks share: the request/response connections, the counters mirrored from
-    acks (events absorbed, open sessions, evictions), how many WAL-covered
-    operations have been handed to the worker (``sent_ops`` — the replay
-    prefix after a worker loss), and the in-flight frame metadata the reader
-    pops to observe per-event latency.
+    Owns the worker process and its two pipes, how many WAL-covered
+    operations the worker has been handed (``sent_ops`` — the replay prefix
+    after a worker loss) and the un-acked batches whose enqueue stamps the
+    fold turns into latency observations.
     """
 
-    #: Frames allowed in flight per shard before the consumer awaits an ack.
-    #: Two keeps the worker busy while the parent encodes the next batch;
-    #: frames are a few KB, so the pipe buffer never fills and ``send_bytes``
-    #: never blocks the event loop.
+    #: Frames allowed in flight before ``submit`` awaits an ack.  Two keeps
+    #: the worker busy while the parent encodes the next batch; frames are a
+    #: few KB, so the pipe buffer never fills and ``send_bytes`` never blocks
+    #: the event loop.
     max_inflight = 2
 
-    def __init__(
-        self,
-        index: int,
-        payload: Union[SharedContextSpec, GeoContext],
-        per_shard_sessions: int,
-        fault_plan: str = "",
-    ):
-        self.index = index
+    def __init__(self, host: "AnnotationService", index: int, payload: Payload):
+        super().__init__(host, index)
         self._payload = payload
-        self._per_shard_sessions = per_shard_sessions
-        self._fault_plan = fault_plan
         self._mp_ctx = _pool_mp_context()
         self._process: Optional[multiprocessing.process.BaseProcess] = None
         self._requests: Optional[multiprocessing.connection.Connection] = None
         self._responses: Optional[multiprocessing.connection.Connection] = None
-        self.encoder = FrameEncoder()
-        # Counters mirrored from worker acks (the worker owns the truth; the
-        # parent's copy is what service properties and metrics read).
-        self.events_absorbed = 0
-        self.open_sessions = 0
-        self.sessions_evicted = 0
+        self._encoder = FrameEncoder()
         #: WAL-covered operations (events + closes) handed to the worker so
-        #: far — recovery replays exactly this prefix of the shard's journal.
+        #: far, poison-skips included — recovery replays exactly this prefix
+        #: of the shard's journal.
         self.sent_ops = 0
-        #: Per in-flight frame: (enqueue timestamps of its items, its event
-        #: count) — popped FIFO as acks arrive (the pipe preserves order).
-        self.pending: List[Tuple[List[float], int]] = []
+        #: Un-acked batches, popped FIFO as acks arrive (the pipe is ordered).
+        self._pending: Deque[List[List[object]]] = deque()
         self.restarts = 0
-        #: Events of proven-poison objects skipped at the shard boundary.
-        #: Counted in ``sent_ops`` (they are journaled) but never framed;
-        #: recomputed from the WAL prefix at each recovery, incremented live
-        #: in between.  Survives respawns — these were handled, not lost.
-        self.poison_skipped = 0
-        #: Whether the service already asked this shard to drain; recovery
-        #: re-sends the drain frame when the ack died with the worker.
-        self.drain_requested = False
+        #: Objects proven to kill fresh workers; never framed again.
+        self._poisoned: Set[str] = set()
+        #: Whether drain was requested; recovery re-sends the drain frame
+        #: when the ack died with the worker.
+        self._drain_requested = False
 
     # ------------------------------------------------------------- lifecycle
-    def spawn(self) -> None:
+    def start(self) -> None:
+        self._spawn()
+        self._ready = asyncio.Event()
+        self._ready.set()
+        self._inflight = asyncio.Semaphore(self.max_inflight)
+        # One thread for the blocking pipe reads; replay during recovery
+        # reuses the slot the reader vacated.
+        self._ipc = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix=f"semitri-ipc-{self.index}"
+        )
+        self._reader: "asyncio.Task[Ack]" = asyncio.create_task(
+            self._read_acks(), name=f"semitri-ipc-{self.index}"
+        )
+
+    def _parent_ends(self) -> List["multiprocessing.connection.Connection"]:
+        return [end for end in (self._requests, self._responses) if end is not None]
+
+    def _spawn(self) -> None:
         """Start (or restart) the worker process on fresh pipes."""
         self._close_connections()
-        parent_req, child_req = self._mp_ctx.Pipe(duplex=False)
-        parent_resp, child_resp = self._mp_ctx.Pipe(duplex=False)
+        request_rx, self._requests = self._mp_ctx.Pipe(duplex=False)
+        self._responses, response_tx = self._mp_ctx.Pipe(duplex=False)
+        host = self.host
+        # A forked worker inherits a copy of every fd this process has open,
+        # the parent-side ends of all shards' pipes included; it is told
+        # which to close.  (Spawned workers inherit none, and pickling the
+        # ends would hand them over instead.)
+        inherited = (
+            [end for other in host._shards for end in other._parent_ends()]  # type: ignore[attr-defined]
+            if self._mp_ctx.get_start_method() == "fork"
+            else []
+        )
         self._process = self._mp_ctx.Process(
             target=shard_worker_main,
             args=(
                 self.index,
                 self._payload,
-                self._per_shard_sessions,
-                self._fault_plan,
-                parent_req,
-                child_resp,
+                host._per_shard_sessions,
+                host._faults.plan.render() if host._faults.enabled else "",
+                request_rx,
+                response_tx,
+                os.getpid(),
+                inherited,
             ),
             name=f"semitri-shard-{self.index}",
             daemon=True,
@@ -368,45 +340,35 @@ class ShardProcessHandle:
         self._process.start()
         # The child holds its own ends now; closing ours makes a worker death
         # surface as EOF on the response pipe instead of a hang.
-        parent_req.close()
-        child_resp.close()
-        self._requests = child_req
-        self._responses = parent_resp
-        # A respawned worker starts from an empty executor: its counters (and
-        # any un-acked frame metadata) died with the previous process.
-        self.events_absorbed = 0
-        self.open_sessions = 0
-        self.sessions_evicted = 0
-        self.pending = []
+        request_rx.close()
+        response_tx.close()
+        self.pid = self._process.pid
+        self.metrics.worker_pid.set(float(self.pid or 0))
+        # A fresh worker starts from an empty executor: the mirrored counters
+        # (and any un-acked batches) died with the previous process.
+        self.events_absorbed = self.open_sessions = self.sessions_evicted = 0
+        self._pending.clear()
 
-    def respawn(self) -> None:
-        """Replace a dead worker with a fresh one (counted as a restart)."""
+    def _respawn(self) -> None:
+        """Count one worker loss and replace the worker with a fresh one."""
+        self.host.failure_log.record_worker_loss()
+        self.metrics.worker_restarts.inc()
         if self._process is not None and self._process.is_alive():
             self._process.terminate()
             self._process.join(timeout=5.0)
         self.restarts += 1
-        self.spawn()
+        self._spawn()
 
-    @property
-    def pid(self) -> Optional[int]:
-        return self._process.pid if self._process is not None else None
+    async def close(self) -> None:
+        """Stop the reader, the worker and the pipes (idempotent).
 
-    @property
-    def alive(self) -> bool:
-        return self._process is not None and self._process.is_alive()
-
-    def kill(self) -> None:
-        """SIGKILL the worker (fault-injection harness for recovery tests)."""
-        if self._process is not None and self._process.pid is not None:
-            os.kill(self._process.pid, signal.SIGKILL)
-
-    def close(self) -> None:
-        """Best-effort stop + join + release both pipe ends (idempotent)."""
-        if self._requests is not None:
-            try:
-                self._requests.send_bytes(STOP_FRAME)
-            except (OSError, ValueError):
-                pass
+        A reader still waiting on acks that will never come (error paths) is
+        cancelled before the pipes go; the mirrored counters stay — they back
+        the post-shutdown ledger properties.
+        """
+        self._reader.cancel()
+        await asyncio.gather(self._reader, return_exceptions=True)
+        self._send(STOP_FRAME)
         if self._process is not None:
             self._process.join(timeout=5.0)
             if self._process.is_alive():
@@ -414,24 +376,208 @@ class ShardProcessHandle:
                 self._process.join(timeout=5.0)
             self._process = None
         self._close_connections()
+        self._ipc.shutdown(wait=True)
 
     def _close_connections(self) -> None:
-        for connection in (self._requests, self._responses):
-            if connection is not None:
-                try:
-                    connection.close()
-                except OSError:
-                    pass
-        self._requests = None
-        self._responses = None
+        for connection in self._parent_ends():
+            try:
+                connection.close()
+            except OSError:
+                pass
+        self._requests = self._responses = None
 
     # ------------------------------------------------------------------- IPC
-    def send_frame(self, data: bytes) -> None:
-        """Ship one encoded frame (raises ``OSError`` once the worker died)."""
-        assert self._requests is not None, "worker not spawned"
-        self._requests.send_bytes(data)
+    def _send(self, frame: bytes) -> None:
+        """Ship one frame; a dead worker is the reader's to notice (EOF)."""
+        if self._requests is not None:
+            try:
+                self._requests.send_bytes(frame)
+            except (OSError, ValueError):
+                pass
 
-    def recv(self) -> Tuple[object, ...]:
-        """Blocking ack read — runs on the service's IPC reader thread."""
+    async def submit(self, batch: List[List[object]]) -> None:
+        """Encode one micro-batch and hand it to the worker.
+
+        ``sent_ops`` is advanced *before* the frame leaves, so a worker death
+        at any point is recovered by replaying exactly that journal prefix.
+        """
+        await self._inflight.acquire()
+        await self._ready.wait()
+        sendable: List[List[object]] = []
+        now = time.perf_counter()
+        for item in batch:
+            kind = item[0]
+            if kind != EVICT:
+                self.sent_ops += 1
+                if self._poisoned and str(item[1]) in self._poisoned:
+                    # Proven-poison objects are handled at the boundary: the
+                    # worker never sees them again, but they count as
+                    # delivered (and observed) so the ledger closes.
+                    if kind == EVENT:
+                        self.poison_skipped += 1
+                    self.host.metrics.ingest_latency.observe(now - item[3])  # type: ignore[operator]
+                    continue
+            sendable.append(item)
+        if not sendable:
+            self._inflight.release()
+            return
+        frame = self._encoder.encode_batch(sendable)
+        self._pending.append(sendable)
+        self.metrics.ipc_frames.inc()
+        self.metrics.ipc_bytes.inc(len(frame))
+        self._send(frame)
+
+    async def drain(self) -> Ack:
+        """Ask the worker to close out; returns its drained ack.
+
+        The drain frame is FIFO behind any in-flight batches, so the worker
+        seals in exactly the order it absorbed; recovery re-requests it if
+        the worker dies mid-drain.
+        """
+        await self._ready.wait()
+        if not self._drain_requested:
+            self._drain_requested = True
+            self._send(DRAIN_FRAME)
+        return await self._reader
+
+    async def _recv(self) -> Ack:
+        """One blocking ack read, off the event loop."""
         assert self._responses is not None, "worker not spawned"
-        return self._responses.recv()
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(self._ipc, self._responses.recv)
+
+    async def _read_acks(self) -> Ack:
+        """Fold acks as they arrive; returns the worker's drained ack.
+
+        A pipe EOF while the service is live means the worker died — recover
+        it and keep reading.
+        """
+        while True:
+            try:
+                ack = await self._recv()
+            except (EOFError, OSError):
+                if not self.host._live:
+                    raise ServiceError(
+                        f"shard {self.index} worker went away during shutdown"
+                    ) from None
+                await self._recover()
+                continue
+            if ack[0] == "drained":
+                return ack
+            batch = self._pending.popleft()
+            self._inflight.release()
+            self.host._apply_ack(self, ack, batch)
+
+    # -------------------------------------------------------------- recovery
+    async def _recover(self) -> None:
+        """Bring a dead worker back: respawn + WAL prefix replay."""
+        host = self.host
+        self._ready.clear()
+        # Un-acked frames died with the worker; free their in-flight permits
+        # so a ``submit`` blocked on one can proceed once ready.
+        for _ in self._pending:
+            self._inflight.release()
+        solo = self.restarts + 1 > host.config.failure.max_shard_retries
+        self._respawn()
+        journal = host.journal
+        if journal is None:
+            self.sent_ops = 0
+            host._shard_failed(
+                self,
+                "shard_worker",
+                "WorkerLost",
+                f"shard {self.index} worker died with no ingest journal; "
+                "its un-acked events are lost (enable service.journal_dir "
+                "for lossless worker recovery)",
+            )
+        else:
+            records = journal.records_for_shard(self.index)[: self.sent_ops]
+            host._count_replayed(await self._replay_prefix(records, solo))
+        self._ready.set()
+        if self._drain_requested:
+            self._send(DRAIN_FRAME)
+
+    async def _replay_prefix(self, records: List[JournalRecord], solo: bool) -> int:
+        """Replay a journal prefix into a fresh worker; isolate proven poison.
+
+        Bulk replay first (one pass, batched).  If the replay itself kills
+        the fresh worker — or the shard has already exhausted
+        ``failure.max_shard_retries`` — fall back to object-by-object replay:
+        an object whose *solo* replay kills a fresh worker is proven poison,
+        quarantined, and skipped by all further intake; everything else is
+        replayed from scratch after each death (the dead worker's state is
+        gone).  Returns the number of records the live worker absorbed.
+        """
+
+        def poison_events() -> int:
+            return sum(
+                1
+                for record in records
+                if record.kind == "event" and record.object_id in self._poisoned
+            )
+
+        self.poison_skipped = poison_events()
+        clean = [r for r in records if r.object_id not in self._poisoned]
+        if not solo:
+            if not await self._replay_records(clean):
+                return len(clean)
+            self._respawn()  # the replay itself killed the fresh worker
+        by_object: Dict[str, List[JournalRecord]] = {}
+        for record in clean:
+            by_object.setdefault(record.object_id, []).append(record)
+        while True:
+            survivors = [oid for oid in by_object if oid not in self._poisoned]
+            died_at: Optional[str] = None
+            for object_id in survivors:
+                if await self._replay_records(by_object[object_id]):
+                    died_at = object_id
+                    break
+            if died_at is None:
+                return sum(len(by_object[oid]) for oid in survivors)
+            self._quarantine_poison(died_at, by_object[died_at])
+            self._respawn()
+            self.poison_skipped = poison_events()
+
+    async def _replay_records(self, records: List[JournalRecord]) -> bool:
+        """Feed records to the worker in lockstep batches; True if it died."""
+        assert self._requests is not None, "worker not spawned"
+        max_batch = self.host.config.service.max_batch
+        for start in range(0, len(records), max_batch):
+            chunk = [op_for(record) for record in records[start : start + max_batch]]
+            try:
+                self._requests.send_bytes(self._encoder.encode_batch(chunk))
+                ack = await self._recv()
+            except (EOFError, OSError):
+                return True
+            # Replayed frames carry no live enqueue times: counters and
+            # results fold in, latency is not observed.
+            self.host._apply_ack(self, ack)
+        return False
+
+    def _quarantine_poison(self, object_id: str, records: List[JournalRecord]) -> None:
+        """Dead-letter an object whose solo replay killed a fresh worker."""
+        self._poisoned.add(object_id)
+        log = self.host.failure_log
+        points = sorted(
+            (record.point() for record in records if record.kind == "event"),
+            key=lambda point: point.t,
+        )
+        try:
+            trajectory = RawTrajectory(points, object_id=object_id)
+        except SemitriError:
+            # No reconstructable trajectory (e.g. close-only record set):
+            # count the loss, skip the store record.
+            log.record_failure("shard_worker", "WorkerLost")
+            return
+        log.quarantine(
+            TrajectoryFailure(
+                trajectory=trajectory,
+                stage="shard_worker",
+                error=(
+                    f"shard {self.index} worker died replaying {object_id!r} in "
+                    "isolation; object quarantined as proven poison"
+                ),
+                attempts=self.restarts,
+                events=[FailureEvent(stage="shard_worker", kind="WorkerLost", attempt=1)],
+            )
+        )

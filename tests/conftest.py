@@ -7,9 +7,12 @@ tests must therefore treat them as read-only.
 
 from __future__ import annotations
 
+import glob
 import os
 import sys
+import time
 from pathlib import Path
+from typing import List
 
 import pytest
 
@@ -47,6 +50,78 @@ from repro.datasets import (  # noqa: E402
     TaxiFleetSimulator,
     WorldConfig,
 )
+
+
+#: Tags every descendant of this test session (see ``_leak_guard``).
+_SESSION_ENV_VAR = "SEMITRI_TEST_SESSION"
+
+
+def _session_stragglers(marker: str) -> List[str]:
+    """Live processes, other than this one, that carry the session marker.
+
+    A descendant carries it in one of two ways: an exec'd one (spawn worker,
+    subprocess) shows the environment variable in ``/proc/<pid>/environ``; a
+    forked one — whose ``environ`` file is a copy of *our* exec-time block and
+    never shows a variable set later — still holds the inherited descriptor
+    of the marker file.  Either survives reparenting to pid 1, which a walk
+    up the parent chain would not.  The multiprocessing resource tracker is
+    exempt while it is still our own child: it lives exactly as long as we do.
+    """
+    tagged = f"{_SESSION_ENV_VAR}={marker}".encode()
+    stragglers = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit() or int(entry) == os.getpid():
+            continue
+        root = f"/proc/{entry}"
+        try:
+            with open(f"{root}/stat", "rb") as stat:
+                fields = stat.read().rsplit(b")", 1)[1].split()
+            if fields[0] in (b"Z", b"X"):
+                continue  # exited, merely not reaped yet
+            with open(f"{root}/cmdline", "rb") as handle:
+                command = handle.read().replace(b"\0", b" ").decode(errors="replace").strip()
+            if "multiprocessing.resource_tracker" in command and int(fields[1]) == os.getpid():
+                continue
+            with open(f"{root}/environ", "rb") as handle:
+                carries = tagged in handle.read().split(b"\0")
+            if not carries:
+                carries = any(
+                    os.readlink(f"{root}/fd/{fd}") == marker for fd in os.listdir(f"{root}/fd")
+                )
+        except OSError:
+            continue  # raced with its exit, or not ours to inspect
+        if carries:
+            stragglers.append(f"{entry} [{command}]")
+    return stragglers
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _leak_guard(tmp_path_factory):
+    """Fail the run if it leaves a process or a shared-memory segment behind.
+
+    Worker processes must die with whatever started them and every
+    ``/dev/shm/semitri-*`` segment must be unlinked, whether tests pass or
+    fail — an orphaned worker holds the runner's stdout open and hangs
+    ``pytest | tail``.  Linux only (needs ``/proc``).
+    """
+    if not sys.platform.startswith("linux"):
+        yield
+        return
+    marker = str(tmp_path_factory.mktemp("session") / "marker")
+    with open(marker, "w") as handle:
+        os.set_inheritable(handle.fileno(), True)
+        os.environ[_SESSION_ENV_VAR] = marker
+        yield
+        # Workers exit asynchronously once their pipes close; allow a moment.
+        deadline = time.monotonic() + 5.0
+        while True:
+            stragglers = _session_stragglers(marker)
+            segments = glob.glob("/dev/shm/semitri-*")
+            if not (stragglers or segments) or time.monotonic() > deadline:
+                break
+            time.sleep(0.1)
+    assert not stragglers, f"processes outlived the test session: {stragglers}"
+    assert not segments, f"shared-memory segments left behind: {segments}"
 
 
 @pytest.fixture(scope="session")

@@ -24,6 +24,7 @@ from repro.engine.executors import (
     MicroBatchExecutor,
     ProcessPoolExecutor,
     SequentialExecutor,
+    _pool_mp_context,
 )
 from repro.engine.plan import Plan
 from repro.faults import (
@@ -40,6 +41,7 @@ from repro.faults import (
 from repro.parallel.canonical import canonical_bytes
 from repro.parallel.runner import ParallelAnnotationRunner
 from repro.service import AnnotationService
+from repro.service import shard as shard_module
 from repro.store.store import SemanticTrajectoryStore
 
 
@@ -518,48 +520,59 @@ class TestServiceFaults:
         assert "semitri_failures_total" in rendered or "failures_total" in rendered
         store.close()
 
+    @pytest.mark.parametrize("transport", ["thread", "process"])
     def test_batch_infrastructure_error_routed_through_policy(
-        self, annotation_sources, car_dataset
+        self, annotation_sources, car_dataset, monkeypatch, transport
     ):
+        """A batch that raises inside the shard core comes back as an error
+        ack and is counted, annotated and policy-routed — on either transport
+        (a forked worker process inherits the substituted core)."""
+        if transport == "process" and _pool_mp_context().get_start_method() != "fork":
+            pytest.skip("substituting the worker's core relies on fork inheritance")
         streams = _streams(car_dataset)
+
+        class FlakyCore(shard_module.ShardCore):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                ingest = self.executor.ingest
+                fired = []
+
+                def flaky_ingest(object_id, point):
+                    if not fired:
+                        fired.append(object_id)
+                        raise RuntimeError("shard infrastructure blew up")
+                    return ingest(object_id, point)
+
+                self.executor.ingest = flaky_ingest
+
+        monkeypatch.setattr(shard_module, "ShardCore", FlakyCore)
 
         def run_with(mode: str) -> AnnotationService:
             config = _service_config(
-                **{"failure.mode": mode, "service.shards": 1, "service.max_batch": 8}
+                **{
+                    "failure.mode": mode,
+                    "service.shards": 1,
+                    "service.max_batch": 8,
+                    "service.transport": transport,
+                }
             )
             service = AnnotationService(annotation_sources, config=config)
-
-            async def drive() -> None:
-                async with service:
-                    worker = service._workers[0]
-                    original = worker.process
-                    fired = {"count": 0}
-
-                    def flaky_process(batch):
-                        if fired["count"] == 0:
-                            fired["count"] += 1
-                            raise RuntimeError("shard infrastructure blew up")
-                        return original(batch)
-
-                    worker.process = flaky_process
-                    for object_id, points in sorted(streams.items()):
-                        for point in points[:30]:
-                            await service.ingest(object_id, point)
-                        await service.close_object(object_id)
-                    await service.drain()
-
-            asyncio.run(drive())
+            _feed_and_drain(
+                service, {object_id: points[:30] for object_id, points in streams.items()}
+            )
             return service
 
         # Isolating mode: the shard survives, the failure is annotated with
         # shard and object ids, and counters record it.
         service = run_with("skip")
         assert service.stats.errors == 1
+        assert service.metrics.shard(0).errors.value == 1
         assert len(service.batch_failures) == 1
         message = str(service.batch_failures[0])
         assert "shard 0" in message and "RuntimeError" in message
         assert service.failure_log.failures >= 1
         assert service.results  # the other batches still annotated
+        assert service.dropped_events > 0  # the failed batch's tail is not absorbed
 
         # fail_fast: the same error surfaces out of drain as a ServiceError.
         with pytest.raises(ServiceError, match="shard 0"):

@@ -26,7 +26,12 @@ from repro.core.points import SpatioTemporalPoint
 from repro.parallel.canonical import canonical_bytes
 from repro.parallel.context import GeoContext
 from repro.service import AnnotationService, ConsistentHashRing, HttpIngestServer
+from repro.service import shard as shard_module
 from repro.store.store import SemanticTrajectoryStore
+
+#: Everything the service promises is transport-independent: the suites below
+#: run once per transport, whatever ``auto`` would resolve to on this machine.
+both_transports = pytest.mark.parametrize("transport", ["thread", "process"])
 
 
 def _service_config(**service_overrides: object) -> PipelineConfig:
@@ -90,24 +95,29 @@ class TestConsistentHashRing:
 
 
 # ----------------------------------------------------------------- backpressure
-def test_backpressure_bounds_queue_and_awaits_producer(annotation_sources, car_dataset):
-    """A full shard queue suspends the producer; depth never exceeds the bound."""
-    config = _service_config(shards=1, queue_depth=4, max_batch=4)
+def test_backpressure_bounds_queue_and_awaits_producer(
+    annotation_sources, car_dataset, monkeypatch
+):
+    """A full shard queue suspends the producer; depth never exceeds the bound.
+
+    A slow shard core stands in for a saturated shard; the in-process
+    transport is pinned (``test_service_process`` stalls a worker process to
+    the same end).
+    """
+
+    class SlowCore(shard_module.ShardCore):
+        def absorb(self, ops):
+            time.sleep(0.002)  # the producer demonstrably outruns the shard
+            return super().absorb(ops)
+
+    monkeypatch.setattr(shard_module, "ShardCore", SlowCore)
+    config = _service_config(shards=1, queue_depth=4, max_batch=4, transport="thread")
     points = _object_streams(car_dataset.trajectories)
     object_id, stream = next(iter(sorted(points.items())))
     stream = stream[:200]
 
     async def run() -> Tuple[AnnotationService, int]:
         service = AnnotationService(annotation_sources, config=config)
-        # Slow the shard down so the producer demonstrably outruns it.
-        worker = service._workers[0]
-        original = worker.process
-
-        def slow_process(batch):
-            time.sleep(0.002)
-            return original(batch)
-
-        worker.process = slow_process
         max_depth = 0
         async with service:
             for point in stream:
@@ -125,13 +135,14 @@ def test_backpressure_bounds_queue_and_awaits_producer(annotation_sources, car_d
 
 
 # ----------------------------------------------------------------- drain parity
+@both_transports
 def test_drain_parity_with_killed_emitters(
-    annotation_sources, taxi_dataset, car_dataset, people_dataset
+    annotation_sources, taxi_dataset, car_dataset, people_dataset, transport
 ):
     """Interleaved emitters from every seed dataset, some killed mid-stream:
     the drained service output and store rows match the sequential pipeline on
     exactly the delivered events, canonical bytes included."""
-    config = _service_config(shards=3, queue_depth=32, max_batch=7)
+    config = _service_config(shards=3, queue_depth=32, max_batch=7, transport=transport)
     streams = _object_streams(
         taxi_dataset.trajectories, car_dataset.trajectories, people_dataset.all_trajectories
     )
@@ -226,10 +237,11 @@ def test_all_object_streams_land_on_their_ring_shard(annotation_sources, car_dat
 
 
 # --------------------------------------------------------------------- eviction
-def test_session_budget_evicts_lru_sessions(annotation_sources, car_dataset):
+@both_transports
+def test_session_budget_evicts_lru_sessions(annotation_sources, car_dataset, transport):
     """More live objects than the budget: LRU sessions close gracefully and
     every delivered event is still absorbed."""
-    config = _service_config(shards=1, session_budget=3)
+    config = _service_config(shards=1, session_budget=3, transport=transport)
     streams = _object_streams(car_dataset.trajectories)
     assert len(streams) > 3
 
@@ -248,8 +260,9 @@ def test_session_budget_evicts_lru_sessions(annotation_sources, car_dataset):
     assert {r.trajectory.object_id for r in service.results} == set(streams)
 
 
-def test_explicit_eviction_closes_sessions(annotation_sources, car_dataset):
-    config = _service_config(shards=1, queue_depth=64)
+@both_transports
+def test_explicit_eviction_closes_sessions(annotation_sources, car_dataset, transport):
+    config = _service_config(shards=1, queue_depth=64, transport=transport)
     streams = _object_streams(car_dataset.trajectories)
 
     async def run() -> Tuple[AnnotationService, int, int]:
@@ -276,8 +289,9 @@ def test_explicit_eviction_closes_sessions(annotation_sources, car_dataset):
 
 
 # -------------------------------------------------------------------- lifecycle
-def test_lifecycle_contract(annotation_sources, car_dataset):
-    config = _service_config(shards=1)
+@both_transports
+def test_lifecycle_contract(annotation_sources, car_dataset, transport):
+    config = _service_config(shards=1, transport=transport)
     streams = _object_streams(car_dataset.trajectories)
     object_id, points = next(iter(sorted(streams.items())))
 
@@ -302,8 +316,9 @@ def test_lifecycle_contract(annotation_sources, car_dataset):
     asyncio.run(run())
 
 
-def test_results_callback_and_prometheus_rendering(annotation_sources, car_dataset):
-    config = _service_config(shards=2)
+@both_transports
+def test_results_callback_and_prometheus_rendering(annotation_sources, car_dataset, transport):
+    config = _service_config(shards=2, transport=transport)
     streams = _object_streams(car_dataset.trajectories)
     seen: List[str] = []
 

@@ -17,6 +17,7 @@ with ``asyncio.run``.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import signal
 import time
@@ -266,6 +267,55 @@ def test_poison_object_is_quarantined_and_the_rest_survive(
     assert store.quarantine_count() == 1
     assert {row["object_id"] for row in store.quarantined()} == {poison}
     store.close()
+
+
+# ------------------------------------------------------------ worker lifetime
+def _process_alive(pid: int) -> bool:
+    """Whether ``pid`` still runs (an un-reaped zombie counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as handle:
+            return handle.read().rsplit(b")", 1)[1].split()[0] not in (b"Z", b"X")
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_shard_workers_die_with_a_sigkilled_service(annotation_sources, car_dataset):
+    """SIGKILL the process hosting the service mid-stream: no ``finally``, no
+    atexit hook runs, yet every shard worker notices and exits at once —
+    each holds only its own pipe ends, so the dead parent reads as EOF."""
+    streams = _object_streams(car_dataset.trajectories)
+    config = _service_config(shards=2, transport="process")
+    read_fd, write_fd = os.pipe()
+    host = os.fork()
+    if host == 0:
+        # --- child: host a service, report its worker pids, then just wait ---
+        try:
+
+            async def doomed() -> None:
+                service = AnnotationService(annotation_sources, config=config)
+                await service.start()
+                for object_id in sorted(streams):
+                    for point in streams[object_id][:20]:
+                        await service.ingest(object_id, point)
+                os.write(write_fd, (json.dumps(service.worker_pids) + "\n").encode())
+                await asyncio.sleep(60.0)  # killed long before this returns
+
+            asyncio.run(doomed())
+        finally:
+            os._exit(3)
+
+    os.close(write_fd)
+    with os.fdopen(read_fd) as reader:
+        # One line, not EOF: the workers inherited the write end too.
+        worker_pids = json.loads(reader.readline())
+    assert len(worker_pids) == 2 and all(_process_alive(pid) for pid in worker_pids)
+    os.kill(host, signal.SIGKILL)
+    os.waitpid(host, 0)
+    deadline = time.perf_counter() + 2.0
+    while any(map(_process_alive, worker_pids)) and time.perf_counter() < deadline:
+        time.sleep(0.02)
+    assert not any(map(_process_alive, worker_pids)), "shard workers outlived their parent"
 
 
 # -------------------------------------------------------- incremental results
