@@ -1,46 +1,67 @@
-"""Multi-core scaling of the sharded parallel annotation runner.
+"""Multi-core scaling of the process-pool batch executor.
 
 Annotates a scalability-style workload (many objects, full annotation stack)
-across the executor/dispatch/transport matrix — sequential ``annotate_many``,
-the parallel runner on the serial executor (isolates sharding/merge overhead)
-and the 4-worker process pool under every dispatch mode (``static`` is the
-historical round-robin baseline, ``balanced`` bin-packs by GPS point count,
-``stealing`` adds finer shards drained largest-first) plus a
-``shared_memory="on"`` run that exercises the zero-copy segment transport —
-and reports throughput for each.  Output equality is asserted byte-for-byte
-on every run.
+three ways and reports throughput for each:
+
+* ``sequential`` — ``api.annotate_many`` on one worker, the reference;
+* ``pool xN (fork)`` — a held :class:`~repro.engine.ProcessPoolExecutor`, the
+  path ``api.annotate_many(..., workers=N)`` takes on Linux;
+* ``pool xN (spawn+shm)`` — the same executor with its workers spawned, so
+  the snapshot travels through the shared-memory segment: what macOS and
+  Windows run.  Recorded, never gated (Linux does not ship this path).
+
+Output equality is asserted byte-for-byte for every row.
+
+One pool row means one sample per run, so the gate is built to be trusted
+alone: sequential and fork-pool rounds **alternate** (slow drift of the
+machine hits both sides equally), each side runs ``ROUNDS`` times, the gate
+compares ``median(sequential) / median(pool)`` and the sidecar records the
+quartiles so the spread is visible next to the number.
 
 The speedup gate is tiered by what the machine can actually deliver: the
-sidecar records the affinity-aware effective core count next to every number,
-pool modes are explicitly marked non-gating when the process cannot run
-``WORKERS`` ways in parallel, and the assertion arms only with >= 2 effective
-cores (>1.5x target at >= 4 cores, >1.1x at 2-3).  A 1-core runner records an
-honest <1x pool number instead of a silently-passed gate.
+sidecar records the affinity-aware effective core count next to every number
+and the assertion arms only with >= 2 effective cores (>1.5x target at
+>= ``WORKERS`` cores, >1.1x at 2-3).  A 1-core runner records an honest <1x
+pool number instead of a silently-passed gate.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import statistics
 import time
-from typing import List
+from typing import Callable, Dict, List
 
 from benchmarks.conftest import save_result
+from repro import api
 from repro.analytics.reporting import render_table
-from repro.core import PipelineConfig, SeMiTriPipeline
+from repro.core import PipelineConfig
 from repro.core.cpu import effective_cpu_count
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
-from repro.parallel import (
-    GeoContext,
-    ParallelAnnotationRunner,
-    canonical_bytes,
-    canonical_digest,
-)
+from repro.engine import ProcessPoolExecutor, executors
+from repro.parallel import GeoContext, canonical_bytes, canonical_digest
 
 WORKERS = 4
+#: Timed rounds per row.  Interference on a shared 2-vCPU box comes in phases
+#: a few rounds long and costs the pool (which needs both cores) more than the
+#: sequential side, so alternation alone does not cancel it: 9-round windows
+#: cut from one 40-round trace gave 1.07x-1.84x around a 1.31x median.  Fifteen
+#: rounds keep such a phase under half of the samples the medians are taken on.
+ROUNDS = 15
+#: Untimed full-width batches before the timed rounds.  One is not enough: the
+#: first three to six batches of a fresh pool were measured up to 1.7x slower
+#: than its steady state (each batch shows a worker only two of the eight
+#: shards, and a forked worker faults inherited pages in on first touch).
+WARMUP_ROUNDS = 4
 #: Required pool speedup when the machine really has >= WORKERS cores.
 SPEEDUP_TARGET = 1.5
 #: Reduced target on 2-3 core machines: perfect WORKERS-way scaling is
 #: impossible there, but the pool must still beat sequential.
 SPEEDUP_TARGET_SMALL = 1.1
+
+SEQUENTIAL = "sequential"
+POOL_FORK = f"pool x{WORKERS} (fork)"
+POOL_SPAWN = f"pool x{WORKERS} (spawn+shm)"
 
 
 def _scalability_workload(world, objects: int = 8, points_per_object: int = 600):
@@ -67,78 +88,60 @@ def _scalability_workload(world, objects: int = 8, points_per_object: int = 600)
     return trajectories
 
 
-def test_parallel_scaling(benchmark, world, annotation_sources):
+def test_parallel_scaling(benchmark, world, annotation_sources, monkeypatch):
     config = PipelineConfig.for_vehicles()
     trajectories = _scalability_workload(world)
     total_points = sum(len(t) for t in trajectories)
     context = GeoContext.build(annotation_sources, config)
+    plan = api.compile_plan(context=context)
     effective = effective_cpu_count()
 
-    def best_of(rounds, fn):
-        """Minimum wall time over several rounds: robust to scheduler noise."""
-        best = None
-        result = None
-        for _ in range(rounds):
-            started = time.perf_counter()
-            result = fn()
-            elapsed = time.perf_counter() - started
-            best = elapsed if best is None or elapsed < best else best
-        return best, result
+    samples: Dict[str, List[float]] = {SEQUENTIAL: [], POOL_FORK: [], POOL_SPAWN: []}
+    outputs: Dict[str, list] = {}
 
-    def timed_pool(dispatch: str, shared_memory: str = "auto"):
-        with ParallelAnnotationRunner(
-            config=config,
-            workers=WORKERS,
-            executor="process",
-            dispatch=dispatch,
-            shared_memory=shared_memory,
-        ) as runner:
-            # Warm the pool with a full-width batch so every worker is forked
-            # and primed before the timed rounds.
-            runner.annotate_many(trajectories, context=context)
-            return best_of(3, lambda: runner.annotate_many(trajectories, context=context))
-
-    #: mode name -> (timed fn, is this a pool mode the speedup gate may judge)
-    pool_modes = {
-        f"pool x{WORKERS} static": lambda: timed_pool("static"),
-        f"pool x{WORKERS} balanced": lambda: timed_pool("balanced"),
-        f"pool x{WORKERS} stealing": lambda: timed_pool("stealing"),
-        f"pool x{WORKERS} balanced+shm": lambda: timed_pool("balanced", "on"),
-    }
+    def timed(mode: str, fn: Callable[[], list]) -> None:
+        started = time.perf_counter()
+        outputs[mode] = fn()
+        samples[mode].append(time.perf_counter() - started)
 
     def run():
-        measured = {}
-        measured["sequential"] = best_of(
-            3,
-            lambda: SeMiTriPipeline(config).annotate_many(
-                trajectories, annotation_sources, annotators=context.annotators
-            ),
-        )
-        serial_runner = ParallelAnnotationRunner(config=config, workers=WORKERS, executor="serial")
-        measured["serial executor"] = best_of(
-            3, lambda: serial_runner.annotate_many(trajectories, context=context)
-        )
-        for mode, fn in pool_modes.items():
-            measured[mode] = fn()
-        return measured
+        with ProcessPoolExecutor(workers=WORKERS) as pool:
+            for _ in range(WARMUP_ROUNDS):
+                pool.run(plan, trajectories)
+            for _ in range(ROUNDS):
+                timed(SEQUENTIAL, lambda: api.annotate_many(trajectories, context=context))
+                timed(POOL_FORK, lambda: pool.run(plan, trajectories))
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                executors, "_pool_mp_context", lambda: multiprocessing.get_context("spawn")
+            )
+            with ProcessPoolExecutor(workers=WORKERS) as pool:
+                for _ in range(WARMUP_ROUNDS):
+                    pool.run(plan, trajectories)
+                assert pool.shared_segment_name is not None
+                for _ in range(ROUNDS):
+                    timed(POOL_SPAWN, lambda: pool.run(plan, trajectories))
 
-    measured = benchmark.pedantic(run, rounds=1, iterations=1)
+    benchmark.pedantic(run, rounds=1, iterations=1)
 
-    reference_bytes = canonical_bytes(measured["sequential"][1])
-    for mode, (_, results) in measured.items():
+    reference_bytes = canonical_bytes(outputs[SEQUENTIAL])
+    for mode, results in outputs.items():
         assert canonical_bytes(results) == reference_bytes, f"{mode} output diverged"
 
     gate_armed = effective >= 2
     gate_target = SPEEDUP_TARGET if effective >= WORKERS else SPEEDUP_TARGET_SMALL
-    sequential_seconds = measured["sequential"][0]
+    medians = {mode: statistics.median(times) for mode, times in samples.items()}
     rows = []
     data = {
         "workers": WORKERS,
+        "rounds": ROUNDS,
         "effective_cores": effective,
         "gps_points": total_points,
-        "canonical_digest": canonical_digest(measured["sequential"][1]),
+        "canonical_digest": canonical_digest(outputs[SEQUENTIAL]),
         "gate": {
             "armed": gate_armed,
+            "mode": POOL_FORK,
+            "statistic": "median(sequential) / median(pool), alternating rounds",
             "target": gate_target if gate_armed else None,
             "reason": (
                 f"{effective} effective core(s) >= 2"
@@ -148,47 +151,48 @@ def test_parallel_scaling(benchmark, world, annotation_sources):
         },
         "modes": {},
     }
-    for mode, (seconds, _) in measured.items():
-        speedup = sequential_seconds / max(seconds, 1e-9)
-        is_pool = mode in pool_modes
+    for mode, times in samples.items():
+        q1, median, q3 = statistics.quantiles(times, n=4)
+        speedup = medians[SEQUENTIAL] / max(median, 1e-9)
+        gated = mode == POOL_FORK and gate_armed
         rows.append(
             [
                 mode,
-                f"{seconds * 1e3:.0f}",
-                f"{total_points / seconds:,.0f}",
+                f"{median * 1e3:.0f}",
+                f"{q1 * 1e3:.0f}-{q3 * 1e3:.0f}",
+                f"{total_points / median:,.0f}",
                 f"{speedup:.2f}x",
-                ("yes" if gate_armed else "no") if is_pool else "-",
+                "-" if mode == SEQUENTIAL else ("yes" if gated else "no"),
             ]
         )
         data["modes"][mode] = {
-            "seconds": seconds,
-            "points_per_second": total_points / seconds,
+            "seconds_median": median,
+            "seconds_q1": q1,
+            "seconds_q3": q3,
+            "seconds_rounds": times,
+            "points_per_second": total_points / median,
             "speedup_vs_sequential": speedup,
-            "gating": is_pool and gate_armed,
+            "gating": gated,
         }
     text = render_table(
-        ["mode", "total ms", "GPS points/s", "speedup", "gated"],
+        ["mode", "median ms", "q1-q3 ms", "GPS points/s", "speedup", "gated"],
         rows,
         title=(
             f"Parallel annotation scaling ({len(trajectories)} objects, "
-            f"{total_points:,} points, {effective} effective core(s))"
+            f"{total_points:,} points, {ROUNDS} rounds, {effective} effective core(s))"
         ),
     )
     save_result("parallel_scaling", text, data=data)
 
-    # Sharding/merge overhead must stay negligible on the serial executor.
-    assert data["modes"]["serial executor"]["speedup_vs_sequential"] > 0.8
+    speedup = data["modes"][POOL_FORK]["speedup_vs_sequential"]
     if gate_armed:
-        best_pool = max(
-            data["modes"][mode]["speedup_vs_sequential"] for mode in pool_modes
-        )
-        assert best_pool > gate_target, (
+        assert speedup > gate_target, (
             f"expected >{gate_target}x at {WORKERS} workers on {effective} cores, "
-            f"got {best_pool:.2f}x"
+            f"got {speedup:.2f}x"
         )
     else:
-        pool_speedups = ", ".join(
-            f"{mode}: {data['modes'][mode]['speedup_vs_sequential']:.2f}x"
-            for mode in pool_modes
+        print(
+            f"\n[speedup gate disarmed on {effective} core(s); recorded "
+            f"{POOL_FORK}: {speedup:.2f}x, {POOL_SPAWN}: "
+            f"{data['modes'][POOL_SPAWN]['speedup_vs_sequential']:.2f}x]"
         )
-        print(f"\n[speedup gate disarmed on {effective} core(s); recorded {pool_speedups}]")

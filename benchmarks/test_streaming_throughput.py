@@ -1,7 +1,7 @@
 """Streaming engine throughput and per-event latency versus the batch pipeline.
 
-Feeds the car and people datasets event-by-event through the
-:class:`StreamingAnnotationEngine` and reports, per dataset:
+Feeds the car and people datasets event-by-event through the streaming
+executor of :func:`repro.api.stream` and reports, per dataset:
 
 * events/second for the streaming engine and for batch ``annotate_many`` on
   the same trajectories (the batch number divides total wall time by the
@@ -22,9 +22,9 @@ from typing import List, Tuple
 
 from benchmarks.conftest import save_result
 from repro.analytics.reporting import render_table
+from repro.api import stream
 from repro.core import PipelineConfig, SeMiTriPipeline
 from repro.core.config import StreamingConfig, TrajectoryIdentificationConfig
-from repro.streaming import StreamingAnnotationEngine
 
 
 def _streaming_config(base: PipelineConfig) -> PipelineConfig:
@@ -45,7 +45,7 @@ def _percentile(ordered: List[float], percentile: float) -> float:
 
 
 def _run_streaming(trajectories, sources, config) -> Tuple[int, float, List[float], int]:
-    engine = StreamingAnnotationEngine(sources, config=config)
+    engine = stream(sources, config=config)
     latencies: List[float] = []
     results = 0
     started = time.perf_counter()

@@ -4,15 +4,15 @@ This example builds a private-car fleet, snapshots the geographic sources
 once into an immutable :class:`GeoContext` (frozen R-trees, POI grid, HMM)
 and annotates the whole fleet three ways:
 
-* sequentially with :meth:`SeMiTriPipeline.annotate_many`,
-* with the :class:`ParallelAnnotationRunner` on its in-process serial
-  executor (same sharding and merge, zero processes — the determinism
-  baseline), and
-* with the runner on a process pool, where every worker annotates its shards
-  against the same snapshot.
+* sequentially, ``repro.annotate_many(batch, context=...)``;
+* across processes for one call, ``repro.annotate_many(..., workers=4)`` —
+  the pool lives exactly as long as the call;
+* across processes with a *warm* pool: hold a
+  :class:`~repro.engine.ProcessPoolExecutor` and a plan compiled from the
+  snapshot, and run batch after batch on the same workers.
 
 It then verifies that all three outputs are byte-identical and prints the
-wall-clock comparison, the shard layout and the per-trajectory summary.
+wall-clock comparison and the per-trajectory summary.
 
 Run it with::
 
@@ -27,11 +27,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import repro
 from repro import AnnotationSources, PipelineConfig
 from repro.core.cpu import effective_cpu_count
-from repro.core.pipeline import SeMiTriPipeline
 from repro.datasets import PrivateCarSimulator, SyntheticWorld, WorldConfig
-from repro.parallel import GeoContext, ParallelAnnotationRunner, canonical_bytes
+from repro.engine import ProcessPoolExecutor
+from repro.parallel import GeoContext, canonical_bytes
 from repro.store.store import SemanticTrajectoryStore
 
 WORKERS = 4
@@ -58,48 +59,46 @@ def main() -> None:
 
     # 3. Sequential reference.
     started = time.perf_counter()
-    sequential = SeMiTriPipeline(config).annotate_many(
-        trajectories, sources, annotators=context.annotators
-    )
+    sequential = repro.annotate_many(trajectories, context=context)
     sequential_s = time.perf_counter() - started
 
-    # 4. Serial executor: sharding + merge without processes.
-    serial_runner = ParallelAnnotationRunner(config=config, workers=WORKERS, executor="serial")
+    # 4. One-shot process pool: started, used and stopped inside the call.
     started = time.perf_counter()
-    serial = serial_runner.annotate_many(trajectories, context=context)
-    serial_s = time.perf_counter() - started
+    one_shot = repro.annotate_many(trajectories, context=context, workers=WORKERS)
+    one_shot_s = time.perf_counter() - started
 
-    # 5. Process pool over the shared snapshot, persisting through the
-    #    sharded store writer (committed in input order, single transaction).
+    # 5. Warm pool: the executor keeps its workers (primed with the snapshot)
+    #    across runs of plans compiled from that snapshot.  Workers never
+    #    touch the store — the parent commits the merged batch in input order
+    #    in one transaction.
     store = SemanticTrajectoryStore()
-    with ParallelAnnotationRunner(
-        config=config, workers=WORKERS, executor="process", store=store
-    ) as runner:
-        # Warm the pool with a full-width batch: a single-trajectory batch
-        # would collapse to one shard and never start the workers.
-        runner.annotate_many(trajectories, context=context)
+    plan = repro.compile_plan(context=context, store=store, persist=True)
+    with ProcessPoolExecutor(workers=WORKERS) as executor:
+        # Warm with a full-width batch: a single-object batch would collapse
+        # to one shard and never start the workers.
+        executor.run(repro.compile_plan(context=context), trajectories)
         started = time.perf_counter()
-        parallel = runner.annotate_many(trajectories, context=context, persist=True)
-        parallel_s = time.perf_counter() - started
-    print(f"persisted via sharded writer: {store.stop_move_summary()}")
+        warm = executor.run(plan, trajectories)
+        warm_s = time.perf_counter() - started
+    print(f"persisted by the parent after the merge: {store.stop_move_summary()}")
 
     # 6. Determinism guarantee: all three runs are byte-identical.
-    assert canonical_bytes(sequential) == canonical_bytes(serial) == canonical_bytes(parallel)
-    print("outputs byte-identical across sequential / serial executor / process pool")
+    assert canonical_bytes(sequential) == canonical_bytes(one_shot) == canonical_bytes(warm)
+    print("outputs byte-identical across sequential / one-shot pool / warm pool")
     print(
-        f"sequential {sequential_s * 1e3:6.0f} ms | serial executor {serial_s * 1e3:6.0f} ms | "
-        f"process pool x{WORKERS} {parallel_s * 1e3:6.0f} ms "
+        f"sequential {sequential_s * 1e3:6.0f} ms | one-shot pool x{WORKERS} "
+        f"{one_shot_s * 1e3:6.0f} ms | warm pool x{WORKERS} {warm_s * 1e3:6.0f} ms "
         f"({effective_cpu_count()} cores usable)"
     )
 
     # 7. Per-trajectory summary, in input order as always.
-    for result in parallel[:6]:
+    for result in warm[:6]:
         modes = ", ".join(result.transport_modes()) or "-"
         print(
             f"  {result.trajectory.trajectory_id:10s} {len(result.stops)} stops / "
             f"{len(result.moves)} moves  modes: {modes}"
         )
-    print(f"  ... {len(parallel) - 6} more")
+    print(f"  ... {len(warm) - 6} more")
 
 
 if __name__ == "__main__":

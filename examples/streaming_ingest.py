@@ -2,11 +2,12 @@
 
 This example simulates several smartphone users, merges their daily GPS
 fixes into one time-ordered event feed (as a gateway would see it) and pushes
-the feed event-by-event through the :class:`StreamingAnnotationEngine`.  The
-engine keeps one session per user, seals stop/move episodes online, annotates
-them with the region/line/point layers and persists every sealed trajectory
-into the semantic trajectory store — printing each day's semantic summary the
-moment the trajectory closes, not when the dataset ends.
+the feed event-by-event through the executor :func:`repro.stream` returns (a
+:class:`repro.engine.MicroBatchExecutor`).  It keeps one session per user,
+seals stop/move episodes online, annotates them with the region/line/point
+layers and persists every sealed trajectory into the semantic trajectory store
+— printing each day's semantic summary the moment the trajectory closes, not
+when the dataset ends.
 
 Run it with::
 
@@ -74,7 +75,8 @@ def main() -> None:
         engine.ingest(object_id, point)
     engine.close_all()
 
-    # 4. Engine and store statistics.
+    # 4. Executor and store statistics (config, store and telemetry are on
+    #    ``engine.plan``).
     stats = engine.stats
     print(
         f"\nprocessed {stats.events:,} events in {stats.processing_passes} micro-batches: "

@@ -28,13 +28,10 @@ here::
 
 plus :func:`repro.stream` for online feeds, :func:`repro.serve` for the
 asyncio multi-stream ingestion service and :func:`repro.compile_plan` for
-custom stage plans.  The pre-PR 8 class entry points (``repro.SeMiTriPipeline``,
-``repro.StreamingAnnotationEngine``) still resolve but emit a
-``DeprecationWarning``; deep imports (``repro.core``, ``repro.streaming``)
-remain fully supported.
+custom stage plans.  Classes live in their own packages: the paper's pipeline
+object is :class:`repro.core.SeMiTriPipeline` and the executors are in
+:mod:`repro.engine`.
 """
-
-import warnings
 
 from repro.core import (
     Annotation,
@@ -58,14 +55,7 @@ from repro.core import (
     StreamingConfig,
     StructuredSemanticTrajectory,
 )
-
-# The streaming package must be imported before anything touches
-# ``repro.engine``: engine stages import ``repro.streaming.matching``, and
-# entering that cycle through ``repro.streaming`` (rather than through
-# ``repro.engine``) is the order that resolves.  Priming it here covers every
-# later import, eager or lazy.
-import repro.streaming  # noqa: E402,F401  (import-cycle priming)
-from repro.api import (  # noqa: E402
+from repro.api import (
     annotate,
     annotate_many,
     compile_plan,
@@ -74,7 +64,7 @@ from repro.api import (  # noqa: E402
     stream,
 )
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Annotation",
@@ -105,39 +95,3 @@ __all__ = [
     "serve",
     "stream",
 ]
-
-# Legacy top-level entry points, kept as lazy deprecated aliases: resolving
-# them still returns the real class (so existing code keeps working), but
-# with a one-line migration hint.  Deep imports of the same classes
-# (``repro.core.SeMiTriPipeline``, ``repro.streaming.StreamingAnnotationEngine``)
-# are NOT deprecated — they are the supported advanced surface.
-_DEPRECATED = {
-    "SeMiTriPipeline": (
-        "repro.core.pipeline",
-        "SeMiTriPipeline",
-        "use repro.open_pipeline() / repro.annotate_many() instead of repro.SeMiTriPipeline",
-    ),
-    "StreamingAnnotationEngine": (
-        "repro.streaming.engine",
-        "StreamingAnnotationEngine",
-        "use repro.stream() instead of repro.StreamingAnnotationEngine",
-    ),
-}
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED:
-        module_name, attribute, hint = _DEPRECATED[name]
-        warnings.warn(
-            f"repro.{name} is deprecated; {hint}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        import importlib
-
-        return getattr(importlib.import_module(module_name), attribute)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(__all__) | set(_DEPRECATED))

@@ -12,23 +12,25 @@ entry point         what it gives you
 :func:`open_pipeline`  a :class:`SeMiTriPipeline` for batch annotation
 :func:`annotate`       one trajectory, annotated (one-shot convenience)
 :func:`annotate_many`  a batch, sequential or multi-process via ``workers``
-:func:`stream`         a :class:`StreamingAnnotationEngine` for online feeds
+:func:`stream`         a :class:`MicroBatchExecutor` for one online feed
 :func:`serve`          an :class:`AnnotationService` multiplexing many feeds
 :func:`compile_plan`   the stage-graph :class:`Plan` behind all of the above
 ==================  ========================================================
 
-The pre-PR 8 entry points (``repro.SeMiTriPipeline``,
-``repro.StreamingAnnotationEngine``) still work but are deprecated at the
-top level; deep imports (``repro.core``, ``repro.streaming``) remain
-supported for library-internal and advanced use.
+Nothing stands between these functions and the stage-graph engine: each one
+resolves the configuration, compiles a :class:`~repro.engine.plan.Plan` and
+hands it to an executor from :mod:`repro.engine.executors` (or to the
+service).  Callers who want to keep something alive across calls — a warm
+worker pool, one failure log — hold the plan and the executor themselves.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, List, Mapping, Optional, Sequence, Union
 
-from repro.core.config import PipelineConfig
+from repro.core.config import ParallelConfig, PipelineConfig
 from repro.core.episodes import Episode
+from repro.core.errors import ConfigurationError
 from repro.core.pipeline import (
     AnnotationSources,
     LayerAnnotators,
@@ -36,14 +38,13 @@ from repro.core.pipeline import (
     SeMiTriPipeline,
 )
 from repro.core.points import RawTrajectory
+from repro.engine.executors import MicroBatchExecutor, ProcessPoolExecutor, SequentialExecutor
+from repro.engine.plan import Plan
+from repro.parallel.context import GeoContext
+from repro.store.store import SemanticTrajectoryStore
 
-if TYPE_CHECKING:  # deferred: the engine/streaming/parallel modules form an
-    # import cycle with the package root; functions import them lazily.
-    from repro.engine.plan import Plan
-    from repro.parallel.context import GeoContext
+if TYPE_CHECKING:  # the service (asyncio, HTTP) is imported only by serve()
     from repro.service.service import AnnotationService
-    from repro.store.store import SemanticTrajectoryStore
-    from repro.streaming.engine import StreamingAnnotationEngine
 
 __all__ = [
     "annotate",
@@ -108,40 +109,28 @@ def annotate_many(
 ) -> List[PipelineResult]:
     """Annotate a batch of trajectories, sequentially or across processes.
 
-    With ``workers`` unset (or 1, the config default) this is the plain
-    sequential batch mode.  Any other value routes through the
-    :class:`~repro.parallel.runner.ParallelAnnotationRunner` — ``workers=0``
-    auto-detects the effective core count, ``workers>1`` shards by moving
-    object across that many processes — with results (and persisted rows)
-    byte-identical to the sequential run.  A prebuilt ``context`` snapshot
-    may stand in for ``sources`` to skip index building.
-    """
-    resolved = _resolve_config(config, overrides)
-    if context is not None and config is None and overrides is None:
-        resolved = context.config
-    effective_workers = resolved.parallel.workers if workers is None else workers
-    if effective_workers == 1 and resolved.parallel.executor != "process":
-        if context is not None:
-            pipeline = SeMiTriPipeline(resolved, store=store)
-            return pipeline.annotate_many(
-                trajectories,
-                context.sources if sources is None else sources,
-                persist=persist,
-                annotators=context.annotators,
-            )
-        if sources is None:
-            raise _missing_sources()
-        return SeMiTriPipeline(resolved, store=store).annotate_many(
-            trajectories, sources, persist=persist
-        )
-    if sources is None and context is None:
-        raise _missing_sources()
-    from repro.parallel.runner import ParallelAnnotationRunner
+    With ``workers`` unset (or 1, the config default) the batch runs in
+    process on the :class:`~repro.engine.SequentialExecutor`.  ``workers=0``
+    resolves to the effective core count, and any count above 1 shards the
+    batch by moving object across that many processes on a
+    :class:`~repro.engine.ProcessPoolExecutor` — with results (and persisted
+    rows) byte-identical to the sequential run.  A prebuilt ``context``
+    snapshot may stand in for ``sources`` to skip index building.
 
-    with ParallelAnnotationRunner(resolved, workers=workers, store=store) as runner:
-        return runner.annotate_many(
-            trajectories, sources=sources, persist=persist, context=context
-        )
+    The pool lives for this one call.  To keep it warm across batches, hold
+    a ``ProcessPoolExecutor`` and a ``compile_plan(context=...)`` plan and
+    call ``executor.run(plan, batch)`` yourself.
+    """
+    plan = compile_plan(
+        sources, config, context=context, store=store, persist=persist, overrides=overrides
+    )
+    if workers is None:
+        workers = plan.config.parallel.workers
+    workers = ParallelConfig(workers=workers).resolved_workers
+    if workers == 1:
+        return SequentialExecutor().run(plan, trajectories)
+    with ProcessPoolExecutor(workers=workers) as executor:
+        return executor.run(plan, trajectories)
 
 
 def stream(
@@ -152,29 +141,32 @@ def stream(
     on_result: Optional[Callable[[PipelineResult], None]] = None,
     on_episode: Optional[Callable[[Episode], None]] = None,
     overrides: Optional[Mapping[str, object]] = None,
-) -> StreamingAnnotationEngine:
-    """An online annotation engine for one ``(object_id, point)`` event feed.
+) -> MicroBatchExecutor:
+    """The streaming executor for one ``(object_id, point)`` event feed.
+
+    Feed it with ``ingest`` / ``ingest_many``, end streams with
+    ``close_object`` / ``close_all``; counters are on ``.stats`` and the
+    configuration, store, annotators and telemetry on ``.plan``.
 
     ``sources`` may be raw sources or a prebuilt
-    :class:`~repro.parallel.context.GeoContext` snapshot; with a snapshot,
-    ``config``/``overrides`` must be unset (the snapshot's config rules).
+    :class:`~repro.parallel.context.GeoContext` snapshot.  A snapshot carries
+    the configuration its annotators were built from, so an explicit
+    ``config``/``overrides`` must resolve to that same configuration —
+    silently honouring a different one would split the executor's behaviour
+    in two.
     """
-    from repro.parallel.context import GeoContext
-    from repro.streaming.engine import StreamingAnnotationEngine
-
-    resolved: Optional[PipelineConfig]
-    if isinstance(sources, GeoContext) and config is None and overrides is None:
-        resolved = None  # adopt the snapshot's config
+    if isinstance(sources, GeoContext):
+        if (config is not None or overrides is not None) and (
+            _resolve_config(config, overrides) != sources.config
+        ):
+            raise ConfigurationError(
+                "config conflicts with the GeoContext snapshot's config; "
+                "bake the desired config into the snapshot via GeoContext.build"
+            )
+        plan = compile_plan(context=sources, store=store, persist=persist)
     else:
-        resolved = _resolve_config(config, overrides)
-    return StreamingAnnotationEngine(
-        sources,
-        config=resolved,
-        store=store,
-        persist=persist,
-        on_result=on_result,
-        on_episode=on_episode,
-    )
+        plan = compile_plan(sources, config, store=store, persist=persist, overrides=overrides)
+    return MicroBatchExecutor(plan, on_result=on_result, on_episode=on_episode)
 
 
 def serve(
@@ -193,7 +185,6 @@ def serve(
     the session memory budget.  For emitters speaking HTTP, wrap the service
     in an :class:`~repro.service.http.HttpIngestServer`.
     """
-    from repro.parallel.context import GeoContext
     from repro.service.service import AnnotationService
 
     resolved: Optional[PipelineConfig]
@@ -226,8 +217,6 @@ def compile_plan(
     ``["regions"]`` for a region-only pass); pass a ``context`` snapshot to
     reuse frozen indexes across plans.
     """
-    from repro.engine.plan import Plan
-
     if context is not None:
         if config is None and overrides is None:
             return Plan.from_context(context, store=store, persist=persist, layers=layers)
@@ -252,8 +241,6 @@ def compile_plan(
 
 
 def _missing_sources() -> Exception:
-    from repro.core.errors import ConfigurationError
-
     return ConfigurationError(
         "annotation needs geographic data: pass sources=AnnotationSources(...) "
         "or context=GeoContext.build(...)"

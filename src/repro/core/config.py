@@ -311,79 +311,28 @@ class ComputeConfig:
 
 @dataclass(frozen=True)
 class ParallelConfig:
-    """Parameters of the sharded parallel annotation runtime.
+    """How many worker processes batch annotation uses — the only choice.
 
-    The runner partitions trajectories by moving object into shards, annotates
-    the shards on an executor against one immutable :class:`GeoContext`
-    snapshot and merges the results back into input order, so the output is
-    identical to the sequential pipeline regardless of these knobs.
+    :func:`repro.api.annotate_many` runs the in-process
+    :class:`~repro.engine.SequentialExecutor` for one worker and a
+    :class:`~repro.engine.ProcessPoolExecutor` otherwise.  How the batch is
+    split (size-balanced per-object shards), how the
+    :class:`~repro.parallel.GeoContext` snapshot reaches the workers (it
+    follows the start method) and how a lost worker is recovered are fixed
+    in :mod:`repro.engine.executors`: the output is byte-identical to the
+    sequential pipeline either way, and no measurement separated the
+    alternatives that used to be selectable here.
     """
 
     workers: int = 1
-    """Worker processes; 1 keeps everything in-process (serial executor) and
-    0 means "auto": the affinity-aware core count of
+    """Worker processes; 1 keeps everything in-process and 0 means "auto":
+    the affinity-aware core count of
     :func:`repro.core.cpu.effective_cpu_count`, which respects cgroup quotas
     and ``taskset`` pinning instead of oversubscribing the machine count."""
-
-    executor: str = "auto"
-    """``"process"`` (pool of worker processes), ``"serial"`` (in-process, for
-    tests and determinism debugging) or ``"auto"`` (process when the resolved
-    worker count exceeds 1, serial otherwise)."""
-
-    shards_per_worker: int = 2
-    """Shards created per worker; more shards smooth out skewed per-object
-    workloads at the cost of a little scheduling overhead."""
-
-    dispatch: str = "balanced"
-    """How the batch is split across workers:
-
-    ``"static"``
-        fixed object-id sharding — objects assigned round-robin in
-        first-appearance order, ignoring per-object load (the historical
-        behaviour, kept as a baseline);
-    ``"balanced"``
-        size-aware bin-packing — objects assigned greedily to the lightest
-        shard, measured in GPS points (robust to skewed users);
-    ``"stealing"``
-        size-aware bin-packing into finer shards submitted largest-first to
-        the futures pool, so idle workers steal the next pending shard
-        instead of waiting on a fixed assignment.
-
-    All three produce byte-identical canonical output: the merge reorders
-    results back into input order regardless of where each shard ran."""
-
-    shared_memory: str = "auto"
-    """Whether the frozen :class:`GeoContext` numpy blocks travel to workers
-    through ``multiprocessing.shared_memory`` segments (workers *attach*
-    zero-copy) instead of being pickled per worker:
-
-    ``"auto"``
-        on when the pool's start method would pickle the snapshot (spawn),
-        off under ``fork`` where copy-on-write pages already share the
-        arrays for free;
-    ``"on"`` / ``"off"``
-        force the choice (``"on"`` under fork is how the attach path is
-        exercised on Linux CI)."""
 
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise ConfigurationError("workers must be at least 1 (or 0 for auto)")
-        if self.executor not in ("auto", "process", "serial"):
-            raise ConfigurationError(
-                f"unknown executor {self.executor!r}; expected 'auto', 'process' or 'serial'"
-            )
-        if self.shards_per_worker < 1:
-            raise ConfigurationError("shards_per_worker must be at least 1")
-        if self.dispatch not in ("static", "balanced", "stealing"):
-            raise ConfigurationError(
-                f"unknown dispatch {self.dispatch!r}; "
-                "expected 'static', 'balanced' or 'stealing'"
-            )
-        if self.shared_memory not in ("auto", "on", "off"):
-            raise ConfigurationError(
-                f"unknown shared_memory mode {self.shared_memory!r}; "
-                "expected 'auto', 'on' or 'off'"
-            )
 
     @property
     def resolved_workers(self) -> int:
@@ -684,7 +633,7 @@ class PipelineConfig:
         The **one** construction path the service, the benchmarks and the
         environment knobs share: ``data`` is a (possibly partial) nested
         mapping like :meth:`to_dict` produces, ``overrides`` maps dotted
-        keyword paths to values (``{"parallel.dispatch": "stealing"}``), and
+        keyword paths to values (``{"parallel.workers": 4}``), and
         ``base`` supplies the defaults for everything left unspecified.
         Unknown sections or fields raise :class:`ConfigurationError`; every
         value passes through the owning dataclass's own ``__post_init__``

@@ -3,7 +3,7 @@
 ``os.cpu_count()`` reports the machine's cores, not the cores *this process
 may use*: under cgroup quotas, ``taskset`` pinning or container CPU limits the
 two diverge, and sizing a worker pool from the machine count oversubscribes
-the actual allowance.  Every consumer — the parallel runner's worker default,
+the actual allowance.  Every consumer — the batch executor's worker default,
 the benchmark sidecars, the CI speedup gates — goes through
 :func:`effective_cpu_count` so they all agree on the same affinity-aware
 number.

@@ -172,11 +172,15 @@ class SeMiTriPipeline:
 
     def __init__(
         self,
-        config: PipelineConfig = PipelineConfig(),
+        config: Optional[PipelineConfig] = None,
         store: Optional[SemanticTrajectoryStore] = None,
     ):
         from repro.engine import CleanStage, ComputeEpisodesStage, IdentifyStage
 
+        if config is None:
+            # Built per call: the default reads SEMITRI_OBSERVABILITY now,
+            # not whatever the environment held when this module was imported.
+            config = PipelineConfig()
         self._config = config
         self._store = store
         self._clean_stage = CleanStage(config)
@@ -294,7 +298,7 @@ class SeMiTriPipeline:
         the experiments of Section 5 use.  Passing a prebuilt ``annotators``
         bundle (e.g. from a :class:`~repro.parallel.GeoContext` snapshot)
         skips even that one-time construction, which is how repeated batch
-        calls and the parallel runner amortise index building across calls.
+        calls amortise index building.
         """
         from repro.engine import SequentialExecutor
 

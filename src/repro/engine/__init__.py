@@ -18,10 +18,11 @@ lives:
   same per-stage latency profile and all canonically byte-identical (see
   :mod:`repro.parallel.canonical`).
 
-:class:`~repro.core.pipeline.SeMiTriPipeline`,
-:class:`~repro.streaming.engine.StreamingAnnotationEngine` and
-:class:`~repro.parallel.runner.ParallelAnnotationRunner` are thin façades
-over this package.
+Nothing wraps the executors: :func:`repro.api.annotate_many` compiles a plan
+and runs the sequential or the process-pool executor,
+:func:`repro.api.stream` returns the :class:`MicroBatchExecutor` itself, and
+:class:`~repro.core.pipeline.SeMiTriPipeline` (the paper's pipeline object)
+compiles plans for the sequential executor.
 """
 
 from repro.engine.executors import (

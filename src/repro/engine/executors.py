@@ -1,12 +1,12 @@
-"""Pluggable executors that run a :class:`~repro.engine.plan.Plan`.
+"""Executors that run a :class:`~repro.engine.plan.Plan`.
 
 Three executors drive the same compiled stage graph:
 
 * :class:`SequentialExecutor` — one trajectory at a time, in-process; the
-  batch mode of :meth:`SeMiTriPipeline.annotate_many`.  With
+  batch mode of :func:`repro.api.annotate_many` with one worker.  With
   ``deferred_writeback=True`` the store stages are skipped during execution
-  and the merged batch is committed afterwards in one transaction (the
-  single-writer row ordering the sharded runtimes need).
+  and the batch is committed afterwards in one transaction — the pool's
+  commit shape, in-process.
 * :class:`ProcessPoolExecutor` — shards the batch by moving object, runs each
   shard in a worker process against a shared immutable
   :class:`~repro.parallel.context.GeoContext` snapshot and merges the
@@ -14,7 +14,22 @@ Three executors drive the same compiled stage graph:
 * :class:`MicroBatchExecutor` — the streaming session loop: events are
   micro-batched into per-object sessions, sealed episodes flow through the
   plan's incremental stage bodies and whole trajectories are finished (and
-  persisted) at close.
+  persisted) at close.  This is what :func:`repro.api.stream` returns.
+
+Every batch decision has exactly one code path, all of it in this module:
+
+========  ==================================================================
+split     :func:`shard_by_object` into ``workers * 2`` size-balanced shards
+ship      the snapshot follows the pool's start method: copy-on-write
+          inheritance under ``fork``, one shared-memory segment otherwise
+run       :func:`run_stages_resilient` per trajectory, the same loop
+          in-process and inside a worker
+recover   one submission loop, largest shard first; a lost worker re-raises
+          under ``fail_fast`` and is retried, bisected and solo-probed under
+          ``skip``/``retry``
+collect   :func:`merge_shard_results`, in input order: quarantine, failure
+          history, telemetry, then one deferred store commit
+========  ==================================================================
 
 Stage timing is owned here: executors wrap every stage body in the work
 item's :class:`~repro.analytics.latency.StageTimer` under the stage's name,
@@ -30,12 +45,11 @@ import multiprocessing.context
 import sys
 import time
 import weakref
-from concurrent.futures import BrokenExecutor, as_completed
+from concurrent.futures import BrokenExecutor, Future
 from concurrent.futures import ProcessPoolExecutor as _FuturesProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING,
     Callable,
     ContextManager,
     Dict,
@@ -46,7 +60,6 @@ from typing import (
     Tuple,
 )
 
-from repro.core.config import FailurePolicy
 from repro.core.episodes import Episode
 from repro.core.errors import ConfigurationError, SemitriError
 from repro.core.pipeline import PipelineResult
@@ -59,13 +72,22 @@ from repro.faults.failures import (
     failure_stage,
     tag_failure_stage,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycles broken at runtime
-    from repro.parallel.context import GeoContext
-    from repro.streaming.session import SealedTrajectory, Session, SessionUpdate
+from repro.parallel.context import GeoContext
+from repro.parallel.shared import (
+    SharedArrayBundle,
+    SharedContextSpec,
+    SharedGeoContext,
+    attach_context,
+    share_context,
+)
+from repro.streaming.session import SealedTrajectory, Session, SessionManager, SessionUpdate
 
 # One shard of work: (shard index, [(input order, trajectory), ...]).
 Shard = Tuple[int, List[Tuple[int, RawTrajectory]]]
+
+# Shards per pool worker: enough pending shards that a worker which finishes
+# early always finds another one, at negligible scheduling and merge cost.
+_SHARD_MULTIPLIER = 2
 
 
 # ---------------------------------------------------------------- stage loop
@@ -117,8 +139,8 @@ def run_stages(
         raise
     # Seal the trace onto the result, but never collect here: collection into
     # the plan's registry/tracer happens exactly once per result, in the
-    # parent process (the executors and merge_shard_results), so worker-side
-    # runs just ship their spans back attached to the pickled result.
+    # parent process (merge_shard_results and the single-result paths), so
+    # worker-side runs just ship their spans back on the pickled result.
     item.finish_trace()
     return item.result
 
@@ -128,6 +150,7 @@ def run_stages_resilient(
     trajectory: RawTrajectory,
     include_writeback: bool = True,
     worker: bool = False,
+    prior_events: Sequence[FailureEvent] = (),
 ) -> "PipelineResult | TrajectoryFailure":
     """Run one trajectory under the plan's failure policy.
 
@@ -138,53 +161,67 @@ def run_stages_resilient(
     exhaustion returns a :class:`TrajectoryFailure` (never raises) for the
     caller to quarantine.  A retried-then-successful result carries its
     failure history in ``fault_events``.
+
+    ``prior_events`` are attempts that already failed elsewhere (the
+    micro-batch executor's incremental pass): they count against the retry
+    budget and lead the failure history, so the loop resumes after them.
     """
     policy = plan.failure_policy
     if not policy.isolates:
         return run_stages(plan, trajectory, include_writeback=include_writeback, worker=worker)
-    events: List[FailureEvent] = []
-    attempt = 0
+    events = list(prior_events)
+    error: Optional[Exception] = None
     while True:
-        attempt += 1
+        if events:
+            last = events[-1]
+            if last.attempt > policy.retries:
+                return TrajectoryFailure(
+                    trajectory=trajectory,
+                    stage=last.stage,
+                    error=last.error,
+                    attempts=last.attempt,
+                    events=events,
+                    exception=error,
+                )
+            delay = policy.backoff(last.attempt)
+            if delay > 0:
+                time.sleep(delay)
         try:
             result = run_stages(
                 plan, trajectory, include_writeback=include_writeback, worker=worker
             )
-        except Exception as error:
-            stage = failure_stage(error)
+        except Exception as caught:
+            error = caught
             events.append(
                 FailureEvent(
-                    stage=stage, kind=type(error).__name__, attempt=attempt, error=repr(error)
+                    stage=failure_stage(caught),
+                    kind=type(caught).__name__,
+                    attempt=events[-1].attempt + 1 if events else 1,
+                    error=repr(caught),
                 )
             )
-            if attempt <= policy.retries:
-                delay = policy.backoff(attempt)
-                if delay > 0:
-                    time.sleep(delay)
-                continue
-            return TrajectoryFailure(
-                trajectory=trajectory,
-                stage=stage,
-                error=repr(error),
-                attempts=attempt,
-                events=events,
-                exception=error,
-            )
+            continue
         if events:
-            result.fault_events = list(events)
+            result.fault_events = events
         return result
 
 
-def _group_by_object(
-    trajectories: Sequence[RawTrajectory],
-) -> Tuple[Dict[str, List[Tuple[int, RawTrajectory]]], Dict[str, int]]:
-    """Group a batch by object id (first-appearance order) with point loads."""
-    by_object: Dict[str, List[Tuple[int, RawTrajectory]]] = {}
-    loads: Dict[str, int] = {}
-    for order, trajectory in enumerate(trajectories):
-        by_object.setdefault(trajectory.object_id, []).append((order, trajectory))
-        loads[trajectory.object_id] = loads.get(trajectory.object_id, 0) + len(trajectory)
-    return by_object, loads
+def _run_in_process(
+    plan: Plan,
+    items: Iterable[Tuple[int, RawTrajectory]],
+    include_writeback: bool,
+    worker: bool = False,
+) -> List[Tuple[int, "PipelineResult | TrajectoryFailure"]]:
+    """The one in-process batch loop: ``(input order, outcome)`` per trajectory."""
+    return [
+        (
+            order,
+            run_stages_resilient(
+                plan, trajectory, include_writeback=include_writeback, worker=worker
+            ),
+        )
+        for order, trajectory in items
+    ]
 
 
 def shard_by_object(trajectories: Sequence[RawTrajectory], shard_count: int) -> List[Shard]:
@@ -192,11 +229,16 @@ def shard_by_object(trajectories: Sequence[RawTrajectory], shard_count: int) -> 
 
     Objects are assigned greedily (in first-appearance order) to the
     currently lightest shard, measured in GPS points — deterministic for a
-    given input, and robust to skewed per-object workloads.  All trajectories
-    of one object land in the same shard, which is what makes per-object
-    sharding a pure reordering of the sequential output.
+    given input, robust to skewed per-object workloads and, on equal-load
+    input, plain round-robin.  All trajectories of one object land in the
+    same shard, which is what makes per-object sharding a pure reordering of
+    the sequential output.
     """
-    by_object, loads = _group_by_object(trajectories)
+    by_object: Dict[str, List[Tuple[int, RawTrajectory]]] = {}
+    loads: Dict[str, int] = {}
+    for order, trajectory in enumerate(trajectories):
+        by_object.setdefault(trajectory.object_id, []).append((order, trajectory))
+        loads[trajectory.object_id] = loads.get(trajectory.object_id, 0) + len(trajectory)
     shard_count = max(1, min(shard_count, len(by_object)))
     shards: List[List[Tuple[int, RawTrajectory]]] = [[] for _ in range(shard_count)]
     shard_loads = [0] * shard_count
@@ -207,48 +249,16 @@ def shard_by_object(trajectories: Sequence[RawTrajectory], shard_count: int) -> 
     return [(index, items) for index, items in enumerate(shards) if items]
 
 
-def shard_static(trajectories: Sequence[RawTrajectory], shard_count: int) -> List[Shard]:
-    """Fixed object-id sharding: objects round-robin, ignoring per-object load.
-
-    The historical dispatch, kept as the ``dispatch="static"`` baseline: one
-    heavy object next to light ones leaves whole workers idle, which is the
-    skew :func:`shard_by_object` (``"balanced"``/``"stealing"``) fixes.
-    """
-    by_object, _ = _group_by_object(trajectories)
-    shard_count = max(1, min(shard_count, len(by_object)))
-    shards: List[List[Tuple[int, RawTrajectory]]] = [[] for _ in range(shard_count)]
-    for position, items in enumerate(by_object.values()):
-        shards[position % shard_count].extend(items)
-    return [(index, items) for index, items in enumerate(shards) if items]
-
-
-def dispatch_shards(
-    trajectories: Sequence[RawTrajectory], shard_count: int, dispatch: str = "balanced"
-) -> List[Shard]:
-    """Shard a batch according to a :class:`ParallelConfig` dispatch mode."""
-    if dispatch == "static":
-        return shard_static(trajectories, shard_count)
-    if dispatch in ("balanced", "stealing"):
-        return shard_by_object(trajectories, shard_count)
-    raise ConfigurationError(
-        f"unknown dispatch {dispatch!r}; expected 'static', 'balanced' or 'stealing'"
-    )
-
-
-def _shard_load(shard: Shard) -> int:
-    """GPS points in one shard (the work-stealing submission-order key)."""
-    return sum(len(trajectory) for _, trajectory in shard[1])
-
-
 def _pool_mp_context() -> multiprocessing.context.BaseContext:
     """The explicit multiprocessing context every worker pool is built from.
 
     ``fork`` where it is the safe platform default (Linux: children inherit
     the frozen snapshot as copy-on-write memory), ``spawn`` everywhere else —
     macOS forks can crash inside frameworks the parent already loaded, and
-    Windows has no fork.  Always explicit: relying on the *platform default*
-    start method would silently flip macOS runs to spawn-and-pickle without
-    the shared-memory auto mode noticing.
+    Windows has no fork.  Always explicit, because the start method also
+    decides how the snapshot travels: inherited under ``fork``, through a
+    shared-memory segment otherwise.  Tests substitute ``spawn`` here to
+    drive the segment path on Linux.
     """
     if sys.platform == "linux" and "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
@@ -257,44 +267,43 @@ def _pool_mp_context() -> multiprocessing.context.BaseContext:
 
 def merge_shard_results(
     plan: Plan,
-    count: int,
-    shard_results: Iterable[Tuple[int, List[Tuple[int, PipelineResult]]]],
+    outputs: Iterable[Tuple[int, "PipelineResult | TrajectoryFailure"]],
+    commit: bool,
 ) -> List[PipelineResult]:
-    """Merge per-shard results into input order and commit deferred write-back.
+    """Collect a batch's ``(input order, outcome)`` pairs, in input order.
 
-    The merge is a pure reordering; when the plan persists, the merged rows
-    go through a :class:`ShardedStoreWriter` into one transaction with the
-    exact row order a single sequential writer would produce.
+    The single parent-side collection point of the batch executors, however
+    the outcomes were produced and in whatever order they arrive: exhausted
+    trajectories are quarantined (and absent from the output, like a
+    too-short fragment), retried-then-successful results fold their failure
+    history into the plan's failure log, and telemetry is collected — latency
+    into the registry, worker-emitted spans re-parented into the parent
+    tracer.  Walking the pairs by input position makes failure-log and span
+    order independent of shard submission and completion order.
 
-    This is also the parent-side failure collection point for sharded runs:
-    retried-then-successful results fold their failure history into the
-    plan's failure log, quarantined input positions are simply absent (the
-    merge tolerates gaps), and under a ``retry`` policy a failed deferred
-    commit is retried with backoff — the writer keeps its buffers across a
-    failed commit, so a retry re-sends the identical batch.
+    With ``commit`` (deferred write-back) the survivors' rows then go to the
+    store in one transaction, in the exact order — contents and autoincrement
+    identifiers — a single sequential writer would produce.  Under a
+    ``retry`` policy a failed commit is retried with backoff; the store
+    rolled the failed attempt back, so the retry re-sends the identical batch.
     """
-    from repro.parallel.store_writer import ShardedStoreWriter  # deferred: import cycle
-
-    ordered: Dict[int, PipelineResult] = {}
-    writer = (
-        ShardedStoreWriter(plan.store) if plan.persist and plan.store is not None else None
-    )
-    telemetry = plan.telemetry if plan.telemetry.enabled else None
-    for shard_index, items in shard_results:
-        for order, result in items:
-            if result.fault_events:
-                plan.ensure_failure_log().absorb_result(result)
-            if telemetry is not None:
-                # The single collection point for sharded runs: latency folds
-                # into the registry and worker-emitted spans are adopted
-                # (re-parented) into the parent-process tracer.
-                telemetry.collect(result)
-            ordered[order] = result
-            if writer is not None:
-                writer.add_result(shard_index, order, result)
-    if writer is not None:
-        _commit_with_retry(plan, writer.commit)
-    return [ordered[index] for index in range(count) if index in ordered]
+    ordered = dict(outputs)
+    results: List[PipelineResult] = []
+    for order in sorted(ordered):
+        out = ordered[order]
+        if isinstance(out, TrajectoryFailure):
+            plan.ensure_failure_log().quarantine(out)
+            continue
+        if out.fault_events:
+            plan.ensure_failure_log().absorb_result(out)
+        if plan.telemetry.enabled:
+            plan.telemetry.collect(out)
+        results.append(out)
+    store = plan.store
+    if commit and plan.persist and store is not None:
+        rows = [(result.trajectory, result.episodes) for result in results]
+        _commit_with_retry(plan, lambda: store.save_annotated_trajectories(rows))
+    return results
 
 
 def _commit_with_retry(plan: Plan, commit: Callable[[], object]) -> None:
@@ -349,7 +358,7 @@ def _count_batch(
 class Executor(abc.ABC):
     """Something that can run a compiled plan over a batch of trajectories."""
 
-    #: Short identifier used in configuration and reporting.
+    #: Short identifier used in reporting (the ``executor`` metric label).
     kind: str = ""
 
     @abc.abstractmethod
@@ -366,65 +375,17 @@ class SequentialExecutor(Executor):
         self._deferred = deferred_writeback
 
     def run(self, plan: Plan, trajectories: Sequence[RawTrajectory]) -> List[PipelineResult]:
-        if plan.failure_policy.isolates:
-            return self._run_isolating(plan, trajectories)
-        if self._deferred and plan.persist:
-            results = [
-                run_stages(plan, trajectory, include_writeback=False)
-                for trajectory in trajectories
-            ]
-            # merge_shard_results is the collection point for deferred runs.
-            merged = merge_shard_results(
-                plan, len(results), [(0, list(enumerate(results)))]
-            )
-            _count_batch(plan, self.kind, trajectories, merged)
-            return merged
-        results = [run_stages(plan, trajectory) for trajectory in trajectories]
-        if plan.telemetry.enabled:
-            for result in results:
-                plan.telemetry.collect(result)
-        _count_batch(plan, self.kind, trajectories, results)
-        return results
+        """Annotate the batch under the plan's failure policy.
 
-    def _run_isolating(
-        self, plan: Plan, trajectories: Sequence[RawTrajectory]
-    ) -> List[PipelineResult]:
-        """Batch run under ``skip``/``retry``: failed trajectories quarantine.
-
-        Survivors keep their relative order (and, on the deferred path, their
-        single-writer store row order); a quarantined trajectory is simply
-        absent from the output, exactly like a too-short fragment.
+        Under ``skip``/``retry`` an exhausted trajectory is quarantined and
+        simply absent from the output; survivors keep their relative order
+        (and their single-writer store row order).
         """
-        log = plan.ensure_failure_log()
-        if self._deferred and plan.persist:
-            outputs = [
-                run_stages_resilient(plan, trajectory, include_writeback=False)
-                for trajectory in trajectories
-            ]
-            survivors: List[PipelineResult] = []
-            for out in outputs:
-                if isinstance(out, TrajectoryFailure):
-                    log.quarantine(out)
-                else:
-                    survivors.append(out)
-            merged = merge_shard_results(
-                plan, len(survivors), [(0, list(enumerate(survivors)))]
-            )
-            _count_batch(plan, self.kind, trajectories, merged)
-            return merged
-        results: List[PipelineResult] = []
-        for trajectory in trajectories:
-            out = run_stages_resilient(plan, trajectory)
-            if isinstance(out, TrajectoryFailure):
-                log.quarantine(out)
-                continue
-            if out.fault_events:
-                log.absorb_result(out)
-            if plan.telemetry.enabled:
-                plan.telemetry.collect(out)
-            results.append(out)
-        _count_batch(plan, self.kind, trajectories, results)
-        return results
+        deferred = self._deferred and plan.persist
+        outputs = _run_in_process(plan, enumerate(trajectories), include_writeback=not deferred)
+        merged = merge_shard_results(plan, outputs, commit=deferred)
+        _count_batch(plan, self.kind, trajectories, merged)
+        return merged
 
     def run_one(self, plan: Plan, trajectory: RawTrajectory) -> PipelineResult:
         """Annotate a single trajectory (inline write-back when persisting).
@@ -453,36 +414,25 @@ class SequentialExecutor(Executor):
 # Worker-process state, set once by the pool initializer.  Under the ``fork``
 # start method the snapshot travels to the children as inherited copy-on-write
 # memory (the ``_FORK_CONTEXTS`` registry, keyed per pool so concurrent
-# executors cannot cross-contaminate lazily-forked workers); with shared
-# memory enabled the worker *attaches* to the parent's segment and rebuilds
-# zero-copy views; otherwise it is pickled once per worker through the
-# initializer arguments.
+# executors cannot cross-contaminate lazily-forked workers); under any other
+# start method the worker *attaches* to the parent's shared-memory segment and
+# rebuilds zero-copy views.
 _FORK_CONTEXTS: Dict[int, GeoContext] = {}
 _FORK_TOKENS = iter(range(1, 2**62))
 _WORKER_PLAN: Optional[Plan] = None
 # Keeps the attached shared-memory mapping alive for the worker's lifetime:
 # the plan's index arrays are views into it.  Never closed worker-side — the
 # parent owns the segment; process exit releases the mapping.
-_WORKER_BUNDLE: Optional["SharedArrayBundle"] = None
-
-if TYPE_CHECKING:  # pragma: no cover - import cycles broken at runtime
-    from repro.parallel.shared import SharedArrayBundle, SharedContextSpec, SharedGeoContext
+_WORKER_BUNDLE: Optional[SharedArrayBundle] = None
 
 
-def _init_worker(
-    token: Optional[int],
-    pickled_context: Optional[GeoContext],
-    shared_spec: Optional["SharedContextSpec"] = None,
-) -> None:
+def _init_worker(token: Optional[int], shared_spec: Optional[SharedContextSpec]) -> None:
     global _WORKER_PLAN, _WORKER_BUNDLE
-    context = _FORK_CONTEXTS.get(token) if token is not None else None
-    if context is None and shared_spec is not None:
-        from repro.parallel.shared import attach_context  # deferred: import cycle
-
+    if shared_spec is not None:
         context, _WORKER_BUNDLE = attach_context(shared_spec)
-    if context is None:
-        context = pickled_context
-    assert context is not None, "worker started without a GeoContext"
+    else:
+        assert token is not None, "worker started without a GeoContext"
+        context = _FORK_CONTEXTS[token]
     # Workers never persist (they cannot share the store connection), so the
     # worker-side plan is compiled without a store; write-back happens in the
     # parent after the merge.
@@ -490,8 +440,8 @@ def _init_worker(
 
 
 def _annotate_shard(
-    shard: Shard,
-) -> Tuple[int, List[Tuple[int, "PipelineResult | TrajectoryFailure"]]]:
+    items: List[Tuple[int, RawTrajectory]],
+) -> List[Tuple[int, "PipelineResult | TrajectoryFailure"]]:
     """Annotate one shard inside a worker process (never persists).
 
     Under an isolating policy, failed trajectories come back as
@@ -500,21 +450,18 @@ def _annotate_shard(
     quarantine.  The worker-side plan reads ``SEMITRI_FAULTS`` from the
     inherited environment, so injected chaos follows the shard into the pool.
     """
-    shard_index, items = shard
     assert _WORKER_PLAN is not None, "worker used before initialization"
-    outputs: List[Tuple[int, "PipelineResult | TrajectoryFailure"]] = []
-    for order, trajectory in items:
-        out = run_stages_resilient(_WORKER_PLAN, trajectory, worker=True)
+    outputs = _run_in_process(_WORKER_PLAN, items, include_writeback=False, worker=True)
+    for _, out in outputs:
         if isinstance(out, TrajectoryFailure):
             out.exception = None
-        outputs.append((order, out))
-    return shard_index, outputs
+    return outputs
 
 
 def _release_pool_resources(
     pool: _FuturesProcessPool,
     fork_token: Optional[int],
-    shared: Optional["SharedGeoContext"] = None,
+    shared: Optional[SharedGeoContext] = None,
 ) -> None:
     """Tear down an executor's pool, fork-registry entry and shared segment.
 
@@ -534,52 +481,32 @@ def _release_pool_resources(
 class ProcessPoolExecutor(Executor):
     """Sharded execution on a pool of worker processes.
 
-    The batch is partitioned by moving object into balanced shards; each
+    The batch is partitioned by moving object into size-balanced shards; each
     shard is annotated in a worker against the plan's immutable
     :class:`GeoContext` snapshot and the results are merged back into input
     order, byte-identical to sequential execution.  The pool (primed with
     one snapshot) is kept warm across ``run`` calls for plans built from the
-    same snapshot.
+    same snapshot — hold one executor and one
+    :func:`repro.api.compile_plan` ``(context=...)`` plan to amortise worker
+    start-up over many batches.
     """
 
     kind = "process"
 
-    def __init__(
-        self,
-        workers: int = 2,
-        shards_per_worker: int = 2,
-        dispatch: str = "balanced",
-        shared_memory: str = "auto",
-    ):
+    def __init__(self, workers: int = 2):
         if workers < 1:
             raise ConfigurationError("workers must be at least 1")
-        if dispatch not in ("static", "balanced", "stealing"):
-            raise ConfigurationError(
-                f"unknown dispatch {dispatch!r}; expected 'static', 'balanced' or 'stealing'"
-            )
-        if shared_memory not in ("auto", "on", "off"):
-            raise ConfigurationError(
-                f"unknown shared_memory mode {shared_memory!r}; expected 'auto', 'on' or 'off'"
-            )
         self._workers = workers
-        self._shards_per_worker = shards_per_worker
-        self._dispatch = dispatch
-        self._shared_memory = shared_memory
         self._pool: Optional[_FuturesProcessPool] = None
         self._pool_context: Optional[GeoContext] = None
         self._fork_token: Optional[int] = None
-        self._shared: Optional["SharedGeoContext"] = None
+        self._shared: Optional[SharedGeoContext] = None
         self._pool_finalizer: Optional[weakref.finalize] = None
 
     @property
     def workers(self) -> int:
         """Number of worker processes the pool uses."""
         return self._workers
-
-    @property
-    def dispatch(self) -> str:
-        """The dispatch mode: ``"static"``, ``"balanced"`` or ``"stealing"``."""
-        return self._dispatch
 
     @property
     def shared_segment_name(self) -> Optional[str]:
@@ -611,71 +538,31 @@ class ProcessPoolExecutor(Executor):
         trajectories = list(trajectories)
         if not trajectories:
             return []
-        # Work stealing wants finer shards than the fixed assignment modes:
-        # more pending shards means an idle worker always has something to
-        # steal, at slightly higher scheduling/merge overhead.
-        multiplier = self._shards_per_worker * (2 if self._dispatch == "stealing" else 1)
-        shard_count = max(1, min(self._workers * multiplier, len(trajectories)))
-        shards = dispatch_shards(trajectories, shard_count, self._dispatch)
+        shards = shard_by_object(trajectories, self._workers * _SHARD_MULTIPLIER)
         if len(shards) == 1:
             # A single shard gains nothing from the pool; run it inline.
-            shard_results = [self._run_inline(plan, shards[0])]
-        elif plan.failure_policy.isolates:
-            shard_results = self._run_recovering(plan, shards, plan.failure_policy)
+            outputs = _run_in_process(plan, shards[0][1], include_writeback=False)
         else:
-            pool = self._ensure_pool(plan.geo_context())
-            try:
-                if self._dispatch == "stealing":
-                    # Largest-first submission (LPT): the futures pool's shared
-                    # call queue lets whichever worker goes idle steal the next
-                    # pending shard, so a skewed shard cannot serialise the
-                    # tail.  Completion order is irrelevant — the merge below
-                    # reorders by input position.
-                    ordered = sorted(
-                        shards, key=lambda shard: (-_shard_load(shard), shard[0])
-                    )
-                    futures = [pool.submit(_annotate_shard, shard) for shard in ordered]
-                    shard_results = [
-                        future.result() for future in as_completed(futures)
-                    ]
-                else:
-                    shard_results = list(pool.map(_annotate_shard, shards))
-            except BrokenExecutor:
-                # A crashed worker poisons the pool; tear everything down now
-                # (stops siblings, unlinks the shared segment) so a retry can
-                # re-prime and nothing leaks even if the caller gives up.
-                self.close()
-                raise
-        merged = merge_shard_results(plan, len(trajectories), shard_results)
+            outputs = self._run_shards(plan, shards)
+        merged = merge_shard_results(plan, outputs, commit=True)
         _count_batch(plan, self.kind, trajectories, merged)
         return merged
 
-    def _run_inline(
-        self, plan: Plan, shard: Shard
-    ) -> Tuple[int, List[Tuple[int, PipelineResult]]]:
-        """Run one shard in-process (single-shard batches skip the pool).
+    def _run_shards(
+        self, plan: Plan, shards: List[Shard]
+    ) -> List[Tuple[int, "PipelineResult | TrajectoryFailure"]]:
+        """Submit shards to the pool until every one has completed or is blamed.
 
-        Under ``fail_fast`` this raises exactly like the historical inline
-        path; under an isolating policy exhausted trajectories quarantine
-        here and the survivors proceed to the merge.
-        """
-        shard_index, items = shard
-        outputs: List[Tuple[int, PipelineResult]] = []
-        for order, trajectory in items:
-            out = run_stages_resilient(plan, trajectory, include_writeback=False)
-            if isinstance(out, TrajectoryFailure):
-                plan.ensure_failure_log().quarantine(out)
-            else:
-                outputs.append((order, out))
-        return shard_index, outputs
+        Each round submits largest-first (LPT): the futures pool's shared
+        call queue hands the next pending shard to whichever worker goes
+        idle, so a skewed shard cannot serialise the tail.  Completion order
+        is irrelevant — the merge reorders by input position.
 
-    def _run_recovering(
-        self, plan: Plan, shards: List[Shard], policy: FailurePolicy
-    ) -> List[Tuple[int, List[Tuple[int, PipelineResult]]]]:
-        """Pool execution that survives worker loss (isolating policies only).
-
-        A ``BrokenExecutor`` poisons every in-flight future, but results of
-        already-completed shards are kept; the pool is torn down, re-primed,
+        A ``BrokenExecutor`` (a worker died) poisons every in-flight future.
+        The pool is torn down either way — siblings stopped, the shared
+        segment unlinked — so nothing leaks and the next round or call
+        re-primes it.  Under ``fail_fast`` the error is then re-raised.
+        Under ``skip``/``retry`` results of already-completed shards are kept
         and only the unfinished shards are resubmitted.  A shard still
         pending after ``max_shard_retries`` whole-shard retries is *bisected*
         — halves inherit the attempt count, so repeated losses binary-search
@@ -683,18 +570,16 @@ class ProcessPoolExecutor(Executor):
         cannot prove *which* shard killed the worker (queued siblings break
         too), an exhausted singleton is never quarantined by association:
         it is resubmitted **solo**, and only a shard that breaks the pool
-        while running alone is quarantined as a ``WorkerLost`` failure with
-        its raw events intact.  Canonical bytes of every surviving
-        trajectory are untouched: recovery only re-runs work that never
-        completed.
+        while running alone comes back as a ``WorkerLost``
+        :class:`TrajectoryFailure` with its raw events intact.  Canonical
+        bytes of every surviving trajectory are untouched: recovery only
+        re-runs work that never completed.
         """
-        log = plan.ensure_failure_log()
-        pending: Dict[int, List[Tuple[int, RawTrajectory]]] = {
-            index: items for index, items in shards
-        }
-        attempts: Dict[int, int] = {index: 0 for index in pending}
+        policy = plan.failure_policy
+        pending: Dict[int, List[Tuple[int, RawTrajectory]]] = dict(shards)
+        attempts: Dict[int, int] = dict.fromkeys(pending, 0)
         next_index = max(pending) + 1
-        collected: List[Tuple[int, List[Tuple[int, PipelineResult]]]] = []
+        collected: List[Tuple[int, "PipelineResult | TrajectoryFailure"]] = []
         while pending:
             pool = self._ensure_pool(plan.geo_context())
             # Exhausted singletons run solo, one per round: a broken solo
@@ -712,31 +597,34 @@ class ProcessPoolExecutor(Executor):
                 round_shards.items(),
                 key=lambda entry: (-sum(len(t) for _, t in entry[1]), entry[0]),
             )
-            futures = {
-                pool.submit(_annotate_shard, (index, items)): index
-                for index, items in submission
-            }
-            broken = False
-            for future, index in futures.items():
+            futures: Dict[Future, int] = {}
+            lost: Optional[BrokenExecutor] = None
+            try:
                 try:
-                    shard_index, outputs = future.result()
-                except BrokenExecutor:
-                    broken = True
-                    continue
-                clean: List[Tuple[int, PipelineResult]] = []
-                for order, out in outputs:
-                    if isinstance(out, TrajectoryFailure):
-                        log.quarantine(out)
-                    else:
-                        clean.append((order, out))
-                collected.append((shard_index, clean))
-                del pending[index]
-            if not broken:
+                    for index, items in submission:
+                        futures[pool.submit(_annotate_shard, items)] = index
+                except BrokenExecutor as error:
+                    # A worker died while shards were still being queued
+                    # (spawned workers start one by one, during submission).
+                    lost = error
+                for future, index in futures.items():
+                    try:
+                        collected.extend(future.result())
+                    except BrokenExecutor as error:
+                        lost = error
+                        continue
+                    del pending[index]
+            finally:
+                # A no-op unless an exception is propagating (a fail_fast
+                # stage error): shards still queued are not worth running.
+                for future in futures:
+                    future.cancel()
+            if lost is None:
                 continue
-            # Tear the poisoned pool down (stops siblings, unlinks the
-            # shared segment); the next loop iteration re-primes it.
             self.close()
-            log.record_worker_loss()
+            if not policy.isolates:
+                raise lost
+            plan.ensure_failure_log().record_worker_loss()
             solo = len(round_shards) == 1
             for index in round_shards:
                 if index not in pending:
@@ -751,21 +639,24 @@ class ProcessPoolExecutor(Executor):
                     # died, and its retry budget is spent.
                     del pending[index]
                     order, trajectory = items[0]
-                    log.quarantine(
-                        TrajectoryFailure(
-                            trajectory=trajectory,
-                            stage="worker",
-                            error=(
-                                "worker process lost while annotating this "
-                                "trajectory (SIGKILL/OOM)"
+                    collected.append(
+                        (
+                            order,
+                            TrajectoryFailure(
+                                trajectory=trajectory,
+                                stage="worker",
+                                error=(
+                                    "worker process lost while annotating this "
+                                    "trajectory (SIGKILL/OOM)"
+                                ),
+                                attempts=attempt,
+                                events=[
+                                    FailureEvent(
+                                        stage="worker", kind="WorkerLost", attempt=prior + 1
+                                    )
+                                    for prior in range(attempt)
+                                ],
                             ),
-                            attempts=attempt,
-                            events=[
-                                FailureEvent(
-                                    stage="worker", kind="WorkerLost", attempt=prior + 1
-                                )
-                                for prior in range(attempt)
-                            ],
                         )
                     )
                 elif len(items) > 1:
@@ -785,27 +676,18 @@ class ProcessPoolExecutor(Executor):
                 return self._pool
             self.close()  # a pool primed with another snapshot is stale
         mp_context = _pool_mp_context()
-        start_method = mp_context.get_start_method()
-        # "auto" shares via shared memory exactly when the start method would
-        # otherwise pickle the snapshot per worker; under fork the blocks are
-        # already shared as copy-on-write pages, so segments add nothing.
-        use_shared = self._shared_memory == "on" or (
-            self._shared_memory == "auto" and start_method != "fork"
-        )
-        initargs: Tuple[object, ...]
-        if use_shared:
-            from repro.parallel.shared import share_context  # deferred: import cycle
-
-            self._shared = share_context(context)
-            initargs = (None, None, self._shared.spec)
-        elif start_method == "fork":
+        initargs: Tuple[Optional[int], Optional[SharedContextSpec]]
+        if mp_context.get_start_method() == "fork":
             # Children inherit the snapshot as copy-on-write memory; the
             # registry entry lives until close() so late worker forks see it.
             self._fork_token = next(_FORK_TOKENS)
             _FORK_CONTEXTS[self._fork_token] = context
-            initargs = (self._fork_token, None, None)
-        else:  # pragma: no cover - non-POSIX platforms
-            initargs = (None, context, None)
+            initargs = (self._fork_token, None)
+        else:
+            # Any other start method would pickle the snapshot once per
+            # worker; one shared segment the workers attach to replaces that.
+            self._shared = share_context(context)
+            initargs = (None, self._shared.spec)
         self._pool = _FuturesProcessPool(
             max_workers=self._workers,
             mp_context=mp_context,
@@ -862,8 +744,6 @@ class MicroBatchExecutor(Executor):
         on_result: Optional[Callable[[PipelineResult], None]] = None,
         on_episode: Optional[Callable[[Episode], None]] = None,
     ):
-        from repro.streaming.session import SessionManager  # deferred: import cycle
-
         self._plan = plan
         self._streaming = plan.config.streaming
         self._on_result = on_result
@@ -1061,13 +941,9 @@ class MicroBatchExecutor(Executor):
         plan = self._plan
         trajectory_id = item.trajectory.trajectory_id
         events = self._poisoned.pop(trajectory_id, [])
-        result: Optional[PipelineResult]
-        if events:
-            result = self._replay_failed(sealed, events)
-        else:
+        if not events:
             try:
                 self._finish_item(item)
-                result = item.result
             except Exception as error:
                 if not plan.failure_policy.isolates:
                     self._items.pop(trajectory_id, None)
@@ -1080,7 +956,25 @@ class MicroBatchExecutor(Executor):
                         error=repr(error),
                     )
                 ]
-                result = self._replay_failed(sealed, events)
+        result: Optional[PipelineResult] = item.result
+        if events:
+            # Incremental absorption consumed the session's events, so a
+            # failed streaming trajectory is retried by re-running the
+            # *sealed* trajectory through the batch stage loop — which the
+            # parity guarantee makes content-identical to an incremental
+            # pass — with the failed attempt counted against the retry
+            # budget.  Exhaustion quarantines the sealed trajectory with its
+            # raw events; the trajectory id is the session's, so a later
+            # replay-from-quarantine slots into the same identity.
+            out = run_stages_resilient(plan, sealed.trajectory, prior_events=events)
+            if isinstance(out, TrajectoryFailure):
+                # Shard workers pickle buffered quarantines to the parent.
+                out.exception = None
+                plan.ensure_failure_log().quarantine(out)
+                result = None
+            else:
+                plan.ensure_failure_log().absorb_result(out)
+                result = out
 
         self._items.pop(trajectory_id, None)
         if result is None:
@@ -1119,56 +1013,6 @@ class MicroBatchExecutor(Executor):
         except BaseException as error:
             tag_failure_stage(error, "store_commit")
             raise
-
-    def _replay_failed(
-        self, sealed: SealedTrajectory, events: List[FailureEvent]
-    ) -> Optional[PipelineResult]:
-        """Retry a failed streaming trajectory by batch-replaying it.
-
-        Incremental absorption consumed the session's events, so the retry
-        path re-runs the *sealed* trajectory through the batch stage loop —
-        which the parity guarantee makes content-identical to an incremental
-        pass — with the policy's backoff between attempts.  Exhaustion (or a
-        poison trajectory whose fault keeps firing) quarantines the sealed
-        trajectory with its raw events; the trajectory id is the session's,
-        so a later replay-from-quarantine slots into the same identity.
-        """
-        plan = self._plan
-        policy = plan.failure_policy
-        log = plan.ensure_failure_log()
-        trajectory = sealed.trajectory
-        failures = list(events)
-        attempt = failures[-1].attempt
-        while attempt <= policy.retries:
-            delay = policy.backoff(attempt)
-            if delay > 0:
-                time.sleep(delay)
-            attempt += 1
-            try:
-                result = run_stages(plan, trajectory)
-            except Exception as error:
-                failures.append(
-                    FailureEvent(
-                        stage=failure_stage(error),
-                        kind=type(error).__name__,
-                        attempt=attempt,
-                        error=repr(error),
-                    )
-                )
-                continue
-            result.fault_events = failures
-            log.absorb_result(result)
-            return result
-        log.quarantine(
-            TrajectoryFailure(
-                trajectory=trajectory,
-                stage=failures[-1].stage,
-                error=failures[-1].error,
-                attempts=attempt,
-                events=failures,
-            )
-        )
-        return None
 
     # ------------------------------------------------------------- annotation
     def _absorb_episode(self, item: WorkItem, episode: Episode) -> None:

@@ -20,7 +20,7 @@ three produce canonically byte-identical results (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.config import FailurePolicy, PipelineConfig
 from repro.core.errors import ConfigurationError
@@ -41,10 +41,8 @@ from repro.engine.stages import (
     StoreTrajectoryStage,
 )
 from repro.obs.runtime import DISABLED, Telemetry
+from repro.parallel.context import GeoContext
 from repro.store.store import SemanticTrajectoryStore
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.parallel.context import GeoContext
 
 #: The annotation layers a plan can compile, in dataflow order.
 ANNOTATION_LAYERS: Tuple[str, ...] = ("region", "line", "point")
@@ -88,10 +86,10 @@ class Plan:
     """Run-scoped failure reconciliation (counters, metrics, quarantine).
 
     Built by :meth:`compile` (bound to the plan's store and metrics registry)
-    or shared across plans by callers that own the run — the parallel runner
-    and the annotation service pass their own.
+    or shared across plans by callers that own the run — the annotation
+    service passes its own.
     """
-    _context: Optional["GeoContext"] = field(default=None, repr=False, compare=False)
+    _context: Optional[GeoContext] = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------ compilation
     @classmethod
@@ -174,7 +172,7 @@ class Plan:
     @classmethod
     def from_context(
         cls,
-        context: "GeoContext",
+        context: GeoContext,
         store: Optional[SemanticTrajectoryStore] = None,
         persist: bool = False,
         layers: Optional[Sequence[str]] = None,
@@ -278,7 +276,7 @@ class Plan:
         assert isinstance(clean, CleanStage) and isinstance(identify, IdentifyStage)
         return identify.apply(clean.apply(points), object_id=object_id)
 
-    def geo_context(self) -> "GeoContext":
+    def geo_context(self) -> GeoContext:
         """An immutable snapshot of this plan's sources and annotators.
 
         Built (and cached) on first use; plans compiled via
@@ -292,7 +290,5 @@ class Plan:
                     "plan was compiled without sources; build it from a GeoContext "
                     "to run on a process-pool executor"
                 )
-            from repro.parallel.context import GeoContext  # deferred: import cycle
-
             self._context = GeoContext(self.sources, self.config, annotators=self.annotators)
         return self._context

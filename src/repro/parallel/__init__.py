@@ -1,29 +1,24 @@
-"""Sharded parallel annotation runtime.
+"""What the multi-core batch runtime shares between processes.
 
 SeMiTri annotates each moving object's trajectories independently, which
-makes per-object sharding the natural scale-out axis.  This package supplies
-the pieces that turn the single-core batch pipeline into a multi-core
-runtime without changing a single output byte:
+makes per-object sharding the natural scale-out axis.  The sharding itself —
+split, submit, recover, merge, commit — is
+:class:`repro.engine.ProcessPoolExecutor` (reached through
+``repro.api.annotate_many(..., workers=N)``); this package supplies what the
+executor and the process-transport service ship to their workers, and the
+equality they are tested against:
 
 * :class:`~repro.parallel.context.GeoContext` — an immutable snapshot of the
   annotation sources, configuration and prebuilt layer annotators (frozen
   R-trees, POI grid, HMM), built once and shared with workers via ``fork``
-  copy-on-write, attached zero-copy through ``multiprocessing.shared_memory``
-  or pickled once per worker;
+  copy-on-write or, under any other start method, attached zero-copy through
+  ``multiprocessing.shared_memory``;
 * :mod:`~repro.parallel.shared` — :class:`SharedArrayBundle` and the
   :func:`share_context`/:func:`attach_context` pair that move the snapshot's
   contiguous numpy blocks (flat-index levels, CSR columns, coordinate
   arrays) into one shared segment workers map read-only;
-* :class:`~repro.parallel.runner.ParallelAnnotationRunner` — partitions a
-  trajectory batch by object id (size-aware bin-packing or work-stealing
-  dispatch), annotates the shards on a process pool (or an in-process serial
-  executor) and merges the results back into input order;
-* :class:`~repro.parallel.store_writer.ShardedStoreWriter` — buffers
-  per-shard store rows and commits the merged batch in one transaction with
-  single-writer row ordering.
-
-:mod:`repro.parallel.canonical` defines the byte-level equality the runner is
-tested against.
+* :mod:`repro.parallel.canonical` — the byte-level equality every executor
+  and transport is held to.
 """
 
 from repro.parallel.canonical import (
@@ -35,7 +30,6 @@ from repro.parallel.canonical import (
     canonical_structured,
 )
 from repro.parallel.context import GeoContext
-from repro.parallel.runner import ParallelAnnotationRunner
 from repro.parallel.shared import (
     SharedArrayBundle,
     SharedContextSpec,
@@ -44,16 +38,13 @@ from repro.parallel.shared import (
     attach_context,
     share_context,
 )
-from repro.parallel.store_writer import ShardedStoreWriter
 
 __all__ = [
     "GeoContext",
-    "ParallelAnnotationRunner",
     "SharedArrayBundle",
     "SharedContextSpec",
     "SharedGeoContext",
     "SharedManifest",
-    "ShardedStoreWriter",
     "attach_context",
     "canonical_annotation",
     "canonical_bytes",

@@ -1,7 +1,7 @@
 """Canonical, byte-stable serialisation of pipeline results.
 
-The parallel runner promises output *byte-identical* to the sequential
-pipeline.  That promise needs a definition of "bytes": this module renders a
+Every executor and service transport promises output *byte-identical* to the
+sequential pipeline.  That promise needs a definition of "bytes": this module renders a
 :class:`~repro.core.pipeline.PipelineResult` (or a list of them) into a
 canonical JSON document covering everything the pipeline computed — the
 trajectory, the episode boundaries and every annotation of every layer —

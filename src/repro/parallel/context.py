@@ -8,7 +8,7 @@ pipeline configuration and the annotator bundle constructed from them, with
 every underlying index frozen so the snapshot is genuinely read-only.
 
 A frozen snapshot can be shared with worker processes for free under ``fork``
-(copy-on-write pages are never written) or pickled exactly once per worker
+(copy-on-write pages are never written) or through one shared-memory segment
 under ``spawn``; either way each worker annotates against the same indexes
 instead of rebuilding them per call, which is what turns per-user sharding
 into a real scale-out axis.
@@ -32,9 +32,11 @@ class GeoContext:
     def __init__(
         self,
         sources: AnnotationSources,
-        config: PipelineConfig = PipelineConfig(),
+        config: Optional[PipelineConfig] = None,
         annotators: Optional[LayerAnnotators] = None,
     ):
+        if config is None:
+            config = PipelineConfig()  # per call: reads the environment now
         self._sources = sources
         self._config = config
         self._annotators = (
@@ -44,8 +46,8 @@ class GeoContext:
             if source is not None:
                 source.freeze()
         # Prebuild the columnar coordinate arrays of the indexed sources so
-        # the snapshot ships them to workers (free under fork, pickled once
-        # under spawn) instead of each worker rebuilding them lazily.
+        # the snapshot ships them to workers (free under fork, one shared
+        # segment under spawn) instead of each worker rebuilding them lazily.
         if config.compute.backend == "numpy":
             if sources.road_network is not None:
                 sources.road_network.segment_arrays()
@@ -63,7 +65,9 @@ class GeoContext:
                 sources.pois.flat_index()
 
     @classmethod
-    def build(cls, sources: AnnotationSources, config: PipelineConfig = PipelineConfig()) -> "GeoContext":
+    def build(
+        cls, sources: AnnotationSources, config: Optional[PipelineConfig] = None
+    ) -> "GeoContext":
         """Construct (and freeze) a snapshot for the given sources and config."""
         return cls(sources, config)
 

@@ -21,10 +21,10 @@ to one copy instead of each receiving a pickled duplicate:
 Cleanup is layered so segments cannot outlive the run:
 
 * the creating process owns the segment: :meth:`SharedGeoContext.close` (and
-  the executor/runner ``close()`` paths) unlink it deterministically;
+  the executor and service ``close()`` paths) unlink it deterministically;
 * a :class:`weakref.finalize` on every owner unlinks on garbage collection
   *and* at interpreter exit (``finalize`` registers with ``atexit``), so a
-  dropped runner or a crashed worker never strands a segment;
+  dropped executor or a crashed worker never strands a segment;
 * the ``resource_tracker`` needs no special handling precisely *because*
   workers are children of the owner: both ``fork`` and ``spawn`` hand the
   child the parent's tracker fd, so the whole process tree shares one

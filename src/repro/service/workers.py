@@ -178,19 +178,15 @@ def decode_frame(data: bytes) -> List[FrameOp]:
 
 
 def worker_payload(context: GeoContext) -> Tuple[Payload, Optional[SharedGeoContext]]:
-    """What ships the snapshot to shard workers, mirroring PR 7's rule.
+    """What ships the snapshot to shard workers — the batch pool's rule.
 
-    Shared memory is used exactly when the start method would otherwise
-    pickle the snapshot per worker (``parallel.shared_memory == "auto"``
-    off-fork, or ``"on"`` anywhere); under fork the context rides
-    copy-on-write inheritance, which is equally zero-copy with no segment to
-    manage.  The caller owns the returned segment (if any) and closes it
+    Under fork the context rides copy-on-write inheritance; under any other
+    start method, which would pickle the snapshot once per worker, it goes
+    into one shared-memory segment the workers attach to.  Equally zero-copy
+    either way.  The caller owns the returned segment (if any) and closes it
     once every worker is gone.
     """
-    shared_memory = context.config.parallel.shared_memory
-    if shared_memory == "on" or (
-        shared_memory == "auto" and _pool_mp_context().get_start_method() != "fork"
-    ):
+    if _pool_mp_context().get_start_method() != "fork":
         shared = share_context(context)
         return shared.spec, shared
     return context, None

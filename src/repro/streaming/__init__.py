@@ -13,14 +13,16 @@ results on the same stream:
   observed;
 * :class:`~repro.streaming.session.SessionManager` /
   :class:`~repro.streaming.session.Session` — per-object mutable state with
-  gap-based trajectory close-out and LRU eviction;
-* :class:`~repro.streaming.engine.StreamingAnnotationEngine` — the façade
-  micro-batching events, routing sealed episodes to the annotation layers
-  and persisting incrementally through the semantic trajectory store.
+  gap-based trajectory close-out and LRU eviction.
+
+These are the incremental building blocks only.  The loop that drives them —
+micro-batching events, routing sealed episodes to the annotation layers and
+persisting through the semantic trajectory store — is
+:class:`repro.engine.MicroBatchExecutor`, which :func:`repro.api.stream`
+builds and returns.
 """
 
 from repro.streaming.cleaning import StreamingGpsCleaner, clean_stream
-from repro.streaming.engine import EngineStats, StreamingAnnotationEngine
 from repro.streaming.matching import WindowedMapMatcher
 from repro.streaming.session import (
     OpenTrajectory,
@@ -32,14 +34,12 @@ from repro.streaming.session import (
 from repro.streaming.stops import IncrementalStopMoveDetector
 
 __all__ = [
-    "EngineStats",
     "IncrementalStopMoveDetector",
     "OpenTrajectory",
     "SealedTrajectory",
     "Session",
     "SessionManager",
     "SessionUpdate",
-    "StreamingAnnotationEngine",
     "StreamingGpsCleaner",
     "WindowedMapMatcher",
     "clean_stream",

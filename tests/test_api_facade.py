@@ -1,10 +1,10 @@
 """Tests for the single public API surface (:mod:`repro.api`) and the
-deprecation story of the legacy top-level entry points."""
+removal of the legacy top-level entry points."""
 
 from __future__ import annotations
 
 import asyncio
-import warnings
+import importlib
 
 import pytest
 
@@ -37,33 +37,35 @@ class TestSurface:
             assert getattr(repro, name) is getattr(repro.api, name)
             assert name in repro.__all__
 
-    def test_legacy_entry_points_warn_with_migration_hint(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            pipeline_cls = repro.SeMiTriPipeline
-            engine_cls = repro.StreamingAnnotationEngine
-        messages = [str(w.message) for w in caught if w.category is DeprecationWarning]
-        assert len(messages) == 2
-        assert "repro.open_pipeline()" in messages[0]
-        assert "repro.stream()" in messages[1]
-        # The aliases delegate to the real classes — old code keeps working.
-        from repro.core.pipeline import SeMiTriPipeline
-        from repro.streaming.engine import StreamingAnnotationEngine
+    def test_removed_names_raise(self):
+        """The façade classes and the deprecated-alias layer are gone, not aliased."""
+        assert not hasattr(repro, "__getattr__")
+        for name in ("SeMiTriPipeline", "StreamingAnnotationEngine", "NoSuchThing"):
+            with pytest.raises(AttributeError):
+                getattr(repro, name)
+        for module, name in (
+            ("repro.streaming", "StreamingAnnotationEngine"),
+            ("repro.parallel", "ParallelAnnotationRunner"),
+            ("repro.parallel", "ShardedStoreWriter"),
+        ):
+            assert not hasattr(importlib.import_module(module), name)
+        for module in ("repro.streaming.engine", "repro.parallel.runner", "repro.parallel.store_writer"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
+        # The paper's pipeline object stays, in its own package.
+        from repro.core import SeMiTriPipeline
 
-        assert pipeline_cls is SeMiTriPipeline
-        assert engine_cls is StreamingAnnotationEngine
+        assert isinstance(repro.open_pipeline(), SeMiTriPipeline)
 
-    def test_deep_imports_stay_warning_free(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            from repro.core import SeMiTriPipeline  # noqa: F401
-            from repro.streaming import StreamingAnnotationEngine  # noqa: F401
+    def test_version_is_single_sourced(self):
+        import pathlib
+        import re
 
-    def test_unknown_attribute_raises(self):
-        with pytest.raises(AttributeError):
-            repro.NoSuchThing
-        assert "SeMiTriPipeline" in dir(repro)
-        assert "serve" in dir(repro)
+        pyproject = (pathlib.Path(__file__).parent.parent / "pyproject.toml").read_text()
+        assert 'dynamic = ["version"]' in pyproject
+        assert 'version = {attr = "repro.__version__"}' in pyproject
+        assert not re.search(r'^version\s*=\s*"', pyproject, flags=re.MULTILINE)
+        assert int(repro.__version__.split(".")[0]) >= 2
 
 
 class TestEntryPoints:
@@ -90,16 +92,12 @@ class TestEntryPoints:
         config = PipelineConfig.for_vehicles()
         trajectories = car_dataset.trajectories[:6]
         sequential = repro.annotate_many(trajectories, annotation_sources, config=config)
-        # workers=4 with the serial executor exercises the parallel runner
-        # (sharding + merge) without paying process spawn in a unit test.
-        sharded = repro.annotate_many(
-            trajectories,
-            annotation_sources,
-            config=config,
-            workers=4,
-            overrides={"parallel.executor": "serial"},
-        )
+        sharded = repro.annotate_many(trajectories, annotation_sources, config=config, workers=2)
         assert canonical_bytes(sequential) == canonical_bytes(sharded)
+        from_config = repro.annotate_many(
+            trajectories, annotation_sources, config=config, overrides={"parallel.workers": 2}
+        )
+        assert canonical_bytes(sequential) == canonical_bytes(from_config)
 
     def test_annotate_many_accepts_a_context_snapshot(self, car_dataset, annotation_sources):
         config = PipelineConfig.for_vehicles()
@@ -113,9 +111,13 @@ class TestEntryPoints:
         with pytest.raises(ConfigurationError):
             repro.annotate_many(car_dataset.trajectories[:1])
 
-    def test_stream_returns_a_live_engine(self, car_dataset, annotation_sources):
+    def test_stream_returns_the_micro_batch_executor(self, car_dataset, annotation_sources):
+        from repro.engine import MicroBatchExecutor
+
         config = PipelineConfig.for_vehicles()
         engine = repro.stream(annotation_sources, config=config)
+        assert type(engine) is MicroBatchExecutor
+        assert engine.plan.config == config
         trajectory = car_dataset.trajectories[0]
         results = []
         for point in trajectory.points:

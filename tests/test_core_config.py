@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import (
@@ -129,9 +131,9 @@ class TestPipelineConfig:
 class TestParallelConfig:
     def test_defaults_are_valid(self):
         config = ParallelConfig()
-        assert config.dispatch == "balanced"
-        assert config.shared_memory == "auto"
-        assert config.resolved_workers >= 1
+        assert [f.name for f in dataclasses.fields(config)] == ["workers"]
+        assert config.workers == 1
+        assert config.resolved_workers == 1
 
     def test_zero_workers_resolve_to_effective_cores(self):
         from repro.core.cpu import effective_cpu_count
@@ -143,14 +145,16 @@ class TestParallelConfig:
     def test_invalid_values(self):
         with pytest.raises(ConfigurationError):
             ParallelConfig(workers=-1)
-        with pytest.raises(ConfigurationError):
-            ParallelConfig(shards_per_worker=0)
-        with pytest.raises(ConfigurationError):
-            ParallelConfig(executor="threads")
-        with pytest.raises(ConfigurationError):
-            ParallelConfig(dispatch="greedy")
-        with pytest.raises(ConfigurationError):
-            ParallelConfig(shared_memory="maybe")
+
+    @pytest.mark.parametrize(
+        "removed", ["dispatch", "shared_memory", "shards_per_worker", "executor"]
+    )
+    def test_removed_knobs_are_unknown_fields(self, removed):
+        """The migration message: the rejection names the field that went away."""
+        with pytest.raises(ConfigurationError, match=f"unknown field '{removed}'"):
+            PipelineConfig().with_overrides({f"parallel.{removed}": "stealing"})
+        with pytest.raises(ConfigurationError, match=f"unknown field '{removed}'"):
+            PipelineConfig.from_dict({"parallel": {removed: 2}})
 
 
 class TestServiceConfig:
@@ -220,9 +224,9 @@ class TestConfigDictConstruction:
 
     def test_dotted_overrides(self):
         config = PipelineConfig.from_dict(
-            overrides={"parallel.dispatch": "stealing", "service.shards": 3}
+            overrides={"parallel.workers": 4, "service.shards": 3}
         )
-        assert config.parallel.dispatch == "stealing"
+        assert config.parallel.workers == 4
         assert config.service.shards == 3
 
     def test_with_overrides_returns_a_new_validated_copy(self):
@@ -269,4 +273,16 @@ class TestConfigDictConstruction:
         with pytest.raises(ConfigurationError):
             PipelineConfig.from_dict({"service": {"queue_depth": 0}})
         with pytest.raises(ConfigurationError):
-            PipelineConfig.from_dict(overrides={"parallel.executor": "threads"})
+            PipelineConfig.from_dict(overrides={"parallel.workers": -1})
+
+    def test_default_config_reads_the_environment_at_call_time(self, monkeypatch):
+        """``config=None`` defaults are built per call, not frozen at import."""
+        from repro.core import AnnotationSources, SeMiTriPipeline
+        from repro.parallel import GeoContext
+
+        monkeypatch.setenv("SEMITRI_OBSERVABILITY", "trace")
+        assert SeMiTriPipeline().config.observability.enabled
+        assert GeoContext.build(AnnotationSources()).config.observability.enabled
+        monkeypatch.setenv("SEMITRI_OBSERVABILITY", "off")
+        assert not SeMiTriPipeline().config.observability.enabled
+        assert not GeoContext(AnnotationSources()).config.observability.enabled

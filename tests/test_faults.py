@@ -12,6 +12,8 @@ exercised in :mod:`tests.test_service_recovery`).
 from __future__ import annotations
 
 import asyncio
+import glob
+import multiprocessing
 import os
 from typing import List
 
@@ -20,26 +22,29 @@ import pytest
 from repro.core import PipelineConfig
 from repro.core.config import FailurePolicy
 from repro.core.errors import ConfigurationError, InjectedFault, ServiceError
+from repro.engine import executors
 from repro.engine.executors import (
     MicroBatchExecutor,
     ProcessPoolExecutor,
     SequentialExecutor,
     _pool_mp_context,
+    run_stages_resilient,
 )
 from repro.engine.plan import Plan
 from repro.faults import (
     DISABLED_FAULTS,
+    FailureEvent,
     FailureLog,
     FaultInjector,
     FaultPlan,
     FaultSpec,
     IngestJournal,
     JournalRecord,
+    TrajectoryFailure,
     failure_stage,
     tag_failure_stage,
 )
 from repro.parallel.canonical import canonical_bytes
-from repro.parallel.runner import ParallelAnnotationRunner
 from repro.service import AnnotationService
 from repro.service import shard as shard_module
 from repro.store.store import SemanticTrajectoryStore
@@ -265,6 +270,39 @@ class TestSequentialIsolation:
         assert [event.attempt for event in failure.events] == [1, 2, 3]
         assert failure.trajectory is trajectory
 
+    def test_prior_events_count_against_the_retry_budget(
+        self, annotation_sources, car_dataset
+    ):
+        """``prior_events`` resume the attempt loop instead of restarting it."""
+        trajectory = car_dataset.trajectories[0]
+        earlier = FailureEvent(stage="map_match", kind="InjectedFault", attempt=1, error="boom")
+        poison = f"raise@map_match:obj={trajectory.object_id},times=-1"
+
+        # skip: the budget is one attempt, already spent — nothing is re-run.
+        plan = _plan(annotation_sources, _config(mode="skip"), poison)
+        out = run_stages_resilient(plan, trajectory, prior_events=[earlier])
+        assert isinstance(out, TrajectoryFailure)
+        assert (out.attempts, out.stage, out.error, out.events) == (1, "map_match", "boom", [earlier])
+        assert plan.faults.fired_total() == 0
+
+        # retry x2: two attempts are left, numbered 2 and 3, history leads.
+        plan = _plan(annotation_sources, _config(mode="retry", max_retries=2), poison)
+        out = run_stages_resilient(plan, trajectory, prior_events=[earlier])
+        assert isinstance(out, TrajectoryFailure)
+        assert [event.attempt for event in out.events] == [1, 2, 3]
+        assert out.events[0] is earlier and out.attempts == 3
+
+        # ... and a success after a prior failure carries that failure.
+        plan = _plan(annotation_sources, _config(mode="retry", max_retries=2))
+        out = run_stages_resilient(plan, trajectory, prior_events=[earlier])
+        assert not isinstance(out, TrajectoryFailure)
+        assert out.fault_events == [earlier]
+
+        # fail_fast stays a pass-through.
+        plan = _plan(annotation_sources, _config(mode="fail_fast"), poison)
+        with pytest.raises(InjectedFault):
+            run_stages_resilient(plan, trajectory, prior_events=[earlier])
+
     def test_run_one_quarantines_then_raises(self, annotation_sources, car_dataset):
         trajectory = car_dataset.trajectories[0]
         plan = _plan(
@@ -336,9 +374,14 @@ class TestProcessPoolRecovery:
         assert log.failures >= 1
         assert log.retries == log.failures
 
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_worker_kill_recovers_and_preserves_survivor_bytes(
-        self, annotation_sources, car_dataset, tmp_path, monkeypatch
+        self, annotation_sources, car_dataset, tmp_path, monkeypatch, start_method
     ):
+        """Recovery re-primes the pool — under spawn, with a fresh segment."""
+        monkeypatch.setattr(
+            executors, "_pool_mp_context", lambda: multiprocessing.get_context(start_method)
+        )
         trajectories = car_dataset.trajectories
         config = _config(mode="retry", max_shard_retries=1)
         reference = SequentialExecutor().run(
@@ -356,6 +399,30 @@ class TestProcessPoolRecovery:
         log = plan.failure_log
         assert log.worker_losses >= 1
         assert log.quarantined == 0
+        assert executor._pool is None and not glob.glob("/dev/shm/semitri-*")
+
+    def test_fail_fast_stage_error_propagates_and_keeps_the_pool(
+        self, annotation_sources, car_dataset, monkeypatch
+    ):
+        """A stage exception is not a lost worker: no teardown, no recovery."""
+        trajectories = car_dataset.trajectories
+        poison = trajectories[-1].object_id
+        monkeypatch.setenv("SEMITRI_FAULTS", f"raise@map_match:obj={poison},times=-1")
+        plan = Plan.compile(sources=annotation_sources, config=_config(mode="fail_fast"))
+        with ProcessPoolExecutor(workers=2) as executor:
+            with pytest.raises(InjectedFault):
+                executor.run(plan, trajectories)
+            pool = executor._pool
+            assert pool is not None
+            assert plan.failure_log.worker_losses == plan.failure_log.quarantined == 0
+            survivors = [t for t in trajectories if t.object_id != poison]
+            results = executor.run(plan, survivors)
+            assert executor._pool is pool  # still warm
+        monkeypatch.delenv("SEMITRI_FAULTS")
+        reference = SequentialExecutor().run(
+            _plan(annotation_sources, _config(mode="fail_fast")), survivors
+        )
+        assert canonical_bytes(results) == canonical_bytes(reference)
 
     def test_poison_kill_bisects_down_to_quarantine(
         self, annotation_sources, car_dataset, monkeypatch
@@ -382,19 +449,18 @@ class TestProcessPoolRecovery:
             assert failure.trajectory.object_id == poison
             assert failure.events and all(e.kind == "WorkerLost" for e in failure.events)
 
-    def test_runner_shares_one_failure_log_across_calls(
+    def test_one_plan_shares_one_failure_log_across_runs(
         self, annotation_sources, car_dataset, monkeypatch
     ):
         poison = car_dataset.trajectories[0].object_id
         monkeypatch.setenv("SEMITRI_FAULTS", f"raise@map_match:obj={poison},times=-1")
-        config = _config(mode="skip")
-        runner = ParallelAnnotationRunner(config, workers=2)
-        with runner:
-            first = runner.annotate_many(car_dataset.trajectories, annotation_sources)
-            second = runner.annotate_many(car_dataset.trajectories, annotation_sources)
+        plan = Plan.compile(sources=annotation_sources, config=_config(mode="skip"))
+        with ProcessPoolExecutor(workers=2) as executor:
+            first = executor.run(plan, car_dataset.trajectories)
+            second = executor.run(plan, car_dataset.trajectories)
         poison_count = sum(1 for t in car_dataset.trajectories if t.object_id == poison)
         assert len(first) == len(second) == len(car_dataset.trajectories) - poison_count
-        assert runner.failure_log.quarantined == 2 * poison_count
+        assert plan.failure_log.quarantined == 2 * poison_count
 
 
 # ------------------------------------------------------- micro-batch isolation

@@ -19,9 +19,9 @@ import pytest
 
 from repro.core import PipelineConfig, PipelineResult, SeMiTriPipeline
 from repro.core.config import ComputeConfig, StreamingConfig, TrajectoryIdentificationConfig
-from repro.parallel import GeoContext, ParallelAnnotationRunner, canonical_bytes
+from repro.api import annotate_many, stream
+from repro.parallel import GeoContext, canonical_bytes
 from repro.parallel.canonical import canonical_result
-from repro.streaming import StreamingAnnotationEngine
 
 _MATRIX = [
     ("tree", "python"),
@@ -95,7 +95,7 @@ def test_streaming_matches_sequential_per_index_backend(
     )
     sequential = SeMiTriPipeline(config).annotate_many(trajectories, annotation_sources)
 
-    engine = StreamingAnnotationEngine(annotation_sources, config=config)
+    engine = stream(annotation_sources, config=config)
     streamed: List[PipelineResult] = []
     for trajectory in trajectories:
         for point in trajectory.points:
@@ -113,8 +113,7 @@ def test_parallel_matches_sequential_per_index_backend(
     sequential = SeMiTriPipeline(config).annotate_many(trajectories, annotation_sources)
 
     context = GeoContext.build(annotation_sources, config)
-    runner = ParallelAnnotationRunner(config=config, workers=2, executor="serial")
-    parallel = runner.annotate_many(trajectories, context=context)
+    parallel = annotate_many(trajectories, context=context, workers=2)
     assert canonical_bytes(parallel) == canonical_bytes(sequential)
 
 

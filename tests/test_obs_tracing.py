@@ -158,6 +158,45 @@ def test_micro_batch_emits_spans_with_streaming_vocabulary(annotation_sources):
     assert "trajectory" in names and "compute_episode" in names
 
 
+# --------------------------------------------------- pool collection order
+def test_pool_collection_order_is_input_order(annotation_sources, monkeypatch):
+    """Span adoption and failure-log order follow the input, not the shards.
+
+    The largest object comes last in the batch, so its shard is submitted
+    (and, on two workers, usually finishes) ahead of the smaller ones; the
+    first and the last object are poison.  What the parent collects must
+    still read in input order.
+    """
+    streams = _random_multi_user_stream(17, users=3, points_per_user=70)
+    streams.update(_random_multi_user_stream(18, users=1, points_per_user=420))
+    first, *_, last = streams
+    monkeypatch.setenv(
+        "SEMITRI_FAULTS",
+        f"raise@landuse_join:obj={first},times=-1;raise@landuse_join:obj={last},times=-1",
+    )
+    config = _traced_config().with_overrides({"failure.mode": "skip"})
+    plan = Plan.compile(annotation_sources, config=config)
+    trajectories: List[RawTrajectory] = []
+    for object_id, stream in streams.items():
+        trajectories.extend(plan.ingest(stream, object_id=object_id))
+    loads = {object_id: 0 for object_id in streams}
+    for trajectory in trajectories:
+        loads[trajectory.object_id] += len(trajectory)
+    assert loads[last] == max(loads.values()) > 2 * loads[first]
+    with ProcessPoolExecutor(workers=2) as pool:
+        results = pool.run(plan, trajectories)
+
+    poisoned = [t.trajectory_id for t in trajectories if t.object_id in (first, last)]
+    survivors = [t.trajectory_id for t in trajectories if t.object_id not in (first, last)]
+    assert poisoned and survivors
+    assert [r.trajectory.trajectory_id for r in results] == survivors
+    tracer = plan.telemetry.tracer
+    assert tracer is not None and tracer.traces() == survivors
+    assert [
+        failure.trajectory.trajectory_id for failure in plan.failure_log.pending_quarantines
+    ] == poisoned
+
+
 # --------------------------------------------------- pool-boundary round-trip
 def test_pool_worker_spans_round_trip_through_jsonl(annotation_sources, tmp_path):
     """Worker-side spans cross the process boundary, get adopted into the

@@ -6,11 +6,12 @@ teleport outliers and long gaps).  For each generated stream the three
 execution modes must produce identical episodes, annotations and store rows:
 
 * sequential :meth:`SeMiTriPipeline.annotate_many`,
-* the :class:`StreamingAnnotationEngine` fed the raw events interleaved by
-  timestamp (with online cleaning), and
-* the :class:`ParallelAnnotationRunner` (serial executor on every seed, the
-  process pool once — ``SEMITRI_TEST_WORKERS`` picks the worker count so CI
-  can pin both executors).
+* the streaming executor of :func:`repro.api.stream` fed the raw events
+  interleaved by timestamp (with online cleaning), and
+* :func:`repro.api.annotate_many` with ``workers=SEMITRI_TEST_WORKERS`` (1
+  runs the sequential executor, anything else the process pool — CI pins
+  both) plus, on every seed, the in-process deferred-write-back executor,
+  which commits in the pool's shape.
 
 Equality is asserted on the canonical bytes of
 :mod:`repro.parallel.canonical`, the same definition the acceptance criteria
@@ -26,12 +27,13 @@ from typing import Dict, List
 import numpy as np
 import pytest
 
+from repro import api
 from repro.core import AnnotationSources, PipelineConfig, PipelineResult, SeMiTriPipeline
 from repro.core.config import StreamingConfig, TrajectoryIdentificationConfig
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
-from repro.parallel import GeoContext, ParallelAnnotationRunner, canonical_bytes
+from repro.engine import ProcessPoolExecutor, SequentialExecutor
+from repro.parallel import GeoContext, canonical_bytes
 from repro.store.store import SemanticTrajectoryStore
-from repro.streaming import StreamingAnnotationEngine
 
 
 TEST_WORKERS = int(os.environ.get("SEMITRI_TEST_WORKERS", "2"))
@@ -111,7 +113,7 @@ def _sorted_canonical(results: List[PipelineResult]) -> bytes:
 def test_seed_datasets_byte_identical(
     dataset_name, taxi_dataset, car_dataset, people_dataset, annotation_sources
 ):
-    """Runner output is byte-identical to sequential on every seed dataset."""
+    """Batch output is byte-identical to sequential on every seed dataset."""
     config = _apply_test_index_backend(
         PipelineConfig.for_people() if dataset_name == "people" else PipelineConfig.for_vehicles()
     )
@@ -121,9 +123,8 @@ def test_seed_datasets_byte_identical(
         "people": people_dataset.all_trajectories,
     }[dataset_name]
     sequential = SeMiTriPipeline(config).annotate_many(trajectories, annotation_sources)
-    runner = ParallelAnnotationRunner(config=config, workers=TEST_WORKERS, executor="serial")
     assert canonical_bytes(
-        runner.annotate_many(trajectories, annotation_sources)
+        api.annotate_many(trajectories, annotation_sources, config=config, workers=TEST_WORKERS)
     ) == canonical_bytes(sequential)
 
 
@@ -139,15 +140,20 @@ def test_sequential_streaming_parallel_agree(seed, annotation_sources):
         ((point.t, object_id, point) for object_id, points in streams.items() for point in points),
         key=lambda event: (event[0], event[1]),
     )
-    engine = StreamingAnnotationEngine(annotation_sources, config=config)
+    engine = api.stream(annotation_sources, config=config)
     streamed = engine.ingest_many((object_id, point) for _, object_id, point in events)
     streamed.extend(engine.close_all())
     assert _sorted_canonical(streamed) == _sorted_canonical(sequential)
 
-    # Parallel: serial executor must be byte-identical in input order too.
-    runner = ParallelAnnotationRunner(config=config, workers=TEST_WORKERS, executor="serial")
-    parallel = runner.annotate_many(trajectories, annotation_sources)
+    # Batch API: byte-identical in input order at the configured worker count,
+    # and through the frozen snapshot with deferred write-back in process.
+    parallel = api.annotate_many(
+        trajectories, annotation_sources, config=config, workers=TEST_WORKERS
+    )
     assert canonical_bytes(parallel) == canonical_bytes(sequential)
+    plan = api.compile_plan(context=GeoContext.build(annotation_sources, config))
+    deferred = SequentialExecutor(deferred_writeback=True).run(plan, trajectories)
+    assert canonical_bytes(deferred) == canonical_bytes(sequential)
 
 
 @pytest.mark.parametrize("seed", [404])
@@ -157,20 +163,20 @@ def test_process_pool_matches_sequential(seed, annotation_sources):
     streams = _random_multi_user_stream(seed, users=2, points_per_user=90)
     trajectories, sequential = _batch_reference(streams, annotation_sources, config)
 
-    context = GeoContext.build(annotation_sources, config)
-    with ParallelAnnotationRunner(
-        config=config, workers=max(2, TEST_WORKERS), executor="process"
-    ) as runner:
-        parallel = runner.annotate_many(trajectories, context=context)
+    plan = api.compile_plan(context=GeoContext.build(annotation_sources, config))
+    with ProcessPoolExecutor(workers=max(2, TEST_WORKERS)) as executor:
+        parallel = executor.run(plan, trajectories)
+        pool = executor._pool
         # Second call reuses the warm pool and snapshot.
-        again = runner.annotate_many(trajectories, context=context)
+        again = executor.run(plan, trajectories)
+        assert pool is not None and executor._pool is pool
     assert canonical_bytes(parallel) == canonical_bytes(sequential)
     assert canonical_bytes(again) == canonical_bytes(sequential)
 
 
 @pytest.mark.parametrize("seed", [505])
 def test_persisted_rows_identical_across_modes(seed, annotation_sources):
-    """Store rows from the sharded writer equal a single-writer sequential run."""
+    """Store rows from the deferred batch commit equal a single-writer sequential run."""
     config = _property_config()
     streams = _random_multi_user_stream(seed, users=2, points_per_user=110)
     pipeline_store = SemanticTrajectoryStore()
@@ -181,10 +187,21 @@ def test_persisted_rows_identical_across_modes(seed, annotation_sources):
     pipeline.annotate_many(trajectories, annotation_sources, persist=True)
 
     runner_store = SemanticTrajectoryStore()
-    runner = ParallelAnnotationRunner(
-        config=config, workers=TEST_WORKERS, executor="serial", store=runner_store
-    )
-    runner.annotate_many(trajectories, annotation_sources, persist=True)
+    if TEST_WORKERS == 1:
+        # The pool's commit shape (one merged transaction), in process.
+        plan = api.compile_plan(
+            annotation_sources, config, store=runner_store, persist=True
+        )
+        SequentialExecutor(deferred_writeback=True).run(plan, trajectories)
+    else:
+        api.annotate_many(
+            trajectories,
+            annotation_sources,
+            config=config,
+            workers=TEST_WORKERS,
+            store=runner_store,
+            persist=True,
+        )
 
     assert runner_store.stop_move_summary() == pipeline_store.stop_move_summary()
     assert runner_store.annotation_count() == pipeline_store.annotation_count()

@@ -1,15 +1,18 @@
-"""Zero-copy shared-memory snapshot transport and size-aware dispatch.
+"""Zero-copy shared-memory snapshot transport and size-aware sharding.
 
-Covers the acceptance criteria of the parallel-scaling fix:
+The snapshot's transport follows the pool's start method: inherited under
+``fork``, one shared segment otherwise.  Linux runs ``fork``, so the tests
+that need the segment path substitute ``spawn`` through the
+``_pool_mp_context`` seam — the configuration macOS and Windows really run.
 
 * :class:`SharedArrayBundle` round-trips named numpy blocks through one
   POSIX segment with read-only zero-copy views on the attach side;
 * :func:`share_context` / :func:`attach_context` rebuild a
   :class:`GeoContext` whose flat-index arrays *alias* the shared segment
   (asserted with :func:`numpy.shares_memory`) instead of copying;
-* canonical output bytes are identical across every
-  ``dispatch`` × ``shared_memory`` combination and equal to sequential;
-* no ``/dev/shm`` segment survives a runner/executor close, a dropped
+* canonical output bytes are identical under ``fork`` and under ``spawn``
+  and equal to sequential;
+* no ``/dev/shm`` segment survives an executor close, a dropped
   (garbage-collected) executor or a SIGKILLed worker.
 """
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import glob
+import multiprocessing
 import os
 import signal
 import time
@@ -25,12 +29,11 @@ import time
 import numpy as np
 import pytest
 
+from repro import api
 from repro.core import PipelineConfig, SeMiTriPipeline
-from repro.core.errors import ConfigurationError
-from repro.engine.executors import ProcessPoolExecutor, dispatch_shards
+from repro.engine import ProcessPoolExecutor, SequentialExecutor, executors, shard_by_object
 from repro.parallel import (
     GeoContext,
-    ParallelAnnotationRunner,
     SharedArrayBundle,
     canonical_bytes,
     canonical_digest,
@@ -61,6 +64,18 @@ def _people_config() -> PipelineConfig:
 @pytest.fixture(scope="module")
 def flat_context(annotation_sources) -> GeoContext:
     return GeoContext.build(annotation_sources, _people_config())
+
+
+def _start_pools_with(monkeypatch, start_method: str) -> None:
+    """Make every pool built in this test start its workers with ``start_method``."""
+    monkeypatch.setattr(
+        executors, "_pool_mp_context", lambda: multiprocessing.get_context(start_method)
+    )
+
+
+@pytest.fixture()
+def spawn_pool(monkeypatch):
+    _start_pools_with(monkeypatch, "spawn")
 
 
 @pytest.fixture(scope="module")
@@ -181,60 +196,40 @@ class TestShareContext:
         with share_context(flat_context) as shared:
             context, bundle = attach_context(shared.spec)
             try:
-                runner = ParallelAnnotationRunner(
-                    config=_people_config(), workers=1, executor="serial"
-                )
-                results = runner.annotate_many(small_batch, context=context)
+                plan = api.compile_plan(context=context)
+                results = SequentialExecutor().run(plan, small_batch)
                 assert canonical_bytes(results) == sequential_bytes
             finally:
                 bundle.close()
 
 
-# ----------------------------------------------------------- dispatch modes
-class TestDispatch:
-    def test_modes_partition_the_same_items(self, small_batch):
-        reference = sorted(
-            (order, t.trajectory_id)
-            for order, t in enumerate(small_batch)
-        )
-        for mode in ("static", "balanced", "stealing"):
-            shards = dispatch_shards(small_batch, 3, mode)
-            seen = sorted(
-                (order, t.trajectory_id) for _, items in shards for order, t in items
-            )
-            assert seen == reference, mode
+# ----------------------------------------------------------------- sharding
+class TestSharding:
+    def test_shards_partition_the_batch(self, small_batch):
+        reference = sorted((order, t.trajectory_id) for order, t in enumerate(small_batch))
+        shards = shard_by_object(small_batch, 3)
+        seen = sorted((order, t.trajectory_id) for _, items in shards for order, t in items)
+        assert seen == reference
 
     def test_objects_never_split_across_shards(self, small_batch):
-        for mode in ("static", "balanced", "stealing"):
-            owner = {}
-            for index, items in dispatch_shards(small_batch, 3, mode):
-                for _, trajectory in items:
-                    assert owner.setdefault(trajectory.object_id, index) == index
-
-    def test_unknown_mode_rejected(self, small_batch):
-        with pytest.raises(ConfigurationError):
-            dispatch_shards(small_batch, 2, "greedy")
+        owner = {}
+        for index, items in shard_by_object(small_batch, 3):
+            for _, trajectory in items:
+                assert owner.setdefault(trajectory.object_id, index) == index
 
 
-# ------------------------------------------------- full-matrix byte parity
-@pytest.mark.parametrize("dispatch", ["static", "balanced", "stealing"])
-@pytest.mark.parametrize("shared_memory", ["on", "off"])
-def test_pool_parity_across_dispatch_and_transport(
-    dispatch, shared_memory, small_batch, annotation_sources, sequential_bytes
+# ------------------------------------------------- fork x spawn byte parity
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_pool_parity_across_start_methods(
+    start_method, small_batch, flat_context, sequential_bytes, monkeypatch
 ):
-    """Canonical bytes are identical for every dispatch × transport combo."""
-    with ParallelAnnotationRunner(
-        config=_people_config(),
-        workers=TEST_WORKERS,
-        executor="process",
-        dispatch=dispatch,
-        shared_memory=shared_memory,
-    ) as runner:
-        assert runner.dispatch == dispatch
-        assert runner.shared_memory == shared_memory
-        results = runner.annotate_many(small_batch, annotation_sources)
-        segment = runner.shared_segment_name
-        if shared_memory == "on":
+    """Canonical bytes are identical whichever way the snapshot travels."""
+    _start_pools_with(monkeypatch, start_method)
+    plan = api.compile_plan(context=flat_context)
+    with ProcessPoolExecutor(workers=TEST_WORKERS) as executor:
+        results = executor.run(plan, small_batch)
+        segment = executor.shared_segment_name
+        if start_method == "spawn":
             assert segment is not None and _segment_paths(segment)
         else:
             assert segment is None
@@ -251,40 +246,35 @@ def canonical_digest_from(payload: bytes) -> str:
 
 
 # ------------------------------------------------------------------ cleanup
+@pytest.mark.usefixtures("spawn_pool")
 class TestSegmentCleanup:
-    def test_runner_close_unlinks_segment(self, small_batch, annotation_sources):
-        runner = ParallelAnnotationRunner(
-            config=_people_config(),
-            workers=TEST_WORKERS,
-            executor="process",
-            shared_memory="on",
-        )
-        runner.annotate_many(small_batch, annotation_sources)
-        segment = runner.shared_segment_name
+    def test_close_unlinks_segment(self, flat_context, small_batch):
+        executor = ProcessPoolExecutor(workers=TEST_WORKERS)
+        executor.run(api.compile_plan(context=flat_context), small_batch)
+        segment = executor.shared_segment_name
         assert segment is not None and _segment_paths(segment)
-        runner.close()
+        executor.close()
         assert not _segment_paths(segment)
-        assert runner.shared_segment_name is None
+        assert executor.shared_segment_name is None
 
     def test_dropped_executor_unlinks_segment(self, flat_context, small_batch):
-        from repro.engine.plan import Plan
-
-        executor = ProcessPoolExecutor(workers=2, shared_memory="on")
-        plan = Plan.from_context(flat_context)
-        executor.run(plan, small_batch[:4])
+        executor = ProcessPoolExecutor(workers=2)
+        executor.run(api.compile_plan(context=flat_context), small_batch[:4])
         segment = executor.shared_segment_name
         assert segment is not None and _segment_paths(segment)
         del executor
         gc.collect()
         assert not _segment_paths(segment)
 
-    def test_worker_crash_unlinks_segment(self, flat_context, small_batch):
+    def test_worker_crash_under_fail_fast_raises_and_unlinks_segment(
+        self, flat_context, small_batch
+    ):
+        """``fail_fast`` takes the same submission loop and tears the pool down."""
         from concurrent.futures import BrokenExecutor
 
-        from repro.engine.plan import Plan
-
-        executor = ProcessPoolExecutor(workers=2, shared_memory="on")
-        plan = Plan.from_context(flat_context)
+        executor = ProcessPoolExecutor(workers=2)
+        plan = api.compile_plan(context=flat_context)
+        assert not plan.failure_policy.isolates
         executor.run(plan, small_batch[:4])  # prime the pool + segment
         segment = executor.shared_segment_name
         assert segment is not None and _segment_paths(segment)
@@ -302,6 +292,28 @@ class TestSegmentCleanup:
         results = executor.run(plan, small_batch[:4])
         assert len(results) == 4
         executor.close()
+        assert not glob.glob("/dev/shm/semitri-*")
+
+    def test_worker_crash_under_skip_recovers_on_a_fresh_segment(
+        self, annotation_sources, small_batch, sequential_bytes
+    ):
+        """The isolating branch of the same loop: re-prime, resubmit, finish."""
+        config = _people_config().with_overrides({"failure.mode": "skip"})
+        plan = api.compile_plan(context=GeoContext.build(annotation_sources, config))
+        with ProcessPoolExecutor(workers=2) as executor:
+            executor.run(plan, small_batch)  # prime the pool + segment
+            segment = executor.shared_segment_name
+            assert segment is not None and executor._pool is not None
+            victim = next(iter(executor._pool._processes.values()))
+            os.kill(victim.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 10.0
+            while plan.failure_log.worker_losses == 0 and time.monotonic() < deadline:
+                results = executor.run(plan, small_batch)  # the pool notices on submit
+            assert plan.failure_log.worker_losses >= 1
+            assert plan.failure_log.quarantined == 0
+            assert canonical_bytes(results) == sequential_bytes
+            assert not _segment_paths(segment)  # the poisoned pool's segment is gone
+            assert executor.shared_segment_name not in (None, segment)
         assert not glob.glob("/dev/shm/semitri-*")
 
     def test_no_stray_segments_after_module(self):

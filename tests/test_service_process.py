@@ -17,7 +17,9 @@ with ``asyncio.run``.
 from __future__ import annotations
 
 import asyncio
+import glob
 import json
+import multiprocessing
 import os
 import signal
 import time
@@ -30,7 +32,7 @@ from repro.core.points import SpatioTemporalPoint
 from repro.faults.inject import FaultInjector, FaultPlan
 from repro.parallel.canonical import canonical_bytes
 from repro.parallel.context import GeoContext
-from repro.service import AnnotationService
+from repro.service import AnnotationService, workers
 from repro.store.store import SemanticTrajectoryStore
 
 
@@ -101,15 +103,28 @@ def _assert_stores_identical(
 
 
 # ---------------------------------------------------------------------- parity
-@pytest.mark.parametrize("shared_memory", ["auto", "on"])
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
 def test_transport_parity_canonical_bytes_and_store_rows(
-    annotation_sources, car_dataset, shared_memory
+    annotation_sources, car_dataset, start_method, monkeypatch
 ):
     """thread × process drains are canonically identical to sequential.
 
-    ``shared_memory="on"`` pins the shm attach path even under fork (where
-    ``"auto"`` rides copy-on-write inheritance instead).
+    Under ``spawn`` the shard workers attach to the snapshot's shared-memory
+    segment; under ``fork`` they inherit it copy-on-write and no segment
+    exists.
     """
+    monkeypatch.setattr(
+        workers, "_pool_mp_context", lambda: multiprocessing.get_context(start_method)
+    )
+    segments: List[str] = []
+    share_context = workers.share_context
+
+    def recording_share_context(context):
+        shared = share_context(context)
+        segments.append(shared.segment_name)
+        return shared
+
+    monkeypatch.setattr(workers, "share_context", recording_share_context)
     streams = _object_streams(car_dataset.trajectories)
     total_events = sum(len(points) for points in streams.values())
 
@@ -118,9 +133,7 @@ def test_transport_parity_canonical_bytes_and_store_rows(
     reference_context: Optional[GeoContext] = None
     reference_config: Optional[PipelineConfig] = None
     for transport in ("thread", "process"):
-        config = _service_config(shards=2, transport=transport).with_overrides(
-            {"parallel.shared_memory": shared_memory}
-        )
+        config = _service_config(shards=2, transport=transport)
         context = GeoContext.build(annotation_sources, config)
         store = SemanticTrajectoryStore()
         service = AnnotationService(context, store=store, persist=True)
@@ -135,6 +148,9 @@ def test_transport_parity_canonical_bytes_and_store_rows(
         stores[transport] = store
         results_by_transport[transport] = service.results
         reference_context, reference_config = context, config
+
+    assert len(segments) == (1 if start_method == "spawn" else 0)
+    assert not [path for name in segments for path in glob.glob(f"/dev/shm/*{name}")]
 
     sequential = _sequential_reference(
         reference_config, annotation_sources, reference_context, streams

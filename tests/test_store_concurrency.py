@@ -1,24 +1,26 @@
-"""Store concurrency: interleaved sharded commits equal a single-writer run.
+"""Store concurrency: an out-of-order sharded batch commits like a single writer.
 
-The :class:`ShardedStoreWriter` receives per-shard results in arbitrary
-completion order (and, in-process, from multiple threads); its commit must
-produce exactly the row set, row order and autoincrement identifiers of a
-sequential single-writer run — and must be atomic when any row is rejected.
+Shard outcomes reach :func:`repro.engine.merge_shard_results` in arbitrary
+completion order; its deferred commit must produce exactly the row set, row
+order and autoincrement identifiers of a sequential single-writer run, must
+be atomic when any row is rejected, and a retried commit must re-send the
+identical batch.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import List, Tuple
 
 import pytest
 
 from repro.core.annotations import activity_annotation
-from repro.core.config import StopMoveConfig
+from repro.core.config import PipelineConfig, StopMoveConfig
 from repro.core.episodes import Episode, EpisodeKind
 from repro.core.errors import StoreError
+from repro.core.pipeline import AnnotationSources, PipelineResult
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
-from repro.parallel import ShardedStoreWriter
+from repro.engine import Plan, merge_shard_results
+from repro.faults import FailureEvent, TrajectoryFailure
 from repro.preprocessing.stops import StopMoveDetector
 from repro.store.store import SemanticTrajectoryStore
 
@@ -70,56 +72,25 @@ def _assert_stores_identical(got: SemanticTrajectoryStore, want: SemanticTraject
             )
 
 
+def _commit(store, workload, orders, config=None) -> Plan:
+    """Merge the given input positions, in that arrival order, and commit."""
+    plan = Plan.compile(AnnotationSources(), config=config, store=store, persist=True)
+    outputs = [(order, PipelineResult(*workload[order])) for order in orders]
+    merged = merge_shard_results(plan, outputs, commit=True)
+    assert [result.trajectory for result in merged] == [
+        workload[order][0] for order in sorted(orders)
+    ]
+    return plan
+
+
 def test_interleaved_shard_commits_match_single_writer():
     """Shards finishing out of order still commit single-writer rows."""
     workload = _make_workload()
     reference = _single_writer_store(workload)
 
     store = SemanticTrajectoryStore()
-    writer = ShardedStoreWriter(store)
     # Completion order scrambled across 3 shards: last shard reports first.
-    shard_of = lambda order: order % 3
-    for order in (7, 2, 5, 0, 3, 6, 1, 4):
-        trajectory, episodes = workload[order]
-        writer.add(shard_of(order), order, trajectory, episodes)
-    assert writer.pending_count == len(workload)
-    assert writer.shard_indexes == [0, 1, 2]
-    writer.commit()
-    assert writer.pending_count == 0
-    assert writer.committed_total == len(workload)
-
-    _assert_stores_identical(store, reference)
-    reference.close()
-    store.close()
-
-
-def test_threaded_shard_adds_match_single_writer():
-    """Concurrent in-process adds (one thread per shard) stay consistent."""
-    workload = _make_workload()
-    reference = _single_writer_store(workload)
-
-    store = SemanticTrajectoryStore()
-    writer = ShardedStoreWriter(store)
-    shards = {0: [0, 3, 6], 1: [1, 4, 7], 2: [2, 5]}
-
-    def feed(shard_index: int, orders: List[int]) -> None:
-        for order in orders:
-            trajectory, episodes = workload[order]
-            writer.add_result(
-                shard_index,
-                order,
-                type("R", (), {"trajectory": trajectory, "episodes": episodes})(),
-            )
-
-    threads = [
-        threading.Thread(target=feed, args=(shard_index, orders))
-        for shard_index, orders in shards.items()
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    writer.commit()
+    _commit(store, workload, (7, 4, 1, 2, 5, 0, 3, 6))
 
     _assert_stores_identical(store, reference)
     reference.close()
@@ -132,16 +103,12 @@ def test_commit_is_atomic_on_rejected_row():
     store = SemanticTrajectoryStore()
     # The first trajectory is already stored -> the batch must be rejected.
     store.save_trajectory(workload[0][0])
-    writer = ShardedStoreWriter(store)
-    for order, (trajectory, episodes) in enumerate(workload):
-        writer.add(order % 2, order, trajectory, episodes)
     with pytest.raises(StoreError):
-        writer.commit()
-    # Nothing from the batch landed; the buffers survive for inspection/retry.
+        _commit(store, workload, (3, 1, 0, 2))
+    # Nothing from the batch landed.
     assert store.trajectory_count() == 1
     assert store.episode_count() == 0
     assert store.annotation_count() == 0
-    assert writer.pending_count == len(workload)
     store.close()
 
 
@@ -151,15 +118,73 @@ def test_multiple_commits_append_in_order():
     reference = _single_writer_store(workload)
 
     store = SemanticTrajectoryStore()
-    writer = ShardedStoreWriter(store)
-    for order in (1, 0, 2):
-        writer.add(0, order, *workload[order])
-    writer.commit()
-    for order in (5, 7, 3, 4, 6):
-        writer.add(1, order, *workload[order])
-    writer.commit()
-    assert writer.committed_total == len(workload)
+    _commit(store, workload, (1, 0, 2))
+    _commit(store, workload, (5, 7, 3, 4, 6))
 
+    _assert_stores_identical(store, reference)
+    reference.close()
+    store.close()
+
+
+def test_merge_collects_in_input_order_and_only_commits_when_asked():
+    """Quarantine and retry history are walked by input position, not arrival."""
+    workload = _make_workload(count=6)
+    store = SemanticTrajectoryStore()
+    config = PipelineConfig().with_overrides({"failure.mode": "skip"})
+    plan = Plan.compile(AnnotationSources(), config=config, store=store, persist=True)
+    retried = FailureEvent(stage="landuse_join", kind="Transient", attempt=1)
+    outputs = {}
+    for order, (trajectory, episodes) in enumerate(workload):
+        if order in (1, 4):
+            outputs[order] = TrajectoryFailure(
+                trajectory, stage="map_match", error="boom", attempts=1,
+                events=[FailureEvent(stage="map_match", kind="Boom", attempt=1)],
+            )
+        else:
+            outputs[order] = PipelineResult(trajectory, episodes)
+    outputs[3].fault_events = [retried]
+    arrival = [(order, outputs[order]) for order in (4, 5, 0, 3, 1, 2)]
+
+    merged = merge_shard_results(plan, arrival, commit=False)
+
+    assert [r.trajectory for r in merged] == [workload[i][0] for i in (0, 2, 3, 5)]
+    log = plan.failure_log
+    assert (log.failures, log.retries, log.quarantined) == (3, 1, 2)
+    assert [row["trajectory_id"] for row in store.quarantined()] == [
+        workload[1][0].trajectory_id,
+        workload[4][0].trajectory_id,
+    ]
+    assert store.trajectory_count() == 0  # inline write-back already happened elsewhere
+    store.close()
+
+
+def test_retried_commit_resends_the_identical_batch():
+    """A commit that fails once is retried with the same rows in the same order."""
+
+    class FlakyStore(SemanticTrajectoryStore):
+        def __init__(self):
+            super().__init__()
+            self.batches = []
+
+        def save_annotated_trajectories(self, items, store_points=True):
+            batch = list(items)
+            self.batches.append(batch)
+            if len(self.batches) == 1:
+                raise StoreError("injected: first commit fails before writing")
+            return super().save_annotated_trajectories(batch, store_points)
+
+    workload = _make_workload()
+    reference = _single_writer_store(workload)
+    store = FlakyStore()
+    config = PipelineConfig().with_overrides(
+        {"failure.mode": "retry", "failure.backoff_base": 0.0}
+    )
+    plan = _commit(store, workload, (6, 0, 3, 5, 1, 7, 2, 4), config)
+
+    assert len(store.batches) == 2
+    assert store.batches[0] == store.batches[1] == list(workload)
+    log = plan.failure_log
+    assert (log.failures, log.retries, log.quarantined) == (1, 1, 0)
     _assert_stores_identical(store, reference)
     reference.close()
     store.close()

@@ -20,7 +20,7 @@ from repro.core import AnnotationSources, PipelineConfig, PipelineResult, SeMiTr
 from repro.core.config import StreamingConfig, TrajectoryIdentificationConfig
 from repro.core.points import SpatioTemporalPoint
 from repro.store.store import SemanticTrajectoryStore
-from repro.streaming import StreamingAnnotationEngine
+from repro.api import stream
 
 
 def _annotation_signature(annotation):
@@ -91,7 +91,7 @@ def _parity_config(base: PipelineConfig, micro_batch_size: int) -> PipelineConfi
 
 
 def _run_engine(trajectories, sources, config) -> List[PipelineResult]:
-    engine = StreamingAnnotationEngine(sources, config=config)
+    engine = stream(sources, config=config)
     results: List[PipelineResult] = []
     for trajectory in trajectories:
         for point in trajectory.points:
@@ -140,7 +140,7 @@ def test_interleaved_objects_parity(car_dataset, annotation_sources):
         ),
         key=lambda item: item[0],
     )
-    engine = StreamingAnnotationEngine(annotation_sources, config=config)
+    engine = stream(annotation_sources, config=config)
     results = engine.ingest_many((object_id, point) for _, object_id, point in events)
     results.extend(engine.close_all())
 
@@ -177,7 +177,7 @@ def test_full_stream_parity_with_cleaning_and_gaps(annotation_sources):
     assert len(raw_trajectories) >= 2
     batch = pipeline.annotate_many(raw_trajectories, annotation_sources)
 
-    engine = StreamingAnnotationEngine(annotation_sources, config=config)
+    engine = stream(annotation_sources, config=config)
     streamed: List[PipelineResult] = []
     for point in points:
         streamed.extend(engine.ingest("u0", point))
@@ -203,7 +203,7 @@ def test_store_contents_match_batch(taxi_dataset, annotation_sources):
     )
 
     stream_store = SemanticTrajectoryStore()
-    engine = StreamingAnnotationEngine(
+    engine = stream(
         annotation_sources, config=config, store=stream_store, persist=True
     )
     for trajectory in taxi_dataset.trajectories:
@@ -234,7 +234,7 @@ def test_store_contents_match_batch(taxi_dataset, annotation_sources):
 def test_latency_profile_uses_figure17_stage_names(taxi_dataset, annotation_sources):
     config = _parity_config(PipelineConfig.for_vehicles(), micro_batch_size=8)
     store = SemanticTrajectoryStore()
-    engine = StreamingAnnotationEngine(
+    engine = stream(
         annotation_sources, config=config, store=store, persist=True
     )
     trajectory = taxi_dataset.trajectories[0]

@@ -11,7 +11,8 @@ from repro.core.config import StreamingConfig, TrajectoryIdentificationConfig
 from repro.core.errors import DataQualityError
 from repro.core.points import SpatioTemporalPoint
 from repro.preprocessing.identification import TrajectoryIdentifier
-from repro.streaming import Session, SessionManager, StreamingAnnotationEngine
+from repro.api import stream
+from repro.streaming import Session, SessionManager
 from repro.core.pipeline import AnnotationSources
 
 
@@ -105,7 +106,7 @@ def test_returning_object_gets_fresh_trajectory_ids():
     from repro.store.store import SemanticTrajectoryStore
 
     store = SemanticTrajectoryStore()
-    engine = StreamingAnnotationEngine(
+    engine = stream(
         AnnotationSources(), config=config, store=store, persist=True
     )
     ids = []
@@ -123,7 +124,7 @@ def test_returning_object_gets_fresh_trajectory_ids():
 def test_failed_processing_pass_does_not_replay_absorbed_events():
     """Events consumed before a mid-pass error must not be re-pushed later."""
     config = _config(micro_batch_size=4)
-    engine = StreamingAnnotationEngine(AnnotationSources(), config=config)
+    engine = stream(AnnotationSources(), config=config)
     engine.ingest("a", SpatioTemporalPoint(0.0, 0.0, 0.0))
     engine.ingest("a", SpatioTemporalPoint(1.0, 0.0, 60.0))
     engine.ingest("b", SpatioTemporalPoint(0.0, 0.0, 100.0))
@@ -145,7 +146,7 @@ def test_engine_eviction_seals_trajectories():
             max_time_gap=1e9, max_distance_gap=1e9, min_points=3
         ),
     )
-    engine = StreamingAnnotationEngine(AnnotationSources(), config=config)
+    engine = stream(AnnotationSources(), config=config)
     results = []
     for i in range(5):
         results.extend(engine.ingest("a", SpatioTemporalPoint(10.0 * i, 0.0, 60.0 * i)))
@@ -176,7 +177,7 @@ def test_eviction_mid_episode_matches_batch_segmentation():
             max_time_gap=1e9, max_distance_gap=1e9, min_points=3
         ),
     )
-    engine = StreamingAnnotationEngine(AnnotationSources(), config=config)
+    engine = stream(AnnotationSources(), config=config)
     points = []
     t = 0.0
     for i in range(4):  # moving
@@ -229,7 +230,7 @@ def test_numbering_unique_across_eviction_recreations():
             max_time_gap=1e9, max_distance_gap=1e9, min_points=3
         ),
     )
-    engine = StreamingAnnotationEngine(AnnotationSources(), config=config)
+    engine = stream(AnnotationSources(), config=config)
     results = []
     t = 0.0
     for _ in range(3):  # a and b alternate; each acquisition evicts the other

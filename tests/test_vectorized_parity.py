@@ -27,9 +27,9 @@ from repro.core.config import (
     TrajectoryIdentificationConfig,
 )
 from repro.core.errors import ConfigurationError
-from repro.parallel import ParallelAnnotationRunner, canonical_bytes
+from repro.api import annotate_many, stream
+from repro.parallel import canonical_bytes
 from repro.parallel.canonical import canonical_result
-from repro.streaming import StreamingAnnotationEngine
 
 
 def _canonical_without_ids(results: List[PipelineResult]) -> List[dict]:
@@ -72,7 +72,7 @@ def _dataset(name, taxi_dataset, car_dataset, people_dataset):
 
 
 def _run_engine(trajectories, sources, config) -> List[PipelineResult]:
-    engine = StreamingAnnotationEngine(sources, config=config)
+    engine = stream(sources, config=config)
     results: List[PipelineResult] = []
     for trajectory in trajectories:
         for point in trajectory.points:
@@ -136,10 +136,9 @@ def test_parallel_backend_parity(
     scalar = SeMiTriPipeline(_with_backend(base, "python")).annotate_many(
         trajectories, annotation_sources
     )
-    runner = ParallelAnnotationRunner(
-        config=_with_backend(base, "numpy"), workers=2, executor="serial"
+    parallel = annotate_many(
+        trajectories, annotation_sources, config=_with_backend(base, "numpy"), workers=2
     )
-    parallel = runner.annotate_many(trajectories, annotation_sources)
     assert canonical_bytes(parallel) == canonical_bytes(scalar)
 
 
