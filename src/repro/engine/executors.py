@@ -891,16 +891,25 @@ class MicroBatchExecutor(Executor):
         pending, self._pending = self._pending, []
         results: List[PipelineResult] = []
         touched: Dict[str, Session] = {}
-        for object_id, point in pending:
-            session, evicted = self._sessions.acquire(object_id)
-            for old in evicted:
-                touched.pop(old.object_id, None)
-                results.extend(self._close_session(old))
-            update = session.push(point)
-            results.extend(self._handle_update(update))
-            touched[object_id] = session
-        for session in touched.values():
-            self._advance_session(session)
+        taken = 0
+        try:
+            for object_id, point in pending:
+                session, evicted = self._sessions.acquire(object_id)
+                for old in evicted:
+                    touched.pop(old.object_id, None)
+                    results.extend(self._close_session(old))
+                taken += 1
+                update = session.push(point)
+                if update.sealed:
+                    results.extend(self._handle_update(update))
+                touched[object_id] = session
+        finally:
+            # Only an event that raised leaves a tail: the event itself stays
+            # consumed, but its unprocessed neighbours go back to the head of
+            # the queue and the sessions already fed still get their advance.
+            self._pending[:0] = pending[taken:]
+            for session in touched.values():
+                self._advance_session(session)
         return results
 
     def _advance_session(self, session: Session) -> None:

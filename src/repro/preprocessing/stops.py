@@ -62,29 +62,21 @@ def expand_density_flags(
     radius: float,
     min_duration: float,
     flags: List[bool],
-    start: int = 0,
-) -> int:
-    """Seed-and-expand density scan from ``start``, writing ``flags`` in place.
+) -> None:
+    """Seed-and-expand density scan; sets the stop runs in the all-``False`` ``flags``.
 
-    Returns the index of the first *tried* seed whose expansion was cut short
-    by the end of ``points`` rather than by a radius violation — everything
-    the scan decided before that seed is final, while flags from that seed
-    onwards may still change when more points arrive (this is the resumption
-    frontier the incremental detector restarts from).  Returns ``len(points)``
-    when the scan never reached the end (only possible for empty input).
+    Each unvisited point seeds a forward expansion over the points within
+    ``radius`` of it; an expansion spanning at least ``min_duration`` flags
+    every point it covered and the scan continues past it, otherwise the
+    next point is tried as a seed.
     """
     n = len(points)
-    for index in range(start, n):
-        flags[index] = False
-    frontier = n
-    index = start
+    index = 0
     while index < n:
         seed = points[index]
         end = index
         while end + 1 < n and seed.distance_to(points[end + 1]) <= radius:
             end += 1
-        if end + 1 == n and frontier == n:
-            frontier = index
         duration = points[end].t - seed.t
         if duration >= min_duration and end > index:
             for covered in range(index, end + 1):
@@ -92,7 +84,6 @@ def expand_density_flags(
             index = end + 1
         else:
             index += 1
-    return frontier
 
 
 #: Expansion steps probed with scalar arithmetic before escalating to the
@@ -107,37 +98,30 @@ def expand_density_flags_arrays(
     radius: float,
     min_duration: float,
     flags: List[bool],
-    start: int = 0,
-) -> int:
+) -> None:
     """Vectorized :func:`expand_density_flags` over columnar coordinates.
 
-    Same in-place contract and identical output, including the resumption
-    frontier.  Per seed, the forward expansion first probes a few steps with
-    inline scalar arithmetic over raw float lists (no ``Point`` objects) and
-    escalates to an adaptive chunked vector scan only for long dwell runs, so
-    move-heavy stretches stay cheap while stops cost a handful of vector
-    operations.  The distance comparison (``sqrt`` form, ``<=``) matches the
-    scalar loop bit-for-bit on both paths.
+    Same in-place contract and identical output.  Per seed, the forward
+    expansion first probes a few steps with inline scalar arithmetic over
+    raw float lists (no ``Point`` objects) and escalates to an adaptive
+    chunked vector scan only for long dwell runs, so move-heavy stretches
+    stay cheap while stops cost a handful of vector operations.  The
+    distance comparison (``sqrt`` form, ``<=``) matches the scalar loop
+    bit-for-bit on both paths.
     """
     n = len(xs)
-    for index in range(start, n):
-        flags[index] = False
-    # Local (region-offset) float lists: everything a seed >= start can read.
-    xs_l = xs[start:].tolist()
-    ys_l = ys[start:].tolist()
-    ts_l = ts[start:].tolist()
-    frontier = n
-    index = start
+    xs_l = xs.tolist()
+    ys_l = ys.tolist()
+    ts_l = ts.tolist()
+    index = 0
     while index < n:
-        local = index - start
-        sx = xs_l[local]
-        sy = ys_l[local]
+        sx = xs_l[index]
+        sy = ys_l[index]
         end = index
         # Scalar probe of the first few expansion steps.
         while end + 1 < n and end - index < _DENSITY_PROBE:
-            nxt = end + 1 - start
-            dx = sx - xs_l[nxt]
-            dy = sy - ys_l[nxt]
+            dx = sx - xs_l[end + 1]
+            dy = sy - ys_l[end + 1]
             if math.sqrt(dx * dx + dy * dy) <= radius:
                 end += 1
             else:
@@ -148,15 +132,12 @@ def expand_density_flags_arrays(
                 end += leading_run_within_radius(
                     xs[end + 1 :], ys[end + 1 :], sx, sy, radius
                 )
-        if end + 1 == n and frontier == n:
-            frontier = index
-        duration = ts_l[end - start] - ts_l[local]
+        duration = ts_l[end] - ts_l[index]
         if duration >= min_duration and end > index:
             flags[index : end + 1] = [True] * (end + 1 - index)
             index = end + 1
         else:
             index += 1
-    return frontier
 
 
 def density_stop_flags(

@@ -17,6 +17,7 @@ continuing.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -85,6 +86,11 @@ class SessionUpdate:
     sealed: List[SealedTrajectory] = field(default_factory=list)
 
 
+#: What :meth:`Session.push` returns for the fixes that seal nothing — nearly
+#: all of them.  Shared, so it must never be mutated.
+_NOTHING_SEALED = SessionUpdate()
+
+
 class Session:
     """Mutable streaming state for one moving object."""
 
@@ -124,10 +130,12 @@ class Session:
         if self.closed:
             raise DataQualityError(f"session for {self.object_id!r} is closed")
         self.events_seen += 1
-        update = SessionUpdate()
         cleaned = self._cleaner.push(point) if self._cleaner is not None else [point]
+        update = _NOTHING_SEALED
         for fix in cleaned:
-            self._absorb(fix, update)
+            sealed = self._absorb(fix)
+            if sealed is not None:
+                update = SessionUpdate(update.sealed + [sealed])
         return update
 
     def advance(self) -> List[Episode]:
@@ -151,25 +159,30 @@ class Session:
         update = SessionUpdate()
         if self._cleaner is not None:
             for fix in self._cleaner.finish():
-                self._absorb(fix, update)
+                sealed = self._absorb(fix)
+                if sealed is not None:
+                    update.sealed.append(sealed)
         if self.trajectory is not None:
             update.sealed.append(self._seal())
         return update
 
     # ------------------------------------------------------------- internals
-    def _absorb(self, fix: SpatioTemporalPoint, update: SessionUpdate) -> None:
-        identification = self._config.identification
+    def _absorb(self, fix: SpatioTemporalPoint) -> Optional[SealedTrajectory]:
+        """Append one cleaned fix; returns the trajectory a gap before it sealed."""
+        sealed: Optional[SealedTrajectory] = None
         if self.trajectory is not None:
+            identification = self._config.identification
             previous = self.trajectory.points[-1]
-            time_gap = fix.t - previous.t
-            distance_gap = previous.distance_to(fix)
+            # previous.distance_to(fix), without the two Point objects.
+            dx = previous.x - fix.x
+            dy = previous.y - fix.y
             if (
-                time_gap > identification.max_time_gap
-                or distance_gap > identification.max_distance_gap
+                fix.t - previous.t > identification.max_time_gap
+                or math.sqrt(dx * dx + dy * dy) > identification.max_distance_gap
             ):
                 if self._metrics is not None:
                     self._metrics.gap_closeouts.inc()
-                update.sealed.append(self._seal())
+                sealed = self._seal()
         if self.trajectory is None:
             segment = self._segment_counters.get(self.object_id, 0)
             self._segment_counters[self.object_id] = segment + 1
@@ -182,6 +195,7 @@ class Session:
             )
         else:
             self.trajectory.append(fix)
+        return sealed
 
     def _seal(self) -> SealedTrajectory:
         assert self.trajectory is not None and self.detector is not None

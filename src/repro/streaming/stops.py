@@ -16,9 +16,8 @@ buffer:
   flag of the current last point can change when the next fix arrives;
 * **density flags** — the seed-and-expand scan is final for every run that
   was terminated by a radius violation; only the first tried seed whose
-  expansion was cut short by the end of the buffer (the *frontier* returned
-  by :func:`~repro.preprocessing.stops.expand_density_flags`) can still grow
-  and flip flags from that seed onwards;
+  expansion was cut short by the end of the buffer can still grow and flip
+  flags from that seed onwards;
 * **minimum stop duration** — demotion operates on maximal runs of equal raw
   flags, and a volatile flag may later flip to the value of the run ending
   just before it (extending that run and changing its duration), so the
@@ -34,30 +33,65 @@ buffer:
 
 Hence everything strictly before the *predecessor of the episode containing
 the first volatile flag* is sealed.  The sealed frontier always falls on a
-boundary between two permanently fixed raw flags, so each advance re-refines
+boundary between two permanently fixed raw flags, so a refinement re-refines
 only the suffix past it; finalization delegates to the batch detector and
 verifies that everything emitted is a prefix of the full segmentation, so
 any divergence fails fast instead of silently corrupting downstream
 annotations.
+
+Why skipping is sound
+---------------------
+Absorbing a fix costs work proportional to the fix, not to the open
+trajectory, because nothing is recomputed that cannot have changed:
+
+* **the flag scans resume** — a pair speed is final the moment its second
+  point arrives, and the density scan continues the open seed's expansion
+  from the index it had reached; a seed is resolved (and the next one tried
+  from scratch) only on a radius violation, exactly as in the batch scan, so
+  over a whole trajectory the scans do the work of one batch pass.  Fixed
+  flags are appended once;
+* **the tentative region is uniform** — while the open seed's expansion still
+  reaches the last point, every later seed would reach it too, over a span no
+  longer than the open seed's (timestamps are non-decreasing).  So the density
+  flags from the open seed onwards are all ``True`` when that span has reached
+  ``min_stop_duration`` and all ``False`` otherwise, and are only written out
+  when a refinement needs them;
+* **refinement runs only when it can seal something new** — what a refinement
+  seals is decided by which episodes end at or before the *boundary* ``b``,
+  the start of the run containing the last fixed flag.  Once the fixed part
+  of that run is *settled* — a move run of at least ``min_move_points`` flags,
+  or a stop-candidate run already spanning ``min_stop_duration`` — its kind
+  can no longer change, so whether the episode containing ``b - 1`` ends at
+  ``b`` or crosses it is decided by fixed flags alone, and every later
+  refinement with the same ``b`` would seal exactly what the settled one did.
+  Those calls return ``[]`` without slicing, enforcing or absorbing.  Keying
+  the skip on ``b`` alone is not enough: before the run is settled (the first
+  fixes of a move, the first ``min_stop_duration`` seconds of a dwell) a short
+  move can still be absorbed into the stop before it, or a stop candidate
+  demoted into the move before it, either of which flips that episode between
+  "ends at ``b``" and "crosses ``b``" and so decides whether its predecessor
+  seals — skipping there delays seals by whole episodes.
+
+Skipping can therefore only ever postpone a seal, never change one, and the
+emission schedule — which :meth:`advance` call emits which episode — is the
+one a refine-every-call detector produces (tested against such a reference).
+Per call the work is the scan of the new points, plus, when the boundary
+moved or is not yet settled, one refinement of the open (unsealed) region.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List
 
-from repro.core.arrays import GrowableArray
 from repro.core.config import StopMoveConfig
 from repro.core.episodes import Episode, EpisodeKind
 from repro.core.errors import DataQualityError
 from repro.core.points import RawTrajectory
-from repro.geometry.vectorized import consecutive_speeds
 from repro.preprocessing.stops import (
-    VECTOR_MIN_POINTS,
     StopMoveDetector,
     absorb_short_moves,
     enforce_min_duration,
-    expand_density_flags,
-    expand_density_flags_arrays,
 )
 
 
@@ -79,24 +113,22 @@ class IncrementalStopMoveDetector:
     ):
         self._trajectory = trajectory
         self._config = config
-        self._backend = backend
         self._batch = StopMoveDetector(config, backend=backend)
-        # Incrementally maintained state: pairwise speeds (speed between
-        # point i and i+1), per-policy flags, the combined raw flags and the
-        # density resumption frontier.  Under the numpy backend the growing
-        # buffer is mirrored into columnar coordinate arrays so each advance
-        # runs the same vectorized flag kernels as the batch detector over
-        # just the open suffix.
-        self._pair_speeds: List[float] = []
-        self._velocity_flags: List[bool] = []
-        self._density_flags: List[bool] = []
-        self._combined: List[bool] = []
-        self._density_frontier = 0
+        # Raw (combined) flags no future point can change, appended once, and
+        # the start of the equal-flag run the last of them belongs to.
+        self._fixed: List[bool] = []
+        self._run_start = 0
+        # Velocity flag of each point pair (i, i + 1); unused by "density".
+        self._velocity: List[bool] = []
+        # Density scan position: the seed whose expansion the end of the
+        # buffer cut short, and the last index that expansion has accepted.
+        self._seed = 0
+        self._reach = 0
+        # Boundary of the last refinement if it was settled, else -1.  With
+        # the boundary at 0 nothing precedes it, so there is nothing to seal.
+        self._settled = 0
         self._sealed: List[Episode] = []
         self._finalized = False
-        self._xs = GrowableArray()
-        self._ys = GrowableArray()
-        self._ts = GrowableArray()
 
     @property
     def trajectory(self) -> RawTrajectory:
@@ -117,41 +149,37 @@ class IncrementalStopMoveDetector:
     def advance(self) -> List[Episode]:
         """Process points appended since the last call; returns newly sealed episodes.
 
-        Everything before the sealed frontier is final, so only the suffix
-        past it is re-refined: the sealed frontier always falls on a raw-flag
-        boundary between two permanently fixed flags, which makes restarting
-        the min-duration and absorption passes there exact.  Per call the
-        work is bounded by the open (unsealed) region, not the whole buffer.
+        Each new point is scanned once; the suffix past the sealed frontier
+        is re-refined only when the sealing boundary moved or its run is not
+        yet settled (see the module docstring), so a call that cannot seal
+        anything costs the scan of its new points and nothing else.
         """
         if self._finalized:
             raise DataQualityError("cannot advance a finalized detector")
         n = len(self._trajectory)
         if n < 2:
             return []
-        self._update_flags(n)
-        flags = self._combined
-        volatile = self._volatile_start(n)
-        # Extend the volatile suffix back to the start of the raw-flag run
-        # containing the last *fixed* flag: a volatile flag may later flip to
-        # that run's value and extend it, changing its min-duration demotion,
-        # so the whole preceding run is volatile too.  The run before that one
-        # ends at a boundary between two fixed, differing flags and is final.
-        if volatile > 0:
-            value = flags[volatile - 1]
-            volatile -= 1
-            while volatile > 0 and flags[volatile - 1] == value:
-                volatile -= 1
+        self._scan(n)
+        # Everything from the start of the run containing the last fixed flag
+        # is volatile: a later flag may extend that run and change its
+        # min-duration demotion.  The run before it ends at a boundary
+        # between two fixed, differing flags and is final.
+        volatile = self._run_start
+        if volatile == self._settled:
+            return []
         restart = self._sealed[-1].end_index if self._sealed else 0
         if volatile < restart:
             raise DataQualityError("volatile region receded into the sealed prefix")
+        config = self._config
+        fixed = self._fixed
         points = self._trajectory.points
         enforced = enforce_min_duration(
-            points[restart:], flags[restart:], self._config.min_stop_duration
+            points[restart:], fixed[restart:] + self._tentative_flags(), config.min_stop_duration
         )
         suffix = absorb_short_moves(
             self._trajectory,
             self._suffix_episodes(enforced, restart),
-            self._config.min_move_points,
+            config.min_move_points,
             previous_kind=self._sealed[-1].kind if self._sealed else None,
         )
         # First episode reaching into the volatile suffix, minus one more for
@@ -165,6 +193,11 @@ class IncrementalStopMoveDetector:
         if new_episodes and new_episodes[0].start_index != restart:
             raise DataQualityError("incremental stop/move sealing diverged from batch")
         self._sealed.extend(new_episodes)
+        if fixed[volatile]:
+            settled = points[len(fixed) - 1].t - points[volatile].t >= config.min_stop_duration
+        else:
+            settled = len(fixed) - volatile >= config.min_move_points
+        self._settled = volatile if settled else -1
         return new_episodes
 
     def finalize(self) -> List[Episode]:
@@ -184,57 +217,71 @@ class IncrementalStopMoveDetector:
         return tail
 
     # ------------------------------------------------------------- internals
-    def _update_flags(self, n: int) -> None:
-        """Refresh the per-policy and combined flags for the grown buffer.
+    def _scan(self, n: int) -> None:
+        """Resume the per-policy flag scans over the points appended since the last call.
 
-        Only the changeable region is recomputed: velocity flags from the old
-        last point (whose speed was a repeat) and density flags from the
-        resumption frontier.
+        Same arithmetic, in the same operand order, as the batch flag passes
+        (``sqrt(dx*dx + dy*dy)``), so the flags are bit-identical to theirs.
         """
-        policy = self._config.policy
-        old_n = len(self._combined)
-        changed_from = max(0, old_n - 1)
-        if self._backend == "numpy":
-            self._extend_coordinate_buffers(n)
-        if policy in ("velocity", "hybrid"):
-            self._extend_pair_speeds(n)
-            threshold = self._config.speed_threshold
-            del self._velocity_flags[max(0, old_n - 1) :]
-            for index in range(max(0, old_n - 1), n):
-                self._velocity_flags.append(self._pair_speeds[min(index, n - 2)] < threshold)
-        if policy in ("density", "hybrid"):
-            old_frontier = self._density_frontier
-            changed_from = min(changed_from, old_frontier)
-            self._density_flags.extend([False] * (n - len(self._density_flags)))
-            # The two expansions are bit-identical, so the open-region size
-            # cutoff only decides cost, never output.
-            if self._backend == "numpy" and n - old_frontier >= VECTOR_MIN_POINTS:
-                self._density_frontier = expand_density_flags_arrays(
-                    self._xs.view(),
-                    self._ys.view(),
-                    self._ts.view(),
-                    self._config.density_radius,
-                    self._config.min_stop_duration,
-                    self._density_flags,
-                    start=old_frontier,
-                )
+        config = self._config
+        points = self._trajectory.points
+        velocity = self._velocity
+        if config.policy != "density":
+            threshold = config.speed_threshold
+            for index in range(len(velocity), n - 1):
+                here, there = points[index], points[index + 1]
+                dt = there.t - here.t
+                dx = here.x - there.x
+                dy = here.y - there.y
+                velocity.append((math.sqrt(dx * dx + dy * dy) / dt if dt > 0 else 0.0) < threshold)
+            if config.policy == "velocity":
+                self._fix(velocity[len(self._fixed) :])
+                return
+        radius = config.density_radius
+        seed, reach = self._seed, self._reach
+        origin = points[seed]
+        while reach + 1 < n:
+            probe = points[reach + 1]
+            dx = origin.x - probe.x
+            dy = origin.y - probe.y
+            if math.sqrt(dx * dx + dy * dy) <= radius:
+                reach += 1
+                continue
+            # Radius violation: this seed's outcome is final, as in
+            # expand_density_flags; the next seed expands from scratch.
+            if reach > seed and points[reach].t - origin.t >= config.min_stop_duration:
+                self._fix([True] * (reach + 1 - seed))
+                seed = reach + 1
             else:
-                self._density_frontier = expand_density_flags(
-                    self._trajectory.points,
-                    self._config.density_radius,
-                    self._config.min_stop_duration,
-                    self._density_flags,
-                    start=old_frontier,
-                )
-        del self._combined[changed_from:]
-        for index in range(changed_from, n):
-            if policy == "velocity":
-                flag = self._velocity_flags[index]
-            elif policy == "density":
-                flag = self._density_flags[index]
-            else:
-                flag = self._velocity_flags[index] or self._density_flags[index]
-            self._combined.append(flag)
+                self._fix([config.policy == "hybrid" and velocity[seed]])
+                seed += 1
+            reach = seed
+            origin = points[seed]
+        self._seed, self._reach = seed, reach
+
+    def _fix(self, flags: List[bool]) -> None:
+        """Append raw flags that are now final, tracking the start of the last run."""
+        fixed = self._fixed
+        for flag in flags:
+            if fixed and flag != fixed[-1]:
+                self._run_start = len(fixed)
+            fixed.append(flag)
+
+    def _tentative_flags(self) -> List[bool]:
+        """Raw flags, as they stand after the last scan, of the points past the fixed ones."""
+        config = self._config
+        velocity = self._velocity
+        if config.policy == "velocity":
+            return velocity[-1:]  # the last point repeats its predecessor's speed
+        # The open seed's expansion reaches the last point, and later seeds
+        # span no longer than it does: the whole region shares its outcome.
+        points = self._trajectory.points
+        seed, reach = self._seed, self._reach
+        if reach > seed and points[reach].t - points[seed].t >= config.min_stop_duration:
+            return [True] * (reach + 1 - seed)
+        if config.policy == "density":
+            return [False] * (reach + 1 - seed)
+        return velocity[seed:] + velocity[-1:]
 
     def _suffix_episodes(self, enforced: List[bool], restart: int) -> List[Episode]:
         """Maximal contiguous episodes of the enforced-flag suffix, with global indices."""
@@ -247,41 +294,6 @@ class IncrementalStopMoveDetector:
                 episodes.append(Episode(kind, self._trajectory, restart + start, restart + index))
                 start = index
         return episodes
-
-    def _extend_coordinate_buffers(self, n: int) -> None:
-        """Mirror points appended since the last advance into the column buffers."""
-        points = self._trajectory.points
-        for index in range(len(self._xs), n):
-            point = points[index]
-            self._xs.append(point.x)
-            self._ys.append(point.y)
-            self._ts.append(point.t)
-
-    def _extend_pair_speeds(self, n: int) -> None:
-        """Maintain ``speeds[i]`` between points ``i`` and ``i + 1`` (length ``n - 1``)."""
-        start = len(self._pair_speeds)
-        if start >= n - 1:
-            return
-        # Both computations are bit-identical; vectorize only decent batches.
-        if self._backend == "numpy" and n - 1 - start >= VECTOR_MIN_POINTS:
-            # Pair speed k needs points k and k + 1: one kernel sweep over the
-            # mirrored columns; drop the kernel's repeated-last-value padding.
-            speeds = consecutive_speeds(
-                self._xs.view(start, n), self._ys.view(start, n), self._ts.view(start, n)
-            )
-            self._pair_speeds.extend(speeds[:-1].tolist())
-            return
-        points = self._trajectory.points
-        for index in range(start, n - 1):
-            dt = points[index + 1].t - points[index].t
-            distance = points[index].distance_to(points[index + 1])
-            self._pair_speeds.append(distance / dt if dt > 0 else 0.0)
-
-    def _volatile_start(self, n: int) -> int:
-        """First point index whose raw flag may still change with future points."""
-        if self._config.policy == "velocity":
-            return n - 1
-        return min(self._density_frontier, n - 1)
 
     def _check_prefix(self, episodes: List[Episode]) -> None:
         """Verify already-emitted episodes are a prefix of the current segmentation."""

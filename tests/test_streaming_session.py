@@ -138,6 +138,36 @@ def test_failed_processing_pass_does_not_replay_absorbed_events():
     assert [len(r.trajectory) for r in results] == []  # both fragments too short
 
 
+def test_failed_processing_pass_keeps_the_events_behind_the_bad_one():
+    """One object's bad fix must not cost its neighbours their accepted events."""
+    config = dataclasses.replace(
+        _config(micro_batch_size=32),
+        identification=TrajectoryIdentificationConfig(
+            max_time_gap=1e9, max_distance_gap=1e9, min_points=3
+        ),
+    )
+    engine = stream(AnnotationSources(), config=config)
+
+    def fix(lane: int, step: int) -> SpatioTemporalPoint:
+        return SpatioTemporalPoint(10.0 * step, 100.0 * lane, 60.0 * step)
+
+    for step in range(30):
+        for lane, car in enumerate("abc"):
+            engine.ingest(car, fix(lane, step))
+    engine.flush()
+    # One micro-batch: a's fixes, then b's fix 100 s back in time, then c's.
+    for step in range(30, 40):
+        engine.ingest("a", fix(0, step))
+    engine.ingest("b", SpatioTemporalPoint(300.0, 100.0, 60.0 * 29 - 100.0))
+    for step in range(30, 40):
+        engine.ingest("c", fix(2, step))
+    with pytest.raises(DataQualityError):
+        engine.flush()
+    assert engine.pending_event_count == 10  # c's fixes wait for the next pass
+    points = {r.trajectory.object_id: len(r.trajectory) for r in engine.close_all()}
+    assert points == {"a": 40, "b": 30, "c": 40}
+
+
 def test_engine_eviction_seals_trajectories():
     """Evicted sessions get closed and still produce results."""
     config = dataclasses.replace(
