@@ -53,6 +53,12 @@ ROUNDS = 15
 #: than its steady state (each batch shows a worker only two of the eight
 #: shards, and a forked worker faults inherited pages in on first touch).
 WARMUP_ROUNDS = 4
+#: ... and the least time they must fill.  What a warm-up has to outlast is
+#: measured in seconds, not batches: after a single-threaded stretch (the
+#: tests that run before this one) two busy processes on a 2-vCPU box each ran
+#: at half speed for the first ~1.0 s (23.6 then 11.8 ms per fixed loop), and
+#: four batches, ~1 s when a batch took 250 ms, are 0.2 s at 45 ms.
+WARMUP_SECONDS = 2.0
 #: Required pool speedup when the machine really has >= WORKERS cores.
 SPEEDUP_TARGET = 1.5
 #: Reduced target on 2-3 core machines: perfect WORKERS-way scaling is
@@ -88,6 +94,14 @@ def _scalability_workload(world, objects: int = 8, points_per_object: int = 600)
     return trajectories
 
 
+def _warm_up(pool: ProcessPoolExecutor, plan, trajectories) -> None:
+    deadline = time.perf_counter() + WARMUP_SECONDS
+    rounds = 0
+    while rounds < WARMUP_ROUNDS or time.perf_counter() < deadline:
+        pool.run(plan, trajectories)
+        rounds += 1
+
+
 def test_parallel_scaling(benchmark, world, annotation_sources, monkeypatch):
     config = PipelineConfig.for_vehicles()
     trajectories = _scalability_workload(world)
@@ -106,8 +120,7 @@ def test_parallel_scaling(benchmark, world, annotation_sources, monkeypatch):
 
     def run():
         with ProcessPoolExecutor(workers=WORKERS) as pool:
-            for _ in range(WARMUP_ROUNDS):
-                pool.run(plan, trajectories)
+            _warm_up(pool, plan, trajectories)
             for _ in range(ROUNDS):
                 timed(SEQUENTIAL, lambda: api.annotate_many(trajectories, context=context))
                 timed(POOL_FORK, lambda: pool.run(plan, trajectories))
@@ -116,8 +129,7 @@ def test_parallel_scaling(benchmark, world, annotation_sources, monkeypatch):
                 executors, "_pool_mp_context", lambda: multiprocessing.get_context("spawn")
             )
             with ProcessPoolExecutor(workers=WORKERS) as pool:
-                for _ in range(WARMUP_ROUNDS):
-                    pool.run(plan, trajectories)
+                _warm_up(pool, plan, trajectories)
                 assert pool.shared_segment_name is not None
                 for _ in range(ROUNDS):
                     timed(POOL_SPAWN, lambda: pool.run(plan, trajectories))

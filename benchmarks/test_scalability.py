@@ -10,6 +10,7 @@ number of regions, roughly linear in the number of points).
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from benchmarks.conftest import save_result
@@ -90,10 +91,20 @@ def test_scalability_region_lookup_vs_source_size(benchmark):
     assert time_growth < region_growth / 2
 
 
+#: Timed repetitions per track length; the table reports their median.
+MATCH_REPEATS = 5
+
+
 def test_scalability_map_matching_vs_point_count(benchmark, world):
     """Map-matching time should grow roughly linearly with the number of points."""
     network = world.road_network()
-    matcher = GlobalMapMatcher(network, MapMatchingConfig(candidate_radius=50.0))
+    matcher = GlobalMapMatcher(
+        network,
+        MapMatchingConfig(candidate_radius=50.0),
+        backend="numpy",
+        index_backend="flat",
+    )
+    network.segment_arrays()  # built at GeoContext.build in production, never in a match
     core_min = world.config.core_min
 
     def track_of(length: int):
@@ -111,34 +122,42 @@ def test_scalability_map_matching_vs_point_count(benchmark, world):
         timings = []
         for length in lengths:
             points = track_of(length)
-            started = time.perf_counter()
-            matcher.match(points)
-            timings.append((length, time.perf_counter() - started))
+            samples = []
+            for _ in range(MATCH_REPEATS):
+                started = time.perf_counter()
+                matcher.match(points)
+                samples.append(time.perf_counter() - started)
+            timings.append((length, statistics.median(samples), samples))
         return timings
 
     timings = benchmark.pedantic(run, rounds=1, iterations=1)
 
     rows = [
         [length, f"{seconds * 1e3:.1f}", f"{seconds / length * 1e6:.1f}"]
-        for length, seconds in timings
+        for length, seconds, _ in timings
     ]
     text = render_table(
         ["#GPS points", "total ms", "us per point"],
         rows,
-        title="Scalability - global map matching vs trajectory length (Algorithm 2, O(n))",
+        title=(
+            "Scalability - global map matching vs trajectory length "
+            f"(Algorithm 2, O(n); median of {MATCH_REPEATS})"
+        ),
     )
     save_result(
         "scalability_map_matching",
         text,
         data={
+            "repeats": MATCH_REPEATS,
             "series": [
-                {"points": length, "total_seconds": seconds} for length, seconds in timings
-            ]
+                {"points": length, "total_seconds": seconds, "samples_seconds": samples}
+                for length, seconds, samples in timings
+            ],
         },
     )
 
-    shortest_length, shortest_time = timings[0]
-    longest_length, longest_time = timings[-1]
+    shortest_length, shortest_time, _ = timings[0]
+    longest_length, longest_time, _ = timings[-1]
     per_point_growth = (longest_time / longest_length) / max(shortest_time / shortest_length, 1e-9)
     # Per-point cost should stay roughly constant (allow 3x slack for noise).
     assert per_point_growth < 3.0

@@ -6,6 +6,11 @@ dwell-heavy 15k-point trajectory — the shape the acceptance criterion names:
 stop-flag and distance kernels must be at least 3x faster vectorized on
 trajectories of 10k+ points.
 
+A second table records global map matching — the scalar oracle against the
+columnar kernel — per episode length (4 to 256 points), so the short-episode
+regime, where the kernel's fixed cost per call shows, is on record next to
+the long one.
+
 Every timing also asserts output equality first, so a "fast but wrong"
 kernel can never post a speedup.  The recorded metrics are *ratios*
 (vectorized over scalar on the same machine, same process), which makes the
@@ -15,6 +20,7 @@ carries machine metadata for like-with-like checks.
 
 from __future__ import annotations
 
+import statistics
 import time
 from typing import Callable, List, Tuple
 
@@ -23,6 +29,7 @@ import numpy as np
 from benchmarks.conftest import save_result
 from repro.analytics.reporting import render_table
 from repro.core.arrays import TrajectoryArrays
+from repro.core.config import MapMatchingConfig
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
 from repro.geometry.distance import point_segment_distance
 from repro.geometry.kernels import gaussian_kernel_weight
@@ -32,6 +39,7 @@ from repro.geometry.vectorized import (
     gaussian_kernel_weights,
     point_segment_distances,
 )
+from repro.lines.map_matching import GlobalMapMatcher
 from repro.preprocessing.stops import (
     density_stop_flags,
     density_stop_flags_arrays,
@@ -48,6 +56,11 @@ KERNEL_RADIUS = 100.0
 #: The acceptance floor for the gated kernels (stop flags + distances).
 REQUIRED_SPEEDUP = 3.0
 _REPEATS = 5
+#: Episode lengths of the map-matching table, and the points timed per length
+#: (as many episodes as fit, matched one call each).
+MATCH_EPISODE_LENGTHS = (4, 8, 16, 64, 256)
+MATCH_POINTS_PER_LENGTH = 1024
+_MATCH_REPEATS = 7
 
 
 def _dwell_heavy_trajectory(n: int = POINT_COUNT, seed: int = 97) -> RawTrajectory:
@@ -82,7 +95,54 @@ def _best_of(fn: Callable[[], object], repeats: int = _REPEATS) -> Tuple[float, 
     return best, value
 
 
-def test_vectorized_kernel_speedups(benchmark):
+def _median_of(fn: Callable[[], object], repeats: int = _MATCH_REPEATS) -> Tuple[float, object]:
+    """Median wall time over ``repeats`` runs, plus the last return value."""
+    samples = []
+    value: object = None
+    for _ in range(repeats):
+        started = time.perf_counter()
+        value = fn()
+        samples.append(time.perf_counter() - started)
+    return statistics.median(samples), value
+
+
+def _street_episodes(world, length: int) -> List[List[SpatioTemporalPoint]]:
+    """Episodes of ``length`` fixes zig-zagging along the street grid, 10 m per 1 s."""
+    core_min = world.config.core_min
+    episodes = []
+    for episode in range(MATCH_POINTS_PER_LENGTH // length):
+        points = []
+        for i in range(episode * length, (episode + 1) * length):
+            x = core_min + (i * 10.0) % 3000.0
+            y = core_min + ((i * 10.0) // 3000.0) * 400.0
+            points.append(SpatioTemporalPoint(x, y, float(i)))
+        episodes.append(points)
+    return episodes
+
+
+def _map_matching_rows(world):
+    """Scalar oracle versus columnar kernel per episode length (median timings)."""
+    network = world.road_network()
+    config = MapMatchingConfig(candidate_radius=50.0)
+    oracle = GlobalMapMatcher(network, config, backend="python", index_backend="tree")
+    columnar = GlobalMapMatcher(network, config, backend="numpy", index_backend="flat")
+    network.segment_arrays()  # built at GeoContext.build in production, never in a match
+    rows = []
+    for length in MATCH_EPISODE_LENGTHS:
+        episodes = _street_episodes(world, length)
+        oracle_seconds, expected = _median_of(
+            lambda: [oracle.match_runs([episode])[0] for episode in episodes]
+        )
+        columnar_seconds, got = _median_of(
+            lambda: [columnar.match_runs([episode])[0] for episode in episodes]
+        )
+        batched_seconds, together = _median_of(lambda: columnar.match_runs(episodes))
+        assert got == expected and together == expected  # same segment runs
+        rows.append((length, len(episodes), oracle_seconds, columnar_seconds, batched_seconds))
+    return rows
+
+
+def test_vectorized_kernel_speedups(benchmark, world):
     trajectory = _dwell_heavy_trajectory()
     points = trajectory.points
     arrays = TrajectoryArrays.from_trajectory(trajectory)
@@ -144,6 +204,7 @@ def test_vectorized_kernel_speedups(benchmark):
         return measured
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
+    match_rows = _map_matching_rows(world)
 
     rows = []
     metrics = {}
@@ -163,6 +224,35 @@ def test_vectorized_kernel_speedups(benchmark):
         rows,
         title=f"Vectorized kernel speedups ({POINT_COUNT} points, best of {_REPEATS})",
     )
+    match_table = []
+    for length, episodes, oracle_s, columnar_s, batched_s in match_rows:
+        points = length * episodes
+        metrics[f"speedup_map_match_{length}pt"] = round(oracle_s / columnar_s, 2)
+        match_table.append(
+            [
+                length,
+                episodes,
+                f"{oracle_s / points * 1e6:.1f}",
+                f"{columnar_s / points * 1e6:.1f}",
+                f"{batched_s / points * 1e6:.1f}",
+                f"{oracle_s / columnar_s:.1f}x",
+            ]
+        )
+    text += "\n" + render_table(
+        [
+            "points/episode",
+            "episodes",
+            "oracle us/pt",
+            "columnar us/pt",
+            "columnar, one call, us/pt",
+            "speedup",
+        ],
+        match_table,
+        title=(
+            "Global map matching per episode length "
+            f"(one call per episode unless stated, median of {_MATCH_REPEATS})"
+        ),
+    )
     save_result(
         "vectorized_kernels",
         text,
@@ -171,6 +261,19 @@ def test_vectorized_kernel_speedups(benchmark):
             "repeats": _REPEATS,
             "seconds": {
                 name: {"python": s, "numpy": v} for name, (s, v) in measured.items()
+            },
+            "map_matching": {
+                "repeats": _MATCH_REPEATS,
+                "series": [
+                    {
+                        "points_per_episode": length,
+                        "episodes": episodes,
+                        "oracle_seconds": oracle_s,
+                        "columnar_seconds": columnar_s,
+                        "columnar_one_call_seconds": batched_s,
+                    }
+                    for length, episodes, oracle_s, columnar_s, batched_s in match_rows
+                ],
             },
         },
         metrics=metrics,

@@ -11,8 +11,8 @@ and both identifiers survive unchanged.
 
 :class:`GrowableArray` is the streaming counterpart: an amortised-append
 float64 buffer whose :meth:`view` exposes the filled prefix without copying,
-so online consumers (the incremental stop detector, the windowed matcher) can
-micro-batch into the same kernels the batch pipeline uses.
+so an online consumer can micro-batch into the same kernels the batch
+pipeline uses.
 """
 
 from __future__ import annotations

@@ -263,13 +263,19 @@ class ComputeConfig:
     """Selection of the per-point compute backend for the hot paths.
 
     ``"numpy"`` routes the per-point computations (cleaning prechecks, stop
-    flags, map-matching candidate scoring and kernel weights, POI Gaussian
-    sums) through the batch kernels of :mod:`repro.geometry.vectorized`;
+    flags, POI Gaussian sums) through the batch kernels of
+    :mod:`repro.geometry.vectorized` and, with the flat index, runs global map
+    matching as one columnar kernel per call
+    (:meth:`repro.lines.map_matching.GlobalMapMatcher.match_rows`);
     ``"python"`` keeps the scalar pure-Python implementations, which remain
     the reference oracle the parity tests compare against.  Both backends
     produce identical discrete outputs; float payloads agree bit-for-bit
     except where transcendental functions are involved (documented 1-ulp
-    tolerance in :mod:`repro.geometry.vectorized`).
+    tolerance in :mod:`repro.geometry.vectorized`).  That includes
+    ``MatchedPoint.score``: the columnar matcher takes every kernel weight
+    from ``np.exp``, whatever the window size, the scalar one from
+    ``math.exp``, so a score may differ in its last ulps between the backends
+    while the matched segment is the same.
     """
 
     backend: str = "numpy"

@@ -47,6 +47,7 @@ class Episode:
     start_index: int
     end_index: int
     annotations: List[Annotation] = field(default_factory=list)
+    _center: Optional[Point] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.start_index < 0 or self.end_index > len(self.trajectory):
@@ -97,12 +98,18 @@ class Episode:
         return self.kind is EpisodeKind.MOVE
 
     def center(self) -> Point:
-        """Mean position of the covered points (used for stop spatial joins)."""
-        points = self.positions
-        return Point(
-            sum(p.x for p in points) / len(points),
-            sum(p.y for p in points) / len(points),
-        )
+        """Mean position of the covered points (used for stop spatial joins).
+
+        Memoised (an episode's index range never changes once built): the
+        region join, the point layer and the store each ask a stop for it.
+        """
+        if self._center is None:
+            points = self.points
+            self._center = Point(
+                sum(point.x for point in points) / len(points),
+                sum(point.y for point in points) / len(points),
+            )
+        return self._center
 
     def bounding_box(self, padding: float = 0.0) -> BoundingBox:
         """Spatial bounding rectangle of the episode."""

@@ -21,7 +21,10 @@ Every batch decision has exactly one code path, all of it in this module:
 ========  ==================================================================
 split     :func:`shard_by_object` into ``workers * 2`` size-balanced shards
 ship      the snapshot follows the pool's start method: copy-on-write
-          inheritance under ``fork``, one shared-memory segment otherwise
+          inheritance under ``fork``, one shared-memory segment otherwise;
+          a shard goes out as coordinate columns (:func:`_pack_shard`) and
+          its outcomes come back without their raw trajectories, which the
+          parent re-links to its own (:class:`_OutcomePickler`)
 run       :func:`run_stages_resilient` per trajectory, the same loop
           in-process and inside a worker
 recover   one submission loop, largest shard first; a lost worker re-raises
@@ -40,8 +43,10 @@ every runtime.
 from __future__ import annotations
 
 import abc
+import io
 import multiprocessing
 import multiprocessing.context
+import pickle
 import sys
 import time
 import weakref
@@ -50,6 +55,7 @@ from concurrent.futures import ProcessPoolExecutor as _FuturesProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import (
+    Any,
     Callable,
     ContextManager,
     Dict,
@@ -65,7 +71,7 @@ from repro.core.errors import ConfigurationError, SemitriError
 from repro.core.pipeline import PipelineResult
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
 from repro.engine.plan import Plan
-from repro.engine.stages import MapMatchStage, WorkItem
+from repro.engine.stages import WorkItem
 from repro.faults.failures import (
     FailureEvent,
     TrajectoryFailure,
@@ -439,23 +445,91 @@ def _init_worker(token: Optional[int], shared_spec: Optional[SharedContextSpec])
     _WORKER_PLAN = Plan.from_context(context)
 
 
-def _annotate_shard(
-    items: List[Tuple[int, RawTrajectory]],
-) -> List[Tuple[int, "PipelineResult | TrajectoryFailure"]]:
+# A shard on its way to a worker: per trajectory ``(input order, object id,
+# trajectory id, xs, ys, ts)``.
+PackedShard = List[Tuple[int, str, str, List[float], List[float], List[float]]]
+
+
+def _pack_shard(items: List[Tuple[int, RawTrajectory]]) -> PackedShard:
+    """A shard's trajectories as coordinate columns, for the trip to a worker.
+
+    Three lists of numbers pickle several times faster than one point object
+    per fix, and the pickling happens in the parent, which every worker waits
+    on.  The numbers travel as the Python objects they are, so a worker
+    rebuilds exactly the points the parent holds.
+    """
+    return [
+        (
+            order,
+            trajectory.object_id,
+            trajectory.trajectory_id,
+            [point.x for point in trajectory.points],
+            [point.y for point in trajectory.points],
+            [point.t for point in trajectory.points],
+        )
+        for order, trajectory in items
+    ]
+
+
+class _OutcomePickler(pickle.Pickler):
+    """Pickles a shard's outcomes with its input trajectories by reference.
+
+    A result, its episodes and a failure record all point at the raw
+    trajectory they were computed from, which the parent already holds: sent
+    back by value, its points were two thirds of a result's bytes and of the
+    time both sides spent pickling.  The input order is the persistent id.
+    """
+
+    def __init__(self, file: io.BytesIO, items: List[Tuple[int, RawTrajectory]]):
+        super().__init__(file, pickle.HIGHEST_PROTOCOL)
+        self._orders = {id(trajectory): order for order, trajectory in items}
+
+    def persistent_id(self, obj: object) -> Optional[int]:
+        if type(obj) is RawTrajectory:
+            return self._orders.get(id(obj))
+        return None
+
+
+class _OutcomeUnpickler(pickle.Unpickler):
+    """Loads a shard's outcomes onto the parent's own input trajectories."""
+
+    def __init__(self, data: bytes, items: List[Tuple[int, RawTrajectory]]):
+        super().__init__(io.BytesIO(data))
+        self._inputs = dict(items)
+
+    def persistent_load(self, pid: Any) -> RawTrajectory:
+        return self._inputs[pid]
+
+
+def _annotate_shard(packed: PackedShard) -> bytes:
     """Annotate one shard inside a worker process (never persists).
 
-    Under an isolating policy, failed trajectories come back as
+    Returns the ``(input order, outcome)`` pairs as :class:`_OutcomePickler`
+    bytes.  Under an isolating policy, failed trajectories come back as
     :class:`TrajectoryFailure` records (their exception object stripped —
     arbitrary exceptions may not pickle; the repr travels) for the parent to
     quarantine.  The worker-side plan reads ``SEMITRI_FAULTS`` from the
     inherited environment, so injected chaos follows the shard into the pool.
     """
     assert _WORKER_PLAN is not None, "worker used before initialization"
+    items = [
+        (
+            order,
+            RawTrajectory(
+                list(map(SpatioTemporalPoint, xs, ys, ts)),
+                object_id=object_id,
+                trajectory_id=trajectory_id,
+            ),
+        )
+        for order, object_id, trajectory_id, xs, ys, ts in packed
+    ]
     outputs = _run_in_process(_WORKER_PLAN, items, include_writeback=False, worker=True)
     for _, out in outputs:
         if isinstance(out, TrajectoryFailure):
             out.exception = None
-    return outputs
+    buffer = io.BytesIO()
+    _OutcomePickler(buffer, items).dump(outputs)
+    return buffer.getvalue()
 
 
 def _release_pool_resources(
@@ -602,17 +676,18 @@ class ProcessPoolExecutor(Executor):
             try:
                 try:
                     for index, items in submission:
-                        futures[pool.submit(_annotate_shard, items)] = index
+                        futures[pool.submit(_annotate_shard, _pack_shard(items))] = index
                 except BrokenExecutor as error:
                     # A worker died while shards were still being queued
                     # (spawned workers start one by one, during submission).
                     lost = error
                 for future, index in futures.items():
                     try:
-                        collected.extend(future.result())
+                        outcomes = _OutcomeUnpickler(future.result(), pending[index]).load()
                     except BrokenExecutor as error:
                         lost = error
                         continue
+                    collected.extend(outcomes)
                     del pending[index]
             finally:
                 # A no-op unless an exception is propagating (a fail_fast
@@ -621,7 +696,14 @@ class ProcessPoolExecutor(Executor):
                     future.cancel()
             if lost is None:
                 continue
+            # The stdlib pool registers a worker only when its start() returns
+            # (for a spawned worker: once it has booted), so the pool's own
+            # teardown after a death misses one that was still starting, which
+            # would then wait on the dead call queue for ever.
+            workers = list(pool._processes.values())
             self.close()
+            for worker in workers:
+                worker.terminate()
             if not policy.isolates:
                 raise lost
             plan.ensure_failure_log().record_worker_loss()
@@ -757,12 +839,6 @@ class MicroBatchExecutor(Executor):
         # policy: stage routing is suspended for them (events keep counting),
         # and close-time handling decides between batch-replay and quarantine.
         self._poisoned: Dict[str, List[FailureEvent]] = {}
-        match_stage = plan.stage("map_match")
-        self._windowed = (
-            match_stage.make_windowed_matcher()
-            if isinstance(match_stage, MapMatchStage)
-            else None
-        )
         self.stats = EngineStats()
 
     # ------------------------------------------------------------- properties
@@ -1067,6 +1143,5 @@ class MicroBatchExecutor(Executor):
         item = self._items.get(trajectory.trajectory_id)
         if item is None:
             item = WorkItem.start(trajectory, self._plan.telemetry)
-            item.windowed_matcher = self._windowed
             self._items[trajectory.trajectory_id] = item
         return item

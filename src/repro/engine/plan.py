@@ -138,7 +138,7 @@ class Plan:
         if "region" in selected and annotators.region is not None:
             stages.append(RegionJoinStage(annotators.region))
         if "line" in selected and annotators.line is not None:
-            stages.append(MapMatchStage(annotators.line, config))
+            stages.append(MapMatchStage(annotators.line))
         if "point" in selected and annotators.point is not None:
             stages.append(PoiAnnotationStage(annotators.point))
         if persist_enabled:

@@ -40,14 +40,12 @@ from repro.core.episodes import Episode
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
 from repro.core.trajectory import SemanticEpisodeRecord, StructuredSemanticTrajectory
 from repro.lines.annotator import LineAnnotator
-from repro.lines.road_network import RoadNetwork
 from repro.points.annotator import PointAnnotator
 from repro.preprocessing.cleaning import GpsCleaner
 from repro.preprocessing.identification import TrajectoryIdentifier
 from repro.preprocessing.stops import StopMoveDetector
 from repro.regions.annotator import RegionAnnotator
 from repro.store.store import SemanticTrajectoryStore
-from repro.streaming.matching import WindowedMapMatcher
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.core.pipeline import PipelineResult
@@ -61,7 +59,7 @@ class WorkItem:
 
     Wraps the growing :class:`~repro.core.pipeline.PipelineResult` together
     with the latency timer and the scratch state streaming stages accumulate
-    between episode seals (region records, the per-engine windowed matcher).
+    between episode seals (region records).
     When the plan's telemetry has tracing enabled the item also carries the
     trajectory's open :class:`~repro.obs.trace.TrajectoryTrace`; with the
     default no-op telemetry ``trace`` stays ``None`` and every hook below
@@ -72,8 +70,6 @@ class WorkItem:
     result: "PipelineResult"
     timer: StageTimer
     region_records: List[SemanticEpisodeRecord] = field(default_factory=list)
-    windowed_matcher: Optional[WindowedMapMatcher] = None
-    """Streaming map matcher supplied by the micro-batch executor."""
     trace: Optional["TrajectoryTrace"] = None
     """Open trace when the plan's telemetry has tracing enabled."""
 
@@ -310,10 +306,8 @@ class MapMatchStage(Stage):
     inputs = ("episodes",)
     outputs = ("line_trajectories",)
 
-    def __init__(self, annotator: LineAnnotator, config: PipelineConfig):
+    def __init__(self, annotator: LineAnnotator):
         self._annotator = annotator
-        self._network: RoadNetwork = annotator.matcher.network
-        self._config = config
 
     @property
     def annotator(self) -> LineAnnotator:
@@ -321,32 +315,15 @@ class MapMatchStage(Stage):
         return self._annotator
 
     def run(self, item: WorkItem) -> None:
-        item.result.line_trajectories = self._annotator.annotate_episodes(
-            [episode for episode in item.result.episodes if episode.is_move]
-        )
+        item.result.line_trajectories = self._annotator.annotate_episodes(item.result.episodes)
 
     def wants_episode(self, item: WorkItem, episode: Episode) -> bool:
         return episode.is_move
 
     def absorb_episode(self, item: WorkItem, episode: Episode) -> None:
-        matcher = item.windowed_matcher
-        assert matcher is not None, "micro-batch executor must supply a windowed matcher"
-        matched = matcher.match_stream(list(episode.points))
-        item.result.line_trajectories.append(self._annotator.annotate_matched(episode, matched))
-
-    def make_windowed_matcher(self) -> WindowedMapMatcher:
-        """A fresh streaming matcher over the (shared, frozen) road index.
-
-        The matcher is stateful per episode, so each micro-batch executor
-        owns its own; the expensive part — the road-network index — stays
-        shared with the batch annotator.
-        """
-        return WindowedMapMatcher(
-            self._network,
-            self._config.map_matching,
-            backend=self._config.compute.backend,
-            index_backend=self._config.compute.resolved_index_backend,
-        )
+        # A sealed episode is complete, so it is matched exactly like a batch
+        # episode; there is no per-point streaming matcher.
+        item.result.line_trajectories.append(self._annotator.annotate_episode(episode))
 
 
 class PoiAnnotationStage(Stage):

@@ -43,7 +43,6 @@ from repro.geometry.vectorized import (
     pairwise_distances,
     planar_to_equirectangular,
     point_segment_distances,
-    points_in_bbox,
 )
 
 __all__ = [
@@ -73,5 +72,4 @@ __all__ = [
     "pairwise_distances",
     "planar_to_equirectangular",
     "point_segment_distances",
-    "points_in_bbox",
 ]

@@ -6,7 +6,7 @@ counterpart in :mod:`repro.geometry.distance`, :mod:`repro.geometry.kernels`,
 same operation order, same branching.  Because IEEE 754 ``+ - * /`` and
 ``sqrt`` are correctly rounded both in CPython and in numpy's elementwise
 loops, kernels built from those operations alone (distances, projections,
-speeds, bounding-box tests) agree with the pure-Python reference
+speeds) agree with the pure-Python reference
 **bit-for-bit**.  Kernels involving transcendental functions (``exp`` for the
 Gaussian weights and densities, trigonometry for the geodesic distance) agree
 to within 1 ulp per element, which is the documented float tolerance of the
@@ -36,7 +36,6 @@ __all__ = [
     "perpendicular_distances",
     "gaussian_kernel_weights",
     "gaussian_2d_densities",
-    "points_in_bbox",
     "equirectangular_to_planar",
     "planar_to_equirectangular",
     "leading_run_within_radius",
@@ -84,8 +83,10 @@ def consecutive_speeds(xs: np.ndarray, ys: np.ndarray, ts: np.ndarray) -> np.nda
     return np.concatenate([pair, pair[-1:]])
 
 
-def distances_to_point(xs: np.ndarray, ys: np.ndarray, x: float, y: float) -> np.ndarray:
-    """Distance of every ``(xs, ys)`` point to the single point ``(x, y)``."""
+def distances_to_point(
+    xs: np.ndarray, ys: np.ndarray, x: "float | np.ndarray", y: "float | np.ndarray"
+) -> np.ndarray:
+    """Distance of every ``(xs, ys)`` point to ``(x, y)`` (one point, or one per row)."""
     dx = xs - x
     dy = ys - y
     return np.sqrt(dx * dx + dy * dy)
@@ -134,14 +135,14 @@ def point_segment_distances(
 
 
 def perpendicular_distances(
-    px: float,
-    py: float,
+    px: "float | np.ndarray",
+    py: "float | np.ndarray",
     axs: np.ndarray,
     ays: np.ndarray,
     bxs: np.ndarray,
     bys: np.ndarray,
 ) -> np.ndarray:
-    """Classical point-to-line distance of one point to many carrier lines.
+    """Classical point-to-line distance of one point (or one per line) to many carrier lines.
 
     Replicates :func:`repro.geometry.distance.perpendicular_distance`: the
     unclamped projection onto the infinite line (segment start for degenerate
@@ -200,23 +201,6 @@ def gaussian_2d_densities(
     return normalization * np.exp(exponent)
 
 
-# ------------------------------------------------------------------ filters
-def points_in_bbox(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    min_x: float,
-    min_y: float,
-    max_x: float,
-    max_y: float,
-) -> np.ndarray:
-    """Boolean mask of the points inside the closed box ``[min, max]``.
-
-    The prefilter the numpy map-matching path uses to skip R-tree candidate
-    queries for points that cannot have any segment within reach.
-    """
-    return (xs >= min_x) & (xs <= max_x) & (ys >= min_y) & (ys <= max_y)
-
-
 # --------------------------------------------------------------- projection
 def equirectangular_to_planar(
     lons: np.ndarray, lats: np.ndarray, ref_lon: float, ref_lat: float
@@ -253,23 +237,20 @@ def leading_run_within_radius(
     cx: float,
     cy: float,
     radius: float,
-    inclusive: bool = True,
 ) -> int:
     """Length of the leading run of points within ``radius`` of ``(cx, cy)``.
 
     Scans in growing chunks so that a run of length ``L`` over an array of
     length ``n`` costs ``O(L)`` rather than ``O(n)`` — the vector analogue of
-    the early-exit walks in the density seed expansion and the map-matching
-    context window.  ``inclusive`` selects ``<=`` (density policy) versus
-    ``<`` (kernel window) comparison, matching the scalar loops exactly.
+    the early-exit walk in the density seed expansion, whose inclusive ``<=``
+    comparison it matches exactly.
     """
     n = len(xs)
     count = 0
     chunk = _SCAN_CHUNK
     while count < n:
         hi = min(n, count + chunk)
-        distances = distances_to_point(xs[count:hi], ys[count:hi], cx, cy)
-        within = distances <= radius if inclusive else distances < radius
+        within = distances_to_point(xs[count:hi], ys[count:hi], cx, cy) <= radius
         if not within.all():
             return count + int(np.argmin(within))
         count = hi

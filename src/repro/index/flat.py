@@ -54,7 +54,7 @@ from repro.geometry.primitives import Point, Segment
 from repro.index.grid_index import GridIndex
 from repro.index.rtree import RTree, _Node
 
-__all__ = ["FlatSpatialIndex", "BatchQueryResult"]
+__all__ = ["FlatSpatialIndex", "BatchQueryResult", "expand_ranges"]
 
 #: ``(offsets, indices)`` — query ``i`` matched rows ``indices[offsets[i]:offsets[i+1]]``.
 BatchQueryResult = Tuple[np.ndarray, np.ndarray]
@@ -92,25 +92,24 @@ def _empty_csr(query_count: int, with_distances: bool):
     return offsets, indices
 
 
-def _expand_pairs(
-    q: np.ndarray, starts: np.ndarray, ends: np.ndarray
+def expand_ranges(
+    values: np.ndarray, starts: np.ndarray, ends: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Expand surviving ``(query, node)`` pairs to their children.
+    """Repeat each value over its ``[start, end)`` range and enumerate the members.
 
-    ``starts``/``ends`` are each pair's child slice in the next level.  The
-    output keeps the ``(query, child)`` pairs lexicographically sorted
-    because child ranges ascend with node index within each query.
+    Returns ``(repeated values, range members)``, ranges concatenated in
+    input order.  The tree traversal expands surviving ``(query, node)`` pairs
+    to their children with it (child ranges ascend with node index within
+    each query, so the output stays lexicographically sorted); the columnar
+    map matcher expands per-point values over CSR candidate ranges.
     """
     counts = ends - starts
     total = int(counts.sum())
     if total == 0:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    next_q = np.repeat(q, counts)
+        return values[:0], np.empty(0, dtype=np.intp)
     out_starts = np.cumsum(counts) - counts
-    children = np.arange(total, dtype=np.intp) - np.repeat(out_starts, counts) + np.repeat(
-        starts, counts
-    )
-    return next_q, children
+    members = np.arange(total, dtype=np.intp) + np.repeat(starts - out_starts, counts)
+    return np.repeat(values, counts), members
 
 
 class FlatSpatialIndex:
@@ -253,6 +252,11 @@ class FlatSpatialIndex:
     def geometry(self) -> str:
         """Distance geometry: ``"bbox"``, ``"point"`` or ``"segment"``."""
         return self._geometry
+
+    @property
+    def segment_columns(self) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """Endpoint columns ``(start_xs, start_ys, end_xs, end_ys)`` by row (segment geometry)."""
+        return self._segments
 
     @property
     def level_count(self) -> int:
@@ -434,7 +438,7 @@ class FlatSpatialIndex:
             q, nodes = q[hit], nodes[hit]
             if len(q) == 0:
                 return q, nodes
-            q, nodes = _expand_pairs(q, level.child_starts[nodes], level.child_ends[nodes])
+            q, nodes = expand_ranges(q, level.child_starts[nodes], level.child_ends[nodes])
         rows = nodes  # after the leaf level, children indices are entry rows
         hit = (
             (qmin_x[q] <= self._max_xs[rows])
@@ -521,16 +525,12 @@ class FlatSpatialIndex:
         return xs, ys
 
     def within_distance_pairs(
-        self,
-        points: Sequence[Point],
-        radius: float,
-        max_results: Optional[int] = None,
+        self, points: Sequence[Point], radius: float
     ) -> List[List[Tuple[float, Any]]]:
         """Batch within-distance as per-point ``(distance, payload)`` lists.
 
-        The materialised form every consumer wants: query ``i``'s matches in
-        ``(distance, row)`` order, truncated to ``max_results`` (after the
-        sort, like the scalar candidate selection).
+        Query ``i``'s matches in ``(distance, row)`` order, materialised for
+        consumers that work on payload objects.
         """
         if not points:
             return []
@@ -540,14 +540,10 @@ class FlatSpatialIndex:
         bounds = offsets.tolist()
         row_list = rows.tolist()
         distance_list = distances.tolist()
-        results: List[List[Tuple[float, Any]]] = []
-        for i in range(len(points)):
-            lo = bounds[i]
-            hi = bounds[i + 1]
-            if max_results is not None:
-                hi = min(hi, lo + max_results)
-            results.append([(distance_list[k], payloads[row_list[k]]) for k in range(lo, hi)])
-        return results
+        return [
+            [(distance_list[k], payloads[row_list[k]]) for k in range(bounds[i], bounds[i + 1])]
+            for i in range(len(points))
+        ]
 
     def query_point_payloads(self, points: Sequence[Point]) -> List[List[Any]]:
         """Batch point containment as per-point candidate payload lists.

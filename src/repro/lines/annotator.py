@@ -51,24 +51,22 @@ class LineAnnotator:
         """Annotate one move episode (Algorithm 2)."""
         if not episode.is_move:
             raise DataQualityError("the line annotation layer only processes move episodes")
-        return self.annotate_matched(episode, self._matcher.match(episode.points))
-
-    def annotate_matched(
-        self, episode: Episode, matched: Sequence[MatchedPoint]
-    ) -> StructuredSemanticTrajectory:
-        """Assemble the line annotation from precomputed per-point match results.
-
-        Used by the streaming engine, whose windowed matcher already produced
-        the :class:`MatchedPoint` sequence for the sealed move episode.
-        """
-        if not episode.is_move:
-            raise DataQualityError("the line annotation layer only processes move episodes")
-        mode_segments = self._classifier.segment_modes(matched)
-        return self._to_structured(episode, mode_segments)
+        return self.annotate_episodes([episode])[0]
 
     def annotate_episodes(self, episodes: Sequence[Episode]) -> List[StructuredSemanticTrajectory]:
-        """Annotate every move episode in ``episodes`` (non-moves are skipped)."""
-        return [self.annotate_episode(episode) for episode in episodes if episode.is_move]
+        """Annotate every move episode in ``episodes`` (non-moves are skipped).
+
+        All of them go to the matcher in one call, which under the columnar
+        kernel shares the fixed cost of its array operations between episodes.
+        """
+        moves = [episode for episode in episodes if episode.is_move]
+        points = [episode.points for episode in moves]
+        return [
+            self._to_structured(episode, self._classifier.run_modes(episode_points, runs))
+            for episode, episode_points, runs in zip(
+                moves, points, self._matcher.match_runs(points)
+            )
+        ]
 
     def match_episode(self, episode: Episode) -> List[MatchedPoint]:
         """Raw per-point matching result for a move episode (used by analytics)."""

@@ -3,7 +3,7 @@
 For every GPS point of a move episode the matcher:
 
 1. selects the candidate segments within ``candidate_radius`` through the road
-   network's R-tree;
+   network's spatial index;
 2. computes the point-segment distance of Equation 1 to every candidate;
 3. normalises those distances to a ``localScore`` (Equation 2): the ratio of
    the minimum distance over the candidate's distance, so the closest
@@ -13,6 +13,12 @@ For every GPS point of a move episode the matcher:
    the ``globalScore``;
 5. picks the candidate with the highest global score and, when requested,
    snaps the GPS position onto it.
+
+There are exactly two implementations.  Under ``backend="numpy"`` with the
+flat index the whole of steps 1-5 is one columnar kernel
+(:meth:`GlobalMapMatcher.match_rows`) over ``(point, candidate)`` pair arrays;
+every other combination runs the scalar per-point loop, which is the oracle
+the parity tests compare the kernel against.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.arrays import TrajectoryArrays
 from repro.core.config import MapMatchingConfig
 from repro.core.places import LineOfInterest
 from repro.core.points import SpatioTemporalPoint
@@ -34,29 +39,21 @@ from repro.geometry.distance import (
 from repro.geometry.kernels import gaussian_kernel_weight
 from repro.geometry.primitives import Point
 from repro.geometry.vectorized import (
+    distances_to_point,
     gaussian_kernel_weights,
-    leading_run_within_radius,
     perpendicular_distances,
-    point_segment_distances,
-    points_in_bbox,
 )
+from repro.index.flat import expand_ranges
 from repro.lines.road_network import RoadNetwork
 
-#: Coordinate columns of the points being matched: ``(xs, ys)``.  The batch
-#: matcher builds them once per :meth:`GlobalMapMatcher.match` call; the
-#: streaming :class:`~repro.streaming.matching.WindowedMapMatcher` appends
-#: into growable buffers and passes views, so both run the same kernels.
-CoordinateArrays = Tuple[np.ndarray, np.ndarray]
+#: A maximal run of consecutive points matched to one segment (``None`` when
+#: unmatched): ``(start, end, segment)`` over the half-open point range.
+SegmentRun = Tuple[int, int, Optional[LineOfInterest]]
 
-#: Small-input cutoffs below which the scalar loops beat the fixed per-call
-#: overhead of numpy kernels.  Crossing them never changes output bytes: the
-#: distance and window computations are bit-equal across paths (arithmetic
-#: only), and the ``exp``-dependent weight path is selected from the window
-#: alone, which is identical however it was computed — so batch and streaming
-#: always take the same weight path for the same emitted point.
-_VECTOR_MIN_POINTS = 32
-_VECTOR_MIN_CANDIDATES = 8
-_VECTOR_MIN_WINDOW = 16
+#: Rows of the (window member, candidate) join per block of the score
+#: accumulation: every transient array of the kernel is at most this long plus
+#: one point's own join, however long and dense an episode is.
+_JOIN_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -92,22 +89,30 @@ class MatchedPoint:
         return self.segment.place_id if self.segment is not None else None
 
 
+def segment_runs(matched: Sequence[MatchedPoint]) -> List[SegmentRun]:
+    """Maximal runs of consecutive matched points sharing a segment."""
+    runs: List[SegmentRun] = []
+    start = 0
+    for index in range(1, len(matched) + 1):
+        if index == len(matched) or matched[index].segment_id != matched[start].segment_id:
+            runs.append((start, index, matched[start].segment))
+            start = index
+    return runs
+
+
 class GlobalMapMatcher:
     """The global map-matching algorithm of Section 4.2.
 
-    ``backend`` selects the per-point compute path: ``"numpy"`` columnarises
-    the episode once, prefilters points that cannot reach any segment with a
-    vectorized bounding-box test, scores candidate sets through the batch
-    point-segment-distance kernel and aggregates context windows with
-    vectorized Gaussian kernel weights; ``"python"`` is the scalar reference.
-    Candidate selection, ordering and tie-breaking are shared, so both
-    backends match every point to the same segment.
-
-    ``index_backend`` selects how candidate segments are pulled from the road
-    network: ``"flat"`` issues **one** batch query per episode against the
-    network's compiled :class:`~repro.index.flat.FlatSpatialIndex` (same
-    candidate sets, same order, bit-identical distances as the scalar tree),
-    ``"tree"`` walks the scalar R-tree once per point.
+    ``backend="numpy"`` together with ``index_backend="flat"`` runs the
+    columnar kernel: one batch query against the network's compiled
+    :class:`~repro.index.flat.FlatSpatialIndex` for all points handed in, then
+    array operations from Equation 2 to the argmax.  Any other combination
+    (``backend="python"`` or ``index_backend="tree"``) runs the scalar
+    reference: one R-tree query and one dict-based score aggregation per
+    point.  Candidate selection, ordering, accumulation order and
+    tie-breaking are the same, so both match every point to the same segment;
+    scores agree to within 1 ulp (``np.exp`` versus ``math.exp`` in the
+    kernel weights).
     """
 
     def __init__(
@@ -121,6 +126,7 @@ class GlobalMapMatcher:
         self._config = config
         self._backend = backend
         self._index_backend = index_backend
+        self._columnar = backend == "numpy" and index_backend == "flat"
 
     @property
     def network(self) -> RoadNetwork:
@@ -145,25 +151,229 @@ class GlobalMapMatcher:
     # -------------------------------------------------------------- matching
     def match(self, points: Sequence[SpatioTemporalPoint]) -> List[MatchedPoint]:
         """Match every GPS point of a move episode to a road segment."""
-        if not points:
-            return []
-        coords: Optional[CoordinateArrays] = None
-        if self._backend == "numpy" and len(points) >= _VECTOR_MIN_POINTS:
-            arrays = TrajectoryArrays.from_points(points)
-            coords = (arrays.xs, arrays.ys)
-        if self._index_backend == "flat":
-            # One batch index query for the whole episode; the flat index
-            # prunes unreachable points through the root box, so the separate
-            # reachability prefilter is unnecessary.
-            local_scores = self.batch_local_scores(points)
-        elif coords is not None:
-            reachable = self._reachable_mask(arrays)
-            local_scores = [
-                self.local_scores(point) if reachable[index] else {}
-                for index, point in enumerate(points)
-            ]
-        else:
-            local_scores = [self.local_scores(point) for point in points]
+        if not self._columnar:
+            return self._match_scalar(points)
+        rows, scores = self.match_rows([points])
+        segments = self._network.flat_index().payloads
+        matched: List[MatchedPoint] = []
+        for point, row, score in zip(points, rows.tolist(), scores.tolist()):
+            if row < 0:
+                matched.append(
+                    MatchedPoint(point=point, segment=None, score=0.0, snapped=point.position)
+                )
+            else:
+                segment = segments[row]
+                snapped = closest_point_on_segment(point.position, segment.segment)
+                matched.append(
+                    MatchedPoint(point=point, segment=segment, score=score, snapped=snapped)
+                )
+        return matched
+
+    def match_runs(
+        self, episodes: Sequence[Sequence[SpatioTemporalPoint]]
+    ) -> List[List[SegmentRun]]:
+        """Per episode, the maximal runs of points matched to one segment.
+
+        The form the line annotation consumes (Algorithm 2's route sequence):
+        under the columnar kernel all episodes are matched in one call and the
+        runs are read off the matched-row array, without a per-point object.
+        """
+        if not self._columnar:
+            return [segment_runs(self._match_scalar(points)) for points in episodes]
+        rows, _ = self.match_rows(episodes)
+        lengths = np.fromiter((len(points) for points in episodes), np.intp, len(episodes))
+        first = np.cumsum(lengths) - lengths
+        # A run starts at every episode start and wherever the matched row changes.
+        is_start = np.ones(len(rows), dtype=bool)
+        np.not_equal(rows[1:], rows[:-1], out=is_start[1:])
+        is_start[first[lengths > 0]] = True
+        starts = np.flatnonzero(is_start)
+        base = np.repeat(first, lengths)[starts]
+        segments = self._network.flat_index().payloads
+        runs: List[SegmentRun] = list(
+            zip(
+                (starts - base).tolist(),
+                (np.append(starts[1:], len(rows)) - base).tolist(),
+                [segments[row] if row >= 0 else None for row in rows[starts].tolist()],
+            )
+        )
+        cuts = np.searchsorted(starts, np.append(first, len(rows))).tolist()
+        return [runs[low:high] for low, high in zip(cuts, cuts[1:])]
+
+    def matched_segment_sequence(self, points: Sequence[SpatioTemporalPoint]) -> List[str]:
+        """De-duplicated sequence of matched segment ids (Algorithm 2 output)."""
+        sequence: List[str] = []
+        for _, _, segment in self.match_runs([points])[0]:
+            if segment is not None and (not sequence or sequence[-1] != segment.place_id):
+                sequence.append(segment.place_id)
+        return sequence
+
+    # ------------------------------------------------------- columnar kernel
+    def match_rows(
+        self, episodes: Sequence[Sequence[SpatioTemporalPoint]]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Algorithm 2 over the concatenated points of ``episodes``, as arrays.
+
+        Returns ``(rows, scores)``: per point the flat-index row of the
+        winning segment (``-1`` when no candidate was within reach) and its
+        score.  Episode boundaries are context-window barriers, so matching
+        several episodes in one call gives each the result of a call of its
+        own while paying the fixed cost of the array operations once.
+        Requires the flat index (``backend="numpy"``, ``index_backend="flat"``).
+        """
+        config = self._config
+        lengths = np.fromiter((len(points) for points in episodes), np.intp, len(episodes))
+        count = int(lengths.sum())
+        xs = np.fromiter((p.x for points in episodes for p in points), np.float64, count)
+        ys = np.fromiter((p.y for points in episodes for p in points), np.float64, count)
+        best_rows = np.full(count, -1, dtype=np.intp)
+        best_scores = np.zeros(count)
+
+        # Candidates of every point in (distance, row) order, cut to the
+        # closest ``max_candidates`` like the scalar selection.
+        flat = self._network.flat_index()
+        offsets, rows, distances = flat.within_distance_batch(xs, ys, config.candidate_radius)
+        if len(rows) == 0:
+            return best_rows, best_scores
+        counts = np.diff(offsets)
+        if counts.max() > config.max_candidates:
+            keep = (
+                np.arange(len(rows)) - np.repeat(offsets[:-1], counts) < config.max_candidates
+            )
+            rows, distances = rows[keep], distances[keep]
+            counts = np.minimum(counts, config.max_candidates)
+            offsets = np.concatenate(([0], np.cumsum(counts)))
+        point_of = np.repeat(np.arange(count), counts)
+        columns = self._network.segment_arrays()
+        if config.distance_metric == "perpendicular":
+            distances = perpendicular_distances(
+                xs[point_of],
+                ys[point_of],
+                columns.start_xs[rows],
+                columns.start_ys[rows],
+                columns.end_xs[rows],
+                columns.end_ys[rows],
+            )
+
+        # Equation 2: d_min / d per pair (1 on the segment itself; 0 / d = 0
+        # when only another candidate is at distance 0).
+        has_candidates = counts > 0
+        first_pair = offsets[:-1][has_candidates]
+        nearest = np.repeat(np.minimum.reduceat(distances, first_pair), counts[has_candidates])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scores = np.where(distances <= 0.0, 1.0, nearest / distances)
+        if config.use_global_score:
+            scores = self._global_score_columns(
+                xs, ys, lengths, offsets, counts, point_of, rows, scores
+            )
+
+        # Argmax per point; an exact score tie goes to the largest place id.
+        order = np.lexsort((columns.id_ranks[rows], scores, point_of))
+        winners = order[offsets[1:][has_candidates] - 1]
+        best_rows[has_candidates] = rows[winners]
+        best_scores[has_candidates] = scores[winners]
+        return best_rows, best_scores
+
+    def _global_score_columns(
+        self,
+        xs: np.ndarray,
+        ys: np.ndarray,
+        lengths: np.ndarray,
+        offsets: np.ndarray,
+        counts: np.ndarray,
+        point_of: np.ndarray,
+        rows: np.ndarray,
+        local: np.ndarray,
+    ) -> np.ndarray:
+        """Equations 3-4 for every ``(point, candidate)`` pair.
+
+        Once :meth:`_window_reach` has sized every window, the points that
+        have candidates are taken in blocks: a block lists its windows point
+        by point, neighbours in increasing index, and the sums are accumulated
+        in that listed order (``np.add.at`` applies its updates one by one) —
+        the scalar loop's float accumulation order, since every pair belongs
+        to one point.  A neighbour's score for the same segment is found by a
+        sorted-key join on ``(point, row)``.  Blocks are cut where the join
+        reaches ``_JOIN_BUDGET`` rows, so only the per-point and per-pair
+        columns grow with the input.
+        """
+        radius = self._config.context_radius
+        before, after = self._window_reach(xs, ys, lengths)
+        stride = len(self._network)
+        keys = point_of * stride + rows
+        by_key = np.argsort(keys)
+        # The trailing sentinel makes every searchsorted position indexable.
+        sorted_keys = np.append(keys[by_key], np.iinfo(keys.dtype).max)
+        sorted_local = np.append(local[by_key], 0.0)
+        weight_total = np.zeros(len(xs))
+        weighted_sum = np.zeros(len(rows))
+
+        centres = np.flatnonzero(counts)
+        join_rows = np.cumsum((before + after + 1)[centres] * counts[centres])
+        cuts = np.flatnonzero(np.diff(join_rows // _JOIN_BUDGET, prepend=-1))
+        for low, high in zip(cuts, np.append(cuts[1:], len(centres))):
+            block = centres[low:high]
+            centre, neighbour = expand_ranges(
+                block, block - before[block], block + after[block] + 1
+            )
+            weights = gaussian_kernel_weights(
+                distances_to_point(xs[neighbour], ys[neighbour], xs[centre], ys[centre]),
+                bandwidth=self._config.kernel_width,
+                radius=radius,
+            )
+            np.add.at(weight_total, centre, weights)
+            member, pairs = expand_ranges(
+                np.arange(len(centre)), offsets[centre], offsets[centre + 1]
+            )
+            wanted = neighbour[member] * stride + rows[pairs]
+            found = np.searchsorted(sorted_keys, wanted)
+            # A neighbour without this candidate adds +0.0, which leaves the
+            # non-negative sum bit-identical to skipping it.
+            terms = weights[member] * np.where(
+                sorted_keys[found] == wanted, sorted_local[found], 0.0
+            )
+            np.add.at(weighted_sum, pairs, terms)
+        return weighted_sum / weight_total[point_of]
+
+    def _window_reach(
+        self, xs: np.ndarray, ys: np.ndarray, lengths: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """How many neighbours before and after each point its context window holds.
+
+        All windows are walked outwards together, one offset per pass in both
+        directions at once; a walk ends at the first neighbour at distance
+        ``>= R`` (strict ``<``, like the scalar walk) or at the end of the
+        episode, which an infinitely distant barrier slot around every episode
+        turns into the same test.
+        """
+        count = len(xs)
+        radius = self._config.context_radius
+        index = np.arange(count)
+        slots = index + np.repeat(np.arange(1, len(lengths) + 1), lengths)
+        padded_xs = np.full(count + len(lengths) + 1, np.inf)
+        padded_ys = np.full(count + len(lengths) + 1, np.inf)
+        padded_xs[slots] = xs
+        padded_ys[slots] = ys
+
+        reach = np.zeros((2, count), dtype=np.intp)  # rows: before, after
+        points = np.concatenate((index, index))
+        side = np.repeat((0, 1), count)
+        there = slots[points]
+        direction = 2 * side - 1
+        while len(points):
+            there = there + direction
+            near = (
+                distances_to_point(padded_xs[there], padded_ys[there], xs[points], ys[points])
+                < radius
+            )
+            points, side = points[near], side[near]
+            there, direction = there[near], direction[near]
+            reach[side, points] += 1
+        return reach[0], reach[1]
+
+    # --------------------------------------------------------- scalar oracle
+    def _match_scalar(self, points: Sequence[SpatioTemporalPoint]) -> List[MatchedPoint]:
+        local_scores = [self.local_scores(point) for point in points]
         matched: List[MatchedPoint] = []
         for index, point in enumerate(points):
             candidates = local_scores[index]
@@ -173,35 +383,11 @@ class GlobalMapMatcher:
                 )
                 continue
             if self._config.use_global_score:
-                scores = self.global_scores(points, local_scores, index, coords=coords)
+                scores = self.global_scores(points, local_scores, index)
             else:
                 scores = {seg_id: score for seg_id, (score, _) in candidates.items()}
             matched.append(self.select_best(point, candidates, scores))
         return matched
-
-    def _reachable_mask(self, arrays: TrajectoryArrays) -> np.ndarray:
-        """Vectorized prefilter: which points could have a candidate at all.
-
-        A point farther than ``candidate_radius`` (in every axis) from the
-        network's bounding box is farther than that radius from every
-        segment, so its R-tree query is guaranteed empty and skipped.  The
-        padding carries a small slack beyond the radius because the scalar
-        filter compares a *rounded* ``sqrt`` distance against the radius: a
-        point whose true distance exceeds the radius by less than a rounding
-        error could still pass it, and the prefilter must never skip a point
-        the query could match.  Extra non-skips are merely an empty query.
-        """
-        bounds = self._network.bounds()
-        radius = self._config.candidate_radius
-        padding = radius * (1.0 + 1e-9) + 1e-9
-        return points_in_bbox(
-            arrays.xs,
-            arrays.ys,
-            bounds.min_x - padding,
-            bounds.min_y - padding,
-            bounds.max_x + padding,
-            bounds.max_y + padding,
-        )
 
     def select_best(
         self,
@@ -217,17 +403,6 @@ class GlobalMapMatcher:
             point=point, segment=best_segment, score=scores[best_id], snapped=snapped
         )
 
-    def matched_segment_sequence(self, points: Sequence[SpatioTemporalPoint]) -> List[str]:
-        """De-duplicated sequence of matched segment ids (Algorithm 2 output)."""
-        sequence: List[str] = []
-        for matched in self.match(points):
-            if matched.segment_id is None:
-                continue
-            if not sequence or sequence[-1] != matched.segment_id:
-                sequence.append(matched.segment_id)
-        return sequence
-
-    # -------------------------------------------------------------- internals
     def _distance(self, point: Point, segment: LineOfInterest) -> float:
         if self._config.distance_metric == "perpendicular":
             return perpendicular_distance(point, segment.segment)
@@ -242,60 +417,10 @@ class GlobalMapMatcher:
             radius=self._config.candidate_radius,
             max_candidates=self._config.max_candidates,
         )
-        return self._local_scores_from_candidates(point, candidates)
-
-    def batch_local_scores(
-        self, points: Sequence[SpatioTemporalPoint]
-    ) -> List[Dict[str, Tuple[float, LineOfInterest]]]:
-        """Equation 2 for every point of an episode with one batch index query.
-
-        Candidate selection goes through the flat index
-        (:meth:`RoadNetwork.candidate_segments_batch`); for the default
-        ``point_segment`` metric the selection distances *are* Equation 1's
-        scoring distances (the same kernel, bit-identical to the scalar
-        recomputation), so the scores are normalised straight from the batch
-        result; the ``perpendicular`` ablation metric re-scores each candidate
-        set through the per-point path, exactly like the scalar matcher.
-        """
-        candidate_lists = self._network.candidate_segments_batch(
-            [point.position for point in points],
-            radius=self._config.candidate_radius,
-            max_candidates=self._config.max_candidates,
-        )
-        if self._config.distance_metric == "point_segment":
-            return [
-                self._normalized_scores(
-                    {segment.place_id: (distance, segment) for distance, segment in candidates}
-                )
-                for candidates in candidate_lists
-            ]
-        return [
-            self._local_scores_from_candidates(point, candidates)
-            for point, candidates in zip(points, candidate_lists)
-        ]
-
-    def _local_scores_from_candidates(
-        self,
-        point: SpatioTemporalPoint,
-        candidates: Sequence[Tuple[float, LineOfInterest]],
-    ) -> Dict[str, Tuple[float, LineOfInterest]]:
-        """Score an already-selected candidate list with the configured metric."""
-        if not candidates:
-            return {}
-        if self._backend == "numpy" and len(candidates) >= _VECTOR_MIN_CANDIDATES:
-            distances = self._candidate_distances_arrays(point.position, candidates)
-        else:
-            distances = {
-                segment.place_id: (self._distance(point.position, segment), segment)
-                for _, segment in candidates
-            }
-        return self._normalized_scores(distances)
-
-    @staticmethod
-    def _normalized_scores(
-        distances: Dict[str, Tuple[float, LineOfInterest]],
-    ) -> Dict[str, Tuple[float, LineOfInterest]]:
-        """Equation 2's min-ratio normalisation over a candidate distance map."""
+        distances = {
+            segment.place_id: (self._distance(point.position, segment), segment)
+            for _, segment in candidates
+        }
         if not distances:
             return {}
         d_min = min(distance for distance, _ in distances.values())
@@ -310,62 +435,13 @@ class GlobalMapMatcher:
             scores[segment_id] = (score, segment)
         return scores
 
-    def _candidate_distances_arrays(
-        self, position: Point, candidates: Sequence[Tuple[float, LineOfInterest]]
-    ) -> Dict[str, Tuple[float, LineOfInterest]]:
-        """Candidate distances through the batch kernel (bit-equal to scalar).
-
-        Gathers the candidates' endpoint geometry from the network's cached
-        :class:`~repro.lines.road_network.SegmentArrays` with one
-        fancy-indexing operation and evaluates Equation 1 over the whole
-        candidate set at once, preserving candidate order (and with it the
-        deterministic tie-breaking downstream).
-        """
-        arrays = self._network.segment_arrays()
-        rows = np.fromiter(
-            (arrays.row_of[segment.place_id] for _, segment in candidates),
-            dtype=np.intp,
-            count=len(candidates),
-        )
-        kernel = (
-            perpendicular_distances
-            if self._config.distance_metric == "perpendicular"
-            else point_segment_distances
-        )
-        distances = kernel(
-            position.x,
-            position.y,
-            arrays.start_xs[rows],
-            arrays.start_ys[rows],
-            arrays.end_xs[rows],
-            arrays.end_ys[rows],
-        )
-        return {
-            segment.place_id: (float(distances[column]), segment)
-            for column, (_, segment) in enumerate(candidates)
-        }
-
     def global_scores(
         self,
         points: Sequence[SpatioTemporalPoint],
         local_scores: Sequence[Dict[str, Tuple[float, LineOfInterest]]],
         index: int,
-        coords: Optional[CoordinateArrays] = None,
     ) -> Dict[str, float]:
-        """Equations 3-4: kernel-weighted global score of each candidate of point ``index``.
-
-        The context window is intrinsically bounded: the walk in each
-        direction stops at the first point leaving the view radius, which is
-        what lets the streaming :class:`~repro.streaming.matching.WindowedMapMatcher`
-        emit a point's match as soon as one later out-of-radius point has been
-        observed.
-
-        ``coords`` carries the episode's coordinate columns for the numpy
-        backend (built by :meth:`match`, or streamed into growable buffers by
-        the windowed matcher); the window walk and the kernel weights then
-        run vectorized, while the per-candidate accumulation keeps the scalar
-        loop's order so batch and streaming stay byte-identical.
-        """
+        """Equations 3-4: kernel-weighted global score of each candidate of point ``index``."""
         center = points[index].position
         radius = self._config.context_radius
         sigma = self._config.kernel_width
@@ -373,44 +449,13 @@ class GlobalMapMatcher:
 
         weighted_sum: Dict[str, float] = {segment_id: 0.0 for segment_id in candidate_ids}
         weight_total = 0.0
-
-        # The window is identical whichever walk computes it (comparisons over
-        # bit-equal distances), so the weight-path choice below, made from the
-        # window alone, is the same in batch and streaming.
-        if coords is not None and self._backend == "numpy":
-            window = self._window_indices_arrays(coords, index, radius)
-        else:
-            window = self._window_indices(points, index, radius)
-
-        if self._backend == "numpy" and len(window) >= _VECTOR_MIN_WINDOW:
-            if coords is not None:
-                xs, ys = coords
-                dx = xs[window] - center.x
-                dy = ys[window] - center.y
-            else:
-                count = len(window)
-                dx = np.fromiter(
-                    (points[k].x for k in window), dtype=np.float64, count=count
-                ) - center.x
-                dy = np.fromiter(
-                    (points[k].y for k in window), dtype=np.float64, count=count
-                ) - center.y
-            weights = gaussian_kernel_weights(
-                np.sqrt(dx * dx + dy * dy), bandwidth=sigma, radius=radius
-            )
-        else:
-            weights = [
-                gaussian_kernel_weight(
-                    center.distance_to(points[neighbor_index].position),
-                    bandwidth=sigma,
-                    radius=radius,
-                )
-                for neighbor_index in window
-            ]
-
         # Aggregate the neighbours inside the context window in both directions.
-        for position, neighbor_index in enumerate(window):
-            weight = float(weights[position])
+        for neighbor_index in self._window_indices(points, index, radius):
+            weight = gaussian_kernel_weight(
+                center.distance_to(points[neighbor_index].position),
+                bandwidth=sigma,
+                radius=radius,
+            )
             if weight <= 0.0:
                 continue
             weight_total += weight
@@ -443,31 +488,6 @@ class GlobalMapMatcher:
             window.append(cursor)
             cursor += 1
         return sorted(window)
-
-    def _window_indices_arrays(
-        self, coords: CoordinateArrays, index: int, radius: float
-    ) -> List[int]:
-        """Vectorized :meth:`_window_indices`: adaptive chunked walks over columns.
-
-        The backward walk scans a reversed view, the forward walk the
-        trailing slice; both use the strict ``<`` comparison of the scalar
-        loops and stop at the first point leaving the view radius, so the
-        resulting (sorted) window is identical.
-        """
-        xs, ys = coords
-        cx, cy = float(xs[index]), float(ys[index])
-        before = leading_run_within_radius(
-            xs[index - 1 :: -1] if index > 0 else xs[:0],
-            ys[index - 1 :: -1] if index > 0 else ys[:0],
-            cx,
-            cy,
-            radius,
-            inclusive=False,
-        )
-        after = leading_run_within_radius(
-            xs[index + 1 :], ys[index + 1 :], cx, cy, radius, inclusive=False
-        )
-        return list(range(index - before, index + after + 1))
 
 
 def matching_accuracy(

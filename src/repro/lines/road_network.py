@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -28,21 +28,24 @@ from repro.index.rtree import RTree, RTreeEntry
 
 @dataclass(frozen=True)
 class SegmentArrays:
-    """Columnar endpoint coordinates of every segment of a road network.
+    """Per-segment columns of a road network, in :meth:`RoadNetwork.flat_index` row order.
 
-    One contiguous float64 column per endpoint coordinate plus the row index
-    of each segment id, so the vectorized map-matching kernels can gather a
-    candidate set's geometry with one fancy-indexing operation instead of
-    touching ``Segment`` objects point by point.  Built once per network
-    (eagerly by :class:`~repro.parallel.context.GeoContext` so forked workers
-    share the pages) and treated as read-only.
+    Everything the columnar map-matching kernel reads per network beside the
+    flat index itself: the endpoint columns (the flat index's own arrays, not
+    copies) for re-scoring under the perpendicular metric, and the rank of
+    each row's ``place_id`` among all ids in string order, which turns the
+    matcher's "largest id wins an exact score tie" rule into an integer sort
+    key.  Built once per network (eagerly by
+    :class:`~repro.parallel.context.GeoContext` so workers share the pages
+    and no timed match pays for it) and treated as read-only.
     """
 
     start_xs: np.ndarray
     start_ys: np.ndarray
     end_xs: np.ndarray
     end_ys: np.ndarray
-    row_of: Dict[str, int]
+    id_ranks: np.ndarray
+
 
 #: Default permissions and speed limits per road type.
 ROAD_TYPE_PROFILES: Dict[str, Dict[str, object]] = {
@@ -104,24 +107,15 @@ class RoadNetwork:
         return self
 
     def segment_arrays(self) -> SegmentArrays:
-        """Cached columnar endpoint arrays of all segments (built on first use)."""
+        """Cached per-row columns for the columnar map matcher (built on first use)."""
         if self._segment_arrays is None:
-            count = len(self._segments)
-            self._segment_arrays = SegmentArrays(
-                start_xs=np.fromiter(
-                    (s.segment.start.x for s in self._segments), dtype=np.float64, count=count
-                ),
-                start_ys=np.fromiter(
-                    (s.segment.start.y for s in self._segments), dtype=np.float64, count=count
-                ),
-                end_xs=np.fromiter(
-                    (s.segment.end.x for s in self._segments), dtype=np.float64, count=count
-                ),
-                end_ys=np.fromiter(
-                    (s.segment.end.y for s in self._segments), dtype=np.float64, count=count
-                ),
-                row_of={s.place_id: row for row, s in enumerate(self._segments)},
-            )
+            flat = self.flat_index()
+            columns = flat.segment_columns
+            assert columns is not None  # flat_index() compiles with segment geometry
+            ids = [segment.place_id for segment in flat.payloads]
+            id_ranks = np.empty(len(ids), dtype=np.intp)
+            id_ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+            self._segment_arrays = SegmentArrays(*columns, id_ranks=id_ranks)
         return self._segment_arrays
 
     @property
@@ -180,21 +174,6 @@ class RoadNetwork:
                 self._index, segment_of=lambda segment: segment.segment
             )
         return self._flat_index
-
-    def candidate_segments_batch(
-        self,
-        positions: Sequence[Point],
-        radius: float,
-        max_candidates: Optional[int] = None,
-    ) -> List[List[Tuple[float, LineOfInterest]]]:
-        """Batch :meth:`candidate_segments`: one flat query for a whole episode.
-
-        Per point, the candidate list — distances, segments, order and
-        ``max_candidates`` truncation — is identical to the scalar method.
-        """
-        return self.flat_index().within_distance_pairs(
-            positions, radius, max_results=max_candidates
-        )
 
     def nearest_segment(self, point: Point) -> Tuple[float, LineOfInterest]:
         """The single nearest segment to ``point`` (exact point-segment distance)."""

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import TransportModeConfig
 from repro.core.points import SpatioTemporalPoint
-from repro.lines.map_matching import MatchedPoint
+from repro.lines.map_matching import MatchedPoint, SegmentRun, segment_runs
 from repro.preprocessing.features import compute_motion_features
 
 #: Modes the classifier can emit.
@@ -105,32 +105,30 @@ class TransportModeClassifier:
         The output mirrors the pairs <r_i, mode_i> of Section 4.2: each matched
         route with the transportation mode used on it, in travel order.
         """
-        if not matched:
-            return []
-        groups: List[List[MatchedPoint]] = [[matched[0]]]
-        for item in matched[1:]:
-            if item.segment_id == groups[-1][-1].segment_id:
-                groups[-1].append(item)
-            else:
-                groups.append([item])
+        return self.run_modes([item.point for item in matched], segment_runs(matched))
 
+    def run_modes(
+        self, points: Sequence[SpatioTemporalPoint], runs: Sequence[SegmentRun]
+    ) -> List[ModeSegment]:
+        """:meth:`segment_modes` over already-grouped runs of an episode's points."""
         result: List[ModeSegment] = []
-        for group in groups:
-            points = [item.point for item in group]
-            road_type = group[0].segment.road_type if group[0].segment is not None else None
-            features = compute_motion_features(points)
+        for start, end, segment in runs:
+            run_points = points[start:end]
+            road_type = segment.road_type if segment is not None else None
+            features = compute_motion_features(run_points)
+            mean_speed = features.mean_speed()
             mode = self._classify_from_features(
-                features.mean_speed(), features.mean_absolute_acceleration(), road_type
+                mean_speed, features.mean_absolute_acceleration(), road_type
             )
             result.append(
                 ModeSegment(
-                    segment_id=group[0].segment_id,
+                    segment_id=segment.place_id if segment is not None else None,
                     road_type=road_type,
                     mode=mode,
-                    time_in=points[0].t,
-                    time_out=points[-1].t,
-                    point_count=len(points),
-                    mean_speed=features.mean_speed(),
+                    time_in=run_points[0].t,
+                    time_out=run_points[-1].t,
+                    point_count=end - start,
+                    mean_speed=mean_speed,
                 )
             )
         return self._smooth_modes(result)

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import AnnotationSources, LayerAnnotators
-from repro.streaming.matching import WindowedMapMatcher
 
 
 class GeoContext:
@@ -48,11 +47,8 @@ class GeoContext:
         # Prebuild the columnar coordinate arrays of the indexed sources so
         # the snapshot ships them to workers (free under fork, one shared
         # segment under spawn) instead of each worker rebuilding them lazily.
-        if config.compute.backend == "numpy":
-            if sources.road_network is not None:
-                sources.road_network.segment_arrays()
-            if sources.pois is not None:
-                sources.pois.coordinate_arrays()
+        if config.compute.backend == "numpy" and sources.pois is not None:
+            sources.pois.coordinate_arrays()
         # Likewise pre-compile the flat batch indexes once: parallel workers
         # and the streaming engine then share the read-only arrays zero-copy
         # under fork instead of each compiling their own copy lazily.
@@ -61,6 +57,10 @@ class GeoContext:
                 sources.regions.flat_index()
             if sources.road_network is not None:
                 sources.road_network.flat_index()
+                if config.compute.backend == "numpy":
+                    # The columnar map matcher's per-row columns, so that no
+                    # timed match builds them.
+                    sources.road_network.segment_arrays()
             if sources.pois is not None:
                 sources.pois.flat_index()
 
@@ -104,15 +104,11 @@ class GeoContext:
         """
         blocks: "OrderedDict[str, np.ndarray]" = OrderedDict()
         sources = self._sources
-        if self._config.compute.backend == "numpy":
-            if sources.road_network is not None:
-                arrays = sources.road_network.segment_arrays()
-                for attr in ("start_xs", "start_ys", "end_xs", "end_ys"):
-                    blocks[f"road_network.arrays.{attr}"] = getattr(arrays, attr)
-            if sources.pois is not None:
-                poi_arrays = sources.pois.coordinate_arrays()
-                blocks["pois.arrays.xs"] = poi_arrays.xs
-                blocks["pois.arrays.ys"] = poi_arrays.ys
+        numpy_backend = self._config.compute.backend == "numpy"
+        if numpy_backend and sources.pois is not None:
+            poi_arrays = sources.pois.coordinate_arrays()
+            blocks["pois.arrays.xs"] = poi_arrays.xs
+            blocks["pois.arrays.ys"] = poi_arrays.ys
         if self._config.compute.resolved_index_backend == "flat":
             for prefix, source in (
                 ("regions", sources.regions),
@@ -122,21 +118,10 @@ class GeoContext:
                 if source is not None:
                     for key, array in source.flat_index().array_blocks().items():
                         blocks[f"{prefix}.flat.{key}"] = array
+            if numpy_backend and sources.road_network is not None:
+                # The endpoint columns of segment_arrays() are the flat
+                # index's own, named above.
+                blocks["road_network.arrays.id_ranks"] = (
+                    sources.road_network.segment_arrays().id_ranks
+                )
         return blocks
-
-    # -------------------------------------------------------------- factories
-    def windowed_matcher(self) -> Optional[WindowedMapMatcher]:
-        """A fresh streaming map matcher over the shared road-network index.
-
-        The matcher itself is stateful per episode, so every consumer (each
-        streaming engine, each session) gets its own; the expensive part — the
-        road network R-tree — stays shared and frozen.
-        """
-        if self._sources.road_network is None:
-            return None
-        return WindowedMapMatcher(
-            self._sources.road_network,
-            self._config.map_matching,
-            backend=self._config.compute.backend,
-            index_backend=self._config.compute.resolved_index_backend,
-        )

@@ -8,9 +8,6 @@ results on the same stream:
   removal and smoothing with bounded lookahead;
 * :class:`~repro.streaming.stops.IncrementalStopMoveDetector` — emits stop
   and move episodes the moment no future point can change them;
-* :class:`~repro.streaming.matching.WindowedMapMatcher` — Algorithm 2 over a
-  sliding context window, emitting matches once their kernel window is fully
-  observed;
 * :class:`~repro.streaming.session.SessionManager` /
   :class:`~repro.streaming.session.Session` — per-object mutable state with
   gap-based trajectory close-out and LRU eviction.
@@ -23,7 +20,6 @@ builds and returns.
 """
 
 from repro.streaming.cleaning import StreamingGpsCleaner, clean_stream
-from repro.streaming.matching import WindowedMapMatcher
 from repro.streaming.session import (
     OpenTrajectory,
     SealedTrajectory,
@@ -41,6 +37,5 @@ __all__ = [
     "SessionManager",
     "SessionUpdate",
     "StreamingGpsCleaner",
-    "WindowedMapMatcher",
     "clean_stream",
 ]

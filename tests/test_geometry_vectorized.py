@@ -35,7 +35,6 @@ from repro.geometry.vectorized import (
     perpendicular_distances,
     planar_to_equirectangular,
     point_segment_distances,
-    points_in_bbox,
 )
 from repro.preprocessing.features import compute_motion_features
 
@@ -148,15 +147,8 @@ class TestGaussianKernels:
             gaussian_2d_densities(0.0, 0.0, np.array([1.0]), np.array([1.0]), np.array([0.0]))
 
 
-class TestBboxAndScans:
-    def test_points_in_bbox(self, rng):
-        xs, ys = _random_columns(rng, 500, low=0.0, high=100.0)
-        mask = points_in_bbox(xs, ys, 25.0, 30.0, 75.0, 60.0)
-        expected = [25.0 <= x <= 75.0 and 30.0 <= y <= 60.0 for x, y in zip(xs, ys)]
-        assert mask.tolist() == expected
-
-    @pytest.mark.parametrize("inclusive", [True, False])
-    def test_leading_run_matches_scalar_walk(self, rng, inclusive):
+class TestScans:
+    def test_leading_run_matches_scalar_walk(self, rng):
         for trial in range(20):
             n = int(rng.integers(0, 120))
             xs = rng.uniform(0.0, 60.0, size=n)
@@ -166,14 +158,10 @@ class TestBboxAndScans:
             expected = 0
             for x, y in zip(xs, ys):
                 distance = euclidean_distance(Point(x, y), center)
-                within = distance <= radius if inclusive else distance < radius
-                if not within:
+                if not distance <= radius:
                     break
                 expected += 1
-            got = leading_run_within_radius(
-                xs, ys, center.x, center.y, radius, inclusive=inclusive
-            )
-            assert got == expected
+            assert leading_run_within_radius(xs, ys, center.x, center.y, radius) == expected
 
     def test_leading_run_spans_chunk_boundaries(self):
         # A long all-within run exercises the geometric chunk growth.

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import gc
+import io
+import pickle
 
 import pytest
 
@@ -121,6 +123,43 @@ def test_single_object_batch_runs_in_process(annotation_sources, car_dataset):
     assert canonical_bytes(results) == canonical_bytes(SequentialExecutor().run(plan, batch))
 
 
+def test_pooled_results_hang_off_the_callers_trajectories(annotation_sources, car_dataset):
+    """Workers send outcomes back without the raw points: the parent re-links its own."""
+    batch = car_dataset.trajectories[:6]
+    plan = api.compile_plan(
+        context=GeoContext.build(annotation_sources, PipelineConfig.for_vehicles())
+    )
+    with ProcessPoolExecutor(workers=2) as executor:
+        results = executor.run(plan, batch)
+        assert executor._pool is not None
+    assert len(results) == len(batch)
+    for trajectory, result in zip(batch, results):
+        assert result.trajectory is trajectory
+        assert all(episode.trajectory is trajectory for episode in result.episodes)
+    assert canonical_bytes(results) == canonical_bytes(SequentialExecutor().run(plan, batch))
+    # The wire form really leaves the points out.
+    items = list(enumerate(batch))
+    outputs = executors._run_in_process(plan, items, include_writeback=False)
+    buffer = io.BytesIO()
+    executors._OutcomePickler(buffer, items).dump(outputs)
+    assert len(buffer.getvalue()) < len(pickle.dumps(outputs, pickle.HIGHEST_PROTOCOL)) / 2
+    reloaded = executors._OutcomeUnpickler(buffer.getvalue(), items).load()
+    assert canonical_bytes([out for _, out in reloaded]) == canonical_bytes(results)
+    # On the way out the coordinates travel as the numbers they are: integer
+    # fixes stay integers in a worker, so its times render as the parent's do.
+    whole = [
+        RawTrajectory(
+            [SpatioTemporalPoint(int(p.x), int(p.y), int(p.t)) for p in trajectory.points],
+            object_id=trajectory.object_id,
+            trajectory_id=trajectory.trajectory_id,
+        )
+        for trajectory in batch
+    ]
+    with ProcessPoolExecutor(workers=2) as executor:
+        pooled = executor.run(plan, whole)
+    assert canonical_bytes(pooled) == canonical_bytes(SequentialExecutor().run(plan, whole))
+
+
 def test_context_freezes_indexes_and_plans_keep_it(annotation_sources):
     config = PipelineConfig.for_vehicles()
     context = GeoContext.build(annotation_sources, config)
@@ -128,7 +167,6 @@ def test_context_freezes_indexes_and_plans_keep_it(annotation_sources):
     assert annotation_sources.regions._index.frozen
     assert annotation_sources.pois._index.frozen
     assert context.available_layers() == ["region", "line", "point"]
-    assert context.windowed_matcher() is not None
     # Every plan compiled from the snapshot hands the pool the same object,
     # which is what keeps a held executor's workers warm across plans.
     assert api.compile_plan(context=context).geo_context() is context

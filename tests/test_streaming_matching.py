@@ -1,4 +1,9 @@
-"""Windowed map matcher: exact parity with the batch global matcher."""
+"""Streaming map matching: an absorbed move episode is matched like a batch one.
+
+The micro-batch executor hands every sealed move episode to the line layer's
+one matcher, so the line trajectory it records must be what
+:meth:`LineAnnotator.annotate_episode` gives for the same episode.
+"""
 
 from __future__ import annotations
 
@@ -6,77 +11,61 @@ import dataclasses
 
 import pytest
 
-from repro.core.config import MapMatchingConfig
-from repro.lines.map_matching import GlobalMapMatcher
-from repro.streaming import WindowedMapMatcher
+from repro import api
+from repro.core.annotations import AnnotationKind
+from repro.core.config import ComputeConfig, PipelineConfig
+from repro.core.episodes import Episode
+from repro.core.pipeline import LayerAnnotators
 
 
-def _move_point_runs(pipeline, dataset, max_runs: int = 6):
-    """Point sequences of the first few move episodes of a dataset."""
-    runs = []
-    for trajectory in dataset.trajectories:
-        for episode in pipeline.compute_episodes(trajectory):
-            if episode.is_move and len(episode) >= 5:
-                runs.append(list(episode.points))
-                if len(runs) >= max_runs:
-                    return runs
-    return runs
-
-
-@pytest.mark.parametrize("use_global_score", [True, False])
-def test_windowed_matches_batch(road_network, vehicle_pipeline, taxi_dataset, use_global_score):
-    config = dataclasses.replace(
-        vehicle_pipeline.config.map_matching, use_global_score=use_global_score
-    )
-    batch = GlobalMapMatcher(road_network, config)
-    windowed = WindowedMapMatcher(road_network, config)
-    runs = _move_point_runs(vehicle_pipeline, taxi_dataset)
-    assert runs
-    for points in runs:
-        expected = batch.match(points)
-        streamed = windowed.match_stream(points)
-        assert [m.segment_id for m in streamed] == [m.segment_id for m in expected]
-        assert [m.score for m in streamed] == pytest.approx([m.score for m in expected])
-        assert [(m.snapped.x, m.snapped.y) for m in streamed] == pytest.approx(
-            [(m.snapped.x, m.snapped.y) for m in expected]
+def _records(line_trajectory):
+    """A line trajectory as comparable tuples (places, times, mode annotations)."""
+    return [
+        (
+            record.place.place_id if record.place is not None else None,
+            record.time_in,
+            record.time_out,
+            record.value_of("transport_mode"),
         )
+        for record in line_trajectory
+    ]
 
 
-def test_ground_truth_drive_parity(road_network, vehicle_pipeline, ground_truth_drive):
-    config = vehicle_pipeline.config.map_matching
-    batch = GlobalMapMatcher(road_network, config)
-    windowed = WindowedMapMatcher(road_network, config)
-    points = list(ground_truth_drive.trajectory.points)
-    expected = batch.match(points)
-    streamed = []
-    for point in points:
-        streamed.extend(windowed.push(point))
-    streamed.extend(windowed.finish())
-    assert [m.segment_id for m in streamed] == [m.segment_id for m in expected]
+def _dominant_modes(episode):
+    return [a.value for a in episode.annotations_of_kind(AnnotationKind.TRANSPORT_MODE)]
 
 
-def test_emission_happens_before_stream_end(road_network, vehicle_pipeline, ground_truth_drive):
-    """Matches must flow out with bounded lag, not all at finish()."""
-    windowed = WindowedMapMatcher(road_network, vehicle_pipeline.config.map_matching)
-    points = list(ground_truth_drive.trajectory.points)
-    early = 0
-    for point in points:
-        early += len(windowed.push(point))
-    tail = windowed.finish()
-    assert early > 0
-    assert early + len(tail) == len(points)
-    # A drive keeps moving, so the pending window stays small relative to the
-    # episode; after finish the matcher is reusable.
-    assert windowed.pending_count == 0
-    assert windowed.match_stream(points[:20])
-
-
-def test_local_score_only_mode_streams_with_no_lag(road_network, vehicle_pipeline, taxi_dataset):
+@pytest.mark.parametrize("backend", ["numpy", "python"])
+def test_absorbed_move_episode_equals_annotate_episode(annotation_sources, taxi_dataset, backend):
     config = dataclasses.replace(
-        vehicle_pipeline.config.map_matching, use_global_score=False
+        PipelineConfig.for_vehicles(), compute=ComputeConfig(backend=backend)
     )
-    windowed = WindowedMapMatcher(road_network, config)
-    runs = _move_point_runs(vehicle_pipeline, taxi_dataset, max_runs=1)
-    for point in runs[0]:
-        windowed.push(point)
-        assert windowed.pending_count == 0
+    absorbed_moves = []
+    engine = api.stream(
+        annotation_sources,
+        config=config,
+        on_episode=lambda episode: absorbed_moves.append(episode) if episode.is_move else None,
+    )
+    results = []
+    for trajectory in taxi_dataset.trajectories:
+        for point in trajectory.points:
+            results.extend(engine.ingest(trajectory.object_id, point))
+        results.extend(engine.close_object(trajectory.object_id))
+
+    line_annotator = LayerAnnotators.build(annotation_sources, config).line
+    compared = 0
+    for result in results:
+        moves = [episode for episode in result.episodes if episode.is_move]
+        assert len(result.line_trajectories) == len(moves)
+        for episode, streamed in zip(moves, result.line_trajectories):
+            # A fresh episode: annotating attaches the dominant mode to it.
+            fresh = Episode(
+                episode.kind, episode.trajectory, episode.start_index, episode.end_index
+            )
+            expected = line_annotator.annotate_episode(fresh)
+            assert streamed.trajectory_id == expected.trajectory_id
+            assert _records(streamed) == _records(expected)
+            assert _dominant_modes(episode) == _dominant_modes(fresh) != []
+            compared += 1
+    # Each move was absorbed when it was sealed, not at trajectory close.
+    assert compared == len(absorbed_moves) > 0
