@@ -8,11 +8,6 @@ trajectories per call instead of iterating ``Point`` objects.  The round trip
 ``from_trajectory`` → ``to_trajectory`` is lossless: every float (including
 NaN payloads and signed zeros, via bit-pattern-preserving float64 storage)
 and both identifiers survive unchanged.
-
-:class:`GrowableArray` is the streaming counterpart: an amortised-append
-float64 buffer whose :meth:`view` exposes the filled prefix without copying,
-so an online consumer can micro-batch into the same kernels the batch
-pipeline uses.
 """
 
 from __future__ import annotations
@@ -136,49 +131,3 @@ class TrajectoryArrays:
             f"TrajectoryArrays(id={self.trajectory_id!r}, object={self.object_id!r}, "
             f"points={len(self)})"
         )
-
-
-class GrowableArray:
-    """A float64 buffer with amortised append and a zero-copy filled view.
-
-    The streaming subsystem appends each incoming fix once and hands
-    :meth:`view` slices to the same vectorized kernels the batch pipeline
-    uses; capacity doubles on overflow so ``n`` appends cost ``O(n)``.
-    """
-
-    __slots__ = ("_data", "_length")
-
-    def __init__(self, capacity: int = 64):
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        self._data = np.empty(capacity, dtype=np.float64)
-        self._length = 0
-
-    def __len__(self) -> int:
-        return self._length
-
-    def append(self, value: float) -> None:
-        """Append one value, growing the backing storage geometrically."""
-        if self._length == len(self._data):
-            grown = np.empty(len(self._data) * 2, dtype=np.float64)
-            grown[: self._length] = self._data
-            self._data = grown
-        self._data[self._length] = value
-        self._length += 1
-
-    def extend(self, values: Sequence[float]) -> None:
-        """Append several values at once."""
-        for value in values:
-            self.append(value)
-
-    def view(self, start: int = 0, stop: Optional[int] = None) -> np.ndarray:
-        """Zero-copy view of ``[start, stop)`` within the filled prefix."""
-        if stop is None:
-            stop = self._length
-        if not (0 <= start <= stop <= self._length):
-            raise IndexError(f"invalid view [{start}, {stop}) of length {self._length}")
-        return self._data[start:stop]
-
-    def clear(self) -> None:
-        """Reset to empty without releasing the backing storage."""
-        self._length = 0

@@ -75,12 +75,12 @@ class Episode:
     @property
     def time_in(self) -> float:
         """Entry time of the episode."""
-        return self.points[0].t
+        return self.trajectory.points[self.start_index].t
 
     @property
     def time_out(self) -> float:
         """Exit time of the episode."""
-        return self.points[-1].t
+        return self.trajectory.points[self.end_index - 1].t
 
     @property
     def duration(self) -> float:

@@ -7,7 +7,8 @@ sequence of such points produced by the trajectory-identification step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import DataQualityError
@@ -32,8 +33,15 @@ class SpatioTemporalPoint:
         return other.t - self.t
 
     def distance_to(self, other: "SpatioTemporalPoint") -> float:
-        """Planar distance to ``other`` in coordinate units."""
-        return self.position.distance_to(other.position)
+        """Planar distance to ``other`` in coordinate units.
+
+        :meth:`Point.distance_to`'s exact operation sequence on the fix's own
+        floats, so the per-fix loops build no geometry object and still agree
+        bit-for-bit with the geometry layer and its numpy kernels.
+        """
+        dx = self.x - other.x
+        dy = self.y - other.y
+        return math.sqrt(dx * dx + dy * dy)
 
     def speed_to(self, other: "SpatioTemporalPoint") -> float:
         """Average speed between the two fixes (units per second).

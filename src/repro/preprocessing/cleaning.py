@@ -39,6 +39,20 @@ from repro.geometry.vectorized import consecutive_distances
 _VECTOR_MIN_POINTS = 32
 
 
+def window_median(values: List[float]) -> float:
+    """Median of one smoothing window — what ``statistics.median`` selects.
+
+    The middle of the sorted values, or the mean of the middle two when the
+    stream edge clips the window to an even length.  Sorts ``values`` in place:
+    callers pass a fresh slice.
+    """
+    values.sort()
+    middle = len(values) >> 1
+    if len(values) & 1:
+        return values[middle]
+    return (values[middle - 1] + values[middle]) / 2
+
+
 class GpsCleaner:
     """Removes speed outliers and smooths GPS noise.
 
@@ -159,38 +173,39 @@ class GpsCleaner:
     ) -> List[SpatioTemporalPoint]:
         """Vectorized sliding-window median over columnar coordinates.
 
-        Interior points whose window is not clipped by the stream boundary are
-        aggregated in one ``np.median`` sweep over a strided window view; the
-        few boundary points (clipped windows, anchored endpoints) follow the
-        scalar rules.  ``np.median`` and ``statistics.median`` select (or
-        average) the same elements, so the result is bit-for-bit identical.
+        Interior points whose window is not clipped by the stream boundary
+        take the middle column of one ``np.sort`` over a strided window view
+        and are materialised in one pass over plain-float columns; the at most
+        ``2 * half`` points whose window the stream edge clips follow the
+        scalar rule.  A median is a selection (or the mean of two selected
+        values), so the result is bit-for-bit the scalar loop's; timestamps
+        are carried through as the original objects.
         """
         n = len(points)
         half = window // 2
-        arrays = TrajectoryArrays.from_points(points)
+        xs = np.fromiter((point.x for point in points), dtype=np.float64, count=n)
+        ys = np.fromiter((point.y for point in points), dtype=np.float64, count=n)
         smoothed: List[SpatioTemporalPoint] = list(points)
-        # Indices with a full, unclipped window: half .. n - 1 - half.
+        # Indices with a full, unclipped window that are not stream endpoints.
         full_lo = half
-        full_hi = n - 1 - half
-        if full_hi >= full_lo:
+        full_hi = n - half
+        if full_hi > full_lo:
             span = 2 * half + 1
-            windows_x = np.lib.stride_tricks.sliding_window_view(arrays.xs, span)
-            windows_y = np.lib.stride_tricks.sliding_window_view(arrays.ys, span)
-            med_x = np.median(windows_x, axis=1)
-            med_y = np.median(windows_y, axis=1)
-            for index in range(max(full_lo, 1), min(full_hi, n - 2) + 1):
-                smoothed[index] = SpatioTemporalPoint(
-                    float(med_x[index - half]), float(med_y[index - half]), points[index].t
-                )
-        # Boundary interior points (window clipped by the stream edge).
-        for index in range(1, n - 1):
-            if full_lo <= index <= full_hi:
-                continue
+            view = np.lib.stride_tricks.sliding_window_view
+            smoothed[full_lo:full_hi] = map(
+                SpatioTemporalPoint,
+                np.sort(view(xs, span), axis=1)[:, half].tolist(),
+                np.sort(view(ys, span), axis=1)[:, half].tolist(),
+                [point.t for point in points[full_lo:full_hi]],
+            )
+        # Interior points whose window the stream edge clips.
+        left_stop = min(half, n - 1)
+        for index in (*range(1, left_stop), *range(max(full_hi, left_stop), n - 1)):
             lo = max(0, index - half)
             hi = min(n, index + half + 1)
             smoothed[index] = SpatioTemporalPoint(
-                float(np.median(arrays.xs[lo:hi])),
-                float(np.median(arrays.ys[lo:hi])),
+                window_median(xs[lo:hi].tolist()),
+                window_median(ys[lo:hi].tolist()),
                 points[index].t,
             )
         return smoothed

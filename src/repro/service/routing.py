@@ -21,6 +21,7 @@ import hashlib
 from typing import Dict, List
 
 from repro.core.errors import ConfigurationError
+from repro.faults.journal import ObjectIdEncoder
 
 __all__ = ["ConsistentHashRing"]
 
@@ -31,7 +32,15 @@ def _ring_hash(key: str) -> int:
 
 
 class ConsistentHashRing:
-    """Maps object ids to shard indexes via consistent hashing."""
+    """Maps object ids to shard indexes via consistent hashing.
+
+    Emitters reuse a small set of ids and the ring never changes after
+    construction, so :meth:`shard_for` remembers its answers in a bounded
+    dict (cleared when full, like :class:`ObjectIdEncoder`) and hashes an id
+    only the first time it is seen.
+    """
+
+    _MAX_CACHED = ObjectIdEncoder._MAX_CACHED
 
     def __init__(self, shard_count: int, replicas: int = 64):
         if shard_count < 1:
@@ -53,14 +62,19 @@ class ConsistentHashRing:
         points.sort()
         self._points = points
         self._owners = owners
+        self._cache: Dict[str, int] = {}
 
     def shard_for(self, object_id: str) -> int:
         """The shard index owning ``object_id`` (stable across processes)."""
-        position = _ring_hash(object_id)
-        index = bisect.bisect_right(self._points, position)
-        if index == len(self._points):  # wrap around the circle
-            index = 0
-        return self._owners[self._points[index]]
+        shard = self._cache.get(object_id)
+        if shard is None:
+            index = bisect.bisect_right(self._points, _ring_hash(object_id))
+            if index == len(self._points):  # wrap around the circle
+                index = 0
+            if len(self._cache) >= self._MAX_CACHED:
+                self._cache.clear()
+            shard = self._cache[object_id] = self._owners[self._points[index]]
+        return shard
 
     def distribution(self, object_ids: List[str]) -> Dict[int, int]:
         """Objects per shard for a sample of ids (diagnostics and tests)."""

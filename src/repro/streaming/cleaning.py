@@ -11,16 +11,23 @@ leaves streams of fewer than three fixes untouched; both rules depend on
 knowing where the stream ends, which is exactly what :meth:`finish` signals.
 The emitted sequence is bit-for-bit identical to the batch
 ``smooth(remove_outliers(points))`` on the same input (parity tested).
+
+This is the per-fix path of every online workload, so it reads floats: the
+lookahead window is kept as parallel ``x`` / ``y`` lists beside the accepted
+fixes, the speed filter works on the anchor's own coordinates, and a fix
+object is built only for a smoothed position that is emitted.
 """
 
 from __future__ import annotations
 
+import math
 import statistics
 from typing import List, Sequence
 
 from repro.core.config import CleaningConfig
 from repro.core.errors import DataQualityError
 from repro.core.points import SpatioTemporalPoint
+from repro.preprocessing.cleaning import window_median
 
 
 class StreamingGpsCleaner:
@@ -33,19 +40,27 @@ class StreamingGpsCleaner:
 
     def __init__(self, config: CleaningConfig = CleaningConfig()):
         self._config = config
-        self._half = config.smoothing_window // 2
+        self._max_speed = config.max_speed
         self._passthrough = (
             config.smoothing_window <= 1 or config.smoothing_method == "none"
         )
+        # Fixes of lookahead a smoothed position waits for (none when nothing
+        # is smoothed).
+        self._half = 0 if self._passthrough else config.smoothing_window // 2
         self._aggregate = (
-            statistics.median if config.smoothing_method == "median" else statistics.fmean
+            window_median if config.smoothing_method == "median" else statistics.fmean
         )
-        # Accepted (outlier-filtered) fixes not yet pruned; _base is the
-        # stream index of _accepted[0].  The outlier anchor is kept separately
-        # because pruning may drop the last accepted fix from the buffer.
-        self._accepted: List[SpatioTemporalPoint] = []
-        self._anchor: SpatioTemporalPoint = None  # type: ignore[assignment]
+        # Accepted (outlier-filtered) fixes not yet pruned, with their
+        # coordinates as parallel float columns; _base is the stream index of
+        # element 0.  The outlier anchor is kept separately because pruning
+        # may drop the last accepted fix from the window.
+        self._fixes: List[SpatioTemporalPoint] = []
+        self._xs: List[float] = []
+        self._ys: List[float] = []
         self._base = 0
+        self._anchor_x = 0.0
+        self._anchor_y = 0.0
+        self._anchor_t = 0.0
         self._count = 0
         self._emitted = 0
         self._finished = False
@@ -79,54 +94,60 @@ class StreamingGpsCleaner:
     # ------------------------------------------------------------- internals
     def _accept(self, point: SpatioTemporalPoint) -> bool:
         """The greedy outlier filter of :meth:`GpsCleaner.remove_outliers`."""
+        x, y, t = point.x, point.y, point.t
         if self._count > 0:
-            dt = point.t - self._anchor.t
+            dt = t - self._anchor_t
             if dt < 0:
                 raise DataQualityError("GPS stream timestamps must be non-decreasing")
             if dt == 0:
                 return False
-            if self._anchor.distance_to(point) / dt > self._config.max_speed:
+            # SpatioTemporalPoint.distance_to on the anchor's own floats.
+            dx = self._anchor_x - x
+            dy = self._anchor_y - y
+            if math.sqrt(dx * dx + dy * dy) / dt > self._max_speed:
                 return False
-        self._anchor = point
-        self._accepted.append(point)
+        self._anchor_x, self._anchor_y, self._anchor_t = x, y, t
+        self._fixes.append(point)
+        self._xs.append(x)
+        self._ys.append(y)
         self._count += 1
         return True
 
     def _drain(self, closed: bool) -> List[SpatioTemporalPoint]:
-        emitted: List[SpatioTemporalPoint] = []
+        """Emit every fix whose cleaned position is final, then prune the window."""
         n = self._count
-        while self._emitted < n:
-            index = self._emitted
-            if self._passthrough or (closed and n < 3):
-                emitted.append(self._point_at(index))
-            elif index == 0 or (closed and index == n - 1):
-                # Stream endpoints keep their original position.
-                emitted.append(self._point_at(index))
-            elif index + self._half < n or closed:
-                emitted.append(self._smoothed(index, n))
-            else:
-                break  # needs more lookahead
-            self._emitted += 1
-        self._prune()
+        half = self._half
+        base = self._base
+        fixes, xs, ys = self._fixes, self._xs, self._ys
+        aggregate = self._aggregate
+        # A smoothed position is final once its window's right edge has
+        # arrived; the end of the stream finalizes everything left.
+        bound = n if closed else n - half
+        # Unsmoothed: everything when smoothing is off or the whole stream has
+        # fewer than three fixes; otherwise the two stream endpoints, which
+        # keep their original position (the last is known only once closed).
+        raw = self._passthrough or (closed and n < 3)
+        last = n - 1 if closed else -1
+        emitted: List[SpatioTemporalPoint] = []
+        index = self._emitted
+        while index < bound:
+            fix = fixes[index - base]
+            if not (raw or index == 0 or index == last):
+                # The centred window, clipped to the stream, as buffer positions.
+                lo = index - half
+                hi = index + half + 1
+                lo = (lo if lo > 0 else 0) - base
+                hi = (hi if hi < n else n) - base
+                fix = SpatioTemporalPoint(aggregate(xs[lo:hi]), aggregate(ys[lo:hi]), fix.t)
+            emitted.append(fix)
+            index += 1
+        self._emitted = index
+        # Drop what no future smoothing window can reference.
+        drop = index - half - base
+        if drop > 0:
+            del fixes[:drop], xs[:drop], ys[:drop]
+            self._base = base + drop
         return emitted
-
-    def _smoothed(self, index: int, n: int) -> SpatioTemporalPoint:
-        lo = max(0, index - self._half)
-        hi = min(n, index + self._half + 1)
-        xs = [self._point_at(i).x for i in range(lo, hi)]
-        ys = [self._point_at(i).y for i in range(lo, hi)]
-        original = self._point_at(index)
-        return SpatioTemporalPoint(self._aggregate(xs), self._aggregate(ys), original.t)
-
-    def _point_at(self, index: int) -> SpatioTemporalPoint:
-        return self._accepted[index - self._base]
-
-    def _prune(self) -> None:
-        """Drop accepted fixes no future smoothing window can reference."""
-        keep_from = max(0, self._emitted - self._half)
-        if keep_from > self._base:
-            del self._accepted[: keep_from - self._base]
-            self._base = keep_from
 
 
 def clean_stream(

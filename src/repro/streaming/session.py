@@ -17,7 +17,6 @@ continuing.
 
 from __future__ import annotations
 
-import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -173,12 +172,9 @@ class Session:
         if self.trajectory is not None:
             identification = self._config.identification
             previous = self.trajectory.points[-1]
-            # previous.distance_to(fix), without the two Point objects.
-            dx = previous.x - fix.x
-            dy = previous.y - fix.y
             if (
                 fix.t - previous.t > identification.max_time_gap
-                or math.sqrt(dx * dx + dy * dy) > identification.max_distance_gap
+                or previous.distance_to(fix) > identification.max_distance_gap
             ):
                 if self._metrics is not None:
                     self._metrics.gap_closeouts.inc()

@@ -30,6 +30,16 @@ class TestEpisode:
         assert episode.duration == 30
         assert episode.is_move and not episode.is_stop
 
+    def test_time_accessors_index_the_trajectory_without_slicing_it(self, trajectory):
+        class NoSlice(tuple):
+            def __getitem__(self, index):
+                assert not isinstance(index, slice), "time accessors must not copy the episode"
+                return super().__getitem__(index)
+
+        trajectory._points = NoSlice(trajectory.points)
+        episode = Episode(EpisodeKind.STOP, trajectory, 3, 8)
+        assert (episode.time_in, episode.time_out, episode.duration) == (30.0, 70.0, 40.0)
+
     def test_invalid_range_raises(self, trajectory):
         with pytest.raises(DataQualityError):
             Episode(EpisodeKind.STOP, trajectory, 5, 5)

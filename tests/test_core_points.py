@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.core.errors import DataQualityError
 from repro.core.points import RawTrajectory, SpatioTemporalPoint, build_trajectory
@@ -35,6 +39,17 @@ class TestSpatioTemporalPoint:
         a = SpatioTemporalPoint(0, 0, 0)
         b = SpatioTemporalPoint(3, 4, 0)
         assert a.speed_to(b) == 0.0
+
+    @given(*[st.floats(allow_nan=False, allow_infinity=False)] * 4)
+    @example(5e-324, -5e-324, 2.2e-308, 0.0)  # subnormal differences
+    @example(1e308, -1e308, 1e308, 1e308)  # dx and dx*dx overflow
+    @example(0.0, -0.0, -0.0, 0.0)  # signed zeros
+    def test_distance_to_is_point_distance_bit_for_bit(self, ax, ay, bx, by):
+        a = SpatioTemporalPoint(ax, ay, 0.0)
+        b = SpatioTemporalPoint(bx, by, 1.0)
+        ours = a.distance_to(b)
+        theirs = a.position.distance_to(b.position)
+        assert struct.pack("<d", ours) == struct.pack("<d", theirs)
 
 
 class TestRawTrajectory:

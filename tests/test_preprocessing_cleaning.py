@@ -71,6 +71,14 @@ class TestSmoothing:
         smoothed = cleaner.smooth(points)
         assert [p.t for p in smoothed] == [p.t for p in points]
 
+    @pytest.mark.parametrize("n", [10, 50])  # scalar pass, array pass
+    def test_integer_timestamps_survive_as_the_same_objects(self, n):
+        cleaner = GpsCleaner(CleaningConfig(smoothing_window=5))
+        points = _stream(*[(i * 3.0, float(i % 4), 10_000 + i * 7) for i in range(n)])
+        smoothed = cleaner.smooth(points)
+        assert all(ours.t is theirs.t for ours, theirs in zip(smoothed, points))
+        assert all(type(point.t) is int for point in smoothed)
+
     def test_window_one_disables_smoothing(self):
         cleaner = GpsCleaner(CleaningConfig(smoothing_window=1))
         points = _stream((0, 0, 0), (10, 0, 1), (0, 0, 2))

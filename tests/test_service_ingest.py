@@ -87,6 +87,21 @@ class TestConsistentHashRing:
         # Consistent hashing moves ~1/5 of keys; modulo hashing would move ~4/5.
         assert moved < len(ids) // 2
 
+    def test_remembered_routes_equal_hashed_routes(self, monkeypatch):
+        monkeypatch.setattr(ConsistentHashRing, "_MAX_CACHED", 8)
+        ids = [f"bus-{i}" for i in range(30)]
+        cold = [ConsistentHashRing(3).shard_for(i) for i in ids]  # a fresh ring per id
+        ring = ConsistentHashRing(3)
+        # 30 ids through a cache of 8: every lookup of the first pass misses,
+        # and the cache is cleared three times on the way.
+        assert [ring.shard_for(i) for i in ids] == cold
+        assert len(ring._cache) <= 8
+        assert [ring.shard_for(i) for i in ids[-6:]] == cold[-6:]  # warm: all hits
+        assert len(ring._cache) == 6
+        assert [ring.shard_for(i) for i in ids[:3]] == cold[:3]  # the third one clears
+        assert len(ring._cache) == 1
+        assert ring.shard_for(ids[-1]) == cold[-1]  # just cleared: hashed again
+
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
             ConsistentHashRing(0)

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import CleaningConfig
 from repro.core.errors import DataQualityError
 from repro.core.points import SpatioTemporalPoint
+from repro.preprocessing import cleaning as batch_cleaning
 from repro.preprocessing.cleaning import GpsCleaner
 from repro.streaming import StreamingGpsCleaner, clean_stream
 
@@ -92,3 +97,57 @@ def test_push_after_finish_raises():
     cleaner.finish()
     with pytest.raises(DataQualityError):
         cleaner.push(SpatioTemporalPoint(1, 0, 1.0))
+
+
+# One generated step: (time advance, x, y).  The small sampled sets make
+# duplicate timestamps and exact coordinate ties common; the far-away x values
+# are over-speed fixes at every time advance on offer.
+_steps = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 1.0, 2.5, 10.0, 40.0]),
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 10.0, 10.0, 25.0, 50_000.0, -80_000.0]),
+            st.floats(-500.0, 500.0),
+        ),
+        st.one_of(st.sampled_from([0.0, 5.0, 5.0, -5.0]), st.floats(-500.0, 500.0)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    steps=_steps,
+    window=st.sampled_from([1, 3, 4, 5, 7]),
+    method=st.sampled_from(["median", "mean", "none"]),
+    vectorized=st.booleans(),
+)
+def test_streaming_clean_equals_batch_on_generated_streams(steps, window, method, vectorized):
+    config = CleaningConfig(smoothing_window=window, smoothing_method=method)
+    points = []
+    t = 100.0
+    for advance, x, y in steps:
+        t += advance
+        points.append(SpatioTemporalPoint(x, y, t))
+    # Streams this short stay on the batch cleaner's scalar passes; lifting
+    # the cut-off puts its array passes (and their clipped-window edges) under
+    # the same comparison.
+    cutoff = 0 if vectorized else batch_cleaning._VECTOR_MIN_POINTS
+    with mock.patch.object(batch_cleaning, "_VECTOR_MIN_POINTS", cutoff):
+        batch = GpsCleaner(config).clean(points)
+    lag = 0 if window == 1 or method == "none" else window // 2
+
+    cleaner = StreamingGpsCleaner(config)
+    streamed = []
+    for pushed, point in enumerate(points, start=1):
+        streamed.extend(cleaner.push(point))
+        accepted = len(GpsCleaner(config).remove_outliers(points[:pushed]))
+        assert cleaner.pending_count == min(accepted, lag)
+        assert len(streamed) == accepted - cleaner.pending_count
+    streamed.extend(cleaner.finish())
+
+    assert cleaner.pending_count == 0
+    assert cleaner.finish() == []
+    assert len(streamed) == len(batch)
+    for ours, theirs in zip(streamed, batch):
+        assert ours.x == theirs.x and ours.y == theirs.y and ours.t == theirs.t

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.core import PipelineConfig
 from repro.core.config import StreamingConfig, TrajectoryIdentificationConfig
 from repro.core.errors import DataQualityError
 from repro.core.points import SpatioTemporalPoint
+from repro.geometry.primitives import Point
 from repro.preprocessing.identification import TrajectoryIdentifier
 from repro.api import stream
 from repro.streaming import Session, SessionManager
@@ -290,3 +292,19 @@ def test_manager_counters_survive_pop_and_reacquire():
     assert update.sealed == []
     assert recreated.trajectory is not None
     assert recreated.trajectory.trajectory_id == "u9-t1"
+
+
+def test_per_fix_path_builds_no_geometry_objects():
+    """Cleaning, gap detection and the append read floats: no ``Point`` per fix."""
+    session = Session("u1", _config(), apply_cleaning=True)
+    fixes = [
+        SpatioTemporalPoint(12.0 * i + (i % 3), float(i % 5), 30.0 * i) for i in range(300)
+    ]
+
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError("a geometry Point was built on the per-fix path")
+
+    with mock.patch.object(Point, "__init__", forbidden):
+        for fix in fixes:
+            assert not session.push(fix).sealed
+    assert session.open_point_count == 299  # one fix of smoothing lookahead pending

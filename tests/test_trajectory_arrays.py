@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.arrays import GrowableArray, TrajectoryArrays
+from repro.core.arrays import TrajectoryArrays
 from repro.core.errors import DataQualityError
 from repro.core.points import RawTrajectory, SpatioTemporalPoint, build_trajectory
 
@@ -118,26 +118,3 @@ class TestRoundTrip:
         speeds = arrays.speeds
         assert speeds is arrays.speeds  # cached
         assert speeds.tolist() == [1.5] * 6  # last value repeated
-
-
-class TestGrowableArray:
-    def test_append_grows_past_initial_capacity(self):
-        buffer = GrowableArray(capacity=2)
-        for i in range(100):
-            buffer.append(float(i))
-        assert len(buffer) == 100
-        assert buffer.view().tolist() == [float(i) for i in range(100)]
-
-    def test_view_windows_and_clear(self):
-        buffer = GrowableArray()
-        buffer.extend([1.0, 2.0, 3.0, 4.0])
-        assert buffer.view(1, 3).tolist() == [2.0, 3.0]
-        with pytest.raises(IndexError):
-            buffer.view(2, 9)
-        buffer.clear()
-        assert len(buffer) == 0
-        assert buffer.view().tolist() == []
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            GrowableArray(capacity=0)
