@@ -74,9 +74,13 @@ def save_result(
     metrics: Optional[Dict[str, float]] = None,
     telemetry: Optional[Dict[str, object]] = None,
 ) -> None:
-    """Write a rendered table/series to ``results/<name>.txt`` and echo it.
+    """Echo a rendered table/series; under ``SEMITRI_BENCH_WRITE=1`` save it too.
 
-    A machine-readable ``results/<name>.json`` sidecar is always written too,
+    The sidecars hold this machine's timings, so an ordinary test run (tier-1
+    includes ``benchmarks/``) only prints and leaves the tracked ``results/``
+    files alone; the CI steps that feed ``scripts/check_bench_regression.py``
+    set the variable.  When saving, ``results/<name>.txt`` gets the text and a
+    machine-readable ``results/<name>.json`` sidecar is written beside it,
     so perf trajectories can be diffed across PRs without parsing the tables;
     benchmarks that pass structured ``data`` (numbers, series, parameters) get
     it embedded verbatim under the ``"data"`` key.  ``metrics`` is the
@@ -87,6 +91,9 @@ def save_result(
     gate explicitly ignores it.  Every sidecar also records the machine facts
     of :func:`machine_metadata` so regressions are compared like with like.
     """
+    if os.environ.get("SEMITRI_BENCH_WRITE") != "1":
+        print(f"\n{text}\n[not saved: set SEMITRI_BENCH_WRITE=1 to write results/{name}.*]")
+        return
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n", encoding="utf-8")

@@ -162,11 +162,42 @@ class RawTrajectory:
         """GPS fixes whose timestamp falls within ``[time_in, time_out]``."""
         return [point for point in self._points if time_in <= point.t <= time_out]
 
+    def __reduce__(self) -> Tuple[object, ...]:
+        """Pickle (and copy) as three coordinate columns plus the two ids.
+
+        Three lists of numbers cost a fraction of one point object per fix,
+        in bytes and in time on both sides.  The numbers travel as the Python
+        objects they are, so the copy holds exactly the points this one does.
+        A subclass comes back as a plain, closed :class:`RawTrajectory`.
+        """
+        points = self._points
+        return (
+            _trajectory_from_columns,
+            (
+                [point.x for point in points],
+                [point.y for point in points],
+                [point.t for point in points],
+                self.object_id,
+                self.trajectory_id,
+            ),
+        )
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"RawTrajectory(id={self.trajectory_id!r}, object={self.object_id!r}, "
             f"points={len(self._points)}, duration={self.duration:.0f}s)"
         )
+
+
+def _trajectory_from_columns(
+    xs: List[float], ys: List[float], ts: List[float], object_id: str, trajectory_id: str
+) -> RawTrajectory:
+    """Rebuild what :meth:`RawTrajectory.__reduce__` took apart (already validated)."""
+    trajectory = RawTrajectory.__new__(RawTrajectory)
+    trajectory._points = tuple(map(SpatioTemporalPoint, xs, ys, ts))
+    trajectory.object_id = object_id
+    trajectory.trajectory_id = trajectory_id
+    return trajectory
 
 
 def build_trajectory(

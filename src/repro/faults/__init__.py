@@ -1,6 +1,6 @@
 """Fault tolerance: deterministic injection, failure policy plumbing, WAL.
 
-Three modules, one per concern:
+Four modules, one per concern:
 
 * :mod:`repro.faults.inject` — seeded, declarative fault plans and the
   injector executors consult (``SEMITRI_FAULTS`` env knob);
@@ -8,7 +8,9 @@ Three modules, one per concern:
   dead-letter quarantine's input type, and the run-scoped failure log that
   reconciles counters, metrics and the store;
 * :mod:`repro.faults.journal` — the service's crash-safe per-shard ingest
-  WAL with epoch rotation and origin-id dedup.
+  WAL with epoch rotation and origin-id dedup;
+* :mod:`repro.faults.wire` — the binary record codec the WAL's files and the
+  process transport's frames are both written in.
 """
 
 from repro.faults.failures import (

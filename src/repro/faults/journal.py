@@ -1,13 +1,21 @@
 """Crash-safe ingest journal: a per-shard write-ahead log for the service.
 
 The service appends every accepted event/close to the journal *before*
-enqueueing it, in JSON-line records fsync'd in batches.  If the process dies
-before drain commits, the next service pointed at the same directory finds
-the orphaned files, replays their records through the normal ingest path, and
-discards them.  A successful drain rotates (deletes) the journal — at that
-point the store holds everything durably.
+enqueueing it, as binary records (:mod:`repro.faults.wire`) fsync'd in
+batches.  If the process dies before drain commits, the next service pointed
+at the same directory finds the orphaned files, replays their records through
+the normal ingest path, and discards them.  A successful drain rotates
+(empties) the journal — at that point the store holds everything durably.
 
-Records carry a stable ``origin`` identity (``e<epoch>:<shard>:<seq>``).
+A WAL file is an 8-byte header (magic + format version) followed by one
+record stream; a torn tail — whatever a crash left of the last append — is
+dropped on reading.  A file that does not start with this version's header
+(the JSON-lines journal of an earlier release, say) is **refused**: opening
+the journal raises a :class:`~repro.core.errors.ServiceError` naming it and
+leaves it on disk.  Journals do not survive an upgrade; drain with the
+version that wrote them first.
+
+Records carry a stable ``origin`` identity ``(epoch, shard, seq)``.
 Replayed records are re-journaled *with their original origin*, so a crash in
 the middle of replay dedups on the next recovery instead of duplicating
 events.  Idempotency against the store itself comes from committed-trajectory
@@ -16,21 +24,23 @@ dedup at drain time (see ``AnnotationService._commit_results``).
 
 from __future__ import annotations
 
-import json
-import math
 import os
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Dict, IO, List, Optional, Tuple
+from typing import BinaryIO, Dict, List, Optional, Tuple
 
 from repro.core.errors import ServiceError
 from repro.core.points import SpatioTemporalPoint
+from repro.faults.wire import CLOSE, EVENT, KIND_CODES, KIND_NAMES, RecordDecoder, RecordEncoder
 
-__all__ = ["JournalRecord", "IngestJournal", "ObjectIdEncoder", "encode_point_fast"]
+__all__ = ["JournalRecord", "IngestJournal"]
 
 _FILE_PATTERN = re.compile(r"^shard-(\d+)\.e(\d+)\.wal$")
-_ORIGIN_PATTERN = re.compile(r"^e(\d+):(\d+):(\d+)$")
+
+#: First bytes of every WAL file: magic, then the format version.
+_HEADER = b"SMTRWAL\x01"
 
 # Data-only durability is exactly what an append-only WAL needs: fdatasync
 # skips the metadata-only flush (mtime etc.) and is measurably cheaper on
@@ -38,55 +48,11 @@ _ORIGIN_PATTERN = re.compile(r"^e(\d+):(\d+):(\d+)$")
 _sync_file = getattr(os, "fdatasync", os.fsync)
 
 
-class ObjectIdEncoder:
-    """JSON-encodes object ids with a bounded cache.
-
-    The hot append path runs once per event and ``json.dumps`` dominates its
-    cost otherwise; emitters reuse a small set of ids, so a per-emitter cache
-    pays for itself immediately.  Shared by the journal's fast path and the
-    process transport's IPC frame encoder (same wire discipline, same cache
-    bound).
-    """
-
-    _MAX_CACHED = 4096
-
-    def __init__(self) -> None:
-        self._cache: Dict[str, str] = {}
-
-    def encode(self, object_id: str) -> str:
-        encoded = self._cache.get(object_id)
-        if encoded is None:
-            if len(self._cache) >= self._MAX_CACHED:
-                self._cache.clear()
-            encoded = self._cache[object_id] = json.dumps(object_id)
-        return encoded
-
-
-def encode_point_fast(x: float, y: float, t: float) -> Optional[str]:
-    """``"{x},{y},{t}"`` as valid JSON when the fast path applies, else ``None``.
-
-    The fast path holds for builtin finite floats: ``json`` encodes those with
-    ``float.__repr__``, so string formatting is byte-identical to
-    ``json.dumps`` at a fraction of the cost.  Non-float numerics (numpy
-    scalars) and non-finite values fall back to the caller's full encoder.
-    """
-    if (
-        type(x) is float
-        and type(y) is float
-        and type(t) is float
-        and math.isfinite(x)
-        and math.isfinite(y)
-        and math.isfinite(t)
-    ):
-        return f"{x!r},{y!r},{t!r}"
-    return None
-
-
 @dataclass(frozen=True)
 class JournalRecord:
     """One journaled ingest operation, identified by its ``origin``."""
 
-    origin: str
+    origin: Tuple[int, int, int]  # (epoch, shard, seq); sorts in append order
     kind: str  # "event" or "close"
     object_id: str
     x: float = 0.0
@@ -96,43 +62,36 @@ class JournalRecord:
     def point(self) -> SpatioTemporalPoint:
         return SpatioTemporalPoint(x=self.x, y=self.y, t=self.t)
 
-    def to_line(self) -> str:
-        if self.kind == "event":
-            payload = [self.origin, self.kind, self.object_id, self.x, self.y, self.t]
-        else:
-            payload = [self.origin, self.kind, self.object_id]
-        return json.dumps(payload, separators=(",", ":"))
 
-    @classmethod
-    def from_line(cls, line: str) -> Optional["JournalRecord"]:
-        """Parse one journal line; ``None`` for a torn/partial final line."""
-        try:
-            payload = json.loads(line)
-        except json.JSONDecodeError:
-            return None
-        if not isinstance(payload, list) or len(payload) < 3:
-            return None
-        origin, kind, object_id = payload[0], payload[1], payload[2]
-        if kind == "event":
-            if len(payload) != 6:
-                return None
-            return cls(
-                origin=origin,
-                kind=kind,
-                object_id=str(object_id),
-                x=float(payload[3]),
-                y=float(payload[4]),
-                t=float(payload[5]),
-            )
-        if kind == "close" and len(payload) == 3:
-            return cls(origin=origin, kind=kind, object_id=str(object_id))
-        return None
+def _read_records(path: Path) -> List[JournalRecord]:
+    """The records of one WAL file, up to its torn tail.
 
-    def sort_key(self) -> Tuple[int, int, int]:
-        match = _ORIGIN_PATTERN.match(self.origin)
-        if match is None:
-            return (0, 0, 0)
-        return (int(match.group(1)), int(match.group(2)), int(match.group(3)))
+    Raises :class:`ServiceError` for a file this version did not write; a
+    header cut short by a crash is an empty journal.
+    """
+    data = path.read_bytes()
+    if not data.startswith(_HEADER):
+        if _HEADER.startswith(data):
+            return []
+        found = (
+            "the JSON-lines journal of an earlier release"
+            if data[:1] == b"["
+            else f"an unknown header {data[: len(_HEADER)]!r}"
+        )
+        raise ServiceError(
+            f"{path} is not a version-{_HEADER[-1]} binary WAL ({found}); journals do not "
+            "survive an upgrade: drain it with the version that wrote it, or move it away — "
+            "it was left untouched"
+        )
+    records: List[JournalRecord] = []
+    operations = RecordDecoder().operations(data, len(_HEADER))
+    for kind, object_id, x, y, t, epoch, shard, seq in operations:
+        if kind != EVENT and kind != CLOSE:
+            break  # nothing else is ever journaled: torn
+        records.append(
+            JournalRecord((epoch, shard, seq), KIND_NAMES[kind], str(object_id), x, y, t)
+        )
+    return records
 
 
 class IngestJournal:
@@ -143,7 +102,7 @@ class IngestJournal:
     :attr:`pending_records`; the new epoch's own files are created alongside.
     After the owner has replayed and re-journaled the pending records it calls
     :meth:`discard_recovered` to remove the old files.  :meth:`rotate` after a
-    successful drain deletes the current epoch's files too — the journal is
+    successful drain empties the current epoch's files too — the journal is
     only ever non-empty between an append and the next durable commit.
     """
 
@@ -158,6 +117,7 @@ class IngestJournal:
         self._fsync_batch = fsync_batch
         self._closed = False
 
+        # Before any file of this epoch exists: a refused file raises here.
         recovered = self._scan_existing()
         self._recovered_files = [path for path, _ in recovered]
         self.pending_records = self._dedup(
@@ -170,95 +130,89 @@ class IngestJournal:
         ]
         self._epoch = (max(epochs) + 1) if epochs else 1
 
-        self._files: List[IO[str]] = []
-        self._paths: List[Path] = []
+        self._paths = [
+            self._directory / f"shard-{shard}.e{self._epoch}.wal" for shard in range(shards)
+        ]
+        self._files = [self._create(path) for path in self._paths]
+        # One id table per file: a reader rebuilds it from that file alone.
+        self._encoders = [RecordEncoder() for _ in self._paths]
         self._sequences = [0] * shards
-        self._unsynced = [0] * shards
-        for shard in range(shards):
-            path = self._directory / f"shard-{shard}.e{self._epoch}.wal"
-            self._paths.append(path)
-            self._files.append(path.open("a", encoding="utf-8"))
-        self.appended = 0
-        # JSON-encoded object ids, cached per emitter: the hot append path
-        # runs once per event and json.dumps dominates its cost otherwise.
-        self._encoder = ObjectIdEncoder()
+        #: Records in each shard's current file, re-journaled ones included.
+        self._written = [0] * shards
+        #: How many of them the last fsync covered.
+        self._synced = [0] * shards
+
+    @staticmethod
+    def _create(path: Path) -> BinaryIO:
+        handle = path.open("wb")
+        handle.write(_HEADER)
+        return handle
 
     # ------------------------------------------------------------------ scan
     def _scan_existing(self) -> List[Tuple[Path, List[JournalRecord]]]:
-        found: List[Tuple[Path, List[JournalRecord]]] = []
-        for path in sorted(self._directory.glob("shard-*.wal")):
-            if _FILE_PATTERN.match(path.name) is None:
-                continue
-            records: List[JournalRecord] = []
-            with path.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    record = JournalRecord.from_line(line)
-                    if record is not None:
-                        records.append(record)
-            found.append((path, records))
-        return found
+        return [
+            (path, _read_records(path))
+            for path in sorted(self._directory.glob("shard-*.wal"))
+            if _FILE_PATTERN.match(path.name) is not None
+        ]
 
     @staticmethod
     def _dedup(records: List[JournalRecord]) -> List[JournalRecord]:
-        seen: Dict[str, JournalRecord] = {}
+        seen: Dict[Tuple[int, int, int], JournalRecord] = {}
         for record in records:
             # Keep-first: a replayed record re-journaled under its original
             # origin must not double-count against the original.
             seen.setdefault(record.origin, record)
-        return sorted(seen.values(), key=JournalRecord.sort_key)
+        return sorted(seen.values(), key=attrgetter("origin"))
 
     # ---------------------------------------------------------------- append
-    def _write_line(self, shard: int, line: str) -> None:
+    def _append(
+        self,
+        shard: int,
+        kind: int,
+        object_id: str,
+        x: float = 0.0,
+        y: float = 0.0,
+        t: float = 0.0,
+        origin: Optional[Tuple[int, int, int]] = None,
+    ) -> Tuple[int, int, int]:
+        """Write one record under ``origin`` (default: this shard's next)."""
         if self._closed:
             raise ServiceError("journal is closed")
+        if origin is None:
+            self._sequences[shard] += 1
+            origin = (self._epoch, shard, self._sequences[shard])
+        epoch, origin_shard, seq = origin
         handle = self._files[shard]
-        handle.write(line + "\n")
-        self.appended += 1
-        self._unsynced[shard] += 1
-        if self._unsynced[shard] >= self._fsync_batch:
-            handle.flush()
-            _sync_file(handle.fileno())
-            self._unsynced[shard] = 0
-
-    def _append(self, shard: int, record: JournalRecord) -> None:
-        self._write_line(shard, record.to_line())
-
-    def _next_origin(self, shard: int) -> str:
-        self._sequences[shard] += 1
-        return f"e{self._epoch}:{shard}:{self._sequences[shard]}"
-
-    def append_event(self, shard: int, object_id: str, point: SpatioTemporalPoint) -> str:
-        """Journal one accepted event; returns its origin id."""
-        origin = self._next_origin(shard)
-        x, y, t = point.x, point.y, point.t
-        fields = encode_point_fast(x, y, t)
-        if fields is not None:
-            # Fast path, byte-identical to JournalRecord.to_line(): origins
-            # only hold [e0-9:] characters and json encodes finite floats with
-            # float.__repr__, so only the object id needs real JSON encoding.
-            encoded = self._encoder.encode(object_id)
-            self._write_line(shard, f'["{origin}","event",{encoded},{fields}]')
-        else:
-            self._append(
-                shard,
-                JournalRecord(
-                    origin=origin, kind="event", object_id=object_id, x=x, y=y, t=t
-                ),
-            )
+        handle.write(
+            self._encoders[shard].pack(kind, object_id, x, y, t, epoch, origin_shard, seq)
+        )
+        written = self._written[shard] = self._written[shard] + 1
+        if written - self._synced[shard] >= self._fsync_batch:
+            self._sync_shard(shard)
         return origin
 
-    def append_close(self, shard: int, object_id: str) -> str:
-        """Journal one explicit object close; returns its origin id."""
-        origin = self._next_origin(shard)
-        self._append(shard, JournalRecord(origin=origin, kind="close", object_id=object_id))
-        return origin
+    def append_event(
+        self, shard: int, object_id: str, point: SpatioTemporalPoint
+    ) -> Tuple[int, int, int]:
+        """Journal one accepted event; returns its origin."""
+        return self._append(shard, EVENT, object_id, point.x, point.y, point.t)
+
+    def append_close(self, shard: int, object_id: str) -> Tuple[int, int, int]:
+        """Journal one explicit object close; returns its origin."""
+        return self._append(shard, CLOSE, object_id)
 
     def append_replayed(self, shard: int, record: JournalRecord) -> None:
         """Re-journal a recovered record, preserving its original origin."""
-        self._append(shard, record)
+        self._append(
+            shard,
+            KIND_CODES[record.kind],
+            record.object_id,
+            record.x,
+            record.y,
+            record.t,
+            record.origin,
+        )
 
     def records_for_shard(self, shard: int) -> List[JournalRecord]:
         """The current epoch's surviving records for one shard, in append order.
@@ -272,29 +226,23 @@ class IngestJournal:
         """
         if self._closed:
             raise ServiceError("journal is closed")
-        handle = self._files[shard]
-        handle.flush()
-        records: List[JournalRecord] = []
-        with self._paths[shard].open("r", encoding="utf-8") as reader:
-            for line in reader:
-                line = line.strip()
-                if not line:
-                    continue
-                record = JournalRecord.from_line(line)
-                if record is not None:
-                    records.append(record)
-        return self._dedup(records)
+        self._files[shard].flush()
+        return self._dedup(_read_records(self._paths[shard]))
 
     # ------------------------------------------------------------ durability
     def sync(self) -> None:
         """Flush and fsync every shard file with unsynced appends."""
         if self._closed:
             return
-        for shard, handle in enumerate(self._files):
-            if self._unsynced[shard]:
-                handle.flush()
-                _sync_file(handle.fileno())
-                self._unsynced[shard] = 0
+        for shard in range(self._shards):
+            if self._written[shard] != self._synced[shard]:
+                self._sync_shard(shard)
+
+    def _sync_shard(self, shard: int) -> None:
+        handle = self._files[shard]
+        handle.flush()
+        _sync_file(handle.fileno())
+        self._synced[shard] = self._written[shard]
 
     def discard_recovered(self) -> None:
         """Delete the previous epoch's files (after replay is re-journaled)."""
@@ -303,15 +251,16 @@ class IngestJournal:
         self._recovered_files = []
 
     def rotate(self) -> None:
-        """Drop the current epoch's files — the store now holds everything."""
+        """Empty the current epoch's files — the store now holds everything."""
         if self._closed:
             return
         for shard, handle in enumerate(self._files):
             handle.close()
-            self._paths[shard].unlink(missing_ok=True)
-            self._files[shard] = self._paths[shard].open("a", encoding="utf-8")
+            self._files[shard] = self._create(self._paths[shard])
+            self._encoders[shard] = RecordEncoder()
             self._sequences[shard] = 0
-            self._unsynced[shard] = 0
+            self._written[shard] = 0
+            self._synced[shard] = 0
 
     def close(self) -> None:
         if self._closed:
@@ -319,9 +268,10 @@ class IngestJournal:
         self.sync()
         for shard, handle in enumerate(self._files):
             handle.close()
-            # An empty file carries no recovery information; leaving it would
-            # only grow the next scan.
-            if self._sequences[shard] == 0:
+            # A header-only file carries no recovery information; leaving it
+            # would only grow the next scan.  Anything with a record in it —
+            # re-journaled ones count — stays for the next recovery.
+            if self._written[shard] == 0:
                 self._paths[shard].unlink(missing_ok=True)
         self._closed = True
 

@@ -21,7 +21,6 @@ import hashlib
 from typing import Dict, List
 
 from repro.core.errors import ConfigurationError
-from repro.faults.journal import ObjectIdEncoder
 
 __all__ = ["ConsistentHashRing"]
 
@@ -36,11 +35,10 @@ class ConsistentHashRing:
 
     Emitters reuse a small set of ids and the ring never changes after
     construction, so :meth:`shard_for` remembers its answers in a bounded
-    dict (cleared when full, like :class:`ObjectIdEncoder`) and hashes an id
-    only the first time it is seen.
+    dict (cleared when full) and hashes an id only the first time it is seen.
     """
 
-    _MAX_CACHED = ObjectIdEncoder._MAX_CACHED
+    _MAX_CACHED = 4096
 
     def __init__(self, shard_count: int, replicas: int = 64):
         if shard_count < 1:

@@ -12,10 +12,10 @@ an in-process shard, and everything transport-specific lives here.
 Wire discipline, chosen for amortized IPC on the hot path:
 
 * **parent → worker** — batched frames over a ``multiprocessing`` pipe, one
-  ``send_bytes`` per micro-batch.  A frame is newline-joined JSON lines using
-  the WAL's fast-path encoder (cached object-id encoding, ``repr``-formatted
-  finite floats): ``["e",id,x,y,t]`` events, ``["c",id]`` closes, ``["v",n]``
-  evictions, plus the ``["drain"]``/``["stop"]`` control frames;
+  ``send_bytes`` per micro-batch.  A frame is a run of the WAL's binary
+  records (:mod:`repro.faults.wire`: one fixed-width record per event, close
+  or eviction, object ids interned per connection and defined in-band on
+  first use), plus the one-record drain/stop control frames;
 * **worker → parent** — the core's acks, pickled, on a second pipe, one per
   frame and in frame order; at most :attr:`ProcessShard.max_inflight` frames
   are un-acked at a time, and a reader task per shard folds acks into the
@@ -40,7 +40,6 @@ timeout and exits once ``os.getppid()`` is no longer the spawning pid.
 from __future__ import annotations
 
 import asyncio
-import json
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -64,9 +63,10 @@ from typing import (
 from repro.core.errors import SemitriError, ServiceError
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
 from repro.engine.executors import _pool_mp_context
+from repro.faults import wire
 from repro.faults.failures import FailureEvent, TrajectoryFailure
 from repro.faults.inject import FaultInjector, FaultPlan
-from repro.faults.journal import JournalRecord, ObjectIdEncoder, encode_point_fast
+from repro.faults.journal import JournalRecord
 from repro.parallel.context import GeoContext
 from repro.parallel.shared import (
     SharedContextSpec,
@@ -78,7 +78,7 @@ from repro.parallel.shared import (
 # ``shard.ShardCore`` is looked up at call time so a test can substitute the
 # core once for both transports (forked workers inherit the substitution).
 from repro.service import shard
-from repro.service.shard import CLOSE, EVENT, EVICT, Ack, Shard, op_for
+from repro.service.shard import EVENT, EVICT, Ack, Shard, op_for
 
 if TYPE_CHECKING:
     from repro.service.service import AnnotationService
@@ -93,10 +93,6 @@ __all__ = [
     "STOP_FRAME",
 ]
 
-#: Control frames (single-line, no payload).
-DRAIN_FRAME = b'["drain"]'
-STOP_FRAME = b'["stop"]'
-
 #: One decoded frame item: (kind, object id or eviction target, point or None).
 FrameOp = Tuple[str, object, Optional[SpatioTemporalPoint]]
 
@@ -110,70 +106,60 @@ Payload = Union[SharedContextSpec, GeoContext]
 class FrameEncoder:
     """Encodes service queue items into one batched IPC frame.
 
-    Reuses the WAL's fast-path discipline: object ids are JSON-encoded once
-    and cached (:class:`~repro.faults.journal.ObjectIdEncoder`), finite float
-    triples format via ``repr`` (byte-identical to ``json.dumps``), and the
-    rare non-finite/non-float point falls back to a full ``json.dumps``.
+    One encoder per worker connection: it holds the connection's id table
+    (:class:`~repro.faults.wire.RecordEncoder`), so a respawned worker gets a
+    fresh encoder and with it every definition again.
     """
 
     def __init__(self) -> None:
-        self._ids = ObjectIdEncoder()
+        self._records = wire.RecordEncoder()
 
-    def encode_batch(
-        self, items: Iterable[Sequence[object]]
-    ) -> bytes:
+    def encode_batch(self, items: Iterable[Sequence[object]]) -> bytes:
         """One frame for ``items`` shaped ``(kind, id_or_target, point, ...)``.
 
         ``kind`` is the service's queue-item kind (``"event"``, ``"close"``
-        or ``"evict"``); anything else (the stop sentinel) must be filtered
-        by the caller.
+        or ``"evict"``, the target of the last being the open-session
+        budget); anything else (the stop sentinel) must be filtered by the
+        caller.
         """
-        lines: List[str] = []
+        pack, codes, event = self._records.pack, wire.KIND_CODES, wire.EVENT
+        chunks: List[bytes] = []
         for item in items:
-            kind, target, point = item[0], item[1], item[2]
-            if kind == EVENT:
-                assert point is not None
-                fields = encode_point_fast(point.x, point.y, point.t)
-                if fields is not None:
-                    lines.append(f'["e",{self._ids.encode(str(target))},{fields}]')
-                else:
-                    lines.append(
-                        json.dumps(
-                            ["e", str(target), point.x, point.y, point.t],
-                            separators=(",", ":"),
-                        )
-                    )
-            elif kind == CLOSE:
-                lines.append(f'["c",{self._ids.encode(str(target))}]')
-            else:  # evict: target carries the open-session budget
-                lines.append(f'["v",{int(target)}]')  # type: ignore[call-overload]
-        return "\n".join(lines).encode("utf-8")
+            point = item[2]
+            if point is None:
+                chunks.append(pack(codes[item[0]], item[1]))  # type: ignore[index]
+            else:  # only events carry a point
+                chunks.append(pack(event, item[1], point.x, point.y, point.t))  # type: ignore[attr-defined]
+        return b"".join(chunks)
+
+
+#: Control frames: one record, no payload.
+DRAIN_FRAME = wire.RecordEncoder().pack(wire.DRAIN)
+STOP_FRAME = wire.RecordEncoder().pack(wire.STOP)
+
+# The id table of the frames this process reads.  A process reads one frame
+# stream at a time — a worker its request pipe — and a stream's first
+# definition restarts the table, so whatever a forked worker inherits here is
+# forgotten on its first frame.
+_incoming = wire.RecordDecoder()
 
 
 def decode_frame(data: bytes) -> List[FrameOp]:
-    """Parse one batched frame back into the operations the core absorbs."""
-    ops: List[FrameOp] = []
-    for line in data.decode("utf-8").split("\n"):
-        if not line:
-            continue
-        payload = json.loads(line)
-        tag = payload[0]
-        if tag == "e":
-            ops.append(
-                (
-                    EVENT,
-                    payload[1],
-                    SpatioTemporalPoint(
-                        x=float(payload[2]), y=float(payload[3]), t=float(payload[4])
-                    ),
-                )
-            )
-        elif tag == "c":
-            ops.append((CLOSE, payload[1], None))
-        elif tag == "v":
-            ops.append((EVICT, int(payload[1]), None))
-        else:  # "drain" / "stop" control frames are single-line
-            ops.append((tag, None, None))
+    """Parse one batched frame back into the operations the core absorbs.
+
+    A frame arrives whole or not at all, so one that does not decode to its
+    last byte is a protocol error: raising ends the worker, and the parent
+    recovers the shard from the journal instead of losing operations quietly.
+    """
+    names, event = wire.KIND_NAMES, wire.EVENT
+    ops: List[FrameOp] = [
+        (EVENT, target, SpatioTemporalPoint(x, y, t))
+        if kind == event
+        else (names[kind], target, None)
+        for kind, target, x, y, t, _, _, _ in _incoming.operations(data)
+    ]
+    if _incoming.torn:
+        raise ServiceError(f"undecodable frame: {len(ops)} operations read of {len(data)} bytes")
     return ops
 
 
@@ -306,6 +292,8 @@ class ProcessShard(Shard):
     def _spawn(self) -> None:
         """Start (or restart) the worker process on fresh pipes."""
         self._close_connections()
+        # A fresh worker knows no object id: the frames to it define them anew.
+        self._encoder = FrameEncoder()
         request_rx, self._requests = self._mp_ctx.Pipe(duplex=False)
         self._responses, response_tx = self._mp_ctx.Pipe(duplex=False)
         host = self.host

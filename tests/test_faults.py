@@ -645,6 +645,61 @@ class TestServiceFaults:
             run_with("fail_fast")
 
 
+    def test_commit_fault_after_a_recovery_start_keeps_the_wal(
+        self, annotation_sources, car_dataset, tmp_path
+    ):
+        """Drain fails, the next service recovers and fails its drain too:
+        ``shutdown`` promises the WAL stays, so a third service still replays
+        every record and commits what an undisturbed run commits."""
+        streams = dict(sorted(_streams(car_dataset).items())[:3])
+        operations = sum(len(points) for points in streams.values()) + len(streams)
+        config = _service_config(
+            **{
+                "service.journal_dir": str(tmp_path / "wal"),
+                "service.journal_fsync_batch": 1,
+                "service.transport": "thread",
+            }
+        )
+
+        def service(store, faulty: bool) -> AnnotationService:
+            plan = FaultPlan.parse("commit:times=-1" if faulty else "")
+            return AnnotationService(
+                annotation_sources,
+                config=config,
+                store=store,
+                persist=True,
+                fault_injector=FaultInjector(plan),
+            )
+
+        with pytest.raises(InjectedFault):
+            _feed_and_drain(service(SemanticTrajectoryStore(), faulty=True), streams)
+        second = service(SemanticTrajectoryStore(), faulty=True)
+        with pytest.raises(InjectedFault):
+            _feed_and_drain(second, {})  # start() replays, the commit fails again
+        assert second.stats.wal_replayed == operations
+
+        store = SemanticTrajectoryStore()
+        third = service(store, faulty=False)
+        _feed_and_drain(third, {})
+        assert third.stats.wal_replayed == operations
+        assert third.dropped_events == 0
+        assert list((tmp_path / "wal").iterdir()) == []  # drained: rotated and removed
+
+        reference_store = SemanticTrajectoryStore()
+        reference = AnnotationService(
+            annotation_sources,
+            config=config.with_overrides({"service.journal_dir": ""}),
+            store=reference_store,
+            persist=True,
+        )
+        _feed_and_drain(reference, streams)
+        assert store.trajectory_ids() == reference_store.trajectory_ids() != []
+        assert store.stop_move_summary() == reference_store.stop_move_summary()
+        assert store.annotation_count() == reference_store.annotation_count()
+        store.close()
+        reference_store.close()
+
+
 # ------------------------------------------------------------- ingest journal
 class TestIngestJournal:
     def test_append_scan_roundtrip_and_rotation(self, tmp_path):
@@ -656,7 +711,7 @@ class TestIngestJournal:
         origin = journal.append_event(0, "car-1", SpatioTemporalPoint(1.0, 2.0, 3.0))
         journal.append_event(1, "car-2", SpatioTemporalPoint(4.0, 5.0, 6.0))
         journal.append_close(0, "car-1")
-        assert origin == f"e{journal.epoch}:0:1"
+        assert origin == (journal.epoch, 0, 1)
         journal.close()
 
         recovered = IngestJournal(directory, shards=2, fsync_batch=1)
@@ -673,18 +728,19 @@ class TestIngestJournal:
         recovered.close()
         assert IngestJournal(directory, shards=2).pending_records == []
 
-    def test_torn_final_line_is_dropped_not_fatal(self, tmp_path):
+    def test_torn_final_record_is_dropped_not_fatal(self, tmp_path):
         from repro.core.points import SpatioTemporalPoint
 
         directory = tmp_path / "wal"
         journal = IngestJournal(str(directory), shards=1, fsync_batch=1)
         journal.append_event(0, "car-1", SpatioTemporalPoint(1.0, 2.0, 3.0))
+        journal.append_event(0, "car-1", SpatioTemporalPoint(4.0, 5.0, 6.0))
         journal.close()
         [path] = list(directory.glob("shard-*.wal"))
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write('["e1:0:2","event","car-1",4.0')  # crash mid-write
+        data = path.read_bytes()
+        path.write_bytes(data[:-17])  # crash mid-write of the second record
         recovered = IngestJournal(str(directory), shards=1)
-        assert len(recovered.pending_records) == 1
+        assert [r.point().as_tuple() for r in recovered.pending_records] == [(1.0, 2.0, 3.0)]
         recovered.close()
 
     def test_replayed_records_dedup_keep_first(self, tmp_path):
@@ -705,10 +761,39 @@ class TestIngestJournal:
         assert third.pending_records[0].origin == record.origin
         third.close()
 
-    def test_journal_record_line_roundtrip(self):
-        event = JournalRecord(origin="e1:0:1", kind="event", object_id="x", x=1, y=2, t=3)
-        close = JournalRecord(origin="e1:0:2", kind="close", object_id="x")
-        assert JournalRecord.from_line(event.to_line()) == event
-        assert JournalRecord.from_line(close.to_line()) == close
-        assert JournalRecord.from_line("not json") is None
-        assert JournalRecord.from_line('["e1:0:3","event","x"]') is None  # wrong arity
+    def test_close_keeps_a_file_that_holds_only_rejournaled_records(self, tmp_path):
+        """Crash, recovery (records re-journaled, old epoch discarded), then a
+        close with no append of the new epoch's own: the file is the only
+        copy of the replayed records and must stay."""
+        from repro.core.points import SpatioTemporalPoint
+
+        directory = tmp_path / "wal"
+        first = IngestJournal(str(directory), shards=1, fsync_batch=1)
+        for n in range(5):
+            first.append_event(0, "car-1", SpatioTemporalPoint(float(n), 0.0, float(n)))
+        first.close()  # crashed before any drain
+        second = IngestJournal(str(directory), shards=1, fsync_batch=1)
+        for record in second.pending_records:
+            second.append_replayed(0, record)
+        second.sync()
+        second.discard_recovered()
+        second.close()  # failed drain, then shutdown
+        assert [path.name for path in directory.iterdir()] == ["shard-0.e2.wal"]
+        third = IngestJournal(str(directory), shards=1)
+        assert [r.origin for r in third.pending_records] == [(1, 0, n) for n in range(1, 6)]
+        third.discard_recovered()
+        third.close()  # header-only files still go
+        assert list(directory.iterdir()) == []
+
+    def test_journal_record_codec_roundtrip(self, tmp_path):
+        """Re-journaled records come back equal, origin included, with their
+        numbers coerced to float64 as ``float()`` would."""
+        event = JournalRecord(origin=(1, 0, 1), kind="event", object_id="x", x=1, y=2, t=3)
+        close = JournalRecord(origin=(1, 0, 2), kind="close", object_id="x")
+        journal = IngestJournal(str(tmp_path), shards=1)
+        journal.append_replayed(0, event)
+        journal.append_replayed(0, close)
+        records = journal.records_for_shard(0)
+        journal.close()
+        assert records == [event, close]
+        assert all(type(value) is float for value in (records[0].x, records[0].y, records[0].t))

@@ -142,7 +142,11 @@ def test_pooled_results_hang_off_the_callers_trajectories(annotation_sources, ca
     outputs = executors._run_in_process(plan, items, include_writeback=False)
     buffer = io.BytesIO()
     executors._OutcomePickler(buffer, items).dump(outputs)
-    assert len(buffer.getvalue()) < len(pickle.dumps(outputs, pickle.HIGHEST_PROTOCOL)) / 2
+    # (By value a trajectory pickles as three float columns, 8 bytes a number
+    # plus its opcode, so that is what leaving them out must save.)
+    coordinates = 3 * sum(len(trajectory) for trajectory in batch)
+    by_value = pickle.dumps(outputs, pickle.HIGHEST_PROTOCOL)
+    assert len(buffer.getvalue()) < len(by_value) - 8 * coordinates
     reloaded = executors._OutcomeUnpickler(buffer.getvalue(), items).load()
     assert canonical_bytes([out for _, out in reloaded]) == canonical_bytes(results)
     # On the way out the coordinates travel as the numbers they are: integer
