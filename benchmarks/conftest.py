@@ -67,6 +67,16 @@ def machine_metadata() -> Dict[str, object]:
     }
 
 
+def bench_gate_run() -> bool:
+    """Whether this is a bench-gate run (``SEMITRI_BENCH_WRITE=1``).
+
+    Only then are sidecars written and timing thresholds asserted; an ordinary
+    test run (tier-1 includes ``benchmarks/``) prints its numbers and asserts
+    behaviour only.
+    """
+    return os.environ.get("SEMITRI_BENCH_WRITE") == "1"
+
+
 def save_result(
     name: str,
     text: str,
@@ -91,7 +101,7 @@ def save_result(
     gate explicitly ignores it.  Every sidecar also records the machine facts
     of :func:`machine_metadata` so regressions are compared like with like.
     """
-    if os.environ.get("SEMITRI_BENCH_WRITE") != "1":
+    if not bench_gate_run():
         print(f"\n{text}\n[not saved: set SEMITRI_BENCH_WRITE=1 to write results/{name}.*]")
         return
     RESULTS_DIR.mkdir(exist_ok=True)

@@ -23,6 +23,12 @@ sidecar records the affinity-aware effective core count next to every number
 and the assertion arms only with >= 2 effective cores (>1.5x target at
 >= ``WORKERS`` cores, >1.1x at 2-3).  A 1-core runner records an honest <1x
 pool number instead of a silently-passed gate.
+
+It is a timing assertion, so it also arms only under ``SEMITRI_BENCH_WRITE=1``
+— the bench-gate environment, which CI's "Multi-core scaling gate" step sets.
+An ordinary test run (tier-1 includes ``benchmarks/``) asserts the
+byte-for-byte output equality and prints the ratio: four tier-1 runs of one
+commit on a shared 2-vCPU box read 1.09x, 1.22x, 1.31x and 1.32x.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import statistics
 import time
 from typing import Callable, Dict, List
 
-from benchmarks.conftest import save_result
+from benchmarks.conftest import bench_gate_run, save_result
 from repro import api
 from repro.analytics.reporting import render_table
 from repro.core import PipelineConfig
@@ -140,7 +146,13 @@ def test_parallel_scaling(benchmark, world, annotation_sources, monkeypatch):
     for mode, results in outputs.items():
         assert canonical_bytes(results) == reference_bytes, f"{mode} output diverged"
 
-    gate_armed = effective >= 2
+    gate_armed = effective >= 2 and bench_gate_run()
+    if gate_armed:
+        gate_reason = f"{effective} effective core(s) >= 2"
+    elif effective >= 2:
+        gate_reason = "not a bench-gate run (SEMITRI_BENCH_WRITE unset); ratio printed, not judged"
+    else:
+        gate_reason = f"only {effective} effective core(s); pool numbers recorded, not judged"
     gate_target = SPEEDUP_TARGET if effective >= WORKERS else SPEEDUP_TARGET_SMALL
     medians = {mode: statistics.median(times) for mode, times in samples.items()}
     rows = []
@@ -155,11 +167,7 @@ def test_parallel_scaling(benchmark, world, annotation_sources, monkeypatch):
             "mode": POOL_FORK,
             "statistic": "median(sequential) / median(pool), alternating rounds",
             "target": gate_target if gate_armed else None,
-            "reason": (
-                f"{effective} effective core(s) >= 2"
-                if gate_armed
-                else f"only {effective} effective core(s); pool numbers recorded, not judged"
-            ),
+            "reason": gate_reason,
         },
         "modes": {},
     }
@@ -204,7 +212,7 @@ def test_parallel_scaling(benchmark, world, annotation_sources, monkeypatch):
         )
     else:
         print(
-            f"\n[speedup gate disarmed on {effective} core(s); recorded "
+            f"\n[speedup gate disarmed ({gate_reason}); recorded "
             f"{POOL_FORK}: {speedup:.2f}x, {POOL_SPAWN}: "
             f"{data['modes'][POOL_SPAWN]['speedup_vs_sequential']:.2f}x]"
         )

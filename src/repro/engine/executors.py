@@ -2,8 +2,8 @@
 
 Three executors drive the same compiled stage graph:
 
-* :class:`SequentialExecutor` — one trajectory at a time, in-process; the
-  batch mode of :func:`repro.api.annotate_many` with one worker.  With
+* :class:`SequentialExecutor` — in-process, a chunk of trajectories at a time;
+  the batch mode of :func:`repro.api.annotate_many` with one worker.  With
   ``deferred_writeback=True`` the store stages are skipped during execution
   and the batch is committed afterwards in one transaction — the pool's
   commit shape, in-process.
@@ -12,9 +12,17 @@ Three executors drive the same compiled stage graph:
   :class:`~repro.parallel.context.GeoContext` snapshot and merges the
   results back into input order; byte-identical to sequential execution.
 * :class:`MicroBatchExecutor` — the streaming session loop: events are
-  micro-batched into per-object sessions, sealed episodes flow through the
-  plan's incremental stage bodies and whole trajectories are finished (and
-  persisted) at close.  This is what :func:`repro.api.stream` returns.
+  micro-batched into per-object sessions, the episodes a processing pass
+  seals flow through the plan's incremental stage bodies as one group and
+  whole trajectories are finished (and persisted) at close.  This is what
+  :func:`repro.api.stream` returns.
+
+Execution is **stage-major**: a stage body takes a group — the ready items of
+a chunk of trajectories in batch (:func:`run_stages`), the episodes sealed by
+one pass or one close in streaming — because the annotation kernels cost the
+same fixed ~150 numpy dispatches for one short episode as for a hundred.  The
+group shrinks to one trajectory wherever per-trajectory grain is part of the
+contract (:func:`_chunks`).
 
 Every batch decision has exactly one code path, all of it in this module:
 
@@ -25,8 +33,10 @@ ship      the snapshot follows the pool's start method: copy-on-write
           a shard goes out as coordinate columns (:func:`_pack_shard`) and
           its outcomes come back without their raw trajectories, which the
           parent re-links to its own (:class:`_OutcomePickler`)
-run       :func:`run_stages_resilient` per trajectory, the same loop
-          in-process and inside a worker
+run       :func:`run_stages` per chunk of ``_CHUNK_TRAJECTORIES`` trajectories
+          or ``_CHUNK_POINTS`` GPS points, the same loop in-process and
+          inside a worker; a chunk in which a stage raised is re-run through
+          :func:`run_stages_resilient`, one trajectory at a time
 recover   one submission loop, largest shard first; a lost worker re-raises
           under ``fail_fast`` and is retried, bisected and solo-probed under
           ``skip``/``retry``
@@ -34,10 +44,10 @@ collect   :func:`merge_shard_results`, in input order: quarantine, failure
           history, telemetry, then one deferred store commit
 ========  ==================================================================
 
-Stage timing is owned here: executors wrap every stage body in the work
-item's :class:`~repro.analytics.latency.StageTimer` under the stage's name,
-so the Figure 17 latency vocabulary is emitted from exactly one place for
-every runtime.
+Stage timing is owned here: executors measure every stage body and record it
+on the work items (:meth:`WorkItem.record_stage`) under the stage's name, so
+the Figure 17 latency vocabulary is emitted from exactly one place for every
+runtime.
 """
 
 from __future__ import annotations
@@ -60,6 +70,7 @@ from typing import (
     ContextManager,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -71,7 +82,7 @@ from repro.core.errors import ConfigurationError, SemitriError
 from repro.core.pipeline import PipelineResult
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
 from repro.engine.plan import Plan
-from repro.engine.stages import WorkItem
+from repro.engine.stages import SealedEpisode, WorkItem
 from repro.faults.failures import (
     FailureEvent,
     TrajectoryFailure,
@@ -96,19 +107,58 @@ Shard = Tuple[int, List[Tuple[int, RawTrajectory]]]
 _SHARD_MULTIPLIER = 2
 
 
+# A chunk of the batch loop closes at this many trajectories or GPS points,
+# whichever comes first.  The annotation kernels cost ~150 numpy dispatches a
+# call whatever the input (the map-matching kernel ~390 us, of which ~340 us
+# are fixed — 100 points' worth) and the median move episode holds 7 points,
+# so the fixed part is shared by handing a stage the episodes of many
+# trajectories at once.  Over the cost ladder's fleet (132 trajectories, 415
+# episodes, 12,000 points; ms, best of 7-9, 2-vCPU box), called per
+#
+#                  episode  trajectory  chunk of 4    16     32     64    all
+#   match kernel    100.5      53.5        22.3      21.2   21.0   19.2   16.0
+#   region join      38.2      34.5        26.7      20.3   19.2   21.9   23.1
+#   annotate_many              191         123       104    100    110    125
+#
+# The gain is spent by 16-32 trajectories; beyond, the whole batch gets slower
+# again, and the results of an unfinished chunk are memory held.  The point
+# limit keeps a chunk of long trajectories the size of a chunk of typical ones
+# (32 of the fleet's hold ~2,900 points).
+_CHUNK_TRAJECTORIES = 32
+_CHUNK_POINTS = 4096
+
+
 # ---------------------------------------------------------------- stage loop
+def _record_shares(name: str, seconds: float, shares: Sequence[Tuple[WorkItem, int]]) -> None:
+    """Attribute one measured stage run to its items in proportion to GPS points.
+
+    One latency sample (and one span, when tracing) per entry, the samples
+    summing to the measured time; a run over one entry keeps its exact time.
+    """
+    total = sum(points for _, points in shares)
+    for item, points in shares:
+        item.record_stage(name, seconds * points / total)
+
+
 def run_stages(
     plan: Plan,
-    trajectory: RawTrajectory,
+    trajectories: Sequence[RawTrajectory],
     include_writeback: bool = True,
     worker: bool = False,
-) -> PipelineResult:
-    """Run one trajectory through every stage of the plan, with timing.
+) -> List[PipelineResult]:
+    """Run a chunk of trajectories through every stage of the plan, stage-major.
 
-    The single per-trajectory execution loop behind every executor.  When the
-    plan persists (and ``include_writeback`` is true) the whole run happens
-    inside one store transaction scope — committed on success, rolled back if
-    any stage raises — so a trajectory is never half-persisted.
+    The single batch execution loop behind every executor: each stage runs
+    once over the chunk's ready items (:meth:`Stage.run_many`), so a stage
+    with a columnar kernel pays its fixed cost once per chunk.  The stage's
+    wall time is measured once and shared out by :func:`_record_shares`; a
+    chunk of one keeps exact per-trajectory latencies.
+
+    When the plan persists (and ``include_writeback`` is true) the whole run
+    happens inside one store transaction scope — committed on success, rolled
+    back if any stage raises.  :func:`_chunks` hands such a plan one trajectory
+    at a time, so a trajectory is never half-persisted and no trajectory's
+    rows depend on another's success.
 
     Failures are *tagged* here (the originating stage rides on the exception,
     see :func:`~repro.faults.failures.tag_failure_stage`) but never handled:
@@ -118,8 +168,9 @@ def run_stages(
     """
     faults = plan.faults
     if faults.enabled:
-        faults.on_trajectory(trajectory.object_id, worker=worker)
-    item = WorkItem.start(trajectory, plan.telemetry)
+        for trajectory in trajectories:
+            faults.on_trajectory(trajectory.object_id, worker=worker)
+    items = [WorkItem.start(trajectory, plan.telemetry) for trajectory in trajectories]
     scope: ContextManager[object] = (
         plan.store if plan.persist and include_writeback and plan.store is not None
         else nullcontext()
@@ -129,26 +180,35 @@ def run_stages(
             for stage in plan.stages:
                 if stage.writes_back and not include_writeback:
                     continue
-                if stage.ready(item):
-                    try:
-                        with item.stage_scope(stage.name):
-                            if faults.enabled:
-                                faults.on_stage(stage.name, trajectory.object_id)
-                            stage.run(item)
-                    except BaseException as error:
-                        tag_failure_stage(error, stage.name)
-                        raise
+                ready = [item for item in items if stage.ready(item)]
+                if not ready:
+                    continue
+                started = time.perf_counter()
+                try:
+                    if faults.enabled:
+                        for item in ready:
+                            faults.on_stage(stage.name, item.trajectory.object_id)
+                    stage.run_many(ready)
+                except BaseException as error:
+                    tag_failure_stage(error, stage.name)
+                    raise
+                _record_shares(
+                    stage.name,
+                    time.perf_counter() - started,
+                    [(item, len(item.trajectory)) for item in ready],
+                )
     except BaseException as error:
         # Untagged here means the failure came from the scope exit itself —
         # the deferred store commit (first tag wins, so stage tags survive).
         tag_failure_stage(error, "store_commit")
         raise
-    # Seal the trace onto the result, but never collect here: collection into
+    # Seal the traces onto the results, but never collect here: collection into
     # the plan's registry/tracer happens exactly once per result, in the
     # parent process (merge_shard_results and the single-result paths), so
     # worker-side runs just ship their spans back on the pickled result.
-    item.finish_trace()
-    return item.result
+    for item in items:
+        item.finish_trace()
+    return [item.result for item in items]
 
 
 def run_stages_resilient(
@@ -174,7 +234,7 @@ def run_stages_resilient(
     """
     policy = plan.failure_policy
     if not policy.isolates:
-        return run_stages(plan, trajectory, include_writeback=include_writeback, worker=worker)
+        return run_stages(plan, [trajectory], include_writeback=include_writeback, worker=worker)[0]
     events = list(prior_events)
     error: Optional[Exception] = None
     while True:
@@ -193,8 +253,8 @@ def run_stages_resilient(
             if delay > 0:
                 time.sleep(delay)
         try:
-            result = run_stages(
-                plan, trajectory, include_writeback=include_writeback, worker=worker
+            [result] = run_stages(
+                plan, [trajectory], include_writeback=include_writeback, worker=worker
             )
         except Exception as caught:
             error = caught
@@ -212,22 +272,63 @@ def run_stages_resilient(
         return result
 
 
+def _chunks(
+    plan: Plan, items: Iterable[Tuple[int, RawTrajectory]], include_writeback: bool
+) -> Iterator[List[Tuple[int, RawTrajectory]]]:
+    """Cut a batch into the chunks the stage-major loop runs.
+
+    A chunk is one trajectory wherever per-trajectory grain is part of the
+    contract: inline write-back (the store transaction commits or rolls back
+    one trajectory) and armed fault injection (every injected fault lands on
+    the trajectory and attempt it names).
+    """
+    single = plan.faults.enabled or (plan.persist and include_writeback)
+    chunk: List[Tuple[int, RawTrajectory]] = []
+    points = 0
+    for entry in items:
+        chunk.append(entry)
+        points += len(entry[1])
+        if single or len(chunk) >= _CHUNK_TRAJECTORIES or points >= _CHUNK_POINTS:
+            yield chunk
+            chunk, points = [], 0
+    if chunk:
+        yield chunk
+
+
 def _run_in_process(
     plan: Plan,
     items: Iterable[Tuple[int, RawTrajectory]],
     include_writeback: bool,
     worker: bool = False,
 ) -> List[Tuple[int, "PipelineResult | TrajectoryFailure"]]:
-    """The one in-process batch loop: ``(input order, outcome)`` per trajectory."""
-    return [
-        (
-            order,
-            run_stages_resilient(
-                plan, trajectory, include_writeback=include_writeback, worker=worker
-            ),
-        )
-        for order, trajectory in items
-    ]
+    """The one in-process batch loop: ``(input order, outcome)`` per trajectory.
+
+    A chunk in which a stage raised is discarded and its trajectories go one
+    by one through :func:`run_stages_resilient`: under ``fail_fast`` that
+    raises the tagged exception at the trajectory a per-trajectory loop would
+    have stopped at, under ``skip``/``retry`` it retries or quarantines
+    exactly the culprit and gives every innocent its clean result.
+    """
+    outputs: List[Tuple[int, "PipelineResult | TrajectoryFailure"]] = []
+    for chunk in _chunks(plan, items, include_writeback):
+        trajectories = [trajectory for _, trajectory in chunk]
+        outcomes: Optional[Sequence["PipelineResult | TrajectoryFailure"]] = None
+        if len(chunk) > 1:
+            try:
+                outcomes = run_stages(
+                    plan, trajectories, include_writeback=include_writeback, worker=worker
+                )
+            except Exception:
+                pass  # raised again below, at the trajectory it belongs to
+        if outcomes is None:
+            outcomes = [
+                run_stages_resilient(
+                    plan, trajectory, include_writeback=include_writeback, worker=worker
+                )
+                for trajectory in trajectories
+            ]
+        outputs.extend(zip((order for order, _ in chunk), outcomes))
+    return outputs
 
 
 def shard_by_object(trajectories: Sequence[RawTrajectory], shard_count: int) -> List[Shard]:
@@ -984,20 +1085,22 @@ class MicroBatchExecutor(Executor):
             # consumed, but its unprocessed neighbours go back to the head of
             # the queue and the sessions already fed still get their advance.
             self._pending[:0] = pending[taken:]
+            # Everything this pass sealed, across its sessions, is one group.
+            sealed: List[SealedEpisode] = []
             for session in touched.values():
-                self._advance_session(session)
+                sealed.extend(self._advance_session(session))
+            self._absorb(sealed)
         return results
 
-    def _advance_session(self, session: Session) -> None:
+    def _advance_session(self, session: Session) -> List[SealedEpisode]:
         trajectory = session.trajectory
         if trajectory is None:
-            return
+            return []
         item = self._item_for(trajectory)
         started = time.perf_counter()
-        sealed = session.advance()
+        episodes = session.advance()
         item.record_stage("compute_episode", time.perf_counter() - started)
-        for episode in sealed:
-            self._absorb_episode(item, episode)
+        return [(item, episode) for episode in episodes]
 
     def _close_session(self, session: Session) -> List[PipelineResult]:
         return self._handle_update(session.close())
@@ -1020,13 +1123,12 @@ class MicroBatchExecutor(Executor):
             return None
         item = self._item_for(sealed.trajectory)
         item.record_stage("compute_episode", sealed.compute_seconds)
-        for episode in sealed.final_episodes:
-            self._absorb_episode(item, episode)
+        self._absorb([(item, episode) for episode in sealed.final_episodes])
 
         plan = self._plan
         trajectory_id = item.trajectory.trajectory_id
-        events = self._poisoned.pop(trajectory_id, [])
-        if not events:
+        events = self._poisoned.pop(trajectory_id, None)
+        if events is None:
             try:
                 self._finish_item(item)
             except Exception as error:
@@ -1042,7 +1144,7 @@ class MicroBatchExecutor(Executor):
                     )
                 ]
         result: Optional[PipelineResult] = item.result
-        if events:
+        if events is not None:
             # Incremental absorption consumed the session's events, so a
             # failed streaming trajectory is retried by re-running the
             # *sealed* trajectory through the batch stage loop — which the
@@ -1087,57 +1189,91 @@ class MicroBatchExecutor(Executor):
                 for stage in plan.stages:
                     stage.close_out(item)
                     if stage.finishes(item):
+                        started = time.perf_counter()
                         try:
-                            with item.stage_scope(stage.name):
-                                if faults.enabled:
-                                    faults.on_stage(stage.name, item.trajectory.object_id)
-                                stage.finish(item)
+                            if faults.enabled:
+                                faults.on_stage(stage.name, item.trajectory.object_id)
+                            stage.finish(item)
                         except BaseException as error:
                             tag_failure_stage(error, stage.name)
                             raise
+                        item.record_stage(stage.name, time.perf_counter() - started)
         except BaseException as error:
             tag_failure_stage(error, "store_commit")
             raise
 
     # ------------------------------------------------------------- annotation
-    def _absorb_episode(self, item: WorkItem, episode: Episode) -> None:
-        """Route one sealed episode through the plan's incremental stages.
+    def _absorb(self, sealed: Sequence[SealedEpisode]) -> None:
+        """Route a group of sealed episodes through the plan's incremental stages.
 
-        Under an isolating policy a stage failure poisons the trajectory —
-        routing is suspended for the rest of its episodes (they still append
-        and count) and close-time handling retries or quarantines it; under
-        ``fail_fast`` the tagged exception propagates as before.
+        Each stage takes the wanted episodes of the group in one call, timed
+        once (:func:`_record_shares`: one latency sample per episode and
+        stage).  With fault injection armed a group is one episode, so every
+        injected fault lands on the episode it names.
+
+        Under an isolating policy a stage failure poisons the trajectories of
+        its group — routing is suspended for the rest of their episodes (they
+        still append and count) and close-time handling re-runs each through
+        the batch loop.  A failure that belongs to a single trajectory is that
+        trajectory's first attempt, as it always was; one raised by a group of
+        several cannot be pinned on any of them, so none is charged an attempt
+        and the culprit fails again, alone, at its close.  Under ``fail_fast``
+        the tagged exception propagates as before.
         """
-        item.result.episodes.append(episode)
+        if not sealed:
+            return
         plan = self._plan
         faults = plan.faults
-        trajectory_id = item.trajectory.trajectory_id
-        if trajectory_id not in self._poisoned:
-            for stage in plan.stages:
-                if stage.wants_episode(item, episode):
-                    try:
-                        with item.stage_scope(stage.name):
-                            if faults.enabled:
-                                faults.on_stage(stage.name, item.trajectory.object_id)
-                            stage.absorb_episode(item, episode)
-                    except Exception as error:
-                        tag_failure_stage(error, stage.name)
-                        if not plan.failure_policy.isolates:
-                            raise
-                        self._poisoned.setdefault(trajectory_id, []).append(
-                            FailureEvent(
-                                stage=stage.name,
-                                kind=type(error).__name__,
-                                attempt=1,
-                                error=repr(error),
-                            )
+        if faults.enabled and len(sealed) > 1:
+            for entry in sealed:
+                self._absorb([entry])
+            return
+        for item, episode in sealed:
+            item.result.episodes.append(episode)
+        for stage in plan.stages:
+            wanted = [
+                (item, episode)
+                for item, episode in sealed
+                if item.trajectory.trajectory_id not in self._poisoned
+                and stage.wants_episode(item, episode)
+            ]
+            if not wanted:
+                continue
+            started = time.perf_counter()
+            try:
+                if faults.enabled:
+                    for item, _ in wanted:
+                        faults.on_stage(stage.name, item.trajectory.object_id)
+                stage.absorb_episodes(wanted)
+            except Exception as error:
+                tag_failure_stage(error, stage.name)
+                if not plan.failure_policy.isolates:
+                    raise
+                suspects = {item.trajectory.trajectory_id for item, _ in wanted}
+                charged: List[FailureEvent] = []
+                if len(suspects) == 1:
+                    charged.append(
+                        FailureEvent(
+                            stage=stage.name,
+                            kind=type(error).__name__,
+                            attempt=1,
+                            error=repr(error),
                         )
-                        break
-        self.stats.episodes_sealed += 1
-        if self._counters is not None:
-            self._counters.episodes_sealed.inc()
-        if self._on_episode is not None:
-            self._on_episode(episode)
+                    )
+                for trajectory_id in suspects:
+                    self._poisoned.setdefault(trajectory_id, []).extend(charged)
+                continue
+            _record_shares(
+                stage.name,
+                time.perf_counter() - started,
+                [(item, len(episode)) for item, episode in wanted],
+            )
+        for _, episode in sealed:
+            self.stats.episodes_sealed += 1
+            if self._counters is not None:
+                self._counters.episodes_sealed.inc()
+            if self._on_episode is not None:
+                self._on_episode(episode)
 
     def _item_for(self, trajectory: RawTrajectory) -> WorkItem:
         item = self._items.get(trajectory.trajectory_id)

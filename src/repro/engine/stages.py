@@ -8,15 +8,24 @@ makes every step an explicit :class:`Stage` with declared inputs and outputs,
 so a :class:`~repro.engine.plan.Plan` can describe the dataflow once and any
 executor (sequential, process-pool, micro-batch) can run it.
 
-Each stage carries two faces of the same computation:
+Each stage carries two faces of the same computation, and both take a
+*group*, because the annotation layers are joins whose kernels cost the same
+~150 numpy dispatches for one episode as for a hundred:
 
-* :meth:`Stage.run` — the **batch** body, applied to a whole trajectory's
-  episodes at once (what :meth:`SeMiTriPipeline.annotate_many` needs);
+* :meth:`Stage.run_many` — the **batch** body, applied to the ready items of
+  a chunk of trajectories at once (what :func:`repro.api.annotate_many`
+  needs); :meth:`Stage.run` is the same body for one item;
 * the **streaming** protocol — :meth:`Stage.wants_episode` /
-  :meth:`Stage.absorb_episode` for stages that can process each episode the
-  moment it is sealed, plus :meth:`Stage.finishes` / :meth:`Stage.finish` /
+  :meth:`Stage.absorb_episodes` for stages that can process episodes the
+  moment they are sealed (all those one processing pass sealed, in one call),
+  plus :meth:`Stage.finishes` / :meth:`Stage.finish` /
   :meth:`Stage.close_out` for work that must wait until the trajectory
   closes (the HMM point layer, store write-back, result assembly).
+
+The region and line stages have one annotation body each:
+``absorb_episodes``, which hands the group's episodes to one grouped
+annotator call; their ``run_many`` is that body over every episode of the
+chunk.
 
 Executors — not the stages — own the per-stage :class:`StageTimer` samples,
 so the Figure 17 latency breakdown is emitted from exactly one place and is
@@ -53,6 +62,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.obs.trace import TrajectoryTrace
 
 
+#: One sealed episode on its way through a stage, with the item it belongs to.
+SealedEpisode = Tuple["WorkItem", Episode]
+
+
 @dataclass
 class WorkItem:
     """One trajectory moving through the stages of a plan.
@@ -85,19 +98,12 @@ class WorkItem:
         trace = telemetry.start_trace(trajectory.trajectory_id) if telemetry else None
         return cls(trajectory=trajectory, result=result, timer=timer, trace=trace)
 
-    def stage_scope(self, name: str):
-        """Timing scope for one stage run: latency sample plus span (if tracing).
-
-        Both paths feed the same :class:`LatencyProfile` from a single
-        ``perf_counter`` pair, so enabling tracing adds a span without
-        perturbing the Figure 17 samples.
-        """
-        if self.trace is not None:
-            return self.trace.stage(name, self.timer.profile)
-        return self.timer.stage(name)
-
     def record_stage(self, name: str, seconds: float) -> None:
-        """Record an externally measured stage duration (plus span if tracing)."""
+        """Record a stage duration the executor measured (plus span if tracing).
+
+        Sample and span carry the same number, so enabling tracing adds a span
+        without perturbing the Figure 17 samples.
+        """
         self.timer.record(name, seconds)
         if self.trace is not None:
             self.trace.record(name, seconds)
@@ -138,13 +144,27 @@ class Stage(abc.ABC):
     def run(self, item: WorkItem) -> None:
         """Batch body: consume ``inputs`` on the item, produce ``outputs``."""
 
+    def run_many(self, items: Sequence[WorkItem]) -> None:
+        """Batch body over a chunk of ready items (timed once per chunk).
+
+        What the stage-major batch loop calls.  Item by item unless the stage
+        has a kernel whose fixed cost a group shares.
+        """
+        for item in items:
+            self.run(item)
+
     # -------------------------------------------------------------- streaming
     def wants_episode(self, item: WorkItem, episode: Episode) -> bool:
         """Whether the stage processes this sealed episode incrementally."""
         return False
 
-    def absorb_episode(self, item: WorkItem, episode: Episode) -> None:
-        """Incremental body: process one sealed episode (timed per episode)."""
+    def absorb_episodes(self, sealed: Sequence[SealedEpisode]) -> None:
+        """Incremental body: process a group of wanted sealed episodes.
+
+        The group is whatever the executor holds at once — the episodes one
+        processing pass sealed across its sessions, or the tail of one closing
+        trajectory — and is timed once.
+        """
         raise NotImplementedError(f"stage {self.name!r} does not absorb episodes")
 
     def close_out(self, item: WorkItem) -> None:
@@ -280,17 +300,28 @@ class RegionJoinStage(Stage):
         return self._annotator
 
     def run(self, item: WorkItem) -> None:
-        item.result.region_trajectory = self._annotator.annotate_episodes(item.result.episodes)
+        self.run_many([item])
+
+    def run_many(self, items: Sequence[WorkItem]) -> None:
+        for item in items:
+            item.region_records = []
+        self.absorb_episodes(
+            [(item, episode) for item in items for episode in item.result.episodes]
+        )
+        for item in items:
+            self.close_out(item)
 
     def wants_episode(self, item: WorkItem, episode: Episode) -> bool:
         return True
 
-    def absorb_episode(self, item: WorkItem, episode: Episode) -> None:
-        item.region_records.append(self._annotator.annotate_episode(episode))
+    def absorb_episodes(self, sealed: Sequence[SealedEpisode]) -> None:
+        records = self._annotator.annotate_episode_group([episode for _, episode in sealed])
+        for (item, _), record in zip(sealed, records):
+            item.region_records.append(record)
 
     def close_out(self, item: WorkItem) -> None:
-        # Sealed episodes arrive in start order, so assembling the buffered
-        # records reproduces the batch annotate_episodes() output exactly.
+        # The records were buffered in start order: this is what
+        # RegionAnnotator.annotate_episodes() assembles for one trajectory.
         trajectory = item.trajectory
         item.result.region_trajectory = StructuredSemanticTrajectory(
             trajectory_id=f"{trajectory.trajectory_id}:region-episodes",
@@ -315,15 +346,29 @@ class MapMatchStage(Stage):
         return self._annotator
 
     def run(self, item: WorkItem) -> None:
-        item.result.line_trajectories = self._annotator.annotate_episodes(item.result.episodes)
+        self.run_many([item])
+
+    def run_many(self, items: Sequence[WorkItem]) -> None:
+        for item in items:
+            item.result.line_trajectories = []
+        self.absorb_episodes(
+            [
+                (item, episode)
+                for item in items
+                for episode in item.result.episodes
+                if episode.is_move
+            ]
+        )
 
     def wants_episode(self, item: WorkItem, episode: Episode) -> bool:
         return episode.is_move
 
-    def absorb_episode(self, item: WorkItem, episode: Episode) -> None:
+    def absorb_episodes(self, sealed: Sequence[SealedEpisode]) -> None:
         # A sealed episode is complete, so it is matched exactly like a batch
         # episode; there is no per-point streaming matcher.
-        item.result.line_trajectories.append(self._annotator.annotate_episode(episode))
+        lines = self._annotator.annotate_episodes([episode for _, episode in sealed])
+        for (item, _), line in zip(sealed, lines):
+            item.result.line_trajectories.append(line)
 
 
 class PoiAnnotationStage(Stage):

@@ -4,6 +4,12 @@ Implements the full Algorithm 2 output: for each move episode, a structured
 semantic trajectory ``T_line`` whose records are the matched road segments,
 each carrying the time interval travelled on it and a transportation-mode
 annotation.
+
+:meth:`LineAnnotator.annotate_episodes` is the one body: it takes the move
+episodes of any number of trajectories and matches them in one kernel call
+(episode boundaries are context-window barriers), so the executors hand it the
+largest group they hold — a chunk of trajectories in batch, the episodes one
+processing pass sealed in streaming.
 """
 
 from __future__ import annotations
@@ -56,8 +62,9 @@ class LineAnnotator:
     def annotate_episodes(self, episodes: Sequence[Episode]) -> List[StructuredSemanticTrajectory]:
         """Annotate every move episode in ``episodes`` (non-moves are skipped).
 
-        All of them go to the matcher in one call, which under the columnar
-        kernel shares the fixed cost of its array operations between episodes.
+        The episodes may belong to different trajectories.  All of them go to
+        the matcher in one call, which under the columnar kernel shares the
+        fixed cost of its array operations between episodes.
         """
         moves = [episode for episode in episodes if episode.is_move]
         points = [episode.points for episode in moves]

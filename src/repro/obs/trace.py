@@ -20,11 +20,8 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence
-
-from repro.analytics.latency import LatencyProfile
+from typing import Dict, List, Optional, Sequence
 
 
 @dataclass
@@ -157,43 +154,12 @@ class TrajectoryTrace:
         """Span id of the trajectory's root span."""
         return self._root_id
 
-    @contextmanager
-    def stage(self, name: str, profile: LatencyProfile) -> Iterator[None]:
-        """Time one stage execution: one latency sample plus one child span.
-
-        The profile sample and the span duration come from the *same*
-        ``perf_counter`` pair, so enabling tracing cannot skew the Figure 17
-        numbers relative to the timer-only path.
-        """
-        start = time.time()
-        started = time.perf_counter()
-        status: Dict[str, object] = {}
-        try:
-            yield
-        except BaseException as error:
-            status = {"status": "error", "error": type(error).__name__}
-            raise
-        finally:
-            duration = time.perf_counter() - started
-            profile.add(name, duration)
-            self._spans.append(
-                Span(
-                    trace_id=self.trace_id,
-                    span_id=self._tracer.next_id(),
-                    parent_id=self._root_id,
-                    name=name,
-                    start=start,
-                    duration=duration,
-                    attributes=status,
-                )
-            )
-
     def record(self, name: str, seconds: float) -> None:
-        """Add a child span for an externally measured duration.
+        """Add a child span for a duration the executor measured.
 
-        Used where the executor measures time outside the stage bodies (the
-        streaming session's incremental segmentation); the start timestamp is
-        back-dated by the measured duration.
+        Executors time stage bodies themselves (a chunk's stage run is shared
+        out between its trajectories) and call this when the body has
+        returned; the start timestamp is back-dated by the duration.
         """
         self._spans.append(
             Span(

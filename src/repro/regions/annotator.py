@@ -5,11 +5,18 @@ The annotator spatial-joins a raw trajectory (or its episodes) against a
 falling in the same region, approximates entry/exit times and merges adjacent
 tuples that reference the same region — producing the coarse-grained
 structured semantic trajectory ``T_region`` of Section 4.1.
+
+The episode join has one body, :meth:`RegionAnnotator.annotate_episode_group`:
+the episodes of any number of trajectories in, one record each out, after a
+single lookup of all their query positions.  The executors call it with the
+largest group they hold (a chunk of trajectories, the episodes one streaming
+pass sealed); the per-trajectory and per-episode methods are that body over a
+smaller group.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.annotations import region_annotation
 from repro.core.config import RegionAnnotationConfig
@@ -17,12 +24,22 @@ from repro.core.episodes import Episode, EpisodeKind
 from repro.core.places import RegionOfInterest
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
 from repro.core.trajectory import SemanticEpisodeRecord, StructuredSemanticTrajectory
+from repro.geometry.primitives import Point
 from repro.regions.sources import RegionSource
 
-#: Point batches below this stay on the scalar tree even under the flat index
-#: backend (the fixed per-call overhead of the batch arrays would dominate).
-#: The results are identical either way — the flat index is order- and
-#: bit-parity with the tree — so the cutoff only selects a code path.
+#: Lookups of fewer positions than this stay on the scalar tree even under the
+#: flat index backend: the batch query's fixed cost is ~90 us a call, a tree
+#: walk 12 us a position.  Scalar / batch lookup, us per call (benchmark
+#: fleet's region source, 2-vCPU box, best of 7):
+#:
+#:   positions     1      4      8     12     16     32     64
+#:   scalar       12.4   53.4  107.6  160.3  241.1  609.9  854.3
+#:   batch        89.7   95.8  121.4  148.2  184.1  204.8  458.3
+#:
+#: The cut-off is applied to the positions of one lookup — all stop centres
+#: and move points of the group of episodes an executor hands over, not one
+#: episode's.  The results are identical either way — the flat index is
+#: order- and bit-parity with the tree — so it only selects a code path.
 _FLAT_MIN_BATCH = 8
 
 
@@ -54,15 +71,17 @@ class RegionAnnotator:
         """The active spatial-index backend (``"flat"`` or ``"tree"``)."""
         return self._index_backend
 
+    def _regions_at(self, positions: Sequence[Point]) -> List[Optional[RegionOfInterest]]:
+        """Region of every position: one batch flat query or per-point tree walks."""
+        if self._index_backend == "flat" and len(positions) >= _FLAT_MIN_BATCH:
+            return self._source.first_regions_containing_batch(positions)
+        return [self._source.first_region_containing(position) for position in positions]
+
     def _regions_for_points(
         self, points: Sequence[SpatioTemporalPoint]
     ) -> List[Optional[RegionOfInterest]]:
-        """Region of every GPS point: one batch flat query or per-point tree walks."""
-        if self._index_backend == "flat" and len(points) >= _FLAT_MIN_BATCH:
-            return self._source.first_regions_containing_batch(
-                [point.position for point in points]
-            )
-        return [self._source.first_region_containing(point.position) for point in points]
+        """Region of every GPS point."""
+        return self._regions_at([point.position for point in points])
 
     # ------------------------------------------------------------ Algorithm 1
     def annotate_trajectory(self, trajectory: RawTrajectory) -> StructuredSemanticTrajectory:
@@ -111,7 +130,7 @@ class RegionAnnotator:
         return result.merged()
 
     def annotate_episodes(self, episodes: Sequence[Episode]) -> StructuredSemanticTrajectory:
-        """Annotate episodes (instead of every GPS record) with regions.
+        """Annotate one trajectory's episodes (instead of every GPS record).
 
         Stops are joined by their centre point (when configured) and moves by
         the region containing each point, keeping the dominant region; this is
@@ -121,72 +140,82 @@ class RegionAnnotator:
         if not episodes:
             raise ValueError("annotate_episodes requires at least one episode")
         trajectory = episodes[0].trajectory
-        result = StructuredSemanticTrajectory(
+        return StructuredSemanticTrajectory(
             trajectory_id=f"{trajectory.trajectory_id}:region-episodes",
             object_id=trajectory.object_id,
+            records=self.annotate_episode_group(sorted(episodes, key=lambda ep: ep.start_index)),
         )
-        for episode in sorted(episodes, key=lambda ep: ep.start_index):
-            result.append(self.annotate_episode(episode))
-        return result
 
     def annotate_episode(self, episode: Episode) -> SemanticEpisodeRecord:
-        """Annotate a single episode with its region (one tuple of ``T_region``).
+        """Annotate a single episode with its region (one tuple of ``T_region``)."""
+        return self.annotate_episode_group([episode])[0]
 
-        Attaches the region annotation to the episode and returns the
-        corresponding structured record; the streaming engine calls this for
-        every episode as soon as it is sealed.
+    def annotate_episode_group(self, episodes: Sequence[Episode]) -> List[SemanticEpisodeRecord]:
+        """One tuple of ``T_region`` per episode, after one lookup for all of them.
+
+        The episodes may belong to any number of trajectories: the batch
+        executor hands over those of a chunk of trajectories, the streaming
+        engine those sealed by one processing pass.  Each episode gets its
+        region annotation attached and its structured record returned, in
+        input order.
         """
-        region = self._region_for_episode(episode)
-        annotations = [region_annotation(region)] if region is not None else []
-        record = SemanticEpisodeRecord(
-            place=region,
-            time_in=episode.time_in,
-            time_out=episode.time_out,
-            kind=episode.kind,
-            annotations=annotations,
-            source_episode=episode,
-        )
-        if region is not None:
-            episode.add_annotation(region_annotation(region))
-        return record
-
-    def _region_for_episode(self, episode: Episode) -> Optional[RegionOfInterest]:
-        if episode.is_stop and self._config.use_episode_center_for_stops:
-            return self._source.first_region_containing(episode.center())
-        if self._config.join_predicate == "intersects":
-            candidates = self._source.regions_intersecting(episode.bounding_box())
-            if not candidates:
-                return None
-            return self._dominant_region(episode, candidates)
-        return self._dominant_region(episode, None)
-
-    def _dominant_region(
-        self, episode: Episode, candidates: Optional[List[RegionOfInterest]]
-    ) -> Optional[RegionOfInterest]:
-        """The region covering the most GPS points of the episode."""
-        counts: Dict[str, int] = {}
-        by_id: Dict[str, RegionOfInterest] = {}
-        episode_points = episode.points
-        point_regions: Optional[List[Optional[RegionOfInterest]]] = None
-        if candidates is None:
-            point_regions = self._regions_for_points(episode_points)
-        for index, point in enumerate(episode_points):
-            if point_regions is not None:
-                region = point_regions[index]
-            else:
-                assert candidates is not None
-                region = next(
-                    (candidate for candidate in candidates if candidate.contains(point.position)),
-                    None,
+        records: List[SemanticEpisodeRecord] = []
+        for episode, region in zip(episodes, self._regions_for_episodes(episodes)):
+            annotations = [region_annotation(region)] if region is not None else []
+            records.append(
+                SemanticEpisodeRecord(
+                    place=region,
+                    time_in=episode.time_in,
+                    time_out=episode.time_out,
+                    kind=episode.kind,
+                    annotations=annotations,
+                    source_episode=episode,
                 )
-            if region is None:
-                continue
-            counts[region.place_id] = counts.get(region.place_id, 0) + 1
-            by_id[region.place_id] = region
-        if not counts:
-            return None
-        best_id = max(counts.items(), key=lambda pair: (pair[1], pair[0]))[0]
-        return by_id[best_id]
+            )
+            if region is not None:
+                episode.add_annotation(region_annotation(region))
+        return records
+
+    def _regions_for_episodes(
+        self, episodes: Sequence[Episode]
+    ) -> List[Optional[RegionOfInterest]]:
+        """The joined region of every episode.
+
+        A stop joined by its centre asks about one position, any other episode
+        about each of its points; all of them go through one
+        :meth:`_regions_at` lookup, so the size cut-off sees the group's query
+        positions, not one episode's.  Under the ``intersects`` predicate a
+        move is joined on its own, against the regions its bounding box meets.
+        """
+        by_centre = self._config.use_episode_center_for_stops
+        intersects = self._config.join_predicate == "intersects"
+        queries: List[Optional[Sequence[Point]]] = []
+        for episode in episodes:
+            if episode.is_stop and by_centre:
+                queries.append((episode.center(),))
+            elif intersects:
+                queries.append(None)
+            else:
+                queries.append(episode.positions)
+        found = self._regions_at(
+            [position for query in queries if query is not None for position in query]
+        )
+        regions: List[Optional[RegionOfInterest]] = []
+        low = 0
+        for episode, query in zip(episodes, queries):
+            if query is None:
+                candidates = self._source.regions_intersecting(episode.bounding_box())
+                regions.append(
+                    _dominant_region(
+                        next((region for region in candidates if region.contains(position)), None)
+                        for position in episode.positions
+                    )
+                )
+            else:
+                # (A centre is one position: its region is the dominant one.)
+                regions.append(_dominant_region(found[low : low + len(query)]))
+                low += len(query)
+        return regions
 
     # --------------------------------------------------------------- metrics
     def point_category_distribution(self, trajectories: Sequence[RawTrajectory]) -> Dict[str, int]:
@@ -206,12 +235,28 @@ class RegionAnnotator:
     def episode_category_distribution(self, episodes: Sequence[Episode]) -> Dict[str, int]:
         """Number of episodes per region category (Figure 9 move/stop columns)."""
         counts: Dict[str, int] = {}
-        for episode in episodes:
-            region = self._region_for_episode(episode)
+        for region in self._regions_for_episodes(episodes):
             if region is None:
                 continue
             counts[region.category] = counts.get(region.category, 0) + 1
         return counts
+
+
+def _dominant_region(
+    point_regions: Iterable[Optional[RegionOfInterest]],
+) -> Optional[RegionOfInterest]:
+    """The region covering the most GPS points of an episode (ties: largest id)."""
+    counts: Dict[str, int] = {}
+    by_id: Dict[str, RegionOfInterest] = {}
+    for region in point_regions:
+        if region is None:
+            continue
+        counts[region.place_id] = counts.get(region.place_id, 0) + 1
+        by_id[region.place_id] = region
+    if not counts:
+        return None
+    best_id = max(counts.items(), key=lambda pair: (pair[1], pair[0]))[0]
+    return by_id[best_id]
 
 
 def _same_region(a: Optional[RegionOfInterest], b: Optional[RegionOfInterest]) -> bool:
