@@ -5,21 +5,17 @@ pipeline stage: computing episodes, storing episodes, map matching, storing
 the matched result and the landuse join; computation/annotation is much
 cheaper than storage.  This benchmark runs the full pipeline with persistence
 into the SQLite store and reports the same per-stage means — plus the p95
-tail — for **both spatial-index backends**: the scalar tree (the reference
-oracle) and the flat batch index that `compute.index_backend="flat"` selects.
-The two runs must produce byte-identical canonical output, and the flat run
-must show a real drop in the ``map_match`` stage mean, which the CI bench
-gate then protects via the recorded ratio metric.
+tail — of the product's one configuration.  Two runs must produce
+byte-identical canonical output, and so must a third with telemetry on.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from benchmarks.conftest import save_result
+from benchmarks.conftest import bench_gate_run, save_result
 from repro.analytics.reporting import render_table
 from repro.core import ObservabilityConfig, PipelineConfig, SeMiTriPipeline
-from repro.core.config import ComputeConfig
 from repro.parallel import canonical_bytes
 from repro.store.store import SemanticTrajectoryStore
 
@@ -32,14 +28,6 @@ STAGES = (
     "poi_annotation",
 )
 
-#: In-test sanity floor for the flat index on the map_match stage mean: the
-#: batch index must not be slower than the per-point tree.  The *measurable
-#: drop* itself is enforced by the bench-regression gate, which compares the
-#: recorded ``speedup_map_match_flat`` ratio against the committed baseline
-#: (~1.6x) — a deterministic check that, unlike a hard-coded wall-clock
-#: floor here, tolerates loaded CI runners without going flaky.
-REQUIRED_MAP_MATCH_SPEEDUP = 1.05
-
 
 def test_fig17_latency(benchmark, world, people_dataset, annotation_sources):
     # Pre-compile the flat indexes like every production entry point does
@@ -49,13 +37,9 @@ def test_fig17_latency(benchmark, world, people_dataset, annotation_sources):
     annotation_sources.road_network.flat_index()
     annotation_sources.pois.flat_index()
 
-    def run_pipeline(index_backend: str):
-        config = dataclasses.replace(
-            PipelineConfig.for_people(),
-            compute=ComputeConfig(backend="numpy", index_backend=index_backend),
-        )
+    def run_pipeline():
         store = SemanticTrajectoryStore()
-        pipeline = SeMiTriPipeline(config, store=store)
+        pipeline = SeMiTriPipeline(PipelineConfig.for_people(), store=store)
         results = pipeline.annotate_many(
             people_dataset.all_trajectories, annotation_sources, persist=True
         )
@@ -63,53 +47,37 @@ def test_fig17_latency(benchmark, world, people_dataset, annotation_sources):
         store.close()
         return merged, canonical_bytes(results)
 
-    # The tree runs first (it is the oracle), then the flat runs under the
-    # benchmark timer; best of two runs per backend so a background-load
-    # spike in either run cannot fake or mask a regression.
-    def best_of_two(index_backend: str):
-        first, first_bytes = run_pipeline(index_backend)
-        second, second_bytes = run_pipeline(index_backend)
+    # Best of two runs, so a background-load spike in one cannot pass for the
+    # profile.
+    def best_of_two():
+        first, first_bytes = run_pipeline()
+        second, second_bytes = run_pipeline()
         assert first_bytes == second_bytes
         better = first if first.mean("map_match") <= second.mean("map_match") else second
         return better, first_bytes
 
-    tree_profile, tree_bytes = best_of_two("tree")
-    flat_profile, flat_bytes = benchmark.pedantic(
-        best_of_two, args=("flat",), rounds=1, iterations=1
-    )
-    assert flat_bytes == tree_bytes  # the fast path may never change output
+    profile, product_bytes = benchmark.pedantic(best_of_two, rounds=1, iterations=1)
 
     rows = []
     series = {}
     for stage in STAGES:
-        if flat_profile.count(stage) == 0:
+        if profile.count(stage) == 0:
             continue
         series[stage] = {
-            "count": flat_profile.count(stage),
-            "tree_mean": tree_profile.mean(stage),
-            "tree_p95": tree_profile.p95(stage),
-            "flat_mean": flat_profile.mean(stage),
-            "flat_p95": flat_profile.p95(stage),
+            "count": profile.count(stage),
+            "mean": profile.mean(stage),
+            "p95": profile.p95(stage),
         }
         rows.append(
             [
                 stage,
-                flat_profile.count(stage),
-                f"{tree_profile.mean(stage):.4f}",
-                f"{tree_profile.p95(stage):.4f}",
-                f"{flat_profile.mean(stage):.4f}",
-                f"{flat_profile.p95(stage):.4f}",
+                profile.count(stage),
+                f"{profile.mean(stage):.4f}",
+                f"{profile.p95(stage):.4f}",
             ]
         )
     text = render_table(
-        [
-            "stage",
-            "#daily trajectories",
-            "tree mean (s)",
-            "tree p95 (s)",
-            "flat mean (s)",
-            "flat p95 (s)",
-        ],
+        ["stage", "#daily trajectories", "mean (s)", "p95 (s)"],
         rows,
         title="Figure 17 - Latency per processing stage (people trajectories)",
     )
@@ -118,9 +86,7 @@ def test_fig17_latency(benchmark, world, people_dataset, annotation_sources):
     # cannot change the annotation output, and fills the sidecar's telemetry
     # section with the registry snapshot of a traced run.
     observed_config = dataclasses.replace(
-        PipelineConfig.for_people(),
-        compute=ComputeConfig(backend="numpy", index_backend="flat"),
-        observability=ObservabilityConfig(enabled=True),
+        PipelineConfig.for_people(), observability=ObservabilityConfig(enabled=True)
     )
     from repro.engine import Plan, SequentialExecutor
 
@@ -135,7 +101,7 @@ def test_fig17_latency(benchmark, world, people_dataset, annotation_sources):
         observed_plan, people_dataset.all_trajectories
     )
     observed_store.close()
-    assert canonical_bytes(observed_results) == tree_bytes  # telemetry is inert
+    assert canonical_bytes(observed_results) == product_bytes  # telemetry is inert
     assert observed_plan.telemetry.tracer is not None
     assert observed_plan.telemetry.metrics is not None
     telemetry_section = {
@@ -145,16 +111,11 @@ def test_fig17_latency(benchmark, world, people_dataset, annotation_sources):
         "metrics": observed_plan.telemetry.metrics.snapshot(),
     }
 
-    map_match_speedup = tree_profile.mean("map_match") / flat_profile.mean("map_match")
     metrics = {
-        # Ratio metric (machine-normalised): how much faster the flat index
-        # makes the map_match stage; gated so the batch path cannot silently
-        # collapse back to per-point speed.
-        "speedup_map_match_flat": round(map_match_speedup, 2),
-        # Absolute throughput of the heaviest annotation stage under the
-        # default (flat) backend, trajectories per second.
+        # Absolute throughput of the heaviest annotation stage, trajectories
+        # per second.
         "map_match_traj_per_sec": round(
-            flat_profile.count("map_match") / flat_profile.total("map_match"), 2
+            profile.count("map_match") / profile.total("map_match"), 2
         ),
     }
     save_result(
@@ -165,15 +126,11 @@ def test_fig17_latency(benchmark, world, people_dataset, annotation_sources):
         telemetry=telemetry_section,
     )
 
-    assert flat_profile.count("compute_episode") == len(people_dataset.all_trajectories)
-    # Episode computation is cheap relative to the heavier annotation stages,
-    # mirroring the ordering in the paper's latency figure.
-    assert flat_profile.mean("compute_episode") <= flat_profile.mean(
-        "map_match"
-    ) + flat_profile.mean("landuse_join")
-    # Sanity: the batch index must not lose to the per-point tree; the real
-    # regression floor lives in the bench gate (see REQUIRED_MAP_MATCH_SPEEDUP).
-    assert map_match_speedup >= REQUIRED_MAP_MATCH_SPEEDUP, (
-        f"flat index map_match speedup {map_match_speedup:.2f}x below the "
-        f"{REQUIRED_MAP_MATCH_SPEEDUP}x sanity floor"
-    )
+    assert profile.count("compute_episode") == len(people_dataset.all_trajectories)
+    if bench_gate_run():
+        # Episode computation is cheap relative to the heavier annotation
+        # stages, mirroring the ordering in the paper's latency figure.  A
+        # timing comparison: armed in the bench-gate environment only.
+        assert profile.mean("compute_episode") <= profile.mean("map_match") + profile.mean(
+            "landuse_join"
+        )

@@ -10,8 +10,9 @@ Before anything is timed, every family's results are materialised once from
 both backends and compared exactly (payload identity, order and
 bit-identical distances), so a "fast but wrong" index can never post a
 speedup.  The timed region then covers the query APIs themselves — the
-scalar per-point calls against the flat CSR batch call — which is the cost
-the consumers actually trade when `compute.index_backend` flips.  The
+scalar per-point calls against the flat CSR batch call — the table on record
+for the product issuing batch queries only (and, at its small end, for
+``regions/annotator.py::_FLAT_MIN_BATCH``).  The
 recorded metrics are same-process ratios, which keeps the CI regression gate
 robust to absolute machine speed; the acceptance floor is a >= 3x speedup on
 the range and within-distance batches.

@@ -1,15 +1,16 @@
 """Scalar-versus-numpy speedups of the hot-path kernels (the bench-gate set).
 
 Times the vectorized kernels of :mod:`repro.geometry.vectorized` (and the
-flag kernels built on them) against their pure-Python reference loops on a
+velocity flags built on them) against their pure-Python reference loops on a
 dwell-heavy 15k-point trajectory — the shape the acceptance criterion names:
 stop-flag and distance kernels must be at least 3x faster vectorized on
-trajectories of 10k+ points.
+trajectories of 10k+ points.  Only kernels the product runs are timed: the
+density scan has one (scalar) implementation and no row.
 
-A second table records global map matching — the scalar oracle against the
-columnar kernel — per episode length (4 to 256 points), so the short-episode
-regime, where the kernel's fixed cost per call shows, is on record next to
-the long one.
+A second table records global map matching — the scalar oracle of
+:mod:`repro.reference` against the columnar kernel — per episode length (4 to
+256 points), so the short-episode regime, where the kernel's fixed cost per
+call shows, is on record next to the long one.
 
 Every timing also asserts output equality first, so a "fast but wrong"
 kernel can never post a speedup.  The recorded metrics are *ratios*
@@ -40,17 +41,11 @@ from repro.geometry.vectorized import (
     point_segment_distances,
 )
 from repro.lines.map_matching import GlobalMapMatcher
-from repro.preprocessing.stops import (
-    density_stop_flags,
-    density_stop_flags_arrays,
-    velocity_stop_flags,
-    velocity_stop_flags_arrays,
-)
+from repro.preprocessing.stops import velocity_stop_flags_arrays
+from repro.reference import ScalarMapMatcher, velocity_stop_flags
 
 POINT_COUNT = 15_000
 SPEED_THRESHOLD = 1.5
-DENSITY_RADIUS = 60.0
-MIN_STOP_DURATION = 150.0
 KERNEL_BANDWIDTH = 50.0
 KERNEL_RADIUS = 100.0
 #: The acceptance floor for the gated kernels (stop flags + distances).
@@ -124,8 +119,8 @@ def _map_matching_rows(world):
     """Scalar oracle versus columnar kernel per episode length (median timings)."""
     network = world.road_network()
     config = MapMatchingConfig(candidate_radius=50.0)
-    oracle = GlobalMapMatcher(network, config, backend="python", index_backend="tree")
-    columnar = GlobalMapMatcher(network, config, backend="numpy", index_backend="flat")
+    oracle = ScalarMapMatcher(network, config)
+    columnar = GlobalMapMatcher(network, config)
     network.segment_arrays()  # built at GeoContext.build in production, never in a match
     rows = []
     for length in MATCH_EPISODE_LENGTHS:
@@ -167,10 +162,6 @@ def test_vectorized_kernel_speedups(benchmark, world):
             "stop_flags_velocity": (
                 lambda: velocity_stop_flags(points, SPEED_THRESHOLD),
                 lambda: velocity_stop_flags_arrays(arrays, SPEED_THRESHOLD),
-            ),
-            "stop_flags_density": (
-                lambda: density_stop_flags(points, DENSITY_RADIUS, MIN_STOP_DURATION),
-                lambda: density_stop_flags_arrays(arrays, DENSITY_RADIUS, MIN_STOP_DURATION),
             ),
             "consecutive_distances": (
                 lambda: [points[i].distance_to(points[i + 1]) for i in range(len(points) - 1)],

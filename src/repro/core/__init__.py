@@ -40,7 +40,6 @@ from repro.core.arrays import TrajectoryArrays
 from repro.core.cpu import effective_cpu_count
 from repro.core.trajectory import SemanticTrajectory, StructuredSemanticTrajectory
 from repro.core.config import (
-    ComputeConfig,
     MapMatchingConfig,
     ObservabilityConfig,
     ParallelConfig,
@@ -79,7 +78,6 @@ __all__ = [
     "effective_cpu_count",
     "SemanticTrajectory",
     "StructuredSemanticTrajectory",
-    "ComputeConfig",
     "ObservabilityConfig",
     "ParallelConfig",
     "PipelineConfig",

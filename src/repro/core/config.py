@@ -5,6 +5,10 @@ computing policies" of Figure 2 (velocity threshold, temporal/spatial
 separations, density threshold) and the algorithm parameters of Section 4
 (global view radius R, kernel width sigma, POI grid size, HMM transition
 structure) live in one place and are easy to sweep in the benchmarks.
+
+What is configured is *what* to compute, never *how*: every kernel has one
+implementation, so there is no compute or index selection here (the former
+``compute`` section is refused like any unknown section).
 """
 
 from __future__ import annotations
@@ -259,63 +263,6 @@ class StreamingConfig:
 
 
 @dataclass(frozen=True)
-class ComputeConfig:
-    """Selection of the per-point compute backend for the hot paths.
-
-    ``"numpy"`` routes the per-point computations (cleaning prechecks, stop
-    flags, POI Gaussian sums) through the batch kernels of
-    :mod:`repro.geometry.vectorized` and, with the flat index, runs global map
-    matching as one columnar kernel per call
-    (:meth:`repro.lines.map_matching.GlobalMapMatcher.match_rows`);
-    ``"python"`` keeps the scalar pure-Python implementations, which remain
-    the reference oracle the parity tests compare against.  Both backends
-    produce identical discrete outputs; float payloads agree bit-for-bit
-    except where transcendental functions are involved (documented 1-ulp
-    tolerance in :mod:`repro.geometry.vectorized`).  That includes
-    ``MatchedPoint.score``: the columnar matcher takes every kernel weight
-    from ``np.exp``, whatever the window size, the scalar one from
-    ``math.exp``, so a score may differ in its last ulps between the backends
-    while the matched segment is the same.
-    """
-
-    backend: str = "numpy"
-    """Either ``"numpy"`` (vectorized batch kernels) or ``"python"`` (scalar)."""
-
-    index_backend: str = "auto"
-    """Spatial-index backend for the annotation hot paths.
-
-    ``"flat"`` compiles each frozen source index (region R-tree, road-network
-    R-tree, POI grid) into the read-only numpy-backed
-    :class:`~repro.index.flat.FlatSpatialIndex` and issues **batch** queries —
-    one per trajectory/episode/micro-batch — instead of one scalar tree query
-    per GPS point; ``"tree"`` keeps every query on the scalar indexes, which
-    remain the reference oracle.  ``"auto"`` (the default) selects ``"flat"``
-    when ``backend`` is ``"numpy"`` and ``"tree"`` otherwise.  Both backends
-    produce byte-identical canonical output: the flat index returns the same
-    result sets in the same order with bit-identical distances (see
-    :mod:`repro.index.flat`).
-    """
-
-    def __post_init__(self) -> None:
-        if self.backend not in ("numpy", "python"):
-            raise ConfigurationError(
-                f"unknown compute backend {self.backend!r}; expected 'numpy' or 'python'"
-            )
-        if self.index_backend not in ("auto", "flat", "tree"):
-            raise ConfigurationError(
-                f"unknown index backend {self.index_backend!r}; "
-                "expected 'auto', 'flat' or 'tree'"
-            )
-
-    @property
-    def resolved_index_backend(self) -> str:
-        """The effective index backend: ``"flat"`` or ``"tree"``."""
-        if self.index_backend == "auto":
-            return "flat" if self.backend == "numpy" else "tree"
-        return self.index_backend
-
-
-@dataclass(frozen=True)
 class ParallelConfig:
     """How many worker processes batch annotation uses — the only choice.
 
@@ -368,7 +315,7 @@ class ObservabilityConfig:
     surviving the process-pool boundary) and whose
     :class:`~repro.obs.metrics.MetricsRegistry` collects engine, streaming
     and store metrics with the existing latency profiles as the stage-latency
-    histogram backend.
+    histograms.
     """
 
     enabled: bool = False
@@ -610,7 +557,6 @@ class PipelineConfig:
     point: PointAnnotationConfig = field(default_factory=PointAnnotationConfig)
     streaming: StreamingConfig = field(default_factory=StreamingConfig)
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
-    compute: ComputeConfig = field(default_factory=ComputeConfig)
     observability: ObservabilityConfig = field(default_factory=ObservabilityConfig.from_env)
     service: ServiceConfig = field(default_factory=ServiceConfig)
     failure: FailurePolicy = field(default_factory=FailurePolicy)

@@ -82,19 +82,10 @@ class LayerAnnotators:
 
     @classmethod
     def build(cls, sources: AnnotationSources, config: PipelineConfig) -> "LayerAnnotators":
-        """Construct the annotators for every source that is available.
-
-        The compute backend of ``config.compute`` is threaded into the line
-        and point layers, whose per-point hot paths have vectorized kernels;
-        the resolved index backend is threaded into all three layers so their
-        spatial joins issue batch flat-index queries (``"flat"``) or scalar
-        tree walks (``"tree"``).
-        """
-        backend = config.compute.backend
-        index_backend = config.compute.resolved_index_backend
+        """Construct the annotators for every source that is available."""
         return cls(
             region=(
-                RegionAnnotator(sources.regions, config.region, index_backend=index_backend)
+                RegionAnnotator(sources.regions, config.region)
                 if sources.regions is not None
                 else None
             ),
@@ -103,18 +94,12 @@ class LayerAnnotators:
                     sources.road_network,
                     matching_config=config.map_matching,
                     transport_config=config.transport,
-                    backend=backend,
-                    index_backend=index_backend,
                 )
                 if sources.road_network is not None
                 else None
             ),
             point=(
-                PointAnnotator(
-                    sources.pois, config.point, backend=backend, index_backend=index_backend
-                )
-                if sources.pois is not None
-                else None
+                PointAnnotator(sources.pois, config.point) if sources.pois is not None else None
             ),
         )
 

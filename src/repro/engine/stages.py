@@ -208,7 +208,7 @@ class CleanStage(PreprocessingStage):
     outputs = ("cleaned_points",)
 
     def __init__(self, config: PipelineConfig):
-        self._cleaner = GpsCleaner(config.cleaning, backend=config.compute.backend)
+        self._cleaner = GpsCleaner(config.cleaning)
 
     def apply(self, points: Sequence[SpatioTemporalPoint]) -> List[SpatioTemporalPoint]:
         """Cleaned copy of the point stream."""
@@ -248,7 +248,7 @@ class ComputeEpisodesStage(Stage):
     outputs = ("episodes",)
 
     def __init__(self, config: PipelineConfig):
-        self._detector = StopMoveDetector(config.stop_move, backend=config.compute.backend)
+        self._detector = StopMoveDetector(config.stop_move)
 
     @property
     def detector(self) -> StopMoveDetector:

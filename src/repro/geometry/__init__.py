@@ -37,11 +37,7 @@ from repro.geometry.projection import LocalProjector
 from repro.geometry.vectorized import (
     consecutive_distances,
     consecutive_speeds,
-    equirectangular_to_planar,
-    gaussian_2d_densities,
     gaussian_kernel_weights,
-    pairwise_distances,
-    planar_to_equirectangular,
     point_segment_distances,
 )
 
@@ -66,10 +62,6 @@ __all__ = [
     "LocalProjector",
     "consecutive_distances",
     "consecutive_speeds",
-    "equirectangular_to_planar",
-    "gaussian_2d_densities",
     "gaussian_kernel_weights",
-    "pairwise_distances",
-    "planar_to_equirectangular",
     "point_segment_distances",
 ]

@@ -33,8 +33,8 @@ class Point:
 
         Computed as ``sqrt(dx*dx + dy*dy)`` rather than ``math.hypot`` — this
         exact operation sequence is what the numpy kernels of
-        :mod:`repro.geometry.vectorized` replicate elementwise, so the scalar
-        and vectorized compute backends agree bit-for-bit on distances.
+        :mod:`repro.geometry.vectorized` replicate elementwise, so scalar and
+        array code agree bit-for-bit on distances.
         """
         dx = self.x - other.x
         dy = self.y - other.y

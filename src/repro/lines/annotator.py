@@ -34,12 +34,8 @@ class LineAnnotator:
         network: RoadNetwork,
         matching_config: MapMatchingConfig = MapMatchingConfig(),
         transport_config: TransportModeConfig = TransportModeConfig(),
-        backend: str = "numpy",
-        index_backend: str = "tree",
     ):
-        self._matcher = GlobalMapMatcher(
-            network, matching_config, backend=backend, index_backend=index_backend
-        )
+        self._matcher = GlobalMapMatcher(network, matching_config)
         self._classifier = TransportModeClassifier(transport_config)
 
     @property
@@ -63,8 +59,8 @@ class LineAnnotator:
         """Annotate every move episode in ``episodes`` (non-moves are skipped).
 
         The episodes may belong to different trajectories.  All of them go to
-        the matcher in one call, which under the columnar kernel shares the
-        fixed cost of its array operations between episodes.
+        the matcher in one call, which shares the fixed cost of the kernel's
+        array operations between episodes.
         """
         moves = [episode for episode in episodes if episode.is_move]
         points = [episode.points for episode in moves]

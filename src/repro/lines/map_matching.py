@@ -14,29 +14,26 @@ For every GPS point of a move episode the matcher:
 5. picks the candidate with the highest global score and, when requested,
    snaps the GPS position onto it.
 
-There are exactly two implementations.  Under ``backend="numpy"`` with the
-flat index the whole of steps 1-5 is one columnar kernel
-(:meth:`GlobalMapMatcher.match_rows`) over ``(point, candidate)`` pair arrays;
-every other combination runs the scalar per-point loop, which is the oracle
-the parity tests compare the kernel against.
+There is one implementation: the whole of steps 1-5 is one columnar kernel
+(:meth:`GlobalMapMatcher.match_rows`) over ``(point, candidate)`` pair arrays,
+at every episode length (6-13x the per-point loop at 64-256 points,
+``results/vectorized_kernels.txt``).  The per-point loop — one R-tree query and
+one dict-based score aggregation per point — is the oracle the parity tests
+compare the kernel against and lives outside the product, as
+``ScalarMapMatcher`` in the reference package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import MapMatchingConfig
 from repro.core.places import LineOfInterest
 from repro.core.points import SpatioTemporalPoint
-from repro.geometry.distance import (
-    closest_point_on_segment,
-    perpendicular_distance,
-    point_segment_distance,
-)
-from repro.geometry.kernels import gaussian_kernel_weight
+from repro.geometry.distance import closest_point_on_segment
 from repro.geometry.primitives import Point
 from repro.geometry.vectorized import (
     distances_to_point,
@@ -103,30 +100,17 @@ def segment_runs(matched: Sequence[MatchedPoint]) -> List[SegmentRun]:
 class GlobalMapMatcher:
     """The global map-matching algorithm of Section 4.2.
 
-    ``backend="numpy"`` together with ``index_backend="flat"`` runs the
-    columnar kernel: one batch query against the network's compiled
+    One batch query against the network's compiled
     :class:`~repro.index.flat.FlatSpatialIndex` for all points handed in, then
-    array operations from Equation 2 to the argmax.  Any other combination
-    (``backend="python"`` or ``index_backend="tree"``) runs the scalar
-    reference: one R-tree query and one dict-based score aggregation per
-    point.  Candidate selection, ordering, accumulation order and
-    tie-breaking are the same, so both match every point to the same segment;
-    scores agree to within 1 ulp (``np.exp`` versus ``math.exp`` in the
-    kernel weights).
+    array operations from Equation 2 to the argmax.  Candidate selection,
+    ordering, accumulation order and tie-breaking are those of the per-point
+    oracle, so both match every point to the same segment; scores agree to
+    within 1 ulp (``np.exp`` versus ``math.exp`` in the kernel weights).
     """
 
-    def __init__(
-        self,
-        network: RoadNetwork,
-        config: MapMatchingConfig = MapMatchingConfig(),
-        backend: str = "numpy",
-        index_backend: str = "tree",
-    ):
+    def __init__(self, network: RoadNetwork, config: MapMatchingConfig = MapMatchingConfig()):
         self._network = network
         self._config = config
-        self._backend = backend
-        self._index_backend = index_backend
-        self._columnar = backend == "numpy" and index_backend == "flat"
 
     @property
     def network(self) -> RoadNetwork:
@@ -138,21 +122,9 @@ class GlobalMapMatcher:
         """The active map-matching configuration."""
         return self._config
 
-    @property
-    def backend(self) -> str:
-        """The active compute backend (``"numpy"`` or ``"python"``)."""
-        return self._backend
-
-    @property
-    def index_backend(self) -> str:
-        """The active spatial-index backend (``"flat"`` or ``"tree"``)."""
-        return self._index_backend
-
     # -------------------------------------------------------------- matching
     def match(self, points: Sequence[SpatioTemporalPoint]) -> List[MatchedPoint]:
         """Match every GPS point of a move episode to a road segment."""
-        if not self._columnar:
-            return self._match_scalar(points)
         rows, scores = self.match_rows([points])
         segments = self._network.flat_index().payloads
         matched: List[MatchedPoint] = []
@@ -175,11 +147,9 @@ class GlobalMapMatcher:
         """Per episode, the maximal runs of points matched to one segment.
 
         The form the line annotation consumes (Algorithm 2's route sequence):
-        under the columnar kernel all episodes are matched in one call and the
-        runs are read off the matched-row array, without a per-point object.
+        all episodes are matched in one call and the runs are read off the
+        matched-row array, without a per-point object.
         """
-        if not self._columnar:
-            return [segment_runs(self._match_scalar(points)) for points in episodes]
         rows, _ = self.match_rows(episodes)
         lengths = np.fromiter((len(points) for points in episodes), np.intp, len(episodes))
         first = np.cumsum(lengths) - lengths
@@ -219,7 +189,6 @@ class GlobalMapMatcher:
         score.  Episode boundaries are context-window barriers, so matching
         several episodes in one call gives each the result of a call of its
         own while paying the fixed cost of the array operations once.
-        Requires the flat index (``backend="numpy"``, ``index_backend="flat"``).
         """
         config = self._config
         lengths = np.fromiter((len(points) for points in episodes), np.intp, len(episodes))
@@ -370,124 +339,6 @@ class GlobalMapMatcher:
             there, direction = there[near], direction[near]
             reach[side, points] += 1
         return reach[0], reach[1]
-
-    # --------------------------------------------------------- scalar oracle
-    def _match_scalar(self, points: Sequence[SpatioTemporalPoint]) -> List[MatchedPoint]:
-        local_scores = [self.local_scores(point) for point in points]
-        matched: List[MatchedPoint] = []
-        for index, point in enumerate(points):
-            candidates = local_scores[index]
-            if not candidates:
-                matched.append(
-                    MatchedPoint(point=point, segment=None, score=0.0, snapped=point.position)
-                )
-                continue
-            if self._config.use_global_score:
-                scores = self.global_scores(points, local_scores, index)
-            else:
-                scores = {seg_id: score for seg_id, (score, _) in candidates.items()}
-            matched.append(self.select_best(point, candidates, scores))
-        return matched
-
-    def select_best(
-        self,
-        point: SpatioTemporalPoint,
-        candidates: Dict[str, Tuple[float, LineOfInterest]],
-        scores: Dict[str, float],
-    ) -> MatchedPoint:
-        """Pick the highest-scoring candidate and snap the point onto it."""
-        best_id = max(scores.items(), key=lambda pair: (pair[1], pair[0]))[0]
-        best_segment = candidates[best_id][1]
-        snapped = closest_point_on_segment(point.position, best_segment.segment)
-        return MatchedPoint(
-            point=point, segment=best_segment, score=scores[best_id], snapped=snapped
-        )
-
-    def _distance(self, point: Point, segment: LineOfInterest) -> float:
-        if self._config.distance_metric == "perpendicular":
-            return perpendicular_distance(point, segment.segment)
-        return point_segment_distance(point, segment.segment)
-
-    def local_scores(
-        self, point: SpatioTemporalPoint
-    ) -> Dict[str, Tuple[float, LineOfInterest]]:
-        """Equation 2: localScore of every candidate segment of ``point``."""
-        candidates = self._network.candidate_segments(
-            point.position,
-            radius=self._config.candidate_radius,
-            max_candidates=self._config.max_candidates,
-        )
-        distances = {
-            segment.place_id: (self._distance(point.position, segment), segment)
-            for _, segment in candidates
-        }
-        if not distances:
-            return {}
-        d_min = min(distance for distance, _ in distances.values())
-        scores: Dict[str, Tuple[float, LineOfInterest]] = {}
-        for segment_id, (distance, segment) in distances.items():
-            if distance <= 0.0:
-                score = 1.0
-            elif d_min <= 0.0:
-                score = 0.0
-            else:
-                score = d_min / distance
-            scores[segment_id] = (score, segment)
-        return scores
-
-    def global_scores(
-        self,
-        points: Sequence[SpatioTemporalPoint],
-        local_scores: Sequence[Dict[str, Tuple[float, LineOfInterest]]],
-        index: int,
-    ) -> Dict[str, float]:
-        """Equations 3-4: kernel-weighted global score of each candidate of point ``index``."""
-        center = points[index].position
-        radius = self._config.context_radius
-        sigma = self._config.kernel_width
-        candidate_ids = list(local_scores[index].keys())
-
-        weighted_sum: Dict[str, float] = {segment_id: 0.0 for segment_id in candidate_ids}
-        weight_total = 0.0
-        # Aggregate the neighbours inside the context window in both directions.
-        for neighbor_index in self._window_indices(points, index, radius):
-            weight = gaussian_kernel_weight(
-                center.distance_to(points[neighbor_index].position),
-                bandwidth=sigma,
-                radius=radius,
-            )
-            if weight <= 0.0:
-                continue
-            weight_total += weight
-            neighbor_scores = local_scores[neighbor_index]
-            for segment_id in candidate_ids:
-                if segment_id in neighbor_scores:
-                    weighted_sum[segment_id] += weight * neighbor_scores[segment_id][0]
-
-        if weight_total <= 0.0:
-            return {segment_id: score for segment_id, (score, _) in local_scores[index].items()}
-        return {segment_id: total / weight_total for segment_id, total in weighted_sum.items()}
-
-    def _window_indices(
-        self, points: Sequence[SpatioTemporalPoint], index: int, radius: float
-    ) -> List[int]:
-        """Indices of points within ``radius`` of point ``index`` (the 2R window).
-
-        Walks backwards and forwards from the centre and stops as soon as a
-        point leaves the view radius, mirroring the N1-before/N2-after window
-        of the paper.
-        """
-        center = points[index].position
-        window = [index]
-        cursor = index - 1
-        while cursor >= 0 and center.distance_to(points[cursor].position) < radius:
-            window.append(cursor)
-            cursor -= 1
-        cursor = index + 1
-        while cursor < len(points) and center.distance_to(points[cursor].position) < radius:
-            window.append(cursor)
-            cursor += 1
-        return sorted(window)
 
 
 def matching_accuracy(

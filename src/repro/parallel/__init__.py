@@ -15,8 +15,8 @@ equality they are tested against:
   ``multiprocessing.shared_memory``;
 * :mod:`~repro.parallel.shared` — :class:`SharedArrayBundle` and the
   :func:`share_context`/:func:`attach_context` pair that move the snapshot's
-  contiguous numpy blocks (flat-index levels, CSR columns, coordinate
-  arrays) into one shared segment workers map read-only;
+  contiguous numpy blocks (flat-index levels, CSR columns, the map matcher's
+  id ranks) into one shared segment workers map read-only;
 * :mod:`repro.parallel.canonical` — the byte-level equality every executor
   and transport is held to.
 """

@@ -44,25 +44,18 @@ class GeoContext:
         for source in (sources.regions, sources.road_network, sources.pois):
             if source is not None:
                 source.freeze()
-        # Prebuild the columnar coordinate arrays of the indexed sources so
-        # the snapshot ships them to workers (free under fork, one shared
-        # segment under spawn) instead of each worker rebuilding them lazily.
-        if config.compute.backend == "numpy" and sources.pois is not None:
-            sources.pois.coordinate_arrays()
-        # Likewise pre-compile the flat batch indexes once: parallel workers
-        # and the streaming engine then share the read-only arrays zero-copy
-        # under fork instead of each compiling their own copy lazily.
-        if config.compute.resolved_index_backend == "flat":
-            if sources.regions is not None:
-                sources.regions.flat_index()
-            if sources.road_network is not None:
-                sources.road_network.flat_index()
-                if config.compute.backend == "numpy":
-                    # The columnar map matcher's per-row columns, so that no
-                    # timed match builds them.
-                    sources.road_network.segment_arrays()
-            if sources.pois is not None:
-                sources.pois.flat_index()
+        # Pre-compile the flat batch indexes once: the snapshot ships them to
+        # workers (free under fork, one shared segment under spawn) and the
+        # streaming engine shares them, instead of each compiling a copy lazily.
+        if sources.regions is not None:
+            sources.regions.flat_index()
+        if sources.road_network is not None:
+            sources.road_network.flat_index()
+            # The columnar map matcher's per-row columns, so that no timed
+            # match builds them.
+            sources.road_network.segment_arrays()
+        if sources.pois is not None:
+            sources.pois.flat_index()
 
     @classmethod
     def build(
@@ -95,8 +88,8 @@ class GeoContext:
         """The snapshot's contiguous numpy blocks, by stable human-readable name.
 
         Exactly the arrays ``__init__`` pre-compiles for worker sharing: the
-        flat-index level/entry/segment columns of every source plus the
-        columnar source coordinate arrays.  :func:`repro.parallel.shared.share_context`
+        flat-index level/entry/segment columns of every source plus the map
+        matcher's id-rank column.  :func:`repro.parallel.shared.share_context`
         uses the names for its shared-memory manifest (arrays reached only
         through other attributes still get exported, under generated names);
         tests use them to assert the worker-side views are genuinely
@@ -104,24 +97,18 @@ class GeoContext:
         """
         blocks: "OrderedDict[str, np.ndarray]" = OrderedDict()
         sources = self._sources
-        numpy_backend = self._config.compute.backend == "numpy"
-        if numpy_backend and sources.pois is not None:
-            poi_arrays = sources.pois.coordinate_arrays()
-            blocks["pois.arrays.xs"] = poi_arrays.xs
-            blocks["pois.arrays.ys"] = poi_arrays.ys
-        if self._config.compute.resolved_index_backend == "flat":
-            for prefix, source in (
-                ("regions", sources.regions),
-                ("road_network", sources.road_network),
-                ("pois", sources.pois),
-            ):
-                if source is not None:
-                    for key, array in source.flat_index().array_blocks().items():
-                        blocks[f"{prefix}.flat.{key}"] = array
-            if numpy_backend and sources.road_network is not None:
-                # The endpoint columns of segment_arrays() are the flat
-                # index's own, named above.
-                blocks["road_network.arrays.id_ranks"] = (
-                    sources.road_network.segment_arrays().id_ranks
-                )
+        for prefix, source in (
+            ("regions", sources.regions),
+            ("road_network", sources.road_network),
+            ("pois", sources.pois),
+        ):
+            if source is not None:
+                for key, array in source.flat_index().array_blocks().items():
+                    blocks[f"{prefix}.flat.{key}"] = array
+        if sources.road_network is not None:
+            # The endpoint columns of segment_arrays() are the flat index's
+            # own, named above.
+            blocks["road_network.arrays.id_ranks"] = (
+                sources.road_network.segment_arrays().id_ranks
+            )
         return blocks

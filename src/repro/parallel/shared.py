@@ -1,8 +1,8 @@
 """Zero-copy sharing of :class:`GeoContext` numpy blocks across processes.
 
 PR 4 made the expensive part of a :class:`~repro.parallel.context.GeoContext`
-snapshot — the flat R-tree levels, the CSR entry/payload columns, the source
-coordinate arrays — contiguous read-only numpy blocks.  This module moves
+snapshot — the flat R-tree levels, the CSR entry/payload columns, the map
+matcher's id-rank column — contiguous read-only numpy blocks.  This module moves
 those blocks into ``multiprocessing.shared_memory`` so pool workers *attach*
 to one copy instead of each receiving a pickled duplicate:
 

@@ -3,6 +3,9 @@
 Builds the HMM ``lambda = (pi, A, B)`` from a POI source, decodes the hidden
 POI-category sequence for the stop observations of a trajectory with Viterbi,
 and attaches a POI-category and activity annotation to every stop episode.
+
+One path: before decoding, one batch flat-index query primes the observation
+model with the neighbour sets of every cell the stops fall in.
 """
 
 from __future__ import annotations
@@ -29,15 +32,10 @@ class PointAnnotator:
         source: PoiSource,
         config: PointAnnotationConfig = PointAnnotationConfig(),
         transitions: Optional[Dict[str, Dict[str, float]]] = None,
-        backend: str = "numpy",
-        index_backend: str = "tree",
     ):
         self._source = source
         self._config = config
-        self._index_backend = index_backend
-        self._observation_model = PoiObservationModel(
-            source, config, backend=backend, index_backend=index_backend
-        )
+        self._observation_model = PoiObservationModel(source, config)
         categories = self._observation_model.categories
         self._hmm = HiddenMarkovModel(
             states=categories,
@@ -46,7 +44,6 @@ class PointAnnotator:
             if transitions is not None
             else diagonal_transitions(categories, config.self_transition),
             min_probability=config.min_probability,
-            backend=backend,
         )
 
     @property
@@ -73,10 +70,9 @@ class PointAnnotator:
         if not stops:
             return []
         observations = [stop.center() for stop in stops]
-        if self._index_backend == "flat":
-            # One batch index query fills the cell cache for every stop the
-            # Viterbi recurrence is about to score (n_states lookups each).
-            self._observation_model.prime(observations)
+        # One batch index query fills the cell cache for every stop the
+        # Viterbi recurrence is about to score (n_states lookups each).
+        self._observation_model.prime(observations)
         result = self._hmm.viterbi(
             observations,
             observation_fn=lambda state, observation: self._observation_model.probability(

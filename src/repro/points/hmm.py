@@ -10,13 +10,10 @@ Observation probabilities are supplied by a callable ``B(state, observation)``
 so the same decoder serves both the POI observation model (continuous stop
 positions) and the unit tests (small discrete alphabets).
 
-The decoder has two implementations selected by ``backend``: the scalar
-dict-based recurrence (``"python"``, the reference oracle) and a vectorized
-one (``"numpy"``) that runs Equation 5/6 over log-space ``delta``/``psi``
-matrices.  They are **bit-identical**: the vectorized path pre-computes every
-logarithm with the same ``math.log`` calls as the scalar loop and the
-recurrence itself uses only IEEE additions and first-occurrence ``argmax``,
-which mirrors the scalar strict-``>`` update exactly.
+The decoder has one implementation, the dict-based recurrence: a trajectory
+has a handful of stops (median 1, at most 5 on the benchmark fleet) over five
+categories, and at that size a matrix form of the same recurrence was measured
+slower.  :meth:`HiddenMarkovModel.brute_force_best_path` is the test oracle.
 """
 
 from __future__ import annotations
@@ -65,19 +62,13 @@ class HiddenMarkovModel:
         initial: Dict[str, float],
         transitions: Dict[str, Dict[str, float]],
         min_probability: float = 1e-12,
-        backend: str = "numpy",
     ):
         if not states:
             raise ConfigurationError("an HMM needs at least one state")
         if len(set(states)) != len(states):
             raise ConfigurationError("HMM state names must be unique")
-        if backend not in ("numpy", "python"):
-            raise ConfigurationError(
-                f"unknown HMM backend {backend!r}; expected 'numpy' or 'python'"
-            )
         self._states: List[str] = list(states)
         self._min_probability = min_probability
-        self._backend = backend
         self._initial = self._validated_distribution(initial, "initial")
         self._transitions: Dict[str, Dict[str, float]] = {}
         for state in self._states:
@@ -85,19 +76,6 @@ class HiddenMarkovModel:
             if row is None:
                 raise ConfigurationError(f"missing transition row for state {state!r}")
             self._transitions[state] = self._validated_distribution(row, f"transitions[{state}]")
-        # Log-space parameters of the vectorized decoder, pre-computed with
-        # the same `_log` calls the scalar loops make (so both decoders add
-        # exactly the same floats).
-        self._log_initial = np.array(
-            [self._log(self._initial[state]) for state in self._states], dtype=np.float64
-        )
-        self._log_transitions = np.array(
-            [
-                [self._log(self._transitions[source][target]) for target in self._states]
-                for source in self._states
-            ],
-            dtype=np.float64,
-        )
 
     # -------------------------------------------------------------- accessors
     @property
@@ -123,11 +101,6 @@ class HiddenMarkovModel:
                 matrix[i, j] = self._transitions[source][target]
         return matrix
 
-    @property
-    def backend(self) -> str:
-        """The active decoder backend (``"numpy"`` or ``"python"``)."""
-        return self._backend
-
     # --------------------------------------------------------------- decoding
     def viterbi(
         self, observations: Sequence[object], observation_fn: ObservationFn
@@ -137,71 +110,7 @@ class HiddenMarkovModel:
         ``observation_fn(state, observation)`` must return ``Pr(o | state)``.
         Computation is carried out in log space; the per-step ``delta`` tables
         of Equation 5/6 are returned (as log-probabilities) for inspection.
-        Dispatches to the vectorized matrix recurrence under the ``numpy``
-        backend and to :meth:`viterbi_scalar` (the reference oracle) under
-        ``python``; the two are bit-identical (see the module docstring).
         """
-        if self._backend == "numpy":
-            return self._viterbi_arrays(observations, observation_fn)
-        return self.viterbi_scalar(observations, observation_fn)
-
-    def _viterbi_arrays(
-        self, observations: Sequence[object], observation_fn: ObservationFn
-    ) -> ViterbiResult:
-        """Vectorized Algorithm 3: log-space ``delta``/``psi`` matrices.
-
-        The observation log-probabilities are still produced by per-state
-        ``_log(observation_fn(...))`` calls — identical to the scalar loop —
-        but the O(n^2) recurrence per step collapses into one broadcast add
-        and a column-wise ``argmax`` (first occurrence, matching the scalar
-        strict-``>`` tie-break); termination replicates the scalar
-        ``max(..., key=(value, state))`` tie-break on state *names*.
-        """
-        if not observations:
-            return ViterbiResult(states=[], log_probability=0.0, deltas=[])
-        states = self._states
-        n = len(states)
-        log_b = np.empty(n, dtype=np.float64)
-
-        def fill_log_b(observation: object) -> None:
-            for i, state in enumerate(states):
-                log_b[i] = self._log(observation_fn(state, observation))
-
-        fill_log_b(observations[0])
-        delta = self._log_initial + log_b
-        deltas = [delta]
-        psi: List[np.ndarray] = []
-        for observation in observations[1:]:
-            scores = delta[:, None] + self._log_transitions
-            pointers = np.argmax(scores, axis=0)
-            best = scores[pointers, np.arange(n)]
-            fill_log_b(observation)
-            delta = best + log_b
-            deltas.append(delta)
-            psi.append(pointers)
-
-        # Termination: ties on the final delta prefer the lexicographically
-        # greatest state name, like the scalar `max(items, key=(value, state))`.
-        peak = float(delta.max())
-        best_index = max(
-            (i for i in range(n) if delta[i] == peak), key=lambda i: states[i]
-        )
-        indices = [best_index]
-        for pointers in reversed(psi):
-            indices.append(int(pointers[indices[-1]]))
-        indices.reverse()
-        return ViterbiResult(
-            states=[states[i] for i in indices],
-            log_probability=peak,
-            deltas=[
-                {state: float(row[i]) for i, state in enumerate(states)} for row in deltas
-            ],
-        )
-
-    def viterbi_scalar(
-        self, observations: Sequence[object], observation_fn: ObservationFn
-    ) -> ViterbiResult:
-        """The scalar dict-based Algorithm 3 recurrence (the reference oracle)."""
         if not observations:
             return ViterbiResult(states=[], log_probability=0.0, deltas=[])
 

@@ -10,52 +10,34 @@ For efficiency the model discretises the POI area into grid cells and
 pre-computes ``Pr(grid_jk | Ci)`` lazily per visited cell, considering only the
 POIs within ``neighbor_radius`` of the cell (the "neighbouring POIs in that
 box" optimisation of Figure 7).
+
+The per-cell sum is one loop over the neighbour list: a cell has a handful of
+neighbours (159 sums per pass of the benchmark fleet, most under 8), where a
+gather-and-scatter array form was measured slower.  What is batched is the
+neighbour *lookup*: :meth:`PoiObservationModel.prime` fetches the neighbour
+sets of all cells a trajectory's stops will hit with one flat-index query.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.config import PointAnnotationConfig
 from repro.core.episodes import Episode
 from repro.geometry.grid import GridSpec
 from repro.geometry.kernels import gaussian_2d_density
 from repro.geometry.primitives import BoundingBox, Point
-from repro.geometry.vectorized import gaussian_2d_densities
 from repro.points.poi import PoiSource
 
-#: Neighbour sets smaller than this are summed with the scalar loop even
-#: under the numpy backend (fixed kernel overhead would dominate).
-_VECTOR_MIN_NEIGHBORS = 8
-
-
 class PoiObservationModel:
-    """Computes ``Pr(stop | category)`` for the point-annotation HMM.
-
-    ``backend`` selects how the Gaussian influence sums of Lemma 1 are
-    evaluated per grid cell: ``"numpy"`` gathers the neighbouring POIs'
-    coordinates from the source's cached columnar arrays and sums their
-    densities with one vectorized kernel sweep, ``"python"`` is the scalar
-    reference.  Both accumulate per category in the same neighbour order; the
-    densities agree to within 1 ulp (``exp``), and the decoded categories are
-    compared exactly by the parity tests.
-    """
+    """Computes ``Pr(stop | category)`` for the point-annotation HMM."""
 
     def __init__(
-        self,
-        source: PoiSource,
-        config: PointAnnotationConfig = PointAnnotationConfig(),
-        backend: str = "numpy",
-        index_backend: str = "tree",
+        self, source: PoiSource, config: PointAnnotationConfig = PointAnnotationConfig()
     ):
         self._source = source
         self._config = config
-        self._backend = backend
-        self._index_backend = index_backend
         self._categories = source.categories()
-        self._category_index = {category: i for i, category in enumerate(self._categories)}
         bounds = source.bounds().expanded(config.neighbor_radius)
         self._grid = GridSpec.covering(bounds, config.grid_cell_size)
         self._cell_cache: Dict[Tuple[int, int], Dict[str, float]] = {}
@@ -100,13 +82,12 @@ class PoiObservationModel:
     def prime(self, points: Sequence[Point]) -> int:
         """Pre-compute the cell probabilities every point in ``points`` will hit.
 
-        Under the flat index backend the uncached cells' neighbour sets are
-        fetched with **one** batch query (instead of one grid walk per cell
-        per state during Viterbi decoding); the per-cell accumulation then
-        follows the active compute backend, so the cached values are identical
-        to what the lazy per-cell path would have produced.  Returns the
-        number of cells computed; points outside the grid are skipped (they
-        take the exact-evaluation path like the scalar code).
+        The uncached cells' neighbour sets are fetched with **one** batch
+        flat-index query (instead of one grid walk per cell on first use
+        during Viterbi decoding); the per-cell accumulation is the lazy
+        path's, so the cached values are identical to what it would have
+        produced.  Returns the number of cells computed; points outside the
+        grid are skipped (they take the exact-evaluation path).
         """
         pending: List[Tuple[int, int]] = []
         seen = set(self._cell_cache)
@@ -119,15 +100,7 @@ class PoiObservationModel:
         if not pending:
             return 0
         centers = [self._grid.cell_center(cell) for cell in pending]
-        if self._index_backend == "flat":
-            neighbor_lists = self._source.pois_within_batch(
-                centers, self._config.neighbor_radius
-            )
-        else:
-            neighbor_lists = [
-                self._source.pois_within(center, self._config.neighbor_radius)
-                for center in centers
-            ]
+        neighbor_lists = self._source.pois_within_batch(centers, self._config.neighbor_radius)
         for cell, center, neighbors in zip(pending, centers, neighbor_lists):
             self._cell_cache[cell] = self._probabilities_from_neighbors(center, neighbors)
         return len(pending)
@@ -167,14 +140,10 @@ class PoiObservationModel:
     def _probabilities_from_neighbors(self, point: Point, neighbors) -> Dict[str, float]:
         """Per-category Gaussian sums over an already-fetched neighbour list.
 
-        The accumulation path depends only on the compute backend and the
-        neighbour set — never on which index produced the set — so the flat
-        batch priming and the lazy per-cell path cache identical values.
+        Depends only on the neighbour set — never on which index produced it —
+        so the flat batch priming and the lazy per-cell path cache identical
+        values.
         """
-        # The cutoff is a deterministic function of the neighbour set, so
-        # every execution mode evaluates a given cell the same way.
-        if self._backend == "numpy" and len(neighbors) >= _VECTOR_MIN_NEIGHBORS:
-            return self._exact_probabilities_arrays(point, neighbors)
         sums: Dict[str, float] = {category: 0.0 for category in self._categories}
         for _, poi in neighbors:
             sigma = self.sigma_for(poi.category)
@@ -183,41 +152,6 @@ class PoiObservationModel:
             )
         floor = self._config.min_probability
         return {category: max(value, floor) for category, value in sums.items()}
-
-    def _exact_probabilities_arrays(self, point: Point, neighbors) -> Dict[str, float]:
-        """Vectorized Lemma 1 over the source's columnar POI coordinates.
-
-        Gathers the neighbour rows from :meth:`PoiSource.coordinate_arrays`,
-        evaluates every Gaussian density in one kernel call and accumulates
-        per category with an ordered scatter-add (``np.add.at`` applies
-        updates in index order, i.e. the scalar loop's neighbour order).
-        """
-        arrays = self._source.coordinate_arrays()
-        count = len(neighbors)
-        rows = np.fromiter(
-            (arrays.row_of[arrays.key_of(poi)] for _, poi in neighbors),
-            dtype=np.intp,
-            count=count,
-        )
-        sigmas = np.fromiter(
-            (self.sigma_for(arrays.categories[row]) for row in rows),
-            dtype=np.float64,
-            count=count,
-        )
-        densities = gaussian_2d_densities(
-            point.x, point.y, arrays.xs[rows], arrays.ys[rows], sigmas
-        )
-        codes = np.fromiter(
-            (self._category_index[arrays.categories[row]] for row in rows),
-            dtype=np.intp,
-            count=count,
-        )
-        sums = np.zeros(len(self._categories), dtype=np.float64)
-        np.add.at(sums, codes, densities)
-        floor = self._config.min_probability
-        return {
-            category: max(float(sums[i]), floor) for i, category in enumerate(self._categories)
-        }
 
     def cache_size(self) -> int:
         """Number of grid cells whose probabilities have been pre-computed."""

@@ -9,10 +9,7 @@ initial probabilities are derived from.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.core.errors import SourceError
 from repro.core.places import PointOfInterest
@@ -20,31 +17,6 @@ from repro.geometry.primitives import BoundingBox, Point
 from repro.index.flat import FlatSpatialIndex
 from repro.index.grid_index import GridIndex
 
-
-@dataclass(frozen=True)
-class PoiArrays:
-    """Columnar coordinates of every POI of a source.
-
-    Contiguous float64 location columns plus each POI's row index, letting
-    the vectorized observation model gather a neighbour set's geometry with
-    one fancy-indexing operation.  Rows are keyed by
-    ``(place_id, x, y, category)`` so the mapping survives pickling to
-    spawn-workers; POIs colliding on that key share a row, which is harmless
-    because exactly those fields determine the gathered columns.  Built once
-    per source and treated as read-only;
-    :class:`~repro.parallel.context.GeoContext` builds it eagerly so forked
-    workers share the pages.
-    """
-
-    xs: np.ndarray
-    ys: np.ndarray
-    categories: Tuple[str, ...]
-    row_of: Dict[Tuple[str, float, float, str], int]
-
-    @staticmethod
-    def key_of(poi: PointOfInterest) -> Tuple[str, float, float, str]:
-        """The row key of a POI: every field the gathered columns depend on."""
-        return (poi.place_id, poi.location.x, poi.location.y, poi.category)
 
 #: The five Milan top-categories used throughout Section 4.3 and Figure 11.
 DEFAULT_POI_CATEGORIES: Tuple[str, ...] = (
@@ -72,7 +44,6 @@ class PoiSource:
         self._index = GridIndex(cell_size=index_cell_size)
         for poi in self._pois:
             self._index.insert(poi.location, poi)
-        self._arrays: Optional[PoiArrays] = None
         self._flat_index: Optional[FlatSpatialIndex] = None
 
     def __len__(self) -> int:
@@ -82,18 +53,6 @@ class PoiSource:
         """Seal the source's grid index for read-only sharing across workers."""
         self._index.freeze()
         return self
-
-    def coordinate_arrays(self) -> PoiArrays:
-        """Cached columnar POI coordinates (built on first use)."""
-        if self._arrays is None:
-            count = len(self._pois)
-            self._arrays = PoiArrays(
-                xs=np.fromiter((p.location.x for p in self._pois), dtype=np.float64, count=count),
-                ys=np.fromiter((p.location.y for p in self._pois), dtype=np.float64, count=count),
-                categories=tuple(p.category for p in self._pois),
-                row_of={PoiArrays.key_of(p): row for row, p in enumerate(self._pois)},
-            )
-        return self._arrays
 
     @property
     def pois(self) -> List[PointOfInterest]:

@@ -5,19 +5,18 @@ a physically impossible speed) and smooths the remaining random error with a
 small sliding-window filter.  Both operations preserve timestamps; only the
 spatial coordinates change.
 
-The ``numpy`` backend accelerates both passes without changing a single
-output bit:
+Each pass has one implementation:
 
-* outlier removal first runs a vectorized precheck over the whole stream —
-  when every consecutive step has positive duration and legal speed (the
-  overwhelmingly common case) nothing can be dropped and the input is
-  returned as-is; otherwise the exact greedy scalar scan runs, because the
-  anchor-based filter is inherently sequential once a fix is dropped;
-* median smoothing (the default method) is a selection, not a sum, so the
-  vectorized sliding-window median is bit-for-bit identical to the scalar
-  loop.  Mean smoothing intentionally stays scalar: ``statistics.fmean`` is
-  exactly rounded while ``numpy.mean`` is not, and the cleaning parity
-  contract is byte-equality.
+* outlier removal is the greedy anchor scan — inherently sequential once a
+  fix is dropped, and on float-only distances cheaper than any array
+  precheck in front of it;
+* median smoothing (the default method) runs over coordinate columns at every
+  stream length: a median is a selection, not a sum, so the sliding-window
+  sort is bit-for-bit the per-point loop :meth:`GpsCleaner._smooth_scalar`,
+  which the tests keep as its oracle;
+* mean smoothing *is* that per-point loop: ``statistics.fmean`` is exactly
+  rounded while ``numpy.mean`` is not, and the cleaning contract is
+  byte-equality.
 """
 
 from __future__ import annotations
@@ -27,16 +26,9 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.arrays import TrajectoryArrays
 from repro.core.config import CleaningConfig
 from repro.core.errors import DataQualityError
 from repro.core.points import SpatioTemporalPoint
-from repro.geometry.vectorized import consecutive_distances
-
-#: Streams shorter than this stay on the scalar passes even under the numpy
-#: backend (fixed kernel overhead would dominate); both paths are bit-equal,
-#: so the cutoff never changes output.
-_VECTOR_MIN_POINTS = 32
 
 
 def window_median(values: List[float]) -> float:
@@ -60,23 +52,15 @@ class GpsCleaner:
     ----------
     config:
         Cleaning thresholds; see :class:`repro.core.config.CleaningConfig`.
-    backend:
-        ``"numpy"`` (vectorized fast paths) or ``"python"`` (scalar reference).
     """
 
-    def __init__(self, config: CleaningConfig = CleaningConfig(), backend: str = "numpy"):
+    def __init__(self, config: CleaningConfig = CleaningConfig()):
         self._config = config
-        self._backend = backend
 
     @property
     def config(self) -> CleaningConfig:
         """The active cleaning configuration."""
         return self._config
-
-    @property
-    def backend(self) -> str:
-        """The active compute backend (``"numpy"`` or ``"python"``)."""
-        return self._backend
 
     # ------------------------------------------------------------- outliers
     def remove_outliers(
@@ -90,33 +74,6 @@ class GpsCleaner:
         """
         if not points:
             return []
-        if (
-            self._backend == "numpy"
-            and len(points) >= _VECTOR_MIN_POINTS
-            and self._all_steps_legal(points)
-        ):
-            return list(points)
-        return self._remove_outliers_scalar(points)
-
-    def _all_steps_legal(self, points: Sequence[SpatioTemporalPoint]) -> bool:
-        """Vectorized precheck: True when the greedy filter cannot drop anything.
-
-        When every consecutive step has ``dt > 0`` and speed at most
-        ``max_speed``, the anchor never diverges from the predecessor and no
-        fix is dropped, so the scalar scan would return the input unchanged.
-        Any violation (including negative or duplicate timestamps) falls back
-        to the scalar scan, which owns the exact drop/raise semantics.
-        """
-        arrays = TrajectoryArrays.from_points(points)
-        dt = arrays.ts[1:] - arrays.ts[:-1]
-        if not bool((dt > 0.0).all()):
-            return False
-        distances = consecutive_distances(arrays.xs, arrays.ys)
-        return bool((distances / dt <= self._config.max_speed).all())
-
-    def _remove_outliers_scalar(
-        self, points: Sequence[SpatioTemporalPoint]
-    ) -> List[SpatioTemporalPoint]:
         cleaned: List[SpatioTemporalPoint] = [points[0]]
         for candidate in points[1:]:
             anchor = cleaned[-1]
@@ -143,11 +100,7 @@ class GpsCleaner:
         method = self._config.smoothing_method
         if window <= 1 or method == "none" or len(points) < 3:
             return list(points)
-        if (
-            self._backend == "numpy"
-            and method == "median"
-            and len(points) >= _VECTOR_MIN_POINTS
-        ):
+        if method == "median":
             return self._smooth_median_arrays(points, window)
         return self._smooth_scalar(points, window, method)
 

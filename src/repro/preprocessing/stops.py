@@ -12,48 +12,32 @@ thresholds among the trajectory computing policies):
   ``min_stop_duration`` (a seed-and-expand variant of the classic
   stop-detection algorithm).
 * **hybrid** — a point is a stop candidate when either policy flags it.
+
+Each flag pass has one implementation, decided by what the benchmark fleet
+measured: the velocity flags are one comparison over the trajectory's speed
+column at every length (the per-point form is the tests' oracle, in the
+reference package), the density scan is the seed-and-expand loop over
+float-only distances, which no array variant beat on any measured trajectory.
 """
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence
-
-import numpy as np
 
 from repro.core.arrays import TrajectoryArrays
 from repro.core.config import StopMoveConfig
 from repro.core.episodes import Episode, EpisodeKind, validate_episode_partition
 from repro.core.errors import DataQualityError
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
-from repro.geometry.vectorized import leading_run_within_radius
-from repro.preprocessing.features import compute_motion_features
 
 
 # The segmentation passes are module-level functions so that the streaming
 # subsystem's incremental detector can run exactly the same code on a growing
 # point buffer; :class:`StopMoveDetector` composes them for the batch case.
-# Each flag pass has a scalar implementation (the reference oracle) and an
-# ``*_arrays`` variant over columnar coordinates that reproduces it
-# bit-for-bit (distance comparisons only involve correctly rounded
-# arithmetic; see :mod:`repro.geometry.vectorized`).
-
-#: Trajectories shorter than this stay on the scalar flag loops even under
-#: the numpy backend — the columnarisation overhead would dominate.  The two
-#: paths produce bit-identical flags, so the cutoff never changes output.
-VECTOR_MIN_POINTS = 32
-
-
-def velocity_stop_flags(
-    points: Sequence[SpatioTemporalPoint], speed_threshold: float
-) -> List[bool]:
-    """Per-point stop-candidate flags of the velocity policy."""
-    features = compute_motion_features(points)
-    return [speed < speed_threshold for speed in features.speeds]
 
 
 def velocity_stop_flags_arrays(arrays: TrajectoryArrays, speed_threshold: float) -> List[bool]:
-    """Vectorized velocity flags over a whole columnar trajectory."""
+    """Per-point stop-candidate flags of the velocity policy, from the speed column."""
     return (arrays.speeds < speed_threshold).tolist()
 
 
@@ -86,75 +70,12 @@ def expand_density_flags(
             index += 1
 
 
-#: Expansion steps probed with scalar arithmetic before escalating to the
-#: chunked vector scan; short (move-typical) runs never pay a kernel call.
-_DENSITY_PROBE = 8
-
-
-def expand_density_flags_arrays(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    ts: np.ndarray,
-    radius: float,
-    min_duration: float,
-    flags: List[bool],
-) -> None:
-    """Vectorized :func:`expand_density_flags` over columnar coordinates.
-
-    Same in-place contract and identical output.  Per seed, the forward
-    expansion first probes a few steps with inline scalar arithmetic over
-    raw float lists (no ``Point`` objects) and escalates to an adaptive
-    chunked vector scan only for long dwell runs, so move-heavy stretches
-    stay cheap while stops cost a handful of vector operations.  The
-    distance comparison (``sqrt`` form, ``<=``) matches the scalar loop
-    bit-for-bit on both paths.
-    """
-    n = len(xs)
-    xs_l = xs.tolist()
-    ys_l = ys.tolist()
-    ts_l = ts.tolist()
-    index = 0
-    while index < n:
-        sx = xs_l[index]
-        sy = ys_l[index]
-        end = index
-        # Scalar probe of the first few expansion steps.
-        while end + 1 < n and end - index < _DENSITY_PROBE:
-            dx = sx - xs_l[end + 1]
-            dy = sy - ys_l[end + 1]
-            if math.sqrt(dx * dx + dy * dy) <= radius:
-                end += 1
-            else:
-                break
-        else:
-            # Probe exhausted without a violation: finish with chunked scans.
-            if end + 1 < n:
-                end += leading_run_within_radius(
-                    xs[end + 1 :], ys[end + 1 :], sx, sy, radius
-                )
-        duration = ts_l[end] - ts_l[index]
-        if duration >= min_duration and end > index:
-            flags[index : end + 1] = [True] * (end + 1 - index)
-            index = end + 1
-        else:
-            index += 1
-
-
 def density_stop_flags(
     points: Sequence[SpatioTemporalPoint], radius: float, min_duration: float
 ) -> List[bool]:
     """Per-point stop-candidate flags of the density policy."""
     flags = [False] * len(points)
     expand_density_flags(points, radius, min_duration, flags)
-    return flags
-
-
-def density_stop_flags_arrays(
-    arrays: TrajectoryArrays, radius: float, min_duration: float
-) -> List[bool]:
-    """Vectorized per-point stop-candidate flags of the density policy."""
-    flags = [False] * len(arrays)
-    expand_density_flags_arrays(arrays.xs, arrays.ys, arrays.ts, radius, min_duration, flags)
     return flags
 
 
@@ -251,27 +172,15 @@ def absorb_short_moves(
 
 
 class StopMoveDetector:
-    """Segments raw trajectories into stop and move episodes.
+    """Segments raw trajectories into stop and move episodes."""
 
-    ``backend`` selects how the per-point stop flags are computed:
-    ``"numpy"`` columnarises the trajectory once and sweeps the vectorized
-    flag kernels over it, ``"python"`` keeps the scalar reference loops.
-    Both produce identical flags (see :mod:`repro.geometry.vectorized`).
-    """
-
-    def __init__(self, config: StopMoveConfig = StopMoveConfig(), backend: str = "numpy"):
+    def __init__(self, config: StopMoveConfig = StopMoveConfig()):
         self._config = config
-        self._backend = backend
 
     @property
     def config(self) -> StopMoveConfig:
         """The active stop/move configuration."""
         return self._config
-
-    @property
-    def backend(self) -> str:
-        """The active compute backend (``"numpy"`` or ``"python"``)."""
-        return self._backend
 
     # ------------------------------------------------------------------ API
     def segment(self, trajectory: RawTrajectory) -> List[Episode]:
@@ -303,39 +212,26 @@ class StopMoveDetector:
     # ----------------------------------------------------------- candidates
     def _stop_flags(self, trajectory: RawTrajectory) -> List[bool]:
         policy = self._config.policy
-        arrays = (
-            TrajectoryArrays.from_trajectory(trajectory)
-            if self._backend == "numpy" and len(trajectory) >= VECTOR_MIN_POINTS
-            else None
-        )
         if policy == "velocity":
-            return self._velocity_flags(trajectory, arrays)
+            return self._velocity_flags(trajectory)
         if policy == "density":
-            return self._density_flags(trajectory, arrays)
-        velocity = self._velocity_flags(trajectory, arrays)
-        density = self._density_flags(trajectory, arrays)
+            return self._density_flags(trajectory)
+        velocity = self._velocity_flags(trajectory)
+        density = self._density_flags(trajectory)
         return [v or d for v, d in zip(velocity, density)]
 
-    def _velocity_flags(
-        self, trajectory: RawTrajectory, arrays: Optional[TrajectoryArrays] = None
-    ) -> List[bool]:
-        if arrays is not None:
-            return velocity_stop_flags_arrays(arrays, self._config.speed_threshold)
-        return velocity_stop_flags(trajectory.points, self._config.speed_threshold)
+    def _velocity_flags(self, trajectory: RawTrajectory) -> List[bool]:
+        return velocity_stop_flags_arrays(
+            TrajectoryArrays.from_trajectory(trajectory), self._config.speed_threshold
+        )
 
-    def _density_flags(
-        self, trajectory: RawTrajectory, arrays: Optional[TrajectoryArrays] = None
-    ) -> List[bool]:
+    def _density_flags(self, trajectory: RawTrajectory) -> List[bool]:
         """Seed-and-expand density policy.
 
         Starting from each unvisited point, expand forward while the points
         stay within ``density_radius`` of the seed.  If the expansion covers at
         least ``min_stop_duration`` seconds, all covered points are flagged.
         """
-        if arrays is not None:
-            return density_stop_flags_arrays(
-                arrays, self._config.density_radius, self._config.min_stop_duration
-            )
         return density_stop_flags(
             trajectory.points, self._config.density_radius, self._config.min_stop_duration
         )

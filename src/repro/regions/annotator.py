@@ -27,10 +27,12 @@ from repro.core.trajectory import SemanticEpisodeRecord, StructuredSemanticTraje
 from repro.geometry.primitives import Point
 from repro.regions.sources import RegionSource
 
-#: Lookups of fewer positions than this stay on the scalar tree even under the
-#: flat index backend: the batch query's fixed cost is ~90 us a call, a tree
-#: walk 12 us a position.  Scalar / batch lookup, us per call (benchmark
-#: fleet's region source, 2-vCPU box, best of 7):
+#: Lookups of fewer positions than this stay on the scalar tree: the batch
+#: query's fixed cost is ~90 us a call, a tree walk 12 us a position.  The one
+#: input-size selection in the product, kept because the benchmark has traffic
+#: on both sides of it (116 of 232 lookups of a ``stream_engine`` pass are
+#: under 8 positions, 13% of all positions looked up).  Scalar / batch lookup,
+#: us per call (benchmark fleet's region source, 2-vCPU box, best of 7):
 #:
 #:   positions     1      4      8     12     16     32     64
 #:   scalar       12.4   53.4  107.6  160.3  241.1  609.9  854.3
@@ -47,14 +49,10 @@ class RegionAnnotator:
     """Implements Algorithm 1: trajectory annotation with ROIs."""
 
     def __init__(
-        self,
-        source: RegionSource,
-        config: RegionAnnotationConfig = RegionAnnotationConfig(),
-        index_backend: str = "tree",
+        self, source: RegionSource, config: RegionAnnotationConfig = RegionAnnotationConfig()
     ):
         self._source = source
         self._config = config
-        self._index_backend = index_backend
 
     @property
     def source(self) -> RegionSource:
@@ -66,14 +64,9 @@ class RegionAnnotator:
         """The active region-annotation configuration."""
         return self._config
 
-    @property
-    def index_backend(self) -> str:
-        """The active spatial-index backend (``"flat"`` or ``"tree"``)."""
-        return self._index_backend
-
     def _regions_at(self, positions: Sequence[Point]) -> List[Optional[RegionOfInterest]]:
         """Region of every position: one batch flat query or per-point tree walks."""
-        if self._index_backend == "flat" and len(positions) >= _FLAT_MIN_BATCH:
+        if len(positions) >= _FLAT_MIN_BATCH:
             return self._source.first_regions_containing_batch(positions)
         return [self._source.first_region_containing(position) for position in positions]
 

@@ -186,9 +186,7 @@ class Session:
             self.trajectory = OpenTrajectory(
                 fix, object_id=self.object_id, trajectory_id=trajectory_id
             )
-            self.detector = IncrementalStopMoveDetector(
-                self.trajectory, self._config.stop_move, backend=self._config.compute.backend
-            )
+            self.detector = IncrementalStopMoveDetector(self.trajectory, self._config.stop_move)
         else:
             self.trajectory.append(fix)
         return sealed

@@ -105,15 +105,10 @@ class IncrementalStopMoveDetector:
     collect the remaining tail.
     """
 
-    def __init__(
-        self,
-        trajectory: RawTrajectory,
-        config: StopMoveConfig = StopMoveConfig(),
-        backend: str = "numpy",
-    ):
+    def __init__(self, trajectory: RawTrajectory, config: StopMoveConfig = StopMoveConfig()):
         self._trajectory = trajectory
         self._config = config
-        self._batch = StopMoveDetector(config, backend=backend)
+        self._batch = StopMoveDetector(config)
         # Raw (combined) flags no future point can change, appended once, and
         # the start of the equal-flag run the last of them belongs to.
         self._fixed: List[bool] = []

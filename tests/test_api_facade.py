@@ -72,10 +72,10 @@ class TestEntryPoints:
     def test_open_pipeline_accepts_config_dicts_and_overrides(self):
         pipeline = repro.open_pipeline(
             {"stop_move": {"speed_threshold": 1.5}},
-            overrides={"compute.backend": "python"},
+            overrides={"parallel.workers": 3},
         )
         assert pipeline.config.stop_move.speed_threshold == 1.5
-        assert pipeline.config.compute.backend == "python"
+        assert pipeline.config.parallel.workers == 3
         configured = repro.open_pipeline(PipelineConfig.for_people())
         assert configured.config == PipelineConfig.for_people()
 

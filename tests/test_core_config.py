@@ -258,6 +258,14 @@ class TestConfigDictConstruction:
         with pytest.raises(ConfigurationError):
             PipelineConfig.from_dict(overrides={"stop_move.speed_threshold": "fast"})
 
+    def test_the_removed_compute_section_is_refused_as_unknown(self):
+        """Every kernel has one implementation; a stored ``compute`` section must go."""
+        assert "compute" not in PipelineConfig().to_dict()
+        with pytest.raises(ConfigurationError, match="'compute.backend'.*section among"):
+            PipelineConfig.from_dict(overrides={"compute.backend": "python"})
+        with pytest.raises(ConfigurationError, match="unknown configuration section 'compute'"):
+            PipelineConfig.from_dict({"compute": {"backend": "numpy", "index_backend": "auto"}})
+
     def test_transport_round_trips_through_dict_and_overrides(self, monkeypatch):
         import repro.core.cpu as cpu
 

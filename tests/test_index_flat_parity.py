@@ -249,3 +249,37 @@ def test_flat_negative_radius_rejected():
     flat = FlatSpatialIndex.from_rtree(tree)
     with pytest.raises(ValueError):
         flat.within_distance_batch(np.array([0.0]), np.array([0.0]), -1.0)
+
+
+def test_geocontext_precompiles_and_shares_flat_indexes(annotation_sources):
+    """GeoContext compiles the flat indexes once at freeze time, reusably."""
+    from repro.core import PipelineConfig
+    from repro.parallel import GeoContext
+
+    GeoContext.build(annotation_sources, PipelineConfig.for_people())
+    # Compiled eagerly: the sources' cached instances exist and are stable.
+    region_flat = annotation_sources.regions.flat_index()
+    road_flat = annotation_sources.road_network.flat_index()
+    poi_flat = annotation_sources.pois.flat_index()
+    assert annotation_sources.regions.flat_index() is region_flat
+    assert annotation_sources.road_network.flat_index() is road_flat
+    assert annotation_sources.pois.flat_index() is poi_flat
+    assert len(region_flat) == len(annotation_sources.regions)
+    assert len(road_flat) == len(annotation_sources.road_network)
+    assert len(poi_flat) == len(annotation_sources.pois)
+
+
+def test_flat_index_pickles_for_spawn_workers(annotation_sources):
+    """A compiled flat index survives pickling (spawn-based process pools)."""
+    import pickle
+
+    flat = annotation_sources.road_network.flat_index()
+    clone = pickle.loads(pickle.dumps(flat))
+    xs = np.array([3000.0, 4000.0])
+    ys = np.array([3000.0, 4000.0])
+    original = flat.within_distance_batch(xs, ys, 60.0)
+    restored = clone.within_distance_batch(xs, ys, 60.0)
+    assert original[0].tolist() == restored[0].tolist()
+    assert original[1].tolist() == restored[1].tolist()
+    assert original[2].tolist() == restored[2].tolist()
+    assert [p.place_id for p in clone.payloads] == [p.place_id for p in flat.payloads]

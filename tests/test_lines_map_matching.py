@@ -16,6 +16,7 @@ from repro.core.points import SpatioTemporalPoint
 from repro.geometry.primitives import Point
 from repro.lines.map_matching import GlobalMapMatcher, matching_accuracy
 from repro.lines.road_network import RoadNetwork, make_road_segment
+from repro.reference import ScalarMapMatcher
 
 
 @pytest.fixture()
@@ -39,18 +40,18 @@ def _track_along(y: float, jitter: float = 0.0, count: int = 20):
 
 class TestLocalScores:
     def test_closest_segment_scores_one(self, parallel_roads):
-        matcher = GlobalMapMatcher(parallel_roads, MapMatchingConfig(candidate_radius=100))
+        matcher = ScalarMapMatcher(parallel_roads, MapMatchingConfig(candidate_radius=100))
         scores = matcher.local_scores(SpatioTemporalPoint(100, 5, 0))
         assert scores["south"][0] == pytest.approx(1.0)
         assert scores["north"][0] < 1.0
 
     def test_no_candidates_outside_radius(self, parallel_roads):
-        matcher = GlobalMapMatcher(parallel_roads, MapMatchingConfig(candidate_radius=30))
+        matcher = ScalarMapMatcher(parallel_roads, MapMatchingConfig(candidate_radius=30))
         scores = matcher.local_scores(SpatioTemporalPoint(100, 500, 0))
         assert scores == {}
 
     def test_point_on_segment_scores_one(self, parallel_roads):
-        matcher = GlobalMapMatcher(parallel_roads, MapMatchingConfig(candidate_radius=100))
+        matcher = ScalarMapMatcher(parallel_roads, MapMatchingConfig(candidate_radius=100))
         scores = matcher.local_scores(SpatioTemporalPoint(100, 0, 0))
         assert scores["south"][0] == pytest.approx(1.0)
 
@@ -192,8 +193,8 @@ LATTICE = _lattice_roads()
 
 
 def _matchers(config: MapMatchingConfig, network: RoadNetwork = LATTICE):
-    columnar = GlobalMapMatcher(network, config, backend="numpy", index_backend="flat")
-    oracle = GlobalMapMatcher(network, config, backend="python", index_backend="tree")
+    columnar = GlobalMapMatcher(network, config)
+    oracle = ScalarMapMatcher(network, config)
     return columnar, oracle
 
 
@@ -276,7 +277,7 @@ class TestColumnarKernel:
 
         columnar, oracle = _matchers(config)
         points = _track(coordinates)
-        with mock.patch("repro.lines.map_matching.gaussian_kernel_weight", numpy_exp_weight):
+        with mock.patch("repro.reference.map_matching.gaussian_kernel_weight", numpy_exp_weight):
             expected = oracle.match(points)
         with mock.patch("repro.lines.map_matching._JOIN_BUDGET", join_budget):
             got = columnar.match(points)

@@ -38,20 +38,6 @@ from repro.store.store import SemanticTrajectoryStore
 
 TEST_WORKERS = int(os.environ.get("SEMITRI_TEST_WORKERS", "2"))
 
-#: ``SEMITRI_TEST_INDEX_BACKEND`` pins the spatial-index backend for every
-#: config this suite builds ("tree", "flat" or "auto"), so CI can run the
-#: whole parity matrix per backend; unset keeps each config's default.
-TEST_INDEX_BACKEND = os.environ.get("SEMITRI_TEST_INDEX_BACKEND")
-
-
-def _apply_test_index_backend(config: PipelineConfig) -> PipelineConfig:
-    if TEST_INDEX_BACKEND is None:
-        return config
-    return dataclasses.replace(
-        config,
-        compute=dataclasses.replace(config.compute, index_backend=TEST_INDEX_BACKEND),
-    )
-
 
 def _random_multi_user_stream(seed: int, users: int = 3, points_per_user: int = 140):
     """Per-user noisy GPS streams: walks, dwell clusters, outliers, gaps."""
@@ -86,11 +72,9 @@ def _random_multi_user_stream(seed: int, users: int = 3, points_per_user: int = 
 
 
 def _property_config(micro_batch_size: int = 7) -> PipelineConfig:
-    return _apply_test_index_backend(
-        dataclasses.replace(
-            PipelineConfig.for_people(),
-            streaming=StreamingConfig(micro_batch_size=micro_batch_size, apply_cleaning=True),
-        )
+    return dataclasses.replace(
+        PipelineConfig.for_people(),
+        streaming=StreamingConfig(micro_batch_size=micro_batch_size, apply_cleaning=True),
     )
 
 
@@ -114,7 +98,7 @@ def test_seed_datasets_byte_identical(
     dataset_name, taxi_dataset, car_dataset, people_dataset, annotation_sources
 ):
     """Batch output is byte-identical to sequential on every seed dataset."""
-    config = _apply_test_index_backend(
+    config = (
         PipelineConfig.for_people() if dataset_name == "people" else PipelineConfig.for_vehicles()
     )
     trajectories = {

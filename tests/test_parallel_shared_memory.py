@@ -18,7 +18,6 @@ that need the segment path substitute ``spawn`` through the
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import glob
 import multiprocessing
@@ -52,18 +51,9 @@ def _segment_paths(name):
     return glob.glob(f"/dev/shm/{name}") + glob.glob(f"/dev/shm/psm_{name}")
 
 
-def _people_config() -> PipelineConfig:
-    config = PipelineConfig.for_people()
-    # Pin the flat index backend: the zero-copy assertions below inspect the
-    # flat-index blocks by name, which only exist on that backend.
-    return dataclasses.replace(
-        config, compute=dataclasses.replace(config.compute, index_backend="flat")
-    )
-
-
 @pytest.fixture(scope="module")
 def flat_context(annotation_sources) -> GeoContext:
-    return GeoContext.build(annotation_sources, _people_config())
+    return GeoContext.build(annotation_sources, PipelineConfig.for_people())
 
 
 def _start_pools_with(monkeypatch, start_method: str) -> None:
@@ -85,7 +75,7 @@ def small_batch(people_dataset):
 
 @pytest.fixture(scope="module")
 def sequential_bytes(small_batch, annotation_sources) -> bytes:
-    results = SeMiTriPipeline(_people_config()).annotate_many(
+    results = SeMiTriPipeline(PipelineConfig.for_people()).annotate_many(
         small_batch, annotation_sources
     )
     return canonical_bytes(results)
@@ -152,7 +142,7 @@ class TestSharedArrayBundle:
 class TestShareContext:
     def test_manifest_names_match_precompiled_blocks(self, flat_context):
         blocks = flat_context.precompiled_blocks()
-        assert blocks  # the flat backend always pre-compiles index columns
+        assert blocks  # the snapshot always pre-compiles the flat index columns
         with share_context(flat_context) as shared:
             manifest = shared.spec.manifest
             assert manifest is not None
@@ -298,7 +288,7 @@ class TestSegmentCleanup:
         self, annotation_sources, small_batch, sequential_bytes
     ):
         """The isolating branch of the same loop: re-prime, resubmit, finish."""
-        config = _people_config().with_overrides({"failure.mode": "skip"})
+        config = PipelineConfig.for_people().with_overrides({"failure.mode": "skip"})
         plan = api.compile_plan(context=GeoContext.build(annotation_sources, config))
         with ProcessPoolExecutor(workers=2) as executor:
             executor.run(plan, small_batch)  # prime the pool + segment

@@ -126,6 +126,19 @@ class TestViterbi:
         assert len(result.deltas) == 2
         assert set(result.deltas[0]) == set(WEATHER_STATES)
 
+    def test_termination_tie_break_prefers_greater_state_name(self):
+        """Symmetric model: every path ties, so the name tie-break decides."""
+        states = ["alpha", "zeta", "mid"]
+        hmm = HiddenMarkovModel(
+            states,
+            {state: 1.0 / 3.0 for state in states},
+            uniform_transitions(states),
+        )
+        result = hmm.viterbi(["o", "o"], lambda s, o: 0.5)
+        # Final state: lexicographically greatest among the tied; predecessors
+        # follow the first-maximum backpointer (state order).
+        assert result.states == ["alpha", "zeta"]
+
 
 class TestViterbiProperties:
     @given(
@@ -167,67 +180,3 @@ class TestViterbiProperties:
         result = hmm.viterbi(observations, lambda s, o: 0.9 if s[0] == o[0] else 0.1)
         assert len(result.states) == len(observations)
         assert all(state in states for state in result.states)
-
-
-class TestViterbiBackends:
-    """The vectorized decoder is bit-identical to the scalar oracle."""
-
-    def _assert_bit_identical(self, hmm, observations, observation_fn):
-        vectorized = hmm.viterbi(observations, observation_fn)
-        scalar = hmm.viterbi_scalar(observations, observation_fn)
-        assert vectorized.states == scalar.states
-        assert vectorized.log_probability == scalar.log_probability  # exact, no approx
-        assert vectorized.deltas == scalar.deltas  # every float, bit-for-bit
-
-    def test_weather_example_backends_agree(self, weather_hmm):
-        assert weather_hmm.backend == "numpy"
-        self._assert_bit_identical(
-            weather_hmm, ["walk", "shop", "clean", "walk", "clean"], weather_observation_fn
-        )
-
-    def test_python_backend_selects_scalar_decoder(self):
-        hmm = HiddenMarkovModel(
-            WEATHER_STATES, WEATHER_INITIAL, WEATHER_TRANSITIONS, backend="python"
-        )
-        result = hmm.viterbi(["walk", "shop"], weather_observation_fn)
-        assert result.states == hmm.viterbi_scalar(["walk", "shop"], weather_observation_fn).states
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError):
-            HiddenMarkovModel(
-                WEATHER_STATES, WEATHER_INITIAL, WEATHER_TRANSITIONS, backend="torch"
-            )
-
-    def test_termination_tie_break_prefers_greater_state_name(self):
-        """Symmetric model: every path ties, so the name tie-break decides."""
-        states = ["alpha", "zeta", "mid"]
-        hmm = HiddenMarkovModel(
-            states,
-            {state: 1.0 / 3.0 for state in states},
-            uniform_transitions(states),
-        )
-        self._assert_bit_identical(hmm, ["o", "o", "o"], lambda s, o: 0.5)
-        result = hmm.viterbi(["o", "o"], lambda s, o: 0.5)
-        # Final state: lexicographically greatest among the tied; predecessors
-        # follow the first-maximum backpointer (state order), like the scalar.
-        assert result.states[-1] == "zeta"
-
-    @given(
-        st.lists(st.sampled_from(["walk", "shop", "clean"]), min_size=1, max_size=7),
-        st.floats(min_value=0.05, max_value=0.95),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_backends_bit_identical_on_random_models(self, observations, self_probability):
-        states = ["s0", "s1", "s2", "s3"]
-        emissions = {
-            "s0": {"walk": 0.7, "shop": 0.2, "clean": 0.1},
-            "s1": {"walk": 0.1, "shop": 0.7, "clean": 0.2},
-            "s2": {"walk": 0.2, "shop": 0.1, "clean": 0.7},
-            "s3": {"walk": 0.4, "shop": 0.4, "clean": 0.2},
-        }
-        hmm = HiddenMarkovModel(
-            states,
-            {"s0": 0.4, "s1": 0.3, "s2": 0.2, "s3": 0.1},
-            diagonal_transitions(states, self_probability),
-        )
-        self._assert_bit_identical(hmm, observations, lambda s, o: emissions[s][o])

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import math
+import warnings
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import CleaningConfig
 from repro.core.errors import DataQualityError
@@ -102,3 +107,66 @@ class TestFullClean:
         cleaned = cleaner.clean(points)
         assert len(cleaned) == 4
         assert all(p.x < 100 for p in cleaned)
+
+
+# One generated step: (time advance, x, y).  The small sampled sets make
+# duplicate timestamps, zero-length steps and exact coordinate ties common.
+_coordinate = st.one_of(
+    st.sampled_from([0.0, -0.0, 5.0, 5.0, 10.0, 25.0, 50_000.0]), st.floats(-500.0, 500.0)
+)
+
+
+def _steps(advances):
+    return st.lists(st.tuples(st.sampled_from(advances), _coordinate, _coordinate), max_size=40)
+
+
+def _walk(steps):
+    points, t = [], 100.0
+    for advance, x, y in steps:
+        t += advance
+        points.append(SpatioTemporalPoint(x, y, t))
+    return points
+
+
+def _triples(points):
+    return [(point.x, point.y, point.t) for point in points]
+
+
+class TestShortAndDegenerateStreams:
+    """Streams of 0-40 fixes: no size cut-off keeps them off the array kernel."""
+
+    @given(steps=_steps([0.0, 1.0, 2.5, 10.0, 40.0]), window=st.sampled_from([3, 5, 7]))
+    @settings(max_examples=200, deadline=None)
+    def test_median_smoothing_equals_the_per_point_loop(self, steps, window):
+        cleaner = GpsCleaner(CleaningConfig(smoothing_window=window, smoothing_method="median"))
+        points = _walk(steps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on any input
+            smoothed = cleaner.smooth(points)
+        assert _triples(smoothed) == _triples(cleaner._smooth_scalar(points, window, "median"))
+
+    @given(steps=_steps([0.0, 0.0, 1.0, 2.5, 40.0, -1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_outlier_filter_keeps_its_drop_and_raise_semantics(self, steps):
+        """The greedy anchor scan, spelled out on plain floats."""
+        max_speed = 70.0
+        points = _walk(steps)
+        kept, decreasing = points[:1], False
+        for point in points[1:]:
+            anchor = kept[-1]
+            if point.t < anchor.t:
+                decreasing = True  # behind the last *accepted* fix: the stream is refused
+                break
+            if point.t == anchor.t:
+                continue  # duplicate timestamp: the first fix stays
+            distance = math.sqrt((anchor.x - point.x) ** 2 + (anchor.y - point.y) ** 2)
+            if distance / (point.t - anchor.t) <= max_speed:
+                kept.append(point)
+        cleaner = GpsCleaner(CleaningConfig(max_speed=max_speed))
+        if decreasing:
+            with pytest.raises(DataQualityError):
+                cleaner.remove_outliers(points)
+        else:
+            cleaned = cleaner.remove_outliers(points)
+            assert len(cleaned) == len(kept)
+            assert all(ours is theirs for ours, theirs in zip(cleaned, kept))

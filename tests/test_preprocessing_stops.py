@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from repro.core.episodes import EpisodeKind, validate_episode_partition
 from repro.core.errors import DataQualityError
 from repro.core.points import RawTrajectory, SpatioTemporalPoint, build_trajectory
 from repro.preprocessing.stops import StopMoveDetector, segment_many
+from repro.reference import ScalarStopMoveDetector
 
 
 def _commute_trajectory() -> RawTrajectory:
@@ -160,3 +163,39 @@ class TestPropertyBased:
         trajectory = build_trajectory(triples)
         episodes = StopMoveDetector().segment(trajectory)
         assert sum(len(episode) for episode in episodes) == n_points
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.0, 1.0, 10.0, 40.0, 200.0]),
+                st.one_of(st.sampled_from([0.0, 5.0, 5.0, 60.0]), st.floats(-500.0, 500.0)),
+                st.one_of(st.sampled_from([0.0, -0.0, 5.0]), st.floats(-500.0, 500.0)),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        st.sampled_from(["velocity", "density", "hybrid"]),
+        st.sampled_from([1, 3]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_short_and_degenerate_trajectories_segment_like_the_reference(
+        self, steps, policy, min_move_points
+    ):
+        """1-40 fixes, duplicate timestamps, zero-length steps: the speed-column
+        flags run at every length and segment like the per-point flags."""
+        triples = []
+        t = 0.0
+        for dt, x, y in steps:
+            t += dt
+            triples.append((x, y, t))
+        trajectory = build_trajectory(triples)
+        config = StopMoveConfig(
+            policy=policy, min_stop_duration=60.0, min_move_points=min_move_points
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on any input
+            episodes = StopMoveDetector(config).segment(trajectory)
+        assert [(e.kind, e.start_index, e.end_index) for e in episodes] == [
+            (e.kind, e.start_index, e.end_index)
+            for e in ScalarStopMoveDetector(config).segment(trajectory)
+        ]

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +10,6 @@ from hypothesis import strategies as st
 from repro.core.config import CleaningConfig
 from repro.core.errors import DataQualityError
 from repro.core.points import SpatioTemporalPoint
-from repro.preprocessing import cleaning as batch_cleaning
 from repro.preprocessing.cleaning import GpsCleaner
 from repro.streaming import StreamingGpsCleaner, clean_stream
 
@@ -120,21 +117,15 @@ _steps = st.lists(
     steps=_steps,
     window=st.sampled_from([1, 3, 4, 5, 7]),
     method=st.sampled_from(["median", "mean", "none"]),
-    vectorized=st.booleans(),
 )
-def test_streaming_clean_equals_batch_on_generated_streams(steps, window, method, vectorized):
+def test_streaming_clean_equals_batch_on_generated_streams(steps, window, method):
     config = CleaningConfig(smoothing_window=window, smoothing_method=method)
     points = []
     t = 100.0
     for advance, x, y in steps:
         t += advance
         points.append(SpatioTemporalPoint(x, y, t))
-    # Streams this short stay on the batch cleaner's scalar passes; lifting
-    # the cut-off puts its array passes (and their clipped-window edges) under
-    # the same comparison.
-    cutoff = 0 if vectorized else batch_cleaning._VECTOR_MIN_POINTS
-    with mock.patch.object(batch_cleaning, "_VECTOR_MIN_POINTS", cutoff):
-        batch = GpsCleaner(config).clean(points)
+    batch = GpsCleaner(config).clean(points)
     lag = 0 if window == 1 or method == "none" else window // 2
 
     cleaner = StreamingGpsCleaner(config)

@@ -7,13 +7,9 @@ one matcher, so the line trajectory it records must be what
 
 from __future__ import annotations
 
-import dataclasses
-
-import pytest
-
 from repro import api
 from repro.core.annotations import AnnotationKind
-from repro.core.config import ComputeConfig, PipelineConfig
+from repro.core.config import PipelineConfig
 from repro.core.episodes import Episode
 from repro.core.pipeline import LayerAnnotators
 
@@ -35,11 +31,8 @@ def _dominant_modes(episode):
     return [a.value for a in episode.annotations_of_kind(AnnotationKind.TRANSPORT_MODE)]
 
 
-@pytest.mark.parametrize("backend", ["numpy", "python"])
-def test_absorbed_move_episode_equals_annotate_episode(annotation_sources, taxi_dataset, backend):
-    config = dataclasses.replace(
-        PipelineConfig.for_vehicles(), compute=ComputeConfig(backend=backend)
-    )
+def test_absorbed_move_episode_equals_annotate_episode(annotation_sources, taxi_dataset):
+    config = PipelineConfig.for_vehicles()
     absorbed_moves = []
     engine = api.stream(
         annotation_sources,

@@ -18,8 +18,8 @@ from repro.preprocessing.stops import (
     density_stop_flags,
     enforce_min_duration,
     flags_to_episodes,
-    velocity_stop_flags,
 )
+from repro.reference import velocity_stop_flags
 from repro.streaming import IncrementalStopMoveDetector, OpenTrajectory
 
 

@@ -1,15 +1,25 @@
-"""Backend parity: the numpy compute backend reproduces the scalar oracle.
+"""Reference parity: every executor reproduces the one reference configuration.
 
-For every seed dataset the pipeline runs once with
-``compute.backend="python"`` (the scalar reference) and once with
-``compute.backend="numpy"`` (the vectorized kernels), across all three
-execution modes — sequential ``annotate_many``, the streaming engine and the
-parallel runner.  The canonical bytes of :mod:`repro.parallel.canonical`
-must agree **exactly**: the flag/distance kernels are bit-equal by
-construction, the ``exp``-dependent kernels only feed discrete decisions
-(matched segment ids, decoded categories), and both held on every seed
-dataset when this suite was written.  Any future divergence is a real
-regression, not float noise.
+The product has one implementation per kernel; where that is an array kernel
+or a batch index query, the per-point form it must reproduce is the oracle.
+The **reference configuration** puts all of them together, through the seam
+that exists for it (``annotate_many(..., annotators=LayerAnnotators(...))``):
+
+* map matching by :class:`repro.reference.ScalarMapMatcher` — one R-tree query
+  and one dict-based score aggregation per GPS point;
+* region lookups as one tree walk per position, whatever the group size;
+* POI neighbour sets fetched per grid cell on first use, no batch priming.
+
+For every seed dataset the product — sequential, streaming and on a 2-worker
+pool — must give the reference configuration's canonical bytes
+(:mod:`repro.parallel.canonical`) **exactly**, and so must every stop policy.
+The preprocessing kernels have no annotator seam, so they are compared kernel
+by kernel on every seed trajectory: the column median smoother against the
+per-point loop, the speed-column velocity flags and the whole segmentation
+against :mod:`repro.reference.stops`.
+
+(The test names predate the removal of ``PipelineConfig.compute``: the
+"backend" they mention is the oracle side of each comparison.)
 """
 
 from __future__ import annotations
@@ -19,17 +29,59 @@ from typing import List
 
 import pytest
 
+from repro.api import annotate_many, stream
 from repro.core import AnnotationSources, PipelineConfig, PipelineResult, SeMiTriPipeline
+from repro.core.arrays import TrajectoryArrays
 from repro.core.config import (
-    ComputeConfig,
+    CleaningConfig,
     StopMoveConfig,
     StreamingConfig,
     TrajectoryIdentificationConfig,
 )
-from repro.core.errors import ConfigurationError
-from repro.api import annotate_many, stream
+from repro.core.pipeline import LayerAnnotators
+from repro.lines.annotator import LineAnnotator
 from repro.parallel import canonical_bytes
 from repro.parallel.canonical import canonical_result
+from repro.points.annotator import PointAnnotator
+from repro.points.observation import PoiObservationModel
+from repro.preprocessing.cleaning import GpsCleaner
+from repro.preprocessing.stops import StopMoveDetector, velocity_stop_flags_arrays
+from repro.reference import ScalarMapMatcher, ScalarStopMoveDetector, velocity_stop_flags
+from repro.regions.annotator import RegionAnnotator
+
+
+# ------------------------------------------------- the reference configuration
+class _TreeRegionAnnotator(RegionAnnotator):
+    def _regions_at(self, positions):
+        return [self._source.first_region_containing(position) for position in positions]
+
+
+class _ScalarLineAnnotator(LineAnnotator):
+    def __init__(self, network, matching_config, transport_config):
+        super().__init__(network, matching_config, transport_config)
+        self._matcher = ScalarMapMatcher(network, matching_config)
+
+
+class _LazyObservationModel(PoiObservationModel):
+    def prime(self, points):
+        return 0  # every cell's neighbours come from its own grid walk on first use
+
+
+class _LazyPointAnnotator(PointAnnotator):
+    def __init__(self, source, config):
+        super().__init__(source, config)
+        self._observation_model = _LazyObservationModel(source, config)
+
+
+def _reference(
+    trajectories, sources: AnnotationSources, config: PipelineConfig
+) -> List[PipelineResult]:
+    annotators = LayerAnnotators(
+        region=_TreeRegionAnnotator(sources.regions, config.region),
+        line=_ScalarLineAnnotator(sources.road_network, config.map_matching, config.transport),
+        point=_LazyPointAnnotator(sources.pois, config.point),
+    )
+    return SeMiTriPipeline(config).annotate_many(trajectories, sources, annotators=annotators)
 
 
 def _canonical_without_ids(results: List[PipelineResult]) -> List[dict]:
@@ -37,8 +89,8 @@ def _canonical_without_ids(results: List[PipelineResult]) -> List[dict]:
 
     The streaming engine numbers sealed trajectories per object
     (``<object>-t0`` …) instead of keeping the input ids, so the
-    streaming-vs-batch comparison — like the pre-existing online/batch parity
-    suite — is on everything *computed*: points, episodes and annotations.
+    streaming-vs-batch comparison — like the online/batch parity suite — is
+    on everything *computed*: points, episodes and annotations.
     """
     rendered = []
     for result in results:
@@ -46,10 +98,6 @@ def _canonical_without_ids(results: List[PipelineResult]) -> List[dict]:
         payload.pop("trajectory_id")
         rendered.append(payload)
     return rendered
-
-
-def _with_backend(config: PipelineConfig, backend: str) -> PipelineConfig:
-    return dataclasses.replace(config, compute=ComputeConfig(backend=backend))
 
 
 def _streaming_friendly(config: PipelineConfig) -> PipelineConfig:
@@ -63,93 +111,100 @@ def _streaming_friendly(config: PipelineConfig) -> PipelineConfig:
     )
 
 
-def _dataset(name, taxi_dataset, car_dataset, people_dataset):
+@pytest.fixture(params=["taxi", "car", "people"])
+def dataset(request, taxi_dataset, car_dataset, people_dataset):
     return {
         "taxi": (taxi_dataset.trajectories, PipelineConfig.for_vehicles()),
         "car": (car_dataset.trajectories, PipelineConfig.for_vehicles()),
         "people": (people_dataset.all_trajectories, PipelineConfig.for_people()),
-    }[name]
+    }[request.param]
 
 
-def _run_engine(trajectories, sources, config) -> List[PipelineResult]:
-    engine = stream(sources, config=config)
-    results: List[PipelineResult] = []
-    for trajectory in trajectories:
-        for point in trajectory.points:
-            results.extend(engine.ingest(trajectory.object_id, point))
-        results.extend(engine.close_object(trajectory.object_id))
-    return results
-
-
-@pytest.mark.parametrize("dataset_name", ["taxi", "car", "people"])
-def test_sequential_backend_parity(
-    dataset_name, taxi_dataset, car_dataset, people_dataset, annotation_sources
-):
-    """annotate_many: numpy backend is byte-identical to the scalar oracle."""
-    trajectories, base = _dataset(dataset_name, taxi_dataset, car_dataset, people_dataset)
-    scalar = SeMiTriPipeline(_with_backend(base, "python")).annotate_many(
-        trajectories, annotation_sources
+# ------------------------------------------------------------------- executors
+def test_sequential_backend_parity(dataset, annotation_sources):
+    """Sequential ``annotate_many`` is byte-identical to the reference configuration."""
+    trajectories, config = dataset
+    product = SeMiTriPipeline(config).annotate_many(trajectories, annotation_sources)
+    assert canonical_bytes(product) == canonical_bytes(
+        _reference(trajectories, annotation_sources, config)
     )
-    vectorized = SeMiTriPipeline(_with_backend(base, "numpy")).annotate_many(
-        trajectories, annotation_sources
-    )
-    assert canonical_bytes(vectorized) == canonical_bytes(scalar)
 
 
 @pytest.mark.parametrize("policy", ["velocity", "density", "hybrid"])
 def test_sequential_backend_parity_all_stop_policies(policy, car_dataset, annotation_sources):
-    """Every stop policy's flag kernels agree across backends."""
-    base = dataclasses.replace(
+    """So it is under every stop policy."""
+    config = dataclasses.replace(
         PipelineConfig.for_vehicles(),
         stop_move=StopMoveConfig(
             policy=policy, speed_threshold=1.5, min_stop_duration=150.0, density_radius=60.0
         ),
     )
-    scalar = SeMiTriPipeline(_with_backend(base, "python")).annotate_many(
-        car_dataset.trajectories, annotation_sources
+    trajectories = car_dataset.trajectories
+    product = SeMiTriPipeline(config).annotate_many(trajectories, annotation_sources)
+    assert canonical_bytes(product) == canonical_bytes(
+        _reference(trajectories, annotation_sources, config)
     )
-    vectorized = SeMiTriPipeline(_with_backend(base, "numpy")).annotate_many(
-        car_dataset.trajectories, annotation_sources
-    )
-    assert canonical_bytes(vectorized) == canonical_bytes(scalar)
 
 
-@pytest.mark.parametrize("dataset_name", ["taxi", "car", "people"])
-def test_streaming_backend_parity(
-    dataset_name, taxi_dataset, car_dataset, people_dataset, annotation_sources
+def test_streaming_backend_parity(dataset, annotation_sources):
+    """The streaming engine, fed fix by fix, equals the sequential reference."""
+    trajectories, base = dataset
+    config = _streaming_friendly(base)
+    engine = stream(annotation_sources, config=config)
+    streamed: List[PipelineResult] = []
+    for trajectory in trajectories:
+        for point in trajectory.points:
+            streamed.extend(engine.ingest(trajectory.object_id, point))
+        streamed.extend(engine.close_object(trajectory.object_id))
+    assert _canonical_without_ids(streamed) == _canonical_without_ids(
+        _reference(trajectories, annotation_sources, config)
+    )
+
+
+def test_parallel_backend_parity(dataset, annotation_sources):
+    """A 2-worker pool equals the sequential reference."""
+    trajectories, config = dataset
+    parallel = annotate_many(trajectories, annotation_sources, config=config, workers=2)
+    assert canonical_bytes(parallel) == canonical_bytes(
+        _reference(trajectories, annotation_sources, config)
+    )
+
+
+# --------------------------------------------------------- preprocessing kernels
+def _triples(points):
+    return [(point.x, point.y, point.t) for point in points]
+
+
+@pytest.mark.parametrize("window", [3, 5, 7])
+def test_median_smoothing_equals_the_per_point_loop_on_every_seed_trajectory(
+    window, taxi_dataset, car_dataset, people_dataset
 ):
-    """The numpy streaming engine equals the scalar sequential reference."""
-    trajectories, base = _dataset(dataset_name, taxi_dataset, car_dataset, people_dataset)
-    scalar_config = _streaming_friendly(_with_backend(base, "python"))
-    numpy_config = _streaming_friendly(_with_backend(base, "numpy"))
-    scalar = SeMiTriPipeline(scalar_config).annotate_many(trajectories, annotation_sources)
-    streamed = _run_engine(trajectories, annotation_sources, numpy_config)
-    assert _canonical_without_ids(streamed) == _canonical_without_ids(scalar)
+    cleaner = GpsCleaner(CleaningConfig(smoothing_window=window, smoothing_method="median"))
+    for trajectories in (
+        taxi_dataset.trajectories,
+        car_dataset.trajectories,
+        people_dataset.all_trajectories,
+    ):
+        for trajectory in trajectories:
+            points = trajectory.points
+            assert _triples(cleaner.smooth(points)) == _triples(
+                cleaner._smooth_scalar(points, window, "median")
+            )
 
 
-@pytest.mark.parametrize("dataset_name", ["taxi", "car", "people"])
-def test_parallel_backend_parity(
-    dataset_name, taxi_dataset, car_dataset, people_dataset, annotation_sources
-):
-    """The numpy parallel runner equals the scalar sequential reference."""
-    trajectories, base = _dataset(dataset_name, taxi_dataset, car_dataset, people_dataset)
-    scalar = SeMiTriPipeline(_with_backend(base, "python")).annotate_many(
-        trajectories, annotation_sources
-    )
-    parallel = annotate_many(
-        trajectories, annotation_sources, config=_with_backend(base, "numpy"), workers=2
-    )
-    assert canonical_bytes(parallel) == canonical_bytes(scalar)
-
-
-def test_python_backend_is_selectable_end_to_end(car_dataset, annotation_sources):
-    """The scalar oracle stays a first-class backend (not just a test prop)."""
-    config = _with_backend(PipelineConfig.for_vehicles(), "python")
-    pipeline = SeMiTriPipeline(config)
-    results = pipeline.annotate_many(car_dataset.trajectories, annotation_sources)
-    assert results and all(result.episodes for result in results)
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ConfigurationError):
-        ComputeConfig(backend="fortran")
+@pytest.mark.parametrize("policy", ["velocity", "density", "hybrid"])
+def test_segmentation_equals_the_reference_on_every_seed_trajectory(policy, dataset):
+    trajectories, config = dataset
+    stop_move = dataclasses.replace(config.stop_move, policy=policy)
+    product, reference = StopMoveDetector(stop_move), ScalarStopMoveDetector(stop_move)
+    for trajectory in trajectories:
+        assert velocity_stop_flags_arrays(
+            TrajectoryArrays.from_trajectory(trajectory), stop_move.speed_threshold
+        ) == velocity_stop_flags(trajectory.points, stop_move.speed_threshold)
+        assert [
+            (episode.kind, episode.start_index, episode.end_index)
+            for episode in product.segment(trajectory)
+        ] == [
+            (episode.kind, episode.start_index, episode.end_index)
+            for episode in reference.segment(trajectory)
+        ]
