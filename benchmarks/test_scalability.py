@@ -13,7 +13,7 @@ from __future__ import annotations
 import statistics
 import time
 
-from benchmarks.conftest import save_result
+from benchmarks.conftest import bench_gate_run, save_result
 from repro.analytics.reporting import render_table
 from repro.core.config import MapMatchingConfig
 from repro.core.places import RegionOfInterest
@@ -55,9 +55,13 @@ def test_scalability_region_lookup_vs_source_size(benchmark):
         for cells_per_side in sizes:
             source = _landuse_like_source(cells_per_side)
             started = time.perf_counter()
-            for query in queries:
-                source.first_region_containing(query.position)
+            found = [source.first_region_containing(query.position) for query in queries]
             elapsed = time.perf_counter() - started
+            # Every query lies on the grid, whatever its size.
+            assert all(
+                region is not None and region.extent.contains_point(query.position)
+                for region, query in zip(found, queries)
+            )
             timings.append((cells_per_side ** 2, elapsed))
         return timings
 
@@ -87,8 +91,11 @@ def test_scalability_region_lookup_vs_source_size(benchmark):
     largest_regions, largest_time = timings[-1]
     region_growth = largest_regions / smallest_regions
     time_growth = largest_time / max(smallest_time, 1e-9)
-    # 64x more regions should cost far less than 64x more time.
-    assert time_growth < region_growth / 2
+    print(f"region growth x{region_growth:.0f}, time growth x{time_growth:.2f}")
+    if bench_gate_run():
+        # 64x more regions should cost far less than 64x more time.  A timing
+        # bound: armed in the bench-gate environment only.
+        assert time_growth < region_growth / 2
 
 
 #: Timed repetitions per track length; the table reports their median.
@@ -120,8 +127,9 @@ def test_scalability_map_matching_vs_point_count(benchmark, world):
             samples = []
             for _ in range(MATCH_REPEATS):
                 started = time.perf_counter()
-                matcher.match(points)
+                matched = matcher.match(points)
                 samples.append(time.perf_counter() - started)
+                assert len(matched) == length
             timings.append((length, statistics.median(samples), samples))
         return timings
 
@@ -154,5 +162,11 @@ def test_scalability_map_matching_vs_point_count(benchmark, world):
     shortest_length, shortest_time, _ = timings[0]
     longest_length, longest_time, _ = timings[-1]
     per_point_growth = (longest_time / longest_length) / max(shortest_time / shortest_length, 1e-9)
-    # Per-point cost should stay roughly constant (allow 3x slack for noise).
-    assert per_point_growth < 3.0
+    print(
+        f"per-point cost growth x{per_point_growth:.2f} "
+        f"from {shortest_length} to {longest_length} points"
+    )
+    if bench_gate_run():
+        # Per-point cost should stay roughly constant (allow 3x slack for
+        # noise).  A timing bound: armed in the bench-gate environment only.
+        assert per_point_growth < 3.0

@@ -82,6 +82,7 @@ def _run_streaming(ops: List[Op], sources, config) -> Tuple[int, float, List[flo
         ingest_started = time.perf_counter()
         results += len(engine.ingest(object_id, point))
         latencies.append(time.perf_counter() - ingest_started)
+    results += len(engine.flush())
     elapsed = time.perf_counter() - started
     return len(latencies), elapsed, latencies, results
 

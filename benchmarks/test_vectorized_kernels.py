@@ -27,7 +27,7 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from benchmarks.conftest import save_result
+from benchmarks.conftest import bench_gate_run, save_result
 from repro.analytics.reporting import render_table
 from repro.core.arrays import TrajectoryArrays
 from repro.core.config import MapMatchingConfig
@@ -270,9 +270,12 @@ def test_vectorized_kernel_speedups(benchmark, world):
         metrics=metrics,
     )
 
-    # The acceptance floor: stop-flag + distance kernels at >= 3x.
-    for gated in ("stop_flags_velocity", "consecutive_distances", "point_segment_distances"):
-        assert metrics[f"speedup_{gated}"] >= REQUIRED_SPEEDUP, (
-            f"{gated} speedup {metrics[f'speedup_{gated}']}x below the "
-            f"{REQUIRED_SPEEDUP}x acceptance floor"
-        )
+    # The acceptance floor: stop-flag + distance kernels at >= 3x — a timing
+    # threshold, so armed in the bench-gate environment only; the ratios are in
+    # the table every run prints.
+    if bench_gate_run():
+        for gated in ("stop_flags_velocity", "consecutive_distances", "point_segment_distances"):
+            assert metrics[f"speedup_{gated}"] >= REQUIRED_SPEEDUP, (
+                f"{gated} speedup {metrics[f'speedup_{gated}']}x below the "
+                f"{REQUIRED_SPEEDUP}x acceptance floor"
+            )

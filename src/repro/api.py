@@ -148,6 +148,14 @@ def stream(
     ``close_object`` / ``close_all``; counters are on ``.stats`` and the
     configuration, store, annotators and telemetry on ``.plan``.
 
+    Delivery contract: sealing and annotating are separate steps, so a
+    result does not come back from the call that closed its trajectory.
+    Results arrive in seal order, through ``on_result`` and in the return
+    value of whichever call flushed the executor's annotate queue — a few
+    processing passes later at most.  ``flush()`` is the synchronisation
+    point (``close_object(obj)`` + ``flush()`` returns that trajectory now);
+    ``close_all()`` and ``evict_sessions()`` flush too.
+
     ``sources`` may be raw sources or a prebuilt
     :class:`~repro.parallel.context.GeoContext` snapshot.  A snapshot carries
     the configuration its annotators were built from, so an explicit

@@ -12,17 +12,26 @@ Three executors drive the same compiled stage graph:
   :class:`~repro.parallel.context.GeoContext` snapshot and merges the
   results back into input order; byte-identical to sequential execution.
 * :class:`MicroBatchExecutor` — the streaming session loop: events are
-  micro-batched into per-object sessions, the episodes a processing pass
-  seals flow through the plan's incremental stage bodies as one group and
-  whole trajectories are finished (and persisted) at close.  This is what
-  :func:`repro.api.stream` returns.
+  micro-batched into per-object sessions; sealed episodes and closed
+  trajectories wait, in seal order, in the executor's annotate queue, and a
+  flush sends every queued episode through the plan's incremental stage
+  bodies as one group, then finishes (and persists) the closed trajectories.
+  This is what :func:`repro.api.stream` returns.
 
 Execution is **stage-major**: a stage body takes a group — the ready items of
-a chunk of trajectories in batch (:func:`run_stages`), the episodes sealed by
-one pass or one close in streaming — because the annotation kernels cost the
+a chunk of trajectories in batch (:func:`run_stages`), the episodes of one
+annotate-queue flush in streaming — because the annotation kernels cost the
 same fixed ~150 numpy dispatches for one short episode as for a hundred.  The
 group shrinks to one trajectory wherever per-trajectory grain is part of the
-contract (:func:`_chunks`).
+contract (:func:`_chunks`), and to one episode while fault injection is armed.
+
+Sealing and annotating are separate steps of the streaming executor, so its
+results are **delivered in seal order, by whichever call flushed them**:
+through ``on_result`` and in the return value of the ``ingest`` /
+``close_object`` call that happened to flush, at most
+``_QUEUE_MAX_PASSES`` processing passes after the close.  ``flush()``,
+``close_all()`` and ``evict_sessions()`` always flush and are the
+synchronisation points.
 
 Every batch decision has exactly one code path, all of it in this module:
 
@@ -60,6 +69,7 @@ import pickle
 import sys
 import time
 import weakref
+from collections import deque
 from concurrent.futures import BrokenExecutor, Future
 from concurrent.futures import ProcessPoolExecutor as _FuturesProcessPool
 from contextlib import nullcontext
@@ -68,6 +78,7 @@ from typing import (
     Any,
     Callable,
     ContextManager,
+    Deque,
     Dict,
     Iterable,
     Iterator,
@@ -126,6 +137,29 @@ _SHARD_MULTIPLIER = 2
 # (32 of the fleet's hold ~2,900 points).
 _CHUNK_TRAJECTORIES = 32
 _CHUNK_POINTS = 4096
+
+# The streaming executor's annotate queue is flushed at the end of the
+# processing pass in which its oldest entry has waited this many passes (or
+# once the queued episodes hold ``_CHUNK_POINTS`` GPS points).  A 64-event
+# pass from 64 objects seals one or two episodes, so annotating at every pass
+# pays the kernels' fixed cost per episode; waiting is paid in result delay.
+# One stream pass over the cost ladder's seed-1 fleet (12,000 events from 64
+# interleaved emitters, 415 episodes, 132 trajectories; CPU ms, best of 15 with
+# the rounds interleaved over N, 2-vCPU box), the ``match_rows`` calls in it,
+# and how many operations after the call that closed its trajectory a result
+# is delivered:
+#
+#   passes waited    at seal     1      2      4      8     16   unbounded
+#   stream pass, ms    228     211    184    160    144    134      130
+#   match_rows calls   216     163    100     55     28     15        3
+#   delay p50, ops       0      44     64    113    198    329    1,256
+#   delay max, ops       0      65    128    256    461    822    4,364
+#
+# ("at seal" is the executor before the queue existed.)  The constant is the
+# smallest bound that keeps 80% of what never flushing on age would save
+# (98 ms): 8 keeps 86%, 4 keeps 69%.  A closed trajectory waits at most this
+# many passes of its executor — ``8 * micro_batch_size`` events.
+_QUEUE_MAX_PASSES = 8
 
 
 # ---------------------------------------------------------------- stage loop
@@ -911,12 +945,23 @@ class MicroBatchExecutor(Executor):
 
     Events are buffered into micro-batches
     (``plan.config.streaming.micro_batch_size``); each processing pass
-    appends the buffered points to their per-object sessions, lets every
-    touched session seal episodes and routes each sealed episode through the
-    plan's incremental stage bodies.  When a trajectory closes (gap,
-    eviction or explicit close) the close-time stage bodies run — HMM point
-    annotation over the full stop sequence and, when the plan persists,
-    store write-back inside one commit-on-success transaction scope.
+    appends the buffered points to their per-object sessions and lets every
+    touched session seal episodes.  Sealing only *queues*: sealed episodes and
+    closed trajectories (gap, eviction or explicit close) wait in seal order
+    in the annotate queue.  A flush routes all queued episodes through the
+    plan's incremental stage bodies as one group and then walks the queue,
+    firing ``on_episode`` per episode and running the close-time stage bodies
+    per closed trajectory — HMM point annotation over the full stop sequence
+    and, when the plan persists, store write-back inside one
+    commit-on-success transaction scope — followed by ``on_result``.
+
+    The queue is flushed at the end of a processing pass once its oldest entry
+    has waited ``_QUEUE_MAX_PASSES`` passes or its episodes hold
+    ``_CHUNK_POINTS`` GPS points, and by :meth:`flush`, :meth:`close_all`,
+    :meth:`evict_sessions` and :meth:`run`.  Results are therefore delivered
+    in seal order by whichever call flushed them; :meth:`flush` is the
+    synchronisation point.  While fault injection is armed nothing waits:
+    every call flushes what it queued, one episode at a time.
     """
 
     kind = "micro_batch"
@@ -936,6 +981,15 @@ class MicroBatchExecutor(Executor):
         self._sessions = SessionManager(plan.config, metrics=self._streaming_metrics)
         self._pending: List[Tuple[str, SpatioTemporalPoint]] = []
         self._items: Dict[str, WorkItem] = {}
+        # The annotate queue: everything sealed and not yet delivered, in seal
+        # order — a sealed episode with its item, or a closed trajectory.
+        self._queue: Deque["SealedEpisode | SealedTrajectory"] = deque()
+        # The queued episodes no flush has routed through the stages yet, and
+        # the GPS points they hold.
+        self._unannotated: List[SealedEpisode] = []
+        self._unannotated_points = 0
+        # Processing passes the oldest queue entry has waited.
+        self._queue_passes = 0
         # Trajectories whose incremental absorption failed under an isolating
         # policy: stage routing is suspended for them (events keep counting),
         # and close-time handling decides between batch-replay and quarantine.
@@ -963,6 +1017,11 @@ class MicroBatchExecutor(Executor):
         """Events buffered in the current micro-batch."""
         return len(self._pending)
 
+    @property
+    def annotate_queue_depth(self) -> int:
+        """Sealed episodes and closed trajectories waiting for the next flush."""
+        return len(self._queue)
+
     # -------------------------------------------------------------- execution
     def run(self, plan: Plan, trajectories: Sequence[RawTrajectory]) -> List[PipelineResult]:
         """Replay a batch of trajectories through the streaming loop.
@@ -986,16 +1045,20 @@ class MicroBatchExecutor(Executor):
             for point in trajectory.points:
                 results.extend(self.ingest(trajectory.object_id, point))
             results.extend(self.close_object(trajectory.object_id))
+        results.extend(self._flush_queue())
         return results
 
     # ------------------------------------------------------------------ feed
     def ingest(self, object_id: str, point: SpatioTemporalPoint) -> List[PipelineResult]:
-        """Feed one event; returns results for any trajectories sealed by it.
+        """Feed one event; returns the results a flush inside the call delivered.
 
         Most calls only buffer the event and return ``[]``; every
         ``micro_batch_size`` events the executor runs a processing pass,
         during which gap close-outs, LRU evictions and episode sealing
-        happen.
+        happen.  What a pass seals is queued, not returned: the results of
+        this and earlier calls arrive — through ``on_result`` and in the
+        return value — with the pass that flushes the annotate queue, and
+        :meth:`flush` returns everything sealed so far.
         """
         self._pending.append((object_id, point))
         self.stats.events += 1
@@ -1010,34 +1073,46 @@ class MicroBatchExecutor(Executor):
     def ingest_many(
         self, events: Iterable[Tuple[str, SpatioTemporalPoint]]
     ) -> List[PipelineResult]:
-        """Feed several events in order; returns every sealed result."""
+        """Feed several events in order; returns every result delivered meanwhile."""
         results: List[PipelineResult] = []
         for object_id, point in events:
             results.extend(self.ingest(object_id, point))
         return results
 
     def flush(self) -> List[PipelineResult]:
-        """Process the buffered micro-batch immediately.
+        """Process the buffered micro-batch and deliver everything sealed so far.
 
-        Sessions are not explicitly closed, but the pass itself may still
-        seal trajectories: gap close-outs and LRU evictions triggered by the
-        buffered events happen here, so results can be returned.
+        The synchronisation point of the delivery contract: the buffered
+        events get their processing pass (sessions are not explicitly closed,
+        but gap close-outs and LRU evictions triggered by those events happen
+        here) and the annotate queue is flushed, so on return every trajectory
+        closed so far has been delivered, by this call or an earlier one.
         """
-        return self._process_pending()
+        results = self._process_pending()
+        results.extend(self._flush_queue())
+        return results
 
     def close_object(self, object_id: str) -> List[PipelineResult]:
-        """End of stream for one object: seal and annotate its open trajectory."""
+        """End of stream for one object: seal its open trajectory.
+
+        The sealed trajectory joins the annotate queue; its result is
+        delivered by the call that flushes the queue — this one only if a
+        flush rule fires inside it.  Follow with :meth:`flush` to have it
+        now.
+        """
         results = self._process_pending()
         session = self._sessions.pop(object_id)
         if session is not None:
-            results.extend(self._close_session(session))
+            self._close_session(session)
+            results.extend(self._flush_if_due())
         return results
 
     def close_all(self) -> List[PipelineResult]:
         """End of stream for every object; returns all remaining results."""
         results = self._process_pending()
         for session in self._sessions.pop_all():
-            results.extend(self._close_session(session))
+            self._close_session(session)
+        results.extend(self._flush_queue())
         return results
 
     def evict_sessions(self, max_open: int) -> List[PipelineResult]:
@@ -1046,11 +1121,13 @@ class MicroBatchExecutor(Executor):
         The memory-pressure hook the ingestion service drives: buffered
         events are processed first (so eviction cannot reorder absorption),
         then the LRU tail is sealed through the same close-out path a gap or
-        an explicit close takes, and any sealed trajectories are returned.
+        an explicit close takes, and the annotate queue is flushed, so
+        everything sealed so far is returned and nothing stays queued.
         """
         results = self._process_pending()
         for session in self._sessions.evict_lru(max_open):
-            results.extend(self._close_session(session))
+            self._close_session(session)
+        results.extend(self._flush_queue())
         return results
 
     # ------------------------------------------------------------- processing
@@ -1062,11 +1139,10 @@ class MicroBatchExecutor(Executor):
             self._counters.processing_passes.inc()
             assert self._streaming_metrics is not None
             self._streaming_metrics.pending_events.set(0)
-        # Take the batch before touching any session: if a push or a stage
-        # raises mid-pass, already-absorbed events must not be replayed into
-        # their sessions by the next pass.
+        # Take the batch before touching any session: if a push raises
+        # mid-pass, already-absorbed events must not be replayed into their
+        # sessions by the next pass.
         pending, self._pending = self._pending, []
-        results: List[PipelineResult] = []
         touched: Dict[str, Session] = {}
         taken = 0
         try:
@@ -1074,43 +1150,106 @@ class MicroBatchExecutor(Executor):
                 session, evicted = self._sessions.acquire(object_id)
                 for old in evicted:
                     touched.pop(old.object_id, None)
-                    results.extend(self._close_session(old))
+                    self._close_session(old)
                 taken += 1
                 update = session.push(point)
                 if update.sealed:
-                    results.extend(self._handle_update(update))
+                    self._enqueue_closed(update)
                 touched[object_id] = session
         finally:
             # Only an event that raised leaves a tail: the event itself stays
             # consumed, but its unprocessed neighbours go back to the head of
-            # the queue and the sessions already fed still get their advance.
+            # the event buffer and the sessions already fed still get their
+            # advance.  Nothing here runs a stage body — sealing only
+            # enqueues — so no second exception can mask the one propagating.
             self._pending[:0] = pending[taken:]
-            # Everything this pass sealed, across its sessions, is one group.
-            sealed: List[SealedEpisode] = []
             for session in touched.values():
-                sealed.extend(self._advance_session(session))
-            self._absorb(sealed)
-        return results
+                self._advance_session(session)
+        if self._queue:
+            self._queue_passes += 1
+        return self._flush_if_due()
 
-    def _advance_session(self, session: Session) -> List[SealedEpisode]:
+    def _advance_session(self, session: Session) -> None:
         trajectory = session.trajectory
         if trajectory is None:
-            return []
+            return
         item = self._item_for(trajectory)
         started = time.perf_counter()
         episodes = session.advance()
         item.record_stage("compute_episode", time.perf_counter() - started)
-        return [(item, episode) for episode in episodes]
+        for episode in episodes:
+            self._enqueue_episode(item, episode)
 
-    def _close_session(self, session: Session) -> List[PipelineResult]:
-        return self._handle_update(session.close())
+    def _close_session(self, session: Session) -> None:
+        self._enqueue_closed(session.close())
 
-    def _handle_update(self, update: SessionUpdate) -> List[PipelineResult]:
-        results: List[PipelineResult] = []
+    # ---------------------------------------------------------- annotate queue
+    def _enqueue_episode(self, item: WorkItem, episode: Episode) -> None:
+        self.stats.episodes_sealed += 1
+        if self._counters is not None:
+            self._counters.episodes_sealed.inc()
+        sealed = (item, episode)
+        self._queue.append(sealed)
+        self._unannotated.append(sealed)
+        self._unannotated_points += len(episode)
+
+    def _enqueue_closed(self, update: SessionUpdate) -> None:
         for sealed in update.sealed:
-            result = self._finish_trajectory(sealed)
-            if result is not None:
-                results.append(result)
+            if not sealed.discarded:
+                item = self._item_for(sealed.trajectory)
+                item.record_stage("compute_episode", sealed.compute_seconds)
+                for episode in sealed.final_episodes:
+                    self._enqueue_episode(item, episode)
+            self._queue.append(sealed)
+
+    def _flush_if_due(self) -> List[PipelineResult]:
+        """Flush the annotate queue if one of the flush rules says so."""
+        if self._queue and (
+            self._queue_passes >= _QUEUE_MAX_PASSES
+            or self._unannotated_points >= _CHUNK_POINTS
+            or self._plan.faults.enabled
+        ):
+            return self._flush_queue()
+        if self._streaming_metrics is not None:
+            self._streaming_metrics.annotate_queue_depth.set(len(self._queue))
+        return []
+
+    def _flush_queue(self) -> List[PipelineResult]:
+        """Annotate every queued episode as one group, then deliver in seal order.
+
+        The walk fires ``on_episode`` for episode entries and finishes closed
+        trajectories (``on_result``), exactly the sequence an executor that
+        annotated at seal time would have produced.  With fault injection
+        armed each episode is annotated alone, when the walk reaches it, so
+        every injected fault lands on the episode and occurrence it names.
+
+        An entry leaves the queue as the walk takes it: a ``fail_fast`` raise
+        keeps the entries behind it queued for the next flush.  The group
+        handed to the stages is consumed by the attempt either way.
+        """
+        single = self._plan.faults.enabled
+        group, self._unannotated, self._unannotated_points = self._unannotated, [], 0
+        if not single:
+            self._absorb(group)
+        results: List[PipelineResult] = []
+        queue = self._queue
+        try:
+            while queue:
+                entry = queue.popleft()
+                if isinstance(entry, SealedTrajectory):
+                    result = self._finish_trajectory(entry)
+                    if result is not None:
+                        results.append(result)
+                    continue
+                if single:
+                    self._absorb([entry])
+                if self._on_episode is not None:
+                    self._on_episode(entry[1])
+        finally:
+            if not queue:
+                self._queue_passes = 0
+            if self._streaming_metrics is not None:
+                self._streaming_metrics.annotate_queue_depth.set(len(queue))
         return results
 
     def _finish_trajectory(self, sealed: SealedTrajectory) -> Optional[PipelineResult]:
@@ -1122,9 +1261,6 @@ class MicroBatchExecutor(Executor):
             self._poisoned.pop(sealed.trajectory.trajectory_id, None)
             return None
         item = self._item_for(sealed.trajectory)
-        item.record_stage("compute_episode", sealed.compute_seconds)
-        self._absorb([(item, episode) for episode in sealed.final_episodes])
-
         plan = self._plan
         trajectory_id = item.trajectory.trajectory_id
         events = self._poisoned.pop(trajectory_id, None)
@@ -1206,10 +1342,9 @@ class MicroBatchExecutor(Executor):
     def _absorb(self, sealed: Sequence[SealedEpisode]) -> None:
         """Route a group of sealed episodes through the plan's incremental stages.
 
-        Each stage takes the wanted episodes of the group in one call, timed
-        once (:func:`_record_shares`: one latency sample per episode and
-        stage).  With fault injection armed a group is one episode, so every
-        injected fault lands on the episode it names.
+        Called by :meth:`_flush_queue` only.  Each stage takes the wanted
+        episodes of the group in one call, timed once (:func:`_record_shares`:
+        one latency sample per episode and stage).
 
         Under an isolating policy a stage failure poisons the trajectories of
         its group — routing is suspended for the rest of their episodes (they
@@ -1224,10 +1359,6 @@ class MicroBatchExecutor(Executor):
             return
         plan = self._plan
         faults = plan.faults
-        if faults.enabled and len(sealed) > 1:
-            for entry in sealed:
-                self._absorb([entry])
-            return
         for item, episode in sealed:
             item.result.episodes.append(episode)
         for stage in plan.stages:
@@ -1268,12 +1399,6 @@ class MicroBatchExecutor(Executor):
                 time.perf_counter() - started,
                 [(item, len(episode)) for item, episode in wanted],
             )
-        for _, episode in sealed:
-            self.stats.episodes_sealed += 1
-            if self._counters is not None:
-                self._counters.episodes_sealed.inc()
-            if self._on_episode is not None:
-                self._on_episode(episode)
 
     def _item_for(self, trajectory: RawTrajectory) -> WorkItem:
         item = self._items.get(trajectory.trajectory_id)

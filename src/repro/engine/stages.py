@@ -16,11 +16,12 @@ Each stage carries two faces of the same computation, and both take a
   a chunk of trajectories at once (what :func:`repro.api.annotate_many`
   needs); :meth:`Stage.run` is the same body for one item;
 * the **streaming** protocol — :meth:`Stage.wants_episode` /
-  :meth:`Stage.absorb_episodes` for stages that can process episodes the
-  moment they are sealed (all those one processing pass sealed, in one call),
-  plus :meth:`Stage.finishes` / :meth:`Stage.finish` /
-  :meth:`Stage.close_out` for work that must wait until the trajectory
-  closes (the HMM point layer, store write-back, result assembly).
+  :meth:`Stage.absorb_episodes` for stages that can process sealed episodes
+  without waiting for their trajectory to close (every episode queued since
+  the executor's last annotate-queue flush, in one call), plus
+  :meth:`Stage.finishes` / :meth:`Stage.finish` / :meth:`Stage.close_out` for
+  work that must wait until the trajectory closes (the HMM point layer, store
+  write-back, result assembly).
 
 The region and line stages have one annotation body each:
 ``absorb_episodes``, which hands the group's episodes to one grouped
@@ -161,9 +162,9 @@ class Stage(abc.ABC):
     def absorb_episodes(self, sealed: Sequence[SealedEpisode]) -> None:
         """Incremental body: process a group of wanted sealed episodes.
 
-        The group is whatever the executor holds at once — the episodes one
-        processing pass sealed across its sessions, or the tail of one closing
-        trajectory — and is timed once.
+        The group is whatever the executor holds at once — every episode in
+        the streaming executor's annotate queue at a flush, sealed by several
+        passes and closes across its sessions — and is timed once.
         """
         raise NotImplementedError(f"stage {self.name!r} does not absorb episodes")
 

@@ -107,7 +107,9 @@ class GridIndex:
         """All points within ``radius`` of ``center``, sorted by distance."""
         if radius < 0:
             raise ValueError("radius must be non-negative")
-        box = BoundingBox(center.x - radius, center.y - radius, center.x + radius, center.y + radius)
+        box = BoundingBox(
+            center.x - radius, center.y - radius, center.x + radius, center.y + radius
+        )
         results: List[Tuple[float, Point, Any]] = []
         for point, item in self.query_box(box):
             distance = center.distance_to(point)

@@ -42,7 +42,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.geometry.primitives import BoundingBox, Point
@@ -104,7 +104,9 @@ class RTree:
         if max_entries < 4:
             raise ValueError("max_entries must be at least 4")
         self._max_entries = max_entries
-        self._min_entries = min_entries if min_entries is not None else max(2, int(max_entries * 0.4))
+        self._min_entries = (
+            min_entries if min_entries is not None else max(2, int(max_entries * 0.4))
+        )
         if self._min_entries * 2 > max_entries:
             raise ValueError("min_entries must be at most half of max_entries")
         self._root = _Node(is_leaf=True)
@@ -142,7 +144,9 @@ class RTree:
         level = leaves
         while len(level) > 1:
             parents: List[_Node] = []
-            packed = _str_pack([(node.box, node) for node in level if node.box is not None], max_entries)
+            packed = _str_pack(
+                [(node.box, node) for node in level if node.box is not None], max_entries
+            )
             for group in packed:
                 parent = _Node(is_leaf=False)
                 parent.children = [child for _, child in group]

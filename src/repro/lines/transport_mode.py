@@ -91,7 +91,10 @@ class TransportModeClassifier:
         if mean_speed <= config.walk_speed_max:
             return "walk"
         if mean_speed <= config.bicycle_speed_max:
-            if mean_acceleration >= config.bus_acceleration_min and mean_speed > 0.8 * config.bicycle_speed_max:
+            if (
+                mean_acceleration >= config.bus_acceleration_min
+                and mean_speed > 0.8 * config.bicycle_speed_max
+            ):
                 return "bus"
             return "bicycle"
         if mean_speed <= config.bus_speed_max:

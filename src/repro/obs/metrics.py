@@ -286,7 +286,11 @@ class MetricsRegistry:
                 lines.append(f"# TYPE {name} {metric.kind}")  # type: ignore[attr-defined]
             labels = dict(metric.labels)  # type: ignore[attr-defined]
             if isinstance(metric, Histogram):
-                lines.extend(_prometheus_histogram(name, labels, metric.buckets, metric.counts, metric.sum, metric.count))
+                lines.extend(
+                    _prometheus_histogram(
+                        name, labels, metric.buckets, metric.counts, metric.sum, metric.count
+                    )
+                )
             else:
                 lines.append(f"{name}{_prometheus_labels(labels)} {_format_value(metric.value)}")  # type: ignore[attr-defined]
         if self.stage_latency.stages():
@@ -422,6 +426,10 @@ class StreamingMetrics:
         )
         self.pending_events = registry.gauge(
             "streaming_pending_events", help="Events buffered in the current micro-batch"
+        )
+        self.annotate_queue_depth = registry.gauge(
+            "streaming_annotate_queue_depth",
+            help="Sealed episodes and closed trajectories waiting for the next flush",
         )
 
 

@@ -327,7 +327,12 @@ class SharedGeoContext:
     so) when the pool shuts down.
     """
 
-    def __init__(self, context: "GeoContext", spec: SharedContextSpec, bundle: Optional[SharedArrayBundle]):
+    def __init__(
+        self,
+        context: "GeoContext",
+        spec: SharedContextSpec,
+        bundle: Optional[SharedArrayBundle],
+    ):
         self._context = context
         self._spec = spec
         self._bundle = bundle

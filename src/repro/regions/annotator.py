@@ -29,10 +29,14 @@ from repro.regions.sources import RegionSource
 
 #: Lookups of fewer positions than this stay on the scalar tree: the batch
 #: query's fixed cost is ~90 us a call, a tree walk 12 us a position.  The one
-#: input-size selection in the product, kept because the benchmark has traffic
-#: on both sides of it (116 of 232 lookups of a ``stream_engine`` pass are
-#: under 8 positions, 13% of all positions looked up).  Scalar / batch lookup,
-#: us per call (benchmark fleet's region source, 2-vCPU box, best of 7):
+#: input-size selection in the product.  It was kept while the benchmark had
+#: traffic on both sides of it (116 of 232 lookups of a ``stream_engine`` pass
+#: under 8 positions, 13% of all positions looked up); since the streaming
+#: executor annotates a whole annotate-queue flush per lookup, a pass makes 28
+#: lookups and none is under 8 (re-counted on the seed-1 fleet), so in the
+#: benchmark only the armed-faults and single-trajectory paths still reach the
+#: scalar side.  Scalar / batch lookup, us per call (benchmark fleet's region
+#: source, 2-vCPU box, best of 7):
 #:
 #:   positions     1      4      8     12     16     32     64
 #:   scalar       12.4   53.4  107.6  160.3  241.1  609.9  854.3

@@ -39,7 +39,13 @@ from repro.service.service import AnnotationService
 __all__ = ["HttpIngestServer"]
 
 _MAX_BODY_BYTES = 8 * 1024 * 1024
-_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found", 409: "Conflict", 413: "Payload Too Large"}
+_REASONS = {
+    200: "OK",
+    400: "Bad Request",
+    404: "Not Found",
+    409: "Conflict",
+    413: "Payload Too Large",
+}
 
 
 class _BadRequest(Exception):
@@ -114,7 +120,9 @@ class HttpIngestServer:
                     break
                 method, path, body = request
                 status, payload, content_type = await self._dispatch(method, path, body)
-                data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
+                data = (
+                    payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
+                )
                 reason = _REASONS.get(status, "Error")
                 head = (
                     f"HTTP/1.1 {status} {reason}\r\n"

@@ -472,6 +472,7 @@ class TestMicroBatchIsolation:
             for point in trajectory.points:
                 results.extend(executor.ingest(trajectory.object_id, point))
             results.extend(executor.close_object(trajectory.object_id))
+        results.extend(executor.flush())
         return results
 
     def test_poison_object_quarantines_and_spares_the_stream(
@@ -481,6 +482,7 @@ class TestMicroBatchIsolation:
         poison = trajectories[0].object_id
         config = _config(mode="skip")
         reference = self._run_stream(_plan(annotation_sources, config), trajectories)
+        assert len(reference) == len(trajectories)
         # landuse_join absorbs episodes incrementally for every trajectory,
         # so the poison fires on the incremental path (routing suspends, the
         # close-time handler quarantines) regardless of stop/move mix.
@@ -501,6 +503,7 @@ class TestMicroBatchIsolation:
         trajectories = car_dataset.trajectories[:6]
         config = _config(mode="retry", max_retries=2)
         reference = self._run_stream(_plan(annotation_sources, config), trajectories)
+        assert len(reference) == len(trajectories)
         plan = _plan(annotation_sources, config, "raise@map_match:n=1,times=1")
         results = self._run_stream(plan, trajectories)
         assert canonical_bytes(results) == canonical_bytes(reference)

@@ -275,8 +275,14 @@ def test_streaming_metrics_count_gap_closeouts(annotation_sources):
         SpatioTemporalPoint(500.0 + float(i) * 5.0, 0.0, max_gap * 3 + float(i) * 10.0)
         for i in range(30)
     ]
+    deepest = 0.0
     for point in points:
         executor.ingest("walker", point)
+        deepest = max(deepest, registry.value("streaming_annotate_queue_depth"))
+    # sealed-but-not-annotated work is visible mid-stream and gone after the drain
+    assert deepest > 0
     executor.close_all()
+    assert registry.value("streaming_annotate_queue_depth") == 0
+    assert executor.annotate_queue_depth == 0
     assert registry.value("streaming_gap_closeouts_total") == 1
     assert registry.value("engine_trajectories_discarded_total", executor="micro_batch") == 0

@@ -44,6 +44,7 @@ def test_absorbed_move_episode_equals_annotate_episode(annotation_sources, taxi_
         for point in trajectory.points:
             results.extend(engine.ingest(trajectory.object_id, point))
         results.extend(engine.close_object(trajectory.object_id))
+    results.extend(engine.flush())
 
     line_annotator = LayerAnnotators.build(annotation_sources, config).line
     compared = 0

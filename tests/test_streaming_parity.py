@@ -97,6 +97,7 @@ def _run_engine(trajectories, sources, config) -> List[PipelineResult]:
         for point in trajectory.points:
             results.extend(engine.ingest(trajectory.object_id, point))
         results.extend(engine.close_object(trajectory.object_id))
+    results.extend(engine.flush())
     assert engine.stats.episodes_sealed > 0
     return results
 
@@ -210,6 +211,7 @@ def test_store_contents_match_batch(taxi_dataset, annotation_sources):
         for point in trajectory.points:
             engine.ingest(trajectory.object_id, point)
         engine.close_object(trajectory.object_id)
+    engine.flush()
 
     assert stream_store.stop_move_summary() == batch_store.stop_move_summary()
     assert stream_store.annotation_count() == batch_store.annotation_count()
@@ -240,7 +242,7 @@ def test_latency_profile_uses_figure17_stage_names(taxi_dataset, annotation_sour
     trajectory = taxi_dataset.trajectories[0]
     for point in trajectory.points:
         engine.ingest(trajectory.object_id, point)
-    results = engine.close_object(trajectory.object_id)
+    results = engine.close_object(trajectory.object_id) + engine.flush()
     store.close()
     assert len(results) == 1
     stages = set(results[0].latency.stages())

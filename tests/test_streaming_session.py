@@ -116,7 +116,7 @@ def test_returning_object_gets_fresh_trajectory_ids():
         base = 10_000.0 * round_index
         for i in range(5):
             engine.ingest("u1", SpatioTemporalPoint(10.0 * i, 0.0, base + 60.0 * i))
-        for result in engine.close_object("u1"):
+        for result in engine.close_object("u1") + engine.flush():
             ids.append(result.trajectory.trajectory_id)
     assert ids == ["u1-t0", "u1-t1", "u1-t2"]
     assert store.trajectory_count() == 3
@@ -186,6 +186,7 @@ def test_engine_eviction_seals_trajectories():
     # A second object forces the eviction of "a".
     for i in range(5):
         results.extend(engine.ingest("b", SpatioTemporalPoint(0.0, 10.0 * i, 60.0 * i)))
+    results.extend(engine.flush())
     assert [r.trajectory.object_id for r in results] == ["a"]
     results.extend(engine.close_all())
     assert [r.trajectory.object_id for r in results] == ["a", "b"]
@@ -223,6 +224,7 @@ def test_eviction_mid_episode_matches_batch_segmentation():
         results.extend(engine.ingest("a", point))
     assert results == []  # trajectory still open, stop not yet sealed
     results.extend(engine.ingest("b", SpatioTemporalPoint(5000.0, 5000.0, t)))
+    results.extend(engine.flush())
     assert [r.trajectory.object_id for r in results] == ["a"]
     sealed = results[0]
     expected = StopMoveDetector(config.stop_move).segment(sealed.trajectory)

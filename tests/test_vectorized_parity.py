@@ -156,6 +156,7 @@ def test_streaming_backend_parity(dataset, annotation_sources):
         for point in trajectory.points:
             streamed.extend(engine.ingest(trajectory.object_id, point))
         streamed.extend(engine.close_object(trajectory.object_id))
+    streamed.extend(engine.flush())
     assert _canonical_without_ids(streamed) == _canonical_without_ids(
         _reference(trajectories, annotation_sources, config)
     )
