@@ -30,12 +30,6 @@ STAGES = (
 
 
 def test_fig17_latency(benchmark, world, people_dataset, annotation_sources):
-    # Pre-compile the flat indexes like every production entry point does
-    # (GeoContext.build compiles them once at freeze time); the per-stage
-    # samples then measure query latency, not one-off compilation.
-    annotation_sources.regions.flat_index()
-    annotation_sources.road_network.flat_index()
-    annotation_sources.pois.flat_index()
 
     def run_pipeline():
         store = SemanticTrajectoryStore()

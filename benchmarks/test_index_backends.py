@@ -2,17 +2,19 @@
 
 Times the three query families the annotation layers issue — box range
 search, within-distance candidate selection and nearest-neighbour lookups —
-on the seed benchmark sources (region R-tree geometry, the road network, the
-POI grid), per-point through the scalar index APIs versus one batch call
-through the compiled :class:`~repro.index.flat.FlatSpatialIndex`.
+on the seed benchmark sources (region geometry, the road network, the POIs),
+per-point through the scalar oracles of :mod:`repro.reference` (an STR-loaded
+R-tree, a hash grid) versus one batch call through the sources' own
+:class:`~repro.index.flat.FlatSpatialIndex`.  A second table times the build:
+oracle tree / grid plus its compile into the flat layout (how the product
+built its indexes until it packed them directly) against the direct pack.
 
 Before anything is timed, every family's results are materialised once from
 both backends and compared exactly (payload identity, order and
 bit-identical distances), so a "fast but wrong" index can never post a
 speedup.  The timed region then covers the query APIs themselves — the
 scalar per-point calls against the flat CSR batch call — the table on record
-for the product issuing batch queries only (and, at its small end, for
-``regions/annotator.py::_FLAT_MIN_BATCH``).  The
+for the product issuing batch queries only.  The
 recorded metrics are same-process ratios, which keeps the CI regression gate
 robust to absolute machine speed; the acceptance floor is a >= 3x speedup on
 the range and within-distance batches.
@@ -28,8 +30,11 @@ import numpy as np
 from benchmarks.conftest import bench_gate_run, save_result
 from repro.analytics.reporting import render_table
 from repro.geometry.primitives import BoundingBox, Point
-from repro.index.flat import FlatSpatialIndex
-from repro.index.rtree import RTree, RTreeEntry
+from repro.geometry.distance import point_segment_distance
+from repro.lines.road_network import RoadNetwork
+from repro.points.poi import PoiSource
+from repro.reference import GridIndex, RTree, RTreeEntry, from_grid, from_rtree
+from repro.regions.sources import RegionSource
 
 QUERY_COUNT = 2_000
 BOX_EXTENT = 120.0
@@ -84,27 +89,45 @@ def test_index_backend_speedups(benchmark, annotation_sources):
         for x, y in zip(xs, ys)
     ]
 
-    # Range queries run on an R-tree over the region geometry (the Algorithm 1
-    # join index); the flat index is compiled from that same tree.
-    region_tree = RTree.bulk_load(
-        RTreeEntry(box=region.bounding_box(), item=region.place_id)
-        for region in regions.regions
-    )
-    region_flat = FlatSpatialIndex.from_rtree(region_tree)
+    # The scalar side: the oracles over the same rows the sources packed.
+    def build_region_tree() -> RTree:
+        return RTree.bulk_load(
+            RTreeEntry(box=region.bounding_box(), item=region) for region in regions.regions
+        )
+
+    def build_road_tree() -> RTree:
+        return RTree.bulk_load(
+            RTreeEntry(box=segment.bounding_box(), item=segment) for segment in network.segments
+        )
+
+    def build_poi_grid() -> GridIndex:
+        grid = GridIndex(cell_size=100.0)  # PoiSource's default cell size
+        grid.insert_many((poi.location, poi) for poi in pois.pois)
+        return grid
+
+    def segment_distance(point, entry):
+        return point_segment_distance(point, entry.item.segment)
+
+    region_tree, road_tree, poi_index = build_region_tree(), build_road_tree(), build_poi_grid()
+    region_flat = regions.flat_index()
     road_flat = network.flat_index()
     poi_flat = pois.flat_index()
-    poi_index = pois._index  # the scalar grid the flat index was compiled from
 
     # ---------------------------------------------------------------- parity
     # Materialise both sides once and compare exactly; only then time them.
-    scalar_range_results = [[entry.item for entry in region_tree.search(box)] for box in boxes]
+    scalar_range_results = [
+        [entry.item.place_id for entry in region_tree.search(box)] for box in boxes
+    ]
     assert scalar_range_results == _csr_lists(
         *region_flat.query_boxes_batch(xs, ys, xs + BOX_EXTENT, ys + BOX_EXTENT),
-        lambda row: region_flat.payloads[row],
+        lambda row: region_flat.payloads[row].place_id,
     )
 
     scalar_within_results = [
-        [(d, segment.place_id) for d, segment in network.candidate_segments(p, WITHIN_RADIUS)]
+        [
+            (d, entry.item.place_id)
+            for d, entry in road_tree.within_distance(p, WITHIN_RADIUS, segment_distance)
+        ]
         for p in points
     ]
     flat_offsets, flat_rows, flat_distances = road_flat.within_distance_batch(
@@ -136,7 +159,7 @@ def test_index_backend_speedups(benchmark, annotation_sources):
             lambda: region_flat.query_boxes_batch(xs, ys, xs + BOX_EXTENT, ys + BOX_EXTENT),
         ),
         "within_distance": (
-            lambda: [network.candidate_segments(p, WITHIN_RADIUS) for p in points],
+            lambda: [road_tree.within_distance(p, WITHIN_RADIUS, segment_distance) for p in points],
             lambda: road_flat.within_distance_batch(xs, ys, WITHIN_RADIUS),
         ),
         "nearest": (
@@ -176,6 +199,41 @@ def test_index_backend_speedups(benchmark, annotation_sources):
             f"({QUERY_COUNT} queries, best of {_REPEATS})"
         ),
     )
+
+    # ----------------------------------------------------------------- build
+    # Oracle structure + compile (the product's build until the flat index
+    # packed its own arrays) against the direct pack, from the same rows.
+    builds = {
+        "regions": (
+            lambda: from_rtree(build_region_tree()),
+            lambda: RegionSource(regions.regions),
+        ),
+        "road_segments": (
+            lambda: from_rtree(build_road_tree(), segment_of=lambda item: item.segment),
+            lambda: RoadNetwork(network.segments),
+        ),
+        "pois": (lambda: from_grid(build_poi_grid()), lambda: PoiSource(pois.pois)),
+    }
+    build_ms = {
+        name: {
+            "tree_and_compile": _best_of(compile_fn)[0] * 1e3,
+            "direct_pack": _best_of(pack_fn)[0] * 1e3,
+        }
+        for name, (compile_fn, pack_fn) in builds.items()
+    }
+    text += "\n\n" + render_table(
+        ["source", "rows", "tree + compile (ms)", "direct pack (ms)"],
+        [
+            [
+                name,
+                str(len(source)),
+                f"{build_ms[name]['tree_and_compile']:.2f}",
+                f"{build_ms[name]['direct_pack']:.2f}",
+            ]
+            for name, source in (("regions", regions), ("road_segments", network), ("pois", pois))
+        ],
+        title=f"Index build (whole source constructor on the direct side; best of {_REPEATS})",
+    )
     save_result(
         "index_backends",
         text,
@@ -193,6 +251,7 @@ def test_index_backend_speedups(benchmark, annotation_sources):
             "seconds": {
                 name: {"scalar": s, "flat": f} for name, (s, f) in measured.items()
             },
+            "build_ms": build_ms,
         },
         metrics=metrics,
     )

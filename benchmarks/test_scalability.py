@@ -106,7 +106,6 @@ def test_scalability_map_matching_vs_point_count(benchmark, world):
     """Map-matching time should grow roughly linearly with the number of points."""
     network = world.road_network()
     matcher = GlobalMapMatcher(network, MapMatchingConfig(candidate_radius=50.0))
-    network.segment_arrays()  # built at GeoContext.build in production, never in a match
     core_min = world.config.core_min
 
     def track_of(length: int):

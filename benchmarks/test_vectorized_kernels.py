@@ -121,7 +121,6 @@ def _map_matching_rows(world):
     config = MapMatchingConfig(candidate_radius=50.0)
     oracle = ScalarMapMatcher(network, config)
     columnar = GlobalMapMatcher(network, config)
-    network.segment_arrays()  # built at GeoContext.build in production, never in a match
     rows = []
     for length in MATCH_EPISODE_LENGTHS:
         episodes = _street_episodes(world, length)

@@ -1,7 +1,7 @@
 """Sharded parallel batch annotation over a shared geographic snapshot.
 
 This example builds a private-car fleet, snapshots the geographic sources
-once into an immutable :class:`GeoContext` (frozen R-trees, POI grid, HMM)
+once into an immutable :class:`GeoContext` (the sources' flat indexes, HMM)
 and annotates the whole fleet three ways:
 
 * sequentially, ``repro.annotate_many(batch, context=...)``;

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.annotations import AnnotationKind, GeographicReferenceAnnotation, ValueAnnotation
 from repro.core.episodes import Episode
 from repro.geometry.primitives import BoundingBox, Point
-from repro.index.grid_index import GridIndex
+from repro.index.flat import FlatSpatialIndex, point_columns
 
 
 @dataclass
@@ -95,9 +95,13 @@ class FrequentPlaceMiner:
         if not stop_list:
             return []
 
-        index = GridIndex(cell_size=self._radius)
-        for position, stop in enumerate(stop_list):
-            index.insert(stop.center(), position)
+        # Every stop's neighbours within the radius, nearest first: one query
+        # of an index over the stop centres (payload: position in stop_list).
+        stop_centers = [stop.center() for stop in stop_list]
+        index = FlatSpatialIndex.from_points(
+            *point_columns(stop_centers), range(len(stop_list)), cell_size=self._radius
+        )
+        neighbor_lists = index.within_distance_pairs(stop_centers, self._radius)
 
         labels: Dict[int, int] = {}
         next_label = 0
@@ -109,8 +113,7 @@ class FrequentPlaceMiner:
             frontier = [position]
             while frontier:
                 current = frontier.pop()
-                center = stop_list[current].center()
-                for _, _, neighbor in index.query_radius(center, self._radius):
+                for _, neighbor in neighbor_lists[current]:
                     if neighbor not in labels:
                         labels[neighbor] = next_label
                         frontier.append(neighbor)

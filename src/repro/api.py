@@ -223,7 +223,7 @@ def compile_plan(
 
     Use ``layers`` to restrict the annotation layers compiled in (e.g.
     ``["regions"]`` for a region-only pass); pass a ``context`` snapshot to
-    reuse frozen indexes across plans.
+    reuse its indexes and annotators across plans.
     """
     if context is not None:
         if config is None and overrides is None:

@@ -133,7 +133,7 @@ class MapMatchingConfig:
     """Kernel width sigma expressed as a fraction of the view radius (sigma = f*R)."""
 
     candidate_radius: float = 50.0
-    """Radius (coordinate units) used to pull candidate segments from the R-tree."""
+    """Radius (coordinate units) used to pull candidate segments from the index."""
 
     max_candidates: int = 8
     """Maximum number of candidate segments considered per GPS point."""

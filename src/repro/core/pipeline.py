@@ -71,7 +71,7 @@ class AnnotationSources:
 class LayerAnnotators:
     """The three layer annotators built once for a batch or stream of work.
 
-    Building an annotator indexes its source (R-tree, grids, HMM), so both
+    Building an annotator prepares its models (observation grid, HMM), so both
     batch runs and the streaming engine construct this bundle once and reuse
     it for every trajectory.
     """

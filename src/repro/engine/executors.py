@@ -394,7 +394,7 @@ def _pool_mp_context() -> multiprocessing.context.BaseContext:
     """The explicit multiprocessing context every worker pool is built from.
 
     ``fork`` where it is the safe platform default (Linux: children inherit
-    the frozen snapshot as copy-on-write memory), ``spawn`` everywhere else —
+    the read-only snapshot as copy-on-write memory), ``spawn`` everywhere else —
     macOS forks can crash inside frameworks the parent already loaded, and
     Windows has no fork.  Always explicit, because the start method also
     decides how the snapshot travels: inherited under ``fork``, through a

@@ -181,7 +181,7 @@ class Plan:
     ) -> "Plan":
         """Compile a plan around an immutable :class:`GeoContext` snapshot.
 
-        The snapshot's frozen indexes and prebuilt annotators are reused
+        The snapshot's indexes and prebuilt annotators are reused
         as-is, and :meth:`geo_context` returns the very same snapshot, so a
         process-pool executor can keep its worker pool warm across plans
         compiled from the same context.
@@ -281,8 +281,7 @@ class Plan:
 
         Built (and cached) on first use; plans compiled via
         :meth:`from_context` return the original snapshot, so executor worker
-        pools primed with it stay warm.  Freezing happens here, which is why
-        purely in-process sequential execution never freezes the sources.
+        pools primed with it stay warm.
         """
         if self._context is None:
             if self.sources is None:

@@ -2,16 +2,12 @@
 
 The paper indexes semantic regions, road segments and POIs with an R*-tree
 ([2] in the paper) so that each annotation layer touches only the geographic
-objects near a GPS point.  This package provides a pure-Python R-tree with
-R*-style insertion heuristics and STR bulk loading, plus a simpler uniform
-grid index used when the data is already cell-aligned (landuse), and a
-read-only numpy-compiled :class:`FlatSpatialIndex` that answers whole
-coordinate batches at once with results provably identical to the scalar
-indexes it is compiled from.
+objects near a GPS point.  The sources here are static, so the one index of
+this package, :class:`FlatSpatialIndex`, is read-only and array-backed: packed
+once from the source rows (Sort-Tile-Recursive levels for boxes and segments,
+a flattened uniform grid for points) and queried for whole coordinate batches.
 """
 
-from repro.index.rtree import RTree, RTreeEntry
-from repro.index.grid_index import GridIndex
 from repro.index.flat import BatchQueryResult, FlatSpatialIndex
 
-__all__ = ["RTree", "RTreeEntry", "GridIndex", "FlatSpatialIndex", "BatchQueryResult"]
+__all__ = ["FlatSpatialIndex", "BatchQueryResult"]

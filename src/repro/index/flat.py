@@ -1,67 +1,96 @@
-"""Read-only, array-backed batch spatial index compiled from a scalar index.
+"""Read-only, array-backed spatial index packed straight from the source rows.
 
-The pure-Python :class:`~repro.index.rtree.RTree` and
-:class:`~repro.index.grid_index.GridIndex` answer one query at a time, paying
-~10 µs of node-hopping and attribute-access overhead per point.  For the
-static geographic sources (regions, road segments, POIs) every query after
-``freeze()`` hits an immutable structure, so the index can be *compiled once*
-into contiguous numpy arrays and queried for whole coordinate batches:
+The geographic sources (regions, road segments, POIs) are static: every query
+hits an immutable structure, so the index is a handful of contiguous numpy
+arrays, built once from the sources' coordinate columns and queried for whole
+coordinate batches.  No Python tree is ever built:
 
-* :meth:`FlatSpatialIndex.from_rtree` flattens the (STR-bulk-loaded or
-  insertion-built, but height-balanced either way) R-tree into an **implicit
-  layout**: one contiguous bounding-box array per tree level plus
+* :meth:`FlatSpatialIndex.from_boxes` packs boxes (regions, road segments)
+  with **Sort-Tile-Recursive** bulk loading done in numpy: a stable argsort of
+  the box centres' x, tiles of ``ceil(n / ceil(sqrt(ceil(n / capacity))))``
+  rows each stable-sorted by the centres' y, consecutive runs of ``capacity``
+  rows per leaf, the leaf boxes reduced with ``np.minimum/maximum.reduceat``,
+  and the same again on each level's boxes until one root is left.  The result
+  is an **implicit layout**: one bounding-box array per tree level plus
   ``child_start``/``child_end`` slices into the next level, ending in the leaf
   entry arrays.  Batch queries traverse the levels with vectorized
   ``(query, node)`` frontier expansion instead of per-query recursion.
-* :meth:`FlatSpatialIndex.from_grid` flattens the hash grid into coordinate
-  columns sorted by ``(cell_x, cell_y, insertion order)``; batch queries are
-  chunked columnar scans (for the grid's point payloads a masked scan beats
-  per-cell bucket walks once queries are batched).
+* :meth:`FlatSpatialIndex.from_points` lays points (POIs, stop centres) out as
+  a uniform hash grid flattened into columns: rows sorted by ``(cell_x,
+  cell_y, input order)`` with ``cell = floor(coordinate / cell_size)``.  Batch
+  queries are chunked columnar scans (for point payloads a masked scan beats
+  per-cell bucket walks once queries are batched); the one-row
+  :meth:`FlatSpatialIndex.within_distance_point` walks the sorted cell
+  columns instead, which is what a single lookup is cheapest with.
 
 All batch queries return CSR-style ``(offsets, indices[, distances])``
 triples: query ``i``'s results are ``indices[offsets[i]:offsets[i + 1]]``,
 indexing into :attr:`payloads`.
 
+Result ordering contract
+------------------------
+Entry ``i`` of :attr:`payloads` has **row** ``i``: for boxes the left-to-right
+order of the leaf entries under the packed levels, for points the
+``(cell_x, cell_y, input order)`` order.  Box and point-containment queries
+return matches in ascending row order; ``within_distance`` and ``nearest``
+queries in ``(distance, row)`` order, so equal-distance entries — including
+duplicate boxes and coincident points — come out in row order, never in an
+incidental one.  ``tests/test_index_ordering.py`` pins the tie-breaks.
+
 Parity contract
 ---------------
-Results are **provably identical** — same sets, same order, bit-identical
-distances — to the scalar index the flat index was compiled from:
+The layout and every query result are **provably identical** — same rows, same
+level arrays, same sets, same order, bit-identical distances — to the
+pure-Python STR-loaded R-tree and hash grid kept with the other test oracles
+(they were the product's indexes before this module packed its own arrays):
 
-* entries are laid out in the scalar index's structural row order (R-tree
-  DFS leaf order / grid ``(cell, insertion)`` order), and every batch query
-  emits matches in the scalar contract's ``(distance, row)`` (or plain row)
-  order documented in :mod:`repro.index.rtree` and
-  :mod:`repro.index.grid_index`;
+* the packing evaluates the oracles' float expressions (box centre
+  ``(min + max) / 2.0``, cell ``floor(coordinate / cell_size)``, the tile and
+  leaf sizes) and sorts stably wherever they did;
 * distances use only IEEE ``+ - * /``, ``sqrt``, ``min``/``max`` and
   comparisons — the same operation sequences as the scalar code
   (:meth:`Point.distance_to`, :meth:`BoundingBox.min_distance_to_point`,
   :func:`repro.geometry.distance.point_segment_distance`), which numpy's
   elementwise loops round identically.
 
-``tests/test_index_flat_parity.py`` exercises the contract on random point
-clouds and degenerate inputs; ``tests/test_index_ordering.py`` pins the
-tie-break behaviour.
+``tests/test_index_direct_pack.py`` compares the packed arrays with the
+oracle compile on generated inputs, ``tests/test_index_flat_parity.py`` the
+query results on random point clouds and degenerate inputs.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from operator import attrgetter, itemgetter
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.geometry.primitives import Point, Segment
-from repro.index.grid_index import GridIndex
-from repro.index.rtree import RTree, _Node
+from repro.geometry.primitives import BoundingBox, Point
 
-__all__ = ["FlatSpatialIndex", "BatchQueryResult", "expand_ranges"]
+__all__ = [
+    "FlatSpatialIndex",
+    "BatchQueryResult",
+    "box_columns",
+    "expand_ranges",
+    "point_columns",
+]
 
 #: ``(offsets, indices)`` — query ``i`` matched rows ``indices[offsets[i]:offsets[i+1]]``.
 BatchQueryResult = Tuple[np.ndarray, np.ndarray]
 
+#: Four equally long float columns: ``(min_xs, min_ys, max_xs, max_ys)`` of
+#: boxes, ``(start_xs, start_ys, end_xs, end_ys)`` of segments.
+Columns = Sequence[np.ndarray]
+
 #: Upper bound on the ``query x entry`` pairs materialised per brute-force
 #: chunk; keeps the distance matrices cache-friendly for large batches.
 _CHUNK_PAIR_BUDGET = 1 << 21
+
+#: Fan-out of a packed node (the STR leaf and parent capacity).
+_NODE_CAPACITY = 16
 
 
 class _Level:
@@ -69,19 +98,13 @@ class _Level:
 
     __slots__ = ("min_xs", "min_ys", "max_xs", "max_ys", "child_starts", "child_ends")
 
-    def __init__(
-        self,
-        boxes: Sequence[Tuple[float, float, float, float]],
-        counts: Sequence[int],
-    ):
-        box_array = np.asarray(boxes, dtype=np.float64).reshape(len(boxes), 4)
-        self.min_xs = np.ascontiguousarray(box_array[:, 0])
-        self.min_ys = np.ascontiguousarray(box_array[:, 1])
-        self.max_xs = np.ascontiguousarray(box_array[:, 2])
-        self.max_ys = np.ascontiguousarray(box_array[:, 3])
-        ends = np.cumsum(np.asarray(counts, dtype=np.intp))
-        self.child_ends = ends
-        self.child_starts = ends - np.asarray(counts, dtype=np.intp)
+    def __init__(self, boxes: Columns, counts: np.ndarray):
+        self.min_xs, self.min_ys, self.max_xs, self.max_ys = (
+            np.ascontiguousarray(column, dtype=np.float64) for column in boxes
+        )
+        counts = np.asarray(counts, dtype=np.intp)
+        self.child_ends = np.cumsum(counts)
+        self.child_starts = self.child_ends - counts
 
 
 def _empty_csr(query_count: int, with_distances: bool):
@@ -112,131 +135,211 @@ def expand_ranges(
     return np.repeat(values, counts), members
 
 
-class FlatSpatialIndex:
-    """Array-compiled read-only spatial index with CSR batch queries.
+def box_columns(boxes: Iterable[BoundingBox]) -> Columns:
+    """``(min_xs, min_ys, max_xs, max_ys)`` of a sequence of bounding boxes."""
+    box_list = list(boxes)
+    return [
+        np.fromiter(map(attrgetter(corner), box_list), np.float64, len(box_list))
+        for corner in ("min_x", "min_y", "max_x", "max_y")
+    ]
 
-    Build one with :meth:`from_rtree` or :meth:`from_grid`; the source index
-    is frozen as part of compilation, so the arrays can never go stale.  The
-    ``geometry`` kind fixes how entry distances are refined:
+
+def point_columns(points: Sequence[Point]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(xs, ys)`` of a sequence of points."""
+    count = len(points)
+    xs = np.fromiter((p.x for p in points), dtype=np.float64, count=count)
+    ys = np.fromiter((p.y for p in points), dtype=np.float64, count=count)
+    return xs, ys
+
+
+def _str_pack(boxes: Columns, capacity: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Sort-Tile-Recursive packing of ``boxes`` into groups of at most ``capacity``.
+
+    Returns ``(order, starts)``: the boxes in packed order and where in it each
+    group begins.  Rows are stable-sorted by centre x and cut into vertical
+    tiles of ``slice_size``; each tile is stable-sorted by centre y and cut
+    into runs of ``capacity``.
+    """
+    min_xs, min_ys, max_xs, max_ys = boxes
+    count = len(min_xs)
+    leaf_count = math.ceil(count / capacity)
+    slice_count = max(1, math.ceil(math.sqrt(leaf_count)))
+    slice_size = math.ceil(count / slice_count)
+    by_x = np.argsort((min_xs + max_xs) / 2.0, kind="stable")
+    positions = np.arange(count)
+    centre_ys = ((min_ys + max_ys) / 2.0)[by_x]
+    # lexsort is stable: within a tile, equal centre ys keep their by-x order.
+    order = by_x[np.lexsort((centre_ys, positions // slice_size))]
+    starts = np.flatnonzero(positions % slice_size % capacity == 0)
+    return order, starts
+
+
+class FlatSpatialIndex:
+    """Array-backed read-only spatial index with CSR batch queries.
+
+    Build one with :meth:`from_boxes` or :meth:`from_points`; nothing can be
+    added afterwards, so the arrays never go stale and the index is safe to
+    share across threads and (copy-on-write or through shared memory)
+    processes.  The ``geometry`` kind fixes how entry distances are refined:
 
     ``"bbox"``
-        minimum distance to the entry's bounding box (the R-tree default);
+        minimum distance to the entry's bounding box;
     ``"point"``
-        distance to the entry's point (grid payloads, degenerate boxes);
+        distance to the entry's point (the grid layout of :meth:`from_points`);
     ``"segment"``
         Equation 1 point-segment distance to the entry's segment (road
-        networks; requires ``segment_of`` at compile time).
+        networks; :meth:`from_boxes` with endpoint columns).
+
+    The constructor takes a finished layout — levels root first, entry
+    columns and payloads in row order — and is what the two packers (and the
+    test oracles' tree and grid compilers) end in.
     """
 
     def __init__(
         self,
         levels: List[_Level],
-        entry_boxes: np.ndarray,
+        entry_boxes: Columns,
         payloads: List[Any],
         geometry: str,
-        segments: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None,
-        nearest_max_radius: Optional[float] = None,
+        segments: Optional[Columns] = None,
+        cell_size: Optional[float] = None,
     ):
         if geometry not in ("bbox", "point", "segment"):
             raise ValueError(f"unknown flat-index geometry {geometry!r}")
         if geometry == "segment" and segments is None:
             raise ValueError("segment geometry requires endpoint arrays")
+        if geometry == "point" and not (cell_size is not None and cell_size > 0):
+            raise ValueError("point geometry requires a positive cell_size")
         self._levels = levels
-        boxes = np.asarray(entry_boxes, dtype=np.float64).reshape(len(payloads), 4)
-        self._min_xs = np.ascontiguousarray(boxes[:, 0])
-        self._min_ys = np.ascontiguousarray(boxes[:, 1])
-        self._max_xs = np.ascontiguousarray(boxes[:, 2])
-        self._max_ys = np.ascontiguousarray(boxes[:, 3])
+        self._min_xs, self._min_ys, self._max_xs, self._max_ys = (
+            np.ascontiguousarray(column, dtype=np.float64) for column in entry_boxes
+        )
         self._payloads = payloads
         self._geometry = geometry
-        self._segments = segments
-        self._nearest_max_radius = nearest_max_radius
+        self._segments = None if segments is None else tuple(segments)
+        self._cell_size = cell_size
+        self._nearest_max_radius: Optional[float] = None
+        if geometry == "point":
+            assert cell_size is not None
+            # A ring-doubling nearest search over the grid starts at cell_size
+            # and gives up once the doubled radius exceeds cell_size * 1e6; the
+            # largest radius it queries is the cap (same float expressions as
+            # the oracle grid's loop, so the comparison is bit-identical).
+            cap = cell_size
+            while cap * 2.0 <= cell_size * 1e6:
+                cap *= 2.0
+            self._nearest_max_radius = cap
+            self._index_cells(cell_size)
 
-    # ------------------------------------------------------------ compilation
+    def _index_cells(self, cell_size: float) -> None:
+        """The occupied cells of a point layout, for the one-row cell walk.
+
+        ``_cell_keys[k]`` is the k-th occupied ``(cell_x, cell_y)`` in
+        lexicographic order and its rows are ``_cell_starts[k]:_cell_starts[k
+        + 1]``; the coordinates are kept as Python floats beside the columns
+        because the walk is scalar code.
+        """
+        cell_xs = np.floor(self._min_xs / cell_size).astype(np.int64)
+        cell_ys = np.floor(self._min_ys / cell_size).astype(np.int64)
+        firsts = np.flatnonzero((np.diff(cell_xs) != 0) | (np.diff(cell_ys) != 0)) + 1
+        if len(cell_xs):
+            firsts = np.concatenate(([0], firsts))
+        self._cell_keys = list(zip(cell_xs[firsts].tolist(), cell_ys[firsts].tolist()))
+        if any(a >= b for a, b in zip(self._cell_keys, self._cell_keys[1:])):
+            raise ValueError("point rows must be laid out in (cell_x, cell_y) order")
+        self._cell_starts = firsts.tolist() + [len(cell_xs)]
+        self._point_xs = self._min_xs.tolist()
+        self._point_ys = self._min_ys.tolist()
+
+    # ---------------------------------------------------------------- packing
     @classmethod
-    def from_rtree(
+    def from_boxes(
         cls,
-        tree: RTree,
-        segment_of: Optional[Callable[[Any], Segment]] = None,
+        boxes: Columns,
+        payloads: Sequence[Any],
+        segments: Optional[Columns] = None,
+        capacity: int = _NODE_CAPACITY,
     ) -> "FlatSpatialIndex":
-        """Compile a (frozen) R-tree; freezes ``tree`` if it is not already.
+        """Pack ``boxes`` (``min_xs, min_ys, max_xs, max_ys`` columns) bottom-up.
 
-        Entries land in the tree's structural row order (DFS leaf order), the
-        order every scalar query's results follow.  When ``segment_of`` maps a
-        payload to its :class:`Segment`, distance queries refine by exact
-        point-segment distance exactly like the scalar tree's ``distance_fn``
-        callbacks in :class:`~repro.lines.road_network.RoadNetwork`.
+        Sort-Tile-Recursive: the entries are packed into leaves of
+        ``capacity``, the leaves' boxes into parents, and so on until one root
+        is left; a level's box is the ``min``/``max`` reduction of its
+        children's.  Packing a level *reorders* the one below it, so the
+        levels are then laid out top-down — each level in the order its
+        parents list their children — which puts the entries in the
+        left-to-right leaf order the ordering contract calls rows.
+
+        With ``segments`` (``start_xs, start_ys, end_xs, end_ys`` columns in
+        input order) distance queries refine by exact point-segment distance.
         """
-        tree.freeze()
-        root = tree._root  # package-internal: the compiler walks the node structure
-        entries: List[Any] = []
-        entry_boxes: List[Tuple[float, float, float, float]] = []
+        if capacity < 4:
+            raise ValueError("capacity must be at least 4")
+        entry_boxes = [np.asarray(column, dtype=np.float64) for column in boxes]
+        count = len(payloads)
+        if any(column.shape != (count,) for column in entry_boxes):
+            raise ValueError("box columns and payloads must be equally long")
+        reducers = (np.minimum, np.minimum, np.maximum, np.maximum)
+        # Bottom-up: per level, its nodes' boxes and child slices in creation
+        # order, and the level below in the packed order the slices refer to.
+        packed = []
+        node_boxes = entry_boxes
+        while count > 0:
+            order, starts = _str_pack(node_boxes, capacity)
+            node_boxes = [
+                reducer.reduceat(column[order], starts)
+                for reducer, column in zip(reducers, node_boxes)
+            ]
+            packed.append((node_boxes, starts, np.diff(starts, append=len(order)), order))
+            if len(starts) == 1:
+                break
+        # Top-down: ``rows`` is the current level's nodes, left to right, as
+        # indices into its creation order — the root, then the children its
+        # nodes list, and after the leaf level the entries themselves.
         levels: List[_Level] = []
-        if len(tree) > 0:
-            nodes: List[_Node] = [root]
-            while True:
-                is_leaf_level = nodes[0].is_leaf
-                boxes: List[Tuple[float, float, float, float]] = []
-                counts: List[int] = []
-                for node in nodes:
-                    assert node.is_leaf == is_leaf_level, "R-tree must be height-balanced"
-                    assert node.box is not None
-                    boxes.append((node.box.min_x, node.box.min_y, node.box.max_x, node.box.max_y))
-                    counts.append(len(node.entries) if is_leaf_level else len(node.children))
-                levels.append(_Level(boxes, counts))
-                if is_leaf_level:
-                    for node in nodes:
-                        for entry in node.entries:
-                            box = entry.box
-                            entry_boxes.append((box.min_x, box.min_y, box.max_x, box.max_y))
-                            entries.append(entry.item)
-                    break
-                nodes = [child for node in nodes for child in node.children]
-        segments = None
-        geometry = "bbox"
-        if segment_of is not None:
-            geometry = "segment"
-            count = len(entries)
-            segments = (
-                np.fromiter((segment_of(item).start.x for item in entries), np.float64, count),
-                np.fromiter((segment_of(item).start.y for item in entries), np.float64, count),
-                np.fromiter((segment_of(item).end.x for item in entries), np.float64, count),
-                np.fromiter((segment_of(item).end.y for item in entries), np.float64, count),
-            )
-        return cls(levels, np.asarray(entry_boxes, dtype=np.float64), entries, geometry, segments)
+        rows = np.zeros(min(count, 1), dtype=np.intp)
+        for level_boxes, starts, counts, order in reversed(packed):
+            starts, counts = starts[rows], counts[rows]
+            levels.append(_Level([column[rows] for column in level_boxes], counts))
+            rows = order[expand_ranges(rows, starts, starts + counts)[1]]
+        if segments is not None:
+            segments = [np.asarray(column, dtype=np.float64)[rows] for column in segments]
+        return cls(
+            levels,
+            [column[rows] for column in entry_boxes],
+            [payloads[row] for row in rows.tolist()],
+            "bbox" if segments is None else "segment",
+            segments,
+        )
 
     @classmethod
-    def from_grid(cls, grid: GridIndex) -> "FlatSpatialIndex":
-        """Compile a (frozen) hash grid; freezes ``grid`` if it is not already.
+    def from_points(
+        cls, xs: np.ndarray, ys: np.ndarray, payloads: Sequence[Any], cell_size: float
+    ) -> "FlatSpatialIndex":
+        """Lay points out as a flattened uniform hash grid of ``cell_size`` cells.
 
-        Rows follow the grid's structural order — occupied cells sorted
-        lexicographically, buckets in insertion order — which is the order
-        :meth:`GridIndex.query_box` visits them for any query rectangle.  The
-        ``nearest`` radius cap of the scalar ring-doubling search is recorded
-        so batch and scalar nearest queries agree even on its (pathological)
-        boundary.
+        Rows are sorted by ``(cell_x, cell_y)`` with ``cell = floor(coordinate
+        / cell_size)``, points of one cell in input order — the order a walk
+        over any query rectangle's cells (``cell_x`` outer, ``cell_y`` inner)
+        meets them in.  ``nearest`` queries honour the radius cap of a
+        ring-doubling grid search (it starts at ``cell_size`` and stops
+        doubling past ``cell_size * 1e6``), so that even its truncation on
+        pathological inputs is part of the contract.
         """
-        grid.freeze()
-        payloads: List[Any] = []
-        entry_boxes: List[Tuple[float, float, float, float]] = []
-        # package-internal walk, cells in lexicographic (cell_x, cell_y) order
-        for _cell, bucket in sorted(grid._cells.items(), key=lambda entry: entry[0]):
-            for point, item in bucket:
-                entry_boxes.append((point.x, point.y, point.x, point.y))
-                payloads.append(item)
-        # The scalar GridIndex.nearest doubles the scan radius starting at
-        # cell_size and gives up after the doubled radius exceeds
-        # cell_size * 1e6; the largest radius it actually queries is the cap
-        # below (same float expressions, so the comparison is bit-identical).
-        cap = grid.cell_size
-        while cap * 2.0 <= grid.cell_size * 1e6:
-            cap *= 2.0
+        if not cell_size > 0:
+            raise ValueError("cell_size must be positive")
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
+        if xs.shape != (len(payloads),) or ys.shape != xs.shape:
+            raise ValueError("coordinate columns and payloads must be equally long")
+        order = np.lexsort((np.floor(ys / cell_size), np.floor(xs / cell_size)))  # stable
+        xs, ys = xs[order], ys[order]
         return cls(
-            levels=[],
-            entry_boxes=np.asarray(entry_boxes, dtype=np.float64),
-            payloads=payloads,
-            geometry="point",
-            nearest_max_radius=cap,
+            [],
+            (xs, ys, xs.copy(), ys.copy()),
+            [payloads[row] for row in order.tolist()],
+            "point",
+            cell_size=cell_size,
         )
 
     # -------------------------------------------------------------- accessors
@@ -254,22 +357,22 @@ class FlatSpatialIndex:
         return self._geometry
 
     @property
-    def segment_columns(self) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    def segment_columns(self) -> Optional[Columns]:
         """Endpoint columns ``(start_xs, start_ys, end_xs, end_ys)`` by row (segment geometry)."""
         return self._segments
 
     @property
     def level_count(self) -> int:
-        """Number of compiled tree levels (0 for columnar grid layouts)."""
+        """Number of packed tree levels (0 for point layouts)."""
         return len(self._levels)
 
     def array_blocks(self) -> "OrderedDict[str, np.ndarray]":
-        """Every contiguous numpy block of the compiled index, by stable name.
+        """Every contiguous numpy block of the index, by stable name.
 
         The enumeration :mod:`repro.parallel.shared` exports into
         ``multiprocessing.shared_memory``: per-level bbox and child-slice
         columns, the entry-box columns and (for segment geometry) the endpoint
-        columns.  Names are deterministic for a given compilation, so a
+        columns.  Names are deterministic for a given index, so a
         worker-side attach maps blocks back by name; payload objects are *not*
         included — they ride the ordinary pickle.
         """
@@ -298,9 +401,8 @@ class FlatSpatialIndex:
     ) -> BatchQueryResult:
         """Rows whose entry box intersects each query box, in row order.
 
-        Mirrors :meth:`RTree.search` (closed-interval intersection) per query
-        box; for grid layouts it mirrors :meth:`GridIndex.query_box` (a point
-        intersects a degenerate box iff the box contains it).
+        Closed-interval intersection per query box; for point layouts a point
+        intersects a box iff the box contains it.
         """
         qmin_x = np.asarray(min_xs, dtype=np.float64)
         qmin_y = np.asarray(min_ys, dtype=np.float64)
@@ -320,11 +422,9 @@ class FlatSpatialIndex:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows within ``radius`` of each query point, in ``(distance, row)`` order.
 
-        Candidate selection and refinement mirror the scalar
-        :meth:`RTree.within_distance` / :meth:`GridIndex.query_radius`: a
-        box search expanded by ``radius`` followed by an exact distance filter
-        (``<= radius``) and a stable sort by distance, so ties keep row order.
-        Returns ``(offsets, indices, distances)``.
+        A box search expanded by ``radius`` followed by an exact distance
+        filter (``<= radius``) and a stable sort by distance, so ties keep row
+        order.  Returns ``(offsets, indices, distances)``.
         """
         if radius < 0:
             raise ValueError("radius must be non-negative")
@@ -338,8 +438,8 @@ class FlatSpatialIndex:
         keep = distances <= radius
         q, rows, distances = q[keep], rows[keep], distances[keep]
         # Stable per-query sort by distance: pairs arrive row-ascending per
-        # query, so using the row as the final key reproduces the scalar
-        # stable sort's tie order exactly.
+        # query, so using the row as the final key is the stable sort's tie
+        # order.
         order = np.lexsort((rows, distances, q))
         q, rows, distances = q[order], rows[order], distances[order]
         offsets = self._offsets_of(query_count, q)
@@ -350,10 +450,13 @@ class FlatSpatialIndex:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The ``count`` nearest rows per query point, in ``(distance, row)`` order.
 
-        Matches the scalar contracts: :meth:`RTree.nearest` on a frozen tree
-        (best-first with the row tie-break) and :meth:`GridIndex.nearest`
-        (ring-doubling, whose radius cap is honoured so even its truncation
-        behaviour is reproduced).  Returns ``(offsets, indices, distances)``.
+        What a best-first tree search with the row tie-break returns, and for
+        point layouts a ring-doubling grid search, whose radius cap is honoured
+        (see :meth:`from_points`).  Returns ``(offsets, indices, distances)``.
+
+        No annotation stage asks for nearest neighbours; the single-point
+        ``nearest`` / ``nearest_segment`` of the sources are one-row calls of
+        this, and ``bench/layers.py`` probes it.
         """
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
@@ -375,7 +478,7 @@ class FlatSpatialIndex:
             # O(n) versus a full sort), *including* boundary ties, then order
             # the small survivor set by (distance, row) and truncate — the
             # lexsort guarantees boundary ties are cut in row order, which is
-            # the scalar (distance, row) contract.
+            # the (distance, row) contract.
             if keep < size:
                 kth = np.partition(matrix, keep - 1, axis=1)[:, keep - 1]
                 mask = matrix <= kth[:, None]
@@ -455,7 +558,7 @@ class FlatSpatialIndex:
         qmax_x: np.ndarray,
         qmax_y: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Chunked columnar scan for layouts without tree levels (grids)."""
+        """Chunked columnar scan for layouts without tree levels (points)."""
         query_count = len(qmin_x)
         size = len(self._payloads)
         chunk = max(1, _CHUNK_PAIR_BUDGET // size)
@@ -517,13 +620,6 @@ class FlatSpatialIndex:
         return np.sqrt(dx * dx + dy * dy)
 
     # ------------------------------------------- payload-level conveniences
-    @staticmethod
-    def _point_columns(points: Sequence[Point]) -> Tuple[np.ndarray, np.ndarray]:
-        count = len(points)
-        xs = np.fromiter((p.x for p in points), dtype=np.float64, count=count)
-        ys = np.fromiter((p.y for p in points), dtype=np.float64, count=count)
-        return xs, ys
-
     def within_distance_pairs(
         self, points: Sequence[Point], radius: float
     ) -> List[List[Tuple[float, Any]]]:
@@ -534,7 +630,7 @@ class FlatSpatialIndex:
         """
         if not points:
             return []
-        xs, ys = self._point_columns(points)
+        xs, ys = point_columns(points)
         offsets, rows, distances = self.within_distance_batch(xs, ys, radius)
         payloads = self._payloads
         bounds = offsets.tolist()
@@ -553,7 +649,7 @@ class FlatSpatialIndex:
         """
         if not points:
             return []
-        xs, ys = self._point_columns(points)
+        xs, ys = point_columns(points)
         offsets, rows = self.query_points_batch(xs, ys)
         payloads = self._payloads
         bounds = offsets.tolist()
@@ -564,5 +660,68 @@ class FlatSpatialIndex:
         ]
 
     def within_distance_point(self, point: Point, radius: float) -> List[Tuple[float, Any]]:
-        """Single-point ``within_distance`` returning ``(distance, payload)`` pairs."""
-        return self.within_distance_pairs([point], radius)[0]
+        """Single-point ``within_distance`` returning ``(distance, payload)`` pairs.
+
+        A one-row batch query, except on point layouts: there one lookup is a
+        walk over the occupied cells under the query square — a bisection per
+        cell column into the sorted cell keys, then scalar arithmetic on the
+        handful of rows found — which costs a fraction of a columnar scan of
+        every row (the per-stop representative-POI lookup of the point
+        annotator is the caller that counts).  Same candidates, same
+        ``center - point`` distance expression, same stable sort.
+        """
+        if self._geometry != "point":
+            return self.within_distance_pairs([point], radius)[0]
+        if radius < 0:
+            raise ValueError("radius must be non-negative")
+        size = self._cell_size
+        assert size is not None
+        x, y = point.x, point.y
+        min_x, max_x, min_y, max_y = x - radius, x + radius, y - radius, y + radius
+        first_column, last_column = math.floor(min_x / size), math.floor(max_x / size)
+        keys = self._cell_keys
+        if last_column - first_column >= len(keys):
+            # More cell columns under the square than occupied cells: scan.
+            return self.within_distance_pairs([point], radius)[0]
+        min_cell_y, max_cell_y = math.floor(min_y / size), math.floor(max_y / size)
+        starts, xs, ys = self._cell_starts, self._point_xs, self._point_ys
+        found: List[Tuple[float, int]] = []
+        for column in range(first_column, last_column + 1):
+            # The occupied cells of one column are adjacent in the key list,
+            # and so are their rows.
+            low = starts[bisect_left(keys, (column, min_cell_y))]
+            high = starts[bisect_right(keys, (column, max_cell_y))]
+            for row in range(low, high):
+                px, py = xs[row], ys[row]
+                if min_x <= px <= max_x and min_y <= py <= max_y:
+                    dx = x - px
+                    dy = y - py
+                    distance = math.sqrt(dx * dx + dy * dy)
+                    if distance <= radius:
+                        found.append((distance, row))
+        found.sort(key=itemgetter(0))  # stable: ties stay in row order
+        payloads = self._payloads
+        return [(distance, payloads[row]) for distance, row in found]
+
+    def query_box_payloads(self, box: BoundingBox) -> List[Any]:
+        """Payloads whose entry box intersects ``box``, in row order (one-row batch query)."""
+        _, rows = self.query_boxes_batch([box.min_x], [box.min_y], [box.max_x], [box.max_y])
+        payloads = self._payloads
+        return [payloads[row] for row in rows.tolist()]
+
+    def nearest_point(self, point: Point, count: int = 1) -> List[Tuple[float, Any]]:
+        """The ``count`` nearest ``(distance, payload)`` pairs (one-row :meth:`nearest_batch`)."""
+        _, rows, distances = self.nearest_batch([point.x], [point.y], count)
+        payloads = self._payloads
+        return [(d, payloads[row]) for d, row in zip(distances.tolist(), rows.tolist())]
+
+    def bounds(self) -> Optional[BoundingBox]:
+        """Bounding box of every entry, or ``None`` when the index is empty."""
+        if not self._payloads:
+            return None
+        return BoundingBox(
+            float(self._min_xs.min()),
+            float(self._min_ys.min()),
+            float(self._max_xs.max()),
+            float(self._max_ys.max()),
+        )

@@ -25,6 +25,15 @@ from repro.lines.map_matching import MatchedPoint
 from repro.lines.road_network import RoadNetwork
 
 
+def _candidates(
+    network: RoadNetwork, points: Sequence[SpatioTemporalPoint], radius: float
+) -> List[List[Tuple[float, LineOfInterest]]]:
+    """Per point its candidate segments, nearest first: one index query for all."""
+    return network.flat_index().within_distance_pairs(
+        [point.position for point in points], radius
+    )
+
+
 class NearestSegmentMatcher:
     """Geometric baseline: match each point to its nearest segment."""
 
@@ -35,10 +44,8 @@ class NearestSegmentMatcher:
     def match(self, points: Sequence[SpatioTemporalPoint]) -> List[MatchedPoint]:
         """Match every point independently to the closest road segment."""
         results: List[MatchedPoint] = []
-        for point in points:
-            candidates = self._network.candidate_segments(
-                point.position, radius=self._candidate_radius
-            )
+        candidate_lists = _candidates(self._network, points, self._candidate_radius)
+        for point, candidates in zip(points, candidate_lists):
             if not candidates:
                 results.append(
                     MatchedPoint(point=point, segment=None, score=0.0, snapped=point.position)
@@ -68,10 +75,8 @@ class IncrementalMatcher:
         """Match points left to right, rewarding topological continuity."""
         results: List[MatchedPoint] = []
         previous_id: Optional[str] = None
-        for point in points:
-            candidates = self._network.candidate_segments(
-                point.position, radius=self._candidate_radius
-            )
+        candidate_lists = _candidates(self._network, points, self._candidate_radius)
+        for point, candidates in zip(points, candidate_lists):
             if not candidates:
                 results.append(
                     MatchedPoint(point=point, segment=None, score=0.0, snapped=point.position)
@@ -126,10 +131,7 @@ class ViterbiMatcher:
         """Decode the jointly most likely segment sequence for ``points``."""
         if not points:
             return []
-        candidate_lists: List[List[Tuple[float, LineOfInterest]]] = [
-            self._network.candidate_segments(point.position, radius=self._candidate_radius)
-            for point in points
-        ]
+        candidate_lists = _candidates(self._network, points, self._candidate_radius)
 
         # Forward pass of Viterbi in log space.
         log_prob: List[Dict[str, float]] = []

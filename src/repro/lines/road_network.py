@@ -1,9 +1,12 @@
 """Road network model: indexed road segments with connectivity.
 
 A road network is a collection of :class:`~repro.core.places.LineOfInterest`
-segments indexed by an R-tree (for candidate selection in Algorithm 2) plus an
-adjacency structure over segment endpoints (used by the incremental and
+segments behind a spatial index (for candidate selection in Algorithm 2) plus
+an adjacency structure over segment endpoints (used by the incremental and
 Viterbi baseline matchers, which prefer topologically connected candidates).
+The index is one :class:`~repro.index.flat.FlatSpatialIndex` with segment
+geometry, STR-packed from the endpoint columns when the network is
+constructed; the network never changes afterwards.
 
 Road types carry the information the transportation-mode inference needs: a
 ``metro_line`` only serves metro trips, a ``path_way`` only walking and
@@ -14,16 +17,15 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.errors import SourceError
 from repro.core.places import LineOfInterest
-from repro.geometry.distance import point_segment_distance
 from repro.geometry.primitives import BoundingBox, Point, Segment
 from repro.index.flat import FlatSpatialIndex
-from repro.index.rtree import RTree, RTreeEntry
 
 
 @dataclass(frozen=True)
@@ -35,9 +37,8 @@ class SegmentArrays:
     copies) for re-scoring under the perpendicular metric, and the rank of
     each row's ``place_id`` among all ids in string order, which turns the
     matcher's "largest id wins an exact score tie" rule into an integer sort
-    key.  Built once per network (eagerly by
-    :class:`~repro.parallel.context.GeoContext` so workers share the pages
-    and no timed match pays for it) and treated as read-only.
+    key.  Built once per network, with its index (so workers share the pages
+    and no timed match pays for it), and treated as read-only.
     """
 
     start_xs: np.ndarray
@@ -90,32 +91,36 @@ class RoadNetwork:
             if segment.place_id in self._by_id:
                 raise SourceError(f"duplicate road segment id {segment.place_id!r}")
             self._by_id[segment.place_id] = segment
-        self._index = RTree.bulk_load(
-            RTreeEntry(box=segment.bounding_box(), item=segment) for segment in self._segments
+        lines = [segment.segment for segment in self._segments]
+        start_xs, start_ys, end_xs, end_ys = (
+            np.fromiter(map(attrgetter(coordinate), lines), np.float64, len(lines))
+            for coordinate in ("start.x", "start.y", "end.x", "end.y")
+        )
+        self._index = FlatSpatialIndex.from_boxes(
+            # Segment.bounding_box(): the endpoints' min and max corner.
+            (
+                np.minimum(start_xs, end_xs),
+                np.minimum(start_ys, end_ys),
+                np.maximum(start_xs, end_xs),
+                np.maximum(start_ys, end_ys),
+            ),
+            self._segments,
+            segments=(start_xs, start_ys, end_xs, end_ys),
         )
         self._adjacency = self._build_adjacency()
-        self._segment_arrays: Optional[SegmentArrays] = None
-        self._flat_index: Optional[FlatSpatialIndex] = None
+        columns = self._index.segment_columns
+        assert columns is not None  # the index is packed with segment geometry
+        ids = [segment.place_id for segment in self._index.payloads]
+        id_ranks = np.empty(len(ids), dtype=np.intp)
+        id_ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+        self._segment_arrays = SegmentArrays(*columns, id_ranks=id_ranks)
 
     # ----------------------------------------------------------- basic access
     def __len__(self) -> int:
         return len(self._segments)
 
-    def freeze(self) -> "RoadNetwork":
-        """Seal the network's R-tree for read-only sharing across workers."""
-        self._index.freeze()
-        return self
-
     def segment_arrays(self) -> SegmentArrays:
-        """Cached per-row columns for the columnar map matcher (built on first use)."""
-        if self._segment_arrays is None:
-            flat = self.flat_index()
-            columns = flat.segment_columns
-            assert columns is not None  # flat_index() compiles with segment geometry
-            ids = [segment.place_id for segment in flat.payloads]
-            id_ranks = np.empty(len(ids), dtype=np.intp)
-            id_ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-            self._segment_arrays = SegmentArrays(*columns, id_ranks=id_ranks)
+        """Per-row columns for the columnar map matcher (built with the index)."""
         return self._segment_arrays
 
     @property
@@ -132,8 +137,9 @@ class RoadNetwork:
 
     def bounds(self) -> BoundingBox:
         """Bounding box of the whole network."""
-        assert self._index.bounds is not None
-        return self._index.bounds
+        box = self._index.bounds()
+        assert box is not None
+        return box
 
     def total_length(self) -> float:
         """Sum of all segment lengths."""
@@ -150,42 +156,22 @@ class RoadNetwork:
         """Segments within ``radius`` of ``point`` sorted by point-segment distance.
 
         This is the ``candidateSegs(Q)`` selection of Algorithm 2: only
-        neighbouring segments, found through the R-tree, are considered.
+        neighbouring segments, found through the index, are considered.  One
+        point's worth of the query the map matcher makes for whole episodes.
         """
-        matches = self._index.within_distance(
-            point,
-            radius,
-            distance_fn=lambda q, entry: point_segment_distance(q, entry.item.segment),
-        )
-        candidates = [(distance, entry.item) for distance, entry in matches]
-        if max_candidates is not None:
-            candidates = candidates[:max_candidates]
-        return candidates
+        return self._index.within_distance_point(point, radius)[:max_candidates]
 
     def flat_index(self) -> FlatSpatialIndex:
-        """The batch flat index over the segments (built on first use).
+        """The network's spatial index (read-only arrays; workers share them zero-copy).
 
-        Compiling freezes the R-tree (segments never change after
-        construction); distance queries refine by the exact point-segment
-        distance of Equation 1, like :meth:`candidate_segments` does.
+        Distance queries refine by the exact point-segment distance of
+        Equation 1.
         """
-        if self._flat_index is None:
-            self._flat_index = FlatSpatialIndex.from_rtree(
-                self._index, segment_of=lambda segment: segment.segment
-            )
-        return self._flat_index
+        return self._index
 
     def nearest_segment(self, point: Point) -> Tuple[float, LineOfInterest]:
         """The single nearest segment to ``point`` (exact point-segment distance)."""
-        results = self._index.nearest(
-            point,
-            count=1,
-            distance_fn=lambda q, entry: point_segment_distance(q, entry.item.segment),
-        )
-        if not results:
-            raise SourceError("road network is empty")
-        distance, entry = results[0]
-        return distance, entry.item
+        return self._index.nearest_point(point)[0]
 
     # ------------------------------------------------------------ connectivity
     def _build_adjacency(self) -> Dict[str, Set[str]]:

@@ -1,13 +1,13 @@
 """Immutable geographic context snapshot shared by annotation workers.
 
-Every annotation layer leans on a prebuilt spatial structure — the region
-R-tree, the road-network R-tree, the POI grid and the HMM observation model —
-and building them is the expensive part of :meth:`LayerAnnotators.build`.
-:class:`GeoContext` captures all of it **once**: the annotation sources, the
-pipeline configuration and the annotator bundle constructed from them, with
-every underlying index frozen so the snapshot is genuinely read-only.
+Every annotation layer leans on a prebuilt spatial structure — the flat
+indexes of the region, road-network and POI sources and the HMM observation
+model.  :class:`GeoContext` captures all of it **once**: the annotation
+sources, the pipeline configuration and the annotator bundle constructed from
+them.  The sources pack their indexes when they are constructed and cannot
+change afterwards, so the snapshot is read-only by construction.
 
-A frozen snapshot can be shared with worker processes for free under ``fork``
+Such a snapshot can be shared with worker processes for free under ``fork``
 (copy-on-write pages are never written) or through one shared-memory segment
 under ``spawn``; either way each worker annotates against the same indexes
 instead of rebuilding them per call, which is what turns per-user sharding
@@ -41,27 +41,12 @@ class GeoContext:
         self._annotators = (
             annotators if annotators is not None else LayerAnnotators.build(sources, config)
         )
-        for source in (sources.regions, sources.road_network, sources.pois):
-            if source is not None:
-                source.freeze()
-        # Pre-compile the flat batch indexes once: the snapshot ships them to
-        # workers (free under fork, one shared segment under spawn) and the
-        # streaming engine shares them, instead of each compiling a copy lazily.
-        if sources.regions is not None:
-            sources.regions.flat_index()
-        if sources.road_network is not None:
-            sources.road_network.flat_index()
-            # The columnar map matcher's per-row columns, so that no timed
-            # match builds them.
-            sources.road_network.segment_arrays()
-        if sources.pois is not None:
-            sources.pois.flat_index()
 
     @classmethod
     def build(
         cls, sources: AnnotationSources, config: Optional[PipelineConfig] = None
     ) -> "GeoContext":
-        """Construct (and freeze) a snapshot for the given sources and config."""
+        """Construct a snapshot for the given sources and config."""
         return cls(sources, config)
 
     # ------------------------------------------------------------- properties
@@ -87,9 +72,9 @@ class GeoContext:
     def precompiled_blocks(self) -> "OrderedDict[str, np.ndarray]":
         """The snapshot's contiguous numpy blocks, by stable human-readable name.
 
-        Exactly the arrays ``__init__`` pre-compiles for worker sharing: the
-        flat-index level/entry/segment columns of every source plus the map
-        matcher's id-rank column.  :func:`repro.parallel.shared.share_context`
+        The arrays worth sharing with workers: the flat-index
+        level/entry/segment columns of every source plus the map matcher's
+        id-rank column.  :func:`repro.parallel.shared.share_context`
         uses the names for its shared-memory manifest (arrays reached only
         through other attributes still get exported, under generated names);
         tests use them to assert the worker-side views are genuinely

@@ -1,7 +1,7 @@
 """Zero-copy sharing of :class:`GeoContext` numpy blocks across processes.
 
 PR 4 made the expensive part of a :class:`~repro.parallel.context.GeoContext`
-snapshot — the flat R-tree levels, the CSR entry/payload columns, the map
+snapshot — the flat index levels, the entry and segment columns, the map
 matcher's id-rank column — contiguous read-only numpy blocks.  This module moves
 those blocks into ``multiprocessing.shared_memory`` so pool workers *attach*
 to one copy instead of each receiving a pickled duplicate:

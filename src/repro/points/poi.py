@@ -4,6 +4,10 @@ The Milan dataset of the paper has 39,772 POIs in five top-categories
 (services, feedings, item sale, person life, unknown); this module provides
 the indexed container (:class:`PoiSource`) the observation model and the HMM
 initial probabilities are derived from.
+
+The index is one :class:`~repro.index.flat.FlatSpatialIndex` in its point
+layout — the POI coordinates as columns sorted by the cells of a uniform grid
+— built when the source is constructed; the source never changes afterwards.
 """
 
 from __future__ import annotations
@@ -14,8 +18,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.errors import SourceError
 from repro.core.places import PointOfInterest
 from repro.geometry.primitives import BoundingBox, Point
-from repro.index.flat import FlatSpatialIndex
-from repro.index.grid_index import GridIndex
+from repro.index.flat import FlatSpatialIndex, point_columns
 
 
 #: The five Milan top-categories used throughout Section 4.3 and Figure 11.
@@ -41,18 +44,14 @@ class PoiSource:
         if not self._pois:
             raise SourceError(f"POI source {name!r} contains no points of interest")
         self.name = name
-        self._index = GridIndex(cell_size=index_cell_size)
-        for poi in self._pois:
-            self._index.insert(poi.location, poi)
-        self._flat_index: Optional[FlatSpatialIndex] = None
+        self._index = FlatSpatialIndex.from_points(
+            *point_columns([poi.location for poi in self._pois]),
+            self._pois,
+            cell_size=index_cell_size,
+        )
 
     def __len__(self) -> int:
         return len(self._pois)
-
-    def freeze(self) -> "PoiSource":
-        """Seal the source's grid index for read-only sharing across workers."""
-        self._index.freeze()
-        return self
 
     @property
     def pois(self) -> List[PointOfInterest]:
@@ -81,37 +80,26 @@ class PoiSource:
         return {category: count / total for category, count in counts.items()}
 
     def flat_index(self) -> FlatSpatialIndex:
-        """The batch flat index compiled from the grid (built on first use).
-
-        Compiling freezes the grid (the POI set never grows after
-        construction); batch queries return the same POIs in the same
-        ``(distance, row)`` order as :meth:`pois_within`.
-        """
-        if self._flat_index is None:
-            self._flat_index = FlatSpatialIndex.from_grid(self._index)
-        return self._flat_index
+        """The source's spatial index (read-only arrays; workers share them zero-copy)."""
+        return self._index
 
     def pois_within(self, center: Point, radius: float) -> List[Tuple[float, PointOfInterest]]:
-        """POIs within ``radius`` of ``center``, sorted by distance."""
-        return [
-            (distance, poi) for distance, _, poi in self._index.query_radius(center, radius)
-        ]
+        """POIs within ``radius`` of ``center``, in ``(distance, row)`` order."""
+        return self._index.within_distance_point(center, radius)
 
     def pois_within_batch(
         self, centers: Sequence[Point], radius: float
     ) -> List[List[Tuple[float, PointOfInterest]]]:
-        """Batch :meth:`pois_within`: one flat-index query for all centres."""
-        return self.flat_index().within_distance_pairs(centers, radius)
+        """:meth:`pois_within` of every centre after one index query for all."""
+        return self._index.within_distance_pairs(centers, radius)
 
     def pois_in_box(self, box: BoundingBox) -> List[PointOfInterest]:
         """POIs falling inside a query rectangle."""
-        return [poi for _, poi in self._index.query_box(box)]
+        return self._index.query_box_payloads(box)
 
     def nearest(self, center: Point, count: int = 1) -> List[Tuple[float, PointOfInterest]]:
         """The ``count`` POIs nearest to ``center``."""
-        return [
-            (distance, poi) for distance, _, poi in self._index.nearest(center, count=count)
-        ]
+        return self._index.nearest_point(center, count)
 
     def bounds(self) -> BoundingBox:
         """Bounding box of all POIs."""

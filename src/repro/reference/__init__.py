@@ -4,6 +4,13 @@ Every kernel of the product has one implementation (see the README section
 "Performance — what runs").  Where that implementation is an array kernel, the per-point
 form it must reproduce lives here:
 
+* :class:`~repro.reference.rtree.RTree` and
+  :class:`~repro.reference.grid_index.GridIndex` — the pure-Python STR-loaded
+  R-tree and hash grid that answer one query at a time, and
+  :func:`~repro.reference.flat_compile.from_rtree` /
+  :func:`~repro.reference.flat_compile.from_grid`, which compile them into the
+  layout :class:`~repro.index.flat.FlatSpatialIndex` packs directly from the
+  source rows;
 * :class:`~repro.reference.map_matching.ScalarMapMatcher` — Algorithm 2 as one
   R-tree query and one dict-based score aggregation per point;
 * :func:`~repro.reference.stops.velocity_stop_flags` — the velocity policy's
@@ -17,7 +24,19 @@ on the oracle hands its own annotators to
 ``SeMiTriPipeline.annotate_many(..., annotators=LayerAnnotators(...))``.
 """
 
+from repro.reference.flat_compile import from_grid, from_rtree
+from repro.reference.grid_index import GridIndex
 from repro.reference.map_matching import ScalarMapMatcher
+from repro.reference.rtree import RTree, RTreeEntry
 from repro.reference.stops import ScalarStopMoveDetector, velocity_stop_flags
 
-__all__ = ["ScalarMapMatcher", "ScalarStopMoveDetector", "velocity_stop_flags"]
+__all__ = [
+    "GridIndex",
+    "RTree",
+    "RTreeEntry",
+    "ScalarMapMatcher",
+    "ScalarStopMoveDetector",
+    "from_grid",
+    "from_rtree",
+    "velocity_stop_flags",
+]

@@ -1,4 +1,8 @@
-"""Uniform grid spatial index.
+"""Uniform grid spatial index — a test oracle.
+
+The product lays points out in this grid's row order directly
+(:meth:`repro.index.flat.FlatSpatialIndex.from_points`); this insert-and-walk
+form is what that layout and its queries are held to.
 
 A hash-grid alternative to the R-tree for point-like payloads (POIs, GPS
 samples).  The paper notes that for well-divided landuse data the region

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
+from repro.core.config import MapMatchingConfig
 from repro.core.places import LineOfInterest
 from repro.core.points import SpatioTemporalPoint
 from repro.geometry.distance import (
@@ -22,10 +23,22 @@ from repro.geometry.distance import (
 from repro.geometry.kernels import gaussian_kernel_weight
 from repro.geometry.primitives import Point
 from repro.lines.map_matching import GlobalMapMatcher, MatchedPoint, SegmentRun, segment_runs
+from repro.lines.road_network import RoadNetwork
+from repro.reference.rtree import RTree, RTreeEntry
 
 
 class ScalarMapMatcher(GlobalMapMatcher):
-    """:class:`GlobalMapMatcher` matched point by point on the scalar R-tree."""
+    """:class:`GlobalMapMatcher` matched point by point on a scalar R-tree.
+
+    The tree is the matcher's own, bulk-loaded from the network's segments:
+    the network itself only holds the flat index this oracle checks.
+    """
+
+    def __init__(self, network: RoadNetwork, config: MapMatchingConfig = MapMatchingConfig()):
+        super().__init__(network, config)
+        self._tree = RTree.bulk_load(
+            RTreeEntry(box=segment.bounding_box(), item=segment) for segment in network.segments
+        )
 
     def match_runs(
         self, episodes: Sequence[Sequence[SpatioTemporalPoint]]
@@ -74,14 +87,15 @@ class ScalarMapMatcher(GlobalMapMatcher):
         self, point: SpatioTemporalPoint
     ) -> Dict[str, Tuple[float, LineOfInterest]]:
         """Equation 2: localScore of every candidate segment of ``point``."""
-        candidates = self._network.candidate_segments(
+        # candidateSegs(Q): neighbouring segments by Equation 1 distance.
+        candidates = self._tree.within_distance(
             point.position,
-            radius=self._config.candidate_radius,
-            max_candidates=self._config.max_candidates,
-        )
+            self._config.candidate_radius,
+            distance_fn=lambda q, entry: point_segment_distance(q, entry.item.segment),
+        )[: self._config.max_candidates]
         distances = {
-            segment.place_id: (self._distance(point.position, segment), segment)
-            for _, segment in candidates
+            entry.item.place_id: (self._distance(point.position, entry.item), entry.item)
+            for _, entry in candidates
         }
         if not distances:
             return {}

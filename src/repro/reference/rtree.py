@@ -1,4 +1,9 @@
-"""A pure-Python R-tree with R*-style heuristics.
+"""A pure-Python R-tree with R*-style heuristics — a test oracle.
+
+The product's index is :class:`repro.index.flat.FlatSpatialIndex`, which packs
+the same Sort-Tile-Recursive levels straight from the source rows with numpy;
+this tree is what that packing and every flat query is held to (it was the
+product's own index until the flat one stopped being compiled from it).
 
 SeMiTri uses an R*-tree over the semantic places (regions, road segments,
 POIs) so that Algorithm 1 (region spatial join), Algorithm 2 (candidate road
@@ -8,8 +13,7 @@ query point.  This module implements:
 * one-by-one insertion with least-enlargement/least-overlap subtree choice and
   quadratic node splitting (the classic Guttman split with the R* overlap
   tie-break), and
-* Sort-Tile-Recursive (STR) bulk loading, which is what the dataset loaders
-  use because the geographic sources are static.
+* Sort-Tile-Recursive (STR) bulk loading, the layout of static sources.
 
 Queries supported: bounding-box range search, point queries, nearest
 neighbours (best-first with a priority queue) and "within distance" searches.
@@ -31,7 +35,7 @@ list order) visits the leaf entries.  Entry ``i`` in that walk has **row**
   and by comparing entry rows, so equal-distance neighbours come out in row
   order rather than in incidental heap order.
 
-:class:`repro.index.flat.FlatSpatialIndex` compiles the same rows into
+:class:`repro.index.flat.FlatSpatialIndex` packs the same rows into
 contiguous arrays and its batch queries sort by exactly these keys, which is
 what makes the scalar tree and the flat index provably — not accidentally —
 order-identical (see ``tests/test_index_ordering.py``).

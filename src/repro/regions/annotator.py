@@ -27,27 +27,6 @@ from repro.core.trajectory import SemanticEpisodeRecord, StructuredSemanticTraje
 from repro.geometry.primitives import Point
 from repro.regions.sources import RegionSource
 
-#: Lookups of fewer positions than this stay on the scalar tree: the batch
-#: query's fixed cost is ~90 us a call, a tree walk 12 us a position.  The one
-#: input-size selection in the product.  It was kept while the benchmark had
-#: traffic on both sides of it (116 of 232 lookups of a ``stream_engine`` pass
-#: under 8 positions, 13% of all positions looked up); since the streaming
-#: executor annotates a whole annotate-queue flush per lookup, a pass makes 28
-#: lookups and none is under 8 (re-counted on the seed-1 fleet), so in the
-#: benchmark only the armed-faults and single-trajectory paths still reach the
-#: scalar side.  Scalar / batch lookup, us per call (benchmark fleet's region
-#: source, 2-vCPU box, best of 7):
-#:
-#:   positions     1      4      8     12     16     32     64
-#:   scalar       12.4   53.4  107.6  160.3  241.1  609.9  854.3
-#:   batch        89.7   95.8  121.4  148.2  184.1  204.8  458.3
-#:
-#: The cut-off is applied to the positions of one lookup — all stop centres
-#: and move points of the group of episodes an executor hands over, not one
-#: episode's.  The results are identical either way — the flat index is
-#: order- and bit-parity with the tree — so it only selects a code path.
-_FLAT_MIN_BATCH = 8
-
 
 class RegionAnnotator:
     """Implements Algorithm 1: trajectory annotation with ROIs."""
@@ -68,17 +47,11 @@ class RegionAnnotator:
         """The active region-annotation configuration."""
         return self._config
 
-    def _regions_at(self, positions: Sequence[Point]) -> List[Optional[RegionOfInterest]]:
-        """Region of every position: one batch flat query or per-point tree walks."""
-        if len(positions) >= _FLAT_MIN_BATCH:
-            return self._source.first_regions_containing_batch(positions)
-        return [self._source.first_region_containing(position) for position in positions]
-
     def _regions_for_points(
         self, points: Sequence[SpatioTemporalPoint]
     ) -> List[Optional[RegionOfInterest]]:
-        """Region of every GPS point."""
-        return self._regions_at([point.position for point in points])
+        """Region of every GPS point, after one index query for all of them."""
+        return self._source.first_regions_containing_batch([point.position for point in points])
 
     # ------------------------------------------------------------ Algorithm 1
     def annotate_trajectory(self, trajectory: RawTrajectory) -> StructuredSemanticTrajectory:
@@ -179,10 +152,9 @@ class RegionAnnotator:
         """The joined region of every episode.
 
         A stop joined by its centre asks about one position, any other episode
-        about each of its points; all of them go through one
-        :meth:`_regions_at` lookup, so the size cut-off sees the group's query
-        positions, not one episode's.  Under the ``intersects`` predicate a
-        move is joined on its own, against the regions its bounding box meets.
+        about each of its points; all of them go through one index query.
+        Under the ``intersects`` predicate a move is joined on its own, against
+        the regions its bounding box meets.
         """
         by_centre = self._config.use_episode_center_for_stops
         intersects = self._config.join_predicate == "intersects"
@@ -194,7 +166,7 @@ class RegionAnnotator:
                 queries.append(None)
             else:
                 queries.append(episode.positions)
-        found = self._regions_at(
+        found = self._source.first_regions_containing_batch(
             [position for query in queries if query is not None for position in query]
         )
         regions: List[Optional[RegionOfInterest]] = []

@@ -1,9 +1,15 @@
 """Region sources: indexed collections of regions of interest.
 
 A :class:`RegionSource` wraps a set of :class:`~repro.core.places.RegionOfInterest`
-objects behind an R-tree so the spatial join of Algorithm 1 only examines the
-regions whose bounding box is near a query point or rectangle.  This plays the
-role of the PostGIS tables + R*-tree index of the paper's implementation.
+objects behind a spatial index so the spatial join of Algorithm 1 only examines
+the regions whose bounding box is near a query point or rectangle.  This plays
+the role of the PostGIS tables + R*-tree index of the paper's implementation.
+
+The index is one :class:`~repro.index.flat.FlatSpatialIndex`, STR-packed from
+the regions' bounding-box columns when the source is constructed; the source
+never changes afterwards.  Every lookup is a flat query: the batch methods ask
+about whole position lists at once (what the annotator calls), the single-point
+methods are the same queries with one row.
 """
 
 from __future__ import annotations
@@ -14,8 +20,7 @@ from repro.core.errors import SourceError
 from repro.core.places import RegionOfInterest
 from repro.geometry.predicates import polygon_intersects_bbox
 from repro.geometry.primitives import BoundingBox, Point, Polygon
-from repro.index.flat import FlatSpatialIndex
-from repro.index.rtree import RTree, RTreeEntry
+from repro.index.flat import FlatSpatialIndex, box_columns
 
 
 class RegionSource:
@@ -26,30 +31,16 @@ class RegionSource:
         if not self._regions:
             raise SourceError(f"region source {name!r} contains no regions")
         self.name = name
-        self._index = RTree.bulk_load(
-            RTreeEntry(box=region.bounding_box(), item=region) for region in self._regions
+        self._index = FlatSpatialIndex.from_boxes(
+            box_columns(region.bounding_box() for region in self._regions), self._regions
         )
-        self._flat_index: Optional[FlatSpatialIndex] = None
 
     def __len__(self) -> int:
         return len(self._regions)
 
-    def freeze(self) -> "RegionSource":
-        """Seal the source's R-tree for read-only sharing across workers."""
-        self._index.freeze()
-        return self
-
     def flat_index(self) -> FlatSpatialIndex:
-        """The batch flat index compiled from the R-tree (built on first use).
-
-        Compiling freezes the R-tree (the source never grows after
-        construction); :class:`~repro.parallel.context.GeoContext` compiles
-        eagerly so forked workers and the streaming engine share the arrays
-        zero-copy.
-        """
-        if self._flat_index is None:
-            self._flat_index = FlatSpatialIndex.from_rtree(self._index)
-        return self._flat_index
+        """The source's spatial index (read-only arrays; workers share them zero-copy)."""
+        return self._index
 
     @property
     def regions(self) -> List[RegionOfInterest]:
@@ -58,14 +49,12 @@ class RegionSource:
 
     def regions_containing(self, point: Point) -> List[RegionOfInterest]:
         """Regions whose extent contains ``point`` (exact test after index filter)."""
-        candidates = self._index.query_point(point)
-        return [entry.item for entry in candidates if entry.item.contains(point)]
+        return self.regions_containing_batch([point])[0]
 
     def regions_intersecting(self, box: BoundingBox) -> List[RegionOfInterest]:
         """Regions whose extent intersects the query rectangle."""
         results: List[RegionOfInterest] = []
-        for entry in self._index.search(box):
-            region = entry.item
+        for region in self._index.query_box_payloads(box):
             extent = region.extent
             if isinstance(extent, BoundingBox):
                 if extent.intersects(box):
@@ -83,19 +72,15 @@ class RegionSource:
         is how the paper's example annotates a stop with "EPFL campus" rather
         than the enclosing landuse cell.
         """
-        matches = self.regions_containing(point)
-        if not matches:
-            return None
-        return min(matches, key=lambda region: (region.area, region.place_id))
+        return self.first_regions_containing_batch([point])[0]
 
     # ------------------------------------------------------------ batch paths
     def regions_containing_batch(self, points: Sequence[Point]) -> List[List[RegionOfInterest]]:
-        """Batch :meth:`regions_containing`: one flat-index query for all points.
+        """:meth:`regions_containing` of every point after one index query for all.
 
-        The candidate sets (index filter) and the exact containment filter
-        match the scalar path region for region, in the same order.
+        Index-filter candidates in row order, then the exact containment test.
         """
-        candidate_lists = self.flat_index().query_point_payloads(points)
+        candidate_lists = self._index.query_point_payloads(points)
         return [
             [region for region in candidates if region.contains(point)]
             for point, candidates in zip(points, candidate_lists)
@@ -104,7 +89,7 @@ class RegionSource:
     def first_regions_containing_batch(
         self, points: Sequence[Point]
     ) -> List[Optional[RegionOfInterest]]:
-        """Batch :meth:`first_region_containing` over a whole coordinate batch."""
+        """:meth:`first_region_containing` of every point of a coordinate batch."""
         return [
             min(matches, key=lambda region: (region.area, region.place_id)) if matches else None
             for matches in self.regions_containing_batch(points)

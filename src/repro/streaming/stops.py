@@ -56,6 +56,13 @@ trajectory, because nothing is recomputed that cannot have changed:
   flags from the open seed onwards are all ``True`` when that span has reached
   ``min_stop_duration`` and all ``False`` otherwise, and are only written out
   when a refinement needs them;
+* **closed runs are enforced once** — the minimum-duration demotion of a run
+  of equal fixed flags is decided the moment the next run starts (its first
+  and last points are final), so the enforced kind of every run between the
+  sealed frontier and the boundary run is computed when the run closes,
+  kept coalesced with its equal neighbours, and dropped when an episode seals
+  over it.  A refinement re-enforces only the flags from the boundary run
+  onwards and prepends the kept runs;
 * **refinement runs only when it can seal something new** — what a refinement
   seals is decided by which episodes end at or before the *boundary* ``b``,
   the start of the run containing the last fixed flag.  Once the fixed part
@@ -76,13 +83,15 @@ Skipping can therefore only ever postpone a seal, never change one, and the
 emission schedule — which :meth:`advance` call emits which episode — is the
 one a refine-every-call detector produces (tested against such a reference).
 Per call the work is the scan of the new points, plus, when the boundary
-moved or is not yet settled, one refinement of the open (unsealed) region.
+moved or is not yet settled, one refinement: the flags of the boundary run
+and the tentative ones past it, and one episode per kept run of the open
+(unsealed) region before them.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import List, Tuple
 
 from repro.core.config import StopMoveConfig
 from repro.core.episodes import Episode, EpisodeKind
@@ -113,6 +122,10 @@ class IncrementalStopMoveDetector:
         # the start of the equal-flag run the last of them belongs to.
         self._fixed: List[bool] = []
         self._run_start = 0
+        # Enforced (min-duration) runs ``[start, end, is_stop]`` of the fixed
+        # flags from the sealed frontier up to the boundary run: contiguous,
+        # equal neighbours coalesced, final since the run after each started.
+        self._closed_runs: List[List] = []
         # Velocity flag of each point pair (i, i + 1); unused by "density".
         self._velocity: List[bool] = []
         # Density scan position: the seed whose expansion the end of the
@@ -168,15 +181,19 @@ class IncrementalStopMoveDetector:
         config = self._config
         fixed = self._fixed
         points = self._trajectory.points
+        # Everything before the boundary run was enforced when its runs
+        # closed; only the boundary run and the tentative flags are redone.
         enforced = enforce_min_duration(
-            points[restart:], fixed[restart:] + self._tentative_flags(), config.min_stop_duration
+            points[volatile:], fixed[volatile:] + self._tentative_flags(), config.min_stop_duration
         )
         suffix = absorb_short_moves(
             self._trajectory,
-            self._suffix_episodes(enforced, restart),
+            self._suffix_episodes(enforced, volatile),
             config.min_move_points,
             previous_kind=self._sealed[-1].kind if self._sealed else None,
         )
+        if suffix[0].start_index != restart:
+            raise DataQualityError("incremental stop/move sealing diverged from batch")
         # First episode reaching into the volatile suffix, minus one more for
         # the backward-merge hazard of short-move absorption.
         first_volatile = len(suffix)
@@ -185,9 +202,15 @@ class IncrementalStopMoveDetector:
                 first_volatile = index
                 break
         new_episodes = suffix[: max(0, first_volatile - 1)]
-        if new_episodes and new_episodes[0].start_index != restart:
-            raise DataQualityError("incremental stop/move sealing diverged from batch")
-        self._sealed.extend(new_episodes)
+        if new_episodes:
+            self._sealed.extend(new_episodes)
+            # The new frontier is an episode boundary, hence a boundary of the
+            # coalesced runs: whole runs drop out, none is cut.
+            frontier = new_episodes[-1].end_index
+            kept = [run for run in self._closed_runs if run[1] > frontier]
+            if kept and kept[0][0] != frontier:
+                raise DataQualityError("incremental stop/move sealing diverged from batch")
+            self._closed_runs = kept
         if fixed[volatile]:
             settled = points[len(fixed) - 1].t - points[volatile].t >= config.min_stop_duration
         else:
@@ -255,11 +278,27 @@ class IncrementalStopMoveDetector:
         self._seed, self._reach = seed, reach
 
     def _fix(self, flags: List[bool]) -> None:
-        """Append raw flags that are now final, tracking the start of the last run."""
+        """Append raw flags that are now final, tracking the start of the last run.
+
+        A flag that differs from its predecessor closes the predecessor's run,
+        whose minimum-duration demotion is decided there and then (the
+        comparison :func:`enforce_min_duration` makes, on the same two points).
+        """
         fixed = self._fixed
         for flag in flags:
             if fixed and flag != fixed[-1]:
-                self._run_start = len(fixed)
+                start, end = self._run_start, len(fixed)
+                is_stop = fixed[start]
+                if is_stop:
+                    points = self._trajectory.points
+                    duration = points[end - 1].t - points[start].t
+                    is_stop = not duration < self._config.min_stop_duration
+                closed = self._closed_runs
+                if closed and closed[-1][2] == is_stop:
+                    closed[-1][1] = end
+                else:
+                    closed.append([start, end, is_stop])
+                self._run_start = end
             fixed.append(flag)
 
     def _tentative_flags(self) -> List[bool]:
@@ -278,17 +317,29 @@ class IncrementalStopMoveDetector:
             return [False] * (reach + 1 - seed)
         return velocity[seed:] + velocity[-1:]
 
-    def _suffix_episodes(self, enforced: List[bool], restart: int) -> List[Episode]:
-        """Maximal contiguous episodes of the enforced-flag suffix, with global indices."""
-        episodes: List[Episode] = []
+    def _suffix_episodes(self, enforced: List[bool], volatile: int) -> List[Episode]:
+        """Maximal contiguous episodes past the sealed frontier, with global indices.
+
+        The kept closed runs, then the runs of ``enforced`` — the flags from
+        ``volatile`` on — coalesced where the two meet.
+        """
+        runs: List[Tuple[int, int, bool]] = [
+            (start, end, is_stop) for start, end, is_stop in self._closed_runs
+        ]
         n = len(enforced)
         start = 0
         for index in range(1, n + 1):
             if index == n or enforced[index] != enforced[start]:
-                kind = EpisodeKind.STOP if enforced[start] else EpisodeKind.MOVE
-                episodes.append(Episode(kind, self._trajectory, restart + start, restart + index))
+                if runs and runs[-1][2] == enforced[start]:
+                    runs[-1] = (runs[-1][0], volatile + index, enforced[start])
+                else:
+                    runs.append((volatile + start, volatile + index, enforced[start]))
                 start = index
-        return episodes
+        trajectory = self._trajectory
+        return [
+            Episode(EpisodeKind.STOP if is_stop else EpisodeKind.MOVE, trajectory, start, end)
+            for start, end, is_stop in runs
+        ]
 
     def _check_prefix(self, episodes: List[Episode]) -> None:
         """Verify already-emitted episodes are a prefix of the current segmentation."""

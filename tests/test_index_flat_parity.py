@@ -3,11 +3,12 @@
 Hand-rolled hypothesis-style generator (seeded ``numpy.random.Generator``,
 like the rest of the property suites): every seed produces a random point /
 box cloud — including duplicate boxes and coincident points — plus a random
-query batch, and the flat index compiled from the scalar index must return
-exactly the same results per query: same payloads, same order, bit-identical
-distances.  Degenerate shapes (empty results, single-entry indexes, collinear
-point sets, zero radius, ``count`` larger than the index) are covered
-explicitly.
+query batch, and the flat index packed from the same rows (the product's
+build; for insertion-grown trees the oracle compile of ``repro.reference``)
+must return exactly what the scalar tree / grid oracle returns per query: same
+payloads, same order, bit-identical distances.  Degenerate shapes (empty
+results, single-entry indexes, collinear point sets, zero radius, ``count``
+larger than the index) are covered explicitly.
 """
 
 from __future__ import annotations
@@ -18,9 +19,27 @@ import numpy as np
 import pytest
 
 from repro.geometry.primitives import BoundingBox, Point
-from repro.index.flat import FlatSpatialIndex
-from repro.index.grid_index import GridIndex
-from repro.index.rtree import RTree, RTreeEntry
+from repro.index.flat import FlatSpatialIndex, box_columns, point_columns
+from repro.reference import GridIndex, RTree, RTreeEntry, from_grid, from_rtree
+
+
+def _pack(entries: List[RTreeEntry]) -> FlatSpatialIndex:
+    """The product's build of the rows ``RTree.bulk_load(entries)`` indexes."""
+    return FlatSpatialIndex.from_boxes(
+        box_columns(entry.box for entry in entries), [entry.item for entry in entries]
+    )
+
+
+def _grid_and_flat(cell_size: float, pairs) -> Tuple[GridIndex, FlatSpatialIndex]:
+    """The oracle grid and the product's point layout of the same ``(point, item)`` pairs."""
+    grid = GridIndex(cell_size=cell_size)
+    grid.insert_many(iter(pairs))
+    flat = FlatSpatialIndex.from_points(
+        *point_columns([point for point, _ in pairs]),
+        [item for _, item in pairs],
+        cell_size=cell_size,
+    )
+    return grid, flat
 
 
 def _random_entries(rng: np.random.Generator, count: int) -> List[RTreeEntry]:
@@ -84,8 +103,9 @@ def _assert_rtree_parity(tree: RTree, flat: FlatSpatialIndex, rng: np.random.Gen
 @pytest.mark.parametrize("seed", [11, 23, 47])
 def test_rtree_flat_parity_bulk_loaded(seed):
     rng = np.random.default_rng(seed)
-    tree = RTree.bulk_load(_random_entries(rng, 150))
-    flat = FlatSpatialIndex.from_rtree(tree)
+    entries = _random_entries(rng, 150)
+    tree = RTree.bulk_load(entries)
+    flat = _pack(entries)
     assert len(flat) == len(tree)
     _assert_rtree_parity(tree, flat, rng)
 
@@ -97,7 +117,7 @@ def test_rtree_flat_parity_insertion_built(seed):
     tree = RTree(max_entries=8)
     for entry in _random_entries(rng, 90):
         tree.insert(entry.box, entry.item)
-    flat = FlatSpatialIndex.from_rtree(tree)
+    flat = from_rtree(tree)
     _assert_rtree_parity(tree, flat, rng)
 
 
@@ -105,7 +125,8 @@ def test_rtree_flat_degenerate_shapes():
     rng = np.random.default_rng(3)
 
     # Empty tree: every batch query is empty but well-formed CSR.
-    empty = FlatSpatialIndex.from_rtree(RTree.bulk_load([]))
+    empty = _pack([])
+    assert empty.level_count == from_rtree(RTree.bulk_load([])).level_count == 0
     offsets, rows = empty.query_boxes_batch(
         np.array([0.0]), np.array([0.0]), np.array([10.0]), np.array([10.0])
     )
@@ -114,15 +135,15 @@ def test_rtree_flat_degenerate_shapes():
     assert offsets.tolist() == [0, 0] and len(rows) == 0 and len(distances) == 0
 
     # Single-entry tree (root is a leaf, no internal levels beyond it).
-    single = RTree.bulk_load([RTreeEntry(BoundingBox(5.0, 5.0, 6.0, 6.0), "only")])
-    flat = FlatSpatialIndex.from_rtree(single)
+    only = [RTreeEntry(BoundingBox(5.0, 5.0, 6.0, 6.0), "only")]
+    single = RTree.bulk_load(only)
+    flat = _pack(only)
     _assert_rtree_parity(single, flat, rng)
 
     # Collinear degenerate (zero-area) boxes along one axis.
-    collinear = RTree.bulk_load(
-        [RTreeEntry(BoundingBox(float(i), 50.0, float(i), 50.0), i) for i in range(40)]
-    )
-    flat = FlatSpatialIndex.from_rtree(collinear)
+    points = [RTreeEntry(BoundingBox(float(i), 50.0, float(i), 50.0), i) for i in range(40)]
+    collinear = RTree.bulk_load(points)
+    flat = _pack(points)
     _assert_rtree_parity(collinear, flat, rng)
 
     # Queries far away from everything: all-empty result sets.
@@ -161,6 +182,8 @@ def _assert_grid_parity(
                 for k in range(offsets[i], offsets[i + 1])
             ]
             assert batch == scalar
+            # The one-row form walks the cell columns instead of scanning.
+            assert flat.within_distance_point(center, radius) == scalar
 
     for count in nearest_counts:
         offsets, rows, distances = flat.nearest_batch(min_xs, min_ys, count)
@@ -177,14 +200,14 @@ def _assert_grid_parity(
 @pytest.mark.parametrize("seed", [7, 29])
 def test_grid_flat_parity(seed):
     rng = np.random.default_rng(seed)
-    grid = GridIndex(cell_size=50.0)
-    for index, (x, y) in enumerate(rng.uniform(0.0, 1000.0, size=(300, 2))):
-        grid.insert(Point(float(x), float(y)), index)
+    pairs = [
+        (Point(float(x), float(y)), index)
+        for index, (x, y) in enumerate(rng.uniform(0.0, 1000.0, size=(300, 2)))
+    ]
     # Coincident points: equal distance to every query, so their relative
     # order exercises the (distance, row) tie-break.
-    for duplicate in range(15):
-        grid.insert(Point(333.0, 444.0), 1000 + duplicate)
-    flat = FlatSpatialIndex.from_grid(grid)
+    pairs += [(Point(333.0, 444.0), 1000 + duplicate) for duplicate in range(15)]
+    grid, flat = _grid_and_flat(50.0, pairs)
     assert len(flat) == len(grid)
     _assert_grid_parity(grid, flat, rng)
 
@@ -193,16 +216,11 @@ def test_grid_flat_degenerate_shapes():
     rng = np.random.default_rng(13)
 
     # Single point.
-    grid = GridIndex(cell_size=10.0)
-    grid.insert(Point(1.0, 2.0), "only")
-    flat = FlatSpatialIndex.from_grid(grid)
+    grid, flat = _grid_and_flat(10.0, [(Point(1.0, 2.0), "only")])
     _assert_grid_parity(grid, flat, rng, nearest_counts=(1,))
 
     # Collinear points in one cell column.
-    grid = GridIndex(cell_size=25.0)
-    for i in range(30):
-        grid.insert(Point(12.0, float(i)), i)
-    flat = FlatSpatialIndex.from_grid(grid)
+    grid, flat = _grid_and_flat(25.0, [(Point(12.0, float(i)), i) for i in range(30)])
     _assert_grid_parity(grid, flat, rng)
 
 
@@ -217,12 +235,15 @@ def test_grid_flat_nearest_cap():
     the cap analytically: a payload just inside it is found, one outside is
     not — matching what the scalar semantics prescribe.
     """
-    grid = GridIndex(cell_size=1.0)
     inside = float(2**19) - 1.0
-    grid.insert(Point(0.0, 0.0), "near")
-    grid.insert(Point(inside, 0.0), "at-cap")
-    grid.insert(Point(2.0e6, 0.0), "beyond-cap")
-    flat = FlatSpatialIndex.from_grid(grid)
+    _, flat = _grid_and_flat(
+        1.0,
+        [
+            (Point(0.0, 0.0), "near"),
+            (Point(inside, 0.0), "at-cap"),
+            (Point(2.0e6, 0.0), "beyond-cap"),
+        ],
+    )
     offsets, rows, distances = flat.nearest_batch(np.array([0.0]), np.array([0.0]), 3)
     batch = [flat.payloads[rows[k]] for k in range(offsets[0], offsets[1])]
     assert batch == ["near", "at-cap"]
@@ -231,33 +252,34 @@ def test_grid_flat_nearest_cap():
 
 def test_flat_compile_freezes_source():
     tree = RTree.bulk_load([RTreeEntry(BoundingBox(0.0, 0.0, 1.0, 1.0), "a")])
-    FlatSpatialIndex.from_rtree(tree)
+    from_rtree(tree)
     assert tree.frozen
     with pytest.raises(TypeError):
         tree.insert(BoundingBox(2.0, 2.0, 3.0, 3.0), "b")
 
     grid = GridIndex(cell_size=5.0)
     grid.insert(Point(0.0, 0.0), "a")
-    FlatSpatialIndex.from_grid(grid)
+    from_grid(grid)
     assert grid.frozen
     with pytest.raises(TypeError):
         grid.insert(Point(1.0, 1.0), "b")
 
 
 def test_flat_negative_radius_rejected():
-    tree = RTree.bulk_load([RTreeEntry(BoundingBox(0.0, 0.0, 1.0, 1.0), "a")])
-    flat = FlatSpatialIndex.from_rtree(tree)
+    flat = _pack([RTreeEntry(BoundingBox(0.0, 0.0, 1.0, 1.0), "a")])
     with pytest.raises(ValueError):
         flat.within_distance_batch(np.array([0.0]), np.array([0.0]), -1.0)
+    _, points = _grid_and_flat(5.0, [(Point(0.0, 0.0), "a")])
+    with pytest.raises(ValueError):
+        points.within_distance_point(Point(0.0, 0.0), -1.0)
 
 
 def test_geocontext_precompiles_and_shares_flat_indexes(annotation_sources):
-    """GeoContext compiles the flat indexes once at freeze time, reusably."""
+    """The sources' flat indexes exist from construction on; a snapshot shares them."""
     from repro.core import PipelineConfig
     from repro.parallel import GeoContext
 
     GeoContext.build(annotation_sources, PipelineConfig.for_people())
-    # Compiled eagerly: the sources' cached instances exist and are stable.
     region_flat = annotation_sources.regions.flat_index()
     road_flat = annotation_sources.road_network.flat_index()
     poi_flat = annotation_sources.pois.flat_index()

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.geometry.primitives import BoundingBox, Point
-from repro.index.grid_index import GridIndex
+from repro.reference import GridIndex
 
 
 class TestGridIndex:

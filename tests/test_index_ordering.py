@@ -1,14 +1,15 @@
-"""The result-ordering tie-break contract of the scalar and flat indexes.
+"""The result-ordering tie-break contract of the flat index and its scalar oracles.
 
-The contract (documented in :mod:`repro.index.rtree` and
-:mod:`repro.index.grid_index`): every query returns results ordered by
+The contract (documented in :mod:`repro.index.flat`, and for the oracles in
+:mod:`repro.reference.rtree` and :mod:`repro.reference.grid_index`): every
+query returns results ordered by
 ``(distance, structural row)`` — or plain row order for box searches — where
 an entry's *row* is its position in the index's structural enumeration
 (R-tree DFS leaf order, grid ``(cell, insertion)`` order).  Equal-distance
 neighbours and duplicate bounding boxes therefore have a *provable* relative
 order, not an accidental one: these tests construct exact ties (coordinates
 chosen so distances are bit-equal floats) and pin the order on both the
-scalar indexes and the flat batch indexes.
+scalar oracles and the flat index the product packs from the same rows.
 """
 
 from __future__ import annotations
@@ -16,14 +17,22 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.primitives import BoundingBox, Point
-from repro.index.flat import FlatSpatialIndex
-from repro.index.grid_index import GridIndex
-from repro.index.rtree import RTree, RTreeEntry
+from repro.index.flat import FlatSpatialIndex, box_columns, point_columns
+from repro.reference import GridIndex, RTree, RTreeEntry, from_rtree
+
+
+def _pack(entries, capacity=16) -> FlatSpatialIndex:
+    """The product's direct pack of the rows ``RTree.bulk_load(entries)`` indexes."""
+    return FlatSpatialIndex.from_boxes(
+        box_columns(entry.box for entry in entries),
+        [entry.item for entry in entries],
+        capacity=capacity,
+    )
 
 
 def _structural_rows(tree: RTree):
-    """Payloads in structural (DFS leaf) order, via the flat compiler's layout."""
-    return FlatSpatialIndex.from_rtree(tree).payloads
+    """Payloads in structural (DFS leaf) order, via the oracle compiler's layout."""
+    return from_rtree(tree).payloads
 
 
 def test_rtree_duplicate_boxes_keep_row_order_in_search():
@@ -32,8 +41,9 @@ def test_rtree_duplicate_boxes_keep_row_order_in_search():
     entries = [RTreeEntry(box, f"dup-{i}") for i in range(10)]
     entries += [RTreeEntry(BoundingBox(100.0, 100.0, 110.0, 110.0), "far")]
     tree = RTree.bulk_load(entries, max_entries=4)
-    flat = FlatSpatialIndex.from_rtree(tree)
+    flat = _pack(entries, capacity=4)
     rows = flat.payloads
+    assert rows == _structural_rows(tree)
 
     query = BoundingBox(0.0, 0.0, 50.0, 50.0)
     scalar = [entry.item for entry in tree.search(query)]
@@ -57,8 +67,9 @@ def test_rtree_equal_distance_within_distance_ties_by_row():
         RTreeEntry(BoundingBox(1.0, 0.0, 1.0, 0.0), "inner"),
     ]
     tree = RTree.bulk_load(corners)
-    flat = FlatSpatialIndex.from_rtree(tree)
+    flat = _pack(corners)
     rows = flat.payloads
+    assert rows == _structural_rows(tree)
     center = Point(0.0, 0.0)
 
     scalar = tree.within_distance(center, 5.0)
@@ -96,8 +107,9 @@ def test_rtree_equal_distance_nearest_ties_by_row():
     ]
     tree = RTree.bulk_load(entries + filler, max_entries=4)
     tree.freeze()
-    flat = FlatSpatialIndex.from_rtree(tree)
+    flat = _pack(entries + filler, capacity=4)
     rows = flat.payloads
+    assert rows == _structural_rows(tree)
     tied_rows = [item for item in rows if item in ("a", "b", "c", "d")]
 
     center = Point(0.0, 0.0)
@@ -140,12 +152,15 @@ def test_rtree_insertion_invalidates_rows():
 
 def test_grid_ties_follow_cell_then_insertion_order():
     """Grid ties: lexicographic cell order first, insertion order within a cell."""
-    grid = GridIndex(cell_size=10.0)
     # Two coincident points in one cell (insertion order), plus two points in
     # different cells at exactly the same distance from the query centre.
-    grid.insert(Point(15.0, 5.0), "cell-a-first")
-    grid.insert(Point(15.0, 5.0), "cell-a-second")
-    grid.insert(Point(-15.0, 5.0), "cell-west")  # same |dx| as cell-a points
+    pairs = [
+        (Point(15.0, 5.0), "cell-a-first"),
+        (Point(15.0, 5.0), "cell-a-second"),
+        (Point(-15.0, 5.0), "cell-west"),  # same |dx| as cell-a points
+    ]
+    grid = GridIndex(cell_size=10.0)
+    grid.insert_many(iter(pairs))
     center = Point(0.0, 5.0)
 
     scalar = [item for _, _, item in grid.query_radius(center, 20.0)]
@@ -155,6 +170,12 @@ def test_grid_ties_follow_cell_then_insertion_order():
     assert scalar == ["cell-west", "cell-a-first", "cell-a-second"]
     assert [item for _, _, item in grid.nearest(center, count=3)] == scalar
 
-    flat = FlatSpatialIndex.from_grid(grid)
+    flat = FlatSpatialIndex.from_points(
+        *point_columns([point for point, _ in pairs]),
+        [item for _, item in pairs],
+        cell_size=10.0,
+    )
     offsets, indices, _ = flat.within_distance_batch(np.array([0.0]), np.array([5.0]), 20.0)
     assert [flat.payloads[i] for i in indices[offsets[0] : offsets[1]]] == scalar
+    assert [item for _, item in flat.within_distance_point(center, 20.0)] == scalar
+    assert [item for _, item in flat.nearest_point(center, count=3)] == scalar

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.primitives import BoundingBox, Point
-from repro.index.rtree import RTree, RTreeEntry
+from repro.reference import RTree, RTreeEntry
 
 
 def _box_for(x: float, y: float, w: float = 1.0, h: float = 1.0) -> BoundingBox:

@@ -14,6 +14,7 @@ from repro.core.cpu import effective_cpu_count
 from repro.core.errors import ConfigurationError
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
 from repro.engine import ProcessPoolExecutor, SequentialExecutor, executors, shard_by_object
+from repro.index import FlatSpatialIndex
 from repro.parallel import GeoContext, canonical_bytes
 
 
@@ -167,9 +168,16 @@ def test_pooled_results_hang_off_the_callers_trajectories(annotation_sources, ca
 def test_context_freezes_indexes_and_plans_keep_it(annotation_sources):
     config = PipelineConfig.for_vehicles()
     context = GeoContext.build(annotation_sources, config)
-    assert annotation_sources.road_network._index.frozen
-    assert annotation_sources.regions._index.frozen
-    assert annotation_sources.pois._index.frozen
+    # Nothing is left to freeze: a source packs its one index when it is
+    # constructed and has no way to change it afterwards.
+    for source in (
+        annotation_sources.road_network,
+        annotation_sources.regions,
+        annotation_sources.pois,
+    ):
+        assert isinstance(source.flat_index(), FlatSpatialIndex)
+        assert source.flat_index() is source.flat_index()
+        assert not hasattr(source, "freeze") and not hasattr(source, "insert")
     assert context.available_layers() == ["region", "line", "point"]
     # Every plan compiled from the snapshot hands the pool the same object,
     # which is what keeps a held executor's workers warm across plans.

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import repro.streaming.stops as streaming_stops
 from repro.core.config import StopMoveConfig
-from repro.core.episodes import Episode
+from repro.core.episodes import Episode, EpisodeKind
 from repro.core.errors import DataQualityError
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
 from repro.preprocessing.stops import (
@@ -331,3 +331,33 @@ def test_refinements_bounded_by_flag_boundaries_plus_unsettled_fixes(monkeypatch
     refinements = _count_refinements(monkeypatch, points, config)
     assert 0 < refinements <= bound
     assert bound < len(points) // 2  # the bound is far below one refinement per fix
+
+
+def test_refinement_visits_flags_linearly_in_the_open_region(monkeypatch):
+    """A refinement re-enforces the boundary run, not the open region.
+
+    An alternating slow walk — three slow fixes, three fast ones, every slow
+    run far shorter than ``min_stop_duration`` — is one move episode that
+    never seals, so the unsealed region is the whole trajectory, and most
+    fixes refine (the runs are too short to settle).  The runs before the
+    boundary run were enforced when they closed: the flags handed to
+    ``enforce_min_duration`` over the whole feed stay within a small multiple
+    of the fixes (re-enforcing the open region visited ~n^2 / 2 of them:
+    2.0 million here).
+    """
+    config = StopMoveConfig(policy="velocity", min_stop_duration=120.0, min_move_points=4)
+    points, x = [], 0.0
+    for index in range(2000):
+        x += 0.5 if (index // 3) % 2 == 0 else 30.0  # 0.05 vs 3.0 units/s
+        points.append(SpatioTemporalPoint(x, 0.0, 10.0 * index))
+    visited = []
+
+    def counting(run_points, flags, min_duration):
+        visited.append(len(flags))
+        return enforce_min_duration(run_points, flags, min_duration)
+
+    monkeypatch.setattr(streaming_stops, "enforce_min_duration", counting)
+    emitted, early = _stream_detect(points, config, chunk=1)
+    assert early == 0 and [e.kind for e in emitted] == [EpisodeKind.MOVE]
+    assert len(visited) > len(points) // 2  # it does refine on most fixes...
+    assert sum(visited) <= 4 * len(points)  # ...over a run's worth of flags each

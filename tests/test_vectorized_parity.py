@@ -7,8 +7,13 @@ that exists for it (``annotate_many(..., annotators=LayerAnnotators(...))``):
 
 * map matching by :class:`repro.reference.ScalarMapMatcher` — one R-tree query
   and one dict-based score aggregation per GPS point;
-* region lookups as one tree walk per position, whatever the group size;
-* POI neighbour sets fetched per grid cell on first use, no batch priming.
+* region lookups as one walk of :class:`repro.reference.RTree` per position,
+  whatever the group size;
+* POI neighbour sets fetched from :class:`repro.reference.GridIndex` per grid
+  cell on first use, no batch priming.
+
+None of the three touches the sources' flat indexes, which is the point: the
+product's index is held to the tree and the grid through the whole pipeline.
 
 For every seed dataset the product — sequential, streaming and on a 2-worker
 pool — must give the reference configuration's canonical bytes
@@ -44,16 +49,56 @@ from repro.parallel import canonical_bytes
 from repro.parallel.canonical import canonical_result
 from repro.points.annotator import PointAnnotator
 from repro.points.observation import PoiObservationModel
+from repro.points.poi import PoiSource
 from repro.preprocessing.cleaning import GpsCleaner
 from repro.preprocessing.stops import StopMoveDetector, velocity_stop_flags_arrays
-from repro.reference import ScalarMapMatcher, ScalarStopMoveDetector, velocity_stop_flags
+from repro.reference import (
+    GridIndex,
+    RTree,
+    RTreeEntry,
+    ScalarMapMatcher,
+    ScalarStopMoveDetector,
+    velocity_stop_flags,
+)
 from repro.regions.annotator import RegionAnnotator
 
 
 # ------------------------------------------------- the reference configuration
-class _TreeRegionAnnotator(RegionAnnotator):
-    def _regions_at(self, positions):
-        return [self._source.first_region_containing(position) for position in positions]
+class _TreeRegionSource:
+    """What ``RegionAnnotator`` asks of its source (``contains`` join), answered by the R-tree."""
+
+    def __init__(self, regions):
+        self._tree = RTree.bulk_load(
+            RTreeEntry(box=region.bounding_box(), item=region) for region in regions
+        )
+
+    def first_regions_containing_batch(self, points):
+        found = []
+        for point in points:
+            matches = [
+                entry.item for entry in self._tree.query_point(point) if entry.item.contains(point)
+            ]
+            found.append(
+                min(matches, key=lambda region: (region.area, region.place_id))
+                if matches
+                else None
+            )
+        return found
+
+
+class _GridPoiSource(PoiSource):
+    """A ``PoiSource`` whose neighbour lookups walk the oracle hash grid."""
+
+    def __init__(self, pois):
+        super().__init__(pois)
+        self._grid = GridIndex(cell_size=100.0)
+        self._grid.insert_many((poi.location, poi) for poi in pois)
+
+    def pois_within(self, center, radius):
+        return [(d, poi) for d, _, poi in self._grid.query_radius(center, radius)]
+
+    def bounds(self):
+        return self._grid.bounds()
 
 
 class _ScalarLineAnnotator(LineAnnotator):
@@ -77,9 +122,9 @@ def _reference(
     trajectories, sources: AnnotationSources, config: PipelineConfig
 ) -> List[PipelineResult]:
     annotators = LayerAnnotators(
-        region=_TreeRegionAnnotator(sources.regions, config.region),
+        region=RegionAnnotator(_TreeRegionSource(sources.regions.regions), config.region),
         line=_ScalarLineAnnotator(sources.road_network, config.map_matching, config.transport),
-        point=_LazyPointAnnotator(sources.pois, config.point),
+        point=_LazyPointAnnotator(_GridPoiSource(sources.pois.pois), config.point),
     )
     return SeMiTriPipeline(config).annotate_many(trajectories, sources, annotators=annotators)
 
