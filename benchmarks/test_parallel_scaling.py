@@ -6,9 +6,9 @@ three ways and reports throughput for each:
 * ``sequential`` — ``api.annotate_many`` on one worker, the reference;
 * ``pool xN (fork)`` — a held :class:`~repro.engine.ProcessPoolExecutor`, the
   path ``api.annotate_many(..., workers=N)`` takes on Linux;
-* ``pool xN (spawn+shm)`` — the same executor with its workers spawned, so
-  the snapshot travels through the shared-memory segment: what macOS and
-  Windows run.  Recorded, never gated (Linux does not ship this path).
+* ``pool xN (spawn)`` — the same executor with its workers spawned, so each
+  receives the snapshot as a pickle: what macOS and Windows run.  Recorded,
+  never gated (Linux does not ship this path).
 
 Output equality is asserted byte-for-byte for every row.
 
@@ -73,7 +73,7 @@ SPEEDUP_TARGET_SMALL = 1.1
 
 SEQUENTIAL = "sequential"
 POOL_FORK = f"pool x{WORKERS} (fork)"
-POOL_SPAWN = f"pool x{WORKERS} (spawn+shm)"
+POOL_SPAWN = f"pool x{WORKERS} (spawn)"
 
 
 def _scalability_workload(world, objects: int = 8, points_per_object: int = 600):
@@ -136,7 +136,6 @@ def test_parallel_scaling(benchmark, world, annotation_sources, monkeypatch):
             )
             with ProcessPoolExecutor(workers=WORKERS) as pool:
                 _warm_up(pool, plan, trajectories)
-                assert pool.shared_segment_name is not None
                 for _ in range(ROUNDS):
                     timed(POOL_SPAWN, lambda: pool.run(plan, trajectories))
 

@@ -8,7 +8,7 @@ full speed (no pacing) across a matrix of legs:
   regression-gated metric is the single-shard events/s,
   ``events_per_s_1shard``, which tracks real per-event cost);
 * process transport at 1 and 4 shards (one worker process per shard,
-  zero-copy shared :class:`GeoContext`, batched pipe IPC) — gated
+  the :class:`GeoContext` as its process argument, batched pipe IPC) — gated
   ``4-shard >= 1.5x 1-shard`` only when the runner actually has >= 4
   effective cores, recorded honestly otherwise;
 * a single-shard thread leg with the crash-safe ingest journal enabled,

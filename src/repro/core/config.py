@@ -270,11 +270,11 @@ class ParallelConfig:
     :class:`~repro.engine.SequentialExecutor` for one worker and a
     :class:`~repro.engine.ProcessPoolExecutor` otherwise.  How the batch is
     split (size-balanced per-object shards), how the
-    :class:`~repro.parallel.GeoContext` snapshot reaches the workers (it
-    follows the start method) and how a lost worker is recovered are fixed
-    in :mod:`repro.engine.executors`: the output is byte-identical to the
-    sequential pipeline either way, and no measurement separated the
-    alternatives that used to be selectable here.
+    :class:`~repro.parallel.GeoContext` snapshot reaches the workers (as a
+    process argument, whatever the start method) and how a lost worker is
+    recovered are fixed in :mod:`repro.engine.executors`: the output is
+    byte-identical to the sequential pipeline either way, and no measurement
+    separated the alternatives that used to be selectable here.
     """
 
     workers: int = 1
@@ -479,7 +479,7 @@ class ServiceConfig:
     """Where shard executors run: ``"thread"`` keeps every shard's
     :class:`~repro.engine.executors.MicroBatchExecutor` on the service's
     thread pool (one process, GIL-serialized annotation work), ``"process"``
-    gives each shard its own worker process attached zero-copy to the shared
+    gives each shard its own worker process, handed the service's
     :class:`~repro.parallel.context.GeoContext` (events cross in batched
     pre-encoded frames over pipes).  ``"auto"`` — the default — resolves to
     ``"process"`` when :func:`repro.core.cpu.effective_cpu_count` sees more

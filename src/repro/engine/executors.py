@@ -8,7 +8,7 @@ Three executors drive the same compiled stage graph:
   and the batch is committed afterwards in one transaction — the pool's
   commit shape, in-process.
 * :class:`ProcessPoolExecutor` — shards the batch by moving object, runs each
-  shard in a worker process against a shared immutable
+  shard in a worker process against the plan's immutable
   :class:`~repro.parallel.context.GeoContext` snapshot and merges the
   results back into input order; byte-identical to sequential execution.
 * :class:`MicroBatchExecutor` — the streaming session loop: events are
@@ -37,10 +37,11 @@ Every batch decision has exactly one code path, all of it in this module:
 
 ========  ==================================================================
 split     :func:`shard_by_object` into ``workers * 2`` size-balanced shards
-ship      the snapshot follows the pool's start method: copy-on-write
-          inheritance under ``fork``, one shared-memory segment otherwise;
-          a shard goes out as coordinate columns (:func:`_pack_shard`) and
-          its outcomes come back without their raw trajectories, which the
+ship      what crosses a process boundary pickles itself: the snapshot is
+          the worker initializer's argument (inherited under ``fork``,
+          pickled by ``multiprocessing`` otherwise), a shard is its
+          trajectories (coordinate columns, ``RawTrajectory.__reduce__``);
+          outcomes come back without their raw trajectories, which the
           parent re-links to its own (:class:`_OutcomePickler`)
 run       :func:`run_stages` per chunk of ``_CHUNK_TRAJECTORIES`` trajectories
           or ``_CHUNK_POINTS`` GPS points, the same loop in-process and
@@ -101,13 +102,6 @@ from repro.faults.failures import (
     tag_failure_stage,
 )
 from repro.parallel.context import GeoContext
-from repro.parallel.shared import (
-    SharedArrayBundle,
-    SharedContextSpec,
-    SharedGeoContext,
-    attach_context,
-    share_context,
-)
 from repro.streaming.session import SealedTrajectory, Session, SessionManager, SessionUpdate
 
 # One shard of work: (shard index, [(input order, trajectory), ...]).
@@ -396,10 +390,10 @@ def _pool_mp_context() -> multiprocessing.context.BaseContext:
     ``fork`` where it is the safe platform default (Linux: children inherit
     the read-only snapshot as copy-on-write memory), ``spawn`` everywhere else —
     macOS forks can crash inside frameworks the parent already loaded, and
-    Windows has no fork.  Always explicit, because the start method also
-    decides how the snapshot travels: inherited under ``fork``, through a
-    shared-memory segment otherwise.  Tests substitute ``spawn`` here to
-    drive the segment path on Linux.
+    Windows has no fork.  Always explicit, so the choice never follows a
+    process-wide ``set_start_method``.  Tests substitute ``spawn`` here to
+    drive on Linux what those platforms run: workers that receive the
+    snapshot as a pickle.
     """
     if sys.platform == "linux" and "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
@@ -552,58 +546,18 @@ class SequentialExecutor(Executor):
         return out
 
 
-# Worker-process state, set once by the pool initializer.  Under the ``fork``
-# start method the snapshot travels to the children as inherited copy-on-write
-# memory (the ``_FORK_CONTEXTS`` registry, keyed per pool so concurrent
-# executors cannot cross-contaminate lazily-forked workers); under any other
-# start method the worker *attaches* to the parent's shared-memory segment and
-# rebuilds zero-copy views.
-_FORK_CONTEXTS: Dict[int, GeoContext] = {}
-_FORK_TOKENS = iter(range(1, 2**62))
+# Worker-process state, set once by the pool initializer from its argument:
+# the parent's own snapshot under ``fork`` (process arguments are inherited,
+# never pickled), the copy ``multiprocessing`` pickled for it otherwise.
 _WORKER_PLAN: Optional[Plan] = None
-# Keeps the attached shared-memory mapping alive for the worker's lifetime:
-# the plan's index arrays are views into it.  Never closed worker-side — the
-# parent owns the segment; process exit releases the mapping.
-_WORKER_BUNDLE: Optional[SharedArrayBundle] = None
 
 
-def _init_worker(token: Optional[int], shared_spec: Optional[SharedContextSpec]) -> None:
-    global _WORKER_PLAN, _WORKER_BUNDLE
-    if shared_spec is not None:
-        context, _WORKER_BUNDLE = attach_context(shared_spec)
-    else:
-        assert token is not None, "worker started without a GeoContext"
-        context = _FORK_CONTEXTS[token]
+def _init_worker(context: GeoContext) -> None:
+    global _WORKER_PLAN
     # Workers never persist (they cannot share the store connection), so the
     # worker-side plan is compiled without a store; write-back happens in the
     # parent after the merge.
     _WORKER_PLAN = Plan.from_context(context)
-
-
-# A shard on its way to a worker: per trajectory ``(input order, object id,
-# trajectory id, xs, ys, ts)``.
-PackedShard = List[Tuple[int, str, str, List[float], List[float], List[float]]]
-
-
-def _pack_shard(items: List[Tuple[int, RawTrajectory]]) -> PackedShard:
-    """A shard's trajectories as coordinate columns, for the trip to a worker.
-
-    Three lists of numbers pickle several times faster than one point object
-    per fix, and the pickling happens in the parent, which every worker waits
-    on.  The numbers travel as the Python objects they are, so a worker
-    rebuilds exactly the points the parent holds.
-    """
-    return [
-        (
-            order,
-            trajectory.object_id,
-            trajectory.trajectory_id,
-            [point.x for point in trajectory.points],
-            [point.y for point in trajectory.points],
-            [point.t for point in trajectory.points],
-        )
-        for order, trajectory in items
-    ]
 
 
 class _OutcomePickler(pickle.Pickler):
@@ -636,7 +590,7 @@ class _OutcomeUnpickler(pickle.Unpickler):
         return self._inputs[pid]
 
 
-def _annotate_shard(packed: PackedShard) -> bytes:
+def _annotate_shard(items: List[Tuple[int, RawTrajectory]]) -> bytes:
     """Annotate one shard inside a worker process (never persists).
 
     Returns the ``(input order, outcome)`` pairs as :class:`_OutcomePickler`
@@ -647,17 +601,6 @@ def _annotate_shard(packed: PackedShard) -> bytes:
     inherited environment, so injected chaos follows the shard into the pool.
     """
     assert _WORKER_PLAN is not None, "worker used before initialization"
-    items = [
-        (
-            order,
-            RawTrajectory(
-                list(map(SpatioTemporalPoint, xs, ys, ts)),
-                object_id=object_id,
-                trajectory_id=trajectory_id,
-            ),
-        )
-        for order, object_id, trajectory_id, xs, ys, ts in packed
-    ]
     outputs = _run_in_process(_WORKER_PLAN, items, include_writeback=False, worker=True)
     for _, out in outputs:
         if isinstance(out, TrajectoryFailure):
@@ -665,26 +608,6 @@ def _annotate_shard(packed: PackedShard) -> bytes:
     buffer = io.BytesIO()
     _OutcomePickler(buffer, items).dump(outputs)
     return buffer.getvalue()
-
-
-def _release_pool_resources(
-    pool: _FuturesProcessPool,
-    fork_token: Optional[int],
-    shared: Optional[SharedGeoContext] = None,
-) -> None:
-    """Tear down an executor's pool, fork-registry entry and shared segment.
-
-    Runs on ``close()``, on garbage collection of a never-closed executor and
-    at interpreter exit (``weakref.finalize``), so the shared-memory segment
-    is unlinked on every path — including after a worker crash poisons the
-    pool.  Unlinking while workers still run is safe: only the name goes
-    away; their mappings stay valid until the processes exit.
-    """
-    if fork_token is not None:
-        _FORK_CONTEXTS.pop(fork_token, None)
-    pool.shutdown(wait=False)
-    if shared is not None:
-        shared.close()
 
 
 class ProcessPoolExecutor(Executor):
@@ -708,8 +631,6 @@ class ProcessPoolExecutor(Executor):
         self._workers = workers
         self._pool: Optional[_FuturesProcessPool] = None
         self._pool_context: Optional[GeoContext] = None
-        self._fork_token: Optional[int] = None
-        self._shared: Optional[SharedGeoContext] = None
         self._pool_finalizer: Optional[weakref.finalize] = None
 
     @property
@@ -717,24 +638,14 @@ class ProcessPoolExecutor(Executor):
         """Number of worker processes the pool uses."""
         return self._workers
 
-    @property
-    def shared_segment_name(self) -> Optional[str]:
-        """Name of the live shared-memory segment, when one is in use."""
-        if self._shared is not None:
-            return self._shared.segment_name
-        return None
-
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Shut down the worker pool and unlink shared segments (idempotent)."""
+        """Shut down the worker pool and let go of its snapshot (idempotent)."""
         if self._pool_finalizer is not None:
-            # Pops the fork registry, stops workers, unlinks the segment.
             self._pool_finalizer()
             self._pool_finalizer = None
         self._pool = None
         self._pool_context = None
-        self._fork_token = None
-        self._shared = None
 
     def __enter__(self) -> "ProcessPoolExecutor":
         return self
@@ -768,9 +679,9 @@ class ProcessPoolExecutor(Executor):
         is irrelevant — the merge reorders by input position.
 
         A ``BrokenExecutor`` (a worker died) poisons every in-flight future.
-        The pool is torn down either way — siblings stopped, the shared
-        segment unlinked — so nothing leaks and the next round or call
-        re-primes it.  Under ``fail_fast`` the error is then re-raised.
+        The pool is torn down either way — siblings stopped — so no process
+        leaks and the next round or call re-primes it.  Under ``fail_fast``
+        the error is then re-raised.
         Under ``skip``/``retry`` results of already-completed shards are kept
         and only the unfinished shards are resubmitted.  A shard still
         pending after ``max_shard_retries`` whole-shard retries is *bisected*
@@ -811,7 +722,7 @@ class ProcessPoolExecutor(Executor):
             try:
                 try:
                     for index, items in submission:
-                        futures[pool.submit(_annotate_shard, _pack_shard(items))] = index
+                        futures[pool.submit(_annotate_shard, items)] = index
                 except BrokenExecutor as error:
                     # A worker died while shards were still being queued
                     # (spawned workers start one by one, during submission).
@@ -892,32 +803,21 @@ class ProcessPoolExecutor(Executor):
             if self._pool_context is context:
                 return self._pool
             self.close()  # a pool primed with another snapshot is stale
-        mp_context = _pool_mp_context()
-        initargs: Tuple[Optional[int], Optional[SharedContextSpec]]
-        if mp_context.get_start_method() == "fork":
-            # Children inherit the snapshot as copy-on-write memory; the
-            # registry entry lives until close() so late worker forks see it.
-            self._fork_token = next(_FORK_TOKENS)
-            _FORK_CONTEXTS[self._fork_token] = context
-            initargs = (self._fork_token, None)
-        else:
-            # Any other start method would pickle the snapshot once per
-            # worker; one shared segment the workers attach to replaces that.
-            self._shared = share_context(context)
-            initargs = (None, self._shared.spec)
+        # The snapshot is the initializer's argument under every start method:
+        # a forked worker finds the parent's object in inherited memory (the
+        # arguments of a forked process are never pickled), any other worker
+        # receives the pickle multiprocessing makes of them.
         self._pool = _FuturesProcessPool(
             max_workers=self._workers,
-            mp_context=mp_context,
+            mp_context=_pool_mp_context(),
             initializer=_init_worker,
-            initargs=initargs,
+            initargs=(context,),
         )
         self._pool_context = context
         # If the executor is garbage collected without close(), stop the
-        # worker processes and release the registry entry and shared segment
-        # instead of leaking them; finalize also runs at interpreter exit.
-        self._pool_finalizer = weakref.finalize(
-            self, _release_pool_resources, self._pool, self._fork_token, self._shared
-        )
+        # worker processes instead of leaking them; finalize also runs at
+        # interpreter exit.  The pool does not refer back to the executor.
+        self._pool_finalizer = weakref.finalize(self, self._pool.shutdown, wait=False)
         return self._pool
 
 

@@ -179,7 +179,7 @@ class FlatSpatialIndex:
 
     Build one with :meth:`from_boxes` or :meth:`from_points`; nothing can be
     added afterwards, so the arrays never go stale and the index is safe to
-    share across threads and (copy-on-write or through shared memory)
+    share across threads and (copy-on-write, or as a pickled copy)
     processes.  The ``geometry`` kind fixes how entry distances are refined:
 
     ``"bbox"``
@@ -369,12 +369,11 @@ class FlatSpatialIndex:
     def array_blocks(self) -> "OrderedDict[str, np.ndarray]":
         """Every contiguous numpy block of the index, by stable name.
 
-        The enumeration :mod:`repro.parallel.shared` exports into
-        ``multiprocessing.shared_memory``: per-level bbox and child-slice
-        columns, the entry-box columns and (for segment geometry) the endpoint
-        columns.  Names are deterministic for a given index, so a
-        worker-side attach maps blocks back by name; payload objects are *not*
-        included — they ride the ordinary pickle.
+        The enumeration the identity tests compare array by array (direct
+        pack against tree-then-compile, a snapshot against its pickled copy):
+        per-level bbox and child-slice columns, the entry-box columns and (for
+        segment geometry) the endpoint columns.  Names are deterministic for
+        a given index; payload objects are *not* included.
         """
         blocks: "OrderedDict[str, np.ndarray]" = OrderedDict()
         for depth, level in enumerate(self._levels):

@@ -9,14 +9,11 @@ executor and the process-transport service ship to their workers, and the
 equality they are tested against:
 
 * :class:`~repro.parallel.context.GeoContext` — an immutable snapshot of the
-  annotation sources, configuration and prebuilt layer annotators (frozen
-  R-trees, POI grid, HMM), built once and shared with workers via ``fork``
-  copy-on-write or, under any other start method, attached zero-copy through
-  ``multiprocessing.shared_memory``;
-* :mod:`~repro.parallel.shared` — :class:`SharedArrayBundle` and the
-  :func:`share_context`/:func:`attach_context` pair that move the snapshot's
-  contiguous numpy blocks (flat-index levels, CSR columns, the map matcher's
-  id ranks) into one shared segment workers map read-only;
+  annotation sources (each with its packed flat index), the configuration and
+  the prebuilt layer annotators, built once and handed to every worker as a
+  process argument: inherited copy-on-write under ``fork``, pickled by
+  ``multiprocessing`` under any other start method — one way across a
+  process boundary, and nothing to release afterwards;
 * :mod:`repro.parallel.canonical` — the byte-level equality every executor
   and transport is held to.
 """
@@ -29,22 +26,10 @@ from repro.parallel.canonical import (
     canonical_result,
     canonical_structured,
 )
-from repro.parallel.context import GeoContext
-from repro.parallel.shared import (
-    SharedArrayBundle,
-    SharedContextSpec,
-    SharedGeoContext,
-    SharedManifest,
-    attach_context,
-    share_context,
-)
+from repro.parallel.context import GeoContext, attach_context, share_context
 
 __all__ = [
     "GeoContext",
-    "SharedArrayBundle",
-    "SharedContextSpec",
-    "SharedGeoContext",
-    "SharedManifest",
     "attach_context",
     "canonical_annotation",
     "canonical_bytes",

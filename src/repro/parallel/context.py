@@ -7,19 +7,17 @@ sources, the pipeline configuration and the annotator bundle constructed from
 them.  The sources pack their indexes when they are constructed and cannot
 change afterwards, so the snapshot is read-only by construction.
 
-Such a snapshot can be shared with worker processes for free under ``fork``
-(copy-on-write pages are never written) or through one shared-memory segment
-under ``spawn``; either way each worker annotates against the same indexes
-instead of rebuilding them per call, which is what turns per-user sharding
-into a real scale-out axis.
+A worker process is handed the snapshot as an argument: for free under
+``fork`` (copy-on-write pages are never written), as the pickle
+``multiprocessing`` makes of it under ``spawn``; either way each worker
+annotates against the same indexes instead of rebuilding them per call, which
+is what turns per-user sharding into a real scale-out axis.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List, Optional
-
-import numpy as np
+import pickle
+from typing import List, Optional, Tuple
 
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import AnnotationSources, LayerAnnotators
@@ -69,31 +67,24 @@ class GeoContext:
         """Names of the annotation layers the snapshot can run."""
         return self._sources.available_layers()
 
-    def precompiled_blocks(self) -> "OrderedDict[str, np.ndarray]":
-        """The snapshot's contiguous numpy blocks, by stable human-readable name.
 
-        The arrays worth sharing with workers: the flat-index
-        level/entry/segment columns of every source plus the map matcher's
-        id-rank column.  :func:`repro.parallel.shared.share_context`
-        uses the names for its shared-memory manifest (arrays reached only
-        through other attributes still get exported, under generated names);
-        tests use them to assert the worker-side views are genuinely
-        zero-copy.
-        """
-        blocks: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        sources = self._sources
-        for prefix, source in (
-            ("regions", sources.regions),
-            ("road_network", sources.road_network),
-            ("pois", sources.pois),
-        ):
-            if source is not None:
-                for key, array in source.flat_index().array_blocks().items():
-                    blocks[f"{prefix}.flat.{key}"] = array
-        if sources.road_network is not None:
-            # The endpoint columns of segment_arrays() are the flat index's
-            # own, named above.
-            blocks["road_network.arrays.id_ranks"] = (
-                sources.road_network.segment_arrays().id_ranks
-            )
-        return blocks
+class _PickledContext:
+    """What :func:`share_context` returns: ``spec`` is the snapshot's pickle."""
+
+    def __init__(self, spec: bytes):
+        self.spec = spec
+
+    def close(self) -> None:
+        """A pickle holds nothing to release."""
+
+
+# Called by nothing under ``src/repro``: the frozen ``bench/layers.py`` probe
+# imports both names in every traced run.  They go with it (ROADMAP item 1(a)).
+def share_context(context: GeoContext) -> _PickledContext:
+    """The snapshot as ``multiprocessing`` hands it to a spawned worker."""
+    return _PickledContext(pickle.dumps(context, pickle.HIGHEST_PROTOCOL))
+
+
+def attach_context(spec: bytes) -> Tuple[GeoContext, None]:
+    """What the spawned worker rebuilds from it (and no handle to keep alive)."""
+    return pickle.loads(spec), None

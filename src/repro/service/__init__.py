@@ -13,7 +13,7 @@ The package has five small parts:
   (absorb a micro-batch, seal, close out, ack) and the in-process transport
   that runs it on a pool thread, operations passed by reference;
 * :mod:`repro.service.workers` — the process transport: the same core in one
-  worker process per shard, attached zero-copy to the shared
+  worker process per shard, handed the service's
   :class:`~repro.parallel.context.GeoContext`, fed batched pre-encoded event
   frames over pipes (this is what lets throughput scale past the GIL), plus
   worker-loss recovery from the journal;

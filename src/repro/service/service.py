@@ -18,12 +18,12 @@ not serialise behind one session registry.  The tier has three parts:
 * two **transports** — where a core runs and how operations and acks travel:
   :class:`~repro.service.shard.ThreadShard` (in-process: queue items by
   reference, acks as objects) and
-  :class:`~repro.service.workers.ProcessShard` (a worker process per shard on
-  the zero-copy shared snapshot: batched frames out, pickled acks back,
-  WAL-prefix replay when a worker dies — and no worker ever outlives the
-  service process).  ``config.service.transport`` chooses (``"auto"`` is
-  ``process`` on multi-core hosts, ``thread`` on one core); once
-  :meth:`AnnotationService.start` has built the shards, nothing in the
+  :class:`~repro.service.workers.ProcessShard` (a worker process per shard,
+  handed the snapshot as a process argument: batched frames out, pickled
+  acks back, WAL-prefix replay when a worker dies — and no worker ever
+  outlives the service process).  ``config.service.transport`` chooses
+  (``"auto"`` is ``process`` on multi-core hosts, ``thread`` on one core);
+  once :meth:`AnnotationService.start` has built the shards, nothing in the
   router knows which it got.
 
 Which state lives where:
@@ -61,10 +61,9 @@ from repro.faults.inject import FaultInjector
 from repro.faults.journal import IngestJournal
 from repro.obs.metrics import MetricsRegistry, ServiceMetrics
 from repro.parallel.context import GeoContext
-from repro.parallel.shared import SharedGeoContext
 from repro.service.routing import ConsistentHashRing
 from repro.service.shard import CLOSE, EVENT, EVICT, Ack, Shard, ThreadShard, op_for
-from repro.service.workers import ProcessShard, worker_payload
+from repro.service.workers import ProcessShard
 from repro.store.store import SemanticTrajectoryStore
 
 __all__ = ["AnnotationService", "ServiceStats"]
@@ -218,9 +217,6 @@ class AnnotationService:
         self._transport = service_config.resolved_transport
         self._per_shard_sessions = max(1, service_config.session_budget // self._shard_count)
         self._shards: Sequence[_AnyShard] = ()
-        # The snapshot's shared-memory segment, when out-of-process shards
-        # need one; released once they are gone.
-        self._shared: Optional[SharedGeoContext] = None
         self._queues: List["asyncio.Queue[object]"] = []
         self._consumers: List["asyncio.Task[None]"] = []
         self._collected_ids: Set[str] = set()
@@ -349,10 +345,7 @@ class AnnotationService:
         ]
         # The one place a transport is chosen; from here on a shard is a shard.
         if self._transport == "process":
-            payload, self._shared = worker_payload(self._context)
-            self._shards = [
-                ProcessShard(self, index, payload) for index in range(self._shard_count)
-            ]
+            self._shards = [ProcessShard(self, index) for index in range(self._shard_count)]
         else:
             self._shards = [ThreadShard(self, index) for index in range(self._shard_count)]
         for shard in self._shards:
@@ -437,7 +430,7 @@ class AnnotationService:
         return self.results
 
     async def shutdown(self) -> List[PipelineResult]:
-        """Drain (if still running) and release shards, segment and journal.
+        """Drain (if still running) and release shards and journal.
 
         A service stuck in ``"draining"`` means a previous :meth:`drain`
         raised part-way (fail-fast batch or commit failure); shutdown then
@@ -454,10 +447,6 @@ class AnnotationService:
             self._state = "closing"
             for shard in self._shards:
                 await shard.close()
-            if self._shared is not None:
-                # Workers are gone; unlinking the segment is safe now.
-                self._shared.close()
-                self._shared = None
             if self._journal is not None:
                 self._journal.close()
                 self._journal = None

@@ -1,13 +1,13 @@
 """Process transport of the shard protocol: one worker process per shard.
 
 :class:`ProcessShard` hosts a shard's :class:`~repro.service.shard.ShardCore`
-in a dedicated worker process, attached zero-copy to the parent's
-:class:`~repro.parallel.context.GeoContext` (PR 7's ``share_context`` /
-``attach_context`` machinery — one shm segment, read-only views — or
-copy-on-write inheritance under fork), so annotation work escapes the
-parent's GIL.  The worker is ``decode_frame`` → ``core.absorb`` →
-``responses.send``: it runs the same core and answers with the same acks as
-an in-process shard, and everything transport-specific lives here.
+in a dedicated worker process that is handed the parent's
+:class:`~repro.parallel.context.GeoContext` as a process argument (inherited
+copy-on-write under fork, pickled by ``multiprocessing`` otherwise), so
+annotation work escapes the parent's GIL.  The worker is ``decode_frame`` →
+``core.absorb`` → ``responses.send``: it runs the same core and answers with
+the same acks as an in-process shard, and everything transport-specific
+lives here.
 
 Wire discipline, chosen for amortized IPC on the hot path:
 
@@ -57,7 +57,6 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 from repro.core.errors import SemitriError, ServiceError
@@ -68,12 +67,6 @@ from repro.faults.failures import FailureEvent, TrajectoryFailure
 from repro.faults.inject import FaultInjector, FaultPlan
 from repro.faults.journal import JournalRecord
 from repro.parallel.context import GeoContext
-from repro.parallel.shared import (
-    SharedContextSpec,
-    SharedGeoContext,
-    attach_context,
-    share_context,
-)
 
 # ``shard.ShardCore`` is looked up at call time so a test can substitute the
 # core once for both transports (forked workers inherit the substitution).
@@ -88,7 +81,6 @@ __all__ = [
     "ProcessShard",
     "decode_frame",
     "shard_worker_main",
-    "worker_payload",
     "DRAIN_FRAME",
     "STOP_FRAME",
 ]
@@ -98,9 +90,6 @@ FrameOp = Tuple[str, object, Optional[SpatioTemporalPoint]]
 
 #: How long a worker waits for a frame before checking its parent is alive.
 _PARENT_POLL_SECONDS = 0.5
-
-#: What ships the snapshot to a worker: a shm spec, or the context itself.
-Payload = Union[SharedContextSpec, GeoContext]
 
 
 class FrameEncoder:
@@ -163,24 +152,9 @@ def decode_frame(data: bytes) -> List[FrameOp]:
     return ops
 
 
-def worker_payload(context: GeoContext) -> Tuple[Payload, Optional[SharedGeoContext]]:
-    """What ships the snapshot to shard workers — the batch pool's rule.
-
-    Under fork the context rides copy-on-write inheritance; under any other
-    start method, which would pickle the snapshot once per worker, it goes
-    into one shared-memory segment the workers attach to.  Equally zero-copy
-    either way.  The caller owns the returned segment (if any) and closes it
-    once every worker is gone.
-    """
-    if _pool_mp_context().get_start_method() != "fork":
-        shared = share_context(context)
-        return shared.spec, shared
-    return context, None
-
-
 def shard_worker_main(
     index: int,
-    payload: Payload,
+    context: GeoContext,
     per_shard_sessions: int,
     fault_plan: str,
     requests: "multiprocessing.connection.Connection",
@@ -202,13 +176,6 @@ def shard_worker_main(
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for connection in inherited:
         connection.close()
-    # A SharedContextSpec attaches to the parent's shm segment; ``bundle``
-    # must stay referenced for the life of the frame loop — the context's
-    # arrays alias its mapping (never unlinked here: the parent owns it).
-    context, bundle = (
-        attach_context(payload) if isinstance(payload, SharedContextSpec) else (payload, None)
-    )
-    del payload
     faults = (
         FaultInjector(FaultPlan.parse(fault_plan))
         if fault_plan
@@ -250,9 +217,8 @@ class ProcessShard(Shard):
     #: the event loop.
     max_inflight = 2
 
-    def __init__(self, host: "AnnotationService", index: int, payload: Payload):
+    def __init__(self, host: "AnnotationService", index: int):
         super().__init__(host, index)
-        self._payload = payload
         self._mp_ctx = _pool_mp_context()
         self._process: Optional[multiprocessing.process.BaseProcess] = None
         self._requests: Optional[multiprocessing.connection.Connection] = None
@@ -310,7 +276,7 @@ class ProcessShard(Shard):
             target=shard_worker_main,
             args=(
                 self.index,
-                self._payload,
+                host.context,
                 host._per_shard_sessions,
                 host._faults.plan.render() if host._faults.enabled else "",
                 request_rx,

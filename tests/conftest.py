@@ -154,6 +154,17 @@ def annotation_sources(region_source, road_network, poi_source) -> AnnotationSou
     return AnnotationSources(regions=region_source, road_network=road_network, pois=poi_source)
 
 
+@pytest.fixture()
+def unpicklable_snapshot(monkeypatch):
+    """Any attempt to pickle a ``GeoContext`` fails the test (fork must never need to)."""
+    from repro.parallel import GeoContext
+
+    def refuse(self, protocol):
+        raise AssertionError("the snapshot was pickled on its way to a forked worker")
+
+    monkeypatch.setattr(GeoContext, "__reduce_ex__", refuse)
+
+
 @pytest.fixture(scope="session")
 def taxi_dataset(world):
     """A small taxi dataset (one taxi, one day)."""

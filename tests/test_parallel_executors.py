@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import io
 import pickle
+import weakref
 
 import pytest
 
@@ -197,19 +198,70 @@ def test_context_with_another_config_is_executor_independent(annotation_sources,
     assert canonical_bytes(vehicles) != canonical_bytes(in_process)
 
 
-def test_dropped_executor_releases_pool_and_registry(annotation_sources):
-    """GC of a never-closed executor stops its workers and clears the fork registry."""
+def test_dropped_executor_releases_pool_and_snapshot(annotation_sources):
+    """GC of a never-closed executor stops its workers and lets go of the snapshot."""
     context = GeoContext.build(annotation_sources, PipelineConfig.for_vehicles())
+    snapshot = weakref.ref(context)
     executor = ProcessPoolExecutor(workers=2)
     executor.run(api.compile_plan(context=context), _trajectories(objects=4, per_object=1))
     pool = executor._pool
-    assert pool is not None and len(executors._FORK_CONTEXTS) >= 1
-    before = len(executors._FORK_CONTEXTS)
+    assert pool is not None
     del executor
     gc.collect()
-    assert len(executors._FORK_CONTEXTS) == before - 1
     with pytest.raises(RuntimeError):  # executor was shut down by the finalizer
         pool.submit(int)
+    del pool, context
+    gc.collect()
+    assert snapshot() is None
+
+
+def test_two_live_pools_keep_their_own_snapshots(annotation_sources, car_dataset):
+    """Interleaved runs of two warm pools never see each other's snapshot."""
+    batch = car_dataset.trajectories[:6]
+    plans = [
+        api.compile_plan(context=GeoContext.build(annotation_sources, config))
+        for config in (PipelineConfig.for_vehicles(), PipelineConfig.for_people())
+    ]
+    expected = [canonical_bytes(SequentialExecutor().run(plan, batch)) for plan in plans]
+    assert expected[0] != expected[1]
+    with ProcessPoolExecutor(workers=2) as first, ProcessPoolExecutor(workers=2) as second:
+        for _ in range(2):  # the second round finds both pools warm
+            for executor, plan, reference in zip((first, second), plans, expected):
+                assert canonical_bytes(executor.run(plan, batch)) == reference
+
+
+def _describe_shard(items):
+    """Runs in a pool worker: what the shard's pairs look like over there."""
+    return [
+        (order, type(t), t.object_id, t.trajectory_id, [(p.x, p.y, p.t) for p in t.points])
+        for order, t in items
+    ]
+
+
+def test_pooled_shard_crosses_as_trajectory_columns(
+    annotation_sources, car_dataset, monkeypatch
+):
+    """A shard is submitted as its ``(input order, trajectory)`` pairs and pickles itself."""
+    batch = car_dataset.trajectories[:6]
+    context = GeoContext.build(annotation_sources, PipelineConfig.for_vehicles())
+    submitted = []
+    with ProcessPoolExecutor(workers=2) as executor:
+        pool = executor._ensure_pool(context)
+        submit = pool.submit
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                pool, "submit", lambda call, items: submitted.append(items) or submit(call, items)
+            )
+            executor.run(api.compile_plan(context=context), batch)
+        received = [pool.submit(_describe_shard, items).result() for items in submitted]
+    pairs = [pair for items in submitted for pair in items]
+    assert sorted(order for order, _ in pairs) == list(range(len(batch)))
+    assert all(trajectory is batch[order] for order, trajectory in pairs)
+    # On the wire: coordinate columns (``RawTrajectory.__reduce__``), not a
+    # point object per fix; in the worker: the parent's exact numbers and ids.
+    wire = pickle.dumps(pairs, pickle.HIGHEST_PROTOCOL)
+    assert b"_trajectory_from_columns" in wire and b"SpatioTemporalPoint" not in wire
+    assert [row for rows in received for row in rows] == _describe_shard(pairs)
 
 
 def test_stream_rejects_config_conflicting_with_snapshot(annotation_sources):

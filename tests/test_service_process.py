@@ -3,10 +3,10 @@
 The ``transport="process"`` tier must be observationally identical to the
 thread transport (which is itself pinned to the sequential pipeline): same
 canonical bytes, same store rows, same no-drop ledger — while actually
-running each shard's executor in its own worker process attached to the
-shared :class:`GeoContext`.  On top of parity, the worker-loss contract:
-SIGKILL a shard worker mid-stream and the WAL prefix replay rebuilds a
-row-identical store; a stalling worker still bounds producer memory through
+running each shard's executor in its own worker process, handed the
+service's :class:`GeoContext` as a process argument.  On top of parity, the
+worker-loss contract: SIGKILL a shard worker mid-stream and the WAL prefix
+replay rebuilds a row-identical store; a stalling worker still bounds producer memory through
 the same backpressure path; an object that reproducibly kills fresh workers
 is quarantined as proven poison — and nothing else is.
 
@@ -17,7 +17,6 @@ with ``asyncio.run``.
 from __future__ import annotations
 
 import asyncio
-import glob
 import json
 import multiprocessing
 import os
@@ -109,22 +108,13 @@ def test_transport_parity_canonical_bytes_and_store_rows(
 ):
     """thread × process drains are canonically identical to sequential.
 
-    Under ``spawn`` the shard workers attach to the snapshot's shared-memory
-    segment; under ``fork`` they inherit it copy-on-write and no segment
-    exists.
+    Under ``spawn`` the shard workers annotate against the pickle
+    ``multiprocessing`` made of the snapshot; under ``fork`` they inherit the
+    parent's own copy-on-write.
     """
     monkeypatch.setattr(
         workers, "_pool_mp_context", lambda: multiprocessing.get_context(start_method)
     )
-    segments: List[str] = []
-    share_context = workers.share_context
-
-    def recording_share_context(context):
-        shared = share_context(context)
-        segments.append(shared.segment_name)
-        return shared
-
-    monkeypatch.setattr(workers, "share_context", recording_share_context)
     streams = _object_streams(car_dataset.trajectories)
     total_events = sum(len(points) for points in streams.values())
 
@@ -149,9 +139,6 @@ def test_transport_parity_canonical_bytes_and_store_rows(
         results_by_transport[transport] = service.results
         reference_context, reference_config = context, config
 
-    assert len(segments) == (1 if start_method == "spawn" else 0)
-    assert not [path for name in segments for path in glob.glob(f"/dev/shm/*{name}")]
-
     sequential = _sequential_reference(
         reference_config, annotation_sources, reference_context, streams
     )
@@ -167,6 +154,22 @@ def test_transport_parity_canonical_bytes_and_store_rows(
     _assert_stores_identical(stores["process"], stores["thread"])
     stores["thread"].close()
     stores["process"].close()
+
+
+def test_forked_shard_workers_never_serialise_the_snapshot(
+    annotation_sources, car_dataset, monkeypatch, unpicklable_snapshot
+):
+    """Arguments of a forked process are inherited, not pickled."""
+    monkeypatch.setattr(workers, "_pool_mp_context", lambda: multiprocessing.get_context("fork"))
+    streams = _object_streams(car_dataset.trajectories)
+    config = _service_config(shards=2, transport="process")
+    context = GeoContext.build(annotation_sources, config)
+    service = AnnotationService(context)
+    _feed_and_drain(service, streams)
+    assert len(service.worker_pids) == 2 and service.stats.errors == 0
+    by_id = lambda results: sorted(results, key=lambda r: r.trajectory.trajectory_id)  # noqa: E731
+    sequential = _sequential_reference(config, annotation_sources, context, streams)
+    assert canonical_bytes(by_id(service.results)) == canonical_bytes(by_id(sequential))
 
 
 # ---------------------------------------------------------- worker-loss (WAL)
