@@ -1,22 +1,23 @@
-"""Shared fixtures for the benchmark harness.
+"""Shared fixtures for the paper's tables and figures.
 
-Every benchmark reproduces one table or figure of the paper: it times the
-relevant computation with pytest-benchmark and prints (and saves under
-``results/``) the same rows or series the paper reports.  Dataset sizes are
-scaled down from the paper's multi-month collections so the whole harness runs
-in minutes on a laptop; EXPERIMENTS.md records the scaling next to every
-experiment.
+Every file here reproduces one table, figure or ablation of the paper and
+renders the rows or series the paper reports.  The deterministic ones are
+regression tests: :func:`save_result` compares the rendered text with the
+committed ``results/<name>.txt``.  The claims whose value is a timing
+(Figure 17, the scalability checks, the service's multi-core scaling leg) go
+through :func:`record_timing`, which asserts nothing; timings that gate a
+change are ``bench/``'s.  Dataset sizes are scaled down from the paper's
+multi-month collections so the whole directory runs in under a minute.
 """
 
 from __future__ import annotations
 
+import difflib
 import json
 import os
-import platform
 import random
 import sys
 from pathlib import Path
-from typing import Dict, Optional
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ if str(_SRC) not in sys.path:
 RESULTS_DIR = _ROOT / "results"
 
 from repro.core import AnnotationSources, PipelineConfig, SeMiTriPipeline  # noqa: E402
-from repro.core.cpu import effective_cpu_count  # noqa: E402
 from repro.datasets import (  # noqa: E402
     GroundTruthDriveGenerator,
     PersonSimulator,
@@ -40,8 +40,7 @@ from repro.datasets import (  # noqa: E402
 )
 
 #: One fixed seed for every global RNG a benchmark might (indirectly) touch,
-#: reset before each test so sidecars are reproducible run-to-run and the
-#: regression gate compares identical workloads.
+#: reset before each test so the rendered results are the same run to run.
 _BENCH_SEED = 20110325
 
 
@@ -52,70 +51,60 @@ def _seed_rngs():
     np.random.seed(_BENCH_SEED)
 
 
-def machine_metadata() -> Dict[str, object]:
-    """The environment facts the bench-regression gate compares like with like."""
-    return {
-        "python": platform.python_version(),
-        "implementation": platform.python_implementation(),
-        "cpu_count": os.cpu_count(),
-        # What this process may actually run on (cgroup/affinity-aware):
-        # multi-core speedup claims are only meaningful against this number.
-        "effective_cores": effective_cpu_count(),
-        "machine": platform.machine(),
-        "system": platform.system(),
-        "numpy": np.__version__,
-    }
+def bench_write_run() -> bool:
+    """Whether ``results/`` is being regenerated (``SEMITRI_BENCH_WRITE=1``).
 
-
-def bench_gate_run() -> bool:
-    """Whether this is a bench-gate run (``SEMITRI_BENCH_WRITE=1``).
-
-    Only then are sidecars written and timing thresholds asserted; an ordinary
-    test run (tier-1 includes ``benchmarks/``) prints its numbers and asserts
-    behaviour only.
+    Only then are files written and the timing files' thresholds asserted; an
+    ordinary test run (tier-1 includes ``benchmarks/``) leaves the tree alone.
     """
     return os.environ.get("SEMITRI_BENCH_WRITE") == "1"
 
 
-def save_result(
-    name: str,
-    text: str,
-    data: object = None,
-    metrics: Optional[Dict[str, float]] = None,
-    telemetry: Optional[Dict[str, object]] = None,
-) -> None:
-    """Echo a rendered table/series; under ``SEMITRI_BENCH_WRITE=1`` save it too.
+def save_result(name: str, text: str) -> None:
+    """Assert a deterministic paper result against ``results/<name>.txt``.
 
-    The sidecars hold this machine's timings, so an ordinary test run (tier-1
-    includes ``benchmarks/``) only prints and leaves the tracked ``results/``
-    files alone; the CI steps that feed ``scripts/check_bench_regression.py``
-    set the variable.  When saving, ``results/<name>.txt`` gets the text and a
-    machine-readable ``results/<name>.json`` sidecar is written beside it,
-    so perf trajectories can be diffed across PRs without parsing the tables;
-    benchmarks that pass structured ``data`` (numbers, series, parameters) get
-    it embedded verbatim under the ``"data"`` key.  ``metrics`` is the
-    contract with ``scripts/check_bench_regression.py``: a flat name →
-    higher-is-better throughput mapping the CI bench gate compares against
-    the committed baselines.  ``telemetry`` is observability context — span
-    counts, registry snapshots — recorded for inspection only; the regression
-    gate explicitly ignores it.  Every sidecar also records the machine facts
-    of :func:`machine_metadata` so regressions are compared like with like.
+    Fails with a unified diff when the rendered text differs from the
+    committed file, so a change that moves a paper number has to show it as a
+    diff in ``results/``: ``SEMITRI_BENCH_WRITE=1`` rewrites the file instead
+    of comparing.
     """
-    if not bench_gate_run():
+    print(f"\n{text}")
+    path = RESULTS_DIR / f"{name}.txt"
+    if bench_write_run():
+        path.write_text(text + "\n", encoding="utf-8")
+        return
+    committed = path.read_text(encoding="utf-8")
+    if committed != text + "\n":
+        diff = "\n".join(
+            difflib.unified_diff(
+                committed.splitlines(),
+                text.splitlines(),
+                fromfile=f"results/{name}.txt (committed)",
+                tofile=f"results/{name}.txt (this run)",
+                lineterm="",
+            )
+        )
+        pytest.fail(
+            f"results/{name}.txt is out of date; if the change is meant, regenerate it "
+            f"with SEMITRI_BENCH_WRITE=1 and commit the diff:\n{diff}",
+            pytrace=False,
+        )
+
+
+def record_timing(name: str, text: str, data: object) -> None:
+    """Echo a timing table; under ``SEMITRI_BENCH_WRITE=1`` save it too.
+
+    The numbers are this machine's, so nothing is compared: ``results/<name>.txt``
+    gets the text and ``results/<name>.json`` the same lines plus the
+    structured ``data`` (series, parameters) behind them.
+    """
+    if not bench_write_run():
         print(f"\n{text}\n[not saved: set SEMITRI_BENCH_WRITE=1 to write results/{name}.*]")
         return
-    RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n", encoding="utf-8")
     json_path = RESULTS_DIR / f"{name}.json"
-    payload = {
-        "name": name,
-        "text": text.splitlines(),
-        "data": data,
-        "metrics": metrics,
-        "telemetry": telemetry if telemetry is not None else {"enabled": False},
-        "machine": machine_metadata(),
-    }
+    payload = {"name": name, "text": text.splitlines(), "data": data}
     json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"\n{text}\n[saved to {path} and {json_path}]")
 

@@ -125,11 +125,12 @@ def test_ablation_grid_discretisation(benchmark, world, car_dataset, vehicle_pip
             ["stops scored", len(centers)],
             ["grid cells cached", discretised_model.cache_size()],
             ["max |discretised - exact| category share", f"{max_error:.3f}"],
-            ["exact-recomputation time for 200 stops (s)", f"{exact_seconds:.3f}"],
         ],
         title="Ablation - grid discretisation of observation probabilities",
     )
     save_result("ablation_grid_discretisation", text)
+    # A wall-clock reading: printed beside the table, not part of the asserted text.
+    print(f"exact-recomputation time for 200 stops (s): {exact_seconds:.3f}")
 
     assert discretised_model.cache_size() > 0
     assert max_error < 0.6

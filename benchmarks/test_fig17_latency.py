@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from benchmarks.conftest import bench_gate_run, save_result
+from benchmarks.conftest import bench_write_run, record_timing
 from repro.analytics.reporting import render_table
 from repro.core import ObservabilityConfig, PipelineConfig, SeMiTriPipeline
 from repro.parallel import canonical_bytes
@@ -77,8 +77,7 @@ def test_fig17_latency(benchmark, world, people_dataset, annotation_sources):
     )
 
     # One extra *untimed* run with full observability on: proves telemetry
-    # cannot change the annotation output, and fills the sidecar's telemetry
-    # section with the registry snapshot of a traced run.
+    # cannot change the annotation output.
     observed_config = dataclasses.replace(
         PipelineConfig.for_people(), observability=ObservabilityConfig(enabled=True)
     )
@@ -98,33 +97,14 @@ def test_fig17_latency(benchmark, world, people_dataset, annotation_sources):
     assert canonical_bytes(observed_results) == product_bytes  # telemetry is inert
     assert observed_plan.telemetry.tracer is not None
     assert observed_plan.telemetry.metrics is not None
-    telemetry_section = {
-        "enabled": True,
-        "span_count": len(observed_plan.telemetry.tracer.spans),
-        "trace_count": len(observed_plan.telemetry.tracer.traces()),
-        "metrics": observed_plan.telemetry.metrics.snapshot(),
-    }
 
-    metrics = {
-        # Absolute throughput of the heaviest annotation stage, trajectories
-        # per second.
-        "map_match_traj_per_sec": round(
-            profile.count("map_match") / profile.total("map_match"), 2
-        ),
-    }
-    save_result(
-        "fig17_latency",
-        text,
-        data={"stages": series},
-        metrics=metrics,
-        telemetry=telemetry_section,
-    )
+    record_timing("fig17_latency", text, data={"stages": series})
 
     assert profile.count("compute_episode") == len(people_dataset.all_trajectories)
-    if bench_gate_run():
+    if bench_write_run():
         # Episode computation is cheap relative to the heavier annotation
         # stages, mirroring the ordering in the paper's latency figure.  A
-        # timing comparison: armed in the bench-gate environment only.
+        # timing comparison: armed under SEMITRI_BENCH_WRITE=1 only.
         assert profile.mean("compute_episode") <= profile.mean("map_match") + profile.mean(
             "landuse_join"
         )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import statistics
 import time
 
-from benchmarks.conftest import bench_gate_run, save_result
+from benchmarks.conftest import bench_write_run, record_timing
 from repro.analytics.reporting import render_table
 from repro.core.config import MapMatchingConfig
 from repro.core.places import RegionOfInterest
@@ -76,7 +76,7 @@ def test_scalability_region_lookup_vs_source_size(benchmark):
         rows,
         title="Scalability - region lookup vs landuse source size (Algorithm 1, O(n log m))",
     )
-    save_result(
+    record_timing(
         "scalability_region_lookup",
         text,
         data={
@@ -92,9 +92,9 @@ def test_scalability_region_lookup_vs_source_size(benchmark):
     region_growth = largest_regions / smallest_regions
     time_growth = largest_time / max(smallest_time, 1e-9)
     print(f"region growth x{region_growth:.0f}, time growth x{time_growth:.2f}")
-    if bench_gate_run():
+    if bench_write_run():
         # 64x more regions should cost far less than 64x more time.  A timing
-        # bound: armed in the bench-gate environment only.
+        # bound: armed under SEMITRI_BENCH_WRITE=1 only.
         assert time_growth < region_growth / 2
 
 
@@ -146,7 +146,7 @@ def test_scalability_map_matching_vs_point_count(benchmark, world):
             f"(Algorithm 2, O(n); median of {MATCH_REPEATS})"
         ),
     )
-    save_result(
+    record_timing(
         "scalability_map_matching",
         text,
         data={
@@ -165,7 +165,7 @@ def test_scalability_map_matching_vs_point_count(benchmark, world):
         f"per-point cost growth x{per_point_growth:.2f} "
         f"from {shortest_length} to {longest_length} points"
     )
-    if bench_gate_run():
+    if bench_write_run():
         # Per-point cost should stay roughly constant (allow 3x slack for
-        # noise).  A timing bound: armed in the bench-gate environment only.
+        # noise).  A timing bound: armed under SEMITRI_BENCH_WRITE=1 only.
         assert per_point_growth < 3.0

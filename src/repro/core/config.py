@@ -108,12 +108,6 @@ class RegionAnnotationConfig:
     join_predicate: str = "contains"
     """Spatial predicate: ``"contains"`` (point-in-region) or ``"intersects"``."""
 
-    use_episode_center_for_stops: bool = True
-    """Join stop episodes by their centre point instead of the full rectangle."""
-
-    annotate_points: bool = True
-    """Also produce per-GPS-point region links (Algorithm 1 default)."""
-
     def __post_init__(self) -> None:
         if self.join_predicate not in ("contains", "intersects"):
             raise ConfigurationError(

@@ -97,6 +97,7 @@ from repro.engine.plan import Plan
 from repro.engine.stages import SealedEpisode, WorkItem
 from repro.faults.failures import (
     FailureEvent,
+    FailureLog,
     TrajectoryFailure,
     failure_stage,
     tag_failure_stage,
@@ -437,19 +438,24 @@ def merge_shard_results(
     store = plan.store
     if commit and plan.persist and store is not None:
         rows = [(result.trajectory, result.episodes) for result in results]
-        _commit_with_retry(plan, lambda: store.save_annotated_trajectories(rows))
+        _commit_with_retry(
+            plan.ensure_failure_log(), lambda: store.save_annotated_trajectories(rows)
+        )
     return results
 
 
-def _commit_with_retry(plan: Plan, commit: Callable[[], object]) -> None:
-    """Run a deferred store commit under the plan's failure policy.
+def _commit_with_retry(
+    failure_log: FailureLog, commit: Callable[[], object], stage: str = "store_commit"
+) -> None:
+    """Run a deferred store commit under the failure log's policy.
 
     A failed commit is rolled back by the store, so retrying re-executes the
     batch from scratch without duplicating rows.  ``fail_fast`` and ``skip``
     raise immediately — a commit failure is not a per-trajectory event, so
-    skip-isolation does not apply.
+    skip-isolation does not apply.  Each failed attempt is recorded under the
+    stage the error was tagged with, or ``stage``.
     """
-    policy = plan.failure_policy
+    policy = failure_log.policy
     attempt = 0
     while True:
         attempt += 1
@@ -458,8 +464,8 @@ def _commit_with_retry(plan: Plan, commit: Callable[[], object]) -> None:
             return
         except Exception as error:
             retryable = policy.mode == "retry" and attempt <= policy.max_retries
-            plan.ensure_failure_log().record_failure(
-                failure_stage(error, "store_commit"), type(error).__name__, retried=retryable
+            failure_log.record_failure(
+                failure_stage(error, stage), type(error).__name__, retried=retryable
             )
             if not retryable:
                 raise

@@ -16,11 +16,10 @@ For every GPS point of a move episode the matcher:
 
 There is one implementation: the whole of steps 1-5 is one columnar kernel
 (:meth:`GlobalMapMatcher.match_rows`) over ``(point, candidate)`` pair arrays,
-at every episode length (6-13x the per-point loop at 64-256 points,
-``results/vectorized_kernels.txt``).  The per-point loop — one R-tree query and
-one dict-based score aggregation per point — is the oracle the parity tests
-compare the kernel against and lives outside the product, as
-``ScalarMapMatcher`` in the reference package.
+at every episode length (6-13x the per-point loop at 64-256 points).  The
+per-point loop — one R-tree query and one dict-based score aggregation per
+point — is the oracle the parity tests compare the kernel against and lives
+outside the product, as ``ScalarMapMatcher`` in the reference package.
 """
 
 from __future__ import annotations

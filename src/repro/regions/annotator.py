@@ -102,10 +102,10 @@ class RegionAnnotator:
     def annotate_episodes(self, episodes: Sequence[Episode]) -> StructuredSemanticTrajectory:
         """Annotate one trajectory's episodes (instead of every GPS record).
 
-        Stops are joined by their centre point (when configured) and moves by
-        the region containing each point, keeping the dominant region; this is
-        the "spatial join computed only for selected episodes" variant the
-        paper mentions.
+        Stops are joined by their centre point and moves by the region
+        containing each point, keeping the dominant region; this is the
+        "spatial join computed only for selected episodes" variant the paper
+        mentions.
         """
         if not episodes:
             raise ValueError("annotate_episodes requires at least one episode")
@@ -151,16 +151,15 @@ class RegionAnnotator:
     ) -> List[Optional[RegionOfInterest]]:
         """The joined region of every episode.
 
-        A stop joined by its centre asks about one position, any other episode
+        A stop is joined by its centre, one position (Algorithm 1); a move asks
         about each of its points; all of them go through one index query.
         Under the ``intersects`` predicate a move is joined on its own, against
         the regions its bounding box meets.
         """
-        by_centre = self._config.use_episode_center_for_stops
         intersects = self._config.join_predicate == "intersects"
         queries: List[Optional[Sequence[Point]]] = []
         for episode in episodes:
-            if episode.is_stop and by_centre:
+            if episode.is_stop:
                 queries.append((episode.center(),))
             elif intersects:
                 queries.append(None)

@@ -56,6 +56,7 @@ from repro.core.config import PipelineConfig
 from repro.core.errors import ConfigurationError, ServiceError
 from repro.core.pipeline import AnnotationSources, PipelineResult
 from repro.core.points import SpatioTemporalPoint
+from repro.engine.executors import _commit_with_retry
 from repro.faults.failures import FailureLog, TrajectoryFailure
 from repro.faults.inject import FaultInjector
 from repro.faults.journal import IngestJournal
@@ -650,21 +651,7 @@ class AnnotationService:
         same batch; under ``fail_fast``/``skip`` the first failure raises and
         the journal (kept by :meth:`drain`) covers recovery.
         """
-        policy = self._config.failure
-        attempt = 0
-        while True:
-            attempt += 1
-            try:
-                self._commit_results()
-                return
-            except Exception as error:
-                retryable = policy.mode == "retry" and attempt <= policy.max_retries
-                self._failure_log.record_failure(
-                    "service_commit", type(error).__name__, retried=retryable
-                )
-                if not retryable:
-                    raise
-                time.sleep(policy.backoff(attempt))
+        _commit_with_retry(self._failure_log, self._commit_results, "service_commit")
 
     def _commit_results(self) -> None:
         assert self._store is not None

@@ -5,11 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core.annotations import AnnotationKind
-from repro.core.config import RegionAnnotationConfig
+from repro.core.config import PipelineConfig, RegionAnnotationConfig
 from repro.core.episodes import Episode, EpisodeKind
 from repro.core.places import RegionOfInterest
 from repro.core.points import build_trajectory
 from repro.geometry.primitives import BoundingBox
+from repro.preprocessing.stops import StopMoveDetector
 from repro.regions.annotator import RegionAnnotator
 from repro.regions.sources import RegionSource
 
@@ -98,6 +99,35 @@ class TestAnnotateEpisodes:
         episodes = [Episode(EpisodeKind.MOVE, crossing_trajectory, 0, 30)]
         structured = RegionAnnotator(strip_source, config).annotate_episodes(episodes)
         assert structured[0].place is not None
+
+    def test_intersects_equals_contains_on_a_tiling_source(self, region_source, car_dataset):
+        # The landuse grid tiles the world, so the regions a move's bounding box
+        # meets hold every region that contains one of its points.
+        detector = StopMoveDetector(PipelineConfig.for_vehicles().stop_move)
+        episodes = [
+            episode
+            for trajectory in car_dataset.trajectories
+            for episode in detector.segment(trajectory)
+        ]
+        assert any(episode.is_move for episode in episodes)
+        assert any(episode.is_stop for episode in episodes)
+        contains = RegionAnnotator(region_source).annotate_episode_group(episodes)
+        intersects = RegionAnnotator(
+            region_source, RegionAnnotationConfig(join_predicate="intersects")
+        ).annotate_episode_group(episodes)
+        assert all(record.place is not None for record in contains)
+        assert [record.place.place_id for record in intersects] == [
+            record.place.place_id for record in contains
+        ]
+
+    def test_intersects_move_outside_every_region(self, strip_source):
+        triples = [(1000.0 + i * 10, 50.0, float(i)) for i in range(10)]
+        episode = Episode(EpisodeKind.MOVE, build_trajectory(triples), 0, 10)
+        config = RegionAnnotationConfig(join_predicate="intersects")
+        structured = RegionAnnotator(strip_source, config).annotate_episodes([episode])
+        assert structured[0].place is None
+        assert structured[0].annotations == []
+        assert not episode.annotations_of_kind(AnnotationKind.REGION)
 
     def test_empty_episode_list_raises(self, strip_source):
         with pytest.raises(ValueError):
