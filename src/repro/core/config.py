@@ -444,7 +444,7 @@ class ServiceConfig:
 
     max_batch: int = 64
     """Maximum events handed to a shard executor per processing step; larger
-    batches amortise the thread hand-off, smaller ones bound added latency."""
+    batches amortise per-batch costs, smaller ones bound added latency."""
 
     session_budget: int = 10_000
     """Total open per-object sessions allowed across all shards (the memory
@@ -464,15 +464,16 @@ class ServiceConfig:
     drain rotates the segments away."""
 
     journal_fsync_batch: int = 1024
-    """Appends between journal ``fdatasync`` calls (group commit).  1 syncs
-    every record (maximum durability, slowest); larger batches trade a
-    bounded crash window — well under 100 ms of events at sustained ingest
-    rates — for throughput.  The journal always syncs at drain time."""
+    """Appends between journal ``fdatasync`` calls (group commit).  Appends
+    are unbuffered, so a crash of the service process loses none; the batch
+    bounds only what an OS crash or power loss can take — well under 100 ms
+    of events at sustained rates.  1 syncs every record (slowest); drain
+    always syncs."""
 
     transport: str = "auto"
-    """Where shard executors run: ``"thread"`` keeps every shard's
+    """Where shard executors run: ``"thread"`` runs every shard's
     :class:`~repro.engine.executors.MicroBatchExecutor` on the service's
-    thread pool (one process, GIL-serialized annotation work), ``"process"``
+    event loop (one thread, blocked for each micro-batch), ``"process"``
     gives each shard its own worker process, handed the service's
     :class:`~repro.parallel.context.GeoContext` (events cross in batched
     pre-encoded frames over pipes).  ``"auto"`` — the default — resolves to

@@ -1,8 +1,10 @@
 """Crash-safe ingest journal: a per-shard write-ahead log for the service.
 
 The service appends every accepted event/close to the journal *before*
-enqueueing it, as binary records (:mod:`repro.faults.wire`) fsync'd in
-batches.  If the process dies before drain commits, the next service pointed
+enqueueing it, as binary records (:mod:`repro.faults.wire`), unbuffered: an
+append is one ``write``, so it survives a crash of the service process, and
+the batched fsyncs bound only what an OS crash or power loss can take.
+If the process dies before drain commits, the next service pointed
 at the same directory finds the orphaned files, replays their records through
 the normal ingest path, and discards them.  A successful drain rotates
 (empties) the journal — at that point the store holds everything durably.
@@ -144,7 +146,8 @@ class IngestJournal:
 
     @staticmethod
     def _create(path: Path) -> BinaryIO:
-        handle = path.open("wb")
+        # Unbuffered: every append is one write(2), in the OS before it returns.
+        handle = path.open("wb", buffering=0)
         handle.write(_HEADER)
         return handle
 
@@ -218,7 +221,7 @@ class IngestJournal:
         """The current epoch's surviving records for one shard, in append order.
 
         Used by worker-loss recovery: the parent re-reads the shard's WAL file
-        to rebuild a dead worker's stream.  Appends are flushed first so the
+        to rebuild a dead worker's stream.  Appends are unbuffered, so the
         file holds everything accepted so far; keep-first dedup collapses
         records that were re-journaled under their original origin, and the
         origin sort restores append order (older epochs were re-journaled
@@ -226,12 +229,11 @@ class IngestJournal:
         """
         if self._closed:
             raise ServiceError("journal is closed")
-        self._files[shard].flush()
         return self._dedup(_read_records(self._paths[shard]))
 
     # ------------------------------------------------------------ durability
     def sync(self) -> None:
-        """Flush and fsync every shard file with unsynced appends."""
+        """Fsync every shard file with unsynced appends."""
         if self._closed:
             return
         for shard in range(self._shards):
@@ -239,9 +241,7 @@ class IngestJournal:
                 self._sync_shard(shard)
 
     def _sync_shard(self, shard: int) -> None:
-        handle = self._files[shard]
-        handle.flush()
-        _sync_file(handle.fileno())
+        _sync_file(self._files[shard].fileno())
         self._synced[shard] = self._written[shard]
 
     def discard_recovered(self) -> None:

@@ -11,7 +11,7 @@ The package has five small parts:
   canonically identical to a sequential batch run;
 * :mod:`repro.service.shard` — the shard protocol: the one ``ShardCore``
   (absorb a micro-batch, seal, close out, ack) and the in-process transport
-  that runs it on a pool thread, operations passed by reference;
+  that runs it on the event loop, operations passed by reference;
 * :mod:`repro.service.workers` — the process transport: the same core in one
   worker process per shard, handed the service's
   :class:`~repro.parallel.context.GeoContext`, fed batched pre-encoded event

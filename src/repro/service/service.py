@@ -16,15 +16,19 @@ not serialise behind one session registry.  The tier has three parts:
 * the **shard core** (:class:`repro.service.shard.ShardCore`) — absorb a
   micro-batch, seal, close out, ack.  One implementation, wherever it runs;
 * two **transports** — where a core runs and how operations and acks travel:
-  :class:`~repro.service.shard.ThreadShard` (in-process: queue items by
-  reference, acks as objects) and
-  :class:`~repro.service.workers.ProcessShard` (a worker process per shard,
-  handed the snapshot as a process argument: batched frames out, pickled
-  acks back, WAL-prefix replay when a worker dies — and no worker ever
-  outlives the service process).  ``config.service.transport`` chooses
-  (``"auto"`` is ``process`` on multi-core hosts, ``thread`` on one core);
-  once :meth:`AnnotationService.start` has built the shards, nothing in the
+  :class:`~repro.service.shard.ThreadShard` (on the event loop: queue items
+  by reference, acks as objects) and :class:`~repro.service.workers.ProcessShard`
+  (a worker process per shard, handed the snapshot as a process argument:
+  batched frames out, pickled acks back, WAL-prefix replay when a worker
+  dies — and no worker ever outlives the service process).
+  ``config.service.transport`` chooses (``"auto"`` is ``process`` on
+  multi-core hosts, ``thread`` on one core); once
+  :meth:`AnnotationService.start` has built the shards, nothing in the
   router knows which it got.
+
+The service process runs one thread, the loop's: absorbing a thread shard's
+batch or folding any ack is one step no coroutine interleaves with (and the
+loop serves nothing else meanwhile).
 
 Which state lives where:
 

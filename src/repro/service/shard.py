@@ -24,7 +24,8 @@ a process shard feeds the identical core from the wire.
 A *transport* decides where a core runs and how operations and acks travel.
 It subclasses :class:`Shard` — the parent-side state every ack folds into —
 and implements ``start`` / ``submit`` / ``drain`` / ``close``.  This module
-holds the in-process one (:class:`ThreadShard`); the worker-process one is
+holds the in-process one (:class:`ThreadShard`, whose core runs on the event
+loop itself); the worker-process one is
 :class:`repro.service.workers.ProcessShard`.  Transports are friends of the
 router: they read its configuration and hand every ack to its one fold
 (``AnnotationService._apply_ack``).
@@ -32,10 +33,8 @@ router: they read its configuration and hand every ack to its one fold
 
 from __future__ import annotations
 
-import asyncio
 import sqlite3
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
@@ -89,8 +88,8 @@ def op_for(record: JournalRecord) -> List[object]:
 class ShardCore:
     """One shard's executor and the absorb / close-out transitions over it.
 
-    Only ever touched by one thread at a time: a thread shard awaits each
-    batch before submitting the next, a worker process is single-threaded.
+    Only ever touched by one thread: a thread shard's is the event loop's, a
+    worker process is single-threaded.
     ``in_worker`` arms kill-style chaos, which must only ever fire inside a
     sacrificial worker process (an in-process core skips the hook entirely).
     """
@@ -213,37 +212,29 @@ class Shard:
 
 
 class ThreadShard(Shard):
-    """In-process transport: the core runs on a one-thread pool.
+    """In-process transport: the core runs on the event-loop thread.
 
-    One hand-off per micro-batch and one batch in flight; operations are the
-    router's queue items passed by reference and the ack comes back as an
-    object.  The event loop stays free for I/O, but the GIL serializes the
-    annotation work itself, so added shards buy isolation and fairness
-    rather than throughput.
+    Operations are the router's queue items passed by reference; the ack is
+    an object, folded in the same step.  The loop (producers, HTTP) waits out
+    each batch, and the consumer's yield between batches interleaves shards
+    and feeders.  The GIL would serialize the annotation work anyway, so
+    added shards buy isolation and fairness rather than throughput.
     """
 
     def __init__(self, host: "AnnotationService", index: int):
         super().__init__(host, index)
         self.core = ShardCore(host.context, host._per_shard_sessions, host._faults)
-        self._pool: Optional[ThreadPoolExecutor] = None
 
     def start(self) -> None:
-        self._pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"semitri-shard-{self.index}"
-        )
+        pass
 
     async def submit(self, batch: List[List[object]]) -> None:
-        """Absorb one batch; returns once its ack is folded."""
-        loop = asyncio.get_running_loop()
-        ack = await loop.run_in_executor(self._pool, self.core.absorb, batch)
-        self.host._apply_ack(self, ack, batch)
+        """Absorb one batch and fold its ack."""
+        self.host._apply_ack(self, self.core.absorb(batch), batch)
 
     async def drain(self) -> Ack:
         """Close the core out; the drained ack is the caller's to fold."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._pool, self.core.close_out)
+        return self.core.close_out()
 
     async def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        pass

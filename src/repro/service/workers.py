@@ -19,7 +19,8 @@ Wire discipline, chosen for amortized IPC on the hot path:
 * **worker → parent** — the core's acks, pickled, on a second pipe, one per
   frame and in frame order; at most :attr:`ProcessShard.max_inflight` frames
   are un-acked at a time, and a reader task per shard folds acks into the
-  service as they arrive (results stream back incrementally).
+  service as they arrive (results stream back incrementally), reading each
+  on the event loop once ``loop.add_reader`` sees the pipe readable.
 
 **Worker loss.**  A worker that dies mid-stream surfaces as EOF on the ack
 pipe.  The shard respawns it and replays exactly the journal prefix the dead
@@ -46,7 +47,6 @@ import os
 import signal
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import (
     TYPE_CHECKING,
     Deque,
@@ -243,11 +243,6 @@ class ProcessShard(Shard):
         self._ready = asyncio.Event()
         self._ready.set()
         self._inflight = asyncio.Semaphore(self.max_inflight)
-        # One thread for the blocking pipe reads; replay during recovery
-        # reuses the slot the reader vacated.
-        self._ipc = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"semitri-ipc-{self.index}"
-        )
         self._reader: "asyncio.Task[Ack]" = asyncio.create_task(
             self._read_acks(), name=f"semitri-ipc-{self.index}"
         )
@@ -326,7 +321,6 @@ class ProcessShard(Shard):
                 self._process.join(timeout=5.0)
             self._process = None
         self._close_connections()
-        self._ipc.shutdown(wait=True)
 
     def _close_connections(self) -> None:
         for connection in self._parent_ends():
@@ -391,10 +385,19 @@ class ProcessShard(Shard):
         return await self._reader
 
     async def _recv(self) -> Ack:
-        """One blocking ack read, off the event loop."""
-        assert self._responses is not None, "worker not spawned"
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._ipc, self._responses.recv)
+        """One ack, read on the event loop once the pipe is readable (or at EOF)."""
+        responses = self._responses
+        assert responses is not None, "worker not spawned"
+        if not responses.poll():
+            loop = asyncio.get_running_loop()
+            readable = loop.create_future()
+            fd = responses.fileno()
+            loop.add_reader(fd, lambda: readable.done() or readable.set_result(None))
+            try:
+                await readable
+            finally:
+                loop.remove_reader(fd)
+        return responses.recv()
 
     async def _read_acks(self) -> Ack:
         """Fold acks as they arrive; returns the worker's drained ack.

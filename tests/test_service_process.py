@@ -201,6 +201,10 @@ def test_sigkill_shard_worker_mid_stream_replays_wal(
                     fed += 1
                     if not killed and fed >= kill_after:
                         killed = True
+                        # Kill only once shard 0 has acked a frame, so the
+                        # dead worker leaves a journal prefix to replay.
+                        while service._shards[0].events_absorbed == 0:
+                            await asyncio.sleep(0)
                         pid = service.worker_pids[0]
                         assert pid is not None
                         os.kill(pid, signal.SIGKILL)

@@ -3,11 +3,13 @@
 The headline guarantee: a service SIGKILLed mid-drain — after every event is
 durably journaled but before anything is committed — recovers by replaying
 the WAL through the normal ingest path, and the recovered store is
-row-identical to an uninterrupted run on the same streams.
+row-identical to an uninterrupted run on the same streams.  And whatever the
+fsync batch, every operation whose ``ingest`` / ``close_object`` returned
+before the kill is in the WAL.
 
-The kill test forks a real child process (Linux container, ``os.fork``
-available) and lands an actual ``SIGKILL`` inside ``drain()``, so nothing —
-no ``finally`` blocks, no interpreter shutdown — gets a chance to tidy up.
+The kill tests fork a real child process (Linux container, ``os.fork``
+available) and land an actual ``SIGKILL``, so nothing — no ``finally``
+blocks, no interpreter shutdown — gets a chance to tidy up.
 No ``pytest-asyncio`` in the container: each process drives its own event
 loop with ``asyncio.run``.
 """
@@ -23,6 +25,7 @@ from typing import Dict, List
 
 from repro.core import PipelineConfig
 from repro.core.points import SpatioTemporalPoint
+from repro.faults.journal import IngestJournal
 from repro.parallel.canonical import canonical_bytes
 from repro.service import AnnotationService
 from repro.store.store import SemanticTrajectoryStore
@@ -178,6 +181,57 @@ def test_sigkill_mid_drain_replays_wal_to_identical_store(
     assert sorted(Path(journal_dir).glob("*.wal")) == []
     recovered_store.close()
     reference_store.close()
+
+
+def test_every_returned_operation_survives_a_process_crash_at_the_default_fsync_batch(
+    annotation_sources, car_dataset, tmp_path
+):
+    """SIGKILL right after 100 returned ``ingest`` / ``close_object`` calls,
+    with fsyncs 1,024 records apart: all 100 are pending on restart."""
+    journal_dir = str(tmp_path / "wal")
+    config = _config(journal_dir).with_overrides(
+        {"service.journal_fsync_batch": 1024, "service.transport": "thread"}
+    )
+    operations = [
+        (object_id, point)
+        for object_id, points in _streams(car_dataset).items()
+        for point in [*points[:30], None]  # None: close the object
+    ][:100]
+    assert len(operations) == 100
+
+    pid = os.fork()
+    if pid == 0:
+        try:
+
+            async def doomed() -> None:
+                service = AnnotationService(annotation_sources, config=config)
+                await service.start()
+                for object_id, point in operations:
+                    if point is None:
+                        await service.close_object(object_id)
+                    else:
+                        await service.ingest(object_id, point)
+                os.kill(os.getpid(), signal.SIGKILL)
+
+            asyncio.run(doomed())
+            os._exit(3)
+        except BaseException:
+            os._exit(4)
+
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFSIGNALED(status), f"child exited with status {status!r} instead"
+    assert os.WTERMSIG(status) == signal.SIGKILL
+
+    journal = IngestJournal(journal_dir, 2)
+    pending = sorted(
+        (record.object_id, record.kind, record.t) for record in journal.pending_records
+    )
+    journal.close()
+    expected = sorted(
+        (object_id, "close", 0.0) if point is None else (object_id, "event", point.t)
+        for object_id, point in operations
+    )
+    assert pending == expected
 
 
 def test_replaying_an_already_committed_wal_dedups_against_the_store(
