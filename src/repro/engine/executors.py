@@ -41,8 +41,10 @@ ship      what crosses a process boundary pickles itself: the snapshot is
           the worker initializer's argument (inherited under ``fork``,
           pickled by ``multiprocessing`` otherwise), a shard is its
           trajectories (coordinate columns, ``RawTrajectory.__reduce__``);
-          outcomes come back without their raw trajectories, which the
-          parent re-links to its own (:class:`_OutcomePickler`)
+          outcomes come back through the result codec the process shard's
+          acks use (:func:`~repro.parallel.context.dump_outcome`): the raw
+          trajectories and the snapshot's places by reference, re-linked to
+          the parent's own objects
 run       :func:`run_stages` per chunk of ``_CHUNK_TRAJECTORIES`` trajectories
           or ``_CHUNK_POINTS`` GPS points, the same loop in-process and
           inside a worker; a chunk in which a stage raised is re-run through
@@ -63,10 +65,8 @@ runtime.
 from __future__ import annotations
 
 import abc
-import io
 import multiprocessing
 import multiprocessing.context
-import pickle
 import sys
 import time
 import weakref
@@ -76,7 +76,6 @@ from concurrent.futures import ProcessPoolExecutor as _FuturesProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import (
-    Any,
     Callable,
     ContextManager,
     Deque,
@@ -102,7 +101,7 @@ from repro.faults.failures import (
     failure_stage,
     tag_failure_stage,
 )
-from repro.parallel.context import GeoContext
+from repro.parallel.context import GeoContext, dump_outcome, load_outcome
 from repro.streaming.session import SealedTrajectory, Session, SessionManager, SessionUpdate
 
 # One shard of work: (shard index, [(input order, trajectory), ...]).
@@ -566,41 +565,13 @@ def _init_worker(context: GeoContext) -> None:
     _WORKER_PLAN = Plan.from_context(context)
 
 
-class _OutcomePickler(pickle.Pickler):
-    """Pickles a shard's outcomes with its input trajectories by reference.
-
-    A result, its episodes and a failure record all point at the raw
-    trajectory they were computed from, which the parent already holds: sent
-    back by value, its points were two thirds of a result's bytes and of the
-    time both sides spent pickling.  The input order is the persistent id.
-    """
-
-    def __init__(self, file: io.BytesIO, items: List[Tuple[int, RawTrajectory]]):
-        super().__init__(file, pickle.HIGHEST_PROTOCOL)
-        self._orders = {id(trajectory): order for order, trajectory in items}
-
-    def persistent_id(self, obj: object) -> Optional[int]:
-        if type(obj) is RawTrajectory:
-            return self._orders.get(id(obj))
-        return None
-
-
-class _OutcomeUnpickler(pickle.Unpickler):
-    """Loads a shard's outcomes onto the parent's own input trajectories."""
-
-    def __init__(self, data: bytes, items: List[Tuple[int, RawTrajectory]]):
-        super().__init__(io.BytesIO(data))
-        self._inputs = dict(items)
-
-    def persistent_load(self, pid: Any) -> RawTrajectory:
-        return self._inputs[pid]
-
-
 def _annotate_shard(items: List[Tuple[int, RawTrajectory]]) -> bytes:
     """Annotate one shard inside a worker process (never persists).
 
-    Returns the ``(input order, outcome)`` pairs as :class:`_OutcomePickler`
-    bytes.  Under an isolating policy, failed trajectories come back as
+    Returns the ``(input order, outcome)`` pairs as result-codec bytes
+    (:func:`~repro.parallel.context.dump_outcome`): the shard's own input
+    trajectories and the snapshot's places travel by reference.  Under an
+    isolating policy, failed trajectories come back as
     :class:`TrajectoryFailure` records (their exception object stripped —
     arbitrary exceptions may not pickle; the repr travels) for the parent to
     quarantine.  The worker-side plan reads ``SEMITRI_FAULTS`` from the
@@ -611,9 +582,7 @@ def _annotate_shard(items: List[Tuple[int, RawTrajectory]]) -> bytes:
     for _, out in outputs:
         if isinstance(out, TrajectoryFailure):
             out.exception = None
-    buffer = io.BytesIO()
-    _OutcomePickler(buffer, items).dump(outputs)
-    return buffer.getvalue()
+    return dump_outcome(outputs, _WORKER_PLAN.geo_context(), items)
 
 
 class ProcessPoolExecutor(Executor):
@@ -735,7 +704,7 @@ class ProcessPoolExecutor(Executor):
                     lost = error
                 for future, index in futures.items():
                     try:
-                        outcomes = _OutcomeUnpickler(future.result(), pending[index]).load()
+                        outcomes = load_outcome(future.result(), plan.geo_context(), pending[index])
                     except BrokenExecutor as error:
                         lost = error
                         continue

@@ -473,8 +473,9 @@ class ShardMetrics:
     """One ingest shard's series: queue depth, events, results, sessions.
 
     The process-transport series (worker pid, restarts, IPC frame/byte
-    counters) stay at their zero values under the thread transport — one
-    bundle serves both so dashboards need no transport-specific wiring.
+    counters out, ack bytes back) stay at their zero values under the thread
+    transport — one bundle serves both so dashboards need no
+    transport-specific wiring.
     """
 
     def __init__(self, registry: MetricsRegistry, index: int):
@@ -514,6 +515,11 @@ class ShardMetrics:
         self.ipc_bytes = registry.counter(
             "service_ipc_bytes_total",
             help="Encoded frame bytes shipped to the shard worker",
+            shard=shard,
+        )
+        self.ack_bytes = registry.counter(
+            "shard_ack_bytes_total",
+            help="Result-codec ack bytes read back from the shard worker",
             shard=shard,
         )
 

@@ -19,7 +19,7 @@ not serialise behind one session registry.  The tier has three parts:
   :class:`~repro.service.shard.ThreadShard` (on the event loop: queue items
   by reference, acks as objects) and :class:`~repro.service.workers.ProcessShard`
   (a worker process per shard, handed the snapshot as a process argument:
-  batched frames out, pickled acks back, WAL-prefix replay when a worker
+  batched frames out, result-codec acks back, WAL-prefix replay when a worker
   dies — and no worker ever outlives the service process).
   ``config.service.transport`` chooses (``"auto"`` is ``process`` on
   multi-core hosts, ``thread`` on one core); once

@@ -5,7 +5,7 @@ in a dedicated worker process that is handed the parent's
 :class:`~repro.parallel.context.GeoContext` as a process argument (inherited
 copy-on-write under fork, pickled by ``multiprocessing`` otherwise), so
 annotation work escapes the parent's GIL.  The worker is ``decode_frame`` →
-``core.absorb`` → ``responses.send``: it runs the same core and answers with
+``core.absorb`` → ``dump_outcome``: it runs the same core and answers with
 the same acks as an in-process shard, and everything transport-specific
 lives here.
 
@@ -16,11 +16,17 @@ Wire discipline, chosen for amortized IPC on the hot path:
   records (:mod:`repro.faults.wire`: one fixed-width record per event, close
   or eviction, object ids interned per connection and defined in-band on
   first use), plus the one-record drain/stop control frames;
-* **worker → parent** — the core's acks, pickled, on a second pipe, one per
-  frame and in frame order; at most :attr:`ProcessShard.max_inflight` frames
-  are un-acked at a time, and a reader task per shard folds acks into the
-  service as they arrive (results stream back incrementally), reading each
-  on the event loop once ``loop.add_reader`` sees the pipe readable.
+* **worker → parent** — the core's acks, written by the result codec
+  (:func:`~repro.parallel.context.dump_outcome`, the batch pool's too) on a
+  second pipe, one per frame and in frame order.  Both ends hold the same
+  snapshot, so every region, road segment and POI a result links to travels
+  as a reference into :meth:`~repro.parallel.context.GeoContext.places` and
+  comes back as the parent's own object; a reference the parent's snapshot
+  does not match raises instead of re-linking.  At most
+  :attr:`ProcessShard.max_inflight` frames are un-acked at a time, and a
+  reader task per shard folds acks into the service as they arrive (results
+  stream back incrementally), reading each on the event loop once
+  ``loop.add_reader`` sees the pipe readable.
 
 **Worker loss.**  A worker that dies mid-stream surfaces as EOF on the ack
 pipe.  The shard respawns it and replays exactly the journal prefix the dead
@@ -66,7 +72,7 @@ from repro.faults import wire
 from repro.faults.failures import FailureEvent, TrajectoryFailure
 from repro.faults.inject import FaultInjector, FaultPlan
 from repro.faults.journal import JournalRecord
-from repro.parallel.context import GeoContext
+from repro.parallel.context import GeoContext, dump_outcome, load_outcome
 
 # ``shard.ShardCore`` is looked up at call time so a test can substitute the
 # core once for both transports (forked workers inherit the substitution).
@@ -197,13 +203,13 @@ def shard_worker_main(
             break
         ack = core.close_out() if tag == "drain" else core.absorb(ops)
         try:
-            responses.send(ack)
+            responses.send_bytes(dump_outcome(ack, context))
         except OSError:
             break  # parent went away mid-ack
 
 
 class ProcessShard(Shard):
-    """Worker-process transport: frames out, pickled acks back, WAL recovery.
+    """Worker-process transport: frames out, codec acks back, WAL recovery.
 
     Owns the worker process and its two pipes, how many WAL-covered
     operations the worker has been handed (``sent_ops`` — the replay prefix
@@ -397,7 +403,9 @@ class ProcessShard(Shard):
                 await readable
             finally:
                 loop.remove_reader(fd)
-        return responses.recv()
+        data = responses.recv_bytes()
+        self.metrics.ack_bytes.inc(len(data))
+        return load_outcome(data, self.host.context)
 
     async def _read_acks(self) -> Ack:
         """Fold acks as they arrive; returns the worker's drained ack.

@@ -80,7 +80,9 @@ SCHEMA_STATEMENTS: Tuple[str, ...] = (
         events         TEXT NOT NULL
     )
     """,
-    "CREATE INDEX IF NOT EXISTS idx_gps_trajectory ON gps_records(trajectory_id)",
+    # ``gps_records`` needs no index of its own: its primary key's index
+    # (``sqlite_autoindex_gps_records_1``) leads with ``trajectory_id`` and
+    # serves both the per-trajectory read ordered by ``seq`` and the count.
     "CREATE INDEX IF NOT EXISTS idx_episodes_trajectory ON episodes(trajectory_id)",
     "CREATE INDEX IF NOT EXISTS idx_episodes_kind ON episodes(kind)",
     "CREATE INDEX IF NOT EXISTS idx_annotations_episode ON annotations(episode_id)",

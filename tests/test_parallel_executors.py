@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import gc
-import io
 import pickle
 import weakref
 
@@ -14,7 +13,7 @@ from repro.core import PipelineConfig, SeMiTriPipeline
 from repro.core.cpu import effective_cpu_count
 from repro.core.errors import ConfigurationError
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
-from repro.engine import ProcessPoolExecutor, SequentialExecutor, executors, shard_by_object
+from repro.engine import ProcessPoolExecutor, SequentialExecutor, shard_by_object
 from repro.index import FlatSpatialIndex
 from repro.parallel import GeoContext, canonical_bytes
 
@@ -123,47 +122,6 @@ def test_single_object_batch_runs_in_process(annotation_sources, car_dataset):
         results = executor.run(plan, batch)
         assert executor._pool is None
     assert canonical_bytes(results) == canonical_bytes(SequentialExecutor().run(plan, batch))
-
-
-def test_pooled_results_hang_off_the_callers_trajectories(annotation_sources, car_dataset):
-    """Workers send outcomes back without the raw points: the parent re-links its own."""
-    batch = car_dataset.trajectories[:6]
-    plan = api.compile_plan(
-        context=GeoContext.build(annotation_sources, PipelineConfig.for_vehicles())
-    )
-    with ProcessPoolExecutor(workers=2) as executor:
-        results = executor.run(plan, batch)
-        assert executor._pool is not None
-    assert len(results) == len(batch)
-    for trajectory, result in zip(batch, results):
-        assert result.trajectory is trajectory
-        assert all(episode.trajectory is trajectory for episode in result.episodes)
-    assert canonical_bytes(results) == canonical_bytes(SequentialExecutor().run(plan, batch))
-    # The wire form really leaves the points out.
-    items = list(enumerate(batch))
-    outputs = executors._run_in_process(plan, items, include_writeback=False)
-    buffer = io.BytesIO()
-    executors._OutcomePickler(buffer, items).dump(outputs)
-    # (By value a trajectory pickles as three float columns, 8 bytes a number
-    # plus its opcode, so that is what leaving them out must save.)
-    coordinates = 3 * sum(len(trajectory) for trajectory in batch)
-    by_value = pickle.dumps(outputs, pickle.HIGHEST_PROTOCOL)
-    assert len(buffer.getvalue()) < len(by_value) - 8 * coordinates
-    reloaded = executors._OutcomeUnpickler(buffer.getvalue(), items).load()
-    assert canonical_bytes([out for _, out in reloaded]) == canonical_bytes(results)
-    # On the way out the coordinates travel as the numbers they are: integer
-    # fixes stay integers in a worker, so its times render as the parent's do.
-    whole = [
-        RawTrajectory(
-            [SpatioTemporalPoint(int(p.x), int(p.y), int(p.t)) for p in trajectory.points],
-            object_id=trajectory.object_id,
-            trajectory_id=trajectory.trajectory_id,
-        )
-        for trajectory in batch
-    ]
-    with ProcessPoolExecutor(workers=2) as executor:
-        pooled = executor.run(plan, whole)
-    assert canonical_bytes(pooled) == canonical_bytes(SequentialExecutor().run(plan, whole))
 
 
 def test_context_freezes_indexes_and_plans_keep_it(annotation_sources):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
 from repro.core.annotations import activity_annotation, region_annotation, transport_mode_annotation
@@ -10,6 +12,7 @@ from repro.core.errors import StoreError
 from repro.core.places import RegionOfInterest
 from repro.core.points import build_trajectory
 from repro.geometry.primitives import BoundingBox
+from repro.store.schema import SCHEMA_STATEMENTS
 from repro.store.store import SemanticTrajectoryStore
 
 
@@ -189,3 +192,42 @@ class TestTransactionScope:
                 except RuntimeError:
                     pass  # caller swallows: the outer scope must still refuse
         assert store.trajectory_count() == 0
+
+
+class TestGpsRecordIndexes:
+    """``gps_records`` is served by its primary key's index alone."""
+
+    PRIMARY_KEY_INDEX = "sqlite_autoindex_gps_records_1"
+
+    def test_reads_use_the_primary_key_index(self, store):
+        connection = store._connection
+        indexes = connection.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'index' AND tbl_name = 'gps_records'"
+        ).fetchall()
+        assert indexes == [(self.PRIMARY_KEY_INDEX,)]
+        for query, params in (
+            ("SELECT x, y, t FROM gps_records WHERE trajectory_id = ? ORDER BY seq", ("t",)),
+            ("SELECT COUNT(*) FROM gps_records", ()),
+        ):
+            steps = connection.execute("EXPLAIN QUERY PLAN " + query, params).fetchall()
+            plan = " | ".join(step[-1] for step in steps)
+            assert self.PRIMARY_KEY_INDEX in plan, plan
+            assert "TEMP B-TREE" not in plan, plan  # ``seq`` order comes from the index
+
+    def test_a_file_with_the_old_trajectory_index_still_works(self, tmp_path, trajectory):
+        path = str(tmp_path / "old-schema.db")
+        old = sqlite3.connect(path)
+        for statement in SCHEMA_STATEMENTS:
+            old.execute(statement)
+        old.execute("CREATE INDEX idx_gps_trajectory ON gps_records(trajectory_id)")
+        old.commit()
+        old.close()
+        store = SemanticTrajectoryStore(path)
+        with store:
+            store.save_trajectory(trajectory)
+        store.close()
+        reopened = SemanticTrajectoryStore(path)
+        assert reopened.gps_record_count() == len(trajectory)
+        loaded = reopened.load_trajectory("traj-1")
+        assert [p.as_tuple() for p in loaded.points] == [p.as_tuple() for p in trajectory.points]
+        reopened.close()
