@@ -36,7 +36,6 @@ from repro.core.places import (
     SemanticPlace,
 )
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
-from repro.core.arrays import TrajectoryArrays
 from repro.core.cpu import effective_cpu_count
 from repro.core.trajectory import SemanticTrajectory, StructuredSemanticTrajectory
 from repro.core.config import (
@@ -74,7 +73,6 @@ __all__ = [
     "PointOfInterest",
     "RawTrajectory",
     "SpatioTemporalPoint",
-    "TrajectoryArrays",
     "effective_cpu_count",
     "SemanticTrajectory",
     "StructuredSemanticTrajectory",

@@ -4,7 +4,8 @@ The trajectory-computation layer segments every raw trajectory into *stop*
 and *move* episodes (the two predicates of Section 3.1).  Each episode keeps a
 reference to its parent trajectory, the index range of the GPS points it
 covers, its time interval and the annotations the semantic layers attach to
-it.
+it.  Its geometry — times, centre, positions, path length — is read off slices
+of the trajectory's coordinate columns.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.annotations import Annotation, AnnotationKind
 from repro.core.errors import DataQualityError
-from repro.core.points import RawTrajectory, SpatioTemporalPoint
+from repro.core.points import RawTrajectory, SpatioTemporalPoint, path_length
 from repro.geometry.primitives import BoundingBox, Point
 
 
@@ -61,13 +62,28 @@ class Episode:
     # ----------------------------------------------------------- basic stats
     @property
     def points(self) -> Sequence[SpatioTemporalPoint]:
-        """GPS points covered by the episode."""
+        """GPS points covered by the episode (point objects: for callers that index them)."""
         return self.trajectory.points[self.start_index : self.end_index]
+
+    @property
+    def xs(self) -> List[float]:
+        """The x column of the covered points (a slice of the trajectory's)."""
+        return self.trajectory.xs[self.start_index : self.end_index]
+
+    @property
+    def ys(self) -> List[float]:
+        """The y column of the covered points (a slice of the trajectory's)."""
+        return self.trajectory.ys[self.start_index : self.end_index]
+
+    @property
+    def ts(self) -> List[float]:
+        """The timestamps of the covered points (a slice of the trajectory's)."""
+        return self.trajectory.ts[self.start_index : self.end_index]
 
     @property
     def positions(self) -> List[Point]:
         """Spatial components of the covered points."""
-        return [point.position for point in self.points]
+        return list(map(Point, self.xs, self.ys))
 
     def __len__(self) -> int:
         return self.end_index - self.start_index
@@ -75,12 +91,12 @@ class Episode:
     @property
     def time_in(self) -> float:
         """Entry time of the episode."""
-        return self.trajectory.points[self.start_index].t
+        return self.trajectory.ts[self.start_index]
 
     @property
     def time_out(self) -> float:
         """Exit time of the episode."""
-        return self.trajectory.points[self.end_index - 1].t
+        return self.trajectory.ts[self.end_index - 1]
 
     @property
     def duration(self) -> float:
@@ -104,24 +120,20 @@ class Episode:
         region join, the point layer and the store each ask a stop for it.
         """
         if self._center is None:
-            points = self.points
-            self._center = Point(
-                sum(point.x for point in points) / len(points),
-                sum(point.y for point in points) / len(points),
-            )
+            count = len(self)
+            self._center = Point(sum(self.xs) / count, sum(self.ys) / count)
         return self._center
 
     def bounding_box(self, padding: float = 0.0) -> BoundingBox:
         """Spatial bounding rectangle of the episode."""
-        return BoundingBox.from_points(self.positions, padding=padding)
+        xs, ys = self.xs, self.ys
+        return BoundingBox(
+            min(xs) - padding, min(ys) - padding, max(xs) + padding, max(ys) + padding
+        )
 
     def path_length(self) -> float:
         """Travelled distance within the episode."""
-        total = 0.0
-        points = self.points
-        for previous, current in zip(points, points[1:]):
-            total += previous.distance_to(current)
-        return total
+        return path_length(self.xs, self.ys)
 
     def average_speed(self) -> float:
         """Mean speed over the episode (path length / duration)."""

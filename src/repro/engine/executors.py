@@ -1038,22 +1038,32 @@ class MicroBatchExecutor(Executor):
             # advance.  Nothing here runs a stage body — sealing only
             # enqueues — so no second exception can mask the one propagating.
             self._pending[:0] = pending[taken:]
-            for session in touched.values():
-                self._advance_session(session)
+            self._advance_sessions(touched.values())
         if self._queue:
             self._queue_passes += 1
         return self._flush_if_due()
 
-    def _advance_session(self, session: Session) -> None:
-        trajectory = session.trajectory
-        if trajectory is None:
-            return
-        item = self._item_for(trajectory)
-        started = time.perf_counter()
-        episodes = session.advance()
-        item.record_stage("compute_episode", time.perf_counter() - started)
-        for episode in episodes:
-            self._enqueue_episode(item, episode)
+    def _advance_sessions(self, sessions: Iterable[Session]) -> None:
+        """Let every session touched by a pass seal episodes, and queue them.
+
+        The detector's time is added up on the trajectory's work item with one
+        clock read per session — each read ends one session's interval and
+        starts the next's — and recorded as the trajectory's one
+        ``compute_episode`` sample when it seals (:meth:`_enqueue_closed`),
+        the shape a batch result has.
+        """
+        now = time.perf_counter()
+        for session in sessions:
+            trajectory = session.trajectory
+            if trajectory is None:
+                continue
+            item = self._item_for(trajectory)
+            episodes = session.advance()
+            later = time.perf_counter()
+            item.episode_seconds += later - now
+            now = later
+            for episode in episodes:
+                self._enqueue_episode(item, episode)
 
     def _close_session(self, session: Session) -> None:
         self._enqueue_closed(session.close())
@@ -1072,7 +1082,7 @@ class MicroBatchExecutor(Executor):
         for sealed in update.sealed:
             if not sealed.discarded:
                 item = self._item_for(sealed.trajectory)
-                item.record_stage("compute_episode", sealed.compute_seconds)
+                item.record_stage("compute_episode", item.episode_seconds + sealed.compute_seconds)
                 for episode in sealed.final_episodes:
                     self._enqueue_episode(item, episode)
             self._queue.append(sealed)

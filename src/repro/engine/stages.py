@@ -86,6 +86,9 @@ class WorkItem:
     region_records: List[SemanticEpisodeRecord] = field(default_factory=list)
     trace: Optional["TrajectoryTrace"] = None
     """Open trace when the plan's telemetry has tracing enabled."""
+    episode_seconds: float = 0.0
+    """Incremental segmentation time the streaming executor adds up over its
+    passes; recorded as one ``compute_episode`` sample when the trajectory seals."""
 
     @classmethod
     def start(

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from repro.core.annotations import line_annotation, transport_mode_annotation
 from repro.core.config import MapMatchingConfig, TransportModeConfig
 from repro.core.episodes import Episode
@@ -59,16 +61,21 @@ class LineAnnotator:
         """Annotate every move episode in ``episodes`` (non-moves are skipped).
 
         The episodes may belong to different trajectories.  All of them go to
-        the matcher in one call, which shares the fixed cost of the kernel's
-        array operations between episodes.
+        the matcher in one call — one ``xs`` / ``ys`` column pair for the
+        group, read off the episodes' column slices — which shares the fixed
+        cost of the kernel's array operations between episodes.
         """
         moves = [episode for episode in episodes if episode.is_move]
-        points = [episode.points for episode in moves]
+        columns = [(episode.xs, episode.ys) for episode in moves]
+        runs = self._matcher.match_runs_columns(
+            np.fromiter((len(episode) for episode in moves), np.intp, len(moves)),
+            np.array([x for xs, _ in columns for x in xs], dtype=np.float64),
+            np.array([y for _, ys in columns for y in ys], dtype=np.float64),
+        )
+        classifier = self._classifier
         return [
-            self._to_structured(episode, self._classifier.run_modes(episode_points, runs))
-            for episode, episode_points, runs in zip(
-                moves, points, self._matcher.match_runs(points)
-            )
+            self._to_structured(episode, classifier.run_modes(xs, ys, episode.ts, episode_runs))
+            for episode, (xs, ys), episode_runs in zip(moves, columns, runs)
         ]
 
     def match_episode(self, episode: Episode) -> List[MatchedPoint]:

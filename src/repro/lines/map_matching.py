@@ -15,8 +15,11 @@ For every GPS point of a move episode the matcher:
    snaps the GPS position onto it.
 
 There is one implementation: the whole of steps 1-5 is one columnar kernel
-(:meth:`GlobalMapMatcher.match_rows`) over ``(point, candidate)`` pair arrays,
-at every episode length (6-13x the per-point loop at 64-256 points).  The
+(:meth:`GlobalMapMatcher.match_columns`, which takes the episodes as
+``(lengths, xs, ys)`` coordinate columns) over ``(point, candidate)`` pair
+arrays, at every episode length (6-13x the per-point loop at 64-256 points).
+The point-sequence forms (``match``, ``match_rows``, ``match_runs``) are thin
+adapters that columnarise their points.  The
 per-point loop — one R-tree query and one dict-based score aggregation per
 point — is the oracle the parity tests compare the kernel against and lives
 outside the product, as ``ScalarMapMatcher`` in the reference package.
@@ -85,6 +88,17 @@ class MatchedPoint:
         return self.segment.place_id if self.segment is not None else None
 
 
+def _point_columns(
+    episodes: Sequence[Sequence[SpatioTemporalPoint]],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(lengths, xs, ys)`` of point sequences: the kernel's column input."""
+    lengths = np.fromiter((len(points) for points in episodes), np.intp, len(episodes))
+    count = int(lengths.sum())
+    xs = np.fromiter((p.x for points in episodes for p in points), np.float64, count)
+    ys = np.fromiter((p.y for points in episodes for p in points), np.float64, count)
+    return lengths, xs, ys
+
+
 def segment_runs(matched: Sequence[MatchedPoint]) -> List[SegmentRun]:
     """Maximal runs of consecutive matched points sharing a segment."""
     runs: List[SegmentRun] = []
@@ -145,12 +159,22 @@ class GlobalMapMatcher:
     ) -> List[List[SegmentRun]]:
         """Per episode, the maximal runs of points matched to one segment.
 
-        The form the line annotation consumes (Algorithm 2's route sequence):
-        all episodes are matched in one call and the runs are read off the
-        matched-row array, without a per-point object.
+        The point-sequence form of :meth:`match_runs_columns`.
         """
-        rows, _ = self.match_rows(episodes)
-        lengths = np.fromiter((len(points) for points in episodes), np.intp, len(episodes))
+        return self.match_runs_columns(*_point_columns(episodes))
+
+    def match_runs_columns(
+        self, lengths: np.ndarray, xs: np.ndarray, ys: np.ndarray
+    ) -> List[List[SegmentRun]]:
+        """Per episode, the maximal runs of fixes matched to one segment.
+
+        The form the line annotation consumes (Algorithm 2's route sequence):
+        ``lengths`` are the episodes' fix counts and ``xs`` / ``ys`` their
+        concatenated coordinates; all episodes are matched in one kernel call
+        and the runs are read off the matched-row array, without a per-point
+        object.
+        """
+        rows, _ = self.match_columns(lengths, xs, ys)
         first = np.cumsum(lengths) - lengths
         # A run starts at every episode start and wherever the matched row changes.
         is_start = np.ones(len(rows), dtype=bool)
@@ -181,19 +205,24 @@ class GlobalMapMatcher:
     def match_rows(
         self, episodes: Sequence[Sequence[SpatioTemporalPoint]]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Algorithm 2 over the concatenated points of ``episodes``, as arrays.
+        """:meth:`match_columns` over the concatenated points of ``episodes``."""
+        return self.match_columns(*_point_columns(episodes))
 
-        Returns ``(rows, scores)``: per point the flat-index row of the
-        winning segment (``-1`` when no candidate was within reach) and its
-        score.  Episode boundaries are context-window barriers, so matching
-        several episodes in one call gives each the result of a call of its
-        own while paying the fixed cost of the array operations once.
+    def match_columns(
+        self, lengths: np.ndarray, xs: np.ndarray, ys: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Algorithm 2 over concatenated episodes given as coordinate columns.
+
+        ``lengths`` (``np.intp``) are the episodes' fix counts, ``xs`` / ``ys``
+        (``float64``) their coordinates back to back.  Returns
+        ``(rows, scores)``: per fix the flat-index row of the winning segment
+        (``-1`` when no candidate was within reach) and its score.  Episode
+        boundaries are context-window barriers, so matching several episodes
+        in one call gives each the result of a call of its own while paying
+        the fixed cost of the array operations once.
         """
         config = self._config
-        lengths = np.fromiter((len(points) for points in episodes), np.intp, len(episodes))
-        count = int(lengths.sum())
-        xs = np.fromiter((p.x for points in episodes for p in points), np.float64, count)
-        ys = np.fromiter((p.y for points in episodes for p in points), np.float64, count)
+        count = len(xs)
         best_rows = np.full(count, -1, dtype=np.intp)
         best_scores = np.zeros(count)
 

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.config import TransportModeConfig
 from repro.core.points import SpatioTemporalPoint
 from repro.lines.map_matching import MatchedPoint, SegmentRun, segment_runs
-from repro.preprocessing.features import compute_motion_features
+from repro.preprocessing.features import compute_motion_features, motion_features
 
 #: Modes the classifier can emit.
 TRANSPORT_MODES: Tuple[str, ...] = ("walk", "bicycle", "bus", "metro", "car", "train")
@@ -108,17 +108,26 @@ class TransportModeClassifier:
         The output mirrors the pairs <r_i, mode_i> of Section 4.2: each matched
         route with the transportation mode used on it, in travel order.
         """
-        return self.run_modes([item.point for item in matched], segment_runs(matched))
+        points = [item.point for item in matched]
+        return self.run_modes(
+            [point.x for point in points],
+            [point.y for point in points],
+            [point.t for point in points],
+            segment_runs(matched),
+        )
 
     def run_modes(
-        self, points: Sequence[SpatioTemporalPoint], runs: Sequence[SegmentRun]
+        self,
+        xs: Sequence[float],
+        ys: Sequence[float],
+        ts: Sequence[float],
+        runs: Sequence[SegmentRun],
     ) -> List[ModeSegment]:
-        """:meth:`segment_modes` over already-grouped runs of an episode's points."""
+        """:meth:`segment_modes` over already-grouped runs of an episode's coordinate columns."""
         result: List[ModeSegment] = []
         for start, end, segment in runs:
-            run_points = points[start:end]
             road_type = segment.road_type if segment is not None else None
-            features = compute_motion_features(run_points)
+            features = motion_features(xs[start:end], ys[start:end], ts[start:end])
             mean_speed = features.mean_speed()
             mode = self._classify_from_features(
                 mean_speed, features.mean_absolute_acceleration(), road_type
@@ -128,8 +137,8 @@ class TransportModeClassifier:
                     segment_id=segment.place_id if segment is not None else None,
                     road_type=road_type,
                     mode=mode,
-                    time_in=run_points[0].t,
-                    time_out=run_points[-1].t,
+                    time_in=ts[start],
+                    time_out=ts[end - 1],
                     point_count=end - start,
                     mean_speed=mean_speed,
                 )

@@ -68,7 +68,7 @@ def canonical_result(result: PipelineResult) -> Dict[str, Any]:
     return {
         "trajectory_id": trajectory.trajectory_id,
         "object_id": trajectory.object_id,
-        "points": [point.as_tuple() for point in trajectory.points],
+        "points": list(zip(trajectory.xs, trajectory.ys, trajectory.ts)),
         "episodes": [canonical_episode(e) for e in result.episodes],
         "region": canonical_structured(result.region_trajectory),
         "lines": [canonical_structured(t) for t in result.line_trajectories],

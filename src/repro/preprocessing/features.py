@@ -66,9 +66,15 @@ class MotionFeatures:
         return ordered[lower] * (1.0 - fraction) + ordered[upper] * fraction
 
 
-def compute_motion_features(points: Sequence[SpatioTemporalPoint]) -> MotionFeatures:
-    """Compute speed, acceleration and heading for every point of ``points``."""
-    n = len(points)
+def motion_features(
+    xs: Sequence[float], ys: Sequence[float], ts: Sequence[float]
+) -> MotionFeatures:
+    """Speed, acceleration and heading for every fix of three coordinate columns.
+
+    Per consecutive pair the :meth:`SpatioTemporalPoint.distance_to` distance,
+    same operand order, so the numbers are those of the point-sequence form.
+    """
+    n = len(ts)
     if n == 0:
         return MotionFeatures([], [], [])
     if n == 1:
@@ -76,26 +82,35 @@ def compute_motion_features(points: Sequence[SpatioTemporalPoint]) -> MotionFeat
 
     speeds: List[float] = []
     headings: List[float] = []
-    for previous, current in zip(points, points[1:]):
-        dt = current.t - previous.t
-        distance = previous.distance_to(current)
+    for x0, y0, t0, x1, y1, t1 in zip(xs, ys, ts, xs[1:], ys[1:], ts[1:]):
+        dt = t1 - t0
+        dx = x0 - x1
+        dy = y0 - y1
+        distance = math.sqrt(dx * dx + dy * dy)
         speeds.append(distance / dt if dt > 0 else 0.0)
-        headings.append(math.atan2(current.y - previous.y, current.x - previous.x))
+        headings.append(math.atan2(y1 - y0, x1 - x0))
     speeds.append(speeds[-1])
     headings.append(headings[-1])
 
     accelerations: List[float] = [0.0]
     for index in range(1, n):
-        dt = points[index].t - points[index - 1].t
+        dt = ts[index] - ts[index - 1]
         dv = speeds[index] - speeds[index - 1]
         accelerations.append(dv / dt if dt > 0 else 0.0)
 
     return MotionFeatures(speeds=speeds, accelerations=accelerations, headings=headings)
 
 
+def compute_motion_features(points: Sequence[SpatioTemporalPoint]) -> MotionFeatures:
+    """Compute speed, acceleration and heading for every point of ``points``."""
+    return motion_features(
+        [point.x for point in points], [point.y for point in points], [point.t for point in points]
+    )
+
+
 def features_for_trajectory(trajectory: RawTrajectory) -> MotionFeatures:
     """Convenience wrapper computing motion features for a raw trajectory."""
-    return compute_motion_features(trajectory.points)
+    return motion_features(trajectory.xs, trajectory.ys, trajectory.ts)
 
 
 def heading_change_rate(headings: Sequence[float]) -> float:

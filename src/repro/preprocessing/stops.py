@@ -22,27 +22,40 @@ float-only distances, which no array variant beat on any measured trajectory.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence
 
-from repro.core.arrays import TrajectoryArrays
+import numpy as np
+
 from repro.core.config import StopMoveConfig
 from repro.core.episodes import Episode, EpisodeKind, validate_episode_partition
 from repro.core.errors import DataQualityError
-from repro.core.points import RawTrajectory, SpatioTemporalPoint
+from repro.core.points import RawTrajectory
+from repro.geometry.vectorized import consecutive_speeds
 
 
-# The segmentation passes are module-level functions so that the streaming
-# subsystem's incremental detector can run exactly the same code on a growing
-# point buffer; :class:`StopMoveDetector` composes them for the batch case.
+# The segmentation passes are module-level functions over coordinate columns
+# so that the streaming subsystem's incremental detector can run exactly the
+# same code on a growing trajectory's columns; :class:`StopMoveDetector`
+# composes them for the batch case.
 
 
-def velocity_stop_flags_arrays(arrays: TrajectoryArrays, speed_threshold: float) -> List[bool]:
+def velocity_stop_flags_arrays(
+    xs: Sequence[float], ys: Sequence[float], ts: Sequence[float], speed_threshold: float
+) -> List[bool]:
     """Per-point stop-candidate flags of the velocity policy, from the speed column."""
-    return (arrays.speeds < speed_threshold).tolist()
+    speeds = consecutive_speeds(
+        np.array(xs, dtype=np.float64),
+        np.array(ys, dtype=np.float64),
+        np.array(ts, dtype=np.float64),
+    )
+    return (speeds < speed_threshold).tolist()
 
 
 def expand_density_flags(
-    points: Sequence[SpatioTemporalPoint],
+    xs: Sequence[float],
+    ys: Sequence[float],
+    ts: Sequence[float],
     radius: float,
     min_duration: float,
     flags: List[bool],
@@ -52,16 +65,22 @@ def expand_density_flags(
     Each unvisited point seeds a forward expansion over the points within
     ``radius`` of it; an expansion spanning at least ``min_duration`` flags
     every point it covered and the scan continues past it, otherwise the
-    next point is tried as a seed.
+    next point is tried as a seed.  Distances are
+    :meth:`~repro.core.points.SpatioTemporalPoint.distance_to` from the seed,
+    same operand order.
     """
-    n = len(points)
+    n = len(ts)
     index = 0
     while index < n:
-        seed = points[index]
+        seed_x, seed_y = xs[index], ys[index]
         end = index
-        while end + 1 < n and seed.distance_to(points[end + 1]) <= radius:
+        while end + 1 < n:
+            dx = seed_x - xs[end + 1]
+            dy = seed_y - ys[end + 1]
+            if not math.sqrt(dx * dx + dy * dy) <= radius:
+                break
             end += 1
-        duration = points[end].t - seed.t
+        duration = ts[end] - ts[index]
         if duration >= min_duration and end > index:
             for covered in range(index, end + 1):
                 flags[covered] = True
@@ -71,18 +90,26 @@ def expand_density_flags(
 
 
 def density_stop_flags(
-    points: Sequence[SpatioTemporalPoint], radius: float, min_duration: float
+    xs: Sequence[float],
+    ys: Sequence[float],
+    ts: Sequence[float],
+    radius: float,
+    min_duration: float,
 ) -> List[bool]:
     """Per-point stop-candidate flags of the density policy."""
-    flags = [False] * len(points)
-    expand_density_flags(points, radius, min_duration, flags)
+    flags = [False] * len(ts)
+    expand_density_flags(xs, ys, ts, radius, min_duration, flags)
     return flags
 
 
 def enforce_min_duration(
-    points: Sequence[SpatioTemporalPoint], flags: Sequence[bool], min_duration: float
+    ts: Sequence[float], flags: Sequence[bool], min_duration: float
 ) -> List[bool]:
-    """Demote stop-candidate runs shorter than ``min_duration`` to moves."""
+    """Demote stop-candidate runs shorter than ``min_duration`` to moves.
+
+    ``ts`` are the timestamps the flags belong to (a run's duration is the
+    difference of its last and first).
+    """
     result = list(flags)
     n = len(result)
     index = 0
@@ -93,7 +120,7 @@ def enforce_min_duration(
         end = index
         while end + 1 < n and result[end + 1]:
             end += 1
-        duration = points[end].t - points[index].t
+        duration = ts[end] - ts[index]
         if duration < min_duration:
             for covered in range(index, end + 1):
                 result[covered] = False
@@ -222,7 +249,7 @@ class StopMoveDetector:
 
     def _velocity_flags(self, trajectory: RawTrajectory) -> List[bool]:
         return velocity_stop_flags_arrays(
-            TrajectoryArrays.from_trajectory(trajectory), self._config.speed_threshold
+            trajectory.xs, trajectory.ys, trajectory.ts, self._config.speed_threshold
         )
 
     def _density_flags(self, trajectory: RawTrajectory) -> List[bool]:
@@ -233,13 +260,17 @@ class StopMoveDetector:
         least ``min_stop_duration`` seconds, all covered points are flagged.
         """
         return density_stop_flags(
-            trajectory.points, self._config.density_radius, self._config.min_stop_duration
+            trajectory.xs,
+            trajectory.ys,
+            trajectory.ts,
+            self._config.density_radius,
+            self._config.min_stop_duration,
         )
 
     # ------------------------------------------------------------ refinement
     def _enforce_min_duration(self, trajectory: RawTrajectory, flags: List[bool]) -> List[bool]:
         """Demote stop-candidate runs shorter than ``min_stop_duration`` to moves."""
-        return enforce_min_duration(trajectory.points, flags, self._config.min_stop_duration)
+        return enforce_min_duration(trajectory.ts, flags, self._config.min_stop_duration)
 
     def _flags_to_episodes(self, trajectory: RawTrajectory, flags: List[bool]) -> List[Episode]:
         """Convert the per-point stop flags to maximal contiguous episodes."""

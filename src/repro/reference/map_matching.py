@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.config import MapMatchingConfig
 from repro.core.places import LineOfInterest
 from repro.core.points import SpatioTemporalPoint
@@ -45,6 +47,16 @@ class ScalarMapMatcher(GlobalMapMatcher):
     ) -> List[List[SegmentRun]]:
         """Per episode, the maximal runs of points matched to one segment."""
         return [segment_runs(self.match(points)) for points in episodes]
+
+    def match_runs_columns(
+        self, lengths: np.ndarray, xs: np.ndarray, ys: np.ndarray
+    ) -> List[List[SegmentRun]]:
+        """:meth:`match_runs` on the fixes the columns hold (the loop reads positions only)."""
+        points = [SpatioTemporalPoint(x, y, 0.0) for x, y in zip(xs.tolist(), ys.tolist())]
+        ends = np.cumsum(lengths).tolist()
+        return self.match_runs(
+            [points[end - length : end] for end, length in zip(ends, lengths.tolist())]
+        )
 
     def match(self, points: Sequence[SpatioTemporalPoint]) -> List[MatchedPoint]:
         """Match every GPS point of a move episode to a road segment."""

@@ -22,9 +22,8 @@ from repro.core.annotations import region_annotation
 from repro.core.config import RegionAnnotationConfig
 from repro.core.episodes import Episode, EpisodeKind
 from repro.core.places import RegionOfInterest
-from repro.core.points import RawTrajectory, SpatioTemporalPoint
+from repro.core.points import RawTrajectory
 from repro.core.trajectory import SemanticEpisodeRecord, StructuredSemanticTrajectory
-from repro.geometry.primitives import Point
 from repro.regions.sources import RegionSource
 
 
@@ -47,11 +46,9 @@ class RegionAnnotator:
         """The active region-annotation configuration."""
         return self._config
 
-    def _regions_for_points(
-        self, points: Sequence[SpatioTemporalPoint]
-    ) -> List[Optional[RegionOfInterest]]:
-        """Region of every GPS point, after one index query for all of them."""
-        return self._source.first_regions_containing_batch([point.position for point in points])
+    def _regions_for_fixes(self, trajectory: RawTrajectory) -> List[Optional[RegionOfInterest]]:
+        """Region of every GPS fix of ``trajectory``, after one index query for all of them."""
+        return self._source.first_regions_containing_columns(trajectory.xs, trajectory.ys)
 
     # ------------------------------------------------------------ Algorithm 1
     def annotate_trajectory(self, trajectory: RawTrajectory) -> StructuredSemanticTrajectory:
@@ -68,12 +65,12 @@ class RegionAnnotator:
         current_region: Optional[RegionOfInterest] = None
         group_start: Optional[int] = None
 
-        points = trajectory.points
-        regions: List[Optional[RegionOfInterest]] = self._regions_for_points(points)
+        ts = trajectory.ts
+        regions: List[Optional[RegionOfInterest]] = self._regions_for_fixes(trajectory)
 
-        for index in range(len(points) + 1):
-            region = regions[index] if index < len(points) else None
-            boundary = index == len(points)
+        for index in range(len(ts) + 1):
+            region = regions[index] if index < len(ts) else None
+            boundary = index == len(ts)
             same_group = (
                 not boundary
                 and group_start is not None
@@ -84,8 +81,8 @@ class RegionAnnotator:
             if group_start is not None:
                 record = SemanticEpisodeRecord(
                     place=current_region,
-                    time_in=points[group_start].t,
-                    time_out=points[index - 1].t,
+                    time_in=ts[group_start],
+                    time_out=ts[index - 1],
                     kind=EpisodeKind.MOVE,
                     annotations=(
                         [region_annotation(current_region)] if current_region is not None else []
@@ -152,26 +149,32 @@ class RegionAnnotator:
         """The joined region of every episode.
 
         A stop is joined by its centre, one position (Algorithm 1); a move asks
-        about each of its points; all of them go through one index query.
+        about each of its fixes, read off its column slices; all of them go
+        through one index query, as two coordinate columns.
         Under the ``intersects`` predicate a move is joined on its own, against
         the regions its bounding box meets.
         """
         intersects = self._config.join_predicate == "intersects"
-        queries: List[Optional[Sequence[Point]]] = []
+        xs: List[float] = []
+        ys: List[float] = []
+        counts: List[Optional[int]] = []
         for episode in episodes:
             if episode.is_stop:
-                queries.append((episode.center(),))
+                center = episode.center()
+                xs.append(center.x)
+                ys.append(center.y)
+                counts.append(1)
             elif intersects:
-                queries.append(None)
+                counts.append(None)
             else:
-                queries.append(episode.positions)
-        found = self._source.first_regions_containing_batch(
-            [position for query in queries if query is not None for position in query]
-        )
+                xs.extend(episode.xs)
+                ys.extend(episode.ys)
+                counts.append(len(episode))
+        found = self._source.first_regions_containing_columns(xs, ys)
         regions: List[Optional[RegionOfInterest]] = []
         low = 0
-        for episode, query in zip(episodes, queries):
-            if query is None:
+        for episode, count in zip(episodes, counts):
+            if count is None:
                 candidates = self._source.regions_intersecting(episode.bounding_box())
                 regions.append(
                     _dominant_region(
@@ -181,8 +184,8 @@ class RegionAnnotator:
                 )
             else:
                 # (A centre is one position: its region is the dominant one.)
-                regions.append(_dominant_region(found[low : low + len(query)]))
-                low += len(query)
+                regions.append(_dominant_region(found[low : low + count]))
+                low += count
         return regions
 
     # --------------------------------------------------------------- metrics
@@ -194,7 +197,7 @@ class RegionAnnotator:
         """
         counts: Dict[str, int] = {}
         for trajectory in trajectories:
-            for region in self._regions_for_points(trajectory.points):
+            for region in self._regions_for_fixes(trajectory):
                 if region is None:
                     continue
                 counts[region.category] = counts.get(region.category, 0) + 1

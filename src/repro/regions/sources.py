@@ -8,8 +8,9 @@ the role of the PostGIS tables + R*-tree index of the paper's implementation.
 The index is one :class:`~repro.index.flat.FlatSpatialIndex`, STR-packed from
 the regions' bounding-box columns when the source is constructed; the source
 never changes afterwards.  Every lookup is a flat query: the batch methods ask
-about whole position lists at once (what the annotator calls), the single-point
-methods are the same queries with one row.
+about whole position lists — or coordinate columns, which is what the
+annotator hands over — at once, the single-point methods are the same queries
+with one row.
 """
 
 from __future__ import annotations
@@ -89,11 +90,45 @@ class RegionSource:
     def first_regions_containing_batch(
         self, points: Sequence[Point]
     ) -> List[Optional[RegionOfInterest]]:
-        """:meth:`first_region_containing` of every point of a coordinate batch."""
-        return [
-            min(matches, key=lambda region: (region.area, region.place_id)) if matches else None
-            for matches in self.regions_containing_batch(points)
-        ]
+        """:meth:`first_region_containing` of every point of a position list."""
+        return self.first_regions_containing_columns(
+            [point.x for point in points], [point.y for point in points]
+        )
+
+    def first_regions_containing_columns(
+        self, xs: Sequence[float], ys: Sequence[float]
+    ) -> List[Optional[RegionOfInterest]]:
+        """:meth:`first_region_containing` of every position of two coordinate columns.
+
+        What the annotator calls: one index query for all positions, then per
+        position the exact test on its floats — the inclusive box test of
+        :meth:`BoundingBox.contains_point` for a rectangle extent, a
+        :class:`Point` only for a polygon's — over the candidates in row
+        order, keeping the first with the smallest ``(area, place_id)``.
+        """
+        if not len(xs):
+            return []
+        offsets, rows = self._index.query_points_batch(xs, ys)
+        payloads = self._index.payloads
+        bounds = offsets.tolist()
+        row_list = rows.tolist()
+        found: List[Optional[RegionOfInterest]] = []
+        for index, (x, y) in enumerate(zip(xs, ys)):
+            best: Optional[RegionOfInterest] = None
+            best_key = None
+            for row in row_list[bounds[index] : bounds[index + 1]]:
+                region = payloads[row]
+                extent = region.extent
+                if isinstance(extent, BoundingBox):
+                    inside = extent.min_x <= x <= extent.max_x and extent.min_y <= y <= extent.max_y
+                else:
+                    inside = extent.contains(Point(x, y))
+                if inside:
+                    key = (region.area, region.place_id)
+                    if best_key is None or key < best_key:
+                        best, best_key = region, key
+            found.append(best)
+        return found
 
     def categories(self) -> List[str]:
         """Distinct categories appearing in the source, sorted."""

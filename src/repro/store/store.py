@@ -11,12 +11,13 @@ from __future__ import annotations
 import json
 import sqlite3
 import time
+from itertools import count, repeat
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.annotations import Annotation, GeographicReferenceAnnotation, ValueAnnotation
 from repro.core.episodes import Episode, EpisodeKind
 from repro.core.errors import StoreError
-from repro.core.points import RawTrajectory, SpatioTemporalPoint
+from repro.core.points import RawTrajectory
 from repro.store.schema import SCHEMA_STATEMENTS
 
 if TYPE_CHECKING:  # pragma: no cover - metrics and faults are optional at runtime
@@ -275,7 +276,7 @@ class SemanticTrajectoryStore:
                         failure.error,
                         failure.attempts,
                         time.time(),
-                        json.dumps([[p.x, p.y, p.t] for p in trajectory]),
+                        json.dumps(list(zip(trajectory.xs, trajectory.ys, trajectory.ts))),
                     ),
                 )
                 row_ids.append(int(cursor.lastrowid))
@@ -323,10 +324,11 @@ class SemanticTrajectoryStore:
         ).fetchone()
         if row is None:
             raise StoreError(f"unknown quarantine row {quarantine_id}")
-        points = [SpatioTemporalPoint(x, y, t) for x, y, t in json.loads(row[2])]
-        if not points:
+        events = json.loads(row[2])
+        if not events:
             raise StoreError(f"quarantine row {quarantine_id} carries no events")
-        return RawTrajectory(points, object_id=row[0], trajectory_id=row[1])
+        xs, ys, ts = zip(*events)
+        return RawTrajectory.from_columns(xs, ys, ts, object_id=row[0], trajectory_id=row[1])
 
     def release_quarantined(self, quarantine_id: int) -> None:
         """Delete one quarantine row (after a successful replay)."""
@@ -360,11 +362,15 @@ class SemanticTrajectoryStore:
             ),
         )
         if store_points:
+            trajectory_id = trajectory.trajectory_id
             cursor.executemany(
                 "INSERT INTO gps_records (trajectory_id, seq, x, y, t) VALUES (?, ?, ?, ?, ?)",
-                (
-                    (trajectory.trajectory_id, index, point.x, point.y, point.t)
-                    for index, point in enumerate(trajectory)
+                zip(
+                    repeat(trajectory_id),
+                    count(),
+                    trajectory.xs,
+                    trajectory.ys,
+                    trajectory.ts,
                 ),
             )
 
@@ -465,8 +471,10 @@ class SemanticTrajectoryStore:
         ).fetchall()
         if not rows:
             raise StoreError(f"trajectory {trajectory_id!r} was stored without GPS records")
-        points = [SpatioTemporalPoint(x, y, t) for x, y, t in rows]
-        return RawTrajectory(points, object_id=meta[0], trajectory_id=trajectory_id)
+        xs, ys, ts = zip(*rows)
+        return RawTrajectory.from_columns(
+            xs, ys, ts, object_id=meta[0], trajectory_id=trajectory_id
+        )
 
     def trajectory_ids(self) -> List[str]:
         """Identifiers of all stored trajectories."""

@@ -17,6 +17,7 @@ continuing.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - metrics are optional at runtime
     from repro.obs.metrics import StreamingMetrics
 from repro.core.episodes import Episode
 from repro.core.errors import DataQualityError
-from repro.core.points import RawTrajectory, SpatioTemporalPoint
+from repro.core.points import RawTrajectory, SpatioTemporalPoint, _trajectory_from_columns
 from repro.streaming.cleaning import StreamingGpsCleaner
 from repro.streaming.stops import IncrementalStopMoveDetector
 
@@ -39,26 +40,52 @@ class OpenTrajectory(RawTrajectory):
     Episodes sealed while the trajectory is open reference this object; once
     the session closes it, the instance simply stops growing and behaves as a
     regular :class:`RawTrajectory`, so downstream annotators and the store see
-    a normal immutable trajectory.
+    a normal immutable trajectory.  Fixes arrive as floats and are appended to
+    the columns; :attr:`points` is a list that catches up with them on read.
     """
 
     def __init__(
         self,
-        first_point: SpatioTemporalPoint,
+        x: float,
+        y: float,
+        t: float,
         object_id: str = "unknown",
         trajectory_id: Optional[str] = None,
     ):
-        super().__init__([first_point], object_id=object_id, trajectory_id=trajectory_id)
-        self._points = [first_point]  # type: ignore[assignment]
+        self._xs = [x]
+        self._ys = [y]
+        self._ts = [t]
+        self._points: List[SpatioTemporalPoint] = []
+        self.object_id = object_id
+        self.trajectory_id = trajectory_id if trajectory_id is not None else f"{object_id}-0"
 
-    def append(self, point: SpatioTemporalPoint) -> None:
+    def append(self, x: float, y: float, t: float) -> None:
         """Append the next fix; timestamps must stay non-decreasing."""
-        if point.t < self._points[-1].t:
+        ts = self._ts
+        if t < ts[-1]:
             raise DataQualityError(
                 "raw trajectory timestamps must be non-decreasing "
-                f"({self._points[-1].t} followed by {point.t})"
+                f"({ts[-1]} followed by {t})"
             )
-        self._points.append(point)  # type: ignore[attr-defined]
+        self._xs.append(x)
+        self._ys.append(y)
+        ts.append(t)
+
+    @property
+    def points(self) -> List[SpatioTemporalPoint]:
+        """The fixes as point objects: the cached prefix, extended to the current length."""
+        points = self._points
+        built = len(points)
+        if built < len(self._ts):
+            points.extend(
+                map(SpatioTemporalPoint, self._xs[built:], self._ys[built:], self._ts[built:])
+            )
+        return points
+
+    def __reduce__(self) -> Tuple[object, ...]:
+        # A copy must not grow with this trajectory: it gets columns of its own.
+        columns = (self._xs[:], self._ys[:], self._ts[:])
+        return _trajectory_from_columns, (*columns, self.object_id, self.trajectory_id)
 
 
 @dataclass
@@ -129,10 +156,12 @@ class Session:
         if self.closed:
             raise DataQualityError(f"session for {self.object_id!r} is closed")
         self.events_seen += 1
-        cleaned = self._cleaner.push(point) if self._cleaner is not None else [point]
+        if self._cleaner is None:
+            sealed = self._absorb(point.x, point.y, point.t)
+            return _NOTHING_SEALED if sealed is None else SessionUpdate([sealed])
         update = _NOTHING_SEALED
-        for fix in cleaned:
-            sealed = self._absorb(fix)
+        for x, y, t in self._cleaner.push(point):
+            sealed = self._absorb(x, y, t)
             if sealed is not None:
                 update = SessionUpdate(update.sealed + [sealed])
         return update
@@ -157,8 +186,8 @@ class Session:
         self.closed = True
         update = SessionUpdate()
         if self._cleaner is not None:
-            for fix in self._cleaner.finish():
-                sealed = self._absorb(fix)
+            for x, y, t in self._cleaner.finish():
+                sealed = self._absorb(x, y, t)
                 if sealed is not None:
                     update.sealed.append(sealed)
         if self.trajectory is not None:
@@ -166,29 +195,31 @@ class Session:
         return update
 
     # ------------------------------------------------------------- internals
-    def _absorb(self, fix: SpatioTemporalPoint) -> Optional[SealedTrajectory]:
+    def _absorb(self, x: float, y: float, t: float) -> Optional[SealedTrajectory]:
         """Append one cleaned fix; returns the trajectory a gap before it sealed."""
         sealed: Optional[SealedTrajectory] = None
-        if self.trajectory is not None:
+        trajectory = self.trajectory
+        if trajectory is not None:
             identification = self._config.identification
-            previous = self.trajectory.points[-1]
+            # SpatioTemporalPoint.distance_to from the previous fix, on floats.
+            dx = trajectory.xs[-1] - x
+            dy = trajectory.ys[-1] - y
             if (
-                fix.t - previous.t > identification.max_time_gap
-                or previous.distance_to(fix) > identification.max_distance_gap
+                t - trajectory.ts[-1] > identification.max_time_gap
+                or math.sqrt(dx * dx + dy * dy) > identification.max_distance_gap
             ):
                 if self._metrics is not None:
                     self._metrics.gap_closeouts.inc()
                 sealed = self._seal()
-        if self.trajectory is None:
-            segment = self._segment_counters.get(self.object_id, 0)
-            self._segment_counters[self.object_id] = segment + 1
-            trajectory_id = f"{self.object_id}-t{segment}"
-            self.trajectory = OpenTrajectory(
-                fix, object_id=self.object_id, trajectory_id=trajectory_id
-            )
-            self.detector = IncrementalStopMoveDetector(self.trajectory, self._config.stop_move)
-        else:
-            self.trajectory.append(fix)
+            else:
+                trajectory.append(x, y, t)
+                return None
+        segment = self._segment_counters.get(self.object_id, 0)
+        self._segment_counters[self.object_id] = segment + 1
+        self.trajectory = OpenTrajectory(
+            x, y, t, object_id=self.object_id, trajectory_id=f"{self.object_id}-t{segment}"
+        )
+        self.detector = IncrementalStopMoveDetector(self.trajectory, self._config.stop_move)
         return sealed
 
     def _seal(self) -> SealedTrajectory:

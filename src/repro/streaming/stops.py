@@ -109,13 +109,16 @@ class IncrementalStopMoveDetector:
 
     The detector is bound to one trajectory buffer (typically an
     :class:`~repro.streaming.session.OpenTrajectory` that the session appends
-    to); call :meth:`advance` after appending points to collect the newly
-    sealed episodes and :meth:`finalize` once the trajectory is complete to
-    collect the remaining tail.
+    to) and scans its ``xs`` / ``ys`` / ``ts`` columns; call :meth:`advance`
+    after appending fixes to collect the newly sealed episodes and
+    :meth:`finalize` once the trajectory is complete to collect the remaining
+    tail.
     """
 
     def __init__(self, trajectory: RawTrajectory, config: StopMoveConfig = StopMoveConfig()):
         self._trajectory = trajectory
+        # The trajectory's columns: an open trajectory appends to these lists.
+        self._xs, self._ys, self._ts = trajectory.xs, trajectory.ys, trajectory.ts
         self._config = config
         self._batch = StopMoveDetector(config)
         # Raw (combined) flags no future point can change, appended once, and
@@ -164,7 +167,7 @@ class IncrementalStopMoveDetector:
         """
         if self._finalized:
             raise DataQualityError("cannot advance a finalized detector")
-        n = len(self._trajectory)
+        n = len(self._ts)
         if n < 2:
             return []
         self._scan(n)
@@ -180,11 +183,11 @@ class IncrementalStopMoveDetector:
             raise DataQualityError("volatile region receded into the sealed prefix")
         config = self._config
         fixed = self._fixed
-        points = self._trajectory.points
+        ts = self._ts
         # Everything before the boundary run was enforced when its runs
         # closed; only the boundary run and the tentative flags are redone.
         enforced = enforce_min_duration(
-            points[volatile:], fixed[volatile:] + self._tentative_flags(), config.min_stop_duration
+            ts[volatile:], fixed[volatile:] + self._tentative_flags(), config.min_stop_duration
         )
         suffix = absorb_short_moves(
             self._trajectory,
@@ -212,7 +215,7 @@ class IncrementalStopMoveDetector:
                 raise DataQualityError("incremental stop/move sealing diverged from batch")
             self._closed_runs = kept
         if fixed[volatile]:
-            settled = points[len(fixed) - 1].t - points[volatile].t >= config.min_stop_duration
+            settled = ts[len(fixed) - 1] - ts[volatile] >= config.min_stop_duration
         else:
             settled = len(fixed) - volatile >= config.min_move_points
         self._settled = volatile if settled else -1
@@ -242,39 +245,37 @@ class IncrementalStopMoveDetector:
         (``sqrt(dx*dx + dy*dy)``), so the flags are bit-identical to theirs.
         """
         config = self._config
-        points = self._trajectory.points
+        xs, ys, ts = self._xs, self._ys, self._ts
         velocity = self._velocity
         if config.policy != "density":
             threshold = config.speed_threshold
             for index in range(len(velocity), n - 1):
-                here, there = points[index], points[index + 1]
-                dt = there.t - here.t
-                dx = here.x - there.x
-                dy = here.y - there.y
+                dt = ts[index + 1] - ts[index]
+                dx = xs[index] - xs[index + 1]
+                dy = ys[index] - ys[index + 1]
                 velocity.append((math.sqrt(dx * dx + dy * dy) / dt if dt > 0 else 0.0) < threshold)
             if config.policy == "velocity":
                 self._fix(velocity[len(self._fixed) :])
                 return
         radius = config.density_radius
         seed, reach = self._seed, self._reach
-        origin = points[seed]
+        origin_x, origin_y = xs[seed], ys[seed]
         while reach + 1 < n:
-            probe = points[reach + 1]
-            dx = origin.x - probe.x
-            dy = origin.y - probe.y
+            dx = origin_x - xs[reach + 1]
+            dy = origin_y - ys[reach + 1]
             if math.sqrt(dx * dx + dy * dy) <= radius:
                 reach += 1
                 continue
             # Radius violation: this seed's outcome is final, as in
             # expand_density_flags; the next seed expands from scratch.
-            if reach > seed and points[reach].t - origin.t >= config.min_stop_duration:
+            if reach > seed and ts[reach] - ts[seed] >= config.min_stop_duration:
                 self._fix([True] * (reach + 1 - seed))
                 seed = reach + 1
             else:
                 self._fix([config.policy == "hybrid" and velocity[seed]])
                 seed += 1
             reach = seed
-            origin = points[seed]
+            origin_x, origin_y = xs[seed], ys[seed]
         self._seed, self._reach = seed, reach
 
     def _fix(self, flags: List[bool]) -> None:
@@ -282,7 +283,7 @@ class IncrementalStopMoveDetector:
 
         A flag that differs from its predecessor closes the predecessor's run,
         whose minimum-duration demotion is decided there and then (the
-        comparison :func:`enforce_min_duration` makes, on the same two points).
+        comparison :func:`enforce_min_duration` makes, on the same two timestamps).
         """
         fixed = self._fixed
         for flag in flags:
@@ -290,8 +291,7 @@ class IncrementalStopMoveDetector:
                 start, end = self._run_start, len(fixed)
                 is_stop = fixed[start]
                 if is_stop:
-                    points = self._trajectory.points
-                    duration = points[end - 1].t - points[start].t
+                    duration = self._ts[end - 1] - self._ts[start]
                     is_stop = not duration < self._config.min_stop_duration
                 closed = self._closed_runs
                 if closed and closed[-1][2] == is_stop:
@@ -309,9 +309,9 @@ class IncrementalStopMoveDetector:
             return velocity[-1:]  # the last point repeats its predecessor's speed
         # The open seed's expansion reaches the last point, and later seeds
         # span no longer than it does: the whole region shares its outcome.
-        points = self._trajectory.points
+        ts = self._ts
         seed, reach = self._seed, self._reach
-        if reach > seed and points[reach].t - points[seed].t >= config.min_stop_duration:
+        if reach > seed and ts[reach] - ts[seed] >= config.min_stop_duration:
             return [True] * (reach + 1 - seed)
         if config.policy == "density":
             return [False] * (reach + 1 - seed)

@@ -31,14 +31,16 @@ class TestEpisode:
         assert episode.is_move and not episode.is_stop
 
     def test_time_accessors_index_the_trajectory_without_slicing_it(self, trajectory):
-        class NoSlice(tuple):
+        class NoSlice(list):
             def __getitem__(self, index):
                 assert not isinstance(index, slice), "time accessors must not copy the episode"
                 return super().__getitem__(index)
 
-        trajectory._points = NoSlice(trajectory.points)
+        trajectory._ts = NoSlice(trajectory.ts)
+        trajectory._points = None  # and build no point object either
         episode = Episode(EpisodeKind.STOP, trajectory, 3, 8)
         assert (episode.time_in, episode.time_out, episode.duration) == (30.0, 70.0, 40.0)
+        assert trajectory._points is None
 
     def test_invalid_range_raises(self, trajectory):
         with pytest.raises(DataQualityError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,17 +98,31 @@ def test_push_after_finish_raises():
         cleaner.push(SpatioTemporalPoint(1, 0, 1.0))
 
 
+def _same(a: float, b: float) -> bool:
+    """Equal floats, NaN equal to NaN (``-0.0 == 0.0`` as before)."""
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def _same_fixes(streamed, batch) -> bool:
+    return len(streamed) == len(batch) and all(
+        _same(x, point.x) and _same(y, point.y) and _same(t, point.t)
+        for (x, y, t), point in zip(streamed, batch)
+    )
+
+
 # One generated step: (time advance, x, y).  The small sampled sets make
 # duplicate timestamps and exact coordinate ties common; the far-away x values
-# are over-speed fixes at every time advance on offer.
+# are over-speed fixes at every time advance on offer, and NaN / ±inf are the
+# hostile coordinates a fix may carry (their speed is inf or NaN).
+_hostile = [math.nan, math.inf, -math.inf]
 _steps = st.lists(
     st.tuples(
         st.sampled_from([0.0, 1.0, 2.5, 10.0, 40.0]),
         st.one_of(
-            st.sampled_from([0.0, -0.0, 10.0, 10.0, 25.0, 50_000.0, -80_000.0]),
+            st.sampled_from([0.0, -0.0, 10.0, 10.0, 25.0, 50_000.0, -80_000.0, *_hostile]),
             st.floats(-500.0, 500.0),
         ),
-        st.one_of(st.sampled_from([0.0, 5.0, 5.0, -5.0]), st.floats(-500.0, 500.0)),
+        st.one_of(st.sampled_from([0.0, 5.0, 5.0, -5.0, *_hostile]), st.floats(-500.0, 500.0)),
     ),
     max_size=40,
 )
@@ -139,6 +155,21 @@ def test_streaming_clean_equals_batch_on_generated_streams(steps, window, method
 
     assert cleaner.pending_count == 0
     assert cleaner.finish() == []
-    assert len(streamed) == len(batch)
-    for ours, theirs in zip(streamed, batch):
-        assert ours.x == theirs.x and ours.y == theirs.y and ours.t == theirs.t
+    assert _same_fixes(streamed, batch)
+
+
+@pytest.mark.parametrize(
+    "hostile",
+    [(math.nan, 1.0, 20.0), (1.5, math.nan, 20.0), (1.5, 1.0, math.nan), (math.inf, 1.0, 20.0)],
+)
+def test_a_fix_whose_speed_is_nan_or_infinite_is_dropped_like_batch(hostile):
+    """The batch filter keeps ``speed <= max_speed``; a NaN speed fails it, so
+    the streaming filter must reject the fix too instead of keeping it."""
+    triples = [(0.0, 0.0, 0.0), (1.0, 1.0, 10.0), hostile, (2.0, 2.0, 30.0), (3.0, 3.0, 40.0)]
+    points = [SpatioTemporalPoint(*triple) for triple in triples]
+    config = CleaningConfig()
+    batch = GpsCleaner(config).clean(points)
+    assert len(batch) == 4
+    cleaner = StreamingGpsCleaner(config)
+    streamed = [fix for point in points for fix in cleaner.push(point)] + cleaner.finish()
+    assert _same_fixes(streamed, batch)

@@ -47,14 +47,19 @@ def _walk_with_stops(seed: int, n: int):
     return points
 
 
+def _open(point):
+    """An open trajectory whose first fix is ``point``."""
+    return OpenTrajectory(point.x, point.y, point.t, object_id="o", trajectory_id="o-t0")
+
+
 def _stream_detect(points, config, chunk: int):
     """Feed ``points`` in chunks; return (all emitted episodes, early count)."""
-    trajectory = OpenTrajectory(points[0], object_id="o", trajectory_id="o-t0")
+    trajectory = _open(points[0])
     detector = IncrementalStopMoveDetector(trajectory, config)
     emitted = []
     since_advance = 0
     for point in points[1:]:
-        trajectory.append(point)
+        trajectory.append(point.x, point.y, point.t)
         since_advance += 1
         if since_advance >= chunk:
             emitted.extend(detector.advance())
@@ -69,9 +74,9 @@ def _stream_detect(points, config, chunk: int):
 def test_incremental_matches_batch(policy, chunk):
     config = StopMoveConfig(policy=policy, min_stop_duration=90.0, density_radius=40.0)
     points = _walk_with_stops(seed=11, n=400)
-    trajectory = OpenTrajectory(points[0], object_id="o", trajectory_id="o-t0")
+    trajectory = _open(points[0])
     for point in points[1:]:
-        trajectory.append(point)
+        trajectory.append(point.x, point.y, point.t)
     batch = StopMoveDetector(config).segment(trajectory)
 
     emitted, early = _stream_detect(points, config, chunk)
@@ -93,9 +98,9 @@ def test_incremental_property_random_walks(policy):
             density_radius=30.0,
         )
         points = _walk_with_stops(seed=seed, n=120)
-        trajectory = OpenTrajectory(points[0], object_id="o", trajectory_id="o-t0")
+        trajectory = _open(points[0])
         for point in points[1:]:
-            trajectory.append(point)
+            trajectory.append(point.x, point.y, point.t)
         batch = StopMoveDetector(config).segment(trajectory)
         emitted, _ = _stream_detect(points, config, chunk=1 + seed % 5)
         assert [(e.kind, e.start_index, e.end_index) for e in emitted] == [
@@ -136,11 +141,11 @@ def test_incremental_property_hostile_parameters(case):
     later buffer size the batch segmentation still starts with it."""
     points, config, chunk = case
     batch = StopMoveDetector(config)
-    trajectory = OpenTrajectory(points[0], object_id="o", trajectory_id="o-t0")
+    trajectory = _open(points[0])
     detector = IncrementalStopMoveDetector(trajectory, config)
     emitted = []
     for size, point in enumerate(points[1:], start=2):
-        trajectory.append(point)
+        trajectory.append(point.x, point.y, point.t)
         if (size - 1) % chunk == 0:
             emitted.extend(detector.advance())
         so_far = _triples(batch.segment(RawTrajectory(points[:size])))
@@ -151,7 +156,7 @@ def test_incremental_property_hostile_parameters(case):
 
 def test_single_point_trajectory_matches_batch_special_case():
     config = StopMoveConfig()
-    trajectory = OpenTrajectory(SpatioTemporalPoint(0, 0, 0), object_id="o")
+    trajectory = OpenTrajectory(0.0, 0.0, 0.0, object_id="o")
     detector = IncrementalStopMoveDetector(trajectory, config)
     assert detector.advance() == []
     tail = detector.finalize()
@@ -159,7 +164,7 @@ def test_single_point_trajectory_matches_batch_special_case():
 
 
 def test_finalize_twice_raises():
-    trajectory = OpenTrajectory(SpatioTemporalPoint(0, 0, 0), object_id="o")
+    trajectory = OpenTrajectory(0.0, 0.0, 0.0, object_id="o")
     detector = IncrementalStopMoveDetector(trajectory)
     detector.finalize()
     with pytest.raises(DataQualityError):
@@ -172,11 +177,11 @@ def test_sealed_episodes_reference_growing_trajectory():
     """Sealed episodes stay valid while the buffer keeps growing."""
     config = StopMoveConfig(policy="velocity", min_stop_duration=60.0)
     points = _walk_with_stops(seed=3, n=300)
-    trajectory = OpenTrajectory(points[0], object_id="o", trajectory_id="o-t0")
+    trajectory = _open(points[0])
     detector = IncrementalStopMoveDetector(trajectory, config)
     snapshots = []
     for point in points[1:]:
-        trajectory.append(point)
+        trajectory.append(point.x, point.y, point.t)
         for episode in detector.advance():
             snapshots.append((episode, [p.as_tuple() for p in episode.points]))
     detector.finalize()
@@ -208,7 +213,13 @@ class _RecomputeEverythingDetector:
         if config.policy == "velocity":
             flags = velocity_stop_flags(points, config.speed_threshold)
         else:
-            flags = density_stop_flags(points, config.density_radius, config.min_stop_duration)
+            flags = density_stop_flags(
+                trajectory.xs,
+                trajectory.ys,
+                trajectory.ts,
+                config.density_radius,
+                config.min_stop_duration,
+            )
             volatile = self._density_frontier(points)
             if config.policy == "hybrid":
                 velocity = velocity_stop_flags(points, config.speed_threshold)
@@ -219,7 +230,9 @@ class _RecomputeEverythingDetector:
                 volatile -= 1
         restart = self.sealed[-1].end_index if self.sealed else 0
         assert volatile >= restart
-        enforced = enforce_min_duration(points[restart:], flags[restart:], config.min_stop_duration)
+        enforced = enforce_min_duration(
+            trajectory.ts[restart:], flags[restart:], config.min_stop_duration
+        )
         episodes = [
             Episode(e.kind, trajectory, restart + e.start_index, restart + e.end_index)
             for e in flags_to_episodes(trajectory, enforced)
@@ -250,11 +263,11 @@ class _RecomputeEverythingDetector:
 
 def _schedule(detector_type, points, config, chunk):
     """``(advance() call index, kind, start, end)`` of every episode sealed early."""
-    trajectory = OpenTrajectory(points[0], object_id="o", trajectory_id="o-t0")
+    trajectory = _open(points[0])
     detector = detector_type(trajectory, config)
     schedule = []
     for index, point in enumerate(points[1:], start=1):
-        trajectory.append(point)
+        trajectory.append(point.x, point.y, point.t)
         if index % chunk == 0:
             schedule.extend((index // chunk, *triple) for triple in _triples(detector.advance()))
     return schedule
@@ -291,10 +304,10 @@ def _count_refinements(monkeypatch, points, config):
         return enforce_min_duration(*args)
 
     monkeypatch.setattr(streaming_stops, "enforce_min_duration", counting)
-    trajectory = OpenTrajectory(points[0], object_id="o", trajectory_id="o-t0")
+    trajectory = _open(points[0])
     detector = IncrementalStopMoveDetector(trajectory, config)
     for point in points[1:]:
-        trajectory.append(point)
+        trajectory.append(point.x, point.y, point.t)
         detector.advance()
     return len(calls)
 
@@ -352,9 +365,9 @@ def test_refinement_visits_flags_linearly_in_the_open_region(monkeypatch):
         points.append(SpatioTemporalPoint(x, 0.0, 10.0 * index))
     visited = []
 
-    def counting(run_points, flags, min_duration):
+    def counting(ts, flags, min_duration):
         visited.append(len(flags))
-        return enforce_min_duration(run_points, flags, min_duration)
+        return enforce_min_duration(ts, flags, min_duration)
 
     monkeypatch.setattr(streaming_stops, "enforce_min_duration", counting)
     emitted, early = _stream_detect(points, config, chunk=1)

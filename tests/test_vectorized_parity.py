@@ -36,7 +36,6 @@ import pytest
 
 from repro.api import annotate_many, stream
 from repro.core import AnnotationSources, PipelineConfig, PipelineResult, SeMiTriPipeline
-from repro.core.arrays import TrajectoryArrays
 from repro.core.config import (
     CleaningConfig,
     StopMoveConfig,
@@ -44,6 +43,7 @@ from repro.core.config import (
     TrajectoryIdentificationConfig,
 )
 from repro.core.pipeline import LayerAnnotators
+from repro.geometry.primitives import Point
 from repro.lines.annotator import LineAnnotator
 from repro.parallel import canonical_bytes
 from repro.parallel.canonical import canonical_result
@@ -72,9 +72,9 @@ class _TreeRegionSource:
             RTreeEntry(box=region.bounding_box(), item=region) for region in regions
         )
 
-    def first_regions_containing_batch(self, points):
+    def first_regions_containing_columns(self, xs, ys):
         found = []
-        for point in points:
+        for point in map(Point, xs, ys):
             matches = [
                 entry.item for entry in self._tree.query_point(point) if entry.item.contains(point)
             ]
@@ -245,7 +245,7 @@ def test_segmentation_equals_the_reference_on_every_seed_trajectory(policy, data
     product, reference = StopMoveDetector(stop_move), ScalarStopMoveDetector(stop_move)
     for trajectory in trajectories:
         assert velocity_stop_flags_arrays(
-            TrajectoryArrays.from_trajectory(trajectory), stop_move.speed_threshold
+            trajectory.xs, trajectory.ys, trajectory.ts, stop_move.speed_threshold
         ) == velocity_stop_flags(trajectory.points, stop_move.speed_threshold)
         assert [
             (episode.kind, episode.start_index, episode.end_index)

@@ -294,11 +294,15 @@ class TestTrajectoryPickle:
     def test_an_open_trajectory_arrives_closed(self):
         from repro.streaming import OpenTrajectory
 
-        trajectory = OpenTrajectory(SpatioTemporalPoint(0.0, 0.0, 0.0), "o", "o-t0")
-        trajectory.append(SpatioTemporalPoint(1.0, 0.0, 1.0))
+        trajectory = OpenTrajectory(0.0, 0.0, 0.0, "o", "o-t0")
+        trajectory.append(1.0, 0.0, 1.0)
         clone = pickle.loads(pickle.dumps(trajectory))
         assert type(clone) is RawTrajectory
+        assert isinstance(trajectory.points, list) and isinstance(clone.points, tuple)
         assert clone.points == tuple(trajectory.points)
+        # The clone holds columns of its own: the open original still grows alone.
+        trajectory.append(2.0, 0.0, 2.0)
+        assert (len(trajectory), len(clone), clone.ts) == (3, 2, [0.0, 1.0])
 
     def test_result_round_trip_keeps_the_canonical_digest(
         self, annotation_sources, car_dataset
