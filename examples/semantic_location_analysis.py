@@ -17,13 +17,18 @@ shows that part of the system:
 
 Run it with::
 
-    python examples/semantic_location_analysis.py
+    python examples/semantic_location_analysis.py [--out DIR]
+
+The exported files go to ``DIR`` (created if missing), or to a fresh
+temporary directory; their paths are printed.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -43,6 +48,12 @@ from repro.regions.landuse import label_of
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", help="directory for the GeoJSON / KML exports")
+    args = parser.parse_args()
+    output_dir = Path(args.out) if args.out else Path(tempfile.mkdtemp(prefix="semitri-export-"))
+    output_dir.mkdir(parents=True, exist_ok=True)
+
     world = SyntheticWorld(WorldConfig(size=8000.0, poi_count=2000, seed=7))
     sources = AnnotationSources(
         regions=world.region_source(),
@@ -51,9 +62,6 @@ def main() -> None:
     )
     dataset = PersonSimulator(world, user_count=2, days_per_user=4, seed=31).generate()
     pipeline = repro.open_pipeline(PipelineConfig.for_people())
-
-    output_dir = Path("results") / "semantic_location_analysis"
-    output_dir.mkdir(parents=True, exist_ok=True)
 
     for user in dataset.user_ids:
         trajectories = dataset.trajectories_by_user[user]

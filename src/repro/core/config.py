@@ -29,7 +29,11 @@ class CleaningConfig:
     """Speed (units/s) above which a fix is considered an outlier (~250 km/h)."""
 
     smoothing_window: int = 3
-    """Window size of the median/mean smoother; 1 disables smoothing."""
+    """Window size of the median/mean smoother; 1 disables smoothing.
+
+    The centred window holds ``2 * (w // 2) + 1`` fixes (``w // 2`` on each
+    side, clipped at the stream ends), so an even ``w`` acts as ``w + 1``.
+    """
 
     smoothing_method: str = "median"
     """Either ``"median"``, ``"mean"`` or ``"none"``."""

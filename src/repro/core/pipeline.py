@@ -193,7 +193,11 @@ class SeMiTriPipeline:
     def ingest_stream(
         self, points: Sequence[SpatioTemporalPoint], object_id: str = "unknown"
     ) -> List[RawTrajectory]:
-        """Clean a GPS stream and split it into raw trajectories."""
+        """Clean a GPS stream and split it into raw trajectories.
+
+        The fixes are read off ``points`` once; cleaning and splitting run on
+        their ``x`` / ``y`` / ``t`` columns and build no point object.
+        """
         cleaned = self._clean_stage.apply(points)
         return self._identify_stage.apply(cleaned, object_id=object_id)
 

@@ -69,6 +69,18 @@ class SpatioTemporalPoint:
         return (self.x, self.y, self.t)
 
 
+#: A GPS stream as its three coordinate columns: ``(xs, ys, ts)``.
+Columns = Tuple[List[float], List[float], List[float]]
+
+
+def point_columns(points: Sequence[SpatioTemporalPoint]) -> Columns:
+    """The ``(xs, ys, ts)`` columns of a point sequence: the fixes' own numbers."""
+    xs = [point.x for point in points]
+    ys = [point.y for point in points]
+    ts = [point.t for point in points]
+    return xs, ys, ts
+
+
 def _check_order(ts: Sequence[float]) -> None:
     """Raise unless ``ts`` is non-empty and non-decreasing."""
     if not ts:
@@ -119,10 +131,10 @@ class RawTrajectory:
         trajectory_id: Optional[str] = None,
     ):
         point_tuple = tuple(points)
-        ts = [point.t for point in point_tuple]
+        xs, ys, ts = point_columns(point_tuple)
         _check_order(ts)
-        self._xs: List[float] = [point.x for point in point_tuple]
-        self._ys: List[float] = [point.y for point in point_tuple]
+        self._xs: List[float] = xs
+        self._ys: List[float] = ys
         self._ts: List[float] = ts
         # The caller's points are already built: they are the cache.
         self._points: Optional[Sequence[SpatioTemporalPoint]] = point_tuple

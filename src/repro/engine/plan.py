@@ -271,7 +271,11 @@ class Plan:
     def ingest(
         self, points: Sequence[SpatioTemporalPoint], object_id: str = "unknown"
     ) -> List[RawTrajectory]:
-        """Run the preprocessing chain: clean the stream, split trajectories."""
+        """Run the preprocessing chain: clean the stream, split trajectories.
+
+        The fixes are read off ``points`` once; cleaning and splitting run on
+        their columns and build no point.
+        """
         clean, identify = self.preprocessing
         assert isinstance(clean, CleanStage) and isinstance(identify, IdentifyStage)
         return identify.apply(clean.apply(points), object_id=object_id)

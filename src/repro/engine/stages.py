@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 from repro.analytics.latency import StageTimer
 from repro.core.config import PipelineConfig
 from repro.core.episodes import Episode
-from repro.core.points import RawTrajectory, SpatioTemporalPoint
+from repro.core.points import Columns, RawTrajectory, SpatioTemporalPoint, point_columns
 from repro.core.trajectory import SemanticEpisodeRecord, StructuredSemanticTrajectory
 from repro.lines.annotator import LineAnnotator
 from repro.points.annotator import PointAnnotator
@@ -209,31 +209,29 @@ class CleanStage(PreprocessingStage):
 
     name = "clean"
     inputs = ("raw_points",)
-    outputs = ("cleaned_points",)
+    outputs = ("cleaned_columns",)
 
     def __init__(self, config: PipelineConfig):
         self._cleaner = GpsCleaner(config.cleaning)
 
-    def apply(self, points: Sequence[SpatioTemporalPoint]) -> List[SpatioTemporalPoint]:
-        """Cleaned copy of the point stream."""
-        return self._cleaner.clean(points)
+    def apply(self, points: Sequence[SpatioTemporalPoint]) -> Columns:
+        """The cleaned stream as ``(xs, ys, ts)`` columns, read off the points once."""
+        return self._cleaner.clean_columns(*point_columns(points))
 
 
 class IdentifyStage(PreprocessingStage):
     """Trajectory identification: gap-based splitting of a cleaned stream."""
 
     name = "identify"
-    inputs = ("cleaned_points",)
+    inputs = ("cleaned_columns",)
     outputs = ("trajectories",)
 
     def __init__(self, config: PipelineConfig):
         self._identifier = TrajectoryIdentifier(config.identification)
 
-    def apply(
-        self, points: Sequence[SpatioTemporalPoint], object_id: str = "unknown"
-    ) -> List[RawTrajectory]:
-        """Raw trajectories split out of the cleaned stream."""
-        return self._identifier.split(points, object_id=object_id)
+    def apply(self, columns: Columns, object_id: str = "unknown") -> List[RawTrajectory]:
+        """Raw trajectories split out of the cleaned columns :meth:`CleanStage.apply` returns."""
+        return self._identifier.split_columns(*columns, object_id=object_id)
 
 
 # ----------------------------------------------------------------- annotation

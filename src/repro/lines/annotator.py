@@ -25,7 +25,7 @@ from repro.core.errors import DataQualityError
 from repro.core.trajectory import SemanticEpisodeRecord, StructuredSemanticTrajectory
 from repro.lines.map_matching import GlobalMapMatcher, MatchedPoint
 from repro.lines.road_network import RoadNetwork
-from repro.lines.transport_mode import ModeSegment, TransportModeClassifier
+from repro.lines.transport_mode import ModeSegment, TransportModeClassifier, pair_motion
 
 
 class LineAnnotator:
@@ -63,20 +63,27 @@ class LineAnnotator:
         The episodes may belong to different trajectories.  All of them go to
         the matcher in one call — one ``xs`` / ``ys`` column pair for the
         group, read off the episodes' column slices — which shares the fixed
-        cost of the kernel's array operations between episodes.
+        cost of the kernel's array operations between episodes.  The group's
+        pair speeds and accelerations are computed once over the same columns
+        plus ``ts``, and each run's transport mode is folded from them.
         """
         moves = [episode for episode in episodes if episode.is_move]
-        columns = [(episode.xs, episode.ys) for episode in moves]
+        columns = [(episode.xs, episode.ys, episode.ts) for episode in moves]
+        xs = np.array([x for episode_xs, _, _ in columns for x in episode_xs], dtype=np.float64)
+        ys = np.array([y for _, episode_ys, _ in columns for y in episode_ys], dtype=np.float64)
+        ts = np.array([t for _, _, episode_ts in columns for t in episode_ts], dtype=np.float64)
         runs = self._matcher.match_runs_columns(
-            np.fromiter((len(episode) for episode in moves), np.intp, len(moves)),
-            np.array([x for xs, _ in columns for x in xs], dtype=np.float64),
-            np.array([y for _, ys in columns for y in ys], dtype=np.float64),
+            np.fromiter((len(episode) for episode in moves), np.intp, len(moves)), xs, ys
         )
+        speeds, accelerations = pair_motion(xs, ys, ts)
         classifier = self._classifier
-        return [
-            self._to_structured(episode, classifier.run_modes(xs, ys, episode.ts, episode_runs))
-            for episode, (xs, ys), episode_runs in zip(moves, columns, runs)
-        ]
+        structured: List[StructuredSemanticTrajectory] = []
+        base = 0
+        for episode, (_, _, episode_ts), episode_runs in zip(moves, columns, runs):
+            modes = classifier.fold_modes(episode_ts, episode_runs, speeds, accelerations, base)
+            structured.append(self._to_structured(episode, modes))
+            base += len(episode_ts)
+        return structured
 
     def match_episode(self, episode: Episode) -> List[MatchedPoint]:
         """Raw per-point matching result for a move episode (used by analytics)."""

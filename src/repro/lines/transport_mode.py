@@ -22,13 +22,78 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.config import TransportModeConfig
-from repro.core.points import SpatioTemporalPoint
+from repro.core.points import SpatioTemporalPoint, point_columns
 from repro.lines.map_matching import MatchedPoint, SegmentRun, segment_runs
-from repro.preprocessing.features import compute_motion_features, motion_features
+from repro.preprocessing.features import compute_motion_features
 
 #: Modes the classifier can emit.
 TRANSPORT_MODES: Tuple[str, ...] = ("walk", "bicycle", "bus", "metro", "car", "train")
+
+
+def pair_motion(
+    xs: np.ndarray, ys: np.ndarray, ts: np.ndarray
+) -> Tuple[List[float], List[float]]:
+    """Speeds and absolute accelerations along concatenated coordinate columns.
+
+    ``speeds[k]`` is the speed from fix ``k`` to fix ``k + 1`` and
+    ``accelerations[k]`` the absolute ``(speeds[k] - speeds[k - 1]) / dt`` at
+    fix ``k`` (``0.0`` at fix 0, and wherever ``dt`` is not positive), with
+    the operand order of :func:`~repro.preprocessing.features.motion_features`
+    and its correctly rounded ``sqrt``, so every number is its loop's.  Pairs
+    that straddle two episodes of a group are computed and never read.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dx = xs[:-1] - xs[1:]
+        dy = ys[:-1] - ys[1:]
+        dt = ts[1:] - ts[:-1]
+        speeds = np.where(dt > 0, np.sqrt(dx * dx + dy * dy) / dt, 0.0)
+        accelerations = np.zeros(len(speeds))
+        accelerations[1:] = np.abs(
+            np.where(dt[:-1] > 0, (speeds[1:] - speeds[:-1]) / dt[:-1], 0.0)
+        )
+    return speeds.tolist(), accelerations.tolist()
+
+
+def run_means(
+    ts: Sequence[float],
+    runs: Sequence[SegmentRun],
+    speeds: List[float],
+    accelerations: List[float],
+    base: int = 0,
+) -> List[Tuple[float, float]]:
+    """Per run of one episode, its mean speed and mean absolute acceleration.
+
+    ``speeds`` / ``accelerations`` come from :func:`pair_motion` over a group
+    whose fix ``base`` is the episode's first; ``ts`` is the episode's
+    timestamp column.  Per run, the lists summed are exactly those
+    :func:`~repro.preprocessing.features.motion_features` of the run's slices
+    builds — the last pair's speed repeated, a leading ``0.0`` acceleration
+    and the last fix's ``(last - last) / dt`` — so the means are bit-for-bit
+    its ``mean_speed()`` and ``mean_absolute_acceleration()``.  Float ``sum``
+    is compensated on some Python versions: the same list, not the same
+    total, is what makes the sums equal.
+    """
+    means: List[Tuple[float, float]] = []
+    for start, end, _ in runs:
+        count = end - start
+        if count == 1:
+            means.append((0.0, 0.0))
+            continue
+        first = base + start
+        last_pair = first + count - 2
+        last = speeds[last_pair]
+        run_speeds = speeds[first:last_pair]
+        run_speeds.append(last)
+        run_speeds.append(last)
+        dt = ts[end - 1] - ts[end - 2]
+        run_accelerations = [0.0]
+        run_accelerations += accelerations[first + 1 : last_pair + 1]
+        run_accelerations.append(abs((last - last) / dt) if dt > 0 else 0.0)
+        means.append((sum(run_speeds) / count, sum(run_accelerations) / count))
+    return means
 
 
 @dataclass(frozen=True)
@@ -108,13 +173,8 @@ class TransportModeClassifier:
         The output mirrors the pairs <r_i, mode_i> of Section 4.2: each matched
         route with the transportation mode used on it, in travel order.
         """
-        points = [item.point for item in matched]
-        return self.run_modes(
-            [point.x for point in points],
-            [point.y for point in points],
-            [point.t for point in points],
-            segment_runs(matched),
-        )
+        xs, ys, ts = point_columns([item.point for item in matched])
+        return self.run_modes(xs, ys, ts, segment_runs(matched))
 
     def run_modes(
         self,
@@ -124,14 +184,32 @@ class TransportModeClassifier:
         runs: Sequence[SegmentRun],
     ) -> List[ModeSegment]:
         """:meth:`segment_modes` over already-grouped runs of an episode's coordinate columns."""
+        speeds, accelerations = pair_motion(
+            np.array(xs, dtype=np.float64),
+            np.array(ys, dtype=np.float64),
+            np.array(ts, dtype=np.float64),
+        )
+        return self.fold_modes(ts, runs, speeds, accelerations)
+
+    def fold_modes(
+        self,
+        ts: Sequence[float],
+        runs: Sequence[SegmentRun],
+        speeds: List[float],
+        accelerations: List[float],
+        base: int = 0,
+    ) -> List[ModeSegment]:
+        """:meth:`run_modes` of one episode, its motion read off a group's :func:`pair_motion`.
+
+        ``ts`` is the episode's timestamp column and ``runs`` are its runs; the
+        episode's first fix is fix ``base`` of the group ``speeds`` and
+        ``accelerations`` were computed over (see :func:`run_means`).
+        """
         result: List[ModeSegment] = []
-        for start, end, segment in runs:
+        means = run_means(ts, runs, speeds, accelerations, base)
+        for (start, end, segment), (mean_speed, mean_acceleration) in zip(runs, means):
             road_type = segment.road_type if segment is not None else None
-            features = motion_features(xs[start:end], ys[start:end], ts[start:end])
-            mean_speed = features.mean_speed()
-            mode = self._classify_from_features(
-                mean_speed, features.mean_absolute_acceleration(), road_type
-            )
+            mode = self._classify_from_features(mean_speed, mean_acceleration, road_type)
             result.append(
                 ModeSegment(
                     segment_id=segment.place_id if segment is not None else None,

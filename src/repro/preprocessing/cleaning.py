@@ -5,22 +5,33 @@ a physically impossible speed) and smooths the remaining random error with a
 small sliding-window filter.  Both operations preserve timestamps; only the
 spatial coordinates change.
 
-Each pass has one implementation:
+The cleaner works on a stream's ``(xs, ys, ts)`` float columns
+(:meth:`GpsCleaner.clean_columns`) and builds no point object; each pass has
+one implementation:
 
-* outlier removal is the greedy anchor scan — inherently sequential once a
-  fix is dropped, and on float-only distances cheaper than any array
+* outlier removal is the greedy anchor scan on the anchor's own floats — the
+  arithmetic of :class:`~repro.streaming.cleaning.StreamingGpsCleaner` —
+  inherently sequential once a fix is dropped, and cheaper than any array
   precheck in front of it;
-* median smoothing (the default method) runs over coordinate columns at every
-  stream length: a median is a selection, not a sum, so the sliding-window
-  sort is bit-for-bit the per-point loop :meth:`GpsCleaner._smooth_scalar`,
-  which the tests keep as its oracle;
-* mean smoothing *is* that per-point loop: ``statistics.fmean`` is exactly
-  rounded while ``numpy.mean`` is not, and the cleaning contract is
+* median smoothing (the default method) takes the middle column of one
+  stable ``np.sort`` over a sliding-window view of each coordinate column,
+  and :func:`window_median` of a list slice where the stream edge clips the
+  window.  A median is a selection, not a sum, and a stable sort selects the
+  same zero as ``list.sort`` when a window holds both ``0.0`` and ``-0.0``, so
+  the result is bit-for-bit the per-point loop;
+* mean smoothing is ``statistics.fmean`` over column slices: ``fmean`` is
+  exactly rounded while ``numpy.mean`` is not, and the cleaning contract is
   byte-equality.
+
+:meth:`~GpsCleaner.remove_outliers`, :meth:`~GpsCleaner.smooth` and
+:meth:`~GpsCleaner.clean` are the same passes over point sequences, for
+callers that hold points.  The per-point loops they must equal live in
+:mod:`repro.reference.cleaning`.
 """
 
 from __future__ import annotations
 
+import math
 import statistics
 from typing import List, Sequence
 
@@ -28,7 +39,7 @@ import numpy as np
 
 from repro.core.config import CleaningConfig
 from repro.core.errors import DataQualityError
-from repro.core.points import SpatioTemporalPoint
+from repro.core.points import Columns, SpatioTemporalPoint, point_columns
 
 
 def window_median(values: List[float]) -> float:
@@ -43,6 +54,38 @@ def window_median(values: List[float]) -> float:
     if len(values) & 1:
         return values[middle]
     return (values[middle - 1] + values[middle]) / 2
+
+
+def _median_column(values: List[float], half: int) -> List[float]:
+    """One coordinate column smoothed by the centred median of ``2 * half + 1`` fixes.
+
+    The first and last fixes keep their value.  Interior fixes whose window
+    the stream does not clip take the middle column of one stable sort over a
+    strided window view; the at most ``2 * half`` whose window the stream edge
+    clips take :func:`window_median` of their list slice.
+    """
+    n = len(values)
+    smoothed = list(values)
+    # Indices with a full, unclipped window (never a stream endpoint).
+    full_lo = half
+    full_hi = n - half
+    if full_hi > full_lo:
+        windows = np.lib.stride_tricks.sliding_window_view(
+            np.array(values, dtype=np.float64), 2 * half + 1
+        )
+        smoothed[full_lo:full_hi] = np.sort(windows, axis=1, kind="stable")[:, half].tolist()
+    left_stop = min(half, n - 1)
+    for index in (*range(1, left_stop), *range(max(full_hi, left_stop), n - 1)):
+        smoothed[index] = window_median(values[max(0, index - half) : index + half + 1])
+    return smoothed
+
+
+def _mean_column(values: List[float], half: int) -> List[float]:
+    """One coordinate column smoothed by the centred ``fmean``; endpoints keep their value."""
+    fmean = statistics.fmean
+    interior = range(1, len(values) - 1)
+    smoothed = [fmean(values[max(0, index - half) : index + half + 1]) for index in interior]
+    return [values[0], *smoothed, values[-1]]
 
 
 class GpsCleaner:
@@ -62,108 +105,77 @@ class GpsCleaner:
         """The active cleaning configuration."""
         return self._config
 
-    # ------------------------------------------------------------- outliers
-    def remove_outliers(
-        self, points: Sequence[SpatioTemporalPoint]
-    ) -> List[SpatioTemporalPoint]:
-        """Drop fixes that imply a speed above ``max_speed`` from their predecessor.
+    # ---------------------------------------------------------------- columns
+    def clean_columns(self, xs: List[float], ys: List[float], ts: List[float]) -> Columns:
+        """Full cleaning pass over a stream's columns: outlier removal, then smoothing.
+
+        Returns new ``(xs, ys, ts)`` lists; the timestamps are the input's own
+        objects, in order, minus the dropped fixes.
+        """
+        return self._smooth_columns(*self._filter_columns(xs, ys, ts))
+
+    def _filter_columns(self, xs: List[float], ys: List[float], ts: List[float]) -> Columns:
+        """Drop fixes that imply a speed above ``max_speed`` from the last kept fix.
 
         The filter is greedy: it walks the stream keeping an anchor at the last
         accepted fix, so a single wild fix is dropped without discarding the
-        valid fixes that follow it.
+        valid fixes that follow it.  A duplicate timestamp keeps the first fix;
+        a step back in time raises.  A NaN speed fails ``speed <= max_speed``
+        and is dropped.
         """
-        if not points:
-            return []
-        cleaned: List[SpatioTemporalPoint] = [points[0]]
-        for candidate in points[1:]:
-            anchor = cleaned[-1]
-            dt = candidate.t - anchor.t
+        if not ts:
+            return [], [], []
+        max_speed = self._config.max_speed
+        sqrt = math.sqrt
+        ax, ay, at = xs[0], ys[0], ts[0]
+        kept_xs, kept_ys, kept_ts = [ax], [ay], [at]
+        for x, y, t in zip(xs[1:], ys[1:], ts[1:]):
+            dt = t - at
             if dt < 0:
                 raise DataQualityError("GPS stream timestamps must be non-decreasing")
             if dt == 0:
-                # Duplicate timestamp: keep the first fix, drop the duplicate.
                 continue
-            speed = anchor.distance_to(candidate) / dt
-            if speed <= self._config.max_speed:
-                cleaned.append(candidate)
-        return cleaned
+            # SpatioTemporalPoint.distance_to from the anchor, on its own floats.
+            dx = ax - x
+            dy = ay - y
+            if sqrt(dx * dx + dy * dy) / dt <= max_speed:
+                kept_xs.append(x)
+                kept_ys.append(y)
+                kept_ts.append(t)
+                ax, ay, at = x, y, t
+        return kept_xs, kept_ys, kept_ts
 
-    # ------------------------------------------------------------ smoothing
-    def smooth(self, points: Sequence[SpatioTemporalPoint]) -> List[SpatioTemporalPoint]:
-        """Smooth coordinates with a centred sliding-window filter.
+    def _smooth_columns(self, xs: List[float], ys: List[float], ts: List[float]) -> Columns:
+        """Smooth the coordinate columns with the configured centred window.
 
-        The window size and method (median or mean) come from the
-        configuration; timestamps are untouched and the first/last fixes keep
-        their original position so trajectory endpoints stay anchored.
+        Timestamps are untouched, and the first/last fixes keep their original
+        position so trajectory endpoints stay anchored.  Streams of fewer than
+        three fixes come back unchanged.
         """
         window = self._config.smoothing_window
         method = self._config.smoothing_method
-        if window <= 1 or method == "none" or len(points) < 3:
-            return list(points)
-        if method == "median":
-            return self._smooth_median_arrays(points, window)
-        return self._smooth_scalar(points, window, method)
-
-    def _smooth_scalar(
-        self, points: Sequence[SpatioTemporalPoint], window: int, method: str
-    ) -> List[SpatioTemporalPoint]:
+        if window <= 1 or method == "none" or len(ts) < 3:
+            return xs, ys, ts
+        smooth_column = _median_column if method == "median" else _mean_column
         half = window // 2
-        aggregate = statistics.median if method == "median" else statistics.fmean
-        smoothed: List[SpatioTemporalPoint] = []
-        for index, point in enumerate(points):
-            if index == 0 or index == len(points) - 1:
-                smoothed.append(point)
-                continue
-            lo = max(0, index - half)
-            hi = min(len(points), index + half + 1)
-            xs = [p.x for p in points[lo:hi]]
-            ys = [p.y for p in points[lo:hi]]
-            smoothed.append(SpatioTemporalPoint(aggregate(xs), aggregate(ys), point.t))
-        return smoothed
+        return smooth_column(xs, half), smooth_column(ys, half), ts
 
-    def _smooth_median_arrays(
-        self, points: Sequence[SpatioTemporalPoint], window: int
+    # ----------------------------------------------------------------- points
+    def remove_outliers(
+        self, points: Sequence[SpatioTemporalPoint]
     ) -> List[SpatioTemporalPoint]:
-        """Vectorized sliding-window median over columnar coordinates.
+        """The outlier filter over a point sequence (see :meth:`clean_columns`)."""
+        return _points(self._filter_columns(*point_columns(points)))
 
-        Interior points whose window is not clipped by the stream boundary
-        take the middle column of one ``np.sort`` over a strided window view
-        and are materialised in one pass over plain-float columns; the at most
-        ``2 * half`` points whose window the stream edge clips follow the
-        scalar rule.  A median is a selection (or the mean of two selected
-        values), so the result is bit-for-bit the scalar loop's; timestamps
-        are carried through as the original objects.
-        """
-        n = len(points)
-        half = window // 2
-        xs = np.fromiter((point.x for point in points), dtype=np.float64, count=n)
-        ys = np.fromiter((point.y for point in points), dtype=np.float64, count=n)
-        smoothed: List[SpatioTemporalPoint] = list(points)
-        # Indices with a full, unclipped window that are not stream endpoints.
-        full_lo = half
-        full_hi = n - half
-        if full_hi > full_lo:
-            span = 2 * half + 1
-            view = np.lib.stride_tricks.sliding_window_view
-            smoothed[full_lo:full_hi] = map(
-                SpatioTemporalPoint,
-                np.sort(view(xs, span), axis=1)[:, half].tolist(),
-                np.sort(view(ys, span), axis=1)[:, half].tolist(),
-                [point.t for point in points[full_lo:full_hi]],
-            )
-        # Interior points whose window the stream edge clips.
-        left_stop = min(half, n - 1)
-        for index in (*range(1, left_stop), *range(max(full_hi, left_stop), n - 1)):
-            lo = max(0, index - half)
-            hi = min(n, index + half + 1)
-            smoothed[index] = SpatioTemporalPoint(
-                window_median(xs[lo:hi].tolist()),
-                window_median(ys[lo:hi].tolist()),
-                points[index].t,
-            )
-        return smoothed
+    def smooth(self, points: Sequence[SpatioTemporalPoint]) -> List[SpatioTemporalPoint]:
+        """The smoothing pass over a point sequence (see :meth:`clean_columns`)."""
+        return _points(self._smooth_columns(*point_columns(points)))
 
-    # ---------------------------------------------------------------- pipeline
     def clean(self, points: Sequence[SpatioTemporalPoint]) -> List[SpatioTemporalPoint]:
-        """Full cleaning pass: outlier removal followed by smoothing."""
-        return self.smooth(self.remove_outliers(points))
+        """Full cleaning pass over a point sequence: outlier removal followed by smoothing."""
+        return _points(self.clean_columns(*point_columns(points)))
+
+
+def _points(columns: Columns) -> List[SpatioTemporalPoint]:
+    xs, ys, ts = columns
+    return list(map(SpatioTemporalPoint, xs, ys, ts))

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.core.points import RawTrajectory, SpatioTemporalPoint
+from repro.core.points import RawTrajectory, SpatioTemporalPoint, point_columns
 
 
 @dataclass(frozen=True)
@@ -103,9 +103,7 @@ def motion_features(
 
 def compute_motion_features(points: Sequence[SpatioTemporalPoint]) -> MotionFeatures:
     """Compute speed, acceleration and heading for every point of ``points``."""
-    return motion_features(
-        [point.x for point in points], [point.y for point in points], [point.t for point in points]
-    )
+    return motion_features(*point_columns(points))
 
 
 def features_for_trajectory(trajectory: RawTrajectory) -> MotionFeatures:

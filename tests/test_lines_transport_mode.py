@@ -2,19 +2,27 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import TransportModeConfig
 from repro.core.points import SpatioTemporalPoint
 from repro.geometry.primitives import Point
-from repro.lines.map_matching import MatchedPoint
+from repro.lines.map_matching import MatchedPoint, segment_runs
 from repro.lines.road_network import make_road_segment
 from repro.lines.transport_mode import (
     TRANSPORT_MODES,
     ModeSegment,
     TransportModeClassifier,
     mode_share_by_duration,
+    pair_motion,
+    run_means,
 )
+from repro.preprocessing.features import motion_features
 
 
 def _uniform_track(speed: float, count: int = 20, interval: float = 10.0):
@@ -144,3 +152,124 @@ class TestConfig:
     def test_custom_thresholds_change_decision(self):
         strict = TransportModeClassifier(TransportModeConfig(walk_speed_max=0.5, bicycle_speed_max=1.0, bus_speed_max=2.0))
         assert strict.classify(_uniform_track(1.5), road_type="road") in ("bus", "car")
+
+
+# ---------------------------------------------------------------- the mode fold
+_ROADS = [
+    None,
+    make_road_segment("r1", "road", Point(0, 0), Point(100, 0), "road"),
+    make_road_segment("p1", "path", Point(0, 0), Point(0, 100), "path_way"),
+    make_road_segment("m1", "metro", Point(0, 0), Point(100, 100), "metro_line"),
+]
+# Zero and tiny time steps, huge and hostile coordinates: zero-dt pairs, and
+# speeds of inf or NaN whose ``last - last`` is NaN.
+_ADVANCE = st.sampled_from([0.0, 0.0, 1.0, 2.5, 10.0, 5e-324, math.nan])
+_COORDINATE = st.one_of(
+    st.sampled_from([0.0, -0.0, 3.0, 1e200, -1e200, math.inf, math.nan]),
+    st.floats(-500.0, 500.0),
+)
+
+
+@st.composite
+def _episode(draw):
+    """One episode: its columns and a partition into runs of 1-4 fixes."""
+    size = draw(st.integers(1, 9))
+    t, ts = 100.0, []
+    for _ in range(size):
+        t += draw(_ADVANCE)
+        ts.append(t)
+    xs = draw(st.lists(_COORDINATE, min_size=size, max_size=size))
+    ys = draw(st.lists(_COORDINATE, min_size=size, max_size=size))
+    runs, start = [], 0
+    while start < size:
+        end = min(size, start + draw(st.integers(1, 4)))
+        runs.append((start, end, draw(st.sampled_from(_ROADS))))
+        start = end
+    return xs, ys, ts, runs
+
+
+def _reprs(values):
+    return [repr(value) for value in values]
+
+
+def _run_modes_by_features(classifier, xs, ys, ts, runs):
+    """The mode of each run from ``motion_features`` of its slices (the loop the fold replaced)."""
+    result = []
+    for start, end, segment in runs:
+        features = motion_features(xs[start:end], ys[start:end], ts[start:end])
+        road_type = segment.road_type if segment is not None else None
+        mean_speed = features.mean_speed()
+        result.append(
+            ModeSegment(
+                segment_id=segment.place_id if segment is not None else None,
+                road_type=road_type,
+                mode=classifier._classify_from_features(
+                    mean_speed, features.mean_absolute_acceleration(), road_type
+                ),
+                time_in=ts[start],
+                time_out=ts[end - 1],
+                point_count=end - start,
+                mean_speed=mean_speed,
+            )
+        )
+    return classifier._smooth_modes(result)
+
+
+class TestModeFold:
+    """Each run's motion read off one group's speed column is ``motion_features``'s."""
+
+    @given(episodes=st.lists(_episode(), min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_group_fold_equals_motion_features_of_every_run(self, episodes):
+        columns = [np.array([v for episode in episodes for v in episode[k]]) for k in range(3)]
+        speeds, accelerations = pair_motion(*columns)
+        classifier = TransportModeClassifier()
+        base = 0
+        for xs, ys, ts, runs in episodes:
+            means = run_means(ts, runs, speeds, accelerations, base)
+            for (start, end, _), (mean_speed, mean_acceleration) in zip(runs, means):
+                features = motion_features(xs[start:end], ys[start:end], ts[start:end])
+                assert _reprs([mean_speed, mean_acceleration]) == _reprs(
+                    [features.mean_speed(), features.mean_absolute_acceleration()]
+                )
+            # ModeSegment reprs: NaN speeds compare equal, -0.0 differs from 0.0.
+            folded = repr(classifier.fold_modes(ts, runs, speeds, accelerations, base))
+            assert folded == repr(_run_modes_by_features(classifier, xs, ys, ts, runs))
+            assert folded == repr(classifier.run_modes(xs, ys, ts, runs))
+            base += len(ts)
+
+    def test_runs_of_one_and_two_fixes_at_episode_boundaries(self):
+        # Two episodes back to back; the pair between them (a 50 s, 1 km jump)
+        # is computed and must not leak into either episode's runs.
+        first = ([0.0, 10.0, 10.0, 30.0], [0.0] * 4, [0.0, 10.0, 10.0, 20.0])
+        second = ([1000.0, 1001.0, 1003.0], [0.0] * 3, [70.0, 71.0, 72.0])
+        road = _ROADS[1]
+        first_runs = [(0, 1, road), (1, 3, road), (3, 4, None)]  # 1, 2 (zero dt), 1
+        second_runs = [(0, 2, road), (2, 3, road)]  # 2, 1
+        columns = [np.array(first[k] + second[k]) for k in range(3)]
+        speeds, accelerations = pair_motion(*columns)
+        assert run_means(first[2], first_runs, speeds, accelerations, 0) == [
+            (0.0, 0.0),
+            (0.0, 0.0),  # zero dt: speed 0, acceleration 0
+            (0.0, 0.0),
+        ]
+        assert run_means(second[2], second_runs, speeds, accelerations, 4) == [
+            (1.0, 0.0),
+            (0.0, 0.0),
+        ]
+
+    def test_segment_modes_is_unchanged(self):
+        classifier = TransportModeClassifier()
+        road, metro = _ROADS[1], _ROADS[3]
+        points = [
+            SpatioTemporalPoint(i * 7.5 + (i % 3), 0.5 * (i % 2), i * 5.0 - (i % 4 == 0))
+            for i in range(40)
+        ]
+        matched = _matched(points[:13], road) + _matched(points[13:14], metro)
+        matched += _matched(points[14:16], None) + _matched(points[16:], road)
+        xs, ys, ts = ([getattr(p, axis) for p in points] for axis in "xyt")
+        runs = segment_runs(matched)
+        assert [run[1] - run[0] for run in runs] == [13, 1, 2, 24]
+        assert repr(classifier.segment_modes(matched)) == repr(
+            _run_modes_by_features(classifier, xs, ys, ts, runs)
+        )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 import warnings
 
 import pytest
@@ -13,6 +14,8 @@ from repro.core.config import CleaningConfig
 from repro.core.errors import DataQualityError
 from repro.core.points import SpatioTemporalPoint
 from repro.preprocessing.cleaning import GpsCleaner
+from repro.reference.cleaning import smooth_per_point
+from repro.streaming import clean_stream
 
 
 def _stream(*triples):
@@ -129,13 +132,14 @@ def _walk(steps):
 
 
 def _triples(points):
-    return [(point.x, point.y, point.t) for point in points]
+    """Each fix as the reprs of its numbers: ``-0.0`` differs from ``0.0``, NaN equals NaN."""
+    return [(repr(point.x), repr(point.y), repr(point.t)) for point in points]
 
 
 class TestShortAndDegenerateStreams:
     """Streams of 0-40 fixes: no size cut-off keeps them off the array kernel."""
 
-    @given(steps=_steps([0.0, 1.0, 2.5, 10.0, 40.0]), window=st.sampled_from([3, 5, 7]))
+    @given(steps=_steps([0.0, 1.0, 2.5, 10.0, 40.0]), window=st.sampled_from([3, 4, 5, 7, 9]))
     @settings(max_examples=200, deadline=None)
     def test_median_smoothing_equals_the_per_point_loop(self, steps, window):
         cleaner = GpsCleaner(CleaningConfig(smoothing_window=window, smoothing_method="median"))
@@ -143,7 +147,7 @@ class TestShortAndDegenerateStreams:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy RuntimeWarning on any input
             smoothed = cleaner.smooth(points)
-        assert _triples(smoothed) == _triples(cleaner._smooth_scalar(points, window, "median"))
+        assert _triples(smoothed) == _triples(smooth_per_point(points, window, "median"))
 
     @given(steps=_steps([0.0, 0.0, 1.0, 2.5, 40.0, -1.0]))
     @settings(max_examples=200, deadline=None)
@@ -167,6 +171,33 @@ class TestShortAndDegenerateStreams:
             with pytest.raises(DataQualityError):
                 cleaner.remove_outliers(points)
         else:
-            cleaned = cleaner.remove_outliers(points)
-            assert len(cleaned) == len(kept)
-            assert all(ours is theirs for ours, theirs in zip(cleaned, kept))
+            assert _triples(cleaner.remove_outliers(points)) == _triples(kept)
+
+
+class TestSignedZeroMedians:
+    """A window holding both ``0.0`` and ``-0.0`` has two medians that compare
+    equal; the batch smoother must select the one the stable ``list.sort`` of
+    the per-point loop and of the streaming cleaner selects."""
+
+    @pytest.mark.parametrize("window", [7, 9])
+    def test_the_median_zero_is_the_per_point_loops(self, window):
+        xs = (0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, -0.0, 0.0)
+        points = [SpatioTemporalPoint(x, -x, float(t)) for t, x in enumerate(xs)]
+        cleaner = GpsCleaner(CleaningConfig(smoothing_window=window))
+        expected = _triples(smooth_per_point(points, window, "median"))
+        assert _triples(cleaner.smooth(points)) == expected
+        assert _triples(clean_stream(points, cleaner.config)) == expected
+        if window == 7:
+            assert expected[5][0] == "-0.0"
+
+    @pytest.mark.parametrize("window", [3, 5, 7, 9])
+    def test_every_sampled_zero_stream_agrees(self, window):
+        rng = random.Random(window)
+        config = CleaningConfig(smoothing_window=window)
+        cleaner = GpsCleaner(config)
+        for _ in range(300):
+            xs = [rng.choice((0.0, -0.0, 1.0)) for _ in range(9)]
+            points = [SpatioTemporalPoint(x, 0.0, float(t)) for t, x in enumerate(xs)]
+            expected = _triples(smooth_per_point(points, window, "median"))
+            assert _triples(cleaner.clean(points)) == expected, xs
+            assert _triples(clean_stream(points, config)) == expected, xs

@@ -16,6 +16,11 @@ from repro.preprocessing.cleaning import GpsCleaner
 from repro.streaming import StreamingGpsCleaner, clean_stream
 
 
+def _reprs(fixes):
+    """Each ``(x, y, t)`` fix as the reprs of its numbers: ``-0.0`` differs from ``0.0``."""
+    return [tuple(map(repr, fix)) for fix in fixes]
+
+
 def _random_stream(seed: int, n: int, outlier_rate: float = 0.1):
     rng = np.random.default_rng(seed)
     points = []
@@ -48,7 +53,7 @@ def test_streaming_clean_matches_batch(config):
     points = _random_stream(seed=3, n=300)
     batch = GpsCleaner(config).clean(points)
     streamed = clean_stream(points, config)
-    assert [p.as_tuple() for p in streamed] == [p.as_tuple() for p in batch]
+    assert _reprs(p.as_tuple() for p in streamed) == _reprs(p.as_tuple() for p in batch)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
@@ -57,20 +62,20 @@ def test_streaming_clean_tiny_streams(n):
     points = _random_stream(seed=9, n=n, outlier_rate=0.0)
     batch = GpsCleaner(config).clean(points)
     streamed = clean_stream(points, config)
-    assert [p.as_tuple() for p in streamed] == [p.as_tuple() for p in batch]
+    assert _reprs(p.as_tuple() for p in streamed) == _reprs(p.as_tuple() for p in batch)
 
 
 def test_duplicate_timestamps_are_dropped_like_batch():
     config = CleaningConfig()
     points = [
-        SpatioTemporalPoint(0, 0, 0.0),
-        SpatioTemporalPoint(5, 0, 0.0),  # duplicate timestamp
-        SpatioTemporalPoint(10, 0, 10.0),
-        SpatioTemporalPoint(20, 0, 20.0),
+        SpatioTemporalPoint(0.0, 0.0, 0.0),
+        SpatioTemporalPoint(5.0, 0.0, 0.0),  # duplicate timestamp
+        SpatioTemporalPoint(10.0, 0.0, 10.0),
+        SpatioTemporalPoint(20.0, 0.0, 20.0),
     ]
     batch = GpsCleaner(config).clean(points)
     streamed = clean_stream(points, config)
-    assert [p.as_tuple() for p in streamed] == [p.as_tuple() for p in batch]
+    assert _reprs(p.as_tuple() for p in streamed) == _reprs(p.as_tuple() for p in batch)
 
 
 def test_emission_lag_is_bounded_by_half_window():
@@ -98,16 +103,9 @@ def test_push_after_finish_raises():
         cleaner.push(SpatioTemporalPoint(1, 0, 1.0))
 
 
-def _same(a: float, b: float) -> bool:
-    """Equal floats, NaN equal to NaN (``-0.0 == 0.0`` as before)."""
-    return a == b or (math.isnan(a) and math.isnan(b))
-
-
 def _same_fixes(streamed, batch) -> bool:
-    return len(streamed) == len(batch) and all(
-        _same(x, point.x) and _same(y, point.y) and _same(t, point.t)
-        for (x, y, t), point in zip(streamed, batch)
-    )
+    """The same numbers by ``repr``: NaN equals NaN, ``-0.0`` differs from ``0.0``."""
+    return _reprs(streamed) == _reprs(point.as_tuple() for point in batch)
 
 
 # One generated step: (time advance, x, y).  The small sampled sets make
@@ -131,7 +129,7 @@ _steps = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(
     steps=_steps,
-    window=st.sampled_from([1, 3, 4, 5, 7]),
+    window=st.sampled_from([1, 3, 4, 5, 7, 9]),
     method=st.sampled_from(["median", "mean", "none"]),
 )
 def test_streaming_clean_equals_batch_on_generated_streams(steps, window, method):

@@ -58,6 +58,7 @@ from repro.reference import (
     RTreeEntry,
     ScalarMapMatcher,
     ScalarStopMoveDetector,
+    smooth_per_point,
     velocity_stop_flags,
 )
 from repro.regions.annotator import RegionAnnotator
@@ -218,7 +219,8 @@ def test_parallel_backend_parity(dataset, annotation_sources):
 
 # --------------------------------------------------------- preprocessing kernels
 def _triples(points):
-    return [(point.x, point.y, point.t) for point in points]
+    """Each fix as the reprs of its numbers: ``-0.0`` differs from ``0.0``."""
+    return [(repr(point.x), repr(point.y), repr(point.t)) for point in points]
 
 
 @pytest.mark.parametrize("window", [3, 5, 7])
@@ -234,7 +236,7 @@ def test_median_smoothing_equals_the_per_point_loop_on_every_seed_trajectory(
         for trajectory in trajectories:
             points = trajectory.points
             assert _triples(cleaner.smooth(points)) == _triples(
-                cleaner._smooth_scalar(points, window, "median")
+                smooth_per_point(points, window, "median")
             )
 
 
