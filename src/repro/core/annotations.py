@@ -8,6 +8,11 @@ The paper distinguishes two kinds of annotation:
 * **additional value annotations** carry extra semantic values that are not a
   place, e.g. the activity behind a stop ("shopping") or the transportation
   mode of a move ("metro").
+
+Annotations are values.  The layer annotators build each distinct one once
+per snapshot and share that object between every episode and record that
+links the same place or carries the same value; the factories below build a
+fresh one per call, for tests, examples and outside callers.
 """
 
 from __future__ import annotations
@@ -32,7 +37,16 @@ class AnnotationKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class Annotation:
-    """Base annotation: a kind, a confidence and free-form details."""
+    """Base annotation: a kind, a confidence and free-form details.
+
+    An annotation is an immutable value, and one object is shared by every
+    result that links the same place or carries the same value (the layer
+    annotators intern them per snapshot).  The dataclass is frozen, but
+    ``details`` is a plain ``dict``: it is read-only by contract, and
+    mutating it would change every result that shares the annotation.
+    Equality is by value, so a shared annotation equals the one its factory
+    builds.
+    """
 
     kind: AnnotationKind
     confidence: float = 1.0
@@ -80,28 +94,36 @@ class ValueAnnotation(Annotation):
             raise ValueError("a value annotation needs a non-empty label")
 
 
-def region_annotation(place: SemanticPlace, confidence: float = 1.0, **details: Any) -> GeographicReferenceAnnotation:
+def region_annotation(
+    place: SemanticPlace, confidence: float = 1.0, **details: Any
+) -> GeographicReferenceAnnotation:
     """Build a region-layer geographic reference annotation."""
     return GeographicReferenceAnnotation(
         kind=AnnotationKind.REGION, confidence=confidence, details=dict(details), place=place
     )
 
 
-def line_annotation(place: SemanticPlace, confidence: float = 1.0, **details: Any) -> GeographicReferenceAnnotation:
+def line_annotation(
+    place: SemanticPlace, confidence: float = 1.0, **details: Any
+) -> GeographicReferenceAnnotation:
     """Build a line-layer (map matching) geographic reference annotation."""
     return GeographicReferenceAnnotation(
         kind=AnnotationKind.LINE, confidence=confidence, details=dict(details), place=place
     )
 
 
-def poi_annotation(place: SemanticPlace, confidence: float = 1.0, **details: Any) -> GeographicReferenceAnnotation:
+def poi_annotation(
+    place: SemanticPlace, confidence: float = 1.0, **details: Any
+) -> GeographicReferenceAnnotation:
     """Build a point-layer (POI) geographic reference annotation."""
     return GeographicReferenceAnnotation(
         kind=AnnotationKind.POINT, confidence=confidence, details=dict(details), place=place
     )
 
 
-def transport_mode_annotation(mode: str, confidence: float = 1.0, **details: Any) -> ValueAnnotation:
+def transport_mode_annotation(
+    mode: str, confidence: float = 1.0, **details: Any
+) -> ValueAnnotation:
     """Build a transportation-mode value annotation ("walk", "bus", ...)."""
     return ValueAnnotation(
         kind=AnnotationKind.TRANSPORT_MODE,

@@ -8,10 +8,11 @@ the annotation layers produce (Definition 4): a sequence of tuples
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.core.annotations import Annotation, AnnotationKind, GeographicReferenceAnnotation, ValueAnnotation
+from repro.core.annotations import Annotation, ValueAnnotation
 from repro.core.episodes import Episode, EpisodeKind
 from repro.core.errors import DataQualityError
 from repro.core.places import SemanticPlace
@@ -94,10 +95,7 @@ class SemanticEpisodeRecord:
     source_episode: Optional[Episode] = None
 
     def __post_init__(self) -> None:
-        if self.time_out < self.time_in:
-            raise DataQualityError(
-                f"episode record has inverted time interval [{self.time_in}, {self.time_out}]"
-            )
+        _check_interval(self.time_in, self.time_out)
 
     @property
     def duration(self) -> float:
@@ -129,12 +127,25 @@ class SemanticEpisodeRecord:
         return str(value) if value is not None else None
 
 
+def _check_interval(time_in: float, time_out: float) -> None:
+    if time_out < time_in:
+        raise DataQualityError(
+            f"episode record has inverted time interval [{time_in}, {time_out}]"
+        )
+
+
 class StructuredSemanticTrajectory:
     """Definition 4: a sequence of semantic episode records.
 
-    Records must be time-ordered; consecutive records that reference the same
-    place and kind can be merged with :meth:`merged`, which is the compression
-    step Algorithm 1 applies when consecutive regions coincide.
+    Records must be time-ordered.  :meth:`append_or_merge` holds Algorithm 1's
+    merge rule — a tuple on the same place and kind as the last record
+    extends it — and the annotation layers build their records through it, so
+    they come out merged; :meth:`merged` is the same rule over copies of an
+    existing trajectory's records.
+
+    The records' annotation lists hold shared immutable values: the layer
+    annotators hand the same annotation object to every record and episode
+    that links the same place or carries the same value.
     """
 
     def __init__(
@@ -146,6 +157,9 @@ class StructuredSemanticTrajectory:
         self.trajectory_id = trajectory_id
         self.object_id = object_id
         self._records: List[SemanticEpisodeRecord] = []
+        # ``time_in`` of the last tuple added, merged or not: what the next one
+        # may not start before.
+        self._last_time_in = -math.inf
         for record in records:
             self.append(record)
 
@@ -163,41 +177,73 @@ class StructuredSemanticTrajectory:
         """The episode records, in time order."""
         return list(self._records)
 
+    def _check_order(self, time_in: float) -> None:
+        if time_in < self._last_time_in:
+            raise DataQualityError("structured trajectory records must be time-ordered")
+        self._last_time_in = time_in
+
     def append(self, record: SemanticEpisodeRecord) -> None:
         """Append a record; its time interval must not start before the last one."""
-        if self._records and record.time_in < self._records[-1].time_in:
-            raise DataQualityError("structured trajectory records must be time-ordered")
+        self._check_order(record.time_in)
         self._records.append(record)
+
+    def append_or_merge(
+        self,
+        place: Optional[SemanticPlace],
+        time_in: float,
+        time_out: float,
+        kind: EpisodeKind,
+        annotations: Sequence[Annotation],
+        source_episode: Optional[Episode] = None,
+    ) -> None:
+        """Add the tuple ``(place, time_in, time_out)`` under Algorithm 1's merge rule.
+
+        The ``if current regtype = previous regtype then merge`` step: when
+        the last record has the same place (``None`` counts as the same place
+        as ``None``) and the same kind, that record is extended in place — it
+        keeps its place, ``time_in`` and source episode, takes the later
+        ``time_out`` and appends ``annotations``.  Otherwise a new record
+        holding a copy of ``annotations`` is appended.  Either way the tuple's
+        own interval must not be inverted, and it may not start before the
+        previous tuple (merged or not) started.
+        """
+        self._check_order(time_in)
+        if self._records:
+            last = self._records[-1]
+            previous = last.place
+            if last.kind is kind and (
+                previous is place
+                or (
+                    previous is not None
+                    and place is not None
+                    and previous.place_id == place.place_id
+                )
+            ):
+                _check_interval(time_in, time_out)
+                if time_out > last.time_out:
+                    last.time_out = time_out
+                last.annotations.extend(annotations)
+                return
+        self._records.append(
+            SemanticEpisodeRecord(place, time_in, time_out, kind, list(annotations), source_episode)
+        )
 
     def merged(self) -> "StructuredSemanticTrajectory":
         """Merge consecutive records with the same place and kind.
 
-        Mirrors the ``if current regtype = previous regtype then merge`` step
-        of Algorithm 1.  Annotations of merged records are concatenated.
+        :meth:`append_or_merge` over copies of the records: annotations of
+        merged records are concatenated, and this trajectory is left as it is.
         """
         merged = StructuredSemanticTrajectory(self.trajectory_id, self.object_id)
         for record in self._records:
-            if merged._records:
-                last = merged._records[-1]
-                same_place = (
-                    (last.place is None and record.place is None)
-                    or (
-                        last.place is not None
-                        and record.place is not None
-                        and last.place.place_id == record.place.place_id
-                    )
-                )
-                if same_place and last.kind is record.kind:
-                    merged._records[-1] = SemanticEpisodeRecord(
-                        place=last.place,
-                        time_in=last.time_in,
-                        time_out=max(last.time_out, record.time_out),
-                        kind=last.kind,
-                        annotations=list(last.annotations) + list(record.annotations),
-                        source_episode=last.source_episode,
-                    )
-                    continue
-            merged._records.append(record)
+            merged.append_or_merge(
+                record.place,
+                record.time_in,
+                record.time_out,
+                record.kind,
+                record.annotations,
+                record.source_episode,
+            )
         return merged
 
     # -------------------------------------------------------------- analysis

@@ -10,19 +10,32 @@ episodes of any number of trajectories and matches them in one kernel call
 (episode boundaries are context-window barriers), so the executors hand it the
 largest group they hold — a chunk of trajectories in batch, the episodes one
 processing pass sealed in streaming.
+
+Annotations are values: the annotator keeps one table of line annotations
+keyed by the segment's ``place_id`` and one of transport-mode annotations
+keyed by mode, filled on first use, and every record and episode takes its
+annotations from them.  Each mode segment is added to ``T_line`` through
+Algorithm 1's merge rule, so the records come out merged.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.annotations import line_annotation, transport_mode_annotation
+from repro.core.annotations import (
+    Annotation,
+    GeographicReferenceAnnotation,
+    ValueAnnotation,
+    line_annotation,
+    transport_mode_annotation,
+)
 from repro.core.config import MapMatchingConfig, TransportModeConfig
 from repro.core.episodes import Episode
 from repro.core.errors import DataQualityError
-from repro.core.trajectory import SemanticEpisodeRecord, StructuredSemanticTrajectory
+from repro.core.places import LineOfInterest
+from repro.core.trajectory import StructuredSemanticTrajectory
 from repro.lines.map_matching import GlobalMapMatcher, MatchedPoint
 from repro.lines.road_network import RoadNetwork
 from repro.lines.transport_mode import ModeSegment, TransportModeClassifier, pair_motion
@@ -39,6 +52,8 @@ class LineAnnotator:
     ):
         self._matcher = GlobalMapMatcher(network, matching_config)
         self._classifier = TransportModeClassifier(transport_config)
+        self._line_annotations: Dict[str, GeographicReferenceAnnotation] = {}
+        self._mode_annotations: Dict[str, ValueAnnotation] = {}
 
     @property
     def matcher(self) -> GlobalMapMatcher:
@@ -92,6 +107,20 @@ class LineAnnotator:
         return self._matcher.match(episode.points)
 
     # --------------------------------------------------------------- assembly
+    def _line_annotation(self, place: LineOfInterest) -> GeographicReferenceAnnotation:
+        """The one annotation linking road segment ``place``, built on first use."""
+        annotation = self._line_annotations.get(place.place_id)
+        if annotation is None:
+            annotation = self._line_annotations[place.place_id] = line_annotation(place)
+        return annotation
+
+    def _mode_annotation(self, mode: str) -> ValueAnnotation:
+        """The one transport-mode annotation carrying ``mode``, built on first use."""
+        annotation = self._mode_annotations.get(mode)
+        if annotation is None:
+            annotation = self._mode_annotations[mode] = transport_mode_annotation(mode)
+        return annotation
+
     def _to_structured(
         self, episode: Episode, mode_segments: Sequence[ModeSegment]
     ) -> StructuredSemanticTrajectory:
@@ -108,22 +137,19 @@ class LineAnnotator:
                 durations[segment_info.mode] = durations.get(segment_info.mode, 0.0) + weight
             dominant_mode = max(durations.items(), key=lambda pair: (pair[1], pair[0]))[0]
 
+        network = self._matcher.network
+        kind = episode.kind
         for segment_info in mode_segments:
-            place = None
-            annotations = [transport_mode_annotation(segment_info.mode)]
+            mode = self._mode_annotation(segment_info.mode)
+            place: Optional[LineOfInterest] = None
+            annotations: Sequence[Annotation] = (mode,)
             if segment_info.segment_id is not None:
-                place = self._matcher.network.segment(segment_info.segment_id)
-                annotations.insert(0, line_annotation(place))
-            record = SemanticEpisodeRecord(
-                place=place,
-                time_in=segment_info.time_in,
-                time_out=segment_info.time_out,
-                kind=episode.kind,
-                annotations=annotations,
-                source_episode=episode,
+                place = network.segment(segment_info.segment_id)
+                annotations = (self._line_annotation(place), mode)
+            result.append_or_merge(
+                place, segment_info.time_in, segment_info.time_out, kind, annotations, episode
             )
-            result.append(record)
 
         if dominant_mode is not None:
-            episode.add_annotation(transport_mode_annotation(dominant_mode))
-        return result.merged()
+            episode.add_annotation(self._mode_annotation(dominant_mode))
+        return result

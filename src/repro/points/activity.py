@@ -11,7 +11,7 @@ Once stops carry POI-category annotations, two further semantics are derived:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 #: Default mapping from POI top-category to the activity label used in stops.
 ACTIVITY_BY_CATEGORY: Dict[str, str] = {

@@ -6,13 +6,24 @@ and attaches a POI-category and activity annotation to every stop episode.
 
 One path: before decoding, one batch flat-index query primes the observation
 model with the neighbour sets of every cell the stops fall in.
+
+Annotations are values: the annotator keeps one table of POI annotations keyed
+by the POI's ``place_id`` and one of activity annotations keyed by POI
+category (the activity is a function of the category), filled on first use;
+a stop's episode and record hold the same objects.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.annotations import activity_annotation, poi_annotation
+from repro.core.annotations import (
+    Annotation,
+    GeographicReferenceAnnotation,
+    ValueAnnotation,
+    activity_annotation,
+    poi_annotation,
+)
 from repro.core.config import PointAnnotationConfig
 from repro.core.episodes import Episode
 from repro.core.errors import DataQualityError
@@ -45,6 +56,8 @@ class PointAnnotator:
             else diagonal_transitions(categories, config.self_transition),
             min_probability=config.min_probability,
         )
+        self._poi_annotations: Dict[str, GeographicReferenceAnnotation] = {}
+        self._activity_annotations: Dict[str, ValueAnnotation] = {}
 
     @property
     def source(self) -> PoiSource:
@@ -100,22 +113,23 @@ class PointAnnotator:
         )
         for stop, category in zip(ordered, categories):
             place = self._representative_poi(stop, category)
-            activity = activity_for_category(category)
-            annotations = [activity_annotation(activity, details={"category": category})]
+            activity = self._activity_annotation(category)
+            annotations: List[Annotation] = [activity]
+            stop.add_annotation(activity)
             if place is not None:
-                annotations.insert(0, poi_annotation(place))
-            record = SemanticEpisodeRecord(
-                place=place,
-                time_in=stop.time_in,
-                time_out=stop.time_out,
-                kind=stop.kind,
-                annotations=annotations,
-                source_episode=stop,
+                poi = self._poi_annotation(place)
+                annotations.insert(0, poi)
+                stop.add_annotation(poi)
+            result.append(
+                SemanticEpisodeRecord(
+                    place=place,
+                    time_in=stop.time_in,
+                    time_out=stop.time_out,
+                    kind=stop.kind,
+                    annotations=annotations,
+                    source_episode=stop,
+                )
             )
-            stop.add_annotation(activity_annotation(activity, details={"category": category}))
-            if place is not None:
-                stop.add_annotation(poi_annotation(place))
-            result.append(record)
         return result
 
     def classify_trajectory(self, stops: Sequence[Episode]) -> Optional[str]:
@@ -128,6 +142,22 @@ class PointAnnotator:
         return trajectory_category(categories, durations)
 
     # -------------------------------------------------------------- internals
+    def _poi_annotation(self, place: PointOfInterest) -> GeographicReferenceAnnotation:
+        """The one annotation linking ``place``, built on first use."""
+        annotation = self._poi_annotations.get(place.place_id)
+        if annotation is None:
+            annotation = self._poi_annotations[place.place_id] = poi_annotation(place)
+        return annotation
+
+    def _activity_annotation(self, category: str) -> ValueAnnotation:
+        """The one activity annotation of POI ``category``, built on first use."""
+        annotation = self._activity_annotations.get(category)
+        if annotation is None:
+            annotation = self._activity_annotations[category] = activity_annotation(
+                activity_for_category(category), category=category
+            )
+        return annotation
+
     def _representative_poi(self, stop: Episode, category: str) -> Optional[PointOfInterest]:
         """The nearest POI of the inferred category, within the neighbour radius."""
         center = stop.center()

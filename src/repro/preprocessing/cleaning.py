@@ -14,11 +14,13 @@ one implementation:
   inherently sequential once a fix is dropped, and cheaper than any array
   precheck in front of it;
 * median smoothing (the default method) takes the middle column of one
-  stable ``np.sort`` over a sliding-window view of each coordinate column,
-  and :func:`window_median` of a list slice where the stream edge clips the
-  window.  A median is a selection, not a sum, and a stable sort selects the
-  same zero as ``list.sort`` when a window holds both ``0.0`` and ``-0.0``, so
-  the result is bit-for-bit the per-point loop;
+  stable ``np.argsort`` over a sliding-window view of each coordinate column
+  and reads the input's own value at that position, and :func:`window_median`
+  of a list slice where the stream edge clips the window.  A median is a
+  selection, not a sum, and a stable sort selects the same zero as
+  ``list.sort`` when a window holds both ``0.0`` and ``-0.0``; reading the
+  selected input value keeps an ``int`` coordinate an ``int``.  So the result
+  is the per-point loop's, value and type;
 * mean smoothing is ``statistics.fmean`` over column slices: ``fmean`` is
   exactly rounded while ``numpy.mean`` is not, and the cleaning contract is
   byte-equality.
@@ -60,9 +62,9 @@ def _median_column(values: List[float], half: int) -> List[float]:
     """One coordinate column smoothed by the centred median of ``2 * half + 1`` fixes.
 
     The first and last fixes keep their value.  Interior fixes whose window
-    the stream does not clip take the middle column of one stable sort over a
-    strided window view; the at most ``2 * half`` whose window the stream edge
-    clips take :func:`window_median` of their list slice.
+    the stream does not clip take the input value at the middle column of one
+    stable argsort over a strided window view; the at most ``2 * half`` whose
+    window the stream edge clips take :func:`window_median` of their list slice.
     """
     n = len(values)
     smoothed = list(values)
@@ -73,7 +75,11 @@ def _median_column(values: List[float], half: int) -> List[float]:
         windows = np.lib.stride_tricks.sliding_window_view(
             np.array(values, dtype=np.float64), 2 * half + 1
         )
-        smoothed[full_lo:full_hi] = np.sort(windows, axis=1, kind="stable")[:, half].tolist()
+        # Window ``w`` starts at fix ``w``; its median is the input's own value
+        # there, so an ``int`` coordinate stays an ``int`` as in the per-point loop.
+        picks = np.argsort(windows, axis=1, kind="stable")[:, half]
+        picks += np.arange(len(picks))
+        smoothed[full_lo:full_hi] = map(values.__getitem__, picks.tolist())
     left_stop = min(half, n - 1)
     for index in (*range(1, left_stop), *range(max(full_hi, left_stop), n - 1)):
         smoothed[index] = window_median(values[max(0, index - half) : index + half + 1])

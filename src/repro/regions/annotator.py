@@ -12,13 +12,18 @@ single lookup of all their query positions.  The executors call it with the
 largest group they hold (a chunk of trajectories, the episodes one streaming
 pass sealed); the per-trajectory and per-episode methods are that body over a
 smaller group.
+
+Every path takes its region annotations from one table per annotator, keyed
+by the region's ``place_id`` and filled on first use: an annotation is a value
+(Definition 3), so the episode and the record that link a region hold the same
+object, and each distinct one is built once for the snapshot's lifetime.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.core.annotations import region_annotation
+from repro.core.annotations import Annotation, GeographicReferenceAnnotation, region_annotation
 from repro.core.config import RegionAnnotationConfig
 from repro.core.episodes import Episode, EpisodeKind
 from repro.core.places import RegionOfInterest
@@ -35,6 +40,7 @@ class RegionAnnotator:
     ):
         self._source = source
         self._config = config
+        self._annotations: Dict[str, GeographicReferenceAnnotation] = {}
 
     @property
     def source(self) -> RegionSource:
@@ -46,6 +52,13 @@ class RegionAnnotator:
         """The active region-annotation configuration."""
         return self._config
 
+    def _annotation(self, region: RegionOfInterest) -> GeographicReferenceAnnotation:
+        """The one annotation linking ``region``, built on first use."""
+        annotation = self._annotations.get(region.place_id)
+        if annotation is None:
+            annotation = self._annotations[region.place_id] = region_annotation(region)
+        return annotation
+
     def _regions_for_fixes(self, trajectory: RawTrajectory) -> List[Optional[RegionOfInterest]]:
         """Region of every GPS fix of ``trajectory``, after one index query for all of them."""
         return self._source.first_regions_containing_columns(trajectory.xs, trajectory.ys)
@@ -55,8 +68,10 @@ class RegionAnnotator:
         """Annotate every GPS record of ``trajectory`` with its region.
 
         Consecutive points falling in the same region are grouped into a single
-        tuple ``(region, t_in, t_out)``; adjacent tuples with the same region
-        are merged, exactly as the pseudocode of Algorithm 1 does.
+        tuple ``(region, t_in, t_out)``; each tuple is added through
+        :meth:`~repro.core.trajectory.StructuredSemanticTrajectory.append_or_merge`,
+        which merges adjacent tuples with the same region exactly as the
+        pseudocode of Algorithm 1 does.
         """
         result = StructuredSemanticTrajectory(
             trajectory_id=f"{trajectory.trajectory_id}:region",
@@ -79,22 +94,19 @@ class RegionAnnotator:
             if same_group:
                 continue
             if group_start is not None:
-                record = SemanticEpisodeRecord(
-                    place=current_region,
-                    time_in=ts[group_start],
-                    time_out=ts[index - 1],
-                    kind=EpisodeKind.MOVE,
-                    annotations=(
-                        [region_annotation(current_region)] if current_region is not None else []
-                    ),
+                result.append_or_merge(
+                    current_region,
+                    ts[group_start],
+                    ts[index - 1],
+                    EpisodeKind.MOVE,
+                    (self._annotation(current_region),) if current_region is not None else (),
                 )
-                result.append(record)
             if boundary:
                 break
             current_region = region
             group_start = index
 
-        return result.merged()
+        return result
 
     def annotate_episodes(self, episodes: Sequence[Episode]) -> StructuredSemanticTrajectory:
         """Annotate one trajectory's episodes (instead of every GPS record).
@@ -128,7 +140,11 @@ class RegionAnnotator:
         """
         records: List[SemanticEpisodeRecord] = []
         for episode, region in zip(episodes, self._regions_for_episodes(episodes)):
-            annotations = [region_annotation(region)] if region is not None else []
+            annotations: List[Annotation] = []
+            if region is not None:
+                annotation = self._annotation(region)
+                annotations.append(annotation)
+                episode.add_annotation(annotation)
             records.append(
                 SemanticEpisodeRecord(
                     place=region,
@@ -139,8 +155,6 @@ class RegionAnnotator:
                     source_episode=episode,
                 )
             )
-            if region is not None:
-                episode.add_annotation(region_annotation(region))
         return records
 
     def _regions_for_episodes(

@@ -10,8 +10,10 @@ so ``-0.0`` is not ``0.0``) and id for id, the trajectories of
 * a streaming :class:`~repro.streaming.session.Session` fed the same points
   (streaming cleaner, gap split, ``min_points`` and numbering),
 
-or raise the same error.  A batch pass over the benchmark fleet builds no
-point object.
+or raise the same error.  Integer coordinates, alone or mixed with floats,
+come back as the same Python numbers from all three: a median is one of the
+input's own values.  A batch pass over the benchmark fleet builds no point
+object.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ from repro.core.config import CleaningConfig, PipelineConfig, TrajectoryIdentifi
 from repro.core.errors import DataQualityError
 from repro.core.pipeline import SeMiTriPipeline
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
-from repro.reference.cleaning import ingest_points
+from repro.preprocessing.cleaning import GpsCleaner
+from repro.reference.cleaning import ScalarGpsCleaner, ingest_points
+from repro.streaming.cleaning import clean_stream
 from repro.streaming.session import Session
 
 # The benchmark fleet (bench/fleet.py) lives beside src/ at the checkout root.
@@ -58,6 +62,7 @@ _COORDINATE = st.one_of(
         [0.0, -0.0, 0.0, 5.0, _DISTANCE_GAP, 200.0, 50_000.0, math.nan, math.inf, -math.inf]
     ),
     st.floats(-300.0, 300.0),
+    st.integers(-300, 300),
 )
 _STEPS = st.lists(st.tuples(_ADVANCE, _COORDINATE, _COORDINATE), max_size=60)
 
@@ -147,6 +152,34 @@ def test_discarded_fragments_keep_their_number():
     points = [SpatioTemporalPoint(0.0, 0.0, t) for t in ts]
     trajectories = SeMiTriPipeline(config).ingest_stream(points, object_id="u")
     assert [t.trajectory_id for t in trajectories] == ["u-t1", "u-t3"]
+
+
+def _fixes(points: List[SpatioTemporalPoint]) -> List[Tuple[str, str, str]]:
+    return [(repr(p.x), repr(p.y), repr(p.t)) for p in points]
+
+
+@pytest.mark.parametrize("window", [3, 5, 7])
+@pytest.mark.parametrize(
+    "stream",
+    [
+        pytest.param([(10 * i, 5 * i + i % 3, 10.0 * i) for i in range(12)], id="int"),
+        pytest.param(
+            [(10 * i if i % 2 else 10.0 * i + 0.5, -(i % 4), 10.0 * i) for i in range(15)],
+            id="mixed",
+        ),
+        pytest.param(
+            [((0, -0.0, 0.0)[i % 3], (0.0, 0)[i % 2], 1.0 * i) for i in range(12)], id="zeros"
+        ),
+    ],
+)
+def test_integer_coordinates_stay_integers(stream, window):
+    points = [SpatioTemporalPoint(*fix) for fix in stream]
+    config = CleaningConfig(max_speed=_MAX_SPEED, smoothing_window=window)
+    batch = _fixes(GpsCleaner(config).clean(points))
+    assert batch == _fixes(clean_stream(points, config))
+    assert batch == _fixes(ScalarGpsCleaner(config).clean(points))
+    assert any(isinstance(x, int) for x, _, _ in stream)
+    assert any("." not in x for x, _, _ in batch[1:-1])  # an interior int survived
 
 
 @pytest.fixture()
