@@ -108,7 +108,7 @@ from repro.faults.failures import (
     tag_failure_stage,
 )
 from repro.parallel.context import GeoContext, dump_outcome, load_outcome
-from repro.streaming.session import SealedTrajectory, Session, SessionManager, SessionUpdate
+from repro.streaming.session import SealedTrajectory, Session, SessionManager
 
 # One shard of work: (shard index, [(input order, trajectory), ...]).
 Shard = Tuple[int, List[Tuple[int, RawTrajectory]]]
@@ -895,7 +895,8 @@ class MicroBatchExecutor:
         self._counters = plan.telemetry.engine_counters(self.kind)
         self._streaming_metrics = plan.telemetry.streaming_metrics()
         self._sessions = SessionManager(plan.config, metrics=self._streaming_metrics)
-        self._pending: List[Tuple[str, SpatioTemporalPoint]] = []
+        # Buffered events as (object_id, x, y, t): the point is unpacked at the door.
+        self._pending: List[Tuple[str, float, float, float]] = []
         self._items: Dict[str, WorkItem] = {}
         # The annotate queue: everything sealed and not yet delivered, in seal
         # order — a sealed episode with its item, or a closed trajectory.
@@ -950,7 +951,7 @@ class MicroBatchExecutor:
         return value — with the pass that flushes the annotate queue, and
         :meth:`flush` returns everything sealed so far.
         """
-        self._pending.append((object_id, point))
+        self._pending.append((object_id, point.x, point.y, point.t))
         self.stats.events += 1
         if self._counters is not None:
             self._counters.events.inc()
@@ -1035,16 +1036,17 @@ class MicroBatchExecutor:
         pending, self._pending = self._pending, []
         touched: Dict[str, Session] = {}
         taken = 0
+        acquire = self._sessions.acquire
         try:
-            for object_id, point in pending:
-                session, evicted = self._sessions.acquire(object_id)
+            for object_id, x, y, t in pending:
+                session, evicted = acquire(object_id)
                 for old in evicted:
                     touched.pop(old.object_id, None)
                     self._close_session(old)
                 taken += 1
-                update = session.push(point)
-                if update.sealed:
-                    self._enqueue_closed(update)
+                sealed = session.push(x, y, t)
+                if sealed is not None:
+                    self._enqueue_closed(sealed)
                 touched[object_id] = session
         finally:
             # Only an event that raised leaves a tail: the event itself stays
@@ -1061,22 +1063,28 @@ class MicroBatchExecutor:
     def _advance_sessions(self, sessions: Iterable[Session]) -> None:
         """Let every session touched by a pass seal episodes, and queue them.
 
-        The detector's time is added up on the trajectory's work item with one
-        clock read per session — each read ends one session's interval and
-        starts the next's — and recorded as the trajectory's one
-        ``compute_episode`` sample when it seals (:meth:`_enqueue_closed`),
-        the shape a batch result has.
+        The detector scanned each fix as it was pushed, so only a session
+        whose last scan left a refinement due is advanced.  The refinement's
+        time is added up on the trajectory's work item and recorded as the
+        trajectory's one ``compute_episode`` sample when it seals
+        (:meth:`_enqueue_closed`), the shape a batch result has.
         """
-        now = time.perf_counter()
+        clock = time.perf_counter
+        items = self._items
         for session in sessions:
             trajectory = session.trajectory
             if trajectory is None:
                 continue
-            item = self._item_for(trajectory)
+            # The item, and its trace's root span, starts with the first pass
+            # that touches the trajectory, whether or not it refines.
+            item = items.get(trajectory.trajectory_id)
+            if item is None:
+                item = self._item_for(trajectory)
+            if not session.refine_due:
+                continue
+            started = clock()
             episodes = session.advance()
-            later = time.perf_counter()
-            item.episode_seconds += later - now
-            now = later
+            item.episode_seconds += clock() - started
             for episode in episodes:
                 self._enqueue_episode(item, episode)
 
@@ -1093,8 +1101,8 @@ class MicroBatchExecutor:
         self._unannotated.append(sealed)
         self._unannotated_points += len(episode)
 
-    def _enqueue_closed(self, update: SessionUpdate) -> None:
-        for sealed in update.sealed:
+    def _enqueue_closed(self, closed: List[SealedTrajectory]) -> None:
+        for sealed in closed:
             if not sealed.discarded:
                 item = self._item_for(sealed.trajectory)
                 item.record_stage("compute_episode", item.episode_seconds + sealed.compute_seconds)

@@ -25,7 +25,6 @@ from repro.streaming.session import (
     SealedTrajectory,
     Session,
     SessionManager,
-    SessionUpdate,
 )
 from repro.streaming.stops import IncrementalStopMoveDetector
 
@@ -35,7 +34,6 @@ __all__ = [
     "SealedTrajectory",
     "Session",
     "SessionManager",
-    "SessionUpdate",
     "StreamingGpsCleaner",
     "clean_stream",
 ]

@@ -9,6 +9,15 @@ previous cleaned fix exceeds the configured separations, and fragments with
 fewer than ``min_points`` fixes are discarded, mirroring
 :meth:`SeMiTriPipeline.ingest_stream` numbering and all.
 
+Each fix is one float step: :meth:`Session.push` takes ``x``, ``y``, ``t``,
+runs the cleaner's :meth:`~repro.streaming.cleaning.StreamingGpsCleaner.step`,
+then, in its own frame, the gap test and the order check against the open
+trajectory's columns (which the session holds) and the append, and lets the
+detector scan the new fix.  The thresholds are read once, when the session is
+created, and ``push`` returns ``None`` unless a gap sealed a trajectory.
+Without cleaning, a step back in time raises only in a fragment that reaches
+``min_points`` fixes — the fragments the batch split keeps and checks.
+
 :class:`SessionManager` keeps the sessions in LRU order and bounds their
 number: acquiring a session for a new object evicts the least recently active
 ones, which the engine then closes (sealing their open trajectories) before
@@ -41,7 +50,9 @@ class OpenTrajectory(RawTrajectory):
     the session closes it, the instance simply stops growing and behaves as a
     regular :class:`RawTrajectory`, so downstream annotators and the store see
     a normal immutable trajectory.  Fixes arrive as floats and are appended to
-    the columns; :attr:`points` is a list that catches up with them on read.
+    the columns — by :meth:`append`, or by the owning :class:`Session`, which
+    writes them itself; :attr:`points` is a list that catches up with them on
+    read.
     """
 
     def __init__(
@@ -105,18 +116,6 @@ class SealedTrajectory:
     """Time spent in the final segmentation pass (for latency accounting)."""
 
 
-@dataclass
-class SessionUpdate:
-    """What happened inside a session while absorbing new points."""
-
-    sealed: List[SealedTrajectory] = field(default_factory=list)
-
-
-#: What :meth:`Session.push` returns for the fixes that seal nothing — nearly
-#: all of them.  Shared, so it must never be mutated.
-_NOTHING_SEALED = SessionUpdate()
-
-
 class Session:
     """Mutable streaming state for one moving object."""
 
@@ -130,6 +129,10 @@ class Session:
     ):
         self.object_id = object_id
         self._config = config
+        identification = config.identification
+        self._max_time_gap = identification.max_time_gap
+        self._max_distance_gap = identification.max_distance_gap
+        self._min_points = identification.min_points
         self._metrics = metrics
         self._cleaner = StreamingGpsCleaner(config.cleaning) if apply_cleaning else None
         # Shared with the SessionManager so trajectory numbering stays unique
@@ -137,7 +140,16 @@ class Session:
         self._segment_counters = segment_counters if segment_counters is not None else {}
         self.trajectory: Optional[OpenTrajectory] = None
         self.detector: Optional[IncrementalStopMoveDetector] = None
-        self.events_seen = 0
+        # The open trajectory's columns (``_ts`` is None while none is open),
+        # and the message for the first decreasing timestamp pair among its
+        # fixes, if any.
+        self._xs: List[float] = []
+        self._ys: List[float] = []
+        self._ts: Optional[List[float]] = None
+        self._disorder: Optional[str] = None
+        # Whether the detector's last scan left it a refinement to run: the
+        # executor advances only the sessions where it did.
+        self.refine_due = False
         self.closed = False
 
     @property
@@ -148,86 +160,127 @@ class Session:
     @property
     def open_point_count(self) -> int:
         """Points buffered in the currently open trajectory."""
-        return len(self.trajectory) if self.trajectory is not None else 0
+        return len(self._ts) if self._ts is not None else 0
 
     # ------------------------------------------------------------------ feed
-    def push(self, point: SpatioTemporalPoint) -> SessionUpdate:
-        """Absorb one raw point; may seal the open trajectory at a gap."""
+    def push(self, x: float, y: float, t: float) -> Optional[List[SealedTrajectory]]:
+        """Absorb one raw fix; returns the trajectory a gap before it sealed, if any.
+
+        ``None`` for nearly every fix.  The fix is cleaned (when the session
+        cleans), gap-tested against the previous cleaned fix, appended to the
+        open trajectory's columns and scanned by the stop/move detector, all
+        in this frame apart from the cleaner's step and the detector's scan.
+        """
         if self.closed:
             raise DataQualityError(f"session for {self.object_id!r} is closed")
-        self.events_seen += 1
-        if self._cleaner is None:
-            sealed = self._absorb(point.x, point.y, point.t)
-            return _NOTHING_SEALED if sealed is None else SessionUpdate([sealed])
-        update = _NOTHING_SEALED
-        for x, y, t in self._cleaner.push(point):
-            sealed = self._absorb(x, y, t)
-            if sealed is not None:
-                update = SessionUpdate(update.sealed + [sealed])
-        return update
+        cleaner = self._cleaner
+        if cleaner is not None:
+            fix = cleaner.step(x, y, t)
+            if fix is None:
+                return None
+            x, y, t = fix
+        ts = self._ts
+        if ts is None:
+            self._open(x, y, t)
+            return None
+        xs, ys, detector = self._xs, self._ys, self.detector
+        assert detector is not None
+        last_t = ts[-1]
+        # SpatioTemporalPoint.distance_to from the previous fix, on floats.
+        dx = xs[-1] - x
+        dy = ys[-1] - y
+        if (
+            t - last_t > self._max_time_gap
+            or math.sqrt(dx * dx + dy * dy) > self._max_distance_gap
+        ):
+            if self._metrics is not None:
+                self._metrics.gap_closeouts.inc()
+            sealed = self._seal()
+            self._open(x, y, t)
+            return [sealed]
+        if t < last_t or self._disorder is not None:
+            self._check_order(last_t, t)
+        xs.append(x)
+        ys.append(y)
+        ts.append(t)
+        self.refine_due = detector.scan()
+        return None
 
     def advance(self) -> List[Episode]:
         """Let the detector seal episodes of the open trajectory.
 
         Held back until the open buffer has reached ``min_points`` fixes so
         that fragments the identification step would discard never emit
-        episodes.
+        episodes.  The detector has scanned every fix as it was pushed, so
+        this refines only when the last scan left a refinement due
+        (:attr:`refine_due`: the sealing boundary moved or is not yet
+        settled), and otherwise returns ``[]`` without calling it.
         """
-        if self.detector is None or self.trajectory is None:
+        ts = self._ts
+        if not self.refine_due or ts is None or len(ts) < self._min_points:
             return []
-        if len(self.trajectory) < self._config.identification.min_points:
-            return []
+        assert self.detector is not None
         return self.detector.advance()
 
-    def close(self) -> SessionUpdate:
+    def close(self) -> List[SealedTrajectory]:
         """End of stream for this object: flush the cleaner and seal the buffer."""
         if self.closed:
-            return SessionUpdate()
+            return []
+        sealed: List[SealedTrajectory] = []
+        # The cleaner's tail is clean: push it with the cleaner detached.
+        cleaner, self._cleaner = self._cleaner, None
+        if cleaner is not None:
+            for x, y, t in cleaner.finish():
+                gap = self.push(x, y, t)
+                if gap is not None:
+                    sealed.extend(gap)
         self.closed = True
-        update = SessionUpdate()
-        if self._cleaner is not None:
-            for x, y, t in self._cleaner.finish():
-                sealed = self._absorb(x, y, t)
-                if sealed is not None:
-                    update.sealed.append(sealed)
         if self.trajectory is not None:
-            update.sealed.append(self._seal())
-        return update
+            sealed.append(self._seal())
+        return sealed
 
     # ------------------------------------------------------------- internals
-    def _absorb(self, x: float, y: float, t: float) -> Optional[SealedTrajectory]:
-        """Append one cleaned fix; returns the trajectory a gap before it sealed."""
-        sealed: Optional[SealedTrajectory] = None
-        trajectory = self.trajectory
-        if trajectory is not None:
-            identification = self._config.identification
-            # SpatioTemporalPoint.distance_to from the previous fix, on floats.
-            dx = trajectory.xs[-1] - x
-            dy = trajectory.ys[-1] - y
-            if (
-                t - trajectory.ts[-1] > identification.max_time_gap
-                or math.sqrt(dx * dx + dy * dy) > identification.max_distance_gap
-            ):
-                if self._metrics is not None:
-                    self._metrics.gap_closeouts.inc()
-                sealed = self._seal()
-            else:
-                trajectory.append(x, y, t)
-                return None
+    def _check_order(self, last_t: float, t: float) -> None:
+        """Raise on a decreasing timestamp once batch would keep its fragment.
+
+        :meth:`TrajectoryIdentifier.split_columns` checks the order of the
+        fragments it keeps, those of at least ``min_points`` fixes, and drops
+        the others unchecked.  So the first decreasing pair of the open
+        fragment raises as the fix that would bring it to ``min_points``
+        arrives — that fix is not appended, so every later fix of the
+        fragment raises too — and a fragment sealed shorter is discarded.
+        """
+        disorder = self._disorder
+        if disorder is None:
+            disorder = (
+                "raw trajectory timestamps must be non-decreasing "
+                f"({last_t} followed by {t})"
+            )
+        assert self._ts is not None
+        if len(self._ts) + 1 >= self._min_points:
+            raise DataQualityError(disorder)
+        self._disorder = disorder
+
+    def _open(self, x: float, y: float, t: float) -> None:
+        """Start the next trajectory of this object at one cleaned fix."""
         segment = self._segment_counters.get(self.object_id, 0)
         self._segment_counters[self.object_id] = segment + 1
-        self.trajectory = OpenTrajectory(
+        trajectory = OpenTrajectory(
             x, y, t, object_id=self.object_id, trajectory_id=f"{self.object_id}-t{segment}"
         )
-        self.detector = IncrementalStopMoveDetector(self.trajectory, self._config.stop_move)
-        return sealed
+        self.trajectory = trajectory
+        self._xs, self._ys, self._ts = trajectory.xs, trajectory.ys, trajectory.ts
+        self._disorder = None
+        self.refine_due = False
+        self.detector = IncrementalStopMoveDetector(trajectory, self._config.stop_move)
 
     def _seal(self) -> SealedTrajectory:
         assert self.trajectory is not None and self.detector is not None
         trajectory, detector = self.trajectory, self.detector
         self.trajectory = None
         self.detector = None
-        if len(trajectory) < self._config.identification.min_points:
+        self._ts = None
+        if len(trajectory) < self._min_points:
             return SealedTrajectory(trajectory, [], discarded=True)
         started = time.perf_counter()
         tail = detector.finalize()
@@ -278,10 +331,10 @@ class SessionManager:
         The caller (the engine) must close the evicted sessions — eviction
         only removes them from the registry.
         """
-        session = self._sessions.get(object_id)
-        if session is not None:
-            self._sessions.move_to_end(object_id)
-            return session, []
+        sessions = self._sessions
+        if object_id in sessions:
+            sessions.move_to_end(object_id)
+            return sessions[object_id], []
         evicted: List[Session] = []
         while len(self._sessions) >= self._max_sessions:
             _, lru = self._sessions.popitem(last=False)

@@ -85,7 +85,10 @@ one a refine-every-call detector produces (tested against such a reference).
 Per call the work is the scan of the new points, plus, when the boundary
 moved or is not yet settled, one refinement: the flags of the boundary run
 and the tentative ones past it, and one episode per kept run of the open
-(unsealed) region before them.
+(unsealed) region before them.  The scan is also a method of its own,
+:meth:`~IncrementalStopMoveDetector.scan`: a streaming session calls it once
+per appended fix, so its :meth:`~IncrementalStopMoveDetector.advance` calls
+find every point scanned and only refine.
 """
 
 from __future__ import annotations
@@ -110,9 +113,9 @@ class IncrementalStopMoveDetector:
     The detector is bound to one trajectory buffer (typically an
     :class:`~repro.streaming.session.OpenTrajectory` that the session appends
     to) and scans its ``xs`` / ``ys`` / ``ts`` columns; call :meth:`advance`
-    after appending fixes to collect the newly sealed episodes and
-    :meth:`finalize` once the trajectory is complete to collect the remaining
-    tail.
+    after appending fixes to collect the newly sealed episodes (it scans what
+    :meth:`scan` has not) and :meth:`finalize` once the trajectory is complete
+    to collect the remaining tail.
     """
 
     def __init__(self, trajectory: RawTrajectory, config: StopMoveConfig = StopMoveConfig()):
@@ -120,6 +123,10 @@ class IncrementalStopMoveDetector:
         # The trajectory's columns: an open trajectory appends to these lists.
         self._xs, self._ys, self._ts = trajectory.xs, trajectory.ys, trajectory.ts
         self._config = config
+        # The scans' parameters, read once.
+        self._policy = config.policy
+        self._speed_threshold = config.speed_threshold
+        self._density_radius = config.density_radius
         self._batch = StopMoveDetector(config)
         # Raw (combined) flags no future point can change, appended once, and
         # the start of the equal-flag run the last of them belongs to.
@@ -135,6 +142,8 @@ class IncrementalStopMoveDetector:
         # buffer cut short, and the last index that expansion has accepted.
         self._seed = 0
         self._reach = 0
+        # Points the scans have seen.
+        self._scanned = 0
         # Boundary of the last refinement if it was settled, else -1.  With
         # the boundary at 0 nothing precedes it, so there is nothing to seal.
         self._settled = 0
@@ -160,17 +169,19 @@ class IncrementalStopMoveDetector:
     def advance(self) -> List[Episode]:
         """Process points appended since the last call; returns newly sealed episodes.
 
-        Each new point is scanned once; the suffix past the sealed frontier
-        is re-refined only when the sealing boundary moved or its run is not
-        yet settled (see the module docstring), so a call that cannot seal
-        anything costs the scan of its new points and nothing else.
+        Each new point is scanned once, here or by an earlier :meth:`scan`;
+        the suffix past the sealed frontier is re-refined only when the
+        sealing boundary moved or its run is not yet settled (see the module
+        docstring), so a call that cannot seal anything costs the scan of its
+        new points and nothing else.
         """
         if self._finalized:
             raise DataQualityError("cannot advance a finalized detector")
         n = len(self._ts)
         if n < 2:
             return []
-        self._scan(n)
+        if self._scanned < n:
+            self.scan()
         # Everything from the start of the run containing the last fixed flag
         # is volatile: a later flag may extend that run and change its
         # min-duration demotion.  The run before it ends at a boundary
@@ -237,27 +248,45 @@ class IncrementalStopMoveDetector:
         self._sealed.extend(tail)
         return tail
 
-    # ------------------------------------------------------------- internals
-    def _scan(self, n: int) -> None:
+    def scan(self) -> bool:
         """Resume the per-policy flag scans over the points appended since the last call.
 
-        Same arithmetic, in the same operand order, as the batch flag passes
-        (``sqrt(dx*dx + dy*dy)``), so the flags are bit-identical to theirs.
+        A session calls it once per appended fix, so :meth:`advance` finds
+        nothing left to scan.  Same arithmetic, in the same operand order, as
+        the batch flag passes (``sqrt(dx*dx + dy*dy)``), so the flags are
+        bit-identical to theirs.  Returns whether :meth:`advance` would refine
+        now: the sealing boundary moved since the last refinement or is not
+        yet settled.  When it would not, the call would return ``[]``.
         """
-        config = self._config
-        xs, ys, ts = self._xs, self._ys, self._ts
+        ts = self._ts
+        n = len(ts)
+        index = self._scanned
+        self._scanned = n
+        xs, ys = self._xs, self._ys
+        policy = self._policy
         velocity = self._velocity
-        if config.policy != "density":
-            threshold = config.speed_threshold
-            for index in range(len(velocity), n - 1):
-                dt = ts[index + 1] - ts[index]
-                dx = xs[index] - xs[index + 1]
-                dy = ys[index] - ys[index + 1]
-                velocity.append((math.sqrt(dx * dx + dy * dy) / dt if dt > 0 else 0.0) < threshold)
-            if config.policy == "velocity":
-                self._fix(velocity[len(self._fixed) :])
-                return
-        radius = config.density_radius
+        fixed = self._fixed
+        if policy != "density":
+            threshold = self._speed_threshold
+            # The first pair not scanned yet: one per scanned point but the last.
+            if index:
+                index -= 1
+            while index < n - 1:
+                after = index + 1
+                dt = ts[after] - ts[index]
+                dx = xs[index] - xs[after]
+                dy = ys[index] - ys[after]
+                flag = (math.sqrt(dx * dx + dy * dy) / dt if dt > 0 else 0.0) < threshold
+                velocity.append(flag)
+                if policy == "velocity":
+                    # The flag of point ``index`` is final: fix it.
+                    if fixed and flag != fixed[-1]:
+                        self._close_run()
+                    fixed.append(flag)
+                index = after
+            if policy == "velocity":
+                return self._run_start != self._settled
+        radius = self._density_radius
         seed, reach = self._seed, self._reach
         origin_x, origin_y = xs[seed], ys[seed]
         while reach + 1 < n:
@@ -268,38 +297,39 @@ class IncrementalStopMoveDetector:
                 continue
             # Radius violation: this seed's outcome is final, as in
             # expand_density_flags; the next seed expands from scratch.
-            if reach > seed and ts[reach] - ts[seed] >= config.min_stop_duration:
-                self._fix([True] * (reach + 1 - seed))
-                seed = reach + 1
+            if reach > seed and ts[reach] - ts[seed] >= self._config.min_stop_duration:
+                flag, count = True, reach + 1 - seed
             else:
-                self._fix([config.policy == "hybrid" and velocity[seed]])
-                seed += 1
+                flag, count = policy == "hybrid" and velocity[seed], 1
+            if fixed and flag != fixed[-1]:
+                self._close_run()
+            fixed.extend([flag] * count)
+            seed += count
             reach = seed
             origin_x, origin_y = xs[seed], ys[seed]
         self._seed, self._reach = seed, reach
+        return self._run_start != self._settled
 
-    def _fix(self, flags: List[bool]) -> None:
-        """Append raw flags that are now final, tracking the start of the last run.
+    # ------------------------------------------------------------- internals
+    def _close_run(self) -> None:
+        """The next fixed flag differs from the last one: close the last one's run.
 
-        A flag that differs from its predecessor closes the predecessor's run,
-        whose minimum-duration demotion is decided there and then (the
-        comparison :func:`enforce_min_duration` makes, on the same two timestamps).
+        The run's minimum-duration demotion is decided there and then (the
+        comparison :func:`enforce_min_duration` makes, on the same two
+        timestamps), and the run joins the closed runs.
         """
         fixed = self._fixed
-        for flag in flags:
-            if fixed and flag != fixed[-1]:
-                start, end = self._run_start, len(fixed)
-                is_stop = fixed[start]
-                if is_stop:
-                    duration = self._ts[end - 1] - self._ts[start]
-                    is_stop = not duration < self._config.min_stop_duration
-                closed = self._closed_runs
-                if closed and closed[-1][2] == is_stop:
-                    closed[-1][1] = end
-                else:
-                    closed.append([start, end, is_stop])
-                self._run_start = end
-            fixed.append(flag)
+        start, end = self._run_start, len(fixed)
+        is_stop = fixed[start]
+        if is_stop:
+            duration = self._ts[end - 1] - self._ts[start]
+            is_stop = not duration < self._config.min_stop_duration
+        closed = self._closed_runs
+        if closed and closed[-1][2] == is_stop:
+            closed[-1][1] = end
+        else:
+            closed.append([start, end, is_stop])
+        self._run_start = end
 
     def _tentative_flags(self) -> List[bool]:
         """Raw flags, as they stand after the last scan, of the points past the fixed ones."""

@@ -31,8 +31,9 @@ from repro import api
 from repro.core.config import CleaningConfig, PipelineConfig, TrajectoryIdentificationConfig
 from repro.core.errors import DataQualityError
 from repro.core.pipeline import SeMiTriPipeline
-from repro.core.points import RawTrajectory, SpatioTemporalPoint
+from repro.core.points import RawTrajectory, SpatioTemporalPoint, point_columns
 from repro.preprocessing.cleaning import GpsCleaner
+from repro.preprocessing.identification import TrajectoryIdentifier
 from repro.reference.cleaning import ScalarGpsCleaner, ingest_points
 from repro.streaming.cleaning import clean_stream
 from repro.streaming.session import Session
@@ -109,8 +110,8 @@ def _session_replay(points, config: PipelineConfig, object_id: str) -> List[RawT
     session = Session(object_id, config, apply_cleaning=True)
     sealed = []
     for point in points:
-        sealed.extend(session.push(point).sealed)
-    sealed.extend(session.close().sealed)
+        sealed.extend(session.push(point.x, point.y, point.t) or [])
+    sealed.extend(session.close())
     return [item.trajectory for item in sealed if not item.discarded]
 
 
@@ -136,6 +137,60 @@ def test_column_ingest_equals_the_point_loop_and_a_session_replay(
     product = _outcome(SeMiTriPipeline(config).ingest_stream, points, "u")
     assert product == _outcome(ingest_points, points, config, "u")
     assert product == _outcome(_session_replay, points, config, "u")
+
+
+# A raw step: a time advance — a duplicate (0), a step back in time (-5, -50)
+# or a NaN timestamp among them — and two coordinates.
+_RAW_ADVANCE = st.sampled_from(
+    [0.0, 1.0, 1.0, 2.5, 10.0, _TIME_GAP, 41.0, -5.0, -50.0, ("at", math.nan)]
+)
+_RAW_STEPS = st.lists(st.tuples(_RAW_ADVANCE, _COORDINATE, _COORDINATE), max_size=60)
+
+
+def _raw_session_replay(points, config: PipelineConfig, object_id: str) -> List[RawTrajectory]:
+    session = Session(object_id, config, apply_cleaning=False)
+    sealed = []
+    for point in points:
+        sealed.extend(session.push(point.x, point.y, point.t) or [])
+    sealed.extend(session.close())
+    return [item.trajectory for item in sealed if not item.discarded]
+
+
+def _outcome_or_error(ingest, *args):
+    """The trajectories by ``repr``, or the ``repr`` of the error raised."""
+    try:
+        return _summary(ingest(*args))
+    except DataQualityError as error:
+        return repr(error)
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=_RAW_STEPS, min_points=st.sampled_from([1, 2, 3, 5]))
+def test_an_uncleaned_session_replay_equals_the_split_of_the_raw_columns(steps, min_points):
+    """Without cleaning a session splits like ``split_columns``, errors included.
+
+    A fragment the split discards (fewer than ``min_points`` fixes) is dropped
+    unchecked, whatever its timestamps; one it keeps raises on its first step
+    back in time, and the session raises the same error.
+    """
+    config = _config(1, "none", min_points)
+    points = _walk(steps)
+    identifier = TrajectoryIdentifier(config.identification)
+    split = _outcome_or_error(identifier.split_columns, *point_columns(points), "u")
+    assert split == _outcome_or_error(_raw_session_replay, points, config, "u")
+
+
+def test_a_short_fragment_stepping_back_in_time_is_dropped_like_batch():
+    config = PipelineConfig()  # min_points 5
+    triples = [(float(i), 0.0, 10.0 * i) for i in range(6)]
+    triples += [(1e6, 0.0, 60.0), (1e6 + 1, 0.0, 55.0)]
+    triples += [(2e6 + i, 0.0, 70.0 + i) for i in range(8)]
+    points = [SpatioTemporalPoint(*triple) for triple in triples]
+    split = TrajectoryIdentifier(config.identification).split_columns(
+        *point_columns(points), "u"
+    )
+    assert [(t.trajectory_id, len(t)) for t in split] == [("u-t0", 6), ("u-t2", 8)]
+    assert _summary(_raw_session_replay(points, config, "u")) == _summary(split)
 
 
 def test_a_gap_of_exactly_the_threshold_does_not_split():

@@ -82,7 +82,7 @@ def test_emission_lag_is_bounded_by_half_window():
     config = CleaningConfig(smoothing_window=5)
     cleaner = StreamingGpsCleaner(config)
     for index in range(50):
-        cleaner.push(SpatioTemporalPoint(float(index), 0.0, float(index)))
+        cleaner.step(float(index), 0.0, float(index))
         assert cleaner.pending_count <= config.smoothing_window // 2
     assert cleaner.finish()
     assert cleaner.pending_count == 0
@@ -90,17 +90,17 @@ def test_emission_lag_is_bounded_by_half_window():
 
 def test_decreasing_timestamps_raise():
     cleaner = StreamingGpsCleaner(CleaningConfig())
-    cleaner.push(SpatioTemporalPoint(0, 0, 10.0))
+    cleaner.step(0, 0, 10.0)
     with pytest.raises(DataQualityError):
-        cleaner.push(SpatioTemporalPoint(1, 0, 5.0))
+        cleaner.step(1, 0, 5.0)
 
 
 def test_push_after_finish_raises():
     cleaner = StreamingGpsCleaner(CleaningConfig())
-    cleaner.push(SpatioTemporalPoint(0, 0, 0.0))
+    cleaner.step(0, 0, 0.0)
     cleaner.finish()
     with pytest.raises(DataQualityError):
-        cleaner.push(SpatioTemporalPoint(1, 0, 1.0))
+        cleaner.step(1, 0, 1.0)
 
 
 def _same_fixes(streamed, batch) -> bool:
@@ -145,7 +145,9 @@ def test_streaming_clean_equals_batch_on_generated_streams(steps, window, method
     cleaner = StreamingGpsCleaner(config)
     streamed = []
     for pushed, point in enumerate(points, start=1):
-        streamed.extend(cleaner.push(point))
+        fix = cleaner.step(point.x, point.y, point.t)
+        if fix is not None:
+            streamed.append(fix)
         accepted = len(GpsCleaner(config).remove_outliers(points[:pushed]))
         assert cleaner.pending_count == min(accepted, lag)
         assert len(streamed) == accepted - cleaner.pending_count
@@ -169,5 +171,65 @@ def test_a_fix_whose_speed_is_nan_or_infinite_is_dropped_like_batch(hostile):
     batch = GpsCleaner(config).clean(points)
     assert len(batch) == 4
     cleaner = StreamingGpsCleaner(config)
-    streamed = [fix for point in points for fix in cleaner.push(point)] + cleaner.finish()
+    steps = [cleaner.step(point.x, point.y, point.t) for point in points]
+    streamed = [fix for fix in steps if fix is not None] + cleaner.finish()
     assert _same_fixes(streamed, batch)
+
+
+# A generated step for the one-fix contract: (time advance, x, y).  Advances
+# include duplicates (0), a rare step back in time (-3) and a NaN timestamp
+# (that one fix's, the clock runs on); the coordinates mix ±0.0, ints, NaN /
+# ±inf and over-speed jumps.
+_step_fixes = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.0, 1.0, 1.0, 2.5, 2.5, 10.0, 10.0, 40.0, 40.0, -3.0, math.nan]),
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 10.0, 25.0, 50_000.0, *_hostile]),
+            st.floats(-500.0, 500.0),
+            st.integers(-500, 500),
+        ),
+        st.one_of(st.sampled_from([0.0, -0.0, 5.0, *_hostile]), st.integers(-50, 50)),
+    ),
+    max_size=40,
+)
+
+
+def _cleaned(clean):
+    """``clean()``'s fixes by ``repr``, or the ``repr`` of the error it raised."""
+    try:
+        return _reprs(clean())
+    except DataQualityError as error:
+        return repr(error)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    steps=_step_fixes,
+    window=st.sampled_from([1, 3, 4, 5, 7, 9]),
+    method=st.sampled_from(["median", "mean", "none"]),
+)
+def test_a_step_finalizes_at_most_one_fix_and_the_steps_equal_batch_columns(
+    steps, window, method
+):
+    config = CleaningConfig(smoothing_window=window, smoothing_method=method)
+    xs, ys, ts = [], [], []
+    t = 100.0
+    for advance, x, y in steps:
+        t += 0.0 if math.isnan(advance) else advance
+        xs.append(x)
+        ys.append(y)
+        ts.append(advance if math.isnan(advance) else t)
+
+    def streamed():
+        cleaner = StreamingGpsCleaner(config)
+        fixes = []
+        for fix in map(cleaner.step, xs, ys, ts):
+            if fix is not None:
+                assert type(fix) is tuple and len(fix) == 3  # one fix, never a list
+                fixes.append(fix)
+        return fixes + cleaner.finish()
+
+    def batch():
+        return zip(*GpsCleaner(config).clean_columns(xs, ys, ts))
+
+    assert _cleaned(streamed) == _cleaned(batch)

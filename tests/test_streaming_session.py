@@ -52,8 +52,8 @@ def test_session_splits_exactly_like_identifier():
     session = Session("u1", config, apply_cleaning=False)
     sealed = []
     for point in points:
-        sealed.extend(session.push(point).sealed)
-    sealed.extend(session.close().sealed)
+        sealed.extend(session.push(point.x, point.y, point.t) or [])
+    sealed.extend(session.close())
 
     kept = [s for s in sealed if not s.discarded]
     assert [s.trajectory.trajectory_id for s in kept] == [t.trajectory_id for t in expected]
@@ -67,19 +67,19 @@ def test_session_splits_exactly_like_identifier():
 def test_short_fragments_emit_no_episodes():
     config = _config()
     session = Session("u1", config, apply_cleaning=False)
-    session.push(SpatioTemporalPoint(0, 0, 0.0))
-    session.push(SpatioTemporalPoint(1, 0, 60.0))
+    session.push(0, 0, 0.0)
+    session.push(1, 0, 60.0)
     assert session.advance() == []  # below min_points: withheld
-    update = session.close()
-    assert len(update.sealed) == 1 and update.sealed[0].discarded
-    assert update.sealed[0].final_episodes == []
+    sealed = session.close()
+    assert len(sealed) == 1 and sealed[0].discarded
+    assert sealed[0].final_episodes == []
 
 
 def test_closed_session_rejects_points():
     session = Session("u1", _config(), apply_cleaning=False)
     session.close()
     with pytest.raises(DataQualityError):
-        session.push(SpatioTemporalPoint(0, 0, 0.0))
+        session.push(0, 0, 0.0)
 
 
 def test_manager_lru_eviction_order():
@@ -125,18 +125,20 @@ def test_returning_object_gets_fresh_trajectory_ids():
 
 def test_failed_processing_pass_does_not_replay_absorbed_events():
     """Events consumed before a mid-pass error must not be re-pushed later."""
-    config = _config(micro_batch_size=4)
+    config = _config(micro_batch_size=5)
     engine = stream(AnnotationSources(), config=config)
     engine.ingest("a", SpatioTemporalPoint(0.0, 0.0, 0.0))
     engine.ingest("a", SpatioTemporalPoint(1.0, 0.0, 60.0))
     engine.ingest("b", SpatioTemporalPoint(0.0, 0.0, 100.0))
+    engine.ingest("b", SpatioTemporalPoint(0.0, 0.0, 160.0))
     with pytest.raises(DataQualityError):
-        # Out-of-order timestamp for b blows up mid-pass.
+        # Out-of-order timestamp for b, in a fragment it would bring to
+        # min_points (3), blows up mid-pass.
         engine.ingest("b", SpatioTemporalPoint(0.0, 1.0, 50.0))
     assert engine.pending_event_count == 0
     # The engine stays usable and a's session kept exactly its two points.
     results = engine.close_all()
-    assert engine.stats.events == 4
+    assert engine.stats.events == 5
     assert [len(r.trajectory) for r in results] == []  # both fragments too short
 
 
@@ -239,20 +241,19 @@ def test_gap_exactly_at_threshold_does_not_split():
     """Close-out thresholds are strict: a gap of exactly max_* keeps growing."""
     config = _config()  # max_time_gap=600, max_distance_gap=1000
     session = Session("u1", config, apply_cleaning=False)
-    update = session.push(SpatioTemporalPoint(0.0, 0.0, 0.0))
-    assert update.sealed == []
+    assert session.push(0.0, 0.0, 0.0) is None
     # Exactly the temporal threshold: same trajectory.
-    assert session.push(SpatioTemporalPoint(10.0, 0.0, 600.0)).sealed == []
+    assert session.push(10.0, 0.0, 600.0) is None
     # Exactly the spatial threshold from (10, 0): same trajectory.
-    assert session.push(SpatioTemporalPoint(1010.0, 0.0, 660.0)).sealed == []
+    assert session.push(1010.0, 0.0, 660.0) is None
     assert session.open_point_count == 3
     # One epsilon beyond the temporal threshold: split.
-    update = session.push(SpatioTemporalPoint(1010.0, 0.0, 660.0 + 600.0 + 1e-6))
-    assert len(update.sealed) == 1
-    assert len(update.sealed[0].trajectory) == 3
+    sealed = session.push(1010.0, 0.0, 660.0 + 600.0 + 1e-6)
+    assert sealed is not None and len(sealed) == 1
+    assert len(sealed[0].trajectory) == 3
     # One unit beyond the spatial threshold: split again (fragment of 1).
-    update = session.push(SpatioTemporalPoint(1010.0 + 1001.0, 0.0, 1400.0))
-    assert len(update.sealed) == 1 and update.sealed[0].discarded
+    sealed = session.push(1010.0 + 1001.0, 0.0, 1400.0)
+    assert sealed is not None and len(sealed) == 1 and sealed[0].discarded
     session.close()
 
 
@@ -284,14 +285,13 @@ def test_manager_counters_survive_pop_and_reacquire():
     manager = SessionManager(_config())
     session, _ = manager.acquire("u9")
     for i in range(4):
-        session.push(SpatioTemporalPoint(5.0 * i, 0.0, 30.0 * i))
+        session.push(5.0 * i, 0.0, 30.0 * i)
     assert session.segment_index == 1  # first trajectory opened -> counter advanced
     manager.pop("u9")
     recreated, _ = manager.acquire("u9")
     assert recreated is not session
     assert recreated.segment_index == 1  # numbering resumes, not reset
-    update = recreated.push(SpatioTemporalPoint(0.0, 0.0, 1_000.0))
-    assert update.sealed == []
+    assert recreated.push(0.0, 0.0, 1_000.0) is None
     assert recreated.trajectory is not None
     assert recreated.trajectory.trajectory_id == "u9-t1"
 
@@ -308,5 +308,5 @@ def test_per_fix_path_builds_no_geometry_objects():
 
     with mock.patch.object(Point, "__init__", forbidden):
         for fix in fixes:
-            assert not session.push(fix).sealed
+            assert session.push(fix.x, fix.y, fix.t) is None
     assert session.open_point_count == 299  # one fix of smoothing lookahead pending

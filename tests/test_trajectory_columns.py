@@ -35,7 +35,7 @@ from repro.core.points import RawTrajectory, SpatioTemporalPoint, build_trajecto
 from repro.parallel import canonical_bytes
 from repro.preprocessing.stops import StopMoveDetector, velocity_stop_flags_arrays
 from repro.reference.stops import velocity_stop_flags
-from repro.streaming import OpenTrajectory
+from repro.streaming import OpenTrajectory, SessionManager
 
 # The benchmark fleet (bench/fleet.py) lives beside src/ at the checkout root.
 _ROOT = Path(__file__).resolve().parent.parent
@@ -336,6 +336,39 @@ def test_a_stream_pass_of_the_fleet_builds_no_point(fleet_inputs, built):
     assert built[0] == 0
     assert len(results) == 132
     assert sum(len(result.trajectory) for result in results) > 11_000
+
+
+def test_a_tight_session_budget_evicts_in_per_event_acquire_order(
+    fleet_inputs, built, monkeypatch
+):
+    """The executor buffers ``(object_id, x, y, t)`` and still acquires one
+    session per event, in order: with room for 8 sessions it evicts exactly
+    the objects a per-event ``SessionManager.acquire`` replay evicts, and the
+    pass builds no point."""
+    config = _config().with_overrides({"streaming.max_sessions": 8})
+    context = fleet.build_context(fleet_inputs, config)
+    acquire = SessionManager.acquire
+    evicted: List[str] = []
+
+    def recording(self, object_id):
+        session, gone = acquire(self, object_id)
+        evicted.extend(old.object_id for old in gone)
+        return session, gone
+
+    monkeypatch.setattr(SessionManager, "acquire", recording)
+    built[0] = 0
+    _stream(context, fleet_inputs)
+    assert built[0] == 0
+
+    manager = SessionManager(config)
+    replayed: List[str] = []
+    for object_id, point in fleet_inputs.ops:
+        if point is None:
+            manager.pop(object_id)
+        else:
+            replayed.extend(old.object_id for old in acquire(manager, object_id)[1])
+    assert len(replayed) > 1_000
+    assert evicted == replayed
 
 
 def test_a_two_shard_process_drain_builds_no_point_in_the_parent(fleet_inputs, built):
