@@ -2,8 +2,11 @@
 
 Four tables mirror the paper's dedicated PostGIS tables:
 
-* ``gps_records``      — raw fixes, keyed by trajectory and sequence index;
 * ``trajectories``     — one row per raw trajectory with summary statistics;
+* ``trajectory_fixes`` — the raw GPS fixes, one row per trajectory: the fix
+  count and the ``xs`` / ``ys`` / ``ts`` columns, each packed as
+  little-endian float64 (:func:`pack_column`), so every float — ``-0.0``,
+  infinities and subnormals included — reads back bit for bit;
 * ``episodes``         — stop/move episodes with their point range and times;
 * ``annotations``      — annotations attached to episodes (place links and
   value annotations), one row per annotation.
@@ -13,11 +16,24 @@ A fifth, operational table backs the fault-tolerance layer:
 * ``quarantine``       — dead-lettered trajectories the failure policy gave
   up on, carrying the failing stage, the exception repr, the attempt count
   and the raw GPS events (JSON) so a fixed pipeline can replay them.
+
+:func:`apply_schema` creates the tables in one transaction.  A file written
+before ``trajectory_fixes`` existed keeps one ``gps_records`` row per fix
+(``trajectory_id``, ``seq``, ``x``, ``y``, ``t``); the same transaction packs
+those rows, in ``seq`` order, into ``trajectory_fixes`` and drops the old
+table, so an upgraded file has one read path.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+import sqlite3
+import sys
+from array import array
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterable, Iterator, List, Tuple
+
+from repro.core.errors import StoreError
 
 SCHEMA_STATEMENTS: Tuple[str, ...] = (
     """
@@ -31,13 +47,12 @@ SCHEMA_STATEMENTS: Tuple[str, ...] = (
     )
     """,
     """
-    CREATE TABLE IF NOT EXISTS gps_records (
-        trajectory_id TEXT NOT NULL,
-        seq           INTEGER NOT NULL,
-        x             REAL NOT NULL,
-        y             REAL NOT NULL,
-        t             REAL NOT NULL,
-        PRIMARY KEY (trajectory_id, seq),
+    CREATE TABLE IF NOT EXISTS trajectory_fixes (
+        trajectory_id TEXT PRIMARY KEY,
+        fix_count     INTEGER NOT NULL,
+        xs            BLOB NOT NULL,
+        ys            BLOB NOT NULL,
+        ts            BLOB NOT NULL,
         FOREIGN KEY (trajectory_id) REFERENCES trajectories(trajectory_id)
     )
     """,
@@ -80,12 +95,65 @@ SCHEMA_STATEMENTS: Tuple[str, ...] = (
         events         TEXT NOT NULL
     )
     """,
-    # ``gps_records`` needs no index of its own: its primary key's index
-    # (``sqlite_autoindex_gps_records_1``) leads with ``trajectory_id`` and
-    # serves both the per-trajectory read ordered by ``seq`` and the count.
+    # ``trajectory_fixes`` needs no index of its own: its primary key's index
+    # (``sqlite_autoindex_trajectory_fixes_1``) serves the per-trajectory read.
     "CREATE INDEX IF NOT EXISTS idx_episodes_trajectory ON episodes(trajectory_id)",
     "CREATE INDEX IF NOT EXISTS idx_episodes_kind ON episodes(kind)",
     "CREATE INDEX IF NOT EXISTS idx_annotations_episode ON annotations(episode_id)",
     "CREATE INDEX IF NOT EXISTS idx_annotations_category ON annotations(category)",
     "CREATE INDEX IF NOT EXISTS idx_quarantine_object ON quarantine(object_id)",
 )
+
+_SWAP = sys.byteorder != "little"
+
+
+def pack_column(column: Iterable[float]) -> bytes:
+    """One coordinate column as a little-endian float64 blob."""
+    packed = array("d", column)
+    if _SWAP:
+        packed.byteswap()
+    return packed.tobytes()
+
+
+def unpack_column(blob: bytes) -> List[float]:
+    """The float list a :func:`pack_column` blob holds."""
+    packed = array("d")
+    packed.frombytes(blob)
+    if _SWAP:
+        packed.byteswap()
+    return packed.tolist()
+
+
+def apply_schema(connection: sqlite3.Connection) -> None:
+    """Create the tables and migrate an old ``gps_records`` table, in one transaction."""
+    connection.execute("BEGIN")
+    with connection:  # commits, or rolls the whole open back
+        for statement in SCHEMA_STATEMENTS:
+            connection.execute(statement)
+        if connection.execute(
+            "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = 'gps_records'"
+        ).fetchone():
+            _migrate_gps_records(connection)
+
+
+def _migrate_gps_records(connection: sqlite3.Connection) -> None:
+    """Pack the old one-row-per-fix table into ``trajectory_fixes`` and drop it."""
+    rows = connection.execute(
+        "SELECT trajectory_id, x, y, t FROM gps_records ORDER BY trajectory_id, seq"
+    )
+
+    def packed() -> Iterator[Tuple[str, int, bytes, bytes, bytes]]:
+        for trajectory_id, fixes in groupby(rows, key=itemgetter(0)):
+            _, xs, ys, ts = zip(*fixes)
+            yield trajectory_id, len(xs), pack_column(xs), pack_column(ys), pack_column(ts)
+
+    try:
+        connection.executemany(
+            "INSERT INTO trajectory_fixes (trajectory_id, fix_count, xs, ys, ts) "
+            "VALUES (?, ?, ?, ?, ?)",
+            packed(),
+        )
+    except sqlite3.IntegrityError as error:
+        message = f"cannot migrate gps_records to trajectory_fixes: {error}"
+        raise StoreError(message) from error
+    connection.execute("DROP TABLE gps_records")

@@ -11,19 +11,36 @@ from __future__ import annotations
 import json
 import sqlite3
 import time
-from itertools import count, repeat
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.annotations import Annotation, GeographicReferenceAnnotation, ValueAnnotation
 from repro.core.episodes import Episode, EpisodeKind
 from repro.core.errors import StoreError
 from repro.core.points import RawTrajectory
-from repro.store.schema import SCHEMA_STATEMENTS
+from repro.store.schema import apply_schema, pack_column, unpack_column
 
 if TYPE_CHECKING:  # pragma: no cover - metrics and faults are optional at runtime
     from repro.faults.failures import TrajectoryFailure
     from repro.faults.inject import FaultInjector
     from repro.obs.metrics import MetricsRegistry, StoreMetrics
+
+#: What SQLite says when a second row with a stored ``trajectory_id`` arrives.
+_DUPLICATE_TRAJECTORY = "UNIQUE constraint failed: trajectories.trajectory_id"
+
+#: The per-trajectory read: the object and the three packed columns, one query.
+LOAD_TRAJECTORY = (
+    "SELECT t.object_id, f.xs, f.ys, f.ts FROM trajectories AS t "
+    "LEFT JOIN trajectory_fixes AS f ON f.trajectory_id = t.trajectory_id "
+    "WHERE t.trajectory_id = ?"
+)
+
+
+def _last_row_id(cursor: sqlite3.Cursor) -> int:
+    """The row id the cursor's last ``INSERT`` assigned."""
+    row_id = cursor.lastrowid
+    if row_id is None:
+        raise StoreError("an INSERT assigned no row id")
+    return row_id
 
 
 class SemanticTrajectoryStore:
@@ -42,9 +59,7 @@ class SemanticTrajectoryStore:
     def __init__(self, path: str = ":memory:"):
         self._connection = sqlite3.connect(path)
         self._connection.execute("PRAGMA foreign_keys = ON")
-        for statement in SCHEMA_STATEMENTS:
-            self._connection.execute(statement)
-        self._connection.commit()
+        apply_schema(self._connection)
         self._tx_depth = 0
         self._tx_failed = False
         self._metrics: Optional["StoreMetrics"] = None
@@ -154,17 +169,22 @@ class SemanticTrajectoryStore:
     def save_trajectory(self, trajectory: RawTrajectory, store_points: bool = True) -> None:
         """Persist a raw trajectory (and optionally all of its GPS records).
 
-        The trajectory row and all of its GPS records are written in a single
-        transaction, with the records inserted through one ``executemany``.
+        The trajectory row and its fixes row are written in a single
+        transaction.  A duplicate ``trajectory_id`` raises :class:`StoreError`
+        "already stored"; any other rejected row (a NaN coordinate makes a
+        NaN ``path_length``, which SQLite binds as NULL) raises one naming the
+        failed constraint.
         """
         cursor = self._connection.cursor()
         try:
             self._write_trajectory(cursor, trajectory, store_points)
         except sqlite3.IntegrityError as error:
             self._rollback()
-            raise StoreError(
-                f"trajectory {trajectory.trajectory_id!r} is already stored"
-            ) from error
+            if str(error) == _DUPLICATE_TRAJECTORY:
+                message = f"trajectory {trajectory.trajectory_id!r} is already stored"
+            else:
+                message = f"trajectory {trajectory.trajectory_id!r} rejected: {error}"
+            raise StoreError(message) from error
         except sqlite3.Error:
             self._rollback()
             raise
@@ -204,7 +224,7 @@ class SemanticTrajectoryStore:
         """Persist several ``(trajectory, episodes)`` pairs in one transaction.
 
         Rows are written in exactly the order the sequential pipeline produces
-        them — trajectory row, its GPS records, its episode rows, their
+        them — trajectory row, its fixes row, its episode rows, their
         annotations, then the next trajectory — so autoincrement identifiers
         (and therefore the full store contents) match a single-writer run.
         This is the commit path of the sharded store writer: shards buffer
@@ -263,7 +283,7 @@ class SemanticTrajectoryStore:
                         json.dumps(list(zip(trajectory.xs, trajectory.ys, trajectory.ts))),
                     ),
                 )
-                row_ids.append(int(cursor.lastrowid))
+                row_ids.append(_last_row_id(cursor))
                 rows += 1
         except sqlite3.Error:
             self._rollback()
@@ -327,7 +347,7 @@ class SemanticTrajectoryStore:
     def _write_trajectory(
         cursor: sqlite3.Cursor, trajectory: RawTrajectory, store_points: bool
     ) -> None:
-        """Write one trajectory row (and its GPS records) on an open cursor.
+        """Write one trajectory row (and its fixes row) on an open cursor.
 
         Shared by the incremental and batched write paths so the statements
         (and therefore the row shapes) cannot drift apart; transaction
@@ -339,22 +359,23 @@ class SemanticTrajectoryStore:
             (
                 trajectory.trajectory_id,
                 trajectory.object_id,
-                trajectory.start_time,
-                trajectory.end_time,
+                # float(): an int timestamp past int64 cannot bind as INTEGER.
+                float(trajectory.start_time),
+                float(trajectory.end_time),
                 len(trajectory),
                 trajectory.length(),
             ),
         )
         if store_points:
-            trajectory_id = trajectory.trajectory_id
-            cursor.executemany(
-                "INSERT INTO gps_records (trajectory_id, seq, x, y, t) VALUES (?, ?, ?, ?, ?)",
-                zip(
-                    repeat(trajectory_id),
-                    count(),
-                    trajectory.xs,
-                    trajectory.ys,
-                    trajectory.ts,
+            cursor.execute(
+                "INSERT INTO trajectory_fixes (trajectory_id, fix_count, xs, ys, ts) "
+                "VALUES (?, ?, ?, ?, ?)",
+                (
+                    trajectory.trajectory_id,
+                    len(trajectory),
+                    pack_column(trajectory.xs),
+                    pack_column(trajectory.ys),
+                    pack_column(trajectory.ts),
                 ),
             )
 
@@ -379,7 +400,7 @@ class SemanticTrajectoryStore:
                     center.y,
                 ),
             )
-            episode_id = int(cursor.lastrowid)
+            episode_id = _last_row_id(cursor)
             episode_ids.append(episode_id)
             annotation_rows.extend(
                 cls._annotation_row(episode_id, annotation)
@@ -421,8 +442,8 @@ class SemanticTrajectoryStore:
         return self._scalar("SELECT COUNT(*) FROM trajectories")
 
     def gps_record_count(self) -> int:
-        """Number of stored GPS records."""
-        return self._scalar("SELECT COUNT(*) FROM gps_records")
+        """Number of stored GPS records (fixes)."""
+        return self._scalar("SELECT SUM(fix_count) FROM trajectory_fixes")
 
     def episode_count(self, kind: Optional[EpisodeKind] = None) -> int:
         """Number of stored episodes, optionally filtered by kind."""
@@ -443,21 +464,19 @@ class SemanticTrajectoryStore:
         )
 
     def load_trajectory(self, trajectory_id: str) -> RawTrajectory:
-        """Reconstruct a raw trajectory from its stored GPS records."""
-        meta = self._connection.execute(
-            "SELECT object_id FROM trajectories WHERE trajectory_id = ?", (trajectory_id,)
-        ).fetchone()
-        if meta is None:
+        """Reconstruct a raw trajectory from its stored fixes row."""
+        row = self._connection.execute(LOAD_TRAJECTORY, (trajectory_id,)).fetchone()
+        if row is None:
             raise StoreError(f"unknown trajectory {trajectory_id!r}")
-        rows = self._connection.execute(
-            "SELECT x, y, t FROM gps_records WHERE trajectory_id = ? ORDER BY seq",
-            (trajectory_id,),
-        ).fetchall()
-        if not rows:
+        object_id, xs, ys, ts = row
+        if xs is None:
             raise StoreError(f"trajectory {trajectory_id!r} was stored without GPS records")
-        xs, ys, ts = zip(*rows)
         return RawTrajectory.from_columns(
-            xs, ys, ts, object_id=meta[0], trajectory_id=trajectory_id
+            unpack_column(xs),
+            unpack_column(ys),
+            unpack_column(ts),
+            object_id=object_id,
+            trajectory_id=trajectory_id,
         )
 
     def trajectory_ids(self) -> List[str]:
