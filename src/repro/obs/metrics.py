@@ -122,6 +122,18 @@ class Histogram:
         if value > self.max_value:
             self.max_value = value
 
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Record ``values`` in order: the state ``observe`` on each would leave."""
+        counts, buckets = self.counts, self.buckets
+        total, highest = self.sum, self.max_value
+        for value in values:
+            counts[bisect.bisect_left(buckets, value)] += 1
+            total += value
+            if value > highest:
+                highest = value
+        self.sum, self.max_value = total, highest
+        self.count += len(values)
+
     def mean(self) -> float:
         """Mean of the observed values (0 when empty)."""
         return self.sum / self.count if self.count else 0.0

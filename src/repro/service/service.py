@@ -8,8 +8,10 @@ not serialise behind one session registry.  The tier has three parts:
 * the **router** (this module) — everything that happens to an event before
   and after a shard touches it: consistent-hash routing on the object id
   (:mod:`repro.service.routing`), the crash-safe ingest journal, bounded
-  per-shard queues whose ``await service.ingest(...)`` suspends the producer
-  instead of dropping, enqueue stamping, consumer micro-batching, the **one
+  per-shard queues (:class:`_ShardQueue`: a deque the router appends to
+  inline, plus explicit lists of who waits on it) whose
+  ``await service.ingest(...)`` suspends the producer only when the queue is
+  full, never drops, enqueue stamping, consumer micro-batching, the **one
   fold** every ack goes through (:meth:`AnnotationService._apply_ack` /
   :meth:`AnnotationService._apply_drained`), result collection and the
   deterministic single-transaction commit at :meth:`AnnotationService.drain`;
@@ -53,8 +55,9 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Deque, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.config import PipelineConfig
 from repro.core.errors import ConfigurationError, ServiceError
@@ -73,34 +76,118 @@ from repro.store.store import SemanticTrajectoryStore
 
 __all__ = ["AnnotationService", "ServiceStats"]
 
-#: Queue sentinel that tells a shard consumer the stream is over.
-_STOP = object()
-
 #: One queued item: [kind, object id or eviction target, point, enqueue time]
 #: (events and per-object control messages share the queue so control respects
 #: the same ordering and backpressure as data).  A (mutable) list, not a
 #: tuple: the enqueue timestamp is stamped by the queue itself at true
-#: insertion time (see :class:`_StampedQueue`).
+#: insertion time (see :meth:`_ShardQueue.append`).
 _Item = List[object]
 
 #: A shard as the router sees it: mirrored counters + start/submit/drain/close.
 _AnyShard = Union[ThreadShard, ProcessShard]
 
 
-class _StampedQueue(asyncio.Queue):
-    """Bounded queue that stamps items with their true insertion time.
+class _ShardQueue:
+    """One shard's bounded FIFO of queue items, and who is waiting on it.
 
-    ``ingest`` may suspend on a full queue; stamping at ``_put`` (which only
-    runs once capacity is available) keeps producer backpressure wait out of
-    the enqueue-to-absorbed latency histogram — that wait is the *producer's*
-    admission delay and is already visible as ``backpressure_waits``.  The
-    ``_STOP`` sentinel is not a list and passes through unstamped.
+    A plain deque plus explicit waiters: one consumer future (the shard's
+    consumer waits for items) and a FIFO of producer futures (producers wait
+    for room).  The router appends inline while there is room; only a full
+    queue costs a producer an ``await``.
+
+    ``append`` stamps the item at true insertion time, so a producer's
+    backpressure wait stays out of the enqueue-to-absorbed latency histogram
+    — that wait is the *producer's* admission delay, already visible as
+    ``backpressure_waits``.
     """
 
-    def _put(self, item: object) -> None:
-        if type(item) is list:
-            item[3] = time.perf_counter()
-        super()._put(item)
+    def __init__(self, maxsize: int):
+        self.items: Deque[_Item] = deque()
+        self.maxsize = maxsize
+        self._taker: Optional["asyncio.Future[None]"] = None
+        self._producers: Deque["asyncio.Future[None]"] = deque()
+        #: Producers inside :meth:`room`, woken or not: they still owe an append.
+        self._waiting = 0
+        self._closed = False
+
+    def full(self) -> bool:
+        return len(self.items) >= self.maxsize
+
+    def append(self, item: _Item) -> None:
+        """Insert ``item`` (the caller made sure there is room) and stamp it."""
+        item[3] = time.perf_counter()
+        self.items.append(item)
+        if self._taker is not None:
+            self._wake_taker()
+
+    async def room(self) -> None:
+        """Wait until the queue has a free slot; waiters resume in FIFO order."""
+        self._waiting += 1
+        try:
+            while self.full():
+                waiter = asyncio.get_running_loop().create_future()
+                self._producers.append(waiter)
+                try:
+                    await waiter
+                except BaseException:
+                    waiter.cancel()
+                    if waiter.cancelled():
+                        try:
+                            self._producers.remove(waiter)
+                        except ValueError:
+                            pass  # already popped (and skipped) by a wake-up
+                    elif not self.full():
+                        # Woken, then cancelled before it could use the slot:
+                        # the wake-up goes to the next producer in line.
+                        self._wake_producers(1)
+                    if self._closed:
+                        self._wake_taker()  # the consumer may be waiting on this one
+                    raise
+        finally:
+            self._waiting -= 1
+
+    async def take(self, max_batch: int) -> Optional[List[_Item]]:
+        """The next micro-batch, or ``None`` once closed and fully absorbed.
+
+        Fairness: half the backlog per wake-up, at least 8 items, capped at
+        ``max_batch`` — instead of greedily taking ``max_batch`` every time.
+        A lightly loaded shard hands the loop back quickly (other shards'
+        consumers get scheduled); a saturated one still reaches full batches.
+        One waiting producer is woken per item taken.
+        """
+        items = self.items
+        while not items:
+            # A producer still waiting for room owes an item: absorb it too.
+            if self._closed and not self._waiting:
+                return None
+            taker = self._taker = asyncio.get_running_loop().create_future()
+            await taker
+        count = min(max_batch, max(8, (len(items) + 1) // 2), len(items))
+        popleft = items.popleft
+        batch = [popleft() for _ in range(count)]
+        if self._producers:
+            self._wake_producers(count)
+        return batch
+
+    def close(self) -> None:
+        """End of intake: :meth:`take` returns ``None`` once the queue is drained."""
+        self._closed = True
+        self._wake_taker()
+
+    def _wake_taker(self) -> None:
+        taker = self._taker
+        if taker is not None:
+            self._taker = None
+            if not taker.done():
+                taker.set_result(None)
+
+    def _wake_producers(self, count: int) -> None:
+        producers = self._producers
+        while count and producers:
+            waiter = producers.popleft()
+            if not waiter.done():
+                waiter.set_result(None)
+                count -= 1
 
 
 @dataclass
@@ -200,6 +287,7 @@ class AnnotationService:
         self._shard_count = service_config.resolved_shards
         self._max_batch = service_config.max_batch
         self._ring = ConsistentHashRing(self._shard_count, replicas=service_config.ring_replicas)
+        self._shard_for = self._ring.shard_for
         self._store = store
         self._persist = persist and store is not None
         self._on_result = on_result
@@ -222,7 +310,7 @@ class AnnotationService:
         self._transport = service_config.resolved_transport
         self._per_shard_sessions = max(1, service_config.session_budget // self._shard_count)
         self._shards: Sequence[_AnyShard] = ()
-        self._queues: List["asyncio.Queue[object]"] = []
+        self._queues: List[_ShardQueue] = []
         self._consumers: List["asyncio.Task[None]"] = []
         self._collected_ids: Set[str] = set()
         self._results: List[PipelineResult] = []
@@ -296,7 +384,7 @@ class AnnotationService:
 
     def queue_depths(self) -> List[int]:
         """Current per-shard queue depths (diagnostics)."""
-        return [queue.qsize() for queue in self._queues]
+        return [len(queue.items) for queue in self._queues]
 
     def shard_for(self, object_id: str) -> int:
         """The shard index the router assigns to ``object_id``."""
@@ -345,9 +433,7 @@ class AnnotationService:
                 self._shard_count,
                 fsync_batch=service_config.journal_fsync_batch,
             )
-        self._queues = [
-            _StampedQueue(maxsize=service_config.queue_depth) for _ in range(self._shard_count)
-        ]
+        self._queues = [_ShardQueue(service_config.queue_depth) for _ in range(self._shard_count)]
         # The one place a transport is chosen; from here on a shard is a shard.
         if self._transport == "process":
             self._shards = [ProcessShard(self, index) for index in range(self._shard_count)]
@@ -369,7 +455,7 @@ class AnnotationService:
         assert self._journal is not None
         records = self._journal.pending_records
         for record in records:
-            shard = self._ring.shard_for(record.object_id)
+            shard = self._shard_for(record.object_id)
             self._journal.append_replayed(shard, record)
             await self._enqueue(self._queues[shard], op_for(record))
             if record.kind == "event":
@@ -409,7 +495,7 @@ class AnnotationService:
             raise ServiceError(f"cannot drain a service in state {self._state!r}")
         self._state = "draining"
         for queue in self._queues:
-            await queue.put(_STOP)
+            queue.close()
         await asyncio.gather(*self._consumers)
         # Every shard closes out behind whatever it still has in flight, so it
         # seals in exactly the order it absorbed; the drained acks fold in
@@ -469,11 +555,16 @@ class AnnotationService:
         With the ingest journal enabled the event is journaled *before* it is
         enqueued — once this call returns, a crashed service replays it.
         """
-        shard = self._intake_shard(object_id)
+        if self._state != "running":
+            raise self._not_running()
+        shard = self._shard_for(object_id)
         if self._journal is not None:
             self._journal.append_event(shard, object_id, point)
             self.stats.wal_appended += 1
-        await self._enqueue(self._queues[shard], [EVENT, object_id, point, 0.0])
+        queue = self._queues[shard]
+        if len(queue.items) >= queue.maxsize:
+            await self._wait_for_room(queue)
+        queue.append([EVENT, object_id, point, 0.0])
         self.stats.events += 1
 
     async def ingest_many(self, events: Iterable[Tuple[str, SpatioTemporalPoint]]) -> int:
@@ -490,11 +581,16 @@ class AnnotationService:
         The close rides the shard queue behind the object's queued events, so
         it takes effect exactly where the emitter hung up.
         """
-        shard = self._intake_shard(object_id)
+        if self._state != "running":
+            raise self._not_running()
+        shard = self._shard_for(object_id)
         if self._journal is not None:
             self._journal.append_close(shard, object_id)
             self.stats.wal_appended += 1
-        await self._enqueue(self._queues[shard], [CLOSE, object_id, None, 0.0])
+        queue = self._queues[shard]
+        if len(queue.items) >= queue.maxsize:
+            await self._wait_for_room(queue)
+        queue.append([CLOSE, object_id, None, 0.0])
         self.stats.closed_objects += 1
 
     async def evict_sessions(self, target_per_shard: int) -> None:
@@ -508,60 +604,45 @@ class AnnotationService:
             raise ServiceError(f"cannot evict on a service in state {self._state!r}")
         if target_per_shard < 0:
             raise ConfigurationError("target_per_shard must be non-negative")
-        before = self.sessions_evicted
+        # Fire-and-forget by design: the fold counts the evictions as the
+        # shards' acks report them.
         for queue in self._queues:
             await self._enqueue(queue, [EVICT, target_per_shard, None, 0.0])
-        # Eviction is fire-and-forget by design; the counter below reflects
-        # evictions already performed, not the ones just requested.
-        self.metrics.sessions_evicted.inc(max(0, self.sessions_evicted - before))
 
     # --------------------------------------------------------------- internals
-    def _intake_shard(self, object_id: str) -> int:
-        if self._state != "running":
-            raise ServiceError(
-                f"cannot ingest on a service in state {self._state!r}; "
-                "start() it first (or stop feeding after drain())"
-            )
-        return self._ring.shard_for(object_id)
+    def _not_running(self) -> ServiceError:
+        return ServiceError(
+            f"cannot ingest on a service in state {self._state!r}; "
+            "start() it first (or stop feeding after drain())"
+        )
 
-    async def _enqueue(self, queue: "asyncio.Queue[object]", item: _Item) -> None:
+    async def _wait_for_room(self, queue: _ShardQueue) -> None:
+        """Explicit backpressure: the producer suspends until the shard frees a
+        slot.  Counted so operators can see producers waiting."""
+        self.stats.backpressure_waits += 1
+        self.metrics.backpressure_waits.inc()
+        await queue.room()
+
+    async def _enqueue(self, queue: _ShardQueue, item: _Item) -> None:
+        """What ``ingest`` / ``close_object`` spell out inline, for the cold paths."""
         if queue.full():
-            # Explicit backpressure: the producer suspends until the shard
-            # frees a slot.  Counted so operators can see producers waiting.
-            self.stats.backpressure_waits += 1
-            self.metrics.backpressure_waits.inc()
-        await queue.put(item)
+            await self._wait_for_room(queue)
+        queue.append(item)
 
     async def _consume(self, index: int) -> None:
         queue = self._queues[index]
         shard = self._shards[index]
         queue_depth = shard.metrics.queue_depth
-        stopping = False
-        while not stopping:
-            head = await queue.get()
-            if head is _STOP:
-                break
-            # Fairness: drain adaptively — half the backlog per wake-up, at
-            # least 8 items, capped at max_batch — instead of greedily taking
-            # max_batch every time.  A lightly loaded shard hands the loop
-            # back quickly (other shards' consumers get scheduled, keeping
-            # their p99 flat); a saturated one still reaches full batches, so
-            # single-shard throughput is unaffected.
-            cap = min(self._max_batch, max(8, (queue.qsize() + 2) // 2))
-            batch: List[_Item] = [head]  # type: ignore[list-item]
-            while len(batch) < cap:
-                try:
-                    item = queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                if item is _STOP:
-                    stopping = True
-                    break
-                batch.append(item)  # type: ignore[arg-type]
-            queue_depth.set(queue.qsize())
-            self.stats.batches += 1
+        max_batch = self._max_batch
+        stats = self.stats
+        while True:
+            batch = await queue.take(max_batch)
+            if batch is None:
+                return
+            queue_depth.set(len(queue.items))
+            stats.batches += 1
             await shard.submit(batch)
-            queue_depth.set(queue.qsize())
+            queue_depth.set(len(queue.items))
             # Yield between batches so co-resident consumers interleave even
             # when this queue never goes empty.
             await asyncio.sleep(0)
@@ -579,9 +660,9 @@ class AnnotationService:
             shard.metrics.events.inc(absorbed)  # type: ignore[arg-type]
             shard.metrics.results.inc(len(results))
             finished = time.perf_counter()
-            observe = self.metrics.ingest_latency.observe
-            for item in batch:
-                observe(finished - item[3])  # type: ignore[operator]
+            self.metrics.ingest_latency.observe_many(
+                [finished - item[3] for item in batch]  # type: ignore[operator]
+            )
             self._collect(results)
         else:
             # An infrastructure-level batch failure the core survived; it
@@ -598,7 +679,7 @@ class AnnotationService:
             )
         shard.events_absorbed += absorbed  # type: ignore[operator]
         shard.open_sessions = open_sessions  # type: ignore[assignment]
-        shard.sessions_evicted = evicted  # type: ignore[assignment]
+        self._mirror_evicted(shard, evicted)  # type: ignore[arg-type]
         shard.metrics.open_sessions.set(float(open_sessions))  # type: ignore[arg-type]
         self._quarantine(quarantines)  # type: ignore[arg-type]
 
@@ -606,11 +687,21 @@ class AnnotationService:
         """Fold the close-out ack (sealed rows of every open session) in."""
         _, sealed, quarantines, evicted = ack
         shard.open_sessions = 0
-        shard.sessions_evicted = evicted  # type: ignore[assignment]
+        self._mirror_evicted(shard, evicted)  # type: ignore[arg-type]
         shard.metrics.results.inc(len(sealed))  # type: ignore[arg-type]
         shard.metrics.open_sessions.set(0.0)
         self._quarantine(quarantines)  # type: ignore[arg-type]
         self._collect(sealed)  # type: ignore[arg-type]
+
+    def _mirror_evicted(self, shard: Shard, evicted: int) -> None:
+        """Count the evictions an ack reports beyond the mirror, then mirror it.
+
+        A respawned worker restarts from 0 (so does the mirror,
+        ``ProcessShard._spawn``), which keeps the counter monotone.
+        """
+        if evicted > shard.sessions_evicted:
+            self.metrics.sessions_evicted.inc(evicted - shard.sessions_evicted)
+        shard.sessions_evicted = evicted
 
     def _shard_failed(self, shard: Shard, stage: str, kind: str, message: str) -> None:
         """Count one shard-level failure and keep it for the failure policy."""

@@ -123,6 +123,7 @@ class ShardCore:
     def absorb(self, ops: Sequence[Op]) -> Ack:
         """Apply one micro-batch of operations, in order."""
         executor = self.executor
+        ingest = executor.ingest
         on_event = self._on_event
         results: List[PipelineResult] = []
         absorbed = 0
@@ -135,7 +136,9 @@ class ShardCore:
                         # Streams have no trajectory boundary until sealing,
                         # so the kill hook fires per event.
                         on_event(object_id, worker=True)
-                    results.extend(executor.ingest(object_id, op[2]))  # type: ignore[arg-type]
+                    sealed = ingest(object_id, op[2])  # type: ignore[arg-type]
+                    if sealed:
+                        results.extend(sealed)
                     absorbed += 1
                 elif kind == CLOSE:
                     results.extend(executor.close_object(str(op[1])))

@@ -271,6 +271,8 @@ def test_session_budget_evicts_lru_sessions(annotation_sources, car_dataset, tra
 
     service = asyncio.run(run())
     assert service.sessions_evicted >= len(streams) - 3
+    # Budget evictions are counted too, by the fold, as acks report them.
+    assert service.metrics.sessions_evicted.value == service.sessions_evicted
     assert service.dropped_events == 0
     assert {r.trajectory.object_id for r in service.results} == set(streams)
 
@@ -299,6 +301,7 @@ def test_explicit_eviction_closes_sessions(annotation_sources, car_dataset, tran
     assert before == len(streams)
     assert after == 0
     assert service.sessions_evicted >= len(streams)
+    assert service.metrics.sessions_evicted.value == service.sessions_evicted
     # The evicted sessions sealed their open trajectories.
     assert {r.trajectory.object_id for r in service.results} == set(streams)
 
