@@ -81,6 +81,14 @@ def point_columns(points: Sequence[SpatioTemporalPoint]) -> Columns:
     return xs, ys, ts
 
 
+def _check_lengths(xs: Sequence[float], ys: Sequence[float], ts: Sequence[float]) -> None:
+    """Raise unless the three coordinate columns have equal lengths."""
+    if not len(xs) == len(ys) == len(ts):
+        raise DataQualityError(
+            f"coordinate columns must have equal lengths ({len(xs)}, {len(ys)}, {len(ts)})"
+        )
+
+
 def _check_order(ts: Sequence[float]) -> None:
     """Raise unless ``ts`` is non-empty and non-decreasing."""
     if not ts:
@@ -152,11 +160,7 @@ class RawTrajectory:
     ) -> "RawTrajectory":
         """A trajectory from its three coordinate columns (copied), validated like the points."""
         xs, ys, ts = list(xs), list(ys), list(ts)
-        if not len(xs) == len(ys) == len(ts):
-            raise DataQualityError(
-                "coordinate columns must have equal lengths "
-                f"({len(xs)}, {len(ys)}, {len(ts)})"
-            )
+        _check_lengths(xs, ys, ts)
         _check_order(ts)
         if trajectory_id is None:
             trajectory_id = f"{object_id}-0"

@@ -145,13 +145,13 @@ _CHUNK_POINTS = 4096
 # pays the kernels' fixed cost per episode; waiting is paid in result delay.
 # One stream pass over the cost ladder's seed-1 fleet (12,000 events from 64
 # interleaved emitters, 415 episodes, 132 trajectories; CPU ms, best of 15 with
-# the rounds interleaved over N, 2-vCPU box), the ``match_rows`` calls in it,
+# the rounds interleaved over N, 2-vCPU box), the matcher kernel calls in it,
 # and how many operations after the call that closed its trajectory a result
 # is delivered:
 #
 #   passes waited    at seal     1      2      4      8     16   unbounded
 #   stream pass, ms    228     211    184    160    144    134      130
-#   match_rows calls   216     163    100     55     28     15        3
+#   matcher calls      216     163    100     55     28     15        3
 #   delay p50, ops       0      44     64    113    198    329    1,256
 #   delay max, ops       0      65    128    256    461    822    4,364
 #

@@ -49,7 +49,7 @@ def consecutive_speeds(xs: np.ndarray, ys: np.ndarray, ts: np.ndarray) -> np.nda
 
     ``speeds[i]`` is the average speed from point ``i`` to ``i + 1``; the last
     point repeats its predecessor's value and zero-duration steps get speed 0,
-    exactly like :func:`repro.preprocessing.features.compute_motion_features`.
+    exactly like :func:`repro.preprocessing.features.motion_features`.
     """
     n = len(xs)
     if n == 0:

@@ -640,24 +640,6 @@ class FlatSpatialIndex:
             for i in range(len(points))
         ]
 
-    def query_point_payloads(self, points: Sequence[Point]) -> List[List[Any]]:
-        """Batch point containment as per-point candidate payload lists.
-
-        Index-filter candidates only (entry boxes containing each point), in
-        row order; exact geometry filters stay with the caller.
-        """
-        if not points:
-            return []
-        xs, ys = point_columns(points)
-        offsets, rows = self.query_points_batch(xs, ys)
-        payloads = self._payloads
-        bounds = offsets.tolist()
-        row_list = rows.tolist()
-        return [
-            [payloads[row_list[k]] for k in range(bounds[i], bounds[i + 1])]
-            for i in range(len(points))
-        ]
-
     def within_distance_point(self, point: Point, radius: float) -> List[Tuple[float, Any]]:
         """Single-point ``within_distance`` returning ``(distance, payload)`` pairs.
 

@@ -18,11 +18,12 @@ There is one implementation: the whole of steps 1-5 is one columnar kernel
 (:meth:`GlobalMapMatcher.match_columns`, which takes the episodes as
 ``(lengths, xs, ys)`` coordinate columns) over ``(point, candidate)`` pair
 arrays, at every episode length (6-13x the per-point loop at 64-256 points).
-The point-sequence forms (``match``, ``match_rows``, ``match_runs``) are thin
-adapters that columnarise their points.  The
-per-point loop — one R-tree query and one dict-based score aggregation per
-point — is the oracle the parity tests compare the kernel against and lives
-outside the product, as ``ScalarMapMatcher`` in the reference package.
+The line annotation reads its runs off it (:meth:`~GlobalMapMatcher.match_runs_columns`),
+and :meth:`~GlobalMapMatcher.match` hands one episode's points to it and
+returns a :class:`MatchedPoint` per fix.  The per-point loop — one R-tree
+query and one dict-based score aggregation per point — is the oracle the
+parity tests compare the kernel against and lives outside the product, as
+``ScalarMapMatcher`` in the reference package.
 """
 
 from __future__ import annotations
@@ -88,28 +89,6 @@ class MatchedPoint:
         return self.segment.place_id if self.segment is not None else None
 
 
-def _point_columns(
-    episodes: Sequence[Sequence[SpatioTemporalPoint]],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(lengths, xs, ys)`` of point sequences: the kernel's column input."""
-    lengths = np.fromiter((len(points) for points in episodes), np.intp, len(episodes))
-    count = int(lengths.sum())
-    xs = np.fromiter((p.x for points in episodes for p in points), np.float64, count)
-    ys = np.fromiter((p.y for points in episodes for p in points), np.float64, count)
-    return lengths, xs, ys
-
-
-def segment_runs(matched: Sequence[MatchedPoint]) -> List[SegmentRun]:
-    """Maximal runs of consecutive matched points sharing a segment."""
-    runs: List[SegmentRun] = []
-    start = 0
-    for index in range(1, len(matched) + 1):
-        if index == len(matched) or matched[index].segment_id != matched[start].segment_id:
-            runs.append((start, index, matched[start].segment))
-            start = index
-    return runs
-
-
 class GlobalMapMatcher:
     """The global map-matching algorithm of Section 4.2.
 
@@ -137,8 +116,16 @@ class GlobalMapMatcher:
 
     # -------------------------------------------------------------- matching
     def match(self, points: Sequence[SpatioTemporalPoint]) -> List[MatchedPoint]:
-        """Match every GPS point of a move episode to a road segment."""
-        rows, scores = self.match_rows([points])
+        """Match every GPS point of a move episode to a road segment.
+
+        :meth:`match_columns` of the episode's coordinates, one record per point.
+        """
+        count = len(points)
+        rows, scores = self.match_columns(
+            np.array([count], dtype=np.intp),
+            np.fromiter((point.x for point in points), np.float64, count),
+            np.fromiter((point.y for point in points), np.float64, count),
+        )
         segments = self._network.flat_index().payloads
         matched: List[MatchedPoint] = []
         for point, row, score in zip(points, rows.tolist(), scores.tolist()):
@@ -153,15 +140,6 @@ class GlobalMapMatcher:
                     MatchedPoint(point=point, segment=segment, score=score, snapped=snapped)
                 )
         return matched
-
-    def match_runs(
-        self, episodes: Sequence[Sequence[SpatioTemporalPoint]]
-    ) -> List[List[SegmentRun]]:
-        """Per episode, the maximal runs of points matched to one segment.
-
-        The point-sequence form of :meth:`match_runs_columns`.
-        """
-        return self.match_runs_columns(*_point_columns(episodes))
 
     def match_runs_columns(
         self, lengths: np.ndarray, xs: np.ndarray, ys: np.ndarray
@@ -193,21 +171,7 @@ class GlobalMapMatcher:
         cuts = np.searchsorted(starts, np.append(first, len(rows))).tolist()
         return [runs[low:high] for low, high in zip(cuts, cuts[1:])]
 
-    def matched_segment_sequence(self, points: Sequence[SpatioTemporalPoint]) -> List[str]:
-        """De-duplicated sequence of matched segment ids (Algorithm 2 output)."""
-        sequence: List[str] = []
-        for _, _, segment in self.match_runs([points])[0]:
-            if segment is not None and (not sequence or sequence[-1] != segment.place_id):
-                sequence.append(segment.place_id)
-        return sequence
-
     # ------------------------------------------------------- columnar kernel
-    def match_rows(
-        self, episodes: Sequence[Sequence[SpatioTemporalPoint]]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`match_columns` over the concatenated points of ``episodes``."""
-        return self.match_columns(*_point_columns(episodes))
-
     def match_columns(
         self, lengths: np.ndarray, xs: np.ndarray, ys: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -219,10 +183,16 @@ class GlobalMapMatcher:
         (``-1`` when no candidate was within reach) and its score.  Episode
         boundaries are context-window barriers, so matching several episodes
         in one call gives each the result of a call of its own while paying
-        the fixed cost of the array operations once.
+        the fixed cost of the array operations once.  A ``lengths`` that does
+        not sum to the columns' length raises ``ValueError``.
         """
+        count = int(lengths.sum())
+        if not count == len(xs) == len(ys):
+            raise ValueError(
+                f"episode lengths sum to {count} but the columns hold "
+                f"{len(xs)} xs and {len(ys)} ys"
+            )
         config = self._config
-        count = len(xs)
         best_rows = np.full(count, -1, dtype=np.intp)
         best_scores = np.zeros(count)
 

@@ -15,6 +15,11 @@ The rules implemented here follow the paper's description:
 * points on ordinary roads are walking, cycling or bus depending on the speed
   and acceleration profile (motorised road travel shows both higher speed and
   higher stop-and-go acceleration than cycling).
+
+There is one entry: :meth:`TransportModeClassifier.fold_modes` classifies the
+matched runs of one episode (:meth:`~repro.lines.map_matching.GlobalMapMatcher.match_runs_columns`)
+from the speeds and accelerations :func:`pair_motion` computed once over the
+episode's group, and :func:`dominant_mode_of` picks the episode's mode.
 """
 
 from __future__ import annotations
@@ -25,9 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import TransportModeConfig
-from repro.core.points import SpatioTemporalPoint, point_columns
-from repro.lines.map_matching import MatchedPoint, SegmentRun, segment_runs
-from repro.preprocessing.features import compute_motion_features
+from repro.lines.map_matching import SegmentRun
 
 #: Modes the classifier can emit.
 TRANSPORT_MODES: Tuple[str, ...] = ("walk", "bicycle", "bus", "metro", "car", "train")
@@ -141,17 +144,6 @@ class TransportModeClassifier:
         return self._config
 
     # ------------------------------------------------------------ single run
-    def classify(
-        self,
-        points: Sequence[SpatioTemporalPoint],
-        road_type: Optional[str] = None,
-    ) -> str:
-        """Infer the mode of a homogeneous run of points on one road type."""
-        features = compute_motion_features(points)
-        mean_speed = features.mean_speed()
-        mean_acceleration = features.mean_absolute_acceleration()
-        return self._classify_from_features(mean_speed, mean_acceleration, road_type)
-
     def _classify_from_features(
         self,
         mean_speed: float,
@@ -182,30 +174,6 @@ class TransportModeClassifier:
         return "car"
 
     # ------------------------------------------------------- matched episodes
-    def segment_modes(self, matched: Sequence[MatchedPoint]) -> List[ModeSegment]:
-        """Group matched points by segment and infer the mode of each group.
-
-        The output mirrors the pairs <r_i, mode_i> of Section 4.2: each matched
-        route with the transportation mode used on it, in travel order.
-        """
-        xs, ys, ts = point_columns([item.point for item in matched])
-        return self.run_modes(xs, ys, ts, segment_runs(matched))
-
-    def run_modes(
-        self,
-        xs: Sequence[float],
-        ys: Sequence[float],
-        ts: Sequence[float],
-        runs: Sequence[SegmentRun],
-    ) -> List[ModeSegment]:
-        """:meth:`segment_modes` over already-grouped runs of an episode's coordinate columns."""
-        speeds, accelerations = pair_motion(
-            np.array(xs, dtype=np.float64),
-            np.array(ys, dtype=np.float64),
-            np.array(ts, dtype=np.float64),
-        )
-        return self.fold_modes(ts, runs, speeds, accelerations)
-
     def fold_modes(
         self,
         ts: Sequence[float],
@@ -214,8 +182,10 @@ class TransportModeClassifier:
         accelerations: List[float],
         base: int = 0,
     ) -> List[ModeSegment]:
-        """:meth:`run_modes` of one episode, its motion read off a group's :func:`pair_motion`.
+        """The mode of each matched run of one episode, its motion from :func:`pair_motion`.
 
+        The output mirrors the pairs <r_i, mode_i> of Section 4.2: each matched
+        route with the transportation mode used on it, in travel order.
         ``ts`` is the episode's timestamp column and ``runs`` are its runs; the
         episode's first fix is fix ``base`` of the group ``speeds`` and
         ``accelerations`` were computed over (see :func:`run_means`).
@@ -237,10 +207,6 @@ class TransportModeClassifier:
                 )
             )
         return self._smooth_modes(result)
-
-    def dominant_mode(self, matched: Sequence[MatchedPoint]) -> Optional[str]:
-        """The mode accounting for the most travel time over the episode."""
-        return dominant_mode_of(self.segment_modes(matched))
 
     def _smooth_modes(self, segments: List[ModeSegment]) -> List[ModeSegment]:
         """Remove single-segment mode flickers between identical neighbours.

@@ -8,14 +8,14 @@ the configured computing policy.
 """
 
 from repro.preprocessing.cleaning import GpsCleaner
-from repro.preprocessing.features import MotionFeatures, compute_motion_features
+from repro.preprocessing.features import MotionFeatures, motion_features
 from repro.preprocessing.identification import TrajectoryIdentifier
 from repro.preprocessing.stops import StopMoveDetector
 
 __all__ = [
     "GpsCleaner",
     "MotionFeatures",
-    "compute_motion_features",
+    "motion_features",
     "TrajectoryIdentifier",
     "StopMoveDetector",
 ]

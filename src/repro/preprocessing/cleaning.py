@@ -25,23 +25,22 @@ one implementation:
   exactly rounded while ``numpy.mean`` is not, and the cleaning contract is
   byte-equality.
 
-:meth:`~GpsCleaner.remove_outliers`, :meth:`~GpsCleaner.smooth` and
-:meth:`~GpsCleaner.clean` are the same passes over point sequences, for
-callers that hold points.  The per-point loops they must equal live in
-:mod:`repro.reference.cleaning`.
+The columns are the only entry: a caller holding points passes
+:func:`~repro.core.points.point_columns` of them.  The per-point loops the
+passes must equal live in :mod:`repro.reference.cleaning`.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
 from repro.core.config import CleaningConfig
 from repro.core.errors import DataQualityError
-from repro.core.points import Columns, SpatioTemporalPoint, point_columns
+from repro.core.points import Columns, _check_lengths
 
 
 def window_median(values: List[float]) -> float:
@@ -116,8 +115,10 @@ class GpsCleaner:
         """Full cleaning pass over a stream's columns: outlier removal, then smoothing.
 
         Returns new ``(xs, ys, ts)`` lists; the timestamps are the input's own
-        objects, in order, minus the dropped fixes.
+        objects, in order, minus the dropped fixes.  Columns of unequal
+        lengths raise :class:`~repro.core.errors.DataQualityError`.
         """
+        _check_lengths(xs, ys, ts)
         return self._smooth_columns(*self._filter_columns(xs, ys, ts))
 
     def _filter_columns(self, xs: List[float], ys: List[float], ts: List[float]) -> Columns:
@@ -165,23 +166,3 @@ class GpsCleaner:
         smooth_column = _median_column if method == "median" else _mean_column
         half = window // 2
         return smooth_column(xs, half), smooth_column(ys, half), ts
-
-    # ----------------------------------------------------------------- points
-    def remove_outliers(
-        self, points: Sequence[SpatioTemporalPoint]
-    ) -> List[SpatioTemporalPoint]:
-        """The outlier filter over a point sequence (see :meth:`clean_columns`)."""
-        return _points(self._filter_columns(*point_columns(points)))
-
-    def smooth(self, points: Sequence[SpatioTemporalPoint]) -> List[SpatioTemporalPoint]:
-        """The smoothing pass over a point sequence (see :meth:`clean_columns`)."""
-        return _points(self._smooth_columns(*point_columns(points)))
-
-    def clean(self, points: Sequence[SpatioTemporalPoint]) -> List[SpatioTemporalPoint]:
-        """Full cleaning pass over a point sequence: outlier removal followed by smoothing."""
-        return _points(self.clean_columns(*point_columns(points)))
-
-
-def _points(columns: Columns) -> List[SpatioTemporalPoint]:
-    xs, ys, ts = columns
-    return list(map(SpatioTemporalPoint, xs, ys, ts))

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.core.points import RawTrajectory, SpatioTemporalPoint, point_columns
-
 
 @dataclass(frozen=True)
 class MotionFeatures:
@@ -71,8 +69,9 @@ def motion_features(
 ) -> MotionFeatures:
     """Speed, acceleration and heading for every fix of three coordinate columns.
 
-    Per consecutive pair the :meth:`SpatioTemporalPoint.distance_to` distance,
-    same operand order, so the numbers are those of the point-sequence form.
+    Per consecutive pair the :meth:`~repro.core.points.SpatioTemporalPoint.distance_to`
+    distance, same operand order, so the numbers are those of a per-point loop.
+    A caller holding points passes :func:`~repro.core.points.point_columns` of them.
     """
     n = len(ts)
     if n == 0:
@@ -99,16 +98,6 @@ def motion_features(
         accelerations.append(dv / dt if dt > 0 else 0.0)
 
     return MotionFeatures(speeds=speeds, accelerations=accelerations, headings=headings)
-
-
-def compute_motion_features(points: Sequence[SpatioTemporalPoint]) -> MotionFeatures:
-    """Compute speed, acceleration and heading for every point of ``points``."""
-    return motion_features(*point_columns(points))
-
-
-def features_for_trajectory(trajectory: RawTrajectory) -> MotionFeatures:
-    """Convenience wrapper computing motion features for a raw trajectory."""
-    return motion_features(trajectory.xs, trajectory.ys, trajectory.ts)
 
 
 def heading_change_rate(headings: Sequence[float]) -> float:

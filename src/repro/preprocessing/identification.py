@@ -7,24 +7,22 @@ and "spatial separations" computing policies of Figure 2.
 
 The split scans a stream's ``(xs, ys, ts)`` float columns
 (:meth:`TrajectoryIdentifier.split_columns`), and every kept fragment is a
-trajectory over slices of them, so no point object is built.
-:meth:`~TrajectoryIdentifier.split` and :meth:`~TrajectoryIdentifier.split_daily`
-are the same split over point sequences; the per-point loop it must equal
-lives in :mod:`repro.reference.cleaning`.
+trajectory over slices of them, so no point object is built.  The columns are
+the only entry; the per-point loop the split must equal lives in
+:mod:`repro.reference.cleaning`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import List
 
 from repro.core.config import TrajectoryIdentificationConfig
 from repro.core.points import (
     RawTrajectory,
-    SpatioTemporalPoint,
+    _check_lengths,
     _check_order,
     _trajectory_from_columns,
-    point_columns,
 )
 
 
@@ -55,7 +53,10 @@ class TrajectoryIdentifier:
         ``f"{prefix}-t{index}"``; those with fewer than ``min_points`` fixes
         are discarded (and keep their number).  Each kept fragment holds
         slices of the columns and is checked for non-decreasing timestamps.
+        Columns of unequal lengths raise
+        :class:`~repro.core.errors.DataQualityError`.
         """
+        _check_lengths(xs, ys, ts)
         if not ts:
             return []
         config = self._config
@@ -83,52 +84,6 @@ class TrajectoryIdentifier:
             trajectories.append(
                 _trajectory_from_columns(
                     xs[start:end], ys[start:end], fragment_ts, object_id, f"{prefix}-t{index}"
-                )
-            )
-        return trajectories
-
-    def split(
-        self,
-        points: Sequence[SpatioTemporalPoint],
-        object_id: str = "unknown",
-        id_prefix: str = "",
-    ) -> List[RawTrajectory]:
-        """:meth:`split_columns` over a point sequence."""
-        return self.split_columns(*point_columns(points), object_id=object_id, id_prefix=id_prefix)
-
-    def split_daily(
-        self,
-        points: Sequence[SpatioTemporalPoint],
-        object_id: str = "unknown",
-        day_length: float = 86_400.0,
-    ) -> List[RawTrajectory]:
-        """Split a stream into daily trajectories, then at gaps within each day.
-
-        The paper reports "daily trajectories" for both the taxi and the
-        smartphone datasets: the stream is first cut at midnight boundaries,
-        then each day is further split at large separations.
-        """
-        xs, ys, ts = point_columns(points)
-        if not ts:
-            return []
-        starts = [0]
-        current_day = int(ts[0] // day_length)
-        for index, t in enumerate(ts):
-            day = int(t // day_length)
-            if day != current_day:
-                starts.append(index)
-                current_day = day
-        starts.append(len(ts))
-
-        trajectories: List[RawTrajectory] = []
-        for day_index, (start, end) in enumerate(zip(starts, starts[1:])):
-            trajectories.extend(
-                self.split_columns(
-                    xs[start:end],
-                    ys[start:end],
-                    ts[start:end],
-                    object_id=object_id,
-                    id_prefix=f"{object_id}-d{day_index}",
                 )
             )
         return trajectories

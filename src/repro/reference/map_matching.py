@@ -24,9 +24,20 @@ from repro.geometry.distance import (
 )
 from repro.geometry.kernels import gaussian_kernel_weight
 from repro.geometry.primitives import Point
-from repro.lines.map_matching import GlobalMapMatcher, MatchedPoint, SegmentRun, segment_runs
+from repro.lines.map_matching import GlobalMapMatcher, MatchedPoint, SegmentRun
 from repro.lines.road_network import RoadNetwork
 from repro.reference.rtree import RTree, RTreeEntry
+
+
+def segment_runs(matched: Sequence[MatchedPoint]) -> List[SegmentRun]:
+    """Maximal runs of consecutive matched points sharing a segment."""
+    runs: List[SegmentRun] = []
+    start = 0
+    for index in range(1, len(matched) + 1):
+        if index == len(matched) or matched[index].segment_id != matched[start].segment_id:
+            runs.append((start, index, matched[start].segment))
+            start = index
+    return runs
 
 
 class ScalarMapMatcher(GlobalMapMatcher):
@@ -42,21 +53,19 @@ class ScalarMapMatcher(GlobalMapMatcher):
             RTreeEntry(box=segment.bounding_box(), item=segment) for segment in network.segments
         )
 
-    def match_runs(
-        self, episodes: Sequence[Sequence[SpatioTemporalPoint]]
-    ) -> List[List[SegmentRun]]:
-        """Per episode, the maximal runs of points matched to one segment."""
-        return [segment_runs(self.match(points)) for points in episodes]
-
     def match_runs_columns(
         self, lengths: np.ndarray, xs: np.ndarray, ys: np.ndarray
     ) -> List[List[SegmentRun]]:
-        """:meth:`match_runs` on the fixes the columns hold (the loop reads positions only)."""
+        """Per episode, the :func:`segment_runs` of :meth:`match` over its fixes.
+
+        The loop reads positions only, so the fixes carry no timestamp.
+        """
         points = [SpatioTemporalPoint(x, y, 0.0) for x, y in zip(xs.tolist(), ys.tolist())]
         ends = np.cumsum(lengths).tolist()
-        return self.match_runs(
-            [points[end - length : end] for end, length in zip(ends, lengths.tolist())]
-        )
+        return [
+            segment_runs(self.match(points[end - length : end]))
+            for end, length in zip(ends, lengths.tolist())
+        ]
 
     def match(self, points: Sequence[SpatioTemporalPoint]) -> List[MatchedPoint]:
         """Match every GPS point of a move episode to a road segment."""

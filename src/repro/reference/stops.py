@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.core.points import RawTrajectory, SpatioTemporalPoint
-from repro.preprocessing.features import compute_motion_features
+from repro.core.points import RawTrajectory, SpatioTemporalPoint, point_columns
+from repro.preprocessing.features import motion_features
 from repro.preprocessing.stops import StopMoveDetector
 
 
@@ -13,7 +13,7 @@ def velocity_stop_flags(
     points: Sequence[SpatioTemporalPoint], speed_threshold: float
 ) -> List[bool]:
     """Per-point stop-candidate flags of the velocity policy."""
-    features = compute_motion_features(points)
+    features = motion_features(*point_columns(points))
     return [speed < speed_threshold for speed in features.speeds]
 
 

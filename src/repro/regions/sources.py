@@ -7,10 +7,11 @@ the role of the PostGIS tables + R*-tree index of the paper's implementation.
 
 The index is one :class:`~repro.index.flat.FlatSpatialIndex`, STR-packed from
 the regions' bounding-box columns when the source is constructed; the source
-never changes afterwards.  Every lookup is a flat query: the batch methods ask
-about whole position lists — or coordinate columns, which is what the
-annotator hands over — at once, the single-point methods are the same queries
-with one row.
+never changes afterwards.  Every lookup is a flat query: the containment join
+asks about a whole coordinate column pair at once
+(:meth:`RegionSource.first_regions_containing_columns`, what the annotator
+hands over), and the single-point :meth:`RegionSource.first_region_containing`
+is the same query with one row.
 """
 
 from __future__ import annotations
@@ -48,10 +49,6 @@ class RegionSource:
         """All regions in the source."""
         return list(self._regions)
 
-    def regions_containing(self, point: Point) -> List[RegionOfInterest]:
-        """Regions whose extent contains ``point`` (exact test after index filter)."""
-        return self.regions_containing_batch([point])[0]
-
     def regions_intersecting(self, box: BoundingBox) -> List[RegionOfInterest]:
         """Regions whose extent intersects the query rectangle."""
         results: List[RegionOfInterest] = []
@@ -73,28 +70,9 @@ class RegionSource:
         is how the paper's example annotates a stop with "EPFL campus" rather
         than the enclosing landuse cell.
         """
-        return self.first_regions_containing_batch([point])[0]
+        return self.first_regions_containing_columns([point.x], [point.y])[0]
 
     # ------------------------------------------------------------ batch paths
-    def regions_containing_batch(self, points: Sequence[Point]) -> List[List[RegionOfInterest]]:
-        """:meth:`regions_containing` of every point after one index query for all.
-
-        Index-filter candidates in row order, then the exact containment test.
-        """
-        candidate_lists = self._index.query_point_payloads(points)
-        return [
-            [region for region in candidates if region.contains(point)]
-            for point, candidates in zip(points, candidate_lists)
-        ]
-
-    def first_regions_containing_batch(
-        self, points: Sequence[Point]
-    ) -> List[Optional[RegionOfInterest]]:
-        """:meth:`first_region_containing` of every point of a position list."""
-        return self.first_regions_containing_columns(
-            [point.x for point in points], [point.y for point in points]
-        )
-
     def first_regions_containing_columns(
         self, xs: Sequence[float], ys: Sequence[float]
     ) -> List[Optional[RegionOfInterest]]:

@@ -19,7 +19,7 @@ persisting through the semantic trajectory store — is
 builds and returns.
 """
 
-from repro.streaming.cleaning import StreamingGpsCleaner, clean_stream
+from repro.streaming.cleaning import StreamingGpsCleaner
 from repro.streaming.session import (
     OpenTrajectory,
     SealedTrajectory,
@@ -35,5 +35,4 @@ __all__ = [
     "Session",
     "SessionManager",
     "StreamingGpsCleaner",
-    "clean_stream",
 ]

@@ -1,7 +1,7 @@
 """Streaming GPS cleaning with bounded lookahead.
 
-Reproduces :meth:`repro.preprocessing.cleaning.GpsCleaner.clean` over a live
-stream: outlier removal is causal (the greedy anchor filter only looks
+Reproduces :meth:`repro.preprocessing.cleaning.GpsCleaner.clean_columns` over
+a live stream: outlier removal is causal (the greedy anchor filter only looks
 backwards), while the centred smoothing window needs ``window // 2`` future
 fixes before a point's smoothed position is final — so the cleaner emits
 fixes with that bounded lag and flushes the tail on :meth:`finish`.
@@ -10,7 +10,7 @@ The batch cleaner keeps the first and last fixes of the stream unsmoothed and
 leaves streams of fewer than three fixes untouched; both rules depend on
 knowing where the stream ends, which is exactly what :meth:`finish` signals.
 The emitted sequence is bit-for-bit identical to the batch
-``smooth(remove_outliers(points))`` on the same input (parity tested, hostile
+``clean_columns(xs, ys, ts)`` on the same input (parity tested, hostile
 coordinates and timestamps included: a fix whose speed is NaN is rejected,
 as the batch filter's ``speed <= max_speed`` rejects it).
 
@@ -21,19 +21,17 @@ and, in one frame, runs the outlier test, appends to the lookahead window
 step finalizes: the emit bound rises by exactly one per accepted fix, so a
 step returns one ``(x, y, t)`` triple or ``None``, never a list.  A median is
 an in-place sort of one fresh slice per coordinate.  :meth:`finish` returns
-the tail as a list.  No point object is built; :func:`clean_stream` builds
-them for the callers that want points.
+the tail as a list.  No point object is built.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.config import CleaningConfig
 from repro.core.errors import DataQualityError
-from repro.core.points import SpatioTemporalPoint
 from repro.preprocessing.cleaning import window_median
 
 #: One cleaned fix: ``(x, y, t)``.
@@ -89,7 +87,7 @@ class StreamingGpsCleaner:
         """
         if self._finished:
             raise DataQualityError("cannot feed a finished cleaning stream")
-        # The greedy outlier filter of GpsCleaner.remove_outliers.
+        # The greedy outlier filter of GpsCleaner.clean_columns.
         index = self._count
         if index:
             dt = t - self._anchor_t
@@ -186,17 +184,3 @@ class StreamingGpsCleaner:
             return self._count
         emitted = self._count - self._half
         return emitted if emitted > 0 else 0
-
-
-def clean_stream(
-    points: Sequence[SpatioTemporalPoint], config: CleaningConfig = CleaningConfig()
-) -> List[SpatioTemporalPoint]:
-    """Convenience helper: stream every point through a fresh cleaner, as points."""
-    cleaner = StreamingGpsCleaner(config)
-    cleaned: List[Fix] = []
-    for point in points:
-        fix = cleaner.step(point.x, point.y, point.t)
-        if fix is not None:
-            cleaned.append(fix)
-    cleaned.extend(cleaner.finish())
-    return [SpatioTemporalPoint(x, y, t) for x, y, t in cleaned]

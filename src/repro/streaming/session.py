@@ -106,7 +106,7 @@ class SealedTrajectory:
     ``final_episodes`` are the episodes sealed at close time (the tail after
     everything the detector already emitted); ``discarded`` marks fragments
     shorter than the identification ``min_points`` threshold, which produce no
-    result — exactly like :meth:`TrajectoryIdentifier.split` dropping them.
+    result — exactly like :meth:`TrajectoryIdentifier.split_columns` dropping them.
     """
 
     trajectory: RawTrajectory

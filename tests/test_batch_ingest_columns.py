@@ -35,7 +35,7 @@ from repro.core.points import RawTrajectory, SpatioTemporalPoint, point_columns
 from repro.preprocessing.cleaning import GpsCleaner
 from repro.preprocessing.identification import TrajectoryIdentifier
 from repro.reference.cleaning import ScalarGpsCleaner, ingest_points
-from repro.streaming.cleaning import clean_stream
+from repro.streaming.cleaning import StreamingGpsCleaner
 from repro.streaming.session import Session
 
 # The benchmark fleet (bench/fleet.py) lives beside src/ at the checkout root.
@@ -209,8 +209,9 @@ def test_discarded_fragments_keep_their_number():
     assert [t.trajectory_id for t in trajectories] == ["u-t1", "u-t3"]
 
 
-def _fixes(points: List[SpatioTemporalPoint]) -> List[Tuple[str, str, str]]:
-    return [(repr(p.x), repr(p.y), repr(p.t)) for p in points]
+def _fixes(fixes) -> List[Tuple[str, str, str]]:
+    """``(x, y, t)`` fixes as the reprs of their numbers."""
+    return [tuple(map(repr, fix)) for fix in fixes]
 
 
 @pytest.mark.parametrize("window", [3, 5, 7])
@@ -230,11 +231,24 @@ def _fixes(points: List[SpatioTemporalPoint]) -> List[Tuple[str, str, str]]:
 def test_integer_coordinates_stay_integers(stream, window):
     points = [SpatioTemporalPoint(*fix) for fix in stream]
     config = CleaningConfig(max_speed=_MAX_SPEED, smoothing_window=window)
-    batch = _fixes(GpsCleaner(config).clean(points))
-    assert batch == _fixes(clean_stream(points, config))
-    assert batch == _fixes(ScalarGpsCleaner(config).clean(points))
+    batch = _fixes(zip(*GpsCleaner(config).clean_columns(*point_columns(points))))
+    cleaner = StreamingGpsCleaner(config)
+    stepped = [cleaner.step(*fix) for fix in stream]
+    assert batch == _fixes([fix for fix in stepped if fix is not None] + cleaner.finish())
+    assert batch == _fixes(point.as_tuple() for point in ScalarGpsCleaner(config).clean(points))
     assert any(isinstance(x, int) for x, _, _ in stream)
     assert any("." not in x for x, _, _ in batch[1:-1])  # an interior int survived
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["clean_columns", "split_columns"])
+def test_columns_of_unequal_lengths_are_refused(split):
+    """Like ``RawTrajectory.from_columns``: no fix is dropped, no trajectory is 6/6/8 long."""
+    columns = ([0, 1, 2, 3, 4, 5], [0] * 6, list(range(8)))
+    entry = TrajectoryIdentifier().split_columns if split else GpsCleaner().clean_columns
+    with pytest.raises(DataQualityError, match=r"equal lengths \(6, 6, 8\)"):
+        entry(*columns)
+    with pytest.raises(DataQualityError, match=r"equal lengths \(6, 6, 8\)"):
+        RawTrajectory.from_columns(*columns)
 
 
 @pytest.fixture()

@@ -13,7 +13,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.points import SpatioTemporalPoint
 from repro.geometry.distance import (
     euclidean_distance,
     perpendicular_distance,
@@ -29,7 +28,7 @@ from repro.geometry.vectorized import (
     perpendicular_distances,
     point_segment_distances,
 )
-from repro.preprocessing.features import compute_motion_features
+from repro.preprocessing.features import motion_features
 
 
 @pytest.fixture()
@@ -85,8 +84,7 @@ class TestSpeedKernel:
     def test_consecutive_speeds_matches_motion_features(self, rng):
         xs, ys = _random_columns(rng, 300)
         ts = np.cumsum(rng.uniform(0.0, 20.0, size=300))  # includes zero gaps
-        points = [SpatioTemporalPoint(x, y, t) for x, y, t in zip(xs, ys, ts)]
-        expected = compute_motion_features(points).speeds
+        expected = motion_features(xs, ys, ts).speeds
         assert consecutive_speeds(xs, ys, ts).tolist() == expected
 
     def test_degenerate_lengths(self):

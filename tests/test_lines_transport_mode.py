@@ -12,15 +12,15 @@ from hypothesis import strategies as st
 from repro.core.annotations import AnnotationKind
 from repro.core.config import TransportModeConfig
 from repro.core.episodes import Episode, EpisodeKind
-from repro.core.points import RawTrajectory, SpatioTemporalPoint
+from repro.core.points import RawTrajectory, SpatioTemporalPoint, point_columns
 from repro.geometry.primitives import Point
 from repro.lines.annotator import LineAnnotator
-from repro.lines.map_matching import MatchedPoint, segment_runs
 from repro.lines.road_network import RoadNetwork, make_road_segment
 from repro.lines.transport_mode import (
     TRANSPORT_MODES,
     ModeSegment,
     TransportModeClassifier,
+    dominant_mode_of,
     mode_share_by_duration,
     pair_motion,
     run_means,
@@ -32,57 +32,67 @@ def _uniform_track(speed: float, count: int = 20, interval: float = 10.0):
     return [SpatioTemporalPoint(i * speed * interval, 0.0, i * interval) for i in range(count)]
 
 
-def _matched(points, segment):
-    return [
-        MatchedPoint(point=p, segment=segment, score=1.0, snapped=p.position) for p in points
-    ]
+def _fold(classifier, xs, ys, ts, runs):
+    """The product's modes of one episode: :func:`pair_motion` of its columns, then the fold."""
+    speeds, accelerations = pair_motion(*(np.array(c, dtype=np.float64) for c in (xs, ys, ts)))
+    return classifier.fold_modes(ts, runs, speeds, accelerations)
+
+
+def _classify(classifier, points, road_type=None):
+    """The mode of ``points`` folded as one run on a segment of ``road_type`` (or unmatched)."""
+    segment = None
+    if road_type is not None:
+        segment = make_road_segment("s", "s", Point(0, 0), Point(1, 0), road_type)
+    xs, ys, ts = point_columns(points)
+    (mode_segment,) = _fold(classifier, xs, ys, ts, [(0, len(ts), segment)])
+    return mode_segment.mode
 
 
 class TestClassifySingleRun:
     def test_walking_speed_on_road(self):
         classifier = TransportModeClassifier()
-        assert classifier.classify(_uniform_track(1.2), road_type="road") == "walk"
+        assert _classify(classifier, _uniform_track(1.2), road_type="road") == "walk"
 
     def test_cycling_speed_on_road(self):
         classifier = TransportModeClassifier()
-        assert classifier.classify(_uniform_track(4.5), road_type="road") == "bicycle"
+        assert _classify(classifier, _uniform_track(4.5), road_type="road") == "bicycle"
 
     def test_bus_speed_on_road(self):
         classifier = TransportModeClassifier()
-        assert classifier.classify(_uniform_track(9.5), road_type="road") == "bus"
+        assert _classify(classifier, _uniform_track(9.5), road_type="road") == "bus"
 
     def test_car_speed_on_road(self):
         classifier = TransportModeClassifier()
-        assert classifier.classify(_uniform_track(20.0), road_type="road") == "car"
+        assert _classify(classifier, _uniform_track(20.0), road_type="road") == "car"
 
     def test_metro_line_forces_metro(self):
         classifier = TransportModeClassifier()
-        assert classifier.classify(_uniform_track(16.0), road_type="metro_line") == "metro"
-        assert classifier.classify(_uniform_track(1.0), road_type="metro_line") == "metro"
+        assert _classify(classifier, _uniform_track(16.0), road_type="metro_line") == "metro"
+        assert _classify(classifier, _uniform_track(1.0), road_type="metro_line") == "metro"
 
     def test_rail_forces_train(self):
         classifier = TransportModeClassifier()
-        assert classifier.classify(_uniform_track(30.0), road_type="rail") == "train"
+        assert _classify(classifier, _uniform_track(30.0), road_type="rail") == "train"
 
     def test_pathway_is_walk_or_bicycle(self):
         classifier = TransportModeClassifier()
-        assert classifier.classify(_uniform_track(1.2), road_type="path_way") == "walk"
-        assert classifier.classify(_uniform_track(5.0), road_type="path_way") == "bicycle"
+        assert _classify(classifier, _uniform_track(1.2), road_type="path_way") == "walk"
+        assert _classify(classifier, _uniform_track(5.0), road_type="path_way") == "bicycle"
 
     def test_highway_is_bus_or_car(self):
         classifier = TransportModeClassifier()
-        assert classifier.classify(_uniform_track(10.0), road_type="highway") == "bus"
-        assert classifier.classify(_uniform_track(25.0), road_type="highway") == "car"
+        assert _classify(classifier, _uniform_track(10.0), road_type="highway") == "bus"
+        assert _classify(classifier, _uniform_track(25.0), road_type="highway") == "car"
 
     def test_unmatched_run_uses_speed_only(self):
         classifier = TransportModeClassifier()
-        assert classifier.classify(_uniform_track(1.0), road_type=None) == "walk"
+        assert _classify(classifier, _uniform_track(1.0), road_type=None) == "walk"
 
     def test_all_outputs_are_known_modes(self):
         classifier = TransportModeClassifier()
         for speed in (0.5, 2.0, 4.0, 8.0, 15.0, 30.0):
             for road_type in (None, "road", "path_way", "metro_line", "highway", "rail"):
-                assert classifier.classify(_uniform_track(speed), road_type) in TRANSPORT_MODES
+                assert _classify(classifier, _uniform_track(speed), road_type) in TRANSPORT_MODES
 
 
 class TestSegmentModes:
@@ -94,27 +104,27 @@ class TestSegmentModes:
         metro_points = [
             SpatioTemporalPoint(1000 + i * 160.0, 0.0, 100 + i * 10.0) for i in range(10)
         ]
-        matched = _matched(walk_points, road) + _matched(metro_points, metro)
-        segments = classifier.segment_modes(matched)
+        xs, ys, ts = point_columns(walk_points + metro_points)
+        segments = _fold(classifier, xs, ys, ts, [(0, 10, road), (10, 20, metro)])
         assert len(segments) == 2
         assert segments[0].mode == "walk"
         assert segments[1].mode == "metro"
 
     def test_empty_input(self):
-        assert TransportModeClassifier().segment_modes([]) == []
+        assert _fold(TransportModeClassifier(), [], [], [], []) == []
 
     def test_dominant_mode_by_duration(self):
         classifier = TransportModeClassifier()
         road = make_road_segment("r1", "road", Point(0, 0), Point(100, 0), "road")
         metro = make_road_segment("m1", "metro", Point(100, 0), Point(3000, 0), "metro_line")
-        short_walk = _matched(_uniform_track(1.3, count=3), road)
-        long_metro = _matched(
-            [SpatioTemporalPoint(100 + i * 160.0, 0.0, 30 + i * 10.0) for i in range(30)], metro
-        )
-        assert classifier.dominant_mode(short_walk + long_metro) == "metro"
+        short_walk = _uniform_track(1.3, count=3)
+        long_metro = [SpatioTemporalPoint(100 + i * 160.0, 0.0, 30 + i * 10.0) for i in range(30)]
+        xs, ys, ts = point_columns(short_walk + long_metro)
+        segments = _fold(classifier, xs, ys, ts, [(0, 3, road), (3, 33, metro)])
+        assert dominant_mode_of(segments) == "metro"
 
     def test_dominant_mode_empty(self):
-        assert TransportModeClassifier().dominant_mode([]) is None
+        assert dominant_mode_of([]) is None
 
     def test_mode_flicker_smoothing(self):
         classifier = TransportModeClassifier()
@@ -138,7 +148,7 @@ class TestSegmentModes:
 
 
 class TestEpisodeDominantMode:
-    """An episode's transport-mode annotation is ``dominant_mode`` of its matched points."""
+    """An episode's transport-mode annotation is ``dominant_mode_of`` its folded runs."""
 
     @staticmethod
     def _annotate(runs):
@@ -161,28 +171,30 @@ class TestEpisodeDominantMode:
         episode = Episode(EpisodeKind.MOVE, trajectory, 0, len(points))
         annotator.annotate_episodes([episode])
         (annotation,) = episode.annotations_of_kind(AnnotationKind.TRANSPORT_MODE)
-        matched = annotator.matcher.match(episode.points)
-        return getattr(annotation, "value"), annotator.classifier, matched
+        (matched_runs,) = annotator.matcher.match_runs_columns(
+            np.array([len(points)], dtype=np.intp), np.array(episode.xs), np.array(episode.ys)
+        )
+        return getattr(annotation, "value"), annotator.classifier, episode, matched_runs
 
     def test_a_tie_goes_to_the_greater_mode_name(self):
         # 90 s of cycling, then 90 s of walking: equal weights, bicycle first.
-        mode, classifier, matched = self._annotate([(0, 4.5, 10), (1, 1.3, 10)])
-        segments = classifier.segment_modes(matched)
+        mode, classifier, episode, runs = self._annotate([(0, 4.5, 10), (1, 1.3, 10)])
+        segments = _fold(classifier, episode.xs, episode.ys, episode.ts, runs)
         assert [(s.segment_id, s.mode, s.duration) for s in segments] == [
             ("r0", "bicycle", 90.0),
             ("r1", "walk", 90.0),
         ]
-        assert mode == classifier.dominant_mode(matched) == "walk"
+        assert mode == dominant_mode_of(segments) == "walk"
 
     def test_a_smoothed_flicker_counts_as_its_neighbours_mode(self):
         # Bus, a long cycled segment, bus: unsmoothed, bicycle would dominate.
-        mode, classifier, matched = self._annotate([(0, 9.5, 5), (1, 4.5, 20), (2, 9.5, 5)])
-        segments = classifier.segment_modes(matched)
+        mode, classifier, episode, runs = self._annotate([(0, 9.5, 5), (1, 4.5, 20), (2, 9.5, 5)])
+        segments = _fold(classifier, episode.xs, episode.ys, episode.ts, runs)
         assert [s.segment_id for s in segments] == ["r0", "r1", "r2"]
         assert [s.mode for s in segments] == ["bus", "bus", "bus"]
-        middle = [m.point for m in matched if m.segment is not None and m.segment.place_id == "r1"]
-        assert classifier.classify(middle, road_type="road") == "bicycle"
-        assert mode == classifier.dominant_mode(matched) == "bus"
+        ((start, end, _),) = [run for run in runs if run[2] is not None and run[2].place_id == "r1"]
+        assert _classify(classifier, episode.points[start:end], road_type="road") == "bicycle"
+        assert mode == dominant_mode_of(segments) == "bus"
 
 
 class TestModeShare:
@@ -202,7 +214,7 @@ class TestModeShare:
 class TestConfig:
     def test_custom_thresholds_change_decision(self):
         strict = TransportModeClassifier(TransportModeConfig(walk_speed_max=0.5, bicycle_speed_max=1.0, bus_speed_max=2.0))
-        assert strict.classify(_uniform_track(1.5), road_type="road") in ("bus", "car")
+        assert _classify(strict, _uniform_track(1.5), road_type="road") in ("bus", "car")
 
 
 # ---------------------------------------------------------------- the mode fold
@@ -286,7 +298,7 @@ class TestModeFold:
             # ModeSegment reprs: NaN speeds compare equal, -0.0 differs from 0.0.
             folded = repr(classifier.fold_modes(ts, runs, speeds, accelerations, base))
             assert folded == repr(_run_modes_by_features(classifier, xs, ys, ts, runs))
-            assert folded == repr(classifier.run_modes(xs, ys, ts, runs))
+            assert folded == repr(_fold(classifier, xs, ys, ts, runs))
             base += len(ts)
 
     def test_runs_of_one_and_two_fixes_at_episode_boundaries(self):
@@ -316,11 +328,8 @@ class TestModeFold:
             SpatioTemporalPoint(i * 7.5 + (i % 3), 0.5 * (i % 2), i * 5.0 - (i % 4 == 0))
             for i in range(40)
         ]
-        matched = _matched(points[:13], road) + _matched(points[13:14], metro)
-        matched += _matched(points[14:16], None) + _matched(points[16:], road)
-        xs, ys, ts = ([getattr(p, axis) for p in points] for axis in "xyt")
-        runs = segment_runs(matched)
-        assert [run[1] - run[0] for run in runs] == [13, 1, 2, 24]
-        assert repr(classifier.segment_modes(matched)) == repr(
+        xs, ys, ts = point_columns(points)
+        runs = [(0, 13, road), (13, 14, metro), (14, 16, None), (16, 40, road)]
+        assert repr(_fold(classifier, xs, ys, ts, runs)) == repr(
             _run_modes_by_features(classifier, xs, ys, ts, runs)
         )

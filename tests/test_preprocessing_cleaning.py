@@ -12,104 +12,113 @@ from hypothesis import strategies as st
 
 from repro.core.config import CleaningConfig
 from repro.core.errors import DataQualityError
-from repro.core.points import SpatioTemporalPoint
+from repro.core.points import SpatioTemporalPoint, point_columns
 from repro.preprocessing.cleaning import GpsCleaner
-from repro.reference.cleaning import smooth_per_point
-from repro.streaming import clean_stream
+from repro.reference.cleaning import ScalarGpsCleaner, smooth_per_point
+from repro.streaming import StreamingGpsCleaner
 
 
-def _stream(*triples):
-    return [SpatioTemporalPoint(x, y, t) for x, y, t in triples]
+def _columns(*triples):
+    """The ``(xs, ys, ts)`` columns of ``(x, y, t)`` fixes."""
+    return tuple(list(column) for column in zip(*triples)) if triples else ([], [], [])
+
+
+def _fixes(columns):
+    """Cleaned columns as ``(x, y, t)`` fixes."""
+    return list(zip(*columns))
+
+
+def _outlier_filter(**fields):
+    """A cleaner that only removes outliers: its smoothing is off."""
+    return GpsCleaner(CleaningConfig(smoothing_method="none", **fields))
 
 
 class TestOutlierRemoval:
     def test_keeps_plausible_stream(self):
-        cleaner = GpsCleaner(CleaningConfig(max_speed=10))
-        points = _stream((0, 0, 0), (5, 0, 1), (10, 0, 2))
-        assert cleaner.remove_outliers(points) == points
+        cleaner = _outlier_filter(max_speed=10)
+        fixes = [(0, 0, 0), (5, 0, 1), (10, 0, 2)]
+        assert _fixes(cleaner.clean_columns(*_columns(*fixes))) == fixes
 
     def test_drops_single_wild_fix(self):
-        cleaner = GpsCleaner(CleaningConfig(max_speed=10))
-        points = _stream((0, 0, 0), (5000, 0, 1), (10, 0, 2))
-        cleaned = cleaner.remove_outliers(points)
-        assert len(cleaned) == 2
-        assert cleaned[1].x == 10
+        cleaner = _outlier_filter(max_speed=10)
+        xs, _, _ = cleaner.clean_columns(*_columns((0, 0, 0), (5000, 0, 1), (10, 0, 2)))
+        assert xs == [0, 10]
 
     def test_drops_duplicate_timestamps(self):
-        cleaner = GpsCleaner()
-        points = _stream((0, 0, 0), (1, 0, 0), (2, 0, 1))
-        cleaned = cleaner.remove_outliers(points)
-        assert [p.t for p in cleaned] == [0, 1]
+        cleaner = _outlier_filter()
+        _, _, ts = cleaner.clean_columns(*_columns((0, 0, 0), (1, 0, 0), (2, 0, 1)))
+        assert ts == [0, 1]
 
     def test_rejects_decreasing_timestamps(self):
-        cleaner = GpsCleaner()
-        points = _stream((0, 0, 10), (1, 0, 5))
+        cleaner = _outlier_filter()
         with pytest.raises(DataQualityError):
-            cleaner.remove_outliers(points)
+            cleaner.clean_columns(*_columns((0, 0, 10), (1, 0, 5)))
 
     def test_empty_stream(self):
-        assert GpsCleaner().remove_outliers([]) == []
+        assert _outlier_filter().clean_columns([], [], []) == ([], [], [])
 
     def test_consecutive_outliers_all_dropped(self):
-        cleaner = GpsCleaner(CleaningConfig(max_speed=10))
-        points = _stream((0, 0, 0), (5000, 0, 1), (5100, 0, 2), (10, 0, 3))
-        cleaned = cleaner.remove_outliers(points)
-        assert [p.x for p in cleaned] == [0, 10]
+        cleaner = _outlier_filter(max_speed=10)
+        columns = _columns((0, 0, 0), (5000, 0, 1), (5100, 0, 2), (10, 0, 3))
+        xs, _, _ = cleaner.clean_columns(*columns)
+        assert xs == [0, 10]
 
 
 class TestSmoothing:
     def test_smoothing_reduces_jitter(self):
         cleaner = GpsCleaner(CleaningConfig(smoothing_window=3, smoothing_method="mean"))
-        points = _stream((0, 0, 0), (10, 0, 1), (0, 0, 2), (10, 0, 3), (0, 0, 4))
-        smoothed = cleaner.smooth(points)
+        xs, _, _ = cleaner.clean_columns(
+            *_columns((0, 0, 0), (10, 0, 1), (0, 0, 2), (10, 0, 3), (0, 0, 4))
+        )
         # Interior points are pulled towards the local mean.
-        assert smoothed[1].x != points[1].x
-        assert 0 < smoothed[2].x < 10
+        assert xs[1] != 10
+        assert 0 < xs[2] < 10
 
     def test_endpoints_are_preserved(self):
         cleaner = GpsCleaner(CleaningConfig(smoothing_window=3))
-        points = _stream((0, 0, 0), (5, 5, 1), (10, 10, 2))
-        smoothed = cleaner.smooth(points)
-        assert smoothed[0] == points[0]
-        assert smoothed[-1] == points[-1]
+        fixes = [(0, 0, 0), (5, 5, 1), (10, 10, 2)]
+        smoothed = _fixes(cleaner.clean_columns(*_columns(*fixes)))
+        assert smoothed[0] == fixes[0]
+        assert smoothed[-1] == fixes[-1]
 
     def test_timestamps_are_preserved(self):
         cleaner = GpsCleaner(CleaningConfig(smoothing_window=5))
-        points = _stream(*[(i * 3.0, 0, i) for i in range(10)])
-        smoothed = cleaner.smooth(points)
-        assert [p.t for p in smoothed] == [p.t for p in points]
+        xs, ys, ts = _columns(*[(i * 3.0, 0, i) for i in range(10)])
+        assert cleaner.clean_columns(xs, ys, ts)[2] == ts
 
     @pytest.mark.parametrize("n", [10, 50])  # scalar pass, array pass
     def test_integer_timestamps_survive_as_the_same_objects(self, n):
         cleaner = GpsCleaner(CleaningConfig(smoothing_window=5))
-        points = _stream(*[(i * 3.0, float(i % 4), 10_000 + i * 7) for i in range(n)])
-        smoothed = cleaner.smooth(points)
-        assert all(ours.t is theirs.t for ours, theirs in zip(smoothed, points))
-        assert all(type(point.t) is int for point in smoothed)
+        xs, ys, ts = _columns(*[(i * 3.0, float(i % 4), 10_000 + i * 7) for i in range(n)])
+        _, _, smoothed_ts = cleaner.clean_columns(xs, ys, ts)
+        assert len(smoothed_ts) == n
+        assert all(ours is theirs for ours, theirs in zip(smoothed_ts, ts))
+        assert all(type(t) is int for t in smoothed_ts)
 
     def test_window_one_disables_smoothing(self):
         cleaner = GpsCleaner(CleaningConfig(smoothing_window=1))
-        points = _stream((0, 0, 0), (10, 0, 1), (0, 0, 2))
-        assert cleaner.smooth(points) == points
+        fixes = [(0, 0, 0), (10, 0, 1), (0, 0, 2)]
+        assert _fixes(cleaner.clean_columns(*_columns(*fixes))) == fixes
 
     def test_method_none_disables_smoothing(self):
         cleaner = GpsCleaner(CleaningConfig(smoothing_window=5, smoothing_method="none"))
-        points = _stream((0, 0, 0), (10, 0, 1), (0, 0, 2))
-        assert cleaner.smooth(points) == points
+        fixes = [(0, 0, 0), (10, 0, 1), (0, 0, 2)]
+        assert _fixes(cleaner.clean_columns(*_columns(*fixes))) == fixes
 
     def test_short_streams_returned_unchanged(self):
         cleaner = GpsCleaner()
-        points = _stream((0, 0, 0), (1, 1, 1))
-        assert cleaner.smooth(points) == points
+        fixes = [(0, 0, 0), (1, 1, 1)]
+        assert _fixes(cleaner.clean_columns(*_columns(*fixes))) == fixes
 
 
 class TestFullClean:
     def test_clean_combines_both_steps(self):
         cleaner = GpsCleaner(CleaningConfig(max_speed=10, smoothing_window=3))
-        points = _stream((0, 0, 0), (5000, 0, 1), (2, 0, 2), (4, 0, 3), (6, 0, 4))
-        cleaned = cleaner.clean(points)
-        assert len(cleaned) == 4
-        assert all(p.x < 100 for p in cleaned)
+        xs, _, _ = cleaner.clean_columns(
+            *_columns((0, 0, 0), (5000, 0, 1), (2, 0, 2), (4, 0, 3), (6, 0, 4))
+        )
+        assert len(xs) == 4
+        assert all(x < 100 for x in xs)
 
 
 # One generated step: (time advance, x, y).  The small sampled sets make
@@ -136,18 +145,34 @@ def _triples(points):
     return [(repr(point.x), repr(point.y), repr(point.t)) for point in points]
 
 
+def _column_triples(columns):
+    """:func:`_triples` of a stream's ``(xs, ys, ts)`` columns."""
+    return [tuple(map(repr, fix)) for fix in zip(*columns)]
+
+
+def _streamed(config, points):
+    """The columns of every fix stepped through one fresh streaming cleaner, tail included."""
+    cleaner = StreamingGpsCleaner(config)
+    fixes = [cleaner.step(point.x, point.y, point.t) for point in points]
+    return _columns(*[fix for fix in fixes if fix is not None], *cleaner.finish())
+
+
 class TestShortAndDegenerateStreams:
     """Streams of 0-40 fixes: no size cut-off keeps them off the array kernel."""
 
     @given(steps=_steps([0.0, 1.0, 2.5, 10.0, 40.0]), window=st.sampled_from([3, 4, 5, 7, 9]))
     @settings(max_examples=200, deadline=None)
     def test_median_smoothing_equals_the_per_point_loop(self, steps, window):
-        cleaner = GpsCleaner(CleaningConfig(smoothing_window=window, smoothing_method="median"))
+        # No speed is an outlier: only duplicate timestamps leave before smoothing.
+        config = CleaningConfig(
+            max_speed=math.inf, smoothing_window=window, smoothing_method="median"
+        )
         points = _walk(steps)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy RuntimeWarning on any input
-            smoothed = cleaner.smooth(points)
-        assert _triples(smoothed) == _triples(smooth_per_point(points, window, "median"))
+            cleaned = GpsCleaner(config).clean_columns(*point_columns(points))
+        kept = ScalarGpsCleaner(config).remove_outliers(points)
+        assert _column_triples(cleaned) == _triples(smooth_per_point(kept, window, "median"))
 
     @given(steps=_steps([0.0, 0.0, 1.0, 2.5, 40.0, -1.0]))
     @settings(max_examples=200, deadline=None)
@@ -166,12 +191,12 @@ class TestShortAndDegenerateStreams:
             distance = math.sqrt((anchor.x - point.x) ** 2 + (anchor.y - point.y) ** 2)
             if distance / (point.t - anchor.t) <= max_speed:
                 kept.append(point)
-        cleaner = GpsCleaner(CleaningConfig(max_speed=max_speed))
+        cleaner = _outlier_filter(max_speed=max_speed)
         if decreasing:
             with pytest.raises(DataQualityError):
-                cleaner.remove_outliers(points)
+                cleaner.clean_columns(*point_columns(points))
         else:
-            assert _triples(cleaner.remove_outliers(points)) == _triples(kept)
+            assert _column_triples(cleaner.clean_columns(*point_columns(points))) == _triples(kept)
 
 
 class TestSignedZeroMedians:
@@ -183,10 +208,10 @@ class TestSignedZeroMedians:
     def test_the_median_zero_is_the_per_point_loops(self, window):
         xs = (0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, -0.0, 0.0)
         points = [SpatioTemporalPoint(x, -x, float(t)) for t, x in enumerate(xs)]
-        cleaner = GpsCleaner(CleaningConfig(smoothing_window=window))
+        config = CleaningConfig(smoothing_window=window)
         expected = _triples(smooth_per_point(points, window, "median"))
-        assert _triples(cleaner.smooth(points)) == expected
-        assert _triples(clean_stream(points, cleaner.config)) == expected
+        assert _column_triples(GpsCleaner(config).clean_columns(*point_columns(points))) == expected
+        assert _column_triples(_streamed(config, points)) == expected
         if window == 7:
             assert expected[5][0] == "-0.0"
 
@@ -199,5 +224,5 @@ class TestSignedZeroMedians:
             xs = [rng.choice((0.0, -0.0, 1.0)) for _ in range(9)]
             points = [SpatioTemporalPoint(x, 0.0, float(t)) for t, x in enumerate(xs)]
             expected = _triples(smooth_per_point(points, window, "median"))
-            assert _triples(cleaner.clean(points)) == expected, xs
-            assert _triples(clean_stream(points, config)) == expected, xs
+            assert _column_triples(cleaner.clean_columns(*point_columns(points))) == expected, xs
+            assert _column_triples(_streamed(config, points)) == expected, xs

@@ -6,23 +6,21 @@ import math
 
 import pytest
 
-from repro.core.points import SpatioTemporalPoint, build_trajectory
-from repro.preprocessing.features import (
-    MotionFeatures,
-    compute_motion_features,
-    features_for_trajectory,
-    heading_change_rate,
-)
+from repro.core.points import build_trajectory
+from repro.preprocessing.features import MotionFeatures, heading_change_rate, motion_features
 
 
 def _points(*triples):
-    return [SpatioTemporalPoint(x, y, t) for x, y, t in triples]
+    """The ``(xs, ys, ts)`` columns of ``(x, y, t)`` fixes."""
+    return tuple(list(column) for column in zip(*triples))
 
 
 class TestComputeMotionFeatures:
+    """:func:`motion_features` over a stream's coordinate columns."""
+
     def test_constant_speed(self):
         points = _points(*[(i * 10.0, 0, i) for i in range(5)])
-        features = compute_motion_features(points)
+        features = motion_features(*points)
         assert len(features) == 5
         assert all(speed == pytest.approx(10.0) for speed in features.speeds)
         assert features.mean_speed() == pytest.approx(10.0)
@@ -31,33 +29,33 @@ class TestComputeMotionFeatures:
     def test_acceleration_detected(self):
         # Speeds 1, then 3: acceleration at the switch point.
         points = _points((0, 0, 0), (1, 0, 1), (4, 0, 2), (7, 0, 3))
-        features = compute_motion_features(points)
+        features = motion_features(*points)
         assert features.mean_absolute_acceleration() > 0.0
 
     def test_headings(self):
         points = _points((0, 0, 0), (1, 0, 1), (1, 1, 2))
-        features = compute_motion_features(points)
+        features = motion_features(*points)
         assert features.headings[0] == pytest.approx(0.0)
         assert features.headings[1] == pytest.approx(math.pi / 2)
 
     def test_empty_and_single_point(self):
-        assert len(compute_motion_features([])) == 0
-        single = compute_motion_features(_points((0, 0, 0)))
+        assert len(motion_features([], [], [])) == 0
+        single = motion_features(*_points((0, 0, 0)))
         assert single.speeds == [0.0]
 
     def test_zero_time_delta_gives_zero_speed(self):
         points = _points((0, 0, 0), (10, 0, 0))
-        features = compute_motion_features(points)
+        features = motion_features(*points)
         assert features.speeds[0] == 0.0
 
     def test_lengths_match_input(self):
         points = _points(*[(i, i, i) for i in range(7)])
-        features = compute_motion_features(points)
+        features = motion_features(*points)
         assert len(features.speeds) == len(features.accelerations) == len(features.headings) == 7
 
     def test_features_for_trajectory(self):
         trajectory = build_trajectory([(0, 0, 0), (1, 0, 1), (2, 0, 2)])
-        features = features_for_trajectory(trajectory)
+        features = motion_features(trajectory.xs, trajectory.ys, trajectory.ts)
         assert features.mean_speed() == pytest.approx(1.0)
 
 

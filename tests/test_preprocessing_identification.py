@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.config import TrajectoryIdentificationConfig
-from repro.core.points import SpatioTemporalPoint
 from repro.preprocessing.identification import TrajectoryIdentifier
 
 
 def _stream(*triples):
-    return [SpatioTemporalPoint(x, y, t) for x, y, t in triples]
+    """The ``(xs, ys, ts)`` columns of ``(x, y, t)`` fixes."""
+    return tuple(list(column) for column in zip(*triples))
 
 
 class TestSplit:
@@ -19,7 +17,7 @@ class TestSplit:
             TrajectoryIdentificationConfig(max_time_gap=100, max_distance_gap=100, min_points=2)
         )
         points = _stream(*[(i, 0, i * 10) for i in range(10)])
-        trajectories = identifier.split(points, object_id="o")
+        trajectories = identifier.split_columns(*points, object_id="o")
         assert len(trajectories) == 1
         assert len(trajectories[0]) == 10
 
@@ -28,7 +26,7 @@ class TestSplit:
             TrajectoryIdentificationConfig(max_time_gap=50, max_distance_gap=1e9, min_points=2)
         )
         points = _stream((0, 0, 0), (1, 0, 10), (2, 0, 20), (3, 0, 500), (4, 0, 510))
-        trajectories = identifier.split(points)
+        trajectories = identifier.split_columns(*points)
         assert len(trajectories) == 2
         assert len(trajectories[0]) == 3
         assert len(trajectories[1]) == 2
@@ -38,7 +36,7 @@ class TestSplit:
             TrajectoryIdentificationConfig(max_time_gap=1e9, max_distance_gap=10, min_points=2)
         )
         points = _stream((0, 0, 0), (1, 0, 1), (500, 0, 2), (501, 0, 3))
-        trajectories = identifier.split(points)
+        trajectories = identifier.split_columns(*points)
         assert len(trajectories) == 2
 
     def test_short_fragments_discarded(self):
@@ -46,40 +44,18 @@ class TestSplit:
             TrajectoryIdentificationConfig(max_time_gap=50, max_distance_gap=1e9, min_points=3)
         )
         points = _stream((0, 0, 0), (1, 0, 10), (2, 0, 20), (3, 0, 500), (4, 0, 510))
-        trajectories = identifier.split(points)
+        trajectories = identifier.split_columns(*points)
         assert len(trajectories) == 1
 
     def test_empty_stream(self):
-        assert TrajectoryIdentifier().split([]) == []
+        assert TrajectoryIdentifier().split_columns([], [], []) == []
 
     def test_trajectory_ids_are_unique(self):
         identifier = TrajectoryIdentifier(
             TrajectoryIdentificationConfig(max_time_gap=5, max_distance_gap=1e9, min_points=1)
         )
         points = _stream((0, 0, 0), (1, 0, 100), (2, 0, 200))
-        trajectories = identifier.split(points, object_id="obj")
+        trajectories = identifier.split_columns(*points, object_id="obj")
         ids = [t.trajectory_id for t in trajectories]
         assert len(ids) == len(set(ids)) == 3
         assert all(t.object_id == "obj" for t in trajectories)
-
-
-class TestSplitDaily:
-    def test_splits_at_midnight(self):
-        identifier = TrajectoryIdentifier(
-            TrajectoryIdentificationConfig(max_time_gap=1e9, max_distance_gap=1e9, min_points=1)
-        )
-        day = 86_400.0
-        points = _stream((0, 0, 100), (1, 0, 200), (2, 0, day + 100), (3, 0, day + 200))
-        trajectories = identifier.split_daily(points, object_id="u")
-        assert len(trajectories) == 2
-
-    def test_daily_plus_gap_splitting(self):
-        identifier = TrajectoryIdentifier(
-            TrajectoryIdentificationConfig(max_time_gap=50, max_distance_gap=1e9, min_points=1)
-        )
-        points = _stream((0, 0, 0), (1, 0, 10), (2, 0, 500), (3, 0, 510))
-        trajectories = identifier.split_daily(points)
-        assert len(trajectories) == 2
-
-    def test_empty_daily(self):
-        assert TrajectoryIdentifier().split_daily([]) == []

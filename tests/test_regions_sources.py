@@ -41,8 +41,16 @@ class TestRegionSource:
             RegionSource([], name="empty")
 
     def test_regions_containing_point(self, small_source):
-        hits = small_source.regions_containing(Point(50, 50))
-        assert {region.place_id for region in hits} == {"a", "campus"}
+        # (50, 50) lies in cell "a" and in the smaller campus polygon on top of it.
+        found = small_source.first_regions_containing_columns(
+            [50.0, 10.0, 150.0, 500.0], [50.0, 10.0, 50.0, 500.0]
+        )
+        assert [region.place_id if region else None for region in found] == [
+            "campus",
+            "a",
+            "b",
+            None,
+        ]
 
     def test_first_region_containing_prefers_smallest(self, small_source):
         # The campus polygon is smaller than the landuse cell that covers it.

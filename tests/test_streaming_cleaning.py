@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from repro.core.config import CleaningConfig
 from repro.core.errors import DataQualityError
-from repro.core.points import SpatioTemporalPoint
+from repro.core.points import SpatioTemporalPoint, point_columns
 from repro.preprocessing.cleaning import GpsCleaner
-from repro.streaming import StreamingGpsCleaner, clean_stream
+from repro.streaming import StreamingGpsCleaner
 
 
 def _reprs(fixes):
@@ -21,7 +21,19 @@ def _reprs(fixes):
     return [tuple(map(repr, fix)) for fix in fixes]
 
 
+def _batch(config, xs, ys, ts):
+    """The batch cleaner's fixes of a stream's columns, as ``(x, y, t)`` triples."""
+    return list(zip(*GpsCleaner(config).clean_columns(xs, ys, ts)))
+
+
+def _streamed(config, xs, ys, ts):
+    """Every fix stepped through one fresh streaming cleaner, then its flushed tail."""
+    cleaner = StreamingGpsCleaner(config)
+    return [fix for fix in map(cleaner.step, xs, ys, ts) if fix is not None] + cleaner.finish()
+
+
 def _random_stream(seed: int, n: int, outlier_rate: float = 0.1):
+    """The ``(xs, ys, ts)`` columns of a random walk with 50 km outliers."""
     rng = np.random.default_rng(seed)
     points = []
     t = 0.0
@@ -36,7 +48,7 @@ def _random_stream(seed: int, n: int, outlier_rate: float = 0.1):
             points.append(SpatioTemporalPoint(x, y, t))  # duplicate timestamp later
         else:
             points.append(SpatioTemporalPoint(x, y, t))
-    return points
+    return point_columns(points)
 
 
 @pytest.mark.parametrize(
@@ -50,32 +62,24 @@ def _random_stream(seed: int, n: int, outlier_rate: float = 0.1):
     ],
 )
 def test_streaming_clean_matches_batch(config):
-    points = _random_stream(seed=3, n=300)
-    batch = GpsCleaner(config).clean(points)
-    streamed = clean_stream(points, config)
-    assert _reprs(p.as_tuple() for p in streamed) == _reprs(p.as_tuple() for p in batch)
+    columns = _random_stream(seed=3, n=300)
+    assert _reprs(_streamed(config, *columns)) == _reprs(_batch(config, *columns))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_streaming_clean_tiny_streams(n):
     config = CleaningConfig(smoothing_window=3)
-    points = _random_stream(seed=9, n=n, outlier_rate=0.0)
-    batch = GpsCleaner(config).clean(points)
-    streamed = clean_stream(points, config)
-    assert _reprs(p.as_tuple() for p in streamed) == _reprs(p.as_tuple() for p in batch)
+    columns = _random_stream(seed=9, n=n, outlier_rate=0.0)
+    assert _reprs(_streamed(config, *columns)) == _reprs(_batch(config, *columns))
 
 
 def test_duplicate_timestamps_are_dropped_like_batch():
     config = CleaningConfig()
-    points = [
-        SpatioTemporalPoint(0.0, 0.0, 0.0),
-        SpatioTemporalPoint(5.0, 0.0, 0.0),  # duplicate timestamp
-        SpatioTemporalPoint(10.0, 0.0, 10.0),
-        SpatioTemporalPoint(20.0, 0.0, 20.0),
-    ]
-    batch = GpsCleaner(config).clean(points)
-    streamed = clean_stream(points, config)
-    assert _reprs(p.as_tuple() for p in streamed) == _reprs(p.as_tuple() for p in batch)
+    # The second fix repeats the first one's timestamp.
+    columns = ([0.0, 5.0, 10.0, 20.0], [0.0] * 4, [0.0, 0.0, 10.0, 20.0])
+    batch = _batch(config, *columns)
+    assert [t for _, _, t in batch] == [0.0, 10.0, 20.0]
+    assert _reprs(_streamed(config, *columns)) == _reprs(batch)
 
 
 def test_emission_lag_is_bounded_by_half_window():
@@ -101,11 +105,6 @@ def test_push_after_finish_raises():
     cleaner.finish()
     with pytest.raises(DataQualityError):
         cleaner.step(1, 0, 1.0)
-
-
-def _same_fixes(streamed, batch) -> bool:
-    """The same numbers by ``repr``: NaN equals NaN, ``-0.0`` differs from ``0.0``."""
-    return _reprs(streamed) == _reprs(point.as_tuple() for point in batch)
 
 
 # One generated step: (time advance, x, y).  The small sampled sets make
@@ -134,28 +133,31 @@ _steps = st.lists(
 )
 def test_streaming_clean_equals_batch_on_generated_streams(steps, window, method):
     config = CleaningConfig(smoothing_window=window, smoothing_method=method)
-    points = []
+    xs, ys, ts = [], [], []
     t = 100.0
     for advance, x, y in steps:
         t += advance
-        points.append(SpatioTemporalPoint(x, y, t))
-    batch = GpsCleaner(config).clean(points)
+        xs.append(x)
+        ys.append(y)
+        ts.append(t)
     lag = 0 if window == 1 or method == "none" else window // 2
+    outlier_filter = CleaningConfig(smoothing_method="none")
 
     cleaner = StreamingGpsCleaner(config)
     streamed = []
-    for pushed, point in enumerate(points, start=1):
-        fix = cleaner.step(point.x, point.y, point.t)
+    for pushed, fix in enumerate(zip(xs, ys, ts), start=1):
+        fix = cleaner.step(*fix)
         if fix is not None:
             streamed.append(fix)
-        accepted = len(GpsCleaner(config).remove_outliers(points[:pushed]))
+        accepted = len(_batch(outlier_filter, xs[:pushed], ys[:pushed], ts[:pushed]))
         assert cleaner.pending_count == min(accepted, lag)
         assert len(streamed) == accepted - cleaner.pending_count
     streamed.extend(cleaner.finish())
 
     assert cleaner.pending_count == 0
     assert cleaner.finish() == []
-    assert _same_fixes(streamed, batch)
+    # The same numbers by repr: NaN equals NaN, -0.0 differs from 0.0.
+    assert _reprs(streamed) == _reprs(_batch(config, xs, ys, ts))
 
 
 @pytest.mark.parametrize(
@@ -166,14 +168,11 @@ def test_a_fix_whose_speed_is_nan_or_infinite_is_dropped_like_batch(hostile):
     """The batch filter keeps ``speed <= max_speed``; a NaN speed fails it, so
     the streaming filter must reject the fix too instead of keeping it."""
     triples = [(0.0, 0.0, 0.0), (1.0, 1.0, 10.0), hostile, (2.0, 2.0, 30.0), (3.0, 3.0, 40.0)]
-    points = [SpatioTemporalPoint(*triple) for triple in triples]
+    columns = tuple(map(list, zip(*triples)))
     config = CleaningConfig()
-    batch = GpsCleaner(config).clean(points)
+    batch = _batch(config, *columns)
     assert len(batch) == 4
-    cleaner = StreamingGpsCleaner(config)
-    steps = [cleaner.step(point.x, point.y, point.t) for point in points]
-    streamed = [fix for fix in steps if fix is not None] + cleaner.finish()
-    assert _same_fixes(streamed, batch)
+    assert _reprs(_streamed(config, *columns)) == _reprs(batch)
 
 
 # A generated step for the one-fix contract: (time advance, x, y).  Advances

@@ -10,7 +10,7 @@ import pytest
 from repro.core import PipelineConfig
 from repro.core.config import StreamingConfig, TrajectoryIdentificationConfig
 from repro.core.errors import DataQualityError
-from repro.core.points import SpatioTemporalPoint
+from repro.core.points import SpatioTemporalPoint, point_columns
 from repro.geometry.primitives import Point
 from repro.preprocessing.identification import TrajectoryIdentifier
 from repro.api import stream
@@ -47,7 +47,9 @@ def _stream_with_gaps():
 def test_session_splits_exactly_like_identifier():
     config = _config()
     points = _stream_with_gaps()
-    expected = TrajectoryIdentifier(config.identification).split(points, object_id="u1")
+    expected = TrajectoryIdentifier(config.identification).split_columns(
+        *point_columns(points), object_id="u1"
+    )
 
     session = Session("u1", config, apply_cleaning=False)
     sealed = []

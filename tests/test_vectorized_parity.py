@@ -30,6 +30,7 @@ against :mod:`repro.reference.stops`.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import List
 
 import pytest
@@ -56,6 +57,7 @@ from repro.reference import (
     GridIndex,
     RTree,
     RTreeEntry,
+    ScalarGpsCleaner,
     ScalarMapMatcher,
     ScalarStopMoveDetector,
     smooth_per_point,
@@ -227,16 +229,19 @@ def _triples(points):
 def test_median_smoothing_equals_the_per_point_loop_on_every_seed_trajectory(
     window, taxi_dataset, car_dataset, people_dataset
 ):
-    cleaner = GpsCleaner(CleaningConfig(smoothing_window=window, smoothing_method="median"))
+    # No speed is an outlier: only a repeated timestamp leaves before smoothing.
+    config = CleaningConfig(max_speed=math.inf, smoothing_window=window, smoothing_method="median")
+    cleaner = GpsCleaner(config)
     for trajectories in (
         taxi_dataset.trajectories,
         car_dataset.trajectories,
         people_dataset.all_trajectories,
     ):
         for trajectory in trajectories:
-            points = trajectory.points
-            assert _triples(cleaner.smooth(points)) == _triples(
-                smooth_per_point(points, window, "median")
+            smoothed = cleaner.clean_columns(trajectory.xs, trajectory.ys, trajectory.ts)
+            kept = ScalarGpsCleaner(config).remove_outliers(trajectory.points)
+            assert [tuple(map(repr, fix)) for fix in zip(*smoothed)] == _triples(
+                smooth_per_point(kept, window, "median")
             )
 
 
