@@ -15,8 +15,9 @@ import dataclasses
 
 from benchmarks.conftest import bench_write_run, record_timing
 from repro.analytics.reporting import render_table
+from repro.api import compile_plan
 from repro.core import ObservabilityConfig, PipelineConfig, SeMiTriPipeline
-from repro.parallel import canonical_bytes
+from repro.parallel import GeoContext, canonical_bytes
 from repro.store.store import SemanticTrajectoryStore
 
 STAGES = (
@@ -81,12 +82,11 @@ def test_fig17_latency(benchmark, world, people_dataset, annotation_sources):
     observed_config = dataclasses.replace(
         PipelineConfig.for_people(), observability=ObservabilityConfig(enabled=True)
     )
-    from repro.engine import Plan, SequentialExecutor
+    from repro.engine import SequentialExecutor
 
     observed_store = SemanticTrajectoryStore()
-    observed_plan = Plan.compile(
-        sources=annotation_sources,
-        config=observed_config,
+    observed_plan = compile_plan(
+        context=GeoContext.build(annotation_sources, observed_config),
         store=observed_store,
         persist=True,
     )

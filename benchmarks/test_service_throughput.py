@@ -208,11 +208,7 @@ def test_service_throughput(benchmark, car_dataset, annotation_sources, tmp_path
     sequential = []
     for object_id, points in streams.items():
         raw = pipeline.ingest_stream(points, object_id=object_id)
-        sequential.extend(
-            pipeline.annotate_many(
-                raw, annotation_sources, annotators=reference_leg.context.annotators
-            )
-        )
+        sequential.extend(pipeline.annotate_many(raw, reference_leg.context))
     by_sequential = {r.trajectory.trajectory_id: r for r in sequential}
     for leg in legs:
         by_service = {r.trajectory.trajectory_id: r for r in leg.results}

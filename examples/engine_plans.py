@@ -9,8 +9,8 @@ Every runtime — batch, streaming, parallel — executes the same compiled
   without map matching or POI decoding, the cheap first-pass the paper's
   partial-annotation scenarios call for);
 * it then runs a **re-annotation pass**: the same trajectories again through
-  a full plan that *reuses* the prebuilt :class:`LayerAnnotators` bundle —
-  no index or HMM is rebuilt — persisting into the semantic store through
+  a full plan compiled from the same :class:`GeoContext` snapshot — no index
+  or HMM is rebuilt — persisting into the semantic store through
   the store's commit-on-success transaction scope;
 * finally it runs the full plan on the sharded process-pool executor and
   checks all executors produced byte-identical annotations.
@@ -28,10 +28,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro import AnnotationSources, PipelineConfig
+from repro import AnnotationSources, PipelineConfig, compile_plan
 from repro.datasets import PrivateCarSimulator, SyntheticWorld, WorldConfig
-from repro.engine import Plan, ProcessPoolExecutor, SequentialExecutor
-from repro.parallel import canonical_bytes
+from repro.engine import ProcessPoolExecutor, SequentialExecutor
+from repro.parallel import GeoContext, canonical_bytes
 from repro.store.store import SemanticTrajectoryStore
 
 
@@ -47,16 +47,16 @@ def main() -> None:
     trajectories = dataset.trajectories
     config = PipelineConfig.for_vehicles()
 
-    # 2. Compile the full plan once and show its dataflow.
-    full_plan = Plan.compile(sources, config=config)
+    # 2. Build the snapshot (indexes, observation model, HMM) once, compile
+    #    the full plan from it and show its dataflow.
+    context = GeoContext.build(sources, config)
+    full_plan = compile_plan(context=context)
     print("full plan dataflow:")
     print(full_plan.describe())
     print()
 
     # 3. A cheap region-only first pass: same sources, one annotation layer.
-    region_plan = Plan.compile(
-        sources, config=config, annotators=full_plan.annotators, layers=("region",)
-    )
+    region_plan = compile_plan(context=context, layers=("region",))
     started = time.perf_counter()
     region_results = SequentialExecutor().run(region_plan, trajectories)
     region_s = time.perf_counter() - started
@@ -71,13 +71,11 @@ def main() -> None:
         f"{annotated} episode-region links in {region_s * 1e3:.0f} ms"
     )
 
-    # 4. Re-annotation pass: the full plan, reusing the prebuilt annotator
-    #    bundle (indexes, observation model, HMM are NOT rebuilt), with
-    #    persistence — each trajectory commits atomically via `with store:`.
+    # 4. Re-annotation pass: the full plan from the same snapshot (indexes,
+    #    observation model, HMM are NOT rebuilt), with persistence — each
+    #    trajectory commits atomically via `with store:`.
     store = SemanticTrajectoryStore()
-    replan = Plan.compile(
-        sources, config=config, annotators=full_plan.annotators, store=store, persist=True
-    )
+    replan = compile_plan(context=context, store=store, persist=True)
     started = time.perf_counter()
     full_results = SequentialExecutor().run(replan, trajectories)
     full_s = time.perf_counter() - started

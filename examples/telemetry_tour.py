@@ -35,12 +35,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro import AnnotationSources, PipelineConfig
+from repro import AnnotationSources, PipelineConfig, compile_plan
 from repro.core import ObservabilityConfig
 from repro.datasets import PrivateCarSimulator, SyntheticWorld, WorldConfig
-from repro.engine import Plan, ProcessPoolExecutor, SequentialExecutor
+from repro.engine import ProcessPoolExecutor, SequentialExecutor
 from repro.obs import build_span_tree, read_spans, render_span_tree
-from repro.parallel import canonical_bytes
+from repro.parallel import GeoContext, canonical_bytes
 from repro.store.store import SemanticTrajectoryStore
 
 
@@ -61,9 +61,11 @@ def main() -> None:
         ),
     )
 
-    # 2. A traced, persisted sequential run.
+    # 2. A traced, persisted sequential run.  The snapshot's annotators are
+    #    reused by every plan below: they differ only in observability.
+    context = GeoContext.build(sources, config)
     store = SemanticTrajectoryStore()
-    plan = Plan.compile(sources, config=config, store=store, persist=True)
+    plan = compile_plan(context=context, store=store, persist=True)
     results = SequentialExecutor().run(plan, trajectories)
     print(f"annotated {len(results)} trajectories with telemetry enabled\n")
 
@@ -78,10 +80,11 @@ def main() -> None:
 
     # 5. The same batch through the process pool: worker spans survive the
     #    process boundary and are adopted into this process's tracer.
-    pool_plan = Plan.compile(sources, config=dataclasses.replace(config, observability=ObservabilityConfig(enabled=True)))
+    traced = dataclasses.replace(config, observability=ObservabilityConfig(enabled=True))
+    pool_plan = compile_plan(context=context, config=traced)
     with ProcessPoolExecutor(workers=2) as pool:
         pooled = pool.run(pool_plan, trajectories)
-    baseline = Plan.compile(sources, config=PipelineConfig.for_vehicles())
+    baseline = compile_plan(context=context, config=PipelineConfig.for_vehicles())
     assert canonical_bytes(pooled) == canonical_bytes(
         SequentialExecutor().run(baseline, trajectories)
     )

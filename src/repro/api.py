@@ -18,10 +18,15 @@ entry point         what it gives you
 ==================  ========================================================
 
 Nothing stands between these functions and the stage-graph engine: each one
-resolves the configuration, compiles a :class:`~repro.engine.plan.Plan` and
-hands it to an executor from :mod:`repro.engine.executors` (or to the
-service).  Callers who want to keep something alive across calls — a warm
-worker pool, one failure log — hold the plan and the executor themselves.
+resolves the configuration, pairs it with a
+:class:`~repro.parallel.context.GeoContext` snapshot (built from raw sources,
+or a prebuilt one via :meth:`GeoContext.with_config
+<repro.parallel.context.GeoContext.with_config>`, the one rule deciding
+which config may run on it), compiles a :class:`~repro.engine.plan.Plan` from
+that and hands it to an executor from :mod:`repro.engine.executors` (or to
+the service).  Callers who want to keep something alive across calls — a
+warm worker pool, one failure log — hold the plan and the executor
+themselves.
 """
 
 from __future__ import annotations
@@ -31,12 +36,7 @@ from typing import TYPE_CHECKING, Callable, List, Mapping, Optional, Sequence, U
 from repro.core.config import ParallelConfig, PipelineConfig
 from repro.core.episodes import Episode
 from repro.core.errors import ConfigurationError
-from repro.core.pipeline import (
-    AnnotationSources,
-    LayerAnnotators,
-    PipelineResult,
-    SeMiTriPipeline,
-)
+from repro.core.pipeline import AnnotationSources, PipelineResult, SeMiTriPipeline
 from repro.core.points import RawTrajectory
 from repro.engine.executors import MicroBatchExecutor, ProcessPoolExecutor, SequentialExecutor
 from repro.engine.plan import Plan
@@ -67,6 +67,21 @@ def _resolve_config(
     if isinstance(config, PipelineConfig):
         return config.with_overrides(overrides) if overrides else config
     return PipelineConfig.from_dict(config, overrides=overrides)
+
+
+def _paired(
+    sources: Union[AnnotationSources, GeoContext],
+    config: ConfigLike,
+    overrides: Optional[Mapping[str, object]],
+) -> GeoContext:
+    """The snapshot to compile from: built from raw sources, or a snapshot
+    paired with ``config``/``overrides`` (applied on top of its own config)."""
+    if not isinstance(sources, GeoContext):
+        return GeoContext(sources, _resolve_config(config, overrides))
+    if config is None and overrides is None:
+        return sources
+    base = sources.config if config is None else config
+    return sources.with_config(_resolve_config(base, overrides))
 
 
 def open_pipeline(
@@ -157,23 +172,11 @@ def stream(
     ``close_all()`` and ``evict_sessions()`` flush too.
 
     ``sources`` may be raw sources or a prebuilt
-    :class:`~repro.parallel.context.GeoContext` snapshot.  A snapshot carries
-    the configuration its annotators were built from, so an explicit
-    ``config``/``overrides`` must resolve to that same configuration —
-    silently honouring a different one would split the executor's behaviour
-    in two.
+    :class:`~repro.parallel.context.GeoContext` snapshot; ``config`` /
+    ``overrides`` then apply on top of the snapshot's config, and may not
+    touch the sections its annotators were built from.
     """
-    if isinstance(sources, GeoContext):
-        if (config is not None or overrides is not None) and (
-            _resolve_config(config, overrides) != sources.config
-        ):
-            raise ConfigurationError(
-                "config conflicts with the GeoContext snapshot's config; "
-                "bake the desired config into the snapshot via GeoContext.build"
-            )
-        plan = compile_plan(context=sources, store=store, persist=persist)
-    else:
-        plan = compile_plan(sources, config, store=store, persist=persist, overrides=overrides)
+    plan = Plan.compile(_paired(sources, config, overrides), store=store, persist=persist)
     return MicroBatchExecutor(plan, on_result=on_result, on_episode=on_episode)
 
 
@@ -195,17 +198,8 @@ def serve(
     """
     from repro.service.service import AnnotationService
 
-    resolved: Optional[PipelineConfig]
-    if isinstance(sources, GeoContext) and config is None and overrides is None:
-        resolved = None
-    else:
-        resolved = _resolve_config(config, overrides)
     return AnnotationService(
-        sources,
-        config=resolved,
-        store=store,
-        persist=persist,
-        on_result=on_result,
+        _paired(sources, config, overrides), store=store, persist=persist, on_result=on_result
     )
 
 
@@ -213,7 +207,6 @@ def compile_plan(
     sources: Optional[AnnotationSources] = None,
     config: ConfigLike = None,
     context: Optional[GeoContext] = None,
-    annotators: Optional[LayerAnnotators] = None,
     store: Optional[SemanticTrajectoryStore] = None,
     persist: bool = False,
     layers: Optional[Sequence[str]] = None,
@@ -222,34 +215,20 @@ def compile_plan(
     """Compile the stage-graph plan every execution mode runs.
 
     Use ``layers`` to restrict the annotation layers compiled in (e.g.
-    ``["regions"]`` for a region-only pass); pass a ``context`` snapshot to
-    reuse its indexes and annotators across plans.
+    ``["region"]`` for a region-only pass).  Pass either ``sources`` or a
+    ``context`` snapshot, whose indexes and annotators are then reused;
+    ``config`` / ``overrides`` apply on top of the snapshot's config and may
+    not touch the sections its annotators were built from.
     """
-    if context is not None:
-        if config is None and overrides is None:
-            return Plan.from_context(context, store=store, persist=persist, layers=layers)
-        return Plan.compile(
-            sources=context.sources,
-            config=_resolve_config(config, overrides),
-            annotators=context.annotators,
-            store=store,
-            persist=persist,
-            layers=layers,
+    if context is not None and sources is not None:
+        raise ConfigurationError("pass sources or a context snapshot, not both")
+    snapshot = context if context is not None else sources
+    if snapshot is None:
+        raise ConfigurationError(
+            "annotation needs geographic data: pass sources=AnnotationSources(...) "
+            "or context=GeoContext.build(...)"
         )
-    if sources is None and annotators is None:
-        raise _missing_sources()
     return Plan.compile(
-        sources=sources,
-        config=_resolve_config(config, overrides),
-        annotators=annotators,
-        store=store,
-        persist=persist,
-        layers=layers,
+        _paired(snapshot, config, overrides), store=store, persist=persist, layers=layers
     )
 
-
-def _missing_sources() -> Exception:
-    return ConfigurationError(
-        "annotation needs geographic data: pass sources=AnnotationSources(...) "
-        "or context=GeoContext.build(...)"
-    )

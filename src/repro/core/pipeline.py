@@ -6,28 +6,28 @@ layers (region, line, point), optionally persisting results in the semantic
 trajectory store and recording per-stage latencies for the Figure 17
 benchmark.
 
-Stage orchestration itself lives in :mod:`repro.engine`: the pipeline
-compiles a :class:`~repro.engine.plan.Plan` from its configuration and the
-supplied sources and hands it to a
+Stage orchestration itself lives in :mod:`repro.engine`: per call, the
+pipeline pairs its configuration with a
+:class:`~repro.parallel.context.GeoContext` snapshot, compiles a
+:class:`~repro.engine.plan.Plan` from it and hands that to a
 :class:`~repro.engine.executors.SequentialExecutor`, so batch, streaming and
 parallel execution all run the exact same stage graph.
 
-Annotation sources are supplied per call through :class:`AnnotationSources`;
-layers whose source is missing are simply skipped, producing the partial
-annotations the paper mentions for scenarios where third-party data is not
-available (e.g. the sparse Lausanne POI set).
+Annotation sources are supplied per call, as :class:`AnnotationSources`
+(the annotators are then built for that call) or as a prebuilt snapshot
+(reused as-is); layers whose source is missing are simply skipped, producing
+the partial annotations the paper mentions for scenarios where third-party
+data is not available (e.g. the sparse Lausanne POI set).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from repro.analytics.latency import LatencyProfile
 from repro.core.config import PipelineConfig
 from repro.core.episodes import Episode
-from repro.core.errors import ConfigurationError
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
 from repro.core.trajectory import StructuredSemanticTrajectory
 from repro.lines.annotator import LineAnnotator
@@ -42,9 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.engine.plan import Plan
     from repro.faults.failures import FailureEvent
     from repro.obs.trace import Span
-
-    #: One compiled-plan cache entry: the id-anchoring objects plus the plan.
-    _CachedPlan = Tuple["LayerAnnotators", Optional["AnnotationSources"], "Plan"]
+    from repro.parallel.context import GeoContext
 
 
 @dataclass
@@ -65,6 +63,11 @@ class AnnotationSources:
         if self.pois is not None:
             layers.append("point")
         return layers
+
+
+#: The configuration sections :meth:`LayerAnnotators.build` reads: a snapshot's
+#: annotators are only valid for a config that agrees with its own on these.
+ANNOTATOR_SECTIONS: Tuple[str, ...] = ("region", "map_matching", "transport", "point")
 
 
 @dataclass
@@ -171,13 +174,6 @@ class SeMiTriPipeline:
         self._clean_stage = CleanStage(config)
         self._identify_stage = IdentifyStage(config)
         self._episode_stage = ComputeEpisodesStage(config)
-        # Compiled plans for caller-supplied annotator bundles, keyed by
-        # (bundle id, sources id, persist) with both objects kept alive so
-        # the ids stay unambiguous; bounded FIFO so long-lived pipelines
-        # cannot pin an unbounded number of bundles.
-        self._plans: "OrderedDict[Tuple[int, Optional[int], bool], _CachedPlan]" = (
-            OrderedDict()
-        )
 
     @property
     def config(self) -> PipelineConfig:
@@ -206,57 +202,26 @@ class SeMiTriPipeline:
         return self._episode_stage.detector.segment(trajectory)
 
     # -------------------------------------------------------------- annotation
-    def build_annotators(self, sources: AnnotationSources) -> LayerAnnotators:
-        """Construct the layer annotators for the available sources."""
-        return LayerAnnotators.build(sources, self._config)
+    def _plan(self, sources: Union[AnnotationSources, "GeoContext"], persist: bool) -> "Plan":
+        """A plan of this pipeline's config over ``sources`` or a snapshot of them.
 
-    #: Bounded size of the per-bundle compiled-plan cache.
-    _PLAN_CACHE_LIMIT = 8
-
-    def compile_plan(
-        self,
-        sources: Optional[AnnotationSources] = None,
-        annotators: Optional[LayerAnnotators] = None,
-        persist: bool = False,
-    ) -> "Plan":
-        """The compiled stage plan for the given sources/annotators.
-
-        When only ``sources`` are given the annotator bundle (and the plan)
-        is built fresh per call — sources may change between calls, so their
-        indexes are re-derived each time, exactly like the pre-engine
-        pipeline.  Plans for caller-supplied ``annotators`` bundles are
-        cached (bounded), so per-trajectory entry points like
-        :meth:`annotate_prepared` reuse the compiled stage graph.
+        Raw sources get their annotators built for this call; a snapshot is
+        reused as-is, paired with this pipeline's config by
+        :meth:`GeoContext.with_config <repro.parallel.context.GeoContext.with_config>`.
         """
         from repro.engine import Plan
+        from repro.parallel.context import GeoContext
 
-        if annotators is None:
-            if sources is None:
-                raise ConfigurationError("compile_plan needs annotation sources or annotators")
-            return Plan.compile(
-                sources=sources, config=self._config, store=self._store, persist=persist
-            )
-        key = (id(annotators), None if sources is None else id(sources), persist)
-        cached = self._plans.get(key)
-        if cached is not None and cached[0] is annotators and cached[1] is sources:
-            self._plans.move_to_end(key)
-            return cached[2]
-        plan = Plan.compile(
-            sources=sources,
-            config=self._config,
-            annotators=annotators,
-            store=self._store,
-            persist=persist,
-        )
-        self._plans[key] = (annotators, sources, plan)
-        while len(self._plans) > self._PLAN_CACHE_LIMIT:
-            self._plans.popitem(last=False)
-        return plan
+        if isinstance(sources, GeoContext):
+            context = sources.with_config(self._config)
+        else:
+            context = GeoContext(sources, self._config)
+        return Plan.compile(context, store=self._store, persist=persist)
 
     def annotate(
         self,
         trajectory: RawTrajectory,
-        sources: AnnotationSources,
+        sources: Union[AnnotationSources, "GeoContext"],
         persist: bool = False,
     ) -> PipelineResult:
         """Run the full annotation pipeline on one raw trajectory.
@@ -270,46 +235,26 @@ class SeMiTriPipeline:
         """
         from repro.engine import SequentialExecutor
 
-        plan = self.compile_plan(sources, persist=persist)
-        return SequentialExecutor().run_one(plan, trajectory)
+        return SequentialExecutor().run_one(self._plan(sources, persist), trajectory)
 
     def annotate_many(
         self,
         trajectories: Sequence[RawTrajectory],
-        sources: AnnotationSources,
+        sources: Union[AnnotationSources, "GeoContext"],
         persist: bool = False,
-        annotators: Optional[LayerAnnotators] = None,
     ) -> List[PipelineResult]:
-        """Annotate several trajectories, reusing layer state across calls.
+        """Annotate several trajectories, reusing layer state across them.
 
-        Layer annotators are constructed once (building them involves indexing
-        the sources), then applied to every trajectory; this is the batch mode
-        the experiments of Section 5 use.  Passing a prebuilt ``annotators``
-        bundle (e.g. from a :class:`~repro.parallel.GeoContext` snapshot)
-        skips even that one-time construction, which is how repeated batch
-        calls amortise index building.
+        Layer annotators are constructed once per call (building them involves
+        indexing the sources), then applied to every trajectory; this is the
+        batch mode the experiments of Section 5 use.  A prebuilt
+        :class:`~repro.parallel.GeoContext` snapshot skips even that one-time
+        construction, which is how repeated batch calls amortise index
+        building.
         """
         from repro.engine import SequentialExecutor
 
-        plan = self.compile_plan(sources, annotators=annotators, persist=persist)
-        return SequentialExecutor().run(plan, trajectories)
-
-    def annotate_prepared(
-        self,
-        trajectory: RawTrajectory,
-        annotators: LayerAnnotators,
-        persist: bool = False,
-    ) -> PipelineResult:
-        """Annotate one trajectory with an already-built annotator bundle.
-
-        The entry point prebuilt-bundle consumers use (e.g. a
-        :class:`~repro.parallel.GeoContext` snapshot): no per-call index
-        construction happens, only stage execution.
-        """
-        from repro.engine import SequentialExecutor
-
-        plan = self.compile_plan(annotators=annotators, persist=persist)
-        return SequentialExecutor().run_one(plan, trajectory)
+        return SequentialExecutor().run(self._plan(sources, persist), trajectories)
 
     # ---------------------------------------------------------------- analysis
     @staticmethod

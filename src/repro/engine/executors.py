@@ -603,7 +603,7 @@ def _init_worker(context: GeoContext) -> None:
     # Workers never persist (they cannot share the store connection), so the
     # worker-side plan is compiled without a store; write-back happens in the
     # parent after the merge.
-    _WORKER_PLAN = Plan.from_context(context)
+    _WORKER_PLAN = Plan.compile(context)
 
 
 def _annotate_shard(items: List[Tuple[int, RawTrajectory]]) -> bytes:
@@ -623,7 +623,7 @@ def _annotate_shard(items: List[Tuple[int, RawTrajectory]]) -> bytes:
     for _, out in outputs:
         if isinstance(out, TrajectoryFailure):
             out.exception = None
-    return dump_outcome(outputs, _WORKER_PLAN.geo_context(), items)
+    return dump_outcome(outputs, _WORKER_PLAN.context, items)
 
 
 class ProcessPoolExecutor:
@@ -717,7 +717,7 @@ class ProcessPoolExecutor:
         next_index = max(pending) + 1
         collected: List[Tuple[int, "PipelineResult | TrajectoryFailure"]] = []
         while pending:
-            pool = self._ensure_pool(plan.geo_context())
+            pool = self._ensure_pool(plan.context)
             # Exhausted singletons run solo, one per round: a broken solo
             # round pins the blame on that exact shard, so innocents caught
             # in a round a poison shard breaks are retried, not quarantined.
@@ -745,7 +745,7 @@ class ProcessPoolExecutor:
                     lost = error
                 for future, index in futures.items():
                     try:
-                        outcomes = load_outcome(future.result(), plan.geo_context(), pending[index])
+                        outcomes = load_outcome(future.result(), plan.context, pending[index])
                     except BrokenExecutor as error:
                         lost = error
                         continue

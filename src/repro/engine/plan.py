@@ -3,12 +3,14 @@
 A :class:`Plan` is the explicit form of the Figure 2 dataflow: an ordered
 tuple of typed :class:`~repro.engine.stages.Stage` objects (plus the raw
 stream preprocessing chain), compiled once from a
-:class:`~repro.core.config.PipelineConfig` and the available
-:class:`~repro.core.pipeline.AnnotationSources`.  Layers whose source is
-missing are simply not compiled in — the "skipped layer" behaviour the paper
-describes for partially available third-party data — and the compiler checks
-that every stage's declared inputs are produced by an earlier stage, so an
-ill-wired custom plan fails at compile time instead of mid-run.
+:class:`~repro.parallel.context.GeoContext` snapshot — the
+:class:`~repro.core.config.PipelineConfig`, the available
+:class:`~repro.core.pipeline.AnnotationSources` and the annotators built from
+them, which the plan reads through the snapshot it holds.  Layers whose source
+is missing are simply not compiled in — the "skipped layer" behaviour the
+paper describes for partially available third-party data — and the compiler
+checks that every stage's declared inputs are produced by an earlier stage, so
+an ill-wired custom plan fails at compile time instead of mid-run.
 
 The same plan can be handed to any executor in
 :mod:`repro.engine.executors`: the sequential in-process executor, the
@@ -52,18 +54,18 @@ ANNOTATION_LAYERS: Tuple[str, ...] = ("region", "line", "point")
 class Plan:
     """An executable description of the annotation dataflow.
 
-    ``stages`` is the per-trajectory dataflow every executor runs;
-    ``preprocessing`` is the raw-stream chain (clean, identify) that turns a
-    GPS point stream into the raw trajectories the stages consume.  ``store``
-    and ``persist`` describe the write-back target; when ``persist`` is false
-    the compiled stages contain no write-back at all.
+    ``context`` is the snapshot the plan was compiled from (a process-pool
+    executor primes its workers with it); ``stages`` is the per-trajectory
+    dataflow every executor runs; ``preprocessing`` is the raw-stream chain
+    (clean, identify) that turns a GPS point stream into the raw trajectories
+    the stages consume.  ``store`` and ``persist`` describe the write-back
+    target; when ``persist`` is false the compiled stages contain no
+    write-back at all.
     """
 
-    config: PipelineConfig
-    annotators: LayerAnnotators
+    context: GeoContext
     stages: Tuple[Stage, ...]
     preprocessing: Tuple[PreprocessingStage, ...]
-    sources: Optional[AnnotationSources] = None
     store: Optional[SemanticTrajectoryStore] = None
     persist: bool = False
     telemetry: Telemetry = field(default=DISABLED, repr=False, compare=False)
@@ -89,36 +91,29 @@ class Plan:
     or shared across plans by callers that own the run — the annotation
     service passes its own.
     """
-    _context: Optional[GeoContext] = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------ compilation
     @classmethod
     def compile(
         cls,
-        sources: Optional[AnnotationSources] = None,
-        config: Optional[PipelineConfig] = None,
-        annotators: Optional[LayerAnnotators] = None,
+        context: GeoContext,
         store: Optional[SemanticTrajectoryStore] = None,
         persist: bool = False,
         layers: Optional[Sequence[str]] = None,
         faults: Optional[FaultInjector] = None,
         failure_log: Optional[FailureLog] = None,
     ) -> "Plan":
-        """Compile a plan for the given configuration and sources.
+        """Compile a plan around a :class:`GeoContext` snapshot.
 
-        ``annotators`` may be passed to reuse an already-built bundle (its
-        spatial indexes and HMM are the expensive part); otherwise the bundle
-        is built from ``sources``.  ``layers`` restricts which annotation
-        layers are compiled in (default: every layer whose annotator is
-        available), which is how custom plans — e.g. a region-only pass —
-        are expressed.
+        The snapshot's configuration and prebuilt annotators are used as-is
+        (pair a snapshot with another configuration through
+        :meth:`GeoContext.with_config`).  ``layers`` restricts which
+        annotation layers are compiled in (default: every layer whose
+        annotator is available), which is how custom plans — e.g. a
+        region-only pass — are expressed.
         """
-        if config is None:
-            config = PipelineConfig()
-        if annotators is None:
-            if sources is None:
-                raise ConfigurationError("Plan.compile needs annotation sources or annotators")
-            annotators = LayerAnnotators.build(sources, config)
+        config = context.config
+        annotators = context.annotators
         if layers is None:
             selected = set(ANNOTATION_LAYERS)
         else:
@@ -155,11 +150,9 @@ class Plan:
         if failure_log is None:
             failure_log = FailureLog(config.failure, store=store, registry=telemetry.metrics)
         plan = cls(
-            config=config,
-            annotators=annotators,
+            context=context,
             stages=tuple(stages),
             preprocessing=(CleanStage(config), IdentifyStage(config)),
-            sources=sources,
             store=store,
             persist=persist_enabled,
             telemetry=telemetry,
@@ -167,36 +160,6 @@ class Plan:
             failure_log=failure_log,
         )
         plan.validate()
-        return plan
-
-    @classmethod
-    def from_context(
-        cls,
-        context: GeoContext,
-        store: Optional[SemanticTrajectoryStore] = None,
-        persist: bool = False,
-        layers: Optional[Sequence[str]] = None,
-        faults: Optional[FaultInjector] = None,
-        failure_log: Optional[FailureLog] = None,
-    ) -> "Plan":
-        """Compile a plan around an immutable :class:`GeoContext` snapshot.
-
-        The snapshot's indexes and prebuilt annotators are reused
-        as-is, and :meth:`geo_context` returns the very same snapshot, so a
-        process-pool executor can keep its worker pool warm across plans
-        compiled from the same context.
-        """
-        plan = cls.compile(
-            sources=context.sources,
-            config=context.config,
-            annotators=context.annotators,
-            store=store,
-            persist=persist,
-            layers=layers,
-            faults=faults,
-            failure_log=failure_log,
-        )
-        plan._context = context
         return plan
 
     def validate(self) -> None:
@@ -214,6 +177,22 @@ class Plan:
                     f"stage produces it; stage order: {self.stage_names()}"
                 )
             available.update(stage.outputs)
+
+    # ---------------------------------------------------------- the snapshot
+    @property
+    def config(self) -> PipelineConfig:
+        """The pipeline configuration (the snapshot's)."""
+        return self.context.config
+
+    @property
+    def sources(self) -> AnnotationSources:
+        """The annotation sources (the snapshot's)."""
+        return self.context.sources
+
+    @property
+    def annotators(self) -> LayerAnnotators:
+        """The prebuilt layer annotators (the snapshot's)."""
+        return self.context.annotators
 
     # -------------------------------------------------------------- failures
     @property
@@ -279,19 +258,3 @@ class Plan:
         clean, identify = self.preprocessing
         assert isinstance(clean, CleanStage) and isinstance(identify, IdentifyStage)
         return identify.apply(clean.apply(points), object_id=object_id)
-
-    def geo_context(self) -> GeoContext:
-        """An immutable snapshot of this plan's sources and annotators.
-
-        Built (and cached) on first use; plans compiled via
-        :meth:`from_context` return the original snapshot, so executor worker
-        pools primed with it stay warm.
-        """
-        if self._context is None:
-            if self.sources is None:
-                raise ConfigurationError(
-                    "plan was compiled without sources; build it from a GeoContext "
-                    "to run on a process-pool executor"
-                )
-            self._context = GeoContext(self.sources, self.config, annotators=self.annotators)
-        return self._context

@@ -7,6 +7,14 @@ sources, the pipeline configuration and the annotator bundle constructed from
 them.  The sources pack their indexes when they are constructed and cannot
 change afterwards, so the snapshot is read-only by construction.
 
+It is the one prebuilt bundle: every :class:`~repro.engine.plan.Plan` is
+compiled from a snapshot, and :meth:`GeoContext.with_config` is the one rule
+for running a snapshot under another configuration — the per-trajectory
+sections (cleaning, gaps, stop/move, streaming, service, ...) may differ, the
+sections its annotators were built from (:data:`ANNOTATOR_SECTIONS`) may not.
+The ``annotators=`` argument of the constructor is the seam through which
+tests substitute the :mod:`repro.reference` oracles.
+
 A worker process is handed the snapshot as an argument: for free under
 ``fork`` (copy-on-write pages are never written), as the pickle
 ``multiprocessing`` makes of it under ``spawn``; either way each worker
@@ -34,8 +42,8 @@ import pickle
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import PipelineConfig
-from repro.core.errors import SemitriError
-from repro.core.pipeline import AnnotationSources, LayerAnnotators
+from repro.core.errors import ConfigurationError, SemitriError
+from repro.core.pipeline import ANNOTATOR_SECTIONS, AnnotationSources, LayerAnnotators
 from repro.core.places import LineOfInterest, PointOfInterest, RegionOfInterest, SemanticPlace
 from repro.core.points import RawTrajectory
 
@@ -70,6 +78,30 @@ class GeoContext:
     ) -> "GeoContext":
         """Construct a snapshot for the given sources and config."""
         return cls(sources, config)
+
+    def with_config(self, config: PipelineConfig) -> "GeoContext":
+        """This snapshot run under ``config``: the one pairing rule.
+
+        ``self`` when the configs are equal (held worker pools stay warm); a
+        snapshot sharing these sources and annotators when only sections the
+        annotators do not read differ.  Raises
+        :class:`~repro.core.errors.ConfigurationError` naming the
+        :data:`ANNOTATOR_SECTIONS` that differ: the annotators would silently
+        run the snapshot's settings instead.
+        """
+        if config == self._config:
+            return self
+        differing = [
+            name
+            for name in ANNOTATOR_SECTIONS
+            if getattr(config, name) != getattr(self._config, name)
+        ]
+        if differing:
+            raise ConfigurationError(
+                f"config conflicts with the GeoContext snapshot's config in {differing}; "
+                "build a snapshot with that config via GeoContext.build"
+            )
+        return GeoContext(self._sources, config, annotators=self._annotators)
 
     def __getstate__(self) -> Dict[str, Any]:
         # The place table is keyed by object identity, which a pickle does not

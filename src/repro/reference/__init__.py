@@ -26,8 +26,10 @@ column scan, the per-point form it must reproduce lives here:
 
 Nothing under ``src/repro`` outside this package may import it (CI greps for
 that); ``tests/`` and ``benchmarks/`` do.  A test that wants the whole pipeline
-on the oracle hands its own annotators to
-``SeMiTriPipeline.annotate_many(..., annotators=LayerAnnotators(...))``.
+on the oracle hands its own :class:`~repro.core.pipeline.LayerAnnotators` to
+the one seam for a supplied bundle, the ``annotators`` argument of
+:class:`~repro.parallel.context.GeoContext`, and runs
+``repro.annotate_many(trajectories, context=...)`` on that snapshot.
 """
 
 from repro.reference.cleaning import (

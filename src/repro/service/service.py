@@ -249,8 +249,9 @@ class AnnotationService:
         service).
     config:
         Pipeline configuration; ``config.service`` sizes the shard fan-out,
-        queues and session budget.  Must be ``None`` or equal to the
-        snapshot's config when a :class:`GeoContext` is passed.
+        queues and session budget.  With a :class:`GeoContext` it defaults to
+        the snapshot's own and is paired with the snapshot by
+        :meth:`GeoContext.with_config` (the annotators' sections must match).
     store / persist:
         When both are given, :meth:`drain` commits every sealed trajectory in
         one deterministic-order transaction.  Shards never touch the store.
@@ -272,15 +273,9 @@ class AnnotationService:
         on_result: Optional[Callable[[PipelineResult], None]] = None,
         fault_injector: Optional[FaultInjector] = None,
     ):
-        if isinstance(sources, GeoContext):
-            context = sources
-            if config is not None and config != context.config:
-                raise ConfigurationError(
-                    "config conflicts with the GeoContext snapshot's config; "
-                    "bake the desired config into the snapshot via GeoContext.build"
-                )
-        else:
-            context = GeoContext(sources, config if config is not None else PipelineConfig())
+        context = sources if isinstance(sources, GeoContext) else GeoContext(sources, config)
+        if config is not None:
+            context = context.with_config(config)
         self._context = context
         self._config = context.config
         service_config = self._config.service

@@ -101,22 +101,14 @@ class ShardCore:
         faults: FaultInjector,
         in_worker: bool = False,
     ):
-        config = replace(
-            context.config,
-            streaming=replace(context.config.streaming, max_sessions=max_sessions),
-        )
+        streaming = replace(context.config.streaming, max_sessions=max_sessions)
+        context = context.with_config(replace(context.config, streaming=streaming))
         # Core-local failure log: its counters are never read; only the
         # buffered quarantines ship back.  Shard plans never persist — the
         # service commits at drain time, in one place.
-        self._log = FailureLog(config.failure)
+        self._log = FailureLog(context.config.failure)
         self.executor = MicroBatchExecutor(
-            Plan.compile(
-                sources=context.sources,
-                config=config,
-                annotators=context.annotators,
-                faults=faults,
-                failure_log=self._log,
-            )
+            Plan.compile(context, faults=faults, failure_log=self._log)
         )
         self._on_event = faults.on_trajectory if in_worker else None
 

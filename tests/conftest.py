@@ -32,12 +32,10 @@ _PIPELINE_EXECUTOR_WORKERS = os.environ.get("SEMITRI_TEST_PIPELINE_EXECUTOR")
 if _PIPELINE_EXECUTOR_WORKERS:
     _WORKERS = int(_PIPELINE_EXECUTOR_WORKERS)
 
-    def _annotate_many_via_process_pool(
-        self, trajectories, sources, persist=False, annotators=None
-    ):
+    def _annotate_many_via_process_pool(self, trajectories, sources, persist=False):
         from repro.engine import ProcessPoolExecutor
 
-        plan = self.compile_plan(sources, annotators=annotators, persist=persist)
+        plan = self._plan(sources, persist)
         with ProcessPoolExecutor(workers=_WORKERS) as executor:
             return executor.run(plan, list(trajectories))
 

@@ -10,7 +10,7 @@ import pytest
 
 import repro
 import repro.api
-from repro.core import PipelineConfig
+from repro.core import AnnotationSources, PipelineConfig
 from repro.core.errors import ConfigurationError
 from repro.parallel.canonical import canonical_bytes
 from repro.parallel.context import GeoContext
@@ -152,4 +152,34 @@ class TestEntryPoints:
         config = PipelineConfig.for_vehicles()
         context = GeoContext.build(annotation_sources, config)
         plan = repro.compile_plan(context=context)
-        assert plan.geo_context() is context
+        assert plan.context is context
+
+    def test_a_snapshot_refuses_an_override_of_its_annotators(
+        self, car_dataset, annotation_sources
+    ):
+        """A snapshot's annotators were built from its config: an override of
+        their sections must raise, not run the snapshot's settings silently."""
+        context = GeoContext.build(annotation_sources, PipelineConfig.for_vehicles())
+        with pytest.raises(ConfigurationError, match="map_matching"):
+            repro.annotate_many(
+                car_dataset.trajectories[:2],
+                context=context,
+                overrides={"map_matching.candidate_radius": 10.0},
+            )
+        with pytest.raises(ConfigurationError, match="point"):
+            repro.compile_plan(context=context, overrides={"point.default_sigma": 5.0})
+
+    def test_compile_plan_refuses_sources_and_a_context(self, annotation_sources, region_source):
+        context = GeoContext.build(AnnotationSources(regions=region_source))
+        with pytest.raises(ConfigurationError, match="not both"):
+            repro.compile_plan(annotation_sources, context=context)
+
+    def test_one_snapshot_per_plan(self):
+        """A plan is compiled from a GeoContext only: the second paths are gone."""
+        from repro.core import SeMiTriPipeline
+        from repro.engine import Plan
+
+        for name in ("from_context", "geo_context"):
+            assert not hasattr(Plan, name)
+        for name in ("compile_plan", "annotate_prepared", "build_annotators"):
+            assert not hasattr(SeMiTriPipeline, name)

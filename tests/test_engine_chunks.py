@@ -72,7 +72,7 @@ def _config(**failure: object) -> PipelineConfig:
 # ----------------------------------------------------------- chunk boundaries
 def test_chunk_rule(annotation_sources, mixed_batch, monkeypatch):
     numbered = list(enumerate(mixed_batch))
-    plan = Plan.compile(sources=annotation_sources, config=_config())
+    plan = Plan.compile(GeoContext(annotation_sources, _config()))
 
     def sizes(plan, include_writeback=True):
         chunks = list(executors._chunks(plan, numbered, include_writeback))
@@ -94,14 +94,11 @@ def test_chunk_rule(annotation_sources, mixed_batch, monkeypatch):
 
     # Per-trajectory grain is part of the contract: inline write-back, armed faults.
     store = SemanticTrajectoryStore()
-    persisting = Plan.compile(
-        sources=annotation_sources, config=_config(), store=store, persist=True
-    )
+    persisting = Plan.compile(GeoContext(annotation_sources, _config()), store=store, persist=True)
     assert sizes(persisting) == [1] * len(numbered)
     assert sizes(persisting, include_writeback=False) == [len(numbered)]
     armed = Plan.compile(
-        sources=annotation_sources,
-        config=_config(),
+        GeoContext(annotation_sources, _config()),
         faults=FaultInjector(FaultPlan.parse(_INERT_FAULTS)),
     )
     assert sizes(armed) == [1] * len(numbered)
@@ -170,16 +167,14 @@ def _store_rows(store: SemanticTrajectoryStore):
 def test_run_of_one_item_is_the_grouped_body(annotation_sources, mixed_batch):
     """``stage.run(item)`` (what ``bench/layers.py`` walks) equals the chunked run,
     and with write-back it writes the rows the chunked run commits."""
-    plan = Plan.compile(sources=annotation_sources, config=_config())
+    plan = Plan.compile(GeoContext(annotation_sources, _config()))
     assert canonical_bytes(_walk(plan, mixed_batch[:6])) == canonical_bytes(
         SequentialExecutor().run(plan, mixed_batch[:6])
     )
 
     walked_store, chunked_store = SemanticTrajectoryStore(), SemanticTrajectoryStore()
     walking, chunked = (
-        Plan.compile(
-            sources=annotation_sources, config=_config(), store=store, persist=True
-        )
+        Plan.compile(GeoContext(annotation_sources, _config()), store=store, persist=True)
         for store in (walked_store, chunked_store)
     )
     walked = _walk(walking, mixed_batch[:6])
@@ -254,16 +249,12 @@ def test_many_sessions_sealing_in_one_pass(annotation_sources, car_dataset, monk
         return original(self, sealed)
 
     monkeypatch.setattr(MapMatchStage, "absorb_episodes", spy)
-    grouped, grouped_order = _stream(
-        Plan.compile(sources=annotation_sources, config=config), events
-    )
+    grouped, grouped_order = _stream(Plan.compile(GeoContext(annotation_sources, config)), events)
     assert max(group_sizes) > 1  # several trajectories' moves went through one call
 
     group_sizes.clear()
     armed = Plan.compile(
-        sources=annotation_sources,
-        config=config,
-        faults=FaultInjector(FaultPlan.parse(_INERT_FAULTS)),
+        GeoContext(annotation_sources, config), faults=FaultInjector(FaultPlan.parse(_INERT_FAULTS))
     )
     single, single_order = _stream(armed, events)
     assert set(group_sizes) == {1}
@@ -316,7 +307,7 @@ def test_fail_fast_raises_the_same_tagged_exception(
     raised = []
     for limit in (1, _EVERYTHING):
         _set_chunks(monkeypatch, limit, _EVERYTHING)
-        plan = Plan.compile(sources=annotation_sources, config=_config())
+        plan = Plan.compile(GeoContext(annotation_sources, _config()))
         with pytest.raises(RuntimeError) as caught:
             SequentialExecutor().run(plan, mixed_batch)
         raised.append((str(caught.value), failure_stage(caught.value)))
@@ -335,7 +326,7 @@ def test_isolating_policies_blame_exactly_the_culprit(
     outcomes = []
     for limit in (1, _EVERYTHING):
         _set_chunks(monkeypatch, limit, _EVERYTHING)
-        plan = Plan.compile(sources=annotation_sources, config=config)
+        plan = Plan.compile(GeoContext(annotation_sources, config))
         results = SequentialExecutor().run(plan, mixed_batch)
         assert canonical_bytes(results) == canonical_bytes(clean)
         assert not any(result.fault_events for result in results)
@@ -380,7 +371,7 @@ def test_failing_group_under_skip_quarantines_only_the_culprit(
     culprit = trajectories[len(trajectories) // 2].object_id
     events = _interleaved_events(trajectories)
     config = _streaming_config(mode="skip")
-    clean, _ = _stream(Plan.compile(sources=annotation_sources, config=config), events)
+    clean, _ = _stream(Plan.compile(GeoContext(annotation_sources, config)), events)
 
     original = LineAnnotator.annotate_episodes
     failed_groups = []
@@ -393,7 +384,7 @@ def test_failing_group_under_skip_quarantines_only_the_culprit(
         return original(self, episodes)
 
     monkeypatch.setattr(LineAnnotator, "annotate_episodes", annotate_episodes)
-    plan = Plan.compile(sources=annotation_sources, config=config)
+    plan = Plan.compile(GeoContext(annotation_sources, config))
     results, _ = _stream(plan, events)
 
     assert any(len(owners) > 1 for owners in failed_groups)  # innocents shared its group

@@ -15,6 +15,7 @@ from typing import List
 
 import pytest
 
+from repro import api
 from repro.core import AnnotationSources, PipelineConfig
 from repro.core.config import StreamingConfig
 from repro.core.errors import ConfigurationError
@@ -51,7 +52,7 @@ def _ingested(plan: Plan, seed: int, users: int = 2, points: int = 110) -> List[
 
 # ------------------------------------------------------------------ compiling
 def test_plan_compiles_every_available_layer(annotation_sources):
-    plan = Plan.compile(annotation_sources, config=PipelineConfig())
+    plan = Plan.compile(GeoContext(annotation_sources, PipelineConfig()))
     assert plan.stage_names() == [
         "compute_episode",
         "landuse_join",
@@ -65,7 +66,7 @@ def test_plan_compiles_every_available_layer(annotation_sources):
 
 def test_plan_with_persistence_compiles_store_stages(annotation_sources):
     store = SemanticTrajectoryStore()
-    plan = Plan.compile(annotation_sources, config=PipelineConfig(), store=store, persist=True)
+    plan = Plan.compile(GeoContext(annotation_sources, PipelineConfig()), store=store, persist=True)
     assert plan.stage_names() == [
         "compute_episode",
         "store_episode",
@@ -80,32 +81,32 @@ def test_plan_with_persistence_compiles_store_stages(annotation_sources):
         "store_match_result",
     ]
     # persist without a store compiles no write-back at all
-    bare = Plan.compile(annotation_sources, config=PipelineConfig(), persist=True)
+    bare = Plan.compile(GeoContext(annotation_sources, PipelineConfig()), persist=True)
     assert not bare.persist and "store_episode" not in bare.stage_names()
     store.close()
 
 
 def test_plan_skips_layers_with_missing_sources(region_source):
     sources = AnnotationSources(regions=region_source)
-    plan = Plan.compile(sources, config=PipelineConfig())
+    plan = Plan.compile(GeoContext(sources, PipelineConfig()))
     assert plan.stage_names() == ["compute_episode", "landuse_join"]
     assert plan.annotation_layers() == ["region"]
 
 
 def test_plan_layer_selection(annotation_sources):
-    plan = Plan.compile(annotation_sources, config=PipelineConfig(), layers=("region",))
+    plan = Plan.compile(GeoContext(annotation_sources, PipelineConfig()), layers=("region",))
     assert plan.stage_names() == ["compute_episode", "landuse_join"]
     with pytest.raises(ConfigurationError):
-        Plan.compile(annotation_sources, config=PipelineConfig(), layers=("region", "lines"))
+        Plan.compile(GeoContext(annotation_sources, PipelineConfig()), layers=("region", "lines"))
 
 
-def test_plan_requires_sources_or_annotators():
-    with pytest.raises(ConfigurationError):
-        Plan.compile()
+def test_compile_plan_requires_sources_or_a_context():
+    with pytest.raises(ConfigurationError, match="needs geographic data"):
+        api.compile_plan()
 
 
 def test_plan_validate_rejects_unproduced_inputs(annotation_sources):
-    plan = Plan.compile(annotation_sources, config=PipelineConfig())
+    plan = Plan.compile(GeoContext(annotation_sources, PipelineConfig()))
     # Move the episode producer behind its consumers: wiring check must fail.
     broken = dataclasses.replace(plan, stages=tuple(reversed(plan.stages)))
     with pytest.raises(ConfigurationError):
@@ -114,19 +115,21 @@ def test_plan_validate_rejects_unproduced_inputs(annotation_sources):
 
 def test_plan_describe_renders_dataflow(annotation_sources):
     store = SemanticTrajectoryStore()
-    plan = Plan.compile(annotation_sources, config=PipelineConfig(), store=store, persist=True)
+    plan = Plan.compile(GeoContext(annotation_sources, PipelineConfig()), store=store, persist=True)
     text = plan.describe()
     for name in plan.stage_names() + ["clean", "identify", "episodes", "[write-back]"]:
         assert name in text
     store.close()
 
 
-def test_plan_from_context_reuses_snapshot(annotation_sources):
+def test_plan_holds_its_snapshot(annotation_sources):
     context = GeoContext.build(annotation_sources, PipelineConfig.for_vehicles())
-    plan = Plan.from_context(context)
+    plan = Plan.compile(context)
+    assert plan.context is context
     assert plan.annotators is context.annotators
-    assert plan.geo_context() is context
+    assert plan.sources is annotation_sources
     assert plan.config == PipelineConfig.for_vehicles()
+    assert context.with_config(context.config) is context
 
 
 # ----------------------------------------------------------- executor parity
@@ -167,7 +170,7 @@ def _run_all_three(plan: Plan, seed: int):
 @pytest.mark.parametrize("seed", [17, 29])
 def test_three_executors_byte_identical(seed, annotation_sources):
     """Sequential, process-pool and micro-batch agree byte-for-byte."""
-    plan = Plan.compile(annotation_sources, config=_stream_config(apply_cleaning=True))
+    plan = Plan.compile(GeoContext(annotation_sources, _stream_config(apply_cleaning=True)))
     _run_all_three(plan, seed)
 
 
@@ -179,7 +182,7 @@ def test_executors_agree_with_skipped_layers(missing, annotation_sources):
         road_network=None if missing == "road_network" else annotation_sources.road_network,
         pois=None if missing == "pois" else annotation_sources.pois,
     )
-    plan = Plan.compile(sources, config=_stream_config(apply_cleaning=True))
+    plan = Plan.compile(GeoContext(sources, _stream_config(apply_cleaning=True)))
     assert len(plan.annotation_layers()) == 2
     _run_all_three(plan, seed=41)
 
@@ -200,9 +203,7 @@ def test_every_executor_emits_the_same_latency_vocabulary(annotation_sources):
     from repro.core import SeMiTriPipeline
 
     store = SemanticTrajectoryStore()
-    plan = Plan.compile(
-        annotation_sources, config=_stream_config(), store=store, persist=True
-    )
+    plan = Plan.compile(GeoContext(annotation_sources, _stream_config()), store=store, persist=True)
     trajectories = _ingested(plan, seed=53, users=1, points=90)
     expected_stages = {
         "compute_episode",
@@ -220,7 +221,7 @@ def test_every_executor_emits_the_same_latency_vocabulary(annotation_sources):
 
     micro_store = SemanticTrajectoryStore()
     micro_plan = Plan.compile(
-        annotation_sources, config=_stream_config(), store=micro_store, persist=True
+        GeoContext(annotation_sources, _stream_config()), store=micro_store, persist=True
     )
     micro = _replay(MicroBatchExecutor(micro_plan), trajectories)
     micro_merged = SeMiTriPipeline.merge_latencies(micro)
@@ -237,14 +238,14 @@ def test_deferred_writeback_matches_inline_rows(annotation_sources):
     config = _stream_config()
     inline_store = SemanticTrajectoryStore()
     inline_plan = Plan.compile(
-        annotation_sources, config=config, store=inline_store, persist=True
+        GeoContext(annotation_sources, config), store=inline_store, persist=True
     )
     trajectories = _ingested(inline_plan, seed=67)
     SequentialExecutor().run(inline_plan, trajectories)
 
     deferred_store = SemanticTrajectoryStore()
     deferred_plan = Plan.compile(
-        annotation_sources, config=config, store=deferred_store, persist=True
+        GeoContext(annotation_sources, config), store=deferred_store, persist=True
     )
     SequentialExecutor(deferred_writeback=True).run(deferred_plan, trajectories)
 
@@ -263,7 +264,7 @@ def test_inline_writeback_rolls_back_a_failed_trajectory(annotation_sources):
     """A mid-trajectory store failure persists nothing for that trajectory."""
     config = _stream_config()
     store = SemanticTrajectoryStore()
-    plan = Plan.compile(annotation_sources, config=config, store=store, persist=True)
+    plan = Plan.compile(GeoContext(annotation_sources, config), store=store, persist=True)
     trajectories = _ingested(plan, seed=79, users=1, points=80)
     executor = SequentialExecutor()
     executor.run(plan, trajectories[:1])
@@ -293,7 +294,7 @@ def test_swallowed_per_trajectory_failure_poisons_outer_scope(annotation_sources
 
     config = _stream_config()
     store = SemanticTrajectoryStore()
-    plan = Plan.compile(annotation_sources, config=config, store=store, persist=True)
+    plan = Plan.compile(GeoContext(annotation_sources, config), store=store, persist=True)
     trajectories = _ingested(plan, seed=79, users=1, points=80)
     executor = SequentialExecutor()
     executor.run(plan, trajectories[:1])
@@ -305,16 +306,15 @@ def test_swallowed_per_trajectory_failure_poisons_outer_scope(annotation_sources
     store.close()
 
 
-def test_plan_cache_distinguishes_sources(annotation_sources):
-    """A plan cached without sources must not shadow one compiled with them."""
+def test_pipeline_pairs_a_snapshot_with_its_config(annotation_sources, car_dataset):
+    """``SeMiTriPipeline`` runs a snapshot under its own config, by the one rule."""
     from repro.core import SeMiTriPipeline
 
-    pipeline = SeMiTriPipeline(PipelineConfig.for_vehicles())
-    bundle = pipeline.build_annotators(annotation_sources)
-    bare = pipeline.compile_plan(annotators=bundle)
-    assert bare.sources is None
-    sourced = pipeline.compile_plan(annotation_sources, annotators=bundle)
-    assert sourced.sources is annotation_sources
-    assert sourced.geo_context() is not None  # would raise on the bare plan
-    assert pipeline.compile_plan(annotation_sources, annotators=bundle) is sourced
-    assert pipeline.compile_plan(annotators=bundle) is bare
+    batch = car_dataset.trajectories[:4]
+    context = GeoContext.build(annotation_sources, PipelineConfig.for_vehicles())
+    other = context.config.with_overrides({"stop_move.min_stop_duration": 1200.0})
+    assert canonical_bytes(SeMiTriPipeline(other).annotate_many(batch, context)) == (
+        canonical_bytes(SeMiTriPipeline(other).annotate_many(batch, annotation_sources))
+    )
+    with pytest.raises(ConfigurationError, match="map_matching"):
+        SeMiTriPipeline(PipelineConfig.for_people()).annotate_many(batch, context)

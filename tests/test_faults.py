@@ -45,6 +45,7 @@ from repro.faults import (
     tag_failure_stage,
 )
 from repro.parallel.canonical import canonical_bytes
+from repro.parallel.context import GeoContext
 from repro.service import AnnotationService
 from repro.service import shard as shard_module
 from repro.store.store import SemanticTrajectoryStore
@@ -65,9 +66,7 @@ def _plan(
     persist: bool = False,
 ) -> Plan:
     faults = FaultInjector(FaultPlan.parse(plan_text)) if plan_text else DISABLED_FAULTS
-    return Plan.compile(
-        sources=sources, config=config, store=store, persist=persist, faults=faults
-    )
+    return Plan.compile(GeoContext(sources, config), store=store, persist=persist, faults=faults)
 
 
 # ------------------------------------------------------------------- grammar
@@ -365,7 +364,7 @@ class TestProcessPoolRecovery:
         # Workers build their injector from the inherited environment; each
         # worker process fires the transient spec once and retries in place.
         monkeypatch.setenv("SEMITRI_FAULTS", "raise@map_match:n=1,times=1")
-        plan = Plan.compile(sources=annotation_sources, config=config)
+        plan = Plan.compile(GeoContext(annotation_sources, config))
         with ProcessPoolExecutor(workers=2) as executor:
             results = executor.run(plan, trajectories)
         assert canonical_bytes(results) == canonical_bytes(reference)
@@ -391,7 +390,7 @@ class TestProcessPoolRecovery:
         # without it every replacement worker would die at its 2nd trajectory.
         fuse = tmp_path / "kill.fuse"
         monkeypatch.setenv("SEMITRI_FAULTS", f"kill:n=2,times=1,fuse={fuse}")
-        plan = Plan.compile(sources=annotation_sources, config=config)
+        plan = Plan.compile(GeoContext(annotation_sources, config))
         with ProcessPoolExecutor(workers=2) as executor:
             results = executor.run(plan, trajectories)
         assert fuse.exists()
@@ -408,7 +407,7 @@ class TestProcessPoolRecovery:
         trajectories = car_dataset.trajectories
         poison = trajectories[-1].object_id
         monkeypatch.setenv("SEMITRI_FAULTS", f"raise@map_match:obj={poison},times=-1")
-        plan = Plan.compile(sources=annotation_sources, config=_config(mode="fail_fast"))
+        plan = Plan.compile(GeoContext(annotation_sources, _config(mode="fail_fast")))
         with ProcessPoolExecutor(workers=2) as executor:
             with pytest.raises(InjectedFault):
                 executor.run(plan, trajectories)
@@ -436,7 +435,7 @@ class TestProcessPoolRecovery:
         # No fuse: every worker that starts the poison object dies, so
         # recovery must bisect the shard down to the single trajectory.
         monkeypatch.setenv("SEMITRI_FAULTS", f"kill:obj={poison},times=-1")
-        plan = Plan.compile(sources=annotation_sources, config=config)
+        plan = Plan.compile(GeoContext(annotation_sources, config))
         with ProcessPoolExecutor(workers=2) as executor:
             results = executor.run(plan, trajectories)
         poison_count = sum(1 for t in trajectories if t.object_id == poison)
@@ -454,7 +453,7 @@ class TestProcessPoolRecovery:
     ):
         poison = car_dataset.trajectories[0].object_id
         monkeypatch.setenv("SEMITRI_FAULTS", f"raise@map_match:obj={poison},times=-1")
-        plan = Plan.compile(sources=annotation_sources, config=_config(mode="skip"))
+        plan = Plan.compile(GeoContext(annotation_sources, _config(mode="skip")))
         with ProcessPoolExecutor(workers=2) as executor:
             first = executor.run(plan, car_dataset.trajectories)
             second = executor.run(plan, car_dataset.trajectories)

@@ -28,6 +28,7 @@ from repro.obs.metrics import (
     StreamingMetrics,
     bucket_counts,
 )
+from repro.parallel import GeoContext
 from repro.store.store import SemanticTrajectoryStore
 from repro.streaming.session import SessionManager
 
@@ -157,7 +158,7 @@ def test_summary_renders_tables():
 def test_engine_counters_cover_all_three_executors(annotation_sources):
     """The EngineStats vocabulary is observable for sequential and pool runs
     too — not just micro-batch — with one comparable series per executor."""
-    plan = Plan.compile(annotation_sources, config=_observed_config())
+    plan = Plan.compile(GeoContext(annotation_sources, _observed_config()))
     registry = plan.telemetry.metrics
     assert registry is not None
     trajectories = _trajectories(plan)
@@ -190,7 +191,7 @@ def test_engine_counters_cover_all_three_executors(annotation_sources):
 
 def test_disabled_telemetry_registers_nothing(annotation_sources, monkeypatch):
     monkeypatch.delenv("SEMITRI_OBSERVABILITY", raising=False)
-    plan = Plan.compile(annotation_sources, config=PipelineConfig.for_people())
+    plan = Plan.compile(GeoContext(annotation_sources, PipelineConfig.for_people()))
     assert plan.telemetry.metrics is None and plan.telemetry.tracer is None
     results = SequentialExecutor().run(plan, _trajectories(plan, users=1, points=80))
     assert results and all(result.spans == [] for result in results)
@@ -202,7 +203,7 @@ def test_store_metrics_reconcile_with_store_contents(annotation_sources):
     store's own table counts, and each per-trajectory transaction commits."""
     store = SemanticTrajectoryStore()
     plan = Plan.compile(
-        annotation_sources, config=_observed_config(), store=store, persist=True
+        GeoContext(annotation_sources, _observed_config()), store=store, persist=True
     )
     registry = plan.telemetry.metrics
     assert registry is not None
@@ -228,7 +229,7 @@ def test_store_metrics_count_rollbacks(annotation_sources):
 
     store = SemanticTrajectoryStore()
     plan = Plan.compile(
-        annotation_sources, config=_observed_config(), store=store, persist=True
+        GeoContext(annotation_sources, _observed_config()), store=store, persist=True
     )
     registry = plan.telemetry.metrics
     assert registry is not None
@@ -266,7 +267,7 @@ def test_streaming_metrics_count_gap_closeouts(annotation_sources):
 
     config = _observed_config()
     max_gap = config.identification.max_time_gap
-    plan = Plan.compile(annotation_sources, config=config)
+    plan = Plan.compile(GeoContext(annotation_sources, config))
     executor = MicroBatchExecutor(plan)
     registry = plan.telemetry.metrics
     assert registry is not None

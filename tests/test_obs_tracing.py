@@ -38,7 +38,7 @@ from repro.obs import (
     read_spans,
     render_span_tree,
 )
-from repro.parallel import canonical_bytes
+from repro.parallel import GeoContext, canonical_bytes
 
 from test_engine_plan import _replay
 from test_parallel_parity import _random_multi_user_stream
@@ -70,7 +70,7 @@ def _trajectories(plan: Plan, seed: int = 17, users: int = 2, points: int = 110)
 # -------------------------------------------------------------- disabled path
 def test_default_config_is_the_shared_noop_runtime(annotation_sources, monkeypatch):
     monkeypatch.delenv("SEMITRI_OBSERVABILITY", raising=False)
-    plan = Plan.compile(annotation_sources, config=PipelineConfig.for_people())
+    plan = Plan.compile(GeoContext(annotation_sources, PipelineConfig.for_people()))
     assert plan.telemetry is DISABLED
     assert not plan.telemetry.enabled
     assert plan.telemetry.start_trace("t") is None
@@ -97,7 +97,7 @@ def test_observability_env_knob(monkeypatch):
 def test_three_executors_byte_identical_with_tracing(annotation_sources):
     """Tracing is inert: canonical annotation bytes stay identical across the
     sequential, process-pool and micro-batch executors with spans enabled."""
-    plan = Plan.compile(annotation_sources, config=_traced_config())
+    plan = Plan.compile(GeoContext(annotation_sources, _traced_config()))
     assert plan.telemetry.tracing_enabled
     streams = _random_multi_user_stream(17, users=2, points_per_user=110)
     trajectories: List[RawTrajectory] = []
@@ -127,7 +127,7 @@ def test_three_executors_byte_identical_with_tracing(annotation_sources):
 
 
 def test_sequential_span_tree_shape(annotation_sources):
-    plan = Plan.compile(annotation_sources, config=_traced_config())
+    plan = Plan.compile(GeoContext(annotation_sources, _traced_config()))
     trajectories = _trajectories(plan, users=1, points=90)
     results = SequentialExecutor().run(plan, trajectories)
 
@@ -152,7 +152,7 @@ def test_sequential_span_tree_shape(annotation_sources):
 
 
 def test_micro_batch_emits_spans_with_streaming_vocabulary(annotation_sources):
-    plan = Plan.compile(annotation_sources, config=_traced_config())
+    plan = Plan.compile(GeoContext(annotation_sources, _traced_config()))
     trajectories = _trajectories(plan, users=1, points=90)
     results = _replay(MicroBatchExecutor(plan), trajectories)
     names = {span.name for result in results for span in result.spans}
@@ -176,7 +176,7 @@ def test_pool_collection_order_is_input_order(annotation_sources, monkeypatch):
         f"raise@landuse_join:obj={first},times=-1;raise@landuse_join:obj={last},times=-1",
     )
     config = _traced_config().with_overrides({"failure.mode": "skip"})
-    plan = Plan.compile(annotation_sources, config=config)
+    plan = Plan.compile(GeoContext(annotation_sources, config))
     trajectories: List[RawTrajectory] = []
     for object_id, stream in streams.items():
         trajectories.extend(plan.ingest(stream, object_id=object_id))
@@ -203,7 +203,7 @@ def test_pool_worker_spans_round_trip_through_jsonl(annotation_sources, tmp_path
     """Worker-side spans cross the process boundary, get adopted into the
     parent tracer and survive a JSONL export/import with the full tree —
     worker pids and all — intact."""
-    plan = Plan.compile(annotation_sources, config=_traced_config())
+    plan = Plan.compile(GeoContext(annotation_sources, _traced_config()))
     trajectories = _trajectories(plan, users=2, points=110)
     with ProcessPoolExecutor(workers=2) as pool:
         results = pool.run(plan, trajectories)
@@ -274,7 +274,7 @@ def test_telemetry_export_dispatch(annotation_sources, tmp_path):
             enabled=True, exporters=("jsonl", "prometheus", "summary")
         ),
     )
-    plan = Plan.compile(annotation_sources, config=config)
+    plan = Plan.compile(GeoContext(annotation_sources, config))
     SequentialExecutor().run(plan, _trajectories(plan, users=1, points=80))
     artefacts = plan.telemetry.export(directory=str(tmp_path))
     assert set(artefacts) == {"jsonl", "prometheus", "summary"}

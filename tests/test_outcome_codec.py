@@ -318,13 +318,13 @@ def test_pooled_results_hang_off_the_callers_trajectories(annotation_sources, ca
     # The wire form really leaves the points out.
     items = list(enumerate(batch))
     outputs = executors._run_in_process(plan, items, include_writeback=False)
-    wire = dump_outcome(outputs, plan.geo_context(), items)
+    wire = dump_outcome(outputs, plan.context, items)
     # (By value a trajectory pickles as three float columns, 8 bytes a number
     # plus its opcode, so that is what leaving them out must save.)
     coordinates = 3 * sum(len(trajectory) for trajectory in batch)
     by_value = pickle.dumps(outputs, pickle.HIGHEST_PROTOCOL)
     assert len(wire) < len(by_value) - 8 * coordinates
-    reloaded = load_outcome(wire, plan.geo_context(), items)
+    reloaded = load_outcome(wire, plan.context, items)
     assert canonical_bytes([out for _, out in reloaded]) == canonical_bytes(results)
     # On the way out the coordinates travel as the numbers they are: integer
     # fixes stay integers in a worker, so its times render as the parent's do.

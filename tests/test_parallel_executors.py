@@ -140,8 +140,8 @@ def test_context_freezes_indexes_and_plans_keep_it(annotation_sources):
     assert context.available_layers() == ["region", "line", "point"]
     # Every plan compiled from the snapshot hands the pool the same object,
     # which is what keeps a held executor's workers warm across plans.
-    assert api.compile_plan(context=context).geo_context() is context
-    assert api.compile_plan(context=context, persist=True).geo_context() is context
+    assert api.compile_plan(context=context).context is context
+    assert api.compile_plan(context=context, persist=True).context is context
 
 
 def test_context_with_another_config_is_executor_independent(annotation_sources, car_dataset):
@@ -223,7 +223,7 @@ def test_pooled_shard_crosses_as_trajectory_columns(
 
 
 def test_stream_rejects_config_conflicting_with_snapshot(annotation_sources):
-    """A GeoContext carries its own config; a different explicit one is an error."""
+    """A GeoContext carries its own config; one its annotators disagree with is an error."""
     context = GeoContext.build(annotation_sources, PipelineConfig.for_vehicles())
     engine = api.stream(context)  # snapshot config adopted
     assert engine.plan.config == PipelineConfig.for_vehicles()
@@ -234,8 +234,26 @@ def test_stream_rejects_config_conflicting_with_snapshot(annotation_sources):
     with pytest.raises(ConfigurationError):
         # An explicitly requested default config is also a conflict here.
         api.stream(context, config=PipelineConfig())
+    # One rule (GeoContext.with_config): sections the annotators do not read
+    # may differ, and the snapshot's annotators are reused.
+    engine = api.stream(context, overrides={"streaming.micro_batch_size": 3})
+    assert engine.plan.config.streaming.micro_batch_size == 3
+    assert engine.plan.annotators is context.annotators
+    with pytest.raises(ConfigurationError, match="map_matching"):
+        api.stream(context, overrides={"map_matching.candidate_radius": 10.0})
+
+
+def test_serve_follows_the_snapshot_pairing_rule(annotation_sources):
+    """``serve`` pairs a snapshot with a config by the same rule as ``stream``."""
+    context = GeoContext.build(annotation_sources, PipelineConfig.for_vehicles())
+    assert api.serve(context).context is context
     with pytest.raises(ConfigurationError):
-        api.stream(context, overrides={"streaming.micro_batch_size": 3})
+        api.serve(context, config=PipelineConfig.for_people())
+    service = api.serve(context, overrides={"streaming.micro_batch_size": 3})
+    assert service.config.streaming.micro_batch_size == 3
+    assert service.context.annotators is context.annotators
+    with pytest.raises(ConfigurationError, match="map_matching"):
+        api.serve(context, overrides={"map_matching.candidate_radius": 10.0})
 
 
 def test_deferred_writeback_executor_matches_sequential_pipeline(

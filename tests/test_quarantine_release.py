@@ -16,7 +16,7 @@ from repro.core import PipelineConfig
 from repro.core.errors import StoreError
 from repro.engine import Plan, SequentialExecutor
 from repro.faults import FaultInjector, FaultPlan
-from repro.parallel import canonical_bytes
+from repro.parallel import GeoContext, canonical_bytes
 from repro.store.store import SemanticTrajectoryStore
 
 
@@ -33,8 +33,7 @@ def quarantined(annotation_sources, car_dataset):
     poison = trajectories[0].object_id
     store = SemanticTrajectoryStore()
     plan = Plan.compile(
-        sources=annotation_sources,
-        config=_config(mode="skip"),
+        GeoContext(annotation_sources, _config(mode="skip")),
         store=store,
         persist=True,
         faults=FaultInjector(FaultPlan.parse(f"raise@map_match:obj={poison},times=-1")),

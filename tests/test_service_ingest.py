@@ -207,11 +207,7 @@ def test_drain_parity_with_killed_emitters(
     sequential = []
     for object_id in sorted(delivered):
         raw = pipeline.ingest_stream(delivered[object_id], object_id=object_id)
-        sequential.extend(
-            pipeline.annotate_many(
-                raw, annotation_sources, persist=True, annotators=context.annotators
-            )
-        )
+        sequential.extend(pipeline.annotate_many(raw, context, persist=True))
 
     by_service = {r.trajectory.trajectory_id: r for r in service.results}
     by_sequential = {r.trajectory.trajectory_id: r for r in sequential}

@@ -71,12 +71,12 @@ def _feed_and_drain(
     asyncio.run(run())
 
 
-def _sequential_reference(config, sources, context, streams):
+def _sequential_reference(config, context, streams):
     pipeline = SeMiTriPipeline(config)
     results = []
     for object_id in sorted(streams):
         raw = pipeline.ingest_stream(streams[object_id], object_id=object_id)
-        results.extend(pipeline.annotate_many(raw, sources, annotators=context.annotators))
+        results.extend(pipeline.annotate_many(raw, context))
     return results
 
 
@@ -139,9 +139,7 @@ def test_transport_parity_canonical_bytes_and_store_rows(
         results_by_transport[transport] = service.results
         reference_context, reference_config = context, config
 
-    sequential = _sequential_reference(
-        reference_config, annotation_sources, reference_context, streams
-    )
+    sequential = _sequential_reference(reference_config, reference_context, streams)
     by_sequential = {r.trajectory.trajectory_id: r for r in sequential}
     for transport, results in results_by_transport.items():
         by_service = {r.trajectory.trajectory_id: r for r in results}
@@ -168,7 +166,7 @@ def test_forked_shard_workers_never_serialise_the_snapshot(
     _feed_and_drain(service, streams)
     assert len(service.worker_pids) == 2 and service.stats.errors == 0
     by_id = lambda results: sorted(results, key=lambda r: r.trajectory.trajectory_id)  # noqa: E731
-    sequential = _sequential_reference(config, annotation_sources, context, streams)
+    sequential = _sequential_reference(config, context, streams)
     assert canonical_bytes(by_id(service.results)) == canonical_bytes(by_id(sequential))
 
 

@@ -21,6 +21,7 @@ from repro.core.pipeline import AnnotationSources, PipelineResult
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
 from repro.engine import Plan, merge_shard_results
 from repro.faults import FailureEvent, TrajectoryFailure
+from repro.parallel import GeoContext
 from repro.preprocessing.stops import StopMoveDetector
 from repro.store.store import SemanticTrajectoryStore
 
@@ -74,7 +75,7 @@ def _assert_stores_identical(got: SemanticTrajectoryStore, want: SemanticTraject
 
 def _commit(store, workload, orders, config=None) -> Plan:
     """Merge the given input positions, in that arrival order, and commit."""
-    plan = Plan.compile(AnnotationSources(), config=config, store=store, persist=True)
+    plan = Plan.compile(GeoContext(AnnotationSources(), config), store=store, persist=True)
     outputs = [(order, PipelineResult(*workload[order])) for order in orders]
     merged = merge_shard_results(plan, outputs, commit=True)
     assert [result.trajectory for result in merged] == [
@@ -131,7 +132,7 @@ def test_merge_collects_in_input_order_and_only_commits_when_asked():
     workload = _make_workload(count=6)
     store = SemanticTrajectoryStore()
     config = PipelineConfig().with_overrides({"failure.mode": "skip"})
-    plan = Plan.compile(AnnotationSources(), config=config, store=store, persist=True)
+    plan = Plan.compile(GeoContext(AnnotationSources(), config), store=store, persist=True)
     retried = FailureEvent(stage="landuse_join", kind="Transient", attempt=1)
     outputs = {}
     for order, (trajectory, episodes) in enumerate(workload):

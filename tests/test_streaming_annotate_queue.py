@@ -248,7 +248,7 @@ def test_nothing_waits_while_fault_injection_is_armed(annotation_sources, fleet_
 
     def engine_for(armed: bool) -> MicroBatchExecutor:
         faults = FaultInjector(FaultPlan.parse("raise@map_match:n=1000000000" if armed else ""))
-        plan = Plan.compile(sources=annotation_sources, config=config, faults=faults)
+        plan = Plan.compile(GeoContext(annotation_sources, config), faults=faults)
         return MicroBatchExecutor(
             plan,
             on_episode=lambda e: episodes[armed].append(
@@ -389,7 +389,7 @@ def test_sigkilled_worker_with_queued_trajectories_is_recovered_from_the_wal(
     reference_store = SemanticTrajectoryStore()
     for object_id in object_ids:
         raw = pipeline.ingest_stream(streams[object_id], object_id=object_id)
-        results = pipeline.annotate_many(raw, annotation_sources, annotators=context.annotators)
+        results = pipeline.annotate_many(raw, context)
         reference_store.save_annotated_trajectories(
             [(result.trajectory, result.episodes) for result in results]
         )

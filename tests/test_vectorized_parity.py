@@ -3,7 +3,9 @@
 The product has one implementation per kernel; where that is an array kernel
 or a batch index query, the per-point form it must reproduce is the oracle.
 The **reference configuration** puts all of them together, through the seam
-that exists for it (``annotate_many(..., annotators=LayerAnnotators(...))``):
+that exists for it: a snapshot built around the oracle annotators,
+``GeoContext(sources, config, annotators=LayerAnnotators(...))``, run by
+``repro.annotate_many(..., context=...)``:
 
 * map matching by :class:`repro.reference.ScalarMapMatcher` — one R-tree query
   and one dict-based score aggregation per GPS point;
@@ -46,7 +48,7 @@ from repro.core.config import (
 from repro.core.pipeline import LayerAnnotators
 from repro.geometry.primitives import Point
 from repro.lines.annotator import LineAnnotator
-from repro.parallel import canonical_bytes
+from repro.parallel import GeoContext, canonical_bytes
 from repro.parallel.canonical import canonical_result
 from repro.points.annotator import PointAnnotator
 from repro.points.observation import PoiObservationModel
@@ -129,7 +131,8 @@ def _reference(
         line=_ScalarLineAnnotator(sources.road_network, config.map_matching, config.transport),
         point=_LazyPointAnnotator(_GridPoiSource(sources.pois.pois), config.point),
     )
-    return SeMiTriPipeline(config).annotate_many(trajectories, sources, annotators=annotators)
+    context = GeoContext(sources, config, annotators=annotators)
+    return annotate_many(trajectories, context=context)
 
 
 def _canonical_without_ids(results: List[PipelineResult]) -> List[dict]:
