@@ -395,7 +395,8 @@ class FailurePolicy:
 
     max_shard_retries: int = 1
     """Whole-shard resubmissions after a worker loss before the shard is
-    bisected to isolate the trajectory that keeps killing workers."""
+    bisected to isolate the trajectory that keeps killing workers (a loss is
+    charged to the one shard the dead worker held)."""
 
     def __post_init__(self) -> None:
         if self.mode not in FAILURE_MODES:

@@ -40,19 +40,22 @@ Every batch decision has exactly one code path, all of it in this module:
 ========  ==================================================================
 split     :func:`shard_by_object` into ``workers * 2`` size-balanced shards
 ship      what crosses a process boundary pickles itself: the snapshot is
-          the worker initializer's argument (inherited under ``fork``,
-          pickled by ``multiprocessing`` otherwise), a shard is its
-          trajectories (coordinate columns, ``RawTrajectory.__reduce__``);
-          outcomes come back through the result codec the process shard's
-          acks use (:func:`~repro.parallel.context.dump_outcome`): the raw
+          the worker's process argument (inherited under ``fork``, pickled
+          by ``multiprocessing`` otherwise), a request is the pickle of a
+          shard's ``(input order, trajectory)`` pairs (coordinate columns,
+          ``RawTrajectory.__reduce__``); outcomes come back through the
+          result codec the process shard's acks use
+          (:func:`~repro.parallel.context.dump_outcome`): the raw
           trajectories and the snapshot's places by reference, re-linked to
           the parent's own objects
 run       :func:`run_stages` per chunk of ``_CHUNK_TRAJECTORIES`` trajectories
           or ``_CHUNK_POINTS`` GPS points, the same loop in-process and
           inside a worker; a chunk in which a stage raised is re-run through
           :func:`run_stages_resilient`, one trajectory at a time
-recover   one submission loop, largest shard first; a lost worker re-raises
-          under ``fail_fast`` and is retried, bisected and solo-probed under
+recover   one hand-out loop, largest shard first, over
+          :class:`~repro.parallel.process.WorkerProcess` workers; EOF on a
+          worker's response pipe blames the one shard it held, which raises
+          under ``fail_fast`` and is retried, then bisected under
           ``skip``/``retry``
 collect   :func:`merge_shard_results`, in input order: :func:`_deliver` per
           outcome, then one deferred store commit
@@ -70,14 +73,12 @@ latency vocabulary is identical for every runtime.
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.context
-import sys
+import heapq
+import multiprocessing.connection
+import pickle
 import time
 import weakref
 from collections import deque
-from concurrent.futures import BrokenExecutor, Future
-from concurrent.futures import ProcessPoolExecutor as _FuturesProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -108,6 +109,7 @@ from repro.faults.failures import (
     tag_failure_stage,
 )
 from repro.parallel.context import GeoContext, dump_outcome, load_outcome
+from repro.parallel.process import WorkerProcess
 from repro.streaming.session import SealedTrajectory, Session, SessionManager
 
 # One shard of work: (shard index, [(input order, trajectory), ...]).
@@ -429,22 +431,6 @@ def shard_by_object(trajectories: Sequence[RawTrajectory], shard_count: int) -> 
     return [(index, items) for index, items in enumerate(shards) if items]
 
 
-def _pool_mp_context() -> multiprocessing.context.BaseContext:
-    """The explicit multiprocessing context every worker pool is built from.
-
-    ``fork`` where it is the safe platform default (Linux: children inherit
-    the read-only snapshot as copy-on-write memory), ``spawn`` everywhere else —
-    macOS forks can crash inside frameworks the parent already loaded, and
-    Windows has no fork.  Always explicit, so the choice never follows a
-    process-wide ``set_start_method``.  Tests substitute ``spawn`` here to
-    drive on Linux what those platforms run: workers that receive the
-    snapshot as a pickle.
-    """
-    if sys.platform == "linux" and "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context("spawn")
-
-
 def _deliver(
     plan: Plan, outcome: "PipelineResult | TrajectoryFailure"
 ) -> Optional[PipelineResult]:
@@ -592,38 +578,49 @@ class SequentialExecutor:
         return out
 
 
-# Worker-process state, set once by the pool initializer from its argument:
-# the parent's own snapshot under ``fork`` (process arguments are inherited,
-# never pickled), the copy ``multiprocessing`` pickled for it otherwise.
-_WORKER_PLAN: Optional[Plan] = None
+def _pool_worker(context: GeoContext) -> Callable[[bytes], bytes]:
+    """Build one pool worker's shard handler (runs in the worker process).
 
-
-def _init_worker(context: GeoContext) -> None:
-    global _WORKER_PLAN
-    # Workers never persist (they cannot share the store connection), so the
-    # worker-side plan is compiled without a store; write-back happens in the
-    # parent after the merge.
-    _WORKER_PLAN = Plan.compile(context)
-
-
-def _annotate_shard(items: List[Tuple[int, RawTrajectory]]) -> bytes:
-    """Annotate one shard inside a worker process (never persists).
-
-    Returns the ``(input order, outcome)`` pairs as result-codec bytes
+    A request is the pickle of a shard's ``(input order, trajectory)`` pairs;
+    the response is their outcomes as result-codec bytes
     (:func:`~repro.parallel.context.dump_outcome`): the shard's own input
     trajectories and the snapshot's places travel by reference.  Under an
     isolating policy, failed trajectories come back as
     :class:`TrajectoryFailure` records (their exception object stripped —
     arbitrary exceptions may not pickle; the repr travels) for the parent to
-    quarantine.  The worker-side plan reads ``SEMITRI_FAULTS`` from the
+    quarantine; under ``fail_fast`` the stage exception itself comes back.
+    Workers never persist (they cannot share the store connection), so the
+    plan is compiled without a store.  It reads ``SEMITRI_FAULTS`` from the
     inherited environment, so injected chaos follows the shard into the pool.
     """
-    assert _WORKER_PLAN is not None, "worker used before initialization"
-    outputs = _run_in_process(_WORKER_PLAN, items, include_writeback=False, worker=True)
-    for _, out in outputs:
-        if isinstance(out, TrajectoryFailure):
-            out.exception = None
-    return dump_outcome(outputs, _WORKER_PLAN.context, items)
+    plan = Plan.compile(context)
+
+    def handle(request: bytes) -> bytes:
+        try:
+            items = pickle.loads(request)
+            outputs = _run_in_process(plan, items, include_writeback=False, worker=True)
+            for _, out in outputs:
+                if isinstance(out, TrajectoryFailure):
+                    out.exception = None
+            return dump_outcome(outputs, context, items)
+        except Exception as error:
+            try:
+                return dump_outcome(error, context)
+            except Exception:
+                return dump_outcome(SemitriError(repr(error)), context)
+
+    return handle
+
+
+def _stop_workers(workers: List[WorkerProcess]) -> None:
+    for worker in workers:  # every worker sees EOF at once, then each is reaped
+        worker.requests.close()
+    for worker in workers:
+        worker.stop()
+
+
+def _points(items: List[Tuple[int, RawTrajectory]]) -> int:
+    return sum(len(trajectory) for _, trajectory in items)
 
 
 class ProcessPoolExecutor:
@@ -632,8 +629,8 @@ class ProcessPoolExecutor:
     The batch is partitioned by moving object into size-balanced shards; each
     shard is annotated in a worker against the plan's immutable
     :class:`GeoContext` snapshot and the results are merged back into input
-    order, byte-identical to sequential execution.  The pool (primed with
-    one snapshot) is kept warm across ``run`` calls for plans built from the
+    order, byte-identical to sequential execution.  The workers (started with
+    one snapshot) are kept warm across ``run`` calls for plans built from the
     same snapshot — hold one executor and one
     :func:`repro.api.compile_plan` ``(context=...)`` plan to amortise worker
     start-up over many batches.
@@ -644,24 +641,24 @@ class ProcessPoolExecutor:
     def __init__(self, workers: int = 2):
         if workers < 1:
             raise ConfigurationError("workers must be at least 1")
-        self._workers = workers
-        self._pool: Optional[_FuturesProcessPool] = None
-        self._pool_context: Optional[GeoContext] = None
-        self._pool_finalizer: Optional[weakref.finalize] = None
+        self._size = workers
+        self._workers: List[WorkerProcess] = []
+        self._context: Optional[GeoContext] = None
+        self._finalizer: Optional[weakref.finalize] = None
 
     @property
     def workers(self) -> int:
         """Number of worker processes the pool uses."""
-        return self._workers
+        return self._size
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Shut down the worker pool and let go of its snapshot (idempotent)."""
-        if self._pool_finalizer is not None:
-            self._pool_finalizer()
-            self._pool_finalizer = None
-        self._pool = None
-        self._pool_context = None
+        """Stop the worker processes and let go of their snapshot (idempotent)."""
+        if self._finalizer is not None:
+            self._finalizer()
+            self._finalizer = None
+        self._workers = []
+        self._context = None
 
     def __enter__(self) -> "ProcessPoolExecutor":
         return self
@@ -674,7 +671,7 @@ class ProcessPoolExecutor:
         trajectories = list(trajectories)
         if not trajectories:
             return []
-        shards = shard_by_object(trajectories, self._workers * _SHARD_MULTIPLIER)
+        shards = shard_by_object(trajectories, self._size * _SHARD_MULTIPLIER)
         if len(shards) == 1:
             # A single shard gains nothing from the pool; run it inline.
             outputs = _run_in_process(plan, shards[0][1], include_writeback=False)
@@ -687,154 +684,119 @@ class ProcessPoolExecutor:
     def _run_shards(
         self, plan: Plan, shards: List[Shard]
     ) -> List[Tuple[int, "PipelineResult | TrajectoryFailure"]]:
-        """Submit shards to the pool until every one has completed or is blamed.
+        """Hand shards to idle workers until every one has completed or is blamed.
 
-        Each round submits largest-first (LPT): the futures pool's shared
-        call queue hands the next pending shard to whichever worker goes
-        idle, so a skewed shard cannot serialise the tail.  Completion order
-        is irrelevant — the merge reorders by input position.
+        Largest shard first (LPT), one at a time, to whichever worker is
+        idle, so a skewed shard cannot serialise the tail; completion order is
+        irrelevant — the merge reorders by input position.
 
-        A ``BrokenExecutor`` (a worker died) poisons every in-flight future.
-        The pool is torn down either way — siblings stopped — so no process
-        leaks and the next round or call re-primes it.  Under ``fail_fast``
-        the error is then re-raised.
-        Under ``skip``/``retry`` results of already-completed shards are kept
-        and only the unfinished shards are resubmitted.  A shard still
-        pending after ``max_shard_retries`` whole-shard retries is *bisected*
-        — halves inherit the attempt count, so repeated losses binary-search
-        down to single-trajectory shards.  Because a broken multi-shard round
-        cannot prove *which* shard killed the worker (queued siblings break
-        too), an exhausted singleton is never quarantined by association:
-        it is resubmitted **solo**, and only a shard that breaks the pool
-        while running alone comes back as a ``WorkerLost``
+        A worker that dies shows up as EOF on its own response pipe, which
+        names the one shard it held; the worker is replaced and only that
+        shard is charged.  Under ``fail_fast`` the round then ends with a
+        :class:`SemitriError`, as it does with a stage exception, once the
+        shards still in flight have answered (the workers stay warm and hold
+        nothing stale).  Under ``skip``/``retry`` the shard is resubmitted up
+        to ``max_shard_retries`` times, then *bisected* — halves inherit the
+        attempt count, so repeated losses binary-search down to one
+        trajectory, which comes back as a ``WorkerLost``
         :class:`TrajectoryFailure` with its raw events intact.  Canonical
         bytes of every surviving trajectory are untouched: recovery only
         re-runs work that never completed.
         """
         policy = plan.failure_policy
-        pending: Dict[int, List[Tuple[int, RawTrajectory]]] = dict(shards)
-        attempts: Dict[int, int] = dict.fromkeys(pending, 0)
-        next_index = max(pending) + 1
+        workers = self._start(plan.context)
+        pending = [(-_points(items), index, items, 0) for index, items in shards]
+        heapq.heapify(pending)
+        next_index = max(index for index, _ in shards) + 1
+        held: Dict[int, Tuple[int, List[Tuple[int, RawTrajectory]], int]] = {}
         collected: List[Tuple[int, "PipelineResult | TrajectoryFailure"]] = []
-        while pending:
-            pool = self._ensure_pool(plan.context)
-            # Exhausted singletons run solo, one per round: a broken solo
-            # round pins the blame on that exact shard, so innocents caught
-            # in a round a poison shard breaks are retried, not quarantined.
-            suspects = sorted(
-                index
-                for index, items in pending.items()
-                if len(items) == 1 and attempts[index] > policy.max_shard_retries
-            )
-            round_shards = (
-                {suspects[0]: pending[suspects[0]]} if suspects else dict(pending)
-            )
-            submission = sorted(
-                round_shards.items(),
-                key=lambda entry: (-sum(len(t) for _, t in entry[1]), entry[0]),
-            )
-            futures: Dict[Future, int] = {}
-            lost: Optional[BrokenExecutor] = None
-            try:
-                try:
-                    for index, items in submission:
-                        futures[pool.submit(_annotate_shard, items)] = index
-                except BrokenExecutor as error:
-                    # A worker died while shards were still being queued
-                    # (spawned workers start one by one, during submission).
-                    lost = error
-                for future, index in futures.items():
+        error: Optional[BaseException] = None
+
+        def hand_out() -> None:  # the next pending shard to each idle worker
+            for slot, worker in enumerate(workers):
+                if slot not in held and pending and error is None:
+                    _, index, items, attempts = heapq.heappop(pending)
+                    held[slot] = (index, items, attempts)
+                    worker.send(pickle.dumps(items, pickle.HIGHEST_PROTOCOL))
+
+        try:
+            hand_out()
+            while held:
+                slots = {workers[slot].responses: slot for slot in held}
+                for ready in multiprocessing.connection.wait(list(slots)):
+                    slot = slots[ready]  # type: ignore[index]
+                    index, items, attempts = held.pop(slot)
                     try:
-                        outcomes = load_outcome(future.result(), plan.context, pending[index])
-                    except BrokenExecutor as error:
-                        lost = error
+                        response = ready.recv_bytes()  # type: ignore[union-attr]
+                    except (EOFError, OSError):
+                        workers[slot].stop()
+                        workers[slot] = self._worker(plan.context, slot)
+                        if not policy.isolates:
+                            error = error or SemitriError(
+                                f"worker process lost while annotating shard {index} "
+                                f"({len(items)} trajectories)"
+                            )
+                            continue
+                        plan.ensure_failure_log().record_worker_loss()
+                        attempts += 1
+                        if attempts <= policy.max_shard_retries:
+                            parts = [items]  # whole-shard retry
+                        elif len(items) > 1:
+                            half = (len(items) + 1) // 2
+                            parts = [items[:half], items[half:]]
+                        else:
+                            order, trajectory = items[0]
+                            collected.append((order, _worker_lost(trajectory, attempts)))
+                            parts = []
+                        for part in parts:
+                            heapq.heappush(pending, (-_points(part), next_index, part, attempts))
+                            next_index += 1
+                        hand_out()
                         continue
-                    collected.extend(outcomes)
-                    del pending[index]
-            finally:
-                # A no-op unless an exception is propagating (a fail_fast
-                # stage error): shards still queued are not worth running.
-                for future in futures:
-                    future.cancel()
-            if lost is None:
-                continue
-            # The stdlib pool registers a worker only when its start() returns
-            # (for a spawned worker: once it has booted), so the pool's own
-            # teardown after a death misses one that was still starting, which
-            # would then wait on the dead call queue for ever.
-            workers = list(pool._processes.values())
-            self.close()
-            for worker in workers:
-                worker.terminate()
-            if not policy.isolates:
-                raise lost
-            plan.ensure_failure_log().record_worker_loss()
-            solo = len(round_shards) == 1
-            for index in round_shards:
-                if index not in pending:
-                    continue  # completed before the pool broke
-                items = pending[index]
-                attempt = attempts[index] + 1
-                attempts[index] = attempt
-                if attempt <= policy.max_shard_retries:
-                    continue  # whole-shard retry next round
-                if solo and len(items) == 1:
-                    # Proven poison: it alone was running when the worker
-                    # died, and its retry budget is spent.
-                    del pending[index]
-                    order, trajectory = items[0]
-                    collected.append(
-                        (
-                            order,
-                            TrajectoryFailure(
-                                trajectory=trajectory,
-                                stage="worker",
-                                error=(
-                                    "worker process lost while annotating this "
-                                    "trajectory (SIGKILL/OOM)"
-                                ),
-                                attempts=attempt,
-                                events=[
-                                    FailureEvent(
-                                        stage="worker", kind="WorkerLost", attempt=prior + 1
-                                    )
-                                    for prior in range(attempt)
-                                ],
-                            ),
-                        )
-                    )
-                elif len(items) > 1:
-                    del pending[index]
-                    half = (len(items) + 1) // 2
-                    for part in (items[:half], items[half:]):
-                        pending[next_index] = part
-                        attempts[next_index] = attempt
-                        next_index += 1
-                # else: an exhausted singleton from a multi-shard round —
-                # kept pending; the suspect path above will run it solo.
+                    hand_out()  # before decoding, so the worker is not idle meanwhile
+                    outcome = load_outcome(response, plan.context, items)
+                    if isinstance(outcome, BaseException):
+                        error = error or outcome
+                    else:
+                        collected.extend(outcome)
+        except BaseException:
+            self.close()  # a worker may still hold a shard whose response nobody reads
+            raise
+        if error is not None:
+            raise error
         return collected
 
-    def _ensure_pool(self, context: GeoContext) -> _FuturesProcessPool:
-        if self._pool is not None:
-            if self._pool_context is context:
-                return self._pool
-            self.close()  # a pool primed with another snapshot is stale
-        # The snapshot is the initializer's argument under every start method:
-        # a forked worker finds the parent's object in inherited memory (the
-        # arguments of a forked process are never pickled), any other worker
-        # receives the pickle multiprocessing makes of them.
-        self._pool = _FuturesProcessPool(
-            max_workers=self._workers,
-            mp_context=_pool_mp_context(),
-            initializer=_init_worker,
-            initargs=(context,),
-        )
-        self._pool_context = context
-        # If the executor is garbage collected without close(), stop the
-        # worker processes instead of leaking them; finalize also runs at
-        # interpreter exit.  The pool does not refer back to the executor.
-        self._pool_finalizer = weakref.finalize(self, self._pool.shutdown, wait=False)
-        return self._pool
+    def _start(self, context: GeoContext) -> List[WorkerProcess]:
+        if self._context is not context:
+            self.close()  # workers started with another snapshot are stale
+            self._workers = [self._worker(context, slot) for slot in range(self._size)]
+            self._context = context
+            # If the executor is garbage collected without close(), stop the
+            # worker processes instead of leaking them; finalize also runs at
+            # interpreter exit.  The list does not refer back to the executor.
+            self._finalizer = weakref.finalize(self, _stop_workers, self._workers)
+        return self._workers
+
+    @staticmethod
+    def _worker(context: GeoContext, slot: int) -> WorkerProcess:
+        # The snapshot is the worker's process argument under every start
+        # method: a forked worker finds the parent's object in inherited
+        # memory, any other receives the pickle multiprocessing makes of it.
+        return WorkerProcess(_pool_worker, (context,), name=f"semitri-pool-{slot}")
+
+
+def _worker_lost(trajectory: RawTrajectory, attempts: int) -> TrajectoryFailure:
+    """The quarantine record of a trajectory that alone kept killing workers."""
+    return TrajectoryFailure(
+        trajectory=trajectory,
+        stage="worker",
+        error="worker process lost while annotating this trajectory (SIGKILL/OOM)",
+        attempts=attempts,
+        events=[
+            FailureEvent(stage="worker", kind="WorkerLost", attempt=attempt + 1)
+            for attempt in range(attempts)
+        ],
+    )
 
 
 # ------------------------------------------------------------- micro-batching

@@ -130,7 +130,7 @@ class FailureLog:
                 self._metrics.retries.inc()
 
     def record_worker_loss(self) -> None:
-        """Count one lost pool worker (``BrokenExecutor`` recovery)."""
+        """Count one lost worker process (pool or process shard) under ``skip``/``retry``."""
         with self._lock:
             self.worker_losses += 1
         if self._metrics is not None:

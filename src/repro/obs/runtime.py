@@ -58,11 +58,6 @@ class Telemetry:
         """Whether per-trajectory spans are emitted."""
         return self.tracer is not None
 
-    @property
-    def metrics_enabled(self) -> bool:
-        """Whether the metrics registry is maintained."""
-        return self.metrics is not None
-
     # ------------------------------------------------------------------ hooks
     def start_trace(self, trace_id: str) -> Optional[TrajectoryTrace]:
         """Open a trajectory trace, or ``None`` when tracing is off."""

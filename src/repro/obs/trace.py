@@ -149,11 +149,6 @@ class TrajectoryTrace:
         self._root_started = time.perf_counter()
         self._spans: List[Span] = []
 
-    @property
-    def root_id(self) -> int:
-        """Span id of the trajectory's root span."""
-        return self._root_id
-
     def record(self, name: str, seconds: float) -> None:
         """Add a child span for a duration the executor measured.
 

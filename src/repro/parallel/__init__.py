@@ -2,11 +2,16 @@
 
 SeMiTri annotates each moving object's trajectories independently, which
 makes per-object sharding the natural scale-out axis.  The sharding itself —
-split, submit, recover, merge, commit — is
+split, hand out, recover, merge, commit — is
 :class:`repro.engine.ProcessPoolExecutor` (reached through
-``repro.api.annotate_many(..., workers=N)``); this package supplies what the
-executor and the process-transport service ship to their workers, and the
-equality they are tested against:
+``repro.api.annotate_many(..., workers=N)``); this package supplies the
+worker processes of that executor and of the process-transport service,
+what both ship to their workers, and the equality they are tested against:
+
+* :class:`~repro.parallel.process.WorkerProcess` — the one way a worker
+  process runs: the start method of ``mp_context()``, one request and one
+  response pipe, no life past its parent; a dead worker is EOF on its own
+  response pipe, which names the work it held;
 
 * :class:`~repro.parallel.context.GeoContext` — an immutable snapshot of the
   annotation sources (each with its packed flat index), the configuration and

@@ -65,11 +65,6 @@ class PointAnnotator:
         return self._source
 
     @property
-    def observation_model(self) -> PoiObservationModel:
-        """The Gaussian-influence observation model (B)."""
-        return self._observation_model
-
-    @property
     def hmm(self) -> HiddenMarkovModel:
         """The underlying hidden Markov model lambda = (pi, A, B)."""
         return self._hmm

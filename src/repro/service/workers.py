@@ -15,7 +15,7 @@ Wire discipline, chosen for amortized IPC on the hot path:
   ``send_bytes`` per micro-batch.  A frame is a run of the WAL's binary
   records (:mod:`repro.faults.wire`: one fixed-width record per event, close
   or eviction, object ids interned per connection and defined in-band on
-  first use), plus the one-record drain/stop control frames;
+  first use), plus the one-record drain frame (closing the pipe stops the worker);
 * **worker → parent** — the core's acks, written by the result codec
   (:func:`~repro.parallel.context.dump_outcome`, the batch pool's too) on a
   second pipe, one per frame and in frame order.  Both ends hold the same
@@ -37,24 +37,18 @@ replay kills a fresh worker is proven poison — quarantined, and skipped at
 the shard boundary from then on.  Without a journal the lost tail is
 recorded and routed through the failure policy.
 
-**Worker lifetime.**  A worker never outlives its parent: it holds *only*
-its own two pipe ends (under fork it closes every inherited parent-side end,
-its siblings' included), so a parent that exits, crashes or is SIGKILLed
-produces EOF on the request pipe; as a backstop the frame loop polls with a
-timeout and exits once ``os.getppid()`` is no longer the spawning pid.
+The worker process itself — start method, pipes, lifetime, stop — is a
+:class:`~repro.parallel.process.WorkerProcess`, as a batch pool worker is.
 """
 
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
-import multiprocessing.connection
-import os
-import signal
 import time
 from collections import deque
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Deque,
     Dict,
     Iterable,
@@ -67,12 +61,12 @@ from typing import (
 
 from repro.core.errors import SemitriError, ServiceError
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
-from repro.engine.executors import _pool_mp_context
 from repro.faults import wire
 from repro.faults.failures import FailureEvent, TrajectoryFailure
 from repro.faults.inject import FaultInjector, FaultPlan
 from repro.faults.journal import JournalRecord
 from repro.parallel.context import GeoContext, dump_outcome, load_outcome
+from repro.parallel.process import WorkerProcess
 
 # ``shard.ShardCore`` is looked up at call time so a test can substitute the
 # core once for both transports (forked workers inherit the substitution).
@@ -86,16 +80,12 @@ __all__ = [
     "FrameEncoder",
     "ProcessShard",
     "decode_frame",
-    "shard_worker_main",
     "DRAIN_FRAME",
     "STOP_FRAME",
 ]
 
 #: One decoded frame item: (kind, object id or eviction target, point or None).
 FrameOp = Tuple[str, object, Optional[SpatioTemporalPoint]]
-
-#: How long a worker waits for a frame before checking its parent is alive.
-_PARENT_POLL_SECONDS = 0.5
 
 
 class FrameEncoder:
@@ -158,54 +148,29 @@ def decode_frame(data: bytes) -> List[FrameOp]:
     return ops
 
 
-def shard_worker_main(
-    index: int,
-    context: GeoContext,
-    per_shard_sessions: int,
-    fault_plan: str,
-    requests: "multiprocessing.connection.Connection",
-    responses: "multiprocessing.connection.Connection",
-    parent_pid: int,
-    inherited: Sequence["multiprocessing.connection.Connection"] = (),
-) -> None:
-    """Entry point of one shard's worker process.
+def _shard_worker(
+    context: GeoContext, per_shard_sessions: int, fault_plan: str
+) -> Callable[[bytes], bytes]:
+    """Build one shard worker's frame handler (runs in the worker process).
 
-    Decode a frame, let the core absorb it, send the ack.  Acks leave in
+    Decode a frame, let the core absorb it, encode the ack.  Acks leave in
     frame order on a FIFO pipe, which is what lets the parent keep per-shard
     absorption order (and therefore canonical parity) identical to an
-    in-process shard.  ``inherited`` are the parent-side pipe ends a forked
-    worker holds copies of; closing them is what makes a dead parent visible
-    as EOF (see the module docstring's lifetime guarantee).
+    in-process shard.  The worker ends when the parent closes the request pipe.
     """
-    # The parent handles SIGINT for the whole service; a Ctrl-C must not kill
-    # workers before the parent decides whether to drain or shut down.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for connection in inherited:
-        connection.close()
     faults = (
         FaultInjector(FaultPlan.parse(fault_plan))
         if fault_plan
         else FaultInjector.from_env()
     )
     core = shard.ShardCore(context, per_shard_sessions, faults, in_worker=True)
-    while True:
-        try:
-            if not requests.poll(_PARENT_POLL_SECONDS):
-                if os.getppid() != parent_pid:
-                    break  # orphaned without an EOF: nothing useful left to do
-                continue
-            data = requests.recv_bytes()
-        except (EOFError, OSError):
-            break  # parent went away
-        ops = decode_frame(data)
-        tag = ops[0][0] if ops else ""
-        if tag == "stop":
-            break
-        ack = core.close_out() if tag == "drain" else core.absorb(ops)
-        try:
-            responses.send_bytes(dump_outcome(ack, context))
-        except OSError:
-            break  # parent went away mid-ack
+
+    def handle(frame: bytes) -> bytes:
+        ops = decode_frame(frame)
+        ack = core.close_out() if ops and ops[0][0] == "drain" else core.absorb(ops)
+        return dump_outcome(ack, context)
+
+    return handle
 
 
 class ProcessShard(Shard):
@@ -225,10 +190,7 @@ class ProcessShard(Shard):
 
     def __init__(self, host: "AnnotationService", index: int):
         super().__init__(host, index)
-        self._mp_ctx = _pool_mp_context()
-        self._process: Optional[multiprocessing.process.BaseProcess] = None
-        self._requests: Optional[multiprocessing.connection.Connection] = None
-        self._responses: Optional[multiprocessing.connection.Connection] = None
+        self._worker: Optional[WorkerProcess] = None
         self._encoder = FrameEncoder()
         #: WAL-covered operations (events + closes) handed to the worker so
         #: far, poison-skips included — recovery replays exactly this prefix
@@ -253,48 +215,24 @@ class ProcessShard(Shard):
             self._read_acks(), name=f"semitri-ipc-{self.index}"
         )
 
-    def _parent_ends(self) -> List["multiprocessing.connection.Connection"]:
-        return [end for end in (self._requests, self._responses) if end is not None]
-
     def _spawn(self) -> None:
         """Start (or restart) the worker process on fresh pipes."""
-        self._close_connections()
+        if self._worker is not None:
+            self._worker.stop()
         # A fresh worker knows no object id: the frames to it define them anew.
         self._encoder = FrameEncoder()
-        request_rx, self._requests = self._mp_ctx.Pipe(duplex=False)
-        self._responses, response_tx = self._mp_ctx.Pipe(duplex=False)
         host = self.host
-        # A forked worker inherits a copy of every fd this process has open,
-        # the parent-side ends of all shards' pipes included; it is told
-        # which to close.  (Spawned workers inherit none, and pickling the
-        # ends would hand them over instead.)
-        inherited = (
-            [end for other in host._shards for end in other._parent_ends()]  # type: ignore[attr-defined]
-            if self._mp_ctx.get_start_method() == "fork"
-            else []
-        )
-        self._process = self._mp_ctx.Process(
-            target=shard_worker_main,
-            args=(
-                self.index,
+        self._worker = WorkerProcess(
+            _shard_worker,
+            (
                 host.context,
                 host._per_shard_sessions,
                 host._faults.plan.render() if host._faults.enabled else "",
-                request_rx,
-                response_tx,
-                os.getpid(),
-                inherited,
             ),
             name=f"semitri-shard-{self.index}",
-            daemon=True,
         )
-        self._process.start()
-        # The child holds its own ends now; closing ours makes a worker death
-        # surface as EOF on the response pipe instead of a hang.
-        request_rx.close()
-        response_tx.close()
-        self.pid = self._process.pid
-        self.metrics.worker_pid.set(float(self.pid or 0))
+        self.pid = self._worker.pid
+        self.metrics.worker_pid.set(float(self.pid))
         # A fresh worker starts from an empty executor: the mirrored counters
         # (and any un-acked batches) died with the previous process.
         self.events_absorbed = self.open_sessions = self.sessions_evicted = 0
@@ -304,9 +242,6 @@ class ProcessShard(Shard):
         """Count one worker loss and replace the worker with a fresh one."""
         self.host.failure_log.record_worker_loss()
         self.metrics.worker_restarts.inc()
-        if self._process is not None and self._process.is_alive():
-            self._process.terminate()
-            self._process.join(timeout=5.0)
         self.restarts += 1
         self._spawn()
 
@@ -319,31 +254,15 @@ class ProcessShard(Shard):
         """
         self._reader.cancel()
         await asyncio.gather(self._reader, return_exceptions=True)
-        self._send(STOP_FRAME)
-        if self._process is not None:
-            self._process.join(timeout=5.0)
-            if self._process.is_alive():
-                self._process.terminate()
-                self._process.join(timeout=5.0)
-            self._process = None
-        self._close_connections()
-
-    def _close_connections(self) -> None:
-        for connection in self._parent_ends():
-            try:
-                connection.close()
-            except OSError:
-                pass
-        self._requests = self._responses = None
+        if self._worker is not None:
+            self._worker.stop()
+            self._worker = None
 
     # ------------------------------------------------------------------- IPC
     def _send(self, frame: bytes) -> None:
         """Ship one frame; a dead worker is the reader's to notice (EOF)."""
-        if self._requests is not None:
-            try:
-                self._requests.send_bytes(frame)
-            except (OSError, ValueError):
-                pass
+        if self._worker is not None:
+            self._worker.send(frame)
 
     async def submit(self, batch: List[List[object]]) -> None:
         """Encode one micro-batch and hand it to the worker.
@@ -392,8 +311,8 @@ class ProcessShard(Shard):
 
     async def _recv(self) -> Ack:
         """One ack, read on the event loop once the pipe is readable (or at EOF)."""
-        responses = self._responses
-        assert responses is not None, "worker not spawned"
+        assert self._worker is not None, "worker not spawned"
+        responses = self._worker.responses
         if not responses.poll():
             loop = asyncio.get_running_loop()
             readable = loop.create_future()
@@ -501,12 +420,12 @@ class ProcessShard(Shard):
 
     async def _replay_records(self, records: List[JournalRecord]) -> bool:
         """Feed records to the worker in lockstep batches; True if it died."""
-        assert self._requests is not None, "worker not spawned"
+        assert self._worker is not None, "worker not spawned"
         max_batch = self.host.config.service.max_batch
         for start in range(0, len(records), max_batch):
             chunk = [op_for(record) for record in records[start : start + max_batch]]
+            self._worker.send(self._encoder.encode_batch(chunk))
             try:
-                self._requests.send_bytes(self._encoder.encode_batch(chunk))
                 ack = await self._recv()
             except (EOFError, OSError):
                 return True

@@ -160,11 +160,6 @@ class IncrementalStopMoveDetector:
         """The active stop/move configuration."""
         return self._config
 
-    @property
-    def sealed_episodes(self) -> List[Episode]:
-        """Episodes emitted so far, in trajectory order."""
-        return list(self._sealed)
-
     # ------------------------------------------------------------------ feed
     def advance(self) -> List[Episode]:
         """Process points appended since the last call; returns newly sealed episodes.

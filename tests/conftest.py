@@ -7,8 +7,10 @@ tests must therefore treat them as read-only.
 
 from __future__ import annotations
 
+import faulthandler
 import glob
 import os
+import signal
 import sys
 import time
 from pathlib import Path
@@ -120,6 +122,35 @@ def _leak_guard(tmp_path_factory):
             time.sleep(0.1)
     assert not stragglers, f"processes outlived the test session: {stragglers}"
     assert not segments, f"shared-memory segments left behind: {segments}"
+
+
+#: A test still running after this many seconds is failed by ``_watchdog``.
+_TEST_TIMEOUT_S = 120
+
+
+@pytest.fixture(autouse=True)
+def _watchdog():
+    """Turn a hung test into a failure with every thread's stack.
+
+    Arms a SIGALRM for ``_TEST_TIMEOUT_S`` around each test (its fixtures
+    included); on expiry the stacks go to stderr and the test fails.  No test
+    relies on it.  The previous SIGALRM handler is restored afterwards.
+    """
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum: int, frame: object) -> None:
+        faulthandler.dump_traceback(file=sys.__stderr__, all_threads=True)
+        pytest.fail(f"test still running after {_TEST_TIMEOUT_S} s (watchdog)", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(_TEST_TIMEOUT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -22,14 +22,13 @@ import pytest
 from repro.core import PipelineConfig
 from repro.core.config import FailurePolicy
 from repro.core.errors import ConfigurationError, InjectedFault, ServiceError
-from repro.engine import executors
 from repro.engine.executors import (
     MicroBatchExecutor,
     ProcessPoolExecutor,
     SequentialExecutor,
-    _pool_mp_context,
     run_stages_resilient,
 )
+from repro.engine import executors
 from repro.engine.plan import Plan
 from repro.faults import (
     DISABLED_FAULTS,
@@ -45,6 +44,7 @@ from repro.faults import (
     tag_failure_stage,
 )
 from repro.parallel.canonical import canonical_bytes
+from repro.parallel import process
 from repro.parallel.context import GeoContext
 from repro.service import AnnotationService
 from repro.service import shard as shard_module
@@ -377,9 +377,9 @@ class TestProcessPoolRecovery:
     def test_worker_kill_recovers_and_preserves_survivor_bytes(
         self, annotation_sources, car_dataset, tmp_path, monkeypatch, start_method
     ):
-        """Recovery re-primes the pool — under spawn, with a fresh segment."""
+        """Recovery replaces the one dead worker, under fork and under spawn."""
         monkeypatch.setattr(
-            executors, "_pool_mp_context", lambda: multiprocessing.get_context(start_method)
+            process, "mp_context", lambda: multiprocessing.get_context(start_method)
         )
         trajectories = car_dataset.trajectories
         config = _config(mode="retry", max_shard_retries=1)
@@ -398,7 +398,7 @@ class TestProcessPoolRecovery:
         log = plan.failure_log
         assert log.worker_losses >= 1
         assert log.quarantined == 0
-        assert executor._pool is None and not glob.glob("/dev/shm/semitri-*")
+        assert executor._workers == [] and not glob.glob("/dev/shm/semitri-*")
 
     def test_fail_fast_stage_error_propagates_and_keeps_the_pool(
         self, annotation_sources, car_dataset, monkeypatch
@@ -411,17 +411,36 @@ class TestProcessPoolRecovery:
         with ProcessPoolExecutor(workers=2) as executor:
             with pytest.raises(InjectedFault):
                 executor.run(plan, trajectories)
-            pool = executor._pool
-            assert pool is not None
+            pool = list(executor._workers)
+            assert pool
             assert plan.failure_log.worker_losses == plan.failure_log.quarantined == 0
             survivors = [t for t in trajectories if t.object_id != poison]
             results = executor.run(plan, survivors)
-            assert executor._pool is pool  # still warm
+            assert executor._workers == pool  # still warm
         monkeypatch.delenv("SEMITRI_FAULTS")
         reference = SequentialExecutor().run(
             _plan(annotation_sources, _config(mode="fail_fast")), survivors
         )
         assert canonical_bytes(results) == canonical_bytes(reference)
+
+    def test_a_worker_codec_error_comes_back_not_as_a_lost_worker(
+        self, annotation_sources, car_dataset, monkeypatch
+    ):
+        """A failing response encoding is the worker's exception, raised as is."""
+        monkeypatch.setattr(process, "mp_context", lambda: multiprocessing.get_context("fork"))
+        dump_outcome = executors.dump_outcome
+
+        def broken(outcome, context, items=()):
+            if isinstance(outcome, list):  # shard results; the exception still encodes
+                raise ValueError("result codec broke")
+            return dump_outcome(outcome, context, items)
+
+        monkeypatch.setattr(executors, "dump_outcome", broken)  # inherited by the fork
+        plan = Plan.compile(GeoContext(annotation_sources, _config(mode="skip")))
+        with ProcessPoolExecutor(workers=2) as executor:
+            with pytest.raises(ValueError, match="result codec broke"):
+                executor.run(plan, car_dataset.trajectories)
+        assert plan.failure_log.worker_losses == plan.failure_log.quarantined == 0
 
     def test_poison_kill_bisects_down_to_quarantine(
         self, annotation_sources, car_dataset, monkeypatch
@@ -595,7 +614,7 @@ class TestServiceFaults:
         """A batch that raises inside the shard core comes back as an error
         ack and is counted, annotated and policy-routed — on either transport
         (a forked worker process inherits the substituted core)."""
-        if transport == "process" and _pool_mp_context().get_start_method() != "fork":
+        if transport == "process" and process.mp_context().get_start_method() != "fork":
             pytest.skip("substituting the worker's core relies on fork inheritance")
         streams = _streams(car_dataset)
 

@@ -31,6 +31,7 @@ from repro.core.places import RegionOfInterest, SemanticPlace
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
 from repro.engine import ProcessPoolExecutor, SequentialExecutor, executors
 from repro.parallel import GeoContext, canonical_bytes, canonical_digest
+from repro.parallel import process
 from repro.parallel.context import dump_outcome, load_outcome
 from repro.regions.sources import RegionSource
 from repro.service import AnnotationService, workers
@@ -233,7 +234,7 @@ def test_process_drain_equals_sequential_onto_the_parents_places(
     fleet, context, start_method, monkeypatch
 ):
     monkeypatch.setattr(
-        workers, "_pool_mp_context", lambda: multiprocessing.get_context(start_method)
+        process, "mp_context", lambda: multiprocessing.get_context(start_method)
     )
     store = SemanticTrajectoryStore()
     service, results = _drain(context, fleet, store)
@@ -281,7 +282,7 @@ def test_pool_equals_sequential_on_the_callers_objects(
     fleet, context, start_method, monkeypatch
 ):
     monkeypatch.setattr(
-        executors, "_pool_mp_context", lambda: multiprocessing.get_context(start_method)
+        process, "mp_context", lambda: multiprocessing.get_context(start_method)
     )
     reference_store = SemanticTrajectoryStore()
     raws, sequential = _sequential(context, fleet, reference_store)
@@ -289,7 +290,7 @@ def test_pool_equals_sequential_on_the_callers_objects(
     plan = api.compile_plan(context=context, store=store, persist=True)
     with ProcessPoolExecutor(workers=2) as executor:
         results = executor.run(plan, raws)
-        assert executor._pool is not None
+        assert executor._workers  # really pooled, not the one-shard shortcut
     assert canonical_bytes(results) == canonical_bytes(sequential)
     assert _store_rows(store) == _store_rows(reference_store)
     by_id = {raw.trajectory_id: raw for raw in raws}
@@ -309,7 +310,7 @@ def test_pooled_results_hang_off_the_callers_trajectories(annotation_sources, ca
     )
     with ProcessPoolExecutor(workers=2) as executor:
         results = executor.run(plan, batch)
-        assert executor._pool is not None
+        assert executor._workers  # really pooled, not the one-shard shortcut
     assert len(results) == len(batch)
     for trajectory, result in zip(batch, results):
         assert result.trajectory is trajectory

@@ -13,9 +13,10 @@ from repro.core import PipelineConfig, SeMiTriPipeline
 from repro.core.cpu import effective_cpu_count
 from repro.core.errors import ConfigurationError
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
-from repro.engine import ProcessPoolExecutor, SequentialExecutor, shard_by_object
+from repro.engine import ProcessPoolExecutor, SequentialExecutor, executors, shard_by_object
 from repro.index import FlatSpatialIndex
 from repro.parallel import GeoContext, canonical_bytes
+from repro.parallel.process import WorkerProcess
 
 
 def _trajectories(objects: int = 5, per_object: int = 3, length: int = 6, skew: int = 1):
@@ -108,7 +109,7 @@ def test_empty_batch_returns_empty(annotation_sources):
     assert SequentialExecutor(deferred_writeback=True).run(plan, []) == []
     with ProcessPoolExecutor(workers=2) as executor:
         assert executor.run(plan, []) == []
-        assert executor._pool is None  # nothing to do, nothing started
+        assert executor._workers == []  # nothing to do, nothing started
     assert api.annotate_many([], context=context, workers=2) == []
 
 
@@ -120,7 +121,7 @@ def test_single_object_batch_runs_in_process(annotation_sources, car_dataset):
     plan = api.compile_plan(context=GeoContext.build(annotation_sources, config))
     with ProcessPoolExecutor(workers=2) as executor:
         results = executor.run(plan, batch)
-        assert executor._pool is None
+        assert executor._workers == []
     assert canonical_bytes(results) == canonical_bytes(SequentialExecutor().run(plan, batch))
 
 
@@ -162,12 +163,12 @@ def test_dropped_executor_releases_pool_and_snapshot(annotation_sources):
     snapshot = weakref.ref(context)
     executor = ProcessPoolExecutor(workers=2)
     executor.run(api.compile_plan(context=context), _trajectories(objects=4, per_object=1))
-    pool = executor._pool
-    assert pool is not None
+    pool = list(executor._workers)
+    assert pool and all(worker.process.is_alive() for worker in pool)
     del executor
     gc.collect()
-    with pytest.raises(RuntimeError):  # executor was shut down by the finalizer
-        pool.submit(int)
+    # The finalizer stopped the workers.
+    assert not any(worker.process.is_alive() for worker in pool)
     del pool, context
     gc.collect()
     assert snapshot() is None
@@ -189,37 +190,54 @@ def test_two_live_pools_keep_their_own_snapshots(annotation_sources, car_dataset
 
 
 def _describe_shard(items):
-    """Runs in a pool worker: what the shard's pairs look like over there."""
+    """What the shard's pairs look like, here or in a worker."""
     return [
         (order, type(t), t.object_id, t.trajectory_id, [(p.x, p.y, p.t) for p in t.points])
         for order, t in items
     ]
 
 
+def _describing_worker():
+    """A worker's handler that describes the shard it is sent."""
+    return lambda request: pickle.dumps(_describe_shard(pickle.loads(request)))
+
+
 def test_pooled_shard_crosses_as_trajectory_columns(
     annotation_sources, car_dataset, monkeypatch
 ):
-    """A shard is submitted as its ``(input order, trajectory)`` pairs and pickles itself."""
+    """A request is the pickle of a shard's ``(input order, trajectory)`` pairs."""
     batch = car_dataset.trajectories[:6]
     context = GeoContext.build(annotation_sources, PipelineConfig.for_vehicles())
-    submitted = []
+    shards, requests = [], []
+    points, send = executors._points, WorkerProcess.send
+    monkeypatch.setattr(executors, "_points", lambda items: shards.append(items) or points(items))
+    monkeypatch.setattr(
+        WorkerProcess, "send", lambda self, data: requests.append(data) or send(self, data)
+    )
     with ProcessPoolExecutor(workers=2) as executor:
-        pool = executor._ensure_pool(context)
-        submit = pool.submit
-        with monkeypatch.context() as patch:
-            patch.setattr(
-                pool, "submit", lambda call, items: submitted.append(items) or submit(call, items)
-            )
-            executor.run(api.compile_plan(context=context), batch)
-        received = [pool.submit(_describe_shard, items).result() for items in submitted]
-    pairs = [pair for items in submitted for pair in items]
-    assert sorted(order for order, _ in pairs) == list(range(len(batch)))
-    assert all(trajectory is batch[order] for order, trajectory in pairs)
+        executor.run(api.compile_plan(context=context), batch)
+    monkeypatch.undo()
+    # The parent queues the caller's own trajectory objects, not copies.
+    assert shards and all(
+        trajectory is batch[order] for items in shards for order, trajectory in items
+    )
     # On the wire: coordinate columns (``RawTrajectory.__reduce__``), not a
-    # point object per fix; in the worker: the parent's exact numbers and ids.
-    wire = pickle.dumps(pairs, pickle.HIGHEST_PROTOCOL)
-    assert b"_trajectory_from_columns" in wire and b"SpatioTemporalPoint" not in wire
-    assert [row for rows in received for row in rows] == _describe_shard(pairs)
+    # point object per fix.
+    assert requests
+    for request in requests:
+        assert b"_trajectory_from_columns" in request and b"SpatioTemporalPoint" not in request
+    pairs = sorted(pair for request in requests for pair in pickle.loads(request))
+    assert [order for order, _ in pairs] == list(range(len(batch)))
+    # In a worker: the parent's exact numbers and ids.
+    worker = WorkerProcess(_describing_worker, (), name="describe")
+    try:
+        received = []
+        for request in requests:
+            worker.send(request)
+            received.extend(pickle.loads(worker.responses.recv_bytes()))
+    finally:
+        worker.stop()
+    assert sorted(received) == _describe_shard(list(enumerate(batch)))
 
 
 def test_stream_rejects_config_conflicting_with_snapshot(annotation_sources):

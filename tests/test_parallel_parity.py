@@ -150,10 +150,10 @@ def test_process_pool_matches_sequential(seed, annotation_sources):
     plan = api.compile_plan(context=GeoContext.build(annotation_sources, config))
     with ProcessPoolExecutor(workers=max(2, TEST_WORKERS)) as executor:
         parallel = executor.run(plan, trajectories)
-        pool = executor._pool
-        # Second call reuses the warm pool and snapshot.
+        pool = list(executor._workers)
+        # Second call reuses the warm workers and snapshot.
         again = executor.run(plan, trajectories)
-        assert pool is not None and executor._pool is pool
+        assert pool and executor._workers == pool
     assert canonical_bytes(parallel) == canonical_bytes(sequential)
     assert canonical_bytes(again) == canonical_bytes(sequential)
 

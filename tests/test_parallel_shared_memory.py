@@ -1,11 +1,12 @@
 """The start-method suite: one way across a process boundary, driven both ways.
 
-A pool worker takes the :class:`GeoContext` snapshot as the argument of its
-initializer — under ``fork`` it finds the parent's object in inherited
-memory and nothing is serialised, under ``spawn`` it receives the pickle
+A pool worker takes the :class:`GeoContext` snapshot as its process
+argument — under ``fork`` it finds the parent's object in inherited memory
+and nothing is serialised, under ``spawn`` it receives the pickle
 ``multiprocessing`` makes of a process's arguments.  Linux runs ``fork``, so
 the tests that need the pickled snapshot substitute ``spawn`` through the
-``_pool_mp_context`` seam — the configuration macOS and Windows really run.
+one start-method seam, ``repro.parallel.process.mp_context`` — the
+configuration macOS and Windows really run.
 
 * a pickled snapshot is the snapshot: equal index arrays for all three
   sources, identical canonical bytes;
@@ -13,7 +14,8 @@ the tests that need the pickled snapshot substitute ``spawn`` through the
   and equal to sequential;
 * ``fork`` never serialises the snapshot, ``spawn`` does;
 * a SIGKILLed worker of a spawned pool raises under ``fail_fast`` and is
-  recovered from under ``skip``, on a fresh pool either way.
+  recovered from under ``skip``; either way only the dead worker is replaced;
+* pool workers die with a SIGKILLed parent, under ``fork`` and ``spawn``.
 
 (The module keeps the name it had when the snapshot travelled through a
 shared-memory segment under ``spawn``, so the surviving test ids keep
@@ -28,20 +30,25 @@ import multiprocessing
 import os
 import pickle
 import signal
+import subprocess
+import sys
+import textwrap
 import time
-from concurrent.futures import BrokenExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import api
 from repro.core import PipelineConfig, SeMiTriPipeline
-from repro.engine import ProcessPoolExecutor, SequentialExecutor, executors, shard_by_object
+from repro.core.errors import SemitriError
+from repro.engine import ProcessPoolExecutor, SequentialExecutor, shard_by_object
 from repro.parallel import (
     GeoContext,
     attach_context,
     canonical_bytes,
     canonical_digest,
+    process,
     share_context,
 )
 
@@ -56,7 +63,7 @@ def flat_context(annotation_sources) -> GeoContext:
 def _start_pools_with(monkeypatch, start_method: str) -> None:
     """Make every pool built in this test start its workers with ``start_method``."""
     monkeypatch.setattr(
-        executors, "_pool_mp_context", lambda: multiprocessing.get_context(start_method)
+        process, "mp_context", lambda: multiprocessing.get_context(start_method)
     )
 
 
@@ -132,7 +139,7 @@ def test_pool_parity_across_start_methods(
     plan = api.compile_plan(context=flat_context)
     with ProcessPoolExecutor(workers=TEST_WORKERS) as executor:
         results = executor.run(plan, small_batch)
-        assert executor._pool is not None  # really pooled, not the one-shard shortcut
+        assert executor._workers  # really pooled, not the one-shard shortcut
     assert canonical_bytes(results) == sequential_bytes
     assert canonical_digest(results) == hashlib.sha256(sequential_bytes).hexdigest()
 
@@ -144,7 +151,7 @@ def test_fork_pool_never_serialises_the_snapshot(
     _start_pools_with(monkeypatch, "fork")
     with ProcessPoolExecutor(workers=2) as executor:
         results = executor.run(api.compile_plan(context=flat_context), small_batch)
-        assert executor._pool is not None
+        assert executor._workers
     assert canonical_bytes(results) == sequential_bytes
 
 
@@ -169,21 +176,18 @@ def test_spawn_pool_pickles_the_snapshot(
 @pytest.mark.usefixtures("spawn_pool")
 class TestWorkerLoss:
     def test_crash_under_fail_fast_raises_and_reprimes(self, flat_context, small_batch):
-        """``fail_fast`` takes the same submission loop and tears the pool down."""
+        """``fail_fast`` blames the dead worker's shard and replaces only that worker."""
         executor = ProcessPoolExecutor(workers=2)
         plan = api.compile_plan(context=flat_context)
         assert not plan.failure_policy.isolates
-        executor.run(plan, small_batch[:4])  # prime the pool
-        assert executor._pool is not None
-        victim = next(iter(executor._pool._processes.values()))
+        executor.run(plan, small_batch[:4])  # warm the workers
+        victim, survivor = executor._workers
         os.kill(victim.pid, signal.SIGKILL)
-        deadline = time.monotonic() + 10.0
-        with pytest.raises(BrokenExecutor):
-            while time.monotonic() < deadline:  # the pool notices on submit
-                executor.run(plan, small_batch[:4])
-        # The except-path close() tore the pool down, and a fresh run
-        # re-primes cleanly.
-        assert executor._pool is None
+        with pytest.raises(SemitriError, match="worker process lost"):
+            executor.run(plan, small_batch[:4])
+        # The dead worker was reaped and replaced; its sibling stayed warm.
+        assert victim.process.exitcode == -signal.SIGKILL
+        assert victim not in executor._workers and survivor in executor._workers
         results = executor.run(plan, small_batch[:4])
         assert len(results) == 4
         executor.close()
@@ -191,19 +195,84 @@ class TestWorkerLoss:
     def test_crash_under_skip_recovers_on_a_fresh_pool(
         self, annotation_sources, small_batch, sequential_bytes
     ):
-        """The isolating branch of the same loop: re-prime, resubmit, finish."""
+        """The isolating branch of the same loop: replace, resubmit, finish."""
         config = PipelineConfig.for_people().with_overrides({"failure.mode": "skip"})
         plan = api.compile_plan(context=GeoContext.build(annotation_sources, config))
         with ProcessPoolExecutor(workers=2) as executor:
-            executor.run(plan, small_batch)  # prime the pool
-            poisoned = executor._pool
-            assert poisoned is not None
-            victim = next(iter(poisoned._processes.values()))
+            executor.run(plan, small_batch)  # warm the workers
+            victim, survivor = executor._workers
             os.kill(victim.pid, signal.SIGKILL)
-            deadline = time.monotonic() + 10.0
-            while plan.failure_log.worker_losses == 0 and time.monotonic() < deadline:
-                results = executor.run(plan, small_batch)  # the pool notices on submit
-            assert plan.failure_log.worker_losses >= 1
+            results = executor.run(plan, small_batch)
+            assert plan.failure_log.worker_losses == 1
             assert plan.failure_log.quarantined == 0
             assert canonical_bytes(results) == sequential_bytes
-            assert executor._pool not in (None, poisoned)
+            assert victim.process.exitcode == -signal.SIGKILL
+            assert victim not in executor._workers and survivor in executor._workers
+
+
+# ------------------------------------------------------ worker lifetime
+def _process_alive(pid: int) -> bool:
+    """Whether ``pid`` still runs (an un-reaped zombie counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as handle:
+            return handle.read().rsplit(b")", 1)[1].split()[0] not in (b"Z", b"X")
+    except OSError:
+        return False
+
+
+# Warms a 2-worker pool under the start method named by argv[1], prints the
+# worker pids, then SIGKILLs itself: no ``finally``, no atexit hook runs.
+_DOOMED_PARENT = textwrap.dedent(
+    """
+    import multiprocessing, os, signal, sys
+    from repro import api
+    from repro.core import AnnotationSources, PipelineConfig
+    from repro.datasets import PrivateCarSimulator, SyntheticWorld, WorldConfig
+    from repro.engine import ProcessPoolExecutor
+    from repro.parallel import GeoContext, process
+
+    process.mp_context = lambda: multiprocessing.get_context(sys.argv[1])
+    world = SyntheticWorld(WorldConfig(size=3000.0, poi_count=100, seed=5))
+    sources = AnnotationSources(
+        regions=world.region_source(), road_network=world.road_network(),
+        pois=world.poi_source(),
+    )
+    cars = PrivateCarSimulator(world, car_count=2, trips_per_car=1, seed=5).generate()
+    context = GeoContext.build(sources, PipelineConfig.for_vehicles())
+    executor = ProcessPoolExecutor(workers=2)
+    executor.run(api.compile_plan(context=context), cars.trajectories)
+    print(*(worker.pid for worker in executor._workers), flush=True)
+    os.kill(os.getpid(), signal.SIGKILL)
+    """
+)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_pool_workers_die_with_their_parent(start_method):
+    """Each worker holds only its own pipe ends, so a dead parent reads as EOF."""
+    src = str(Path(api.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _DOOMED_PARENT, start_method],
+        stdout=subprocess.PIPE,
+        env=env,
+        text=True,
+    )
+    pids = []
+    try:
+        assert parent.stdout is not None
+        pids = [int(pid) for pid in parent.stdout.readline().split()]
+        assert parent.wait(timeout=60) == -signal.SIGKILL and len(pids) == 2
+        deadline = time.monotonic() + 5.0
+        while any(map(_process_alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_process_alive, pids)), "pool workers outlived their parent"
+    finally:
+        for pid in [parent.pid, *pids]:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        parent.wait()
+        parent.stdout.close()  # type: ignore[union-attr]

@@ -29,9 +29,10 @@ import pytest
 from repro.core import PipelineConfig, SeMiTriPipeline
 from repro.core.points import SpatioTemporalPoint
 from repro.faults.inject import FaultInjector, FaultPlan
+from repro.parallel import process
 from repro.parallel.canonical import canonical_bytes
 from repro.parallel.context import GeoContext
-from repro.service import AnnotationService, workers
+from repro.service import AnnotationService
 from repro.store.store import SemanticTrajectoryStore
 
 
@@ -113,7 +114,7 @@ def test_transport_parity_canonical_bytes_and_store_rows(
     parent's own copy-on-write.
     """
     monkeypatch.setattr(
-        workers, "_pool_mp_context", lambda: multiprocessing.get_context(start_method)
+        process, "mp_context", lambda: multiprocessing.get_context(start_method)
     )
     streams = _object_streams(car_dataset.trajectories)
     total_events = sum(len(points) for points in streams.values())
@@ -158,7 +159,7 @@ def test_forked_shard_workers_never_serialise_the_snapshot(
     annotation_sources, car_dataset, monkeypatch, unpicklable_snapshot
 ):
     """Arguments of a forked process are inherited, not pickled."""
-    monkeypatch.setattr(workers, "_pool_mp_context", lambda: multiprocessing.get_context("fork"))
+    monkeypatch.setattr(process, "mp_context", lambda: multiprocessing.get_context("fork"))
     streams = _object_streams(car_dataset.trajectories)
     config = _service_config(shards=2, transport="process")
     context = GeoContext.build(annotation_sources, config)
