@@ -15,9 +15,19 @@ cannot drift apart:
   appears inside a string annotation);
 * every name in ``__all__`` is bound at module level (ruff F822).
 
+Run without arguments (as CI does), it also checks that the library's public
+surface is what something calls: every module-level ``def`` and ``class`` in
+``src/repro`` outside ``src/repro/reference`` must be read (an ``ast.Name``
+load or an ``ast.Attribute`` of that name, outside its own definition)
+somewhere in ``src/repro``, ``bench``, ``benchmarks``, ``examples`` or
+``scripts``.  A re-export or an ``__all__`` entry is not a read, and neither
+is a test.  ``UNCALLED_KEEP`` names the exceptions, each with its reason.
+Methods are not checked (their names collide too often to be told apart by
+name); an uncalled method is a review finding.
+
 Usage::
 
-    python scripts/lint_local.py            # CI's ruff-check path list
+    python scripts/lint_local.py            # CI's ruff-check path list + uncalled definitions
     python scripts/lint_local.py src tests  # explicit files or directories
 
 Exit status 1 when anything was found, each finding as ``path:line: message``.
@@ -30,11 +40,20 @@ import compileall
 import re
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator, List, Set
+from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CI_WORKFLOW = REPO_ROOT / ".github" / "workflows" / "ci.yml"
 MAX_LINE_LENGTH = 100
+
+LIBRARY = REPO_ROOT / "src" / "repro"
+#: Where a read makes a library definition part of the public surface.
+CALLERS = ("src/repro", "bench", "benchmarks", "examples", "scripts")
+#: Module-level definitions that only tests read, and why each stays.
+UNCALLED_KEEP = {
+    "build_trajectory": "test-fixture builder: most test modules build their trajectories with it",
+    "uniform_transitions": "test-fixture builder of the HMM tests' transition tables",
+}
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # A trailing checker pragma cannot be wrapped, so it does not count as length.
@@ -152,6 +171,41 @@ def check_file(path: Path) -> List[str]:
     return findings
 
 
+def uncalled_definitions() -> List[str]:
+    """Module-level library definitions nothing outside ``tests/`` reads."""
+    trees: Dict[Path, ast.Module] = {}
+    reads: Dict[str, List[Tuple[Path, int]]] = {}
+    for path in python_files(REPO_ROOT / caller for caller in CALLERS):
+        try:
+            tree = trees[path] = ast.parse(path.read_text("utf-8"), filename=str(path))
+        except SyntaxError:
+            continue  # reported by check_file
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, []).append((path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, []).append((path, node.lineno))
+    findings: List[str] = []
+    for path, tree in trees.items():
+        if not path.is_relative_to(LIBRARY) or path.is_relative_to(LIBRARY / "reference"):
+            continue
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name in UNCALLED_KEEP:
+                continue
+            first, last = node.lineno, node.end_lineno or node.lineno
+            if not any(
+                where != path or not first <= line <= last
+                for where, line in reads.get(node.name, ())
+            ):
+                findings.append(
+                    f"{path.relative_to(REPO_ROOT)}:{first}: '{node.name}' is defined but "
+                    "nothing outside tests/ reads it"
+                )
+    return findings
+
+
 def main(argv: List[str]) -> int:
     paths = [Path(arg).resolve() for arg in argv] or ci_ruff_paths()
     files = list(python_files(paths))
@@ -160,6 +214,8 @@ def main(argv: List[str]) -> int:
         if not compileall.compile_file(str(path), quiet=2):
             findings.append(f"{path}: does not compile")
         findings.extend(check_file(path))
+    if not argv:
+        findings.extend(uncalled_definitions())
     for finding in findings:
         print(finding)
     print(f"lint_local: {len(files)} files, {len(findings)} findings")

@@ -49,7 +49,6 @@ from repro.core import (
     RegionAnnotationConfig,
     RegionOfInterest,
     SemanticPlace,
-    SemanticTrajectory,
     SpatioTemporalPoint,
     StopMoveConfig,
     StreamingConfig,
@@ -82,7 +81,6 @@ __all__ = [
     "RegionAnnotationConfig",
     "RegionOfInterest",
     "SemanticPlace",
-    "SemanticTrajectory",
     "SpatioTemporalPoint",
     "StopMoveConfig",
     "StreamingConfig",

@@ -8,7 +8,6 @@ prints.
 """
 
 from repro.analytics.distributions import (
-    category_distribution,
     log_log_histogram,
     normalize_counts,
     top_k_categories,
@@ -31,7 +30,6 @@ from repro.analytics.patterns import (
 from repro.analytics.reporting import render_distribution_table, render_series, render_table
 
 __all__ = [
-    "category_distribution",
     "log_log_histogram",
     "normalize_counts",
     "top_k_categories",

@@ -28,13 +28,6 @@ class CompressionReport:
             return 0.0
         return max(0.0, 1.0 - self.semantic_tuples / self.raw_records)
 
-    @property
-    def records_per_tuple(self) -> float:
-        """Average number of raw records summarised by one semantic tuple."""
-        if self.semantic_tuples <= 0:
-            return 0.0
-        return self.raw_records / self.semantic_tuples
-
     def as_percentage(self) -> float:
         """Compression ratio as a percentage (the 99.7 % figure of the paper)."""
         return 100.0 * self.compression_ratio

@@ -19,14 +19,6 @@ def normalize_counts(counts: Dict[str, int]) -> Dict[str, float]:
     return {key: value / total for key, value in counts.items()}
 
 
-def category_distribution(labels: Sequence[str]) -> Dict[str, float]:
-    """Normalised frequency of each label in ``labels``."""
-    counts: Dict[str, int] = {}
-    for label in labels:
-        counts[label] = counts.get(label, 0) + 1
-    return normalize_counts(counts)
-
-
 def top_k_categories(counts: Dict[str, int], k: int = 5) -> List[Tuple[str, float]]:
     """The ``k`` most frequent categories with their normalised share.
 

@@ -70,11 +70,6 @@ def frequent_sequences(
     return patterns
 
 
-def place_sequences(trajectories: Sequence[StructuredSemanticTrajectory]) -> List[List[str]]:
-    """Place-identifier sequences of structured trajectories (gaps skipped)."""
-    return [trajectory.place_sequence() for trajectory in trajectories]
-
-
 def category_sequences(trajectories: Sequence[StructuredSemanticTrajectory]) -> List[List[str]]:
     """Place-category sequences (consecutive duplicates collapsed)."""
     sequences: List[List[str]] = []

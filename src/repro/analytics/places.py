@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.annotations import AnnotationKind, GeographicReferenceAnnotation, ValueAnnotation
+from repro.core.annotations import AnnotationKind, GeographicReferenceAnnotation
 from repro.core.episodes import Episode
 from repro.geometry.primitives import BoundingBox, Point
 from repro.index.flat import FlatSpatialIndex, point_columns
@@ -46,17 +46,6 @@ class FrequentPlace:
     def bounding_box(self) -> BoundingBox:
         """Bounding box of the member stop centres."""
         return BoundingBox.from_points([stop.center() for stop in self.stops])
-
-    def dominant_activity(self) -> Optional[str]:
-        """The most frequent activity annotation among member stops, if any."""
-        labels: List[str] = []
-        for stop in self.stops:
-            for annotation in stop.annotations_of_kind(AnnotationKind.ACTIVITY):
-                if isinstance(annotation, ValueAnnotation) and annotation.value is not None:
-                    labels.append(str(annotation.value))
-        if not labels:
-            return None
-        return Counter(labels).most_common(1)[0][0]
 
     def dominant_region_category(self) -> Optional[str]:
         """The most frequent landuse category among member stops, if any."""

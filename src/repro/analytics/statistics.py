@@ -34,13 +34,6 @@ class EpisodeStatistics:
             return 0.0
         return self.stop_count / self.trajectory_count
 
-    @property
-    def moves_per_trajectory(self) -> float:
-        """Mean number of moves per trajectory."""
-        if self.trajectory_count == 0:
-            return 0.0
-        return self.move_count / self.trajectory_count
-
 
 def episode_statistics(
     trajectories: Sequence[RawTrajectory], episodes: Sequence[Episode]

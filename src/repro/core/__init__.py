@@ -6,8 +6,8 @@ This package implements the conceptual model of Section 3 of the paper:
   :class:`~repro.core.points.RawTrajectory` — Definition 1;
 * :class:`~repro.core.places.SemanticPlace` and its region/line/point
   specialisations — Definition 2;
-* :class:`~repro.core.annotations.Annotation` and
-  :class:`~repro.core.trajectory.SemanticTrajectory` — Definition 3;
+* :class:`~repro.core.annotations.Annotation` — the annotations of
+  Definition 3;
 * :class:`~repro.core.episodes.Episode` and
   :class:`~repro.core.trajectory.StructuredSemanticTrajectory` — Definition 4;
 * :class:`~repro.core.pipeline.SeMiTriPipeline` — the layered architecture of
@@ -37,7 +37,7 @@ from repro.core.places import (
 )
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
 from repro.core.cpu import effective_cpu_count
-from repro.core.trajectory import SemanticTrajectory, StructuredSemanticTrajectory
+from repro.core.trajectory import StructuredSemanticTrajectory
 from repro.core.config import (
     MapMatchingConfig,
     ObservabilityConfig,
@@ -74,7 +74,6 @@ __all__ = [
     "RawTrajectory",
     "SpatioTemporalPoint",
     "effective_cpu_count",
-    "SemanticTrajectory",
     "StructuredSemanticTrajectory",
     "ObservabilityConfig",
     "ParallelConfig",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.annotations import Annotation, AnnotationKind
 from repro.core.errors import DataQualityError
@@ -135,12 +135,6 @@ class Episode:
         """Travelled distance within the episode."""
         return path_length(self.xs, self.ys)
 
-    def average_speed(self) -> float:
-        """Mean speed over the episode (path length / duration)."""
-        if self.duration <= 0:
-            return 0.0
-        return self.path_length() / self.duration
-
     # ----------------------------------------------------------- annotations
     def add_annotation(self, annotation: Annotation) -> None:
         """Attach an annotation to the episode."""
@@ -149,11 +143,6 @@ class Episode:
     def annotations_of_kind(self, kind: AnnotationKind) -> List[Annotation]:
         """All annotations of the given kind."""
         return [annotation for annotation in self.annotations if annotation.kind is kind]
-
-    def first_annotation_of_kind(self, kind: AnnotationKind) -> Optional[Annotation]:
-        """First annotation of the given kind, or None."""
-        matching = self.annotations_of_kind(kind)
-        return matching[0] if matching else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -183,10 +172,3 @@ def validate_episode_partition(trajectory: RawTrajectory, episodes: Sequence[Epi
                 f"[{previous.start_index}, {previous.end_index}) then "
                 f"[{current.start_index}, {current.end_index})"
             )
-
-
-def episode_kind_counts(episodes: Sequence[Episode]) -> Tuple[int, int]:
-    """Return ``(stop_count, move_count)`` for a collection of episodes."""
-    stops = sum(1 for episode in episodes if episode.is_stop)
-    moves = sum(1 for episode in episodes if episode.is_move)
-    return stops, moves

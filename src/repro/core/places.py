@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 from repro.geometry.primitives import BoundingBox, Point, Polygon, Segment
 
@@ -125,10 +125,6 @@ class LineOfInterest(SemanticPlace):
     def length(self) -> float:
         """Length of the road segment."""
         return self.segment.length
-
-    def supports_mode(self, mode: str) -> bool:
-        """True when the given transportation mode may use this segment."""
-        return mode in self.allowed_modes
 
 
 @dataclass(frozen=True)

@@ -38,10 +38,6 @@ class SpatioTemporalPoint:
         """Spatial component as a geometry point."""
         return Point(self.x, self.y)
 
-    def time_delta(self, other: "SpatioTemporalPoint") -> float:
-        """Signed time difference ``other.t - self.t`` in seconds."""
-        return other.t - self.t
-
     def distance_to(self, other: "SpatioTemporalPoint") -> float:
         """Planar distance to ``other`` in coordinate units.
 
@@ -52,17 +48,6 @@ class SpatioTemporalPoint:
         dx = self.x - other.x
         dy = self.y - other.y
         return math.sqrt(dx * dx + dy * dy)
-
-    def speed_to(self, other: "SpatioTemporalPoint") -> float:
-        """Average speed between the two fixes (units per second).
-
-        Returns 0 when the fixes share the same timestamp, which happens with
-        duplicated GPS records.
-        """
-        dt = abs(self.time_delta(other))
-        if dt <= 0:
-            return 0.0
-        return self.distance_to(other) / dt
 
     def as_tuple(self) -> Tuple[float, float, float]:
         """The raw ``(x, y, t)`` triple."""
@@ -239,25 +224,6 @@ class RawTrajectory:
         if len(self) < 2:
             return 0.0
         return self.duration / (len(self) - 1)
-
-    def slice(self, start_index: int, end_index: int) -> "RawTrajectory":
-        """Sub-trajectory covering points ``[start_index, end_index)``."""
-        if start_index < 0 or end_index > len(self) or start_index >= end_index:
-            raise IndexError(
-                f"invalid slice [{start_index}, {end_index}) for trajectory of "
-                f"length {len(self)}"
-            )
-        return _trajectory_from_columns(
-            self._xs[start_index:end_index],
-            self._ys[start_index:end_index],
-            self._ts[start_index:end_index],
-            self.object_id,
-            f"{self.trajectory_id}[{start_index}:{end_index}]",
-        )
-
-    def points_between(self, time_in: float, time_out: float) -> List[SpatioTemporalPoint]:
-        """GPS fixes whose timestamp falls within ``[time_in, time_out]``."""
-        return [point for point in self.points if time_in <= point.t <= time_out]
 
     def __reduce__(self) -> Tuple[object, ...]:
         """Pickle (and copy) as the three coordinate columns plus the two ids.

@@ -1,8 +1,7 @@
-"""Semantic and structured semantic trajectories (Definitions 3 and 4).
+"""Structured semantic trajectories (Definition 4).
 
-A :class:`SemanticTrajectory` keeps per-point annotation sets (Definition 3);
-a :class:`StructuredSemanticTrajectory` is the episode-level representation
-the annotation layers produce (Definition 4): a sequence of tuples
+A :class:`StructuredSemanticTrajectory` is the episode-level representation
+the annotation layers produce: a sequence of tuples
 ``(semantic place, time_in, time_out, annotations)``.
 """
 
@@ -10,62 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from repro.core.annotations import Annotation, ValueAnnotation
 from repro.core.episodes import Episode, EpisodeKind
 from repro.core.errors import DataQualityError
 from repro.core.places import SemanticPlace
-from repro.core.points import RawTrajectory, SpatioTemporalPoint
-
-
-@dataclass
-class AnnotatedPoint:
-    """A GPS point plus its (possibly empty) set of annotations."""
-
-    point: SpatioTemporalPoint
-    annotations: List[Annotation] = field(default_factory=list)
-
-    def add(self, annotation: Annotation) -> None:
-        """Attach an annotation to this point."""
-        self.annotations.append(annotation)
-
-
-class SemanticTrajectory:
-    """Definition 3: a trajectory whose points carry annotation sets."""
-
-    def __init__(self, raw: RawTrajectory):
-        self._raw = raw
-        self._annotated = [AnnotatedPoint(point) for point in raw]
-
-    @property
-    def raw(self) -> RawTrajectory:
-        """The underlying raw trajectory."""
-        return self._raw
-
-    def __len__(self) -> int:
-        return len(self._annotated)
-
-    def __iter__(self) -> Iterator[AnnotatedPoint]:
-        return iter(self._annotated)
-
-    def __getitem__(self, index: int) -> AnnotatedPoint:
-        return self._annotated[index]
-
-    def annotate_point(self, index: int, annotation: Annotation) -> None:
-        """Attach ``annotation`` to the point at ``index``."""
-        self._annotated[index].add(annotation)
-
-    def annotate_range(self, start: int, end: int, annotation: Annotation) -> None:
-        """Attach ``annotation`` to every point in ``[start, end)``."""
-        if start < 0 or end > len(self._annotated) or start >= end:
-            raise DataQualityError(f"invalid annotation range [{start}, {end})")
-        for index in range(start, end):
-            self._annotated[index].add(annotation)
-
-    def annotation_count(self) -> int:
-        """Total number of annotations attached to points."""
-        return sum(len(annotated.annotations) for annotated in self._annotated)
 
 
 @dataclass
@@ -261,32 +210,6 @@ class StructuredSemanticTrajectory:
     def moves(self) -> List[SemanticEpisodeRecord]:
         """Records of kind move."""
         return [record for record in self._records if record.kind is EpisodeKind.MOVE]
-
-    def category_durations(self) -> Dict[str, float]:
-        """Total time spent per place category (ignores records without a place)."""
-        durations: Dict[str, float] = {}
-        for record in self._records:
-            category = record.place_category
-            if category is None:
-                continue
-            durations[category] = durations.get(category, 0.0) + record.duration
-        return durations
-
-    def dominant_category(self) -> Optional[str]:
-        """Equation 8: the category with maximum total stop time.
-
-        Only stop records enter the computation, as in the paper's trajectory
-        classification; returns None when no stop record has a place.
-        """
-        durations: Dict[str, float] = {}
-        for record in self.stops():
-            category = record.place_category
-            if category is None:
-                continue
-            durations[category] = durations.get(category, 0.0) + record.duration
-        if not durations:
-            return None
-        return max(durations.items(), key=lambda pair: (pair[1], pair[0]))[0]
 
     def mode_sequence(self) -> List[str]:
         """Transportation modes of the move records, in order (gaps skipped)."""

@@ -32,12 +32,6 @@ class GroundTruthDrive:
         if len(self.trajectory) != len(self.truth_segment_ids):
             raise ValueError("each GPS fix needs exactly one ground-truth segment entry")
 
-    @property
-    def matched_fraction_possible(self) -> float:
-        """Fraction of fixes that actually lie on a network segment."""
-        on_road = sum(1 for segment in self.truth_segment_ids if segment is not None)
-        return on_road / len(self.truth_segment_ids) if self.truth_segment_ids else 0.0
-
 
 class GroundTruthDriveGenerator:
     """Generates long drives across the synthetic network with known truth."""

@@ -40,11 +40,11 @@ Every batch decision has exactly one code path, all of it in this module:
 ========  ==================================================================
 split     :func:`shard_by_object` into ``workers * 2`` size-balanced shards
 ship      what crosses a process boundary pickles itself: the snapshot is
-          the worker's process argument (inherited under ``fork``, pickled
-          by ``multiprocessing`` otherwise), a request is the pickle of a
-          shard's ``(input order, trajectory)`` pairs (coordinate columns,
-          ``RawTrajectory.__reduce__``); outcomes come back through the
-          result codec the process shard's acks use
+          the worker's argument (inherited under ``fork``, otherwise
+          pickled as the first message on the request pipe), a request is
+          the pickle of a shard's ``(input order, trajectory)`` pairs
+          (coordinate columns, ``RawTrajectory.__reduce__``); outcomes come
+          back through the result codec the process shard's acks use
           (:func:`~repro.parallel.context.dump_outcome`): the raw
           trajectories and the snapshot's places by reference, re-linked to
           the parent's own objects
@@ -539,7 +539,11 @@ def _count_batch(
 
 # ------------------------------------------------------------------ executors
 class SequentialExecutor:
-    """In-process, one trajectory at a time — the batch reference executor."""
+    """In-process, one chunk of trajectories at a time — the batch reference executor.
+
+    Each stage runs once per chunk (:func:`_run_in_process`); a chunk in
+    which a stage raised is redone one trajectory at a time.
+    """
 
     #: Short identifier used in reporting (the ``executor`` metric label).
     kind = "sequential"
@@ -779,9 +783,9 @@ class ProcessPoolExecutor:
 
     @staticmethod
     def _worker(context: GeoContext, slot: int) -> WorkerProcess:
-        # The snapshot is the worker's process argument under every start
-        # method: a forked worker finds the parent's object in inherited
-        # memory, any other receives the pickle multiprocessing makes of it.
+        # The snapshot is the worker's argument under every start method: a
+        # forked worker finds the parent's object in inherited memory, any
+        # other reads its pickle as the first message on its request pipe.
         return WorkerProcess(_pool_worker, (context,), name=f"semitri-pool-{slot}")
 
 
@@ -804,11 +808,11 @@ def _worker_lost(trajectory: RawTrajectory, attempts: int) -> TrajectoryFailure:
 class EngineStats:
     """Counters a micro-batch executor maintains while processing the stream.
 
-    Historically micro-batch-only.  When the plan's telemetry enables
-    metrics, the same vocabulary is also published as ``engine_*_total``
-    registry counters labelled by executor kind — for **all three**
-    executors, so sequential and process-pool throughput is observable with
-    the same series (see :class:`repro.obs.metrics.EngineCounters`).
+    When the plan's telemetry enables metrics, the same vocabulary is also
+    published as ``engine_*_total`` registry counters labelled by executor
+    kind — for **all three** executors, so sequential and process-pool
+    throughput is observable with the same series (see
+    :class:`repro.obs.metrics.EngineCounters`).
     """
 
     events: int = 0

@@ -1,4 +1,4 @@
-"""GeoJSON serialisation of trajectories, episodes and semantic trajectories.
+"""GeoJSON serialisation of structured semantic trajectories.
 
 The functions return plain Python dictionaries following the GeoJSON
 specification (FeatureCollection / Feature / LineString / Point), so they can
@@ -9,10 +9,8 @@ metres; real data would be lon/lat).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
-from repro.core.episodes import Episode
-from repro.core.points import RawTrajectory
 from repro.core.trajectory import StructuredSemanticTrajectory
 
 
@@ -20,53 +18,8 @@ def _feature(geometry: Dict[str, Any], properties: Dict[str, Any]) -> Dict[str, 
     return {"type": "Feature", "geometry": geometry, "properties": properties}
 
 
-def _line_string(coordinates: Sequence[Sequence[float]]) -> Dict[str, Any]:
-    return {"type": "LineString", "coordinates": [list(pair) for pair in coordinates]}
-
-
 def _point(x: float, y: float) -> Dict[str, Any]:
     return {"type": "Point", "coordinates": [x, y]}
-
-
-def raw_trajectory_to_geojson(trajectory: RawTrajectory) -> Dict[str, Any]:
-    """One LineString feature for the whole raw trajectory."""
-    coordinates = [(point.x, point.y) for point in trajectory]
-    properties = {
-        "trajectory_id": trajectory.trajectory_id,
-        "object_id": trajectory.object_id,
-        "start_time": trajectory.start_time,
-        "end_time": trajectory.end_time,
-        "point_count": len(trajectory),
-    }
-    return {"type": "FeatureCollection", "features": [_feature(_line_string(coordinates), properties)]}
-
-
-def episodes_to_geojson(episodes: Sequence[Episode]) -> Dict[str, Any]:
-    """Stops as Point features (their centre), moves as LineString features."""
-    features: List[Dict[str, Any]] = []
-    for episode in episodes:
-        properties: Dict[str, Any] = {
-            "kind": episode.kind.value,
-            "trajectory_id": episode.trajectory.trajectory_id,
-            "time_in": episode.time_in,
-            "time_out": episode.time_out,
-            "point_count": len(episode),
-        }
-        for annotation in episode.annotations:
-            label = getattr(annotation, "label", None)
-            value = getattr(annotation, "value", None)
-            if label and value is not None:
-                properties[label] = value
-            category = getattr(annotation, "category", None)
-            if category is not None:
-                properties.setdefault("category", category)
-        if episode.is_stop:
-            center = episode.center()
-            geometry = _point(center.x, center.y)
-        else:
-            geometry = _line_string([(point.x, point.y) for point in episode.points])
-        features.append(_feature(geometry, properties))
-    return {"type": "FeatureCollection", "features": features}
 
 
 def structured_trajectory_to_geojson(

@@ -1,18 +1,16 @@
-"""KML serialisation of raw and semantic trajectories.
+"""KML serialisation of structured semantic trajectories.
 
 The paper's Web Interface serves KML documents rendered with a Google Earth
-plugin (Figures 15 and 16 are screenshots of those).  These helpers build the
-equivalent KML text: one placemark per raw trajectory (a LineString) and one
-placemark per semantic episode record (a Point with a description listing the
-attached annotations).
+plugin (Figures 15 and 16 are screenshots of those).  This builds the
+equivalent KML text: one placemark per semantic episode record (a Point with a
+description listing the attached annotations).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 from xml.sax.saxutils import escape
 
-from repro.core.points import RawTrajectory
 from repro.core.trajectory import StructuredSemanticTrajectory
 
 _KML_HEADER = '<?xml version="1.0" encoding="UTF-8"?>\n<kml xmlns="http://www.opengis.net/kml/2.2">\n<Document>\n'
@@ -29,29 +27,8 @@ def _placemark(name: str, description: str, geometry: str) -> str:
     )
 
 
-def _line_string(coordinates: Sequence[Sequence[float]]) -> str:
-    text = " ".join(f"{x},{y},0" for x, y in coordinates)
-    return f"<LineString><coordinates>{text}</coordinates></LineString>"
-
-
 def _point(x: float, y: float) -> str:
     return f"<Point><coordinates>{x},{y},0</coordinates></Point>"
-
-
-def trajectories_to_kml(trajectories: Sequence[RawTrajectory]) -> str:
-    """One LineString placemark per raw trajectory."""
-    parts: List[str] = [_KML_HEADER]
-    for trajectory in trajectories:
-        coordinates = [(point.x, point.y) for point in trajectory]
-        description = (
-            f"object {trajectory.object_id}, {len(trajectory)} GPS records, "
-            f"{trajectory.duration:.0f} s"
-        )
-        parts.append(
-            _placemark(trajectory.trajectory_id, description, _line_string(coordinates))
-        )
-    parts.append(_KML_FOOTER)
-    return "".join(parts)
 
 
 def structured_trajectory_to_kml(structured: StructuredSemanticTrajectory) -> str:

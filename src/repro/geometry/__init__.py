@@ -1,15 +1,13 @@
 """Geometric substrate for SeMiTri.
 
 This package provides the low-level spatial primitives every annotation layer
-relies on: planar and geodesic distance functions, the point-to-segment
-distance of Equation 1 in the paper, bounding boxes, simple polygons, spatial
-predicates (intersection, containment), regular grids and Gaussian kernel
-weights used by the global map-matching score.
+relies on: planar distance functions, the point-to-segment distance of
+Equation 1 in the paper, bounding boxes, simple polygons, the polygon/box
+intersection predicate of the region join, regular grids and the Gaussian
+kernel weights used by the global map-matching score.
 
-All coordinates are expressed either in a planar metric system (metres, the
-default for the synthetic world shipped with this repository) or as WGS84
-longitude/latitude pairs.  Functions that care about the difference accept a
-``metric`` argument; everything else is agnostic.
+All coordinates are planar metres (the synthetic world shipped with this
+repository lives in a planar metric system).
 """
 
 from repro.geometry.primitives import (
@@ -20,20 +18,13 @@ from repro.geometry.primitives import (
 )
 from repro.geometry.distance import (
     euclidean_distance,
-    haversine_distance,
     path_length,
     point_segment_distance,
     project_point_on_segment,
 )
-from repro.geometry.predicates import (
-    bbox_contains_point,
-    bbox_intersects,
-    point_in_polygon,
-    polygon_intersects_bbox,
-)
-from repro.geometry.grid import GridSpec, UniformGrid
-from repro.geometry.kernels import gaussian_kernel_weight, kernel_weights
-from repro.geometry.projection import LocalProjector
+from repro.geometry.predicates import polygon_intersects_bbox
+from repro.geometry.grid import GridSpec
+from repro.geometry.kernels import gaussian_kernel_weight
 from repro.geometry.vectorized import (
     consecutive_distances,
     consecutive_speeds,
@@ -47,19 +38,12 @@ __all__ = [
     "Polygon",
     "Segment",
     "euclidean_distance",
-    "haversine_distance",
     "path_length",
     "point_segment_distance",
     "project_point_on_segment",
-    "bbox_contains_point",
-    "bbox_intersects",
-    "point_in_polygon",
     "polygon_intersects_bbox",
     "GridSpec",
-    "UniformGrid",
     "gaussian_kernel_weight",
-    "kernel_weights",
-    "LocalProjector",
     "consecutive_distances",
     "consecutive_speeds",
     "gaussian_kernel_weights",

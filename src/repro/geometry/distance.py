@@ -15,8 +15,6 @@ from typing import Sequence, Tuple
 
 from repro.geometry.primitives import Point, Segment
 
-EARTH_RADIUS_METERS = 6_371_000.0
-
 
 def euclidean_distance(a: Point, b: Point) -> float:
     """Planar Euclidean distance between two points.
@@ -29,23 +27,6 @@ def euclidean_distance(a: Point, b: Point) -> float:
     dx = a.x - b.x
     dy = a.y - b.y
     return math.sqrt(dx * dx + dy * dy)
-
-
-def squared_euclidean_distance(a: Point, b: Point) -> float:
-    """Squared planar distance (avoids the square root in hot loops)."""
-    dx = a.x - b.x
-    dy = a.y - b.y
-    return dx * dx + dy * dy
-
-
-def haversine_distance(a: Point, b: Point) -> float:
-    """Great-circle distance in metres between two WGS84 lon/lat points."""
-    lon1, lat1 = math.radians(a.x), math.radians(a.y)
-    lon2, lat2 = math.radians(b.x), math.radians(b.y)
-    dlon = lon2 - lon1
-    dlat = lat2 - lat1
-    h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_METERS * math.asin(min(1.0, math.sqrt(h)))
 
 
 def project_point_on_segment(point: Point, segment: Segment) -> Tuple[Point, float]:
@@ -108,29 +89,3 @@ def path_length(points: Sequence[Point]) -> float:
     for previous, current in zip(points, points[1:]):
         total += euclidean_distance(previous, current)
     return total
-
-
-def frechet_distance(path_a: Sequence[Point], path_b: Sequence[Point]) -> float:
-    """Discrete Fréchet distance between two polylines.
-
-    Used only by the curve-to-curve map-matching baseline and by tests; the
-    dynamic-programming formulation is O(len(a) * len(b)).
-    """
-    if not path_a or not path_b:
-        raise ValueError("Frechet distance requires two non-empty paths")
-    n, m = len(path_a), len(path_b)
-    table = [[0.0] * m for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            d = euclidean_distance(path_a[i], path_b[j])
-            if i == 0 and j == 0:
-                table[i][j] = d
-            elif i == 0:
-                table[i][j] = max(table[0][j - 1], d)
-            elif j == 0:
-                table[i][j] = max(table[i - 1][0], d)
-            else:
-                table[i][j] = max(
-                    min(table[i - 1][j], table[i - 1][j - 1], table[i][j - 1]), d
-                )
-    return table[n - 1][m - 1]

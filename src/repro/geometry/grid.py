@@ -10,17 +10,14 @@ Two of SeMiTri's layers rely on regular grids:
 
 :class:`GridSpec` describes a grid (origin, cell size, number of rows and
 columns) and maps between world coordinates and cell indices.
-:class:`UniformGrid` stores one payload per cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import Iterator, List, Optional, Tuple
 
 from repro.geometry.primitives import BoundingBox, Point
-
-T = TypeVar("T")
 
 CellIndex = Tuple[int, int]
 
@@ -49,11 +46,6 @@ class GridSpec:
         n_cols = max(1, math.ceil(box.width / cell_size))
         n_rows = max(1, math.ceil(box.height / cell_size))
         return cls(box.min_x, box.min_y, cell_size, n_cols, n_rows)
-
-    @property
-    def n_cells(self) -> int:
-        """Total number of cells in the grid."""
-        return self.n_cols * self.n_rows
 
     @property
     def bounds(self) -> BoundingBox:
@@ -91,26 +83,6 @@ class GridSpec:
         """Centre point of cell ``(col, row)``."""
         return self.cell_bounds(cell).center
 
-    def cells_in_box(self, box: BoundingBox) -> List[CellIndex]:
-        """All cells whose rectangle intersects ``box``."""
-        bounds = self.bounds
-        if not bounds.intersects(box):
-            return []
-        clipped = bounds.intersection(box)
-        first_col = int((clipped.min_x - self.origin_x) / self.cell_size)
-        last_col = int((clipped.max_x - self.origin_x) / self.cell_size)
-        first_row = int((clipped.min_y - self.origin_y) / self.cell_size)
-        last_row = int((clipped.max_y - self.origin_y) / self.cell_size)
-        first_col = max(0, min(first_col, self.n_cols - 1))
-        last_col = max(0, min(last_col, self.n_cols - 1))
-        first_row = max(0, min(first_row, self.n_rows - 1))
-        last_row = max(0, min(last_row, self.n_rows - 1))
-        return [
-            (col, row)
-            for row in range(first_row, last_row + 1)
-            for col in range(first_col, last_col + 1)
-        ]
-
     def neighbors(self, cell: CellIndex, radius: int = 1) -> List[CellIndex]:
         """Cells within ``radius`` (Chebyshev) of ``cell``, including itself."""
         col, row = cell
@@ -131,50 +103,3 @@ class GridSpec:
         col, row = cell
         if not (0 <= col < self.n_cols and 0 <= row < self.n_rows):
             raise IndexError(f"cell {cell} outside grid {self.n_cols}x{self.n_rows}")
-
-
-class UniformGrid(Generic[T]):
-    """A sparse mapping from grid cells to payloads of type ``T``."""
-
-    def __init__(self, spec: GridSpec):
-        self._spec = spec
-        self._cells: Dict[CellIndex, T] = {}
-
-    @property
-    def spec(self) -> GridSpec:
-        """Grid geometry."""
-        return self._spec
-
-    def __len__(self) -> int:
-        return len(self._cells)
-
-    def __contains__(self, cell: CellIndex) -> bool:
-        return cell in self._cells
-
-    def set(self, cell: CellIndex, value: T) -> None:
-        """Assign ``value`` to ``cell``."""
-        self._spec._check_cell(cell)
-        self._cells[cell] = value
-
-    def get(self, cell: CellIndex, default: Optional[T] = None) -> Optional[T]:
-        """Payload stored at ``cell``, or ``default``."""
-        return self._cells.get(cell, default)
-
-    def value_at(self, point: Point, default: Optional[T] = None) -> Optional[T]:
-        """Payload of the cell containing ``point``, or ``default``."""
-        cell = self._spec.cell_of(point)
-        if cell is None:
-            return default
-        return self._cells.get(cell, default)
-
-    def items(self) -> Iterator[Tuple[CellIndex, T]]:
-        """Iterate over (cell, payload) pairs that have been assigned."""
-        return iter(self._cells.items())
-
-    def values_in_box(self, box: BoundingBox) -> List[T]:
-        """Payloads of assigned cells intersecting ``box``."""
-        result: List[T] = []
-        for cell in self._spec.cells_in_box(box):
-            if cell in self._cells:
-                result.append(self._cells[cell])
-        return result

@@ -12,7 +12,6 @@ Two places in the paper use Gaussian kernels:
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from repro.geometry.primitives import Point
 
@@ -32,24 +31,6 @@ def gaussian_kernel_weight(distance: float, bandwidth: float, radius: float) -> 
     return math.exp(-(distance * distance) / (2.0 * bandwidth * bandwidth))
 
 
-def kernel_weights(
-    center: Point,
-    neighbors: Sequence[Point],
-    bandwidth: float,
-    radius: float,
-) -> list:
-    """Kernel weight of every neighbour relative to ``center``.
-
-    Returns a list of floats aligned with ``neighbors``; neighbours farther
-    than ``radius`` from the centre receive weight 0.
-    """
-    weights = []
-    for neighbor in neighbors:
-        distance = center.distance_to(neighbor)
-        weights.append(gaussian_kernel_weight(distance, bandwidth, radius))
-    return weights
-
-
 def gaussian_2d_density(point: Point, mean: Point, sigma: float) -> float:
     """Isotropic 2-D Gaussian density of ``point`` around ``mean``.
 
@@ -64,29 +45,3 @@ def gaussian_2d_density(point: Point, mean: Point, sigma: float) -> float:
     exponent = -(dx * dx + dy * dy) / (2.0 * sigma * sigma)
     normalization = 1.0 / (2.0 * math.pi * sigma * sigma)
     return normalization * math.exp(exponent)
-
-
-def gaussian_2d_mass_in_box(
-    mean: Point,
-    sigma: float,
-    min_x: float,
-    min_y: float,
-    max_x: float,
-    max_y: float,
-) -> float:
-    """Probability mass of an isotropic Gaussian inside an axis-aligned box.
-
-    Because the covariance is diagonal the mass factorises into the product of
-    two one-dimensional normal CDF differences.  Used when pre-computing the
-    discretised observation probabilities ``Pr(grid_jk | Ci)``.
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    return (_normal_cdf(max_x, mean.x, sigma) - _normal_cdf(min_x, mean.x, sigma)) * (
-        _normal_cdf(max_y, mean.y, sigma) - _normal_cdf(min_y, mean.y, sigma)
-    )
-
-
-def _normal_cdf(value: float, mean: float, sigma: float) -> float:
-    """Cumulative distribution function of a 1-D normal distribution."""
-    return 0.5 * (1.0 + math.erf((value - mean) / (sigma * math.sqrt(2.0))))

@@ -1,38 +1,14 @@
-"""Spatial predicates used by the spatial-join and annotation layers.
+"""Spatial predicates used by the region spatial join.
 
 The region-annotation layer of the paper computes topological correlations
-("spatial predicates") between trajectories and regions: intersection,
-containment ("subsumption") and distance relations.  These helpers implement
-the subset of predicates SeMiTri uses, for bounding boxes, points, segments
-and simple polygons.
+("spatial predicates") between trajectories and regions.  A region source
+keeps a polygon for a query box when :func:`polygon_intersects_bbox` holds;
+:func:`segments_intersect` is its edge-crossing test.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.geometry.distance import point_segment_distance
 from repro.geometry.primitives import BoundingBox, Point, Polygon, Segment
-
-
-def bbox_intersects(a: BoundingBox, b: BoundingBox) -> bool:
-    """True when the two rectangles share at least one point."""
-    return a.intersects(b)
-
-
-def bbox_contains_point(box: BoundingBox, point: Point) -> bool:
-    """True when ``point`` lies inside or on the boundary of ``box``."""
-    return box.contains_point(point)
-
-
-def bbox_contains_bbox(outer: BoundingBox, inner: BoundingBox) -> bool:
-    """Spatial subsumption between rectangles: ``inner`` entirely in ``outer``."""
-    return outer.contains_box(inner)
-
-
-def point_in_polygon(polygon: Polygon, point: Point) -> bool:
-    """True when ``point`` is inside (or on the boundary of) ``polygon``."""
-    return polygon.contains(point)
 
 
 def segments_intersect(a: Segment, b: Segment) -> bool:
@@ -102,51 +78,3 @@ def polygon_intersects_bbox(polygon: Polygon, box: BoundingBox) -> bool:
             if segments_intersect(edge, box_edge):
                 return True
     return False
-
-
-def polygon_contains_bbox(polygon: Polygon, box: BoundingBox) -> bool:
-    """Spatial subsumption: every corner of ``box`` lies in ``polygon``."""
-    corners = [
-        Point(box.min_x, box.min_y),
-        Point(box.max_x, box.min_y),
-        Point(box.max_x, box.max_y),
-        Point(box.min_x, box.max_y),
-    ]
-    return all(polygon.contains(corner) for corner in corners)
-
-
-def polyline_intersects_bbox(points: Sequence[Point], box: BoundingBox) -> bool:
-    """True when any vertex or edge of the polyline enters ``box``."""
-    for point in points:
-        if box.contains_point(point):
-            return True
-    corners = [
-        Point(box.min_x, box.min_y),
-        Point(box.max_x, box.min_y),
-        Point(box.max_x, box.max_y),
-        Point(box.min_x, box.max_y),
-    ]
-    box_edges = [
-        Segment(corners[0], corners[1]),
-        Segment(corners[1], corners[2]),
-        Segment(corners[2], corners[3]),
-        Segment(corners[3], corners[0]),
-    ]
-    for previous, current in zip(points, points[1:]):
-        edge = Segment(previous, current)
-        for box_edge in box_edges:
-            if segments_intersect(edge, box_edge):
-                return True
-    return False
-
-
-def min_distance_point_to_polyline(point: Point, points: Sequence[Point]) -> float:
-    """Smallest point-segment distance from ``point`` to the polyline."""
-    if not points:
-        raise ValueError("polyline must contain at least one point")
-    if len(points) == 1:
-        return point.distance_to(points[0])
-    best = float("inf")
-    for previous, current in zip(points, points[1:]):
-        best = min(best, point_segment_distance(point, Segment(previous, current)))
-    return best

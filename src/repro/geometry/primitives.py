@@ -1,9 +1,7 @@
 """Spatial primitives: points, segments, bounding boxes and simple polygons.
 
-These are deliberately small, immutable value objects.  They carry no
-coordinate-system information; distances are computed by the functions in
-:mod:`repro.geometry.distance`, which decide between planar and geodesic
-formulas.
+These are deliberately small, immutable value objects in planar metres;
+the distance functions of :mod:`repro.geometry.distance` build on them.
 """
 
 from __future__ import annotations
@@ -23,10 +21,6 @@ class Point:
     def as_tuple(self) -> Tuple[float, float]:
         """Return the ``(x, y)`` tuple."""
         return (self.x, self.y)
-
-    def translated(self, dx: float, dy: float) -> "Point":
-        """Return a new point shifted by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
 
     def distance_to(self, other: "Point") -> float:
         """Planar Euclidean distance to ``other``.
@@ -53,11 +47,6 @@ class Segment:
         """Planar length of the segment."""
         return self.start.distance_to(self.end)
 
-    @property
-    def midpoint(self) -> Point:
-        """The segment midpoint."""
-        return Point((self.start.x + self.end.x) / 2.0, (self.start.y + self.end.y) / 2.0)
-
     def bounding_box(self, padding: float = 0.0) -> "BoundingBox":
         """Axis-aligned bounding box of the segment, optionally padded."""
         return BoundingBox(
@@ -65,14 +54,6 @@ class Segment:
             min(self.start.y, self.end.y) - padding,
             max(self.start.x, self.end.x) + padding,
             max(self.start.y, self.end.y) + padding,
-        )
-
-    def interpolate(self, fraction: float) -> Point:
-        """Return the point at ``fraction`` (0..1) of the way along the segment."""
-        fraction = min(1.0, max(0.0, fraction))
-        return Point(
-            self.start.x + (self.end.x - self.start.x) * fraction,
-            self.start.y + (self.end.y - self.start.y) * fraction,
         )
 
     def heading(self) -> float:
@@ -122,11 +103,6 @@ class BoundingBox:
     def area(self) -> float:
         """Rectangle area (zero for degenerate boxes)."""
         return self.width * self.height
-
-    @property
-    def perimeter(self) -> float:
-        """Rectangle perimeter."""
-        return 2.0 * (self.width + self.height)
 
     @property
     def center(self) -> Point:
@@ -228,18 +204,6 @@ class Polygon:
             raise ValueError("a polygon needs at least three distinct vertices")
         self._vertices: Tuple[Point, ...] = tuple(cleaned)
         self._bbox = BoundingBox.from_points(self._vertices)
-
-    @classmethod
-    def from_bounding_box(cls, box: BoundingBox) -> "Polygon":
-        """Rectangle polygon matching ``box``."""
-        return cls(
-            [
-                Point(box.min_x, box.min_y),
-                Point(box.max_x, box.min_y),
-                Point(box.max_x, box.max_y),
-                Point(box.min_x, box.max_y),
-            ]
-        )
 
     @property
     def vertices(self) -> Tuple[Point, ...]:

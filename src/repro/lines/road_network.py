@@ -141,10 +141,6 @@ class RoadNetwork:
         assert box is not None
         return box
 
-    def total_length(self) -> float:
-        """Sum of all segment lengths."""
-        return sum(segment.length for segment in self._segments)
-
     def road_types(self) -> List[str]:
         """Distinct road types present in the network, sorted."""
         return sorted({segment.road_type for segment in self._segments})

@@ -236,14 +236,3 @@ class TransportModeClassifier:
                     mean_speed=current.mean_speed,
                 )
         return smoothed
-
-
-def mode_share_by_duration(segments: Sequence[ModeSegment]) -> Dict[str, float]:
-    """Fraction of total travel time attributed to each mode."""
-    total = sum(segment.duration for segment in segments)
-    if total <= 0:
-        return {}
-    shares: Dict[str, float] = {}
-    for segment in segments:
-        shares[segment.mode] = shares.get(segment.mode, 0.0) + segment.duration
-    return {mode: value / total for mode, value in shares.items()}

@@ -16,9 +16,9 @@ what both ship to their workers, and the equality they are tested against:
 * :class:`~repro.parallel.context.GeoContext` — an immutable snapshot of the
   annotation sources (each with its packed flat index), the configuration and
   the prebuilt layer annotators, built once and handed to every worker as a
-  process argument: inherited copy-on-write under ``fork``, pickled by
-  ``multiprocessing`` under any other start method — one way across a
-  process boundary, and nothing to release afterwards;
+  worker argument: inherited copy-on-write under ``fork``, pickled as the
+  first message on the worker's request pipe under any other start method —
+  one way across a process boundary, and nothing to release afterwards;
 * :mod:`repro.parallel.canonical` — the byte-level equality every executor
   and transport is held to.
 """

@@ -2,9 +2,14 @@
 
 A :class:`WorkerProcess` is a child process and two pipes, requests in and
 responses out, one ``send_bytes`` per message.  The child builds its handler
-once, ``setup(*args)`` (the snapshot is one of the arguments: inherited under
-``fork``, pickled by ``multiprocessing`` otherwise), and answers each request
-with ``handler(request)`` until the request pipe closes.  Both
+once, ``setup(*args)``, and answers each request with ``handler(request)``
+until the request pipe closes.  The snapshot is one of the arguments: under
+``fork`` the child inherits them; under any other start method the parent
+pickles them and sends them as the first message on the request pipe, after
+the child has started.  (Handed to ``Process`` instead, they would be written
+into the child's setup pipe inside ``Process.start()``, which blocks for
+ever once the pickle outgrows a pipe buffer and the child dies before reading
+it.)  Both
 :class:`repro.engine.ProcessPoolExecutor` and
 :class:`repro.service.workers.ProcessShard` run their workers this way; a
 dead worker is EOF on its own response pipe, which names the work it held.
@@ -28,7 +33,8 @@ import os
 import signal
 import sys
 import weakref
-from typing import Any, Callable, Sequence
+from multiprocessing.reduction import ForkingPickler
+from typing import Any, Callable, Optional, Sequence, Union
 
 __all__ = ["WorkerProcess", "mp_context"]
 
@@ -53,7 +59,7 @@ def mp_context() -> multiprocessing.context.BaseContext:
     Windows has no fork.  Always explicit, so the choice never follows a
     process-wide ``set_start_method``.  Looked up each time a worker starts:
     tests substitute ``spawn`` here to drive on Linux what those platforms
-    run, workers that receive the snapshot as a pickle.
+    run, workers that receive the snapshot as a pickle on their request pipe.
     """
     if sys.platform == "linux" and "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
@@ -62,15 +68,24 @@ def mp_context() -> multiprocessing.context.BaseContext:
 
 def _serve(
     setup: Setup,
-    args: Sequence[Any],
+    args: Optional[Sequence[Any]],
     requests: multiprocessing.connection.Connection,
     responses: multiprocessing.connection.Connection,
     parent_pid: int,
 ) -> None:
-    """A worker's whole life: build the handler, answer requests in order."""
+    """A worker's whole life: build the handler, answer requests in order.
+
+    ``args`` is None when the worker was not forked: the arguments are then
+    the first message on the request pipe.
+    """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for worker in list(_live):  # empty unless this process was forked
         worker._close_ends()
+    if args is None:
+        try:
+            args = requests.recv()
+        except (EOFError, OSError):
+            return  # parent went away before sending them
     handle = setup(*args)
     while True:
         try:
@@ -93,12 +108,16 @@ class WorkerProcess:
 
     def __init__(self, setup: Setup, args: Sequence[Any], name: str):
         context = mp_context()
+        forked = context.get_start_method() == "fork"
+        # Pickled before the child exists, so an argument that cannot be
+        # pickled raises here with no process to clean up.
+        pickled = None if forked else ForkingPickler.dumps(tuple(args))
         request_rx, self.requests = context.Pipe(duplex=False)
         self.responses, response_tx = context.Pipe(duplex=False)
         _live.add(self)
         self.process = context.Process(
             target=_serve,
-            args=(setup, tuple(args), request_rx, response_tx, os.getpid()),
+            args=(setup, tuple(args) if forked else None, request_rx, response_tx, os.getpid()),
             name=name,
             daemon=True,
         )
@@ -108,8 +127,10 @@ class WorkerProcess:
         request_rx.close()
         response_tx.close()
         self.pid: int = self.process.pid  # type: ignore[assignment]
+        if pickled is not None:
+            self.send(pickled)  # a child already dead fails this with EPIPE
 
-    def send(self, request: bytes) -> None:
+    def send(self, request: Union[bytes, memoryview]) -> None:
         """Ship one request; a dead worker is the reader's to notice (EOF)."""
         try:
             self.requests.send_bytes(request)

@@ -47,14 +47,3 @@ def trajectory_category(
     if not totals:
         return None
     return max(totals.items(), key=lambda pair: (pair[1], pair[0]))[0]
-
-
-def category_distribution(labels: Sequence[str]) -> Dict[str, float]:
-    """Normalised frequency of each label (used for the Figure 11 columns)."""
-    if not labels:
-        return {}
-    counts: Dict[str, int] = {}
-    for label in labels:
-        counts[label] = counts.get(label, 0) + 1
-    total = len(labels)
-    return {label: count / total for label, count in counts.items()}

@@ -20,13 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple, TypeVar
-
-import numpy as np
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
-
-Observation = TypeVar("Observation")
 
 #: Type of the observation-probability callable B: (state, observation) -> probability.
 ObservationFn = Callable[[str, object], float]
@@ -92,14 +88,6 @@ class HiddenMarkovModel:
     def transitions(self) -> Dict[str, Dict[str, float]]:
         """State-transition matrix A as nested dictionaries."""
         return {state: dict(row) for state, row in self._transitions.items()}
-
-    def transition_matrix(self) -> np.ndarray:
-        """A as a dense numpy array (rows/columns follow the state order)."""
-        matrix = np.zeros((len(self._states), len(self._states)))
-        for i, source in enumerate(self._states):
-            for j, target in enumerate(self._states):
-                matrix[i, j] = self._transitions[source][target]
-        return matrix
 
     # --------------------------------------------------------------- decoding
     def viterbi(

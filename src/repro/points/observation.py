@@ -23,10 +23,9 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.config import PointAnnotationConfig
-from repro.core.episodes import Episode
 from repro.geometry.grid import GridSpec
 from repro.geometry.kernels import gaussian_2d_density
-from repro.geometry.primitives import BoundingBox, Point
+from repro.geometry.primitives import Point
 from repro.points.poi import PoiSource
 
 class PoiObservationModel:
@@ -75,10 +74,6 @@ class PoiObservationModel:
         probabilities = self._cell_probabilities(cell)
         return probabilities.get(category, self._config.min_probability)
 
-    def probability_for_episode(self, category: str, episode: Episode) -> float:
-        """``Pr(o | category)`` using the stop episode's centre as the observation."""
-        return self.probability(category, episode.center())
-
     def prime(self, points: Sequence[Point]) -> int:
         """Pre-compute the cell probabilities every point in ``points`` will hit.
 
@@ -113,11 +108,6 @@ class PoiObservationModel:
             uniform = 1.0 / len(self._categories)
             return {category: uniform for category in self._categories}
         return {category: value / total for category, value in raw.items()}
-
-    def most_likely_category(self, stop_center: Point) -> str:
-        """The single most probable category for a stop (no HMM context)."""
-        scores = self.category_scores(stop_center)
-        return max(scores.items(), key=lambda pair: (pair[1], pair[0]))[0]
 
     # -------------------------------------------------------------- internals
     def _cell_probabilities(self, cell: Tuple[int, int]) -> Dict[str, float]:
@@ -156,16 +146,3 @@ class PoiObservationModel:
     def cache_size(self) -> int:
         """Number of grid cells whose probabilities have been pre-computed."""
         return len(self._cell_cache)
-
-    def precompute_box(self, box: BoundingBox) -> int:
-        """Eagerly pre-compute cell probabilities for every cell in ``box``.
-
-        Returns the number of cells computed; used by benchmarks that compare
-        the discretised against the exact observation model.
-        """
-        count = 0
-        for cell in self._grid.cells_in_box(box):
-            if cell not in self._cell_cache:
-                self._cell_probabilities(cell)
-                count += 1
-        return count

@@ -13,7 +13,7 @@ layout — the POI coordinates as columns sorted by the cells of a uniform grid
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.errors import SourceError
 from repro.core.places import PointOfInterest
@@ -106,16 +106,6 @@ class PoiSource:
         box = self._index.bounds()
         assert box is not None
         return box
-
-    def density_per_category(self, box: Optional[BoundingBox] = None) -> Dict[str, float]:
-        """POIs per square kilometre for each category over ``box`` (or the full extent)."""
-        extent = box if box is not None else self.bounds()
-        area_km2 = max(extent.area / 1e6, 1e-9)
-        counts: Dict[str, int] = {}
-        pois = self.pois_in_box(extent) if box is not None else self._pois
-        for poi in pois:
-            counts[poi.category] = counts.get(poi.category, 0) + 1
-        return {category: count / area_km2 for category, count in counts.items()}
 
 
 def category_counts(pois: Sequence[PointOfInterest]) -> Dict[str, int]:

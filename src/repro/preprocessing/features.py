@@ -46,23 +46,6 @@ class MotionFeatures:
             return 0.0
         return sum(abs(a) for a in self.accelerations) / len(self.accelerations)
 
-    def speed_percentile(self, percentile: float) -> float:
-        """Speed at the given percentile (0..100), using linear interpolation."""
-        if not self.speeds:
-            return 0.0
-        if not (0.0 <= percentile <= 100.0):
-            raise ValueError("percentile must lie in [0, 100]")
-        ordered = sorted(self.speeds)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (percentile / 100.0) * (len(ordered) - 1)
-        lower = int(math.floor(rank))
-        upper = int(math.ceil(rank))
-        if lower == upper:
-            return ordered[lower]
-        fraction = rank - lower
-        return ordered[lower] * (1.0 - fraction) + ordered[upper] * fraction
-
 
 def motion_features(
     xs: Sequence[float], ys: Sequence[float], ts: Sequence[float]
@@ -98,21 +81,3 @@ def motion_features(
         accelerations.append(dv / dt if dt > 0 else 0.0)
 
     return MotionFeatures(speeds=speeds, accelerations=accelerations, headings=headings)
-
-
-def heading_change_rate(headings: Sequence[float]) -> float:
-    """Mean absolute heading change per step, in radians.
-
-    High values indicate erratic, pedestrian-like movement; low values
-    indicate road-constrained travel.  Used as an auxiliary signal by the
-    transportation-mode inference.
-    """
-    if len(headings) < 2:
-        return 0.0
-    total = 0.0
-    for previous, current in zip(headings, headings[1:]):
-        delta = abs(current - previous)
-        if delta > math.pi:
-            delta = 2.0 * math.pi - delta
-        total += delta
-    return total / (len(headings) - 1)

@@ -10,7 +10,6 @@ from repro.regions.landuse import (
     LANDUSE_TOP_LEVELS,
     LanduseCategory,
     landuse_category,
-    top_level_of,
 )
 from repro.regions.sources import RegionSource
 from repro.regions.annotator import RegionAnnotator
@@ -20,7 +19,6 @@ __all__ = [
     "LANDUSE_TOP_LEVELS",
     "LanduseCategory",
     "landuse_category",
-    "top_level_of",
     "RegionSource",
     "RegionAnnotator",
 ]

@@ -125,10 +125,6 @@ class RegionAnnotator:
             records=self.annotate_episode_group(sorted(episodes, key=lambda ep: ep.start_index)),
         )
 
-    def annotate_episode(self, episode: Episode) -> SemanticEpisodeRecord:
-        """Annotate a single episode with its region (one tuple of ``T_region``)."""
-        return self.annotate_episode_group([episode])[0]
-
     def annotate_episode_group(self, episodes: Sequence[Episode]) -> List[SemanticEpisodeRecord]:
         """One tuple of ``T_region`` per episode, after one lookup for all of them.
 

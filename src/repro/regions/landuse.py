@@ -66,16 +66,6 @@ def landuse_category(code: str) -> LanduseCategory:
         raise SourceError(f"unknown landuse category code {code!r}") from error
 
 
-def top_level_of(code: str) -> int:
-    """Top-level category (1..4) of a landuse sub-category code."""
-    return landuse_category(code).top_level
-
-
-def is_urban(code: str) -> bool:
-    """True for settlement/urban sub-categories (top level 1)."""
-    return top_level_of(code) == 1
-
-
 def label_of(code: str) -> str:
     """Human-readable label of a landuse sub-category."""
     return landuse_category(code).label

@@ -111,11 +111,3 @@ class RegionSource:
     def categories(self) -> List[str]:
         """Distinct categories appearing in the source, sorted."""
         return sorted({region.category for region in self._regions})
-
-
-def merge_sources(sources: Sequence[RegionSource], name: str = "merged") -> RegionSource:
-    """Concatenate several region sources into one indexed source."""
-    regions: List[RegionOfInterest] = []
-    for source in sources:
-        regions.extend(source.regions)
-    return RegionSource(regions, name=name)

@@ -2,8 +2,9 @@
 
 :class:`ProcessShard` hosts a shard's :class:`~repro.service.shard.ShardCore`
 in a dedicated worker process that is handed the parent's
-:class:`~repro.parallel.context.GeoContext` as a process argument (inherited
-copy-on-write under fork, pickled by ``multiprocessing`` otherwise), so
+:class:`~repro.parallel.context.GeoContext` as a worker argument (inherited
+copy-on-write under fork, otherwise pickled and sent as the first message on
+the worker's request pipe), so
 annotation work escapes the parent's GIL.  The worker is ``decode_frame`` →
 ``core.absorb`` → ``dump_outcome``: it runs the same core and answers with
 the same acks as an in-process shard, and everything transport-specific
@@ -81,7 +82,6 @@ __all__ = [
     "ProcessShard",
     "decode_frame",
     "DRAIN_FRAME",
-    "STOP_FRAME",
 ]
 
 #: One decoded frame item: (kind, object id or eviction target, point or None).
@@ -104,8 +104,7 @@ class FrameEncoder:
 
         ``kind`` is the service's queue-item kind (``"event"``, ``"close"``
         or ``"evict"``, the target of the last being the open-session
-        budget); anything else (the stop sentinel) must be filtered by the
-        caller.
+        budget).
         """
         pack, codes, event = self._records.pack, wire.KIND_CODES, wire.EVENT
         chunks: List[bytes] = []
@@ -118,9 +117,8 @@ class FrameEncoder:
         return b"".join(chunks)
 
 
-#: Control frames: one record, no payload.
+#: The drain control frame: one record, no payload.
 DRAIN_FRAME = wire.RecordEncoder().pack(wire.DRAIN)
-STOP_FRAME = wire.RecordEncoder().pack(wire.STOP)
 
 # The id table of the frames this process reads.  A process reads one frame
 # stream at a time — a worker its request pipe — and a stream's first

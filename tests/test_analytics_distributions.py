@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.analytics.distributions import (
-    category_distribution,
     cumulative_share,
     log_log_histogram,
     normalize_counts,
@@ -21,10 +20,6 @@ class TestNormalizeCounts:
 
     def test_zero_total(self):
         assert normalize_counts({"a": 0}) == {"a": 0.0}
-
-    def test_category_distribution(self):
-        distribution = category_distribution(["x", "x", "y"])
-        assert distribution["x"] == pytest.approx(2 / 3)
 
 
 class TestTopK:

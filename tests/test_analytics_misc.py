@@ -20,12 +20,10 @@ class TestCompression:
         report = CompressionReport(raw_records=1000, semantic_tuples=3)
         assert report.compression_ratio == pytest.approx(0.997)
         assert report.as_percentage() == pytest.approx(99.7)
-        assert report.records_per_tuple == pytest.approx(1000 / 3)
 
     def test_zero_records(self):
         report = CompressionReport(raw_records=0, semantic_tuples=0)
         assert report.compression_ratio == 0.0
-        assert report.records_per_tuple == 0.0
 
     def test_compression_report_from_structured(self):
         structured = StructuredSemanticTrajectory(
@@ -116,7 +114,6 @@ class TestStatistics:
     def test_empty_statistics(self):
         stats = episode_statistics([], [])
         assert stats.stops_per_trajectory == 0.0
-        assert stats.moves_per_trajectory == 0.0
 
     def test_per_user_summary(self):
         trajectories, episodes = self._dataset()

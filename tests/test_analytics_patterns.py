@@ -9,7 +9,6 @@ from repro.analytics.patterns import (
     frequent_sequences,
     mobility_statistics,
     mode_sequences,
-    place_sequences,
     radius_of_gyration,
 )
 from repro.core.annotations import transport_mode_annotation
@@ -74,9 +73,6 @@ class TestFrequentSequences:
 
 
 class TestSequenceExtraction:
-    def test_place_sequences(self):
-        structured = _structured(["home", "office", "market"])
-        assert place_sequences([structured]) == [["home", "office", "market"]]
 
     def test_category_sequences_collapse_duplicates(self):
         structured = StructuredSemanticTrajectory("t", "o")

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.analytics.places import FrequentPlaceMiner, label_home_and_work
-from repro.core.annotations import activity_annotation
 from repro.core.episodes import Episode, EpisodeKind
 from repro.core.points import build_trajectory
 
@@ -65,19 +64,8 @@ class TestFrequentPlaceMiner:
         places = FrequentPlaceMiner(radius=100).mine(stops)
         assert places[0].center.x == pytest.approx(20.0)
 
-    def test_dominant_activity_from_annotations(self):
-        stop_a = _stop_at(0, 0, 0)
-        stop_a.add_annotation(activity_annotation("shopping"))
-        stop_b = _stop_at(5, 5, 90_000)
-        stop_b.add_annotation(activity_annotation("shopping"))
-        stop_c = _stop_at(2, 2, 180_000)
-        stop_c.add_annotation(activity_annotation("eating"))
-        places = FrequentPlaceMiner(radius=100).mine([stop_a, stop_b, stop_c])
-        assert places[0].dominant_activity() == "shopping"
-
-    def test_dominant_activity_none_without_annotations(self):
+    def test_dominant_region_category_none_unannotated(self):
         places = FrequentPlaceMiner(radius=100).mine([_stop_at(0, 0, 0), _stop_at(1, 1, 90_000)])
-        assert places[0].dominant_activity() is None
         assert places[0].dominant_region_category() is None
 
     def test_transitive_chains_form_one_cluster(self):

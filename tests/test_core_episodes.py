@@ -8,7 +8,6 @@ from repro.core.annotations import AnnotationKind, transport_mode_annotation
 from repro.core.episodes import (
     Episode,
     EpisodeKind,
-    episode_kind_counts,
     validate_episode_partition,
 )
 from repro.core.errors import DataQualityError
@@ -55,21 +54,15 @@ class TestEpisode:
         assert episode.center().x == pytest.approx(1.0)
         assert episode.bounding_box().max_x == pytest.approx(2.0)
 
-    def test_path_length_and_speed(self, trajectory):
+    def test_path_length(self, trajectory):
         episode = Episode(EpisodeKind.MOVE, trajectory, 0, 5)
         assert episode.path_length() == pytest.approx(4.0)
-        assert episode.average_speed() == pytest.approx(4.0 / 40.0)
-
-    def test_single_point_episode_speed_zero(self, trajectory):
-        episode = Episode(EpisodeKind.STOP, trajectory, 0, 1)
-        assert episode.average_speed() == 0.0
 
     def test_annotations(self, trajectory):
         episode = Episode(EpisodeKind.MOVE, trajectory, 0, 3)
         episode.add_annotation(transport_mode_annotation("bus"))
         assert len(episode.annotations_of_kind(AnnotationKind.TRANSPORT_MODE)) == 1
-        assert episode.first_annotation_of_kind(AnnotationKind.TRANSPORT_MODE).value == "bus"
-        assert episode.first_annotation_of_kind(AnnotationKind.REGION) is None
+        assert episode.annotations_of_kind(AnnotationKind.REGION) == []
 
 
 class TestPartitionValidation:
@@ -101,11 +94,3 @@ class TestPartitionValidation:
     def test_empty_partition_rejected(self, trajectory):
         with pytest.raises(DataQualityError):
             validate_episode_partition(trajectory, [])
-
-    def test_kind_counts(self, trajectory):
-        episodes = [
-            Episode(EpisodeKind.STOP, trajectory, 0, 4),
-            Episode(EpisodeKind.MOVE, trajectory, 4, 8),
-            Episode(EpisodeKind.STOP, trajectory, 8, 10),
-        ]
-        assert episode_kind_counts(episodes) == (2, 1)

@@ -54,18 +54,6 @@ class TestLineOfInterest:
         assert line.length == pytest.approx(100.0)
         assert line.bounding_box().contains_point(Point(50, 0))
 
-    def test_supports_mode(self):
-        line = LineOfInterest(
-            place_id="l2",
-            name="metro",
-            category="metro_line",
-            segment=Segment(Point(0, 0), Point(10, 0)),
-            road_type="metro_line",
-            allowed_modes=("metro",),
-        )
-        assert line.supports_mode("metro")
-        assert not line.supports_mode("walk")
-
     def test_line_requires_segment(self):
         with pytest.raises(ValueError):
             LineOfInterest(place_id="l3", name="x", category="road")

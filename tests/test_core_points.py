@@ -24,22 +24,6 @@ class TestSpatioTemporalPoint:
         assert point.position.as_tuple() == (1.0, 2.0)
         assert point.as_tuple() == (1.0, 2.0, 3.0)
 
-    def test_time_delta(self):
-        a = SpatioTemporalPoint(0, 0, 10)
-        b = SpatioTemporalPoint(0, 0, 25)
-        assert a.time_delta(b) == 15
-        assert b.time_delta(a) == -15
-
-    def test_speed_to(self):
-        a = SpatioTemporalPoint(0, 0, 0)
-        b = SpatioTemporalPoint(3, 4, 5)
-        assert a.speed_to(b) == pytest.approx(1.0)
-
-    def test_speed_with_zero_time_delta_is_zero(self):
-        a = SpatioTemporalPoint(0, 0, 0)
-        b = SpatioTemporalPoint(3, 4, 0)
-        assert a.speed_to(b) == 0.0
-
     @given(*[st.floats(allow_nan=False, allow_infinity=False)] * 4)
     @example(5e-324, -5e-324, 2.2e-308, 0.0)  # subnormal differences
     @example(1e308, -1e308, 1e308, 1e308)  # dx and dx*dx overflow
@@ -92,25 +76,6 @@ class TestRawTrajectory:
         trajectory = _simple_trajectory()
         assert trajectory[0].t == 0
         assert [point.t for point in trajectory] == [0, 10, 20, 30]
-
-    def test_slice(self):
-        trajectory = _simple_trajectory()
-        part = trajectory.slice(1, 3)
-        assert len(part) == 2
-        assert part[0].t == 10
-        assert part.object_id == "obj"
-
-    def test_slice_invalid_range_raises(self):
-        trajectory = _simple_trajectory()
-        with pytest.raises(IndexError):
-            trajectory.slice(3, 1)
-        with pytest.raises(IndexError):
-            trajectory.slice(0, 10)
-
-    def test_points_between(self):
-        trajectory = _simple_trajectory()
-        selected = trajectory.points_between(5, 25)
-        assert [point.t for point in selected] == [10, 20]
 
     def test_default_trajectory_id(self):
         trajectory = RawTrajectory([SpatioTemporalPoint(0, 0, 0)], object_id="car7")

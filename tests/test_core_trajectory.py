@@ -8,12 +8,7 @@ from repro.core.annotations import activity_annotation, region_annotation, trans
 from repro.core.episodes import EpisodeKind
 from repro.core.errors import DataQualityError
 from repro.core.places import RegionOfInterest
-from repro.core.points import build_trajectory
-from repro.core.trajectory import (
-    SemanticEpisodeRecord,
-    SemanticTrajectory,
-    StructuredSemanticTrajectory,
-)
+from repro.core.trajectory import SemanticEpisodeRecord, StructuredSemanticTrajectory
 from repro.geometry.primitives import BoundingBox
 
 
@@ -21,29 +16,6 @@ def _region(place_id: str, category: str = "1.2") -> RegionOfInterest:
     return RegionOfInterest(
         place_id=place_id, name=place_id, category=category, extent=BoundingBox(0, 0, 1, 1)
     )
-
-
-class TestSemanticTrajectory:
-    def test_wraps_raw_points(self):
-        raw = build_trajectory([(0, 0, 0), (1, 1, 1)])
-        semantic = SemanticTrajectory(raw)
-        assert len(semantic) == 2
-        assert semantic[0].point.t == 0
-        assert semantic.annotation_count() == 0
-
-    def test_annotate_point_and_range(self):
-        raw = build_trajectory([(0, 0, 0), (1, 1, 1), (2, 2, 2)])
-        semantic = SemanticTrajectory(raw)
-        semantic.annotate_point(0, transport_mode_annotation("walk"))
-        semantic.annotate_range(1, 3, activity_annotation("shopping"))
-        assert semantic.annotation_count() == 3
-        assert len(semantic[1].annotations) == 1
-
-    def test_annotate_invalid_range(self):
-        raw = build_trajectory([(0, 0, 0), (1, 1, 1)])
-        semantic = SemanticTrajectory(raw)
-        with pytest.raises(DataQualityError):
-            semantic.annotate_range(1, 1, activity_annotation("x"))
 
 
 class TestSemanticEpisodeRecord:
@@ -125,38 +97,6 @@ class TestStructuredSemanticTrajectory:
         assert len(structured.stops()) == 2
         assert len(structured.moves()) == 1
         assert structured.duration == 400
-
-    def test_category_durations_and_dominant_category(self):
-        structured = StructuredSemanticTrajectory(
-            "t",
-            "o",
-            records=[
-                SemanticEpisodeRecord(_region("r1", "1.2"), 0, 100, EpisodeKind.STOP),
-                SemanticEpisodeRecord(_region("r2", "1.3"), 100, 500, EpisodeKind.STOP),
-                SemanticEpisodeRecord(_region("r3", "1.2"), 500, 550, EpisodeKind.STOP),
-            ],
-        )
-        durations = structured.category_durations()
-        assert durations["1.2"] == pytest.approx(150)
-        assert durations["1.3"] == pytest.approx(400)
-        assert structured.dominant_category() == "1.3"
-
-    def test_dominant_category_ignores_moves(self):
-        structured = StructuredSemanticTrajectory(
-            "t",
-            "o",
-            records=[
-                SemanticEpisodeRecord(_region("r1", "1.3"), 0, 1000, EpisodeKind.MOVE),
-                SemanticEpisodeRecord(_region("r2", "1.2"), 1000, 1100, EpisodeKind.STOP),
-            ],
-        )
-        assert structured.dominant_category() == "1.2"
-
-    def test_dominant_category_none_without_stop_places(self):
-        structured = StructuredSemanticTrajectory(
-            "t", "o", records=[SemanticEpisodeRecord(None, 0, 10, EpisodeKind.STOP)]
-        )
-        assert structured.dominant_category() is None
 
     def test_mode_and_place_sequences(self):
         region = _region("r1")

@@ -111,7 +111,8 @@ class TestGroundTruthDrive:
         assert len(ground_truth_drive.trajectory) == len(ground_truth_drive.truth_segment_ids)
 
     def test_mostly_on_road(self, ground_truth_drive):
-        assert ground_truth_drive.matched_fraction_possible > 0.95
+        truth = ground_truth_drive.truth_segment_ids
+        assert sum(1 for segment in truth if segment is not None) / len(truth) > 0.95
 
     def test_mismatched_lengths_rejected(self, ground_truth_drive):
         with pytest.raises(ValueError):

@@ -12,13 +12,7 @@ from repro.core.episodes import Episode, EpisodeKind
 from repro.core.places import PointOfInterest, RegionOfInterest
 from repro.core.points import build_trajectory
 from repro.core.trajectory import SemanticEpisodeRecord, StructuredSemanticTrajectory
-from repro.export import (
-    episodes_to_geojson,
-    raw_trajectory_to_geojson,
-    structured_trajectory_to_geojson,
-    structured_trajectory_to_kml,
-    trajectories_to_kml,
-)
+from repro.export import structured_trajectory_to_geojson, structured_trajectory_to_kml
 from repro.geometry.primitives import BoundingBox, Point
 
 
@@ -54,26 +48,6 @@ def structured(trajectory):
 
 
 class TestGeoJson:
-    def test_raw_trajectory_round_trips_through_json(self, trajectory):
-        document = raw_trajectory_to_geojson(trajectory)
-        parsed = json.loads(json.dumps(document))
-        assert parsed["type"] == "FeatureCollection"
-        feature = parsed["features"][0]
-        assert feature["geometry"]["type"] == "LineString"
-        assert len(feature["geometry"]["coordinates"]) == 10
-        assert feature["properties"]["trajectory_id"] == "traj"
-
-    def test_episodes_export_stop_as_point_and_move_as_linestring(self, trajectory):
-        stop = Episode(EpisodeKind.STOP, trajectory, 0, 3)
-        stop.add_annotation(activity_annotation("rest"))
-        move = Episode(EpisodeKind.MOVE, trajectory, 3, 10)
-        move.add_annotation(transport_mode_annotation("walk"))
-        document = episodes_to_geojson([stop, move])
-        types = [feature["geometry"]["type"] for feature in document["features"]]
-        assert types == ["Point", "LineString"]
-        properties = [feature["properties"] for feature in document["features"]]
-        assert properties[0]["activity"] == "rest"
-        assert properties[1]["transport_mode"] == "walk"
 
     def test_structured_trajectory_features(self, structured):
         document = structured_trajectory_to_geojson(structured)
@@ -97,12 +71,6 @@ class TestGeoJson:
 
 
 class TestKml:
-    def test_trajectories_to_kml_is_valid_xml(self, trajectory):
-        text = trajectories_to_kml([trajectory])
-        root = ElementTree.fromstring(text)
-        assert root.tag.endswith("kml")
-        placemarks = root.findall(".//{http://www.opengis.net/kml/2.2}Placemark")
-        assert len(placemarks) == 1
 
     def test_structured_trajectory_kml_placemarks(self, structured):
         text = structured_trajectory_to_kml(structured)
@@ -116,11 +84,14 @@ class TestKml:
         assert "transport mode: bus" in descriptions
         assert "activity: eating" in descriptions
 
-    def test_kml_escapes_special_characters(self, trajectory):
-        weird = build_trajectory([(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4)],
-                                 object_id="a&b", trajectory_id="<odd>")
-        text = trajectories_to_kml([weird])
-        ElementTree.fromstring(text)  # would raise if not escaped
+    def test_kml_escapes_special_characters(self):
+        odd = PointOfInterest(place_id="p", name="<odd> a&b", category="c", location=Point(0, 0))
+        weird = StructuredSemanticTrajectory(
+            "t", "o", records=[SemanticEpisodeRecord(odd, 0, 10, EpisodeKind.STOP)]
+        )
+        root = ElementTree.fromstring(structured_trajectory_to_kml(weird))  # raises unescaped
+        names = root.findall(".//{http://www.opengis.net/kml/2.2}name")
+        assert [node.text for node in names] == ["<odd> a&b"]
 
     def test_pipeline_output_exports(self, people_dataset, people_pipeline, annotation_sources):
         trajectory = people_dataset.all_trajectories[0]

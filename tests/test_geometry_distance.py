@@ -2,20 +2,15 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from repro.geometry.distance import (
     closest_point_on_segment,
     euclidean_distance,
-    frechet_distance,
-    haversine_distance,
     path_length,
     perpendicular_distance,
     point_segment_distance,
     project_point_on_segment,
-    squared_euclidean_distance,
 )
 from repro.geometry.primitives import Point, Segment
 
@@ -26,28 +21,6 @@ class TestEuclidean:
 
     def test_zero_distance(self):
         assert euclidean_distance(Point(1, 1), Point(1, 1)) == 0.0
-
-    def test_squared_matches_square_of_distance(self):
-        a, b = Point(1, 2), Point(4, 6)
-        assert squared_euclidean_distance(a, b) == pytest.approx(euclidean_distance(a, b) ** 2)
-
-
-class TestHaversine:
-    def test_same_point_is_zero(self):
-        lausanne = Point(6.63, 46.52)
-        assert haversine_distance(lausanne, lausanne) == 0.0
-
-    def test_one_degree_longitude_at_equator(self):
-        distance = haversine_distance(Point(0, 0), Point(1, 0))
-        assert distance == pytest.approx(111_195, rel=0.01)
-
-    def test_symmetry(self):
-        a, b = Point(6.63, 46.52), Point(9.19, 45.46)  # Lausanne - Milan
-        assert haversine_distance(a, b) == pytest.approx(haversine_distance(b, a))
-
-    def test_lausanne_milan_plausible(self):
-        distance = haversine_distance(Point(6.63, 46.52), Point(9.19, 45.46))
-        assert 200_000 < distance < 260_000
 
 
 class TestProjection:
@@ -116,23 +89,3 @@ class TestPathLength:
     def test_polyline_length(self):
         points = [Point(0, 0), Point(3, 4), Point(3, 10)]
         assert path_length(points) == pytest.approx(11.0)
-
-
-class TestFrechet:
-    def test_identical_paths_zero(self):
-        path = [Point(0, 0), Point(1, 0), Point(2, 0)]
-        assert frechet_distance(path, path) == pytest.approx(0.0)
-
-    def test_parallel_paths(self):
-        a = [Point(0, 0), Point(1, 0), Point(2, 0)]
-        b = [Point(0, 1), Point(1, 1), Point(2, 1)]
-        assert frechet_distance(a, b) == pytest.approx(1.0)
-
-    def test_empty_path_raises(self):
-        with pytest.raises(ValueError):
-            frechet_distance([], [Point(0, 0)])
-
-    def test_is_at_least_endpoint_distance(self):
-        a = [Point(0, 0), Point(5, 0)]
-        b = [Point(0, 0), Point(5, 3)]
-        assert frechet_distance(a, b) >= 3.0 - 1e-9

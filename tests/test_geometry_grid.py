@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.geometry.grid import GridSpec, UniformGrid
+from repro.geometry.grid import GridSpec
 from repro.geometry.primitives import BoundingBox, Point
 
 
@@ -19,7 +19,6 @@ class TestGridSpec:
         spec = GridSpec.covering(BoundingBox(0, 0, 950, 450), cell_size=100)
         assert spec.n_cols == 10
         assert spec.n_rows == 5
-        assert spec.n_cells == 50
 
     def test_bounds_cover_requested_box(self):
         box = BoundingBox(0, 0, 950, 450)
@@ -47,16 +46,6 @@ class TestGridSpec:
         with pytest.raises(IndexError):
             spec.cell_bounds((5, 0))
 
-    def test_cells_in_box(self):
-        spec = GridSpec(0, 0, 100, 10, 10)
-        cells = spec.cells_in_box(BoundingBox(150, 150, 350, 250))
-        assert (1, 1) in cells and (3, 2) in cells
-        assert all(0 <= c < 10 and 0 <= r < 10 for c, r in cells)
-
-    def test_cells_in_disjoint_box_is_empty(self):
-        spec = GridSpec(0, 0, 100, 10, 10)
-        assert spec.cells_in_box(BoundingBox(2000, 2000, 2100, 2100)) == []
-
     def test_neighbors_at_corner(self):
         spec = GridSpec(0, 0, 100, 10, 10)
         neighbors = spec.neighbors((0, 0), radius=1)
@@ -69,37 +58,3 @@ class TestGridSpec:
     def test_all_cells_count(self):
         spec = GridSpec(0, 0, 100, 4, 3)
         assert len(list(spec.all_cells())) == 12
-
-
-class TestUniformGrid:
-    def test_set_get(self):
-        grid = UniformGrid(GridSpec(0, 0, 10, 5, 5))
-        grid.set((1, 2), "payload")
-        assert grid.get((1, 2)) == "payload"
-        assert grid.get((0, 0), "default") == "default"
-        assert len(grid) == 1
-
-    def test_value_at_point(self):
-        grid = UniformGrid(GridSpec(0, 0, 10, 5, 5))
-        grid.set((0, 0), 42)
-        assert grid.value_at(Point(5, 5)) == 42
-        assert grid.value_at(Point(45, 45)) is None
-        assert grid.value_at(Point(-10, -10), default=-1) == -1
-
-    def test_values_in_box(self):
-        grid = UniformGrid(GridSpec(0, 0, 10, 5, 5))
-        grid.set((0, 0), "a")
-        grid.set((4, 4), "b")
-        values = grid.values_in_box(BoundingBox(0, 0, 15, 15))
-        assert values == ["a"]
-
-    def test_set_outside_grid_raises(self):
-        grid = UniformGrid(GridSpec(0, 0, 10, 5, 5))
-        with pytest.raises(IndexError):
-            grid.set((10, 10), "x")
-
-    def test_contains_and_items(self):
-        grid = UniformGrid(GridSpec(0, 0, 10, 5, 5))
-        grid.set((2, 2), 1)
-        assert (2, 2) in grid
-        assert list(grid.items()) == [((2, 2), 1)]

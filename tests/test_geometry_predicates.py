@@ -4,35 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.geometry.predicates import (
-    bbox_contains_bbox,
-    bbox_contains_point,
-    bbox_intersects,
-    min_distance_point_to_polyline,
-    point_in_polygon,
-    polygon_contains_bbox,
-    polygon_intersects_bbox,
-    polyline_intersects_bbox,
-    segments_intersect,
-)
+from repro.geometry.predicates import polygon_intersects_bbox, segments_intersect
 from repro.geometry.primitives import BoundingBox, Point, Polygon, Segment
-
-
-class TestBoxPredicates:
-    def test_bbox_intersects(self):
-        assert bbox_intersects(BoundingBox(0, 0, 2, 2), BoundingBox(1, 1, 3, 3))
-        assert not bbox_intersects(BoundingBox(0, 0, 1, 1), BoundingBox(2, 2, 3, 3))
-
-    def test_touching_boxes_intersect(self):
-        assert bbox_intersects(BoundingBox(0, 0, 1, 1), BoundingBox(1, 1, 2, 2))
-
-    def test_bbox_contains_point(self):
-        assert bbox_contains_point(BoundingBox(0, 0, 2, 2), Point(1, 1))
-        assert not bbox_contains_point(BoundingBox(0, 0, 2, 2), Point(3, 1))
-
-    def test_bbox_contains_bbox(self):
-        assert bbox_contains_bbox(BoundingBox(0, 0, 10, 10), BoundingBox(1, 1, 2, 2))
-        assert not bbox_contains_bbox(BoundingBox(0, 0, 10, 10), BoundingBox(9, 9, 11, 11))
 
 
 class TestSegmentIntersection:
@@ -67,10 +40,6 @@ class TestPolygonPredicates:
     def square(self) -> Polygon:
         return Polygon([Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4)])
 
-    def test_point_in_polygon(self, square):
-        assert point_in_polygon(square, Point(2, 2))
-        assert not point_in_polygon(square, Point(5, 5))
-
     def test_polygon_intersects_overlapping_box(self, square):
         assert polygon_intersects_bbox(square, BoundingBox(3, 3, 6, 6))
 
@@ -88,32 +57,3 @@ class TestPolygonPredicates:
         diamond = Polygon([Point(0, 2), Point(2, 0), Point(4, 2), Point(2, 4)])
         crossing = BoundingBox(-1, 1.9, 5, 2.1)
         assert polygon_intersects_bbox(diamond, crossing)
-
-    def test_polygon_contains_bbox(self, square):
-        assert polygon_contains_bbox(square, BoundingBox(1, 1, 2, 2))
-        assert not polygon_contains_bbox(square, BoundingBox(3, 3, 5, 5))
-
-
-class TestPolylinePredicates:
-    def test_polyline_vertex_inside_box(self):
-        points = [Point(0, 0), Point(5, 5)]
-        assert polyline_intersects_bbox(points, BoundingBox(4, 4, 6, 6))
-
-    def test_polyline_edge_crosses_box(self):
-        points = [Point(-1, 1), Point(3, 1)]
-        assert polyline_intersects_bbox(points, BoundingBox(0, 0, 2, 2))
-
-    def test_polyline_misses_box(self):
-        points = [Point(0, 5), Point(5, 5)]
-        assert not polyline_intersects_bbox(points, BoundingBox(0, 0, 2, 2))
-
-    def test_min_distance_to_polyline(self):
-        points = [Point(0, 0), Point(10, 0)]
-        assert min_distance_point_to_polyline(Point(5, 3), points) == pytest.approx(3.0)
-
-    def test_min_distance_single_point_polyline(self):
-        assert min_distance_point_to_polyline(Point(3, 4), [Point(0, 0)]) == pytest.approx(5.0)
-
-    def test_min_distance_empty_polyline_raises(self):
-        with pytest.raises(ValueError):
-            min_distance_point_to_polyline(Point(0, 0), [])

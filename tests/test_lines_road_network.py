@@ -50,7 +50,6 @@ class TestConstruction:
     def test_basic_accessors(self):
         network = _grid_network()
         assert len(network) == 13
-        assert network.total_length() == pytest.approx(13 * 100 + 100)
         assert set(network.road_types()) == {"metro_line", "road"}
         assert network.segment("metro-0").road_type == "metro_line"
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +20,6 @@ from repro.lines.transport_mode import (
     ModeSegment,
     TransportModeClassifier,
     dominant_mode_of,
-    mode_share_by_duration,
     pair_motion,
     run_means,
 )
@@ -195,20 +193,6 @@ class TestEpisodeDominantMode:
         ((start, end, _),) = [run for run in runs if run[2] is not None and run[2].place_id == "r1"]
         assert _classify(classifier, episode.points[start:end], road_type="road") == "bicycle"
         assert mode == dominant_mode_of(segments) == "bus"
-
-
-class TestModeShare:
-    def test_shares_sum_to_one(self):
-        segments = [
-            ModeSegment("a", "road", "walk", 0, 100, 5, 1.2),
-            ModeSegment("b", "metro_line", "metro", 100, 400, 5, 16.0),
-        ]
-        shares = mode_share_by_duration(segments)
-        assert sum(shares.values()) == pytest.approx(1.0)
-        assert shares["metro"] == pytest.approx(0.75)
-
-    def test_empty_segments(self):
-        assert mode_share_by_duration([]) == {}
 
 
 class TestConfig:

@@ -1,9 +1,9 @@
 """The start-method suite: one way across a process boundary, driven both ways.
 
-A pool worker takes the :class:`GeoContext` snapshot as its process
-argument — under ``fork`` it finds the parent's object in inherited memory
-and nothing is serialised, under ``spawn`` it receives the pickle
-``multiprocessing`` makes of a process's arguments.  Linux runs ``fork``, so
+A pool worker takes the :class:`GeoContext` snapshot as its argument —
+under ``fork`` it finds the parent's object in inherited memory and nothing
+is serialised, under ``spawn`` it reads the pickle of its arguments as the
+first message on its request pipe.  Linux runs ``fork``, so
 the tests that need the pickled snapshot substitute ``spawn`` through the
 one start-method seam, ``repro.parallel.process.mp_context`` — the
 configuration macOS and Windows really run.
@@ -15,7 +15,9 @@ configuration macOS and Windows really run.
 * ``fork`` never serialises the snapshot, ``spawn`` does;
 * a SIGKILLed worker of a spawned pool raises under ``fail_fast`` and is
   recovered from under ``skip``; either way only the dead worker is replaced;
-* pool workers die with a SIGKILLed parent, under ``fork`` and ``spawn``.
+* pool workers die with a SIGKILLed parent, under ``fork`` and ``spawn``;
+* a spawned worker that dies before it reads its arguments is EOF to its
+  parent, not a hang.
 
 (The module keeps the name it had when the snapshot travelled through a
 shared-memory segment under ``spawn``, so the surviving test ids keep
@@ -276,3 +278,49 @@ def test_pool_workers_die_with_their_parent(start_method):
                 pass
         parent.wait()
         parent.stdout.close()  # type: ignore[union-attr]
+
+
+# Starts one spawned worker whose bootstrap fails: a spawned child re-imports
+# ``__main__``, and a script read from stdin cannot be.  The worker's argument
+# is larger than a pipe buffer, and its handler would answer if it were built.
+_DIES_BOOTSTRAPPING = textwrap.dedent(
+    """
+    import multiprocessing, operator
+    from repro.parallel import process
+
+    process.mp_context = lambda: multiprocessing.get_context("spawn")
+    worker = process.WorkerProcess(
+        operator.methodcaller, ("removeprefix", b"x" * (1 << 20)), "bootstrap"
+    )
+    worker.send(b"ping")
+    try:
+        worker.responses.recv_bytes()
+    except EOFError:
+        print("EOF", flush=True)
+    worker.stop()
+    """
+)
+
+
+def test_a_spawned_worker_that_dies_bootstrapping_reads_as_eof():
+    """A worker lost before it read its arguments is EOF to its parent, not a hang."""
+    src = str(Path(api.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    parent = subprocess.Popen(
+        [sys.executable, "-"],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        out, err = parent.communicate(_DIES_BOOTSTRAPPING, timeout=30)
+        assert out.split() == ["EOF"], err[-2000:]
+    finally:
+        try:
+            os.killpg(parent.pid, signal.SIGKILL)  # the worker and any helper with it
+        except ProcessLookupError:
+            pass
+        parent.wait()

@@ -7,7 +7,6 @@ import pytest
 from repro.points.activity import (
     ACTIVITY_BY_CATEGORY,
     activity_for_category,
-    category_distribution,
     trajectory_category,
 )
 
@@ -51,13 +50,3 @@ class TestTrajectoryCategory:
         assert trajectory_category(["b", "a"], [10.0, 10.0]) == trajectory_category(
             ["a", "b"], [10.0, 10.0]
         )
-
-
-class TestCategoryDistribution:
-    def test_normalised(self):
-        distribution = category_distribution(["a", "a", "b", "c"])
-        assert distribution["a"] == pytest.approx(0.5)
-        assert sum(distribution.values()) == pytest.approx(1.0)
-
-    def test_empty(self):
-        assert category_distribution([]) == {}

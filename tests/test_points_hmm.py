@@ -67,11 +67,6 @@ class TestConstruction:
         assert hmm.initial["a"] == pytest.approx(0.5)
         assert hmm.transitions["a"]["a"] == pytest.approx(0.75)
 
-    def test_transition_matrix_shape(self, weather_hmm):
-        matrix = weather_hmm.transition_matrix()
-        assert matrix.shape == (2, 2)
-        assert matrix[0, 0] == pytest.approx(0.7)
-
 
 class TestTransitionHelpers:
     def test_uniform_transitions(self):

@@ -5,10 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import PointAnnotationConfig
-from repro.core.episodes import Episode, EpisodeKind
 from repro.core.places import PointOfInterest
-from repro.core.points import build_trajectory
-from repro.geometry.primitives import BoundingBox, Point
+from repro.geometry.primitives import Point
 from repro.points.observation import PoiObservationModel
 from repro.points.poi import PoiSource
 
@@ -44,10 +42,6 @@ class TestProbabilities:
         assert sum(scores.values()) == pytest.approx(1.0)
         assert scores["feedings"] > scores["item sale"]
 
-    def test_most_likely_category(self, model):
-        assert model.most_likely_category(Point(100, 100)) == "feedings"
-        assert model.most_likely_category(Point(900, 900)) == "item sale"
-
     def test_far_from_everything_is_near_uniform(self, model):
         # Outside the neighbour radius of both clusters the scores fall back to
         # the probability floor, hence a uniform normalised distribution.
@@ -60,13 +54,6 @@ class TestProbabilities:
         score = model.probability("feedings", outside)
         assert score == pytest.approx(model.config.min_probability)
 
-    def test_probability_for_episode_uses_center(self, model):
-        trajectory = build_trajectory([(100, 100, 0), (102, 100, 60), (98, 100, 120)])
-        stop = Episode(EpisodeKind.STOP, trajectory, 0, 3)
-        assert model.probability_for_episode("feedings", stop) == pytest.approx(
-            model.probability("feedings", stop.center()), rel=1e-6
-        )
-
 
 class TestDiscretisation:
     def test_cell_probabilities_are_cached(self, model):
@@ -75,12 +62,6 @@ class TestDiscretisation:
         assert model.cache_size() == 1
         model.probability("item sale", Point(101, 101))
         assert model.cache_size() == 1  # same cell, no recomputation
-
-    def test_precompute_box(self, model):
-        count = model.precompute_box(BoundingBox(80, 80, 180, 180))
-        assert count > 0
-        # Second call recomputes nothing.
-        assert model.precompute_box(BoundingBox(80, 80, 180, 180)) == 0
 
     def test_grid_covers_poi_bounds(self, two_cluster_source, model):
         bounds = two_cluster_source.bounds()

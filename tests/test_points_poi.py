@@ -65,10 +65,6 @@ class TestPoiSource:
         for poi in small_source.pois:
             assert bounds.contains_point(poi.location)
 
-    def test_density_per_category(self, small_source):
-        density = small_source.density_per_category()
-        assert density["item sale"] > density["services"]
-
 
 class TestCategoryCounts:
     def test_plain_sequence(self):

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.core.points import build_trajectory
-from repro.preprocessing.features import MotionFeatures, heading_change_rate, motion_features
+from repro.preprocessing.features import MotionFeatures, motion_features
 
 
 def _points(*triples):
@@ -64,39 +64,7 @@ class TestFeatureStatistics:
         features = MotionFeatures(speeds=[1.0, 5.0, 3.0], accelerations=[0, 0, 0], headings=[0, 0, 0])
         assert features.max_speed() == 5.0
 
-    def test_speed_percentile(self):
-        features = MotionFeatures(
-            speeds=[1.0, 2.0, 3.0, 4.0], accelerations=[0] * 4, headings=[0] * 4
-        )
-        assert features.speed_percentile(0) == 1.0
-        assert features.speed_percentile(100) == 4.0
-        assert features.speed_percentile(50) == pytest.approx(2.5)
-
-    def test_speed_percentile_invalid(self):
-        features = MotionFeatures(speeds=[1.0], accelerations=[0.0], headings=[0.0])
-        with pytest.raises(ValueError):
-            features.speed_percentile(120)
-
     def test_empty_statistics(self):
         features = MotionFeatures(speeds=[], accelerations=[], headings=[])
         assert features.mean_speed() == 0.0
         assert features.max_speed() == 0.0
-        assert features.speed_percentile(50) == 0.0
-
-
-class TestHeadingChangeRate:
-    def test_straight_line_is_zero(self):
-        assert heading_change_rate([0.0, 0.0, 0.0]) == 0.0
-
-    def test_turns_increase_rate(self):
-        straight = heading_change_rate([0.0, 0.0, 0.0, 0.0])
-        wiggly = heading_change_rate([0.0, math.pi / 2, 0.0, math.pi / 2])
-        assert wiggly > straight
-
-    def test_wraps_around_pi(self):
-        # A heading change from +179deg to -179deg is only 2deg, not 358deg.
-        rate = heading_change_rate([math.pi - 0.01, -math.pi + 0.01])
-        assert rate == pytest.approx(0.02, abs=1e-6)
-
-    def test_short_input(self):
-        assert heading_change_rate([1.0]) == 0.0

@@ -9,10 +9,8 @@ from repro.regions.landuse import (
     ALL_LANDUSE_CODES,
     LANDUSE_CATEGORIES,
     LANDUSE_TOP_LEVELS,
-    is_urban,
     label_of,
     landuse_category,
-    top_level_of,
 )
 
 
@@ -48,13 +46,3 @@ class TestLookups:
     def test_unknown_code_raises(self):
         with pytest.raises(SourceError):
             landuse_category("9.99")
-
-    def test_top_level_of(self):
-        assert top_level_of("2.8") == 2
-        assert top_level_of("4.17") == 4
-
-    def test_is_urban(self):
-        assert is_urban("1.1")
-        assert is_urban("1.5")
-        assert not is_urban("3.10")
-        assert not is_urban("4.13")

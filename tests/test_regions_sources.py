@@ -7,7 +7,7 @@ import pytest
 from repro.core.errors import SourceError
 from repro.core.places import RegionOfInterest
 from repro.geometry.primitives import BoundingBox, Point, Polygon
-from repro.regions.sources import RegionSource, merge_sources
+from repro.regions.sources import RegionSource
 
 
 def _cell(place_id: str, x: float, y: float, size: float = 100, category: str = "1.2"):
@@ -74,14 +74,6 @@ class TestRegionSource:
     def test_len_and_regions(self, small_source):
         assert len(small_source) == 4
         assert len(small_source.regions) == 4
-
-
-class TestMergeSources:
-    def test_merge(self, small_source):
-        other = RegionSource([_cell("z", 500, 500)], name="other")
-        merged = merge_sources([small_source, other], name="merged")
-        assert len(merged) == 5
-        assert merged.first_region_containing(Point(550, 550)).place_id == "z"
 
 
 class TestWorldRegionSource:

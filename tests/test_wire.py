@@ -24,7 +24,7 @@ from repro.core.points import RawTrajectory, SpatioTemporalPoint
 from repro.faults import IngestJournal, wire
 from repro.parallel.canonical import canonical_digest
 from repro.service import workers
-from repro.service.workers import DRAIN_FRAME, STOP_FRAME, FrameEncoder, decode_frame
+from repro.service.workers import DRAIN_FRAME, FrameEncoder, decode_frame
 
 _BIG_ID = "å" * (1 << 19)  # 1 MB of UTF-8
 
@@ -88,7 +88,7 @@ class TestRecordRoundTrip:
 
     def test_control_frames(self):
         assert decode_frame(DRAIN_FRAME) == [("drain", None, None)]
-        assert decode_frame(STOP_FRAME) == [("stop", None, None)]
+        assert decode_frame(wire.RecordEncoder().pack(wire.STOP)) == [("stop", None, None)]
         assert decode_frame(FrameEncoder().encode_batch([])) == []
 
     @given(operations=_operations)
