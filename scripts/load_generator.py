@@ -12,9 +12,11 @@ fraction of emitters vanish mid-stream without closing, exercising the
 drain-time close-out path.
 
 Prints a JSON report (sustained events/s, p50/p99 enqueue-to-absorbed
-latency, backpressure waits, dropped events) to stdout or ``--output``; with
-``--require-zero-dropped`` the exit status enforces the service's no-drop
-contract, which is how the CI smoke leg uses it::
+latency, backpressure waits, dropped events, and the summed per-shard
+``service_events_total`` / ``service_results_total`` series) to stdout or
+``--output``; with ``--require-zero-dropped`` the exit status enforces the
+service's no-drop contract and that those two series equal
+``events_absorbed`` and ``results``, which is how the CI smoke leg uses it::
 
     PYTHONPATH=src python scripts/load_generator.py \
         --cars 3 --taxis 1 --people 1 --rate 200 --shards 2 \
@@ -220,6 +222,16 @@ async def run_load(args: argparse.Namespace) -> Dict[str, object]:
         await service.shutdown()
 
     latency = service.metrics.ingest_latency
+
+    def shard_total(name: str) -> int:
+        """One per-shard series of ``/metrics``, summed over the shards."""
+        return int(
+            sum(
+                service.registry.value(name, shard=str(index)) or 0
+                for index in range(service.shard_count)
+            )
+        )
+
     failures = service.failure_log.snapshot()
     stored = len(store.trajectory_ids()) if store is not None else None
     if store is not None:
@@ -243,6 +255,8 @@ async def run_load(args: argparse.Namespace) -> Dict[str, object]:
         "quarantined": failures["quarantined"],
         "wal_replayed": failures["wal_replayed"],
         "results": len(service.results),
+        "metrics_events_total": shard_total("service_events_total"),
+        "metrics_results_total": shard_total("service_results_total"),
         "sessions_evicted": service.sessions_evicted,
         "backpressure_waits": service.stats.backpressure_waits,
         "elapsed_s": round(elapsed, 4),
@@ -314,6 +328,21 @@ def main(argv: Optional[List[str]] = None) -> int:
             "FAIL: events were dropped or no results produced "
             f"(dropped={report['dropped_events']}, errors={report['shard_errors']}, "
             f"quarantined={report['quarantined']}, results={report['results']})",
+            file=sys.stderr,
+        )
+        return 2
+    # /metrics must read the ledger: a count that drifts from it (e.g. replayed
+    # work counted twice) fails the smoke as surely as a dropped event.
+    if args.require_zero_dropped and (
+        report["metrics_events_total"] != report["events_absorbed"]
+        or report["metrics_results_total"] != report["results"]
+    ):
+        print(
+            "FAIL: /metrics disagrees with the ledger "
+            f"(service_events_total={report['metrics_events_total']}, "
+            f"events_absorbed={report['events_absorbed']}, "
+            f"service_results_total={report['metrics_results_total']}, "
+            f"results={report['results']})",
             file=sys.stderr,
         )
         return 2

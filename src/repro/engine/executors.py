@@ -108,6 +108,7 @@ from repro.faults.failures import (
     failure_stage,
     tag_failure_stage,
 )
+from repro.obs.metrics import EngineCounters, MetricsRegistry
 from repro.parallel.context import GeoContext, dump_outcome, load_outcome
 from repro.parallel.process import WorkerProcess
 from repro.streaming.session import SealedTrajectory, Session, SessionManager
@@ -524,14 +525,14 @@ def _count_batch(
 ) -> None:
     """Fold one finished batch into the registry's engine throughput counters.
 
-    Counterpart of the live :class:`EngineStats` counters of the micro-batch
-    executor: the batch executors count whole batches after the fact, so all
-    three executor kinds expose the same ``engine_*_total`` series (labelled
-    by executor) from one registry.
+    The batch executors keep no running count, so they push whole batches
+    after the fact; the micro-batch executor's series read its
+    :class:`EngineStats`.  All three executor kinds expose the same
+    ``engine_*_total`` series (labelled by executor) from one registry.
     """
-    counters = plan.telemetry.engine_counters(executor)
-    if counters is None:
+    if plan.telemetry.metrics is None:
         return
+    counters = EngineCounters(plan.telemetry.metrics, executor)
     counters.events.inc(sum(len(trajectory) for trajectory in trajectories))
     counters.results.inc(len(results))
     counters.episodes_sealed.inc(sum(len(result.episodes) for result in results))
@@ -808,10 +809,9 @@ def _worker_lost(trajectory: RawTrajectory, attempts: int) -> TrajectoryFailure:
 class EngineStats:
     """Counters a micro-batch executor maintains while processing the stream.
 
-    When the plan's telemetry enables metrics, the same vocabulary is also
-    published as ``engine_*_total`` registry counters labelled by executor
-    kind — for **all three** executors, so sequential and process-pool
-    throughput is observable with the same series (see
+    When the plan's telemetry enables metrics, the ``engine_*_total`` registry
+    counters labelled ``executor="micro_batch"`` read these fields; the batch
+    executors push the same vocabulary (see
     :class:`repro.obs.metrics.EngineCounters`).
     """
 
@@ -858,9 +858,7 @@ class MicroBatchExecutor:
         self._streaming = plan.config.streaming
         self._on_result = on_result
         self._on_episode = on_episode
-        self._counters = plan.telemetry.engine_counters(self.kind)
-        self._streaming_metrics = plan.telemetry.streaming_metrics()
-        self._sessions = SessionManager(plan.config, metrics=self._streaming_metrics)
+        self._sessions = SessionManager(plan.config)
         # Buffered events as (object_id, x, y, t): the point is unpacked at the door.
         self._pending: List[Tuple[str, float, float, float]] = []
         self._items: Dict[str, WorkItem] = {}
@@ -878,6 +876,41 @@ class MicroBatchExecutor:
         # and close-time handling decides between batch-replay and quarantine.
         self._poisoned: Dict[str, List[FailureEvent]] = {}
         self.stats = EngineStats()
+        if plan.telemetry.metrics is not None:
+            self._register_metrics(plan.telemetry.metrics)
+
+    def _register_metrics(self, registry: MetricsRegistry) -> None:
+        """Publish this executor's own counts as series that read them.
+
+        The reads hold what counts, never the executor (a cycle via the plan).
+        """
+        EngineCounters(registry, self.kind, self.stats)
+        sessions = self._sessions
+        registry.counter(
+            "streaming_evictions_total",
+            help="Sessions closed by LRU eviction",
+            read=lambda: sessions.evicted_total,
+        )
+        registry.counter(
+            "streaming_gap_closeouts_total",
+            help="Trajectories sealed online by a time/distance gap",
+            read=lambda: sessions.gap_closeouts,
+        )
+        registry.gauge(
+            "streaming_open_sessions",
+            help="Currently open per-object sessions",
+            read=sessions.__len__,
+        )
+        registry.gauge(
+            "streaming_pending_events",
+            help="Events buffered in the current micro-batch",
+            read=self._pending.__len__,
+        )
+        registry.gauge(
+            "streaming_annotate_queue_depth",
+            help="Sealed episodes and closed trajectories waiting for the next flush",
+            read=self._queue.__len__,
+        )
 
     # ------------------------------------------------------------- properties
     @property
@@ -919,10 +952,6 @@ class MicroBatchExecutor:
         """
         self._pending.append((object_id, point.x, point.y, point.t))
         self.stats.events += 1
-        if self._counters is not None:
-            self._counters.events.inc()
-            assert self._streaming_metrics is not None
-            self._streaming_metrics.pending_events.set(len(self._pending))
         if len(self._pending) >= self._streaming.micro_batch_size:
             return self._process_pending()
         return []
@@ -992,14 +1021,11 @@ class MicroBatchExecutor:
         if not self._pending:
             return []
         self.stats.processing_passes += 1
-        if self._counters is not None:
-            self._counters.processing_passes.inc()
-            assert self._streaming_metrics is not None
-            self._streaming_metrics.pending_events.set(0)
         # Take the batch before touching any session: if a push raises
         # mid-pass, already-absorbed events must not be replayed into their
         # sessions by the next pass.
-        pending, self._pending = self._pending, []
+        pending = self._pending[:]
+        self._pending.clear()
         touched: Dict[str, Session] = {}
         taken = 0
         acquire = self._sessions.acquire
@@ -1060,8 +1086,6 @@ class MicroBatchExecutor:
     # ---------------------------------------------------------- annotate queue
     def _enqueue_episode(self, item: WorkItem, episode: Episode) -> None:
         self.stats.episodes_sealed += 1
-        if self._counters is not None:
-            self._counters.episodes_sealed.inc()
         sealed = (item, episode)
         self._queue.append(sealed)
         self._unannotated.append(sealed)
@@ -1084,8 +1108,6 @@ class MicroBatchExecutor:
             or self._plan.faults.enabled
         ):
             return self._flush_queue()
-        if self._streaming_metrics is not None:
-            self._streaming_metrics.annotate_queue_depth.set(len(self._queue))
         return []
 
     def _flush_queue(self) -> List[PipelineResult]:
@@ -1122,15 +1144,11 @@ class MicroBatchExecutor:
         finally:
             if not queue:
                 self._queue_passes = 0
-            if self._streaming_metrics is not None:
-                self._streaming_metrics.annotate_queue_depth.set(len(queue))
         return results
 
     def _finish_trajectory(self, sealed: SealedTrajectory) -> Optional[PipelineResult]:
         if sealed.discarded:
             self.stats.trajectories_discarded += 1
-            if self._counters is not None:
-                self._counters.trajectories_discarded.inc()
             self._items.pop(sealed.trajectory.trajectory_id, None)
             self._poisoned.pop(sealed.trajectory.trajectory_id, None)
             return None
@@ -1173,8 +1191,6 @@ class MicroBatchExecutor:
         if result is None:
             return None
         self.stats.results += 1
-        if self._counters is not None:
-            self._counters.results.inc()
         if self._on_result is not None:
             self._on_result(result)
         return result

@@ -16,13 +16,15 @@ objects they return; their own logs are never read.
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.core.config import FailurePolicy
     from repro.core.points import RawTrajectory
-    from repro.obs.metrics import FaultMetrics, MetricsRegistry
+    from repro.obs.metrics import MetricsRegistry
     from repro.store.store import SemanticTrajectoryStore
 
 __all__ = [
@@ -88,8 +90,9 @@ class FailureLog:
 
     Thread-safe (the service's shard threads share one instance).  Counters
     are plain integers so tests reconcile exactly; when a metrics registry is
-    attached the same increments flow into ``failures_total{stage,kind}``,
-    ``retries_total``, ``quarantined_total`` and ``wal_replayed_total``.
+    attached, ``retries_total``, ``quarantined_total``, ``wal_replayed_total``
+    and ``worker_losses_total`` read them, and each failure is also counted
+    in ``failures_total{stage,kind}``.
     Quarantined trajectories write through to the store when one is bound,
     or buffer until :meth:`flush_to_store` (the service drains shard-thread
     quarantines into its store on the event loop thread).
@@ -111,11 +114,16 @@ class FailureLog:
         self.wal_replayed = 0
         self.worker_losses = 0
         self.quarantine_rows: List[int] = []
-        self._metrics: Optional["FaultMetrics"] = None
+        # Held weakly: the registry's series read this log.
+        self._registry = None if registry is None else weakref.ref(registry)
         if registry is not None:
-            from repro.obs.metrics import FaultMetrics
-
-            self._metrics = FaultMetrics(registry)
+            for count, help in (
+                ("retries", "Per-trajectory retry attempts after a stage failure"),
+                ("quarantined", "Trajectories dead-lettered to the quarantine table"),
+                ("wal_replayed", "Ingest-journal records replayed during recovery"),
+                ("worker_losses", "Worker processes (pool and shard) lost and recovered from"),
+            ):
+                registry.counter(f"{count}_total", help=help, read=partial(getattr, self, count))
 
     # -------------------------------------------------------------- recording
     def record_failure(self, stage: str, kind: str, retried: bool = False) -> None:
@@ -124,17 +132,19 @@ class FailureLog:
             self.failures += 1
             if retried:
                 self.retries += 1
-        if self._metrics is not None:
-            self._metrics.failure(stage, kind)
-            if retried:
-                self._metrics.retries.inc()
+        registry = self._registry() if self._registry is not None else None
+        if registry is not None:
+            registry.counter(
+                "failures_total",
+                help="Stage failures by stage and exception kind",
+                stage=stage,
+                kind=kind,
+            ).inc()
 
     def record_worker_loss(self) -> None:
         """Count one lost worker process (pool or process shard) under ``skip``/``retry``."""
         with self._lock:
             self.worker_losses += 1
-        if self._metrics is not None:
-            self._metrics.worker_losses.inc()
 
     def record_wal_replayed(self, count: int) -> None:
         """Count journal records replayed during service recovery."""
@@ -142,8 +152,6 @@ class FailureLog:
             return
         with self._lock:
             self.wal_replayed += count
-        if self._metrics is not None:
-            self._metrics.wal_replayed.inc(count)
 
     def absorb_result(self, result: object) -> None:
         """Count the failure history a retried-then-successful result carries."""
@@ -166,8 +174,6 @@ class FailureLog:
             self.record_failure(failure.stage, "unknown")
         with self._lock:
             self.quarantined += 1
-        if self._metrics is not None:
-            self._metrics.quarantined.inc()
         if self._store is not None:
             rows = self._store.save_quarantined([failure])
             with self._lock:

@@ -27,7 +27,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     StoreMetrics,
-    StreamingMetrics,
     bucket_counts,
 )
 from repro.obs.runtime import DISABLED, Telemetry
@@ -52,7 +51,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "EngineCounters",
-    "StreamingMetrics",
     "StoreMetrics",
     "bucket_counts",
     "DEFAULT_LATENCY_BUCKETS",

@@ -3,10 +3,16 @@
 One :class:`MetricsRegistry` per telemetry runtime collects every runtime
 signal the engine emits — executor throughput counters (the
 :class:`~repro.engine.executors.EngineStats` vocabulary, for *all three*
-executors), streaming session-manager events (evictions, gap close-outs,
+executors), streaming session-manager signals (evictions, gap close-outs,
 open-session and queue-depth gauges) and
 :class:`~repro.store.store.SemanticTrajectoryStore` transaction counters
 (commits, rollbacks, rows written, write-batch sizes).
+
+One count per fact: a series whose fact an owner already counts (an
+executor's ``EngineStats``, a session manager, a failure log, a service
+shard) is registered once, when the owner is built, and *reads* that count
+(``read=``); only facts nobody else counts are pushed.  A reading can
+therefore never drift from the number its owner reports.
 
 Per-stage latency is special: the registry's histogram backend for it **is**
 the existing :class:`~repro.analytics.latency.LatencyProfile` — executors
@@ -22,7 +28,8 @@ from __future__ import annotations
 import bisect
 import math
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analytics.latency import LatencyProfile
 from repro.core.errors import ConfigurationError
@@ -39,51 +46,78 @@ DEFAULT_BATCH_BUCKETS: Tuple[float, ...] = (1, 2, 5, 10, 25, 50, 100, 250, 500, 
 #: A label set, normalised to a sorted tuple so lookups are order-insensitive.
 Labels = Tuple[Tuple[str, str], ...]
 
+#: What a series reads: a zero-argument callable returning its owner's count.
+Read = Callable[[], float]
+
 
 def _labels(labels: Dict[str, str]) -> Labels:
     return tuple(sorted((key, str(value)) for key, value in labels.items()))
 
 
-class Counter:
+class _Series:
+    """A counter's or gauge's value: pushed to it, or the sum of its owners' counts.
+
+    A series registered with ``read=`` holds no number of its own: its
+    :attr:`value` sums its reads, one per registering owner, and a push raises.
+    """
+
+    kind = ""
+
+    def __init__(self, name: str, labels: Labels, help: str = ""):
+        self.name = name
+        self.labels = labels
+        self.help = help
+        self._value: float = 0.0
+        self._reads: List[Read] = []
+
+    @property
+    def value(self) -> float:
+        """The pushed value, or the sum of the owners' counts this series reads."""
+        return float(sum(read() for read in self._reads)) if self._reads else self._value
+
+    def add_read(self, read: Read) -> None:
+        """Let this series read one more owner's count."""
+        self._reads.append(read)
+
+    def _check_pushable(self) -> None:
+        if self._reads:
+            raise ConfigurationError(
+                f"metric {self.name!r} reads its owner's count; it cannot be pushed to"
+            )
+
+
+class Counter(_Series):
     """A monotonically increasing count."""
 
     kind = "counter"
 
-    def __init__(self, name: str, labels: Labels, help: str = ""):
-        self.name = name
-        self.labels = labels
-        self.help = help
-        self.value: float = 0.0
-
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (must be non-negative) to the counter."""
+        self._check_pushable()
         if amount < 0:
             raise ConfigurationError("counters only increase; use a gauge instead")
-        self.value += amount
+        self._value += amount
 
 
-class Gauge:
+class Gauge(_Series):
     """A value that can go up and down (queue depth, open sessions)."""
 
     kind = "gauge"
 
-    def __init__(self, name: str, labels: Labels, help: str = ""):
-        self.name = name
-        self.labels = labels
-        self.help = help
-        self.value: float = 0.0
-
     def set(self, value: float) -> None:
         """Set the gauge to an absolute value."""
-        self.value = float(value)
+        self._check_pushable()
+        self._value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
         """Move the gauge up by ``amount``."""
-        self.value += amount
+        self._check_pushable()
+        self._value += amount
 
     def dec(self, amount: float = 1.0) -> None:
         """Move the gauge down by ``amount``."""
-        self.value -= amount
+        self._check_pushable()
+        self._value -= amount
 
 
 class Histogram:
@@ -186,13 +220,19 @@ class MetricsRegistry:
         self.stage_latency = LatencyProfile()
 
     # ------------------------------------------------------------- get-or-create
-    def counter(self, name: str, help: str = "", **labels: str) -> Counter:
-        """The counter with this name and label set (created on first use)."""
-        return self._get_or_create(Counter, name, help, labels)
+    def counter(
+        self, name: str, help: str = "", read: Optional[Read] = None, **labels: str
+    ) -> Counter:
+        """The counter with this name and label set (created on first use).
 
-    def gauge(self, name: str, help: str = "", **labels: str) -> Gauge:
-        """The gauge with this name and label set (created on first use)."""
-        return self._get_or_create(Gauge, name, help, labels)
+        With ``read`` the counter reads that count (see :class:`_Series`);
+        each registration with a ``read`` adds one.
+        """
+        return self._get_or_create(Counter, name, labels, read, help=help)
+
+    def gauge(self, name: str, help: str = "", read: Optional[Read] = None, **labels: str) -> Gauge:
+        """The gauge with this name and label set (created on first use; ``read`` as above)."""
+        return self._get_or_create(Gauge, name, labels, read, help=help)
 
     def histogram(
         self,
@@ -202,27 +242,21 @@ class MetricsRegistry:
         **labels: str,
     ) -> Histogram:
         """The histogram with this name and label set (created on first use)."""
-        key = (name, _labels(labels))
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = Histogram(name, key[1], buckets=buckets, help=help)
-            self._metrics[key] = metric
-        elif not isinstance(metric, Histogram):
-            raise ConfigurationError(
-                f"metric {name!r} is already registered as a {metric.kind}"  # type: ignore[attr-defined]
-            )
-        return metric
+        return self._get_or_create(Histogram, name, labels, buckets=buckets, help=help)
 
-    def _get_or_create(self, cls: type, name: str, help: str, labels: Dict[str, str]):
+    def _get_or_create(
+        self, cls: type, name: str, labels: Dict[str, str], read: Optional[Read] = None, **options
+    ):
         key = (name, _labels(labels))
         metric = self._metrics.get(key)
         if metric is None:
-            metric = cls(name, key[1], help=help)
-            self._metrics[key] = metric
+            metric = self._metrics[key] = cls(name, key[1], **options)
         elif not isinstance(metric, cls):
             raise ConfigurationError(
                 f"metric {name!r} is already registered as a {metric.kind}"  # type: ignore[attr-defined]
             )
+        if read is not None:
+            metric.add_read(read)
         return metric
 
     # ----------------------------------------------------------- stage latency
@@ -395,54 +429,25 @@ class EngineCounters:
     """The :class:`EngineStats` vocabulary as registry counters.
 
     One bundle per executor kind, so the sequential, process-pool and
-    micro-batch runtimes report **comparable** throughput counters — the
-    micro-batch-only ``EngineStats`` dataclass stays for API compatibility,
-    but the registry is where all three executors meet.
+    micro-batch runtimes report **comparable** throughput counters.  The
+    batch executors push each finished batch; a micro-batch executor passes
+    its live ``stats``, which the five series then read.
     """
 
-    def __init__(self, registry: MetricsRegistry, executor: str):
-        self.events = registry.counter(
-            "engine_events_total", help="GPS events processed", executor=executor
-        )
-        self.results = registry.counter(
-            "engine_results_total", help="Trajectories annotated", executor=executor
-        )
-        self.episodes_sealed = registry.counter(
-            "engine_episodes_sealed_total", help="Episodes produced", executor=executor
-        )
-        self.trajectories_discarded = registry.counter(
-            "engine_trajectories_discarded_total",
-            help="Trajectories discarded as too-short fragments",
-            executor=executor,
-        )
-        self.processing_passes = registry.counter(
-            "engine_processing_passes_total",
-            help="Micro-batch processing passes",
-            executor=executor,
-        )
+    def __init__(self, registry: MetricsRegistry, executor: str, stats: Any = None):
+        def series(field: str, help: str) -> Counter:
+            read = None if stats is None else partial(getattr, stats, field)
+            return registry.counter(
+                f"engine_{field}_total", help=help, read=read, executor=executor
+            )
 
-
-class StreamingMetrics:
-    """Session-manager signals: evictions, gap close-outs, depth gauges."""
-
-    def __init__(self, registry: MetricsRegistry):
-        self.evictions = registry.counter(
-            "streaming_evictions_total", help="Sessions closed by LRU eviction"
+        self.events = series("events", "GPS events processed")
+        self.results = series("results", "Trajectories annotated")
+        self.episodes_sealed = series("episodes_sealed", "Episodes produced")
+        self.trajectories_discarded = series(
+            "trajectories_discarded", "Trajectories discarded as too-short fragments"
         )
-        self.gap_closeouts = registry.counter(
-            "streaming_gap_closeouts_total",
-            help="Trajectories sealed online by a time/distance gap",
-        )
-        self.open_sessions = registry.gauge(
-            "streaming_open_sessions", help="Currently open per-object sessions"
-        )
-        self.pending_events = registry.gauge(
-            "streaming_pending_events", help="Events buffered in the current micro-batch"
-        )
-        self.annotate_queue_depth = registry.gauge(
-            "streaming_annotate_queue_depth",
-            help="Sealed episodes and closed trajectories waiting for the next flush",
-        )
+        self.processing_passes = series("processing_passes", "Micro-batch processing passes")
 
 
 class ServiceMetrics:
@@ -450,21 +455,24 @@ class ServiceMetrics:
 
     One bundle per :class:`~repro.service.service.AnnotationService`; the
     per-shard series are labelled by shard index (:meth:`shard`), service-wide
-    signals (backpressure waits, ingest latency) are unlabelled.  The ingest
-    latency histogram measures enqueue-to-absorbed time per event — queueing
-    plus the shard executor's processing share — which is the p50/p99 an
-    online emitter actually experiences.
+    signals (backpressure waits, evictions, ingest latency) read ``stats``
+    and the ``shards`` list.  The ingest latency histogram measures
+    enqueue-to-absorbed time per event — queueing plus the shard executor's
+    processing share — which is the p50/p99 an online emitter actually
+    experiences.
     """
 
-    def __init__(self, registry: MetricsRegistry):
+    def __init__(self, registry: MetricsRegistry, stats: Any, shards: Sequence[Any]):
         self.registry = registry
         self.backpressure_waits = registry.counter(
             "service_backpressure_waits_total",
             help="ingest calls that awaited a full shard queue",
+            read=partial(getattr, stats, "backpressure_waits"),
         )
         self.sessions_evicted = registry.counter(
             "service_sessions_evicted_total",
             help="Sessions gracefully closed under the service memory budget",
+            read=lambda: sum(shard.sessions_evicted for shard in shards),
         )
         self.ingest_latency = registry.histogram(
             "service_ingest_latency_seconds",
@@ -472,103 +480,74 @@ class ServiceMetrics:
         )
         self._shards: Dict[int, "ShardMetrics"] = {}
 
-    def shard(self, index: int) -> "ShardMetrics":
-        """The per-shard bundle for one shard index (created on first use)."""
-        bundle = self._shards.get(index)
-        if bundle is None:
-            bundle = ShardMetrics(self.registry, index)
-            self._shards[index] = bundle
+    def add_shard(self, shard: Any, queue: Any) -> "ShardMetrics":
+        """Register one shard's series, reading ``shard`` and its ``queue``."""
+        self._shards[shard.index] = bundle = ShardMetrics(self.registry, shard, queue)
         return bundle
+
+    def shard(self, index: int) -> "ShardMetrics":
+        """The per-shard bundle of one shard index."""
+        return self._shards[index]
 
 
 class ShardMetrics:
     """One ingest shard's series: queue depth, events, results, sessions.
 
-    The process-transport series (worker pid, restarts, IPC frame/byte
-    counters out, ack bytes back) stay at their zero values under the thread
-    transport — one bundle serves both so dashboards need no
-    transport-specific wiring.
+    What the shard's parent-side mirror counts is read from it, so the series
+    step back with a respawned worker and climb back as its replay is
+    re-acked.  The IPC frame/byte counters out and the ack bytes back are
+    pushed, and stay at zero under the thread transport.
     """
 
-    def __init__(self, registry: MetricsRegistry, index: int):
-        shard = str(index)
-        self.queue_depth = registry.gauge(
-            "service_queue_depth", help="Events waiting in the shard queue", shard=shard
+    def __init__(self, registry: MetricsRegistry, shard: Any, queue: Any):
+        label = str(shard.index)
+
+        def counter(name: str, help: str, read: Optional[Read] = None) -> Counter:
+            return registry.counter(name, help=help, read=read, shard=label)
+
+        def gauge(name: str, help: str, read: Read) -> Gauge:
+            return registry.gauge(name, help=help, read=read, shard=label)
+
+        self.queue_depth = gauge(
+            "service_queue_depth", "Events waiting in the shard queue", lambda: len(queue.items)
         )
-        self.events = registry.counter(
-            "service_events_total", help="Events absorbed by the shard", shard=shard
+        self.events = counter(
+            "service_events_total",
+            "Events absorbed by the shard",
+            lambda: shard.events_absorbed + shard.poison_skipped,
         )
-        self.results = registry.counter(
-            "service_results_total", help="Trajectories sealed by the shard", shard=shard
+        self.results = counter(
+            "service_results_total",
+            "Trajectories collected from the shard (replayed duplicates dropped)",
+            partial(getattr, shard, "results_kept"),
         )
-        self.open_sessions = registry.gauge(
-            "service_open_sessions", help="Open per-object sessions in the shard", shard=shard
+        self.open_sessions = gauge(
+            "service_open_sessions",
+            "Open per-object sessions in the shard",
+            partial(getattr, shard, "open_sessions"),
         )
-        self.errors = registry.counter(
-            "service_shard_errors_total",
-            help="Shard batches that failed while processing",
-            shard=shard,
+        self.errors = counter(
+            "service_shard_errors_total", "Shard batches that failed while processing"
         )
-        self.worker_pid = registry.gauge(
+        self.worker_pid = gauge(
             "service_worker_pid",
-            help="PID of the shard's worker process (process transport)",
-            shard=shard,
+            "PID of the shard's worker process (process transport)",
+            lambda: shard.pid or 0,
         )
-        self.worker_restarts = registry.counter(
+        self.worker_restarts = counter(
             "service_worker_restarts_total",
-            help="Shard worker processes lost and respawned",
-            shard=shard,
+            "Shard worker processes lost and respawned",
+            partial(getattr, shard, "restarts"),
         )
-        self.ipc_frames = registry.counter(
-            "service_ipc_frames_total",
-            help="Batched event frames shipped to the shard worker",
-            shard=shard,
+        self.ipc_frames = counter(
+            "service_ipc_frames_total", "Batched event frames shipped to the shard worker"
         )
-        self.ipc_bytes = registry.counter(
-            "service_ipc_bytes_total",
-            help="Encoded frame bytes shipped to the shard worker",
-            shard=shard,
+        self.ipc_bytes = counter(
+            "service_ipc_bytes_total", "Encoded frame bytes shipped to the shard worker"
         )
-        self.ack_bytes = registry.counter(
-            "shard_ack_bytes_total",
-            help="Result-codec ack bytes read back from the shard worker",
-            shard=shard,
+        self.ack_bytes = counter(
+            "shard_ack_bytes_total", "Result-codec ack bytes read back from the shard worker"
         )
-
-
-class FaultMetrics:
-    """Fault-tolerance signals: failures, retries, quarantine, WAL replay.
-
-    The unlabelled counters mirror the plain-integer counters on
-    :class:`~repro.faults.failures.FailureLog` one-to-one, so tests can
-    reconcile both against an injected :class:`~repro.faults.inject.FaultPlan`
-    exactly; ``failures_total`` additionally fans out by stage and failure
-    kind for dashboards.
-    """
-
-    def __init__(self, registry: MetricsRegistry):
-        self.registry = registry
-        self.retries = registry.counter(
-            "retries_total", help="Per-trajectory retry attempts after a stage failure"
-        )
-        self.quarantined = registry.counter(
-            "quarantined_total", help="Trajectories dead-lettered to the quarantine table"
-        )
-        self.wal_replayed = registry.counter(
-            "wal_replayed_total", help="Ingest-journal records replayed during recovery"
-        )
-        self.worker_losses = registry.counter(
-            "worker_losses_total", help="Pool worker processes lost and recovered from"
-        )
-
-    def failure(self, stage: str, kind: str) -> None:
-        """Count one failure event, labelled by stage and exception kind."""
-        self.registry.counter(
-            "failures_total",
-            help="Stage failures by stage and exception kind",
-            stage=stage,
-            kind=kind,
-        ).inc()
 
 
 class StoreMetrics:

@@ -2,7 +2,7 @@
 
 A :class:`Telemetry` instance is what a compiled
 :class:`~repro.engine.plan.Plan` carries: executors ask it for trajectory
-traces and counter bundles, and hand every finished
+traces and its metrics registry, and hand every finished
 :class:`~repro.core.pipeline.PipelineResult` to :meth:`Telemetry.collect`,
 which folds the result's latency samples into the registry's stage-latency
 backend and *adopts* its spans into the parent-process tracer — including
@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.core.config import ObservabilityConfig
-from repro.obs.metrics import EngineCounters, MetricsRegistry, StreamingMetrics
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, TrajectoryTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -80,18 +80,6 @@ class Telemetry:
             self.metrics.observe_latency(result.latency)
         if self.tracer is not None and result.spans:
             result.spans = self.tracer.adopt(result.spans)
-
-    def engine_counters(self, executor: str) -> Optional[EngineCounters]:
-        """Throughput counters for one executor kind, or ``None`` when off."""
-        if self.metrics is None:
-            return None
-        return EngineCounters(self.metrics, executor)
-
-    def streaming_metrics(self) -> Optional[StreamingMetrics]:
-        """Session-manager metric bundle, or ``None`` when metrics are off."""
-        if self.metrics is None:
-            return None
-        return StreamingMetrics(self.metrics)
 
     # -------------------------------------------------------------- exporting
     def summary(self) -> str:

@@ -38,7 +38,8 @@ Which state lives where:
 router (event-loop thread)  ring, journal, queues, stats, failure log,
                             collected results + commit order, store
 ``Shard`` (parent side)     counters mirrored from acks: events absorbed,
-                            open sessions, evictions, poison skips
+                            open sessions, evictions, poison skips; and
+                            the results the fold kept from the shard
 ``ShardCore``               executor + sessions, core-local failure log
                             (only its dead letters leave, on acks)
 ``ProcessShard`` only       worker process + pipes, ``sent_ops`` replay
@@ -287,9 +288,12 @@ class AnnotationService:
         self._persist = persist and store is not None
         self._on_result = on_result
 
-        self.registry = MetricsRegistry()
-        self.metrics = ServiceMetrics(self.registry)
         self.stats = ServiceStats()
+        # Filled by start(); the shard series and the eviction total read it.
+        self._shards: List[_AnyShard] = []
+        self._queues: List[_ShardQueue] = []
+        self.registry = MetricsRegistry()
+        self.metrics = ServiceMetrics(self.registry, self.stats, self._shards)
         self._faults = fault_injector if fault_injector is not None else FaultInjector.from_env()
         if store is not None and self._faults.enabled:
             store.bind_faults(self._faults)
@@ -304,8 +308,6 @@ class AnnotationService:
         # (annotators, indexes, config) is the shared snapshot's.
         self._transport = service_config.resolved_transport
         self._per_shard_sessions = max(1, service_config.session_budget // self._shard_count)
-        self._shards: Sequence[_AnyShard] = ()
-        self._queues: List[_ShardQueue] = []
         self._consumers: List["asyncio.Task[None]"] = []
         self._collected_ids: Set[str] = set()
         self._results: List[PipelineResult] = []
@@ -428,12 +430,14 @@ class AnnotationService:
                 self._shard_count,
                 fsync_batch=service_config.journal_fsync_batch,
             )
-        self._queues = [_ShardQueue(service_config.queue_depth) for _ in range(self._shard_count)]
+        self._queues.extend(
+            _ShardQueue(service_config.queue_depth) for _ in range(self._shard_count)
+        )
         # The one place a transport is chosen; from here on a shard is a shard.
         if self._transport == "process":
-            self._shards = [ProcessShard(self, index) for index in range(self._shard_count)]
+            self._shards.extend(ProcessShard(self, index) for index in range(self._shard_count))
         else:
-            self._shards = [ThreadShard(self, index) for index in range(self._shard_count)]
+            self._shards.extend(ThreadShard(self, index) for index in range(self._shard_count))
         for shard in self._shards:
             shard.start()
         self._consumers = [
@@ -615,7 +619,6 @@ class AnnotationService:
         """Explicit backpressure: the producer suspends until the shard frees a
         slot.  Counted so operators can see producers waiting."""
         self.stats.backpressure_waits += 1
-        self.metrics.backpressure_waits.inc()
         await queue.room()
 
     async def _enqueue(self, queue: _ShardQueue, item: _Item) -> None:
@@ -627,17 +630,14 @@ class AnnotationService:
     async def _consume(self, index: int) -> None:
         queue = self._queues[index]
         shard = self._shards[index]
-        queue_depth = shard.metrics.queue_depth
         max_batch = self._max_batch
         stats = self.stats
         while True:
             batch = await queue.take(max_batch)
             if batch is None:
                 return
-            queue_depth.set(len(queue.items))
             stats.batches += 1
             await shard.submit(batch)
-            queue_depth.set(len(queue.items))
             # Yield between batches so co-resident consumers interleave even
             # when this queue never goes empty.
             await asyncio.sleep(0)
@@ -652,13 +652,11 @@ class AnnotationService:
         absorbed, open_sessions, evicted, quarantines = ack[-4:]
         if ack[0] == "ok":
             results: List[PipelineResult] = ack[1]  # type: ignore[assignment]
-            shard.metrics.events.inc(absorbed)  # type: ignore[arg-type]
-            shard.metrics.results.inc(len(results))
             finished = time.perf_counter()
             self.metrics.ingest_latency.observe_many(
                 [finished - item[3] for item in batch]  # type: ignore[operator]
             )
-            self._collect(results)
+            self._collect(shard, results)
         else:
             # An infrastructure-level batch failure the core survived; it
             # already told us how far it got.  Routed through the policy:
@@ -674,29 +672,16 @@ class AnnotationService:
             )
         shard.events_absorbed += absorbed  # type: ignore[operator]
         shard.open_sessions = open_sessions  # type: ignore[assignment]
-        self._mirror_evicted(shard, evicted)  # type: ignore[arg-type]
-        shard.metrics.open_sessions.set(float(open_sessions))  # type: ignore[arg-type]
+        shard.sessions_evicted = evicted  # type: ignore[assignment]
         self._quarantine(quarantines)  # type: ignore[arg-type]
 
     def _apply_drained(self, shard: Shard, ack: Ack) -> None:
         """Fold the close-out ack (sealed rows of every open session) in."""
         _, sealed, quarantines, evicted = ack
         shard.open_sessions = 0
-        self._mirror_evicted(shard, evicted)  # type: ignore[arg-type]
-        shard.metrics.results.inc(len(sealed))  # type: ignore[arg-type]
-        shard.metrics.open_sessions.set(0.0)
+        shard.sessions_evicted = evicted  # type: ignore[assignment]
         self._quarantine(quarantines)  # type: ignore[arg-type]
-        self._collect(sealed)  # type: ignore[arg-type]
-
-    def _mirror_evicted(self, shard: Shard, evicted: int) -> None:
-        """Count the evictions an ack reports beyond the mirror, then mirror it.
-
-        A respawned worker restarts from 0 (so does the mirror,
-        ``ProcessShard._spawn``), which keeps the counter monotone.
-        """
-        if evicted > shard.sessions_evicted:
-            self.metrics.sessions_evicted.inc(evicted - shard.sessions_evicted)
-        shard.sessions_evicted = evicted
+        self._collect(shard, sealed)  # type: ignore[arg-type]
 
     def _shard_failed(self, shard: Shard, stage: str, kind: str, message: str) -> None:
         """Count one shard-level failure and keep it for the failure policy."""
@@ -711,8 +696,8 @@ class AnnotationService:
         for failure in shipped:
             self._failure_log.quarantine(failure)
 
-    def _collect(self, sealed: List[PipelineResult]) -> None:
-        """Collect shard results, keep-first across worker-loss replays.
+    def _collect(self, shard: Shard, sealed: List[PipelineResult]) -> None:
+        """Collect one shard's results, keep-first across worker-loss replays.
 
         A replayed journal prefix re-seals trajectories that were already
         acked before the worker died; sealing is deterministic, so the
@@ -729,6 +714,7 @@ class AnnotationService:
             self._failure_log.absorb_result(result)
             self._order.append((result.trajectory.object_id, len(self._order)))
             self._results.append(result)
+            shard.results_kept += 1
             self.stats.results += 1
             if self._on_result is not None:
                 self._on_result(result)

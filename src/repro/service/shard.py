@@ -184,12 +184,14 @@ class Shard:
     """Parent-side state of one shard: the counters every ack folds into.
 
     The core owns the truth; this mirror is what service properties and
-    metrics read, so it trails in-flight batches by at most a transport's
-    pipelining depth.
+    the shard's metric series read, so it trails in-flight batches by at most
+    a transport's pipelining depth.
     """
 
     #: PID of the worker process hosting the core (``None``: in-process).
     pid: Optional[int] = None
+    #: Worker processes lost and respawned (always 0 in-process).
+    restarts = 0
 
     def __init__(self, host: "AnnotationService", index: int):
         # A proxy, not a reference: the router owns its shards, and a cycle
@@ -197,13 +199,17 @@ class Shard:
         # the cyclic collector gets round to it.
         self.host: "AnnotationService" = weakref.proxy(host)
         self.index = index
-        self.metrics = host.metrics.shard(index)
         self.events_absorbed = 0
         self.open_sessions = 0
         self.sessions_evicted = 0
         #: Events of proven-poison objects handled by skipping them at the
         #: shard boundary (worker-loss recovery); they count as delivered.
         self.poison_skipped = 0
+        #: Results of this shard the fold kept (replayed duplicates dropped).
+        self.results_kept = 0
+        # The series read this shard through a proxy: the registry keeps the
+        # shards alive (ServiceMetrics), so a strong reference would be a cycle.
+        self.metrics = host.metrics.add_shard(weakref.proxy(self), host._queues[index])
 
 
 class ThreadShard(Shard):

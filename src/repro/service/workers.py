@@ -196,7 +196,6 @@ class ProcessShard(Shard):
         self.sent_ops = 0
         #: Un-acked batches, popped FIFO as acks arrive (the pipe is ordered).
         self._pending: Deque[List[List[object]]] = deque()
-        self.restarts = 0
         #: Objects proven to kill fresh workers; never framed again.
         self._poisoned: Set[str] = set()
         #: Whether drain was requested; recovery re-sends the drain frame
@@ -230,7 +229,6 @@ class ProcessShard(Shard):
             name=f"semitri-shard-{self.index}",
         )
         self.pid = self._worker.pid
-        self.metrics.worker_pid.set(float(self.pid))
         # A fresh worker starts from an empty executor: the mirrored counters
         # (and any un-acked batches) died with the previous process.
         self.events_absorbed = self.open_sessions = self.sessions_evicted = 0
@@ -239,7 +237,6 @@ class ProcessShard(Shard):
     def _respawn(self) -> None:
         """Count one worker loss and replace the worker with a fresh one."""
         self.host.failure_log.record_worker_loss()
-        self.metrics.worker_restarts.inc()
         self.restarts += 1
         self._spawn()
 

@@ -17,6 +17,9 @@ A fifth, operational table backs the fault-tolerance layer:
   up on, carrying the failing stage, the exception repr, the attempt count
   and the raw GPS events (JSON) so a fixed pipeline can replay them.
 
+:data:`INVARIANTS` are the queries a consistent store answers with no rows
+(``SemanticTrajectoryStore.check_invariants``; ``docs/net.md``).
+
 :func:`apply_schema` creates the tables in one transaction.  A file written
 before ``trajectory_fixes`` existed keeps one ``gps_records`` row per fix
 (``trajectory_id``, ``seq``, ``x``, ``y``, ``t``); the same transaction packs
@@ -102,6 +105,31 @@ SCHEMA_STATEMENTS: Tuple[str, ...] = (
     "CREATE INDEX IF NOT EXISTS idx_annotations_episode ON annotations(episode_id)",
     "CREATE INDEX IF NOT EXISTS idx_annotations_category ON annotations(category)",
     "CREATE INDEX IF NOT EXISTS idx_quarantine_object ON quarantine(object_id)",
+)
+
+#: The store's invariants as named queries; each returns the rows that break it.
+INVARIANTS: Tuple[Tuple[str, str], ...] = (
+    # Every fixes row, episode and annotation has its parent row.
+    ("foreign_keys", "PRAGMA foreign_key_check"),
+    (
+        "fixes_match_their_trajectory",
+        "SELECT f.trajectory_id, f.fix_count, t.point_count FROM trajectory_fixes AS f "
+        "JOIN trajectories AS t USING (trajectory_id) WHERE (length(f.xs), length(f.ys), "
+        "length(f.ts), f.fix_count) != (8 * f.fix_count, 8 * f.fix_count, 8 * f.fix_count, "
+        "t.point_count)",
+    ),
+    (
+        # An episode covers the fixes [start_index, end_index): end is exclusive.
+        "episodes_within_their_trajectory",
+        "SELECT e.episode_id, e.start_index, e.end_index, t.point_count FROM episodes AS e "
+        "JOIN trajectories AS t USING (trajectory_id) "
+        "WHERE e.start_index < 0 OR e.end_index <= e.start_index OR e.end_index > t.point_count",
+    ),
+    (
+        "quarantined_never_committed",
+        "SELECT q.quarantine_id, q.trajectory_id FROM quarantine AS q "
+        "JOIN trajectories AS t USING (trajectory_id)",
+    ),
 )
 
 _SWAP = sys.byteorder != "little"

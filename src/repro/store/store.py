@@ -17,7 +17,7 @@ from repro.core.annotations import Annotation, GeographicReferenceAnnotation, Va
 from repro.core.episodes import Episode, EpisodeKind
 from repro.core.errors import StoreError
 from repro.core.points import RawTrajectory
-from repro.store.schema import apply_schema, pack_column, unpack_column
+from repro.store.schema import INVARIANTS, apply_schema, pack_column, unpack_column
 
 if TYPE_CHECKING:  # pragma: no cover - metrics and faults are optional at runtime
     from repro.faults.failures import TrajectoryFailure
@@ -94,6 +94,18 @@ class SemanticTrajectoryStore:
     def close(self) -> None:
         """Close the underlying connection."""
         self._connection.close()
+
+    def check_invariants(self) -> List[Tuple[str, Tuple]]:
+        """Every row that breaks one of the store's invariants, with its name.
+
+        Runs the fixed :data:`~repro.store.schema.INVARIANTS` queries; an
+        empty list means the store is consistent.
+        """
+        return [
+            (name, tuple(row))
+            for name, query in INVARIANTS
+            for row in self._connection.execute(query).fetchall()
+        ]
 
     def __enter__(self) -> "SemanticTrajectoryStore":
         self._tx_depth += 1

@@ -28,14 +28,12 @@ from __future__ import annotations
 
 import math
 import time
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import PipelineConfig
-
-if TYPE_CHECKING:  # pragma: no cover - metrics are optional at runtime
-    from repro.obs.metrics import StreamingMetrics
 from repro.core.episodes import Episode
 from repro.core.errors import DataQualityError
 from repro.core.points import RawTrajectory, SpatioTemporalPoint, _trajectory_from_columns
@@ -124,8 +122,7 @@ class Session:
         object_id: str,
         config: PipelineConfig,
         apply_cleaning: bool,
-        segment_counters: Optional[Dict[str, int]] = None,
-        metrics: Optional["StreamingMetrics"] = None,
+        manager: Optional["SessionManager"] = None,
     ):
         self.object_id = object_id
         self._config = config
@@ -133,11 +130,11 @@ class Session:
         self._max_time_gap = identification.max_time_gap
         self._max_distance_gap = identification.max_distance_gap
         self._min_points = identification.min_points
-        self._metrics = metrics
+        self._manager = manager
         self._cleaner = StreamingGpsCleaner(config.cleaning) if apply_cleaning else None
-        # Shared with the SessionManager so trajectory numbering stays unique
-        # for an object across session recreations (close-out, LRU eviction).
-        self._segment_counters = segment_counters if segment_counters is not None else {}
+        # The manager's, so trajectory numbering stays unique for an object
+        # across session recreations (close-out, LRU eviction).
+        self._segment_counters = manager._segment_counters if manager is not None else {}
         self.trajectory: Optional[OpenTrajectory] = None
         self.detector: Optional[IncrementalStopMoveDetector] = None
         # The open trajectory's columns (``_ts`` is None while none is open),
@@ -193,8 +190,8 @@ class Session:
             t - last_t > self._max_time_gap
             or math.sqrt(dx * dx + dy * dy) > self._max_distance_gap
         ):
-            if self._metrics is not None:
-                self._metrics.gap_closeouts.inc()
+            if self._manager is not None:
+                self._manager.gap_closeouts += 1
             sealed = self._seal()
             self._open(x, y, t)
             return [sealed]
@@ -305,7 +302,6 @@ class SessionManager:
         self,
         config: PipelineConfig,
         apply_cleaning: Optional[bool] = None,
-        metrics: Optional["StreamingMetrics"] = None,
     ):
         self._config = config
         self._apply_cleaning = (
@@ -314,8 +310,12 @@ class SessionManager:
         self._max_sessions = config.streaming.max_sessions
         self._sessions: "OrderedDict[str, Session]" = OrderedDict()
         self._segment_counters: Dict[str, int] = {}
-        self._metrics = metrics
         self.evicted_total = 0
+        #: Trajectories its sessions sealed on a time/distance gap, including
+        #: gaps in the cleaner's tail that ``Session.close`` pushes.
+        self.gap_closeouts = 0
+        # What its sessions hold: a strong reference back would be a cycle.
+        self._proxy = weakref.proxy(self)
 
     def __len__(self) -> int:
         return len(self._sessions)
@@ -340,17 +340,8 @@ class SessionManager:
             _, lru = self._sessions.popitem(last=False)
             evicted.append(lru)
             self.evicted_total += 1
-            if self._metrics is not None:
-                self._metrics.evictions.inc()
-        session = Session(
-            object_id,
-            self._config,
-            self._apply_cleaning,
-            segment_counters=self._segment_counters,
-            metrics=self._metrics,
-        )
+        session = Session(object_id, self._config, self._apply_cleaning, manager=self._proxy)
         self._sessions[object_id] = session
-        self._track_depth()
         return session, evicted
 
     def evict_lru(self, target_size: int) -> List[Session]:
@@ -368,10 +359,6 @@ class SessionManager:
             _, lru = self._sessions.popitem(last=False)
             evicted.append(lru)
             self.evicted_total += 1
-            if self._metrics is not None:
-                self._metrics.evictions.inc()
-        if evicted:
-            self._track_depth()
         return evicted
 
     def get(self, object_id: str) -> Optional[Session]:
@@ -380,17 +367,10 @@ class SessionManager:
 
     def pop(self, object_id: str) -> Optional[Session]:
         """Remove and return the session for ``object_id``, if any."""
-        session = self._sessions.pop(object_id, None)
-        self._track_depth()
-        return session
+        return self._sessions.pop(object_id, None)
 
     def pop_all(self) -> List[Session]:
         """Remove and return every live session (least recently active first)."""
         sessions = list(self._sessions.values())
         self._sessions.clear()
-        self._track_depth()
         return sessions
-
-    def _track_depth(self) -> None:
-        if self._metrics is not None:
-            self._metrics.open_sessions.set(len(self._sessions))

@@ -153,6 +153,39 @@ def _watchdog():
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.fixture(autouse=True)
+def _store_invariants(monkeypatch):
+    """Fail a test that leaves any store breaking one of its invariants.
+
+    Every :class:`SemanticTrajectoryStore` the test opens runs
+    ``check_invariants()`` as it closes, or at teardown if it is still open;
+    any row that comes back fails the test.
+    """
+    from repro.store.store import SemanticTrajectoryStore
+
+    live: List[SemanticTrajectoryStore] = []
+    broken: List[object] = []
+    init, close = SemanticTrajectoryStore.__init__, SemanticTrajectoryStore.close
+
+    def tracked_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        live.append(self)
+
+    def checked_close(self):
+        if self in live:
+            live.remove(self)
+            broken.extend(self.check_invariants())
+        close(self)
+
+    monkeypatch.setattr(SemanticTrajectoryStore, "__init__", tracked_init)
+    monkeypatch.setattr(SemanticTrajectoryStore, "close", checked_close)
+    yield
+    for store in live:
+        broken.extend(store.check_invariants())
+    if broken:
+        pytest.fail(f"store invariants broken: {broken}", pytrace=False)
+
+
 @pytest.fixture(scope="session")
 def world() -> SyntheticWorld:
     """A compact synthetic world shared by the whole session (read-only)."""

@@ -25,14 +25,11 @@ from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Histogram,
     MetricsRegistry,
-    StreamingMetrics,
     bucket_counts,
 )
 from repro.parallel import GeoContext
 from repro.store.store import SemanticTrajectoryStore
-from repro.streaming.session import SessionManager
 
-from test_engine_plan import _replay
 from test_parallel_parity import _random_multi_user_stream
 
 OBSERVED = ObservabilityConfig(enabled=True)
@@ -109,6 +106,23 @@ def test_registry_get_or_create_and_kind_conflicts():
         registry.histogram("writes_total", executor="sequential")
 
 
+def test_a_read_series_sums_its_owners_and_refuses_pushes():
+    registry = MetricsRegistry()
+    counts = [3, 4]
+    first = registry.counter("owned_total", read=lambda: counts[0])
+    second = registry.counter("owned_total", read=lambda: counts[1])
+    assert first is second and first.value == 7
+    counts[0] = 10
+    assert registry.value("owned_total") == 14
+    with pytest.raises(ConfigurationError):
+        first.inc()
+    gauge = registry.gauge("owned_depth", read=lambda: 2)
+    assert gauge.value == 2
+    for push in (gauge.set, gauge.inc, gauge.dec):
+        with pytest.raises(ConfigurationError):
+            push(1)
+
+
 def test_registry_snapshot_is_json_shaped():
     import json
 
@@ -168,7 +182,22 @@ def test_engine_counters_cover_all_three_executors(annotation_sources):
     with ProcessPoolExecutor(workers=2) as pool:
         parallel = pool.run(plan, trajectories)
     micro = MicroBatchExecutor(plan)
-    streamed = _replay(micro, trajectories)
+
+    def streaming_series_match_the_executor() -> None:
+        assert registry.value("streaming_pending_events") == micro.pending_event_count
+        assert registry.value("streaming_annotate_queue_depth") == micro.annotate_queue_depth
+        assert registry.value("streaming_open_sessions") == micro.open_session_count
+        assert registry.value("streaming_evictions_total") == micro.sessions_evicted
+        assert registry.value("streaming_gap_closeouts_total") == micro._sessions.gap_closeouts
+
+    streamed = []
+    for trajectory in trajectories:
+        for point in trajectory.points:
+            streamed.extend(micro.ingest(trajectory.object_id, point))
+            streaming_series_match_the_executor()
+        streamed.extend(micro.close_object(trajectory.object_id))
+    streamed.extend(micro.flush())
+    streaming_series_match_the_executor()
 
     for executor, results in (
         ("sequential", sequential),
@@ -245,21 +274,24 @@ def test_store_metrics_count_rollbacks(annotation_sources):
 
 
 # ---------------------------------------------------------- streaming metrics
-def test_streaming_metrics_track_evictions_and_depth():
-    config = dataclasses.replace(
-        PipelineConfig.for_people(),
-        streaming=StreamingConfig(micro_batch_size=4, max_sessions=2),
-    )
-    metrics = StreamingMetrics(MetricsRegistry())
-    manager = SessionManager(config, apply_cleaning=False, metrics=metrics)
-    for object_id in ("a", "b", "c"):  # third acquire evicts the LRU ("a")
-        manager.acquire(object_id)
-    assert metrics.evictions.value == manager.evicted_total == 1
-    assert metrics.open_sessions.value == len(manager) == 2
-    manager.pop("b")
-    assert metrics.open_sessions.value == 1
-    manager.pop_all()
-    assert metrics.open_sessions.value == 0
+def test_streaming_metrics_track_evictions_and_depth(annotation_sources):
+    """The session-manager series read the executor's own counts."""
+    from repro.core.points import SpatioTemporalPoint
+
+    plan = Plan.compile(GeoContext(annotation_sources, _observed_config(max_sessions=2)))
+    registry = plan.telemetry.metrics
+    assert registry is not None
+    executor = MicroBatchExecutor(plan)
+    for step, object_id in enumerate(("a", "b", "c")):  # "c" evicts the LRU ("a")
+        for i in range(5):
+            executor.ingest(object_id, SpatioTemporalPoint(float(i), 0.0, step * 100.0 + i))
+    assert registry.value("streaming_evictions_total") == executor.sessions_evicted == 1
+    assert registry.value("streaming_open_sessions") == executor.open_session_count == 2
+    executor.close_object("b")
+    assert registry.value("streaming_open_sessions") == 1
+    executor.close_all()
+    assert registry.value("streaming_open_sessions") == 0
+    assert registry.value("streaming_pending_events") == executor.pending_event_count == 0
 
 
 def test_streaming_metrics_count_gap_closeouts(annotation_sources):

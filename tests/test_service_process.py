@@ -102,6 +102,24 @@ def _assert_stores_identical(
             )
 
 
+def _assert_metrics_match_ledger(service: AnnotationService) -> None:
+    """Every ledger count reads the same on ``/metrics`` as on the service.
+
+    A WAL replay re-acks work a dead worker had already acked, so a series
+    that counted acks would read above the ledger after a worker loss.
+    """
+    registry = service.registry
+
+    def total(name: str) -> float:
+        return sum(registry.value(name, shard=str(index)) for index in range(service.shard_count))
+
+    assert total("service_events_total") == service.delivered_events == service.stats.events
+    assert total("service_results_total") == service.stats.results
+    assert registry.value("service_sessions_evicted_total") == service.sessions_evicted
+    assert total("service_worker_restarts_total") == service.failure_log.worker_losses
+    assert registry.value("wal_replayed_total") == service.stats.wal_replayed
+
+
 # ---------------------------------------------------------------------- parity
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
 def test_transport_parity_canonical_bytes_and_store_rows(
@@ -133,6 +151,7 @@ def test_transport_parity_canonical_bytes_and_store_rows(
         assert service.stats.events == total_events
         assert service.dropped_events == 0
         assert service.stats.errors == 0
+        _assert_metrics_match_ledger(service)
         if transport == "process":
             # Workers are closed by now, but one handle per shard ran.
             assert len(service.worker_pids) == 2
@@ -215,6 +234,7 @@ def test_sigkill_shard_worker_mid_stream_replays_wal(
     assert service.stats.wal_replayed > 0
     assert service.dropped_events == 0
     assert service.quarantined_count == 0  # a crash is not poison
+    _assert_metrics_match_ledger(service)
 
     reference_store = SemanticTrajectoryStore()
     reference = AnnotationService(
@@ -283,6 +303,7 @@ def test_poison_object_is_quarantined_and_the_rest_survive(
     assert service.quarantined_count == 1
     assert service.failure_log.worker_losses >= 2  # initial death + replay probes
     assert service.dropped_events == 0  # poison events count as handled
+    _assert_metrics_match_ledger(service)
     survivors = {r.trajectory.object_id for r in service.results}
     assert poison not in survivors
     assert survivors == set(streams) - {poison}

@@ -278,6 +278,40 @@ _PARENT_GPS_RECORDS = """
 """
 
 
+class TestInvariants:
+    """Each invariant query returns the row that breaks it, and only that one."""
+
+    BREAKS = (
+        (
+            "foreign_keys",
+            "INSERT INTO episodes (trajectory_id, kind, start_index, end_index, time_in, "
+            "time_out) VALUES ('ghost', 'stop', 0, 1, 0.0, 1.0)",
+        ),
+        ("fixes_match_their_trajectory", "UPDATE trajectory_fixes SET fix_count = 19"),
+        ("fixes_match_their_trajectory", "UPDATE trajectory_fixes SET ts = substr(ts, 9)"),
+        ("episodes_within_their_trajectory", "UPDATE episodes SET end_index = 21"),
+        ("episodes_within_their_trajectory", "UPDATE episodes SET start_index = end_index"),
+        (
+            "quarantined_never_committed",
+            "INSERT INTO quarantine (object_id, trajectory_id, stage, error, attempts, "
+            "quarantined_at, events) VALUES ('obj', 'traj-1', 'map_match', 'boom', 1, 0.0, '[]')",
+        ),
+    )
+
+    @pytest.mark.parametrize("name, statement", BREAKS)
+    def test_a_broken_row_is_named(self, store, trajectory, name, statement):
+        store.save_trajectory(trajectory)
+        store.save_episode(Episode(EpisodeKind.MOVE, trajectory, 0, 20))
+        assert store.check_invariants() == []
+        connection = store._connection
+        connection.execute("PRAGMA foreign_keys = OFF")
+        connection.execute(statement)
+        assert [broken for broken, _ in store.check_invariants()] == [name]
+        connection.rollback()
+        connection.execute("PRAGMA foreign_keys = ON")
+        assert store.check_invariants() == []
+
+
 def _parent_schema_file(path, trajectories, old_index=False, orphan_fix=False):
     """A store file in the one-row-per-fix layout, written the way that layout was.
 
