@@ -25,9 +25,15 @@ is a test.  ``UNCALLED_KEEP`` names the exceptions, each with its reason.
 Methods are not checked (their names collide too often to be told apart by
 name); an uncalled method is a review finding.
 
+Run without arguments, it also runs every ``git grep`` guard step of CI's lint
+job, read from ``.github/workflows/ci.yml`` like the path list, with ``bash``
+from the repository root; a step that exits non-zero is a finding that names
+the step and carries its output.
+
 Usage::
 
-    python scripts/lint_local.py            # CI's ruff-check path list + uncalled definitions
+    python scripts/lint_local.py            # CI's ruff-check path list, uncalled
+                                            # definitions and CI's git grep guards
     python scripts/lint_local.py src tests  # explicit files or directories
 
 Exit status 1 when anything was found, each finding as ``path:line: message``.
@@ -38,6 +44,7 @@ from __future__ import annotations
 import ast
 import compileall
 import re
+import subprocess
 import sys
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Set, Tuple
@@ -66,6 +73,50 @@ def ci_ruff_paths() -> List[Path]:
     if match is None:
         raise SystemExit(f"no 'run: ruff check ...' step found in {CI_WORKFLOW}")
     return [REPO_ROOT / part for part in match.group(1).split()]
+
+
+def ci_guard_steps() -> List[Tuple[str, str]]:
+    """``(name, script)`` of every step of CI's lint job whose script runs ``git grep``."""
+    steps: List[Tuple[str, str]] = []
+    job = name = ""
+    lines = CI_WORKFLOW.read_text("utf-8").splitlines()
+    for number, line in enumerate(lines):
+        job_match = re.match(r"^  ([\w-]+):\s*$", line)
+        if job_match:
+            job = job_match.group(1)
+            continue
+        step = re.match(r"^\s*- name: (.+)$", line)
+        if step:
+            name = step.group(1).strip()
+            continue
+        run = re.match(r"^(\s*)run: (.*)$", line)
+        if run is None or job != "lint":
+            continue
+        indent, command = len(run.group(1)), run.group(2).strip()
+        if command == "|":
+            block = []
+            for following in lines[number + 1 :]:
+                if following.strip() and len(following) - len(following.lstrip()) <= indent:
+                    break
+                block.append(following)
+            command = "\n".join(block)
+        if "git grep" in command:
+            steps.append((name, command))
+    return steps
+
+
+def failing_guard_steps() -> List[str]:
+    """A finding per CI guard step that exits non-zero here, with its output."""
+    findings = []
+    for name, script in ci_guard_steps():
+        run = subprocess.run(
+            ["bash", "-c", script], cwd=REPO_ROOT, capture_output=True, text=True
+        )
+        if run.returncode != 0:
+            output = (run.stdout + run.stderr).strip().replace("\n", "\n    ")
+            workflow = CI_WORKFLOW.relative_to(REPO_ROOT)
+            findings.append(f"{workflow}: CI step {name!r} fails\n    {output}")
+    return findings
 
 
 def python_files(paths: Iterable[Path]) -> Iterator[Path]:
@@ -216,6 +267,7 @@ def main(argv: List[str]) -> int:
         findings.extend(check_file(path))
     if not argv:
         findings.extend(uncalled_definitions())
+        findings.extend(failing_guard_steps())
     for finding in findings:
         print(finding)
     print(f"lint_local: {len(files)} files, {len(findings)} findings")

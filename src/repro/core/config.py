@@ -322,15 +322,9 @@ class ObservabilityConfig:
     tracing: bool = True
     """Emit per-trajectory spans (only meaningful when ``enabled``)."""
 
-    metrics: bool = True
-    """Maintain the metrics registry (only meaningful when ``enabled``)."""
-
     exporters: Tuple[str, ...] = ()
     """Exporters :meth:`Telemetry.export` runs: any of ``"jsonl"``,
     ``"prometheus"``, ``"summary"``."""
-
-    export_path: Optional[str] = None
-    """Directory the file exporters write into (defaults to the CWD)."""
 
     def __post_init__(self) -> None:
         unknown = set(self.exporters).difference(OBSERVABILITY_EXPORTERS)

@@ -3,10 +3,8 @@
 Three executors drive the same compiled stage graph:
 
 * :class:`SequentialExecutor` — in-process, a chunk of trajectories at a time;
-  the batch mode of :func:`repro.api.annotate_many` with one worker.  With
-  ``deferred_writeback=True`` the store stages are skipped during execution
-  and the batch is committed afterwards in one transaction — the pool's
-  commit shape, in-process.
+  the batch mode of :func:`repro.api.annotate_many` with one worker.  A
+  persisting plan commits each chunk in one store transaction.
 * :class:`ProcessPoolExecutor` — shards the batch by moving object, runs each
   shard in a worker process against the plan's immutable
   :class:`~repro.parallel.context.GeoContext` snapshot and merges the
@@ -23,9 +21,10 @@ way: each episode stage takes the group of sealed episodes the executor holds
 — every episode of a chunk of trajectories in batch (:func:`run_stages`), of
 one annotate-queue flush in streaming — and each closed trajectory is then
 finished on its own.  A group, because the annotation kernels cost the same
-fixed ~150 numpy dispatches for one short episode as for a hundred.  The
-group shrinks to one trajectory wherever per-trajectory grain is part of the
-contract (:func:`_chunks`), and to one episode while fault injection is armed.
+fixed ~150 numpy dispatches for one short episode as for a hundred.  While
+fault injection is armed the group shrinks to one trajectory in batch
+(:func:`_chunks`) and to one episode in streaming, so every injected fault
+lands on the trajectory and attempt it names.
 
 Sealing and annotating are separate steps of the streaming executor, so its
 results are **delivered in seal order, by whichever call flushed them**:
@@ -50,20 +49,21 @@ ship      what crosses a process boundary pickles itself: the snapshot is
           the parent's own objects
 run       :func:`run_stages` per chunk of ``_CHUNK_TRAJECTORIES`` trajectories
           or ``_CHUNK_POINTS`` GPS points, the same loop in-process and
-          inside a worker; a chunk in which a stage raised is re-run through
-          :func:`run_stages_resilient`, one trajectory at a time
+          inside a worker, its store write-back one transaction; a chunk in
+          which a stage or its commit raised is rolled back and re-run
+          through :func:`run_stages_resilient`, one trajectory at a time
 recover   one hand-out loop, largest shard first, over
           :class:`~repro.parallel.process.WorkerProcess` workers; EOF on a
           worker's response pipe blames the one shard it held, which raises
           under ``fail_fast`` and is retried, then bisected under
           ``skip``/``retry``
 collect   :func:`merge_shard_results`, in input order: :func:`_deliver` per
-          outcome, then one deferred store commit
+          outcome, then (the pool's workers hold no store) one store commit
 ========  ==================================================================
 
 Batch and streaming share three functions: :func:`_run_stage` runs any stage
-body (fault hooks, one clock pair, the failure's stage tag), :func:`_finish_item`
-runs a closed trajectory's close-time bodies inside its store scope, and
+body (fault hooks, one clock pair, the failure's stage tag), :func:`_finish_items`
+runs closed trajectories' close-time bodies inside one store scope, and
 :func:`_deliver` quarantines a failure or folds a result's retry history and
 telemetry.  Stage timing is therefore owned here: every stage body is
 measured in one place and recorded on the work items
@@ -80,7 +80,7 @@ import time
 import weakref
 from collections import deque
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import (
     Callable,
@@ -205,69 +205,61 @@ def _run_stage(
     _record_shares(stage.name, time.perf_counter() - started, shares)
 
 
-def _finish_item(plan: Plan, item: WorkItem, include_writeback: bool = True) -> None:
-    """Run a closed trajectory's close-time bodies, then seal its trace.
+def _finish_items(plan: Plan, items: Sequence[WorkItem]) -> None:
+    """Run closed trajectories' close-time bodies, then seal their traces.
 
     Every stage's untimed :meth:`~repro.engine.stages.Stage.close_out`, and,
     where it :meth:`~repro.engine.stages.Stage.finishes`, its timed
     :meth:`~repro.engine.stages.Stage.finish`: the HMM point layer and the
-    store write-back, which need the whole trajectory.  When the plan persists
-    (and ``include_writeback`` is true) they run inside one store transaction
-    scope, committed on success and rolled back if a body raises, so a
-    trajectory is never half-persisted.  The sealed trace rides on the result;
-    it is collected once, at delivery (:func:`_deliver`), so worker-side runs
-    just ship their spans back on the pickled result.
+    store write-back, which need the whole trajectory.  Item after item, so
+    the rows land in single-writer order.  When the plan persists they all
+    run inside **one** store transaction scope, committed on success and
+    rolled back if a body raises, so no trajectory is ever half-persisted and
+    a failed chunk leaves nothing behind.  The sealed traces ride on the
+    results; they are collected once, at delivery (:func:`_deliver`), so
+    worker-side runs just ship their spans back on the pickled result.
     """
     scope: ContextManager[object] = (
-        plan.store if plan.persist and include_writeback and plan.store is not None
-        else nullcontext()
+        plan.store if plan.persist and plan.store is not None else nullcontext()
     )
     try:
         with scope:
-            for stage in plan.stages:
-                if stage.writes_back and not include_writeback:
-                    continue
-                stage.close_out(item)
-                if stage.finishes(item):
-                    _run_stage(plan, stage, [(item, 1)], partial(stage.finish, item))
+            for item in items:
+                for stage in plan.stages:
+                    stage.close_out(item)
+                    if stage.finishes(item):
+                        _run_stage(plan, stage, [(item, 1)], partial(stage.finish, item))
     except BaseException as error:
         # Untagged here means the failure came from the scope exit itself —
         # the store commit (first tag wins, so stage tags survive).
         tag_failure_stage(error, "store_commit")
         raise
-    item.finish_trace()
+    for item in items:
+        item.finish_trace()
 
 
-def run_stages(
-    plan: Plan,
-    trajectories: Sequence[RawTrajectory],
-    include_writeback: bool = True,
-    worker: bool = False,
-) -> List[PipelineResult]:
+def run_stages(plan: Plan, trajectories: Sequence[RawTrajectory]) -> List[PipelineResult]:
     """Run a chunk of trajectories through every stage of the plan, stage-major.
 
     The single batch execution loop behind every batch executor, and what a
     streaming flush does with trajectories that are already closed: segment
     each trajectory, run each episode stage once over all of the chunk's
     episodes (:meth:`~repro.engine.stages.Stage.absorb_episodes`), so a
-    columnar kernel pays its fixed cost once per chunk, then finish each item
-    (:func:`_finish_item`).  An episode stage fires for every item of the
-    chunk, with or without a wanted episode, and its time is shared out over
-    the items by GPS points: one latency sample per stage and trajectory,
-    exact for a chunk of one.
+    columnar kernel pays its fixed cost once per chunk, then finish the items
+    in one store scope (:func:`_finish_items`).  An episode stage fires for
+    every item of the chunk, with or without a wanted episode, and its time
+    is shared out over the items by GPS points: one latency sample per stage
+    and trajectory, exact for a chunk of one.
 
-    :func:`_chunks` hands a plan that writes back one trajectory at a time, so
-    no trajectory's rows depend on another's success.  Failures are *tagged*
-    (the originating stage rides on the exception, see
+    Failures are *tagged* (the originating stage rides on the exception, see
     :func:`~repro.faults.failures.tag_failure_stage`) but never handled:
-    isolation, retries and quarantine live in :func:`run_stages_resilient`.
-    ``worker`` marks execution inside a pool worker process, which is the
-    only place ``kill`` fault specs may fire.
+    isolation, retries and quarantine live in :func:`_run_in_process` and
+    :func:`run_stages_resilient`.
     """
     faults = plan.faults
     if faults.enabled:
         for trajectory in trajectories:
-            faults.on_trajectory(trajectory.object_id, worker=worker)
+            faults.on_trajectory(trajectory.object_id)
     items = [WorkItem.start(trajectory, plan.telemetry) for trajectory in trajectories]
     shares = [(item, len(item.trajectory)) for item in items]
     for stage in plan.stages:
@@ -282,16 +274,13 @@ def run_stages(
                 if stage.wants_episode(item, episode)
             ]
             _run_stage(plan, stage, shares, partial(stage.absorb_episodes, wanted))
-    for item in items:
-        _finish_item(plan, item, include_writeback)
+    _finish_items(plan, items)
     return [item.result for item in items]
 
 
 def run_stages_resilient(
     plan: Plan,
     trajectory: RawTrajectory,
-    include_writeback: bool = True,
-    worker: bool = False,
     prior_events: Sequence[FailureEvent] = (),
 ) -> "PipelineResult | TrajectoryFailure":
     """Run one trajectory under the plan's failure policy.
@@ -310,7 +299,7 @@ def run_stages_resilient(
     """
     policy = plan.failure_policy
     if not policy.isolates:
-        return run_stages(plan, [trajectory], include_writeback=include_writeback, worker=worker)[0]
+        return run_stages(plan, [trajectory])[0]
     events = list(prior_events)
     error: Optional[Exception] = None
     while True:
@@ -329,9 +318,7 @@ def run_stages_resilient(
             if delay > 0:
                 time.sleep(delay)
         try:
-            [result] = run_stages(
-                plan, [trajectory], include_writeback=include_writeback, worker=worker
-            )
+            [result] = run_stages(plan, [trajectory])
         except Exception as caught:
             error = caught
             events.append(
@@ -349,16 +336,16 @@ def run_stages_resilient(
 
 
 def _chunks(
-    plan: Plan, items: Iterable[Tuple[int, RawTrajectory]], include_writeback: bool
+    plan: Plan, items: Iterable[Tuple[int, RawTrajectory]]
 ) -> Iterator[List[Tuple[int, RawTrajectory]]]:
     """Cut a batch into the chunks the stage-major loop runs.
 
-    A chunk is one trajectory wherever per-trajectory grain is part of the
-    contract: inline write-back (the store transaction commits or rolls back
-    one trajectory) and armed fault injection (every injected fault lands on
-    the trajectory and attempt it names).
+    A persisting plan is cut like any other: a chunk's write-back is one
+    store transaction.  A chunk is one trajectory while fault injection is
+    armed, so every injected fault lands on the trajectory and attempt it
+    names.
     """
-    single = plan.faults.enabled or (plan.persist and include_writeback)
+    single = plan.faults.enabled
     chunk: List[Tuple[int, RawTrajectory]] = []
     points = 0
     for entry in items:
@@ -372,37 +359,29 @@ def _chunks(
 
 
 def _run_in_process(
-    plan: Plan,
-    items: Iterable[Tuple[int, RawTrajectory]],
-    include_writeback: bool,
-    worker: bool = False,
+    plan: Plan, items: Iterable[Tuple[int, RawTrajectory]]
 ) -> List[Tuple[int, "PipelineResult | TrajectoryFailure"]]:
     """The one in-process batch loop: ``(input order, outcome)`` per trajectory.
 
-    A chunk in which a stage raised is discarded and its trajectories go one
-    by one through :func:`run_stages_resilient`: under ``fail_fast`` that
-    raises the tagged exception at the trajectory a per-trajectory loop would
-    have stopped at, under ``skip``/``retry`` it retries or quarantines
-    exactly the culprit and gives every innocent its clean result.
+    A chunk in which a stage or its store commit raised is discarded — its
+    store scope rolled back, so none of its rows stay — and its trajectories
+    go one by one through :func:`run_stages_resilient`, each in its own
+    scope: under ``fail_fast`` that raises the tagged exception at the
+    trajectory a per-trajectory loop would have stopped at, with exactly its
+    predecessors committed; under ``skip``/``retry`` it retries or
+    quarantines exactly the culprit and commits every innocent once.
     """
     outputs: List[Tuple[int, "PipelineResult | TrajectoryFailure"]] = []
-    for chunk in _chunks(plan, items, include_writeback):
+    for chunk in _chunks(plan, items):
         trajectories = [trajectory for _, trajectory in chunk]
         outcomes: Optional[Sequence["PipelineResult | TrajectoryFailure"]] = None
         if len(chunk) > 1:
             try:
-                outcomes = run_stages(
-                    plan, trajectories, include_writeback=include_writeback, worker=worker
-                )
+                outcomes = run_stages(plan, trajectories)
             except Exception:
                 pass  # raised again below, at the trajectory it belongs to
         if outcomes is None:
-            outcomes = [
-                run_stages_resilient(
-                    plan, trajectory, include_writeback=include_writeback, worker=worker
-                )
-                for trajectory in trajectories
-            ]
+            outcomes = [run_stages_resilient(plan, trajectory) for trajectory in trajectories]
         outputs.extend(zip((order for order, _ in chunk), outcomes))
     return outputs
 
@@ -466,11 +445,12 @@ def merge_shard_results(
     and span order independent of shard submission and completion order.
     Exhausted trajectories are absent from the output.
 
-    With ``commit`` (deferred write-back) the survivors' rows then go to the
-    store in one transaction, in the exact order — contents and autoincrement
-    identifiers — a single sequential writer would produce.  Under a
-    ``retry`` policy a failed commit is retried with backoff; the store
-    rolled the failed attempt back, so the retry re-sends the identical batch.
+    With ``commit`` (the pool: its workers hold no store) the survivors' rows
+    then go to the store in one transaction, in the exact order — contents
+    and autoincrement identifiers — a single sequential writer would produce.
+    Under a ``retry`` policy a failed commit is retried with backoff; the
+    store rolled the failed attempt back, so the retry re-sends the identical
+    batch.
     """
     ordered = dict(outputs)
     results: List[PipelineResult] = []
@@ -490,7 +470,7 @@ def merge_shard_results(
 def _commit_with_retry(
     failure_log: FailureLog, commit: Callable[[], object], stage: str = "store_commit"
 ) -> None:
-    """Run a deferred store commit under the failure log's policy.
+    """Run a merged store commit under the failure log's policy.
 
     A failed commit is rolled back by the store, so retrying re-executes the
     batch from scratch without duplicating rows.  ``fail_fast`` and ``skip``
@@ -542,15 +522,13 @@ def _count_batch(
 class SequentialExecutor:
     """In-process, one chunk of trajectories at a time — the batch reference executor.
 
-    Each stage runs once per chunk (:func:`_run_in_process`); a chunk in
-    which a stage raised is redone one trajectory at a time.
+    Each stage runs once per chunk (:func:`_run_in_process`), and a
+    persisting plan commits each chunk in one transaction; a chunk in which a
+    stage or its commit raised is redone one trajectory at a time.
     """
 
     #: Short identifier used in reporting (the ``executor`` metric label).
     kind = "sequential"
-
-    def __init__(self, deferred_writeback: bool = False):
-        self._deferred = deferred_writeback
 
     def run(self, plan: Plan, trajectories: Sequence[RawTrajectory]) -> List[PipelineResult]:
         """Annotate the batch under the plan's failure policy.
@@ -559,9 +537,8 @@ class SequentialExecutor:
         simply absent from the output; survivors keep their relative order
         (and their single-writer store row order).
         """
-        deferred = self._deferred and plan.persist
-        outputs = _run_in_process(plan, enumerate(trajectories), include_writeback=not deferred)
-        merged = merge_shard_results(plan, outputs, commit=deferred)
+        outputs = _run_in_process(plan, enumerate(trajectories))
+        merged = merge_shard_results(plan, outputs, commit=False)
         _count_batch(plan, self.kind, trajectories, merged)
         return merged
 
@@ -603,7 +580,7 @@ def _pool_worker(context: GeoContext) -> Callable[[bytes], bytes]:
     def handle(request: bytes) -> bytes:
         try:
             items = pickle.loads(request)
-            outputs = _run_in_process(plan, items, include_writeback=False, worker=True)
+            outputs = _run_in_process(plan, items)
             for _, out in outputs:
                 if isinstance(out, TrajectoryFailure):
                     out.exception = None
@@ -678,8 +655,15 @@ class ProcessPoolExecutor:
             return []
         shards = shard_by_object(trajectories, self._size * _SHARD_MULTIPLIER)
         if len(shards) == 1:
-            # A single shard gains nothing from the pool; run it inline.
-            outputs = _run_in_process(plan, shards[0][1], include_writeback=False)
+            # A single shard gains nothing from the pool; run it inline, as a
+            # worker would: on the plan without its write-back.
+            inline = replace(
+                plan,
+                stages=tuple(stage for stage in plan.stages if not stage.writes_back),
+                store=None,
+                persist=False,
+            )
+            outputs = _run_in_process(inline, shards[0][1])
         else:
             outputs = self._run_shards(plan, shards)
         merged = merge_shard_results(plan, outputs, commit=True)
@@ -1158,7 +1142,7 @@ class MicroBatchExecutor:
         events = self._poisoned.pop(trajectory_id, None)
         if events is None:
             try:
-                _finish_item(plan, item)
+                _finish_items(plan, [item])
             except Exception as error:
                 if not plan.failure_policy.isolates:
                     self._items.pop(trajectory_id, None)

@@ -18,7 +18,7 @@ in tests, on the CLI (``scripts/load_generator.py --fault-plan``) and via the
 * ``raise@map_match:obj=car-3,times=-1`` — a *poison* object: every
   ``map_match`` run for ``car-3`` raises, forever;
 * ``kill:n=2``                   — SIGKILL the worker process at its 2nd
-  trajectory (only fires inside pool workers, never in the parent);
+  trajectory (only fires inside worker processes, never in the parent);
 * ``commit:n=1``                 — fail the 1st store commit;
 * ``stall@poi_annotation:n=5,secs=0.2`` — sleep 0.2 s at the 5th
   ``poi_annotation`` execution (timeout-path testing);
@@ -32,6 +32,7 @@ and any injector (in any process) seeing it treats the spec as spent.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import random
 import signal
@@ -261,14 +262,15 @@ class FaultInjector:
                         f"injected failure in stage {stage!r} for object {object_id!r}"
                     )
 
-    def on_trajectory(self, object_id: str, worker: bool = False) -> None:
+    def on_trajectory(self, object_id: str) -> None:
         """Called as each trajectory starts; ``kill`` specs SIGKILL the worker.
 
-        Kill specs only ever fire when ``worker`` is true (inside a pool
-        worker process) — the parent process, shard threads and the
-        sequential executor are never killed.
+        Kill specs only ever fire inside a worker process — a process
+        ``multiprocessing`` started, which in this package is always a
+        :class:`~repro.parallel.process.WorkerProcess` — so the parent
+        process, thread shards and the sequential executor are never killed.
         """
-        if not self._plan.specs or not worker:
+        if not self._plan.specs or multiprocessing.parent_process() is None:
             return
         for index, spec in enumerate(self._plan.specs):
             if spec.kind != "kill":

@@ -33,9 +33,7 @@ class Telemetry:
 
     def __init__(self, config: ObservabilityConfig):
         self.config = config
-        self.metrics: Optional[MetricsRegistry] = (
-            MetricsRegistry() if config.enabled and config.metrics else None
-        )
+        self.metrics: Optional[MetricsRegistry] = MetricsRegistry() if config.enabled else None
         self.tracer: Optional[Tracer] = (
             Tracer() if config.enabled and config.tracing else None
         )
@@ -51,7 +49,7 @@ class Telemetry:
     @property
     def enabled(self) -> bool:
         """Whether any telemetry is collected at all."""
-        return self.metrics is not None or self.tracer is not None
+        return self.metrics is not None
 
     @property
     def tracing_enabled(self) -> bool:
@@ -98,7 +96,7 @@ class Telemetry:
         """Run the configured exporters; returns exporter name -> artefact.
 
         ``"jsonl"`` and ``"prometheus"`` write files under ``directory`` (or
-        ``config.export_path``, or the CWD) and map to the written path;
+        the CWD) and map to the written path;
         ``"summary"`` maps to the rendered table itself.
         """
         from repro.obs.exporters import JsonlExporter, PrometheusExporter
@@ -106,7 +104,7 @@ class Telemetry:
         artefacts: Dict[str, str] = {}
         if not self.enabled:
             return artefacts
-        base = Path(directory or self.config.export_path or ".")
+        base = Path(directory or ".")
         for name in self.config.exporters:
             if name == "jsonl":
                 path = base / "telemetry.jsonl"

@@ -13,7 +13,7 @@ for running a snapshot under another configuration — the per-trajectory
 sections (cleaning, gaps, stop/move, streaming, service, ...) may differ, the
 sections its annotators were built from (:data:`ANNOTATOR_SECTIONS`) may not.
 The ``annotators=`` argument of the constructor is the seam through which
-tests substitute the :mod:`repro.reference` oracles.
+tests substitute the scalar oracles the test suite keeps.
 
 A worker process is handed the snapshot as an argument: for free under
 ``fork`` (copy-on-write pages are never written), as the pickle

@@ -27,7 +27,7 @@ one implementation:
 
 The columns are the only entry: a caller holding points passes
 :func:`~repro.core.points.point_columns` of them.  The per-point loops the
-passes must equal live in :mod:`repro.reference.cleaning`.
+passes must equal live with the test suite's oracles, outside the product.
 """
 
 from __future__ import annotations

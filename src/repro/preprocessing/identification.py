@@ -8,8 +8,8 @@ and "spatial separations" computing policies of Figure 2.
 The split scans a stream's ``(xs, ys, ts)`` float columns
 (:meth:`TrajectoryIdentifier.split_columns`), and every kept fragment is a
 trajectory over slices of them, so no point object is built.  The columns are
-the only entry; the per-point loop the split must equal lives in
-:mod:`repro.reference.cleaning`.
+the only entry; the per-point loop the split must equal lives with the
+test suite's oracles, outside the product.
 """
 
 from __future__ import annotations

@@ -90,17 +90,9 @@ class ShardCore:
 
     Only ever touched by one thread: a thread shard's is the event loop's, a
     worker process is single-threaded.
-    ``in_worker`` arms kill-style chaos, which must only ever fire inside a
-    sacrificial worker process (an in-process core skips the hook entirely).
     """
 
-    def __init__(
-        self,
-        context: GeoContext,
-        max_sessions: int,
-        faults: FaultInjector,
-        in_worker: bool = False,
-    ):
+    def __init__(self, context: GeoContext, max_sessions: int, faults: FaultInjector):
         streaming = replace(context.config.streaming, max_sessions=max_sessions)
         context = context.with_config(replace(context.config, streaming=streaming))
         # Core-local failure log: its counters are never read; only the
@@ -110,7 +102,9 @@ class ShardCore:
         self.executor = MicroBatchExecutor(
             Plan.compile(context, faults=faults, failure_log=self._log)
         )
-        self._on_event = faults.on_trajectory if in_worker else None
+        # Kill-style chaos: fires only inside a worker process (the injector
+        # checks), so a thread shard's hook is inert.
+        self._on_event = faults.on_trajectory if faults.enabled else None
 
     def absorb(self, ops: Sequence[Op]) -> Ack:
         """Apply one micro-batch of operations, in order."""
@@ -127,7 +121,7 @@ class ShardCore:
                     if on_event is not None:
                         # Streams have no trajectory boundary until sealing,
                         # so the kill hook fires per event.
-                        on_event(object_id, worker=True)
+                        on_event(object_id)
                     sealed = ingest(object_id, op[2])  # type: ignore[arg-type]
                     if sealed:
                         results.extend(sealed)

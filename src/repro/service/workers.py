@@ -161,7 +161,7 @@ def _shard_worker(
         if fault_plan
         else FaultInjector.from_env()
     )
-    core = shard.ShardCore(context, per_shard_sessions, faults, in_worker=True)
+    core = shard.ShardCore(context, per_shard_sessions, faults)
 
     def handle(frame: bytes) -> bytes:
         ops = decode_frame(frame)

@@ -51,7 +51,7 @@ class SemanticTrajectoryStore:
     write is deferred into one transaction that is **committed on a clean
     exit and rolled back when the block raises**.  Scopes nest (the
     outermost one decides), and the engine's write-back path wraps each
-    trajectory's persistence in one scope so a trajectory is never
+    chunk of trajectories in one scope so no trajectory is ever
     half-stored.  Leaving a scope does *not* close the connection — call
     :meth:`close` for that.
     """

@@ -6,7 +6,8 @@ show: output bytes, per-stage latency sample counts, ``on_episode`` order,
 failure isolation and store rows are those of one trajectory (one episode) at
 a time.  The per-unit reference is the same code with the chunk limits patched
 to one trajectory — or with an armed fault plan that never fires, which makes
-every chunk one trajectory and every group one episode.
+every chunk one trajectory and every group one episode.  A persisting batch is
+chunked like any other: a chunk's write-back is one store transaction.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 
 from repro import api
 from repro.core.config import PipelineConfig, StreamingConfig
+from repro.core.errors import StoreError
 from repro.core.pipeline import SeMiTriPipeline
 from repro.core.points import RawTrajectory
 from repro.engine import (
@@ -74,8 +76,8 @@ def test_chunk_rule(annotation_sources, mixed_batch, monkeypatch):
     numbered = list(enumerate(mixed_batch))
     plan = Plan.compile(GeoContext(annotation_sources, _config()))
 
-    def sizes(plan, include_writeback=True):
-        chunks = list(executors._chunks(plan, numbered, include_writeback))
+    def sizes(plan):
+        chunks = list(executors._chunks(plan, numbered))
         assert [entry for chunk in chunks for entry in chunk] == numbered
         return [len(chunk) for chunk in chunks]
 
@@ -85,23 +87,50 @@ def test_chunk_rule(annotation_sources, mixed_batch, monkeypatch):
     _set_chunks(monkeypatch, _EVERYTHING, 1)  # a limit smaller than any trajectory
     assert sizes(plan) == [1] * len(numbered)
     _set_chunks(monkeypatch, _EVERYTHING, 400)
-    for chunk in executors._chunks(plan, numbered, True):
+    for chunk in executors._chunks(plan, numbered):
         points = [len(trajectory) for _, trajectory in chunk]
         assert sum(points) >= 400 or chunk[-1] == numbered[-1]
         assert sum(points[:-1]) < 400  # closed by the trajectory that crossed the limit
     _set_chunks(monkeypatch, _EVERYTHING, _EVERYTHING)
     assert sizes(plan) == [len(numbered)]
 
-    # Per-trajectory grain is part of the contract: inline write-back, armed faults.
+    # A persisting plan is cut exactly like a non-persisting one; armed faults
+    # cut one trajectory at a time, persisting or not.
     store = SemanticTrajectoryStore()
     persisting = Plan.compile(GeoContext(annotation_sources, _config()), store=store, persist=True)
-    assert sizes(persisting) == [1] * len(numbered)
-    assert sizes(persisting, include_writeback=False) == [len(numbered)]
-    armed = Plan.compile(
-        GeoContext(annotation_sources, _config()),
-        faults=FaultInjector(FaultPlan.parse(_INERT_FAULTS)),
-    )
-    assert sizes(armed) == [1] * len(numbered)
+    assert sizes(persisting) == [len(numbered)]
+    _set_chunks(monkeypatch, 3, _EVERYTHING)
+    assert sizes(persisting) == sizes(plan) == threes
+    faults = FaultInjector(FaultPlan.parse(_INERT_FAULTS))
+    context = GeoContext(annotation_sources, _config())
+    for armed in (
+        Plan.compile(context, faults=faults),
+        Plan.compile(context, store=store, persist=True, faults=faults),
+    ):
+        assert sizes(armed) == [1] * len(numbered)
+    store.close()
+
+
+def test_a_persisting_batch_runs_each_episode_stage_once_per_chunk(
+    annotation_sources, mixed_batch, monkeypatch
+):
+    calls = []
+    original = MapMatchStage.absorb_episodes
+
+    def spy(self, sealed):
+        calls.append(len({item.trajectory.trajectory_id for item, _ in sealed}))
+        return original(self, sealed)
+
+    monkeypatch.setattr(MapMatchStage, "absorb_episodes", spy)
+    _set_chunks(monkeypatch, 3, _EVERYTHING)
+    store = SemanticTrajectoryStore()
+    plan = Plan.compile(GeoContext(annotation_sources, _config()), store=store, persist=True)
+    chunks = list(executors._chunks(plan, enumerate(mixed_batch)))
+    SequentialExecutor().run(plan, mixed_batch)
+    assert 1 < len(chunks) < len(mixed_batch)
+    assert len(calls) == len(chunks)
+    assert max(calls) > 1  # several trajectories' moves went through one call
+    assert store.trajectory_count() == len(mixed_batch)
     store.close()
 
 
@@ -341,26 +370,102 @@ def test_isolating_policies_blame_exactly_the_culprit(
 
 
 def test_deferred_writeback_commits_the_same_rows(annotation_sources, mixed_batch, monkeypatch):
+    """A chunk's one transaction, at any chunk size, and the pool's deferred
+    (merged) commit write the rows one trajectory at a time writes, ids included."""
+    context = GeoContext.build(annotation_sources, _config())
     stores = []
-    for limit in (1, _EVERYTHING):
+    for limit in (1, 3, _EVERYTHING):
         _set_chunks(monkeypatch, limit, _EVERYTHING)
         store = SemanticTrajectoryStore()
-        context = GeoContext.build(annotation_sources, _config())
-        plan = api.compile_plan(context=context, store=store, persist=True)
-        SequentialExecutor(deferred_writeback=True).run(plan, mixed_batch)
+        SequentialExecutor().run(
+            api.compile_plan(context=context, store=store, persist=True), mixed_batch
+        )
         stores.append(store)
-    one, chunked = stores
-    assert chunked.trajectory_ids() == one.trajectory_ids()
-    assert chunked.annotation_count() == one.annotation_count()
-    for trajectory_id in one.trajectory_ids():
-        rows = one.episodes_for(trajectory_id)
-        assert chunked.episodes_for(trajectory_id) == rows  # episode ids included
-        for row in rows:
-            assert chunked.annotations_for(row["episode_id"]) == one.annotations_for(
-                row["episode_id"]
-            )
+    pooled = SemanticTrajectoryStore()
+    api.annotate_many(mixed_batch, context=context, workers=2, store=pooled, persist=True)
+    stores.append(pooled)
+    one = _store_rows(stores[0])
+    assert stores[0].trajectory_count() == len(mixed_batch)
+    for store in stores[1:]:
+        assert _store_rows(store) == one
     for store in stores:
         store.close()
+
+
+@pytest.fixture()
+def bad_write(monkeypatch, mixed_batch):
+    """The store write of one trajectory's episodes fails, mid-chunk.
+
+    The write comes after the trajectory's own row went into the open
+    transaction, so only a rollback of the whole chunk leaves no trace of it.
+    """
+    culprit = mixed_batch[len(mixed_batch) // 2 + 1].trajectory_id
+    original = SemanticTrajectoryStore.save_episodes
+
+    def save_episodes(self, episodes):
+        episodes = list(episodes)
+        if any(episode.trajectory.trajectory_id == culprit for episode in episodes):
+            raise StoreError(f"write of {culprit!r} failed")
+        return original(self, episodes)
+
+    monkeypatch.setattr(SemanticTrajectoryStore, "save_episodes", save_episodes)
+    return culprit
+
+
+def _persisted_one_by_one(annotation_sources, trajectories, store):
+    """The reference store: each trajectory its own call and transaction."""
+    plan = Plan.compile(GeoContext(annotation_sources, _config()), store=store, persist=True)
+    for trajectory in trajectories:
+        SequentialExecutor().run_one(plan, trajectory)
+    return _store_rows(store)
+
+
+def test_a_failed_chunk_write_back_under_skip_commits_each_innocent_once(
+    annotation_sources, mixed_batch, bad_write
+):
+    position = [t.trajectory_id for t in mixed_batch].index(bad_write)
+    innocents = mixed_batch[:position] + mixed_batch[position + 1 :]
+    reference_store = SemanticTrajectoryStore()
+    reference = _persisted_one_by_one(annotation_sources, innocents, reference_store)
+
+    store = SemanticTrajectoryStore()
+    plan = Plan.compile(
+        GeoContext(annotation_sources, _config(mode="skip")), store=store, persist=True
+    )
+    assert len(list(executors._chunks(plan, enumerate(mixed_batch)))) < len(mixed_batch)
+    results = SequentialExecutor().run(plan, mixed_batch)
+    assert [r.trajectory.trajectory_id for r in results] == [t.trajectory_id for t in innocents]
+    assert _store_rows(store) == reference  # single-writer order, row ids included
+    assert store.trajectory_count() == len(innocents)
+    assert [(row["trajectory_id"], row["stage"]) for row in store.quarantined()] == [
+        (bad_write, "store_match_result")
+    ]
+    log = plan.failure_log
+    assert (log.failures, log.retries, log.quarantined) == (1, 0, 1)
+    assert store.check_invariants() == []
+    store.close()
+    reference_store.close()
+
+
+def test_a_failed_chunk_write_back_under_fail_fast_keeps_exactly_its_predecessors(
+    annotation_sources, mixed_batch, bad_write, monkeypatch
+):
+    position = [t.trajectory_id for t in mixed_batch].index(bad_write)
+    reference_store = SemanticTrajectoryStore()
+    reference = _persisted_one_by_one(
+        annotation_sources, mixed_batch[:position], reference_store
+    )
+    for limit in (1, _EVERYTHING):  # one trajectory a chunk is the old grain
+        _set_chunks(monkeypatch, limit, _EVERYTHING)
+        store = SemanticTrajectoryStore()
+        plan = Plan.compile(GeoContext(annotation_sources, _config()), store=store, persist=True)
+        with pytest.raises(StoreError, match=bad_write):
+            SequentialExecutor().run(plan, mixed_batch)
+        assert _store_rows(store) == reference
+        assert store.trajectory_count() == position
+        assert store.check_invariants() == []
+        store.close()
+    reference_store.close()
 
 
 def test_failing_group_under_skip_quarantines_only_the_culprit(

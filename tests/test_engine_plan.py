@@ -233,7 +233,7 @@ def test_every_executor_emits_the_same_latency_vocabulary(annotation_sources):
 
 # ------------------------------------------------------------- store parity
 def test_deferred_writeback_matches_inline_rows(annotation_sources):
-    """Inline per-trajectory commits and the merged deferred transaction
+    """Inline per-chunk commits and the pool's merged deferred transaction
     leave the store byte-for-byte identical (ids included)."""
     config = _stream_config()
     inline_store = SemanticTrajectoryStore()
@@ -247,7 +247,8 @@ def test_deferred_writeback_matches_inline_rows(annotation_sources):
     deferred_plan = Plan.compile(
         GeoContext(annotation_sources, config), store=deferred_store, persist=True
     )
-    SequentialExecutor(deferred_writeback=True).run(deferred_plan, trajectories)
+    with ProcessPoolExecutor(workers=2) as pool:
+        pool.run(deferred_plan, trajectories)
 
     assert deferred_store.trajectory_ids() == inline_store.trajectory_ids()
     assert deferred_store.stop_move_summary() == inline_store.stop_move_summary()

@@ -186,7 +186,8 @@ class TestFaultInjector:
 
     def test_kill_specs_never_fire_outside_workers(self):
         injector = FaultInjector(FaultPlan.parse("kill:times=-1"))
-        injector.on_trajectory("obj", worker=False)  # parent/sequential: inert
+        injector.on_trajectory("obj")  # the parent process (sequential, thread shards): inert
+        assert injector.fired_total() == 0
 
 
 # ------------------------------------------------- sequential executor faults
@@ -323,10 +324,26 @@ class TestCommitFaults:
         config = _config(mode="retry", max_retries=2)
         store = SemanticTrajectoryStore()
         plan = _plan(annotation_sources, config, "commit:n=1,times=1", store=store, persist=True)
-        results = SequentialExecutor(deferred_writeback=True).run(plan, trajectories)
+        results = SequentialExecutor().run(plan, trajectories)
         assert len(results) == len(trajectories)
         # The rolled-back first commit left nothing behind; the retry
-        # committed the identical batch exactly once.
+        # committed the identical trajectory exactly once.
+        assert store.trajectory_ids() == [t.trajectory_id for t in trajectories]
+        log = plan.failure_log
+        assert (log.failures, log.retries, log.quarantined) == (1, 1, 0)
+        store.close()
+
+    def test_pooled_commit_fault_rolls_back_then_retry_commits_once(
+        self, annotation_sources, car_dataset
+    ):
+        """The pool's one merged commit is retried the same way."""
+        trajectories = car_dataset.trajectories[:4]
+        config = _config(mode="retry", max_retries=2)
+        store = SemanticTrajectoryStore()
+        plan = _plan(annotation_sources, config, "commit:n=1,times=1", store=store, persist=True)
+        with ProcessPoolExecutor(workers=2) as executor:
+            results = executor.run(plan, trajectories)
+        assert len(results) == len(trajectories)
         assert store.trajectory_ids() == [t.trajectory_id for t in trajectories]
         log = plan.failure_log
         assert (log.failures, log.retries, log.quarantined) == (1, 1, 0)
@@ -344,9 +361,23 @@ class TestCommitFaults:
             persist=True,
         )
         with pytest.raises(InjectedFault):
-            SequentialExecutor(deferred_writeback=True).run(
-                plan, car_dataset.trajectories[:2]
-            )
+            SequentialExecutor().run(plan, car_dataset.trajectories[:2])
+        assert store.trajectory_ids() == []
+        store.close()
+
+    def test_pooled_commit_fault_under_fail_fast_raises_and_rolls_back(
+        self, annotation_sources, car_dataset
+    ):
+        store = SemanticTrajectoryStore()
+        plan = _plan(
+            annotation_sources,
+            _config(mode="fail_fast"),
+            "commit:n=1,times=1",
+            store=store,
+            persist=True,
+        )
+        with ProcessPoolExecutor(workers=2) as executor, pytest.raises(InjectedFault):
+            executor.run(plan, car_dataset.trajectories[:2])
         assert store.trajectory_ids() == []
         store.close()
 

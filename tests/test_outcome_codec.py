@@ -318,7 +318,7 @@ def test_pooled_results_hang_off_the_callers_trajectories(annotation_sources, ca
     assert canonical_bytes(results) == canonical_bytes(SequentialExecutor().run(plan, batch))
     # The wire form really leaves the points out.
     items = list(enumerate(batch))
-    outputs = executors._run_in_process(plan, items, include_writeback=False)
+    outputs = executors._run_in_process(plan, items)
     wire = dump_outcome(outputs, plan.context, items)
     # (By value a trajectory pickles as three float columns, 8 bytes a number
     # plus its opcode, so that is what leaving them out must save.)

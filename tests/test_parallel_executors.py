@@ -17,6 +17,7 @@ from repro.engine import ProcessPoolExecutor, SequentialExecutor, executors, sha
 from repro.index import FlatSpatialIndex
 from repro.parallel import GeoContext, canonical_bytes
 from repro.parallel.process import WorkerProcess
+from repro.store.store import SemanticTrajectoryStore
 
 
 def _trajectories(objects: int = 5, per_object: int = 3, length: int = 6, skew: int = 1):
@@ -106,7 +107,7 @@ def test_worker_count_comes_from_config_unless_overridden(
 def test_empty_batch_returns_empty(annotation_sources):
     context = GeoContext.build(annotation_sources, PipelineConfig())
     plan = api.compile_plan(context=context)
-    assert SequentialExecutor(deferred_writeback=True).run(plan, []) == []
+    assert SequentialExecutor().run(plan, []) == []
     with ProcessPoolExecutor(workers=2) as executor:
         assert executor.run(plan, []) == []
         assert executor._workers == []  # nothing to do, nothing started
@@ -277,10 +278,31 @@ def test_serve_follows_the_snapshot_pairing_rule(annotation_sources):
 def test_deferred_writeback_executor_matches_sequential_pipeline(
     annotation_sources, car_dataset
 ):
+    """The pool's one-shard shortcut runs in process on the plan without its
+    write-back, then commits through the merge: the inline pipeline's bytes
+    and rows."""
     config = PipelineConfig.for_vehicles()
-    sequential = SeMiTriPipeline(config).annotate_many(
-        car_dataset.trajectories, annotation_sources
+    one_car = [
+        trajectory
+        for trajectory in car_dataset.trajectories
+        if trajectory.object_id == car_dataset.trajectories[0].object_id
+    ]
+    inline_store, deferred_store = SemanticTrajectoryStore(), SemanticTrajectoryStore()
+    sequential = SeMiTriPipeline(config, store=inline_store).annotate_many(
+        one_car, annotation_sources, persist=True
     )
-    plan = api.compile_plan(context=GeoContext.build(annotation_sources, config))
-    deferred = SequentialExecutor(deferred_writeback=True).run(plan, car_dataset.trajectories)
+    plan = api.compile_plan(
+        context=GeoContext.build(annotation_sources, config), store=deferred_store, persist=True
+    )
+    with ProcessPoolExecutor(workers=2) as executor:
+        deferred = executor.run(plan, one_car)
+        assert executor._workers == []  # one shard: no worker was started
     assert canonical_bytes(deferred) == canonical_bytes(sequential)
+    assert deferred_store.trajectory_ids() == inline_store.trajectory_ids()
+    assert deferred_store.annotation_count() == inline_store.annotation_count() > 0
+    for trajectory_id in inline_store.trajectory_ids():
+        assert deferred_store.episodes_for(trajectory_id) == inline_store.episodes_for(
+            trajectory_id
+        )
+    inline_store.close()
+    deferred_store.close()

@@ -130,14 +130,14 @@ def test_sequential_streaming_parallel_agree(seed, annotation_sources):
     assert _sorted_canonical(streamed) == _sorted_canonical(sequential)
 
     # Batch API: byte-identical in input order at the configured worker count,
-    # and through the frozen snapshot with deferred write-back in process.
+    # and through the frozen snapshot in process.
     parallel = api.annotate_many(
         trajectories, annotation_sources, config=config, workers=TEST_WORKERS
     )
     assert canonical_bytes(parallel) == canonical_bytes(sequential)
     plan = api.compile_plan(context=GeoContext.build(annotation_sources, config))
-    deferred = SequentialExecutor(deferred_writeback=True).run(plan, trajectories)
-    assert canonical_bytes(deferred) == canonical_bytes(sequential)
+    snapshot = SequentialExecutor().run(plan, trajectories)
+    assert canonical_bytes(snapshot) == canonical_bytes(sequential)
 
 
 @pytest.mark.parametrize("seed", [404])
@@ -160,7 +160,8 @@ def test_process_pool_matches_sequential(seed, annotation_sources):
 
 @pytest.mark.parametrize("seed", [505])
 def test_persisted_rows_identical_across_modes(seed, annotation_sources):
-    """Store rows from the deferred batch commit equal a single-writer sequential run."""
+    """Store rows do not depend on the commit's shape: a chunk per transaction
+    (the pipeline), a trajectory per transaction, or the pool's merged commit."""
     config = _property_config()
     streams = _random_multi_user_stream(seed, users=2, points_per_user=110)
     pipeline_store = SemanticTrajectoryStore()
@@ -172,11 +173,12 @@ def test_persisted_rows_identical_across_modes(seed, annotation_sources):
 
     runner_store = SemanticTrajectoryStore()
     if TEST_WORKERS == 1:
-        # The pool's commit shape (one merged transaction), in process.
+        # One transaction per trajectory, in process.
         plan = api.compile_plan(
             annotation_sources, config, store=runner_store, persist=True
         )
-        SequentialExecutor(deferred_writeback=True).run(plan, trajectories)
+        for trajectory in trajectories:
+            SequentialExecutor().run_one(plan, trajectory)
     else:
         api.annotate_many(
             trajectories,
