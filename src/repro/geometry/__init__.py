@@ -18,7 +18,6 @@ from repro.geometry.primitives import (
 )
 from repro.geometry.distance import (
     euclidean_distance,
-    path_length,
     point_segment_distance,
     project_point_on_segment,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "Polygon",
     "Segment",
     "euclidean_distance",
-    "path_length",
     "point_segment_distance",
     "project_point_on_segment",
     "polygon_intersects_bbox",

@@ -11,7 +11,7 @@ baseline used in the ablation benchmarks.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from repro.geometry.primitives import Point, Segment
 
@@ -81,11 +81,3 @@ def closest_point_on_segment(point: Point, segment: Segment) -> Point:
     if t >= 1.0:
         return segment.end
     return projection
-
-
-def path_length(points: Sequence[Point]) -> float:
-    """Total planar length of the polyline through ``points``."""
-    total = 0.0
-    for previous, current in zip(points, points[1:]):
-        total += euclidean_distance(previous, current)
-    return total

@@ -232,10 +232,6 @@ class StopMoveDetector:
         """Only the stop episodes of the partition."""
         return [episode for episode in self.segment(trajectory) if episode.is_stop]
 
-    def moves(self, trajectory: RawTrajectory) -> List[Episode]:
-        """Only the move episodes of the partition."""
-        return [episode for episode in self.segment(trajectory) if episode.is_move]
-
     # ----------------------------------------------------------- candidates
     def _stop_flags(self, trajectory: RawTrajectory) -> List[bool]:
         policy = self._config.policy

@@ -2,9 +2,9 @@
 
 :class:`IncrementalStopMoveDetector` watches an open trajectory buffer and
 emits episodes as soon as they are *sealed* — i.e. no future GPS point can
-change their kind or boundaries — while guaranteeing that the concatenation of
-everything it emits equals :meth:`StopMoveDetector.segment` on the final
-buffer (parity tested on every seed dataset).
+change their kind or boundaries — and the tail once the trajectory is
+complete.  Everything it emits equals the batch segmentation of the final
+buffer, the tests' oracle (at every cut of generated walks, every seed fleet).
 
 Why sealing is sound
 --------------------
@@ -34,10 +34,18 @@ buffer:
 Hence everything strictly before the *predecessor of the episode containing
 the first volatile flag* is sealed.  The sealed frontier always falls on a
 boundary between two permanently fixed raw flags, so a refinement re-refines
-only the suffix past it; finalization delegates to the batch detector and
-verifies that everything emitted is a prefix of the full segmentation, so
-any divergence fails fast instead of silently corrupting downstream
-annotations.
+only the suffix past it.
+
+Why finishing is sound
+----------------------
+At the end of input the tentative flags are final: the last point repeats its
+predecessor's speed, and the open density seed's expansion reaches the last
+point with no radius violation to follow, so batch resolves the region from
+it as the tentative flags do — all ``True`` if its span reached
+``min_stop_duration``, else all ``False`` (later seeds span no longer), OR'd
+with the velocity flags under "hybrid".  So :meth:`finalize` is one last
+refinement past the sealed frontier, all of it emitted: nothing follows that
+could merge backwards.
 
 Why skipping is sound
 ---------------------
@@ -97,14 +105,10 @@ import math
 from typing import List, Tuple
 
 from repro.core.config import StopMoveConfig
-from repro.core.episodes import Episode, EpisodeKind
+from repro.core.episodes import Episode, EpisodeKind, validate_episode_partition
 from repro.core.errors import DataQualityError
 from repro.core.points import RawTrajectory
-from repro.preprocessing.stops import (
-    StopMoveDetector,
-    absorb_short_moves,
-    enforce_min_duration,
-)
+from repro.preprocessing.stops import absorb_short_moves, enforce_min_duration
 
 
 class IncrementalStopMoveDetector:
@@ -127,7 +131,6 @@ class IncrementalStopMoveDetector:
         self._policy = config.policy
         self._speed_threshold = config.speed_threshold
         self._density_radius = config.density_radius
-        self._batch = StopMoveDetector(config)
         # Raw (combined) flags no future point can change, appended once, and
         # the start of the equal-flag run the last of them belongs to.
         self._fixed: List[bool] = []
@@ -184,25 +187,9 @@ class IncrementalStopMoveDetector:
         volatile = self._run_start
         if volatile == self._settled:
             return []
-        restart = self._sealed[-1].end_index if self._sealed else 0
-        if volatile < restart:
+        if self._sealed and volatile < self._sealed[-1].end_index:
             raise DataQualityError("volatile region receded into the sealed prefix")
-        config = self._config
-        fixed = self._fixed
-        ts = self._ts
-        # Everything before the boundary run was enforced when its runs
-        # closed; only the boundary run and the tentative flags are redone.
-        enforced = enforce_min_duration(
-            ts[volatile:], fixed[volatile:] + self._tentative_flags(), config.min_stop_duration
-        )
-        suffix = absorb_short_moves(
-            self._trajectory,
-            self._suffix_episodes(enforced, volatile),
-            config.min_move_points,
-            previous_kind=self._sealed[-1].kind if self._sealed else None,
-        )
-        if suffix[0].start_index != restart:
-            raise DataQualityError("incremental stop/move sealing diverged from batch")
+        suffix = self._refine(volatile)
         # First episode reaching into the volatile suffix, minus one more for
         # the backward-merge hazard of short-move absorption.
         first_volatile = len(suffix)
@@ -220,26 +207,41 @@ class IncrementalStopMoveDetector:
             if kept and kept[0][0] != frontier:
                 raise DataQualityError("incremental stop/move sealing diverged from batch")
             self._closed_runs = kept
+        config = self._config
+        fixed = self._fixed
         if fixed[volatile]:
-            settled = ts[len(fixed) - 1] - ts[volatile] >= config.min_stop_duration
+            settled = self._ts[len(fixed) - 1] - self._ts[volatile] >= config.min_stop_duration
         else:
             settled = len(fixed) - volatile >= config.min_move_points
         self._settled = volatile if settled else -1
         return new_episodes
 
     def finalize(self) -> List[Episode]:
-        """Segment the completed trajectory; returns the episodes after the sealed prefix.
+        """Finish the completed trajectory; returns the episodes after the sealed prefix.
 
-        Delegates to :meth:`StopMoveDetector.segment` so the full episode list
-        (sealed prefix + returned tail) is exactly the batch segmentation,
-        including its partition validation and single-point special case.
+        One last refinement of the suffix past the sealed frontier, with
+        end-of-input semantics (module docstring, "Why finishing is sound"),
+        all of it emitted.  A single point is one stop, as in the batch
+        segmentation; the sealed prefix plus the returned tail is validated
+        as a partition of the trajectory.
         """
         if self._finalized:
             raise DataQualityError("detector is already finalized")
         self._finalized = True
-        episodes = self._batch.segment(self._trajectory)
-        self._check_prefix(episodes)
-        tail = episodes[len(self._sealed) :]
+        n = len(self._ts)
+        if n == 1:
+            tail = [Episode(EpisodeKind.STOP, self._trajectory, 0, 1)]
+        else:
+            if self._scanned < n:
+                self.scan()
+            tail = self._refine(self._run_start)
+            # Batch would absorb a lone short move into the sealed episode
+            # before it; the tail starts with the withheld predecessor (a stop,
+            # or a move of at least min_move_points fixes), so it cannot occur.
+            lone = tail[0] if len(tail) == 1 and self._sealed else None
+            if lone is not None and lone.is_move and len(lone) < self._config.min_move_points:
+                raise DataQualityError("incremental stop/move sealing diverged from batch")
+        validate_episode_partition(self._trajectory, self._sealed + tail)
         self._sealed.extend(tail)
         return tail
 
@@ -306,6 +308,29 @@ class IncrementalStopMoveDetector:
         return self._run_start != self._settled
 
     # ------------------------------------------------------------- internals
+    def _refine(self, volatile: int) -> List[Episode]:
+        """The episodes past the sealed frontier, from the flags as they stand.
+
+        Only the boundary run (from ``volatile``) and the tentative flags are
+        enforced; the runs before it were when they closed.
+        """
+        config = self._config
+        sealed = self._sealed
+        enforced = enforce_min_duration(
+            self._ts[volatile:],
+            self._fixed[volatile:] + self._tentative_flags(),
+            config.min_stop_duration,
+        )
+        suffix = absorb_short_moves(
+            self._trajectory,
+            self._suffix_episodes(enforced, volatile),
+            config.min_move_points,
+            previous_kind=sealed[-1].kind if sealed else None,
+        )
+        if suffix[0].start_index != (sealed[-1].end_index if sealed else 0):
+            raise DataQualityError("incremental stop/move sealing diverged from batch")
+        return suffix
+
     def _close_run(self) -> None:
         """The next fixed flag differs from the last one: close the last one's run.
 
@@ -365,15 +390,3 @@ class IncrementalStopMoveDetector:
             Episode(EpisodeKind.STOP if is_stop else EpisodeKind.MOVE, trajectory, start, end)
             for start, end, is_stop in runs
         ]
-
-    def _check_prefix(self, episodes: List[Episode]) -> None:
-        """Verify already-emitted episodes are a prefix of the current segmentation."""
-        if len(episodes) < len(self._sealed):
-            raise DataQualityError("incremental stop/move sealing diverged from batch")
-        for emitted, current in zip(self._sealed, episodes):
-            if (
-                emitted.kind is not current.kind
-                or emitted.start_index != current.start_index
-                or emitted.end_index != current.end_index
-            ):
-                raise DataQualityError("incremental stop/move sealing diverged from batch")

@@ -7,7 +7,6 @@ import pytest
 from repro.geometry.distance import (
     closest_point_on_segment,
     euclidean_distance,
-    path_length,
     perpendicular_distance,
     point_segment_distance,
     project_point_on_segment,
@@ -79,13 +78,3 @@ class TestPointSegmentDistance:
         assert closest_point_on_segment(Point(-5, 3), segment) == Point(0, 0)
         assert closest_point_on_segment(Point(15, 3), segment) == Point(10, 0)
         assert closest_point_on_segment(Point(5, 3), segment) == Point(5, 0)
-
-
-class TestPathLength:
-    def test_empty_and_single_point(self):
-        assert path_length([]) == 0.0
-        assert path_length([Point(1, 1)]) == 0.0
-
-    def test_polyline_length(self):
-        points = [Point(0, 0), Point(3, 4), Point(3, 10)]
-        assert path_length(points) == pytest.approx(11.0)

@@ -119,7 +119,6 @@ class TestEdgeCases:
         trajectory = _commute_trajectory()
         detector = StopMoveDetector()
         assert len(detector.stops(trajectory)) == 2
-        assert len(detector.moves(trajectory)) == 1
 
     def test_segment_many(self):
         trajectories = [_commute_trajectory(), _commute_trajectory()]

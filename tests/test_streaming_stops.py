@@ -154,6 +154,89 @@ def test_incremental_property_hostile_parameters(case):
     assert _triples(emitted) == _triples(batch.segment(trajectory))
 
 
+@st.composite
+def _walks_to_cut(draw):
+    """Walks of 1 to 40 fixes with repeated timestamps, zero-length moves and
+    fixes at ``(0.0, 0.0)`` and ``(-0.0, -0.0)``, plus the edge thresholds."""
+    walk = _walk_with_stops(draw(st.integers(0, 10_000)), draw(st.integers(1, 40)))
+    edits = st.sampled_from(["keep", "keep", "repeat_time", "stay", "zero", "negative_zero"])
+    points = []
+    for point in walk:
+        x, y, t = point.x, point.y, point.t
+        edit = draw(edits)
+        if edit == "repeat_time" and points:
+            t = points[-1].t
+        elif edit == "stay" and points:
+            x, y = points[-1].x, points[-1].y
+        elif edit == "zero":
+            x, y = 0.0, 0.0
+        elif edit == "negative_zero":
+            x, y = -0.0, -0.0
+        points.append(SpatioTemporalPoint(x, y, t))
+    speed_threshold = draw(st.sampled_from([0.5, 1.2, 3.0]))
+    density_radius = draw(st.sampled_from([1e-6, 1.0, 30.0, 500.0]))
+    return points, speed_threshold, density_radius, draw(st.integers(1, 7))
+
+
+def _finish_at_every_cut(points, config, chunk):
+    """For every prefix length ``k``, a fresh detector fed ``k`` fixes one at a
+    time, advanced every ``chunk`` fixes and finalized, emits exactly the batch
+    segmentation of those ``k`` fixes."""
+    batch = StopMoveDetector(config)
+    for size in range(1, len(points) + 1):
+        trajectory = _open(points[0])
+        detector = IncrementalStopMoveDetector(trajectory, config)
+        emitted = []
+        for index, point in enumerate(points[1:size], start=1):
+            trajectory.append(point.x, point.y, point.t)
+            if index % chunk == 0:
+                emitted.extend(detector.advance())
+        emitted.extend(detector.finalize())
+        expected = batch.segment(RawTrajectory(points[:size]))
+        assert _triples(emitted) == _triples(expected), size
+
+
+@pytest.mark.parametrize("policy", ["velocity", "density", "hybrid"])
+@pytest.mark.parametrize("min_move_points", [1, 2, 3, 5])
+@pytest.mark.parametrize("min_stop_duration", [0.0, 10.0, 300.0])
+@given(case=_walks_to_cut())
+@settings(max_examples=20, deadline=None)
+def test_finalize_equals_batch_at_every_cut(policy, min_move_points, min_stop_duration, case):
+    """The detector finishes its own suffix: sealed prefix + finalized tail is
+    the batch segmentation wherever the trajectory ends."""
+    points, speed_threshold, density_radius, chunk = case
+    config = StopMoveConfig(
+        policy=policy,
+        speed_threshold=speed_threshold,
+        min_stop_duration=min_stop_duration,
+        density_radius=density_radius,
+        min_move_points=min_move_points,
+    )
+    _finish_at_every_cut(points, config, chunk)
+
+
+def test_short_trailing_move_after_sealed_episodes_ends_as_batch_ends_it():
+    """A dwell, a drive, a second dwell, then one fast fix: the trailing two-point
+    move is shorter than ``min_move_points`` and batch absorbs it into the second
+    stop.  The first stop seals before the end (the drive, predecessor of the
+    open dwell, is withheld); the finalized tail must be the drive and one stop
+    reaching the last fix, and every cut of the walk must match batch."""
+    config = StopMoveConfig(
+        policy="velocity", speed_threshold=1.0, min_stop_duration=60.0, min_move_points=3
+    )
+    points, x, t = [], 0.0, 0.0
+    for step in [0.5] * 20 + [30.0] * 10 + [0.5] * 20 + [30.0]:
+        x, t = x + step, t + 10.0
+        points.append(SpatioTemporalPoint(x, 0.0, t))
+    emitted, early = _stream_detect(points, config, chunk=1)
+    expected = StopMoveDetector(config).segment(RawTrajectory(points))
+    assert _triples(emitted) == _triples(expected)
+    assert [e.kind for e in expected] == [EpisodeKind.STOP, EpisodeKind.MOVE, EpisodeKind.STOP]
+    assert expected[-1].end_index == len(points)
+    assert early == 1  # the first stop was sealed before finalize
+    _finish_at_every_cut(points, config, chunk=1)
+
+
 def test_single_point_trajectory_matches_batch_special_case():
     config = StopMoveConfig()
     trajectory = OpenTrajectory(0.0, 0.0, 0.0, object_id="o")
