@@ -41,8 +41,11 @@ def main() -> None:
     )
 
     # Stop/move computation + annotation, persisted into the semantic store.
-    # The `with store:` transaction scope commits the whole fleet atomically
-    # on success and rolls everything back if any stage raises.
+    # The `with store:` transaction scope commits the whole fleet at once on
+    # success and rolls everything back if a stage raises out of it.  Each
+    # scope is a savepoint: the pipeline's own per-chunk scopes nest inside
+    # it, so under a skip/retry policy a failed trajectory's rows are undone
+    # alone and the rest of the fleet still commits here.
     store = SemanticTrajectoryStore()
     pipeline = repro.open_pipeline(PipelineConfig.for_vehicles(), store=store)
     sources = AnnotationSources(regions=world.region_source(), road_network=world.road_network())

@@ -213,9 +213,11 @@ def _finish_items(plan: Plan, items: Sequence[WorkItem]) -> None:
     :meth:`~repro.engine.stages.Stage.finish`: the HMM point layer and the
     store write-back, which need the whole trajectory.  Item after item, so
     the rows land in single-writer order.  When the plan persists they all
-    run inside **one** store transaction scope, committed on success and
-    rolled back if a body raises, so no trajectory is ever half-persisted and
-    a failed chunk leaves nothing behind.  The sealed traces ride on the
+    run inside **one** store scope, a savepoint: released (committed, at the
+    outermost level) on success and rolled back if a body raises, so no
+    trajectory is ever half-persisted and a failed chunk leaves nothing
+    behind — inside a caller's ``with store:`` as well, whose other writes it
+    leaves alone.  The sealed traces ride on the
     results; they are collected once, at delivery (:func:`_deliver`), so
     worker-side runs just ship their spans back on the pickled result.
     """
@@ -369,7 +371,9 @@ def _run_in_process(
     scope: under ``fail_fast`` that raises the tagged exception at the
     trajectory a per-trajectory loop would have stopped at, with exactly its
     predecessors committed; under ``skip``/``retry`` it retries or
-    quarantines exactly the culprit and commits every innocent once.
+    quarantines exactly the culprit and commits every innocent once.  Each
+    scope is a savepoint, so the same holds inside a caller's ``with
+    store:``: there "committed" means released into the caller's scope.
     """
     outputs: List[Tuple[int, "PipelineResult | TrajectoryFailure"]] = []
     for chunk in _chunks(plan, items):

@@ -88,14 +88,17 @@ class TrajectoryFailure:
 class FailureLog:
     """Run-scoped reconciliation point for every failure event.
 
-    Thread-safe (the service's shard threads share one instance).  Counters
-    are plain integers so tests reconcile exactly; when a metrics registry is
-    attached, ``retries_total``, ``quarantined_total``, ``wal_replayed_total``
-    and ``worker_losses_total`` read them, and each failure is also counted
-    in ``failures_total{stage,kind}``.
+    Thread-safe: its counters and quarantine buffer sit behind one lock.  The
+    service reports to its log from one thread, its event loop's; a shard
+    core keeps a log of its own.  Counters are plain integers so tests
+    reconcile exactly; when a metrics registry is attached,
+    ``retries_total``, ``quarantined_total``, ``wal_replayed_total`` and
+    ``worker_losses_total`` read them, and each failure is also counted in
+    ``failures_total{stage,kind}``.
     Quarantined trajectories write through to the store when one is bound,
-    or buffer until :meth:`flush_to_store` (the service drains shard-thread
-    quarantines into its store on the event loop thread).
+    or buffer until :meth:`flush_to_store` (the service buffers the
+    quarantines its shards ship back and flushes them into its store at
+    drain).
     """
 
     def __init__(

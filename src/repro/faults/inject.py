@@ -183,8 +183,9 @@ class FaultPlan:
 class FaultInjector:
     """Executes a :class:`FaultPlan` at the engine's injection points.
 
-    Thread-safe: occurrence counters live behind one lock, so the streaming
-    service's shard threads share one injector with exact ``n=`` semantics.
+    Thread-safe: occurrence counters live behind one lock.  The service hands
+    its one injector to every thread shard (all run on its event loop), so
+    ``n=`` counts across shards exactly; a worker process builds its own.
     Hooks are no-ops when the plan is empty — the shared
     :data:`DISABLED_FAULTS` singleton is what plans carry by default.
     """

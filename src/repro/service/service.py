@@ -722,9 +722,9 @@ class AnnotationService:
     def _commit_with_policy(self) -> None:
         """Commit results, retrying per the failure policy.
 
-        A failed commit rolls back inside the store (see
-        ``SemanticTrajectoryStore._commit``), so a retry re-sends the exact
-        same batch; under ``fail_fast``/``skip`` the first failure raises and
+        A failed commit rolls back inside the store (the write's scope is
+        undone, see ``SemanticTrajectoryStore.__exit__``), so a retry
+        re-sends the exact same batch; under ``fail_fast``/``skip`` the first failure raises and
         the journal (kept by :meth:`drain`) covers recovery.
         """
         _commit_with_retry(self._failure_log, self._commit_results, "service_commit")

@@ -47,21 +47,21 @@ class SemanticTrajectoryStore:
     """Persists trajectories, episodes and annotations in SQLite.
 
     The store is also a transaction scope, mirroring the semantics of
-    :class:`sqlite3.Connection` itself: inside a ``with store:`` block every
-    write is deferred into one transaction that is **committed on a clean
-    exit and rolled back when the block raises**.  Scopes nest (the
-    outermost one decides), and the engine's write-back path wraps each
-    chunk of trajectories in one scope so no trajectory is ever
-    half-stored.  Leaving a scope does *not* close the connection — call
-    :meth:`close` for that.
+    :class:`sqlite3.Connection` itself: a ``with store:`` block is **committed
+    on a clean exit and rolled back when the block raises**.  Each scope is
+    a SQLite savepoint, so scopes nest: a failed scope undoes its own writes
+    and nothing else, however deep it sits, and the outermost release
+    commits.  Every write method runs in a scope of its own, and the
+    engine's write-back path wraps each chunk of trajectories in one, so no
+    trajectory is ever half-stored.  Leaving a scope does *not* close the
+    connection — call :meth:`close` for that.
     """
 
     def __init__(self, path: str = ":memory:"):
         self._connection = sqlite3.connect(path)
         self._connection.execute("PRAGMA foreign_keys = ON")
         apply_schema(self._connection)
-        self._tx_depth = 0
-        self._tx_failed = False
+        self._savepoints = 0
         self._metrics: Optional["StoreMetrics"] = None
         self._faults: Optional["FaultInjector"] = None
 
@@ -86,10 +86,6 @@ class SemanticTrajectoryStore:
         """
         self._faults = injector
 
-    def _fire_commit_fault(self) -> None:
-        if self._faults is not None:
-            self._faults.on_commit()
-
     # --------------------------------------------------------------- lifecycle
     def close(self) -> None:
         """Close the underlying connection."""
@@ -108,74 +104,36 @@ class SemanticTrajectoryStore:
         ]
 
     def __enter__(self) -> "SemanticTrajectoryStore":
-        self._tx_depth += 1
+        self._savepoints += 1
+        self._connection.execute(f"SAVEPOINT s{self._savepoints}")
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._tx_depth -= 1
-        if self._tx_depth > 0:
-            if exc_type is not None:
-                # An inner scope failed: its deferred writes cannot be rolled
-                # back independently (one connection, one transaction), so
-                # even if the caller swallows the exception the outer scope
-                # must not commit the half-written state.
-                self._tx_failed = True
-            return  # inner scope: the outermost scope decides
-        failed, self._tx_failed = self._tx_failed, False
-        if exc_type is not None or failed:
-            self._connection.rollback()
-            if self._metrics is not None:
-                self._metrics.rollbacks.inc()
-            if exc_type is None:
-                # A write failed mid-scope, its error was swallowed by the
-                # caller and the scope exited cleanly: committing now would
-                # persist an inconsistent prefix, so refuse loudly instead.
-                raise StoreError("transaction scope failed earlier; rolled back")
-        else:
-            try:
-                self._fire_commit_fault()
-                self._connection.commit()
-            except Exception:
-                self._connection.rollback()
-                if self._metrics is not None:
-                    self._metrics.rollbacks.inc()
-                raise
-            if self._metrics is not None:
-                self._metrics.commits.inc()
+        depth, self._savepoints = self._savepoints, self._savepoints - 1
+        if exc_type is not None:
+            self._undo(depth)
+            return
+        try:
+            if depth == 1 and self._faults is not None:
+                self._faults.on_commit()
+            self._connection.execute(f"RELEASE s{depth}")  # the outermost release commits
+        except BaseException:
+            self._undo(depth)
+            raise
+        if depth == 1 and self._metrics is not None:
+            self._metrics.commits.inc()
+
+    def _undo(self, depth: int) -> None:
+        """Roll savepoint ``s<depth>`` back to its start and release it."""
+        self._connection.execute(f"ROLLBACK TO s{depth}")
+        self._connection.execute(f"RELEASE s{depth}")
+        if depth == 1 and self._metrics is not None:
+            self._metrics.rollbacks.inc()
 
     @property
     def in_transaction_scope(self) -> bool:
-        """True while inside a ``with store:`` deferred-commit scope."""
-        return self._tx_depth > 0
-
-    # ----------------------------------------------------- transaction plumbing
-    def _commit(self) -> None:
-        """Commit now, unless a surrounding scope defers it to scope exit."""
-        if self._tx_depth == 0:
-            try:
-                self._fire_commit_fault()
-                self._connection.commit()
-            except Exception:
-                self._connection.rollback()
-                if self._metrics is not None:
-                    self._metrics.rollbacks.inc()
-                raise
-            if self._metrics is not None:
-                self._metrics.commits.inc()
-
-    def _rollback(self) -> None:
-        """Roll back after a failed write.
-
-        Inside a scope this also discards the scope's earlier deferred
-        writes, so the scope is marked failed and will not commit.
-        """
-        self._connection.rollback()
-        if self._tx_depth > 0:
-            # Not a terminal rollback: the outermost scope exit rolls back
-            # (and counts) the whole failed transaction once.
-            self._tx_failed = True
-        elif self._metrics is not None:
-            self._metrics.rollbacks.inc()
+        """True while inside a ``with store:`` scope."""
+        return self._savepoints > 0
 
     # ------------------------------------------------------------------ writes
     def save_trajectory(self, trajectory: RawTrajectory, store_points: bool = True) -> None:
@@ -187,20 +145,15 @@ class SemanticTrajectoryStore:
         NaN ``path_length``, which SQLite binds as NULL) raises one naming the
         failed constraint.
         """
-        cursor = self._connection.cursor()
         try:
-            self._write_trajectory(cursor, trajectory, store_points)
+            with self:
+                self._write_trajectory(self._connection.cursor(), trajectory, store_points)
         except sqlite3.IntegrityError as error:
-            self._rollback()
             if str(error) == _DUPLICATE_TRAJECTORY:
                 message = f"trajectory {trajectory.trajectory_id!r} is already stored"
             else:
                 message = f"trajectory {trajectory.trajectory_id!r} rejected: {error}"
             raise StoreError(message) from error
-        except sqlite3.Error:
-            self._rollback()
-            raise
-        self._commit()
         if self._metrics is not None:
             self._metrics.observe_write(1 + (len(trajectory) if store_points else 0))
 
@@ -216,13 +169,8 @@ class SemanticTrajectoryStore:
         streaming engine relies on for per-trajectory persistence throughput.
         """
         episodes = list(episodes)
-        cursor = self._connection.cursor()
-        try:
-            episode_ids = self._write_episodes(cursor, episodes)
-        except sqlite3.Error:
-            self._rollback()
-            raise
-        self._commit()
+        with self:
+            episode_ids = self._write_episodes(self._connection.cursor(), episodes)
         if self._metrics is not None:
             annotations = sum(len(episode.annotations) for episode in episodes)
             self._metrics.observe_write(len(episodes) + annotations)
@@ -247,20 +195,16 @@ class SemanticTrajectoryStore:
         episode_ids: List[List[int]] = []
         rows_written = 0
         try:
-            for trajectory, episodes in items:
-                episodes = list(episodes)
-                self._write_trajectory(cursor, trajectory, store_points)
-                episode_ids.append(self._write_episodes(cursor, episodes))
-                rows_written += 1 + (len(trajectory) if store_points else 0)
-                rows_written += len(episodes)
-                rows_written += sum(len(episode.annotations) for episode in episodes)
+            with self:
+                for trajectory, episodes in items:
+                    episodes = list(episodes)
+                    self._write_trajectory(cursor, trajectory, store_points)
+                    episode_ids.append(self._write_episodes(cursor, episodes))
+                    rows_written += 1 + (len(trajectory) if store_points else 0)
+                    rows_written += len(episodes)
+                    rows_written += sum(len(episode.annotations) for episode in episodes)
         except sqlite3.IntegrityError as error:
-            self._rollback()
             raise StoreError(f"batched write rejected: {error}") from error
-        except sqlite3.Error:
-            self._rollback()
-            raise
-        self._commit()
         if self._metrics is not None:
             self._metrics.observe_write(rows_written)
         return episode_ids
@@ -272,14 +216,14 @@ class SemanticTrajectoryStore:
         Each row carries the failing stage, the exception repr, the attempt
         count and the **raw GPS events** (JSON ``[[x, y, t], ...]``) so a
         fixed pipeline can replay the trajectory later
-        (:meth:`load_quarantined_trajectory`).  Callers quarantine *outside*
-        transaction scopes (a rolled-back drain must not take the dead
-        letters down with it), so the rows commit immediately.
+        (:meth:`load_quarantined_trajectory`).  The rows are written in a
+        scope of their own: outside any other scope they commit at once;
+        inside a caller's scope they commit with it, and a failed scope of
+        the caller's (not theirs) is all that can undo them.
         """
         cursor = self._connection.cursor()
         row_ids: List[int] = []
-        rows = 0
-        try:
+        with self:
             for failure in failures:
                 trajectory = failure.trajectory
                 cursor.execute(
@@ -296,13 +240,8 @@ class SemanticTrajectoryStore:
                     ),
                 )
                 row_ids.append(_last_row_id(cursor))
-                rows += 1
-        except sqlite3.Error:
-            self._rollback()
-            raise
-        self._commit()
-        if self._metrics is not None and rows:
-            self._metrics.observe_write(rows)
+        if self._metrics is not None and row_ids:
+            self._metrics.observe_write(len(row_ids))
         return row_ids
 
     def quarantine_count(self) -> int:
@@ -348,12 +287,12 @@ class SemanticTrajectoryStore:
 
     def release_quarantined(self, quarantine_id: int) -> None:
         """Delete one quarantine row (after a successful replay)."""
-        cursor = self._connection.execute(
-            "DELETE FROM quarantine WHERE quarantine_id = ?", (quarantine_id,)
-        )
-        if cursor.rowcount == 0:
-            raise StoreError(f"unknown quarantine row {quarantine_id}")
-        self._commit()
+        with self:
+            cursor = self._connection.execute(
+                "DELETE FROM quarantine WHERE quarantine_id = ?", (quarantine_id,)
+            )
+            if cursor.rowcount == 0:
+                raise StoreError(f"unknown quarantine row {quarantine_id}")
 
     @staticmethod
     def _write_trajectory(

@@ -298,15 +298,8 @@ class SessionManager:
     shard the engine when the object universe outgrows it).
     """
 
-    def __init__(
-        self,
-        config: PipelineConfig,
-        apply_cleaning: Optional[bool] = None,
-    ):
+    def __init__(self, config: PipelineConfig):
         self._config = config
-        self._apply_cleaning = (
-            config.streaming.apply_cleaning if apply_cleaning is None else apply_cleaning
-        )
         self._max_sessions = config.streaming.max_sessions
         self._sessions: "OrderedDict[str, Session]" = OrderedDict()
         self._segment_counters: Dict[str, int] = {}
@@ -340,7 +333,9 @@ class SessionManager:
             _, lru = self._sessions.popitem(last=False)
             evicted.append(lru)
             self.evicted_total += 1
-        session = Session(object_id, self._config, self._apply_cleaning, manager=self._proxy)
+        session = Session(
+            object_id, self._config, self._config.streaming.apply_cleaning, manager=self._proxy
+        )
         self._sessions[object_id] = session
         return session, evicted
 

@@ -13,6 +13,7 @@ chunked like any other: a chunk's write-back is one store transaction.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 from typing import List, Tuple
 
 import pytest
@@ -26,6 +27,7 @@ from repro.engine import (
     MapMatchStage,
     MicroBatchExecutor,
     Plan,
+    PoiAnnotationStage,
     SequentialExecutor,
     WorkItem,
     executors,
@@ -466,6 +468,66 @@ def test_a_failed_chunk_write_back_under_fail_fast_keeps_exactly_its_predecessor
         assert store.check_invariants() == []
         store.close()
     reference_store.close()
+
+
+def _table_digest(store: SemanticTrajectoryStore) -> str:
+    """A sha256 over every table, row ids included, ``quarantined_at`` excluded."""
+    connection = store._connection
+    digest = hashlib.sha256()
+    tables = connection.execute(
+        "SELECT name FROM sqlite_master WHERE type = 'table' ORDER BY name"
+    ).fetchall()
+    for (table,) in tables:
+        cursor = connection.execute(f"SELECT rowid, * FROM {table} ORDER BY rowid")
+        names = [column[0] for column in cursor.description]
+        kept = [index for index, name in enumerate(names) if name != "quarantined_at"]
+        digest.update(repr((table, [names[index] for index in kept])).encode())
+        for row in cursor:
+            digest.update(repr([row[index] for index in kept]).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("mode", ["skip", "retry"])
+def test_a_caller_scope_keeps_the_batch_isolation(
+    mode, annotation_sources, car_dataset, people_dataset, monkeypatch
+):
+    """A persisted batch inside a caller's ``with store:`` stores what it stores
+    without one: a failed trajectory's scope undoes only its own rows, and the
+    innocents, the quarantine row and the caller's own earlier write commit."""
+    batch = list(car_dataset.trajectories[:8])
+    culprit = batch[3].trajectory_id
+    original = PoiAnnotationStage.finish
+
+    def finish(self, item):
+        if item.trajectory.trajectory_id == culprit:
+            raise RuntimeError(f"bad stop under {culprit}")
+        original(self, item)
+
+    monkeypatch.setattr(PoiAnnotationStage, "finish", finish)
+    config = _config(mode=mode, max_retries=2)
+    earlier = people_dataset.all_trajectories[0]
+    runs = []
+    for outer_scope in (False, True):
+        store = SemanticTrajectoryStore()
+        if outer_scope:
+            with store:
+                store.save_trajectory(earlier)
+                results = api.annotate_many(
+                    batch, annotation_sources, config=config, store=store, persist=True
+                )
+        else:
+            store.save_trajectory(earlier)
+            results = api.annotate_many(
+                batch, annotation_sources, config=config, store=store, persist=True
+            )
+        assert not store.in_transaction_scope
+        assert store.check_invariants() == []
+        assert store.has_trajectory(earlier.trajectory_id)
+        assert store.trajectory_count() == len(batch)  # the earlier one, 7 innocents
+        assert [row["trajectory_id"] for row in store.quarantined()] == [culprit]
+        runs.append((canonical_bytes(results), _table_digest(store)))
+        store.close()
+    assert runs[1] == runs[0]
 
 
 def test_failing_group_under_skip_quarantines_only_the_culprit(

@@ -283,13 +283,14 @@ def test_inline_writeback_rolls_back_a_failed_trajectory(annotation_sources):
     store.close()
 
 
-def test_swallowed_per_trajectory_failure_poisons_outer_scope(annotation_sources):
-    """A failed inner write-back scope must not commit via an outer scope.
+def test_swallowed_per_trajectory_failure_undoes_only_its_own_scope(annotation_sources):
+    """A failed write-back scope inside a caller's scope undoes only its own rows.
 
-    The engine wraps each trajectory in its own store scope; when a caller
-    additionally wraps the batch in ``with store:`` and swallows a
-    per-trajectory error, the half-written trajectory cannot be rolled back
-    independently — so the outer scope must refuse to commit.
+    The engine wraps each chunk's write-back in its own store scope, a
+    savepoint; when a caller additionally wraps the batch in ``with store:``
+    and swallows a per-trajectory error, the failed chunk's rows are gone (its
+    innocent trajectory, re-run alone, is stored once) and the caller's other
+    writes commit with the outer scope.
     """
     from repro.core.errors import StoreError
 
@@ -297,13 +298,19 @@ def test_swallowed_per_trajectory_failure_poisons_outer_scope(annotation_sources
     store = SemanticTrajectoryStore()
     plan = Plan.compile(GeoContext(annotation_sources, config), store=store, persist=True)
     trajectories = _ingested(plan, seed=79, users=1, points=80)
+    assert len(trajectories) >= 2
     executor = SequentialExecutor()
     executor.run(plan, trajectories[:1])
-    with pytest.raises(StoreError, match="rolled back"):
-        with store:
-            with pytest.raises(StoreError):
-                executor.run(plan, trajectories[:1])  # duplicate: inner scope fails
-    assert store.trajectory_count() == 1  # only the first, committed run survives
+    episodes_after_first = store.episode_count()
+    with store:
+        with pytest.raises(StoreError, match="already stored"):
+            # One chunk: the second trajectory's rows go in, then the
+            # duplicate fails the chunk's scope.
+            executor.run(plan, [trajectories[1], trajectories[0]])
+    assert store.trajectory_ids() == sorted(t.trajectory_id for t in trajectories[:2])
+    assert len(store.episodes_for(trajectories[0].trajectory_id)) == episodes_after_first
+    assert store.episodes_for(trajectories[1].trajectory_id)
+    assert store.check_invariants() == []
     store.close()
 
 

@@ -238,30 +238,46 @@ class TestTransactionScope:
                     raise RuntimeError("inner stage failed")
         assert store.trajectory_count() == 0
 
-    def test_swallowed_write_failure_refuses_to_commit(self, store, trajectory):
-        """A failed write poisons the scope even if its error is swallowed."""
-        with pytest.raises(StoreError, match="rolled back"):
-            with store:
-                store.save_trajectory(trajectory)
-                with pytest.raises(StoreError):
-                    store.save_trajectory(trajectory)  # duplicate id fails
-        assert store.trajectory_count() == 0
+    def test_swallowed_write_failure_undoes_only_its_own_write(self, store, trajectory):
+        """A failed write is its own savepoint: swallowed, it leaves the scope whole."""
+        other = build_trajectory(
+            [(0.0, float(i), float(i)) for i in range(5)], object_id="obj", trajectory_id="traj-2"
+        )
+        with store:
+            store.save_trajectory(trajectory)
+            with pytest.raises(StoreError, match="batched write rejected"):
+                # traj-2's rows go in before the duplicate traj-1 fails the write.
+                store.save_annotated_trajectories([(other, []), (trajectory, [])])
+            assert store.in_transaction_scope
+        assert store.trajectory_ids() == ["traj-1"]
+        assert store.gps_record_count() == len(trajectory)
+        assert store.check_invariants() == []
 
     def test_writes_outside_any_scope_commit_immediately(self, store, trajectory):
         store.save_trajectory(trajectory)
         assert store.trajectory_count() == 1
 
-    def test_swallowed_inner_scope_failure_poisons_outer_scope(self, store, trajectory):
-        """Inner-scope exceptions cannot be swallowed into an outer commit."""
-        with pytest.raises(StoreError, match="rolled back"):
-            with store:
-                store.save_trajectory(trajectory)
-                try:
+    def test_swallowed_inner_scope_failure_undoes_only_the_inner_scope(
+        self, store, trajectory
+    ):
+        """A swallowed inner-scope failure rolls back the inner scope's writes only."""
+        with store:
+            store.save_trajectory(trajectory)
+            try:
+                with store:
+                    store.save_episode(Episode(EpisodeKind.STOP, trajectory, 0, 5))
                     with store:
-                        raise RuntimeError("inner stage failed")
-                except RuntimeError:
-                    pass  # caller swallows: the outer scope must still refuse
-        assert store.trajectory_count() == 0
+                        store.save_episode(Episode(EpisodeKind.MOVE, trajectory, 5, 19))
+                    raise RuntimeError("inner stage failed")
+            except RuntimeError:
+                pass  # the caller swallows it; the outer scope carries on
+            store.save_episode(Episode(EpisodeKind.MOVE, trajectory, 0, 19))
+        assert store.trajectory_count() == 1
+        assert [
+            (row["kind"], row["start_index"], row["end_index"])
+            for row in store.episodes_for("traj-1")
+        ] == [("move", 0, 19)]
+        assert store.check_invariants() == []
 
 
 #: The fixes table as files written before ``trajectory_fixes`` existed have it.
