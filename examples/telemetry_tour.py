@@ -17,8 +17,10 @@ turns everything on and walks through what you get:
 * it runs the same batch through the **process-pool executor** and shows
   that spans emitted inside worker processes crossed the pickle boundary
   (their pid differs from ours);
-* finally it writes the JSONL and Prometheus exports and rebuilds a span
-  tree from the JSONL file alone.
+* finally it renders the Prometheus exposition
+  (``PrometheusExporter().render``), writes the JSONL dump
+  (``JsonlExporter(path).export``) and rebuilds span trees from that file
+  alone.
 
 Run it with::
 
@@ -39,7 +41,13 @@ from repro import AnnotationSources, PipelineConfig, compile_plan
 from repro.core import ObservabilityConfig
 from repro.datasets import PrivateCarSimulator, SyntheticWorld, WorldConfig
 from repro.engine import ProcessPoolExecutor, SequentialExecutor
-from repro.obs import build_span_tree, read_spans, render_span_tree
+from repro.obs import (
+    JsonlExporter,
+    PrometheusExporter,
+    build_span_tree,
+    read_spans,
+    render_span_tree,
+)
 from repro.parallel import GeoContext, canonical_bytes
 from repro.store.store import SemanticTrajectoryStore
 
@@ -55,14 +63,11 @@ def main() -> None:
     dataset = PrivateCarSimulator(world, car_count=6, trips_per_car=2, seed=23).generate()
     trajectories = dataset.trajectories
     config = dataclasses.replace(
-        PipelineConfig.for_vehicles(),
-        observability=ObservabilityConfig(
-            enabled=True, exporters=("jsonl", "prometheus", "summary")
-        ),
+        PipelineConfig.for_vehicles(), observability=ObservabilityConfig(enabled=True)
     )
 
     # 2. A traced, persisted sequential run.  The snapshot's annotators are
-    #    reused by every plan below: they differ only in observability.
+    #    reused by every plan below; each plan has its own telemetry.
     context = GeoContext.build(sources, config)
     store = SemanticTrajectoryStore()
     plan = compile_plan(context=context, store=store, persist=True)
@@ -80,8 +85,7 @@ def main() -> None:
 
     # 5. The same batch through the process pool: worker spans survive the
     #    process boundary and are adopted into this process's tracer.
-    traced = dataclasses.replace(config, observability=ObservabilityConfig(enabled=True))
-    pool_plan = compile_plan(context=context, config=traced)
+    pool_plan = compile_plan(context=context)
     with ProcessPoolExecutor(workers=2) as pool:
         pooled = pool.run(pool_plan, trajectories)
     baseline = compile_plan(context=context, config=PipelineConfig.for_vehicles())
@@ -97,13 +101,12 @@ def main() -> None:
         "canonical output unchanged"
     )
 
-    # 6. Exporters: JSONL + Prometheus files, then a round-trip re-read.
+    # 6. Exporters: the Prometheus exposition, then a JSONL dump re-read.
+    exposition = PrometheusExporter().render(plan.telemetry)
+    print("\nprometheus exposition:")
+    print("\n".join(exposition.splitlines()[:8]) + "\n...")
     with tempfile.TemporaryDirectory() as tmp:
-        artefacts = plan.telemetry.export(directory=tmp)
-        prom_preview = Path(artefacts["prometheus"]).read_text(encoding="utf-8")
-        print(f"\nprometheus exposition ({artefacts['prometheus']}):")
-        print("\n".join(prom_preview.splitlines()[:8]) + "\n...")
-        spans = read_spans(artefacts["jsonl"])
+        spans = read_spans(JsonlExporter(Path(tmp) / "telemetry.jsonl").export(plan.telemetry))
         forests = build_span_tree(spans)
         print(
             f"\njsonl round-trip: {len(spans)} spans re-read, "

@@ -2,9 +2,9 @@
 
 Every supported way of running the pipeline is a function in this module —
 batch, parallel batch, streaming, serving and plan compilation all start
-here, and everything accepts configuration in one of three equivalent forms
-(a :class:`~repro.core.config.PipelineConfig`, a plain ``dict`` routed
-through :meth:`PipelineConfig.from_dict`, or ``None`` for defaults):
+here, and each takes its configuration as a
+:class:`~repro.core.config.PipelineConfig` (``None`` for the defaults; plain
+data becomes one through :meth:`PipelineConfig.from_dict`):
 
 ==================  ========================================================
 entry point         what it gives you
@@ -18,7 +18,7 @@ entry point         what it gives you
 ==================  ========================================================
 
 Nothing stands between these functions and the stage-graph engine: each one
-resolves the configuration, pairs it with a
+pairs the configuration with a
 :class:`~repro.parallel.context.GeoContext` snapshot (built from raw sources,
 or a prebuilt one via :meth:`GeoContext.with_config
 <repro.parallel.context.GeoContext.with_config>`, the one rule deciding
@@ -31,9 +31,10 @@ themselves.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
 
-from repro.core.config import ParallelConfig, PipelineConfig
+from repro.core.config import PipelineConfig
+from repro.core.cpu import effective_cpu_count
 from repro.core.episodes import Episode
 from repro.core.errors import ConfigurationError
 from repro.core.pipeline import AnnotationSources, PipelineResult, SeMiTriPipeline
@@ -55,79 +56,52 @@ __all__ = [
     "stream",
 ]
 
-#: Config in any accepted spelling: a built object, a ``to_dict``-shaped
-#: mapping, or ``None`` for defaults.
-ConfigLike = Union[PipelineConfig, Mapping[str, object], None]
-
-
-def _resolve_config(
-    config: ConfigLike, overrides: Optional[Mapping[str, object]] = None
-) -> PipelineConfig:
-    """Build a validated :class:`PipelineConfig` from any accepted spelling."""
-    if isinstance(config, PipelineConfig):
-        return config.with_overrides(overrides) if overrides else config
-    return PipelineConfig.from_dict(config, overrides=overrides)
-
 
 def _paired(
-    sources: Union[AnnotationSources, GeoContext],
-    config: ConfigLike,
-    overrides: Optional[Mapping[str, object]],
+    sources: Union[AnnotationSources, GeoContext], config: Optional[PipelineConfig]
 ) -> GeoContext:
     """The snapshot to compile from: built from raw sources, or a snapshot
-    paired with ``config``/``overrides`` (applied on top of its own config)."""
+    paired with ``config`` (``None`` keeps the snapshot's own)."""
     if not isinstance(sources, GeoContext):
-        return GeoContext(sources, _resolve_config(config, overrides))
-    if config is None and overrides is None:
-        return sources
-    base = sources.config if config is None else config
-    return sources.with_config(_resolve_config(base, overrides))
+        return GeoContext(sources, config)
+    return sources if config is None else sources.with_config(config)
 
 
 def open_pipeline(
-    config: ConfigLike = None,
+    config: Optional[PipelineConfig] = None,
     store: Optional[SemanticTrajectoryStore] = None,
-    overrides: Optional[Mapping[str, object]] = None,
 ) -> SeMiTriPipeline:
-    """A batch annotation pipeline (the paper's offline mode).
-
-    ``config`` may be a :class:`PipelineConfig`, a ``dict`` in
-    :meth:`PipelineConfig.to_dict` shape, or ``None``; dotted ``overrides``
-    (e.g. ``{"stop_move.velocity_threshold": 1.2}``) apply on top either way.
-    """
-    return SeMiTriPipeline(_resolve_config(config, overrides), store=store)
+    """A batch annotation pipeline (the paper's offline mode)."""
+    return SeMiTriPipeline(config, store=store)
 
 
 def annotate(
     trajectory: RawTrajectory,
     sources: AnnotationSources,
-    config: ConfigLike = None,
+    config: Optional[PipelineConfig] = None,
     store: Optional[SemanticTrajectoryStore] = None,
     persist: bool = False,
-    overrides: Optional[Mapping[str, object]] = None,
 ) -> PipelineResult:
     """Annotate one raw trajectory (one-shot convenience over a pipeline)."""
-    return open_pipeline(config, store=store, overrides=overrides).annotate(
-        trajectory, sources, persist=persist
-    )
+    return open_pipeline(config, store=store).annotate(trajectory, sources, persist=persist)
 
 
 def annotate_many(
     trajectories: Sequence[RawTrajectory],
     sources: Optional[AnnotationSources] = None,
-    config: ConfigLike = None,
+    config: Optional[PipelineConfig] = None,
     context: Optional[GeoContext] = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
     store: Optional[SemanticTrajectoryStore] = None,
     persist: bool = False,
-    overrides: Optional[Mapping[str, object]] = None,
 ) -> List[PipelineResult]:
     """Annotate a batch of trajectories, sequentially or across processes.
 
-    With ``workers`` unset (or 1, the config default) the batch runs in
-    process on the :class:`~repro.engine.SequentialExecutor`.  ``workers=0``
-    resolves to the effective core count, and any count above 1 shards the
-    batch by moving object across that many processes on a
+    With one worker (the default) the batch runs in process on the
+    :class:`~repro.engine.SequentialExecutor`.  ``workers=0`` means the
+    affinity-aware core count (:func:`~repro.core.cpu.effective_cpu_count`),
+    which respects cgroup quotas and ``taskset`` pinning, and any count above
+    1 shards the batch by moving object across that many processes on a
     :class:`~repro.engine.ProcessPoolExecutor` — with results (and persisted
     rows) byte-identical to the sequential run.  A prebuilt ``context``
     snapshot may stand in for ``sources`` to skip index building.
@@ -136,12 +110,11 @@ def annotate_many(
     a ``ProcessPoolExecutor`` and a ``compile_plan(context=...)`` plan and
     call ``executor.run(plan, batch)`` yourself.
     """
-    plan = compile_plan(
-        sources, config, context=context, store=store, persist=persist, overrides=overrides
-    )
-    if workers is None:
-        workers = plan.config.parallel.workers
-    workers = ParallelConfig(workers=workers).resolved_workers
+    if workers < 0:
+        raise ConfigurationError("workers must be at least 1 (or 0 for auto)")
+    plan = compile_plan(sources, config, context=context, store=store, persist=persist)
+    if workers == 0:
+        workers = effective_cpu_count()
     if workers == 1:
         return SequentialExecutor().run(plan, trajectories)
     with ProcessPoolExecutor(workers=workers) as executor:
@@ -150,12 +123,11 @@ def annotate_many(
 
 def stream(
     sources: Union[AnnotationSources, GeoContext],
-    config: ConfigLike = None,
+    config: Optional[PipelineConfig] = None,
     store: Optional[SemanticTrajectoryStore] = None,
     persist: bool = False,
     on_result: Optional[Callable[[PipelineResult], None]] = None,
     on_episode: Optional[Callable[[Episode], None]] = None,
-    overrides: Optional[Mapping[str, object]] = None,
 ) -> MicroBatchExecutor:
     """The streaming executor for one ``(object_id, point)`` event feed.
 
@@ -172,21 +144,21 @@ def stream(
     ``close_all()`` and ``evict_sessions()`` flush too.
 
     ``sources`` may be raw sources or a prebuilt
-    :class:`~repro.parallel.context.GeoContext` snapshot; ``config`` /
-    ``overrides`` then apply on top of the snapshot's config, and may not
-    touch the sections its annotators were built from.
+    :class:`~repro.parallel.context.GeoContext` snapshot; a ``config`` then
+    runs on it if it differs from the snapshot's own only outside the
+    sections its annotators were built from
+    (:meth:`~repro.parallel.context.GeoContext.with_config`).
     """
-    plan = Plan.compile(_paired(sources, config, overrides), store=store, persist=persist)
+    plan = Plan.compile(_paired(sources, config), store=store, persist=persist)
     return MicroBatchExecutor(plan, on_result=on_result, on_episode=on_episode)
 
 
 def serve(
     sources: Union[AnnotationSources, GeoContext],
-    config: ConfigLike = None,
+    config: Optional[PipelineConfig] = None,
     store: Optional[SemanticTrajectoryStore] = None,
     persist: bool = False,
     on_result: Optional[Callable[[PipelineResult], None]] = None,
-    overrides: Optional[Mapping[str, object]] = None,
 ) -> AnnotationService:
     """The asyncio ingestion service multiplexing many concurrent feeds.
 
@@ -194,31 +166,30 @@ def serve(
     run it with ``async with serve(...) as service:`` (or ``await
     service.start()``).  ``config.service`` sizes shards, queue depths and
     the session memory budget.  For emitters speaking HTTP, wrap the service
-    in an :class:`~repro.service.http.HttpIngestServer`.
+    in an :class:`~repro.service.http.HttpIngestServer`.  A prebuilt
+    snapshot pairs with ``config`` by the same rule as in :func:`stream`.
     """
     from repro.service.service import AnnotationService
 
     return AnnotationService(
-        _paired(sources, config, overrides), store=store, persist=persist, on_result=on_result
+        _paired(sources, config), store=store, persist=persist, on_result=on_result
     )
 
 
 def compile_plan(
     sources: Optional[AnnotationSources] = None,
-    config: ConfigLike = None,
+    config: Optional[PipelineConfig] = None,
     context: Optional[GeoContext] = None,
     store: Optional[SemanticTrajectoryStore] = None,
     persist: bool = False,
     layers: Optional[Sequence[str]] = None,
-    overrides: Optional[Mapping[str, object]] = None,
 ) -> Plan:
     """Compile the stage-graph plan every execution mode runs.
 
     Use ``layers`` to restrict the annotation layers compiled in (e.g.
     ``["region"]`` for a region-only pass).  Pass either ``sources`` or a
-    ``context`` snapshot, whose indexes and annotators are then reused;
-    ``config`` / ``overrides`` apply on top of the snapshot's config and may
-    not touch the sections its annotators were built from.
+    ``context`` snapshot, whose indexes and annotators are then reused; a
+    ``config`` pairs with the snapshot by the same rule as in :func:`stream`.
     """
     if context is not None and sources is not None:
         raise ConfigurationError("pass sources or a context snapshot, not both")
@@ -228,7 +199,5 @@ def compile_plan(
             "annotation needs geographic data: pass sources=AnnotationSources(...) "
             "or context=GeoContext.build(...)"
         )
-    return Plan.compile(
-        _paired(snapshot, config, overrides), store=store, persist=persist, layers=layers
-    )
+    return Plan.compile(_paired(snapshot, config), store=store, persist=persist, layers=layers)
 

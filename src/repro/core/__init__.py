@@ -41,7 +41,6 @@ from repro.core.trajectory import StructuredSemanticTrajectory
 from repro.core.config import (
     MapMatchingConfig,
     ObservabilityConfig,
-    ParallelConfig,
     PipelineConfig,
     PointAnnotationConfig,
     RegionAnnotationConfig,
@@ -76,7 +75,6 @@ __all__ = [
     "effective_cpu_count",
     "StructuredSemanticTrajectory",
     "ObservabilityConfig",
-    "ParallelConfig",
     "PipelineConfig",
     "StopMoveConfig",
     "RegionAnnotationConfig",

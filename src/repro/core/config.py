@@ -8,7 +8,10 @@ structure) live in one place and are easy to sweep in the benchmarks.
 
 What is configured is *what* to compute, never *how*: every kernel has one
 implementation, so there is no compute or index selection here (the former
-``compute`` section is refused like any unknown section).
+``compute`` section is refused like any unknown section).  Each setting has
+one spelling: the batch worker count is the ``workers`` argument of
+:func:`repro.api.annotate_many`, not a config section (a stored ``parallel``
+section is refused the same way).
 """
 
 from __future__ import annotations
@@ -261,46 +264,6 @@ class StreamingConfig:
 
 
 @dataclass(frozen=True)
-class ParallelConfig:
-    """How many worker processes batch annotation uses — the only choice.
-
-    :func:`repro.api.annotate_many` runs the in-process
-    :class:`~repro.engine.SequentialExecutor` for one worker and a
-    :class:`~repro.engine.ProcessPoolExecutor` otherwise.  How the batch is
-    split (size-balanced per-object shards), how the
-    :class:`~repro.parallel.GeoContext` snapshot reaches the workers (as a
-    process argument, whatever the start method) and how a lost worker is
-    recovered are fixed in :mod:`repro.engine.executors`: the output is
-    byte-identical to the sequential pipeline either way, and no measurement
-    separated the alternatives that used to be selectable here.
-    """
-
-    workers: int = 1
-    """Worker processes; 1 keeps everything in-process and 0 means "auto":
-    the affinity-aware core count of
-    :func:`repro.core.cpu.effective_cpu_count`, which respects cgroup quotas
-    and ``taskset`` pinning instead of oversubscribing the machine count."""
-
-    def __post_init__(self) -> None:
-        if self.workers < 0:
-            raise ConfigurationError("workers must be at least 1 (or 0 for auto)")
-
-    @property
-    def resolved_workers(self) -> int:
-        """The effective worker count: ``workers``, or the affinity-aware
-        core count when ``workers`` is 0 (auto)."""
-        if self.workers == 0:
-            from repro.core.cpu import effective_cpu_count
-
-            return effective_cpu_count()
-        return self.workers
-
-
-#: Exporter names :class:`ObservabilityConfig` accepts.
-OBSERVABILITY_EXPORTERS: Tuple[str, ...] = ("jsonl", "prometheus", "summary")
-
-
-@dataclass(frozen=True)
 class ObservabilityConfig:
     """Selection of the telemetry subsystem (:mod:`repro.obs`).
 
@@ -321,18 +284,6 @@ class ObservabilityConfig:
 
     tracing: bool = True
     """Emit per-trajectory spans (only meaningful when ``enabled``)."""
-
-    exporters: Tuple[str, ...] = ()
-    """Exporters :meth:`Telemetry.export` runs: any of ``"jsonl"``,
-    ``"prometheus"``, ``"summary"``."""
-
-    def __post_init__(self) -> None:
-        unknown = set(self.exporters).difference(OBSERVABILITY_EXPORTERS)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown exporters {sorted(unknown)!r}; "
-                f"expected a subset of {list(OBSERVABILITY_EXPORTERS)}"
-            )
 
     @classmethod
     def from_env(cls) -> "ObservabilityConfig":
@@ -382,15 +333,8 @@ class FailurePolicy:
     """Re-attempts per failed trajectory before quarantine (``retry`` mode)."""
 
     backoff_base: float = 0.05
-    """Seconds slept before the first retry; deterministic, never jittered."""
-
-    backoff_factor: float = 2.0
-    """Multiplier applied to the backoff for each further retry."""
-
-    max_shard_retries: int = 1
-    """Whole-shard resubmissions after a worker loss before the shard is
-    bisected to isolate the trajectory that keeps killing workers (a loss is
-    charged to the one shard the dead worker held)."""
+    """Seconds slept before the first retry, doubling for each further one;
+    deterministic, never jittered."""
 
     def __post_init__(self) -> None:
         if self.mode not in FAILURE_MODES:
@@ -401,10 +345,6 @@ class FailurePolicy:
             raise ConfigurationError("max_retries must be non-negative")
         if self.backoff_base < 0:
             raise ConfigurationError("backoff_base must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError("backoff_factor must be at least 1.0")
-        if self.max_shard_retries < 0:
-            raise ConfigurationError("max_shard_retries must be non-negative")
 
     @property
     def isolates(self) -> bool:
@@ -418,7 +358,7 @@ class FailurePolicy:
 
     def backoff(self, attempt: int) -> float:
         """Deterministic backoff (seconds) before re-attempt ``attempt + 1``."""
-        return self.backoff_base * self.backoff_factor ** max(0, attempt - 1)
+        return self.backoff_base * 2 ** max(0, attempt - 1)
 
 
 @dataclass(frozen=True)
@@ -550,7 +490,6 @@ class PipelineConfig:
     transport: TransportModeConfig = field(default_factory=TransportModeConfig)
     point: PointAnnotationConfig = field(default_factory=PointAnnotationConfig)
     streaming: StreamingConfig = field(default_factory=StreamingConfig)
-    parallel: ParallelConfig = field(default_factory=ParallelConfig)
     observability: ObservabilityConfig = field(default_factory=ObservabilityConfig.from_env)
     service: ServiceConfig = field(default_factory=ServiceConfig)
     failure: FailurePolicy = field(default_factory=FailurePolicy)
@@ -579,7 +518,7 @@ class PipelineConfig:
         The **one** construction path the service, the benchmarks and the
         environment knobs share: ``data`` is a (possibly partial) nested
         mapping like :meth:`to_dict` produces, ``overrides`` maps dotted
-        keyword paths to values (``{"parallel.workers": 4}``), and
+        keyword paths to values (``{"service.shards": 4}``), and
         ``base`` supplies the defaults for everything left unspecified.
         Unknown sections or fields raise :class:`ConfigurationError`; every
         value passes through the owning dataclass's own ``__post_init__``
@@ -666,10 +605,10 @@ def _coerce_value(value: Any, current: Any) -> Any:
     """Coerce a raw override value to the type of the field's current value.
 
     Strings arriving from ``SEMITRI_*`` environment variables or CLI flags
-    become the int/float/bool the field holds; JSON lists become the tuples
-    frozen dataclasses store.  Values already of the right type pass through
-    untouched, and coercion failures surface as :class:`ConfigurationError`
-    naming the offending value rather than a bare ``ValueError``.
+    become the int/float/bool the field holds.  Values already of the right
+    type pass through untouched, and coercion failures surface as
+    :class:`ConfigurationError` naming the offending value rather than a bare
+    ``ValueError``.
     """
     if isinstance(current, bool):
         if isinstance(value, bool):
@@ -691,6 +630,4 @@ def _coerce_value(value: Any, current: Any) -> Any:
             return float(value)
         except (TypeError, ValueError):
             raise ConfigurationError(f"cannot interpret {value!r} as a number")
-    if isinstance(current, tuple) and isinstance(value, list):
-        return tuple(value)
     return value

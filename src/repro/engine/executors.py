@@ -110,7 +110,7 @@ from repro.faults.failures import (
 )
 from repro.obs.metrics import EngineCounters, MetricsRegistry
 from repro.parallel.context import GeoContext, dump_outcome, load_outcome
-from repro.parallel.process import WorkerProcess
+from repro.parallel.process import SHARD_RETRIES, WorkerProcess
 from repro.streaming.session import SealedTrajectory, Session, SessionManager
 
 # One shard of work: (shard index, [(input order, trajectory), ...]).
@@ -689,12 +689,12 @@ class ProcessPoolExecutor:
         :class:`SemitriError`, as it does with a stage exception, once the
         shards still in flight have answered (the workers stay warm and hold
         nothing stale).  Under ``skip``/``retry`` the shard is resubmitted up
-        to ``max_shard_retries`` times, then *bisected* — halves inherit the
-        attempt count, so repeated losses binary-search down to one
-        trajectory, which comes back as a ``WorkerLost``
-        :class:`TrajectoryFailure` with its raw events intact.  Canonical
-        bytes of every surviving trajectory are untouched: recovery only
-        re-runs work that never completed.
+        to :data:`~repro.parallel.process.SHARD_RETRIES` times, then
+        *bisected* — halves inherit the attempt count, so repeated losses
+        binary-search down to one trajectory, which comes back as a
+        ``WorkerLost`` :class:`TrajectoryFailure` with its raw events intact.
+        Canonical bytes of every surviving trajectory are untouched: recovery
+        only re-runs work that never completed.
         """
         policy = plan.failure_policy
         workers = self._start(plan.context)
@@ -732,7 +732,7 @@ class ProcessPoolExecutor:
                             continue
                         plan.ensure_failure_log().record_worker_loss()
                         attempts += 1
-                        if attempts <= policy.max_shard_retries:
+                        if attempts <= SHARD_RETRIES:
                             parts = [items]  # whole-shard retry
                         elif len(items) > 1:
                             half = (len(items) + 1) // 2

@@ -98,7 +98,10 @@ class FailureLog:
     Quarantined trajectories write through to the store when one is bound,
     or buffer until :meth:`flush_to_store` (the service buffers the
     quarantines its shards ship back and flushes them into its store at
-    drain).
+    drain).  ``quarantined`` counts dead-letter *decisions*; the log keeps no
+    store row ids, because a quarantine row lives or dies with the store scope
+    it was written in — a caller's ``with store:`` that rolls back takes it
+    away again, and the store, not the log, says which rows exist.
     """
 
     def __init__(
@@ -116,7 +119,6 @@ class FailureLog:
         self.quarantined = 0
         self.wal_replayed = 0
         self.worker_losses = 0
-        self.quarantine_rows: List[int] = []
         # Held weakly: the registry's series read this log.
         self._registry = None if registry is None else weakref.ref(registry)
         if registry is not None:
@@ -178,23 +180,17 @@ class FailureLog:
         with self._lock:
             self.quarantined += 1
         if self._store is not None:
-            rows = self._store.save_quarantined([failure])
-            with self._lock:
-                self.quarantine_rows.extend(rows)
+            self._store.save_quarantined([failure])
         else:
             with self._lock:
                 self._pending_store.append(failure)
 
-    def flush_to_store(self, store: "SemanticTrajectoryStore") -> List[int]:
+    def flush_to_store(self, store: "SemanticTrajectoryStore") -> None:
         """Persist buffered quarantines (used by stores bound after the fact)."""
         with self._lock:
             pending, self._pending_store = self._pending_store, []
-        if not pending:
-            return []
-        rows = store.save_quarantined(pending)
-        with self._lock:
-            self.quarantine_rows.extend(rows)
-        return rows
+        if pending:
+            store.save_quarantined(pending)
 
     @property
     def pending_quarantines(self) -> List[TrajectoryFailure]:

@@ -1,4 +1,4 @@
-"""Pluggable telemetry exporters: JSONL dumps and Prometheus text format.
+"""Telemetry exporters: JSONL dumps and Prometheus text format.
 
 Exporters are deliberately tiny: they read a finished
 :class:`~repro.obs.runtime.Telemetry` runtime and render it, nothing more.

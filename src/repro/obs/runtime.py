@@ -1,4 +1,4 @@
-"""The per-plan telemetry runtime: tracer + metrics registry + exporters.
+"""The per-plan telemetry runtime: tracer + metrics registry.
 
 A :class:`Telemetry` instance is what a compiled
 :class:`~repro.engine.plan.Plan` carries: executors ask it for trajectory
@@ -17,8 +17,7 @@ like the pre-telemetry engine.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.config import ObservabilityConfig
 from repro.obs.metrics import MetricsRegistry
@@ -91,33 +90,6 @@ class Telemetry:
                 f"{len(self.tracer.traces())} traces"
             )
         return "\n\n".join(parts)
-
-    def export(self, directory: Optional[str] = None) -> Dict[str, str]:
-        """Run the configured exporters; returns exporter name -> artefact.
-
-        ``"jsonl"`` and ``"prometheus"`` write files under ``directory`` (or
-        the CWD) and map to the written path;
-        ``"summary"`` maps to the rendered table itself.
-        """
-        from repro.obs.exporters import JsonlExporter, PrometheusExporter
-
-        artefacts: Dict[str, str] = {}
-        if not self.enabled:
-            return artefacts
-        base = Path(directory or ".")
-        for name in self.config.exporters:
-            if name == "jsonl":
-                path = base / "telemetry.jsonl"
-                JsonlExporter(path).export(self)
-                artefacts[name] = str(path)
-            elif name == "prometheus":
-                path = base / "telemetry.prom"
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(PrometheusExporter().render(self), encoding="utf-8")
-                artefacts[name] = str(path)
-            elif name == "summary":
-                artefacts[name] = self.summary()
-        return artefacts
 
 
 #: The shared zero-overhead runtime plans carry when observability is off.

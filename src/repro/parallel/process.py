@@ -36,13 +36,18 @@ import weakref
 from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Optional, Sequence, Union
 
-__all__ = ["WorkerProcess", "mp_context"]
+__all__ = ["SHARD_RETRIES", "WorkerProcess", "mp_context"]
 
 #: Builds a worker's request handler inside the worker.
 Setup = Callable[..., Callable[[bytes], bytes]]
 
 #: How long a worker waits for a request before checking its parent is alive.
 _PARENT_POLL_SECONDS = 0.5
+
+#: Times work a dead worker held is resubmitted whole before it is split up to
+#: find what keeps killing workers: the batch pool then bisects the shard, a
+#: process shard replays its journal one object at a time.
+SHARD_RETRIES = 1
 
 #: Workers whose parent-side pipe ends are open in this process, whoever owns
 #: them (pools and services may live side by side): a forked worker inherits

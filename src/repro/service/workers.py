@@ -67,7 +67,7 @@ from repro.faults.failures import FailureEvent, TrajectoryFailure
 from repro.faults.inject import FaultInjector, FaultPlan
 from repro.faults.journal import JournalRecord
 from repro.parallel.context import GeoContext, dump_outcome, load_outcome
-from repro.parallel.process import WorkerProcess
+from repro.parallel.process import SHARD_RETRIES, WorkerProcess
 
 # ``shard.ShardCore`` is looked up at call time so a test can substitute the
 # core once for both transports (forked workers inherit the substitution).
@@ -352,7 +352,7 @@ class ProcessShard(Shard):
         # so a ``submit`` blocked on one can proceed once ready.
         for _ in self._pending:
             self._inflight.release()
-        solo = self.restarts + 1 > host.config.failure.max_shard_retries
+        solo = self.restarts + 1 > SHARD_RETRIES
         self._respawn()
         journal = host.journal
         if journal is None:
@@ -377,11 +377,12 @@ class ProcessShard(Shard):
 
         Bulk replay first (one pass, batched).  If the replay itself kills
         the fresh worker — or the shard has already exhausted
-        ``failure.max_shard_retries`` — fall back to object-by-object replay:
-        an object whose *solo* replay kills a fresh worker is proven poison,
-        quarantined, and skipped by all further intake; everything else is
-        replayed from scratch after each death (the dead worker's state is
-        gone).  Returns the number of records the live worker absorbed.
+        :data:`~repro.parallel.process.SHARD_RETRIES` — fall back to
+        object-by-object replay: an object whose *solo* replay kills a fresh
+        worker is proven poison, quarantined, and skipped by all further
+        intake; everything else is replayed from scratch after each death (the
+        dead worker's state is gone).  Returns the number of records the live
+        worker absorbed.
         """
 
         def poison_events() -> int:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import asyncio
 import importlib
+import inspect
 
 import pytest
 
@@ -69,15 +70,14 @@ class TestSurface:
 
 
 class TestEntryPoints:
-    def test_open_pipeline_accepts_config_dicts_and_overrides(self):
-        pipeline = repro.open_pipeline(
-            {"stop_move": {"speed_threshold": 1.5}},
-            overrides={"parallel.workers": 3},
-        )
-        assert pipeline.config.stop_move.speed_threshold == 1.5
-        assert pipeline.config.parallel.workers == 3
+    def test_open_pipeline_takes_a_pipeline_config(self):
+        """One spelling: plain data becomes a config before it reaches the API."""
+        config = PipelineConfig.from_dict({"stop_move": {"speed_threshold": 1.5}})
+        assert repro.open_pipeline(config).config is config
         configured = repro.open_pipeline(PipelineConfig.for_people())
         assert configured.config == PipelineConfig.for_people()
+        for name in DOCUMENTED_ENTRY_POINTS:
+            assert "overrides" not in inspect.signature(getattr(repro.api, name)).parameters
 
     def test_annotate_one_matches_pipeline(self, car_dataset, annotation_sources):
         trajectory = car_dataset.trajectories[0]
@@ -94,10 +94,6 @@ class TestEntryPoints:
         sequential = repro.annotate_many(trajectories, annotation_sources, config=config)
         sharded = repro.annotate_many(trajectories, annotation_sources, config=config, workers=2)
         assert canonical_bytes(sequential) == canonical_bytes(sharded)
-        from_config = repro.annotate_many(
-            trajectories, annotation_sources, config=config, overrides={"parallel.workers": 2}
-        )
-        assert canonical_bytes(sequential) == canonical_bytes(from_config)
 
     def test_annotate_many_accepts_a_context_snapshot(self, car_dataset, annotation_sources):
         config = PipelineConfig.for_vehicles()
@@ -164,10 +160,13 @@ class TestEntryPoints:
             repro.annotate_many(
                 car_dataset.trajectories[:2],
                 context=context,
-                overrides={"map_matching.candidate_radius": 10.0},
+                config=context.config.with_overrides({"map_matching.candidate_radius": 10.0}),
             )
         with pytest.raises(ConfigurationError, match="point"):
-            repro.compile_plan(context=context, overrides={"point.default_sigma": 5.0})
+            repro.compile_plan(
+                context=context,
+                config=context.config.with_overrides({"point.default_sigma": 5.0}),
+            )
 
     def test_compile_plan_refuses_sources_and_a_context(self, annotation_sources, region_source):
         context = GeoContext.build(AnnotationSources(regions=region_source))

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import dataclasses
+import inspect
 
 import pytest
 
+from repro import api
 from repro.core.config import (
     CleaningConfig,
-    ParallelConfig,
     ServiceConfig,
     MapMatchingConfig,
     PipelineConfig,
@@ -19,6 +19,8 @@ from repro.core.config import (
     TransportModeConfig,
 )
 from repro.core.errors import ConfigurationError
+from repro.engine import ProcessPoolExecutor
+from repro.parallel import GeoContext, canonical_bytes
 
 
 class TestCleaningConfig:
@@ -129,31 +131,57 @@ class TestPipelineConfig:
 
 
 class TestParallelConfig:
+    """The worker count is no config section: ``annotate_many(workers=)`` is
+    its one spelling, with the rules the removed ``parallel`` section had."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        started = []
+        real_init = ProcessPoolExecutor.__init__
+
+        def spy(self, workers=2):
+            started.append(workers)
+            real_init(self, workers)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "__init__", spy)
+        return started
+
     def test_defaults_are_valid(self):
-        config = ParallelConfig()
-        assert [f.name for f in dataclasses.fields(config)] == ["workers"]
-        assert config.workers == 1
-        assert config.resolved_workers == 1
+        for config in (
+            PipelineConfig(),
+            PipelineConfig.for_vehicles(),
+            PipelineConfig.for_people(),
+        ):
+            assert "parallel" not in config.to_dict()
+        assert inspect.signature(api.annotate_many).parameters["workers"].default == 1
 
-    def test_zero_workers_resolve_to_effective_cores(self):
-        from repro.core.cpu import effective_cpu_count
+    def test_zero_workers_resolve_to_effective_cores(
+        self, monkeypatch, pools, annotation_sources, car_dataset
+    ):
+        batch = car_dataset.trajectories[:4]
+        context = GeoContext.build(annotation_sources, PipelineConfig.for_vehicles())
+        reference = canonical_bytes(api.annotate_many(batch, context=context))
+        # 0 is "auto": the effective core count, in process when that is 1.
+        for cores in (1, 2):
+            monkeypatch.setattr(api, "effective_cpu_count", lambda cores=cores: cores)
+            result = api.annotate_many(batch, context=context, workers=0)
+            assert canonical_bytes(result) == reference
+        assert pools == [2]
 
-        config = ParallelConfig(workers=0)
-        assert config.resolved_workers == effective_cpu_count()
-        assert ParallelConfig(workers=3).resolved_workers == 3
-
-    def test_invalid_values(self):
-        with pytest.raises(ConfigurationError):
-            ParallelConfig(workers=-1)
+    def test_invalid_values(self, pools, annotation_sources, car_dataset):
+        context = GeoContext.build(annotation_sources, PipelineConfig.for_vehicles())
+        with pytest.raises(ConfigurationError, match="workers"):
+            api.annotate_many(car_dataset.trajectories[:4], context=context, workers=-1)
+        assert pools == []
 
     @pytest.mark.parametrize(
         "removed", ["dispatch", "shared_memory", "shards_per_worker", "executor"]
     )
     def test_removed_knobs_are_unknown_fields(self, removed):
-        """The migration message: the rejection names the field that went away."""
-        with pytest.raises(ConfigurationError, match=f"unknown field '{removed}'"):
+        """The migration message: the rejection names the section that went away."""
+        with pytest.raises(ConfigurationError, match=rf"'parallel\.{removed}'.*section among"):
             PipelineConfig().with_overrides({f"parallel.{removed}": "stealing"})
-        with pytest.raises(ConfigurationError, match=f"unknown field '{removed}'"):
+        with pytest.raises(ConfigurationError, match="unknown configuration section 'parallel'"):
             PipelineConfig.from_dict({"parallel": {removed: 2}})
 
 
@@ -224,9 +252,9 @@ class TestConfigDictConstruction:
 
     def test_dotted_overrides(self):
         config = PipelineConfig.from_dict(
-            overrides={"parallel.workers": 4, "service.shards": 3}
+            overrides={"streaming.micro_batch_size": 4, "service.shards": 3}
         )
-        assert config.parallel.workers == 4
+        assert config.streaming.micro_batch_size == 4
         assert config.service.shards == 3
 
     def test_with_overrides_returns_a_new_validated_copy(self):
@@ -258,13 +286,40 @@ class TestConfigDictConstruction:
         with pytest.raises(ConfigurationError):
             PipelineConfig.from_dict(overrides={"stop_move.speed_threshold": "fast"})
 
-    def test_the_removed_compute_section_is_refused_as_unknown(self):
-        """Every kernel has one implementation; a stored ``compute`` section must go."""
-        assert "compute" not in PipelineConfig().to_dict()
-        with pytest.raises(ConfigurationError, match="'compute.backend'.*section among"):
-            PipelineConfig.from_dict(overrides={"compute.backend": "python"})
-        with pytest.raises(ConfigurationError, match="unknown configuration section 'compute'"):
-            PipelineConfig.from_dict({"compute": {"backend": "numpy", "index_backend": "auto"}})
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "compute.backend",
+            "parallel.workers",
+        ],
+    )
+    def test_removed_sections_are_refused_as_unknown(self, path):
+        """Every kernel has one implementation (no ``compute`` section) and the
+        worker count is ``annotate_many(workers=)`` (no ``parallel`` section):
+        a stored section of either must go, and the refusal names it."""
+        section, _, name = path.partition(".")
+        assert section not in PipelineConfig().to_dict()
+        with pytest.raises(ConfigurationError, match=rf"'{path}'.*section among"):
+            PipelineConfig.from_dict(overrides={path: "python"})
+        with pytest.raises(ConfigurationError, match=rf"'{path}'.*section among"):
+            PipelineConfig().with_overrides({path: 2})
+        with pytest.raises(ConfigurationError, match=f"unknown configuration section '{section}'"):
+            PipelineConfig.from_dict({section: {name: 2}})
+
+    @pytest.mark.parametrize(
+        "path", ["observability.exporters", "failure.backoff_factor", "failure.max_shard_retries"]
+    )
+    def test_removed_knobs_are_unknown_fields(self, path):
+        """The migration message: the rejection names the field that went away
+        and its section (exporters are called directly; the retry backoff
+        doubles; a lost worker's work is resubmitted whole once)."""
+        section, _, name = path.partition(".")
+        assert name not in PipelineConfig().to_dict()[section]
+        message = f"unknown field '{name}' in section '{section}'"
+        with pytest.raises(ConfigurationError, match=message):
+            PipelineConfig().with_overrides({path: "2"})
+        with pytest.raises(ConfigurationError, match=message):
+            PipelineConfig.from_dict({section: {name: 2}})
 
     def test_transport_round_trips_through_dict_and_overrides(self, monkeypatch):
         import repro.core.cpu as cpu
@@ -281,7 +336,7 @@ class TestConfigDictConstruction:
         with pytest.raises(ConfigurationError):
             PipelineConfig.from_dict({"service": {"queue_depth": 0}})
         with pytest.raises(ConfigurationError):
-            PipelineConfig.from_dict(overrides={"parallel.workers": -1})
+            PipelineConfig.from_dict(overrides={"service.shards": -1})
 
     def test_default_config_reads_the_environment_at_call_time(self, monkeypatch):
         """``config=None`` defaults are built per call, not frozen at import."""

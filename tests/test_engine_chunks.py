@@ -493,7 +493,8 @@ def test_a_caller_scope_keeps_the_batch_isolation(
 ):
     """A persisted batch inside a caller's ``with store:`` stores what it stores
     without one: a failed trajectory's scope undoes only its own rows, and the
-    innocents, the quarantine row and the caller's own earlier write commit."""
+    innocents, the quarantine row and the caller's own earlier write commit
+    with the caller's scope — or go with it when the caller raises."""
     batch = list(car_dataset.trajectories[:8])
     culprit = batch[3].trajectory_id
     original = PoiAnnotationStage.finish
@@ -528,6 +529,22 @@ def test_a_caller_scope_keeps_the_batch_isolation(
         runs.append((canonical_bytes(results), _table_digest(store)))
         store.close()
     assert runs[1] == runs[0]
+
+    # The caller raises out of its scope: everything the batch wrote goes with
+    # it, quarantine row included; the failure log still counts the decision.
+    store = SemanticTrajectoryStore()
+    plan = api.compile_plan(annotation_sources, config, store=store, persist=True)
+    with pytest.raises(RuntimeError, match="the caller's own failure"):
+        with store:
+            store.save_trajectory(earlier)
+            SequentialExecutor().run(plan, batch)
+            raise RuntimeError("the caller's own failure")
+    assert not store.in_transaction_scope
+    assert store.trajectory_count() == 0
+    assert store.quarantine_count() == 0
+    assert store.check_invariants() == []
+    assert plan.failure_log.quarantined == 1
+    store.close()
 
 
 def test_failing_group_under_skip_quarantines_only_the_culprit(

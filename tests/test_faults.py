@@ -114,7 +114,7 @@ class TestFailurePolicy:
         with pytest.raises(ConfigurationError):
             FailurePolicy(max_retries=-1)
         with pytest.raises(ConfigurationError):
-            FailurePolicy(backoff_factor=0.5)
+            FailurePolicy(backoff_base=-0.1)
 
     def test_isolation_and_retry_budget(self):
         assert not FailurePolicy().isolates
@@ -123,7 +123,7 @@ class TestFailurePolicy:
         assert FailurePolicy(mode="retry", max_retries=3).retries == 3
 
     def test_backoff_is_deterministic_exponential(self):
-        policy = FailurePolicy(mode="retry", backoff_base=0.1, backoff_factor=2.0)
+        policy = FailurePolicy(mode="retry", backoff_base=0.1)
         assert policy.backoff(1) == pytest.approx(0.1)
         assert policy.backoff(2) == pytest.approx(0.2)
         assert policy.backoff(3) == pytest.approx(0.4)
@@ -413,7 +413,7 @@ class TestProcessPoolRecovery:
             process, "mp_context", lambda: multiprocessing.get_context(start_method)
         )
         trajectories = car_dataset.trajectories
-        config = _config(mode="retry", max_shard_retries=1)
+        config = _config(mode="retry")
         reference = SequentialExecutor().run(
             _plan(annotation_sources, config), trajectories
         )
@@ -478,7 +478,7 @@ class TestProcessPoolRecovery:
     ):
         trajectories = car_dataset.trajectories
         poison = trajectories[0].object_id
-        config = _config(mode="retry", max_shard_retries=1)
+        config = _config(mode="retry")
         reference = SequentialExecutor().run(
             _plan(annotation_sources, config), trajectories
         )

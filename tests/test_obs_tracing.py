@@ -31,6 +31,7 @@ from repro.engine import (
 from repro.obs import (
     DISABLED,
     JsonlExporter,
+    PrometheusExporter,
     Span,
     Telemetry,
     Tracer,
@@ -74,7 +75,7 @@ def test_default_config_is_the_shared_noop_runtime(annotation_sources, monkeypat
     assert plan.telemetry is DISABLED
     assert not plan.telemetry.enabled
     assert plan.telemetry.start_trace("t") is None
-    assert plan.telemetry.export() == {}
+    assert plan.telemetry.summary() == ""
     results = SequentialExecutor().run(plan, _trajectories(plan, users=1, points=80))
     assert all(result.spans == [] for result in results)
 
@@ -267,24 +268,17 @@ def test_tracer_adopt_remaps_colliding_ids():
 
 
 # ------------------------------------------------------------------ exporters
-def test_telemetry_export_dispatch(annotation_sources, tmp_path):
+def test_exporters_render_the_telemetry_they_are_handed(annotation_sources, tmp_path):
+    """No exporter is configured: a caller calls the one it wants."""
     config = dataclasses.replace(
-        PipelineConfig.for_people(),
-        observability=ObservabilityConfig(
-            enabled=True, exporters=("jsonl", "prometheus", "summary")
-        ),
+        PipelineConfig.for_people(), observability=ObservabilityConfig(enabled=True)
     )
     plan = Plan.compile(GeoContext(annotation_sources, config))
     SequentialExecutor().run(plan, _trajectories(plan, users=1, points=80))
-    artefacts = plan.telemetry.export(directory=str(tmp_path))
-    assert set(artefacts) == {"jsonl", "prometheus", "summary"}
-    assert read_spans(artefacts["jsonl"])
-    prometheus = (tmp_path / "telemetry.prom").read_text(encoding="utf-8")
+    path = JsonlExporter(tmp_path / "telemetry.jsonl").export(plan.telemetry)
+    assert path == tmp_path / "telemetry.jsonl"
+    assert read_spans(path)
+    prometheus = PrometheusExporter().render(plan.telemetry)
     assert "semitri_engine_events_total" in prometheus
     assert "semitri_stage_latency_seconds_bucket" in prometheus
-    assert "stage latency" in artefacts["summary"]
-
-
-def test_exporter_config_rejects_unknown_names():
-    with pytest.raises(ConfigurationError):
-        ObservabilityConfig(enabled=True, exporters=("jsonl", "statsd"))
+    assert "stage latency" in plan.telemetry.summary()

@@ -10,7 +10,6 @@ import pytest
 
 from repro import api
 from repro.core import PipelineConfig, SeMiTriPipeline
-from repro.core.cpu import effective_cpu_count
 from repro.core.errors import ConfigurationError
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
 from repro.engine import ProcessPoolExecutor, SequentialExecutor, executors, shard_by_object
@@ -78,7 +77,9 @@ def test_annotate_many_requires_sources_or_context():
 def test_worker_count_comes_from_config_unless_overridden(
     monkeypatch, annotation_sources, car_dataset
 ):
-    """``parallel.workers`` is the default, ``workers=`` wins, 1 stays in process."""
+    """No config carries a worker count (there is no ``parallel`` section), so
+    a batch runs in process whatever the context's config; ``workers=`` is
+    the override and the one spelling."""
     pools = []
     real_init = ProcessPoolExecutor.__init__
 
@@ -88,20 +89,14 @@ def test_worker_count_comes_from_config_unless_overridden(
 
     monkeypatch.setattr(ProcessPoolExecutor, "__init__", spy)
     batch = car_dataset.trajectories[:4]
-    config = PipelineConfig.for_vehicles().with_overrides({"parallel.workers": 3})
+    config = PipelineConfig.for_vehicles().with_overrides({"service.shards": 3})
+    with pytest.raises(ConfigurationError, match="parallel"):
+        config.with_overrides({"parallel.workers": 3})
     context = GeoContext.build(annotation_sources, config)
-    reference = canonical_bytes(api.annotate_many(batch, context=context, workers=1))
+    reference = canonical_bytes(api.annotate_many(batch, context=context))
     assert pools == []
-    assert canonical_bytes(api.annotate_many(batch, context=context)) == reference
+    assert canonical_bytes(api.annotate_many(batch, context=context, workers=3)) == reference
     assert pools == [3]
-    assert canonical_bytes(api.annotate_many(batch, context=context, workers=2)) == reference
-    assert pools == [3, 2]
-    # 0 is "auto": the effective core count, in process when that is 1.
-    assert canonical_bytes(api.annotate_many(batch, context=context, workers=0)) == reference
-    cores = effective_cpu_count()
-    assert pools == [3, 2] + ([cores] if cores > 1 else [])
-    with pytest.raises(ConfigurationError):
-        api.annotate_many(batch, context=context, workers=-1)
 
 
 def test_empty_batch_returns_empty(annotation_sources):
@@ -255,11 +250,16 @@ def test_stream_rejects_config_conflicting_with_snapshot(annotation_sources):
         api.stream(context, config=PipelineConfig())
     # One rule (GeoContext.with_config): sections the annotators do not read
     # may differ, and the snapshot's annotators are reused.
-    engine = api.stream(context, overrides={"streaming.micro_batch_size": 3})
+    engine = api.stream(
+        context, config=context.config.with_overrides({"streaming.micro_batch_size": 3})
+    )
     assert engine.plan.config.streaming.micro_batch_size == 3
     assert engine.plan.annotators is context.annotators
     with pytest.raises(ConfigurationError, match="map_matching"):
-        api.stream(context, overrides={"map_matching.candidate_radius": 10.0})
+        api.stream(
+            context,
+            config=context.config.with_overrides({"map_matching.candidate_radius": 10.0}),
+        )
 
 
 def test_serve_follows_the_snapshot_pairing_rule(annotation_sources):
@@ -268,11 +268,16 @@ def test_serve_follows_the_snapshot_pairing_rule(annotation_sources):
     assert api.serve(context).context is context
     with pytest.raises(ConfigurationError):
         api.serve(context, config=PipelineConfig.for_people())
-    service = api.serve(context, overrides={"streaming.micro_batch_size": 3})
+    service = api.serve(
+        context, config=context.config.with_overrides({"streaming.micro_batch_size": 3})
+    )
     assert service.config.streaming.micro_batch_size == 3
     assert service.context.annotators is context.annotators
     with pytest.raises(ConfigurationError, match="map_matching"):
-        api.serve(context, overrides={"map_matching.candidate_radius": 10.0})
+        api.serve(
+            context,
+            config=context.config.with_overrides({"map_matching.candidate_radius": 10.0}),
+        )
 
 
 def test_deferred_writeback_executor_matches_sequential_pipeline(
