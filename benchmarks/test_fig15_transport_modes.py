@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 
 from benchmarks.conftest import save_result
+import repro
 from repro.analytics.reporting import render_table
 from repro.core import AnnotationSources
 
@@ -22,7 +23,9 @@ def test_fig15_transport_mode_annotation(benchmark, world, people_dataset, peopl
     by_style = {}
 
     def annotate_all():
-        results = people_pipeline.annotate_many(people_dataset.all_trajectories, sources)
+        results = repro.annotate_many(
+            people_dataset.all_trajectories, sources, people_pipeline.config
+        )
         styles = {}
         for result in results:
             style = people_dataset.profiles[result.trajectory.object_id].commute_style
@@ -51,7 +54,7 @@ def test_fig15_transport_mode_annotation(benchmark, world, people_dataset, peopl
     if metro_users:
         user = metro_users[0]
         trajectory = people_dataset.trajectories_by_user[user][0]
-        result = people_pipeline.annotate(trajectory, sources)
+        result = repro.annotate(trajectory, sources, people_pipeline.config)
         for structured in result.line_trajectories[:2]:
             for record in structured:
                 place = record.place.name if record.place is not None else "(off-road)"

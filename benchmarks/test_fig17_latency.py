@@ -18,7 +18,7 @@ import dataclasses
 
 from benchmarks.conftest import bench_write_run, record_timing
 from repro.analytics.reporting import render_table
-from repro.api import compile_plan
+from repro.api import annotate, compile_plan
 from repro.core import ObservabilityConfig, PipelineConfig, SeMiTriPipeline
 from repro.parallel import GeoContext, canonical_bytes
 from repro.store.store import SemanticTrajectoryStore
@@ -38,10 +38,9 @@ def test_fig17_latency(benchmark, world, people_dataset, annotation_sources):
     def run_pipeline():
         store = SemanticTrajectoryStore()
         config = PipelineConfig.for_people()
-        pipeline = SeMiTriPipeline(config, store=store)
         context = GeoContext.build(annotation_sources, config)  # annotators built once
         results = [
-            pipeline.annotate(trajectory, context, persist=True)
+            annotate(trajectory, context, store=store, persist=True)
             for trajectory in people_dataset.all_trajectories
         ]
         merged = SeMiTriPipeline.merge_latencies(results)

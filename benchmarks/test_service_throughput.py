@@ -44,9 +44,10 @@ import time
 from typing import Dict, List, Optional
 
 from benchmarks.conftest import record_timing
+import repro
 from repro.analytics.latency import LatencyProfile
 from repro.analytics.reporting import render_table
-from repro.core import PipelineConfig, SeMiTriPipeline
+from repro.core import PipelineConfig
 from repro.core.config import StreamingConfig, TrajectoryIdentificationConfig
 from repro.core.cpu import effective_cpu_count
 from repro.core.points import SpatioTemporalPoint
@@ -204,11 +205,13 @@ def test_service_throughput(benchmark, car_dataset, annotation_sources, tmp_path
     # Publish nothing we cannot prove: every leg's drained output must be
     # canonically identical to the sequential pipeline on the same streams.
     reference_leg = by_name["thread-1"]
-    pipeline = SeMiTriPipeline(reference_leg.config)
+    pipeline = repro.open_pipeline(reference_leg.config)
     sequential = []
     for object_id, points in streams.items():
         raw = pipeline.ingest_stream(points, object_id=object_id)
-        sequential.extend(pipeline.annotate_many(raw, reference_leg.context))
+        sequential.extend(
+            repro.annotate_many(raw, config=reference_leg.config, context=reference_leg.context)
+        )
     by_sequential = {r.trajectory.trajectory_id: r for r in sequential}
     for leg in legs:
         by_service = {r.trajectory.trajectory_id: r for r in leg.results}

@@ -25,6 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import repro
 from repro import AnnotationSources, PipelineConfig
 from repro.datasets import PersonSimulator, SyntheticWorld, WorldConfig
+from repro.parallel import GeoContext
 from repro.regions.landuse import label_of
 
 
@@ -79,16 +80,17 @@ def main() -> None:
     simulator = PersonSimulator(world, user_count=4, days_per_user=1, seed=31)
     dataset = simulator.generate()
 
-    pipeline = repro.open_pipeline(PipelineConfig.for_people())
     sources = AnnotationSources(
         regions=world.region_source(),
         road_network=world.road_network(),
         pois=world.poi_source(),
     )
+    # The annotators index the sources once; every call below reuses them.
+    context = GeoContext(sources, PipelineConfig.for_people())
 
     for user in dataset.user_ids:
         trajectory = dataset.trajectories_by_user[user][0]
-        result = pipeline.annotate(trajectory, sources)
+        result = repro.annotate(trajectory, context)
         describe_day(result, dataset.profiles[user])
 
 

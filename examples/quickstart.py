@@ -46,8 +46,7 @@ def main() -> None:
     )
 
     # 3. Run the SeMiTri pipeline.
-    pipeline = repro.open_pipeline(PipelineConfig.for_people())
-    result = pipeline.annotate(trajectory, sources)
+    result = repro.annotate(trajectory, sources, PipelineConfig.for_people())
 
     # 4. Inspect the structured semantic trajectory.
     print(f"\nepisodes: {len(result.stops)} stops, {len(result.moves)} moves")

@@ -44,6 +44,7 @@ from repro.analytics.patterns import (
 from repro.analytics.places import FrequentPlaceMiner, label_home_and_work
 from repro.datasets import PersonSimulator, SyntheticWorld, WorldConfig
 from repro.export import structured_trajectory_to_geojson, structured_trajectory_to_kml
+from repro.parallel import GeoContext
 from repro.regions.landuse import label_of
 
 
@@ -61,11 +62,11 @@ def main() -> None:
         pois=world.poi_source(),
     )
     dataset = PersonSimulator(world, user_count=2, days_per_user=4, seed=31).generate()
-    pipeline = repro.open_pipeline(PipelineConfig.for_people())
+    context = GeoContext(sources, PipelineConfig.for_people())  # indexes built once
 
     for user in dataset.user_ids:
         trajectories = dataset.trajectories_by_user[user]
-        results = pipeline.annotate_many(trajectories, sources)
+        results = repro.annotate_many(trajectories, context=context)
         print(f"\n=== {user} ({dataset.profiles[user].commute_style} commuter, {len(results)} days) ===")
 
         # Frequent places from all stop episodes of the tracking period.

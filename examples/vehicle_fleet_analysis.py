@@ -47,10 +47,12 @@ def main() -> None:
     # it, so under a skip/retry policy a failed trajectory's rows are undone
     # alone and the rest of the fleet still commits here.
     store = SemanticTrajectoryStore()
-    pipeline = repro.open_pipeline(PipelineConfig.for_vehicles(), store=store)
+    config = PipelineConfig.for_vehicles()
     sources = AnnotationSources(regions=world.region_source(), road_network=world.road_network())
     with store:
-        results = pipeline.annotate_many(fleet.trajectories, sources, persist=True)
+        results = repro.annotate_many(
+            fleet.trajectories, sources, config, store=store, persist=True
+        )
 
     summary = store.stop_move_summary()
     print(
@@ -59,7 +61,7 @@ def main() -> None:
     )
 
     # Landuse distribution over all GPS points (Figure 9, "trajectory" column).
-    annotator = RegionAnnotator(world.region_source(), pipeline.config.region)
+    annotator = RegionAnnotator(world.region_source(), config.region)
     counts = annotator.point_category_distribution(fleet.trajectories)
     distribution = normalize_counts(counts)
     print("\n" + render_distribution_table(distribution, title="Landuse share of taxi GPS points"))

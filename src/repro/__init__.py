@@ -26,11 +26,14 @@ here::
         taxis.trajectories, sources, config=PipelineConfig.for_vehicles()
     )
 
-plus :func:`repro.stream` for online feeds, :func:`repro.serve` for the
-asyncio multi-stream ingestion service and :func:`repro.compile_plan` for
-custom stage plans.  Classes live in their own packages: the paper's pipeline
-object is :class:`repro.core.SeMiTriPipeline` and the executors are in
-:mod:`repro.engine`.
+plus :func:`repro.annotate` for one trajectory, :func:`repro.stream` for
+online feeds, :func:`repro.serve` for the asyncio multi-stream ingestion
+service, :func:`repro.compile_plan` for custom stage plans and
+:func:`repro.open_pipeline` for the trajectory computation layer (clean a raw
+GPS stream, split it into trajectories).  Each job has that one entry point.
+Classes live in their own packages: the paper's pipeline object is
+:class:`repro.core.SeMiTriPipeline` (preprocessing only) and the executors
+are in :mod:`repro.engine`.
 """
 
 from repro.core import (

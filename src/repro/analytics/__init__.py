@@ -13,7 +13,7 @@ from repro.analytics.distributions import (
     top_k_categories,
 )
 from repro.analytics.compression import CompressionReport, compression_report
-from repro.analytics.latency import LatencyProfile, StageTimer
+from repro.analytics.latency import LatencyProfile
 from repro.analytics.statistics import (
     EpisodeStatistics,
     episode_statistics,
@@ -36,7 +36,6 @@ __all__ = [
     "CompressionReport",
     "compression_report",
     "LatencyProfile",
-    "StageTimer",
     "EpisodeStatistics",
     "episode_statistics",
     "per_user_summary",

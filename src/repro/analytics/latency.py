@@ -2,18 +2,16 @@
 
 Figure 17 reports, per daily trajectory, the time spent in five stages:
 computing episodes, storing episodes, map matching, storing the match results
-and the landuse spatial join.  :class:`StageTimer` measures named stages with
-a context manager; :class:`LatencyProfile` aggregates the samples and exposes
-the mean per stage.
+and the landuse spatial join.  The executors record one sample per stage run
+into each result's :class:`LatencyProfile`, which aggregates the samples and
+exposes the mean per stage.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 #: The five stages of Figure 17, in presentation order.
 FIGURE17_STAGES: Sequence[str] = (
@@ -83,23 +81,3 @@ class LatencyProfile:
     def means(self) -> Dict[str, float]:
         """Mean latency per stage."""
         return {stage: self.mean(stage) for stage in self.samples}
-
-
-class StageTimer:
-    """Measures named stages and accumulates them into a :class:`LatencyProfile`."""
-
-    def __init__(self, profile: Optional[LatencyProfile] = None):
-        self.profile = profile if profile is not None else LatencyProfile()
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Context manager measuring the wall-clock time of one stage run."""
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.profile.add(name, time.perf_counter() - started)
-
-    def record(self, name: str, seconds: float) -> None:
-        """Record an externally measured duration."""
-        self.profile.add(name, seconds)

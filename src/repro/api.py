@@ -1,16 +1,17 @@
 """The single public API surface of the SeMiTri reproduction.
 
-Every supported way of running the pipeline is a function in this module —
-batch, parallel batch, streaming, serving and plan compilation all start
-here, and each takes its configuration as a
+Every supported way of running the pipeline is a function in this module,
+one per job — batch, parallel batch, streaming, serving and plan compilation
+all start here, and each takes its configuration as a
 :class:`~repro.core.config.PipelineConfig` (``None`` for the defaults; plain
 data becomes one through :meth:`PipelineConfig.from_dict`):
 
 ==================  ========================================================
 entry point         what it gives you
 ==================  ========================================================
-:func:`open_pipeline`  a :class:`SeMiTriPipeline` for batch annotation
-:func:`annotate`       one trajectory, annotated (one-shot convenience)
+:func:`open_pipeline`  a :class:`SeMiTriPipeline`: the trajectory computation
+                       layer (``ingest_stream``: clean, identify)
+:func:`annotate`       one trajectory, annotated
 :func:`annotate_many`  a batch, sequential or multi-process via ``workers``
 :func:`stream`         a :class:`MicroBatchExecutor` for one online feed
 :func:`serve`          an :class:`AnnotationService` multiplexing many feeds
@@ -22,8 +23,9 @@ pairs the configuration with a
 :class:`~repro.parallel.context.GeoContext` snapshot (built from raw sources,
 or a prebuilt one via :meth:`GeoContext.with_config
 <repro.parallel.context.GeoContext.with_config>`, the one rule deciding
-which config may run on it), compiles a :class:`~repro.engine.plan.Plan` from
-that and hands it to an executor from :mod:`repro.engine.executors` (or to
+which config may run on it — :func:`_paired` is the only place that pairing
+happens), compiles a :class:`~repro.engine.plan.Plan` from that and hands it
+to an executor from :mod:`repro.engine.executors` (or hands the snapshot to
 the service).  Callers who want to keep something alive across calls — a
 warm worker pool, one failure log — hold the plan and the executor
 themselves.
@@ -67,23 +69,30 @@ def _paired(
     return sources if config is None else sources.with_config(config)
 
 
-def open_pipeline(
-    config: Optional[PipelineConfig] = None,
-    store: Optional[SemanticTrajectoryStore] = None,
-) -> SeMiTriPipeline:
-    """A batch annotation pipeline (the paper's offline mode)."""
-    return SeMiTriPipeline(config, store=store)
+def open_pipeline(config: Optional[PipelineConfig] = None) -> SeMiTriPipeline:
+    """The paper's trajectory computation layer (``ingest_stream``: clean a
+    GPS stream, split it into raw trajectories)."""
+    return SeMiTriPipeline(config)
 
 
 def annotate(
     trajectory: RawTrajectory,
-    sources: AnnotationSources,
+    sources: Union[AnnotationSources, GeoContext],
     config: Optional[PipelineConfig] = None,
     store: Optional[SemanticTrajectoryStore] = None,
     persist: bool = False,
 ) -> PipelineResult:
-    """Annotate one raw trajectory (one-shot convenience over a pipeline)."""
-    return open_pipeline(config, store=store).annotate(trajectory, sources, persist=persist)
+    """Annotate one raw trajectory.
+
+    The region layer annotates both stops and moves, the line layer move
+    episodes, the point layer stop episodes; layers without a source are
+    skipped.  With ``persist`` (and a ``store``) the trajectory, its episodes
+    and their annotations are written back, and the storage time is part of
+    the latency profile.  A prebuilt snapshot pairs with ``config`` by the
+    same rule as in :func:`stream`.
+    """
+    plan = Plan.compile(_paired(sources, config), store=store, persist=persist)
+    return SequentialExecutor().run_one(plan, trajectory)
 
 
 def annotate_many(

@@ -1,4 +1,4 @@
-"""Core data model and pipeline façade for SeMiTri.
+"""Core data model and pipeline vocabulary for SeMiTri.
 
 This package implements the conceptual model of Section 3 of the paper:
 
@@ -10,9 +10,9 @@ This package implements the conceptual model of Section 3 of the paper:
   Definition 3;
 * :class:`~repro.core.episodes.Episode` and
   :class:`~repro.core.trajectory.StructuredSemanticTrajectory` — Definition 4;
-* :class:`~repro.core.pipeline.SeMiTriPipeline` — the layered architecture of
-  Figure 2, wiring the trajectory-computation layer and the three annotation
-  layers together.
+* :class:`~repro.core.pipeline.SeMiTriPipeline` — the trajectory-computation
+  layer of Figure 2 (cleaning, identification); the annotation layers run as
+  the stage graph of :mod:`repro.engine`, through :mod:`repro.api`.
 """
 
 from repro.core.annotations import (

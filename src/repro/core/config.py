@@ -253,7 +253,7 @@ class StreamingConfig:
     apply_cleaning: bool = False
     """Run the streaming GPS cleaner (outlier removal + smoothing) on incoming
     points, mirroring :meth:`SeMiTriPipeline.ingest_stream`.  Off by default
-    so that the engine reproduces :meth:`SeMiTriPipeline.annotate_many` on
+    so that the engine reproduces :func:`repro.api.annotate_many` on
     already-cleaned trajectories."""
 
     def __post_init__(self) -> None:
@@ -597,18 +597,22 @@ def _replace_section(current: Any, values: Mapping[str, Any], section_name: str)
                 f"unknown field {field_name!r} in section {section_name!r}; "
                 f"expected one of {sorted(known)}"
             )
-        coerced[field_name] = _coerce_value(value, getattr(current, field_name))
+        coerced[field_name] = _coerce_value(
+            value, getattr(current, field_name), f"{section_name}.{field_name}"
+        )
     return dataclasses.replace(current, **coerced)
 
 
-def _coerce_value(value: Any, current: Any) -> Any:
-    """Coerce a raw override value to the type of the field's current value.
+def _coerce_value(value: Any, current: Any, path: str) -> Any:
+    """Check a raw override value against the type of the field's current value.
 
     Strings arriving from ``SEMITRI_*`` environment variables or CLI flags
-    become the int/float/bool the field holds.  Values already of the right
-    type pass through untouched, and coercion failures surface as
-    :class:`ConfigurationError` naming the offending value rather than a bare
-    ``ValueError``.
+    are parsed into the int/float/bool the field holds.  Any other value must
+    already have the field's type — a bool for a bool field, an int (not a
+    bool) for an int field, an int or float (not a bool) for a float field, a
+    mapping for a dict field, a str for a str field — and a value that does
+    not, or a string that does not parse, raises :class:`ConfigurationError`
+    naming the field and the offending value.
     """
     if isinstance(current, bool):
         if isinstance(value, bool):
@@ -619,15 +623,29 @@ def _coerce_value(value: Any, current: Any) -> Any:
                 return True
             if lowered in ("0", "false", "off", "no"):
                 return False
-        raise ConfigurationError(f"cannot interpret {value!r} as a boolean")
-    if isinstance(current, int) and not isinstance(value, int):
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"cannot interpret {value!r} as an integer")
-    if isinstance(current, float) and not isinstance(value, float):
-        try:
+        raise ConfigurationError(f"{path}: cannot interpret {value!r} as a boolean")
+    if isinstance(current, int):
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        if isinstance(value, str):
+            try:
+                return int(value)
+            except ValueError:
+                pass
+        raise ConfigurationError(f"{path}: cannot interpret {value!r} as an integer")
+    if isinstance(current, float):
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
             return float(value)
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"cannot interpret {value!r} as a number")
+        if isinstance(value, str):
+            try:
+                return float(value)
+            except ValueError:
+                pass
+        raise ConfigurationError(f"{path}: cannot interpret {value!r} as a number")
+    if isinstance(current, dict):
+        if isinstance(value, Mapping):
+            return dict(value)
+        raise ConfigurationError(f"{path}: cannot interpret {value!r} as a mapping")
+    if isinstance(current, str) and not isinstance(value, str):
+        raise ConfigurationError(f"{path}: cannot interpret {value!r} as a string")
     return value

@@ -1,29 +1,25 @@
-"""The SeMiTri pipeline façade (Figure 2).
+"""The paper's pipeline vocabulary (Figure 2).
 
-:class:`SeMiTriPipeline` wires the layers together: GPS cleaning, trajectory
-identification, stop/move computation, and the three semantic annotation
-layers (region, line, point), optionally persisting results in the semantic
-trajectory store and recording per-stage latencies for the Figure 17
-benchmark.
+:class:`SeMiTriPipeline` is the trajectory computation layer: it cleans a
+raw GPS stream and splits it into raw trajectories (``ingest_stream``).
+Everything after that — stop/move computation, the region / line / point
+annotation layers, store write-back and the per-stage latencies of
+Figure 17 — is the stage graph of :mod:`repro.engine`, and
+:mod:`repro.api` is the one way to run it (``annotate``, ``annotate_many``,
+``stream``, ``serve``).
 
-Stage orchestration itself lives in :mod:`repro.engine`: per call, the
-pipeline pairs its configuration with a
-:class:`~repro.parallel.context.GeoContext` snapshot, compiles a
-:class:`~repro.engine.plan.Plan` from it and hands that to a
-:class:`~repro.engine.executors.SequentialExecutor`, so batch, streaming and
-parallel execution all run the exact same stage graph.
-
-Annotation sources are supplied per call, as :class:`AnnotationSources`
-(the annotators are then built for that call) or as a prebuilt snapshot
-(reused as-is); layers whose source is missing are simply skipped, producing
-the partial annotations the paper mentions for scenarios where third-party
-data is not available (e.g. the sparse Lausanne POI set).
+This module also holds the values every entry point shares:
+:class:`AnnotationSources` (layers whose source is missing are simply
+skipped, producing the partial annotations the paper mentions for scenarios
+where third-party data is not available, e.g. the sparse Lausanne POI set),
+the :class:`LayerAnnotators` bundle built from them and the per-trajectory
+:class:`PipelineResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.analytics.latency import LatencyProfile
 from repro.core.config import PipelineConfig
@@ -36,13 +32,10 @@ from repro.points.annotator import PointAnnotator
 from repro.points.poi import PoiSource
 from repro.regions.annotator import RegionAnnotator
 from repro.regions.sources import RegionSource
-from repro.store.store import SemanticTrajectoryStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.engine.plan import Plan
     from repro.faults.failures import FailureEvent
     from repro.obs.trace import Span
-    from repro.parallel.context import GeoContext
 
 
 @dataclass
@@ -156,36 +149,26 @@ class PipelineResult:
 
 
 class SeMiTriPipeline:
-    """End-to-end semantic annotation pipeline."""
+    """The trajectory computation layer: clean a GPS stream, split it into
+    raw trajectories.  Annotation is :func:`repro.api.annotate` /
+    :func:`repro.api.annotate_many`."""
 
-    def __init__(
-        self,
-        config: Optional[PipelineConfig] = None,
-        store: Optional[SemanticTrajectoryStore] = None,
-    ):
-        from repro.engine import CleanStage, ComputeEpisodesStage, IdentifyStage
+    def __init__(self, config: Optional[PipelineConfig] = None):
+        from repro.engine import CleanStage, IdentifyStage
 
         if config is None:
             # Built per call: the default reads SEMITRI_OBSERVABILITY now,
             # not whatever the environment held when this module was imported.
             config = PipelineConfig()
         self._config = config
-        self._store = store
         self._clean_stage = CleanStage(config)
         self._identify_stage = IdentifyStage(config)
-        self._episode_stage = ComputeEpisodesStage(config)
 
     @property
     def config(self) -> PipelineConfig:
         """The pipeline configuration."""
         return self._config
 
-    @property
-    def store(self) -> Optional[SemanticTrajectoryStore]:
-        """The semantic trajectory store, when persistence is enabled."""
-        return self._store
-
-    # --------------------------------------------------------------- ingestion
     def ingest_stream(
         self, points: Sequence[SpatioTemporalPoint], object_id: str = "unknown"
     ) -> List[RawTrajectory]:
@@ -197,66 +180,6 @@ class SeMiTriPipeline:
         cleaned = self._clean_stage.apply(points)
         return self._identify_stage.apply(cleaned, object_id=object_id)
 
-    def compute_episodes(self, trajectory: RawTrajectory) -> List[Episode]:
-        """Segment one trajectory into stop/move episodes."""
-        return self._episode_stage.detector.segment(trajectory)
-
-    # -------------------------------------------------------------- annotation
-    def _plan(self, sources: Union[AnnotationSources, "GeoContext"], persist: bool) -> "Plan":
-        """A plan of this pipeline's config over ``sources`` or a snapshot of them.
-
-        Raw sources get their annotators built for this call; a snapshot is
-        reused as-is, paired with this pipeline's config by
-        :meth:`GeoContext.with_config <repro.parallel.context.GeoContext.with_config>`.
-        """
-        from repro.engine import Plan
-        from repro.parallel.context import GeoContext
-
-        if isinstance(sources, GeoContext):
-            context = sources.with_config(self._config)
-        else:
-            context = GeoContext(sources, self._config)
-        return Plan.compile(context, store=self._store, persist=persist)
-
-    def annotate(
-        self,
-        trajectory: RawTrajectory,
-        sources: Union[AnnotationSources, "GeoContext"],
-        persist: bool = False,
-    ) -> PipelineResult:
-        """Run the full annotation pipeline on one raw trajectory.
-
-        The region layer annotates both stops and moves, the line layer
-        processes move episodes, the point layer processes stop episodes;
-        layers without an available source are skipped.  When ``persist`` is
-        true (and a store was supplied) the trajectory, its episodes and their
-        annotations are written to the semantic trajectory store, and the
-        storage time is included in the latency profile.
-        """
-        from repro.engine import SequentialExecutor
-
-        return SequentialExecutor().run_one(self._plan(sources, persist), trajectory)
-
-    def annotate_many(
-        self,
-        trajectories: Sequence[RawTrajectory],
-        sources: Union[AnnotationSources, "GeoContext"],
-        persist: bool = False,
-    ) -> List[PipelineResult]:
-        """Annotate several trajectories, reusing layer state across them.
-
-        Layer annotators are constructed once per call (building them involves
-        indexing the sources), then applied to every trajectory; this is the
-        batch mode the experiments of Section 5 use.  A prebuilt
-        :class:`~repro.parallel.GeoContext` snapshot skips even that one-time
-        construction, which is how repeated batch calls amortise index
-        building.
-        """
-        from repro.engine import SequentialExecutor
-
-        return SequentialExecutor().run(self._plan(sources, persist), trajectories)
-
-    # ---------------------------------------------------------------- analysis
     @staticmethod
     def merge_latencies(results: Sequence[PipelineResult]) -> LatencyProfile:
         """Combine the latency profiles of several pipeline results."""

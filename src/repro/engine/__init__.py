@@ -18,11 +18,12 @@ lives:
   same per-stage latency profile and all canonically byte-identical (see
   :mod:`repro.parallel.canonical`).
 
-Nothing wraps the executors: :func:`repro.api.annotate_many` compiles a plan
-and runs the sequential or the process-pool executor,
-:func:`repro.api.stream` returns the :class:`MicroBatchExecutor` itself, and
+Nothing wraps the executors, and :mod:`repro.api` is the only door to them:
+:func:`repro.api.annotate` and :func:`repro.api.annotate_many` compile a plan
+and run the sequential or the process-pool executor, and
+:func:`repro.api.stream` returns the :class:`MicroBatchExecutor` itself.
 :class:`~repro.core.pipeline.SeMiTriPipeline` (the paper's pipeline object)
-compiles plans for the sequential executor.
+only cleans and splits raw streams; it compiles no plan.
 """
 
 from repro.engine.executors import (

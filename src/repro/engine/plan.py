@@ -27,7 +27,6 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.config import FailurePolicy, PipelineConfig
 from repro.core.errors import ConfigurationError
 from repro.core.pipeline import AnnotationSources, LayerAnnotators
-from repro.core.points import RawTrajectory, SpatioTemporalPoint
 from repro.faults.failures import FailureLog
 from repro.faults.inject import DISABLED_FAULTS, FaultInjector
 from repro.engine.stages import (
@@ -245,16 +244,3 @@ class Plan:
                 f"{', '.join(stage.outputs) or '-'}{marker}"
             )
         return "\n".join(lines)
-
-    # -------------------------------------------------------------- execution
-    def ingest(
-        self, points: Sequence[SpatioTemporalPoint], object_id: str = "unknown"
-    ) -> List[RawTrajectory]:
-        """Run the preprocessing chain: clean the stream, split trajectories.
-
-        The fixes are read off ``points`` once; cleaning and splitting run on
-        their columns and build no point.
-        """
-        clean, identify = self.preprocessing
-        assert isinstance(clean, CleanStage) and isinstance(identify, IdentifyStage)
-        return identify.apply(clean.apply(points), object_id=object_id)

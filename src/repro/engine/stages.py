@@ -26,9 +26,11 @@ alike:
 :meth:`Stage.run` composes that face for one closed item, untimed, for
 callers that walk a plan stage by stage.
 
-Executors — not the stages — own the per-stage :class:`StageTimer` samples,
-so the Figure 17 latency breakdown is emitted from exactly one place and is
-identical in shape across the batch and streaming runtimes.
+Executors — not the stages — record the per-stage latency samples (into
+each result's :class:`~repro.analytics.latency.LatencyProfile`, through
+:meth:`WorkItem.record_stage`), so the Figure 17 latency breakdown is
+emitted from exactly one place and is identical in shape across the batch and
+streaming runtimes.
 
 The stage ``name`` doubles as the latency-profile stage name, which keeps
 the Figure 17 vocabulary (``compute_episode``, ``store_episode``,
@@ -42,7 +44,6 @@ import abc
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
-from repro.analytics.latency import StageTimer
 from repro.core.config import PipelineConfig
 from repro.core.episodes import Episode
 from repro.core.points import Columns, RawTrajectory, SpatioTemporalPoint, point_columns
@@ -69,18 +70,18 @@ SealedEpisode = Tuple["WorkItem", Episode]
 class WorkItem:
     """One trajectory moving through the stages of a plan.
 
-    Wraps the growing :class:`~repro.core.pipeline.PipelineResult` together
-    with the latency timer and the scratch state episode stages accumulate
-    until the trajectory closes (region records).
+    Wraps the growing :class:`~repro.core.pipeline.PipelineResult` (whose
+    ``latency`` profile the executors record into) together with the scratch
+    state episode stages accumulate until the trajectory closes (region
+    records).
     When the plan's telemetry has tracing enabled the item also carries the
     trajectory's open :class:`~repro.obs.trace.TrajectoryTrace`; with the
     default no-op telemetry ``trace`` stays ``None`` and every hook below
-    collapses to the plain timer path.
+    collapses to the plain latency sample.
     """
 
     trajectory: RawTrajectory
     result: "PipelineResult"
-    timer: StageTimer
     region_records: List[SemanticEpisodeRecord] = field(default_factory=list)
     trace: Optional["TrajectoryTrace"] = None
     """Open trace when the plan's telemetry has tracing enabled."""
@@ -92,13 +93,12 @@ class WorkItem:
     def start(
         cls, trajectory: RawTrajectory, telemetry: Optional["Telemetry"] = None
     ) -> "WorkItem":
-        """Fresh work item whose result shares the timer's latency profile."""
+        """Fresh work item with an empty result (and latency profile)."""
         from repro.core.pipeline import PipelineResult  # deferred: import cycle
 
-        timer = StageTimer()
-        result = PipelineResult(trajectory=trajectory, episodes=[], latency=timer.profile)
+        result = PipelineResult(trajectory=trajectory, episodes=[])
         trace = telemetry.start_trace(trajectory.trajectory_id) if telemetry else None
-        return cls(trajectory=trajectory, result=result, timer=timer, trace=trace)
+        return cls(trajectory=trajectory, result=result, trace=trace)
 
     def record_stage(self, name: str, seconds: float) -> None:
         """Record a stage duration the executor measured (plus span if tracing).
@@ -106,7 +106,7 @@ class WorkItem:
         Sample and span carry the same number, so enabling tracing adds a span
         without perturbing the Figure 17 samples.
         """
-        self.timer.record(name, seconds)
+        self.result.latency.add(name, seconds)
         if self.trace is not None:
             self.trace.record(name, seconds)
 
@@ -262,11 +262,6 @@ class ComputeEpisodesStage(Stage):
 
     def __init__(self, config: PipelineConfig):
         self._detector = StopMoveDetector(config.stop_move)
-
-    @property
-    def detector(self) -> StopMoveDetector:
-        """The underlying stop/move detector."""
-        return self._detector
 
     def run(self, item: WorkItem) -> None:
         item.result.episodes = self._detector.segment(item.trajectory)

@@ -16,11 +16,12 @@ therefore never drift from the number its owner reports.
 
 Per-stage latency is special: the registry's histogram backend for it **is**
 the existing :class:`~repro.analytics.latency.LatencyProfile` — executors
-keep recording through :class:`~repro.analytics.latency.StageTimer` exactly
-as before, finished profiles are folded in via :meth:`MetricsRegistry.\
-observe_latency`, and means/percentiles are computed by the profile itself
-over the raw samples.  Fixed buckets are derived views over those samples, so
-the Figure 17 numbers stay **bitwise identical** to the pre-registry path.
+record each stage run into the result's profile
+(:meth:`~repro.engine.stages.WorkItem.record_stage`), finished profiles are
+folded in via :meth:`MetricsRegistry.observe_latency`, and means/percentiles
+are computed by the profile itself over the raw samples.  Fixed buckets are
+derived views over those samples, so the Figure 17 numbers stay **bitwise
+identical** to the pre-registry path.
 """
 
 from __future__ import annotations

@@ -48,8 +48,12 @@ router (event-loop thread)  ring, journal, queues, stats, failure log,
 
 Per-shard absorption order equals enqueue order on either transport, so the
 drained output is canonically byte-identical to a sequential
-:meth:`~repro.core.pipeline.SeMiTriPipeline.annotate_many` over the delivered
-events — which is what the cross-transport parity tests pin down.
+:func:`repro.api.annotate_many` over the delivered events — which is what the
+cross-transport parity tests pin down.
+
+The service takes a snapshot, as :meth:`Plan.compile
+<repro.engine.plan.Plan.compile>` does: :func:`repro.api.serve` pairs raw
+sources or another config with one.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from typing import Callable, Deque, Iterable, List, Optional, Sequence, Set, Tup
 
 from repro.core.config import PipelineConfig
 from repro.core.errors import ConfigurationError, ServiceError
-from repro.core.pipeline import AnnotationSources, PipelineResult
+from repro.core.pipeline import PipelineResult
 from repro.core.points import SpatioTemporalPoint
 from repro.engine.executors import _commit_with_retry
 from repro.faults.failures import FailureLog, TrajectoryFailure
@@ -222,9 +226,6 @@ class ServiceStats:
     wal_appended: int = 0
     """Operations journaled to the crash-safe ingest WAL."""
 
-    wal_replayed: int = 0
-    """Journal records replayed through the normal path during recovery."""
-
     dedup_skipped: int = 0
     """Replayed trajectories skipped at commit because the store already
     holds them (the idempotency half of WAL recovery)."""
@@ -235,7 +236,7 @@ class AnnotationService:
 
     Typical usage::
 
-        service = AnnotationService(sources, config=config)
+        service = repro.serve(sources, config)   # or AnnotationService(context)
         async with service:
             await service.ingest("car-7", point)       # awaits when shard is full
             ...
@@ -243,16 +244,12 @@ class AnnotationService:
 
     Parameters
     ----------
-    sources:
-        The annotation sources, or a prebuilt immutable
-        :class:`~repro.parallel.context.GeoContext` snapshot whose frozen
-        indexes every shard then shares (one index build for the whole
-        service).
-    config:
-        Pipeline configuration; ``config.service`` sizes the shard fan-out,
-        queues and session budget.  With a :class:`GeoContext` it defaults to
-        the snapshot's own and is paired with the snapshot by
-        :meth:`GeoContext.with_config` (the annotators' sections must match).
+    context:
+        The immutable :class:`~repro.parallel.context.GeoContext` snapshot
+        whose frozen indexes every shard shares (one index build for the
+        whole service).  Its ``config.service`` sizes the shard fan-out,
+        queues and session budget.  :func:`repro.api.serve` is where raw
+        sources or another config are paired with a snapshot.
     store / persist:
         When both are given, :meth:`drain` commits every sealed trajectory in
         one deterministic-order transaction.  Shards never touch the store.
@@ -267,16 +264,12 @@ class AnnotationService:
 
     def __init__(
         self,
-        sources: Union[AnnotationSources, GeoContext],
-        config: Optional[PipelineConfig] = None,
+        context: GeoContext,
         store: Optional[SemanticTrajectoryStore] = None,
         persist: bool = False,
         on_result: Optional[Callable[[PipelineResult], None]] = None,
         fault_injector: Optional[FaultInjector] = None,
     ):
-        context = sources if isinstance(sources, GeoContext) else GeoContext(sources, config)
-        if config is not None:
-            context = context.with_config(config)
         self._context = context
         self._config = context.config
         service_config = self._config.service
@@ -465,12 +458,7 @@ class AnnotationService:
         # files go; a crash in between replays from the re-journaled copies.
         self._journal.sync()
         self._journal.discard_recovered()
-        self._count_replayed(len(records))
-
-    def _count_replayed(self, count: int) -> None:
-        """Count journal records replayed (crash recovery or worker loss)."""
-        self.stats.wal_replayed += count
-        self._failure_log.record_wal_replayed(count)
+        self._failure_log.record_wal_replayed(len(records))
 
     async def __aenter__(self) -> "AnnotationService":
         return await self.start()

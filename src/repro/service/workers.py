@@ -367,7 +367,7 @@ class ProcessShard(Shard):
             )
         else:
             records = journal.records_for_shard(self.index)[: self.sent_ops]
-            host._count_replayed(await self._replay_prefix(records, solo))
+            host.failure_log.record_wal_replayed(await self._replay_prefix(records, solo))
         self._ready.set()
         if self._drain_requested:
             self._send(DRAIN_FRAME)

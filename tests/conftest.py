@@ -24,24 +24,6 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.core import AnnotationSources, PipelineConfig, SeMiTriPipeline  # noqa: E402
-
-# ``SEMITRI_TEST_PIPELINE_EXECUTOR`` reroutes every ``annotate_many`` call in
-# the suite through the stage-graph engine's sharded process-pool executor
-# (value: worker count, e.g. "4"), so CI can run the whole pipeline
-# integration suite against the parallel runtime.  Unset keeps the default
-# in-process sequential executor.
-_PIPELINE_EXECUTOR_WORKERS = os.environ.get("SEMITRI_TEST_PIPELINE_EXECUTOR")
-if _PIPELINE_EXECUTOR_WORKERS:
-    _WORKERS = int(_PIPELINE_EXECUTOR_WORKERS)
-
-    def _annotate_many_via_process_pool(self, trajectories, sources, persist=False):
-        from repro.engine import ProcessPoolExecutor
-
-        plan = self._plan(sources, persist)
-        with ProcessPoolExecutor(workers=_WORKERS) as executor:
-            return executor.run(plan, list(trajectories))
-
-    SeMiTriPipeline.annotate_many = _annotate_many_via_process_pool  # type: ignore[method-assign]
 from repro.datasets import (  # noqa: E402
     GroundTruthDriveGenerator,
     PersonSimulator,
@@ -251,13 +233,25 @@ def ground_truth_drive(world):
     return GroundTruthDriveGenerator(world, waypoint_count=4, noise_sigma=8.0, seed=41).generate()
 
 
+@pytest.fixture(scope="session")
+def pipeline_workers() -> int:
+    """The ``workers=`` the pipeline-integration suite passes to
+    ``repro.annotate_many``.
+
+    ``SEMITRI_TEST_PIPELINE_EXECUTOR`` (a worker count, e.g. "4") sends those
+    batches through a process pool of that many workers, so CI can run the
+    suite against the parallel runtime; unset keeps the sequential executor.
+    """
+    return int(os.environ.get("SEMITRI_TEST_PIPELINE_EXECUTOR") or 1)
+
+
 @pytest.fixture()
 def vehicle_pipeline() -> SeMiTriPipeline:
-    """A pipeline configured for vehicle trajectories (no store)."""
+    """The trajectory computation layer configured for vehicle trajectories."""
     return SeMiTriPipeline(PipelineConfig.for_vehicles())
 
 
 @pytest.fixture()
 def people_pipeline() -> SeMiTriPipeline:
-    """A pipeline configured for people trajectories (no store)."""
+    """The trajectory computation layer configured for people trajectories."""
     return SeMiTriPipeline(PipelineConfig.for_people())

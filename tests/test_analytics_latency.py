@@ -1,4 +1,4 @@
-"""LatencyProfile / StageTimer edge cases (Figure 17 vocabulary).
+"""LatencyProfile edge cases (Figure 17 vocabulary).
 
 These tests pin down the behaviours the telemetry subsystem leans on:
 ``merge()`` with overlapping stages (the registry's absorption path),
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analytics.latency import FIGURE17_STAGES, LatencyProfile, StageTimer
+from repro.analytics.latency import FIGURE17_STAGES, LatencyProfile
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -115,27 +115,3 @@ def test_figure17_means_bitwise_identical_through_registry_backend():
         assert absorbed.total(stage) == direct.total(stage)
         assert absorbed.p95(stage) == direct.p95(stage)
     assert absorbed.means() == direct.means()
-
-
-# ---------------------------------------------------------------- StageTimer
-def test_stage_timer_profile_is_optional():
-    fresh = StageTimer()
-    assert isinstance(fresh.profile, LatencyProfile)
-    assert fresh.profile.stages() == []
-
-    shared = LatencyProfile()
-    bound = StageTimer(shared)
-    assert bound.profile is shared
-    with bound.stage("compute_episode"):
-        pass
-    bound.record("map_match", 0.25)
-    assert shared.count("compute_episode") == 1
-    assert shared.samples["map_match"] == [0.25]
-
-
-def test_stage_timer_records_on_exception():
-    timer = StageTimer()
-    with pytest.raises(RuntimeError):
-        with timer.stage("landuse_join"):
-            raise RuntimeError("stage body failed")
-    assert timer.profile.count("landuse_join") == 1

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.analytics.compression import CompressionReport, compression_report
-from repro.analytics.latency import FIGURE17_STAGES, LatencyProfile, StageTimer
+from repro.analytics.latency import FIGURE17_STAGES, LatencyProfile
 from repro.analytics.reporting import render_distribution_table, render_series, render_table
 from repro.analytics.statistics import dataset_overview, episode_statistics, per_user_summary
 from repro.core.episodes import Episode, EpisodeKind
@@ -73,19 +71,6 @@ class TestLatency:
         b.add("s", 3.0)
         a.merge(b)
         assert a.mean("s") == pytest.approx(2.0)
-
-    def test_stage_timer_measures_elapsed_time(self):
-        timer = StageTimer()
-        with timer.stage("compute_episode"):
-            time.sleep(0.01)
-        assert timer.profile.mean("compute_episode") >= 0.009
-
-    def test_stage_timer_records_even_on_exception(self):
-        timer = StageTimer()
-        with pytest.raises(RuntimeError):
-            with timer.stage("fails"):
-                raise RuntimeError("boom")
-        assert timer.profile.count("fails") == 1
 
     def test_figure17_stage_names(self):
         assert "map_match" in FIGURE17_STAGES

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro
 from repro.analytics.patterns import (
     category_sequences,
     frequent_sequences,
@@ -135,7 +136,7 @@ class TestEndToEndPatterns:
         """The home->office->home routine shows up as a frequent category sequence."""
         user = people_dataset.user_ids[0]
         trajectories = people_dataset.trajectories_by_user[user]
-        results = people_pipeline.annotate_many(trajectories, annotation_sources)
+        results = repro.annotate_many(trajectories, annotation_sources, people_pipeline.config)
         structured = [r.region_trajectory for r in results if r.region_trajectory is not None]
         sequences = category_sequences(structured)
         patterns = frequent_sequences(sequences, min_length=2, max_length=2, min_support=1)

@@ -80,11 +80,31 @@ class TestEntryPoints:
             assert "overrides" not in inspect.signature(getattr(repro.api, name)).parameters
 
     def test_annotate_one_matches_pipeline(self, car_dataset, annotation_sources):
+        """One trajectory through ``annotate`` gives the batch pipeline's bytes."""
         trajectory = car_dataset.trajectories[0]
         config = PipelineConfig.for_vehicles()
-        via_api = repro.annotate(trajectory, annotation_sources, config=config)
-        via_pipeline = repro.open_pipeline(config).annotate(trajectory, annotation_sources)
-        assert canonical_bytes([via_api]) == canonical_bytes([via_pipeline])
+        one = repro.annotate(trajectory, annotation_sources, config=config)
+        batch = repro.annotate_many([trajectory], annotation_sources, config=config)
+        assert canonical_bytes([one]) == canonical_bytes(batch)
+
+    def test_annotate_takes_a_context_snapshot(self, car_dataset, annotation_sources):
+        """``annotate(t, context)`` runs on the snapshot's own config and gives
+        the bytes of ``annotate(t, sources, config)``; a config pairs with the
+        snapshot by the one rule."""
+        config = PipelineConfig.for_vehicles()
+        context = GeoContext(annotation_sources, config)
+        for trajectory in car_dataset.trajectories[:3]:
+            from_sources = canonical_bytes([repro.annotate(trajectory, annotation_sources, config)])
+            from_context = repro.annotate(trajectory, context)
+            assert from_context.trajectory is trajectory
+            assert canonical_bytes([from_context]) == from_sources
+            assert canonical_bytes([repro.annotate(trajectory, context, config)]) == from_sources
+        with pytest.raises(ConfigurationError, match="map_matching"):
+            repro.annotate(
+                car_dataset.trajectories[0],
+                context,
+                config.with_overrides({"map_matching.candidate_radius": 10.0}),
+            )
 
     def test_annotate_many_parallel_routing_is_byte_identical(
         self, car_dataset, annotation_sources
@@ -182,3 +202,22 @@ class TestEntryPoints:
             assert not hasattr(Plan, name)
         for name in ("compile_plan", "annotate_prepared", "build_annotators"):
             assert not hasattr(SeMiTriPipeline, name)
+
+    def test_one_door_per_job(self):
+        """Annotation runs through repro.api only: the pipeline object keeps
+        the paper's preprocessing, a plan has no second ingest, the service
+        takes a snapshot and a replayed record is counted once."""
+        from repro.analytics import latency
+        from repro.core import SeMiTriPipeline
+        from repro.engine import Plan
+        from repro.service import AnnotationService, ServiceStats
+
+        for name in ("annotate", "annotate_many", "_plan", "compute_episodes", "store"):
+            assert not hasattr(SeMiTriPipeline, name)
+        assert {"config", "ingest_stream", "merge_latencies"} <= set(dir(SeMiTriPipeline))
+        assert not hasattr(Plan, "ingest")
+        assert list(inspect.signature(repro.open_pipeline).parameters) == ["config"]
+        parameters = list(inspect.signature(AnnotationService).parameters)
+        assert parameters[0] == "context" and "config" not in parameters
+        assert "wal_replayed" not in ServiceStats.__dataclass_fields__
+        assert not hasattr(latency, "StageTimer")

@@ -276,6 +276,42 @@ class TestConfigDictConstruction:
         assert config.streaming.apply_cleaning is False
         assert config.stop_move.speed_threshold == pytest.approx(1.25)
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("service.shards", 2.7),
+            ("streaming.micro_batch_size", True),
+            ("point.category_sigmas", 5),
+            ("stop_move.speed_threshold", True),
+            ("service.journal_dir", 5),
+        ],
+    )
+    def test_non_string_values_must_have_the_field_type(self, path, value):
+        """Only strings are parsed: any other value must already be a bool for a
+        bool field, an int (not a bool) for an int field, an int or float (not a
+        bool) for a float field, a mapping for a dict field, a str for a str
+        field — nothing is truncated or stored as the wrong type."""
+        with pytest.raises(ConfigurationError, match=rf"{path}: cannot interpret"):
+            PipelineConfig.from_dict(overrides={path: value})
+        section, _, name = path.partition(".")
+        with pytest.raises(ConfigurationError, match=rf"{path}: cannot interpret"):
+            PipelineConfig.from_dict({section: {name: value}})
+
+    def test_values_of_the_field_type_are_kept(self):
+        config = PipelineConfig.from_dict(
+            overrides={
+                "stop_move.speed_threshold": 2,
+                "point.category_sigmas": {"feedings": 10.0},
+                "service.journal_dir": "wal",
+                "streaming.apply_cleaning": True,
+            }
+        )
+        assert config.stop_move.speed_threshold == 2.0
+        assert type(config.stop_move.speed_threshold) is float
+        assert config.point.category_sigmas == {"feedings": 10.0}
+        assert config.service.journal_dir == "wal"
+        assert config.streaming.apply_cleaning is True
+
     def test_unknown_section_field_and_path_raise(self):
         with pytest.raises(ConfigurationError):
             PipelineConfig.from_dict({"teleport": {}})

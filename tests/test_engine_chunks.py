@@ -21,7 +21,6 @@ import pytest
 from repro import api
 from repro.core.config import PipelineConfig, StreamingConfig
 from repro.core.errors import StoreError
-from repro.core.pipeline import SeMiTriPipeline
 from repro.core.points import RawTrajectory
 from repro.engine import (
     MapMatchStage,
@@ -293,8 +292,8 @@ def test_many_sessions_sealing_in_one_pass(annotation_sources, car_dataset, monk
     assert grouped_order == single_order
     assert canonical_bytes(grouped) == canonical_bytes(single)
     assert _stage_counts(grouped) == _stage_counts(single)
-    sequential = SeMiTriPipeline(config).annotate_many(
-        [_as_first_session(trajectory) for trajectory in trajectories], annotation_sources
+    sequential = api.annotate_many(
+        [_as_first_session(trajectory) for trajectory in trajectories], annotation_sources, config
     )
     assert canonical_bytes(_by_id(grouped)) == canonical_bytes(_by_id(sequential))
 

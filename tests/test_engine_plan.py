@@ -44,9 +44,10 @@ def _stream_config(apply_cleaning: bool = False, micro_batch_size: int = 5) -> P
 
 def _ingested(plan: Plan, seed: int, users: int = 2, points: int = 110) -> List[RawTrajectory]:
     streams = _random_multi_user_stream(seed, users=users, points_per_user=points)
+    pipeline = api.open_pipeline(plan.config)
     trajectories: List[RawTrajectory] = []
     for object_id, stream in streams.items():
-        trajectories.extend(plan.ingest(stream, object_id=object_id))
+        trajectories.extend(pipeline.ingest_stream(stream, object_id=object_id))
     return trajectories
 
 
@@ -146,9 +147,10 @@ def _run_all_three(plan: Plan, seed: int):
     identification step discards — lines up across all three.
     """
     streams = _random_multi_user_stream(seed, users=2, points_per_user=110)
+    pipeline = api.open_pipeline(plan.config)
     trajectories: List[RawTrajectory] = []
     for object_id, stream in streams.items():
-        trajectories.extend(plan.ingest(stream, object_id=object_id))
+        trajectories.extend(pipeline.ingest_stream(stream, object_id=object_id))
     assert trajectories
 
     sequential = SequentialExecutor().run(plan, trajectories)
@@ -315,14 +317,12 @@ def test_swallowed_per_trajectory_failure_undoes_only_its_own_scope(annotation_s
 
 
 def test_pipeline_pairs_a_snapshot_with_its_config(annotation_sources, car_dataset):
-    """``SeMiTriPipeline`` runs a snapshot under its own config, by the one rule."""
-    from repro.core import SeMiTriPipeline
-
+    """The batch pipeline runs a snapshot under another config, by the one rule."""
     batch = car_dataset.trajectories[:4]
     context = GeoContext.build(annotation_sources, PipelineConfig.for_vehicles())
     other = context.config.with_overrides({"stop_move.min_stop_duration": 1200.0})
-    assert canonical_bytes(SeMiTriPipeline(other).annotate_many(batch, context)) == (
-        canonical_bytes(SeMiTriPipeline(other).annotate_many(batch, annotation_sources))
+    assert canonical_bytes(api.annotate_many(batch, config=other, context=context)) == (
+        canonical_bytes(api.annotate_many(batch, annotation_sources, other))
     )
     with pytest.raises(ConfigurationError, match="map_matching"):
-        SeMiTriPipeline(PipelineConfig.for_people()).annotate_many(batch, context)
+        api.annotate_many(batch, config=PipelineConfig.for_people(), context=context)

@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ElementTree
 
 import pytest
 
+import repro
 from repro.core.annotations import activity_annotation, transport_mode_annotation
 from repro.core.episodes import Episode, EpisodeKind
 from repro.core.places import PointOfInterest, RegionOfInterest
@@ -95,7 +96,7 @@ class TestKml:
 
     def test_pipeline_output_exports(self, people_dataset, people_pipeline, annotation_sources):
         trajectory = people_dataset.all_trajectories[0]
-        result = people_pipeline.annotate(trajectory, annotation_sources)
+        result = repro.annotate(trajectory, annotation_sources, people_pipeline.config)
         assert result.region_trajectory is not None
         geojson_document = structured_trajectory_to_geojson(result.region_trajectory)
         assert geojson_document["features"]

@@ -19,6 +19,7 @@ from typing import List
 
 import pytest
 
+import repro
 from repro.core import PipelineConfig
 from repro.core.config import FailurePolicy
 from repro.core.errors import ConfigurationError, InjectedFault, ServiceError
@@ -613,8 +614,7 @@ class TestServiceFaults:
             FaultPlan.parse(f"raise@landuse_join:obj={poison},times=-1")
         )
         service = AnnotationService(
-            annotation_sources,
-            config=config,
+            GeoContext(annotation_sources, config),
             store=store,
             persist=True,
             fault_injector=injector,
@@ -674,7 +674,7 @@ class TestServiceFaults:
                     "service.transport": transport,
                 }
             )
-            service = AnnotationService(annotation_sources, config=config)
+            service = repro.serve(annotation_sources, config=config)
             _feed_and_drain(
                 service, {object_id: points[:30] for object_id, points in streams.items()}
             )
@@ -716,8 +716,7 @@ class TestServiceFaults:
         def service(store, faulty: bool) -> AnnotationService:
             plan = FaultPlan.parse("commit:times=-1" if faulty else "")
             return AnnotationService(
-                annotation_sources,
-                config=config,
+                GeoContext(annotation_sources, config),
                 store=store,
                 persist=True,
                 fault_injector=FaultInjector(plan),
@@ -728,17 +727,17 @@ class TestServiceFaults:
         second = service(SemanticTrajectoryStore(), faulty=True)
         with pytest.raises(InjectedFault):
             _feed_and_drain(second, {})  # start() replays, the commit fails again
-        assert second.stats.wal_replayed == operations
+        assert second.failure_log.wal_replayed == operations
 
         store = SemanticTrajectoryStore()
         third = service(store, faulty=False)
         _feed_and_drain(third, {})
-        assert third.stats.wal_replayed == operations
+        assert third.failure_log.wal_replayed == operations
         assert third.dropped_events == 0
         assert list((tmp_path / "wal").iterdir()) == []  # drained: rotated and removed
 
         reference_store = SemanticTrajectoryStore()
-        reference = AnnotationService(
+        reference = repro.serve(
             annotation_sources,
             config=config.with_overrides({"service.journal_dir": ""}),
             store=reference_store,

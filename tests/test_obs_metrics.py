@@ -12,6 +12,7 @@ import dataclasses
 
 import pytest
 
+from repro import api
 from repro.core import ObservabilityConfig, PipelineConfig
 from repro.core.config import StreamingConfig
 from repro.core.errors import ConfigurationError
@@ -46,8 +47,9 @@ def _observed_config(**streaming) -> PipelineConfig:
 def _trajectories(plan: Plan, seed: int = 17, users: int = 2, points: int = 110):
     streams = _random_multi_user_stream(seed, users=users, points_per_user=points)
     trajectories = []
+    pipeline = api.open_pipeline(plan.config)
     for object_id, stream in streams.items():
-        trajectories.extend(plan.ingest(stream, object_id=object_id))
+        trajectories.extend(pipeline.ingest_stream(stream, object_id=object_id))
     assert trajectories
     return trajectories
 

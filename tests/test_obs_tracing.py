@@ -18,6 +18,7 @@ import dataclasses
 import os
 from typing import List
 
+from repro import api
 from repro.core import ObservabilityConfig, PipelineConfig
 from repro.core.config import StreamingConfig
 from repro.core.errors import ConfigurationError
@@ -62,8 +63,9 @@ def _traced_config() -> PipelineConfig:
 def _trajectories(plan: Plan, seed: int = 17, users: int = 2, points: int = 110):
     streams = _random_multi_user_stream(seed, users=users, points_per_user=points)
     trajectories: List[RawTrajectory] = []
+    pipeline = api.open_pipeline(plan.config)
     for object_id, stream in streams.items():
-        trajectories.extend(plan.ingest(stream, object_id=object_id))
+        trajectories.extend(pipeline.ingest_stream(stream, object_id=object_id))
     assert trajectories
     return trajectories
 
@@ -102,8 +104,9 @@ def test_three_executors_byte_identical_with_tracing(annotation_sources):
     assert plan.telemetry.tracing_enabled
     streams = _random_multi_user_stream(17, users=2, points_per_user=110)
     trajectories: List[RawTrajectory] = []
+    pipeline = api.open_pipeline(plan.config)
     for object_id, stream in streams.items():
-        trajectories.extend(plan.ingest(stream, object_id=object_id))
+        trajectories.extend(pipeline.ingest_stream(stream, object_id=object_id))
 
     sequential = SequentialExecutor().run(plan, trajectories)
     with ProcessPoolExecutor(workers=2) as pool:
@@ -179,8 +182,9 @@ def test_pool_collection_order_is_input_order(annotation_sources, monkeypatch):
     config = _traced_config().with_overrides({"failure.mode": "skip"})
     plan = Plan.compile(GeoContext(annotation_sources, config))
     trajectories: List[RawTrajectory] = []
+    pipeline = api.open_pipeline(plan.config)
     for object_id, stream in streams.items():
-        trajectories.extend(plan.ingest(stream, object_id=object_id))
+        trajectories.extend(pipeline.ingest_stream(stream, object_id=object_id))
     loads = {object_id: 0 for object_id in streams}
     for trajectory in trajectories:
         loads[trajectory.object_id] += len(trajectory)

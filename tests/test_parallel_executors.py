@@ -9,7 +9,7 @@ import weakref
 import pytest
 
 from repro import api
-from repro.core import PipelineConfig, SeMiTriPipeline
+from repro.core import PipelineConfig
 from repro.core.errors import ConfigurationError
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
 from repro.engine import ProcessPoolExecutor, SequentialExecutor, executors, shard_by_object
@@ -293,8 +293,8 @@ def test_deferred_writeback_executor_matches_sequential_pipeline(
         if trajectory.object_id == car_dataset.trajectories[0].object_id
     ]
     inline_store, deferred_store = SemanticTrajectoryStore(), SemanticTrajectoryStore()
-    sequential = SeMiTriPipeline(config, store=inline_store).annotate_many(
-        one_car, annotation_sources, persist=True
+    sequential = api.annotate_many(
+        one_car, annotation_sources, config, store=inline_store, persist=True
     )
     plan = api.compile_plan(
         context=GeoContext.build(annotation_sources, config), store=deferred_store, persist=True

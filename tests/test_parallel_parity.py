@@ -5,7 +5,7 @@ multi-user GPS stream (random walks with low-speed dwell clusters, occasional
 teleport outliers and long gaps).  For each generated stream the three
 execution modes must produce identical episodes, annotations and store rows:
 
-* sequential :meth:`SeMiTriPipeline.annotate_many`,
+* sequential :func:`repro.api.annotate_many`,
 * the streaming executor of :func:`repro.api.stream` fed the raw events
   interleaved by timestamp (with online cleaning), and
 * :func:`repro.api.annotate_many` with ``workers=SEMITRI_TEST_WORKERS`` (1
@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.core import AnnotationSources, PipelineConfig, PipelineResult, SeMiTriPipeline
+from repro.core import AnnotationSources, PipelineConfig, PipelineResult
 from repro.core.config import StreamingConfig, TrajectoryIdentificationConfig
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
 from repro.engine import ProcessPoolExecutor, SequentialExecutor
@@ -80,11 +80,11 @@ def _property_config(micro_batch_size: int = 7) -> PipelineConfig:
 
 def _batch_reference(streams, sources, config):
     """Sequential reference: ingest_stream + annotate_many per user."""
-    pipeline = SeMiTriPipeline(config)
+    pipeline = api.open_pipeline(config)
     trajectories: List[RawTrajectory] = []
     for object_id, points in streams.items():
         trajectories.extend(pipeline.ingest_stream(points, object_id=object_id))
-    results = pipeline.annotate_many(trajectories, sources)
+    results = api.annotate_many(trajectories, sources, config)
     return trajectories, results
 
 
@@ -106,7 +106,7 @@ def test_seed_datasets_byte_identical(
         "car": car_dataset.trajectories,
         "people": people_dataset.all_trajectories,
     }[dataset_name]
-    sequential = SeMiTriPipeline(config).annotate_many(trajectories, annotation_sources)
+    sequential = api.annotate_many(trajectories, annotation_sources, config)
     assert canonical_bytes(
         api.annotate_many(trajectories, annotation_sources, config=config, workers=TEST_WORKERS)
     ) == canonical_bytes(sequential)
@@ -165,11 +165,11 @@ def test_persisted_rows_identical_across_modes(seed, annotation_sources):
     config = _property_config()
     streams = _random_multi_user_stream(seed, users=2, points_per_user=110)
     pipeline_store = SemanticTrajectoryStore()
-    pipeline = SeMiTriPipeline(config, store=pipeline_store)
+    pipeline = api.open_pipeline(config)
     trajectories: List[RawTrajectory] = []
     for object_id, points in streams.items():
         trajectories.extend(pipeline.ingest_stream(points, object_id=object_id))
-    pipeline.annotate_many(trajectories, annotation_sources, persist=True)
+    api.annotate_many(trajectories, annotation_sources, config, store=pipeline_store, persist=True)
 
     runner_store = SemanticTrajectoryStore()
     if TEST_WORKERS == 1:

@@ -42,7 +42,7 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.core import PipelineConfig, SeMiTriPipeline
+from repro.core import PipelineConfig
 from repro.core.errors import SemitriError
 from repro.engine import ProcessPoolExecutor, SequentialExecutor, shard_by_object
 from repro.parallel import (
@@ -81,9 +81,7 @@ def small_batch(people_dataset):
 
 @pytest.fixture(scope="module")
 def sequential_bytes(small_batch, annotation_sources) -> bytes:
-    results = SeMiTriPipeline(PipelineConfig.for_people()).annotate_many(
-        small_batch, annotation_sources
-    )
+    results = api.annotate_many(small_batch, annotation_sources, PipelineConfig.for_people())
     return canonical_bytes(results)
 
 

@@ -1,9 +1,13 @@
-"""Integration tests: the full SeMiTri pipeline across layers."""
+"""Integration tests: the full SeMiTri pipeline across layers.
+
+Batch annotations pass ``workers=pipeline_workers`` (see
+``tests/conftest.py``), so ``SEMITRI_TEST_PIPELINE_EXECUTOR=4`` runs them
+through a 4-worker process pool.
+"""
 
 from __future__ import annotations
 
-import pytest
-
+import repro
 from repro.core import AnnotationSources, PipelineConfig, SeMiTriPipeline
 from repro.core.episodes import validate_episode_partition
 from repro.core.points import SpatioTemporalPoint
@@ -26,14 +30,14 @@ class TestIngestion:
 
     def test_compute_episodes_partitions(self, vehicle_pipeline, taxi_dataset):
         trajectory = taxi_dataset.trajectories[0]
-        episodes = vehicle_pipeline.compute_episodes(trajectory)
-        validate_episode_partition(trajectory, episodes)
+        result = repro.annotate(trajectory, AnnotationSources(), vehicle_pipeline.config)
+        validate_episode_partition(trajectory, result.episodes)
 
 
 class TestAnnotateSingle:
     def test_full_annotation_of_taxi_day(self, vehicle_pipeline, taxi_dataset, annotation_sources):
         trajectory = taxi_dataset.trajectories[0]
-        result = vehicle_pipeline.annotate(trajectory, annotation_sources)
+        result = repro.annotate(trajectory, annotation_sources, vehicle_pipeline.config)
         assert result.episodes
         assert result.stops and result.moves
         assert result.region_trajectory is not None
@@ -50,7 +54,7 @@ class TestAnnotateSingle:
 
     def test_partial_annotation_without_sources(self, vehicle_pipeline, taxi_dataset):
         trajectory = taxi_dataset.trajectories[0]
-        result = vehicle_pipeline.annotate(trajectory, AnnotationSources())
+        result = repro.annotate(trajectory, AnnotationSources(), vehicle_pipeline.config)
         assert result.episodes
         assert result.region_trajectory is None
         assert result.line_trajectories == []
@@ -59,13 +63,14 @@ class TestAnnotateSingle:
 
     def test_region_only_annotation(self, vehicle_pipeline, taxi_dataset, region_source):
         trajectory = taxi_dataset.trajectories[0]
-        result = vehicle_pipeline.annotate(trajectory, AnnotationSources(regions=region_source))
+        sources = AnnotationSources(regions=region_source)
+        result = repro.annotate(trajectory, sources, vehicle_pipeline.config)
         assert result.region_trajectory is not None
         assert result.line_trajectories == []
 
     def test_latency_profile_populated(self, vehicle_pipeline, taxi_dataset, annotation_sources):
         trajectory = taxi_dataset.trajectories[0]
-        result = vehicle_pipeline.annotate(trajectory, annotation_sources)
+        result = repro.annotate(trajectory, annotation_sources, vehicle_pipeline.config)
         stages = result.latency.stages()
         assert "compute_episode" in stages
         assert "landuse_join" in stages
@@ -73,9 +78,14 @@ class TestAnnotateSingle:
 
 
 class TestAnnotateMany:
-    def test_batch_annotation_of_people(self, people_pipeline, people_dataset, annotation_sources):
-        results = people_pipeline.annotate_many(
-            people_dataset.all_trajectories, annotation_sources
+    def test_batch_annotation_of_people(
+        self, people_pipeline, people_dataset, annotation_sources, pipeline_workers
+    ):
+        results = repro.annotate_many(
+            people_dataset.all_trajectories,
+            annotation_sources,
+            people_pipeline.config,
+            workers=pipeline_workers,
         )
         assert len(results) == len(people_dataset.all_trajectories)
         # Every trajectory has stops and moves and the people commute modes appear.
@@ -87,15 +97,27 @@ class TestAnnotateMany:
         assert "walk" in all_modes
         assert all_modes & {"metro", "bus", "bicycle"}
 
-    def test_trajectory_categories_assigned(self, vehicle_pipeline, car_dataset, annotation_sources):
-        results = vehicle_pipeline.annotate_many(
-            car_dataset.trajectories[:4], annotation_sources
+    def test_trajectory_categories_assigned(
+        self, vehicle_pipeline, car_dataset, annotation_sources, pipeline_workers
+    ):
+        results = repro.annotate_many(
+            car_dataset.trajectories[:4],
+            annotation_sources,
+            vehicle_pipeline.config,
+            workers=pipeline_workers,
         )
         categories = [r.trajectory_category for r in results if r.trajectory_category]
         assert categories
 
-    def test_merge_latencies(self, vehicle_pipeline, taxi_dataset, annotation_sources):
-        results = vehicle_pipeline.annotate_many(taxi_dataset.trajectories, annotation_sources)
+    def test_merge_latencies(
+        self, vehicle_pipeline, taxi_dataset, annotation_sources, pipeline_workers
+    ):
+        results = repro.annotate_many(
+            taxi_dataset.trajectories,
+            annotation_sources,
+            vehicle_pipeline.config,
+            workers=pipeline_workers,
+        )
         merged = SeMiTriPipeline.merge_latencies(results)
         assert merged.count("compute_episode") == len(results)
 
@@ -103,9 +125,10 @@ class TestAnnotateMany:
 class TestPersistence:
     def test_annotation_results_persisted(self, taxi_dataset, annotation_sources):
         store = SemanticTrajectoryStore()
-        pipeline = SeMiTriPipeline(PipelineConfig.for_vehicles(), store=store)
         trajectory = taxi_dataset.trajectories[0]
-        result = pipeline.annotate(trajectory, annotation_sources, persist=True)
+        result = repro.annotate(
+            trajectory, annotation_sources, PipelineConfig.for_vehicles(), store, persist=True
+        )
         summary = store.stop_move_summary()
         assert summary["trajectories"] == 1
         assert summary["gps_records"] == len(trajectory)
@@ -117,7 +140,10 @@ class TestPersistence:
         store.close()
 
     def test_persist_flag_without_store_is_noop(self, vehicle_pipeline, taxi_dataset, annotation_sources):
-        result = vehicle_pipeline.annotate(
-            taxi_dataset.trajectories[0], annotation_sources, persist=True
+        result = repro.annotate(
+            taxi_dataset.trajectories[0],
+            annotation_sources,
+            vehicle_pipeline.config,
+            persist=True,
         )
         assert "store_episode" not in result.latency.stages()

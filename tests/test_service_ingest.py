@@ -20,7 +20,8 @@ from typing import Awaitable, Callable, Dict, List, Tuple
 
 import pytest
 
-from repro.core import PipelineConfig, SeMiTriPipeline
+import repro
+from repro.core import PipelineConfig
 from repro.core.errors import ConfigurationError, ServiceError
 from repro.core.points import SpatioTemporalPoint
 from repro.parallel.canonical import canonical_bytes
@@ -132,7 +133,7 @@ def test_backpressure_bounds_queue_and_awaits_producer(
     stream = stream[:200]
 
     async def run() -> Tuple[AnnotationService, int]:
-        service = AnnotationService(annotation_sources, config=config)
+        service = repro.serve(annotation_sources, config=config)
         max_depth = 0
         async with service:
             for point in stream:
@@ -203,11 +204,15 @@ def test_drain_parity_with_killed_emitters(
 
     # Sequential reference: the plain pipeline on the same delivered streams.
     sequential_store = SemanticTrajectoryStore()
-    pipeline = SeMiTriPipeline(config, store=sequential_store)
+    pipeline = repro.open_pipeline(config)
     sequential = []
     for object_id in sorted(delivered):
         raw = pipeline.ingest_stream(delivered[object_id], object_id=object_id)
-        sequential.extend(pipeline.annotate_many(raw, context, persist=True))
+        sequential.extend(
+            repro.annotate_many(
+                raw, config=config, context=context, store=sequential_store, persist=True
+            )
+        )
 
     by_service = {r.trajectory.trajectory_id: r for r in service.results}
     by_sequential = {r.trajectory.trajectory_id: r for r in sequential}
@@ -240,7 +245,7 @@ def test_drain_parity_with_killed_emitters(
 
 def test_all_object_streams_land_on_their_ring_shard(annotation_sources, car_dataset):
     config = _service_config(shards=4)
-    service = AnnotationService(annotation_sources, config=config)
+    service = repro.serve(annotation_sources, config=config)
     for object_id in _object_streams(car_dataset.trajectories):
         assert service.shard_for(object_id) == ConsistentHashRing(
             4, replicas=config.service.ring_replicas
@@ -257,7 +262,7 @@ def test_session_budget_evicts_lru_sessions(annotation_sources, car_dataset, tra
     assert len(streams) > 3
 
     async def run() -> AnnotationService:
-        service = AnnotationService(annotation_sources, config=config)
+        service = repro.serve(annotation_sources, config=config)
         async with service:
             for object_id, points in sorted(streams.items()):
                 for point in points[:40]:
@@ -279,7 +284,7 @@ def test_explicit_eviction_closes_sessions(annotation_sources, car_dataset, tran
     streams = _object_streams(car_dataset.trajectories)
 
     async def run() -> Tuple[AnnotationService, int, int]:
-        service = AnnotationService(annotation_sources, config=config)
+        service = repro.serve(annotation_sources, config=config)
         async with service:
             for object_id, points in sorted(streams.items()):
                 for point in points[:20]:
@@ -310,7 +315,7 @@ def test_lifecycle_contract(annotation_sources, car_dataset, transport):
     object_id, points = next(iter(sorted(streams.items())))
 
     async def run() -> None:
-        service = AnnotationService(annotation_sources, config=config)
+        service = repro.serve(annotation_sources, config=config)
         with pytest.raises(ServiceError):
             await service.ingest(object_id, points[0])
         with pytest.raises(ServiceError):
@@ -337,7 +342,7 @@ def test_results_callback_and_prometheus_rendering(annotation_sources, car_datas
     seen: List[str] = []
 
     async def run() -> AnnotationService:
-        service = AnnotationService(
+        service = repro.serve(
             annotation_sources,
             config=config,
             on_result=lambda result: seen.append(result.trajectory.trajectory_id),
@@ -396,7 +401,7 @@ def test_http_facade_roundtrip(annotation_sources, car_dataset):
     events = [{"object_id": object_id, "x": p.x, "y": p.y, "t": p.t} for p in points[:40]]
 
     async def run() -> None:
-        service = AnnotationService(annotation_sources, config=config)
+        service = repro.serve(annotation_sources, config=config)
         async with service:
             async with HttpIngestServer(service, port=0) as server:
                 port = server.port

@@ -26,7 +26,8 @@ from typing import Dict, List, Optional
 
 import pytest
 
-from repro.core import PipelineConfig, SeMiTriPipeline
+import repro
+from repro.core import PipelineConfig
 from repro.core.points import SpatioTemporalPoint
 from repro.faults.inject import FaultInjector, FaultPlan
 from repro.parallel import process
@@ -73,11 +74,11 @@ def _feed_and_drain(
 
 
 def _sequential_reference(config, context, streams):
-    pipeline = SeMiTriPipeline(config)
+    pipeline = repro.open_pipeline(config)
     results = []
     for object_id in sorted(streams):
         raw = pipeline.ingest_stream(streams[object_id], object_id=object_id)
-        results.extend(pipeline.annotate_many(raw, context))
+        results.extend(repro.annotate_many(raw, config=config, context=context))
     return results
 
 
@@ -117,7 +118,7 @@ def _assert_metrics_match_ledger(service: AnnotationService) -> None:
     assert total("service_results_total") == service.stats.results
     assert registry.value("service_sessions_evicted_total") == service.sessions_evicted
     assert total("service_worker_restarts_total") == service.failure_log.worker_losses
-    assert registry.value("wal_replayed_total") == service.stats.wal_replayed
+    assert registry.value("wal_replayed_total") == service.failure_log.wal_replayed
 
 
 # ---------------------------------------------------------------------- parity
@@ -231,13 +232,13 @@ def test_sigkill_shard_worker_mid_stream_replays_wal(
 
     asyncio.run(run())
     assert service.failure_log.worker_losses >= 1
-    assert service.stats.wal_replayed > 0
+    assert service.failure_log.wal_replayed > 0
     assert service.dropped_events == 0
     assert service.quarantined_count == 0  # a crash is not poison
     _assert_metrics_match_ledger(service)
 
     reference_store = SemanticTrajectoryStore()
-    reference = AnnotationService(
+    reference = repro.serve(
         GeoContext.build(annotation_sources, _service_config(shards=2)),
         store=reference_store,
         persist=True,
@@ -336,7 +337,7 @@ def test_shard_workers_die_with_a_sigkilled_service(annotation_sources, car_data
         try:
 
             async def doomed() -> None:
-                service = AnnotationService(annotation_sources, config=config)
+                service = repro.serve(annotation_sources, config=config)
                 await service.start()
                 for object_id in sorted(streams):
                     for point in streams[object_id][:20]:

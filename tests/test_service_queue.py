@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core import PipelineConfig
 from repro.core.errors import ServiceError
 from repro.obs.metrics import Histogram
@@ -200,7 +201,7 @@ def test_drain_absorbs_a_producer_waiting_for_room(annotation_sources, car_datas
     config = _config(shards=1, queue_depth=2, max_batch=2, transport="thread")
 
     async def run() -> AnnotationService:
-        service = AnnotationService(annotation_sources, config=config)
+        service = repro.serve(annotation_sources, config=config)
         await service.start()
         shard = service._shards[0]
         submit = shard.submit
@@ -244,7 +245,7 @@ def test_a_flooded_shard_yields_to_the_other_between_batches(annotation_sources,
     before A's second batch — the consumer's yield interleaves them."""
     streams = _streams(car_dataset)
     config = _config(shards=2, queue_depth=32, max_batch=8, transport="thread")
-    service = AnnotationService(annotation_sources, config=config)
+    service = repro.serve(annotation_sources, config=config)
     by_shard: Dict[int, str] = {}
     for object_id in sorted(streams, key=lambda oid: -len(streams[oid])):
         by_shard.setdefault(service.shard_for(object_id), object_id)

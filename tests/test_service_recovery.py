@@ -23,6 +23,7 @@ import signal
 from pathlib import Path
 from typing import Dict, List
 
+import repro
 from repro.core import PipelineConfig
 from repro.core.points import SpatioTemporalPoint
 from repro.faults.journal import IngestJournal
@@ -111,7 +112,7 @@ def test_sigkill_mid_drain_replays_wal_to_identical_store(
 
             async def doomed() -> None:
                 store = SemanticTrajectoryStore(store_path)
-                service = AnnotationService(
+                service = repro.serve(
                     annotation_sources, config=config, store=store, persist=True
                 )
                 # Die at the exact point drain() would start committing: every
@@ -145,7 +146,7 @@ def test_sigkill_mid_drain_replays_wal_to_identical_store(
     # The kill landed before the commit: the store is empty.
     assert recovered_store.trajectory_ids() == []
 
-    recovery = AnnotationService(
+    recovery = repro.serve(
         annotation_sources, config=config, store=recovered_store, persist=True
     )
 
@@ -155,12 +156,12 @@ def test_sigkill_mid_drain_replays_wal_to_identical_store(
 
     asyncio.run(recover())
     total_events = sum(len(points) for points in streams.values())
-    assert recovery.stats.wal_replayed == total_events + len(streams)  # + closes
+    assert recovery.failure_log.wal_replayed == total_events + len(streams)  # + closes
     assert recovery.dropped_events == 0
 
     # Uninterrupted reference run on the same streams (journal disabled).
     reference_store = SemanticTrajectoryStore()
-    reference = AnnotationService(
+    reference = repro.serve(
         annotation_sources,
         config=config.with_overrides({"service.journal_dir": ""}),
         store=reference_store,
@@ -204,7 +205,7 @@ def test_every_returned_operation_survives_a_process_crash_at_the_default_fsync_
         try:
 
             async def doomed() -> None:
-                service = AnnotationService(annotation_sources, config=config)
+                service = repro.serve(annotation_sources, config=config)
                 await service.start()
                 for object_id, point in operations:
                     if point is None:
@@ -246,7 +247,7 @@ def test_replaying_an_already_committed_wal_dedups_against_the_store(
     config = _config(journal_dir)
 
     store = SemanticTrajectoryStore(store_path)
-    service = AnnotationService(
+    service = repro.serve(
         annotation_sources, config=config, store=store, persist=True
     )
 
@@ -273,7 +274,7 @@ def test_replaying_an_already_committed_wal_dedups_against_the_store(
     shutil.copytree(backup_dir, journal_dir)
 
     reopened = SemanticTrajectoryStore(store_path)
-    recovery = AnnotationService(
+    recovery = repro.serve(
         annotation_sources, config=config, store=reopened, persist=True
     )
 
@@ -282,7 +283,7 @@ def test_replaying_an_already_committed_wal_dedups_against_the_store(
             await recovery.drain()
 
     asyncio.run(recover())
-    assert recovery.stats.wal_replayed > 0
+    assert recovery.failure_log.wal_replayed > 0
     assert recovery.stats.dedup_skipped == len(committed_ids)
     # Keep-first: the store still holds exactly the originally committed rows.
     assert reopened.trajectory_ids() == committed_ids

@@ -26,8 +26,9 @@ from typing import Dict, List, Optional, Tuple
 
 import pytest
 
+import repro
 from repro.api import stream
-from repro.core import AnnotationSources, PipelineConfig, SeMiTriPipeline
+from repro.core import AnnotationSources, PipelineConfig
 from repro.core.points import SpatioTemporalPoint
 from repro.datasets import PrivateCarSimulator
 from repro.engine import executors
@@ -76,13 +77,13 @@ def _interleaved(streams: Dict[str, List[SpatioTemporalPoint]]) -> List[Op]:
 
 
 def _sequential(ops: Dict[str, List[SpatioTemporalPoint]], sources, config):
-    pipeline = SeMiTriPipeline(config)
+    pipeline = repro.open_pipeline(config)
     raw = [
         trajectory
         for object_id in sorted(ops)
         for trajectory in pipeline.ingest_stream(ops[object_id], object_id=object_id)
     ]
-    return pipeline.annotate_many(raw, sources)
+    return repro.annotate_many(raw, sources, config)
 
 
 def _by_id(results):
@@ -382,14 +383,14 @@ def test_sigkilled_worker_with_queued_trajectories_is_recovered_from_the_wal(
 
     asyncio.run(run())
     assert service.failure_log.worker_losses >= 1
-    assert service.stats.wal_replayed > 0
+    assert service.failure_log.wal_replayed > 0
     assert service.dropped_events == 0 and service.quarantined_count == 0
 
-    pipeline = SeMiTriPipeline(config)
+    pipeline = repro.open_pipeline(config)
     reference_store = SemanticTrajectoryStore()
     for object_id in object_ids:
         raw = pipeline.ingest_stream(streams[object_id], object_id=object_id)
-        results = pipeline.annotate_many(raw, context)
+        results = repro.annotate_many(raw, config=config, context=context)
         reference_store.save_annotated_trajectories(
             [(result.trajectory, result.episodes) for result in results]
         )

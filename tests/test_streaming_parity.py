@@ -16,11 +16,11 @@ from typing import List
 import numpy as np
 import pytest
 
-from repro.core import AnnotationSources, PipelineConfig, PipelineResult, SeMiTriPipeline
+from repro.core import AnnotationSources, PipelineConfig, PipelineResult
 from repro.core.config import StreamingConfig, TrajectoryIdentificationConfig
 from repro.core.points import SpatioTemporalPoint
 from repro.store.store import SemanticTrajectoryStore
-from repro.api import stream
+from repro.api import annotate_many, open_pipeline, stream
 
 
 def _annotation_signature(annotation):
@@ -105,7 +105,7 @@ def _run_engine(trajectories, sources, config) -> List[PipelineResult]:
 @pytest.mark.parametrize("micro_batch_size", [8])
 def test_taxi_dataset_parity(taxi_dataset, annotation_sources, micro_batch_size):
     config = _parity_config(PipelineConfig.for_vehicles(), micro_batch_size)
-    batch = SeMiTriPipeline(config).annotate_many(taxi_dataset.trajectories, annotation_sources)
+    batch = annotate_many(taxi_dataset.trajectories, annotation_sources, config)
     streamed = _run_engine(taxi_dataset.trajectories, annotation_sources, config)
     _assert_results_match(batch, streamed)
 
@@ -113,7 +113,7 @@ def test_taxi_dataset_parity(taxi_dataset, annotation_sources, micro_batch_size)
 @pytest.mark.parametrize("micro_batch_size", [1, 16])
 def test_car_dataset_parity(car_dataset, annotation_sources, micro_batch_size):
     config = _parity_config(PipelineConfig.for_vehicles(), micro_batch_size)
-    batch = SeMiTriPipeline(config).annotate_many(car_dataset.trajectories, annotation_sources)
+    batch = annotate_many(car_dataset.trajectories, annotation_sources, config)
     streamed = _run_engine(car_dataset.trajectories, annotation_sources, config)
     _assert_results_match(batch, streamed)
 
@@ -122,7 +122,7 @@ def test_car_dataset_parity(car_dataset, annotation_sources, micro_batch_size):
 def test_people_dataset_parity(people_dataset, annotation_sources, micro_batch_size):
     config = _parity_config(PipelineConfig.for_people(), micro_batch_size)
     trajectories = people_dataset.all_trajectories
-    batch = SeMiTriPipeline(config).annotate_many(trajectories, annotation_sources)
+    batch = annotate_many(trajectories, annotation_sources, config)
     streamed = _run_engine(trajectories, annotation_sources, config)
     _assert_results_match(batch, streamed)
 
@@ -131,7 +131,7 @@ def test_interleaved_objects_parity(car_dataset, annotation_sources):
     """Events from different objects interleaved like a live feed."""
     config = _parity_config(PipelineConfig.for_vehicles(), micro_batch_size=32)
     trajectories = car_dataset.trajectories[:6]
-    batch = SeMiTriPipeline(config).annotate_many(trajectories, annotation_sources)
+    batch = annotate_many(trajectories, annotation_sources, config)
 
     events = sorted(
         (
@@ -173,10 +173,9 @@ def test_full_stream_parity_with_cleaning_and_gaps(annotation_sources):
         PipelineConfig.for_people(),
         streaming=StreamingConfig(micro_batch_size=5, apply_cleaning=True),
     )
-    pipeline = SeMiTriPipeline(config)
-    raw_trajectories = pipeline.ingest_stream(points, object_id="u0")
+    raw_trajectories = open_pipeline(config).ingest_stream(points, object_id="u0")
     assert len(raw_trajectories) >= 2
-    batch = pipeline.annotate_many(raw_trajectories, annotation_sources)
+    batch = annotate_many(raw_trajectories, annotation_sources, config)
 
     engine = stream(annotation_sources, config=config)
     streamed: List[PipelineResult] = []
@@ -199,8 +198,8 @@ def test_store_contents_match_batch(taxi_dataset, annotation_sources):
     config = _parity_config(PipelineConfig.for_vehicles(), micro_batch_size=8)
 
     batch_store = SemanticTrajectoryStore()
-    SeMiTriPipeline(config, store=batch_store).annotate_many(
-        taxi_dataset.trajectories, annotation_sources, persist=True
+    annotate_many(
+        taxi_dataset.trajectories, annotation_sources, config, store=batch_store, persist=True
     )
 
     stream_store = SemanticTrajectoryStore()

@@ -38,7 +38,7 @@ from typing import List
 import pytest
 
 from repro.api import annotate_many, stream
-from repro.core import AnnotationSources, PipelineConfig, PipelineResult, SeMiTriPipeline
+from repro.core import AnnotationSources, PipelineConfig, PipelineResult
 from repro.core.config import (
     CleaningConfig,
     StopMoveConfig,
@@ -175,7 +175,7 @@ def dataset(request, taxi_dataset, car_dataset, people_dataset):
 def test_sequential_backend_parity(dataset, annotation_sources):
     """Sequential ``annotate_many`` is byte-identical to the reference configuration."""
     trajectories, config = dataset
-    product = SeMiTriPipeline(config).annotate_many(trajectories, annotation_sources)
+    product = annotate_many(trajectories, annotation_sources, config)
     assert canonical_bytes(product) == canonical_bytes(
         _reference(trajectories, annotation_sources, config)
     )
@@ -191,7 +191,7 @@ def test_sequential_backend_parity_all_stop_policies(policy, car_dataset, annota
         ),
     )
     trajectories = car_dataset.trajectories
-    product = SeMiTriPipeline(config).annotate_many(trajectories, annotation_sources)
+    product = annotate_many(trajectories, annotation_sources, config)
     assert canonical_bytes(product) == canonical_bytes(
         _reference(trajectories, annotation_sources, config)
     )

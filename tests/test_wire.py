@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core import PipelineConfig
 from repro.core.errors import ServiceError
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
@@ -236,14 +237,12 @@ def test_other_format_version_is_refused(tmp_path):
 def test_service_refuses_to_start_on_a_json_lines_journal(annotation_sources, tmp_path):
     import asyncio
 
-    from repro.service import AnnotationService
-
     old = tmp_path / "shard-1.e4.wal"
     old.write_text('["e4:1:1","close","car-1"]\n', encoding="utf-8")
     config = PipelineConfig.for_vehicles().with_overrides(
         {"service.shards": 2, "service.journal_dir": str(tmp_path)}
     )
-    service = AnnotationService(annotation_sources, config=config)
+    service = repro.serve(annotation_sources, config=config)
 
     async def run() -> None:
         async with service:
