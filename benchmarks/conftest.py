@@ -29,7 +29,7 @@ if str(_SRC) not in sys.path:
 
 RESULTS_DIR = _ROOT / "results"
 
-from repro.core import AnnotationSources, PipelineConfig, SeMiTriPipeline  # noqa: E402
+from repro.core import AnnotationSources, PipelineConfig  # noqa: E402
 from repro.datasets import (  # noqa: E402
     GroundTruthDriveGenerator,
     PersonSimulator,
@@ -153,10 +153,10 @@ def drive_generator(world):
 
 
 @pytest.fixture(scope="session")
-def vehicle_pipeline() -> SeMiTriPipeline:
-    return SeMiTriPipeline(PipelineConfig.for_vehicles())
+def vehicle_config() -> PipelineConfig:
+    return PipelineConfig.for_vehicles()
 
 
 @pytest.fixture(scope="session")
-def people_pipeline() -> SeMiTriPipeline:
-    return SeMiTriPipeline(PipelineConfig.for_people())
+def people_config() -> PipelineConfig:
+    return PipelineConfig.for_people()

@@ -74,7 +74,9 @@ def test_ablation_matcher_comparison(benchmark, world, drive_generator):
     drives = {sigma: drive_generator.generate(noise_sigma=sigma) for sigma in NOISE_LEVELS}
 
     matchers = {
-        "SeMiTri global matcher": GlobalMapMatcher(network, MapMatchingConfig(candidate_radius=50.0)),
+        "SeMiTri global matcher": GlobalMapMatcher(
+            network, MapMatchingConfig(candidate_radius=50.0)
+        ),
         "nearest segment (geometric)": NearestSegmentMatcher(network, candidate_radius=50.0),
         "incremental (topological)": IncrementalMatcher(network, candidate_radius=50.0),
         "HMM / Viterbi": ViterbiMatcher(network, candidate_radius=50.0),

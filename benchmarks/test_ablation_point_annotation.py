@@ -33,10 +33,10 @@ def _collect_stops(car_dataset, config):
     return all_stops
 
 
-def test_ablation_hmm_vs_nearest_poi(benchmark, world, car_dataset, vehicle_pipeline):
+def test_ablation_hmm_vs_nearest_poi(benchmark, world, car_dataset, vehicle_config):
     poi_source = world.poi_source()
-    annotator = PointAnnotator(poi_source, vehicle_pipeline.config.point)
-    stops_per_trajectory = _collect_stops(car_dataset, vehicle_pipeline.config)
+    annotator = PointAnnotator(poi_source, vehicle_config.point)
+    stops_per_trajectory = _collect_stops(car_dataset, vehicle_config)
 
     def run():
         agreement = 0
@@ -85,17 +85,17 @@ def test_ablation_hmm_vs_nearest_poi(benchmark, world, car_dataset, vehicle_pipe
     assert 0.3 < agreement / total <= 1.0
 
 
-def test_ablation_grid_discretisation(benchmark, world, car_dataset, vehicle_pipeline):
+def test_ablation_grid_discretisation(benchmark, world, car_dataset, vehicle_config):
     poi_source = world.poi_source()
-    stops_per_trajectory = _collect_stops(car_dataset, vehicle_pipeline.config)
+    stops_per_trajectory = _collect_stops(car_dataset, vehicle_config)
     centers = [stop.center() for stops in stops_per_trajectory for stop in stops]
     categories = poi_source.categories()
 
-    discretised_model = PoiObservationModel(poi_source, vehicle_pipeline.config.point)
+    discretised_model = PoiObservationModel(poi_source, vehicle_config.point)
     exact_config = PointAnnotationConfig(
-        grid_cell_size=vehicle_pipeline.config.point.grid_cell_size,
-        neighbor_radius=vehicle_pipeline.config.point.neighbor_radius,
-        default_sigma=vehicle_pipeline.config.point.default_sigma,
+        grid_cell_size=vehicle_config.point.grid_cell_size,
+        neighbor_radius=vehicle_config.point.neighbor_radius,
+        default_sigma=vehicle_config.point.default_sigma,
     )
     exact_model = PoiObservationModel(poi_source, exact_config)
 

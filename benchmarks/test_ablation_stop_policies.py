@@ -25,7 +25,12 @@ def test_ablation_stop_policies(benchmark, people_dataset):
         results = {}
         for policy in POLICIES:
             detector = StopMoveDetector(
-                StopMoveConfig(policy=policy, speed_threshold=0.8, min_stop_duration=240.0, density_radius=80.0)
+                StopMoveConfig(
+                    policy=policy,
+                    speed_threshold=0.8,
+                    min_stop_duration=240.0,
+                    density_radius=80.0,
+                )
             )
             stops = 0
             moves = 0

@@ -16,10 +16,10 @@ from repro.points.annotator import PointAnnotator
 from repro.preprocessing.stops import StopMoveDetector
 
 
-def test_fig11_poi_category_distribution(benchmark, world, car_dataset, vehicle_pipeline):
+def test_fig11_poi_category_distribution(benchmark, world, car_dataset, vehicle_config):
     poi_source = world.poi_source()
-    annotator = PointAnnotator(poi_source, vehicle_pipeline.config.point)
-    detector = StopMoveDetector(vehicle_pipeline.config.stop_move)
+    annotator = PointAnnotator(poi_source, vehicle_config.point)
+    detector = StopMoveDetector(vehicle_config.stop_move)
     stops_per_trajectory = {
         trajectory.trajectory_id: detector.stops(trajectory)
         for trajectory in car_dataset.trajectories

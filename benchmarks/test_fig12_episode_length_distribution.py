@@ -15,17 +15,19 @@ from repro.analytics.statistics import episode_statistics
 from repro.preprocessing.stops import segment_many
 
 
-def test_fig12_episode_length_distribution(benchmark, people_dataset, people_pipeline):
+def test_fig12_episode_length_distribution(benchmark, people_dataset, people_config):
     trajectories = people_dataset.all_trajectories
 
     def compute():
-        episodes = segment_many(trajectories, people_pipeline.config.stop_move)
+        episodes = segment_many(trajectories, people_config.stop_move)
         return episode_statistics(trajectories, episodes)
 
     stats = benchmark.pedantic(compute, rounds=1, iterations=1)
 
     series = {
-        "trajectory": [(float(b), float(c)) for b, c in log_log_histogram(stats.trajectory_lengths)],
+        "trajectory": [
+            (float(b), float(c)) for b, c in log_log_histogram(stats.trajectory_lengths)
+        ],
         "move": [(float(b), float(c)) for b, c in log_log_histogram(stats.move_lengths)],
         "stop": [(float(b), float(c)) for b, c in log_log_histogram(stats.stop_lengths)],
     }

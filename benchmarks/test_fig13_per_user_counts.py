@@ -13,10 +13,10 @@ from repro.analytics.statistics import per_user_summary
 from repro.preprocessing.stops import segment_many
 
 
-def test_fig13_per_user_counts(benchmark, people_dataset, people_pipeline):
+def test_fig13_per_user_counts(benchmark, people_dataset, people_config):
     def compute():
         episodes_by_user = {
-            user: segment_many(trajectories, people_pipeline.config.stop_move)
+            user: segment_many(trajectories, people_config.stop_move)
             for user, trajectories in people_dataset.trajectories_by_user.items()
         }
         return per_user_summary(people_dataset.trajectories_by_user, episodes_by_user)

@@ -16,8 +16,8 @@ from repro.analytics.reporting import render_table
 from repro.regions.annotator import RegionAnnotator
 
 
-def test_fig14_people_landuse(benchmark, world, people_dataset, taxi_dataset, people_pipeline):
-    annotator = RegionAnnotator(world.region_source(), people_pipeline.config.region)
+def test_fig14_people_landuse(benchmark, world, people_dataset, taxi_dataset, people_config):
+    annotator = RegionAnnotator(world.region_source(), people_config.region)
 
     def compute():
         return {

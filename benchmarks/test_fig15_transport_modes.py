@@ -18,13 +18,13 @@ from repro.analytics.reporting import render_table
 from repro.core import AnnotationSources
 
 
-def test_fig15_transport_mode_annotation(benchmark, world, people_dataset, people_pipeline):
+def test_fig15_transport_mode_annotation(benchmark, world, people_dataset, people_config):
     sources = AnnotationSources(road_network=world.road_network())
     by_style = {}
 
     def annotate_all():
         results = repro.annotate_many(
-            people_dataset.all_trajectories, sources, people_pipeline.config
+            people_dataset.all_trajectories, sources, people_config
         )
         styles = {}
         for result in results:
@@ -48,13 +48,15 @@ def test_fig15_transport_mode_annotation(benchmark, world, people_dataset, peopl
 
     # Figure 15(d): the summarised walk -> metro -> walk sequence of one metro user.
     metro_users = [
-        user for user, profile in people_dataset.profiles.items() if profile.commute_style == "metro"
+        user
+        for user, profile in people_dataset.profiles.items()
+        if profile.commute_style == "metro"
     ]
     example_lines = []
     if metro_users:
         user = metro_users[0]
         trajectory = people_dataset.trajectories_by_user[user][0]
-        result = repro.annotate(trajectory, sources, people_pipeline.config)
+        result = repro.annotate(trajectory, sources, people_config)
         for structured in result.line_trajectories[:2]:
             for record in structured:
                 place = record.place.name if record.place is not None else "(off-road)"

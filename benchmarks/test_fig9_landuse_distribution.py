@@ -18,9 +18,9 @@ from repro.preprocessing.stops import segment_many
 from repro.regions.annotator import RegionAnnotator
 
 
-def test_fig9_landuse_distribution(benchmark, world, taxi_dataset, vehicle_pipeline):
-    annotator = RegionAnnotator(world.region_source(), vehicle_pipeline.config.region)
-    episodes = segment_many(taxi_dataset.trajectories, vehicle_pipeline.config.stop_move)
+def test_fig9_landuse_distribution(benchmark, world, taxi_dataset, vehicle_config):
+    annotator = RegionAnnotator(world.region_source(), vehicle_config.region)
+    episodes = segment_many(taxi_dataset.trajectories, vehicle_config.stop_move)
     moves = [episode for episode in episodes if episode.is_move]
     stops = [episode for episode in episodes if episode.is_stop]
 

@@ -47,7 +47,8 @@ def test_scalability_region_lookup_vs_source_size(benchmark):
     """Per-point region lookup time should grow sub-linearly with the region count."""
     sizes = (10, 20, 40, 80)
     queries = [
-        SpatioTemporalPoint(37.0 + i * 11.3 % 900, 53.0 + i * 7.7 % 900, float(i)) for i in range(400)
+        SpatioTemporalPoint(37.0 + i * 11.3 % 900, 53.0 + i * 7.7 % 900, float(i))
+        for i in range(400)
     ]
 
     def run():

@@ -67,7 +67,8 @@ def main() -> None:
     for user in dataset.user_ids:
         trajectories = dataset.trajectories_by_user[user]
         results = repro.annotate_many(trajectories, context=context)
-        print(f"\n=== {user} ({dataset.profiles[user].commute_style} commuter, {len(results)} days) ===")
+        style = dataset.profiles[user].commute_style
+        print(f"\n=== {user} ({style} commuter, {len(results)} days) ===")
 
         # Frequent places from all stop episodes of the tracking period.
         all_stops = [stop for result in results for stop in result.stops]

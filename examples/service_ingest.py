@@ -43,7 +43,9 @@ async def main() -> None:
         pois=world.poi_source(),
     )
     fleets = [
-        TaxiFleetSimulator(world, taxi_count=1, days=1, fares_per_day=4, seed=11).generate().trajectories,
+        TaxiFleetSimulator(world, taxi_count=1, days=1, fares_per_day=4, seed=11)
+        .generate()
+        .trajectories,
         PrivateCarSimulator(world, car_count=4, trips_per_car=2, seed=23).generate().trajectories,
         PersonSimulator(world, user_count=2, days_per_user=1, seed=31).generate().all_trajectories,
     ]

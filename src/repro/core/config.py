@@ -225,6 +225,11 @@ class PointAnnotationConfig:
             raise ConfigurationError("neighbor_radius must be positive")
         if self.default_sigma <= 0:
             raise ConfigurationError("default_sigma must be positive")
+        for category, sigma in self.category_sigmas.items():
+            if isinstance(sigma, bool) or not isinstance(sigma, (int, float)) or not sigma > 0:
+                raise ConfigurationError(
+                    f"category_sigmas[{category!r}] must be a positive number, got {sigma!r}"
+                )
         if not (0.0 < self.self_transition < 1.0):
             raise ConfigurationError("self_transition must lie strictly between 0 and 1")
         if self.min_probability <= 0:

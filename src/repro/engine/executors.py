@@ -166,15 +166,22 @@ _QUEUE_MAX_PASSES = 8
 
 
 # ---------------------------------------------------------------- stage loop
-def _record_shares(name: str, seconds: float, shares: Sequence[Tuple[WorkItem, int]]) -> None:
+def _record_shares(stage: Stage, seconds: float, shares: Sequence[Tuple[WorkItem, int]]) -> None:
     """Attribute one measured stage run to its items in proportion to GPS points.
 
     One latency sample (and one span, when tracing) per entry, the samples
     summing to the measured time; a run over one entry keeps its exact time.
+    A :attr:`~repro.engine.stages.Stage.samples_at_close` stage's shares are
+    held on the items instead, and recorded as one sample per item when it
+    closes (:func:`_finish_items`).
     """
     total = sum(points for _, points in shares)
     for item, points in shares:
-        item.record_stage(name, seconds * points / total)
+        share = seconds * points / total
+        if stage.samples_at_close:
+            item.hold_stage(stage.name, share)
+        else:
+            item.record_stage(stage.name, share)
 
 
 def _run_stage(
@@ -202,7 +209,7 @@ def _run_stage(
     except BaseException as error:
         tag_failure_stage(error, stage.name)
         raise
-    _record_shares(stage.name, time.perf_counter() - started, shares)
+    _record_shares(stage, time.perf_counter() - started, shares)
 
 
 def _finish_items(plan: Plan, items: Sequence[WorkItem]) -> None:
@@ -210,9 +217,11 @@ def _finish_items(plan: Plan, items: Sequence[WorkItem]) -> None:
 
     Every stage's untimed :meth:`~repro.engine.stages.Stage.close_out`, and,
     where it :meth:`~repro.engine.stages.Stage.finishes`, its timed
-    :meth:`~repro.engine.stages.Stage.finish`: the HMM point layer and the
-    store write-back, which need the whole trajectory.  Item after item, so
-    the rows land in single-writer order.  When the plan persists they all
+    :meth:`~repro.engine.stages.Stage.finish`: the point layer's Viterbi
+    decoding and the store write-back, which need the whole trajectory; a
+    :attr:`~repro.engine.stages.Stage.samples_at_close` stage's held time is
+    recorded here, as the item's one sample.  Item after item, so the rows
+    land in single-writer order.  When the plan persists they all
     run inside **one** store scope, a savepoint: released (committed, at the
     outermost level) on success and rolled back if a body raises, so no
     trajectory is ever half-persisted and a failed chunk leaves nothing
@@ -231,6 +240,8 @@ def _finish_items(plan: Plan, items: Sequence[WorkItem]) -> None:
                     stage.close_out(item)
                     if stage.finishes(item):
                         _run_stage(plan, stage, [(item, 1)], partial(stage.finish, item))
+                    if stage.samples_at_close:
+                        item.release_stage(stage.name)
     except BaseException as error:
         # Untagged here means the failure came from the scope exit itself —
         # the store commit (first tag wins, so stage tags survive).

@@ -12,14 +12,14 @@ Every stage has one face, which batch chunks and streaming flushes drive
 alike:
 
 * :meth:`Stage.wants_episode` / :meth:`Stage.absorb_episodes` — the body of
-  an *episode stage* (``absorbs``: the region and line layers), applied to a
+  an *episode stage* (``absorbs``: the region, line and point layers), applied to a
   group of sealed episodes at once: every episode of a chunk of trajectories
   in batch, every episode queued since the last annotate-queue flush in
   streaming.  A group, because the annotation layers are joins whose kernels
   cost the same ~150 numpy dispatches for one episode as for a hundred;
 * :meth:`Stage.close_out` / :meth:`Stage.finishes` / :meth:`Stage.finish` —
-  work that must wait until the trajectory closes (result assembly, the HMM
-  point layer, store write-back);
+  work that must wait until the trajectory closes (result assembly, the
+  point layer's Viterbi decoding, store write-back);
 * :meth:`ComputeEpisodesStage.run` — segmentation of a closed trajectory;
   streaming sessions segment incrementally instead.
 
@@ -32,6 +32,14 @@ each result's :class:`~repro.analytics.latency.LatencyProfile`, through
 emitted from exactly one place and is identical in shape across the batch and
 streaming runtimes.
 
+The point layer is both: an episode stage whose group body makes one
+neighbour query for every stop of the group (the cells of the observation
+model and each stop's representative-POI candidates), and a close-time
+:meth:`~PoiAnnotationStage.finish` that decodes the trajectory's stop
+sequence once, because Viterbi is a sequence-level decoder.  Its two
+measured parts are recorded as the trajectory's one ``poi_annotation``
+sample (:attr:`Stage.samples_at_close`).
+
 The stage ``name`` doubles as the latency-profile stage name, which keeps
 the Figure 17 vocabulary (``compute_episode``, ``store_episode``,
 ``landuse_join``, ``map_match``, ``store_match_result``, plus
@@ -42,14 +50,14 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import PipelineConfig
 from repro.core.episodes import Episode
 from repro.core.points import Columns, RawTrajectory, SpatioTemporalPoint, point_columns
 from repro.core.trajectory import SemanticEpisodeRecord, StructuredSemanticTrajectory
 from repro.lines.annotator import LineAnnotator
-from repro.points.annotator import PointAnnotator
+from repro.points.annotator import PointAnnotator, StopLookup
 from repro.preprocessing.cleaning import GpsCleaner
 from repro.preprocessing.identification import TrajectoryIdentifier
 from repro.preprocessing.stops import StopMoveDetector
@@ -73,7 +81,8 @@ class WorkItem:
     Wraps the growing :class:`~repro.core.pipeline.PipelineResult` (whose
     ``latency`` profile the executors record into) together with the scratch
     state episode stages accumulate until the trajectory closes (region
-    records).
+    records, the point layer's stop lookups, stage time held for one
+    close-time sample).
     When the plan's telemetry has tracing enabled the item also carries the
     trajectory's open :class:`~repro.obs.trace.TrajectoryTrace`; with the
     default no-op telemetry ``trace`` stays ``None`` and every hook below
@@ -83,6 +92,9 @@ class WorkItem:
     trajectory: RawTrajectory
     result: "PipelineResult"
     region_records: List[SemanticEpisodeRecord] = field(default_factory=list)
+    stop_lookups: List[StopLookup] = field(default_factory=list)
+    held_seconds: Dict[str, float] = field(default_factory=dict)
+    """Measured time of :attr:`Stage.samples_at_close` stages not recorded yet."""
     trace: Optional["TrajectoryTrace"] = None
     """Open trace when the plan's telemetry has tracing enabled."""
     episode_seconds: float = 0.0
@@ -109,6 +121,16 @@ class WorkItem:
         self.result.latency.add(name, seconds)
         if self.trace is not None:
             self.trace.record(name, seconds)
+
+    def hold_stage(self, name: str, seconds: float) -> None:
+        """Add a measured duration to the stage's sample still to be recorded."""
+        self.held_seconds[name] = self.held_seconds.get(name, 0.0) + seconds
+
+    def release_stage(self, name: str) -> None:
+        """Record the stage's held time as one sample (no-op if nothing is held)."""
+        seconds = self.held_seconds.pop(name, None)
+        if seconds is not None:
+            self.record_stage(name, seconds)
 
     def finish_trace(self) -> None:
         """Seal the trace and attach its spans to the result (no-op untraced)."""
@@ -140,6 +162,10 @@ class Stage:
     #: runs (and times) that body for every item of a chunk, whether or not
     #: the item has a wanted episode.
     absorbs: bool = False
+    #: True for an episode stage whose :meth:`finish` completes what its
+    #: episode body began: executors hold the body's measured time on the item
+    #: and record it with the finish as the trajectory's one sample.
+    samples_at_close: bool = False
 
     # ------------------------------------------------------------- episodes
     def wants_episode(self, item: WorkItem, episode: Episode) -> bool:
@@ -352,16 +378,20 @@ class MapMatchStage(Stage):
 
 
 class PoiAnnotationStage(Stage):
-    """Point annotation layer: HMM decoding of the stop sequence.
+    """Point annotation layer: neighbour lookups per group, HMM decoding at close.
 
-    Viterbi is a sequence-level maximum-a-posteriori decoder, so this stage
-    has no episode body: it runs when the trajectory closes, over the full
-    stop sequence, in batch and streaming alike.
+    The episode body looks up the neighbours of every stop of the group with
+    one index query and keeps each stop's lookup on its item.  Viterbi is a
+    sequence-level maximum-a-posteriori decoder, so the decoding waits until
+    the trajectory closes and runs once, over the full stop sequence, in batch
+    and streaming alike.
     """
 
     name = "poi_annotation"
     inputs = ("episodes",)
     outputs = ("point_trajectory", "trajectory_category")
+    absorbs = True
+    samples_at_close = True
 
     def __init__(self, annotator: PointAnnotator):
         self._annotator = annotator
@@ -371,13 +401,22 @@ class PoiAnnotationStage(Stage):
         """The underlying point annotator."""
         return self._annotator
 
+    def wants_episode(self, item: WorkItem, episode: Episode) -> bool:
+        return episode.is_stop
+
+    def absorb_episodes(self, sealed: Sequence[SealedEpisode]) -> None:
+        lookups = self._annotator.look_up([episode for _, episode in sealed])
+        for (item, _), lookup in zip(sealed, lookups):
+            item.stop_lookups.append(lookup)
+
     def finishes(self, item: WorkItem) -> bool:
-        return any(episode.is_stop for episode in item.result.episodes)
+        return bool(item.stop_lookups)
 
     def finish(self, item: WorkItem) -> None:
-        stops = [episode for episode in item.result.episodes if episode.is_stop]
-        item.result.point_trajectory = self._annotator.annotate_stops(stops)
-        item.result.trajectory_category = self._annotator.classify_trajectory(stops)
+        result = item.result
+        result.point_trajectory, result.trajectory_category = self._annotator.annotate_lookups(
+            item.stop_lookups
+        )
 
 
 class StoreEpisodesStage(Stage):

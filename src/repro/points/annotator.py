@@ -4,8 +4,15 @@ Builds the HMM ``lambda = (pi, A, B)`` from a POI source, decodes the hidden
 POI-category sequence for the stop observations of a trajectory with Viterbi,
 and attaches a POI-category and activity annotation to every stop episode.
 
-One path: before decoding, one batch flat-index query primes the observation
-model with the neighbour sets of every cell the stops fall in.
+Two steps, which the point-annotation stage runs at different times:
+:meth:`PointAnnotator.look_up` takes the stops of a whole annotate group (a
+batch chunk, a streaming flush) and makes **one** batch flat-index query for
+all of them — the neighbour sets of the grid cells not cached yet, and each
+stop's own neighbours, kept as its :class:`StopLookup`;
+:meth:`PointAnnotator.annotate_lookups` runs when the trajectory closes, sorts
+its stops once, decodes them with **one** Viterbi call and derives both the
+stop annotations and the Equation 8 trajectory category from that decoding.
+The representative POI of a stop is read from its stored neighbour list.
 
 Annotations are values: the annotator keeps one table of POI annotations keyed
 by the POI's ``place_id`` and one of activity annotations keyed by POI
@@ -15,7 +22,7 @@ a stop's episode and record hold the same objects.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.annotations import (
     Annotation,
@@ -31,8 +38,15 @@ from repro.core.places import PointOfInterest
 from repro.core.trajectory import SemanticEpisodeRecord, StructuredSemanticTrajectory
 from repro.points.activity import activity_for_category, trajectory_category
 from repro.points.hmm import HiddenMarkovModel, diagonal_transitions
-from repro.points.observation import PoiObservationModel
+from repro.points.observation import Neighbors, PoiObservationModel
 from repro.points.poi import PoiSource
+
+
+class StopLookup(NamedTuple):
+    """A stop episode with its own neighbour list, fetched with its annotate group."""
+
+    stop: Episode
+    neighbors: Neighbors
 
 
 class PointAnnotator:
@@ -70,44 +84,39 @@ class PointAnnotator:
         return self._hmm
 
     # ------------------------------------------------------------ Algorithm 3
-    def infer_stop_categories(self, stops: Sequence[Episode]) -> List[str]:
-        """Hidden POI-category sequence for an ordered sequence of stop episodes."""
+    def look_up(self, stops: Sequence[Episode]) -> List[StopLookup]:
+        """The neighbour lookups of a group of stops, from one index query.
+
+        Fills the observation model's cell cache for every cell the stops
+        fall in and returns each stop with its own neighbour list, in order.
+        """
         for stop in stops:
             if not stop.is_stop:
                 raise DataQualityError("the point annotation layer only processes stop episodes")
-        if not stops:
-            return []
-        observations = [stop.center() for stop in stops]
-        # One batch index query fills the cell cache for every stop the
-        # Viterbi recurrence is about to score (n_states lookups each).
-        self._observation_model.prime(observations)
-        result = self._hmm.viterbi(
-            observations,
-            observation_fn=lambda state, observation: self._observation_model.probability(
-                state, observation
-            ),
-        )
-        return result.states
+        neighbor_lists = self._observation_model.prime([stop.center() for stop in stops])
+        return [StopLookup(stop, neighbors) for stop, neighbors in zip(stops, neighbor_lists)]
 
-    def annotate_stops(self, stops: Sequence[Episode]) -> StructuredSemanticTrajectory:
-        """Annotate stop episodes with POI category and activity (T_point).
+    def annotate_lookups(
+        self, lookups: Sequence[StopLookup]
+    ) -> Tuple[StructuredSemanticTrajectory, Optional[str]]:
+        """One trajectory's ``T_point`` and Equation 8 category, from one decoding.
 
-        Each stop record links to the most probable *individual* POI of the
-        inferred category near the stop (when one exists within the
-        neighbourhood radius) and carries the category and activity as
-        annotations.
+        ``lookups`` are :meth:`look_up` results for every stop of the
+        trajectory, in any order.  Each stop record links to the nearest POI
+        of its inferred category within the neighbourhood radius (when there
+        is one) and carries the category and activity as annotations.
         """
-        if not stops:
+        if not lookups:
             raise DataQualityError("annotate_stops requires at least one stop episode")
-        ordered = sorted(stops, key=lambda stop: stop.time_in)
-        categories = self.infer_stop_categories(ordered)
-        trajectory = ordered[0].trajectory
+        ordered = sorted(lookups, key=lambda lookup: lookup.stop.time_in)
+        categories = self._decode(ordered)
+        trajectory = ordered[0].stop.trajectory
         result = StructuredSemanticTrajectory(
             trajectory_id=f"{trajectory.trajectory_id}:point",
             object_id=trajectory.object_id,
         )
-        for stop, category in zip(ordered, categories):
-            place = self._representative_poi(stop, category)
+        for (stop, neighbors), category in zip(ordered, categories):
+            place = _nearest_of(neighbors, category)
             activity = self._activity_annotation(category)
             annotations: List[Annotation] = [activity]
             stop.add_annotation(activity)
@@ -125,16 +134,20 @@ class PointAnnotator:
                     source_episode=stop,
                 )
             )
-        return result
+        durations = [lookup.stop.duration for lookup in ordered]
+        return result, trajectory_category(categories, durations)
+
+    def infer_stop_categories(self, stops: Sequence[Episode]) -> List[str]:
+        """Hidden POI-category sequence for an ordered sequence of stop episodes."""
+        return self._decode(self.look_up(stops)) if stops else []
+
+    def annotate_stops(self, stops: Sequence[Episode]) -> StructuredSemanticTrajectory:
+        """Annotate stop episodes with POI category and activity (T_point)."""
+        return self.annotate_lookups(self.look_up(stops))[0]
 
     def classify_trajectory(self, stops: Sequence[Episode]) -> Optional[str]:
         """Equation 8: the trajectory category from its stop categories and durations."""
-        if not stops:
-            return None
-        ordered = sorted(stops, key=lambda stop: stop.time_in)
-        categories = self.infer_stop_categories(ordered)
-        durations = [stop.duration for stop in ordered]
-        return trajectory_category(categories, durations)
+        return self.annotate_lookups(self.look_up(stops))[1] if stops else None
 
     # -------------------------------------------------------------- internals
     def _poi_annotation(self, place: PointOfInterest) -> GeographicReferenceAnnotation:
@@ -153,11 +166,16 @@ class PointAnnotator:
             )
         return annotation
 
-    def _representative_poi(self, stop: Episode, category: str) -> Optional[PointOfInterest]:
-        """The nearest POI of the inferred category, within the neighbour radius."""
-        center = stop.center()
-        neighbors = self._source.pois_within(center, self._config.neighbor_radius)
-        for _, poi in neighbors:
-            if poi.category == category:
-                return poi
-        return None
+    def _decode(self, ordered: Sequence[StopLookup]) -> List[str]:
+        """Viterbi over the stops' emission rows, one row per stop."""
+        model = self._observation_model
+        rows = [model.emissions(stop.center(), neighbors) for stop, neighbors in ordered]
+        return self._hmm.viterbi(rows).states
+
+
+def _nearest_of(neighbors: Neighbors, category: str) -> Optional[PointOfInterest]:
+    """The nearest POI of ``category`` in a ``(distance, poi)`` neighbour list."""
+    for _, poi in neighbors:
+        if poi.category == category:
+            return poi
+    return None

@@ -6,21 +6,25 @@ trajectory as observations of an HMM whose hidden states are POI categories
 and the dynamic-programming decoder of Algorithm 3 (Equations 5-7), plus the
 forward algorithm used by tests to cross-check likelihoods.
 
-Observation probabilities are supplied by a callable ``B(state, observation)``
-so the same decoder serves both the POI observation model (continuous stop
-positions) and the unit tests (small discrete alphabets).
+Observation probabilities are supplied either by a callable
+``B(state, observation)`` (the unit tests' small discrete alphabets) or, for
+:meth:`HiddenMarkovModel.viterbi`, as one emission row per observation — a
+mapping ``state -> Pr(o | state)``, which is what the POI observation model
+holds per grid cell.
 
 The decoder has one implementation, the dict-based recurrence: a trajectory
 has a handful of stops (median 1, at most 5 on the benchmark fleet) over five
 categories, and at that size a matrix form of the same recurrence was measured
-slower.  :meth:`HiddenMarkovModel.brute_force_best_path` is the test oracle.
+slower.  What it does not redo per call is the logarithm of ``A``: the model
+takes it once, when it is built, into a table the recurrence reads.
+:meth:`HiddenMarkovModel.brute_force_best_path` is the test oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
 
@@ -72,6 +76,13 @@ class HiddenMarkovModel:
             if row is None:
                 raise ConfigurationError(f"missing transition row for state {state!r}")
             self._transitions[state] = self._validated_distribution(row, f"transitions[{state}]")
+        # log A_ij per target j, sources in state order: the recursion's inner loop.
+        self._log_into: Dict[str, List[Tuple[str, float]]] = {
+            target: [
+                (source, self._log(self._transitions[source][target])) for source in self._states
+            ]
+            for target in self._states
+        }
 
     # -------------------------------------------------------------- accessors
     @property
@@ -91,43 +102,53 @@ class HiddenMarkovModel:
 
     # --------------------------------------------------------------- decoding
     def viterbi(
-        self, observations: Sequence[object], observation_fn: ObservationFn
+        self, observations: Sequence[object], observation_fn: Optional[ObservationFn] = None
     ) -> ViterbiResult:
         """Most probable hidden state sequence for ``observations`` (Algorithm 3).
 
-        ``observation_fn(state, observation)`` must return ``Pr(o | state)``.
-        Computation is carried out in log space; the per-step ``delta`` tables
-        of Equation 5/6 are returned (as log-probabilities) for inspection.
+        ``observation_fn(state, observation)`` must return ``Pr(o | state)``;
+        without it every observation is its own emission row, a mapping
+        ``state -> Pr(o | state)`` (a state it lacks has probability 0, floored
+        like any other).  Computation is carried out in log space; the per-step
+        ``delta`` tables of Equation 5/6 are returned (as log-probabilities)
+        for inspection.
         """
         if not observations:
             return ViterbiResult(states=[], log_probability=0.0, deltas=[])
+        log = self._log
+        if observation_fn is None:
+            rows: Sequence[Mapping[str, float]] = observations  # type: ignore[assignment]
+        else:
+            rows = [
+                {state: observation_fn(state, observation) for state in self._states}
+                for observation in observations
+            ]
 
         log_delta: List[Dict[str, float]] = []
         psi: List[Dict[str, str]] = []
 
         # Initialisation: delta_1(i) = pi_i * B_i(o_1).
         first: Dict[str, float] = {}
+        row = rows[0]
         for state in self._states:
-            first[state] = self._log(self._initial[state]) + self._log(
-                observation_fn(state, observations[0])
-            )
+            first[state] = log(self._initial[state]) + log(row.get(state, 0.0))
         log_delta.append(first)
         psi.append({})
 
         # Recursion: delta_t(j) = max_i [delta_{t-1}(i) A_ij] * B_j(o_t).
-        for observation in observations[1:]:
+        for row in rows[1:]:
             current: Dict[str, float] = {}
             pointers: Dict[str, str] = {}
             previous = log_delta[-1]
             for target in self._states:
                 best_state = self._states[0]
                 best_value = -math.inf
-                for source in self._states:
-                    value = previous[source] + self._log(self._transitions[source][target])
+                for source, log_transition in self._log_into[target]:
+                    value = previous[source] + log_transition
                     if value > best_value:
                         best_value = value
                         best_state = source
-                current[target] = best_value + self._log(observation_fn(target, observation))
+                current[target] = best_value + log(row.get(target, 0.0))
                 pointers[target] = best_state
             log_delta.append(current)
             psi.append(pointers)

@@ -12,10 +12,15 @@ POIs within ``neighbor_radius`` of the cell (the "neighbouring POIs in that
 box" optimisation of Figure 7).
 
 The per-cell sum is one loop over the neighbour list: a cell has a handful of
-neighbours (159 sums per pass of the benchmark fleet, most under 8), where a
-gather-and-scatter array form was measured slower.  What is batched is the
-neighbour *lookup*: :meth:`PoiObservationModel.prime` fetches the neighbour
-sets of all cells a trajectory's stops will hit with one flat-index query.
+neighbours (most under 8), where a gather-and-scatter array form was measured
+slower.  What is batched is the neighbour *lookup*:
+:meth:`PoiObservationModel.prime` takes every stop of an annotate group (a
+batch chunk, a streaming flush) and, with **one** flat-index query, fetches
+the neighbour sets of the cells those stops hit that are not cached yet and
+each stop's own neighbour list (its representative-POI candidates; for a stop
+outside the grid, also what its exact emissions are summed over).  A cell is
+computed once per snapshot, by whichever group reaches it first; the decoder
+then reads one emission row per stop (:meth:`PoiObservationModel.emissions`).
 """
 
 from __future__ import annotations
@@ -23,10 +28,15 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from repro.core.config import PointAnnotationConfig
+from repro.core.places import PointOfInterest
 from repro.geometry.grid import GridSpec
 from repro.geometry.kernels import gaussian_2d_density
 from repro.geometry.primitives import Point
 from repro.points.poi import PoiSource
+
+#: A neighbour list: ``(distance, poi)`` pairs in ``(distance, row)`` order.
+Neighbors = List[Tuple[float, PointOfInterest]]
+
 
 class PoiObservationModel:
     """Computes ``Pr(stop | category)`` for the point-annotation HMM."""
@@ -74,31 +84,41 @@ class PoiObservationModel:
         probabilities = self._cell_probabilities(cell)
         return probabilities.get(category, self._config.min_probability)
 
-    def prime(self, points: Sequence[Point]) -> int:
-        """Pre-compute the cell probabilities every point in ``points`` will hit.
+    def prime(self, points: Sequence[Point]) -> List[Neighbors]:
+        """Fill the cell cache for ``points`` and return each point's own neighbours.
 
-        The uncached cells' neighbour sets are fetched with **one** batch
-        flat-index query (instead of one grid walk per cell on first use
-        during Viterbi decoding); the per-cell accumulation is the lazy
-        path's, so the cached values are identical to what it would have
-        produced.  Returns the number of cells computed; points outside the
-        grid are skipped (they take the exact-evaluation path).
+        One batch flat-index query covers the cells of ``points`` that are not
+        cached yet (instead of one grid walk per cell on first use during
+        Viterbi decoding) and every point itself; the per-cell accumulation
+        is the lazy path's, so the cached values are identical to what it
+        would have produced.  Points outside the grid add no cell (they take
+        the exact-evaluation path, over their own neighbour list).
         """
-        pending: List[Tuple[int, int]] = []
-        seen = set(self._cell_cache)
+        cache = self._cell_cache
+        pending: Dict[Tuple[int, int], Point] = {}
         for point in points:
             cell = self._grid.cell_of(point)
-            if cell is None or cell in seen:
-                continue
-            seen.add(cell)
-            pending.append(cell)
-        if not pending:
-            return 0
-        centers = [self._grid.cell_center(cell) for cell in pending]
-        neighbor_lists = self._source.pois_within_batch(centers, self._config.neighbor_radius)
-        for cell, center, neighbors in zip(pending, centers, neighbor_lists):
-            self._cell_cache[cell] = self._probabilities_from_neighbors(center, neighbors)
-        return len(pending)
+            if cell is not None and cell not in cache and cell not in pending:
+                pending[cell] = self._grid.cell_center(cell)
+        centers = list(pending.values())
+        neighbor_lists = self._source.pois_within_batch(
+            centers + list(points), self._config.neighbor_radius
+        )
+        for (cell, center), neighbors in zip(pending.items(), neighbor_lists):
+            cache[cell] = self._probabilities_from_neighbors(center, neighbors)
+        return neighbor_lists[len(centers) :]
+
+    def emissions(self, stop_center: Point, neighbors: Neighbors) -> Dict[str, float]:
+        """``Pr(o | category)`` of every category for one stop: the HMM's emission row.
+
+        ``neighbors`` is the stop's own neighbour list (:meth:`prime`); it is
+        read only when the stop falls outside the grid.  Every category has
+        an entry, so ``row[c]`` is :meth:`probability` ``(c, stop_center)``.
+        """
+        cell = self._grid.cell_of(stop_center)
+        if cell is None:
+            return self._probabilities_from_neighbors(stop_center, neighbors)
+        return self._cell_probabilities(cell)
 
     def category_scores(self, stop_center: Point) -> Dict[str, float]:
         """All category probabilities for one stop (normalised to sum to 1)."""
@@ -127,7 +147,7 @@ class PoiObservationModel:
         neighbors = self._source.pois_within(point, self._config.neighbor_radius)
         return self._probabilities_from_neighbors(point, neighbors)
 
-    def _probabilities_from_neighbors(self, point: Point, neighbors) -> Dict[str, float]:
+    def _probabilities_from_neighbors(self, point: Point, neighbors: Neighbors) -> Dict[str, float]:
         """Per-category Gaussian sums over an already-fetched neighbour list.
 
         Depends only on the neighbour set — never on which index produced it —

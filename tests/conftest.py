@@ -23,7 +23,7 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.core import AnnotationSources, PipelineConfig, SeMiTriPipeline  # noqa: E402
+from repro.core import AnnotationSources, PipelineConfig  # noqa: E402
 from repro.datasets import (  # noqa: E402
     GroundTruthDriveGenerator,
     PersonSimulator,
@@ -246,12 +246,12 @@ def pipeline_workers() -> int:
 
 
 @pytest.fixture()
-def vehicle_pipeline() -> SeMiTriPipeline:
-    """The trajectory computation layer configured for vehicle trajectories."""
-    return SeMiTriPipeline(PipelineConfig.for_vehicles())
+def vehicle_config() -> PipelineConfig:
+    """The pipeline configuration for vehicle trajectories."""
+    return PipelineConfig.for_vehicles()
 
 
 @pytest.fixture()
-def people_pipeline() -> SeMiTriPipeline:
-    """The trajectory computation layer configured for people trajectories."""
-    return SeMiTriPipeline(PipelineConfig.for_people())
+def people_config() -> PipelineConfig:
+    """The pipeline configuration for people trajectories."""
+    return PipelineConfig.for_people()

@@ -126,17 +126,21 @@ class TestMobilityStatistics:
 
     def test_daily_distance_averages_over_trajectories(self):
         day1 = build_trajectory([(0, 0, 0), (1000, 0, 600)], object_id="u3", trajectory_id="d1")
-        day2 = build_trajectory([(0, 0, 86_400), (3000, 0, 87_000)], object_id="u3", trajectory_id="d2")
+        day2 = build_trajectory(
+            [(0, 0, 86_400), (3000, 0, 87_000)], object_id="u3", trajectory_id="d2"
+        )
         stats = mobility_statistics("u3", [day1, day2])
         assert stats.daily_distance == pytest.approx(2000.0)
 
 
 class TestEndToEndPatterns:
-    def test_commuter_pattern_emerges(self, world, people_dataset, people_pipeline, annotation_sources):
+    def test_commuter_pattern_emerges(
+        self, world, people_dataset, people_config, annotation_sources
+    ):
         """The home->office->home routine shows up as a frequent category sequence."""
         user = people_dataset.user_ids[0]
         trajectories = people_dataset.trajectories_by_user[user]
-        results = repro.annotate_many(trajectories, annotation_sources, people_pipeline.config)
+        results = repro.annotate_many(trajectories, annotation_sources, people_config)
         structured = [r.region_trajectory for r in results if r.region_trajectory is not None]
         sequences = category_sequences(structured)
         patterns = frequent_sequences(sequences, min_length=2, max_length=2, min_support=1)

@@ -50,7 +50,11 @@ class TestSurface:
             ("repro.parallel", "ShardedStoreWriter"),
         ):
             assert not hasattr(importlib.import_module(module), name)
-        for module in ("repro.streaming.engine", "repro.parallel.runner", "repro.parallel.store_writer"):
+        for module in (
+            "repro.streaming.engine",
+            "repro.parallel.runner",
+            "repro.parallel.store_writer",
+        ):
             with pytest.raises(ModuleNotFoundError):
                 importlib.import_module(module)
         # The paper's pipeline object stays, in its own package.

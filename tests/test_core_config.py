@@ -107,6 +107,17 @@ class TestPointConfig:
         with pytest.raises(ConfigurationError):
             PointAnnotationConfig(min_probability=0)
 
+    @pytest.mark.parametrize("sigma", [0.0, -5.0, "wide", float("nan"), None, True], ids=repr)
+    def test_category_sigmas_must_be_positive_numbers(self, sigma):
+        with pytest.raises(ConfigurationError, match=r"category_sigmas\['shop'\]"):
+            PointAnnotationConfig(category_sigmas={"restaurant": 30.0, "shop": sigma})
+        with pytest.raises(ConfigurationError, match=r"category_sigmas\['shop'\]"):
+            PipelineConfig.from_dict({"point": {"category_sigmas": {"shop": sigma}}})
+
+    def test_positive_category_sigmas_are_kept(self):
+        config = PipelineConfig.from_dict({"point": {"category_sigmas": {"shop": 40, "bar": 2.5}}})
+        assert config.point.category_sigmas == {"shop": 40, "bar": 2.5}
+
 
 class TestPipelineConfig:
     def test_default_bundle(self):

@@ -74,6 +74,8 @@ class TestPointOfInterest:
             PointOfInterest(place_id="p2", name="x", category="services")
 
     def test_places_are_frozen(self):
-        poi = PointOfInterest(place_id="p3", name="shop", category="item sale", location=Point(0, 0))
+        poi = PointOfInterest(
+            place_id="p3", name="shop", category="item sale", location=Point(0, 0)
+        )
         with pytest.raises(AttributeError):
             poi.name = "other"  # type: ignore[misc]

@@ -52,7 +52,9 @@ class TestStructuredSemanticTrajectory:
             "o",
             records=[
                 SemanticEpisodeRecord(region, 0, 10, EpisodeKind.MOVE, [region_annotation(region)]),
-                SemanticEpisodeRecord(region, 10, 20, EpisodeKind.MOVE, [region_annotation(region)]),
+                SemanticEpisodeRecord(
+                    region, 10, 20, EpisodeKind.MOVE, [region_annotation(region)]
+                ),
                 SemanticEpisodeRecord(_region("r2"), 20, 30, EpisodeKind.MOVE),
             ],
         )

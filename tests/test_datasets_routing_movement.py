@@ -102,7 +102,15 @@ class TestSamplePath:
     def test_constant_speed_and_sampling(self):
         rng = np.random.default_rng(0)
         waypoints = [Point(0, 0), Point(100, 0)]
-        sample = sample_path(waypoints, ["seg"], speed=10.0, sample_interval=1.0, noise_sigma=0.0, rng=rng, start_time=0.0)
+        sample = sample_path(
+            waypoints,
+            ["seg"],
+            speed=10.0,
+            sample_interval=1.0,
+            noise_sigma=0.0,
+            rng=rng,
+            start_time=0.0,
+        )
         assert len(sample.points) == 11
         assert sample.points[0].t == 0.0
         assert sample.points[-1].t == 10.0
@@ -110,8 +118,9 @@ class TestSamplePath:
 
     def test_noise_perturbs_positions(self):
         rng = np.random.default_rng(1)
+        waypoints = [Point(0, 0), Point(100, 0)]
         sample = sample_path(
-            [Point(0, 0), Point(100, 0)], ["seg"], 10.0, 1.0, noise_sigma=5.0, rng=rng, start_time=0.0
+            waypoints, ["seg"], 10.0, 1.0, noise_sigma=5.0, rng=rng, start_time=0.0
         )
         assert any(abs(point.y) > 0.1 for point in sample.points)
 
@@ -126,9 +135,25 @@ class TestSamplePath:
     def test_invalid_parameters(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            sample_path([Point(0, 0), Point(1, 0)], ["s"], speed=0, sample_interval=1, noise_sigma=0, rng=rng, start_time=0)
+            sample_path(
+                [Point(0, 0), Point(1, 0)],
+                ["s"],
+                speed=0,
+                sample_interval=1,
+                noise_sigma=0,
+                rng=rng,
+                start_time=0,
+            )
         with pytest.raises(ValueError):
-            sample_path([Point(0, 0), Point(1, 0)], [], speed=1, sample_interval=1, noise_sigma=0, rng=rng, start_time=0)
+            sample_path(
+                [Point(0, 0), Point(1, 0)],
+                [],
+                speed=1,
+                sample_interval=1,
+                noise_sigma=0,
+                rng=rng,
+                start_time=0,
+            )
 
     def test_single_waypoint(self):
         rng = np.random.default_rng(0)
@@ -140,7 +165,14 @@ class TestSamplePath:
 class TestSampleDwell:
     def test_dwell_emits_points_near_location(self):
         rng = np.random.default_rng(0)
-        sample = sample_dwell(Point(10, 10), duration=60, sample_interval=10, noise_sigma=1.0, rng=rng, start_time=0.0)
+        sample = sample_dwell(
+            Point(10, 10),
+            duration=60,
+            sample_interval=10,
+            noise_sigma=1.0,
+            rng=rng,
+            start_time=0.0,
+        )
         assert len(sample.points) == 7
         for point in sample.points:
             assert abs(point.x - 10) < 10

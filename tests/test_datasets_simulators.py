@@ -6,16 +6,13 @@ import pytest
 
 from repro.datasets.people import COMMUTE_STYLES, PersonSimulator
 from repro.datasets.seattle import GroundTruthDrive, GroundTruthDriveGenerator
-from repro.datasets.vehicles import (
-    PRIVATE_CAR_PURPOSE_MIX,
-    PrivateCarSimulator,
-    TaxiFleetSimulator,
-)
+from repro.datasets.vehicles import PRIVATE_CAR_PURPOSE_MIX, TaxiFleetSimulator
 
 
 class TestTaxiFleet:
     def test_one_trajectory_per_taxi_per_day(self, world):
-        dataset = TaxiFleetSimulator(world, taxi_count=2, days=2, fares_per_day=2, seed=5).generate()
+        simulator = TaxiFleetSimulator(world, taxi_count=2, days=2, fares_per_day=2, seed=5)
+        dataset = simulator.generate()
         assert len(dataset.trajectories) == 4
         assert len(dataset.object_ids) == 2
 

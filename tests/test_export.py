@@ -94,9 +94,9 @@ class TestKml:
         names = root.findall(".//{http://www.opengis.net/kml/2.2}name")
         assert [node.text for node in names] == ["<odd> a&b"]
 
-    def test_pipeline_output_exports(self, people_dataset, people_pipeline, annotation_sources):
+    def test_pipeline_output_exports(self, people_dataset, people_config, annotation_sources):
         trajectory = people_dataset.all_trajectories[0]
-        result = repro.annotate(trajectory, annotation_sources, people_pipeline.config)
+        result = repro.annotate(trajectory, annotation_sources, people_config)
         assert result.region_trajectory is not None
         geojson_document = structured_trajectory_to_geojson(result.region_trajectory)
         assert geojson_document["features"]

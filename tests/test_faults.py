@@ -34,7 +34,6 @@ from repro.engine.plan import Plan
 from repro.faults import (
     DISABLED_FAULTS,
     FailureEvent,
-    FailureLog,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -283,7 +282,12 @@ class TestSequentialIsolation:
         plan = _plan(annotation_sources, _config(mode="skip"), poison)
         out = run_stages_resilient(plan, trajectory, prior_events=[earlier])
         assert isinstance(out, TrajectoryFailure)
-        assert (out.attempts, out.stage, out.error, out.events) == (1, "map_match", "boom", [earlier])
+        assert (out.attempts, out.stage, out.error, out.events) == (
+            1,
+            "map_match",
+            "boom",
+            [earlier],
+        )
         assert plan.faults.fired_total() == 0
 
         # retry x2: two attempts are left, numbered 2 and 3, history leads.

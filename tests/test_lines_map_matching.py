@@ -80,7 +80,10 @@ class TestMatching:
         local_only = GlobalMapMatcher(
             parallel_roads,
             MapMatchingConfig(
-                candidate_radius=60, view_radius=2.0, kernel_width_factor=1.0, use_global_score=False
+                candidate_radius=60,
+                view_radius=2.0,
+                kernel_width_factor=1.0,
+                use_global_score=False,
             ),
         )
         global_ids = [m.segment_id for m in global_matcher.match(points)]

@@ -197,7 +197,9 @@ class TestEpisodeDominantMode:
 
 class TestConfig:
     def test_custom_thresholds_change_decision(self):
-        strict = TransportModeClassifier(TransportModeConfig(walk_speed_max=0.5, bicycle_speed_max=1.0, bus_speed_max=2.0))
+        strict = TransportModeClassifier(
+            TransportModeConfig(walk_speed_max=0.5, bicycle_speed_max=1.0, bus_speed_max=2.0)
+        )
         assert _classify(strict, _uniform_track(1.5), road_type="road") in ("bus", "car")
 
 

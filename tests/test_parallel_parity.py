@@ -28,8 +28,8 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.core import AnnotationSources, PipelineConfig, PipelineResult
-from repro.core.config import StreamingConfig, TrajectoryIdentificationConfig
+from repro.core import PipelineConfig, PipelineResult
+from repro.core.config import StreamingConfig
 from repro.core.points import RawTrajectory, SpatioTemporalPoint
 from repro.engine import ProcessPoolExecutor, SequentialExecutor
 from repro.parallel import GeoContext, canonical_bytes

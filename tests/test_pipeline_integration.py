@@ -17,27 +17,27 @@ from repro.store.store import SemanticTrajectoryStore
 
 
 class TestIngestion:
-    def test_ingest_stream_cleans_and_splits(self, vehicle_pipeline):
+    def test_ingest_stream_cleans_and_splits(self, vehicle_config):
         points = [SpatioTemporalPoint(float(i), 0.0, float(i * 10)) for i in range(50)]
         # Inject an outlier and a large temporal gap.
         points[10] = SpatioTemporalPoint(1e6, 0.0, 100.0)
         points = points[:25] + [
             SpatioTemporalPoint(30.0 + i, 0.0, 10_000.0 + i * 10) for i in range(25)
         ]
-        trajectories = vehicle_pipeline.ingest_stream(points, object_id="obj")
+        trajectories = repro.open_pipeline(vehicle_config).ingest_stream(points, object_id="obj")
         assert len(trajectories) == 2
         assert all(len(t) >= 5 for t in trajectories)
 
-    def test_compute_episodes_partitions(self, vehicle_pipeline, taxi_dataset):
+    def test_compute_episodes_partitions(self, vehicle_config, taxi_dataset):
         trajectory = taxi_dataset.trajectories[0]
-        result = repro.annotate(trajectory, AnnotationSources(), vehicle_pipeline.config)
+        result = repro.annotate(trajectory, AnnotationSources(), vehicle_config)
         validate_episode_partition(trajectory, result.episodes)
 
 
 class TestAnnotateSingle:
-    def test_full_annotation_of_taxi_day(self, vehicle_pipeline, taxi_dataset, annotation_sources):
+    def test_full_annotation_of_taxi_day(self, vehicle_config, taxi_dataset, annotation_sources):
         trajectory = taxi_dataset.trajectories[0]
-        result = repro.annotate(trajectory, annotation_sources, vehicle_pipeline.config)
+        result = repro.annotate(trajectory, annotation_sources, vehicle_config)
         assert result.episodes
         assert result.stops and result.moves
         assert result.region_trajectory is not None
@@ -52,25 +52,25 @@ class TestAnnotateSingle:
         # Transport modes are valid labels.
         assert all(mode in TRANSPORT_MODES for mode in result.transport_modes())
 
-    def test_partial_annotation_without_sources(self, vehicle_pipeline, taxi_dataset):
+    def test_partial_annotation_without_sources(self, vehicle_config, taxi_dataset):
         trajectory = taxi_dataset.trajectories[0]
-        result = repro.annotate(trajectory, AnnotationSources(), vehicle_pipeline.config)
+        result = repro.annotate(trajectory, AnnotationSources(), vehicle_config)
         assert result.episodes
         assert result.region_trajectory is None
         assert result.line_trajectories == []
         assert result.point_trajectory is None
         assert result.trajectory_category is None
 
-    def test_region_only_annotation(self, vehicle_pipeline, taxi_dataset, region_source):
+    def test_region_only_annotation(self, vehicle_config, taxi_dataset, region_source):
         trajectory = taxi_dataset.trajectories[0]
         sources = AnnotationSources(regions=region_source)
-        result = repro.annotate(trajectory, sources, vehicle_pipeline.config)
+        result = repro.annotate(trajectory, sources, vehicle_config)
         assert result.region_trajectory is not None
         assert result.line_trajectories == []
 
-    def test_latency_profile_populated(self, vehicle_pipeline, taxi_dataset, annotation_sources):
+    def test_latency_profile_populated(self, vehicle_config, taxi_dataset, annotation_sources):
         trajectory = taxi_dataset.trajectories[0]
-        result = repro.annotate(trajectory, annotation_sources, vehicle_pipeline.config)
+        result = repro.annotate(trajectory, annotation_sources, vehicle_config)
         stages = result.latency.stages()
         assert "compute_episode" in stages
         assert "landuse_join" in stages
@@ -79,12 +79,12 @@ class TestAnnotateSingle:
 
 class TestAnnotateMany:
     def test_batch_annotation_of_people(
-        self, people_pipeline, people_dataset, annotation_sources, pipeline_workers
+        self, people_config, people_dataset, annotation_sources, pipeline_workers
     ):
         results = repro.annotate_many(
             people_dataset.all_trajectories,
             annotation_sources,
-            people_pipeline.config,
+            people_config,
             workers=pipeline_workers,
         )
         assert len(results) == len(people_dataset.all_trajectories)
@@ -98,24 +98,24 @@ class TestAnnotateMany:
         assert all_modes & {"metro", "bus", "bicycle"}
 
     def test_trajectory_categories_assigned(
-        self, vehicle_pipeline, car_dataset, annotation_sources, pipeline_workers
+        self, vehicle_config, car_dataset, annotation_sources, pipeline_workers
     ):
         results = repro.annotate_many(
             car_dataset.trajectories[:4],
             annotation_sources,
-            vehicle_pipeline.config,
+            vehicle_config,
             workers=pipeline_workers,
         )
         categories = [r.trajectory_category for r in results if r.trajectory_category]
         assert categories
 
     def test_merge_latencies(
-        self, vehicle_pipeline, taxi_dataset, annotation_sources, pipeline_workers
+        self, vehicle_config, taxi_dataset, annotation_sources, pipeline_workers
     ):
         results = repro.annotate_many(
             taxi_dataset.trajectories,
             annotation_sources,
-            vehicle_pipeline.config,
+            vehicle_config,
             workers=pipeline_workers,
         )
         merged = SeMiTriPipeline.merge_latencies(results)
@@ -139,11 +139,13 @@ class TestPersistence:
         assert "store_match_result" in result.latency.stages()
         store.close()
 
-    def test_persist_flag_without_store_is_noop(self, vehicle_pipeline, taxi_dataset, annotation_sources):
+    def test_persist_flag_without_store_is_noop(
+        self, vehicle_config, taxi_dataset, annotation_sources
+    ):
         result = repro.annotate(
             taxi_dataset.trajectories[0],
             annotation_sources,
-            vehicle_pipeline.config,
+            vehicle_config,
             persist=True,
         )
         assert "store_episode" not in result.latency.stages()

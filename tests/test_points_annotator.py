@@ -16,7 +16,9 @@ from repro.points.poi import PoiSource
 
 
 def _poi(place_id: str, x: float, y: float, category: str) -> PointOfInterest:
-    return PointOfInterest(place_id=place_id, name=place_id, category=category, location=Point(x, y))
+    return PointOfInterest(
+        place_id=place_id, name=place_id, category=category, location=Point(x, y)
+    )
 
 
 @pytest.fixture()

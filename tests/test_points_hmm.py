@@ -163,7 +163,8 @@ class TestViterbiProperties:
             if index == 0:
                 path_value += math.log(max(hmm.initial[state], 1e-12))
             else:
-                path_value += math.log(max(hmm.transitions[viterbi.states[index - 1]][state], 1e-12))
+                previous = viterbi.states[index - 1]
+                path_value += math.log(max(hmm.transitions[previous][state], 1e-12))
             path_value += math.log(max(observation_fn(state, observation), 1e-12))
         assert path_value == pytest.approx(brute_value)
 

@@ -61,7 +61,9 @@ class TestComputeMotionFeatures:
 
 class TestFeatureStatistics:
     def test_max_speed(self):
-        features = MotionFeatures(speeds=[1.0, 5.0, 3.0], accelerations=[0, 0, 0], headings=[0, 0, 0])
+        features = MotionFeatures(
+            speeds=[1.0, 5.0, 3.0], accelerations=[0, 0, 0], headings=[0, 0, 0]
+        )
         assert features.max_speed() == 5.0
 
     def test_empty_statistics(self):

@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import warnings
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import StopMoveConfig
 from repro.core.episodes import EpisodeKind, validate_episode_partition
-from repro.core.errors import DataQualityError
-from repro.core.points import RawTrajectory, SpatioTemporalPoint, build_trajectory
+from repro.core.points import RawTrajectory, build_trajectory
 from repro.preprocessing.stops import StopMoveDetector, segment_many
 from repro.reference import ScalarStopMoveDetector
 

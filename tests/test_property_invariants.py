@@ -18,7 +18,7 @@ from repro.core.places import RegionOfInterest
 from repro.core.points import SpatioTemporalPoint, build_trajectory
 from repro.core.trajectory import SemanticEpisodeRecord, StructuredSemanticTrajectory
 from repro.geometry.distance import point_segment_distance
-from repro.geometry.primitives import BoundingBox, Point, Segment
+from repro.geometry.primitives import BoundingBox, Point
 from repro.lines.map_matching import GlobalMapMatcher
 from repro.lines.road_network import RoadNetwork, make_road_segment
 from repro.regions.annotator import RegionAnnotator
@@ -147,7 +147,9 @@ class TestRegionAnnotationProperties:
 class TestStructuredTrajectoryProperties:
     @given(
         st.lists(
-            st.tuples(st.sampled_from(["a", "b", "c", None]), st.floats(min_value=1, max_value=100)),
+            st.tuples(
+                st.sampled_from(["a", "b", "c", None]), st.floats(min_value=1, max_value=100)
+            ),
             min_size=1,
             max_size=20,
         )

@@ -16,7 +16,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from typing import Awaitable, Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import pytest
 
@@ -167,7 +167,8 @@ def test_drain_parity_with_killed_emitters(
     delivered: Dict[str, List[SpatioTemporalPoint]] = {}
     for index, object_id in enumerate(sorted(streams)):
         points = streams[object_id]
-        delivered[object_id] = points[: max(4, int(len(points) * 0.6))] if index % 3 == 2 else points
+        truncated = index % 3 == 2
+        delivered[object_id] = points[: max(4, int(len(points) * 0.6))] if truncated else points
 
     context = GeoContext.build(annotation_sources, config)
 

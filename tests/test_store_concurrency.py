@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.annotations import activity_annotation
 from repro.core.config import PipelineConfig, StopMoveConfig
-from repro.core.episodes import Episode, EpisodeKind
+from repro.core.episodes import Episode
 from repro.core.errors import StoreError
 from repro.core.pipeline import AnnotationSources, PipelineResult
 from repro.core.points import RawTrajectory, SpatioTemporalPoint

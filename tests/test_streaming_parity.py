@@ -16,7 +16,7 @@ from typing import List
 import numpy as np
 import pytest
 
-from repro.core import AnnotationSources, PipelineConfig, PipelineResult
+from repro.core import PipelineConfig, PipelineResult
 from repro.core.config import StreamingConfig, TrajectoryIdentificationConfig
 from repro.core.points import SpatioTemporalPoint
 from repro.store.store import SemanticTrajectoryStore

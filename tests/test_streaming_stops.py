@@ -336,7 +336,8 @@ class _RecomputeEverythingDetector:
         config, n, seed = self.config, len(points), 0
         while True:
             end = seed
-            while end + 1 < n and points[seed].distance_to(points[end + 1]) <= config.density_radius:
+            radius = config.density_radius
+            while end + 1 < n and points[seed].distance_to(points[end + 1]) <= radius:
                 end += 1
             if end + 1 == n:
                 return seed

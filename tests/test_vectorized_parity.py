@@ -114,7 +114,9 @@ class _ScalarLineAnnotator(LineAnnotator):
 
 class _LazyObservationModel(PoiObservationModel):
     def prime(self, points):
-        return 0  # every cell's neighbours come from its own grid walk on first use
+        # Nothing is cached ahead: every cell's neighbours come from its own
+        # grid walk on first use, and every stop's from one walk of its own.
+        return [self._source.pois_within(point, self.config.neighbor_radius) for point in points]
 
 
 class _LazyPointAnnotator(PointAnnotator):
