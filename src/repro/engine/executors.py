@@ -171,14 +171,15 @@ def _record_shares(stage: Stage, seconds: float, shares: Sequence[Tuple[WorkItem
 
     One latency sample (and one span, when tracing) per entry, the samples
     summing to the measured time; a run over one entry keeps its exact time.
-    A :attr:`~repro.engine.stages.Stage.samples_at_close` stage's shares are
-    held on the items instead, and recorded as one sample per item when it
-    closes (:func:`_finish_items`).
+    An episode stage's (:attr:`~repro.engine.stages.Stage.absorbs`) shares
+    are held on the items instead, and recorded as one sample (and one span,
+    dated from the stage's first run) per item when it closes
+    (:func:`_finish_items`), however many groups fed it.
     """
     total = sum(points for _, points in shares)
     for item, points in shares:
         share = seconds * points / total
-        if stage.samples_at_close:
+        if stage.absorbs:
             item.hold_stage(stage.name, share)
         else:
             item.record_stage(stage.name, share)
@@ -218,17 +219,18 @@ def _finish_items(plan: Plan, items: Sequence[WorkItem]) -> None:
     Every stage's untimed :meth:`~repro.engine.stages.Stage.close_out`, and,
     where it :meth:`~repro.engine.stages.Stage.finishes`, its timed
     :meth:`~repro.engine.stages.Stage.finish`: the point layer's Viterbi
-    decoding and the store write-back, which need the whole trajectory; a
-    :attr:`~repro.engine.stages.Stage.samples_at_close` stage's held time is
-    recorded here, as the item's one sample.  Item after item, so the rows
-    land in single-writer order.  When the plan persists they all
-    run inside **one** store scope, a savepoint: released (committed, at the
-    outermost level) on success and rolled back if a body raises, so no
-    trajectory is ever half-persisted and a failed chunk leaves nothing
-    behind — inside a caller's ``with store:`` as well, whose other writes it
-    leaves alone.  The sealed traces ride on the
-    results; they are collected once, at delivery (:func:`_deliver`), so
-    worker-side runs just ship their spans back on the pickled result.
+    decoding and the store write-back, which need the whole trajectory; an
+    episode stage's held time is recorded here, as the item's one sample of
+    it (``0.0``, and no span, for a streamed trajectory none of whose
+    episodes it wanted).
+    Item after item, so the rows land in single-writer order.  When the plan
+    persists they all run inside **one** store scope, a savepoint: released
+    (committed, at the outermost level) on success and rolled back if a body
+    raises, so no trajectory is ever half-persisted and a failed chunk leaves
+    nothing behind — inside a caller's ``with store:`` as well, whose other
+    writes it leaves alone.  The sealed traces ride on the results; they are
+    collected once, at delivery (:func:`_deliver`), so worker-side runs just
+    ship their spans back on the pickled result.
     """
     scope: ContextManager[object] = (
         plan.store if plan.persist and plan.store is not None else nullcontext()
@@ -240,7 +242,7 @@ def _finish_items(plan: Plan, items: Sequence[WorkItem]) -> None:
                     stage.close_out(item)
                     if stage.finishes(item):
                         _run_stage(plan, stage, [(item, 1)], partial(stage.finish, item))
-                    if stage.samples_at_close:
+                    if stage.absorbs:
                         item.release_stage(stage.name)
     except BaseException as error:
         # Untagged here means the failure came from the scope exit itself —
@@ -1199,8 +1201,9 @@ class MicroBatchExecutor:
         """Route a group of sealed episodes through the plan's incremental stages.
 
         Called by :meth:`_flush_queue` only.  Each stage takes the wanted
-        episodes of the group in one call through :func:`_run_stage` (one
-        latency sample per episode and stage).
+        episodes of the group in one call through :func:`_run_stage`, which
+        holds each item's share until the trajectory closes (one latency
+        sample per trajectory and stage, as in batch).
 
         Under an isolating policy a stage failure poisons the trajectories of
         its group — routing is suspended for the rest of their episodes (they

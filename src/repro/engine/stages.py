@@ -38,7 +38,9 @@ model and each stop's representative-POI candidates), and a close-time
 :meth:`~PoiAnnotationStage.finish` that decodes the trajectory's stop
 sequence once, because Viterbi is a sequence-level decoder.  Its two
 measured parts are recorded as the trajectory's one ``poi_annotation``
-sample (:attr:`Stage.samples_at_close`).
+sample: every episode stage's time is held on the item and recorded when
+the trajectory closes (:meth:`WorkItem.hold_stage`), so each stage has one
+sample per trajectory however many groups its episodes arrived in.
 
 The stage ``name`` doubles as the latency-profile stage name, which keeps
 the Figure 17 vocabulary (``compute_episode``, ``store_episode``,
@@ -49,6 +51,7 @@ the Figure 17 vocabulary (``compute_episode``, ``store_episode``,
 from __future__ import annotations
 
 import abc
+import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -93,8 +96,9 @@ class WorkItem:
     result: "PipelineResult"
     region_records: List[SemanticEpisodeRecord] = field(default_factory=list)
     stop_lookups: List[StopLookup] = field(default_factory=list)
-    held_seconds: Dict[str, float] = field(default_factory=dict)
-    """Measured time of :attr:`Stage.samples_at_close` stages not recorded yet."""
+    held: Dict[str, Tuple[float, float]] = field(default_factory=dict)
+    """Episode stages (:attr:`Stage.absorbs`) not recorded yet: the wall-clock
+    start of each one's first run for the item, and its measured time so far."""
     trace: Optional["TrajectoryTrace"] = None
     """Open trace when the plan's telemetry has tracing enabled."""
     episode_seconds: float = 0.0
@@ -124,13 +128,21 @@ class WorkItem:
 
     def hold_stage(self, name: str, seconds: float) -> None:
         """Add a measured duration to the stage's sample still to be recorded."""
-        self.held_seconds[name] = self.held_seconds.get(name, 0.0) + seconds
+        started, held = self.held.get(name, (time.time() - seconds, 0.0))
+        self.held[name] = (started, held + seconds)
 
     def release_stage(self, name: str) -> None:
-        """Record the stage's held time as one sample (no-op if nothing is held)."""
-        seconds = self.held_seconds.pop(name, None)
-        if seconds is not None:
-            self.record_stage(name, seconds)
+        """Record the stage's held time as one sample, and as one span when tracing.
+
+        The span starts when the stage first ran for the item and lasts the
+        summed time of its runs.  A stage that never ran for the item (a
+        streamed trajectory none of whose episodes it wanted) records a
+        ``0.0`` sample and no span.
+        """
+        started, seconds = self.held.pop(name, (None, 0.0))
+        self.result.latency.add(name, seconds)
+        if self.trace is not None and started is not None:
+            self.trace.record(name, seconds, start=started)
 
     def finish_trace(self) -> None:
         """Seal the trace and attach its spans to the result (no-op untraced)."""
@@ -160,12 +172,10 @@ class Stage:
     writes_back: bool = False
     #: True for episode stages, whose body is :meth:`absorb_episodes`.  Batch
     #: runs (and times) that body for every item of a chunk, whether or not
-    #: the item has a wanted episode.
+    #: the item has a wanted episode.  Executors hold an episode stage's
+    #: measured time (body and :meth:`finish`) on the item and record it when
+    #: the trajectory closes, as its one sample of the stage.
     absorbs: bool = False
-    #: True for an episode stage whose :meth:`finish` completes what its
-    #: episode body began: executors hold the body's measured time on the item
-    #: and record it with the finish as the trajectory's one sample.
-    samples_at_close: bool = False
 
     # ------------------------------------------------------------- episodes
     def wants_episode(self, item: WorkItem, episode: Episode) -> bool:
@@ -391,7 +401,6 @@ class PoiAnnotationStage(Stage):
     inputs = ("episodes",)
     outputs = ("point_trajectory", "trajectory_category")
     absorbs = True
-    samples_at_close = True
 
     def __init__(self, annotator: PointAnnotator):
         self._annotator = annotator

@@ -13,8 +13,18 @@ coordinate batches.  No Python tree is ever built:
   and the same again on each level's boxes until one root is left.  The result
   is an **implicit layout**: one bounding-box array per tree level plus
   ``child_start``/``child_end`` slices into the next level, ending in the leaf
-  entry arrays.  Batch queries traverse the levels with vectorized
-  ``(query, node)`` frontier expansion instead of per-query recursion.
+  entry arrays.  Box queries (:meth:`~FlatSpatialIndex.query_boxes_batch`)
+  traverse the levels with vectorized ``(query, node)`` frontier expansion
+  instead of per-query recursion.  The point-shaped queries —
+  :meth:`~FlatSpatialIndex.query_points_batch` and
+  :meth:`~FlatSpatialIndex.within_distance_batch`, a square of half-side
+  ``pad`` (0 or the radius) around each point — read **one cell** per point
+  of a cell table instead: a uniform grid of about one cell per entry that
+  lists, in row order, every entry whose box padded by ``pad`` overlaps the
+  cell.  It is built on the first such query and kept for the last ``pad``
+  asked (one table per index; never pickled); the rows of the cell get the
+  same exact box test as the walk's leaf level, so the answers are the
+  walk's.
 * :meth:`FlatSpatialIndex.from_points` lays points (POIs, stop centres) out as
   a uniform hash grid flattened into columns: rows sorted by ``(cell_x,
   cell_y, input order)`` with ``cell = floor(coordinate / cell_size)``.  Batch
@@ -64,7 +74,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from operator import attrgetter, itemgetter
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,6 +101,121 @@ _CHUNK_PAIR_BUDGET = 1 << 21
 
 #: Fan-out of a packed node (the STR leaf and parent capacity).
 _NODE_CAPACITY = 16
+
+#: Most ``(cell, entry)`` rows a cell table may hold per entry: past it the
+#: cells double in size until the table fits (at one cell it holds one row per
+#: entry), so a table stays O(entries) whatever the layout.
+_CELL_ROWS_PER_ENTRY = 8
+
+#: A cell table widens every padded box by this fraction of its coordinates'
+#: magnitude, far above the rounding of ``x - pad`` and of the cell arithmetic,
+#: so the cell a query point falls in lists every entry the exact box test of
+#: the padded query can accept.
+_CELL_MARGIN = 2.0**-40
+
+
+class _CellTable:
+    """The entries whose box, padded by ``pad``, overlaps each cell of a uniform grid.
+
+    Cell ``(cx, cy)`` of a point is ``floor((x - origin_x) / size)`` and
+    ``floor((y - origin_y) / size)``, which only grows with the coordinate;
+    cell ``cy * columns + cx`` lists ``rows[starts[c]:starts[c + 1]]`` in
+    ascending row order.  The grid spans the widened padded boxes, and a box
+    is listed in every cell between those of its widened corners — so the one
+    cell a query point falls in holds every entry the box test of that point
+    padded by ``pad`` can accept, and a point outside the grid (or NaN) has
+    none.
+    """
+
+    __slots__ = ("origin_x", "origin_y", "size", "columns", "cell_rows", "starts", "rows")
+
+    def __init__(
+        self,
+        origin_x: float,
+        origin_y: float,
+        size: float,
+        columns: int,
+        cell_rows: int,
+        starts: np.ndarray,
+        rows: np.ndarray,
+    ):
+        self.origin_x = origin_x
+        self.origin_y = origin_y
+        self.size = size
+        self.columns = columns
+        self.cell_rows = cell_rows
+        self.starts = starts
+        self.rows = rows
+
+    @classmethod
+    def build(cls, boxes: Columns, pad: float) -> Optional["_CellTable"]:
+        """The table for ``pad``, or ``None`` when a coordinate or the extent is not finite.
+
+        The cell side aims at one cell per entry (``sqrt(area / n)``, at
+        least ``max(width, height) / n`` so a flat layout does not divide
+        into slivers) and doubles until the table holds at most
+        :data:`_CELL_ROWS_PER_ENTRY` rows per entry.
+        """
+        min_xs, min_ys, max_xs, max_ys = boxes
+        count = len(min_xs)
+        widened = []
+        for low, high in ((min_xs, max_xs), (min_ys, max_ys)):
+            margin = (np.abs(low) + np.abs(high) + pad) * _CELL_MARGIN + np.finfo(np.float64).tiny
+            widened.append(((low - pad) - margin, (high + pad) + margin))
+        (low_xs, high_xs), (low_ys, high_ys) = widened
+        origin_x, origin_y = low_xs.min(), low_ys.min()
+        top_x, top_y = high_xs.max(), high_ys.max()
+        width, height = top_x - origin_x, top_y - origin_y
+        if not (np.isfinite(width) and np.isfinite(height)):
+            return None
+        size = max(math.sqrt(width * height / count), max(width, height) / count)
+        if not size > 0:
+            size = 1.0
+        while True:
+            # columns * cell_rows <= 3 * count + 1: every cell number fits int32.
+            columns = int(np.floor((top_x - origin_x) / size)) + 1
+            cell_rows = int(np.floor((top_y - origin_y) / size)) + 1
+            first_xs = np.floor((low_xs - origin_x) / size).astype(np.int32)
+            first_ys = np.floor((low_ys - origin_y) / size).astype(np.int32)
+            spans_x = np.floor((high_xs - origin_x) / size).astype(np.int32) - first_xs + 1
+            spans_y = np.floor((high_ys - origin_y) / size).astype(np.int32) - first_ys + 1
+            counts = spans_x * spans_y
+            total = int(counts.sum(dtype=np.int64))
+            if total <= _CELL_ROWS_PER_ENTRY * count or columns * cell_rows == 1:
+                break
+            size *= 2.0
+        # One (entry, cell) pair per covered cell, entries in row order, each
+        # entry's cells row by row: the k-th is (k // span_x, k % span_x) off
+        # its first.  32-bit and in place, as the pairs are the table's bulk.
+        entries = np.repeat(np.arange(count, dtype=np.int32), counts)
+        offsets = np.arange(total, dtype=np.int32)
+        offsets -= np.repeat(np.cumsum(counts, dtype=np.int32) - counts, counts)
+        dxs = spans_x[entries]
+        np.divmod(offsets, dxs, out=(offsets, dxs))
+        offsets += first_ys[entries]
+        offsets *= columns
+        offsets += first_xs[entries]
+        offsets += dxs
+        cell_count = columns * cell_rows
+        # The smallest unsigned type that holds every cell number: a stable
+        # sort of 8- or 16-bit keys is a radix sort.
+        cells = offsets.astype(np.min_scalar_type(cell_count - 1))
+        order = np.argsort(cells, kind="stable")  # a cell's entries stay in row order
+        starts = np.zeros(cell_count + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cells, minlength=cell_count), out=starts[1:])
+        return cls(origin_x, origin_y, size, columns, cell_rows, starts, entries[order])
+
+    def pairs(self, xs: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(query, row)`` pairs of each point with the entries its cell lists, sorted."""
+        cell_xs = np.floor((xs - self.origin_x) / self.size)
+        cell_ys = np.floor((ys - self.origin_y) / self.size)
+        inside = (
+            (cell_xs >= 0) & (cell_xs < self.columns) & (cell_ys >= 0) & (cell_ys < self.cell_rows)
+        )
+        q = np.flatnonzero(inside)
+        cells = cell_ys[q].astype(np.intp) * self.columns + cell_xs[q].astype(np.intp)
+        q, positions = expand_ranges(q, self.starts[cells], self.starts[cells + 1])
+        return q, self.rows[positions].astype(np.intp)
 
 
 class _Level:
@@ -218,6 +343,9 @@ class FlatSpatialIndex:
         self._geometry = geometry
         self._segments = None if segments is None else tuple(segments)
         self._cell_size = cell_size
+        # ``(pad, table)`` of the last pad a point query asked for: built on
+        # first use, replaced when the pad changes, never pickled.
+        self._cells: Optional[Tuple[float, Optional[_CellTable]]] = None
         self._nearest_max_radius: Optional[float] = None
         if geometry == "point":
             assert cell_size is not None
@@ -342,6 +470,12 @@ class FlatSpatialIndex:
             cell_size=cell_size,
         )
 
+    def __getstate__(self) -> Dict[str, Any]:
+        # The cell table is rebuilt lazily by whoever queries the copy.
+        state = self.__dict__.copy()
+        state["_cells"] = None
+        return state
+
     # -------------------------------------------------------------- accessors
     def __len__(self) -> int:
         return len(self._payloads)
@@ -355,6 +489,11 @@ class FlatSpatialIndex:
     def geometry(self) -> str:
         """Distance geometry: ``"bbox"``, ``"point"`` or ``"segment"``."""
         return self._geometry
+
+    @property
+    def entry_columns(self) -> Columns:
+        """Entry box columns ``(min_xs, min_ys, max_xs, max_ys)`` by row."""
+        return (self._min_xs, self._min_ys, self._max_xs, self._max_ys)
 
     @property
     def segment_columns(self) -> Optional[Columns]:
@@ -414,7 +553,8 @@ class FlatSpatialIndex:
         """Rows whose entry box contains each query point (degenerate boxes)."""
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
-        return self.query_boxes_batch(xs, ys, xs, ys)
+        q, rows = self._point_pairs(xs, ys, 0.0)
+        return self._to_csr(len(xs), q, rows)
 
     def within_distance_batch(
         self, xs: np.ndarray, ys: np.ndarray, radius: float
@@ -430,7 +570,7 @@ class FlatSpatialIndex:
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
         query_count = len(xs)
-        q, rows = self._candidate_pairs(xs - radius, ys - radius, xs + radius, ys + radius)
+        q, rows = self._point_pairs(xs, ys, radius)
         if len(q) == 0:
             return _empty_csr(query_count, with_distances=True)
         distances = self._pair_distances(xs[q], ys[q], rows)
@@ -514,6 +654,28 @@ class FlatSpatialIndex:
         np.cumsum(counts, out=offsets[1:])
         return offsets
 
+    def _point_pairs(
+        self, xs: np.ndarray, ys: np.ndarray, pad: float
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Sorted ``(query, row)`` pairs whose entry box meets each point's ``pad`` square.
+
+        A box layout reads each point's one cell of the cell table for ``pad``
+        and box-tests the rows listed there, exactly as the leaf level of
+        :meth:`_candidate_pairs` does; it walks the levels only where no table
+        can be built (a coordinate or the padded extent is not finite).
+        """
+        qmin_x, qmin_y, qmax_x, qmax_y = xs - pad, ys - pad, xs + pad, ys + pad
+        if not self._levels or len(xs) == 0:
+            return self._candidate_pairs(qmin_x, qmin_y, qmax_x, qmax_y)
+        cells = self._cells
+        if cells is None or cells[0] != pad:
+            cells = self._cells = (pad, _CellTable.build(self.entry_columns, pad))
+        table = cells[1]
+        if table is None:
+            return self._candidate_pairs(qmin_x, qmin_y, qmax_x, qmax_y)
+        q, rows = table.pairs(xs, ys)
+        return self._box_hits(q, rows, qmin_x, qmin_y, qmax_x, qmax_y)
+
     def _candidate_pairs(
         self,
         qmin_x: np.ndarray,
@@ -541,7 +703,19 @@ class FlatSpatialIndex:
             if len(q) == 0:
                 return q, nodes
             q, nodes = expand_ranges(q, level.child_starts[nodes], level.child_ends[nodes])
-        rows = nodes  # after the leaf level, children indices are entry rows
+        # After the leaf level, children indices are entry rows.
+        return self._box_hits(q, nodes, qmin_x, qmin_y, qmax_x, qmax_y)
+
+    def _box_hits(
+        self,
+        q: np.ndarray,
+        rows: np.ndarray,
+        qmin_x: np.ndarray,
+        qmin_y: np.ndarray,
+        qmax_x: np.ndarray,
+        qmax_y: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(query, row)`` pairs whose query box and entry box intersect."""
         hit = (
             (qmin_x[q] <= self._max_xs[rows])
             & (qmax_x[q] >= self._min_xs[rows])

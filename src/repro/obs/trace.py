@@ -149,12 +149,13 @@ class TrajectoryTrace:
         self._root_started = time.perf_counter()
         self._spans: List[Span] = []
 
-    def record(self, name: str, seconds: float) -> None:
+    def record(self, name: str, seconds: float, start: Optional[float] = None) -> None:
         """Add a child span for a duration the executor measured.
 
         Executors time stage bodies themselves (a chunk's stage run is shared
         out between its trajectories) and call this when the body has
-        returned; the start timestamp is back-dated by the duration.
+        returned; the start timestamp is back-dated by the duration unless
+        ``start`` (wall-clock seconds) is given.
         """
         self._spans.append(
             Span(
@@ -162,7 +163,7 @@ class TrajectoryTrace:
                 span_id=self._tracer.next_id(),
                 parent_id=self._root_id,
                 name=name,
-                start=time.time() - seconds,
+                start=time.time() - seconds if start is None else start,
                 duration=seconds,
             )
         )

@@ -152,15 +152,15 @@ class GeoContext:
     def _dispatch_table(self) -> _DispatchTable:
         """``copyreg``'s table plus one reducer for the three place types."""
         if self._place_table is None:
-            references: Dict[int, Any] = {}
-            for index, place in enumerate(self.places()):
-                references.setdefault(id(place), (_snapshot_place, (index, place.place_id)))
+            places = self.places()
+            # Built back to front, so a place listed twice keeps its first position.
+            positions = dict(zip(map(id, reversed(places)), range(len(places) - 1, -1, -1)))
 
             def reduce_place(place: SemanticPlace) -> Any:
-                reference = references.get(id(place))
-                if reference is None:
+                index = positions.get(id(place))
+                if index is None:
                     return place.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
-                return reference
+                return _snapshot_place, (index, place.place_id)
 
             table: _DispatchTable = dict(copyreg.dispatch_table)
             for kind in (RegionOfInterest, LineOfInterest, PointOfInterest):

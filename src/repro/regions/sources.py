@@ -12,11 +12,22 @@ asks about a whole coordinate column pair at once
 (:meth:`RegionSource.first_regions_containing_columns`, what the annotator
 hands over), and the single-point :meth:`RegionSource.first_region_containing`
 is the same query with one row.
+
+The join is an array join: each position's candidates come from one cell of
+the index's cell table, already box-tested; only candidates whose extent is a
+polygon get :meth:`Polygon.contains` on their own floats; and the region of a
+position is the candidate of least rank in a per-row ``(area, place_id,
+row)`` order (:class:`_RankTable`, built on the first join) — a minimum over
+integers, with no loop per position or per candidate.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import attrgetter
 from typing import Iterable, List, Optional, Sequence
+
+import numpy as np
 
 from repro.core.errors import SourceError
 from repro.core.places import RegionOfInterest
@@ -36,9 +47,16 @@ class RegionSource:
         self._index = FlatSpatialIndex.from_boxes(
             box_columns(region.bounding_box() for region in self._regions), self._regions
         )
+        self._ranks: Optional[_RankTable] = None
 
     def __len__(self) -> int:
         return len(self._regions)
+
+    def __getstate__(self) -> dict:
+        # The rank table is rebuilt lazily by whoever joins against the copy.
+        state = self.__dict__.copy()
+        state["_ranks"] = None
+        return state
 
     def flat_index(self) -> FlatSpatialIndex:
         """The source's spatial index (read-only arrays; workers share them zero-copy)."""
@@ -78,36 +96,87 @@ class RegionSource:
     ) -> List[Optional[RegionOfInterest]]:
         """:meth:`first_region_containing` of every position of two coordinate columns.
 
-        What the annotator calls: one index query for all positions, then per
-        position the exact test on its floats — the inclusive box test of
-        :meth:`BoundingBox.contains_point` for a rectangle extent, a
-        :class:`Point` only for a polygon's — over the candidates in row
-        order, keeping the first with the smallest ``(area, place_id)``.
+        What the annotator calls: one index query for all positions — whose
+        inclusive box test is :meth:`BoundingBox.contains_point` of a
+        rectangle extent — then :meth:`Polygon.contains` on the candidates
+        whose extent is a polygon, and per position the candidate of least
+        rank (:class:`_RankTable`): the first with the smallest
+        ``(area, place_id)``.
         """
         if not len(xs):
             return []
-        offsets, rows = self._index.query_points_batch(xs, ys)
-        payloads = self._index.payloads
-        bounds = offsets.tolist()
-        row_list = rows.tolist()
-        found: List[Optional[RegionOfInterest]] = []
-        for index, (x, y) in enumerate(zip(xs, ys)):
-            best: Optional[RegionOfInterest] = None
-            best_key = None
-            for row in row_list[bounds[index] : bounds[index + 1]]:
-                region = payloads[row]
-                extent = region.extent
-                if isinstance(extent, BoundingBox):
-                    inside = extent.min_x <= x <= extent.max_x and extent.min_y <= y <= extent.max_y
-                else:
-                    inside = extent.contains(Point(x, y))
-                if inside:
-                    key = (region.area, region.place_id)
-                    if best_key is None or key < best_key:
-                        best, best_key = region, key
-            found.append(best)
-        return found
+        column_xs = np.asarray(xs, dtype=np.float64)
+        column_ys = np.asarray(ys, dtype=np.float64)
+        offsets, rows = self._index.query_points_batch(column_xs, column_ys)
+        table = self._rank_table()
+        counts = np.diff(offsets)
+        if table.polygon_rows is not None:
+            checked = np.flatnonzero(table.polygon_rows[rows])
+            if len(checked):
+                positions = np.repeat(np.arange(len(xs)), counts)
+                at = positions[checked]
+                payloads = self._index.payloads
+                inside = [
+                    payloads[row].extent.contains(Point(x, y))
+                    for row, x, y in zip(
+                        rows[checked].tolist(), column_xs[at].tolist(), column_ys[at].tolist()
+                    )
+                ]
+                outside = checked[~np.array(inside, dtype=bool)]
+                if len(outside):
+                    positions = np.delete(positions, outside)
+                    rows = np.delete(rows, outside)
+                    counts = np.bincount(positions, minlength=len(xs))
+        best = np.full(len(xs), len(table.by_rank) - 1, dtype=np.intp)
+        if len(rows):
+            found = counts > 0
+            firsts = (np.cumsum(counts) - counts)[found]
+            best[found] = np.minimum.reduceat(table.rank_of_row[rows], firsts)
+        return table.by_rank[best].tolist()
+
+    def _rank_table(self) -> "_RankTable":
+        """The source's rank table, built on the first join."""
+        table = self._ranks
+        if table is None:
+            table = self._ranks = _RankTable(self._index)
+        return table
 
     def categories(self) -> List[str]:
         """Distinct categories appearing in the source, sorted."""
         return sorted({region.category for region in self._regions})
+
+
+class _RankTable:
+    """Every row of a region index ranked by ``(area, place_id, row)``.
+
+    The least-ranked candidate containing a position is the first with the
+    smallest ``(area, place_id)``, so a join takes a minimum of integers.  A
+    rectangle's area is ``width * height`` of the index's own box columns;
+    only a polygon reads its :attr:`~RegionOfInterest.area`.  Rows are sorted
+    by place id, then stably by area, so equal keys stay in row order.
+    """
+
+    __slots__ = ("polygon_rows", "rank_of_row", "by_rank")
+
+    def __init__(self, index: FlatSpatialIndex):
+        regions = index.payloads
+        count = len(regions)
+        min_xs, min_ys, max_xs, max_ys = index.entry_columns
+        areas = (max_xs - min_xs) * (max_ys - min_ys)
+        boxes = np.fromiter(
+            map(isinstance, map(attrgetter("extent"), regions), repeat(BoundingBox)),
+            dtype=bool,
+            count=count,
+        )
+        for row in np.flatnonzero(~boxes).tolist():
+            areas[row] = regions[row].area
+        place_ids = list(map(attrgetter("place_id"), regions))
+        by_place_id = np.array(sorted(range(count), key=place_ids.__getitem__), dtype=np.intp)
+        row_of_rank = by_place_id[np.argsort(areas[by_place_id], kind="stable")]
+        #: Rows whose extent is a polygon (``None`` when there are none).
+        self.polygon_rows = None if boxes.all() else ~boxes
+        #: Rank of every row.
+        self.rank_of_row = np.empty(count, dtype=np.int32)
+        self.rank_of_row[row_of_rank] = np.arange(count, dtype=np.int32)
+        #: Region of every rank, then ``None`` (the rank of "no region").
+        self.by_rank = np.append(np.fromiter(regions, dtype=object, count=count)[row_of_rank], None)
