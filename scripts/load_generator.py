@@ -61,17 +61,14 @@ def build_streams(
     world = SyntheticWorld(WorldConfig(size=6000.0, poi_count=800, seed=7))
     trajectory_lists = []
     if taxis:
-        trajectory_lists.append(
-            TaxiFleetSimulator(world, taxi_count=taxis, days=1, fares_per_day=4, seed=seed).generate().trajectories
-        )
+        fleet = TaxiFleetSimulator(world, taxi_count=taxis, days=1, fares_per_day=4, seed=seed)
+        trajectory_lists.append(fleet.generate().trajectories)
     if cars:
-        trajectory_lists.append(
-            PrivateCarSimulator(world, car_count=cars, trips_per_car=2, seed=seed + 1).generate().trajectories
-        )
+        owners = PrivateCarSimulator(world, car_count=cars, trips_per_car=2, seed=seed + 1)
+        trajectory_lists.append(owners.generate().trajectories)
     if people:
-        trajectory_lists.append(
-            PersonSimulator(world, user_count=people, days_per_user=1, seed=seed + 2).generate().all_trajectories
-        )
+        users = PersonSimulator(world, user_count=people, days_per_user=1, seed=seed + 2)
+        trajectory_lists.append(users.generate().all_trajectories)
     streams: Dict[str, List[SpatioTemporalPoint]] = {}
     grouped: Dict[str, list] = {}
     for trajectories in trajectory_lists:
@@ -271,7 +268,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--cars", type=int, default=4, help="private-car emitters")
     parser.add_argument("--taxis", type=int, default=1, help="taxi emitters")
     parser.add_argument("--people", type=int, default=2, help="smartphone emitters")
-    parser.add_argument("--rate", type=float, default=0.0, help="events/sec per emitter (0 = unpaced)")
+    parser.add_argument(
+        "--rate", type=float, default=0.0, help="events/sec per emitter (0 = unpaced)"
+    )
     parser.add_argument("--shards", type=int, default=2, help="service shards (0 = auto)")
     parser.add_argument("--queue-depth", type=int, default=64, help="per-shard queue bound")
     parser.add_argument("--max-batch", type=int, default=32, help="events per shard batch")
@@ -281,7 +280,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         default="auto",
         help="shard execution tier (auto = process on multi-core, thread otherwise)",
     )
-    parser.add_argument("--kill-fraction", type=float, default=0.0, help="fraction of emitters killed mid-stream")
+    parser.add_argument(
+        "--kill-fraction", type=float, default=0.0, help="fraction of emitters killed mid-stream"
+    )
     parser.add_argument(
         "--fault-plan",
         default=os.environ.get(FAULTS_ENV_VAR, ""),

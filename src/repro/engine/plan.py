@@ -64,7 +64,6 @@ class Plan:
 
     context: GeoContext
     stages: Tuple[Stage, ...]
-    preprocessing: Tuple[PreprocessingStage, ...]
     store: Optional[SemanticTrajectoryStore] = None
     persist: bool = False
     telemetry: Telemetry = field(default=DISABLED, repr=False, compare=False)
@@ -151,7 +150,6 @@ class Plan:
         plan = cls(
             context=context,
             stages=tuple(stages),
-            preprocessing=(CleanStage(config), IdentifyStage(config)),
             store=store,
             persist=persist_enabled,
             telemetry=telemetry,
@@ -192,6 +190,15 @@ class Plan:
     def annotators(self) -> LayerAnnotators:
         """The prebuilt layer annotators (the snapshot's)."""
         return self.context.annotators
+
+    @property
+    def preprocessing(self) -> Tuple[PreprocessingStage, ...]:
+        """The raw-stream chain ``(clean, identify)``, built for each read.
+
+        No executor runs it (batch callers clean with ``ingest_stream``, the
+        streaming runtime per fix), so a plan compiles without it.
+        """
+        return (CleanStage(self.config), IdentifyStage(self.config))
 
     # -------------------------------------------------------------- failures
     @property

@@ -160,9 +160,15 @@ class _CellTable:
         count = len(min_xs)
         widened = []
         for low, high in ((min_xs, max_xs), (min_ys, max_ys)):
-            margin = (np.abs(low) + np.abs(high) + pad) * _CELL_MARGIN + np.finfo(np.float64).tiny
-            widened.append(((low - pad) - margin, (high + pad) + margin))
-        (low_xs, high_xs), (low_ys, high_ys) = widened
+            margin = np.abs(low)
+            margin += np.abs(high)
+            margin += pad
+            margin *= _CELL_MARGIN
+            margin += np.finfo(np.float64).tiny
+            widened.append(np.subtract(low - pad, margin))
+            widened.append(np.add(high + pad, margin))
+        low_xs, high_xs, low_ys, high_ys = widened
+        del widened, margin
         origin_x, origin_y = low_xs.min(), low_ys.min()
         top_x, top_y = high_xs.max(), high_ys.max()
         width, height = top_x - origin_x, top_y - origin_y
@@ -171,39 +177,59 @@ class _CellTable:
         size = max(math.sqrt(width * height / count), max(width, height) / count)
         if not size > 0:
             size = 1.0
+        scratch = np.empty(count)
+
+        def cells_of(values: np.ndarray, origin: float) -> np.ndarray:
+            np.subtract(values, origin, out=scratch)
+            np.divide(scratch, size, out=scratch)
+            return np.floor(scratch, out=scratch).astype(np.int32)
+
         while True:
             # columns * cell_rows <= 3 * count + 1: every cell number fits int32.
             columns = int(np.floor((top_x - origin_x) / size)) + 1
             cell_rows = int(np.floor((top_y - origin_y) / size)) + 1
-            first_xs = np.floor((low_xs - origin_x) / size).astype(np.int32)
-            first_ys = np.floor((low_ys - origin_y) / size).astype(np.int32)
-            spans_x = np.floor((high_xs - origin_x) / size).astype(np.int32) - first_xs + 1
-            spans_y = np.floor((high_ys - origin_y) / size).astype(np.int32) - first_ys + 1
-            counts = spans_x * spans_y
+            first_xs = cells_of(low_xs, origin_x)
+            first_ys = cells_of(low_ys, origin_y)
+            spans_x = cells_of(high_xs, origin_x) - first_xs + 1
+            counts = cells_of(high_ys, origin_y) - first_ys + 1
+            counts *= spans_x
             total = int(counts.sum(dtype=np.int64))
             if total <= _CELL_ROWS_PER_ENTRY * count or columns * cell_rows == 1:
                 break
             size *= 2.0
-        # One (entry, cell) pair per covered cell, entries in row order, each
+        del low_xs, high_xs, low_ys, high_ys, scratch
+        # One key ``cell * count + entry`` per covered (entry, cell) pair, each
         # entry's cells row by row: the k-th is (k // span_x, k % span_x) off
-        # its first.  32-bit and in place, as the pairs are the table's bulk.
-        entries = np.repeat(np.arange(count, dtype=np.int32), counts)
-        offsets = np.arange(total, dtype=np.int32)
-        offsets -= np.repeat(np.cumsum(counts, dtype=np.int32) - counts, counts)
-        dxs = spans_x[entries]
-        np.divmod(offsets, dxs, out=(offsets, dxs))
-        offsets += first_ys[entries]
-        offsets *= columns
-        offsets += first_xs[entries]
-        offsets += dxs
+        # its first.  Keys are distinct, so one in-place sort orders the pairs
+        # by cell and a cell's entries by row; built in place, 32-bit while
+        # every key fits, as the pairs are the table's bulk.
         cell_count = columns * cell_rows
-        # The smallest unsigned type that holds every cell number: a stable
-        # sort of 8- or 16-bit keys is a radix sort.
-        cells = offsets.astype(np.min_scalar_type(cell_count - 1))
-        order = np.argsort(cells, kind="stable")  # a cell's entries stay in row order
-        starts = np.zeros(cell_count + 1, dtype=np.int32)
-        np.cumsum(np.bincount(cells, minlength=cell_count), out=starts[1:])
-        return cls(origin_x, origin_y, size, columns, cell_rows, starts, entries[order])
+        key_type = np.int32 if cell_count * count <= np.iinfo(np.int32).max else np.int64
+        bases = first_ys.astype(key_type)
+        bases *= columns
+        bases += first_xs
+        bases *= count
+        bases += np.arange(count, dtype=key_type)
+        del first_xs, first_ys
+        keys = np.arange(total, dtype=key_type)
+        firsts = np.cumsum(counts, dtype=key_type)
+        firsts -= counts
+        keys -= np.repeat(firsts, counts)
+        del firsts
+        dxs = np.repeat(spans_x.astype(key_type), counts)
+        np.divmod(keys, dxs, out=(keys, dxs))
+        keys *= columns
+        keys += dxs
+        del dxs
+        keys *= count
+        keys += np.repeat(bases, counts)
+        del bases, counts, spans_x
+        keys.sort()
+        bounds = np.arange(cell_count + 1, dtype=key_type)
+        bounds *= count
+        starts = np.searchsorted(keys, bounds).astype(np.int32)
+        rows = np.remainder(keys, count, out=keys)
+        return cls(origin_x, origin_y, size, columns, cell_rows, starts, rows)
 
     def pairs(self, xs: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(query, row)`` pairs of each point with the entries its cell lists, sorted."""

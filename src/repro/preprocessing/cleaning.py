@@ -13,14 +13,18 @@ one implementation:
   arithmetic of :class:`~repro.streaming.cleaning.StreamingGpsCleaner` —
   inherently sequential once a fix is dropped, and cheaper than any array
   precheck in front of it;
-* median smoothing (the default method) takes the middle column of one
-  stable ``np.argsort`` over a sliding-window view of each coordinate column
-  and reads the input's own value at that position, and :func:`window_median`
-  of a list slice where the stream edge clips the window.  A median is a
-  selection, not a sum, and a stable sort selects the same zero as
-  ``list.sort`` when a window holds both ``0.0`` and ``-0.0``; reading the
-  selected input value keeps an ``int`` coordinate an ``int``.  So the result
-  is the per-point loop's, value and type;
+* median smoothing (the default method) stacks a stream's two coordinate
+  columns into one ``(2, n)`` array and takes, for every window, the middle
+  position of one stable ``np.argsort`` over a ``(2, n - 2h, 2h + 1)``
+  strided view of it (``h`` is half the window), then reads the input's own
+  value at that position; :func:`window_median` of a list slice serves the
+  fixes where the stream edge clips the window.  One numpy pipeline per
+  stream, not one per column: at ~96 fixes a stream, numpy's fixed cost per
+  call is most of the smoother's time.  A median is a selection, not a sum,
+  and a stable sort selects the same zero as ``list.sort`` when a window
+  holds both ``0.0`` and ``-0.0``; reading the selected input value keeps an
+  ``int`` coordinate an ``int``.  So the result is the per-point loop's,
+  value and type;
 * mean smoothing is ``statistics.fmean`` over column slices: ``fmean`` is
   exactly rounded while ``numpy.mean`` is not, and the cleaning contract is
   byte-equality.
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -57,32 +61,40 @@ def window_median(values: List[float]) -> float:
     return (values[middle - 1] + values[middle]) / 2
 
 
-def _median_column(values: List[float], half: int) -> List[float]:
-    """One coordinate column smoothed by the centred median of ``2 * half + 1`` fixes.
+def _median_columns(
+    xs: List[float], ys: List[float], half: int
+) -> Tuple[List[float], List[float]]:
+    """Both coordinate columns smoothed by the centred median of ``2 * half + 1`` fixes.
 
     The first and last fixes keep their value.  Interior fixes whose window
-    the stream does not clip take the input value at the middle column of one
-    stable argsort over a strided window view; the at most ``2 * half`` whose
-    window the stream edge clips take :func:`window_median` of their list slice.
+    the stream does not clip take the input value at the middle position of
+    one stable argsort over a ``(2, n - 2 * half, 2 * half + 1)`` strided view
+    of the stacked columns; the at most ``2 * half`` whose window the stream
+    edge clips take :func:`window_median` of their list slices.
     """
-    n = len(values)
-    smoothed = list(values)
-    # Indices with a full, unclipped window (never a stream endpoint).
-    full_lo = half
-    full_hi = n - half
-    if full_hi > full_lo:
-        windows = np.lib.stride_tricks.sliding_window_view(
-            np.array(values, dtype=np.float64), 2 * half + 1
-        )
+    n = len(xs)
+    smoothed_xs, smoothed_ys = list(xs), list(ys)
+    # Fixes ``half .. n - half - 1`` have a full, unclipped window (never an endpoint).
+    full = n - 2 * half
+    if full > 0:
+        columns = np.array((xs, ys), dtype=np.float64)
+        row, step = columns.strides
+        # The constructor checks that the view fits its buffer (``as_strided``
+        # does not) and costs less per call; nothing writes through it.
+        windows = np.ndarray((2, full, 2 * half + 1), np.float64, columns, 0, (row, step, step))
         # Window ``w`` starts at fix ``w``; its median is the input's own value
         # there, so an ``int`` coordinate stays an ``int`` as in the per-point loop.
-        picks = np.argsort(windows, axis=1, kind="stable")[:, half]
-        picks += np.arange(len(picks))
-        smoothed[full_lo:full_hi] = map(values.__getitem__, picks.tolist())
+        picks = np.argsort(windows, axis=2, kind="stable")[:, :, half]
+        picks += np.arange(full)
+        picks_x, picks_y = picks.tolist()
+        smoothed_xs[half : n - half] = map(xs.__getitem__, picks_x)
+        smoothed_ys[half : n - half] = map(ys.__getitem__, picks_y)
     left_stop = min(half, n - 1)
-    for index in (*range(1, left_stop), *range(max(full_hi, left_stop), n - 1)):
-        smoothed[index] = window_median(values[max(0, index - half) : index + half + 1])
-    return smoothed
+    for index in (*range(1, left_stop), *range(max(n - half, left_stop), n - 1)):
+        lo, hi = max(0, index - half), index + half + 1
+        smoothed_xs[index] = window_median(xs[lo:hi])
+        smoothed_ys[index] = window_median(ys[lo:hi])
+    return smoothed_xs, smoothed_ys
 
 
 def _mean_column(values: List[float], half: int) -> List[float]:
@@ -163,6 +175,7 @@ class GpsCleaner:
         method = self._config.smoothing_method
         if window <= 1 or method == "none" or len(ts) < 3:
             return xs, ys, ts
-        smooth_column = _median_column if method == "median" else _mean_column
         half = window // 2
-        return smooth_column(xs, half), smooth_column(ys, half), ts
+        if method == "median":
+            return (*_median_columns(xs, ys, half), ts)
+        return _mean_column(xs, half), _mean_column(ys, half), ts

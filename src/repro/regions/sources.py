@@ -23,9 +23,8 @@ integers, with no loop per position or per candidate.
 
 from __future__ import annotations
 
-from itertools import repeat
 from operator import attrgetter
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -44,9 +43,17 @@ class RegionSource:
         if not self._regions:
             raise SourceError(f"region source {name!r} contains no regions")
         self.name = name
+        # The polygons are noted while the boxes are read, so that no rank
+        # table built from this source or a copy of it reads every extent.
+        polygons: Set[int] = set()
         self._index = FlatSpatialIndex.from_boxes(
-            box_columns(region.bounding_box() for region in self._regions), self._regions
+            box_columns(_boxes_noting_polygons(self._regions, polygons)), self._regions
         )
+        #: Index rows whose extent is a polygon.
+        self._polygon_rows: List[int] = []
+        if polygons:
+            rows = enumerate(self._index.payloads)
+            self._polygon_rows = [row for row, region in rows if id(region) in polygons]
         self._ranks: Optional[_RankTable] = None
 
     def __len__(self) -> int:
@@ -138,12 +145,26 @@ class RegionSource:
         """The source's rank table, built on the first join."""
         table = self._ranks
         if table is None:
-            table = self._ranks = _RankTable(self._index)
+            table = self._ranks = _RankTable(self._index, self._polygon_rows)
         return table
 
     def categories(self) -> List[str]:
         """Distinct categories appearing in the source, sorted."""
         return sorted({region.category for region in self._regions})
+
+
+def _boxes_noting_polygons(
+    regions: Iterable[RegionOfInterest], polygons: Set[int]
+) -> Iterator[BoundingBox]:
+    """``region.bounding_box()`` of each region; adds ``id(region)`` of each
+    region whose extent is a polygon to ``polygons``."""
+    for region in regions:
+        extent = region.extent
+        if isinstance(extent, BoundingBox):
+            yield extent
+        else:
+            polygons.add(id(region))
+            yield extent.bounding_box
 
 
 class _RankTable:
@@ -152,29 +173,28 @@ class _RankTable:
     The least-ranked candidate containing a position is the first with the
     smallest ``(area, place_id)``, so a join takes a minimum of integers.  A
     rectangle's area is ``width * height`` of the index's own box columns;
-    only a polygon reads its :attr:`~RegionOfInterest.area`.  Rows are sorted
-    by place id, then stably by area, so equal keys stay in row order.
+    only a polygon (a row of ``polygon_rows``) reads its
+    :attr:`~RegionOfInterest.area`.  Rows are sorted by place id, then stably
+    by area, so equal keys stay in row order.
     """
 
     __slots__ = ("polygon_rows", "rank_of_row", "by_rank")
 
-    def __init__(self, index: FlatSpatialIndex):
+    def __init__(self, index: FlatSpatialIndex, polygon_rows: List[int]):
         regions = index.payloads
         count = len(regions)
         min_xs, min_ys, max_xs, max_ys = index.entry_columns
         areas = (max_xs - min_xs) * (max_ys - min_ys)
-        boxes = np.fromiter(
-            map(isinstance, map(attrgetter("extent"), regions), repeat(BoundingBox)),
-            dtype=bool,
-            count=count,
-        )
-        for row in np.flatnonzero(~boxes).tolist():
+        for row in polygon_rows:
             areas[row] = regions[row].area
         place_ids = list(map(attrgetter("place_id"), regions))
         by_place_id = np.array(sorted(range(count), key=place_ids.__getitem__), dtype=np.intp)
         row_of_rank = by_place_id[np.argsort(areas[by_place_id], kind="stable")]
-        #: Rows whose extent is a polygon (``None`` when there are none).
-        self.polygon_rows = None if boxes.all() else ~boxes
+        #: Rows whose extent is a polygon, as a mask (``None`` when there are none).
+        self.polygon_rows = None
+        if polygon_rows:
+            self.polygon_rows = np.zeros(count, dtype=bool)
+            self.polygon_rows[polygon_rows] = True
         #: Rank of every row.
         self.rank_of_row = np.empty(count, dtype=np.int32)
         self.rank_of_row[row_of_rank] = np.arange(count, dtype=np.int32)

@@ -21,6 +21,7 @@ from repro.core.config import StreamingConfig
 from repro.core.errors import ConfigurationError
 from repro.core.pipeline import PipelineResult
 from repro.core.points import RawTrajectory
+from repro.engine import stages as engine_stages
 from repro.engine import (
     MicroBatchExecutor,
     Plan,
@@ -63,6 +64,19 @@ def test_plan_compiles_every_available_layer(annotation_sources):
     assert [stage.name for stage in plan.preprocessing] == ["clean", "identify"]
     assert plan.annotation_layers() == ["region", "line", "point"]
     assert not plan.persist
+
+
+def test_compiling_a_plan_builds_no_preprocessing_stage(annotation_sources, monkeypatch):
+    """The raw-stream pair is built when ``plan.preprocessing`` is read, not per compile."""
+    built = []
+    monkeypatch.setattr(
+        engine_stages.GpsCleaner, "__init__", lambda self, config: built.append(config)
+    )
+    plan = Plan.compile(GeoContext(annotation_sources, PipelineConfig()))
+    assert built == []
+    clean, identify = plan.preprocessing
+    assert built == [plan.config.cleaning]
+    assert (clean.name, identify.name) == ("clean", "identify")
 
 
 def test_plan_with_persistence_compiles_store_stages(annotation_sources):

@@ -5,7 +5,10 @@ from __future__ import annotations
 import math
 import random
 import warnings
+from typing import List
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +16,8 @@ from hypothesis import strategies as st
 from repro.core.config import CleaningConfig
 from repro.core.errors import DataQualityError
 from repro.core.points import SpatioTemporalPoint, point_columns
-from repro.preprocessing.cleaning import GpsCleaner
+from repro.preprocessing import cleaning
+from repro.preprocessing.cleaning import GpsCleaner, window_median
 from repro.reference.cleaning import ScalarGpsCleaner, smooth_per_point
 from repro.streaming import StreamingGpsCleaner
 
@@ -122,22 +126,69 @@ class TestFullClean:
 
 
 # One generated step: (time advance, x, y).  The small sampled sets make
-# duplicate timestamps, zero-length steps and exact coordinate ties common.
+# duplicate timestamps, zero-length steps and exact coordinate ties common;
+# x and y are drawn apart, so a fix may mix an ``int`` with a ``float``.
 _coordinate = st.one_of(
-    st.sampled_from([0.0, -0.0, 5.0, 5.0, 10.0, 25.0, 50_000.0]), st.floats(-500.0, 500.0)
+    st.sampled_from([0.0, -0.0, 5.0, 5.0, 10.0, 25.0, 50_000.0]),
+    st.floats(-500.0, 500.0),
+    st.sampled_from([0, 5, 50_000, 10**6]),
+    st.integers(-(10**6), 10**6),
 )
 
 
-def _steps(advances):
-    return st.lists(st.tuples(st.sampled_from(advances), _coordinate, _coordinate), max_size=40)
+def _steps(advances, coordinate=_coordinate, max_size=40):
+    return st.lists(
+        st.tuples(st.sampled_from(advances), coordinate, coordinate), max_size=max_size
+    )
+
+
+def _fresh(value):
+    """An equal number that is a new object: picks among equal values differ by identity."""
+    return type(value)(repr(value))
 
 
 def _walk(steps):
     points, t = [], 100.0
     for advance, x, y in steps:
         t += advance
-        points.append(SpatioTemporalPoint(x, y, t))
+        points.append(SpatioTemporalPoint(_fresh(x), _fresh(y), t))
     return points
+
+
+def _argsort_median_column(values: List[float], half: int) -> List[float]:
+    """The per-column smoother the two-column kernel replaced: its oracle.
+
+    One stable argsort over a sliding-window view per coordinate column, the
+    input's own value at the middle position, :func:`window_median` where the
+    stream edge clips the window; endpoints keep their value.
+    """
+    n = len(values)
+    smoothed = list(values)
+    full_lo = half
+    full_hi = n - half
+    if full_hi > full_lo:
+        windows = np.lib.stride_tricks.sliding_window_view(
+            np.array(values, dtype=np.float64), 2 * half + 1
+        )
+        picks = np.argsort(windows, axis=1, kind="stable")[:, half]
+        picks += np.arange(len(picks))
+        smoothed[full_lo:full_hi] = map(values.__getitem__, picks.tolist())
+    left_stop = min(half, n - 1)
+    for index in (*range(1, left_stop), *range(max(full_hi, left_stop), n - 1)):
+        smoothed[index] = window_median(values[max(0, index - half) : index + half + 1])
+    return smoothed
+
+
+def _assert_same_picks(got, want, inputs):
+    """Where ``want`` selected an input, ``got`` holds that very object; elsewhere
+    (the mean of a clipped even window) an equal number of the same type."""
+    selected = {id(value) for value in inputs}
+    assert len(got) == len(want)
+    for index, (value, expected) in enumerate(zip(got, want)):
+        if id(expected) in selected:
+            assert value is expected, (index, value, expected)
+        else:
+            assert (type(value), repr(value)) == (type(expected), repr(expected)), index
 
 
 def _triples(points):
@@ -160,8 +211,14 @@ def _streamed(config, points):
 class TestShortAndDegenerateStreams:
     """Streams of 0-40 fixes: no size cut-off keeps them off the array kernel."""
 
-    @given(steps=_steps([0.0, 1.0, 2.5, 10.0, 40.0]), window=st.sampled_from([3, 4, 5, 7, 9]))
-    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.one_of(
+            _steps([0.0, 1.0, 2.5, 10.0, 40.0], max_size=12),
+            _steps([0.0, 1.0, 2.5, 10.0, 40.0]),
+        ),
+        window=st.integers(1, 9),
+    )
+    @settings(max_examples=400, deadline=None)
     def test_median_smoothing_equals_the_per_point_loop(self, steps, window):
         # No speed is an outlier: only duplicate timestamps leave before smoothing.
         config = CleaningConfig(
@@ -173,6 +230,47 @@ class TestShortAndDegenerateStreams:
             cleaned = GpsCleaner(config).clean_columns(*point_columns(points))
         kept = ScalarGpsCleaner(config).remove_outliers(points)
         assert _column_triples(cleaned) == _triples(smooth_per_point(kept, window, "median"))
+        # The two-column kernel picks the very objects the per-column argsort picked.
+        kept_xs, kept_ys, _ = point_columns(kept)
+        for got, column in zip(cleaned, (kept_xs, kept_ys)):
+            want = column
+            if window > 1 and len(column) >= 3:
+                want = _argsort_median_column(column, window // 2)
+            _assert_same_picks(got, want, column)
+
+    @given(
+        steps=_steps(
+            [0.0, 1.0, 2.5, 40.0],
+            st.one_of(
+                _coordinate,
+                st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308]),
+            ),
+            max_size=12,
+        ),
+        max_speed=st.sampled_from([70.0, 1e300, math.inf]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_column_the_smoother_sees_is_finite(self, steps, max_speed):
+        """The outlier filter drops every NaN or infinite speed, so a stream of
+        three or more fixes reaches the median smoother finite; only an infinite
+        ``max_speed`` lets an infinity through, and a NaN never passes."""
+        seen = []
+        median_columns = cleaning._median_columns
+
+        def recording(xs, ys, half):
+            seen.append(xs + ys)
+            return median_columns(xs, ys, half)
+
+        config = CleaningConfig(max_speed=max_speed, smoothing_window=3)
+        points = _walk(steps)
+        with mock.patch.object(cleaning, "_median_columns", recording):
+            cleaned = GpsCleaner(config).clean_columns(*point_columns(points))
+        assert len(seen) == int(len(cleaned[0]) >= 3)
+        for values in seen:
+            if math.isfinite(max_speed):
+                assert all(map(math.isfinite, values)), values
+            else:
+                assert not any(map(math.isnan, values)), values
 
     @given(steps=_steps([0.0, 0.0, 1.0, 2.5, 40.0, -1.0]))
     @settings(max_examples=200, deadline=None)
