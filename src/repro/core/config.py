@@ -42,7 +42,7 @@ class CleaningConfig:
     """Either ``"median"``, ``"mean"`` or ``"none"``."""
 
     def __post_init__(self) -> None:
-        if self.max_speed <= 0:
+        if not self.max_speed > 0:
             raise ConfigurationError("max_speed must be positive")
         if self.smoothing_window < 1:
             raise ConfigurationError("smoothing_window must be at least 1")
@@ -67,7 +67,7 @@ class TrajectoryIdentificationConfig:
     """Trajectories with fewer points than this are discarded as noise."""
 
     def __post_init__(self) -> None:
-        if self.max_time_gap <= 0 or self.max_distance_gap <= 0:
+        if not (self.max_time_gap > 0 and self.max_distance_gap > 0):
             raise ConfigurationError("gap thresholds must be positive")
         if self.min_points < 1:
             raise ConfigurationError("min_points must be at least 1")
@@ -98,11 +98,11 @@ class StopMoveConfig:
                 f"unknown stop/move policy {self.policy!r}; expected "
                 "'velocity', 'density' or 'hybrid'"
             )
-        if self.speed_threshold <= 0:
+        if not self.speed_threshold > 0:
             raise ConfigurationError("speed_threshold must be positive")
-        if self.min_stop_duration < 0:
+        if not self.min_stop_duration >= 0:
             raise ConfigurationError("min_stop_duration must be non-negative")
-        if self.density_radius <= 0:
+        if not self.density_radius > 0:
             raise ConfigurationError("density_radius must be positive")
         if self.min_move_points < 1:
             raise ConfigurationError("min_move_points must be at least 1")
@@ -146,11 +146,11 @@ class MapMatchingConfig:
     """Distance of Equation 1 (``"point_segment"``) or ``"perpendicular"`` baseline."""
 
     def __post_init__(self) -> None:
-        if self.view_radius <= 0:
+        if not self.view_radius > 0:
             raise ConfigurationError("view_radius must be positive")
-        if self.kernel_width_factor <= 0:
+        if not self.kernel_width_factor > 0:
             raise ConfigurationError("kernel_width_factor must be positive")
-        if self.candidate_radius <= 0:
+        if not self.candidate_radius > 0:
             raise ConfigurationError("candidate_radius must be positive")
         if self.max_candidates < 1:
             raise ConfigurationError("max_candidates must be at least 1")
@@ -192,7 +192,7 @@ class TransportModeConfig:
             raise ConfigurationError(
                 "speed thresholds must satisfy 0 < walk < bicycle < bus"
             )
-        if self.bus_acceleration_min < 0:
+        if not self.bus_acceleration_min >= 0:
             raise ConfigurationError("bus_acceleration_min must be non-negative")
 
 
@@ -219,11 +219,11 @@ class PointAnnotationConfig:
     """Floor applied to observation probabilities to keep Viterbi numerically safe."""
 
     def __post_init__(self) -> None:
-        if self.grid_cell_size <= 0:
+        if not self.grid_cell_size > 0:
             raise ConfigurationError("grid_cell_size must be positive")
-        if self.neighbor_radius <= 0:
+        if not self.neighbor_radius > 0:
             raise ConfigurationError("neighbor_radius must be positive")
-        if self.default_sigma <= 0:
+        if not self.default_sigma > 0:
             raise ConfigurationError("default_sigma must be positive")
         for category, sigma in self.category_sigmas.items():
             if isinstance(sigma, bool) or not isinstance(sigma, (int, float)) or not sigma > 0:
@@ -232,7 +232,7 @@ class PointAnnotationConfig:
                 )
         if not (0.0 < self.self_transition < 1.0):
             raise ConfigurationError("self_transition must lie strictly between 0 and 1")
-        if self.min_probability <= 0:
+        if not self.min_probability > 0:
             raise ConfigurationError("min_probability must be positive")
 
 
@@ -348,7 +348,7 @@ class FailurePolicy:
             )
         if self.max_retries < 0:
             raise ConfigurationError("max_retries must be non-negative")
-        if self.backoff_base < 0:
+        if not self.backoff_base >= 0:
             raise ConfigurationError("backoff_base must be non-negative")
 
     @property

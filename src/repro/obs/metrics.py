@@ -497,7 +497,8 @@ class ShardMetrics:
     What the shard's parent-side mirror counts is read from it, so the series
     step back with a respawned worker and climb back as its replay is
     re-acked.  The IPC frame/byte counters out and the ack bytes back are
-    pushed, and stay at zero under the thread transport.
+    pushed, and stay at zero under the thread transport; so does the
+    in-flight frame bytes gauge, which reads the shard.
     """
 
     def __init__(self, registry: MetricsRegistry, shard: Any, queue: Any):
@@ -548,6 +549,11 @@ class ShardMetrics:
         )
         self.ack_bytes = counter(
             "shard_ack_bytes_total", "Result-codec ack bytes read back from the shard worker"
+        )
+        self.inflight_bytes = gauge(
+            "service_inflight_bytes",
+            "Frame bytes sent to the shard worker and not yet acked (process transport)",
+            partial(getattr, shard, "inflight_bytes"),
         )
 
 

@@ -22,6 +22,11 @@ loop polls with a timeout and exits once ``os.getppid()`` is no longer the
 spawning pid.  SIGINT is ignored in the worker: the parent decides whether
 to drain or shut down.  :meth:`WorkerProcess.stop` closes the request pipe,
 joins, and terminates a worker still alive after that.
+
+**Pipe capacity.**  :meth:`WorkerProcess.request_capacity` is how many bytes
+the request pipe holds before a ``send`` blocks: ``F_GETPIPE_SZ`` on Linux,
+a stated 8 KB elsewhere.  A process shard sizes its window of un-acked frames
+from it.
 """
 
 from __future__ import annotations
@@ -36,6 +41,9 @@ import weakref
 from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Optional, Sequence, Union
 
+if sys.platform == "linux":
+    import fcntl
+
 __all__ = ["SHARD_RETRIES", "WorkerProcess", "mp_context"]
 
 #: Builds a worker's request handler inside the worker.
@@ -48,6 +56,11 @@ _PARENT_POLL_SECONDS = 0.5
 #: find what keeps killing workers: the batch pool then bisects the shard, a
 #: process shard replays its journal one object at a time.
 SHARD_RETRIES = 1
+
+#: Request-pipe capacity assumed where it cannot be read: the buffer
+#: ``multiprocessing`` gives a Windows pipe (``connection.BUFSIZE``), below
+#: the 16 KB a macOS pipe starts at.
+_FALLBACK_PIPE_CAPACITY = 8192
 
 #: Workers whose parent-side pipe ends are open in this process, whoever owns
 #: them (pools and services may live side by side): a forked worker inherits
@@ -141,6 +154,15 @@ class WorkerProcess:
             self.requests.send_bytes(request)
         except (OSError, ValueError):
             pass
+
+    def request_capacity(self) -> int:
+        """Bytes the request pipe holds before ``send`` blocks (read per call)."""
+        if sys.platform == "linux":
+            try:
+                return fcntl.fcntl(self.requests.fileno(), fcntl.F_GETPIPE_SZ)
+            except OSError:
+                pass
+        return _FALLBACK_PIPE_CAPACITY
 
     def stop(self) -> None:
         """Close the request pipe, join, terminate if still alive (idempotent)."""

@@ -186,6 +186,8 @@ class Shard:
     pid: Optional[int] = None
     #: Worker processes lost and respawned (always 0 in-process).
     restarts = 0
+    #: Frame bytes sent to the worker and not yet acked (always 0 in-process).
+    inflight_bytes = 0
 
     def __init__(self, host: "AnnotationService", index: int):
         # A proxy, not a reference: the router owns its shards, and a cycle

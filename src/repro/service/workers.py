@@ -23,11 +23,22 @@ Wire discipline, chosen for amortized IPC on the hot path:
   snapshot, so every region, road segment and POI a result links to travels
   as a reference into :meth:`~repro.parallel.context.GeoContext.places` and
   comes back as the parent's own object; a reference the parent's snapshot
-  does not match raises instead of re-linking.  At most
-  :attr:`ProcessShard.max_inflight` frames are un-acked at a time, and a
-  reader task per shard folds acks into the service as they arrive (results
-  stream back incrementally), reading each on the event loop once
-  ``loop.add_reader`` sees the pipe readable.
+  does not match raises instead of re-linking.  A reader task per shard
+  folds acks into the service as they arrive (results stream back
+  incrementally), reading each on the event loop once ``loop.add_reader``
+  sees the pipe readable.
+
+**The window.**  Un-acked frames are bounded in bytes, not in frames: a
+frame is sent while the un-acked frame bytes stay within half the request
+pipe's capacity (:meth:`~repro.parallel.process.WorkerProcess.request_capacity`,
+read once per spawned worker), or when nothing is in flight.  On Linux's
+default 64 KiB pipe that is about 740 records, more than an annotate cycle
+of eight 64-event passes, so the parent keeps feeding a worker while it
+flushes.  The other half of the pipe is headroom for what goes out
+without waiting — each message's 4-byte length prefix, the id definitions
+beyond the wait's lower bound of one record per item, and the drain frame —
+so ``send_bytes`` never blocks the event loop while the worker is blocked
+writing an ack the loop has not read.
 
 **Worker loss.**  A worker that dies mid-stream surfaces as EOF on the ack
 pipe.  The shard respawns it and replays exactly the journal prefix the dead
@@ -177,14 +188,10 @@ class ProcessShard(Shard):
     Owns the worker process and its two pipes, how many WAL-covered
     operations the worker has been handed (``sent_ops`` — the replay prefix
     after a worker loss) and the un-acked batches whose enqueue stamps the
-    fold turns into latency observations.
+    fold turns into latency observations.  ``submit`` waits while those
+    batches' frame bytes (``inflight_bytes``) leave no room in the window,
+    half the request pipe.
     """
-
-    #: Frames allowed in flight before ``submit`` awaits an ack.  Two keeps
-    #: the worker busy while the parent encodes the next batch; frames are a
-    #: few KB, so the pipe buffer never fills and ``send_bytes`` never blocks
-    #: the event loop.
-    max_inflight = 2
 
     def __init__(self, host: "AnnotationService", index: int):
         super().__init__(host, index)
@@ -194,8 +201,13 @@ class ProcessShard(Shard):
         #: far, poison-skips included — recovery replays exactly this prefix
         #: of the shard's journal.
         self.sent_ops = 0
-        #: Un-acked batches, popped FIFO as acks arrive (the pipe is ordered).
-        self._pending: Deque[List[List[object]]] = deque()
+        #: Un-acked batches with their frame sizes, popped FIFO as acks
+        #: arrive (the pipe is ordered).
+        self._pending: Deque[Tuple[List[List[object]], int]] = deque()
+        #: Frame bytes of ``_pending``, what the window bounds.
+        self.inflight_bytes = 0
+        #: The window: half the live worker's request pipe.
+        self._window = 0
         #: Objects proven to kill fresh workers; never framed again.
         self._poisoned: Set[str] = set()
         #: Whether drain was requested; recovery re-sends the drain frame
@@ -207,7 +219,8 @@ class ProcessShard(Shard):
         self._spawn()
         self._ready = asyncio.Event()
         self._ready.set()
-        self._inflight = asyncio.Semaphore(self.max_inflight)
+        #: Set whenever an ack (or a respawn) frees window bytes.
+        self._acked = asyncio.Event()
         self._reader: "asyncio.Task[Ack]" = asyncio.create_task(
             self._read_acks(), name=f"semitri-ipc-{self.index}"
         )
@@ -229,10 +242,12 @@ class ProcessShard(Shard):
             name=f"semitri-shard-{self.index}",
         )
         self.pid = self._worker.pid
+        self._window = self._worker.request_capacity() // 2
         # A fresh worker starts from an empty executor: the mirrored counters
         # (and any un-acked batches) died with the previous process.
         self.events_absorbed = self.open_sessions = self.sessions_evicted = 0
         self._pending.clear()
+        self.inflight_bytes = 0
 
     def _respawn(self) -> None:
         """Count one worker loss and replace the worker with a fresh one."""
@@ -264,9 +279,17 @@ class ProcessShard(Shard):
 
         ``sent_ops`` is advanced *before* the frame leaves, so a worker death
         at any point is recovered by replaying exactly that journal prefix.
+        The window is waited for first, against one record per item (a
+        frame's least size), so the frame is built for the live worker;
+        both conditions are tested again after every wake-up.
         """
-        await self._inflight.acquire()
-        await self._ready.wait()
+        floor = len(batch) * wire.RECORD.size
+        while True:
+            await self._ready.wait()
+            if not self._pending or self.inflight_bytes + floor <= self._window:
+                break
+            self._acked.clear()
+            await self._acked.wait()
         sendable: List[List[object]] = []
         now = time.perf_counter()
         for item in batch:
@@ -283,10 +306,10 @@ class ProcessShard(Shard):
                     continue
             sendable.append(item)
         if not sendable:
-            self._inflight.release()
             return
         frame = self._encoder.encode_batch(sendable)
-        self._pending.append(sendable)
+        self._pending.append((sendable, len(frame)))
+        self.inflight_bytes += len(frame)
         self.metrics.ipc_frames.inc()
         self.metrics.ipc_bytes.inc(len(frame))
         self._send(frame)
@@ -339,8 +362,9 @@ class ProcessShard(Shard):
                 continue
             if ack[0] == "drained":
                 return ack
-            batch = self._pending.popleft()
-            self._inflight.release()
+            batch, size = self._pending.popleft()
+            self.inflight_bytes -= size
+            self._acked.set()
             self.host._apply_ack(self, ack, batch)
 
     # -------------------------------------------------------------- recovery
@@ -348,12 +372,11 @@ class ProcessShard(Shard):
         """Bring a dead worker back: respawn + WAL prefix replay."""
         host = self.host
         self._ready.clear()
-        # Un-acked frames died with the worker; free their in-flight permits
-        # so a ``submit`` blocked on one can proceed once ready.
-        for _ in self._pending:
-            self._inflight.release()
         solo = self.restarts + 1 > SHARD_RETRIES
+        # Un-acked frames died with the worker: the respawn empties the
+        # window, and a ``submit`` waiting on it goes on to wait for ready.
         self._respawn()
+        self._acked.set()
         journal = host.journal
         if journal is None:
             self.sent_ops = 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 
 import pytest
@@ -396,3 +397,60 @@ class TestConfigDictConstruction:
         monkeypatch.setenv("SEMITRI_OBSERVABILITY", "off")
         assert not SeMiTriPipeline().config.observability.enabled
         assert not GeoContext(AnnotationSources()).config.observability.enabled
+
+
+def _float_fields():
+    """``(section, field)`` of every float setting of the default config."""
+    config = PipelineConfig()
+    return [
+        (section.name, setting.name)
+        for section in dataclasses.fields(config)
+        for setting in dataclasses.fields(getattr(config, section.name))
+        if isinstance(getattr(getattr(config, section.name), setting.name), float)
+    ]
+
+
+_FLOAT_FIELDS = _float_fields()
+_FLOAT_IDS = [f"{section}.{name}" for section, name in _FLOAT_FIELDS]
+
+#: Float settings whose bound is an ordering that infinity cannot satisfy.
+_INF_REFUSED = {
+    ("transport", "walk_speed_max"),
+    ("transport", "bicycle_speed_max"),
+    ("point", "self_transition"),
+}
+
+
+class TestFloatBounds:
+    """Every float bound refuses NaN, which no ``<=`` / ``<`` comparison catches."""
+
+    def test_every_float_field_is_covered(self):
+        assert len(_FLOAT_FIELDS) == 19
+
+    @pytest.mark.parametrize("section, name", _FLOAT_FIELDS, ids=_FLOAT_IDS)
+    def test_nan_is_refused_by_the_constructor(self, section, name):
+        current = getattr(PipelineConfig(), section)
+        with pytest.raises(ConfigurationError):
+            dataclasses.replace(current, **{name: float("nan")})
+
+    @pytest.mark.parametrize("section, name", _FLOAT_FIELDS, ids=_FLOAT_IDS)
+    @pytest.mark.parametrize("nan", [float("nan"), "nan"], ids=["float", "string"])
+    def test_nan_is_refused_by_from_dict(self, section, name, nan):
+        with pytest.raises(ConfigurationError):
+            PipelineConfig.from_dict({section: {name: nan}})
+        with pytest.raises(ConfigurationError):
+            PipelineConfig.from_dict(overrides={f"{section}.{name}": nan})
+
+    @pytest.mark.parametrize("section, name", _FLOAT_FIELDS, ids=_FLOAT_IDS)
+    def test_infinity_keeps_its_reading(self, section, name):
+        current = getattr(PipelineConfig(), section)
+        if (section, name) in _INF_REFUSED:
+            with pytest.raises(ConfigurationError):
+                dataclasses.replace(current, **{name: float("inf")})
+        else:
+            replaced = dataclasses.replace(current, **{name: float("inf")})
+            assert getattr(replaced, name) == float("inf")
+
+    def test_a_nan_max_speed_no_longer_builds_a_cleaner(self):
+        with pytest.raises(ConfigurationError, match="max_speed"):
+            PipelineConfig.from_dict({"cleaning": {"max_speed": float("nan")}})
