@@ -6,6 +6,7 @@ Usage::
     python scripts/ladder.py PARENT CHANGE --pairs 10 --seconds 20 --seeds 4601-4610 \\
         --claim batch_store:events_per_s --out BENCH_46.json [--workdir DIR]
     python scripts/ladder.py --check BENCH_46.json
+    python scripts/ladder.py --table
 
 Each commit is exported with ``git archive`` into a directory of its own under
 ``--workdir`` (default: a new temporary directory): a plain tree of the
@@ -22,10 +23,16 @@ and the claim with its result.
 A claim ``WORKLOAD:METRIC`` is met when the change is better in at least nine
 tenths of the pairs (ties count for neither side) and the medians differ, in
 the better direction, by more than the parent's interquartile distance.
+``--claim none`` records a run that claims nothing (``"claim": null``).
 
 ``--check FILE`` feeds the records a BENCH file holds back to
 ``bench/compare.py`` and exits 1 unless they reproduce its verdicts and
 claim result.
+
+``--table`` prints the ``events_per_s`` table of ROADMAP.md's "Measured /
+fast" aim, one row per PR: the transcribed rows of ``BENCH_history.json``,
+then each ``BENCH_<pr>.json`` (its per-workload medians, parent -> change),
+which replaces a transcribed row of the same PR.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ import argparse
 import json
 import math
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -176,11 +184,18 @@ def dump(document: dict) -> str:
     return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
+def judge(records: Dict[str, List[dict]], claim: str) -> Optional[dict]:
+    """The judged ``WORKLOAD:METRIC`` claim, or ``None`` for ``none``."""
+    if claim == "none":
+        return None
+    workload, _, metric = claim.partition(":")
+    return judge_claim(records, workload, metric)
+
+
 def ladder(args: argparse.Namespace) -> int:
     if len(args.seeds) != args.pairs:
         print(f"--seeds names {len(args.seeds)} seeds for {args.pairs} pairs", file=sys.stderr)
         return 2
-    workload, _, metric = args.claim.partition(":")
     commits = {"parent": resolve(args.parent), "change": resolve(args.change)}
     workdir = Path(args.workdir or tempfile.mkdtemp(prefix="ladder-")).resolve()
     trees = {side: workdir / side for side in SIDES}
@@ -203,7 +218,7 @@ def ladder(args: argparse.Namespace) -> int:
             shutil.rmtree(tree, ignore_errors=True)
     records = {side: read_records(outs[side]) for side in SIDES}
     rows = verdicts(outs["parent"], outs["change"])
-    claim = judge_claim(records, workload, metric)
+    claim = judge(records, args.claim)
     document = {
         "parent": commits["parent"],
         "change": commits["change"],
@@ -245,11 +260,61 @@ def check(path: str) -> int:
             )
         rows = verdicts(files["parent"], files["change"])
     claim = document["claim"]
-    again = judge_claim(records, claim["workload"], claim["metric"])
+    again = None if claim is None else judge_claim(records, claim["workload"], claim["metric"])
     same = rows == document["verdicts"] and again == claim
     print(compare.render(rows))
     print(f"{path}: verdicts and claim {'reproduced' if same else 'DIFFER'}")
     return int(not same)
+
+
+def workloads() -> List[str]:
+    """The workloads ``BENCHMARK.json`` declares, in its order."""
+    with (REPO / "BENCHMARK.json").open(encoding="utf-8") as handle:
+        return [workload["name"] for workload in json.load(handle)["workloads"]]
+
+
+def bench_rows() -> Dict[int, Dict[str, dict]]:
+    """Per PR, per workload: ``events_per_s`` as ``{"parent", "change"[, "note"]}``
+    (or ``{"value"}``), from ``BENCH_history.json`` and the ``BENCH_<pr>.json`` files."""
+    history = json.loads((REPO / "BENCH_history.json").read_text(encoding="utf-8"))
+    rows = {row["pr"]: row["workloads"] for row in history["rows"]}
+    for path in REPO.glob("BENCH_*.json"):
+        match = re.fullmatch(r"BENCH_(\d+)\.json", path.name)
+        if match is None:
+            continue
+        records = json.loads(path.read_text(encoding="utf-8"))["records"]
+        rows[int(match.group(1))] = {
+            workload: {
+                side: statistics.median(by_seed(records[side], workload, "events_per_s").values())
+                for side in SIDES
+            }
+            for workload in workloads()
+        }
+    return rows
+
+
+def table() -> List[str]:
+    """ROADMAP.md's "Measured / fast" table, as markdown lines."""
+
+    def rate(value: float) -> str:
+        return f"{value / 1000:.1f}k"
+
+    def cell(entry: Optional[dict]) -> str:
+        if entry is None:
+            return "—"
+        text = rate(entry["value"]) if "value" in entry else (
+            f"{rate(entry['parent'])} -> {rate(entry['change'])}"
+        )
+        return f"{text} ({entry['note']})" if "note" in entry else text
+
+    names = workloads()
+    lines = [
+        "| PR | " + " | ".join(f"`{name}`" for name in names) + " |",
+        "|---" * (len(names) + 1) + "|",
+    ]
+    for pr, row in sorted(bench_rows().items()):
+        lines.append(f"| {pr} | " + " | ".join(cell(row.get(name)) for name in names) + " |")
+    return lines
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -259,15 +324,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0, help="bench/run.py --seconds")
     parser.add_argument("--seeds", type=parse_seeds, help="A-B: one seed per pair")
-    parser.add_argument("--claim", default="batch_store:events_per_s", help="WORKLOAD:METRIC")
+    parser.add_argument(
+        "--claim", default="batch_store:events_per_s", help="WORKLOAD:METRIC, or none"
+    )
     parser.add_argument("--out", help="the BENCH file to write")
     parser.add_argument("--workdir", help="where the trees and raw records go")
     parser.add_argument("--check", metavar="FILE", help="re-derive a BENCH file's verdicts")
+    parser.add_argument("--table", action="store_true", help="print the ROADMAP ev/s table")
     args = parser.parse_args(argv)
     if args.check:
         return check(args.check)
+    if args.table:
+        print("\n".join(table()))
+        return 0
     if not (args.parent and args.change and args.seeds and args.out):
-        parser.error("PARENT, CHANGE, --seeds and --out are required unless --check is given")
+        parser.error("PARENT, CHANGE, --seeds and --out are required without --check or --table")
     return ladder(args)
 
 

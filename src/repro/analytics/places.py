@@ -87,9 +87,7 @@ class FrequentPlaceMiner:
         # Every stop's neighbours within the radius, nearest first: one query
         # of an index over the stop centres (payload: position in stop_list).
         stop_centers = [stop.center() for stop in stop_list]
-        index = FlatSpatialIndex.from_points(
-            *point_columns(stop_centers), range(len(stop_list)), cell_size=self._radius
-        )
+        index = FlatSpatialIndex.from_points(*point_columns(stop_centers), range(len(stop_list)))
         neighbor_lists = index.within_distance_pairs(stop_centers, self._radius)
 
         labels: Dict[int, int] = {}

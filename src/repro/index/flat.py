@@ -1,37 +1,27 @@
-"""Read-only, array-backed spatial index packed straight from the source rows.
+"""Read-only, array-backed spatial index over the source rows.
 
 The geographic sources (regions, road segments, POIs) are static: every query
 hits an immutable structure, so the index is a handful of contiguous numpy
-arrays, built once from the sources' coordinate columns and queried for whole
-coordinate batches.  No Python tree is ever built:
+columns, taken once from the sources' coordinate columns and queried for
+whole coordinate batches.  There is one layout: entry ``i`` is source row
+``i`` — a box as given (:meth:`FlatSpatialIndex.from_boxes`, with the segment
+endpoints beside it for road networks) or a point as a zero-size box
+(:meth:`FlatSpatialIndex.from_points`).
 
-* :meth:`FlatSpatialIndex.from_boxes` packs boxes (regions, road segments)
-  with **Sort-Tile-Recursive** bulk loading done in numpy: a stable argsort of
-  the box centres' x, tiles of ``ceil(n / ceil(sqrt(ceil(n / capacity))))``
-  rows each stable-sorted by the centres' y, consecutive runs of ``capacity``
-  rows per leaf, the leaf boxes reduced with ``np.minimum/maximum.reduceat``,
-  and the same again on each level's boxes until one root is left.  The result
-  is an **implicit layout**: one bounding-box array per tree level plus
-  ``child_start``/``child_end`` slices into the next level, ending in the leaf
-  entry arrays.  Box queries (:meth:`~FlatSpatialIndex.query_boxes_batch`)
-  traverse the levels with vectorized ``(query, node)`` frontier expansion
-  instead of per-query recursion.  The point-shaped queries —
-  :meth:`~FlatSpatialIndex.query_points_batch` and
-  :meth:`~FlatSpatialIndex.within_distance_batch`, a square of half-side
-  ``pad`` (0 or the radius) around each point — read **one cell** per point
-  of a cell table instead: a uniform grid of about one cell per entry that
-  lists, in row order, every entry whose box padded by ``pad`` overlaps the
-  cell.  It is built on the first such query and kept for the last ``pad``
-  asked (one table per index; never pickled); the rows of the cell get the
-  same exact box test as the walk's leaf level, so the answers are the
-  walk's.
-* :meth:`FlatSpatialIndex.from_points` lays points (POIs, stop centres) out as
-  a uniform hash grid flattened into columns: rows sorted by ``(cell_x,
-  cell_y, input order)`` with ``cell = floor(coordinate / cell_size)``.  Batch
-  queries are chunked columnar scans (for point payloads a masked scan beats
-  per-cell bucket walks once queries are batched); the one-row
-  :meth:`FlatSpatialIndex.within_distance_point` walks the sorted cell
-  columns instead, which is what a single lookup is cheapest with.
+Two paths answer the queries:
+
+* the point-shaped ones — :meth:`~FlatSpatialIndex.query_points_batch`
+  and :meth:`~FlatSpatialIndex.within_distance_batch`, a square of
+  half-side ``pad`` (0 or the radius) around each point, and the one-row
+  forms built on them — read **one cell** per point of a cell table: a
+  uniform grid of about one cell per entry that lists, in row order, every
+  entry whose box padded by ``pad`` overlaps the cell.  It is built on the
+  first such query and kept for the last ``pad`` asked (one table per index;
+  never pickled); the rows of the cell then get the exact box test;
+* everything else — :meth:`~FlatSpatialIndex.query_boxes_batch`, and a
+  point query for which no table can be built (a coordinate or the padded
+  extent is not finite) — is a chunked columnar scan of every row.
+  :meth:`~FlatSpatialIndex.nearest_batch` is a brute-force distance matrix.
 
 All batch queries return CSR-style ``(offsets, indices[, distances])``
 triples: query ``i``'s results are ``indices[offsets[i]:offsets[i + 1]]``,
@@ -39,42 +29,32 @@ indexing into :attr:`payloads`.
 
 Result ordering contract
 ------------------------
-Entry ``i`` of :attr:`payloads` has **row** ``i``: for boxes the left-to-right
-order of the leaf entries under the packed levels, for points the
-``(cell_x, cell_y, input order)`` order.  Box and point-containment queries
-return matches in ascending row order; ``within_distance`` and ``nearest``
-queries in ``(distance, row)`` order, so equal-distance entries — including
-duplicate boxes and coincident points — come out in row order, never in an
-incidental one.  ``tests/test_index_ordering.py`` pins the tie-breaks.
+Entry ``i`` of :attr:`payloads` has **row** ``i``, its position in the
+source.  Box and point-containment queries return matches in ascending row
+order; ``within_distance`` and ``nearest`` queries in ``(distance, row)``
+order, so equal-distance entries — including duplicate boxes and coincident
+points — come out in source order, never in an incidental one.
+``tests/test_index_ordering.py`` pins the tie-breaks.
 
 Parity contract
 ---------------
-The layout and every query result are **provably identical** — same rows, same
-level arrays, same sets, same order, bit-identical distances — to the
-pure-Python STR-loaded R-tree and hash grid kept with the other test oracles
-(they were the product's indexes before this module packed its own arrays):
-
-* the packing evaluates the oracles' float expressions (box centre
-  ``(min + max) / 2.0``, cell ``floor(coordinate / cell_size)``, the tile and
-  leaf sizes) and sorts stably wherever they did;
-* distances use only IEEE ``+ - * /``, ``sqrt``, ``min``/``max`` and
-  comparisons — the same operation sequences as the scalar code
-  (:meth:`Point.distance_to`, :meth:`BoundingBox.min_distance_to_point`,
-  :func:`repro.geometry.distance.point_segment_distance`), which numpy's
-  elementwise loops round identically.
-
-``tests/test_index_direct_pack.py`` compares the packed arrays with the
-oracle compile on generated inputs, ``tests/test_index_flat_parity.py`` the
-query results on random point clouds and degenerate inputs.
+Every query result is **identical** — same sets, same order, bit-identical
+distances — to what the pure-Python R-tree and hash grid kept with the other
+test oracles answer one query at a time, their ties in insertion order:
+distances use only IEEE ``+ - * /``, ``sqrt``, ``min``/``max`` and
+comparisons — the same operation sequences as the scalar code
+(:meth:`Point.distance_to`, :meth:`BoundingBox.min_distance_to_point`,
+:func:`repro.geometry.distance.point_segment_distance`), which numpy's
+elementwise loops round identically.  ``tests/test_index_flat_parity.py``
+holds the queries to the oracles on random point clouds and degenerate
+inputs, ``tests/test_index_cell_table.py`` the cell table to the scan.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from collections import OrderedDict
-from operator import attrgetter, itemgetter
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,9 +78,6 @@ Columns = Sequence[np.ndarray]
 #: Upper bound on the ``query x entry`` pairs materialised per brute-force
 #: chunk; keeps the distance matrices cache-friendly for large batches.
 _CHUNK_PAIR_BUDGET = 1 << 21
-
-#: Fan-out of a packed node (the STR leaf and parent capacity).
-_NODE_CAPACITY = 16
 
 #: Most ``(cell, entry)`` rows a cell table may hold per entry: past it the
 #: cells double in size until the table fits (at one cell it holds one row per
@@ -244,20 +221,6 @@ class _CellTable:
         return q, self.rows[positions].astype(np.intp)
 
 
-class _Level:
-    """One tree level: node boxes plus child slices into the next level."""
-
-    __slots__ = ("min_xs", "min_ys", "max_xs", "max_ys", "child_starts", "child_ends")
-
-    def __init__(self, boxes: Columns, counts: np.ndarray):
-        self.min_xs, self.min_ys, self.max_xs, self.max_ys = (
-            np.ascontiguousarray(column, dtype=np.float64) for column in boxes
-        )
-        counts = np.asarray(counts, dtype=np.intp)
-        self.child_ends = np.cumsum(counts)
-        self.child_starts = self.child_ends - counts
-
-
 def _empty_csr(query_count: int, with_distances: bool):
     offsets = np.zeros(query_count + 1, dtype=np.intp)
     indices = np.empty(0, dtype=np.intp)
@@ -272,10 +235,9 @@ def expand_ranges(
     """Repeat each value over its ``[start, end)`` range and enumerate the members.
 
     Returns ``(repeated values, range members)``, ranges concatenated in
-    input order.  The tree traversal expands surviving ``(query, node)`` pairs
-    to their children with it (child ranges ascend with node index within
-    each query, so the output stays lexicographically sorted); the columnar
-    map matcher expands per-point values over CSR candidate ranges.
+    input order.  The cell table expands each query point over the rows its
+    cell lists with it; the columnar map matcher expands per-point values over
+    CSR candidate ranges.
     """
     counts = ends - starts
     total = int(counts.sum())
@@ -303,28 +265,6 @@ def point_columns(points: Sequence[Point]) -> Tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
-def _str_pack(boxes: Columns, capacity: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Sort-Tile-Recursive packing of ``boxes`` into groups of at most ``capacity``.
-
-    Returns ``(order, starts)``: the boxes in packed order and where in it each
-    group begins.  Rows are stable-sorted by centre x and cut into vertical
-    tiles of ``slice_size``; each tile is stable-sorted by centre y and cut
-    into runs of ``capacity``.
-    """
-    min_xs, min_ys, max_xs, max_ys = boxes
-    count = len(min_xs)
-    leaf_count = math.ceil(count / capacity)
-    slice_count = max(1, math.ceil(math.sqrt(leaf_count)))
-    slice_size = math.ceil(count / slice_count)
-    by_x = np.argsort((min_xs + max_xs) / 2.0, kind="stable")
-    positions = np.arange(count)
-    centre_ys = ((min_ys + max_ys) / 2.0)[by_x]
-    # lexsort is stable: within a tile, equal centre ys keep their by-x order.
-    order = by_x[np.lexsort((centre_ys, positions // slice_size))]
-    starts = np.flatnonzero(positions % slice_size % capacity == 0)
-    return order, starts
-
-
 class FlatSpatialIndex:
     """Array-backed read-only spatial index with CSR batch queries.
 
@@ -336,167 +276,60 @@ class FlatSpatialIndex:
     ``"bbox"``
         minimum distance to the entry's bounding box;
     ``"point"``
-        distance to the entry's point (the grid layout of :meth:`from_points`);
+        distance to the entry's point (:meth:`from_points`);
     ``"segment"``
         Equation 1 point-segment distance to the entry's segment (road
         networks; :meth:`from_boxes` with endpoint columns).
-
-    The constructor takes a finished layout — levels root first, entry
-    columns and payloads in row order — and is what the two packers (and the
-    test oracles' tree and grid compilers) end in.
     """
 
     def __init__(
         self,
-        levels: List[_Level],
         entry_boxes: Columns,
-        payloads: List[Any],
+        payloads: Iterable[Any],
         geometry: str,
         segments: Optional[Columns] = None,
-        cell_size: Optional[float] = None,
     ):
         if geometry not in ("bbox", "point", "segment"):
             raise ValueError(f"unknown flat-index geometry {geometry!r}")
         if geometry == "segment" and segments is None:
             raise ValueError("segment geometry requires endpoint arrays")
-        if geometry == "point" and not (cell_size is not None and cell_size > 0):
-            raise ValueError("point geometry requires a positive cell_size")
-        self._levels = levels
+        self._payloads = list(payloads)
         self._min_xs, self._min_ys, self._max_xs, self._max_ys = (
             np.ascontiguousarray(column, dtype=np.float64) for column in entry_boxes
         )
-        self._payloads = payloads
+        self._segments: Optional[Tuple[np.ndarray, ...]] = None
+        if segments is not None:
+            self._segments = tuple(
+                np.ascontiguousarray(column, dtype=np.float64) for column in segments
+            )
+        columns = (*self.entry_columns, *(self._segments or ()))
+        if any(column.shape != (len(self._payloads),) for column in columns):
+            raise ValueError("coordinate columns and payloads must be equally long")
         self._geometry = geometry
-        self._segments = None if segments is None else tuple(segments)
-        self._cell_size = cell_size
         # ``(pad, table)`` of the last pad a point query asked for: built on
         # first use, replaced when the pad changes, never pickled.
         self._cells: Optional[Tuple[float, Optional[_CellTable]]] = None
-        self._nearest_max_radius: Optional[float] = None
-        if geometry == "point":
-            assert cell_size is not None
-            # A ring-doubling nearest search over the grid starts at cell_size
-            # and gives up once the doubled radius exceeds cell_size * 1e6; the
-            # largest radius it queries is the cap (same float expressions as
-            # the oracle grid's loop, so the comparison is bit-identical).
-            cap = cell_size
-            while cap * 2.0 <= cell_size * 1e6:
-                cap *= 2.0
-            self._nearest_max_radius = cap
-            self._index_cells(cell_size)
 
-    def _index_cells(self, cell_size: float) -> None:
-        """The occupied cells of a point layout, for the one-row cell walk.
-
-        ``_cell_keys[k]`` is the k-th occupied ``(cell_x, cell_y)`` in
-        lexicographic order and its rows are ``_cell_starts[k]:_cell_starts[k
-        + 1]``; the coordinates are kept as Python floats beside the columns
-        because the walk is scalar code.
-        """
-        cell_xs = np.floor(self._min_xs / cell_size).astype(np.int64)
-        cell_ys = np.floor(self._min_ys / cell_size).astype(np.int64)
-        firsts = np.flatnonzero((np.diff(cell_xs) != 0) | (np.diff(cell_ys) != 0)) + 1
-        if len(cell_xs):
-            firsts = np.concatenate(([0], firsts))
-        self._cell_keys = list(zip(cell_xs[firsts].tolist(), cell_ys[firsts].tolist()))
-        if any(a >= b for a, b in zip(self._cell_keys, self._cell_keys[1:])):
-            raise ValueError("point rows must be laid out in (cell_x, cell_y) order")
-        self._cell_starts = firsts.tolist() + [len(cell_xs)]
-        self._point_xs = self._min_xs.tolist()
-        self._point_ys = self._min_ys.tolist()
-
-    # ---------------------------------------------------------------- packing
     @classmethod
     def from_boxes(
-        cls,
-        boxes: Columns,
-        payloads: Sequence[Any],
-        segments: Optional[Columns] = None,
-        capacity: int = _NODE_CAPACITY,
+        cls, boxes: Columns, payloads: Iterable[Any], segments: Optional[Columns] = None
     ) -> "FlatSpatialIndex":
-        """Pack ``boxes`` (``min_xs, min_ys, max_xs, max_ys`` columns) bottom-up.
-
-        Sort-Tile-Recursive: the entries are packed into leaves of
-        ``capacity``, the leaves' boxes into parents, and so on until one root
-        is left; a level's box is the ``min``/``max`` reduction of its
-        children's.  Packing a level *reorders* the one below it, so the
-        levels are then laid out top-down — each level in the order its
-        parents list their children — which puts the entries in the
-        left-to-right leaf order the ordering contract calls rows.
+        """Index ``boxes`` (``min_xs, min_ys, max_xs, max_ys`` columns), row ``i`` = box ``i``.
 
         With ``segments`` (``start_xs, start_ys, end_xs, end_ys`` columns in
-        input order) distance queries refine by exact point-segment distance.
+        the same order) distance queries refine by exact point-segment
+        distance.
         """
-        if capacity < 4:
-            raise ValueError("capacity must be at least 4")
-        entry_boxes = [np.asarray(column, dtype=np.float64) for column in boxes]
-        count = len(payloads)
-        if any(column.shape != (count,) for column in entry_boxes):
-            raise ValueError("box columns and payloads must be equally long")
-        reducers = (np.minimum, np.minimum, np.maximum, np.maximum)
-        # Bottom-up: per level, its nodes' boxes and child slices in creation
-        # order, and the level below in the packed order the slices refer to.
-        packed = []
-        node_boxes = entry_boxes
-        while count > 0:
-            order, starts = _str_pack(node_boxes, capacity)
-            node_boxes = [
-                reducer.reduceat(column[order], starts)
-                for reducer, column in zip(reducers, node_boxes)
-            ]
-            packed.append((node_boxes, starts, np.diff(starts, append=len(order)), order))
-            if len(starts) == 1:
-                break
-        # Top-down: ``rows`` is the current level's nodes, left to right, as
-        # indices into its creation order — the root, then the children its
-        # nodes list, and after the leaf level the entries themselves.
-        levels: List[_Level] = []
-        rows = np.zeros(min(count, 1), dtype=np.intp)
-        for level_boxes, starts, counts, order in reversed(packed):
-            starts, counts = starts[rows], counts[rows]
-            levels.append(_Level([column[rows] for column in level_boxes], counts))
-            rows = order[expand_ranges(rows, starts, starts + counts)[1]]
-        if segments is not None:
-            segments = [np.asarray(column, dtype=np.float64)[rows] for column in segments]
-        return cls(
-            levels,
-            [column[rows] for column in entry_boxes],
-            [payloads[row] for row in rows.tolist()],
-            "bbox" if segments is None else "segment",
-            segments,
-        )
+        return cls(boxes, payloads, "bbox" if segments is None else "segment", segments)
 
     @classmethod
     def from_points(
-        cls, xs: np.ndarray, ys: np.ndarray, payloads: Sequence[Any], cell_size: float
+        cls, xs: np.ndarray, ys: np.ndarray, payloads: Iterable[Any]
     ) -> "FlatSpatialIndex":
-        """Lay points out as a flattened uniform hash grid of ``cell_size`` cells.
+        """Index points as zero-size boxes, row ``i`` = point ``i``."""
+        return cls((xs, ys, xs, ys), payloads, "point")
 
-        Rows are sorted by ``(cell_x, cell_y)`` with ``cell = floor(coordinate
-        / cell_size)``, points of one cell in input order — the order a walk
-        over any query rectangle's cells (``cell_x`` outer, ``cell_y`` inner)
-        meets them in.  ``nearest`` queries honour the radius cap of a
-        ring-doubling grid search (it starts at ``cell_size`` and stops
-        doubling past ``cell_size * 1e6``), so that even its truncation on
-        pathological inputs is part of the contract.
-        """
-        if not cell_size > 0:
-            raise ValueError("cell_size must be positive")
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
-        if xs.shape != (len(payloads),) or ys.shape != xs.shape:
-            raise ValueError("coordinate columns and payloads must be equally long")
-        order = np.lexsort((np.floor(ys / cell_size), np.floor(xs / cell_size)))  # stable
-        xs, ys = xs[order], ys[order]
-        return cls(
-            [],
-            (xs, ys, xs.copy(), ys.copy()),
-            [payloads[row] for row in order.tolist()],
-            "point",
-            cell_size=cell_size,
-        )
-
-    def __getstate__(self) -> Dict[str, Any]:
+    def __getstate__(self) -> dict:
         # The cell table is rebuilt lazily by whoever queries the copy.
         state = self.__dict__.copy()
         state["_cells"] = None
@@ -526,35 +359,6 @@ class FlatSpatialIndex:
         """Endpoint columns ``(start_xs, start_ys, end_xs, end_ys)`` by row (segment geometry)."""
         return self._segments
 
-    @property
-    def level_count(self) -> int:
-        """Number of packed tree levels (0 for point layouts)."""
-        return len(self._levels)
-
-    def array_blocks(self) -> "OrderedDict[str, np.ndarray]":
-        """Every contiguous numpy block of the index, by stable name.
-
-        The enumeration the identity tests compare array by array (direct
-        pack against tree-then-compile, a snapshot against its pickled copy):
-        per-level bbox and child-slice columns, the entry-box columns and (for
-        segment geometry) the endpoint columns.  Names are deterministic for
-        a given index; payload objects are *not* included.
-        """
-        blocks: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        for depth, level in enumerate(self._levels):
-            for attr in _Level.__slots__:
-                blocks[f"levels[{depth}].{attr}"] = getattr(level, attr)
-        blocks["entries.min_xs"] = self._min_xs
-        blocks["entries.min_ys"] = self._min_ys
-        blocks["entries.max_xs"] = self._max_xs
-        blocks["entries.max_ys"] = self._max_ys
-        if self._segments is not None:
-            for name, column in zip(
-                ("start_xs", "start_ys", "end_xs", "end_ys"), self._segments
-            ):
-                blocks[f"segments.{name}"] = column
-        return blocks
-
     # ---------------------------------------------------------- batch queries
     def query_boxes_batch(
         self,
@@ -572,7 +376,7 @@ class FlatSpatialIndex:
         qmin_y = np.asarray(min_ys, dtype=np.float64)
         qmax_x = np.asarray(max_xs, dtype=np.float64)
         qmax_y = np.asarray(max_ys, dtype=np.float64)
-        q, rows = self._candidate_pairs(qmin_x, qmin_y, qmax_x, qmax_y)
+        q, rows = self._scan_pairs(qmin_x, qmin_y, qmax_x, qmax_y)
         return self._to_csr(len(qmin_x), q, rows)
 
     def query_points_batch(self, xs: np.ndarray, ys: np.ndarray) -> BatchQueryResult:
@@ -591,8 +395,8 @@ class FlatSpatialIndex:
         filter (``<= radius``) and a stable sort by distance, so ties keep row
         order.  Returns ``(offsets, indices, distances)``.
         """
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
+        if not radius >= 0:
+            raise ValueError("radius must be a non-negative number")
         xs = np.asarray(xs, dtype=np.float64)
         ys = np.asarray(ys, dtype=np.float64)
         query_count = len(xs)
@@ -615,9 +419,9 @@ class FlatSpatialIndex:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The ``count`` nearest rows per query point, in ``(distance, row)`` order.
 
-        What a best-first tree search with the row tie-break returns, and for
-        point layouts a ring-doubling grid search, whose radius cap is honoured
-        (see :meth:`from_points`).  Returns ``(offsets, indices, distances)``.
+        A brute-force distance matrix per chunk of queries; what a best-first
+        tree search with the row tie-break returns.  Returns ``(offsets,
+        indices, distances)``.
 
         No annotation stage asks for nearest neighbours; the single-point
         ``nearest`` / ``nearest_segment`` of the sources are one-row calls of
@@ -637,8 +441,6 @@ class FlatSpatialIndex:
         for start in range(0, query_count, chunk):
             stop = min(query_count, start + chunk)
             matrix = self._distance_matrix(xs[start:stop], ys[start:stop])
-            if self._nearest_max_radius is not None:
-                matrix = np.where(matrix <= self._nearest_max_radius, matrix, np.inf)
             # Select everything up to the per-query kth distance (partition is
             # O(n) versus a full sort), *including* boundary ties, then order
             # the small survivor set by (distance, row) and truncate — the
@@ -685,52 +487,21 @@ class FlatSpatialIndex:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Sorted ``(query, row)`` pairs whose entry box meets each point's ``pad`` square.
 
-        A box layout reads each point's one cell of the cell table for ``pad``
-        and box-tests the rows listed there, exactly as the leaf level of
-        :meth:`_candidate_pairs` does; it walks the levels only where no table
+        Reads each point's one cell of the cell table for ``pad`` and
+        box-tests the rows listed there; scans every row only where no table
         can be built (a coordinate or the padded extent is not finite).
         """
         qmin_x, qmin_y, qmax_x, qmax_y = xs - pad, ys - pad, xs + pad, ys + pad
-        if not self._levels or len(xs) == 0:
-            return self._candidate_pairs(qmin_x, qmin_y, qmax_x, qmax_y)
+        if len(xs) == 0 or not self._payloads:
+            return self._scan_pairs(qmin_x, qmin_y, qmax_x, qmax_y)
         cells = self._cells
         if cells is None or cells[0] != pad:
             cells = self._cells = (pad, _CellTable.build(self.entry_columns, pad))
         table = cells[1]
         if table is None:
-            return self._candidate_pairs(qmin_x, qmin_y, qmax_x, qmax_y)
+            return self._scan_pairs(qmin_x, qmin_y, qmax_x, qmax_y)
         q, rows = table.pairs(xs, ys)
         return self._box_hits(q, rows, qmin_x, qmin_y, qmax_x, qmax_y)
-
-    def _candidate_pairs(
-        self,
-        qmin_x: np.ndarray,
-        qmin_y: np.ndarray,
-        qmax_x: np.ndarray,
-        qmax_y: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Lexicographically sorted ``(query, row)`` pairs with intersecting boxes."""
-        query_count = len(qmin_x)
-        size = len(self._payloads)
-        if query_count == 0 or size == 0:
-            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-        if not self._levels:
-            return self._scan_pairs(qmin_x, qmin_y, qmax_x, qmax_y)
-        q = np.arange(query_count, dtype=np.intp)
-        nodes = np.zeros(query_count, dtype=np.intp)
-        for level in self._levels:
-            hit = (
-                (qmin_x[q] <= level.max_xs[nodes])
-                & (qmax_x[q] >= level.min_xs[nodes])
-                & (qmin_y[q] <= level.max_ys[nodes])
-                & (qmax_y[q] >= level.min_ys[nodes])
-            )
-            q, nodes = q[hit], nodes[hit]
-            if len(q) == 0:
-                return q, nodes
-            q, nodes = expand_ranges(q, level.child_starts[nodes], level.child_ends[nodes])
-        # After the leaf level, children indices are entry rows.
-        return self._box_hits(q, nodes, qmin_x, qmin_y, qmax_x, qmax_y)
 
     def _box_hits(
         self,
@@ -757,9 +528,14 @@ class FlatSpatialIndex:
         qmax_x: np.ndarray,
         qmax_y: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Chunked columnar scan for layouts without tree levels (points)."""
+        """Lexicographically sorted ``(query, row)`` pairs with intersecting boxes.
+
+        A chunked columnar test of every query box against every entry box.
+        """
         query_count = len(qmin_x)
         size = len(self._payloads)
+        if query_count == 0 or size == 0:
+            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
         chunk = max(1, _CHUNK_PAIR_BUDGET // size)
         out_q: List[np.ndarray] = []
         out_rows: List[np.ndarray] = []
@@ -841,48 +617,8 @@ class FlatSpatialIndex:
         ]
 
     def within_distance_point(self, point: Point, radius: float) -> List[Tuple[float, Any]]:
-        """Single-point ``within_distance`` returning ``(distance, payload)`` pairs.
-
-        A one-row batch query, except on point layouts: there one lookup is a
-        walk over the occupied cells under the query square — a bisection per
-        cell column into the sorted cell keys, then scalar arithmetic on the
-        handful of rows found — which costs a fraction of a columnar scan of
-        every row (the per-stop representative-POI lookup of the point
-        annotator is the caller that counts).  Same candidates, same
-        ``center - point`` distance expression, same stable sort.
-        """
-        if self._geometry != "point":
-            return self.within_distance_pairs([point], radius)[0]
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
-        size = self._cell_size
-        assert size is not None
-        x, y = point.x, point.y
-        min_x, max_x, min_y, max_y = x - radius, x + radius, y - radius, y + radius
-        first_column, last_column = math.floor(min_x / size), math.floor(max_x / size)
-        keys = self._cell_keys
-        if last_column - first_column >= len(keys):
-            # More cell columns under the square than occupied cells: scan.
-            return self.within_distance_pairs([point], radius)[0]
-        min_cell_y, max_cell_y = math.floor(min_y / size), math.floor(max_y / size)
-        starts, xs, ys = self._cell_starts, self._point_xs, self._point_ys
-        found: List[Tuple[float, int]] = []
-        for column in range(first_column, last_column + 1):
-            # The occupied cells of one column are adjacent in the key list,
-            # and so are their rows.
-            low = starts[bisect_left(keys, (column, min_cell_y))]
-            high = starts[bisect_right(keys, (column, max_cell_y))]
-            for row in range(low, high):
-                px, py = xs[row], ys[row]
-                if min_x <= px <= max_x and min_y <= py <= max_y:
-                    dx = x - px
-                    dy = y - py
-                    distance = math.sqrt(dx * dx + dy * dy)
-                    if distance <= radius:
-                        found.append((distance, row))
-        found.sort(key=itemgetter(0))  # stable: ties stay in row order
-        payloads = self._payloads
-        return [(distance, payloads[row]) for distance, row in found]
+        """Single-point ``within_distance`` returning ``(distance, payload)`` pairs."""
+        return self.within_distance_pairs([point], radius)[0]
 
     def query_box_payloads(self, box: BoundingBox) -> List[Any]:
         """Payloads whose entry box intersects ``box``, in row order (one-row batch query)."""

@@ -5,8 +5,8 @@ segments behind a spatial index (for candidate selection in Algorithm 2) plus
 an adjacency structure over segment endpoints (used by the incremental and
 Viterbi baseline matchers, which prefer topologically connected candidates).
 The index is one :class:`~repro.index.flat.FlatSpatialIndex` with segment
-geometry, STR-packed from the endpoint columns when the network is
-constructed; the network never changes afterwards.
+geometry over the endpoint columns, taken when the network is constructed
+(index row ``i`` is segment ``i``); the network never changes afterwards.
 
 Road types carry the information the transportation-mode inference needs: a
 ``metro_line`` only serves metro trips, a ``path_way`` only walking and
@@ -30,10 +30,10 @@ from repro.index.flat import FlatSpatialIndex
 
 @dataclass(frozen=True)
 class SegmentArrays:
-    """Per-segment columns of a road network, in :meth:`RoadNetwork.flat_index` row order.
+    """Per-segment columns of a road network, in segment (and index row) order.
 
     Everything the columnar map-matching kernel reads per network beside the
-    flat index itself: the endpoint columns (the flat index's own arrays, not
+    flat index itself: the endpoint columns (the arrays the index holds, not
     copies) for re-scoring under the perpendicular metric, and the rank of
     each row's ``place_id`` among all ids in string order, which turns the
     matcher's "largest id wins an exact score tie" rule into an integer sort
@@ -108,12 +108,10 @@ class RoadNetwork:
             segments=(start_xs, start_ys, end_xs, end_ys),
         )
         self._adjacency = self._build_adjacency()
-        columns = self._index.segment_columns
-        assert columns is not None  # the index is packed with segment geometry
-        ids = [segment.place_id for segment in self._index.payloads]
+        ids = [segment.place_id for segment in self._segments]
         id_ranks = np.empty(len(ids), dtype=np.intp)
         id_ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-        self._segment_arrays = SegmentArrays(*columns, id_ranks=id_ranks)
+        self._segment_arrays = SegmentArrays(start_xs, start_ys, end_xs, end_ys, id_ranks)
 
     # ----------------------------------------------------------- basic access
     def __len__(self) -> int:

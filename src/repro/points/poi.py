@@ -5,9 +5,10 @@ The Milan dataset of the paper has 39,772 POIs in five top-categories
 the indexed container (:class:`PoiSource`) the observation model and the HMM
 initial probabilities are derived from.
 
-The index is one :class:`~repro.index.flat.FlatSpatialIndex` in its point
-layout — the POI coordinates as columns sorted by the cells of a uniform grid
-— built when the source is constructed; the source never changes afterwards.
+The index is one :class:`~repro.index.flat.FlatSpatialIndex` with point
+geometry over the POI coordinate columns, taken when the source is
+constructed (index row ``i`` is POI ``i``); the source never changes
+afterwards.
 """
 
 from __future__ import annotations
@@ -34,20 +35,13 @@ DEFAULT_POI_CATEGORIES: Tuple[str, ...] = (
 class PoiSource:
     """An indexed third-party source of points of interest."""
 
-    def __init__(
-        self,
-        pois: Iterable[PointOfInterest],
-        name: str = "pois",
-        index_cell_size: float = 100.0,
-    ):
+    def __init__(self, pois: Iterable[PointOfInterest], name: str = "pois"):
         self._pois: List[PointOfInterest] = list(pois)
         if not self._pois:
             raise SourceError(f"POI source {name!r} contains no points of interest")
         self.name = name
         self._index = FlatSpatialIndex.from_points(
-            *point_columns([poi.location for poi in self._pois]),
-            self._pois,
-            cell_size=index_cell_size,
+            *point_columns([poi.location for poi in self._pois]), self._pois
         )
 
     def __len__(self) -> int:

@@ -5,12 +5,10 @@ Every kernel of the product has one implementation (see the README section
 column scan, the per-point form it must reproduce lives here:
 
 * :class:`~repro.reference.rtree.RTree` and
-  :class:`~repro.reference.grid_index.GridIndex` — the pure-Python STR-loaded
-  R-tree and hash grid that answer one query at a time, and
-  :func:`~repro.reference.flat_compile.from_rtree` /
-  :func:`~repro.reference.flat_compile.from_grid`, which compile them into the
-  layout :class:`~repro.index.flat.FlatSpatialIndex` packs directly from the
-  source rows;
+  :class:`~repro.reference.grid_index.GridIndex` — the pure-Python R-tree and
+  hash grid that answer one query at a time, ties in insertion order, which
+  every query of :class:`~repro.index.flat.FlatSpatialIndex` (rows in source
+  order) must reproduce;
 * :class:`~repro.reference.map_matching.ScalarMapMatcher` — Algorithm 2 as one
   R-tree query and one dict-based score aggregation per point;
 * :func:`~repro.reference.stops.velocity_stop_flags` — the velocity policy's
@@ -38,7 +36,6 @@ from repro.reference.cleaning import (
     ingest_points,
     smooth_per_point,
 )
-from repro.reference.flat_compile import from_grid, from_rtree
 from repro.reference.grid_index import GridIndex
 from repro.reference.map_matching import ScalarMapMatcher
 from repro.reference.rtree import RTree, RTreeEntry
@@ -52,8 +49,6 @@ __all__ = [
     "ScalarMapMatcher",
     "ScalarStopMoveDetector",
     "ScalarTrajectoryIdentifier",
-    "from_grid",
-    "from_rtree",
     "ingest_points",
     "smooth_per_point",
     "velocity_stop_flags",

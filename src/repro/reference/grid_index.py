@@ -1,34 +1,34 @@
 """Uniform grid spatial index — a test oracle.
 
-The product lays points out in this grid's row order directly
-(:meth:`repro.index.flat.FlatSpatialIndex.from_points`); this insert-and-walk
-form is what that layout and its queries are held to.
+The product indexes points in source order
+(:meth:`repro.index.flat.FlatSpatialIndex.from_points`) and answers whole
+coordinate batches; this insert-and-walk grid answers the same queries one at
+a time, and the point layout's queries are held to it.
 
 A hash-grid alternative to the R-tree for point-like payloads (POIs, GPS
 samples).  The paper notes that for well-divided landuse data the region
-annotation complexity drops to O(n); the grid index is what makes that true in
-this reproduction: cell lookups are O(1) and range queries touch only the
-cells overlapping the query window.
+annotation complexity drops to O(n); a grid is what makes that true: cell
+lookups are O(1) and range queries touch only the cells overlapping the query
+window.
 
 Result ordering contract
 ------------------------
-The **row** of an indexed point is its position in the sequence obtained by
-visiting the occupied cells in lexicographic ``(cell_x, cell_y)`` order and
-each cell's bucket in insertion order.  :meth:`GridIndex.query_box` iterates
-cells with ``cell_x`` as the outer loop and ``cell_y`` inner — i.e. in
-exactly that lexicographic order — so box matches come out in ascending row
-order; :meth:`GridIndex.query_radius` and :meth:`GridIndex.nearest` stable-sort
-those candidates by distance, so equal-distance points (including coincident
-points) stay in row order and every result is in ``(distance, row)`` order.
-:class:`repro.index.flat.FlatSpatialIndex` lays its columns out in the same
-row order and sorts by the same keys, making batch and scalar grid queries
-provably order-identical.
+The **row** of an indexed point is its insertion order.
+:meth:`GridIndex.query_box` returns matches in ascending row order, whichever
+cells they fall in; :meth:`GridIndex.query_radius` and
+:meth:`GridIndex.nearest` stable-sort those candidates by distance, so
+equal-distance points (including coincident points) stay in row order and
+every result is in ``(distance, row)`` order.
+:class:`repro.index.flat.FlatSpatialIndex` keeps point ``i`` at row ``i`` and
+sorts by the same keys, making batch and scalar grid queries provably
+order-identical.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
+from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.geometry.primitives import BoundingBox, Point
@@ -47,9 +47,9 @@ class GridIndex:
         if cell_size <= 0:
             raise ValueError("cell_size must be positive")
         self._cell_size = cell_size
-        self._cells: Dict[Tuple[int, int], List[Tuple[Point, Any]]] = defaultdict(list)
+        #: Per occupied cell, its ``(row, point, item)`` triples.
+        self._cells: Dict[Tuple[int, int], List[Tuple[int, Point, Any]]] = defaultdict(list)
         self._size = 0
-        self._frozen = False
 
     @property
     def cell_size(self) -> float:
@@ -65,27 +65,9 @@ class GridIndex:
             int(math.floor(point.y / self._cell_size)),
         )
 
-    @property
-    def frozen(self) -> bool:
-        """Whether the grid has been sealed against further insertions."""
-        return self._frozen
-
-    def freeze(self) -> "GridIndex":
-        """Seal the grid: subsequent :meth:`insert` calls raise.
-
-        Freezing converts the backing ``defaultdict`` into a plain dict so a
-        stray lookup of an empty cell cannot materialise buckets — a frozen
-        grid is structurally immutable and safe to share across processes.
-        """
-        self._cells = dict(self._cells)
-        self._frozen = True
-        return self
-
     def insert(self, point: Point, item: Any) -> None:
-        """Index ``item`` at ``point``."""
-        if self._frozen:
-            raise TypeError("cannot insert into a frozen GridIndex")
-        self._cells[self._cell_of(point)].append((point, item))
+        """Index ``item`` at ``point``; its row is the number of points before it."""
+        self._cells[self._cell_of(point)].append((self._size, point, item))
         self._size += 1
 
     def insert_many(self, pairs: Iterator[Tuple[Point, Any]]) -> None:
@@ -94,18 +76,19 @@ class GridIndex:
             self.insert(point, item)
 
     def query_box(self, box: BoundingBox) -> List[Tuple[Point, Any]]:
-        """All indexed points falling inside ``box``."""
+        """All indexed points falling inside ``box``, in row order."""
         min_cx = int(math.floor(box.min_x / self._cell_size))
         max_cx = int(math.floor(box.max_x / self._cell_size))
         min_cy = int(math.floor(box.min_y / self._cell_size))
         max_cy = int(math.floor(box.max_y / self._cell_size))
-        results: List[Tuple[Point, Any]] = []
+        found: List[Tuple[int, Point, Any]] = []
         for cx in range(min_cx, max_cx + 1):
             for cy in range(min_cy, max_cy + 1):
-                for point, item in self._cells.get((cx, cy), ()):
+                for row, point, item in self._cells.get((cx, cy), ()):
                     if box.contains_point(point):
-                        results.append((point, item))
-        return results
+                        found.append((row, point, item))
+        found.sort(key=itemgetter(0))
+        return [(point, item) for _, point, item in found]
 
     def query_radius(self, center: Point, radius: float) -> List[Tuple[float, Point, Any]]:
         """All points within ``radius`` of ``center``, sorted by distance."""
@@ -143,7 +126,8 @@ class GridIndex:
     def all_items(self) -> Iterator[Tuple[Point, Any]]:
         """Iterate over every indexed (point, item) pair."""
         for bucket in self._cells.values():
-            yield from bucket
+            for _, point, item in bucket:
+                yield point, item
 
     def cell_counts(self) -> Dict[Tuple[int, int], int]:
         """Number of indexed points per occupied cell (useful for density maps)."""

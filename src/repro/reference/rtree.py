@@ -1,9 +1,9 @@
 """A pure-Python R-tree with R*-style heuristics — a test oracle.
 
-The product's index is :class:`repro.index.flat.FlatSpatialIndex`, which packs
-the same Sort-Tile-Recursive levels straight from the source rows with numpy;
-this tree is what that packing and every flat query is held to (it was the
-product's own index until the flat one stopped being compiled from it).
+The product's index is :class:`repro.index.flat.FlatSpatialIndex`, which keeps
+the source rows in their order and answers whole coordinate batches; this
+tree answers the same queries one at a time, and every flat query is held to
+it (it was the product's own index until the flat one replaced it).
 
 SeMiTri uses an R*-tree over the semantic places (regions, road segments,
 POIs) so that Algorithm 1 (region spatial join), Algorithm 2 (candidate road
@@ -13,31 +13,30 @@ query point.  This module implements:
 * one-by-one insertion with least-enlargement/least-overlap subtree choice and
   quadratic node splitting (the classic Guttman split with the R* overlap
   tie-break), and
-* Sort-Tile-Recursive (STR) bulk loading, the layout of static sources.
+* Sort-Tile-Recursive (STR) bulk loading.
 
 Queries supported: bounding-box range search, point queries, nearest
 neighbours (best-first with a priority queue) and "within distance" searches.
 
 Result ordering contract
 ------------------------
-Every query's result order is fully determined by the *structural order* of
-the tree: the left-to-right order in which a depth-first walk (children in
-list order) visits the leaf entries.  Entry ``i`` in that walk has **row**
-``i``; rows are stable until the next :meth:`RTree.insert`.
+An entry's **row** is its insertion order: its position in the
+:meth:`RTree.bulk_load` input, or the number of :meth:`RTree.insert` calls
+before it.  The tree's shape never shows in a result:
 
 * :meth:`RTree.search` / :meth:`RTree.query_point` return matches in
-  ascending row order (the pruned DFS visits surviving leaves left to right).
+  ascending row order;
 * :meth:`RTree.within_distance` sorts by ``(distance, row)``: the stable sort
-  over the row-ordered candidate list keeps equal-distance entries — including
-  duplicate bounding boxes — in row order.
+  over the row-ordered candidate list keeps equal-distance entries —
+  including duplicate bounding boxes — in row order;
 * :meth:`RTree.nearest` returns ``(distance, row)`` order too: the best-first
   heap breaks ties by expanding nodes before emitting equal-distance entries
   and by comparing entry rows, so equal-distance neighbours come out in row
   order rather than in incidental heap order.
 
-:class:`repro.index.flat.FlatSpatialIndex` packs the same rows into
-contiguous arrays and its batch queries sort by exactly these keys, which is
-what makes the scalar tree and the flat index provably — not accidentally —
+:class:`repro.index.flat.FlatSpatialIndex` keeps entry ``i`` at row ``i``
+and sorts by exactly these keys, which is what makes the scalar tree and the
+flat index built from the same rows provably — not accidentally —
 order-identical (see ``tests/test_index_ordering.py``).
 """
 
@@ -47,6 +46,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.geometry.primitives import BoundingBox, Point
@@ -63,16 +63,15 @@ class RTreeEntry:
 class _Node:
     """Internal R-tree node; leaves hold :class:`RTreeEntry`, others hold nodes."""
 
-    __slots__ = ("is_leaf", "entries", "children", "box", "row_start")
+    __slots__ = ("is_leaf", "entries", "rows", "children", "box")
 
     def __init__(self, is_leaf: bool):
         self.is_leaf = is_leaf
         self.entries: List[RTreeEntry] = []
+        #: The row (insertion order) of each of a leaf's entries.
+        self.rows: List[int] = []
         self.children: List["_Node"] = []
         self.box: Optional[BoundingBox] = None
-        #: Structural row of this leaf's first entry (-1 until assigned by
-        #: :meth:`RTree._ensure_rows`); internal nodes keep -1.
-        self.row_start: int = -1
 
     def recompute_box(self) -> None:
         boxes: List[BoundingBox]
@@ -115,8 +114,6 @@ class RTree:
             raise ValueError("min_entries must be at most half of max_entries")
         self._root = _Node(is_leaf=True)
         self._size = 0
-        self._frozen = False
-        self._rows_assigned = False
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -139,16 +136,18 @@ class RTree:
             return tree
 
         leaves: List[_Node] = []
-        for group in _str_pack([(e.box, e) for e in entry_list], max_entries):
+        rowed = [(entry.box, (row, entry)) for row, entry in enumerate(entry_list)]
+        for group in _sort_tile_recursive(rowed, max_entries):
             node = _Node(is_leaf=True)
-            node.entries = [payload for _, payload in group]
+            node.rows = [row for _, (row, _) in group]
+            node.entries = [entry for _, (_, entry) in group]
             node.recompute_box()
             leaves.append(node)
 
         level = leaves
         while len(level) > 1:
             parents: List[_Node] = []
-            packed = _str_pack(
+            packed = _sort_tile_recursive(
                 [(node.box, node) for node in level if node.box is not None], max_entries
             )
             for group in packed:
@@ -161,36 +160,14 @@ class RTree:
         tree._root = level[0]
         return tree
 
-    # ----------------------------------------------------------------- freeze
-    @property
-    def frozen(self) -> bool:
-        """Whether the tree has been sealed against further insertions."""
-        return self._frozen
-
-    def freeze(self) -> "RTree":
-        """Seal the tree: subsequent :meth:`insert` calls raise.
-
-        A frozen tree is safe to share across worker processes (fork) or
-        pickle into them as part of a read-only geographic snapshot — queries
-        never mutate nodes, so concurrent readers need no locking.  Structural
-        rows are assigned here, eagerly, so the row-based ``nearest``
-        tie-break never has to write to the shared nodes after sealing.
-        """
-        self._ensure_rows()
-        self._frozen = True
-        return self
-
     # ----------------------------------------------------------------- insert
     def insert(self, box: BoundingBox, item: Any) -> None:
-        """Insert one (box, item) pair."""
-        if self._frozen:
-            raise TypeError("cannot insert into a frozen RTree")
+        """Insert one (box, item) pair; its row is the number of entries before it."""
         entry = RTreeEntry(box=box, item=item)
-        leaf = self._choose_leaf(self._root, entry.box, path=[])
-        node, path = leaf
+        node, path = self._choose_leaf(self._root, entry.box, path=[])
         node.entries.append(entry)
+        node.rows.append(self._size)
         self._size += 1
-        self._rows_assigned = False
         self._handle_overflow(node, path)
         self._refresh_path_boxes(node, path)
 
@@ -208,10 +185,11 @@ class RTree:
 
     # ---------------------------------------------------------------- queries
     def search(self, box: BoundingBox) -> List[RTreeEntry]:
-        """All entries whose bounding box intersects ``box``."""
-        results: List[RTreeEntry] = []
-        self._search_node(self._root, box, results)
-        return results
+        """All entries whose bounding box intersects ``box``, in row order."""
+        found: List[Tuple[int, RTreeEntry]] = []
+        self._search_node(self._root, box, found)
+        found.sort(key=itemgetter(0))
+        return [entry for _, entry in found]
 
     def search_items(self, box: BoundingBox) -> List[Any]:
         """Payloads of all entries intersecting ``box``."""
@@ -234,9 +212,9 @@ class RTree:
         ``distance_fn`` refines the distance of leaf entries (e.g. exact
         point-segment distance instead of box distance).
 
-        Equal-distance ties are broken by structural row (see the module
-        docstring): the heap pops nodes *before* entries at the same distance
-        — a still-folded subtree whose box distance equals an entry's distance
+        Equal-distance ties are broken by row (see the module docstring): the
+        heap pops nodes *before* entries at the same distance — a still-folded
+        subtree whose box distance equals an entry's distance
         may hide a smaller-row entry at that distance, and ``distance_fn``
         never returns less than the box distance — and equal-distance entries
         compare by their row, so the emitted order is exactly the order a
@@ -244,7 +222,6 @@ class RTree:
         """
         if count <= 0 or self._size == 0:
             return []
-        self._ensure_rows()
         counter = itertools.count()
         # Heap key: (distance, 0 for nodes / 1 for entries, row-or-counter).
         # Rows are unique across entries and counters across nodes, so the
@@ -262,12 +239,12 @@ class RTree:
                 continue
             node: _Node = payload
             if node.is_leaf:
-                for position, entry in enumerate(node.entries):
+                for row, entry in zip(node.rows, node.entries):
                     if distance_fn is not None:
                         entry_distance = distance_fn(point, entry)
                     else:
                         entry_distance = entry.box.min_distance_to_point(point)
-                    heapq.heappush(heap, (entry_distance, 1, node.row_start + position, entry))
+                    heapq.heappush(heap, (entry_distance, 1, row, entry))
             else:
                 for child in node.children:
                     if child.box is None:
@@ -310,29 +287,15 @@ class RTree:
                 stack.extend(node.children)
 
     # -------------------------------------------------------------- internals
-    def _ensure_rows(self) -> None:
-        """Assign each leaf its structural row range (lazy, invalidated by insert)."""
-        if self._rows_assigned:
-            return
-        next_row = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                node.row_start = next_row
-                next_row += len(node.entries)
-            else:
-                # Reversed so the list-order DFS (the search order) pops first.
-                stack.extend(reversed(node.children))
-        self._rows_assigned = True
-
-    def _search_node(self, node: _Node, box: BoundingBox, out: List[RTreeEntry]) -> None:
+    def _search_node(
+        self, node: _Node, box: BoundingBox, out: List[Tuple[int, RTreeEntry]]
+    ) -> None:
         if node.box is None or not node.box.intersects(box):
             return
         if node.is_leaf:
-            for entry in node.entries:
+            for row, entry in zip(node.rows, node.entries):
                 if entry.box.intersects(box):
-                    out.append(entry)
+                    out.append((row, entry))
             return
         for child in node.children:
             self._search_node(child, box, out)
@@ -386,7 +349,9 @@ class RTree:
     def _split(self, node: _Node) -> _Node:
         """Quadratic split of an overflowing node; returns the new sibling."""
         if node.is_leaf:
-            items: List[Tuple[BoundingBox, Any]] = [(e.box, e) for e in node.entries]
+            items: List[Tuple[BoundingBox, Any]] = [
+                (entry.box, (row, entry)) for row, entry in zip(node.rows, node.entries)
+            ]
         else:
             items = [(c.box, c) for c in node.children if c.box is not None]
 
@@ -417,8 +382,10 @@ class RTree:
 
         sibling = _Node(is_leaf=node.is_leaf)
         if node.is_leaf:
-            node.entries = [payload for _, payload in group_a]
-            sibling.entries = [payload for _, payload in group_b]
+            node.rows = [row for _, (row, _) in group_a]
+            node.entries = [entry for _, (_, entry) in group_a]
+            sibling.rows = [row for _, (row, _) in group_b]
+            sibling.entries = [entry for _, (_, entry) in group_b]
         else:
             node.children = [payload for _, payload in group_a]
             sibling.children = [payload for _, payload in group_b]
@@ -495,7 +462,7 @@ def _pick_next(
     return best_index, prefer_a
 
 
-def _str_pack(
+def _sort_tile_recursive(
     items: List[Tuple[BoundingBox, Any]], capacity: int
 ) -> List[List[Tuple[BoundingBox, Any]]]:
     """Sort-Tile-Recursive packing of items into groups of at most ``capacity``."""

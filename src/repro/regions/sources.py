@@ -5,10 +5,11 @@ objects behind a spatial index so the spatial join of Algorithm 1 only examines
 the regions whose bounding box is near a query point or rectangle.  This plays
 the role of the PostGIS tables + R*-tree index of the paper's implementation.
 
-The index is one :class:`~repro.index.flat.FlatSpatialIndex`, STR-packed from
-the regions' bounding-box columns when the source is constructed; the source
-never changes afterwards.  Every lookup is a flat query: the containment join
-asks about a whole coordinate column pair at once
+The index is one :class:`~repro.index.flat.FlatSpatialIndex` over the
+regions' bounding-box columns, taken when the source is constructed (index row
+``i`` is region ``i``); the source never changes afterwards.  Every lookup is
+a flat query: the containment join asks about a whole coordinate column pair
+at once
 (:meth:`RegionSource.first_regions_containing_columns`, what the annotator
 hands over), and the single-point :meth:`RegionSource.first_region_containing`
 is the same query with one row.
@@ -24,7 +25,7 @@ integers, with no loop per position or per candidate.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -43,17 +44,14 @@ class RegionSource:
         if not self._regions:
             raise SourceError(f"region source {name!r} contains no regions")
         self.name = name
-        # The polygons are noted while the boxes are read, so that no rank
-        # table built from this source or a copy of it reads every extent.
-        polygons: Set[int] = set()
         self._index = FlatSpatialIndex.from_boxes(
-            box_columns(_boxes_noting_polygons(self._regions, polygons)), self._regions
+            box_columns(region.bounding_box() for region in self._regions), self._regions
         )
-        #: Index rows whose extent is a polygon.
-        self._polygon_rows: List[int] = []
-        if polygons:
-            rows = enumerate(self._index.payloads)
-            self._polygon_rows = [row for row, region in rows if id(region) in polygons]
+        #: Index rows (region positions) whose extent is a polygon: a rank
+        #: table reads the area of these only, a join tests them exactly.
+        self._polygon_rows = [
+            row for row, region in enumerate(self._regions) if isinstance(region.extent, Polygon)
+        ]
         self._ranks: Optional[_RankTable] = None
 
     def __len__(self) -> int:
@@ -151,20 +149,6 @@ class RegionSource:
     def categories(self) -> List[str]:
         """Distinct categories appearing in the source, sorted."""
         return sorted({region.category for region in self._regions})
-
-
-def _boxes_noting_polygons(
-    regions: Iterable[RegionOfInterest], polygons: Set[int]
-) -> Iterator[BoundingBox]:
-    """``region.bounding_box()`` of each region; adds ``id(region)`` of each
-    region whose extent is a polygon to ``polygons``."""
-    for region in regions:
-        extent = region.extent
-        if isinstance(extent, BoundingBox):
-            yield extent
-        else:
-            polygons.add(id(region))
-            yield extent.bounding_box
 
 
 class _RankTable:

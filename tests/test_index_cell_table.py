@@ -1,14 +1,19 @@
-"""A point query reads one cell, and finds what the STR walk finds.
+"""A point query reads one cell, and finds what the scan and the STR walk find.
 
-A box layout's point-shaped queries — :meth:`FlatSpatialIndex.query_points_batch`
-(pad 0) and :meth:`FlatSpatialIndex.within_distance_batch` (pad ``radius``) —
-read each query point's one cell of a uniform-grid cell table and box-test
-the rows listed there.  The walk over the packed STR levels is the oracle:
-the same index, its table switched off, must return the same offsets, rows
-and distance bits, on layouts built to break the table — zero-size boxes,
-collinear boxes, one box covering all the others, duplicates — and for
-query points on cell edges and box edges, outside the extent, NaN and ±inf,
-at radius 0, a small radius and one larger than the extent.
+Every point-shaped query of the flat index —
+:meth:`FlatSpatialIndex.query_points_batch` (pad 0),
+:meth:`FlatSpatialIndex.within_distance_batch` (pad ``radius``) and the
+one-row forms built on them — reads each query point's one cell of a
+uniform-grid cell table and box-tests the rows listed there, for box and
+point layouts alike.  Two oracles hold it: the chunked scan of every row (the
+same index, its table switched off), which must return the same offsets, rows
+and distance bits, and the STR-loaded R-tree of ``repro.reference`` walked
+one query at a time.  The layouts are built to break the table — zero-size
+boxes, collinear boxes, one box covering all the others, duplicates, clusters
+and coincident points — and the queries sit on cell edges and box edges,
+outside the extent, at NaN and ±inf, at radius 0, a small radius and one
+larger than the extent.  Where no table can be built (an entry box or the pad
+is not finite) the scan answers, and an empty index builds no table at all.
 """
 
 from __future__ import annotations
@@ -23,8 +28,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import PipelineConfig
-from repro.index.flat import FlatSpatialIndex, _CellTable
+from repro.geometry.primitives import BoundingBox, Point
+from repro.index.flat import _CELL_ROWS_PER_ENTRY, FlatSpatialIndex, _CellTable
 from repro.parallel import GeoContext
+from repro.reference import RTree, RTreeEntry
 
 # Coordinates on a coarse lattice (shared edges and duplicates are likely)
 # or anywhere in a window (cell edges fall at arbitrary floats).
@@ -37,7 +44,15 @@ _SIZE = st.one_of(
     st.integers(min_value=0, max_value=12).map(lambda v: v * 2.5),
     st.sampled_from([0.1, 0.2, 0.3, 0.7]),
 )
-_KINDS = ("scattered", "zero-size", "collinear", "covering", "duplicates")
+_KINDS = (
+    "scattered",
+    "zero-size",
+    "collinear",
+    "covering",
+    "duplicates",
+    "clustered",
+    "coincident",
+)
 
 
 @st.composite
@@ -45,10 +60,18 @@ def _layouts(draw):
     """``(min_xs, min_ys, max_xs, max_ys)`` columns of one layout kind."""
     kind = draw(st.sampled_from(_KINDS))
     count = draw(st.integers(min_value=1, max_value=40))
+    centre_x, centre_y = draw(_COORDINATE), draw(_COORDINATE)
+    spread = draw(st.sampled_from([1e-12, 1e-3, 2.5]))
     boxes = []
     for _ in range(count):
         x, y = draw(_COORDINATE), draw(_COORDINATE)
-        if kind == "zero-size":
+        if kind == "clustered":
+            # Zero-size boxes a few ulps to a few units around one centre.
+            x = centre_x + spread * draw(st.integers(-3, 3))
+            y = centre_y + spread * draw(st.integers(-3, 3))
+        elif kind == "coincident":
+            x, y = centre_x, centre_y
+        if kind in ("zero-size", "clustered", "coincident"):
             width = height = 0.0
         elif kind == "collinear":
             y, height = 50.0, 0.0
@@ -85,47 +108,85 @@ def _queries(draw, columns, radius):
     return (np.array([x for x, _ in pairs]), np.array([y for _, y in pairs]))
 
 
-def _walking(flat: FlatSpatialIndex, pad: float) -> FlatSpatialIndex:
-    """A copy of ``flat`` answering point queries for ``pad`` by the STR walk."""
-    walker = copy.copy(flat)
-    walker._cells = (pad, None)
-    return walker
+def _scanning(flat: FlatSpatialIndex, pad: float) -> FlatSpatialIndex:
+    """A copy of ``flat`` answering point queries for ``pad`` by the scan."""
+    scanner = copy.copy(flat)
+    scanner._cells = (pad, None)
+    return scanner
+
+
+def _index(geometry: str, columns) -> FlatSpatialIndex:
+    """The ``geometry`` index of a layout: its boxes, or their min corners as points."""
+    payloads = list(range(len(columns[0])))
+    if geometry == "point":
+        return FlatSpatialIndex.from_points(columns[0], columns[1], payloads)
+    return FlatSpatialIndex.from_boxes(columns, payloads)
+
+
+def _str_walk(flat: FlatSpatialIndex, xs: np.ndarray, ys: np.ndarray, radius: float):
+    """Per query, what the STR-loaded oracle tree over ``flat``'s rows answers:
+    the rows containing the point, and ``(distance, row)`` within ``radius``."""
+    corners = zip(*(column.tolist() for column in flat.entry_columns))
+    tree = RTree.bulk_load(RTreeEntry(BoundingBox(*box), row) for row, box in enumerate(corners))
+    points = [Point(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+    contained = [[entry.item for entry in tree.query_point(point)] for point in points]
+    near = [
+        [(distance, entry.item) for distance, entry in tree.within_distance(point, radius)]
+        for point in points
+    ]
+    return contained, near
+
+
+def _per_query(offsets: np.ndarray, rows: np.ndarray, distances=None) -> list:
+    """A CSR answer as one list per query (of ``(distance, row)`` with distances)."""
+    bounds, found = offsets.tolist(), rows.tolist()
+    if distances is not None:
+        found = list(zip(distances.tolist(), found))
+    return [found[bounds[i] : bounds[i + 1]] for i in range(len(bounds) - 1)]
 
 
 def _bits(array: np.ndarray) -> list:
     return array.view(np.uint64).tolist()
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data(), columns=_layouts(), radius=st.sampled_from([0.0, 0.3, 0.7, 7.5, 1000.0]))
-def test_point_queries_equal_the_str_walk(data, columns, radius):
-    flat = FlatSpatialIndex.from_boxes(columns, list(range(len(columns[0]))))
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    columns=_layouts(),
+    radius=st.sampled_from([0.0, 0.3, 0.7, 7.5, 1000.0]),
+    geometry=st.sampled_from(["bbox", "point"]),
+)
+def test_point_queries_equal_the_str_walk(data, columns, radius, geometry):
+    flat = _index(geometry, columns)
     xs, ys = _queries(data.draw, flat.entry_columns, radius)
+    contained, near = _str_walk(flat, xs, ys, radius)
 
     offsets, rows = flat.query_points_batch(xs, ys)
-    walked_offsets, walked_rows = _walking(flat, 0.0).query_points_batch(xs, ys)
-    assert offsets.tolist() == walked_offsets.tolist()
-    assert rows.tolist() == walked_rows.tolist()
+    scanned_offsets, scanned_rows = _scanning(flat, 0.0).query_points_batch(xs, ys)
+    assert offsets.tolist() == scanned_offsets.tolist()
+    assert rows.tolist() == scanned_rows.tolist()
+    assert _per_query(offsets, rows) == contained
 
     offsets, rows, distances = flat.within_distance_batch(xs, ys, radius)
-    walked = _walking(flat, radius).within_distance_batch(xs, ys, radius)
-    assert offsets.tolist() == walked[0].tolist()
-    assert rows.tolist() == walked[1].tolist()
-    assert _bits(distances) == _bits(walked[2])
+    scanned = _scanning(flat, radius).within_distance_batch(xs, ys, radius)
+    assert offsets.tolist() == scanned[0].tolist()
+    assert rows.tolist() == scanned[1].tolist()
+    assert _bits(distances) == _bits(scanned[2])
+    assert _per_query(offsets, rows, distances) == near
 
 
 def test_a_point_past_a_padded_edge_by_rounding_is_found():
-    """``-0.09999999999999999 + 0.3`` rounds up to ``0.2``, so the walk accepts a
+    """``-0.09999999999999999 + 0.3`` rounds up to ``0.2``, so the scan accepts a
     point one ulp outside ``0.2 - 0.3``, the grid's unwidened origin: the
     table's widened boxes must list it."""
     columns = [np.array(column) for column in ([0.2, 3.0], [0.1, 0.3], [0.2, 3.0], [1.1, 0.6])]
     flat = FlatSpatialIndex.from_boxes(columns, ["left", "right"])
     xs, ys = np.array([-0.09999999999999999]), np.array([0.5])
     offsets, rows, distances = flat.within_distance_batch(xs, ys, 0.3)
-    walked = _walking(flat, 0.3).within_distance_batch(xs, ys, 0.3)
-    assert [flat.payloads[row] for row in walked[1].tolist()] == ["left"]
-    assert offsets.tolist() == walked[0].tolist() and rows.tolist() == walked[1].tolist()
-    assert _bits(distances) == _bits(walked[2])
+    scanned = _scanning(flat, 0.3).within_distance_batch(xs, ys, 0.3)
+    assert [flat.payloads[row] for row in scanned[1].tolist()] == ["left"]
+    assert offsets.tolist() == scanned[0].tolist() and rows.tolist() == scanned[1].tolist()
+    assert _bits(distances) == _bits(scanned[2])
 
 
 @settings(max_examples=60, deadline=None)
@@ -135,7 +196,7 @@ def test_a_table_stays_linear_in_the_entries(columns, pad):
     count = len(columns[0])
     table = _CellTable.build(columns, pad)
     assert table is not None
-    assert len(table.rows) <= 8 * count
+    assert len(table.rows) <= _CELL_ROWS_PER_ENTRY * count
     assert len(table.starts) - 1 <= 3 * count + 1
 
 
@@ -166,25 +227,110 @@ def test_cycling_radii_keeps_one_table_per_index():
 
 
 def test_no_table_travels_with_a_pickle():
-    flat = FlatSpatialIndex.from_boxes(
-        [np.array([0.0, 5.0]), np.array([0.0, 5.0]), np.array([4.0, 9.0]), np.array([4.0, 9.0])],
-        ["a", "b"],
-    )
-    flat.query_points_batch(np.array([1.0]), np.array([1.0]))
-    assert flat._cells is not None
-    clone = pickle.loads(pickle.dumps(flat))
-    assert clone._cells is None
-    assert clone.query_points_batch(np.array([1.0]), np.array([1.0]))[1].tolist() == [0]
+    """For every geometry: the copy has no table, the same columns and payloads."""
+    boxes = [np.array([0.0, 5.0]), np.array([0.0, 5.0]), np.array([4.0, 9.0]), np.array([4.0, 9.0])]
+    for flat in (
+        FlatSpatialIndex.from_boxes(boxes, ["a", "b"]),
+        FlatSpatialIndex.from_boxes(boxes, ["a", "b"], segments=boxes),
+        FlatSpatialIndex.from_points(boxes[0], boxes[1], ["a", "b"]),
+    ):
+        flat.query_points_batch(np.array([1.0]), np.array([1.0]))
+        assert flat._cells is not None
+        clone = pickle.loads(pickle.dumps(flat))
+        assert clone._cells is None
+        assert clone.payloads == flat.payloads and clone.geometry == flat.geometry
+        ours = flat.entry_columns + (flat.segment_columns or ())
+        theirs = clone.entry_columns + (clone.segment_columns or ())
+        assert len(ours) == len(theirs)
+        for column, twin in zip(ours, theirs):
+            assert column.dtype == twin.dtype and column.tolist() == twin.tolist()
+        assert clone.within_distance_batch(np.array([1.0]), np.array([1.0]), 1.5)[1].tolist() == [0]
 
 
-@pytest.mark.parametrize("pad", [math.inf, math.nan])
-def test_a_pad_with_no_finite_extent_walks_the_tree(pad):
-    columns = [np.array(column) for column in ([0.0, 5.0], [0.0, 5.0], [4.0, 9.0], [4.0, 9.0])]
+_FINITE = [np.array(column) for column in ([0.0, 5.0], [0.0, 5.0], [4.0, 9.0], [4.0, 9.0])]
+
+
+@pytest.mark.parametrize(
+    "columns, pad",
+    [
+        (_FINITE, math.inf),
+        ([_FINITE[0], _FINITE[1], np.array([4.0, math.inf]), _FINITE[3]], 0.0),
+        ([np.array([-math.inf, 5.0]), *_FINITE[1:]], 3.0),
+    ],
+    ids=["inf-pad", "entry-to-inf", "entry-from-minus-inf"],
+)
+def test_no_finite_extent_takes_the_scan(columns, pad):
     assert _CellTable.build(columns, pad) is None
-    flat = FlatSpatialIndex.from_boxes(columns, ["a", "b"])
-    offsets, rows, _ = flat.within_distance_batch(np.array([2.0]), np.array([2.0]), pad)
-    walked = _walking(flat, pad).within_distance_batch(np.array([2.0]), np.array([2.0]), pad)
-    assert offsets.tolist() == walked[0].tolist() and rows.tolist() == walked[1].tolist()
+    flat = FlatSpatialIndex.from_boxes(columns, [0, 1])
+    xs, ys = np.array([2.0, 7.0, 100.0, -100.0]), np.array([2.0, 7.0, 5.0, 5.0])
+    found = flat.within_distance_batch(xs, ys, pad)
+    scanned = _scanning(flat, pad).within_distance_batch(xs, ys, pad)
+    assert [column.tolist() for column in found] == [column.tolist() for column in scanned]
+    assert flat._cells == (pad, None)
+    contained, near = _str_walk(flat, xs, ys, pad)
+    assert _per_query(*found) == near
+    assert _per_query(*flat.query_points_batch(xs, ys)) == contained
+
+
+@pytest.mark.parametrize("geometry", ["bbox", "segment", "point"])
+def test_an_empty_index_answers_every_form_without_a_table(geometry):
+    nothing = np.empty(0)
+    if geometry == "point":
+        flat = FlatSpatialIndex.from_points(nothing, nothing, [])
+    else:
+        segments = (nothing,) * 4 if geometry == "segment" else None
+        flat = FlatSpatialIndex.from_boxes((nothing,) * 4, [], segments=segments)
+    xs, ys = np.array([0.0, math.nan]), np.array([0.0, 1.0])
+    assert flat.query_points_batch(xs, ys)[0].tolist() == [0, 0, 0]
+    assert flat.within_distance_batch(xs, ys, 5.0)[0].tolist() == [0, 0, 0]
+    assert flat.query_boxes_batch(xs, ys, xs, ys)[0].tolist() == [0, 0, 0]
+    assert flat.nearest_batch(xs, ys, 2)[0].tolist() == [0, 0, 0]
+    assert flat.within_distance_point(Point(0.0, 0.0), 5.0) == []
+    assert flat.query_box_payloads(BoundingBox(-1.0, -1.0, 1.0, 1.0)) == []
+    assert flat.nearest_point(Point(0.0, 0.0)) == [] and flat.bounds() is None
+    assert flat._cells is None
+
+
+def _three_along_x(geometry: str) -> FlatSpatialIndex:
+    """Entries ``a``, ``b``, ``c`` 10 apart along the x axis, in ``geometry``."""
+    xs = np.array([0.0, 10.0, 20.0])
+    zeros = np.zeros(3)
+    if geometry == "point":
+        return FlatSpatialIndex.from_points(xs, zeros, ["a", "b", "c"])
+    boxes = (xs, zeros, xs + 1.0, zeros + 1.0)
+    return FlatSpatialIndex.from_boxes(
+        boxes, ["a", "b", "c"], segments=boxes if geometry == "segment" else None
+    )
+
+
+@pytest.mark.parametrize("geometry", ["bbox", "segment", "point"])
+@pytest.mark.parametrize("form", ["single", "batch"])
+@pytest.mark.parametrize(
+    "x, radius, expected",
+    [
+        (math.nan, 5.0, []),
+        (math.inf, 5.0, []),
+        (3.0, math.inf, ["a", "b", "c"]),
+        (3.0, math.nan, ValueError),
+    ],
+    ids=["nan-x", "inf-x", "inf-radius", "nan-radius"],
+)
+def test_non_finite_lookups_answer_like_the_batch(geometry, form, x, radius, expected):
+    """A NaN or infinite coordinate finds nothing, an infinite radius every row
+    and a NaN radius is refused — by the one-row lookup as by the batch."""
+    flat = _three_along_x(geometry)
+
+    def lookup():
+        if form == "single":
+            return [item for _, item in flat.within_distance_point(Point(x, 0.5), radius)]
+        _, rows, _ = flat.within_distance_batch(np.array([x]), np.array([0.5]), radius)
+        return [flat.payloads[row] for row in rows.tolist()]
+
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            lookup()
+    else:
+        assert lookup() == expected
 
 
 def test_a_snapshot_pickle_carries_no_lazy_table(annotation_sources):

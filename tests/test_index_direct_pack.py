@@ -1,16 +1,14 @@
-"""The flat index packs itself: same arrays as the oracle compile, no tree on the product path.
+"""The flat index is the source rows: no tree, no reordering, no oracle on the product path.
 
-``FlatSpatialIndex.from_boxes`` / ``from_points`` build the index straight
-from coordinate columns with numpy Sort-Tile-Recursive / cell sorting.  The
-long way round — ``repro.reference``'s pure-Python ``RTree.bulk_load`` or
-``GridIndex`` inserts, then ``from_rtree`` / ``from_grid`` walking the nodes —
-is how the product built the same index before, and stays the oracle:
+``FlatSpatialIndex.from_boxes`` / ``from_points`` keep the coordinate columns
+they are given: entry ``i`` is source row ``i``, payload ``i`` is the source's
+object ``i``.  ``repro.reference``'s pure-Python ``RTree`` and ``GridIndex``
+answer the same queries one at a time, ties in insertion order:
 
-* generated box and point sets pack to the identical layout (payload order,
-  every level array, child ranges, entry and segment columns, ``nearest``
-  radius cap), and so do the benchmark fleet's three sources;
-* the single-point methods of the three source classes, now one-row flat
-  queries, answer exactly what the tree / grid answers;
+* generated box, segment and point sets keep their rows, and so do the
+  benchmark fleet's three sources;
+* the single-point methods of the three source classes, one-row flat queries,
+  answer exactly what the tree / grid answers;
 * with the oracles patched to raise, every execution mode still runs.
 """
 
@@ -30,36 +28,32 @@ from repro.datasets import SyntheticWorld
 from repro.geometry.distance import point_segment_distance
 from repro.geometry.predicates import polygon_intersects_bbox
 from repro.geometry.primitives import BoundingBox, Point, Polygon
-from repro.index.flat import FlatSpatialIndex, box_columns
+from repro.index.flat import FlatSpatialIndex, box_columns, point_columns
 from repro.lines.road_network import RoadNetwork
 from repro.parallel import GeoContext, canonical_bytes
 from repro.points.poi import PoiSource
-from repro.reference import GridIndex, RTree, RTreeEntry, from_grid, from_rtree
+from repro.reference import GridIndex, RTree, RTreeEntry
 from repro.regions.sources import RegionSource
 
 
-def _assert_same_layout(packed: FlatSpatialIndex, compiled: FlatSpatialIndex) -> None:
-    """Array-for-array identity of two flat indexes (payloads by identity)."""
-    assert packed.geometry == compiled.geometry
-    assert packed.level_count == compiled.level_count
-    assert len(packed.payloads) == len(compiled.payloads)
-    assert all(a is b for a, b in zip(packed.payloads, compiled.payloads))
-    ours, theirs = packed.array_blocks(), compiled.array_blocks()
-    assert list(ours) == list(theirs)
-    for name, block in ours.items():
-        assert block.dtype == theirs[name].dtype, name
-        assert block.flags["C_CONTIGUOUS"], name
-        assert np.array_equal(block, theirs[name]), name
-    assert packed._nearest_max_radius == compiled._nearest_max_radius
-    if packed.geometry == "point":
-        assert packed._cell_keys == compiled._cell_keys
-        assert packed._cell_starts == compiled._cell_starts
+def _assert_source_rows(index: FlatSpatialIndex, boxes, payloads, segments=None) -> None:
+    """Row ``i`` of ``index`` is box ``i`` (and segment ``i``) with payload ``i``."""
+    assert len(index) == len(payloads)
+    assert all(a is b for a, b in zip(index.payloads, payloads))
+    for column, expected in zip(index.entry_columns, boxes):
+        assert column.dtype == np.float64 and column.flags["C_CONTIGUOUS"]
+        assert column.tolist() == list(expected)
+    if segments is None:
+        assert index.segment_columns is None
+    else:
+        assert index.segment_columns is not None
+        for column, expected in zip(index.segment_columns, segments):
+            assert column.tolist() == list(expected)
 
 
 # ------------------------------------------------------------------ properties
 # Coordinates from a small lattice: equal centres, duplicate boxes, shared
-# edges and zero-area boxes are the rule, not the exception, so every stable
-# sort in the packing has ties to keep in order.
+# edges and zero-area boxes are the rule, not the exception.
 _LATTICE = st.integers(min_value=-6, max_value=6).map(lambda v: v * 12.5)
 _EXTENT = st.sampled_from([0.0, 0.0, 12.5, 25.0, 40.0])
 
@@ -74,20 +68,25 @@ def _boxes(draw):
     return [BoundingBox(x, y, x + w, y + h) for x, y, w, h in zip(xs, ys, ws, hs)]
 
 
-@pytest.mark.parametrize("capacity", [4, 16])
 @settings(max_examples=40, deadline=None)
 @given(boxes=_boxes())
-def test_direct_box_pack_equals_tree_compile(capacity, boxes):
+def test_a_pack_keeps_the_source_rows(boxes):
     payloads = [object() for _ in boxes]
-    entries = [RTreeEntry(box, payload) for box, payload in zip(boxes, payloads)]
-    compiled = from_rtree(RTree.bulk_load(entries, max_entries=capacity))
-    packed = FlatSpatialIndex.from_boxes(box_columns(boxes), payloads, capacity=capacity)
-    _assert_same_layout(packed, compiled)
+    columns = box_columns(boxes)
+    _assert_source_rows(FlatSpatialIndex.from_boxes(columns, payloads), columns, payloads)
+    segments = [columns[0], columns[1], columns[2], columns[3]]
+    _assert_source_rows(
+        FlatSpatialIndex.from_boxes(columns, payloads, segments=segments),
+        columns,
+        payloads,
+        segments,
+    )
+    xs, ys = columns[0], columns[1]
+    _assert_source_rows(FlatSpatialIndex.from_points(xs, ys, payloads), (xs, ys, xs, ys), payloads)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    cell_size=st.sampled_from([5.0, 12.5, 30.0, 100.0]),
     coordinates=st.lists(
         st.tuples(
             st.one_of(_LATTICE, st.floats(-80.0, 80.0)), st.one_of(_LATTICE, st.floats(-80.0, 80.0))
@@ -98,19 +97,14 @@ def test_direct_box_pack_equals_tree_compile(capacity, boxes):
     center=st.tuples(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0)),
     radius=st.sampled_from([0.0, 7.0, 12.5, 40.0, 500.0]),
 )
-def test_direct_point_layout_equals_grid_compile(cell_size, coordinates, center, radius):
+def test_point_layout_one_row_lookups_equal_the_grid(coordinates, center, radius):
     payloads = [object() for _ in coordinates]
-    grid = GridIndex(cell_size=cell_size)
+    grid = GridIndex(cell_size=12.5)
     for (x, y), payload in zip(coordinates, payloads):
         grid.insert(Point(x, y), payload)
     packed = FlatSpatialIndex.from_points(
-        np.array([x for x, _ in coordinates]),
-        np.array([y for _, y in coordinates]),
-        payloads,
-        cell_size=cell_size,
+        np.array([x for x, _ in coordinates]), np.array([y for _, y in coordinates]), payloads
     )
-    _assert_same_layout(packed, from_grid(grid))
-    # The one-row cell walk: the grid's answer, the columnar scan's answer.
     query = Point(*center)
     scalar = [(distance, item) for distance, _, item in grid.query_radius(query, radius)]
     assert packed.within_distance_point(query, radius) == scalar
@@ -119,27 +113,27 @@ def test_direct_point_layout_equals_grid_compile(cell_size, coordinates, center,
 
 def test_direct_pack_degenerate_shapes():
     empty = FlatSpatialIndex.from_boxes(box_columns([]), [])
-    _assert_same_layout(empty, from_rtree(RTree.bulk_load([])))
+    _assert_source_rows(empty, box_columns([]), [])
     assert empty.bounds() is None and empty.nearest_point(Point(0.0, 0.0)) == []
-    no_points = FlatSpatialIndex.from_points(np.array([]), np.array([]), [], cell_size=10.0)
-    _assert_same_layout(no_points, from_grid(GridIndex(cell_size=10.0)))
+    no_points = FlatSpatialIndex.from_points(np.array([]), np.array([]), [])
+    assert len(no_points) == 0 and no_points.geometry == "point"
     assert no_points.within_distance_point(Point(0.0, 0.0), 50.0) == []
     with pytest.raises(ValueError):
         FlatSpatialIndex.from_boxes(box_columns([BoundingBox(0, 0, 1, 1)]), [])
+    with pytest.raises(ValueError):  # a segment column shorter than the boxes
+        columns = box_columns([BoundingBox(0, 0, 1, 1)])
+        FlatSpatialIndex.from_boxes(columns, ["a"], segments=columns[:3] + [np.array([])])
     with pytest.raises(ValueError):
-        FlatSpatialIndex.from_boxes(box_columns([]), [], capacity=2)
+        FlatSpatialIndex.from_points(np.array([1.0, 2.0]), np.array([1.0]), ["a", "b"])
     with pytest.raises(ValueError):
-        FlatSpatialIndex.from_points(np.array([1.0]), np.array([1.0]), ["a"], cell_size=0.0)
-    with pytest.raises(ValueError):  # rows handed to the constructor out of cell order
-        FlatSpatialIndex(
-            [], (np.array([50.0, 0.0]),) * 2 + (np.array([50.0, 0.0]),) * 2, ["a", "b"], "point",
-            cell_size=10.0,
-        )
+        FlatSpatialIndex(box_columns([]), [], "segment")
+    with pytest.raises(ValueError):
+        FlatSpatialIndex(box_columns([]), [], "polygon")
 
 
 # ------------------------------------------------------- the benchmark's sources
-def test_bench_fleet_sources_pack_identically_to_the_oracle_compile():
-    """The three sources every ``bench/run.py`` set-up builds, array for array."""
+def test_bench_fleet_sources_index_their_rows_in_source_order():
+    """The three sources every ``bench/run.py`` set-up builds, row for row."""
     from bench.fleet import WORLD
 
     world = SyntheticWorld(WORLD)
@@ -147,20 +141,23 @@ def test_bench_fleet_sources_pack_identically_to_the_oracle_compile():
     segments = list(world.road_network().segments)
     pois = list(world.generate_pois())
 
-    region_tree = RTree.bulk_load(RTreeEntry(region.bounding_box(), region) for region in regions)
-    _assert_same_layout(RegionSource(regions).flat_index(), from_rtree(region_tree))
+    boxes = box_columns(region.bounding_box() for region in regions)
+    _assert_source_rows(RegionSource(regions).flat_index(), boxes, regions)
 
-    road_tree = RTree.bulk_load(RTreeEntry(seg.bounding_box(), seg) for seg in segments)
     network = RoadNetwork(segments)
-    compiled = from_rtree(road_tree, segment_of=lambda segment: segment.segment)
-    _assert_same_layout(network.flat_index(), compiled)
-    assert network.flat_index().segment_columns is not None  # compared as array blocks above
+    ends = [
+        [getattr(getattr(segment.segment, end), axis) for segment in segments]
+        for end, axis in (("start", "x"), ("start", "y"), ("end", "x"), ("end", "y"))
+    ]
+    boxes = box_columns(segment.bounding_box() for segment in segments)
+    _assert_source_rows(network.flat_index(), boxes, segments, ends)
+    arrays = network.segment_arrays()
+    assert arrays.start_xs is network.flat_index().segment_columns[0]
+    ids = [segment.place_id for segment in segments]
+    assert [ids[row] for row in np.argsort(arrays.id_ranks).tolist()] == sorted(ids)
 
-    grid = GridIndex(cell_size=100.0)
-    grid.insert_many((poi.location, poi) for poi in pois)
-    source = PoiSource(pois)
-    _assert_same_layout(source.flat_index(), from_grid(grid))
-    assert source.flat_index()._nearest_max_radius == 100.0 * 2.0**19
+    xs, ys = point_columns([poi.location for poi in pois])
+    _assert_source_rows(PoiSource(pois).flat_index(), (xs, ys, xs, ys), pois)
 
 
 # ------------------------------------------------- one-row forms of the sources

@@ -93,12 +93,16 @@ class TestShareContext:
         """The spawn contract, without starting a process."""
         copy = pickle.loads(pickle.dumps(flat_context))
         for name in ("regions", "road_network", "pois"):
-            ours = getattr(flat_context.sources, name).flat_index().array_blocks()
-            theirs = getattr(copy.sources, name).flat_index().array_blocks()
-            assert list(ours) == list(theirs), name
-            for key, array in ours.items():
-                assert array.dtype == theirs[key].dtype, (name, key)
-                assert np.array_equal(array, theirs[key]), (name, key)
+            ours = getattr(flat_context.sources, name).flat_index()
+            theirs = getattr(copy.sources, name).flat_index()
+            assert (ours.segment_columns is None) == (theirs.segment_columns is None), name
+            pairs = zip(
+                ours.entry_columns + (ours.segment_columns or ()),
+                theirs.entry_columns + (theirs.segment_columns or ()),
+            )
+            for column, twin in pairs:
+                assert column.dtype == twin.dtype and np.array_equal(column, twin), name
+            assert [p.place_id for p in ours.payloads] == [p.place_id for p in theirs.payloads]
         results = SequentialExecutor().run(api.compile_plan(context=copy), small_batch)
         assert canonical_bytes(results) == sequential_bytes
 

@@ -26,7 +26,7 @@ def small_source() -> PoiSource:
         _poi("p4", 120, 100, "item sale"),
         _poi("p5", 500, 500, "services"),
     ]
-    return PoiSource(pois, name="small", index_cell_size=50)
+    return PoiSource(pois, name="small")
 
 
 class TestPoiSource:
