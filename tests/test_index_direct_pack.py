@@ -7,6 +7,8 @@ answer the same queries one at a time, ties in insertion order:
 
 * generated box, segment and point sets keep their rows, and so do the
   benchmark fleet's three sources;
+* a pack of generated boxes answers box, radius and nearest queries exactly
+  as the tree bulk-loaded from the same rows, at fan-out 4 and 16;
 * the single-point methods of the three source classes, one-row flat queries,
   answer exactly what the tree / grid answers;
 * with the oracles patched to raise, every execution mode still runs.
@@ -83,6 +85,33 @@ def test_a_pack_keeps_the_source_rows(boxes):
     )
     xs, ys = columns[0], columns[1]
     _assert_source_rows(FlatSpatialIndex.from_points(xs, ys, payloads), (xs, ys, xs, ys), payloads)
+
+
+@pytest.mark.parametrize("capacity", [4, 16])
+@settings(max_examples=40, deadline=None)
+@given(
+    boxes=_boxes(),
+    corner=st.tuples(_LATTICE, _LATTICE),
+    extent=st.tuples(_EXTENT, _EXTENT),
+    radius=st.sampled_from([0.0, 12.5, 40.0]),
+    count=st.sampled_from([1, 3, 700]),
+)
+def test_direct_box_pack_equals_tree_compile(capacity, boxes, corner, extent, radius, count):
+    """A pack of the source rows answers like the oracle tree at any fan-out."""
+    payloads = [object() for _ in boxes]
+    tree = RTree.bulk_load(
+        [RTreeEntry(box, payload) for box, payload in zip(boxes, payloads)], max_entries=capacity
+    )
+    packed = FlatSpatialIndex.from_boxes(box_columns(boxes), payloads)
+    query = BoundingBox(corner[0], corner[1], corner[0] + extent[0], corner[1] + extent[1])
+    point = Point(*corner)
+    assert packed.query_box_payloads(query) == tree.search_items(query)
+    assert packed.within_distance_point(point, radius) == [
+        (distance, entry.item) for distance, entry in tree.within_distance(point, radius)
+    ]
+    assert packed.nearest_point(point, count) == [
+        (distance, entry.item) for distance, entry in tree.nearest(point, count=count)
+    ]
 
 
 @settings(max_examples=40, deadline=None)
